@@ -5,6 +5,8 @@
 //! machine would observe). Keeping the substrates fast is what lets the
 //! experiment sweeps run thousands of simulated seconds in host seconds.
 
+use std::sync::Arc;
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload, RequestId, ServiceId, Token};
@@ -12,7 +14,7 @@ use lastcpu_devices::flash::{NandChip, NandConfig};
 use lastcpu_devices::ftl::Ftl;
 use lastcpu_iommu::{AccessKind, Iommu};
 use lastcpu_mem::{FrameAllocator, Pasid, Perms, PhysAddr, VirtAddr, PAGE_SIZE};
-use lastcpu_sim::{CorrId, DetRng, Histogram, SimDuration, SimTime, TraceData, TraceSink};
+use lastcpu_sim::{CorrId, DetRng, Histogram, SimDuration, SimTime, TraceData, TraceSink, Zipf};
 use lastcpu_virtio::{FlatMemory, QueueLayout, QueueMemory, VirtqueueDevice, VirtqueueDriver};
 
 fn bench_wire_codec(c: &mut Criterion) {
@@ -178,15 +180,19 @@ fn bench_trace_overhead(c: &mut Criterion) {
                 SimTime::from_nanos(n),
                 "bench",
                 CorrId(1),
-                TraceData::QueueDoorbell {
-                    to: String::new(),
-                    value: black_box(n),
+                TraceData::Stage {
+                    stage: "client.issue",
+                    id: black_box(n),
+                    aux: 1,
                 },
             );
         });
     });
+    // A `&str` source is copied to the heap per record; `trace/emit_stage`
+    // below is the same sink fed a shared name.
     c.bench_function("trace/emit_enabled_bounded", |b| {
         let mut sink = TraceSink::bounded(4096);
+        let to: Arc<str> = "dev:9".into();
         let mut n = 0u64;
         b.iter(|| {
             n = n.wrapping_add(1);
@@ -195,11 +201,42 @@ fn bench_trace_overhead(c: &mut Criterion) {
                 "bench",
                 CorrId(1),
                 TraceData::QueueDoorbell {
-                    to: "dev:9".to_string(),
+                    to: to.clone(),
                     value: black_box(n),
                 },
             );
         });
+    });
+    // The per-operation mark of a traced run, the way `System` emits it: the
+    // source is the host's shared name, so the record allocates nothing.
+    c.bench_function("trace/emit_stage", |b| {
+        let mut sink = TraceSink::bounded(4096);
+        let source: Arc<str> = "c0".into();
+        let mut n = 0u64;
+        b.iter(|| {
+            n = n.wrapping_add(1);
+            sink.emit_data(
+                SimTime::from_nanos(n),
+                source.clone(),
+                CorrId(1),
+                TraceData::Stage {
+                    stage: "client.issue",
+                    id: black_box(n),
+                    aux: 1,
+                },
+            );
+        });
+    });
+}
+
+fn bench_zipf(c: &mut Criterion) {
+    // One key draw of the 400-key, theta 0.99 client every KVS experiment
+    // uses. Construction (400 `powf`) is outside the loop, as it is outside
+    // the client's.
+    c.bench_function("rng/zipf_400_0.99", |b| {
+        let zipf = Zipf::new(400, 0.99);
+        let mut rng = DetRng::new(5);
+        b.iter(|| black_box(zipf.sample(&mut rng)))
     });
 }
 
@@ -221,6 +258,7 @@ criterion_group!(
     bench_frame_allocator,
     bench_histogram,
     bench_trace_overhead,
+    bench_zipf,
     bench_doorbell_value,
 );
 criterion_main!(benches);

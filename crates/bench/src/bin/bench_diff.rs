@@ -22,9 +22,10 @@
 //!   `lost_acked_keys = 0` — the durability invariant is absolute, not
 //!   a tolerance.
 //! - **e12** — `attributed_alloc_fraction` and `wall_coverage_fraction`
-//!   may not drop below the baseline by more than `--coverage-tol`
-//!   absolute (default 0.02); the critical-path `sum_error` may not rise
-//!   above `--p99-tol` percent of total.
+//!   (plus `instrument_wall_fraction`, the priced span edges, when
+//!   present) may not drop below the baseline by more than
+//!   `--coverage-tol` absolute (default 0.02); the critical-path
+//!   `sum_error` may not rise above `--p99-tol` percent of total.
 //! - **e13** — per matched `threads` cell: `events` and the determinism
 //!   `digest` must be *exactly* equal (virtual-time results are
 //!   deterministic — any drift is a regression, not noise);
@@ -391,14 +392,22 @@ fn diff_e12(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
         num(cand, "attribution.attributed_alloc_fraction")?,
     );
     // Wall coverage only exists in wall mode; `--no-wall` artifacts omit it.
+    // The compared quantity is the one E12 gates: time in named scopes plus
+    // the priced span edges (absent, so zero, in artifacts from before the
+    // edges were priced).
     let wall = "attribution.wall_coverage_fraction";
+    let edges = |j: &Json| {
+        j.path("attribution.instrument_wall_fraction")
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0)
+    };
     match (base.path(wall), cand.path(wall)) {
         (Some(b), Some(c)) => {
             let (b, c) = (
                 b.as_f64().ok_or("bad wall_coverage_fraction")?,
                 c.as_f64().ok_or("bad wall_coverage_fraction")?,
             );
-            d.coverage("attribution.wall", b, c);
+            d.coverage("attribution.wall", b + edges(base), c + edges(cand));
         }
         (None, None) => println!("  attribution.wall: absent (no-wall artifacts), skipped"),
         _ => return Err("wall mode differs between baseline and candidate".into()),

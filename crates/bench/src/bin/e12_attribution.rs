@@ -160,6 +160,26 @@ fn system_phase(args: &Args, profiled: bool) -> (u64, f64) {
     (events, wall)
 }
 
+/// Host ns one top-level span costs *outside* its own measured interval:
+/// the halves of its two clock reads that straddle the interval, plus the
+/// scope-table bookkeeping on entry and exit. No span can record this, so
+/// it is measured: a run of empty back-to-back top-level spans takes this
+/// much longer than the time the spans themselves report.
+fn span_edge_ns() -> f64 {
+    const N: u64 = 200_000;
+    profile::reset();
+    profile::set_enabled(true);
+    let t0 = Instant::now();
+    for _ in 0..N {
+        let _s = profile::span("e12.span_edge");
+    }
+    let wall = t0.elapsed().as_nanos() as f64;
+    profile::set_enabled(false);
+    let inside = profile::snapshot().wall_root_total_ns() as f64;
+    profile::reset();
+    (wall - inside).max(0.0) / N as f64
+}
+
 /// The E10 rack cell with full stage + link-hop tracing; returns the
 /// critical-path report and the clients' own merged latency histogram as a
 /// cross-check.
@@ -280,6 +300,16 @@ fn main() {
     let wall_ns = (wall * 1e9) as u64;
     let alloc_frac = snap.attributed_alloc_fraction();
     let wall_frac = snap.wall_root_total_ns() as f64 / wall_ns.max(1) as f64;
+    // The instrument's own share of the window: every top-level span has
+    // edges no span can see. Priced after the snapshot so the calibration
+    // scope stays out of the table.
+    let (edge_ns, instrument_frac) = if args.no_wall {
+        (0.0, 0.0)
+    } else {
+        let edge = span_edge_ns();
+        let frac = snap.root_span_total() as f64 * edge / wall_ns.max(1) as f64;
+        (edge, frac)
+    };
 
     println!();
     println!("attribution over the measured window ({events} events):");
@@ -314,8 +344,13 @@ fn main() {
     );
     if !args.no_wall {
         println!(
-            "attributed wall time:   {:.1}% of the measured window (gate: >= 95%)",
-            100.0 * wall_frac
+            "attributed wall time:   {:.1}% of the measured window in named scopes + {:.1}% span edges \
+             ({} top-level spans x {:.0} ns) = {:.1}% (gate: >= 95%)",
+            100.0 * wall_frac,
+            100.0 * instrument_frac,
+            snap.root_span_total(),
+            edge_ns,
+            100.0 * (wall_frac + instrument_frac)
         );
     }
 
@@ -382,9 +417,18 @@ fn main() {
     ));
     if !args.no_wall {
         body.push_str(&format!(
-            "    \"wall_ns\": {wall_ns},\n    \"wall_root_ns\": {},\n    \"wall_coverage_fraction\": {:.6},\n",
+            concat!(
+                "    \"wall_ns\": {},\n    \"wall_root_ns\": {},\n",
+                "    \"wall_coverage_fraction\": {:.6},\n",
+                "    \"root_spans\": {},\n    \"span_edge_ns\": {:.1},\n",
+                "    \"instrument_wall_fraction\": {:.6},\n"
+            ),
+            wall_ns,
             snap.wall_root_total_ns(),
-            wall_frac
+            wall_frac,
+            snap.root_span_total(),
+            edge_ns,
+            instrument_frac
         ));
     }
     body.push_str("    \"scopes\": {\n");
@@ -456,8 +500,10 @@ fn main() {
     if alloc_frac < 0.95 {
         failed.push(format!("attributed_alloc_fraction {alloc_frac:.4} < 0.95"));
     }
-    if !args.no_wall && wall_frac < 0.95 {
-        failed.push(format!("wall_coverage_fraction {wall_frac:.4} < 0.95"));
+    if !args.no_wall && wall_frac + instrument_frac < 0.95 {
+        failed.push(format!(
+            "wall_coverage_fraction {wall_frac:.4} + instrument_wall_fraction {instrument_frac:.4} < 0.95"
+        ));
     }
     if sum_error > 0.05 {
         failed.push(format!("worst_sum_error {sum_error:.4} > 0.05"));

@@ -236,6 +236,10 @@ impl SysMetrics {
 
 struct Slot {
     id: DeviceId,
+    /// `device.name()` and `id.to_string()` as shared handles, created once
+    /// here so trace records naming this device never copy the text.
+    name: Arc<str>,
+    id_name: Arc<str>,
     device: Box<dyn Device>,
     iommu: Iommu,
     rng: DetRng,
@@ -312,11 +316,20 @@ struct RpcState {
 }
 
 struct HostSlot {
+    /// `host.name()` as a shared handle (see `Slot::name`).
+    name: Arc<str>,
     host: Box<dyn NetHost>,
     port: PortId,
     rng: DetRng,
     /// Reusable action buffer (see `Slot::scratch_actions`).
     scratch_actions: Vec<HostAction>,
+}
+
+/// The trace sources that are not a device or host, as shared handles.
+struct TraceSources {
+    bus: Arc<str>,
+    net: Arc<str>,
+    fault: Arc<str>,
 }
 
 /// Shared-interconnect state for the conflated-planes configuration (E6).
@@ -365,6 +378,7 @@ pub struct System {
     port_to_slot: DetHashMap<PortId, usize>,
     port_to_host: DetHashMap<PortId, usize>,
     trace: TraceSink,
+    sources: TraceSources,
     stats: MetricsHub,
     met: SysMetrics,
     root_rng: DetRng,
@@ -432,6 +446,11 @@ impl System {
             port_to_slot: DetHashMap::default(),
             port_to_host: DetHashMap::default(),
             trace,
+            sources: TraceSources {
+                bus: "bus".into(),
+                net: "net".into(),
+                fault: "fault".into(),
+            },
             stats,
             met,
             root_rng,
@@ -470,15 +489,28 @@ impl System {
     ) -> DeviceHandle {
         let id = self.bus.attach(name, kind);
         let device = build(id, self.dram.size());
-        let idx = self.slots.len();
         let met = slot_metrics(&self.stats, kind, name);
+        self.push_slot(id, device, None, met)
+    }
+
+    /// Appends the slot for a device already attached to the bus as `id`.
+    fn push_slot(
+        &mut self,
+        id: DeviceId,
+        device: Box<dyn Device>,
+        port: Option<PortId>,
+        met: SlotMetrics,
+    ) -> DeviceHandle {
+        let idx = self.slots.len();
         self.slots.push(Slot {
             id,
+            name: device.name().into(),
+            id_name: id.to_string().into(),
             device,
             iommu: self.new_iommu(),
             rng: self.root_rng.split(id.0 as u64),
             next_req: 0,
-            port: None,
+            port,
             busy_until: SimTime::ZERO,
             halted: false,
             permanently_dead: false,
@@ -505,32 +537,13 @@ impl System {
 
     fn add_device_inner(&mut self, device: Box<dyn Device>, with_port: bool) -> DeviceHandle {
         let id = self.bus.attach(device.name(), device.kind());
-        let idx = self.slots.len();
         let met = slot_metrics(&self.stats, device.kind(), device.name());
         let port = with_port.then(|| {
             let p = self.switch.add_port();
-            self.port_to_slot.insert(p, idx);
+            self.port_to_slot.insert(p, self.slots.len());
             p
         });
-        self.slots.push(Slot {
-            id,
-            device,
-            iommu: self.new_iommu(),
-            rng: self.root_rng.split(id.0 as u64),
-            next_req: 0,
-            port,
-            busy_until: SimTime::ZERO,
-            halted: false,
-            permanently_dead: false,
-            inbox: std::collections::VecDeque::new(),
-            pop_armed: false,
-            met,
-            faults: SlotFaults::default(),
-            scratch_actions: Vec::new(),
-            scratch_faults: Vec::new(),
-        });
-        self.by_id.insert(id, idx);
-        DeviceHandle { id, idx }
+        self.push_slot(id, device, port, met)
     }
 
     /// Adds the memory-controller device sized to this machine's DRAM.
@@ -546,29 +559,10 @@ impl System {
         config: lastcpu_memctl::MemCtlConfig,
     ) -> DeviceHandle {
         let id = self.bus.attach(name, "memory-controller");
-        let idx = self.slots.len();
         let met = slot_metrics(&self.stats, "memory-controller", name);
         let dev = MemCtlDevice::with_config(name, id, self.dram.size(), config);
-        self.slots.push(Slot {
-            id,
-            device: Box::new(dev),
-            iommu: self.new_iommu(),
-            rng: self.root_rng.split(id.0 as u64),
-            next_req: 0,
-            port: None,
-            busy_until: SimTime::ZERO,
-            halted: false,
-            permanently_dead: false,
-            inbox: std::collections::VecDeque::new(),
-            pop_armed: false,
-            met,
-            faults: SlotFaults::default(),
-            scratch_actions: Vec::new(),
-            scratch_faults: Vec::new(),
-        });
-        self.by_id.insert(id, idx);
         self.memctl_id = Some(id);
-        DeviceHandle { id, idx }
+        self.push_slot(id, Box::new(dev), None, met)
     }
 
     /// The memory controller's bus address, if one was added.
@@ -587,6 +581,7 @@ impl System {
         let hidx = self.hosts.len();
         let rng = self.root_rng.split(0x8000_0000 | hidx as u64);
         self.hosts.push(HostSlot {
+            name: host.name().into(),
             host,
             port,
             rng,
@@ -657,7 +652,7 @@ impl System {
         if self.trace.is_enabled() {
             self.trace.emit_data(
                 at,
-                "net",
+                self.sources.net.clone(),
                 corr,
                 TraceData::Text(format!(
                     "frame enters from fabric link for port {} ({} B)",
@@ -847,15 +842,17 @@ impl System {
         if let Some(rpc) = self.rpc.as_mut() {
             rpc.tracker.forget_requester(h.id);
         }
-        self.trace.emit_data(
-            now,
-            "fault",
-            corr,
-            TraceData::DeviceFault {
-                device: h.id.to_string(),
-                detail: format!("device {} killed (permanent={permanent})", h.id),
-            },
-        );
+        if self.trace.is_enabled() {
+            self.trace.emit_data(
+                now,
+                self.sources.fault.clone(),
+                corr,
+                TraceData::DeviceFault {
+                    device: self.slots[h.idx].id_name.clone(),
+                    detail: format!("device {} killed (permanent={permanent})", h.id),
+                },
+            );
+        }
         let mut fx = Vec::new();
         // Cannot fail: the handle came from this system.
         let _ = self.bus.mark_failed(h.id, &mut fx);
@@ -887,7 +884,7 @@ impl System {
                     if let Payload::Hello { name, kind } = &env.payload {
                         self.trace.emit_data(
                             now,
-                            "bus",
+                            self.sources.bus.clone(),
                             env.corr,
                             TraceData::BusRegister {
                                 device: format!("{name} ({kind})"),
@@ -964,7 +961,7 @@ impl System {
                     if self.trace.is_enabled() {
                         self.trace.emit_data(
                             now,
-                            "net",
+                            self.sources.net.clone(),
                             corr,
                             TraceData::Text(format!(
                                 "frame exits to fabric link via port {} ({} B)",
@@ -1032,10 +1029,10 @@ impl System {
         self.slots[idx].met.recovery_latency.record(lat);
         self.slots[idx].faults.down_since = None;
         if self.trace.is_enabled() {
-            let name = self.slots[idx].device.name().to_string();
+            let name = &self.slots[idx].name;
             self.trace.emit_data(
                 now,
-                "fault",
+                self.sources.fault.clone(),
                 CorrId::NONE,
                 TraceData::Text(format!("{name} recovered after {lat}")),
             );
@@ -1057,15 +1054,17 @@ impl System {
         };
         self.met.faults_injected.incr();
         let corr = self.fresh_corr();
-        self.trace.emit_data(
-            now,
-            "fault",
-            corr,
-            TraceData::DeviceFault {
-                device: ev.target.clone(),
-                detail: format!("inject {} on {}", ev.kind.tag(), ev.target),
-            },
-        );
+        if self.trace.is_enabled() {
+            self.trace.emit_data(
+                now,
+                self.sources.fault.clone(),
+                corr,
+                TraceData::DeviceFault {
+                    device: self.slots[idx].name.clone(),
+                    detail: format!("inject {} on {}", ev.kind.tag(), ev.target),
+                },
+            );
+        }
         match ev.kind {
             FaultKind::Drop { count } => self.slots[idx].faults.drop_rem += count,
             FaultKind::Corrupt { count } => {
@@ -1144,12 +1143,14 @@ impl System {
         if f.drop_rem > 0 {
             f.drop_rem -= 1;
             self.met.msgs_dropped.incr();
-            self.trace.emit_data(
-                now,
-                "fault",
-                env.corr,
-                TraceData::Text(format!("dropped {} on the wire", env.payload.kind_name())),
-            );
+            if self.trace.is_enabled() {
+                self.trace.emit_data(
+                    now,
+                    self.sources.fault.clone(),
+                    env.corr,
+                    TraceData::Text(format!("dropped {} on the wire", env.payload.kind_name())),
+                );
+            }
             return None;
         }
         if f.corrupt_rem > 0 {
@@ -1170,15 +1171,17 @@ impl System {
                     // Survived the frame check (astronomically unlikely with
                     // the FCS, but handled): delivered as a *different*
                     // message; the endpoint validation layers must cope.
-                    self.trace.emit_data(
-                        now,
-                        "fault",
-                        corr,
-                        TraceData::Text(format!(
-                            "corrupted {kind} -> {}",
-                            corrupted.payload.kind_name()
-                        )),
-                    );
+                    if self.trace.is_enabled() {
+                        self.trace.emit_data(
+                            now,
+                            self.sources.fault.clone(),
+                            corr,
+                            TraceData::Text(format!(
+                                "corrupted {kind} -> {}",
+                                corrupted.payload.kind_name()
+                            )),
+                        );
+                    }
                     Some((Arc::new(corrupted), SimDuration::ZERO))
                 }
                 Err(_) => {
@@ -1186,12 +1189,14 @@ impl System {
                     // the receiver discards the frame, so on the wire this is
                     // a drop — the sender's RPC timeout retransmits.
                     self.met.msgs_dropped.incr();
-                    self.trace.emit_data(
-                        now,
-                        "fault",
-                        corr,
-                        TraceData::Text(format!("corrupted {kind}; frame check dropped it")),
-                    );
+                    if self.trace.is_enabled() {
+                        self.trace.emit_data(
+                            now,
+                            self.sources.fault.clone(),
+                            corr,
+                            TraceData::Text(format!("corrupted {kind}; frame check dropped it")),
+                        );
+                    }
                     None
                 }
             };
@@ -1245,7 +1250,7 @@ impl System {
                     if self.trace.is_enabled() {
                         self.trace.emit_data(
                             now,
-                            "bus",
+                            self.sources.bus.clone(),
                             env.corr,
                             TraceData::Text(format!(
                                 "retry {attempt} of {} from {}",
@@ -1272,17 +1277,19 @@ impl System {
                     attempts,
                 } => {
                     self.met.rpc_give_ups.incr();
-                    self.trace.emit_data(
-                        now,
-                        "fault",
-                        env.corr,
-                        TraceData::Text(format!(
-                            "{} from {} abandoned after {attempts} attempts ({} in flight)",
-                            env.payload.kind_name(),
-                            env.src,
-                            now.since(first_sent),
-                        )),
-                    );
+                    if self.trace.is_enabled() {
+                        self.trace.emit_data(
+                            now,
+                            self.sources.fault.clone(),
+                            env.corr,
+                            TraceData::Text(format!(
+                                "{} from {} abandoned after {attempts} attempts ({} in flight)",
+                                env.payload.kind_name(),
+                                env.src,
+                                now.since(first_sent),
+                            )),
+                        );
+                    }
                     // Synthesize a terminal failure reply so the requester's
                     // state machine unwinds instead of wedging (graceful
                     // degradation; the KVS server turns this into
@@ -1453,7 +1460,7 @@ impl System {
                 slot.met.sec_dma_denied.add(delta.denied);
             }
             if self.trace.is_enabled() && !delta.records.is_empty() {
-                let name = slot.device.name().to_string();
+                let name = &slot.name;
                 for r in &delta.records {
                     self.trace.emit_data(
                         now,
@@ -1516,8 +1523,8 @@ impl System {
                 let device = self
                     .bus
                     .device(r.src)
-                    .map(|e| e.name.clone())
-                    .unwrap_or_else(|| format!("{}", r.src));
+                    .map_or_else(|| r.src.to_string(), |e| e.name.clone())
+                    .into();
                 let check = match r.op {
                     lastcpu_bus::PrivOpKind::RegisterController => "register_controller",
                     lastcpu_bus::PrivOpKind::MapInstruction => "map_instruction",
@@ -1564,11 +1571,11 @@ impl System {
                         .schedule_in(delay, Event::HostTimer { hidx, token, corr });
                 }
                 HostAction::Trace(s) => {
-                    let name = self.hosts[hidx].host.name().to_string();
+                    let name = self.hosts[hidx].name.clone();
                     self.trace.emit_data(now, name, corr, TraceData::Text(s));
                 }
                 HostAction::Stage { stage, id, aux } => {
-                    let name = self.hosts[hidx].host.name().to_string();
+                    let name = self.hosts[hidx].name.clone();
                     self.trace
                         .emit_data(now, name, corr, TraceData::Stage { stage, id, aux });
                 }
@@ -1606,14 +1613,14 @@ impl System {
         match action {
             Action::SendBus(env) => {
                 if self.trace.is_enabled() {
-                    let name = self.slots[idx].device.name().to_string();
+                    let name = self.slots[idx].name.clone();
                     let data = match &env.payload {
                         Payload::Query { pattern } => TraceData::Discovery {
                             pattern: pattern.clone(),
                             dst: format!("{:?}", env.dst),
                         },
                         p => TraceData::BusSend {
-                            what: p.kind_name().to_string(),
+                            what: p.kind_name(),
                             dst: format!("{:?}", env.dst),
                         },
                     };
@@ -1646,16 +1653,13 @@ impl System {
                     payload: Payload::Doorbell { conn, value },
                 };
                 if self.trace.is_enabled() {
-                    let name = self.slots[idx].device.name().to_string();
-                    self.trace.emit_data(
-                        t,
-                        name,
-                        corr,
-                        TraceData::QueueDoorbell {
-                            to: to.to_string(),
-                            value,
-                        },
-                    );
+                    let name = self.slots[idx].name.clone();
+                    let to = match self.by_id.get(&to) {
+                        Some(&i) => self.slots[i].id_name.clone(),
+                        None => to.to_string().into(),
+                    };
+                    self.trace
+                        .emit_data(t, name, corr, TraceData::QueueDoorbell { to, value });
                 }
                 let mut lat = self.config.doorbell_latency;
                 if let Some(link) = self.shared_link.as_mut() {
@@ -1678,11 +1682,11 @@ impl System {
             }
             Action::NetTx(frame) => self.route_frame(t, frame, corr),
             Action::Trace(s) => {
-                let name = self.slots[idx].device.name().to_string();
+                let name = self.slots[idx].name.clone();
                 self.trace.emit_data(t, name, corr, TraceData::Text(s));
             }
             Action::Stage { stage, id, aux } => {
-                let name = self.slots[idx].device.name().to_string();
+                let name = self.slots[idx].name.clone();
                 self.trace
                     .emit_data(t, name, corr, TraceData::Stage { stage, id, aux });
             }
@@ -1691,15 +1695,17 @@ impl System {
                 self.slots[idx].halted = true;
                 self.slots[idx].inbox.clear();
                 self.mark_down(idx, t);
-                self.trace.emit_data(
-                    t,
-                    "fault",
-                    corr,
-                    TraceData::DeviceFault {
-                        device: id.to_string(),
-                        detail: format!("{id} halted: {reason}"),
-                    },
-                );
+                if self.trace.is_enabled() {
+                    self.trace.emit_data(
+                        t,
+                        self.sources.fault.clone(),
+                        corr,
+                        TraceData::DeviceFault {
+                            device: self.slots[idx].id_name.clone(),
+                            detail: format!("{id} halted: {reason}"),
+                        },
+                    );
+                }
                 let mut fx = Vec::new();
                 let _ = self.bus.mark_failed(id, &mut fx);
                 self.apply_bus_effects(t, fx);
@@ -1744,10 +1750,10 @@ impl System {
                         if self.trace.is_enabled() {
                             self.trace.emit_data(
                                 now,
-                                "bus",
+                                self.sources.bus.clone(),
                                 corr,
                                 TraceData::DmaGrant {
-                                    to: device.to_string(),
+                                    to: self.slots[idx].id_name.clone(),
                                     pages,
                                     writable: perms & 2 != 0,
                                 },
@@ -1828,33 +1834,37 @@ impl System {
                     let _ = slot.iommu.protect(Pasid(pasid), va_i, perms);
                 }
                 Err(e) => {
-                    self.trace.emit_data(
-                        self.queue.now(),
-                        "bus",
-                        corr,
-                        TraceData::MapFailure {
-                            error: format!("{e}"),
-                        },
-                    );
+                    if self.trace.is_enabled() {
+                        self.trace.emit_data(
+                            self.queue.now(),
+                            self.sources.bus.clone(),
+                            corr,
+                            TraceData::MapFailure {
+                                error: format!("{e}"),
+                            },
+                        );
+                    }
                     self.met.map_failures.incr();
                     return;
                 }
             }
         }
         self.met.pages_mapped.add(pages);
-        self.trace.emit_data(
-            self.queue.now(),
-            "bus",
-            corr,
-            TraceData::IommuMap {
-                device: slot.id.to_string(),
-                pasid,
-                va,
-                pa,
-                pages,
-                perms: perms.to_string(),
-            },
-        );
+        if self.trace.is_enabled() {
+            self.trace.emit_data(
+                self.queue.now(),
+                self.sources.bus.clone(),
+                corr,
+                TraceData::IommuMap {
+                    device: slot.id_name.clone(),
+                    pasid,
+                    va,
+                    pa,
+                    pages,
+                    perms: perms.to_string(),
+                },
+            );
+        }
     }
 
     fn apply_unmap(&mut self, idx: usize, pasid: u32, va: u64, pages: u64, corr: CorrId) {
@@ -1867,31 +1877,33 @@ impl System {
             }
         }
         self.met.pages_unmapped.add(removed);
-        self.trace.emit_data(
-            self.queue.now(),
-            "bus",
-            corr,
-            TraceData::IommuUnmap {
-                device: slot.id.to_string(),
-                pasid,
-                va,
-                pages: removed,
-            },
-        );
+        if self.trace.is_enabled() {
+            self.trace.emit_data(
+                self.queue.now(),
+                self.sources.bus.clone(),
+                corr,
+                TraceData::IommuUnmap {
+                    device: slot.id_name.clone(),
+                    pasid,
+                    va,
+                    pages: removed,
+                },
+            );
+        }
     }
 
     fn trace_envelope(&mut self, now: SimTime, to_idx: usize, env: &Envelope) {
         if !self.trace.is_enabled() {
             return;
         }
-        let to = self.slots[to_idx].device.name().to_string();
+        let to = self.slots[to_idx].name.clone();
         let from = if env.src == DeviceId::BUS {
-            "bus".to_string()
+            self.sources.bus.clone()
         } else {
-            self.by_id
-                .get(&env.src)
-                .map(|&i| self.slots[i].device.name().to_string())
-                .unwrap_or_else(|| format!("{}", env.src))
+            match self.by_id.get(&env.src) {
+                Some(&i) => self.slots[i].name.clone(),
+                None => env.src.to_string().into(),
+            }
         };
         self.trace.emit_data(
             now,

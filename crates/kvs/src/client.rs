@@ -7,7 +7,9 @@
 
 use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::critpath::{op_key, STAGE_CLIENT_DONE, STAGE_CLIENT_ISSUE};
-use lastcpu_sim::{CounterHandle, DetHashMap, HistogramHandle, MetricsHub, SimDuration, SimTime};
+use lastcpu_sim::{
+    CounterHandle, DetHashMap, HistogramHandle, MetricsHub, SimDuration, SimTime, Zipf,
+};
 
 use lastcpu_core::{HostCtx, NetHost};
 
@@ -19,9 +21,11 @@ const TOKEN_TICK: u64 = 1;
 /// Workload parameters.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
-    /// Number of distinct keys.
+    /// Number of distinct keys; at least 1.
     pub keys: u64,
-    /// Zipfian skew (0 = uniform; YCSB default 0.99).
+    /// Zipfian skew in `[0, 1)`: 0 is uniform, YCSB's default is 0.99.
+    /// [`KvsClientHost::new`] panics on a value outside that range (the
+    /// generator is undefined at 1 and above; see [`Zipf::try_new`]).
     pub theta: f64,
     /// Fraction of GETs (rest are PUTs).
     pub read_fraction: f64,
@@ -100,6 +104,9 @@ impl ClientMetrics {
 pub struct KvsClientHost {
     server: PortId,
     config: WorkloadConfig,
+    /// Key sampler for `config.keys` / `config.theta`. Derived state:
+    /// rebuilt on restore, never snapshotted.
+    zipf: Zipf,
     met: Option<ClientMetrics>,
     phase: Phase,
     next_id: u64,
@@ -121,9 +128,14 @@ pub struct KvsClientHost {
 
 impl KvsClientHost {
     /// Creates a client aimed at the KVS frontend on `server`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.keys` is 0 or `config.theta` is outside `[0, 1)`.
     pub fn new(server: PortId, config: WorkloadConfig) -> Self {
         KvsClientHost {
             server,
+            zipf: Zipf::new(config.keys, config.theta),
             config,
             met: None,
             phase: Phase::Probing,
@@ -252,7 +264,7 @@ impl KvsClientHost {
                 self.send_put(ctx, id, key, 0xAB);
             }
             Phase::Running => {
-                let k = ctx.rng().zipf(self.config.keys, self.config.theta);
+                let k = self.zipf.sample(ctx.rng());
                 let key = Self::key_encode(k, &mut kb);
                 let is_read = ctx.rng().chance(self.config.read_fraction);
                 if is_read {
@@ -513,8 +525,8 @@ impl lastcpu_snap::Snapshot for KvsClientHost {
         w.put_u64(self.timeouts);
         w.put_opt(self.started_at.as_ref(), |w, t| w.put_u64(t.as_nanos()));
         w.put_opt(self.finished_at.as_ref(), |w, t| w.put_u64(t.as_nanos()));
-        // Excluded: `met` (live MetricsHub handles) and `value_scratch`
-        // (refilled on every issue).
+        // Excluded: `met` (live MetricsHub handles), `value_scratch`
+        // (refilled on every issue) and `zipf` (rebuilt from the config).
     }
 }
 
@@ -530,6 +542,7 @@ impl lastcpu_snap::Restore for KvsClientHost {
         self.config.preload = r.bool()?;
         self.config.timeout = SimDuration::from_nanos(r.u64()?);
         self.config.stats_prefix = r.str()?;
+        self.zipf = Zipf::try_new(self.config.keys, self.config.theta).map_err(|e| r.corrupt(e))?;
         self.phase = match r.u8()? {
             0 => Phase::Probing,
             1 => Phase::Loading,

@@ -68,7 +68,7 @@ pub fn trace_chrome(sink: &TraceSink) -> String {
     let mut spans: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // corr -> (first,last) ns
     for r in sink.events() {
         let next = tids.len() as u64 + 1;
-        tids.entry(r.source.as_str()).or_insert(next);
+        tids.entry(&r.source).or_insert(next);
         if r.corr.is_some() {
             let e = spans
                 .entry(r.corr.0)
@@ -103,7 +103,7 @@ pub fn trace_chrome(sink: &TraceSink) -> String {
     }
     // Instant event per record on its source's track.
     for r in sink.events() {
-        let tid = tids[r.source.as_str()];
+        let tid = tids[&*r.source];
         events.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\
              \"tid\":{tid},\"ts\":{:.3},\"args\":{{\"corr\":\"{}\",\"what\":\"{}\"}}}}",
@@ -433,6 +433,7 @@ mod tests {
                     allocs: 3,
                     alloc_bytes: 96,
                     spans: 2,
+                    root_spans: 1,
                     wall_ns: 500,
                     wall_root_ns: 400,
                     sim_ns: 1_000,
@@ -443,6 +444,7 @@ mod tests {
                     allocs: 1,
                     alloc_bytes: 8,
                     spans: 1,
+                    root_spans: 1,
                     wall_ns: 100,
                     wall_root_ns: 100,
                     sim_ns: 0,

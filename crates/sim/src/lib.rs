@@ -13,7 +13,8 @@
 //! - [`EventQueue`]: a priority queue of timestamped events with a
 //!   deterministic FIFO tie-break for events scheduled at the same instant.
 //! - [`DetRng`]: a seeded, splittable random number generator. Two runs with
-//!   the same seed produce identical traces.
+//!   the same seed produce identical traces. [`Zipf`] draws skewed ranks
+//!   from one in O(1).
 //! - [`stats`]: counters and log-bucketed latency histograms used by the
 //!   benchmark harness to report percentiles.
 //! - [`trace`] / [`record`]: a structured trace sink of typed records
@@ -57,7 +58,7 @@ pub use pool::{BufPool, Bytes, PoolStats};
 pub use profile::{AllocScope, ProfileSnapshot};
 pub use queue::{EventQueue, QueueEngine, ScheduledEvent};
 pub use record::{CorrId, TraceData, TraceRecord};
-pub use rng::DetRng;
+pub use rng::{DetRng, Zipf};
 pub use stats::{Counter, Histogram, StatsRegistry};
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceSink;

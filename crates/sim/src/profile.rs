@@ -61,6 +61,8 @@ pub struct ScopeStats {
     pub alloc_bytes: u64,
     /// Completed [`span`]s.
     pub spans: u64,
+    /// Completed *top-level* spans (the ones `wall_root_ns` sums).
+    pub root_spans: u64,
     /// Total wall time inside spans of this scope (includes nested scopes).
     pub wall_ns: u64,
     /// Wall time of *top-level* spans only (entered with an empty scope
@@ -104,6 +106,14 @@ impl ProfileSnapshot {
     /// Sum of top-level span wall time (no double-counted nesting).
     pub fn wall_root_total_ns(&self) -> u64 {
         self.scopes.iter().map(|s| s.wall_root_ns).sum()
+    }
+
+    /// Number of completed top-level spans. Each one has two edges the
+    /// profiler cannot see — half a clock read on either side of its
+    /// measured interval plus its own bookkeeping — so this is the
+    /// multiplier for pricing the instrument's share of unattributed time.
+    pub fn root_span_total(&self) -> u64 {
+        self.scopes.iter().map(|s| s.root_spans).sum()
     }
 
     /// Sum of sim-ns charges across all scopes.
@@ -154,6 +164,7 @@ mod imp {
     /// `BYTES` cells instead (the allocator hook cannot take a `RefCell`).
     struct Table {
         spans: [u64; MAX_SCOPES],
+        root_spans: [u64; MAX_SCOPES],
         wall: [u64; MAX_SCOPES],
         wall_root: [u64; MAX_SCOPES],
         sim: [u64; MAX_SCOPES],
@@ -164,6 +175,7 @@ mod imp {
         fn new() -> Self {
             Table {
                 spans: [0; MAX_SCOPES],
+                root_spans: [0; MAX_SCOPES],
                 wall: [0; MAX_SCOPES],
                 wall_root: [0; MAX_SCOPES],
                 sim: [0; MAX_SCOPES],
@@ -309,6 +321,7 @@ mod imp {
                 t.spans[slot] += 1;
                 t.wall[slot] += ns;
                 if self.prev == 0 {
+                    t.root_spans[slot] += 1;
                     t.wall_root[slot] += ns;
                 }
                 if t.hists.len() <= slot {
@@ -378,6 +391,7 @@ mod imp {
                         allocs: allocs[i],
                         alloc_bytes: bytes[i],
                         spans: t.spans[i],
+                        root_spans: t.root_spans[i],
                         wall_ns: t.wall[i],
                         wall_root_ns: t.wall_root[i],
                         sim_ns: t.sim[i],
@@ -550,6 +564,8 @@ mod tests {
                 stats(&snap, "test.root").wall_ns
             );
             assert_eq!(stats(&snap, "test.nested").wall_root_ns, 0);
+            assert_eq!(stats(&snap, "test.nested").root_spans, 0);
+            assert_eq!(snap.root_span_total(), 1);
             assert!(stats(&snap, "test.nested").wall_ns <= stats(&snap, "test.root").wall_ns);
             assert_eq!(snap.wall_root_total_ns(), stats(&snap, "test.root").wall_ns);
         });

@@ -11,6 +11,7 @@
 //! [`crate::export`] turn those spans into Perfetto-loadable trees.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::time::SimTime;
 
@@ -49,19 +50,24 @@ impl fmt::Display for CorrId {
 /// the escape hatch for device-specific annotations. Each variant renders to
 /// a stable human-readable line via `Display` (preserved verbatim from the
 /// original string tracer so message-sequence assertions keep working).
+///
+/// Device names are `Arc<str>` handles: the machine creates one per device
+/// when it is attached and every record naming that device shares it, so a
+/// steady-state record costs a reference count, not a heap copy. The
+/// checkpoint and export encodings carry the text only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceData {
     /// A device handed a control message to the bus.
-    BusSend { what: String, dst: String },
+    BusSend { what: &'static str, dst: String },
     /// A discovery query entered the bus.
     Discovery { pattern: String, dst: String },
     /// A message was delivered to a device.
-    Deliver { to: String, kind: &'static str },
+    Deliver { to: Arc<str>, kind: &'static str },
     /// A device completed registration on the bus.
     BusRegister { device: String },
     /// The bus programmed a device's IOMMU with a mapping.
     IommuMap {
-        device: String,
+        device: Arc<str>,
         pasid: u32,
         va: u64,
         pa: u64,
@@ -70,7 +76,7 @@ pub enum TraceData {
     },
     /// The bus revoked pages from a device's IOMMU.
     IommuUnmap {
-        device: String,
+        device: Arc<str>,
         pasid: u32,
         va: u64,
         pages: u64,
@@ -79,21 +85,21 @@ pub enum TraceData {
     MapFailure { error: String },
     /// Memory was granted to a peer device for DMA (a successful share).
     DmaGrant {
-        to: String,
+        to: Arc<str>,
         pages: u64,
         writable: bool,
     },
     /// A queue doorbell rang.
-    QueueDoorbell { to: String, value: u64 },
+    QueueDoorbell { to: Arc<str>, value: u64 },
     /// A device halted or was killed.
-    DeviceFault { device: String, detail: String },
+    DeviceFault { device: Arc<str>, detail: String },
     /// A security check refused an operation (E11 audit layer): a DMA
     /// outside the accessor's mapped windows, a privileged bus operation
     /// from a non-controller, a shadowed service announcement, or a
     /// flood-limited control message.
     SecurityDenial {
         /// Device whose access or request was refused.
-        device: String,
+        device: Arc<str>,
         /// Check that refused it, e.g. `"dma"`, `"map_instruction"`.
         check: String,
         /// Human-readable denial detail.
@@ -332,7 +338,7 @@ impl TraceData {
     pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<TraceData> {
         Ok(match r.u8()? {
             0 => TraceData::BusSend {
-                what: r.str()?,
+                what: lastcpu_snap::intern_static(&r.str()?),
                 dst: r.str()?,
             },
             1 => TraceData::Discovery {
@@ -340,12 +346,12 @@ impl TraceData {
                 dst: r.str()?,
             },
             2 => TraceData::Deliver {
-                to: r.str()?,
+                to: r.str()?.into(),
                 kind: lastcpu_snap::intern_static(&r.str()?),
             },
             3 => TraceData::BusRegister { device: r.str()? },
             4 => TraceData::IommuMap {
-                device: r.str()?,
+                device: r.str()?.into(),
                 pasid: r.u32()?,
                 va: r.u64()?,
                 pa: r.u64()?,
@@ -353,27 +359,27 @@ impl TraceData {
                 perms: r.str()?,
             },
             5 => TraceData::IommuUnmap {
-                device: r.str()?,
+                device: r.str()?.into(),
                 pasid: r.u32()?,
                 va: r.u64()?,
                 pages: r.u64()?,
             },
             6 => TraceData::MapFailure { error: r.str()? },
             7 => TraceData::DmaGrant {
-                to: r.str()?,
+                to: r.str()?.into(),
                 pages: r.u64()?,
                 writable: r.bool()?,
             },
             8 => TraceData::QueueDoorbell {
-                to: r.str()?,
+                to: r.str()?.into(),
                 value: r.u64()?,
             },
             9 => TraceData::DeviceFault {
-                device: r.str()?,
+                device: r.str()?.into(),
                 detail: r.str()?,
             },
             10 => TraceData::SecurityDenial {
-                device: r.str()?,
+                device: r.str()?.into(),
                 check: r.str()?,
                 detail: r.str()?,
             },
@@ -406,8 +412,9 @@ impl TraceData {
 pub struct TraceRecord {
     /// Virtual time at which the event occurred.
     pub at: SimTime,
-    /// Subsystem tag, e.g. `"bus"`, `"nic0"`, `"iommu.ssd0"`.
-    pub source: String,
+    /// Subsystem tag, e.g. `"bus"`, `"nic0"`, `"iommu.ssd0"`; shared by every
+    /// record the subsystem emits.
+    pub source: Arc<str>,
     /// Causal correlation id ([`CorrId::NONE`] when untracked).
     pub corr: CorrId,
     /// The typed payload.
@@ -432,7 +439,7 @@ impl TraceRecord {
     pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<TraceRecord> {
         Ok(TraceRecord {
             at: SimTime::from_nanos(r.u64()?),
-            source: r.str()?,
+            source: r.str()?.into(),
             corr: CorrId(r.u64()?),
             data: TraceData::decode(r)?,
         })

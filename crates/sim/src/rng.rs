@@ -143,35 +143,85 @@ impl DetRng {
             rem.copy_from_slice(&w[..rem.len()]);
         }
     }
+}
 
-    /// A Zipfian-distributed rank in `[0, n)` with exponent `theta`.
-    ///
-    /// Uses rejection-inversion (Jacobson's approximation) which is accurate
-    /// enough for workload skew modelling and allocation-free. `theta = 0`
-    /// degenerates to uniform; YCSB's default skew is `theta = 0.99`.
+/// A Zipfian rank sampler over `[0, n)` with exponent `theta`: the classic
+/// YCSB generator (Gray et al.'s approximation), accurate enough for
+/// workload-skew modelling and allocation-free. `theta = 0` degenerates to
+/// uniform; YCSB's default skew is `theta = 0.99`.
+///
+/// The harmonic number ζ(n, θ) costs `min(n, 10 000)` `powf` calls, so every
+/// constant that depends only on `(n, θ)` is computed once here and a draw
+/// is O(1). The constants are derived state: holders rebuild the sampler
+/// from `(n, θ)` instead of snapshotting it.
+#[derive(Debug, Clone)]
+pub struct Zipf {
+    n: u64,
+    /// `None` for `theta ≈ 0`, where draws are uniform.
+    skew: Option<Skew>,
+}
+
+#[derive(Debug, Clone)]
+struct Skew {
+    zeta: f64,
+    alpha: f64,
+    eta: f64,
+    /// `1 + 0.5^θ`: below this (scaled) the draw is rank 1.
+    rank1_below: f64,
+}
+
+impl Zipf {
+    /// A sampler for `n` ranks with skew `theta`.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
-    pub fn zipf(&mut self, n: u64, theta: f64) -> u64 {
-        assert!(n > 0, "DetRng::zipf(0, _)");
-        if theta <= f64::EPSILON {
-            return self.below(n);
+    /// Panics if `n == 0` or `theta` is outside `[0, 1)` (see
+    /// [`Zipf::try_new`]).
+    pub fn new(n: u64, theta: f64) -> Self {
+        Self::try_new(n, theta).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Zipf::new`] for parameters read from outside the program (a
+    /// checkpoint): the rejection comes back as a message instead of a
+    /// panic.
+    ///
+    /// `theta = 1` makes `alpha = 1 / (1 - theta)` infinite and the
+    /// `n > 10 000` tail of ζ NaN, and the generator is not defined above
+    /// it, so only `[0, 1)` is accepted (NaN is not).
+    pub fn try_new(n: u64, theta: f64) -> Result<Self, String> {
+        if n == 0 {
+            return Err("Zipf: n must be at least 1, got 0".into());
         }
-        // Classic YCSB-style Zipfian generator.
-        let n_f = n as f64;
-        let zeta = zeta(n, theta);
-        let alpha = 1.0 / (1.0 - theta);
-        let eta = (1.0 - (2.0 / n_f).powf(1.0 - theta)) / (1.0 - zeta_static(theta) / zeta);
-        let u = self.unit();
-        let uz = u * zeta;
+        if !(0.0..1.0).contains(&theta) {
+            return Err(format!("Zipf: theta must be in [0, 1), got {theta}"));
+        }
+        let skew = (theta > f64::EPSILON).then(|| {
+            let zeta_n = zeta(n, theta);
+            Skew {
+                zeta: zeta_n,
+                alpha: 1.0 / (1.0 - theta),
+                eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta(2, theta) / zeta_n),
+                rank1_below: 1.0 + 0.5f64.powf(theta),
+            }
+        });
+        Ok(Zipf { n, skew })
+    }
+
+    /// Draws one rank in `[0, n)`, consuming exactly one draw of `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut DetRng) -> u64 {
+        let Some(s) = &self.skew else {
+            return rng.below(self.n);
+        };
+        let u = rng.unit();
+        let uz = u * s.zeta;
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(theta) {
+        if uz < s.rank1_below {
             return 1;
         }
-        ((n_f * (eta * u - eta + 1.0).powf(alpha)) as u64).min(n - 1)
+        ((self.n as f64 * (s.eta * u - s.eta + 1.0).powf(s.alpha)) as u64).min(self.n - 1)
     }
 }
 
@@ -190,10 +240,6 @@ fn zeta(n: u64, theta: f64) -> f64 {
         sum += (b.powf(1.0 - theta) - a.powf(1.0 - theta)) / (1.0 - theta);
     }
     sum
-}
-
-fn zeta_static(theta: f64) -> f64 {
-    zeta(2, theta)
 }
 
 impl lastcpu_snap::Snapshot for DetRng {
@@ -272,37 +318,138 @@ mod tests {
         assert!(!r.chance(-1.0));
     }
 
+    /// The generator as it was before [`Zipf`]: every constant recomputed
+    /// per draw. Kept only as the oracle the sampler must match bit for
+    /// bit, because every seeded artifact in the repo depends on the
+    /// sequence.
+    fn zipf_per_draw(rng: &mut DetRng, n: u64, theta: f64) -> u64 {
+        if theta <= f64::EPSILON {
+            return rng.below(n);
+        }
+        let n_f = n as f64;
+        let zeta_n = zeta(n, theta);
+        let alpha = 1.0 / (1.0 - theta);
+        let eta = (1.0 - (2.0 / n_f).powf(1.0 - theta)) / (1.0 - zeta(2, theta) / zeta_n);
+        let u = rng.unit();
+        let uz = u * zeta_n;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + 0.5f64.powf(theta) {
+            return 1;
+        }
+        ((n_f * (eta * u - eta + 1.0).powf(alpha)) as u64).min(n - 1)
+    }
+
+    fn draws(seed: u64, n: u64, theta: f64, count: usize) -> Vec<u64> {
+        let z = Zipf::new(n, theta);
+        let mut r = DetRng::new(seed);
+        (0..count).map(|_| z.sample(&mut r)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn zipf_matches_per_draw_oracle(seed: u64, n in 1u64..=50_000, theta in 0.0f64..0.999) {
+            let z = Zipf::new(n, theta);
+            let mut a = DetRng::new(seed);
+            let mut b = DetRng::new(seed);
+            for i in 0..16 {
+                proptest::prop_assert_eq!(
+                    z.sample(&mut a),
+                    zipf_per_draw(&mut b, n, theta),
+                    "draw {} of (seed {}, n {}, theta {})", i, seed, n, theta
+                );
+            }
+            // Same number of generator steps consumed.
+            proptest::prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
     #[test]
-    fn zipf_skews_towards_small_ranks() {
-        let mut r = DetRng::new(5);
-        let n = 1000u64;
-        let draws = 20_000;
-        let mut head = 0u64;
-        for _ in 0..draws {
-            let v = r.zipf(n, 0.99);
-            assert!(v < n);
-            if v < n / 10 {
-                head += 1;
+    fn zipf_matches_oracle_around_the_uniform_cutoff() {
+        for theta in [0.0, f64::EPSILON, 2.0 * f64::EPSILON, 1e-9] {
+            for n in [1, 2, 3, 400, 10_001] {
+                let mut b = DetRng::new(17);
+                let want: Vec<u64> = (0..64).map(|_| zipf_per_draw(&mut b, n, theta)).collect();
+                assert_eq!(draws(17, n, theta, 64), want, "n {n} theta {theta}");
             }
         }
+    }
+
+    // Recorded from the per-draw generator at the commit before `Zipf`.
+    #[test]
+    fn zipf_golden_draws_ycsb_shape() {
+        assert_eq!(
+            draws(5, 400, 0.99, 32),
+            [
+                3, 29, 0, 0, 16, 54, 10, 0, 183, 150, 214, 189, 256, 8, 27, 353, 68, 41, 0, 18, 10,
+                2, 50, 11, 0, 41, 11, 238, 1, 239, 0, 325
+            ]
+        );
+        // n past the 10 000-term cap takes the integral tail of zeta.
+        assert_eq!(
+            draws(9, 50_000, 0.5, 32),
+            [
+                18002, 9295, 2013, 39081, 254, 926, 8888, 2367, 33427, 26366, 45519, 22823, 6142,
+                3706, 10690, 39586, 16677, 39605, 9058, 1880, 48718, 2084, 13133, 2781, 3577, 1163,
+                10495, 35783, 8925, 30603, 212, 614
+            ]
+        );
+    }
+
+    #[test]
+    fn zipf_golden_draws_uniform_branch() {
+        assert_eq!(
+            draws(5, 400, 0.0, 32),
+            [
+                116, 244, 39, 23, 210, 281, 183, 27, 353, 341, 362, 355, 373, 175, 239, 392, 294,
+                264, 34, 216, 186, 95, 276, 187, 28, 264, 191, 368, 62, 369, 23, 387
+            ]
+        );
+    }
+
+    #[test]
+    fn zipf_skews_towards_small_ranks() {
+        let n = 1000u64;
+        let all = draws(5, n, 0.99, 20_000);
+        assert!(all.iter().all(|&v| v < n));
+        let head = all.iter().filter(|&&v| v < n / 10).count();
         // With theta=0.99 the hottest 10% of keys should receive well over
         // half the draws; uniform would give ~10%.
         assert!(
-            head as f64 / draws as f64 > 0.5,
-            "head share {head}/{draws}"
+            head as f64 / all.len() as f64 > 0.5,
+            "head share {head}/{}",
+            all.len()
         );
     }
 
     #[test]
     fn zipf_theta_zero_is_roughly_uniform() {
-        let mut r = DetRng::new(6);
-        let n = 10u64;
         let mut counts = [0u32; 10];
-        for _ in 0..10_000 {
-            counts[r.zipf(n, 0.0) as usize] += 1;
+        for v in draws(6, 10, 0.0, 10_000) {
+            counts[v as usize] += 1;
         }
         for &c in &counts {
             assert!((600..1500).contains(&c), "count {c} far from uniform");
         }
+    }
+
+    #[test]
+    fn zipf_rejects_bad_parameters_loudly() {
+        assert!(Zipf::try_new(0, 0.5).unwrap_err().contains("n must be"));
+        for theta in [1.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
+            let e = Zipf::try_new(400, theta).unwrap_err();
+            assert!(e.contains("theta must be in [0, 1)"), "{theta}: {e}");
+        }
+        assert!(Zipf::try_new(1, 0.0).is_ok());
+        assert!(Zipf::try_new(u64::MAX, 0.999_999).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "theta must be in [0, 1), got 1")]
+    fn zipf_new_panics_on_theta_one() {
+        let _ = Zipf::new(400, 1.0);
     }
 }

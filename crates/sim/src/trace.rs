@@ -8,6 +8,7 @@
 //! kept in a bounded ring so long runs cannot exhaust memory.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::record::{CorrId, TraceData, TraceRecord};
 use crate::time::SimTime;
@@ -89,7 +90,7 @@ impl TraceSink {
 
     /// Records a free-form annotation with no correlation id (no-op when
     /// disabled). Prefer [`TraceSink::emit_data`] for typed records.
-    pub fn emit(&mut self, at: SimTime, source: impl Into<String>, what: impl Into<String>) {
+    pub fn emit(&mut self, at: SimTime, source: impl Into<Arc<str>>, what: impl Into<String>) {
         self.emit_data(at, source, CorrId::NONE, TraceData::Text(what.into()));
     }
 
@@ -97,7 +98,7 @@ impl TraceSink {
     pub fn emit_corr(
         &mut self,
         at: SimTime,
-        source: impl Into<String>,
+        source: impl Into<Arc<str>>,
         corr: CorrId,
         what: impl Into<String>,
     ) {
@@ -105,10 +106,14 @@ impl TraceSink {
     }
 
     /// Records a typed event (no-op when disabled).
+    ///
+    /// A `&str` or `String` source is copied to the heap per record; a
+    /// subsystem that emits repeatedly keeps one `Arc<str>` and passes a
+    /// clone, which allocates nothing.
     pub fn emit_data(
         &mut self,
         at: SimTime,
-        source: impl Into<String>,
+        source: impl Into<Arc<str>>,
         corr: CorrId,
         data: TraceData,
     ) {
@@ -219,7 +224,7 @@ mod tests {
         t.emit(SimTime::from_nanos(2), "b", "y");
         let v: Vec<_> = t.events().collect();
         assert_eq!(v.len(), 2);
-        assert_eq!(v[0].source, "a");
+        assert_eq!(&*v[0].source, "a");
         assert_eq!(v[1].what(), "y");
     }
 
@@ -313,6 +318,103 @@ mod tests {
         let span: Vec<_> = t.by_corr(CorrId(1)).collect();
         assert_eq!(span.len(), 2);
         assert_eq!(span[1].what(), "-> ssd0: OpenRequest");
+    }
+
+    #[test]
+    fn snapshot_round_trips_every_record_variant() {
+        use lastcpu_snap::{Restore, SnapReader, Snapshot};
+        let variants = vec![
+            TraceData::BusSend {
+                what: "OpenRequest",
+                dst: "Device(dev:2)".into(),
+            },
+            TraceData::Discovery {
+                pattern: "ssd/*".into(),
+                dst: "Broadcast".into(),
+            },
+            TraceData::Deliver {
+                to: "ssd0".into(),
+                kind: "QueryHit",
+            },
+            TraceData::BusRegister {
+                device: "nic0 (smart-nic)".into(),
+            },
+            TraceData::IommuMap {
+                device: "dev:3".into(),
+                pasid: 7,
+                va: 0x2000,
+                pa: 0x9000,
+                pages: 4,
+                perms: "RW".into(),
+            },
+            TraceData::IommuUnmap {
+                device: "dev:3".into(),
+                pasid: 7,
+                va: 0x2000,
+                pages: 4,
+            },
+            TraceData::MapFailure {
+                error: "unaligned".into(),
+            },
+            TraceData::DmaGrant {
+                to: "dev:3".into(),
+                pages: 4,
+                writable: true,
+            },
+            TraceData::QueueDoorbell {
+                to: "dev:2".into(),
+                value: 0xBEEF,
+            },
+            TraceData::DeviceFault {
+                device: "dev:2".into(),
+                detail: "dev:2 halted: wear-out".into(),
+            },
+            TraceData::SecurityDenial {
+                device: "rogue0".into(),
+                check: "dma".into(),
+                detail: "pasid 1 va 0x0 Write: NotMapped".into(),
+            },
+            TraceData::Stage {
+                stage: "client.issue",
+                id: 99,
+                aux: 1,
+            },
+            TraceData::LinkHop {
+                src_machine: 0,
+                dst_machine: 3,
+                bytes: 192,
+                uplink_ns: 40,
+                spine_ns: 500,
+                downlink_ns: 45,
+            },
+            TraceData::Text("free-form".into()),
+        ];
+        let mut kinds: Vec<_> = variants.iter().map(TraceData::kind).collect();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 14, "one record per variant");
+
+        let mut t = TraceSink::bounded(32);
+        let shared: Arc<str> = "nic0".into();
+        for (i, data) in variants.into_iter().enumerate() {
+            t.emit_data(
+                SimTime::from_nanos(i as u64 * 10),
+                shared.clone(),
+                CorrId(i as u64),
+                data,
+            );
+        }
+        let bytes = t.snapshot_bytes();
+        let mut back = TraceSink::disabled();
+        let mut r = SnapReader::new("trace", &bytes);
+        back.restore(&mut r).expect("well-formed");
+        r.finish().expect("no trailing bytes");
+        assert!(
+            back.events().eq(t.events()),
+            "records decode to equal records"
+        );
+        assert_eq!(back.total_emitted(), t.total_emitted());
+        assert!(back.is_enabled());
+        assert_eq!(back.snapshot_bytes(), bytes);
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn main() {
         .filter(|e| {
             e.what().contains("DeviceFailed")
                 || e.what().contains("revoked")
-                || e.source == "fault"
+                || &*e.source == "fault"
                 || e.what().contains("ssd0: HelloAck")
                 || e.what().contains("Hello to")
         })

@@ -83,7 +83,7 @@ fn main() {
         .trace()
         .events()
         .filter(|e| {
-            e.source == "console0"
+            &*e.source == "console0"
                 || e.what().contains("console0")
                 || e.what().contains("programmed IOMMU")
         })

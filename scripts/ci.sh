@@ -61,6 +61,12 @@
 #                        finishes with lost_acked_keys == 0 at R=2; a
 #                        same-flag double run is byte-identical and
 #                        bench_diff compares the pair
+#  14. repo benchmark    benchmark/ci.sh: the standalone benchmark crate
+#                        (BENCHMARK.json) builds offline, its tests run all
+#                        five workloads at smoke scale and hold every exact
+#                        metric and the state digest to repeat bit for bit,
+#                        and a smoke run compares clean with itself; host
+#                        time is not gated
 #
 # Set CI_CRITERION=1 to additionally run the criterion host-time benches
 # (opt-in: they are measurements, not pass/fail gates, and take minutes).
@@ -498,6 +504,12 @@ print(f"    byte-identical double run; {len(cells)} cells restored "
       f"restart audit passed with 0 lost acked writes")
 PY
 fi
+
+echo "==> repo benchmark (benchmark/ci.sh: build, exactness tests, smoke self-compare)"
+# The crate the pipeline measures every change with path-depends on
+# crates/*, so a change here that breaks its build or moves a simulated
+# number between two same-seed runs has to fail here, not after merge.
+bash benchmark/ci.sh | tail -3
 
 if [ "${CI_CRITERION:-0}" = "1" ]; then
     echo "==> criterion host-time benches (opt-in via CI_CRITERION=1)"
