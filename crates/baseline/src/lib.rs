@@ -24,6 +24,8 @@
 //! removes (E1, E2) — and its centralized directory is the thing that makes
 //! discovery O(1) instead of a broadcast, which E7 reports honestly.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod cpu;
 pub mod dumbnic;

@@ -27,9 +27,9 @@
 //! Exits non-zero when an acceptance gate fails (attribution below 95%,
 //! or critical-path segment sums off by more than 5%).
 
-use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::time::Instant;
 
+use lastcpu_bench::alloc::CountingAlloc;
 use lastcpu_bench::Table;
 use lastcpu_core::SystemConfig;
 use lastcpu_fabric::FabricConfig;
@@ -39,28 +39,6 @@ use lastcpu_kvs::{build_cpuless_kvs, build_rack_kvs};
 use lastcpu_net::PortId;
 use lastcpu_sim::critpath::{self, CritPathReport, SEGMENTS};
 use lastcpu_sim::{profile, Histogram, SimDuration};
-
-/// Forwards every allocation to the scoped profiler, same as the E9
-/// harness; when profiling is disabled this is one predictable branch.
-struct CountingAlloc;
-
-// SAFETY: delegates to the std system allocator; `note_alloc` never
-// allocates and tolerates TLS teardown.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        lastcpu_sim::profile::note_alloc(layout.size());
-        unsafe { SystemAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { SystemAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        lastcpu_sim::profile::note_alloc(new_size);
-        unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -103,7 +81,7 @@ impl Args {
                 "--replication" => a.replication = val().parse().expect("--replication"),
                 "--rack-ops" => a.rack_ops = val().parse().expect("--rack-ops"),
                 "--no-wall" => a.no_wall = true,
-                _ => {} // same convention as ObsArgs: ignore unknown flags
+                other => lastcpu_bench::unknown_flag(other),
             }
         }
         a

@@ -6,22 +6,20 @@
 //! simulated machine we can afford (sweep sizes, fleet sizes, fault-matrix
 //! seeds) and is the metric the hot-path work in this crate is judged by.
 //!
-//! Two phases, both run per engine (`--engine wheel|heap|both`):
+//! Two phases:
 //!
-//! - **queue** — the event queue in isolation: a deep steady-state churn
-//!   (pop one, schedule one) at a fixed pending-set depth. This isolates the
-//!   engine data structure the `--engine` flag selects: the hierarchical
-//!   timing wheel vs the reference binary heap.
+//! - **queue** — the event queue (timing wheel) in isolation: a deep
+//!   steady-state churn (pop one, schedule one) at a fixed pending-set
+//!   depth.
 //! - **system** — a saturating end-to-end workload: the §3 KVS on the
 //!   CPU-less deployment (smart NIC + SSD + memory controller), many closed
 //!   loops deep, run for a fixed slice of virtual time. Queue operations
-//!   are only part of each event here, so the engine gap is diluted by real
-//!   device work; both numbers are reported for exactly that reason.
+//!   are only part of each event here; the rest is routing, DMA and device
+//!   work.
 //!
 //! Writes `BENCH_e9.json` (override with `--out`); schema in
 //! `EXPERIMENTS.md`. The JSON carries events/sec, ns/event and
-//! allocations/event per phase per engine, plus wheel-over-heap speedups
-//! when both engines run.
+//! allocations/event per phase.
 //!
 //! With `--profile` the run also prints a per-scope allocation attribution
 //! table (which `subsystem.site` the allocations/event figure comes from);
@@ -29,53 +27,18 @@
 //! is excluded from the headline numbers' contract: run without `--profile`
 //! when comparing against recorded baselines.
 
-use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use lastcpu_bench::alloc::{allocs_now, CountingAlloc};
 use lastcpu_bench::{ObsArgs, Table};
 use lastcpu_core::SystemConfig;
 use lastcpu_kvs::build_cpuless_kvs;
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::server::ServerConfig;
-use lastcpu_sim::{export, profile, DetRng, EventQueue, QueueEngine, SimDuration};
-
-/// Counting allocator: allocations/event is a first-class metric here —
-/// the zero-copy envelope and buffer-reuse work shows up in this number.
-/// Every allocation is also forwarded to [`lastcpu_sim::profile::note_alloc`],
-/// so running with `--profile` attributes the total to `subsystem.site`
-/// scopes (the E12 attribution axis) at no cost when profiling is off.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates to the std system allocator; only adds counters
-// (`note_alloc` is written to be callable from a global allocator: it never
-// allocates and tolerates TLS teardown).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        lastcpu_sim::profile::note_alloc(layout.size());
-        unsafe { SystemAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { SystemAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        lastcpu_sim::profile::note_alloc(new_size);
-        unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
-    }
-}
+use lastcpu_sim::{export, profile, DetRng, EventQueue, SimDuration};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs_now() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
 
 /// One measured phase.
 #[derive(Clone, Copy)]
@@ -115,7 +78,6 @@ impl Sample {
 }
 
 struct Args {
-    engines: Vec<QueueEngine>,
     out: String,
     queue_depth: usize,
     queue_ops: u64,
@@ -128,7 +90,6 @@ struct Args {
 impl Args {
     fn parse() -> Args {
         let mut a = Args {
-            engines: vec![QueueEngine::Wheel, QueueEngine::Heap],
             out: "BENCH_e9.json".into(),
             queue_depth: 65_536,
             queue_ops: 4_000_000,
@@ -141,15 +102,6 @@ impl Args {
         while let Some(flag) = it.next() {
             let mut val = || it.next().unwrap_or_default();
             match flag.as_str() {
-                "--engine" => {
-                    let v = val();
-                    a.engines =
-                        match v.as_str() {
-                            "both" => vec![QueueEngine::Wheel, QueueEngine::Heap],
-                            s => vec![QueueEngine::parse(s)
-                                .unwrap_or_else(|| panic!("unknown engine {s:?}"))],
-                        };
-                }
                 "--out" => a.out = val(),
                 "--queue-depth" => a.queue_depth = val().parse().expect("--queue-depth"),
                 "--queue-ops" => a.queue_ops = val().parse().expect("--queue-ops"),
@@ -157,7 +109,12 @@ impl Args {
                 "--outstanding" => a.outstanding = val().parse().expect("--outstanding"),
                 "--virtual-ms" => a.virtual_ms = val().parse().expect("--virtual-ms"),
                 "--repeat" => a.repeat = val().parse::<usize>().expect("--repeat").max(1),
-                _ => {} // same convention as ObsArgs: ignore unknown flags
+                // Parsed by `ObsArgs` from the same argv.
+                "--profile" => {}
+                "--trace-out" | "--metrics-out" | "--profile-out" => {
+                    val();
+                }
+                other => lastcpu_bench::unknown_flag(other),
             }
         }
         a
@@ -170,8 +127,8 @@ impl Args {
 /// mostly near-future (bus hops, device service times), a tail of far
 /// horizon timers — so both the wheel's slot array and its overflow heap
 /// participate.
-fn run_queue_phase(engine: QueueEngine, depth: usize, ops: u64) -> Sample {
-    let mut q: EventQueue<u64> = EventQueue::with_engine(engine);
+fn run_queue_phase(depth: usize, ops: u64) -> Sample {
+    let mut q: EventQueue<u64> = EventQueue::new();
     let mut rng = DetRng::new(0xE9);
     let next_delay = |rng: &mut DetRng| {
         // 75% short (bus/device latencies), 20% medium (timeouts),
@@ -211,16 +168,9 @@ fn run_queue_phase(engine: QueueEngine, depth: usize, ops: u64) -> Sample {
 /// closed loops that the engine never idles, run for a fixed slice of
 /// virtual time. Events/sec here is the whole simulator — queue, bus
 /// routing, DMA, devices — per wall-clock second.
-fn run_system_phase(
-    engine: QueueEngine,
-    clients: usize,
-    outstanding: usize,
-    vms: u64,
-    obs: &ObsArgs,
-) -> Sample {
+fn run_system_phase(clients: usize, outstanding: usize, vms: u64, obs: &ObsArgs) -> Sample {
     let mut sys_config = SystemConfig {
         trace: false,
-        queue_engine: engine,
         ..SystemConfig::default()
     };
     obs.apply(&mut sys_config);
@@ -273,14 +223,7 @@ fn main() {
         args.queue_depth, args.queue_ops, args.clients, args.outstanding, args.virtual_ms
     );
     println!();
-    let mut t = Table::new(&[
-        "phase",
-        "engine",
-        "events",
-        "events/s",
-        "ns/event",
-        "allocs/event",
-    ]);
+    let mut t = Table::new(&["phase", "events", "events/s", "ns/event", "allocs/event"]);
     // Best-of-N per phase: minimum wall time is the standard noise filter
     // for wall-clock benchmarks (the fastest run had the least interference).
     let best = |a: Sample, b: Sample| {
@@ -290,44 +233,27 @@ fn main() {
             a
         }
     };
-    let mut results: Vec<(QueueEngine, Sample, Sample)> = Vec::new();
+    let run_queue = || run_queue_phase(args.queue_depth, args.queue_ops);
+    let run_system = || run_system_phase(args.clients, args.outstanding, args.virtual_ms, &obs);
+    let mut queue = run_queue();
+    let mut system = run_system();
     // Every run counts toward the profiler's attribution denominator, kept
     // or not — the profiler accumulates across the whole process.
-    let mut total_events: u64 = 0;
-    for &engine in &args.engines {
-        let mut queue = run_queue_phase(engine, args.queue_depth, args.queue_ops);
-        let mut system = run_system_phase(
-            engine,
-            args.clients,
-            args.outstanding,
-            args.virtual_ms,
-            &obs,
-        );
-        total_events += queue.events + system.events;
-        for _ in 1..args.repeat {
-            let q = run_queue_phase(engine, args.queue_depth, args.queue_ops);
-            let s = run_system_phase(
-                engine,
-                args.clients,
-                args.outstanding,
-                args.virtual_ms,
-                &obs,
-            );
-            total_events += q.events + s.events;
-            queue = best(queue, q);
-            system = best(system, s);
-        }
-        for (phase, s) in [("queue", &queue), ("system", &system)] {
-            t.row_strings(vec![
-                phase.into(),
-                engine.name().into(),
-                s.events.to_string(),
-                format!("{:.0}", s.events_per_sec()),
-                format!("{:.1}", s.ns_per_event()),
-                format!("{:.3}", s.allocs_per_event()),
-            ]);
-        }
-        results.push((engine, queue, system));
+    let mut total_events = queue.events + system.events;
+    for _ in 1..args.repeat {
+        let (q, s) = (run_queue(), run_system());
+        total_events += q.events + s.events;
+        queue = best(queue, q);
+        system = best(system, s);
+    }
+    for (phase, s) in [("queue", &queue), ("system", &system)] {
+        t.row_strings(vec![
+            phase.into(),
+            s.events.to_string(),
+            format!("{:.0}", s.events_per_sec()),
+            format!("{:.1}", s.ns_per_event()),
+            format!("{:.3}", s.allocs_per_event()),
+        ]);
     }
     t.print();
 
@@ -374,51 +300,28 @@ fn main() {
         }
     }
 
-    let speedups = match (
-        results.iter().find(|(e, _, _)| *e == QueueEngine::Wheel),
-        results.iter().find(|(e, _, _)| *e == QueueEngine::Heap),
-    ) {
-        (Some((_, wq, ws)), Some((_, hq, hs))) => {
-            let q = wq.events_per_sec() / hq.events_per_sec();
-            let s = ws.events_per_sec() / hs.events_per_sec();
-            println!();
-            println!("wheel over heap: {q:.2}x queue churn, {s:.2}x end-to-end");
-            Some((q, s))
-        }
-        _ => None,
-    };
-
-    let mut body = String::from("{\n  \"experiment\": \"e9\",\n  \"schema_version\": 2,\n");
-    body.push_str(&format!(
-        "  \"config\": {{\"queue_depth\": {}, \"queue_ops\": {}, \"clients\": {}, \"outstanding\": {}, \"virtual_ms\": {}, \"repeat\": {}}},\n",
-        args.queue_depth, args.queue_ops, args.clients, args.outstanding, args.virtual_ms, args.repeat
-    ));
-    body.push_str("  \"engines\": {\n");
-    for (i, (engine, queue, system)) in results.iter().enumerate() {
-        // E9 is a single-machine experiment; `threads` records the fabric
-        // worker count the schema shares with E10/E13 (always 1 here) so
-        // `bench_diff` can key cells uniformly across experiments.
-        body.push_str(&format!(
-            "    \"{}\": {{\"threads\": 1, \"queue\": {}, \"system\": {}}}{}\n",
-            engine.name(),
-            queue.json(),
-            system.json(),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  }");
-    if let Some((q, s)) = speedups {
-        body.push_str(&format!(
-            ",\n  \"wheel_over_heap\": {{\"queue\": {q:.3}, \"system\": {s:.3}}}"
-        ));
-    }
-    body.push_str("\n}\n");
+    let body = format!(
+        concat!(
+            "{{\n  \"experiment\": \"e9\",\n  \"schema_version\": 3,\n",
+            "  \"config\": {{\"queue_depth\": {}, \"queue_ops\": {}, \"clients\": {}, ",
+            "\"outstanding\": {}, \"virtual_ms\": {}, \"repeat\": {}}},\n",
+            "  \"queue\": {},\n  \"system\": {}\n}}\n"
+        ),
+        args.queue_depth,
+        args.queue_ops,
+        args.clients,
+        args.outstanding,
+        args.virtual_ms,
+        args.repeat,
+        queue.json(),
+        system.json()
+    );
     match std::fs::write(&args.out, &body) {
         Ok(()) => println!("\nwrote {}", args.out),
         Err(e) => eprintln!("\nfailed to write {}: {e}", args.out),
     }
     println!();
-    println!("expected shape: the queue-churn gap is the engine itself (O(1) wheel");
-    println!("slots vs O(log n) heap sift at depth); the end-to-end gap is smaller");
-    println!("because each event also pays for routing, DMA and device work.");
+    println!("expected shape: the bare queue retires an event in tens of ns; a");
+    println!("system event costs several times that because it also pays for");
+    println!("routing, DMA and device work.");
 }

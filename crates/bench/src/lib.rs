@@ -21,6 +21,7 @@
 //! driver devices the experiments need (setup clients, doorbell pingers,
 //! control-storm generators, allocation churners, DMA probes).
 
+pub mod alloc;
 pub mod drivers;
 pub mod json;
 pub mod obs;
@@ -30,3 +31,12 @@ pub mod twotenant;
 pub use json::Json;
 pub use obs::ObsArgs;
 pub use table::Table;
+
+/// Rejects a command-line flag no parser arm matched: names it on stderr
+/// and exits with status 2, so a stale or mistyped flag can never silently
+/// run the default experiment.
+pub fn unknown_flag(flag: &str) -> ! {
+    let bin = std::env::args().next().unwrap_or_default();
+    eprintln!("{bin}: unknown flag {flag:?}");
+    std::process::exit(2)
+}

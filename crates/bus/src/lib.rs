@@ -37,6 +37,7 @@
 //! (shadow-announce denial, flood limiting); see `DESIGN.md §11` for the
 //! threat model this evidence feeds.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

@@ -2,7 +2,7 @@
 
 use lastcpu_bus::{BusCostModel, RetryConfig, SecurityPolicy};
 use lastcpu_net::NetCostModel;
-use lastcpu_sim::{FaultPlan, QueueEngine, SimDuration};
+use lastcpu_sim::{FaultPlan, SimDuration};
 
 /// Configuration of the emulated machine.
 #[derive(Debug, Clone)]
@@ -41,10 +41,6 @@ pub struct SystemConfig {
     /// enable this so lost/corrupted requests are retransmitted instead of
     /// wedging the requester.
     pub rpc_retry: Option<RetryConfig>,
-    /// Which data structure backs the event queue. The timing wheel is the
-    /// default; the binary heap is retained as the E9 `--engine heap`
-    /// baseline. Both produce bit-identical runs.
-    pub queue_engine: QueueEngine,
     /// Enable the E11 security audit: every DMA translation verdict and
     /// every privileged bus operation is recorded (`sec.*` metrics plus
     /// `security_denial` trace events), so denied accesses are *provably*
@@ -73,7 +69,6 @@ impl Default for SystemConfig {
             trace: true,
             fault_plan: None,
             rpc_retry: None,
-            queue_engine: QueueEngine::Wheel,
             security_audit: false,
             security_policy: SecurityPolicy::default(),
         }

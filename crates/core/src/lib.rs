@@ -34,6 +34,8 @@
 //!   requester, so a device can never observe "allocation succeeded" while
 //!   its mapping is still pending.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod host;
 pub mod memctl_dev;

@@ -33,6 +33,8 @@
 //! - [`console`]: a remote-console device for operators (§4 *System
 //!   Maintenance*).
 
+#![forbid(unsafe_code)]
+
 pub mod accel;
 pub mod auth;
 pub mod console;

@@ -16,15 +16,13 @@
 //!    (and directory replies at least `dir_latency`). The fabric therefore
 //!    advances in windows no longer than that minimum — the *lookahead* —
 //!    within which every machine is provably independent and steps its own
-//!    events freely; at each window edge a serial barrier merges the
+//!    events freely; at each window edge a barrier merges the
 //!    machines' tunnel output in `(timestamp, machine, production-order)`
 //!    order and crosses the links. Directory sweeps and scheduled faults
 //!    are control points that additionally cap windows, so they observe a
-//!    globally consistent instant. Because the *same* windowed schedule
-//!    runs whether machines step on one thread or on
-//!    [`FabricConfig::threads`] workers, any thread count replays
-//!    bit-identically from a seed — parallelism changes wall-clock time,
-//!    never results.
+//!    globally consistent instant. Windows are stepped on one thread: a
+//!    window holds 3–4 events across a whole rack, too little to split
+//!    (DESIGN.md §13.2).
 //! 2. **Transparent tunnels over an explicit topology.** Each machine's
 //!    edge switch grows fabric-owned *proxy ports*, one per remote peer the
 //!    machine talks to. A frame sent to a proxy port crosses the
@@ -41,7 +39,7 @@
 //!    [`topology`] for the cost model and docs/TOPOLOGY.md for the full
 //!    derivation.
 //! 3. **Rack-unique correlation ids.** Machine `m` allocates correlation
-//!    ids from base `(m+1) << 40`, and the fabric threads the id through
+//!    ids from base `(m+1) << 40`, and the fabric carries the id across
 //!    inter-machine frames, so a merged Chrome trace spans machines without
 //!    aliasing.
 //!
@@ -56,6 +54,8 @@
 //! evolve together.
 //!
 //! [`NetCostModel`]: lastcpu_net::NetCostModel
+
+#![forbid(unsafe_code)]
 
 pub mod fabric;
 pub mod proto;

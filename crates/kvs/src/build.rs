@@ -239,8 +239,8 @@ pub fn build_rack_kvs(
     )
 }
 
-/// [`build_rack_kvs`] with an explicit router [`RetryPolicy`] — the E10
-/// ablation hook. Every router in the rack runs the same policy arm.
+/// [`build_rack_kvs`] with an explicit router [`RetryPolicy`] — how E10
+/// runs the `static` baseline. Every router in the rack runs the same arm.
 pub fn build_rack_kvs_with_policy(
     fabric_config: FabricConfig,
     machines: usize,

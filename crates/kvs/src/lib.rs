@@ -24,6 +24,8 @@
 //!   — consistent-hash placement over fabric-discovered endpoints with
 //!   R-way replication and machine-crash fail-over (E10).
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod build;
 pub mod client;

@@ -23,8 +23,8 @@
 //!    set. The consistent-hash ring guarantees only the dead machine's keys
 //!    move (`fabric.router.rebalance_moves` counts them).
 //! 4. **Tracks congestion.** Every sub carries a send timestamp; acks feed a
-//!    per-endpoint RTT EWMA and outstanding-sub counts. The selectable
-//!    [`RetryPolicy`] arms use that state: power-of-two-choices replica
+//!    per-endpoint RTT EWMA and outstanding-sub counts. The default
+//!    [`RetryPolicy`] uses that state: power-of-two-choices replica
 //!    selection for GETs, load-aware write fan-out order, adaptive
 //!    (`max(base, k×ewma)`) timeouts, and Busy backpressure driven by the
 //!    queue depth servers report in their `Busy` responses.
@@ -60,48 +60,38 @@ const TOKEN_TICK: u64 = 1;
 /// is disambiguated by its id range.
 pub const SUB_ID_BASE: u64 = 1 << 62;
 
-/// Retry/dispatch policy arm — the E10 ablation axis.
+/// Retry/dispatch policy: the congestion-aware default and the documented
+/// pre-congestion-aware baseline it is measured against.
 ///
 /// `Static` preserves the original behavior (fixed `sub_timeout`, blind
-/// rotation across replicas on retry). The other arms switch on the
-/// congestion machinery piecewise so the benefit decomposes:
+/// rotation across replicas on retry). `AdaptiveP2c` switches on the whole
+/// congestion machinery:
 ///
-/// - **adaptive** — timeouts stretch to `max(sub_timeout, k × ewma_rtt)` of
-///   the sub's target, and `Busy`/`Unavailable` acks defer the re-dispatch
-///   by the backpressure window instead of retrying on the very next tick.
-/// - **p2c** — GETs pick the less-loaded of two rotation candidates
-///   (outstanding subs, then RTT EWMA; ties resolve in rotation order, so
-///   the choice stays deterministic), and write fan-out issues subs to the
+/// - timeouts stretch to `max(sub_timeout, k × ewma_rtt)` of the sub's
+///   target, and `Busy`/`Unavailable` acks defer the re-dispatch by the
+///   backpressure window instead of retrying on the very next tick;
+/// - GETs pick the less-loaded of two rotation candidates (outstanding
+///   subs, then RTT EWMA; ties resolve in rotation order, so the choice
+///   stays deterministic), and write fan-out issues subs to the
 ///   least-loaded replicas first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetryPolicy {
     /// Fixed timeout + blind rotation (the pre-congestion-aware router).
     Static,
-    /// Adaptive timeouts + Busy backpressure.
-    Adaptive,
-    /// Power-of-two-choices GET placement + load-aware write fan-out order.
-    P2c,
-    /// Both [`RetryPolicy::Adaptive`] and [`RetryPolicy::P2c`] (default).
+    /// Adaptive timeouts, Busy backpressure, power-of-two-choices GET
+    /// placement and load-aware write fan-out order (default).
     #[default]
     AdaptiveP2c,
 }
 
 impl RetryPolicy {
-    /// Every arm, in ablation order.
-    pub const ALL: [RetryPolicy; 4] = [
-        RetryPolicy::Static,
-        RetryPolicy::Adaptive,
-        RetryPolicy::P2c,
-        RetryPolicy::AdaptiveP2c,
-    ];
+    /// Both arms, baseline first.
+    pub const ALL: [RetryPolicy; 2] = [RetryPolicy::Static, RetryPolicy::AdaptiveP2c];
 
-    /// The flag/JSON spelling (`"static"`, `"adaptive"`, `"p2c"`,
-    /// `"adaptive+p2c"`).
+    /// The flag/JSON spelling (`"static"`, `"adaptive+p2c"`).
     pub fn name(self) -> &'static str {
         match self {
             RetryPolicy::Static => "static",
-            RetryPolicy::Adaptive => "adaptive",
-            RetryPolicy::P2c => "p2c",
             RetryPolicy::AdaptiveP2c => "adaptive+p2c",
         }
     }
@@ -111,14 +101,10 @@ impl RetryPolicy {
         RetryPolicy::ALL.into_iter().find(|p| p.name() == s)
     }
 
-    /// Whether the adaptive-timeout/backpressure machinery is on.
-    fn adaptive(self) -> bool {
-        matches!(self, RetryPolicy::Adaptive | RetryPolicy::AdaptiveP2c)
-    }
-
-    /// Whether load-aware replica selection is on.
-    fn p2c(self) -> bool {
-        matches!(self, RetryPolicy::P2c | RetryPolicy::AdaptiveP2c)
+    /// Whether the congestion machinery (adaptive timeouts, backpressure,
+    /// load-aware replica selection) is on.
+    fn congestion_aware(self) -> bool {
+        self == RetryPolicy::AdaptiveP2c
     }
 }
 
@@ -144,8 +130,8 @@ pub struct RouterConfig {
     pub vnodes: u32,
     /// Tick period: directory re-query + pending-request timeout sweep.
     pub tick: SimDuration,
-    /// Age after which an unanswered sub-request is re-dispatched. Under an
-    /// adaptive policy this is the *floor*; the effective timeout is
+    /// Age after which an unanswered sub-request is re-dispatched. Under the
+    /// congestion-aware policy this is the *floor*; the effective timeout is
     /// `max(sub_timeout, rtt_multiplier × ewma_rtt(target))`.
     pub sub_timeout: SimDuration,
     /// Re-dispatch budget per client request before giving up with
@@ -155,8 +141,9 @@ pub struct RouterConfig {
     pub policy: RetryPolicy,
     /// Adaptive-timeout multiplier `k` in `max(sub_timeout, k × ewma_rtt)`.
     pub rtt_multiplier: u64,
-    /// Base re-dispatch deferral after a `Busy`/`Unavailable` ack under an
-    /// adaptive policy, scaled up with the queue depth the server reported.
+    /// Base re-dispatch deferral after a `Busy`/`Unavailable` ack under the
+    /// congestion-aware policy, scaled up with the queue depth the server
+    /// reported.
     pub busy_backoff: SimDuration,
     /// Host name (traces, stats).
     pub name: String,
@@ -568,20 +555,13 @@ impl ShardRouterHost {
             .filter(|t| !avoid.contains(*t))
             .collect();
         let cands = if fresh.is_empty() { rotation } else { fresh };
-        if self.config.policy.p2c() && cands.len() >= 2 {
+        if self.config.policy.congestion_aware() && cands.len() >= 2 {
             // Power of two choices over the first two rotation candidates;
-            // ties keep the rotation order (deterministic).
+            // ties keep the rotation order (deterministic). An endpoint
+            // inside its backpressure window scores worst.
             let (a, b) = (cands[0], cands[1]);
             if self.load_score(b, now) < self.load_score(a, now) {
                 return b.clone();
-            }
-            return a.clone();
-        }
-        if self.config.policy.adaptive() {
-            // Skip endpoints inside their backpressure window when a
-            // non-busy alternative exists.
-            if let Some(t) = cands.iter().find(|t| !self.load_score(t, now).0) {
-                return (*t).clone();
             }
         }
         cands[0].clone()
@@ -703,7 +683,7 @@ impl ShardRouterHost {
                 .filter(|rep| !p.subs.iter().any(|s| &s.target == *rep))
                 .cloned()
                 .collect();
-            if self.config.policy.p2c() {
+            if self.config.policy.congestion_aware() {
                 // Load-aware fan-out order: least-loaded replicas get their
                 // subs (and thus uplink slots) first. Name-tiebreak keeps
                 // the order deterministic.
@@ -799,11 +779,11 @@ impl ShardRouterHost {
             }
             KvsStatus::Busy | KvsStatus::Unavailable => {
                 // Transient (overload / mid-recovery). Statically, retry on
-                // the next sweep. Under an adaptive policy the response is
+                // the next sweep. Under the default policy the response is
                 // backpressure: mark the endpoint busy for a window scaled
                 // by the queue depth it reported and defer the re-dispatch
                 // until the window passes, instead of hammering it tickwise.
-                let defer = if self.config.policy.adaptive() {
+                let defer = if self.config.policy.congestion_aware() {
                     let depth = if resp.status == KvsStatus::Busy {
                         resp.busy_depth().unwrap_or(0)
                     } else {
@@ -884,7 +864,7 @@ impl ShardRouterHost {
         self.query_directory(ctx);
         let now = ctx.now;
         let base = self.config.sub_timeout;
-        let adaptive = self.config.policy.adaptive();
+        let adaptive = self.config.policy.congestion_aware();
         let mult = self.config.rtt_multiplier;
         let load = &self.load;
         let seqs: Vec<u64> = self
@@ -1008,18 +988,15 @@ impl RetryPolicy {
     pub fn snap_encode(self) -> u8 {
         match self {
             RetryPolicy::Static => 0,
-            RetryPolicy::Adaptive => 1,
-            RetryPolicy::P2c => 2,
             RetryPolicy::AdaptiveP2c => 3,
         }
     }
 
-    /// Inverse of [`RetryPolicy::snap_encode`].
+    /// Inverse of [`RetryPolicy::snap_encode`]. Tags 1 and 2 belonged to
+    /// the retired `adaptive`-only and `p2c`-only arms and no longer decode.
     pub fn snap_decode(v: u8) -> Option<RetryPolicy> {
         Some(match v {
             0 => RetryPolicy::Static,
-            1 => RetryPolicy::Adaptive,
-            2 => RetryPolicy::P2c,
             3 => RetryPolicy::AdaptiveP2c,
             _ => return None,
         })
@@ -1252,7 +1229,45 @@ mod tests {
             assert_eq!(p.to_string(), p.name());
         }
         assert_eq!(RetryPolicy::parse("bogus"), None);
+        assert_eq!(RetryPolicy::parse("adaptive"), None);
+        assert_eq!(RetryPolicy::parse("p2c"), None);
         assert_eq!(RetryPolicy::default(), RetryPolicy::AdaptiveP2c);
+    }
+
+    #[test]
+    fn retired_policy_tags_restore_as_corrupt() {
+        use lastcpu_snap::{Restore, SnapError, Snapshot};
+        let cfg = RouterConfig::default();
+        let snap = |policy| {
+            ShardRouterHost::new(RouterConfig {
+                policy,
+                ..cfg.clone()
+            })
+            .snapshot_bytes()
+        };
+        // The policy tag is the one byte the two arms' snapshots differ in.
+        let (stat, mut bytes) = (snap(RetryPolicy::Static), snap(RetryPolicy::AdaptiveP2c));
+        let diff: Vec<usize> = (0..bytes.len()).filter(|&i| stat[i] != bytes[i]).collect();
+        let [at] = diff[..] else {
+            panic!("expected one differing byte, got {diff:?}")
+        };
+        for tag in [0u8, 3] {
+            bytes[at] = tag;
+            let mut r = ShardRouterHost::new(cfg.clone());
+            r.restore_bytes("router", &bytes)
+                .expect("kept tag restores");
+            assert_eq!(r.config.policy.snap_encode(), tag);
+        }
+        for tag in [1u8, 2] {
+            bytes[at] = tag;
+            let err = ShardRouterHost::new(cfg.clone())
+                .restore_bytes("router", &bytes)
+                .expect_err("retired tag must not decode");
+            assert!(
+                matches!(err, SnapError::Corrupt { .. }),
+                "tag {tag}: {err:?}"
+            );
+        }
     }
 
     // --- direct-drive harness -------------------------------------------
@@ -1470,7 +1485,7 @@ mod tests {
     #[test]
     fn busy_ack_defers_redispatch_under_adaptive_policy() {
         let cfg = RouterConfig {
-            policy: RetryPolicy::Adaptive,
+            policy: RetryPolicy::AdaptiveP2c,
             ..RouterConfig::default()
         };
         let tick = cfg.tick;
@@ -1520,7 +1535,7 @@ mod tests {
         // bounded fail-overs, no give-ups — instead of burning the whole
         // retry budget tick by tick.
         let cfg = RouterConfig {
-            policy: RetryPolicy::Adaptive,
+            policy: RetryPolicy::AdaptiveP2c,
             ..RouterConfig::default()
         };
         let tick = cfg.tick;
@@ -1577,7 +1592,7 @@ mod tests {
     fn p2c_picks_the_less_loaded_replica() {
         let cfg = RouterConfig {
             replication: 2,
-            policy: RetryPolicy::P2c,
+            policy: RetryPolicy::AdaptiveP2c,
             ..RouterConfig::default()
         };
         let mut h = Harness::new(cfg);

@@ -24,6 +24,8 @@
 //! - when a device fails, all its regions are reclaimed and every mapping
 //!   they induced in surviving devices is revoked.
 
+#![forbid(unsafe_code)]
+
 mod controller;
 
 pub use controller::{MemCtlConfig, MemCtlStats, MemoryController, Region, ShareEntry};

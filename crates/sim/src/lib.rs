@@ -36,6 +36,8 @@
 //! to an OS-design experiment than parallel speedup, and the simulated
 //! machine itself is highly concurrent regardless.
 
+#![forbid(unsafe_code)]
+
 pub mod critpath;
 pub mod dethash;
 pub mod export;
@@ -56,7 +58,7 @@ pub use fault::{BackoffPolicy, FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{CounterHandle, GaugeHandle, HistogramHandle, MetricsHub};
 pub use pool::{BufPool, Bytes, PoolStats};
 pub use profile::{AllocScope, ProfileSnapshot};
-pub use queue::{EventQueue, QueueEngine, ScheduledEvent};
+pub use queue::{EventQueue, ScheduledEvent};
 pub use record::{CorrId, TraceData, TraceRecord};
 pub use rng::{DetRng, Zipf};
 pub use stats::{Counter, Histogram, StatsRegistry};

@@ -1,4 +1,4 @@
-//! Pooled payload buffers for the zero-alloc delivery path (E13).
+//! Pooled payload buffers for the zero-alloc delivery path (DESIGN.md §13.1).
 //!
 //! The E12 profiler attributed ~92% of the system phase's residual
 //! allocs/event to frame-delivery payload buffers: every request/response
@@ -15,9 +15,9 @@
 //! - A pool is owned by one simulated machine and only touched from its
 //!   (serialized) event execution, so the take/return sequence — and with
 //!   it the *allocation count* observed by the E9 profiler — is identical
-//!   across runs and across fabric thread counts. Thread-safety (a `Mutex`)
-//!   is still required because the parallel fabric returns tunneled
-//!   buffers at window barriers from the coordinator thread.
+//!   across runs. The free-list sits behind a `Mutex` so a [`Bytes`] stays
+//!   `Send` and may be dropped on any thread; the simulator itself only
+//!   ever touches a pool from the one thread that steps its machine.
 //! - Unpooled `Bytes` (built from a plain `Vec<u8>`) behave identically on
 //!   the wire: same bytes, same equality, same hashes. Pooling is a pure
 //!   storage optimization — a differential test drives the same workload

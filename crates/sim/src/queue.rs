@@ -4,61 +4,25 @@
 //! broken by insertion order (FIFO), which — together with the seeded RNG —
 //! makes whole-system runs deterministic.
 //!
-//! # Engines
+//! # Engine
 //!
-//! Two interchangeable engines implement the same `(time, seq)` min-order
-//! contract:
+//! The queue is a hierarchical timing wheel. The near future is an array of
+//! power-of-two-granularity slots (O(1) unsorted insert); the slot currently
+//! being drained is sorted once into a `ready` run; anything beyond the wheel
+//! horizon parks in a small overflow heap. Under heavy traffic almost every
+//! event lands in a slot or in the ready run, so the per-event cost is a push
+//! plus an amortized share of one small sort — no O(log n) sift through a
+//! cache-hostile heap per operation.
 //!
-//! - [`QueueEngine::Wheel`] (the default): a hierarchical timing wheel. The
-//!   near future is an array of power-of-two-granularity slots (O(1)
-//!   unsorted insert); the slot currently being drained is sorted once into
-//!   a `ready` run; anything beyond the wheel horizon parks in a small
-//!   overflow heap. Under heavy traffic almost every event lands in a slot
-//!   or in the ready run, so the per-event cost is a push plus an amortized
-//!   share of one small sort — no O(log n) sift through a cache-hostile
-//!   heap per operation.
-//! - [`QueueEngine::Heap`]: the original `BinaryHeap` implementation,
-//!   retained as a differential-testing reference and as the `--engine
-//!   heap` baseline for the E9 throughput experiment.
-//!
-//! Both engines produce bit-identical pop sequences for any schedule (the
-//! property tests below check this on random interleavings), so swapping
-//! engines never perturbs a seeded run.
+//! The original `BinaryHeap` queue survives only as the `#[cfg(test)]`
+//! reference model: the differential and property tests below check that the
+//! wheel pops the bit-identical `(time, seq)` sequence on random
+//! interleavings.
 
 use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
-
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueEngine {
-    /// Hierarchical timing wheel (slots + sorted ready run + overflow heap).
-    #[default]
-    Wheel,
-    /// Binary min-heap on `(time, seq)` — the reference implementation.
-    Heap,
-}
-
-impl QueueEngine {
-    /// Parses an engine name as used by bench `--engine` flags.
-    pub fn parse(s: &str) -> Option<QueueEngine> {
-        match s {
-            "wheel" => Some(QueueEngine::Wheel),
-            "heap" => Some(QueueEngine::Heap),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling (`"wheel"` / `"heap"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueEngine::Wheel => "wheel",
-            QueueEngine::Heap => "heap",
-        }
-    }
-}
 
 /// An event extracted from the queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,9 +33,9 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-/// Internal entry. The heap engine relies on the reversed `Ord` so that the
-/// *earliest* `(time, seq)` pops first; the wheel engine sorts ascending by
-/// the same key.
+/// Internal entry. The overflow heap relies on the reversed `Ord` so that the
+/// *earliest* `(time, seq)` pops first; slot buckets sort ascending by the
+/// same key.
 struct Entry<E> {
     at: SimTime,
     seq: u64,
@@ -109,7 +73,7 @@ const SLOT_SHIFT: u32 = 8;
 /// liveness scans) take the overflow heap, which is fine — they are rare.
 const NUM_SLOTS: usize = 1024;
 
-/// The timing-wheel engine.
+/// The timing wheel.
 ///
 /// Invariants (checked by the differential property tests):
 ///
@@ -285,11 +249,6 @@ impl<E> Wheel<E> {
     }
 }
 
-enum EngineImpl<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Wheel(Wheel<E>),
-}
-
 /// A deterministic min-priority event queue with a virtual clock.
 ///
 /// The queue owns the clock: popping an event advances `now` to the event's
@@ -309,7 +268,7 @@ enum EngineImpl<E> {
 /// assert_eq!(order, vec!["a", "a2", "b"]);
 /// ```
 pub struct EventQueue<E> {
-    engine: EngineImpl<E>,
+    wheel: Wheel<E>,
     now: SimTime,
     seq: u64,
     popped: u64,
@@ -322,31 +281,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue (timing-wheel engine) with the clock at
-    /// [`SimTime::ZERO`].
+    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Self::with_engine(QueueEngine::Wheel)
-    }
-
-    /// Creates an empty queue backed by the given engine.
-    pub fn with_engine(engine: QueueEngine) -> Self {
-        let engine = match engine {
-            QueueEngine::Heap => EngineImpl::Heap(BinaryHeap::new()),
-            QueueEngine::Wheel => EngineImpl::Wheel(Wheel::new()),
-        };
         EventQueue {
-            engine,
+            wheel: Wheel::new(),
             now: SimTime::ZERO,
             seq: 0,
             popped: 0,
-        }
-    }
-
-    /// Which engine backs this queue.
-    pub fn engine(&self) -> QueueEngine {
-        match self.engine {
-            EngineImpl::Heap(_) => QueueEngine::Heap,
-            EngineImpl::Wheel(_) => QueueEngine::Wheel,
         }
     }
 
@@ -357,10 +298,7 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        match &self.engine {
-            EngineImpl::Heap(h) => h.len(),
-            EngineImpl::Wheel(w) => w.len(),
-        }
+        self.wheel.len()
     }
 
     /// Whether the queue holds no pending events.
@@ -391,11 +329,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let entry = Entry { at, seq, event };
-        match &mut self.engine {
-            EngineImpl::Heap(h) => h.push(entry),
-            EngineImpl::Wheel(w) => w.schedule(entry),
-        }
+        self.wheel.schedule(Entry { at, seq, event });
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -411,40 +345,24 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next pending event, if any.
     ///
-    /// Takes `&mut self` because the wheel engine may advance its drain
-    /// cursor to find the next event; the observable state (pending events,
-    /// clock) is unchanged.
+    /// Takes `&mut self` because the wheel may advance its drain cursor to
+    /// find the next event; the observable state (pending events, clock) is
+    /// unchanged.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.engine {
-            EngineImpl::Heap(h) => h.peek().map(|e| e.at),
-            EngineImpl::Wheel(w) => {
-                w.ensure_ready();
-                w.ready.front().map(|e| e.at)
-            }
-        }
+        self.wheel.ensure_ready();
+        self.wheel.ready.front().map(|e| e.at)
     }
 
     /// Extracts the next entry if it fires at or before `deadline` (`None` =
     /// no deadline). Single peek: the qualifying entry is popped without
     /// re-comparing against the queue.
     fn pop_entry(&mut self, deadline: Option<SimTime>) -> Option<Entry<E>> {
-        match &mut self.engine {
-            EngineImpl::Heap(h) => {
-                let top = h.peek_mut()?;
-                if deadline.is_some_and(|d| top.at > d) {
-                    return None;
-                }
-                Some(PeekMut::pop(top))
-            }
-            EngineImpl::Wheel(w) => {
-                w.ensure_ready();
-                let front = w.ready.front()?;
-                if deadline.is_some_and(|d| front.at > d) {
-                    return None;
-                }
-                w.ready.pop_front()
-            }
+        self.wheel.ensure_ready();
+        let front = self.wheel.ready.front()?;
+        if deadline.is_some_and(|d| front.at > d) {
+            return None;
         }
+        self.wheel.ready.pop_front()
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -482,10 +400,7 @@ impl<E> EventQueue<E> {
     /// [`events_processed`](Self::events_processed) is *not* reset — it is
     /// a lifetime counter by design.
     pub fn clear(&mut self) {
-        match &mut self.engine {
-            EngineImpl::Heap(h) => h.clear(),
-            EngineImpl::Wheel(w) => w.clear(self.now),
-        }
+        self.wheel.clear(self.now);
         self.seq = 0;
     }
 
@@ -495,25 +410,18 @@ impl<E> EventQueue<E> {
     }
 
     /// Every pending entry as `(time, seq, &event)`, sorted by `(time, seq)`
-    /// — i.e. exactly the order the queue would pop them. Engine internals
-    /// (which bucket or heap an entry currently sits in) are not observable,
-    /// so a checkpoint taken from either engine encodes identically.
+    /// — i.e. exactly the order the queue would pop them. Wheel internals
+    /// (which bucket or heap an entry currently sits in) are not observable
+    /// in a checkpoint.
     pub fn entries(&self) -> Vec<(SimTime, u64, &E)> {
-        fn collect<'a, E>(
-            out: &mut Vec<(SimTime, u64, &'a E)>,
-            it: impl Iterator<Item = &'a Entry<E>>,
-        ) {
-            out.extend(it.map(|e| (e.at, e.seq, &e.event)));
-        }
-        let mut out: Vec<(SimTime, u64, &E)> = Vec::with_capacity(self.len());
-        match &self.engine {
-            EngineImpl::Heap(h) => collect(&mut out, h.iter()),
-            EngineImpl::Wheel(w) => {
-                collect(&mut out, w.ready.iter());
-                collect(&mut out, w.slots.iter().flatten());
-                collect(&mut out, w.overflow.iter());
-            }
-        }
+        let w = &self.wheel;
+        let mut out: Vec<(SimTime, u64, &E)> = w
+            .ready
+            .iter()
+            .chain(w.slots.iter().flatten())
+            .chain(w.overflow.iter())
+            .map(|e| (e.at, e.seq, &e.event))
+            .collect();
         out.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         out
     }
@@ -537,10 +445,7 @@ impl<E> EventQueue<E> {
         popped: u64,
         entries: impl IntoIterator<Item = (SimTime, u64, E)>,
     ) {
-        match &mut self.engine {
-            EngineImpl::Heap(h) => h.clear(),
-            EngineImpl::Wheel(w) => w.clear(now),
-        }
+        self.wheel.clear(now);
         self.now = now;
         self.seq = seq;
         self.popped = popped;
@@ -557,15 +462,11 @@ impl<E> EventQueue<E> {
                 entry_seq < seq,
                 "reinit_from: entry seq {entry_seq} is at/beyond the cursor {seq}"
             );
-            let entry = Entry {
+            self.wheel.schedule(Entry {
                 at,
                 seq: entry_seq,
                 event,
-            };
-            match &mut self.engine {
-                EngineImpl::Heap(h) => h.push(entry),
-                EngineImpl::Wheel(w) => w.schedule(entry),
-            }
+            });
         }
     }
 }
@@ -574,15 +475,63 @@ impl<E> EventQueue<E> {
 mod difftest {
     use super::*;
 
-    /// Differential check: both engines produce identical pop sequences on a
-    /// deterministic pseudo-random schedule mixing same-instant bursts,
-    /// near-future and far-future (beyond-horizon) events, interleaved with
-    /// pops and deadline-limited pops.
+    /// Reference model: the original binary min-heap on `(time, seq)`, with
+    /// the same clock and counters as [`EventQueue`].
+    struct HeapQueue<E> {
+        heap: BinaryHeap<Entry<E>>,
+        now: SimTime,
+        seq: u64,
+        popped: u64,
+    }
+
+    impl<E> HeapQueue<E> {
+        fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                now: SimTime::ZERO,
+                seq: 0,
+                popped: 0,
+            }
+        }
+
+        fn schedule_at(&mut self, at: SimTime, event: E) {
+            assert!(at >= self.now);
+            let seq = self.seq;
+            self.seq += 1;
+            self.heap.push(Entry { at, seq, event });
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.at)
+        }
+
+        fn pop_until(&mut self, deadline: SimTime) -> Option<ScheduledEvent<E>> {
+            if self.peek_time()? > deadline {
+                return None;
+            }
+            self.pop()
+        }
+
+        fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+            let entry = self.heap.pop()?;
+            self.now = entry.at;
+            self.popped += 1;
+            Some(ScheduledEvent {
+                at: entry.at,
+                event: entry.event,
+            })
+        }
+    }
+
+    /// Differential check: the wheel and the reference heap produce identical
+    /// pop sequences on a deterministic pseudo-random schedule mixing
+    /// same-instant bursts, near-future and far-future (beyond-horizon)
+    /// events, interleaved with pops and deadline-limited pops.
     pub fn differential_run(seed: u64, ops: usize) {
         use crate::rng::DetRng;
         let mut rng = DetRng::new(seed);
-        let mut wheel: EventQueue<u64> = EventQueue::with_engine(QueueEngine::Wheel);
-        let mut heap: EventQueue<u64> = EventQueue::with_engine(QueueEngine::Heap);
+        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut heap: HeapQueue<u64> = HeapQueue::new();
         let mut next_id = 0u64;
         for _ in 0..ops {
             match rng.below(10) {
@@ -623,8 +572,8 @@ mod difftest {
                     assert_eq!(wheel.peek_time(), heap.peek_time());
                 }
             }
-            assert_eq!(wheel.now(), heap.now());
-            assert_eq!(wheel.len(), heap.len());
+            assert_eq!(wheel.now(), heap.now);
+            assert_eq!(wheel.len(), heap.heap.len());
         }
         // Drain: remaining sequences must match exactly.
         loop {
@@ -635,7 +584,7 @@ mod difftest {
                 break;
             }
         }
-        assert_eq!(wheel.events_processed(), heap.events_processed());
+        assert_eq!(wheel.events_processed(), heap.popped);
     }
 }
 
@@ -663,55 +612,33 @@ mod tests {
         EventQueue::new()
     }
 
-    /// Runs `test` against both engines.
-    fn for_both(test: impl Fn(EventQueue<u32>)) {
-        test(EventQueue::with_engine(QueueEngine::Wheel));
-        test(EventQueue::with_engine(QueueEngine::Heap));
-    }
-
-    #[test]
-    fn default_engine_is_wheel() {
-        assert_eq!(q().engine(), QueueEngine::Wheel);
-        assert_eq!(
-            EventQueue::<u32>::with_engine(QueueEngine::Heap).engine(),
-            QueueEngine::Heap
-        );
-        assert_eq!(QueueEngine::parse("heap"), Some(QueueEngine::Heap));
-        assert_eq!(QueueEngine::parse("wheel"), Some(QueueEngine::Wheel));
-        assert_eq!(QueueEngine::parse("btree"), None);
-        assert_eq!(QueueEngine::Wheel.name(), "wheel");
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for_both(|mut q| {
-            q.schedule_at(SimTime::from_nanos(30), 3);
-            q.schedule_at(SimTime::from_nanos(10), 1);
-            q.schedule_at(SimTime::from_nanos(20), 2);
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        });
+        let mut q = q();
+        q.schedule_at(SimTime::from_nanos(30), 3);
+        q.schedule_at(SimTime::from_nanos(10), 1);
+        q.schedule_at(SimTime::from_nanos(20), 2);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_pop_fifo() {
-        for_both(|mut q| {
-            for i in 0..100 {
-                q.schedule_at(SimTime::from_nanos(5), i);
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q = q();
+        for i in 0..100 {
+            q.schedule_at(SimTime::from_nanos(5), i);
+        }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn clock_advances_on_pop() {
-        for_both(|mut q| {
-            q.schedule_at(SimTime::from_nanos(42), 0);
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_nanos(42));
-        });
+        let mut q = q();
+        q.schedule_at(SimTime::from_nanos(42), 0);
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_nanos(42));
     }
 
     #[test]
@@ -725,81 +652,76 @@ mod tests {
 
     #[test]
     fn pop_until_respects_deadline() {
-        for_both(|mut q| {
-            q.schedule_at(SimTime::from_nanos(10), 1);
-            q.schedule_at(SimTime::from_nanos(100), 2);
-            assert_eq!(q.pop_until(SimTime::from_nanos(50)).unwrap().event, 1);
-            assert!(q.pop_until(SimTime::from_nanos(50)).is_none());
-            // Clock did not jump past the deadline.
-            assert_eq!(q.now(), SimTime::from_nanos(10));
-            assert_eq!(q.pop().unwrap().event, 2);
-        });
+        let mut q = q();
+        q.schedule_at(SimTime::from_nanos(10), 1);
+        q.schedule_at(SimTime::from_nanos(100), 2);
+        assert_eq!(q.pop_until(SimTime::from_nanos(50)).unwrap().event, 1);
+        assert!(q.pop_until(SimTime::from_nanos(50)).is_none());
+        // Clock did not jump past the deadline.
+        assert_eq!(q.now(), SimTime::from_nanos(10));
+        assert_eq!(q.pop().unwrap().event, 2);
     }
 
     #[test]
     fn schedule_now_fires_after_existing_same_instant_events() {
-        for_both(|mut q| {
-            q.schedule_now(1);
-            q.schedule_now(2);
-            assert_eq!(q.pop().unwrap().event, 1);
-            assert_eq!(q.pop().unwrap().event, 2);
-        });
+        let mut q = q();
+        q.schedule_now(1);
+        q.schedule_now(2);
+        assert_eq!(q.pop().unwrap().event, 1);
+        assert_eq!(q.pop().unwrap().event, 2);
     }
 
     #[test]
     fn counts_processed_events() {
-        for_both(|mut q| {
-            q.schedule_now(1);
-            q.schedule_now(2);
-            q.pop();
-            q.pop();
-            assert_eq!(q.events_processed(), 2);
-            assert!(q.is_empty());
-        });
+        let mut q = q();
+        q.schedule_now(1);
+        q.schedule_now(2);
+        q.pop();
+        q.pop();
+        assert_eq!(q.events_processed(), 2);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn clear_resets_tie_break_but_not_events_processed() {
-        for_both(|mut q| {
-            // Drive the seq counter up, then clear.
-            for i in 0..10 {
-                q.schedule_now(i);
-            }
-            q.pop();
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.events_processed(), 1, "popped is cumulative");
+        let mut q = q();
+        // Drive the seq counter up, then clear.
+        for i in 0..10 {
+            q.schedule_now(i);
+        }
+        q.pop();
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.events_processed(), 1, "popped is cumulative");
 
-            // A reused queue must order same-instant events exactly like a
-            // fresh one (the seq counter used to carry over).
-            let mut fresh = EventQueue::with_engine(q.engine());
-            // Align the fresh clock with the reused queue's.
-            fresh.schedule_at(q.now(), 999);
-            fresh.pop();
-            for (queue, base) in [(&mut q, 100u32), (&mut fresh, 100u32)] {
-                for i in 0..5 {
-                    queue.schedule_now(base + i);
-                }
+        // A reused queue must order same-instant events exactly like a
+        // fresh one (the seq counter used to carry over).
+        let mut fresh = EventQueue::new();
+        // Align the fresh clock with the reused queue's.
+        fresh.schedule_at(q.now(), 999);
+        fresh.pop();
+        for (queue, base) in [(&mut q, 100u32), (&mut fresh, 100u32)] {
+            for i in 0..5 {
+                queue.schedule_now(base + i);
             }
-            let a: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-            let b: Vec<u32> = std::iter::from_fn(|| fresh.pop().map(|e| e.event)).collect();
-            assert_eq!(a, b);
-            assert_eq!(a, vec![100, 101, 102, 103, 104]);
-        });
+        }
+        let a: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        let b: Vec<u32> = std::iter::from_fn(|| fresh.pop().map(|e| e.event)).collect();
+        assert_eq!(a, b);
+        assert_eq!(a, vec![100, 101, 102, 103, 104]);
     }
 
     #[test]
     fn peek_time_reports_next_event() {
-        for_both(|mut q| {
-            assert_eq!(q.peek_time(), None);
-            q.schedule_at(SimTime::from_nanos(70), 1);
-            q.schedule_at(SimTime::from_nanos(30), 2);
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(30)));
-            // Peeking does not consume or advance.
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.pop().unwrap().event, 2);
-        });
+        let mut q = q();
+        assert_eq!(q.peek_time(), None);
+        q.schedule_at(SimTime::from_nanos(70), 1);
+        q.schedule_at(SimTime::from_nanos(30), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(30)));
+        // Peeking does not consume or advance.
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().unwrap().event, 2);
     }
 
     /// Regression for the wheel's cursor-jump hazard: peeking a far-future
@@ -807,7 +729,7 @@ mod tests {
     /// and that far slot must still pop first.
     #[test]
     fn near_event_scheduled_after_far_future_peek_pops_first() {
-        let mut q: EventQueue<u32> = EventQueue::with_engine(QueueEngine::Wheel);
+        let mut q = q();
         // Far beyond the wheel horizon (262 µs): lands in overflow.
         q.schedule_at(SimTime::from_nanos(10_000_000), 1);
         // Force a cursor jump to the overflow minimum's slot.
@@ -823,20 +745,19 @@ mod tests {
 
     #[test]
     fn horizon_boundary_and_wraparound() {
-        for_both(|mut q| {
-            // Straddle the wheel horizon (1024 slots × 256 ns = 262_144 ns)
-            // and force multiple wheel revolutions.
-            let times = [
-                0u64, 255, 256, 262_143, 262_144, 262_145, 600_000, 1_000_000,
-            ];
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule_at(SimTime::from_nanos(t), i as u32);
-            }
-            let got: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.at.as_nanos())).collect();
-            let mut want = times.to_vec();
-            want.sort_unstable();
-            assert_eq!(got, want);
-        });
+        let mut q = q();
+        // Straddle the wheel horizon (1024 slots × 256 ns = 262_144 ns)
+        // and force multiple wheel revolutions.
+        let times = [
+            0u64, 255, 256, 262_143, 262_144, 262_145, 600_000, 1_000_000,
+        ];
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule_at(SimTime::from_nanos(t), i as u32);
+        }
+        let got: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.at.as_nanos())).collect();
+        let mut want = times.to_vec();
+        want.sort_unstable();
+        assert_eq!(got, want);
     }
 
     use super::difftest::differential_run;

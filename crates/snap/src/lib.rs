@@ -25,6 +25,8 @@
 //! section checksum before any component sees any bytes, and readers
 //! bounds-check every primitive.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 

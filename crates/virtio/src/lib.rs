@@ -22,6 +22,8 @@
 //!   the shared region.
 //! - [`features`]: feature-bit negotiation.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod features;
 pub mod layout;

@@ -9,14 +9,14 @@
 #   5. fault smoke test  e4_failures fault matrix replays from three seeds
 #                        and exports retry/recovery metrics
 #   6. engine smoke test e9_engine_throughput (reduced sizes) produces a
-#                        well-formed BENCH_e9.json with nonzero events/sec
-#                        for both queue engines and holds the pooled
-#                        delivery path's system-phase allocation rate at
-#                        <= 1.0 allocs/event
+#                        well-formed BENCH_e9.json (schema v3) with
+#                        nonzero events/sec in both phases and holds the
+#                        pooled delivery path's system-phase allocation
+#                        rate at <= 1.0 allocs/event
 #   7. rack smoke test   e10_rack_scaleout (2 machines, flat topology,
 #                        reduced ops, the static and adaptive+p2c
 #                        retry-policy arms): a same-seed double run yields
-#                        byte-identical BENCH_e10.json (schema v4 with
+#                        byte-identical BENCH_e10.json (schema v5 with
 #                        per-link utilization), and the machine-kill audit
 #                        keeps every acked write at R=2 under both arms;
 #                        then a tail smoke runs the full 8-machine R=3
@@ -45,18 +45,12 @@
 #                        bench_diff: allocations/event are deterministic
 #                        and compared tightly; events/sec is host noise
 #                        and gets a relaxed tolerance
-#  12. parallel smoke    e13_parallel --no-wall (1/2/4 fabric threads):
-#                        the binary hard-asserts bit-identical events +
-#                        digests across thread counts; a same-flag double
-#                        run is byte-identical and bench_diff compares the
-#                        pair; plus an e10 run at --threads 4 whose
-#                        scaling/crash sections must equal the
-#                        single-threaded run's cell for cell
+#  12. strict CLI        a removed flag (e10 --threads, e9 --engine) must
+#                        exit 2 naming the flag, never run the default
 #  13. checkpoint smoke  e14_checkpoint --no-wall (reduced matrix): the
 #                        binary hard-asserts that every restored rack
 #                        continues byte-identically to its uninterrupted
-#                        twin (no-fault and crash arms, 1 and 4 threads),
-#                        that digests agree across thread counts, and that
+#                        twin (no-fault and crash arms), and that
 #                        a checkpoint restored in a *fresh OS process*
 #                        finishes with lost_acked_keys == 0 at R=2; a
 #                        same-flag double run is byte-identical and
@@ -161,8 +155,7 @@ echo "    3 seeds replayed; retry + recovery_latency metrics present"
 
 echo "==> engine-throughput smoke test (e9_engine_throughput, reduced)"
 # Reduced sizes keep this to a couple of seconds; the full run is a
-# measurement, not a gate. Both engines must produce nonzero throughput
-# and identical system-phase event counts (engine-independent determinism).
+# measurement, not a gate. Both phases must produce nonzero throughput.
 cargo run --offline --release -q -p lastcpu-bench --bin e9_engine_throughput -- \
     --queue-ops 200000 --queue-depth 8192 --virtual-ms 100 --repeat 1 \
     --out "$tmp/BENCH_e9.json" >/dev/null
@@ -171,26 +164,18 @@ if command -v python3 >/dev/null 2>&1; then
     python3 - "$tmp/BENCH_e9.json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
-assert d["experiment"] == "e9" and d["schema_version"] == 2, d.keys()
-engines = d["engines"]
-assert set(engines) == {"wheel", "heap"}, engines.keys()
-for name, e in engines.items():
-    assert e["threads"] == 1, (name, e["threads"])
-    for phase in ("queue", "system"):
-        s = e[phase]
-        assert s["events"] > 0, (name, phase)
-        assert s["events_per_sec"] > 0, (name, phase)
-        assert s["ns_per_event"] > 0, (name, phase)
-    # The E13 pooled-delivery gate: the end-to-end system phase must stay
-    # at or below one heap allocation per simulated event.
-    a = e["system"]["allocs_per_event"]
-    assert a <= 1.0, f"{name}: system allocs/event {a} > 1.0 (pool regressed)"
-assert engines["wheel"]["system"]["events"] == engines["heap"]["system"]["events"], \
-    "engines diverged: system phase event counts differ"
-q = d["wheel_over_heap"]["queue"]
-a = engines["wheel"]["system"]["allocs_per_event"]
-print(f"    BENCH_e9.json well-formed; wheel/heap queue churn {q:.2f}x, "
-      f"system {a:.3f} allocs/event")
+assert d["experiment"] == "e9" and d["schema_version"] == 3, d.keys()
+for phase in ("queue", "system"):
+    s = d[phase]
+    assert s["events"] > 0, phase
+    assert s["events_per_sec"] > 0, phase
+    assert s["ns_per_event"] > 0, phase
+# The pooled-delivery gate: the end-to-end system phase must stay at or
+# below one heap allocation per simulated event.
+a = d["system"]["allocs_per_event"]
+assert a <= 1.0, f"system allocs/event {a} > 1.0 (pool regressed)"
+print(f"    BENCH_e9.json well-formed; queue "
+      f"{d['queue']['ns_per_event']:.0f} ns/event, system {a:.3f} allocs/event")
 PY
 else
     grep -q '"events_per_sec"' "$tmp/BENCH_e9.json" || {
@@ -217,7 +202,7 @@ if command -v python3 >/dev/null 2>&1; then
     python3 - "$tmp/BENCH_e10_a.json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
-assert d["experiment"] == "e10" and d["schema_version"] == 4, d.keys()
+assert d["experiment"] == "e10" and d["schema_version"] == 5, d.keys()
 policies = {c["policy"] for c in d["scaling"]}
 assert policies == {"static", "adaptive+p2c"}, policies
 for c in d["scaling"]:
@@ -295,7 +280,7 @@ if command -v python3 >/dev/null 2>&1; then
     python3 - "$tmp/BENCH_e10_ls_a.json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
-assert d["schema_version"] == 4, d.keys()
+assert d["schema_version"] == 5, d.keys()
 [c] = d["scaling"]
 assert c["topology"] == "leaf-spine:8" and c["oversub"] == 4, c
 assert c["done"] and c["machines"] == 16, c
@@ -409,65 +394,26 @@ cargo run --offline --release -q -p lastcpu-bench --bin bench_diff -- \
     --events-tol 30 --allocs-tol 0.001 \
     "$tmp/BENCH_e9.json" "$tmp/BENCH_e9_again.json" | tail -1
 
-echo "==> parallel-fabric smoke test (e13_parallel --no-wall, double run)"
-# Reduced sizes; the binary itself hard-asserts that 1/2/4 fabric worker
-# threads produce identical event counts and determinism digests. With
-# --no-wall the artifact is pure virtual time, so a same-flag double run
-# must be byte-identical; bench_diff then compares the pair as an
-# e13-aware smoke of the diff tool.
-e13_flags=(--ops 100 --keys 60 --no-wall)
-cargo run --offline --release -q -p lastcpu-bench --bin e13_parallel -- \
-    "${e13_flags[@]}" --out "$tmp/BENCH_e13_a.json" >/dev/null
-cargo run --offline --release -q -p lastcpu-bench --bin e13_parallel -- \
-    "${e13_flags[@]}" --out "$tmp/BENCH_e13_b.json" >/dev/null
-cmp -s "$tmp/BENCH_e13_a.json" "$tmp/BENCH_e13_b.json" || {
-    echo "FAIL: same-flag BENCH_e13.json runs differ"; exit 1;
+echo "==> strict CLI check (removed flags exit 2 and are named)"
+# The threaded fabric and the heap engine are gone; a stale invocation must
+# fail loudly instead of silently running the default experiment.
+strict() {
+    local bin="$1" flag="$2" rc=0
+    shift
+    cargo run --offline --release -q -p lastcpu-bench --bin "$bin" -- \
+        "$@" --out "$tmp/strict.json" >/dev/null 2>"$tmp/strict.err" || rc=$?
+    [ "$rc" -eq 2 ] && grep -q -- "$flag" "$tmp/strict.err" || {
+        echo "FAIL: $bin $* exited $rc without naming $flag"; exit 1;
+    }
 }
-cargo run --offline --release -q -p lastcpu-bench --bin bench_diff -- \
-    "$tmp/BENCH_e13_a.json" "$tmp/BENCH_e13_b.json" | tail -1
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$tmp/BENCH_e13_a.json" <<'PY'
-import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["experiment"] == "e13" and d["schema_version"] == 1, d.keys()
-cells = d["cells"]
-assert {c["threads"] for c in cells} == {1, 2, 4}, cells
-assert len({(c["events"], c["digest"], c["virtual_ns"]) for c in cells}) == 1, \
-    "thread counts diverged"
-assert all(c["events"] > 0 and c["ops"] > 0 for c in cells), cells
-print(f"    byte-identical double run; {cells[0]['events']} events, "
-      f"digest {cells[0]['digest']} at threads 1/2/4")
-PY
-fi
-
-echo "==> rack thread-identity check (e10 at --threads 1 vs 4)"
-# The e10 smoke above ran single-threaded; the same flags at --threads 4
-# must produce identical scaling and crash sections (only the recorded
-# thread count itself may differ). This pins the windowed scheduler's
-# determinism contract on the full E10 workload, crash arm included.
-cargo run --offline --release -q -p lastcpu-bench --bin e10_rack_scaleout -- \
-    "${e10_flags[@]}" --threads 4 --out "$tmp/BENCH_e10_t4.json" >/dev/null
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$tmp/BENCH_e10_a.json" "$tmp/BENCH_e10_t4.json" <<'PY'
-import json, sys
-one = json.load(open(sys.argv[1]))
-four = json.load(open(sys.argv[2]))
-def strip(cells):
-    return [{k: v for k, v in c.items() if k != "threads"} for c in cells]
-for section in ("scaling", "crash"):
-    a, b = strip(one[section]), strip(four[section])
-    assert a == b, f"{section} section diverged between 1 and 4 threads"
-n = len(one["scaling"]) + len(one["crash"])
-print(f"    {n} cells identical between --threads 1 and --threads 4")
-PY
-else
-    echo "    python3 unavailable, thread-identity check skipped"
-fi
+strict e10_rack_scaleout --threads 4
+strict e9_engine_throughput --engine heap
+echo "    e10 --threads and e9 --engine rejected with exit 2"
 
 echo "==> checkpoint smoke test (e14_checkpoint --no-wall, double run)"
 # Reduced matrix: one seed, 4 machines at R=2, 100 ops/client. The binary
-# itself hard-asserts restore byte-identity per cell, cross-thread digest
-# identity, and the cross-process restart audit (fresh process restores
+# itself hard-asserts restore byte-identity per cell and the
+# cross-process restart audit (fresh process restores
 # the crash-arm checkpoint and loses zero acked writes). CI adds the
 # double-run byte-identity and a bench_diff pass over the pair.
 e14_flags=(--seeds 3604 --machines 4 --ops 100 --keys 60 --no-wall)
@@ -484,19 +430,14 @@ if command -v python3 >/dev/null 2>&1; then
     python3 - "$tmp/BENCH_e14_a.json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
-assert d["experiment"] == "e14" and d["schema_version"] == 1, d.keys()
+assert d["experiment"] == "e14" and d["schema_version"] == 2, d.keys()
 cells = d["cells"]
-assert cells, "no cells"
+assert len(cells) == 2, cells  # one seed x {no-fault, crash}
 for c in cells:
     assert c["ckpt_bytes"] > 0 and c["ckpt_sections"] > 0, c
     assert c["restore_replay_events"] == c["ckpt_events"], c
     if c["crash"]:
         assert c["lost_acked_keys"] == 0, f"crash cell lost acked writes: {c}"
-by_key = {}
-for c in cells:
-    by_key.setdefault((c["seed"], c["crash"]), set()).add(c["digest"])
-for k, digests in by_key.items():
-    assert len(digests) == 1, f"thread counts diverged for {k}: {digests}"
 assert d["cross_process_audit"]["ok"] is True, d["cross_process_audit"]
 kib = cells[0]["ckpt_bytes"] / 1024
 print(f"    byte-identical double run; {len(cells)} cells restored "

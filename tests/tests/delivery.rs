@@ -1,4 +1,4 @@
-//! Differential test for the zero-alloc delivery path (E13).
+//! Differential test for the zero-alloc delivery path (DESIGN.md §13.1).
 //!
 //! `KvsServer::try_fast_get` answers cache-hit GETs without materializing
 //! an owned request or an intermediate response `Vec`. That optimization

@@ -272,6 +272,20 @@ fn rack_runs_are_bit_identical() {
     let run = |seed: u64| run_fingerprint(seed, RetryPolicy::default());
     assert_eq!(run(7), run(7), "same seed, same rack, same bytes");
     assert_ne!(run(7), run(8), "different seed perturbs the run");
+    // The deep observables — merged trace, metrics exports, pool activity —
+    // replay too, so event order and buffer reuse are seed-determined.
+    for seed in [7u64, 0xE13, 1984] {
+        assert_eq!(
+            deep_fingerprint(seed, false),
+            deep_fingerprint(seed, false),
+            "seed {seed:#x}: deep fingerprint diverged on replay"
+        );
+    }
+    assert_ne!(
+        deep_fingerprint(7, false),
+        deep_fingerprint(8, false),
+        "fingerprint insensitive to seed — it proves nothing"
+    );
 }
 
 /// FNV-1a, to fold the (large) merged trace and metrics exports into a
@@ -285,16 +299,13 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// Deep fingerprint of a rack run under `threads` fabric workers: merged
-/// trace, fabric + per-machine metrics exports, pool activity, per-machine
-/// key counts, client progress, and the acked-write audit. Any divergence
-/// between thread counts — event reordering, a racy counter, a pool buffer
-/// taken in a different order — lands in this string.
-fn threads_fingerprint(seed: u64, threads: usize, crash: bool) -> String {
-    let mut cfg = FabricConfig {
-        threads,
-        ..FabricConfig::default()
-    };
+/// Deep fingerprint of a rack run: merged trace, fabric + per-machine
+/// metrics exports, pool activity, per-machine key counts, client progress,
+/// and the acked-write audit. Any divergence between two runs — event
+/// reordering, a pool buffer taken in a different order — lands in this
+/// string.
+fn deep_fingerprint(seed: u64, crash: bool) -> String {
+    let mut cfg = FabricConfig::default();
     if crash {
         let mut plan = FaultPlan::new(seed ^ 0xFAB);
         plan.inject(SimTime::from_nanos(2_000_000), "m1", FaultKind::Crash);
@@ -316,7 +327,7 @@ fn threads_fingerprint(seed: u64, threads: usize, crash: bool) -> String {
         rack.setup.fabric.run_for(SimDuration::from_secs(2));
     } else {
         rack.run_to_completion(SimDuration::from_secs(10));
-        assert!(rack.all_done(), "workload incomplete at threads={threads}");
+        assert!(rack.all_done(), "workload incomplete at seed {seed:#x}");
     }
 
     let fab = &rack.setup.fabric;
@@ -345,42 +356,22 @@ fn threads_fingerprint(seed: u64, threads: usize, crash: bool) -> String {
 }
 
 #[test]
-fn thread_count_is_invisible_to_rack_results() {
-    // The E13 determinism contract: one thread and N threads run the SAME
-    // windowed schedule, so every observable — merged trace, metrics,
-    // pool activity, final KVS state — is bit-identical from a seed.
+fn crash_arm_replays_bit_identically() {
+    // Faults are fabric control points: the window scheduler fires them at
+    // a globally consistent instant, so a mid-run machine crash replays
+    // bit-identically from its seed.
     for seed in [7u64, 0xE13, 1984] {
-        let base = threads_fingerprint(seed, 1, false);
-        for threads in [2usize, 4] {
-            assert_eq!(
-                base,
-                threads_fingerprint(seed, threads, false),
-                "seed {seed:#x}: threads={threads} diverged from threads=1"
-            );
-        }
+        assert_eq!(
+            deep_fingerprint(seed, true),
+            deep_fingerprint(seed, true),
+            "seed {seed:#x}: crash arm diverged on replay"
+        );
     }
     assert_ne!(
-        threads_fingerprint(7, 1, false),
-        threads_fingerprint(8, 1, false),
-        "fingerprint insensitive to seed — it proves nothing"
+        deep_fingerprint(7, true),
+        deep_fingerprint(8, true),
+        "crash-arm fingerprint insensitive to seed"
     );
-}
-
-#[test]
-fn thread_count_is_invisible_under_crash_faults() {
-    // Faults are fabric control points: the window scheduler must fire them
-    // at a globally consistent instant regardless of partitioning, so the
-    // crash arm replays bit-identically across thread counts too.
-    for seed in [7u64, 0xE13, 1984] {
-        let base = threads_fingerprint(seed, 1, true);
-        for threads in [2usize, 4] {
-            assert_eq!(
-                base,
-                threads_fingerprint(seed, threads, true),
-                "seed {seed:#x}: crash arm diverged at threads={threads}"
-            );
-        }
-    }
 }
 
 #[test]
@@ -410,10 +401,9 @@ fn every_retry_policy_replays_bit_identically() {
 /// ECMP across 8 spines): fabric metrics, final clock, per-machine KVS
 /// state, client progress, and the acked-write audit. Tracing stays off —
 /// at this scale the merged trace would dominate the (debug-build) test.
-fn leaf_spine_fingerprint(threads: usize) -> String {
+fn leaf_spine_fingerprint(seed: u64) -> String {
     const MACHINES: usize = 64;
     let cfg = FabricConfig {
-        threads,
         topology: TopologyConfig {
             kind: TopoKind::LeafSpine { leaf_size: 8 },
             oversub: 1,
@@ -428,12 +418,12 @@ fn leaf_spine_fingerprint(threads: usize) -> String {
         outstanding: 2,
         ..small_workload()
     };
-    let mut rack = build_rack_cfg(cfg, MACHINES, 2, 0xE10, false, &wl, RetryPolicy::default());
+    let mut rack = build_rack_cfg(cfg, MACHINES, 2, seed, false, &wl, RetryPolicy::default());
     rack.setup.fabric.power_on();
     rack.run_to_completion(SimDuration::from_secs(30));
     assert!(
         rack.all_done(),
-        "64-machine leaf-spine workload incomplete at threads={threads}"
+        "64-machine leaf-spine workload incomplete at seed {seed:#x}"
     );
     let fab = &rack.setup.fabric;
     let mut fp = format!(
@@ -453,15 +443,19 @@ fn leaf_spine_fingerprint(threads: usize) -> String {
 }
 
 #[test]
-fn leaf_spine_rack_replays_bit_identically_across_threads() {
+fn leaf_spine_rack_replays_bit_identically() {
     // The ISSUE-10 scale-out contract: a 64-machine rack on a real
     // leaf-spine tree — per-link queuing, ECMP path diversity and all —
-    // must stay inside the windowed determinism envelope, so one worker
-    // and four workers produce the same bytes.
-    let base = leaf_spine_fingerprint(1);
+    // must stay inside the windowed determinism envelope.
+    let base = leaf_spine_fingerprint(0xE10);
     assert_eq!(
         base,
-        leaf_spine_fingerprint(4),
-        "threads=4 diverged from threads=1 on 64-machine leaf-spine"
+        leaf_spine_fingerprint(0xE10),
+        "64-machine leaf-spine run diverged on replay"
+    );
+    assert_ne!(
+        base,
+        leaf_spine_fingerprint(0xE11),
+        "leaf-spine fingerprint insensitive to seed"
     );
 }
