@@ -10,8 +10,11 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload, RequestId, ServiceId, Token};
+use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
+use lastcpu_devices::device::{Device, DeviceCtx};
 use lastcpu_devices::flash::{NandChip, NandConfig};
 use lastcpu_devices::ftl::Ftl;
+use lastcpu_fabric::{DirMsg, Fabric, FabricConfig};
 use lastcpu_iommu::{AccessKind, Iommu};
 use lastcpu_mem::{FrameAllocator, Pasid, Perms, PhysAddr, VirtAddr, PAGE_SIZE};
 use lastcpu_sim::{CorrId, DetRng, Histogram, SimDuration, SimTime, TraceData, TraceSink, Zipf};
@@ -237,6 +240,98 @@ fn bench_zipf(c: &mut Criterion) {
     });
 }
 
+/// Registers on its bus as a `smart-nic` and then stays silent: one
+/// directory entry per machine.
+struct Beacon;
+impl Device for Beacon {
+    fn name(&self) -> &str {
+        "nic0"
+    }
+    fn kind(&self) -> &str {
+        "smart-nic"
+    }
+    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
+        ctx.send_bus(
+            Dst::Bus,
+            Payload::Hello {
+                name: "nic0".into(),
+                kind: "smart-nic".into(),
+            },
+        );
+    }
+    fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: Envelope) {}
+    fn on_timer(&mut self, _ctx: &mut DeviceCtx<'_>, _token: u64) {}
+}
+
+/// Fires every `period`; with `query` set it sends that directory port one
+/// query per tick and drops the replies.
+struct Ticker {
+    period: SimDuration,
+    query: Option<lastcpu_net::PortId>,
+}
+impl NetHost for Ticker {
+    fn name(&self) -> &str {
+        "ticker"
+    }
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        ctx.set_timer(self.period, 0);
+    }
+    fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, _frame: lastcpu_net::Frame) {}
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
+        if let Some(dir) = self.query {
+            ctx.net_tx(dir, DirMsg::Query { epoch_hint: 0 }.encode());
+        }
+        ctx.set_timer(self.period, token);
+    }
+}
+
+/// 32 machines, each one [`Beacon`]; machine 0 also runs a [`Ticker`].
+/// Returned warmed up: every start event retired, registries settled.
+fn ticking_rack(cfg: FabricConfig, period: SimDuration, query: bool) -> Fabric {
+    let mut fab = Fabric::new(cfg);
+    for i in 0..32 {
+        let mut sys = System::new(SystemConfig {
+            seed: i,
+            trace: false,
+            ..SystemConfig::default()
+        });
+        sys.add_net_device(Box::new(Beacon));
+        let m = fab.add_machine(format!("m{i}"), sys);
+        if i == 0 {
+            let query = query.then(|| fab.directory_port(m));
+            fab.machine_mut(m)
+                .add_host(Box::new(Ticker { period, query }));
+        }
+    }
+    fab.power_on();
+    fab.run_for(SimDuration::from_millis(2));
+    fab
+}
+
+fn bench_fabric(c: &mut Criterion) {
+    // The two per-tick costs of a rack that is mostly waiting. Each
+    // iteration is one `run_for` of one ticker period, so it also pays the
+    // per-call refresh of all 32 cached event times.
+    let period = SimDuration::from_micros(10);
+    // One directory query from m0, answered at a steady epoch and delivered
+    // back, with the 250 us sweeps over 32 unchanged registries folded in.
+    c.bench_function("fabric/dir_query_32", |b| {
+        let mut fab = ticking_rack(FabricConfig::default(), period, true);
+        assert_eq!(fab.directory().len(), 32);
+        b.iter(|| black_box(fab.run_for(period)))
+    });
+    // One window in which m0 has one timer event and 31 machines have
+    // nothing; the sweep is pushed out of the way.
+    c.bench_function("fabric/idle_window_32", |b| {
+        let cfg = FabricConfig {
+            sync_interval: SimDuration::from_secs(3600),
+            ..FabricConfig::default()
+        };
+        let mut fab = ticking_rack(cfg, period, false);
+        b.iter(|| black_box(fab.run_for(period)))
+    });
+}
+
 fn bench_doorbell_value(c: &mut Criterion) {
     // Sanity-priced micro op: encode/decode the setup doorbell.
     c.bench_function("ssd/setup_doorbell_encode", |b| {
@@ -256,6 +351,7 @@ criterion_group!(
     bench_histogram,
     bench_trace_overhead,
     bench_zipf,
+    bench_fabric,
     bench_doorbell_value,
 );
 criterion_main!(benches);

@@ -8,7 +8,8 @@
 //! non-zero when any metric regresses beyond its threshold. Both files must
 //! describe the same experiment (`"experiment"` field). Supported:
 //!
-//! - **e9** — per phase (`queue`, `system`): `events_per_sec` may not drop more
+//! - **e9** — per phase (`queue`, `system`, `rack`; a schema-3 baseline has
+//!   no `rack` and skips it): `events_per_sec` may not drop more
 //!   than `--events-tol` percent (default 5); `allocs_per_event` may not
 //!   rise by more than `--allocs-tol` absolute (default 0.5).
 //! - **e10** — per matched `(machines, replication, policy, topology,
@@ -21,7 +22,8 @@
 //!   Additionally, every candidate *crash* cell with R ≥ 2 must report
 //!   `lost_acked_keys = 0` — the durability invariant is absolute, not
 //!   a tolerance.
-//! - **e12** — `attributed_alloc_fraction` and `wall_coverage_fraction`
+//! - **e12** — `attributed_alloc_fraction` (of the system phase and, from
+//!   schema 2, of the rack phase) and `wall_coverage_fraction`
 //!   (plus `instrument_wall_fraction`, the priced span edges, when
 //!   present) may not drop below the baseline by more than
 //!   `--coverage-tol` absolute (default 0.02); the critical-path
@@ -179,7 +181,13 @@ fn num(j: &Json, path: &str) -> Result<f64, String> {
 }
 
 fn diff_e9(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
-    for phase in ["queue", "system"] {
+    for phase in ["queue", "system", "rack"] {
+        // Schema-3 baselines predate the rack rung; a candidate may not
+        // lose it.
+        if phase == "rack" && base.get(phase).is_none() {
+            println!("  rack: absent from the baseline (schema < 4), skipped");
+            continue;
+        }
         d.throughput(
             phase,
             num(base, &format!("{phase}.events_per_sec"))?,
@@ -346,6 +354,19 @@ fn diff_e12(d: &mut Diff, base: &Json, cand: &Json) -> Result<(), String> {
         }
         (None, None) => println!("  attribution.wall: absent (no-wall artifacts), skipped"),
         _ => return Err("wall mode differs between baseline and candidate".into()),
+    }
+    // The rack phase is profiled from schema 2 on.
+    let rack = "rack_attribution.attributed_alloc_fraction";
+    match (base.path(rack), cand.path(rack)) {
+        (Some(_), Some(_)) => d.coverage(
+            "rack_attribution.allocs",
+            num(base, rack)?,
+            num(cand, rack)?,
+        ),
+        (None, _) => {
+            println!("  rack_attribution.allocs: absent from the baseline (schema < 2), skipped")
+        }
+        (Some(_), None) => return Err(format!("missing numeric field {rack:?}")),
     }
     d.latency(
         "critical_path.sum_error",

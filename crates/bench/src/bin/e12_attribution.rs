@@ -158,10 +158,22 @@ fn span_edge_ns() -> f64 {
     (wall - inside).max(0.0) / N as f64
 }
 
-/// The E10 rack cell with full stage + link-hop tracing; returns the
-/// critical-path report and the clients' own merged latency histogram as a
-/// cross-check.
-fn rack_phase(args: &Args) -> (CritPathReport, Histogram, bool) {
+/// What the rack phase hands back: the critical-path report, the clients'
+/// own merged latency histogram as a cross-check, whether every client
+/// finished, and the profiler's view of the run (events retired, wall
+/// seconds, scope table).
+struct RackRun {
+    report: CritPathReport,
+    lat: Histogram,
+    done: bool,
+    events: u64,
+    wall: f64,
+    snap: profile::ProfileSnapshot,
+}
+
+/// The E10 rack cell with full stage + link-hop tracing, run under the
+/// scoped profiler from power-on to completion.
+fn rack_phase(args: &Args) -> RackRun {
     let mut setup = build_rack_kvs(
         FabricConfig::default(),
         args.machines,
@@ -208,8 +220,12 @@ fn rack_phase(args: &Args) -> (CritPathReport, Histogram, bool) {
     setup.fabric.power_on();
     let deadline = setup.fabric.now() + SimDuration::from_secs(60);
     let mut done = false;
+    let mut events = 0;
+    profile::reset();
+    profile::set_enabled(true);
+    let t0 = Instant::now();
     while setup.fabric.now() < deadline && !done {
-        setup.fabric.run_for(SimDuration::from_millis(10));
+        events += setup.fabric.run_for(SimDuration::from_millis(10));
         done = (0..args.machines).all(|i| {
             setup
                 .fabric
@@ -219,6 +235,9 @@ fn rack_phase(args: &Args) -> (CritPathReport, Histogram, bool) {
                 .is_done()
         });
     }
+    let wall = t0.elapsed().as_secs_f64();
+    profile::set_enabled(false);
+    let snap = profile::snapshot();
 
     let merged = setup.fabric.merged_trace();
     let records: Vec<_> = merged.events().cloned().collect();
@@ -231,7 +250,73 @@ fn rack_phase(args: &Args) -> (CritPathReport, Histogram, bool) {
             lat.merge(&c);
         }
     }
-    (report, lat, done)
+    RackRun {
+        report,
+        lat,
+        done,
+        events,
+        wall,
+        snap,
+    }
+}
+
+/// Prints one profiled window's scopes, most allocations first.
+fn print_scope_table(snap: &profile::ProfileSnapshot, events: u64) {
+    let mut t = Table::new(&["scope", "allocs", "allocs/event", "sim ms", "spans"]);
+    let mut scopes: Vec<_> = snap
+        .scopes
+        .iter()
+        .filter(|s| s.allocs > 0 || s.spans > 0)
+        .collect();
+    scopes.sort_by(|a, b| b.allocs.cmp(&a.allocs).then(a.name.cmp(b.name)));
+    for s in &scopes {
+        t.row_strings(vec![
+            s.name.into(),
+            s.allocs.to_string(),
+            format!("{:.3}", s.allocs as f64 / events as f64),
+            format!("{:.3}", s.sim_ns as f64 / 1e6),
+            s.spans.to_string(),
+        ]);
+    }
+    t.row_strings(vec![
+        "(unattributed)".into(),
+        snap.unattributed_allocs.to_string(),
+        format!("{:.3}", snap.unattributed_allocs as f64 / events as f64),
+        "-".into(),
+        "-".into(),
+    ]);
+    t.print();
+}
+
+/// The `"scopes"` and `"unattributed"` members that close an attribution
+/// block.
+fn scopes_json(snap: &profile::ProfileSnapshot, no_wall: bool) -> String {
+    let mut body = String::new();
+    body.push_str("    \"scopes\": {\n");
+    let mut named: Vec<_> = snap.scopes.iter().collect();
+    named.sort_by_key(|s| s.name);
+    for (i, s) in named.iter().enumerate() {
+        body.push_str(&format!(
+            "      \"{}\": {{\"allocs\": {}, \"alloc_bytes\": {}, \"spans\": {}, \"sim_ns\": {}{}}}{}\n",
+            s.name,
+            s.allocs,
+            s.alloc_bytes,
+            s.spans,
+            s.sim_ns,
+            if no_wall {
+                String::new()
+            } else {
+                format!(", \"wall_ns\": {}, \"wall_root_ns\": {}", s.wall_ns, s.wall_root_ns)
+            },
+            if i + 1 < named.len() { "," } else { "" }
+        ));
+    }
+    body.push_str("    },\n");
+    body.push_str(&format!(
+        "    \"unattributed\": {{\"allocs\": {}, \"alloc_bytes\": {}}}\n  }},\n",
+        snap.unattributed_allocs, snap.unattributed_bytes
+    ));
+    body
 }
 
 fn main() {
@@ -291,30 +376,7 @@ fn main() {
 
     println!();
     println!("attribution over the measured window ({events} events):");
-    let mut t = Table::new(&["scope", "allocs", "allocs/event", "sim ms", "spans"]);
-    let mut scopes: Vec<_> = snap
-        .scopes
-        .iter()
-        .filter(|s| s.allocs > 0 || s.spans > 0)
-        .collect();
-    scopes.sort_by(|a, b| b.allocs.cmp(&a.allocs).then(a.name.cmp(b.name)));
-    for s in &scopes {
-        t.row_strings(vec![
-            s.name.into(),
-            s.allocs.to_string(),
-            format!("{:.3}", s.allocs as f64 / events as f64),
-            format!("{:.3}", s.sim_ns as f64 / 1e6),
-            s.spans.to_string(),
-        ]);
-    }
-    t.row_strings(vec![
-        "(unattributed)".into(),
-        snap.unattributed_allocs.to_string(),
-        format!("{:.3}", snap.unattributed_allocs as f64 / events as f64),
-        "-".into(),
-        "-".into(),
-    ]);
-    t.print();
+    print_scope_table(&snap, events);
     println!(
         "attributed allocations: {:.1}% of {} (gate: >= 95%)",
         100.0 * alloc_frac,
@@ -338,7 +400,14 @@ fn main() {
         "critical path: {} machines, R={} (stage + link-hop trace)",
         args.machines, args.replication
     );
-    let (report, lat, rack_done) = rack_phase(&args);
+    let RackRun {
+        report,
+        lat,
+        done: rack_done,
+        events: rack_events,
+        wall: rack_wall,
+        snap: rack_snap,
+    } = rack_phase(&args);
     let sum_error = report.worst_sum_error();
     let dominant = report.dominant_at_p99().unwrap_or("-");
     let mut ct = Table::new(&[
@@ -369,8 +438,28 @@ fn main() {
         analyzer_p99 / 1e3
     );
 
+    // The same run through the scoped profiler: where the rack's host cost
+    // sits, fabric-level work (sweep, directory answers, barrier) included.
+    let rack_alloc_frac = rack_snap.attributed_alloc_fraction();
+    let rack_wall_ns = (rack_wall * 1e9) as u64;
+    let rack_wall_frac = rack_snap.wall_root_total_ns() as f64 / rack_wall_ns.max(1) as f64;
+    println!();
+    println!("rack attribution over the whole run ({rack_events} events):");
+    print_scope_table(&rack_snap, rack_events);
+    println!(
+        "attributed allocations: {:.1}% of {} (gate: >= 95%)",
+        100.0 * rack_alloc_frac,
+        rack_snap.total_allocs()
+    );
+    if !args.no_wall {
+        println!(
+            "attributed wall time:   {:.1}% of the run in named scopes (informational)",
+            100.0 * rack_wall_frac
+        );
+    }
+
     // --- JSON --------------------------------------------------------------
-    let mut body = String::from("{\n  \"experiment\": \"e12\",\n  \"schema_version\": 1,\n");
+    let mut body = String::from("{\n  \"experiment\": \"e12\",\n  \"schema_version\": 2,\n");
     body.push_str(&format!(
         concat!(
             "  \"config\": {{\"seed\": {}, \"clients\": {}, \"outstanding\": {}, ",
@@ -409,30 +498,25 @@ fn main() {
             instrument_frac
         ));
     }
-    body.push_str("    \"scopes\": {\n");
-    let mut named: Vec<_> = snap.scopes.iter().collect();
-    named.sort_by_key(|s| s.name);
-    for (i, s) in named.iter().enumerate() {
+    body.push_str(&scopes_json(&snap, args.no_wall));
+    body.push_str("  \"rack_attribution\": {\n");
+    body.push_str(&format!(
+        "    \"events\": {rack_events},\n    \"total_allocs\": {},\n    \"attributed_alloc_fraction\": {:.6},\n",
+        rack_snap.total_allocs(),
+        rack_alloc_frac
+    ));
+    if !args.no_wall {
         body.push_str(&format!(
-            "      \"{}\": {{\"allocs\": {}, \"alloc_bytes\": {}, \"spans\": {}, \"sim_ns\": {}{}}}{}\n",
-            s.name,
-            s.allocs,
-            s.alloc_bytes,
-            s.spans,
-            s.sim_ns,
-            if args.no_wall {
-                String::new()
-            } else {
-                format!(", \"wall_ns\": {}, \"wall_root_ns\": {}", s.wall_ns, s.wall_root_ns)
-            },
-            if i + 1 < named.len() { "," } else { "" }
+            concat!(
+                "    \"wall_ns\": {},\n    \"wall_root_ns\": {},\n",
+                "    \"wall_coverage_fraction\": {:.6},\n"
+            ),
+            rack_wall_ns,
+            rack_snap.wall_root_total_ns(),
+            rack_wall_frac
         ));
     }
-    body.push_str("    },\n");
-    body.push_str(&format!(
-        "    \"unattributed\": {{\"allocs\": {}, \"alloc_bytes\": {}}}\n  }},\n",
-        snap.unattributed_allocs, snap.unattributed_bytes
-    ));
+    body.push_str(&scopes_json(&rack_snap, args.no_wall));
     body.push_str("  \"critical_path\": {\n");
     body.push_str(&format!(
         concat!(
@@ -481,6 +565,11 @@ fn main() {
     if !args.no_wall && wall_frac + instrument_frac < 0.95 {
         failed.push(format!(
             "wall_coverage_fraction {wall_frac:.4} + instrument_wall_fraction {instrument_frac:.4} < 0.95"
+        ));
+    }
+    if rack_alloc_frac < 0.95 {
+        failed.push(format!(
+            "rack attributed_alloc_fraction {rack_alloc_frac:.4} < 0.95"
         ));
     }
     if sum_error > 0.05 {

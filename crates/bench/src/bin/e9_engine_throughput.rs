@@ -6,7 +6,7 @@
 //! simulated machine we can afford (sweep sizes, fleet sizes, fault-matrix
 //! seeds) and is the metric the hot-path work in this crate is judged by.
 //!
-//! Two phases:
+//! Three phases, one per rung of the queue → machine → rack ladder:
 //!
 //! - **queue** — the event queue (timing wheel) in isolation: a deep
 //!   steady-state churn (pop one, schedule one) at a fixed pending-set
@@ -16,6 +16,14 @@
 //!   loops deep, run for a fixed slice of virtual time. Queue operations
 //!   are only part of each event here; the rest is routing, DMA and device
 //!   work.
+//! - **rack** — sixteen such machines on a leaf-spine fabric (leaves of 4),
+//!   R = 2, each with a shard router and one E10-shaped client, run for the
+//!   same slice of virtual time. On top of the machine's work each event
+//!   now pays for the fabric: windows, the barrier merge, link transit,
+//!   directory sweeps and queries, and the router. Sixteen, because the
+//!   directory plane costs O(machines²) per virtual millisecond against
+//!   O(machines) events: at eight, re-encoding every reply adds 17% to
+//!   allocs/event and would slip under the CI bound; at sixteen it adds 39%.
 //!
 //! Writes `BENCH_e9.json` (override with `--out`); schema in
 //! `EXPERIMENTS.md`. The JSON carries events/sec, ns/event and
@@ -32,9 +40,10 @@ use std::time::Instant;
 use lastcpu_bench::alloc::{allocs_now, CountingAlloc};
 use lastcpu_bench::{ObsArgs, Table};
 use lastcpu_core::SystemConfig;
-use lastcpu_kvs::build_cpuless_kvs;
+use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::server::ServerConfig;
+use lastcpu_kvs::{build_cpuless_kvs, build_rack_kvs};
 use lastcpu_sim::{export, profile, DetRng, EventQueue, SimDuration};
 
 #[global_allocator]
@@ -213,14 +222,78 @@ fn run_system_phase(clients: usize, outstanding: usize, vms: u64, obs: &ObsArgs)
     }
 }
 
+/// The rack rung: 16 machines on leaf-spine:4, R = 2, one closed-loop client
+/// per machine in the E10 shape (200 keys, Zipf 0.99, 95% GET, 128-byte
+/// values, 8 outstanding) that never finishes, so the virtual-time slice
+/// bounds the phase. Events are fabric events plus every machine's.
+fn run_rack_phase(vms: u64) -> Sample {
+    const MACHINES: usize = 16;
+    let mut setup = build_rack_kvs(
+        FabricConfig {
+            topology: TopologyConfig {
+                kind: TopoKind::LeafSpine { leaf_size: 4 },
+                oversub: 1,
+            },
+            ..FabricConfig::default()
+        },
+        MACHINES,
+        2,
+        SystemConfig {
+            seed: 0xE9,
+            trace: false,
+            ..SystemConfig::default()
+        },
+    );
+    for i in 0..MACHINES {
+        let workload = WorkloadConfig {
+            keys: 200,
+            theta: 0.99,
+            read_fraction: 0.95,
+            value_size: 128,
+            outstanding: 8,
+            total_ops: u64::MAX / 2,
+            preload: true,
+            stats_prefix: format!("c{i}"),
+            ..WorkloadConfig::default()
+        };
+        setup
+            .fabric
+            .machine_mut(setup.machines[i])
+            .add_host(Box::new(KvsClientHost::new(
+                setup.router_ports[i],
+                workload,
+            )));
+    }
+    // Warm up outside the measured window: power-on, rack discovery, preload.
+    setup.fabric.power_on();
+    setup.fabric.run_for(SimDuration::from_millis(200));
+    let allocs0 = allocs_now();
+    let t0 = Instant::now();
+    let events = setup.fabric.run_for(SimDuration::from_millis(vms));
+    let wall = t0.elapsed().as_secs_f64();
+    let allocs = allocs_now() - allocs0;
+    assert!(events > 0, "rack made no progress");
+    Sample {
+        events,
+        wall_seconds: wall,
+        allocs,
+    }
+}
+
 fn main() {
     let args = Args::parse();
     let obs = ObsArgs::from_env();
     obs.begin();
     println!("E9: engine throughput — wall-clock events/sec of the simulator core");
     println!(
-        "    (queue churn depth {}, {} ops; system: {} clients x {} outstanding, {} ms virtual)",
-        args.queue_depth, args.queue_ops, args.clients, args.outstanding, args.virtual_ms
+        "    (queue churn depth {}, {} ops; system: {} clients x {} outstanding, {} ms virtual; \
+         rack: 16 machines leaf-spine:4 R=2, {} ms virtual)",
+        args.queue_depth,
+        args.queue_ops,
+        args.clients,
+        args.outstanding,
+        args.virtual_ms,
+        args.virtual_ms
     );
     println!();
     let mut t = Table::new(&["phase", "events", "events/s", "ns/event", "allocs/event"]);
@@ -235,18 +308,21 @@ fn main() {
     };
     let run_queue = || run_queue_phase(args.queue_depth, args.queue_ops);
     let run_system = || run_system_phase(args.clients, args.outstanding, args.virtual_ms, &obs);
+    let run_rack = || run_rack_phase(args.virtual_ms);
     let mut queue = run_queue();
     let mut system = run_system();
+    let mut rack = run_rack();
     // Every run counts toward the profiler's attribution denominator, kept
     // or not — the profiler accumulates across the whole process.
-    let mut total_events = queue.events + system.events;
+    let mut total_events = queue.events + system.events + rack.events;
     for _ in 1..args.repeat {
-        let (q, s) = (run_queue(), run_system());
-        total_events += q.events + s.events;
+        let (q, s, r) = (run_queue(), run_system(), run_rack());
+        total_events += q.events + s.events + r.events;
         queue = best(queue, q);
         system = best(system, s);
+        rack = best(rack, r);
     }
-    for (phase, s) in [("queue", &queue), ("system", &system)] {
+    for (phase, s) in [("queue", &queue), ("system", &system), ("rack", &rack)] {
         t.row_strings(vec![
             phase.into(),
             s.events.to_string(),
@@ -302,10 +378,10 @@ fn main() {
 
     let body = format!(
         concat!(
-            "{{\n  \"experiment\": \"e9\",\n  \"schema_version\": 3,\n",
+            "{{\n  \"experiment\": \"e9\",\n  \"schema_version\": 4,\n",
             "  \"config\": {{\"queue_depth\": {}, \"queue_ops\": {}, \"clients\": {}, ",
             "\"outstanding\": {}, \"virtual_ms\": {}, \"repeat\": {}}},\n",
-            "  \"queue\": {},\n  \"system\": {}\n}}\n"
+            "  \"queue\": {},\n  \"system\": {},\n  \"rack\": {}\n}}\n"
         ),
         args.queue_depth,
         args.queue_ops,
@@ -314,7 +390,8 @@ fn main() {
         args.virtual_ms,
         args.repeat,
         queue.json(),
-        system.json()
+        system.json(),
+        rack.json()
     );
     match std::fs::write(&args.out, &body) {
         Ok(()) => println!("\nwrote {}", args.out),
@@ -323,5 +400,6 @@ fn main() {
     println!();
     println!("expected shape: the bare queue retires an event in tens of ns; a");
     println!("system event costs several times that because it also pays for");
-    println!("routing, DMA and device work.");
+    println!("routing, DMA and device work; a rack event adds the fabric's windows,");
+    println!("barrier, links and directory on top.");
 }

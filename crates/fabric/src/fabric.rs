@@ -103,6 +103,17 @@ struct MachineSlot {
     /// scratch buffer reused across windows so the steady-state barrier
     /// allocates nothing.
     pending: Vec<TunnelDelivery>,
+    /// The machine's next event time as of its last refresh: at
+    /// [`Fabric::run_until`] entry, after an injected frame, and after the
+    /// machine is stepped. Nothing else changes a machine's queue inside
+    /// `run_until`, so a window reads this instead of peeking every wheel.
+    next_at: Option<SimTime>,
+    /// The encoded directory reply last built for this machine and the
+    /// `dir_epoch` it was built at. The reply is a function of the directory
+    /// at that epoch and this machine's proxy table, whose ports are
+    /// allocated once and never change, so it is reused until the epoch
+    /// moves. Never snapshotted: a restored rack rebuilds it on first query.
+    dir_reply: Option<(u64, Vec<u8>)>,
 }
 
 /// A frame that finished crossing an inter-machine link (or a directory
@@ -114,22 +125,32 @@ struct LinkDelivery {
 }
 
 /// Steps one machine through the conservative window `[.., w_end)`, then
-/// drains its tunnel output into its own scratch. Returns events stepped.
+/// drains its tunnel output into its own scratch. Returns events stepped;
+/// leaves `next_at` at the first event the window did not cover.
 fn run_machine_window(slot: &mut MachineSlot, w_end: SimTime) -> u64 {
-    if slot.dead {
-        return 0;
-    }
     let mut steps = 0;
-    while let Some(t) = slot.sys.peek_next_at() {
-        if t >= w_end {
-            break;
-        }
+    while slot.next_at.is_some_and(|t| t < w_end) {
         slot.sys.step();
         steps += 1;
+        slot.next_at = slot.sys.peek_next_at();
     }
     let MachineSlot { sys, pending, .. } = slot;
     sys.drain_tunnel_into(pending);
     steps
+}
+
+/// Whether `qualified` is exactly `format!("m{machine}/{device}")`, decided
+/// without building that string.
+fn is_qualified(qualified: &str, machine: usize, device: &str) -> bool {
+    struct Rest<'a>(&'a str);
+    impl std::fmt::Write for Rest<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(std::fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Rest(qualified);
+    std::fmt::write(&mut rest, format_args!("m{machine}/{device}")).is_ok() && rest.0.is_empty()
 }
 
 /// N CPU-less machines co-simulated under one deterministic clock.
@@ -305,6 +326,8 @@ impl Fabric {
             link_bytes,
             link_frames,
             pending: Vec::new(),
+            next_at: None,
+            dir_reply: None,
         });
         MachineId(idx as u32)
     }
@@ -314,7 +337,10 @@ impl Fabric {
         &self.machines[m.0 as usize].sys
     }
 
-    /// The machine's `System`, mutably.
+    /// The machine's `System`, mutably: for attaching hosts and devices or
+    /// arming timers between runs. Stepping it directly bypasses the window
+    /// schedule, and its tunnel output then waits for the machine's next
+    /// event inside [`run_until`](Self::run_until).
     pub fn machine_mut(&mut self, m: MachineId) -> &mut System {
         &mut self.machines[m.0 as usize].sys
     }
@@ -425,6 +451,12 @@ impl Fabric {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let lookahead = self.lookahead();
         let mut n = 0u64;
+        // Callers reach machines through `machine_mut` between calls (hosts
+        // added, timers armed), so the cached event times are trusted only
+        // within one call.
+        for slot in &mut self.machines {
+            slot.next_at = slot.sys.peek_next_at();
+        }
         loop {
             // Earliest actionable instant across control points (sweep,
             // fault), in-flight link deliveries, and machine events.
@@ -437,12 +469,10 @@ impl Fabric {
             };
             fold(self.next_sync);
             fold(self.faults.get(self.fault_cursor).map(|ev| ev.at));
-            for slot in &mut self.machines {
-                if slot.dead {
-                    continue;
+            for slot in &self.machines {
+                if !slot.dead {
+                    fold(slot.next_at);
                 }
-                let t = slot.sys.peek_next_at();
-                fold(t);
             }
             let Some(t0) = t0 else { break };
             if t0 > deadline {
@@ -485,22 +515,30 @@ impl Fabric {
             while self.queue.peek_time().is_some_and(|t| t < w_end) {
                 let ev = self.queue.pop().expect("peeked event vanished");
                 let d = ev.event;
-                if self.machines[d.machine].dead {
+                let slot = &mut self.machines[d.machine];
+                if slot.dead {
                     self.m_frames_dropped.incr();
                 } else {
-                    self.machines[d.machine]
-                        .sys
-                        .inject_frame(ev.at, d.frame, d.corr);
+                    let _prof = profile::span("fabric.inject");
+                    slot.sys.inject_frame(ev.at, d.frame, d.corr);
+                    slot.next_at = slot.sys.peek_next_at();
                 }
                 n += 1;
             }
 
-            // Step every machine through [t0, w_end), then merge and
-            // forward their tunnel output.
+            // Step the machines with an event inside [t0, w_end), in index
+            // order, then merge and forward whatever tunnel output they
+            // produced. A machine with nothing due produces none.
+            let mut produced = false;
             for slot in &mut self.machines {
-                n += run_machine_window(slot, w_end);
+                if !slot.dead && slot.next_at.is_some_and(|t| t < w_end) {
+                    n += run_machine_window(slot, w_end);
+                    produced |= !slot.pending.is_empty();
+                }
             }
-            self.barrier();
+            if produced {
+                self.barrier();
+            }
         }
         self.now = self.now.max(deadline);
         n
@@ -511,6 +549,7 @@ impl Fabric {
     /// stable, so each machine's own production order is preserved — and
     /// crosses the inter-machine links.
     fn barrier(&mut self) {
+        let _prof = profile::span("fabric.barrier");
         let mut merged = std::mem::take(&mut self.merge_scratch);
         debug_assert!(merged.is_empty());
         for (i, slot) in self.machines.iter_mut().enumerate() {
@@ -711,11 +750,35 @@ impl Fabric {
 
     /// Answers an in-band directory query from machine `q`.
     fn answer_dir_query(&mut self, q: usize, d: TunnelDelivery) {
+        let _prof = profile::span("fabric.dir_query");
         self.m_dir_queries.incr();
         let Ok(DirMsg::Query { .. }) = DirMsg::decode(&d.frame.payload) else {
             self.m_frames_dropped.incr();
             return;
         };
+        let reply = match &self.machines[q].dir_reply {
+            Some((epoch, bytes)) if *epoch == self.dir_epoch => bytes.clone(),
+            _ => {
+                let bytes = self.build_dir_reply(q);
+                self.machines[q].dir_reply = Some((self.dir_epoch, bytes.clone()));
+                bytes
+            }
+        };
+        let frame = Frame::unicast(self.machines[q].dir_port, d.frame.src, reply);
+        self.queue.schedule_at(
+            d.at + self.cfg.dir_latency,
+            LinkDelivery {
+                machine: q,
+                frame,
+                corr: d.corr,
+            },
+        );
+    }
+
+    /// Encodes the current directory as machine `q` sees it: local endpoints
+    /// keep their edge-switch port, remote ones appear as `q`'s proxy port
+    /// for them (opened here on first sight).
+    fn build_dir_reply(&mut self, q: usize) -> Vec<u8> {
         let snapshot = self.directory.clone();
         let mut endpoints = Vec::with_capacity(snapshot.len());
         for e in &snapshot {
@@ -731,42 +794,60 @@ impl Fabric {
                 port: port.0,
             });
         }
-        let reply = DirMsg::Reply {
+        DirMsg::Reply {
             epoch: self.dir_epoch,
             endpoints,
         }
-        .encode();
-        let frame = Frame::unicast(self.machines[q].dir_port, d.frame.src, reply);
-        self.queue.schedule_at(
-            d.at + self.cfg.dir_latency,
-            LinkDelivery {
-                machine: q,
-                frame,
-                corr: d.corr,
-            },
-        );
+        .encode()
     }
 
-    /// Rebuilds the rack directory from every alive machine's bus registry.
+    /// Whether `self.directory` already lists exactly what the alive
+    /// machines' bus registries hold now, in sweep order. Allocates nothing:
+    /// the steady-state sweep finds no change.
+    fn directory_is_current(&self) -> bool {
+        let mut listed = self.directory.iter();
+        for (i, slot) in self.machines.iter().enumerate() {
+            if slot.dead {
+                continue;
+            }
+            for e in slot.sys.bus().alive() {
+                let Some(port) = slot.sys.port_of(e.id) else {
+                    continue;
+                };
+                let same = listed.next().is_some_and(|d| {
+                    d.machine == i as u32
+                        && d.port == port
+                        && d.kind == e.kind
+                        && is_qualified(&d.name, i, &e.name)
+                });
+                if !same {
+                    return false;
+                }
+            }
+        }
+        listed.next().is_none()
+    }
+
+    /// The periodic sweep: rebuilds the rack directory from every alive
+    /// machine's bus registry when it no longer matches them.
     fn sync_directory(&mut self, now: SimTime) {
+        let _prof = profile::span("fabric.dir_sync");
         self.m_dir_syncs.incr();
+        self.next_sync = Some(now + self.cfg.sync_interval);
+        if self.directory_is_current() {
+            return;
+        }
         let mut fresh: Vec<DirEntry> = Vec::new();
         for (i, slot) in self.machines.iter().enumerate() {
             if slot.dead {
                 continue;
             }
-            let entries: Vec<(String, String, Option<PortId>)> = slot
-                .sys
-                .bus()
-                .alive()
-                .map(|e| (e.name.clone(), e.kind.clone(), slot.sys.port_of(e.id)))
-                .collect();
-            for (name, kind, port) in entries {
-                if let Some(port) = port {
+            for e in slot.sys.bus().alive() {
+                if let Some(port) = slot.sys.port_of(e.id) {
                     fresh.push(DirEntry {
                         machine: i as u32,
-                        name: format!("m{i}/{name}"),
-                        kind,
+                        name: format!("m{i}/{}", e.name),
+                        kind: e.kind.clone(),
                         port,
                     });
                 }
@@ -780,12 +861,9 @@ impl Fabric {
         if removed > 0 {
             self.m_dir_removals.add(removed);
         }
-        if fresh != self.directory {
-            self.dir_epoch += 1;
-            self.g_dir_epoch.set(self.dir_epoch as i64);
-            self.directory = fresh;
-        }
-        self.next_sync = Some(now + self.cfg.sync_interval);
+        self.dir_epoch += 1;
+        self.g_dir_epoch.set(self.dir_epoch as i64);
+        self.directory = fresh;
     }
 
     fn apply_fault(&mut self, idx: usize) {
@@ -976,6 +1054,8 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lastcpu_bus::{Dst, Envelope, Payload};
+    use lastcpu_core::devices::device::{Device, DeviceCtx};
     use lastcpu_core::{HostCtx, NetHost, SystemConfig};
 
     /// Echoes every frame back to its source.
@@ -1182,6 +1262,162 @@ mod tests {
         }
         assert_eq!(fab.metrics().counter("fabric.dir.queries"), 1);
         assert!(fab.metrics().counter("fabric.dir.syncs") >= 1);
+    }
+
+    /// A device that registers on its bus as a `smart-nic` and does nothing
+    /// else: enough for the sweep to list it.
+    struct Nic(&'static str);
+    impl Device for Nic {
+        fn name(&self) -> &str {
+            self.0
+        }
+        fn kind(&self) -> &str {
+            "smart-nic"
+        }
+        fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
+            ctx.send_bus(
+                Dst::Bus,
+                Payload::Hello {
+                    name: self.0.into(),
+                    kind: "smart-nic".into(),
+                },
+            );
+        }
+        fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: Envelope) {}
+        fn on_timer(&mut self, _ctx: &mut DeviceCtx<'_>, _token: u64) {}
+    }
+
+    /// Queries the directory at start and every millisecond after; keeps
+    /// every reply's bytes.
+    struct Prober {
+        dir: PortId,
+        replies: Vec<Vec<u8>>,
+    }
+    impl NetHost for Prober {
+        fn name(&self) -> &str {
+            "prober"
+        }
+        fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+            self.on_timer(ctx, 0);
+        }
+        fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, frame: Frame) {
+            self.replies.push(frame.payload.to_vec());
+        }
+        fn on_timer(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
+            ctx.net_tx(self.dir, DirMsg::Query { epoch_hint: 0 }.encode());
+            ctx.set_timer(SimDuration::from_millis(1), token);
+        }
+    }
+
+    /// `n` machines, each with one `nic0` and a [`Prober`]; returns the
+    /// probers' ports.
+    fn probed_rack(n: usize) -> (Fabric, Vec<PortId>) {
+        let mut fab = Fabric::new(FabricConfig::default());
+        let ports = (0..n)
+            .map(|i| {
+                let m = fab.add_machine(format!("m{i}"), quiet_sys(i as u64));
+                let dir = fab.directory_port(m);
+                let sys = fab.machine_mut(m);
+                sys.add_net_device(Box::new(Nic("nic0")));
+                sys.add_host(Box::new(Prober {
+                    dir,
+                    replies: Vec::new(),
+                }))
+            })
+            .collect();
+        fab.power_on();
+        (fab, ports)
+    }
+
+    fn last_reply(fab: &Fabric, m: usize, port: PortId) -> (u64, Vec<String>) {
+        let prober = fab.machine(MachineId(m as u32)).host_as::<Prober>(port);
+        let bytes = prober.unwrap().replies.last().expect("a reply arrived");
+        match DirMsg::decode(bytes).expect("reply decodes") {
+            DirMsg::Reply { epoch, endpoints } => {
+                (epoch, endpoints.into_iter().map(|e| e.name).collect())
+            }
+            other => panic!("expected a reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cached_dir_reply_equals_a_rebuild_for_every_querier() {
+        let (mut fab, ports) = probed_rack(4);
+        fab.run_for(SimDuration::from_millis(5));
+        assert_eq!(fab.directory().len(), 4);
+        for (q, &port) in ports.iter().enumerate() {
+            let (epoch, cached) = fab.machines[q].dir_reply.clone().expect("q was answered");
+            assert_eq!(epoch, fab.dir_epoch());
+            assert_eq!(cached, fab.build_dir_reply(q), "querier m{q}");
+            // What the querier received over several ticks is that reply.
+            let prober = fab.machine(MachineId(q as u32)).host_as::<Prober>(port);
+            let replies = &prober.unwrap().replies;
+            assert!(replies.len() >= 4, "m{q} got {} replies", replies.len());
+            assert_eq!(replies.last(), Some(&cached));
+            assert_eq!(replies[replies.len() - 2], cached);
+        }
+        // The rebuilds above opened no port: the proxy table was complete.
+        let proxies: Vec<usize> = fab.machines.iter().map(|s| s.proxy.len()).collect();
+        assert_eq!(proxies, vec![3; 4]);
+    }
+
+    #[test]
+    fn killed_machine_leaves_the_next_reply_and_bumps_the_epoch() {
+        let (mut fab, ports) = probed_rack(3);
+        fab.run_for(SimDuration::from_millis(3));
+        let (epoch, names) = last_reply(&fab, 0, ports[0]);
+        assert_eq!(names, ["m0/nic0", "m1/nic0", "m2/nic0"]);
+        assert_eq!(epoch, fab.dir_epoch());
+
+        fab.kill_machine(MachineId(2));
+        fab.run_for(SimDuration::from_millis(2));
+        assert_eq!(fab.dir_epoch(), epoch + 1, "the sweep after the kill bumps");
+        for (q, &port) in ports.iter().enumerate().take(2) {
+            let (seen, names) = last_reply(&fab, q, port);
+            assert_eq!(
+                seen,
+                epoch + 1,
+                "survivor m{q} is answered at the new epoch"
+            );
+            assert_eq!(names, ["m0/nic0", "m1/nic0"]);
+        }
+        assert_eq!(fab.metrics().counter("fabric.dir.removals"), 1);
+    }
+
+    #[test]
+    fn late_device_changes_the_directory_exactly_once() {
+        let (mut fab, ports) = probed_rack(2);
+        fab.run_for(SimDuration::from_millis(2));
+        let epoch = fab.dir_epoch();
+        let syncs = fab.metrics().counter("fabric.dir.syncs");
+
+        let sys = fab.machine_mut(MachineId(1));
+        let late = sys.add_net_device(Box::new(Nic("nic1")));
+        sys.start_device(late);
+        fab.run_for(SimDuration::from_millis(2));
+        assert_eq!(fab.dir_epoch(), epoch + 1);
+        let (seen, names) = last_reply(&fab, 0, ports[0]);
+        assert_eq!(seen, epoch + 1);
+        assert_eq!(names, ["m0/nic0", "m1/nic0", "m1/nic1"]);
+
+        fab.run_for(SimDuration::from_millis(5));
+        assert_eq!(fab.dir_epoch(), epoch + 1, "later sweeps find no change");
+        assert!(fab.metrics().counter("fabric.dir.syncs") > syncs + 20);
+    }
+
+    #[test]
+    fn qualified_name_comparison_is_exact() {
+        assert!(is_qualified("m12/nic0", 12, "nic0"));
+        assert!(is_qualified("m0/a/b", 0, "a/b"));
+        for (q, m, d) in [
+            ("m12/nic0", 1, "2/nic0"),
+            ("m012/nic0", 12, "nic0"),
+            ("m12/nic0x", 12, "nic0"),
+            ("m12/nic", 12, "nic0"),
+            ("12/nic0", 12, "nic0"),
+        ] {
+            assert_eq!(is_qualified(q, m, d), q == format!("m{m}/{d}"), "{q}");
+        }
     }
 
     #[test]

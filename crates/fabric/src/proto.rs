@@ -37,8 +37,11 @@ pub struct DirEndpoint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirMsg {
     /// Ask for the current rack directory. `epoch_hint` is the epoch the
-    /// client already has (0 for none); the reply carries the full
-    /// directory either way, but the hint lets traces show staleness.
+    /// client already has (0 for none). It is carried but unused: the fabric
+    /// answers with the full directory whatever the hint says, and nothing
+    /// reads it from a trace. A shorter "not modified" answer would change
+    /// frame sizes on the wire and with them every simulated rack number,
+    /// so it waits for a change that re-baselines E10.
     Query {
         /// Directory epoch the querier last saw.
         epoch_hint: u64,

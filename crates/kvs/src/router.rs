@@ -294,6 +294,11 @@ pub struct ShardRouterHost {
     acked_puts: BTreeSet<Vec<u8>>,
     stats: RouterStats,
     met: Option<HubMetrics>,
+    /// Payload of the last directory reply that went through
+    /// [`install_directory`](Self::install_directory). A byte-equal reply
+    /// decodes to the `endpoints` and `epoch` that call left behind, so it
+    /// is only counted. Never snapshotted; `Restore` clears it.
+    last_dir_reply: Option<Vec<u8>>,
 }
 
 impl ShardRouterHost {
@@ -321,6 +326,7 @@ impl ShardRouterHost {
             acked_puts: BTreeSet::new(),
             stats: RouterStats::default(),
             met: None,
+            last_dir_reply: None,
         }
     }
 
@@ -360,6 +366,16 @@ impl ShardRouterHost {
         );
     }
 
+    /// Counts one directory reply. Replies and installs are distinct
+    /// counters: most replies carry no change (the router re-queries every
+    /// tick).
+    fn count_dir_reply(&mut self) {
+        self.stats.dir_replies += 1;
+        if let Some(met) = &self.met {
+            met.dir_replies.incr();
+        }
+    }
+
     /// Installs a directory reply: rebuild the ring, count rebalance moves,
     /// and mark pendings whose in-flight targets vanished for immediate
     /// re-dispatch (machine-crash fail-over path).
@@ -369,12 +385,7 @@ impl ShardRouterHost {
         epoch: u64,
         eps: Vec<lastcpu_fabric::DirEndpoint>,
     ) {
-        // Replies and installs are distinct counters: most replies carry no
-        // change (the router re-queries every tick) and return below.
-        self.stats.dir_replies += 1;
-        if let Some(met) = &self.met {
-            met.dir_replies.incr();
-        }
+        self.count_dir_reply();
         let mut fresh: BTreeMap<String, PortId> = BTreeMap::new();
         for ep in eps {
             if ep.kind == self.config.service_kind {
@@ -943,8 +954,12 @@ impl NetHost for ShardRouterHost {
         // 1. Directory replies (magic-tagged, and only ever from the
         //    directory port).
         if frame.src == self.config.dir_port && DirMsg::sniff(&frame.payload) {
-            if let Ok(DirMsg::Reply { epoch, endpoints }) = DirMsg::decode(&frame.payload) {
+            let _prof = profile::span("kvs.router.dir_reply");
+            if self.last_dir_reply.as_deref() == Some(&frame.payload[..]) {
+                self.count_dir_reply();
+            } else if let Ok(DirMsg::Reply { epoch, endpoints }) = DirMsg::decode(&frame.payload) {
                 self.install_directory(ctx, epoch, endpoints);
+                self.last_dir_reply = Some(frame.payload.to_vec());
             }
             return;
         }
@@ -1097,7 +1112,8 @@ impl lastcpu_snap::Snapshot for ShardRouterHost {
         w.put_u64(self.stats.late_acks);
         w.put_u64(self.stats.busy_deferrals);
         // Excluded: `met` (live MetricsHub handles; the hub snapshots its
-        // own key space).
+        // own key space) and `last_dir_reply` (a memo of `endpoints` and
+        // `epoch` above; the first reply after a restore decodes).
     }
 }
 
@@ -1195,6 +1211,7 @@ impl lastcpu_snap::Restore for ShardRouterHost {
         self.stats.dir_installs = r.u64()?;
         self.stats.late_acks = r.u64()?;
         self.stats.busy_deferrals = r.u64()?;
+        self.last_dir_reply = None;
         Ok(())
     }
 }
@@ -1332,19 +1349,7 @@ mod tests {
         /// Feeds a directory reply listing `eps` as smart-nic endpoints.
         fn install(&mut self, eps: &[(&str, u32)]) {
             self.epoch += 1;
-            let reply = DirMsg::Reply {
-                epoch: self.epoch,
-                endpoints: eps
-                    .iter()
-                    .map(|&(name, port)| DirEndpoint {
-                        name: name.into(),
-                        kind: "smart-nic".into(),
-                        machine: 0,
-                        port,
-                    })
-                    .collect(),
-            };
-            self.frame(DIR_PORT, reply.encode());
+            self.frame(DIR_PORT, reply_bytes(self.epoch, eps));
         }
     }
 
@@ -1400,31 +1405,78 @@ mod tests {
         assert_eq!(h.hub.counter("fabric.router.late_acks"), 1);
     }
 
+    fn reply_bytes(epoch: u64, eps: &[(&str, u32)]) -> Vec<u8> {
+        DirMsg::Reply {
+            epoch,
+            endpoints: eps
+                .iter()
+                .map(|&(name, port)| DirEndpoint {
+                    name: name.into(),
+                    kind: "smart-nic".into(),
+                    machine: 0,
+                    port,
+                })
+                .collect(),
+        }
+        .encode()
+    }
+
     #[test]
     fn dir_replies_and_installs_count_differently() {
         let mut h = Harness::new(RouterConfig::default());
         h.install(&[("m0/nic0", 10)]);
         assert_eq!(h.router.stats().dir_replies, 1);
         assert_eq!(h.router.stats().dir_installs, 1);
-        // The same directory again, same epoch: a reply, not an install.
-        let reply = DirMsg::Reply {
-            epoch: h.epoch,
-            endpoints: vec![DirEndpoint {
-                name: "m0/nic0".into(),
-                kind: "smart-nic".into(),
-                machine: 0,
-                port: 10,
-            }],
-        };
-        h.frame(DIR_PORT, reply.encode());
+        // The same bytes again: a reply, not an install, and no decode —
+        // the memo answers.
+        let same = reply_bytes(h.epoch, &[("m0/nic0", 10)]);
+        assert_eq!(h.router.last_dir_reply.as_ref(), Some(&same));
+        h.frame(DIR_PORT, same);
         assert_eq!(h.router.stats().dir_replies, 2);
         assert_eq!(h.router.stats().dir_installs, 1, "no-change reply counted");
         // Epoch bump with identical membership still installs (epoch moves).
         h.install(&[("m0/nic0", 10)]);
         assert_eq!(h.router.stats().dir_replies, 3);
         assert_eq!(h.router.stats().dir_installs, 2);
-        assert_eq!(h.hub.counter("fabric.router.dir_replies"), 3);
-        assert_eq!(h.hub.counter("fabric.router.dir_installs"), 2);
+        // Same epoch, different port: the bytes differ, so it installs.
+        let moved = reply_bytes(h.epoch, &[("m0/nic0", 11)]);
+        h.frame(DIR_PORT, moved.clone());
+        assert_eq!(h.router.stats().dir_replies, 4);
+        assert_eq!(h.router.stats().dir_installs, 3);
+        assert_eq!(h.router.endpoints["m0/nic0"], PortId(11));
+        assert_eq!(h.router.last_dir_reply, Some(moved));
+        assert_eq!(h.hub.counter("fabric.router.dir_replies"), 4);
+        assert_eq!(h.hub.counter("fabric.router.dir_installs"), 3);
+    }
+
+    #[test]
+    fn dir_reply_memo_holds_only_installed_replies_and_not_across_restore() {
+        use lastcpu_snap::{Restore, Snapshot};
+        let mut h = Harness::new(RouterConfig::default());
+        // Malformed (trailing byte) and non-reply frames from the directory
+        // port pass the sniff but must leave the memo alone.
+        let mut torn = reply_bytes(1, &[("m0/nic0", 10)]);
+        torn.push(0);
+        h.frame(DIR_PORT, torn);
+        h.frame(DIR_PORT, DirMsg::Query { epoch_hint: 0 }.encode());
+        assert_eq!(h.router.last_dir_reply, None);
+        assert_eq!(h.router.stats().dir_replies, 0);
+
+        h.install(&[("m0/nic0", 10)]);
+        let good = reply_bytes(h.epoch, &[("m0/nic0", 10)]);
+        assert_eq!(h.router.last_dir_reply.as_ref(), Some(&good));
+
+        // The memo is not in the snapshot, and restoring clears it: the
+        // first reply afterwards decodes, finds nothing changed, and
+        // re-arms the memo.
+        let bytes = h.router.snapshot_bytes();
+        h.router.restore_bytes("router", &bytes).expect("restores");
+        assert_eq!(h.router.last_dir_reply, None);
+        assert_eq!(h.router.snapshot_bytes(), bytes);
+        h.frame(DIR_PORT, good.clone());
+        assert_eq!(h.router.stats().dir_replies, 2);
+        assert_eq!(h.router.stats().dir_installs, 1);
+        assert_eq!(h.router.last_dir_reply, Some(good));
     }
 
     #[test]

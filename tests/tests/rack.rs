@@ -8,11 +8,13 @@
 //!
 //! [`ShardRouterHost`]: lastcpu_kvs::ShardRouterHost
 
-use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
+use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
+use lastcpu_fabric::{Fabric, FabricConfig, TopoKind, TopologyConfig};
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::{build_rack_kvs_with_policy, RackSetup, RetryPolicy};
-use lastcpu_net::PortId;
-use lastcpu_sim::{export, FaultKind, FaultPlan, SimDuration, SimTime};
+use lastcpu_net::{Frame, PortId};
+use lastcpu_sim::{export, CorrId, FaultKind, FaultPlan, SimDuration, SimTime};
+use lastcpu_snap::{fnv1a_fold, Checkpoint};
 
 /// A [`RackSetup`] with one closed-loop client per machine aimed at the
 /// *local* shard router.
@@ -458,4 +460,190 @@ fn leaf_spine_rack_replays_bit_identically() {
         leaf_spine_fingerprint(0xE11),
         "leaf-spine fingerprint insensitive to seed"
     );
+}
+
+/// One digest over every section of the rack's checkpoint, tag and bytes,
+/// with each machine section opened so that its own sections are folded in
+/// place of its encoding. Manifests, the rack's and every machine's, are
+/// left out as in `trace_repr.rs`: their `config_fp` hashes `Debug` text.
+fn sections_digest(fab: &Fabric) -> u64 {
+    fn fold(h: &mut u64, ck: &Checkpoint) {
+        for tag in ck.section_tags() {
+            let bytes = ck.section(tag).expect("listed section");
+            fnv1a_fold(h, tag.as_bytes());
+            if tag.starts_with("machine") {
+                fold(
+                    h,
+                    &Checkpoint::decode(bytes).expect("machine section decodes"),
+                );
+            } else {
+                fnv1a_fold(h, bytes);
+            }
+        }
+    }
+    let mut h = lastcpu_snap::fnv1a(b"sections");
+    fold(&mut h, &fab.checkpoint("pin").expect("rack checkpoints"));
+    h
+}
+
+/// Runs `machines` under `cfg` for `horizon` in 10 ms slices (the slicing
+/// is part of the schedule) and digests where the rack ended up.
+fn schedule_digest(
+    cfg: FabricConfig,
+    machines: usize,
+    wl: &WorkloadConfig,
+    horizon: SimDuration,
+) -> u64 {
+    let mut rack = build_rack_cfg(cfg, machines, 2, 0xE14, false, wl, RetryPolicy::default());
+    rack.setup.fabric.power_on();
+    rack.run_to_completion(horizon);
+    sections_digest(&rack.setup.fabric)
+}
+
+#[test]
+fn window_schedule_is_the_recorded_one() {
+    // Digests recorded at the commit before the fabric began skipping idle
+    // machines and reusing directory replies: neither may move one byte of
+    // any machine, the fabric section, or the fabric metrics.
+    let flat = schedule_digest(
+        FabricConfig::default(),
+        8,
+        &small_workload(),
+        SimDuration::from_secs(10),
+    );
+
+    // The crash withdraws m1's endpoints mid-run, so every survivor's
+    // directory reply and router memo is invalidated once.
+    let mut plan = FaultPlan::new(0xE14);
+    plan.inject(SimTime::from_nanos(2_000_000), "m1", FaultKind::Crash);
+    let crash = schedule_digest(
+        FabricConfig {
+            fault_plan: Some(plan),
+            ..FabricConfig::default()
+        },
+        4,
+        &small_workload(),
+        SimDuration::from_millis(200),
+    );
+
+    let wl = WorkloadConfig {
+        keys: 48,
+        total_ops: 12,
+        outstanding: 2,
+        ..small_workload()
+    };
+    let leaf_spine = FabricConfig {
+        topology: TopologyConfig {
+            kind: TopoKind::LeafSpine { leaf_size: 8 },
+            oversub: 4,
+        },
+        ..FabricConfig::default()
+    };
+    let tree = schedule_digest(leaf_spine, 32, &wl, SimDuration::from_secs(30));
+
+    assert_eq!(
+        format!("{flat:#018x} {crash:#018x} {tree:#018x}"),
+        "0xb31cbd0cdc3cc529 0x4f7ac5714a336b3d 0xca17e64185c136ec",
+        "8-machine flat, 4-machine crash arm, 32-machine leaf-spine:8 oversub 4"
+    );
+}
+
+/// Arms a timer for every frame it receives; records when timers fire.
+struct Alarm {
+    delay: SimDuration,
+    fired: Vec<SimTime>,
+}
+
+impl NetHost for Alarm {
+    fn name(&self) -> &str {
+        "alarm"
+    }
+    fn on_start(&mut self, _ctx: &mut HostCtx<'_>) {}
+    fn on_frame(&mut self, ctx: &mut HostCtx<'_>, _frame: Frame) {
+        ctx.set_timer(self.delay, 1);
+    }
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
+        self.fired.push(ctx.now);
+    }
+}
+
+/// Sends one frame to `target`, `after` its own start event.
+struct Knock {
+    target: PortId,
+    after: SimDuration,
+}
+
+impl NetHost for Knock {
+    fn name(&self) -> &str {
+        "knock"
+    }
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        ctx.set_timer(self.after, 1);
+    }
+    fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, _frame: Frame) {}
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
+        ctx.net_tx(self.target, vec![1]);
+    }
+}
+
+fn quiet_machine(seed: u64) -> System {
+    System::new(SystemConfig {
+        seed,
+        ..SystemConfig::default()
+    })
+}
+
+#[test]
+fn work_queued_through_machine_mut_between_runs_is_seen() {
+    // m1 goes idle after its start event; the fabric then caches "nothing
+    // due" for it. An event queued from outside between two run calls must
+    // still be found: the cache is refreshed when `run_until` is entered.
+    let delay = SimDuration::from_micros(300);
+    let mut fab = Fabric::new(FabricConfig::default());
+    fab.add_machine("m0", quiet_machine(1));
+    let m1 = fab.add_machine("m1", quiet_machine(2));
+    let alarm = fab.machine_mut(m1).add_host(Box::new(Alarm {
+        delay,
+        fired: Vec::new(),
+    }));
+    fab.power_on();
+    fab.run_until(SimTime::from_nanos(1_000_000));
+    assert_eq!(fab.machine_mut(m1).peek_next_at(), None, "m1 is idle");
+
+    let at = fab.now();
+    let knock = Frame::unicast(alarm, alarm, vec![1]);
+    fab.machine_mut(m1).inject_frame(at, knock, CorrId::NONE);
+    fab.run_until(SimTime::from_nanos(2_000_000));
+    let fired = &fab.machine(m1).host_as::<Alarm>(alarm).unwrap().fired;
+    assert_eq!(fired.len(), 1, "the timer armed between runs fired");
+    assert!(fired[0] >= at + delay && fired[0] < SimTime::from_nanos(2_000_000));
+}
+
+#[test]
+fn a_frame_from_the_fabric_wakes_an_idle_machine() {
+    // m1's own queue is empty from its start event until m0's frame crosses
+    // the link 1.5 ms later, after several sweeps and thousands of windows
+    // have found it idle. The injection alone must put it back in the
+    // stepped set.
+    let (after, delay) = (
+        SimDuration::from_micros(1500),
+        SimDuration::from_micros(700),
+    );
+    let mut fab = Fabric::new(FabricConfig::default());
+    let m0 = fab.add_machine("m0", quiet_machine(1));
+    let m1 = fab.add_machine("m1", quiet_machine(2));
+    let alarm = fab.machine_mut(m1).add_host(Box::new(Alarm {
+        delay,
+        fired: Vec::new(),
+    }));
+    let target = fab.open_tunnel(m0, m1, alarm);
+    fab.machine_mut(m0)
+        .add_host(Box::new(Knock { target, after }));
+    fab.power_on();
+    fab.run_until(SimTime::from_nanos(1_000_000));
+    assert_eq!(fab.machine_mut(m1).peek_next_at(), None, "m1 is idle");
+    fab.run_until(SimTime::from_nanos(3_000_000));
+    let fired = &fab.machine(m1).host_as::<Alarm>(alarm).unwrap().fired;
+    assert_eq!(fired.len(), 1, "the frame woke m1 and its timer fired");
+    assert!(fired[0] > SimTime::ZERO + after + delay);
 }
