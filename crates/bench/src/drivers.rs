@@ -94,6 +94,13 @@ impl SetupClient {
         }
     }
 
+    /// Sets how long each discovery waits for answers (ablation A1; the
+    /// monitor's default is 50 µs).
+    pub fn with_discovery_window(mut self, window: SimDuration) -> Self {
+        self.monitor.set_discovery_window(window);
+        self
+    }
+
     /// Whether all iterations completed.
     pub fn is_done(&self) -> bool {
         self.completed >= self.iterations
@@ -480,14 +487,12 @@ impl Device for DoorbellPinger {
 }
 
 /// Generates control-plane load at a configurable rate (E6's interference
-/// source): either broadcast discovery queries, or — the truly damaging
-/// case on a conflated interconnect — bulk `AppData` payloads tunneled over
-/// the control path, the way a kernel-mediated system moves buffers.
+/// source): bulk `AppData` payloads tunneled over the control path, the way
+/// a kernel-mediated system moves buffers — the truly damaging case on a
+/// conflated interconnect.
 pub struct ControlStorm {
     name: String,
     interval: SimDuration,
-    /// When non-zero, send `AppData` of this size to `sink` instead of a
-    /// broadcast query.
     bulk_bytes: usize,
     sink: DeviceId,
     /// Messages sent.
@@ -495,17 +500,6 @@ pub struct ControlStorm {
 }
 
 impl ControlStorm {
-    /// A storm generator emitting one broadcast query every `interval`.
-    pub fn new(name: &str, interval: SimDuration) -> Self {
-        ControlStorm {
-            name: name.to_string(),
-            interval,
-            bulk_bytes: 0,
-            sink: DeviceId(0),
-            sent: 0,
-        }
-    }
-
     /// A storm generator emitting `bulk_bytes` of `AppData` to `sink` every
     /// `interval`.
     pub fn bulk(name: &str, interval: SimDuration, bulk_bytes: usize, sink: DeviceId) -> Self {
@@ -549,22 +543,12 @@ impl Device for ControlStorm {
                 ctx.set_timer(SimDuration::from_millis(2), 1);
             }
             2 => {
-                if self.bulk_bytes > 0 {
-                    ctx.send_bus(
-                        Dst::Device(self.sink),
-                        Payload::AppData {
-                            conn: ConnId(0),
-                            data: vec![0u8; self.bulk_bytes],
-                        },
-                    );
-                } else {
-                    ctx.send_bus(
-                        Dst::Bus,
-                        Payload::Query {
-                            pattern: "storm:no-such-service".into(),
-                        },
-                    );
-                }
+                let data = vec![0u8; self.bulk_bytes];
+                let payload = Payload::AppData {
+                    conn: ConnId(0),
+                    data,
+                };
+                ctx.send_bus(Dst::Device(self.sink), payload);
                 self.sent += 1;
                 ctx.set_timer(self.interval, 2);
             }

@@ -4,19 +4,32 @@
 //! while the system management bus need not ... we do not see a compelling
 //! reason to combine them." This experiment measures the data plane's
 //! latency (a doorbell ping-pong between two devices, i.e. an MSI-style
-//! memory write) while a third device generates rising control-plane load
-//! (broadcast discovery queries). In the *split* configuration (the
-//! paper's design) the planes do not queue behind each other; in the
-//! *conflated* configuration every control message also occupies the
-//! shared interconnect.
+//! memory write) while other devices generate rising control-plane load
+//! (bulk buffers tunneled over the control path). In the *split*
+//! configuration (the paper's design) the planes do not queue behind each
+//! other; in the *conflated* configuration every control message also
+//! occupies the shared interconnect.
 
-use lastcpu_bench::drivers::{ControlStorm, DoorbellPinger, DoorbellPonger};
-use lastcpu_bench::{ObsArgs, Table};
 use lastcpu_core::{System, SystemConfig};
 use lastcpu_sim::SimDuration;
 
+use super::Experiment;
+use crate::cli::Args;
+use crate::drivers::{ControlStorm, DoorbellPinger, DoorbellPonger};
+use crate::obs::ObsArgs;
+use crate::report::{round, us, Cell};
+
+pub const EXP: Experiment = Experiment {
+    name: "e6",
+    title: "E6: data-plane doorbell RTT under rising control-plane load\n    \
+            (doorbell ping-pong every 20us; storm = 32KiB buffers over the\n     \
+            control path, as a kernel-mediated system would move them)",
+    run,
+    ..Experiment::PLAIN
+};
+
 /// Runs one configuration; returns (rtt mean, rtt p99, control msgs sent).
-fn run(
+fn ping(
     storm_interval: Option<SimDuration>,
     conflate: bool,
     obs: &ObsArgs,
@@ -54,57 +67,46 @@ fn run(
     sys.run_for(SimDuration::from_millis(100));
     let p: &DoorbellPinger = sys.device_as(pinger).expect("pinger");
     assert!(p.rtt.count() > 500, "too few pings: {}", p.rtt.count());
-    let sent: u64 = storms
+    let sent = storms
         .iter()
-        .map(|&s| {
-            let st: &ControlStorm = sys.device_as(s).expect("storm");
-            st.sent
-        })
+        .map(|&s| sys.device_as::<ControlStorm>(s).expect("storm").sent)
         .sum();
     obs.dump(&sys);
     (p.rtt.mean(), p.rtt.percentile(99.0), sent)
 }
 
-fn main() {
-    let obs = ObsArgs::from_env();
-    println!("E6: data-plane doorbell RTT under rising control-plane load");
-    println!("    (doorbell ping-pong every 20us; storm = 32KiB buffers over the");
-    println!("     control path, as a kernel-mediated system would move them)");
-    println!();
-    let mut t = Table::new(&[
-        "control load",
-        "split mean",
-        "split p99",
-        "conflated mean",
-        "conflated p99",
-        "p99 blowup",
-    ]);
+fn run(args: &Args) -> Result<Vec<Cell>, String> {
+    let obs = ObsArgs::from_args(args);
     // Aggregate bulk rates; the shared link carries each message twice
     // (ingress + egress), so its 2.5 GB/s raw rate saturates at ~1.25 GB/s
     // of offered bulk. The top load runs at ~96% utilization — past that
     // an open-loop storm diverges, which is exactly the failure mode a
     // conflated interconnect invites.
-    let loads: &[(&str, Option<SimDuration>)] = &[
+    let loads = [
         ("none", None),
         ("0.1 GB/s", Some(SimDuration::from_micros(312))),
         ("0.3 GB/s", Some(SimDuration::from_micros(104))),
         ("0.6 GB/s", Some(SimDuration::from_micros(52))),
     ];
-    for (label, interval) in loads {
-        let (sm, sp, _) = run(*interval, false, &obs);
-        let (cm, cp, _) = run(*interval, true, &obs);
-        t.row_strings(vec![
-            label.to_string(),
-            sm.to_string(),
-            sp.to_string(),
-            cm.to_string(),
-            cp.to_string(),
-            format!("{:.2}x", cp.as_nanos() as f64 / sp.as_nanos().max(1) as f64),
-        ]);
+    let mut cells = Vec::new();
+    for (load, interval) in loads {
+        let mut split_p99 = SimDuration::ZERO;
+        for (planes, conflate) in [("split", false), ("conflated", true)] {
+            let (mean, p99, sent) = ping(interval, conflate, &obs);
+            let mut cell = Cell::new("doorbell_rtt")
+                .id("control_load", load)
+                .id("planes", planes)
+                .exact("mean_us", us(mean), "us")
+                .exact("p99_us", us(p99), "us")
+                .exact("control_msgs", sent, "count");
+            if conflate {
+                let blowup = p99.as_nanos() as f64 / split_p99.as_nanos().max(1) as f64;
+                cell = cell.exact("p99_vs_split", round(blowup, 2), "x");
+            } else {
+                split_p99 = p99;
+            }
+            cells.push(cell);
+        }
     }
-    t.print();
-    println!();
-    println!("expected shape: split-plane doorbell latency is flat regardless of");
-    println!("control load; the conflated interconnect drags data-plane p99 up");
-    println!("with every control message it carries.");
+    Ok(cells)
 }

@@ -7,20 +7,45 @@
 //! the paper gives up the global view, and pays broadcasts for it).
 
 use lastcpu_baseline::{CpuDevice, IdleApp};
-use lastcpu_bench::drivers::{Announcer, DiscoverProbe};
-use lastcpu_bench::{ObsArgs, Table};
 use lastcpu_bus::{DeviceId, Dst, Envelope, Payload, RequestId};
 use lastcpu_core::devices::device::{Device, DeviceCtx};
 use lastcpu_core::{System, SystemConfig};
 use lastcpu_sim::{SimDuration, SimTime};
 
-/// Decentralized sweep: returns (mean latency, broadcasts per query, bus
-/// bytes per query).
-fn run_decentralized(
-    devices: u32,
-    services_per_device: u16,
-    obs: &ObsArgs,
-) -> (SimDuration, f64, f64) {
+use super::Experiment;
+use crate::cli::Args;
+use crate::drivers::{Announcer, DiscoverProbe};
+use crate::obs::ObsArgs;
+use crate::report::{round, us, Cell};
+
+pub const EXP: Experiment = Experiment {
+    name: "e7",
+    title: "E7: service discovery vs machine size\n    \
+            (decentralized: SSDP broadcast, 50us answer window;\n     \
+            centralized: kernel directory lookup; 2 services/device)",
+    run,
+    ..Experiment::PLAIN
+};
+
+const SERVICES_PER_DEVICE: u16 = 2;
+
+fn mean(latencies: &[SimDuration]) -> SimDuration {
+    let sum: u64 = latencies.iter().map(|d| d.as_nanos()).sum();
+    SimDuration::from_nanos(sum / latencies.len() as u64)
+}
+
+fn add_announcers(sys: &mut System, devices: u32) {
+    for i in 0..devices {
+        sys.add_device(Box::new(Announcer::new(
+            &format!("dev{i}"),
+            SERVICES_PER_DEVICE,
+        )));
+    }
+}
+
+/// Decentralized sweep: (mean latency, broadcasts per query, bus bytes per
+/// query).
+fn decentralized(devices: u32, obs: &ObsArgs) -> (SimDuration, f64, f64) {
     let mut config = SystemConfig {
         trace: false,
         ..SystemConfig::default()
@@ -28,18 +53,12 @@ fn run_decentralized(
     obs.apply(&mut config);
     let mut sys = System::new(config);
     sys.add_memctl("memctl0");
-    for i in 0..devices {
-        sys.add_device(Box::new(Announcer::new(
-            &format!("dev{i}"),
-            services_per_device,
-        )));
-    }
+    add_announcers(&mut sys, devices);
     let probe = sys.add_device(Box::new(DiscoverProbe::new("probe0", "svc:dev1:*", 10)));
     sys.power_on();
     // Boot announcements settle well before the probe's 200us start delay.
     sys.run_for(SimDuration::from_micros(150));
-    let before_b = sys.bus().stats().broadcast_deliveries;
-    let before_bytes = sys.bus().stats().bytes;
+    let before = sys.bus().stats();
     sys.run_for(SimDuration::from_millis(50));
     let p: &DiscoverProbe = sys.device_as(probe).expect("probe");
     assert!(
@@ -47,16 +66,14 @@ fn run_decentralized(
         "probe incomplete ({} sweeps)",
         p.latencies.len()
     );
-    assert_eq!(p.last_hits, services_per_device as usize);
-    let mean = SimDuration::from_nanos(
-        p.latencies.iter().map(|d| d.as_nanos()).sum::<u64>() / p.latencies.len() as u64,
-    );
+    assert_eq!(p.last_hits, SERVICES_PER_DEVICE as usize);
     let queries = p.latencies.len() as f64;
     // Broadcast traffic includes heartbeat-era noise; queries dominate.
-    let bcasts = (sys.bus().stats().broadcast_deliveries - before_b) as f64 / queries;
-    let bytes = (sys.bus().stats().bytes - before_bytes) as f64 / queries;
+    let after = sys.bus().stats();
+    let bcasts = (after.broadcast_deliveries - before.broadcast_deliveries) as f64 / queries;
+    let bytes = (after.bytes - before.bytes) as f64 / queries;
     obs.dump(&sys);
-    (mean, bcasts, bytes)
+    (mean(&p.latencies), bcasts, bytes)
 }
 
 /// A device that measures centralized lookups against the kernel directory.
@@ -66,33 +83,18 @@ struct CentralProbe {
     iterations: u32,
     sent_at: Option<SimTime>,
     req: Option<RequestId>,
-    pub latencies: Vec<SimDuration>,
+    latencies: Vec<SimDuration>,
 }
 
 impl CentralProbe {
-    fn new(name: &str, cpu: DeviceId, iterations: u32) -> Self {
-        CentralProbe {
-            name: name.to_string(),
-            cpu,
-            iterations,
-            sent_at: None,
-            req: None,
-            latencies: Vec::new(),
-        }
-    }
-
     fn is_done(&self) -> bool {
         self.latencies.len() as u32 >= self.iterations
     }
 
     fn lookup(&mut self, ctx: &mut DeviceCtx<'_>) {
         self.sent_at = Some(ctx.now + ctx.elapsed());
-        self.req = Some(ctx.send_bus(
-            Dst::Device(self.cpu),
-            Payload::Query {
-                pattern: "svc:dev1:0".into(),
-            },
-        ));
+        let pattern = "svc:dev1:0".into();
+        self.req = Some(ctx.send_bus(Dst::Device(self.cpu), Payload::Query { pattern }));
     }
 }
 
@@ -106,13 +108,11 @@ impl Device for CentralProbe {
     }
 
     fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        ctx.send_bus(
-            Dst::Bus,
-            Payload::Hello {
-                name: self.name.clone(),
-                kind: "central-probe".into(),
-            },
-        );
+        let hello = Payload::Hello {
+            name: self.name.clone(),
+            kind: "central-probe".into(),
+        };
+        ctx.send_bus(Dst::Bus, hello);
         ctx.set_timer(SimDuration::from_millis(2), 1);
     }
 
@@ -147,7 +147,7 @@ impl Device for CentralProbe {
 }
 
 /// Centralized sweep: mean lookup latency at the kernel directory.
-fn run_centralized(devices: u32, services_per_device: u16) -> SimDuration {
+fn centralized(devices: u32) -> SimDuration {
     let mut sys = System::new(SystemConfig {
         trace: false,
         ..SystemConfig::default()
@@ -155,13 +155,15 @@ fn run_centralized(devices: u32, services_per_device: u16) -> SimDuration {
     let cpu = sys.add_device_with("cpu0", "cpu", |id, dram| {
         Box::new(CpuDevice::new("cpu0", id, dram, IdleApp))
     });
-    for i in 0..devices {
-        sys.add_device(Box::new(Announcer::new(
-            &format!("dev{i}"),
-            services_per_device,
-        )));
-    }
-    let probe = sys.add_device(Box::new(CentralProbe::new("probe0", cpu.id, 10)));
+    add_announcers(&mut sys, devices);
+    let probe = sys.add_device(Box::new(CentralProbe {
+        name: "probe0".into(),
+        cpu: cpu.id,
+        iterations: 10,
+        sent_at: None,
+        req: None,
+        latencies: Vec::new(),
+    }));
     sys.power_on();
     sys.run_for(SimDuration::from_millis(60));
     let p: &CentralProbe = sys.device_as(probe).expect("probe");
@@ -170,39 +172,19 @@ fn run_centralized(devices: u32, services_per_device: u16) -> SimDuration {
         "central probe incomplete ({})",
         p.latencies.len()
     );
-    SimDuration::from_nanos(
-        p.latencies.iter().map(|d| d.as_nanos()).sum::<u64>() / p.latencies.len() as u64,
-    )
+    mean(&p.latencies)
 }
 
-fn main() {
-    let obs = ObsArgs::from_env();
-    println!("E7: service discovery vs machine size");
-    println!("    (decentralized: SSDP broadcast, 50us answer window;");
-    println!("     centralized: kernel directory lookup; 2 services/device)");
-    println!();
-    let mut t = Table::new(&[
-        "devices",
-        "ssdp mean",
-        "bcasts/query",
-        "bus bytes/query",
-        "central mean",
-    ]);
-    for &n in &[4u32, 16, 64, 256] {
-        let (mean, bcasts, bytes) = run_decentralized(n, 2, &obs);
-        let central = run_centralized(n, 2);
-        t.row_strings(vec![
-            n.to_string(),
-            mean.to_string(),
-            format!("{bcasts:.0}"),
-            format!("{bytes:.0}"),
-            central.to_string(),
-        ]);
-    }
-    t.print();
-    println!();
-    println!("expected shape: SSDP latency is dominated by the fixed answer");
-    println!("window but its broadcast traffic grows linearly with device count;");
-    println!("the centralized lookup is flat and cheap — the price is the global");
-    println!("state the paper's design forbids (§2.2), and the kernel it rides on.");
+fn run(args: &Args) -> Result<Vec<Cell>, String> {
+    let obs = ObsArgs::from_args(args);
+    let cells = [4u32, 16, 64, 256].map(|n| {
+        let (ssdp, bcasts, bytes) = decentralized(n, &obs);
+        Cell::new("discovery")
+            .id("devices", n)
+            .exact("ssdp_mean_us", us(ssdp), "us")
+            .exact("bcasts_per_query", round(bcasts, 0), "count")
+            .exact("bus_bytes_per_query", round(bytes, 0), "B")
+            .exact("central_mean_us", us(centralized(n)), "us")
+    });
+    Ok(cells.into())
 }

@@ -1,14 +1,14 @@
-//! A minimal JSON reader for `BENCH_*.json` artifacts.
+//! A minimal JSON reader and writer for `BENCH_*.json` artifacts.
 //!
-//! The workspace builds offline (no serde), and the exporters hand-roll
-//! their JSON; `bench_diff` needs the inverse to compare two artifacts.
-//! This is a strict-enough recursive-descent parser for the subset the
-//! benchmarks emit: objects, arrays, double-quoted strings with the usual
-//! escapes, numbers, booleans, null. Object keys keep **insertion order**
-//! is not required — lookups go through [`Json::get`] — so a `BTreeMap`
-//! keeps comparisons deterministic.
+//! The workspace builds offline (no serde). [`Json::dump`] writes every
+//! artifact and [`Json::parse`] reads them back for `diff`: a
+//! strict-enough recursive-descent parser for objects, arrays,
+//! double-quoted strings with the usual escapes, numbers, booleans, null.
+//! Objects are `BTreeMap`s, so keys are written sorted and two dumps of
+//! equal values are byte-identical; anything ordered goes in an array.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,6 +97,73 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Serializes the value, newline-terminated. Numbers keep all their
+    /// digits; a container of scalars stays on one line, anything deeper is
+    /// indented two spaces per level.
+    pub fn dump(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        let members: Vec<(Option<&String>, &Json)> = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => return out.push_str(&n.to_string()),
+            Json::Str(s) => return write_str(out, s),
+            Json::Arr(v) => v.iter().map(|x| (None, x)).collect(),
+            Json::Obj(m) => m.iter().map(|(k, x)| (Some(k), x)).collect(),
+        };
+        let (open, close) = if matches!(self, Json::Arr(_)) {
+            ('[', ']')
+        } else {
+            ('{', '}')
+        };
+        // A container of scalars stays on one line.
+        let inline = !members
+            .iter()
+            .any(|(_, x)| matches!(x, Json::Arr(_) | Json::Obj(_)));
+        let newline = |out: &mut String, depth: usize| {
+            if !inline {
+                let _ = write!(out, "\n{:w$}", "", w = 2 * depth);
+            }
+        };
+        out.push(open);
+        for (i, (key, x)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push_str(if inline { ", " } else { "," });
+            }
+            newline(out, depth + 1);
+            if let Some(key) = key {
+                write_str(out, key);
+                out.push_str(": ");
+            }
+            x.write(out, depth + 1);
+        }
+        if !members.is_empty() {
+            newline(out, depth);
+        }
+        out.push(close);
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 fn skip_ws(b: &[u8], i: &mut usize) {
@@ -257,29 +324,25 @@ mod tests {
     #[test]
     fn parses_a_bench_artifact_shape() {
         let doc = r#"{
-  "experiment": "e9",
-  "schema_version": 1,
-  "config": {"queue_depth": 65536, "repeat": 3},
-  "engines": {
-    "wheel": {"system": {"events_per_sec": 376731.3, "allocs_per_event": 9.428}},
-    "heap": {"system": {"events_per_sec": 300000.0, "allocs_per_event": 9.428}}
-  },
-  "flags": [true, false, null]
+  "experiment": "e9", "schema": 1, "config": {"queue_depth": 65536, "wall": true},
+  "cells": [{"group": "phase", "id": {"phase": "system"},
+             "metrics": [{"name": "events_per_sec", "value": 376731.3, "host": true}, null]}]
 }"#;
         let j = Json::parse(doc).unwrap();
         assert_eq!(j.get("experiment").unwrap().as_str(), Some("e9"));
         assert_eq!(
-            j.path("engines.wheel.system.events_per_sec")
-                .unwrap()
-                .as_f64(),
-            Some(376731.3)
-        );
-        assert_eq!(
             j.path("config.queue_depth").unwrap().as_f64(),
             Some(65536.0)
         );
-        assert_eq!(j.get("flags").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(j.get("flags").unwrap().as_arr().unwrap()[2], Json::Null);
+        let cell = &j.get("cells").unwrap().as_arr().unwrap()[0];
+        assert_eq!(cell.path("id.phase").and_then(Json::as_str), Some("system"));
+        let metrics = cell.get("metrics").unwrap().as_arr().unwrap();
+        assert_eq!(
+            metrics[0].get("value").and_then(Json::as_f64),
+            Some(376731.3)
+        );
+        assert_eq!(metrics[0].get("host").and_then(Json::as_bool), Some(true));
+        assert_eq!(metrics[1], Json::Null);
     }
 
     #[test]
@@ -287,6 +350,18 @@ mod tests {
         let j = Json::parse(r#"{"s": "a\"b\nA", "n": -2.5e3}"#).unwrap();
         assert_eq!(j.get("s").unwrap().as_str(), Some("a\"b\nA"));
         assert_eq!(j.get("n").unwrap().as_f64(), Some(-2500.0));
+    }
+
+    #[test]
+    fn dump_round_trips_and_is_stable() {
+        let doc = r#"{"b": [1, 2.5, "x\"y\n"], "a": {"k": true, "deep": [{"n": null}]}, "e": []}"#;
+        let j = Json::parse(doc).unwrap();
+        let text = j.dump();
+        assert_eq!(Json::parse(&text).unwrap(), j);
+        assert_eq!(Json::parse(&text).unwrap().dump(), text);
+        // Scalars-only containers stay on one line; keys come out sorted.
+        assert!(text.contains(r#""b": [1, 2.5, "x\"y\n"]"#), "{text}");
+        assert!(text.find("\"a\"").unwrap() < text.find("\"b\"").unwrap());
     }
 
     #[test]
@@ -300,8 +375,8 @@ mod tests {
 
     #[test]
     fn round_trips_exporter_output() {
-        // The sim exporters' output must be parseable by this reader (they
-        // are the two halves bench_diff glues together).
+        // The sim exporters' output must be parseable by this reader (F2's
+        // trace-shape gate reads the JSONL exporter's lines through it).
         let hub = lastcpu_sim::MetricsHub::new();
         hub.add("a.counter", 3);
         hub.record_value("h.lat", 700);

@@ -1,42 +1,48 @@
 //! Experiment harness for the `lastcpu` reproduction.
 //!
 //! The paper (HotOS'21) contains no quantitative evaluation; DESIGN.md
-//! derives an experiment per explicit claim. Each experiment is a binary in
-//! `src/bin/` that builds the system(s), runs the workload in virtual time,
-//! and prints the table/series EXPERIMENTS.md records:
+//! derives an experiment per explicit claim. Each experiment is a module
+//! under [`exp`], registered in [`exp::REGISTRY`] and run through the one
+//! `lastcpu-bench` binary (`lastcpu-bench <name> [flags]`, `all`, `diff`).
+//! It builds the system(s), runs the workload in virtual time, and returns
+//! the [`report::Cell`]s EXPERIMENTS.md records:
 //!
-//! | Binary | Claim |
+//! | Name | Claim |
 //! |---|---|
-//! | `f2_init_sequence` | Figure 2 replay: the 7-step CPU-less init handshake |
-//! | `e1_control_plane_scaling` | decentralized setup scales past a central kernel |
-//! | `e2_kvs_dataplane` | the CPU-less data path beats the kernel-mediated one |
-//! | `e3_isolation` | per-context isolation bounds a victim's tail latency |
-//! | `e4_failures` | failure notification fan-out + reset recovery (§4) |
-//! | `e5_iommu` | IOMMU translation overhead is bounded (IOTLB behaviour) |
-//! | `e6_plane_separation` | separate control/data planes beat a conflated bus |
-//! | `e7_discovery` | SSDP-style discovery at machine scale vs central directory |
-//! | `e8_memctl` | a memory-controller device can own allocation policy |
+//! | `f2` | Figure 2 replay: the 7-step CPU-less init handshake |
+//! | `e1` | decentralized setup scales past a central kernel |
+//! | `e2` | the CPU-less data path beats the kernel-mediated one |
+//! | `e3` | per-context isolation bounds a victim's tail latency |
+//! | `e4` | failure notification fan-out + reset recovery (§4) |
+//! | `e5` | IOMMU translation overhead is bounded (IOTLB behaviour) |
+//! | `e6` | separate control/data planes beat a conflated bus |
+//! | `e7` | SSDP-style discovery at machine scale vs central directory |
+//! | `e8` | a memory-controller device can own allocation policy |
+//! | `e9` | the simulator's own cost: queue → machine → rack, per event |
+//! | `e10` | CPU-less machines compose into a sharded, replicated rack |
+//! | `e11` | a compromised device cannot breach the isolation layer |
+//! | `e12` | where allocations, wall time and the p99 tail go |
+//! | `e14` | a mid-run checkpoint restores byte-identically |
+//! | `ablations` | discovery window, IOTLB capacity, SSD quantum |
 //!
-//! This library hosts the shared pieces: a column formatter and the small
-//! driver devices the experiments need (setup clients, doorbell pingers,
+//! The shared pieces: the strict command line ([`cli`]), the report model
+//! with its table, artifact and diff ([`report`], [`json`], [`table`]), the
+//! rack driver ([`rack`]), the observability flags ([`obs`]), the counting
+//! allocator ([`alloc`]) and the small driver devices the experiments need
+//! ([`drivers`], [`twotenant`]: setup clients, doorbell pingers,
 //! control-storm generators, allocation churners, DMA probes).
 
 pub mod alloc;
+pub mod cli;
 pub mod drivers;
+pub mod exp;
 pub mod json;
 pub mod obs;
+pub mod rack;
+pub mod report;
 pub mod table;
 pub mod twotenant;
 
 pub use json::Json;
 pub use obs::ObsArgs;
 pub use table::Table;
-
-/// Rejects a command-line flag no parser arm matched: names it on stderr
-/// and exits with status 2, so a stale or mistyped flag can never silently
-/// run the default experiment.
-pub fn unknown_flag(flag: &str) -> ! {
-    let bin = std::env::args().next().unwrap_or_default();
-    eprintln!("{bin}: unknown flag {flag:?}");
-    std::process::exit(2)
-}

@@ -13,10 +13,12 @@ use lastcpu_core::devices::ftl::Ftl;
 use lastcpu_core::devices::nic::SmartNic;
 use lastcpu_core::devices::ssd::{SmartSsd, SsdConfig};
 use lastcpu_core::{DeviceHandle, System, SystemConfig};
+use lastcpu_kvs::client::KvsClientHost;
 use lastcpu_kvs::server::ServerConfig;
 use lastcpu_kvs::KvsNicApp;
 use lastcpu_mem::Pasid;
 use lastcpu_net::PortId;
+use lastcpu_sim::SimDuration;
 
 /// Victim's data file.
 pub const VICTIM_FILE: &str = "/data/victim.db";
@@ -96,12 +98,35 @@ pub fn build_two_tenant(sys_config: SystemConfig, isolation: bool) -> TwoTenantS
     }
 }
 
+/// Runs 100 ms slices until the client at `port` finishes — the victim; an
+/// antagonist never does — and returns it. Panics, naming `what`, if it is
+/// still not done after 20 s of virtual time.
+pub(crate) fn run_until_done<'a>(
+    system: &'a mut System,
+    port: PortId,
+    what: &str,
+) -> &'a KvsClientHost {
+    let done = |s: &System| s.host_as::<KvsClientHost>(port).expect("client").is_done();
+    for _ in 0..200 {
+        system.run_for(SimDuration::from_millis(100));
+        if done(system) {
+            break;
+        }
+    }
+    let client: &KvsClientHost = system.host_as(port).expect("client");
+    assert!(
+        client.is_done(),
+        "victim starved ({what}): {} ops",
+        client.ops_done()
+    );
+    client
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
+    use lastcpu_kvs::client::WorkloadConfig;
     use lastcpu_kvs::server::ServerState;
-    use lastcpu_sim::SimDuration;
 
     #[test]
     fn both_tenants_come_up_and_serve() {

@@ -105,5 +105,5 @@ fn main() {
         "kernel tax on the median op: {:.2}x  (the mean is flash-bound on PUTs;",
         h2.percentile(50.0).as_nanos() as f64 / h.percentile(50.0).as_nanos() as f64
     );
-    println!("run `cargo run -p lastcpu-bench --bin e2_kvs_dataplane` for the full sweep)");
+    println!("run `cargo run --release -p lastcpu-bench -- e2` for the full sweep)");
 }
