@@ -16,14 +16,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: delegates to the std system allocator; only adds counters
+fn note(bytes: usize) {
+    // Statistics only: nothing is published through these counters.
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    lastcpu_sim::profile::note_alloc(bytes);
+}
+
+// SAFETY: delegates to the std system allocator; only adds two counters
 // (`note_alloc` is written to be callable from a global allocator: it never
 // allocates and tolerates TLS teardown).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        lastcpu_sim::profile::note_alloc(layout.size());
+        note(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
         // `layout`, which is the system allocator's contract too.
         unsafe { SystemAlloc.alloc(layout) }
@@ -36,8 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        lastcpu_sim::profile::note_alloc(new_size);
+        note(new_size);
         // SAFETY: as for `dealloc`; the caller guarantees `new_size` is valid
         // for `layout.align()`.
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
@@ -48,4 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// the binary installed [`CountingAlloc`] as its global allocator.
 pub fn allocs_now() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested by those allocations (a reallocation counts its new size).
+pub fn alloc_bytes_now() -> u64 {
+    BYTES.load(Ordering::Relaxed)
 }

@@ -16,6 +16,9 @@ const CASES: &str = "\
 BENCH_e9.json    | phase | phase=queue  | events           | 0    | queue: no events retired
 BENCH_e9.json    | phase | phase=system | allocs_per_event | 1.01 | system: allocs/event 1.01 > 1
 BENCH_e9.json    | phase | phase=rack   | allocs_per_event | 3.70 | rack: allocs/event 3.7 > 3.69
+BENCH_e9.json    | phase | phase=ssd    | allocs_per_event | 1.17 | ssd: allocs/event 1.17 > 1.16
+BENCH_e9.json    | phase | phase=ssd    | alloc_bytes_per_event | 1502.2 | ssd: alloc bytes/event 1502.2 > 94
+BENCH_e9.json    | phase | phase=ssd    | ftl_gc_runs      | 0    | ssd: no garbage collection
 BENCH_e10.json   | *       | policy=static             |                 | DROP | matrix incomplete at static
 BENCH_e10.json   | scaling | machines=2 & replication=2 | ops             | 239  | incomplete (239 ops)
 BENCH_e10.json   | scaling | machines=2 & replication=2 | fabric_bytes    | 0    | no fabric traffic

@@ -19,11 +19,9 @@
 //! stretches their job times by the fabric's oversubscription factor (the
 //! software technique "if the device contains an embedded CPU").
 
-use std::collections::HashMap;
-
 use lastcpu_bus::wire::{WireReader, WireWriter};
 use lastcpu_bus::{ConnId, DeviceId, Envelope, ResourceKind, ServiceDesc, ServiceId, Status};
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{DetHashMap, SimDuration};
 
 use crate::device::{Device, DeviceCtx};
 use crate::monitor::{AuthMode, Monitor, MonitorEvent};
@@ -82,7 +80,7 @@ pub struct Accelerator {
     total_regions: u16,
     free_regions: u16,
     mode: ShareMode,
-    conns: HashMap<ConnId, FabricConn>,
+    conns: DetHashMap<ConnId, FabricConn>,
     /// Time to execute one work unit on one region.
     unit_time: SimDuration,
     stats: AccelStats,
@@ -113,7 +111,7 @@ impl Accelerator {
             total_regions: regions,
             free_regions: regions,
             mode,
-            conns: HashMap::new(),
+            conns: DetHashMap::default(),
             unit_time: SimDuration::from_micros(10),
             stats: AccelStats::default(),
             next_job: 1,
@@ -326,7 +324,7 @@ impl lastcpu_snap::Restore for Accelerator {
         self.stats.rejected = r.u64()?;
         self.next_job = r.u64()?;
         let n = r.len()?;
-        self.conns = HashMap::with_capacity(n);
+        self.conns = DetHashMap::default();
         for _ in 0..n {
             let c = ConnId(r.u64()?);
             let fc = FabricConn {

@@ -13,11 +13,9 @@
 //! emulator models the protocol structure (who checks what, when), not
 //! cryptographic strength.
 
-use std::collections::HashMap;
-
 use lastcpu_bus::wire::{WireReader, WireWriter};
 use lastcpu_bus::{Envelope, ResourceKind, ServiceDesc, ServiceId, Token};
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{DetHashMap, SimDuration};
 
 use crate::device::{Device, DeviceCtx};
 use crate::monitor::{AuthMode, Monitor, MonitorEvent};
@@ -83,7 +81,7 @@ pub struct AuthDevice {
     monitor: Monitor,
     secret: u64,
     /// user → password hash.
-    users: HashMap<String, u64>,
+    users: DetHashMap<String, u64>,
     logins_ok: u64,
     logins_failed: u64,
 }

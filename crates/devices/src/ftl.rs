@@ -10,7 +10,6 @@
 //! part of the SSD service-time distribution the isolation experiment
 //! observes.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use lastcpu_sim::{BackoffPolicy, SimDuration};
@@ -19,6 +18,9 @@ use crate::flash::{FlashError, NandChip};
 
 /// Over-provisioning divisor: at least `total/16` pages are reserved.
 const OP_DIVISOR: u64 = 16;
+
+/// `rmap` entry of a physical page that holds no live logical page.
+const NO_LPN: u32 = u32::MAX;
 
 /// Errors from FTL operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,8 +84,9 @@ pub struct Ftl {
     nand: NandChip,
     /// Logical page → physical (block, page).
     map: Vec<Option<(u32, u32)>>,
-    /// Physical (block, page) → logical page, for GC.
-    rmap: HashMap<(u32, u32), u32>,
+    /// Physical page → logical page, for GC: indexed
+    /// `block * pages_per_block + page`, [`NO_LPN`] where nothing is live.
+    rmap: Vec<u32>,
     /// Valid-page count per block.
     valid: Vec<u32>,
     /// Fully erased blocks ready for allocation.
@@ -120,7 +123,7 @@ impl Ftl {
         let spare = free_blocks.pop();
         Ftl {
             map: vec![None; logical as usize],
-            rmap: HashMap::new(),
+            rmap: vec![NO_LPN; total as usize],
             valid: vec![0; blocks as usize],
             free_blocks,
             active: None,
@@ -165,21 +168,38 @@ impl Ftl {
         self.stats
     }
 
+    /// The block currently absorbing writes (fault-injection target).
+    #[cfg(test)]
+    pub(crate) fn active_block(&self) -> Option<u32> {
+        self.active.map(|(b, _)| b)
+    }
+
     /// The underlying chip (wear inspection, fault injection).
     pub fn nand_mut(&mut self) -> &mut NandChip {
         &mut self.nand
     }
 
-    /// Reads logical page `lpn` into `buf` (one full page).
+    /// Reads logical page `lpn` from its start into `buf`.
     ///
     /// Never-written pages read as zeroes (the FTL presents a zeroed disk,
     /// unlike raw NAND's 0xFF).
     pub fn read(&mut self, lpn: u32, buf: &mut [u8]) -> Result<SimDuration, FtlError> {
+        self.read_part(lpn, 0, buf)
+    }
+
+    /// Reads `buf.len()` bytes starting `offset` bytes into logical page
+    /// `lpn`, at the cost of one page read.
+    pub fn read_part(
+        &mut self,
+        lpn: u32,
+        offset: u32,
+        buf: &mut [u8],
+    ) -> Result<SimDuration, FtlError> {
         if lpn >= self.logical_pages {
             return Err(FtlError::OutOfRange);
         }
         match self.map[lpn as usize] {
-            Some((b, p)) => Ok(self.nand.read_page(b, p, buf)?),
+            Some((b, p)) => Ok(self.nand.read_page_part(b, p, offset, buf)?),
             None => {
                 buf.fill(0);
                 Ok(SimDuration::ZERO) // satisfied from the mapping table
@@ -210,9 +230,7 @@ impl Ftl {
                     self.stats.host_writes += 1;
                     self.stats.nand_writes += 1;
                     self.invalidate(lpn);
-                    self.map[lpn as usize] = Some((b, p));
-                    self.rmap.insert((b, p), lpn);
-                    self.valid[b as usize] += 1;
+                    self.set_live(lpn, b, p);
                     return Ok(cost);
                 }
                 Err(FlashError::BadBlock) => {
@@ -244,9 +262,7 @@ impl Ftl {
             self.spare = self.pop_free();
         }
         let page_size = self.nand.config().page_size as usize;
-        let live: Vec<(u32, u32)> = (0..self.nand.config().pages_per_block)
-            .filter_map(|p| self.rmap.get(&(block, p)).map(|&lpn| (p, lpn)))
-            .collect();
+        let live = self.live_pages(block);
         let mut cost = SimDuration::ZERO;
         let mut buf = vec![0u8; page_size];
         for (p, lpn) in live {
@@ -259,11 +275,8 @@ impl Ftl {
                 Ok(t) => {
                     cost += t;
                     self.stats.nand_writes += 1;
-                    self.rmap.remove(&(block, p));
-                    self.valid[block as usize] -= 1;
-                    self.map[lpn as usize] = Some((nb, np));
-                    self.rmap.insert((nb, np), lpn);
-                    self.valid[nb as usize] += 1;
+                    self.clear_live(block, p);
+                    self.set_live(lpn, nb, np);
                 }
                 Err(FlashError::BadBlock) => {
                     cost += self.retire_block(nb)?;
@@ -289,11 +302,8 @@ impl Ftl {
                             Ok(t) => {
                                 cost += t;
                                 self.stats.nand_writes += 1;
-                                self.rmap.remove(&(block, p));
-                                self.valid[block as usize] -= 1;
-                                self.map[lpn as usize] = Some((rb, rp));
-                                self.rmap.insert((rb, rp), lpn);
-                                self.valid[rb as usize] += 1;
+                                self.clear_live(block, p);
+                                self.set_live(lpn, rb, rp);
                                 break;
                             }
                             Err(FlashError::BadBlock) => {
@@ -322,9 +332,38 @@ impl Ftl {
 
     fn invalidate(&mut self, lpn: u32) {
         if let Some((b, p)) = self.map[lpn as usize] {
-            self.rmap.remove(&(b, p));
-            self.valid[b as usize] -= 1;
+            self.clear_live(b, p);
         }
+    }
+
+    fn rmap_index(&self, block: u32, page: u32) -> usize {
+        block as usize * self.nand.config().pages_per_block as usize + page as usize
+    }
+
+    /// Records that physical page `(b, p)` now holds logical page `lpn`.
+    fn set_live(&mut self, lpn: u32, b: u32, p: u32) {
+        let i = self.rmap_index(b, p);
+        self.map[lpn as usize] = Some((b, p));
+        self.rmap[i] = lpn;
+        self.valid[b as usize] += 1;
+    }
+
+    /// Records that physical page `(b, p)` no longer holds live data.
+    fn clear_live(&mut self, b: u32, p: u32) {
+        let i = self.rmap_index(b, p);
+        self.rmap[i] = NO_LPN;
+        self.valid[b as usize] -= 1;
+    }
+
+    /// `(page, lpn)` of every live page in `block`, in page order.
+    fn live_pages(&self, block: u32) -> Vec<(u32, u32)> {
+        let first = self.rmap_index(block, 0);
+        let ppb = self.nand.config().pages_per_block as usize;
+        (0u32..)
+            .zip(&self.rmap[first..first + ppb])
+            .filter(|&(_, &lpn)| lpn != NO_LPN)
+            .map(|(p, &lpn)| (p, lpn))
+            .collect()
     }
 
     /// Allocates the next physical page. The returned duration is the GC
@@ -389,9 +428,7 @@ impl Ftl {
         self.stats.gc_runs += 1;
         let mut moved = SimDuration::ZERO;
         let page_size = self.nand.config().page_size as usize;
-        let live: Vec<(u32, u32)> = (0..ppb)
-            .filter_map(|p| self.rmap.get(&(victim, p)).map(|&lpn| (p, lpn)))
-            .collect();
+        let live = self.live_pages(victim);
         let mut dst_page = 0u32;
         let mut buf = vec![0u8; page_size];
         for (p, lpn) in live {
@@ -399,11 +436,8 @@ impl Ftl {
             moved += self.nand.program_page(spare, dst_page, &buf)?;
             self.stats.nand_writes += 1;
             self.stats.gc_moved_pages += 1;
-            self.rmap.remove(&(victim, p));
-            self.valid[victim as usize] -= 1;
-            self.map[lpn as usize] = Some((spare, dst_page));
-            self.rmap.insert((spare, dst_page), lpn);
-            self.valid[spare as usize] += 1;
+            self.clear_live(victim, p);
+            self.set_live(lpn, spare, dst_page);
             dst_page += 1;
         }
         moved += self.nand.erase_block(victim)?;
@@ -635,13 +669,15 @@ impl lastcpu_snap::Snapshot for Ftl {
         w.put_opt(self.spare.as_ref(), |w, b| w.put_u32(*b));
         // rmap is derivable from map, but is serialized so restore needs no
         // recomputation pass and verify covers it directly.
-        let mut rmap: Vec<_> = self.rmap.iter().map(|(&(b, p), &l)| (b, p, l)).collect();
-        rmap.sort_unstable();
-        w.put_len(rmap.len());
-        for (b, p, l) in rmap {
-            w.put_u32(b);
-            w.put_u32(p);
-            w.put_u32(l);
+        // Index order is (block, page) order.
+        let ppb = self.nand.config().pages_per_block;
+        w.put_len(self.rmap.iter().filter(|&&l| l != NO_LPN).count());
+        for (i, &l) in (0u32..).zip(&self.rmap) {
+            if l != NO_LPN {
+                w.put_u32(i / ppb);
+                w.put_u32(i % ppb);
+                w.put_u32(l);
+            }
         }
     }
 }
@@ -677,13 +713,17 @@ impl lastcpu_snap::Restore for Ftl {
         }
         self.active = r.opt(|r| Ok((r.u32()?, r.u32()?)))?;
         self.spare = r.opt(|r| r.u32())?;
-        let n = r.len()?;
-        self.rmap = HashMap::with_capacity(n);
-        for _ in 0..n {
+        let config = *self.nand.config();
+        self.rmap = vec![NO_LPN; self.nand.total_pages() as usize];
+        for _ in 0..r.len()? {
             let b = r.u32()?;
             let p = r.u32()?;
             let l = r.u32()?;
-            self.rmap.insert((b, p), l);
+            if b >= config.blocks || p >= config.pages_per_block || l as usize >= self.map.len() {
+                return Err(r.corrupt(format!("rmap entry ({b},{p}) -> {l} out of range")));
+            }
+            let i = self.rmap_index(b, p);
+            self.rmap[i] = l;
         }
         Ok(())
     }
@@ -842,6 +882,33 @@ mod tests {
             }
         }
         assert!(saw_gc_cost, "some write should absorb a GC stall");
+    }
+
+    #[test]
+    fn restore_rejects_a_reverse_map_entry_out_of_range() {
+        use lastcpu_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+        let mut f = small_ftl();
+        f.write(5, &page(1)).unwrap();
+        let mut w = SnapWriter::new();
+        f.snapshot(&mut w);
+        let good = w.into_bytes();
+        // The checkpoint ends with the one reverse-map entry: block (0 is
+        // the GC spare, so 1), page, logical page, four bytes each.
+        let entry = good.len() - 12;
+        assert_eq!(good[entry..], [1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0]);
+        assert!(small_ftl()
+            .restore(&mut SnapReader::new("ftl", &good))
+            .is_ok());
+        for (field, value) in [(0, 16u32), (4, 8), (8, 104), (8, u32::MAX)] {
+            let mut bad = good.clone();
+            bad[entry + field..entry + field + 4].copy_from_slice(&value.to_le_bytes());
+            match small_ftl().restore(&mut SnapReader::new("ftl", &bad)) {
+                Err(SnapError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("out of range"), "{detail}")
+                }
+                other => panic!("field {field} = {value}: want Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -14,13 +14,11 @@
 //! must decide, and transparently handles the rest (discovery replies,
 //! heartbeats, auth checks, peer-failure cleanup).
 
-use std::collections::{HashMap, HashSet};
-
 use lastcpu_bus::{
     ConnId, DeviceId, Dst, Envelope, ErrorCode, Payload, RequestId, ServiceDesc, ServiceId, Status,
     Token,
 };
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{DetHashMap, DetHashSet, SimDuration};
 
 use crate::auth;
 use crate::device::DeviceCtx;
@@ -38,7 +36,7 @@ pub enum AuthMode {
     /// Accept everything (public service).
     Open,
     /// Accept tokens from an explicit allow-list.
-    Local(HashSet<Token>),
+    Local(DetHashSet<Token>),
     /// Accept tokens sealed with a shared secret by an authentication
     /// service (capability-style; see [`crate::auth`]).
     Sealed {
@@ -211,13 +209,13 @@ pub enum MonitorEvent {
 /// The monitor state machine.
 pub struct Monitor {
     services: Vec<(ServiceDesc, AuthMode)>,
-    ops: HashMap<u64, PendingOp>,
+    ops: DetHashMap<u64, PendingOp>,
     next_op: u64,
-    req_to_op: HashMap<RequestId, u64>,
-    conns: HashMap<ConnId, ServerConn>,
+    req_to_op: DetHashMap<RequestId, u64>,
+    conns: DetHashMap<ConnId, ServerConn>,
     next_conn: u64,
     /// Client-side: connections we opened, by serving device.
-    opened: HashMap<ConnId, DeviceId>,
+    opened: DetHashMap<ConnId, DeviceId>,
     discovery_window: SimDuration,
     heartbeat: Option<SimDuration>,
     registered: bool,
@@ -234,12 +232,12 @@ impl Monitor {
     pub fn new() -> Self {
         Monitor {
             services: Vec::new(),
-            ops: HashMap::new(),
+            ops: DetHashMap::default(),
             next_op: 1,
-            req_to_op: HashMap::new(),
-            conns: HashMap::new(),
+            req_to_op: DetHashMap::default(),
+            conns: DetHashMap::default(),
             next_conn: 1,
-            opened: HashMap::new(),
+            opened: DetHashMap::default(),
             discovery_window: SimDuration::from_micros(50),
             heartbeat: None,
             registered: false,
@@ -872,7 +870,7 @@ impl AuthMode {
             0 => AuthMode::Open,
             1 => {
                 let n = r.len()?;
-                let mut set = HashSet::with_capacity(n);
+                let mut set = DetHashSet::default();
                 for _ in 0..n {
                     set.insert(Token(r.u128()?));
                 }
@@ -994,21 +992,21 @@ impl lastcpu_snap::Restore for Monitor {
             self.services.push((svc, auth));
         }
         let n = r.len()?;
-        self.ops = HashMap::with_capacity(n);
+        self.ops = DetHashMap::default();
         for _ in 0..n {
             let id = r.u64()?;
             self.ops.insert(id, PendingOp::snap_decode(r)?);
         }
         self.next_op = r.u64()?;
         let n = r.len()?;
-        self.req_to_op = HashMap::with_capacity(n);
+        self.req_to_op = DetHashMap::default();
         for _ in 0..n {
             let req = RequestId(r.u64()?);
             let op = r.u64()?;
             self.req_to_op.insert(req, op);
         }
         let n = r.len()?;
-        self.conns = HashMap::with_capacity(n);
+        self.conns = DetHashMap::default();
         for _ in 0..n {
             let conn = ConnId(r.u64()?);
             let sc = ServerConn {
@@ -1021,7 +1019,7 @@ impl lastcpu_snap::Restore for Monitor {
         }
         self.next_conn = r.u64()?;
         let n = r.len()?;
-        self.opened = HashMap::with_capacity(n);
+        self.opened = DetHashMap::default();
         for _ in 0..n {
             let c = ConnId(r.u64()?);
             let d = DeviceId(r.u32()?);
@@ -1286,7 +1284,7 @@ mod tests {
     fn open_denied_by_local_auth() {
         let mut fix = Fix::new();
         let mut server = Monitor::new();
-        let mut allowed = HashSet::new();
+        let mut allowed = DetHashSet::default();
         allowed.insert(Token(42));
         server.add_service(svc(1, "secret"), AuthMode::Local(allowed));
         let mut ctx = fix.ctx();

@@ -24,7 +24,7 @@
 //! drains whichever connection rang first to empty — the configuration the
 //! E3 experiment uses as its no-isolation baseline.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use lastcpu_bus::wire::{WireReader, WireWriter};
 use lastcpu_bus::{
@@ -32,7 +32,7 @@ use lastcpu_bus::{
 };
 use lastcpu_iommu::IommuFault;
 use lastcpu_mem::Pasid;
-use lastcpu_sim::{profile, SimDuration};
+use lastcpu_sim::{profile, DetHashMap, SimDuration};
 use lastcpu_virtio::{DescChain, QueueError, QueueLayout, VirtqueueDevice};
 
 use crate::device::{Device, DeviceCtx};
@@ -378,9 +378,9 @@ pub struct SmartSsd {
     fs: FlashFs,
     config: SsdConfig,
     /// ServiceId → exported file path.
-    exported: HashMap<ServiceId, String>,
+    exported: DetHashMap<ServiceId, String>,
     next_file_svc: u16,
-    conns: HashMap<ConnId, FileConn>,
+    conns: DetHashMap<ConnId, FileConn>,
     /// Connections with work pending, in arrival order.
     work: VecDeque<ConnId>,
     poll_armed: bool,
@@ -403,9 +403,9 @@ impl SmartSsd {
             monitor: Monitor::new(),
             fs,
             config,
-            exported: HashMap::new(),
+            exported: DetHashMap::default(),
             next_file_svc: FILE_SERVICE_BASE,
-            conns: HashMap::new(),
+            conns: DetHashMap::default(),
             work: VecDeque::new(),
             poll_armed: false,
             stats: SsdStats::default(),
@@ -787,17 +787,29 @@ impl SmartSsd {
         // response buffer: steady-state service allocates nothing.
         match FileOpRef::decode(req_buf) {
             Some(FileOpRef::Read { offset, len }) => {
-                // Read straight into the response body, after the status
-                // byte — no intermediate data buffer.
-                resp_buf.clear();
-                resp_buf.resize(1 + len as usize, 0);
-                match fs.read(file, offset, &mut resp_buf[1..]) {
-                    Ok(cost) => {
-                        ctx.busy(cost);
-                        stats.bytes_read += len as u64;
-                        resp_buf[0] = FileStatus::Ok.to_u8();
+                // The client chose `offset` and `len`: bound them by the
+                // file before sizing anything by them.
+                let in_file = fs.len(file).map(|size| {
+                    offset
+                        .checked_add(len as u64)
+                        .is_some_and(|end| end <= size)
+                });
+                match in_file {
+                    Ok(true) => {
+                        // Read straight into the response body, after the
+                        // status byte — no intermediate data buffer.
+                        resp_buf.clear();
+                        resp_buf.resize(1 + len as usize, 0);
+                        match fs.read(file, offset, &mut resp_buf[1..]) {
+                            Ok(cost) => {
+                                ctx.busy(cost);
+                                stats.bytes_read += len as u64;
+                                resp_buf[0] = FileStatus::Ok.to_u8();
+                            }
+                            Err(_) => encode_response_into(FileStatus::Io, &[], resp_buf),
+                        }
                     }
-                    Err(FsError::PastEof) => encode_response_into(FileStatus::Eof, &[], resp_buf),
+                    Ok(false) => encode_response_into(FileStatus::Eof, &[], resp_buf),
                     Err(_) => encode_response_into(FileStatus::Io, &[], resp_buf),
                 }
             }
@@ -971,7 +983,7 @@ pub struct FileClient {
     driver: lastcpu_virtio::VirtqueueDriver,
     arena: lastcpu_virtio::BufferArena,
     /// head → (req_va, resp_va, resp_capacity).
-    inflight: HashMap<u16, (u64, u64, u32)>,
+    inflight: DetHashMap<u16, (u64, u64, u32)>,
     /// Reused request-encode buffer (capacity persists across submits).
     encode_buf: Vec<u8>,
 }
@@ -1000,7 +1012,7 @@ impl FileClient {
             FileClient {
                 driver,
                 arena: lastcpu_virtio::BufferArena::new(arena_base, CLIENT_SLOT, slots),
-                inflight: HashMap::new(),
+                inflight: DetHashMap::default(),
                 encode_buf: Vec::new(),
             },
             setup_doorbell(region_base, queue_size),
@@ -1185,14 +1197,14 @@ impl lastcpu_snap::Restore for SmartSsd {
         self.config.loader_auth = AuthMode::snap_decode(r)?;
         self.config.per_request_overhead = SimDuration::from_nanos(r.u64()?);
         let n = r.len()?;
-        self.exported = HashMap::with_capacity(n);
+        self.exported = DetHashMap::default();
         for _ in 0..n {
             let s = ServiceId(r.u16()?);
             self.exported.insert(s, r.str()?);
         }
         self.next_file_svc = r.u16()?;
         let n = r.len()?;
-        self.conns = HashMap::with_capacity(n);
+        self.conns = DetHashMap::default();
         for _ in 0..n {
             let c = ConnId(r.u64()?);
             let peer = DeviceId(r.u32()?);
@@ -1252,7 +1264,7 @@ impl lastcpu_snap::Restore for FileClient {
         self.driver.restore(r)?;
         self.arena.restore(r)?;
         let n = r.len()?;
-        self.inflight = HashMap::with_capacity(n);
+        self.inflight = DetHashMap::default();
         for _ in 0..n {
             let h = r.u16()?;
             let req_va = r.u64()?;
@@ -1271,7 +1283,7 @@ impl FileClient {
         FileClient {
             driver: lastcpu_virtio::VirtqueueDriver::detached(),
             arena: lastcpu_virtio::BufferArena::new(0, CLIENT_SLOT, 1),
-            inflight: HashMap::new(),
+            inflight: DetHashMap::default(),
             encode_buf: Vec::new(),
         }
     }
@@ -1399,6 +1411,164 @@ mod tests {
         dev.push_used(&mut mem, chain.head, n).unwrap();
         assert_eq!(client.completions(&mut mem).unwrap().len(), 1);
         assert!(client.can_submit());
+    }
+
+    /// A file connection between a client and an SSD that share one mapped
+    /// region, driven without a bus: what `serve_conn` sees after the open
+    /// handshake and the setup doorbell.
+    struct Rig {
+        iommu: lastcpu_iommu::Iommu,
+        dram: lastcpu_mem::Dram,
+        rng: lastcpu_sim::DetRng,
+        req: u64,
+        stats: lastcpu_sim::MetricsHub,
+    }
+
+    const RIG_PASID: Pasid = Pasid(7);
+    const RIG_CONN: ConnId = ConnId(1);
+    const RIG_BASE: u64 = 0x10_0000;
+
+    impl Rig {
+        fn new() -> Self {
+            use lastcpu_mem::{Perms, PhysAddr, VirtAddr};
+            let mut iommu = lastcpu_iommu::Iommu::new(16);
+            iommu.bind_pasid(RIG_PASID);
+            for at in (RIG_BASE..RIG_BASE + FILE_CONN_SHM).step_by(4096) {
+                iommu
+                    .map(RIG_PASID, VirtAddr::new(at), PhysAddr::new(at), Perms::RW)
+                    .unwrap();
+            }
+            Rig {
+                iommu,
+                dram: lastcpu_mem::Dram::new(RIG_BASE + FILE_CONN_SHM),
+                rng: lastcpu_sim::DetRng::new(7),
+                req: 0,
+                stats: lastcpu_sim::MetricsHub::new(),
+            }
+        }
+
+        fn ctx(&mut self) -> DeviceCtx<'_> {
+            DeviceCtx::new(
+                lastcpu_sim::SimTime::ZERO,
+                DeviceId(1),
+                None,
+                &mut self.iommu,
+                &mut self.dram,
+                &mut self.rng,
+                &mut self.req,
+                lastcpu_sim::CorrId::NONE,
+                &self.stats,
+            )
+        }
+
+        /// An SSD holding `/f` = "hello flash" with one attached connection,
+        /// and the client at the other end of it.
+        fn connect(&mut self) -> (SmartSsd, FileClient) {
+            use crate::flash::{NandChip, NandConfig};
+            let mut fs = FlashFs::format(crate::ftl::Ftl::new(NandChip::new(NandConfig {
+                blocks: 8,
+                pages_per_block: 8,
+                page_size: 64,
+                ..NandConfig::default()
+            })));
+            fs.create("/f").unwrap();
+            fs.write("/f", 0, b"hello flash").unwrap();
+            let mut ssd = SmartSsd::new("ssd0", fs, SsdConfig::default());
+            let mut ctx = self.ctx();
+            let (client, setup) =
+                FileClient::create(&mut ctx.dma_view(RIG_PASID), RIG_BASE, 16).unwrap();
+            let (base, size) = decode_setup_doorbell(setup).unwrap();
+            ssd.conns.insert(
+                RIG_CONN,
+                FileConn {
+                    peer: DeviceId(2),
+                    pasid: RIG_PASID,
+                    file: "/f".into(),
+                    queue: Some(VirtqueueDevice::attach(QueueLayout::new(base, size))),
+                    served: 0,
+                },
+            );
+            (ssd, client)
+        }
+
+        /// Submits `ops`, lets the SSD serve them all, returns the answers.
+        fn round(
+            &mut self,
+            ssd: &mut SmartSsd,
+            client: &mut FileClient,
+            ops: &[FileOp],
+        ) -> Vec<(FileStatus, Vec<u8>)> {
+            let mut ctx = self.ctx();
+            for op in ops {
+                client.submit(&mut ctx.dma_view(RIG_PASID), op, 16).unwrap();
+            }
+            assert!(
+                !ssd.serve_conn(&mut ctx, RIG_CONN, u32::MAX),
+                "queue drained"
+            );
+            let done = client.completions(&mut ctx.dma_view(RIG_PASID)).unwrap();
+            done.into_iter().map(|(_, st, body)| (st, body)).collect()
+        }
+    }
+
+    #[test]
+    fn hostile_offset_gets_eof_and_the_device_keeps_serving() {
+        let mut rig = Rig::new();
+        let (mut ssd, mut client) = rig.connect();
+        let answers = rig.round(
+            &mut ssd,
+            &mut client,
+            &[
+                FileOp::Read {
+                    offset: u64::MAX - 3,
+                    len: 8,
+                },
+                FileOp::Write {
+                    offset: u64::MAX - 3,
+                    data: vec![1; 8],
+                },
+                FileOp::Read { offset: 6, len: 5 },
+            ],
+        );
+        assert_eq!(
+            answers,
+            [
+                (FileStatus::Eof, vec![]),
+                (FileStatus::NoSpace, vec![]),
+                (FileStatus::Ok, b"flash".to_vec()),
+            ]
+        );
+        assert_eq!(ssd.stats().requests, 3);
+        assert_eq!(ssd.stats().conn_resets, 0);
+        assert_eq!(ssd.conn_served(RIG_CONN), 3);
+    }
+
+    #[test]
+    fn hostile_length_is_bounded_before_the_buffer_is_sized() {
+        let mut rig = Rig::new();
+        let (mut ssd, mut client) = rig.connect();
+        let answers = rig.round(
+            &mut ssd,
+            &mut client,
+            &[
+                FileOp::Read {
+                    offset: 0,
+                    len: u32::MAX,
+                },
+                FileOp::Read { offset: 0, len: 12 },
+                FileOp::Read { offset: 0, len: 11 },
+            ],
+        );
+        assert_eq!(
+            answers,
+            [
+                (FileStatus::Eof, vec![]),
+                (FileStatus::Eof, vec![]),
+                (FileStatus::Ok, b"hello flash".to_vec()),
+            ]
+        );
+        // Sized by what the file could supply, never by what was asked for.
+        assert!(ssd.scratch_resp.capacity() < 64);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! experiment: the paper's viability argument assumes translation overhead
 //! is tolerable, which holds only while working sets fit the IOTLB.
 
-use std::collections::HashMap;
-
 use lastcpu_mem::{Pasid, Perms, PhysAddr, VirtAddr};
+use lastcpu_sim::DetHashMap;
 
 /// Hit/miss accounting.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +79,7 @@ struct FrontEntry {
 /// invalidation or eviction that touches it — a stale translation is never
 /// served after unmap.
 pub struct Iotlb {
-    entries: HashMap<(Pasid, u64), TlbEntry>,
+    entries: DetHashMap<(Pasid, u64), TlbEntry>,
     capacity: usize,
     tick: u64,
     stats: TlbStats,
@@ -96,7 +95,7 @@ impl Iotlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "Iotlb capacity must be positive");
         Iotlb {
-            entries: HashMap::with_capacity(capacity),
+            entries: DetHashMap::with_capacity_and_hasher(capacity, Default::default()),
             capacity,
             tick: 0,
             stats: TlbStats::default(),
@@ -300,7 +299,7 @@ impl lastcpu_snap::Restore for Iotlb {
         if n > capacity {
             return Err(r.corrupt("Iotlb entry count exceeds capacity"));
         }
-        let mut entries = HashMap::with_capacity(capacity);
+        let mut entries = DetHashMap::with_capacity_and_hasher(capacity, Default::default());
         for _ in 0..n {
             let pasid = Pasid(r.u32()?);
             let page = r.u64()?;

@@ -1,10 +1,9 @@
 //! The IOMMU unit attached to one device.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use lastcpu_mem::{MapError, PageTable, Pasid, Perms, PhysAddr, TranslateError, VirtAddr};
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{DetHashMap, SimDuration};
 
 use crate::audit::{DmaAudit, DmaDenialRecord};
 use crate::fault::{AccessKind, IommuFault, IommuFaultKind};
@@ -83,7 +82,7 @@ pub struct TranslationOutcome {
 /// assert!(!out.tlb_hit); // first touch walks the table
 /// ```
 pub struct Iommu {
-    tables: HashMap<Pasid, PageTable>,
+    tables: DetHashMap<Pasid, PageTable>,
     tlb: Iotlb,
     cost: IommuCostModel,
     stats: IommuStats,
@@ -95,7 +94,7 @@ impl Iommu {
     /// Creates an IOMMU with an IOTLB of `tlb_entries` entries.
     pub fn new(tlb_entries: usize) -> Self {
         Iommu {
-            tables: HashMap::new(),
+            tables: DetHashMap::default(),
             tlb: Iotlb::new(tlb_entries),
             cost: IommuCostModel::default(),
             stats: IommuStats::default(),
@@ -445,7 +444,7 @@ impl lastcpu_snap::Restore for Iommu {
         self.stats.maps = r.u64()?;
         self.stats.unmaps = r.u64()?;
         let n = r.len()?;
-        self.tables = HashMap::with_capacity(n);
+        self.tables = DetHashMap::default();
         for _ in 0..n {
             let pasid = Pasid(r.u32()?);
             let mut table = PageTable::new();

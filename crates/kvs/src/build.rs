@@ -53,6 +53,16 @@ pub fn default_nand() -> NandConfig {
 pub fn build_cpuless_kvs(
     sys_config: SystemConfig,
     ssd_config: SsdConfig,
+    server_config: ServerConfig,
+) -> KvsSetup {
+    build_cpuless_kvs_on(default_nand(), sys_config, ssd_config, server_config)
+}
+
+/// [`build_cpuless_kvs`] with the SSD's flash geometry given.
+pub fn build_cpuless_kvs_on(
+    nand: NandConfig,
+    sys_config: SystemConfig,
+    ssd_config: SsdConfig,
     mut server_config: ServerConfig,
 ) -> KvsSetup {
     let mut system = System::new(sys_config);
@@ -61,11 +71,7 @@ pub fn build_cpuless_kvs(
     if !ssd_config.exports.contains(&KVS_FILE.to_string()) {
         ssd_config.exports.push(KVS_FILE.into());
     }
-    let ssd = system.add_device(Box::new(SmartSsd::new(
-        "ssd0",
-        kvs_fs(default_nand()),
-        ssd_config,
-    )));
+    let ssd = system.add_device(Box::new(SmartSsd::new("ssd0", kvs_fs(nand), ssd_config)));
     server_config.memctl = None; // discover it, as a self-managing device must
     let nic = system.add_net_device(Box::new(SmartNic::new(
         "nic0",

@@ -9,10 +9,9 @@
 //! (state must be visible to the next event) and schedules completion after
 //! the modelled latency.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{DetHashMap, SimDuration};
 
 use crate::addr::{PhysAddr, PAGE_SIZE};
 
@@ -84,7 +83,7 @@ impl DramCostModel {
 /// assert_eq!(&buf, b"hello");
 /// ```
 pub struct Dram {
-    frames: HashMap<u64, Box<[u8]>>,
+    frames: DetHashMap<u64, Box<[u8]>>,
     size: u64,
     cost: DramCostModel,
     bytes_read: u64,
@@ -97,7 +96,7 @@ impl Dram {
     pub fn new(size: u64) -> Self {
         let size = size.div_ceil(PAGE_SIZE) * PAGE_SIZE;
         Dram {
-            frames: HashMap::new(),
+            frames: DetHashMap::default(),
             size,
             cost: DramCostModel::default(),
             bytes_read: 0,

@@ -8,8 +8,10 @@
 //! The allocator manages frame numbers (not bytes) in power-of-two blocks up
 //! to `2^MAX_ORDER` frames, with O(log n) alloc/free and eager coalescing.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
+
+use lastcpu_sim::DetHashMap;
 
 use crate::addr::{PhysAddr, PAGE_SHIFT};
 
@@ -73,7 +75,7 @@ pub struct FrameAllocator {
     /// Ordered so allocation is address-deterministic (lowest first).
     free: Vec<BTreeSet<u64>>,
     /// Allocated block -> order, for validated frees.
-    allocated: HashMap<u64, u8>,
+    allocated: DetHashMap<u64, u8>,
     total: u64,
     in_use: u64,
 }
@@ -97,7 +99,7 @@ impl FrameAllocator {
         }
         FrameAllocator {
             free,
-            allocated: HashMap::new(),
+            allocated: DetHashMap::default(),
             total,
             in_use: 0,
         }

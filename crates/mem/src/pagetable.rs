@@ -7,8 +7,9 @@
 //! they performed so the IOMMU can charge an accurate virtual-time cost for
 //! IOTLB misses.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use lastcpu_sim::DetHashMap;
 
 use crate::addr::{PhysAddr, VirtAddr, PAGE_SHIFT};
 
@@ -191,7 +192,7 @@ struct Leaf {
 /// Interior node: children indexed 0..ENTRIES, stored sparsely.
 #[derive(Default)]
 struct Node {
-    children: HashMap<u16, NodeRef>,
+    children: DetHashMap<u16, NodeRef>,
 }
 
 enum NodeRef {

@@ -7,7 +7,7 @@
 //! [`QueueError::Corrupt`], the way a defensive device implementation must
 //! (the peer is another device, not a trusted kernel).
 
-use std::collections::HashMap;
+use lastcpu_sim::DetHashMap;
 
 use crate::layout::QueueLayout;
 use crate::{MemFault, QueueMemory};
@@ -122,7 +122,7 @@ pub struct Completion {
 pub struct VirtqueueDriver {
     layout: QueueLayout,
     free: Vec<u16>,
-    chains: HashMap<u16, Vec<u16>>,
+    chains: DetHashMap<u16, Vec<u16>>,
     avail_idx: u16,
     last_used: u16,
 }
@@ -137,7 +137,7 @@ impl VirtqueueDriver {
         mem.write(layout.used_idx(), &0u16.to_le_bytes())?;
         Ok(VirtqueueDriver {
             free: (0..layout.size).rev().collect(),
-            chains: HashMap::new(),
+            chains: DetHashMap::default(),
             layout,
             avail_idx: 0,
             last_used: 0,
@@ -878,7 +878,7 @@ impl lastcpu_snap::Restore for VirtqueueDriver {
         self.avail_idx = r.u16()?;
         self.last_used = r.u16()?;
         let n = r.len()?;
-        self.chains = HashMap::with_capacity(n);
+        self.chains = DetHashMap::default();
         for _ in 0..n {
             let head = r.u16()?;
             let k = r.len()?;
@@ -917,7 +917,7 @@ impl VirtqueueDriver {
         VirtqueueDriver {
             layout: QueueLayout::new(0, 1),
             free: Vec::new(),
-            chains: HashMap::new(),
+            chains: DetHashMap::default(),
             avail_idx: 0,
             last_used: 0,
         }
