@@ -1,7 +1,5 @@
 //! The last CPU: a kernel device providing centralized control.
 
-use std::collections::HashMap;
-
 use lastcpu_bus::wire::{WireReader, WireWriter};
 use lastcpu_bus::{
     DeviceId, Dst, Envelope, Payload, RequestId, ResourceKind, ServiceDesc, ServiceId, Status,
@@ -11,7 +9,7 @@ use lastcpu_devices::device::{Device, DeviceCtx};
 use lastcpu_devices::monitor::{AuthMode, Monitor, MonitorEvent};
 use lastcpu_memctl::MemoryController;
 use lastcpu_net::PortId;
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{DetHashMap, SimDuration};
 
 use crate::cost::CpuCostModel;
 use crate::dumbnic::{decode_packet, encode_packet};
@@ -136,7 +134,7 @@ pub struct CpuDevice<A> {
     /// Central directory: service name → (device, descriptor).
     directory: Vec<(DeviceId, ServiceDesc)>,
     /// Broker bookkeeping: our forwarded open op → (client, client req).
-    brokered: HashMap<u64, (DeviceId, RequestId)>,
+    brokered: DetHashMap<u64, (DeviceId, RequestId)>,
     nic: Option<DeviceId>,
     app: A,
     app_started: bool,
@@ -163,7 +161,7 @@ impl<A: CpuApp> CpuDevice<A> {
             memctl: MemoryController::new(id, dram_bytes),
             cost: CpuCostModel::default(),
             directory: Vec::new(),
-            brokered: HashMap::new(),
+            brokered: DetHashMap::default(),
             nic: None,
             app,
             app_started: false,

@@ -21,12 +21,14 @@
 use std::fmt;
 use std::sync::Arc;
 
-use lastcpu_sim::{CorrId, DetHashMap, SimDuration, SimTime};
+use lastcpu_sim::{CorrId, SimDuration, SimTime};
 
 use crate::audit::{BusAudit, BusAuditRecord, BusVerdict, DenyReason, PrivOpKind, SecurityPolicy};
 use crate::cost::BusCostModel;
 use crate::ids::{DeviceId, RequestId};
-use crate::message::{Dst, Envelope, ErrorCode, MapOp, Payload, ResourceKind, ServiceDesc, Status};
+use crate::message::{
+    resource_kind_tag, Dst, Envelope, ErrorCode, MapOp, Payload, ResourceKind, ServiceDesc, Status,
+};
 
 /// Effects the bus asks its host simulator to apply.
 ///
@@ -135,6 +137,9 @@ pub struct DeviceEntry {
     /// Services the device has announced (observability only; the bus does
     /// not answer queries from this).
     pub services: Vec<ServiceDesc>,
+    /// Flood-limiter state (window start, messages in window); `None` until
+    /// the limiter first counts a message from this sender.
+    flood: Option<(SimTime, u32)>,
 }
 
 /// Traffic counters.
@@ -184,10 +189,13 @@ pub struct BusStats {
 /// assert!(matches!(fx[0], lastcpu_bus::BusEffect::Deliver { .. })); // HelloAck
 /// ```
 pub struct SystemBus {
-    devices: DetHashMap<DeviceId, DeviceEntry>,
-    order: Vec<DeviceId>,
-    next_id: u32,
-    controllers: DetHashMap<ResourceKind, DeviceId>,
+    /// The registry, in attach order. Ids are indices: [`SystemBus::attach`]
+    /// is the only allocator, hands out `1, 2, …` and never removes an
+    /// entry, so the entry of `id` sits at `id.0 - 1`.
+    devices: Vec<DeviceEntry>,
+    /// The registered controller of each resource class, indexed by
+    /// `resource_kind_tag`.
+    controllers: [Option<DeviceId>; 4],
     cost: BusCostModel,
     heartbeat_timeout: SimDuration,
     stats: BusStats,
@@ -198,8 +206,6 @@ pub struct SystemBus {
     audit: Option<BusAudit>,
     /// Opt-in hardening policy; the default changes nothing.
     policy: SecurityPolicy,
-    /// Flood-limiter state: per-sender (window start, messages in window).
-    flood: DetHashMap<DeviceId, (SimTime, u32)>,
 }
 
 impl Default for SystemBus {
@@ -212,17 +218,14 @@ impl SystemBus {
     /// A bus with default cost model and a 10 ms heartbeat timeout.
     pub fn new() -> Self {
         SystemBus {
-            devices: DetHashMap::default(),
-            order: Vec::new(),
-            next_id: 1, // 0 is the bus itself
-            controllers: DetHashMap::default(),
+            devices: Vec::new(),
+            controllers: [None; 4],
             cost: BusCostModel::default(),
             heartbeat_timeout: SimDuration::from_millis(10),
             stats: BusStats::default(),
             cur_corr: CorrId::NONE,
             audit: None,
             policy: SecurityPolicy::default(),
-            flood: DetHashMap::default(),
         }
     }
 
@@ -276,6 +279,39 @@ impl SystemBus {
         }
     }
 
+    /// Refuses a privileged request without answering it: counted and
+    /// audited, but the sender gets no reply to learn from or amplify.
+    fn shed(
+        &mut self,
+        src: DeviceId,
+        op: PrivOpKind,
+        resource: Option<ResourceKind>,
+        target: Option<DeviceId>,
+        reason: DenyReason,
+    ) {
+        self.stats.denials += 1;
+        self.audit_record(src, op, resource, target, BusVerdict::Denied, Some(reason));
+    }
+
+    /// Refuses a privileged request: counted, audited, and answered with
+    /// `BusAck { status }`.
+    #[allow(clippy::too_many_arguments)] // One verdict, every field of its audit record.
+    fn deny(
+        &mut self,
+        bytes: usize,
+        src: DeviceId,
+        req: RequestId,
+        op: PrivOpKind,
+        resource: Option<ResourceKind>,
+        target: Option<DeviceId>,
+        reason: DenyReason,
+        status: Status,
+        fx: &mut Vec<BusEffect>,
+    ) {
+        self.shed(src, op, resource, target, reason);
+        self.reply(bytes, src, req, Payload::BusAck { status }, fx);
+    }
+
     /// Replaces the cost model.
     pub fn with_cost_model(mut self, cost: BusCostModel) -> Self {
         self.cost = cost;
@@ -305,31 +341,39 @@ impl SystemBus {
     /// self-test and sends [`Payload::Hello`] (§2.2 "System
     /// Initialization").
     pub fn attach(&mut self, name: &str, kind: &str) -> DeviceId {
-        let id = DeviceId(self.next_id);
-        self.next_id += 1;
-        self.devices.insert(
+        // 0 is the bus itself, so the first device is 1.
+        let id = DeviceId(self.devices.len() as u32 + 1);
+        self.devices.push(DeviceEntry {
             id,
-            DeviceEntry {
-                id,
-                name: name.to_string(),
-                kind: kind.to_string(),
-                state: DeviceState::Attached,
-                last_seen: SimTime::ZERO,
-                services: Vec::new(),
-            },
-        );
-        self.order.push(id);
+            name: name.to_string(),
+            kind: kind.to_string(),
+            state: DeviceState::Attached,
+            last_seen: SimTime::ZERO,
+            services: Vec::new(),
+            flood: None,
+        });
         id
     }
 
-    /// Looks up a device entry.
+    /// Looks up a device entry. Ids arrive in messages from devices that may
+    /// be hostile, so this is the checked lookup every path goes through:
+    /// [`DeviceId::BUS`] and ids `attach` never handed out have no entry.
     pub fn device(&self, id: DeviceId) -> Option<&DeviceEntry> {
-        self.devices.get(&id)
+        self.devices.get(index_of(id)?)
+    }
+
+    fn device_mut(&mut self, id: DeviceId) -> Option<&mut DeviceEntry> {
+        self.devices.get_mut(index_of(id)?)
+    }
+
+    fn is_alive(&self, id: DeviceId) -> bool {
+        self.device(id)
+            .is_some_and(|e| e.state == DeviceState::Alive)
     }
 
     /// All registered devices in attach order.
     pub fn devices(&self) -> impl Iterator<Item = &DeviceEntry> {
-        self.order.iter().filter_map(|id| self.devices.get(id))
+        self.devices.iter()
     }
 
     /// Devices currently alive, in attach order.
@@ -339,7 +383,7 @@ impl SystemBus {
 
     /// The registered controller of `resource`, if any.
     pub fn controller_of(&self, resource: ResourceKind) -> Option<DeviceId> {
-        self.controllers.get(&resource).copied()
+        self.controllers[resource_kind_tag(resource) as usize]
     }
 
     fn deliver(
@@ -414,29 +458,26 @@ impl SystemBus {
         // Fencing: only attached/alive devices may talk. `Hello` is allowed
         // from `Attached` (that is how a device becomes alive) and from
         // `Failed` (a reset device re-introduces itself).
-        let sender_state = match self.devices.get(&env.src) {
-            Some(e) => e.state,
-            None => return,
+        let policy = self.policy;
+        let Some(sender) = self.device_mut(env.src) else {
+            return;
         };
         let is_hello = matches!(env.payload, Payload::Hello { .. });
-        match sender_state {
+        match sender.state {
             DeviceState::Alive => {}
             DeviceState::Attached | DeviceState::Failed if is_hello => {}
             _ => return,
         }
-        if let Some(e) = self.devices.get_mut(&env.src) {
-            e.last_seen = now;
-        }
+        sender.last_seen = now;
 
         // Flood limiter (opt-in policy): a per-sender cap on control-plane
         // messages per window. Excess messages are shed silently — the
         // attacker gets no reply to amplify — but every shed message is
         // audited and counted, so the defence is provable.
-        if let Some(limit) = self.policy.flood_limit {
+        if let Some(limit) = policy.flood_limit {
             if matches!(env.dst, Dst::Bus | Dst::Broadcast) {
-                let window = self.policy.flood_window;
-                let slot = self.flood.entry(env.src).or_insert((now, 0));
-                if now.since(slot.0) >= window {
+                let slot = sender.flood.get_or_insert((now, 0));
+                if now.since(slot.0) >= policy.flood_window {
                     *slot = (now, 0);
                 }
                 slot.1 += 1;
@@ -471,28 +512,21 @@ impl SystemBus {
                     if let Payload::QueryHit { device, service } = &env.payload {
                         let legit = *device == env.src
                             && self
-                                .devices
-                                .get(&env.src)
+                                .device(env.src)
                                 .is_some_and(|e| e.services.iter().any(|s| s.name == service.name));
                         if !legit {
-                            self.stats.denials += 1;
-                            self.audit_record(
+                            self.shed(
                                 env.src,
                                 PrivOpKind::Announce,
                                 Some(service.resource),
                                 Some(*device),
-                                BusVerdict::Denied,
-                                Some(DenyReason::ShadowAnnounce),
+                                DenyReason::ShadowAnnounce,
                             );
                             return;
                         }
                     }
                 }
-                let alive = self
-                    .devices
-                    .get(&target)
-                    .is_some_and(|e| e.state == DeviceState::Alive);
-                if alive {
+                if self.is_alive(target) {
                     let latency = self.cost.unicast(bytes);
                     // Zero-copy forward: the sender's envelope is handed
                     // through untouched.
@@ -526,21 +560,15 @@ impl SystemBus {
         fx: &mut Vec<BusEffect>,
     ) {
         let mut n = 0usize;
-        for i in 0..self.order.len() {
-            let id = self.order[i];
-            if id == src
-                || !self
-                    .devices
-                    .get(&id)
-                    .is_some_and(|e| e.state == DeviceState::Alive)
-            {
+        for e in &self.devices {
+            if e.id == src || e.state != DeviceState::Alive {
                 continue;
             }
             let latency = self.cost.broadcast_nth(bytes, n);
             n += 1;
             self.stats.broadcast_deliveries += 1;
             fx.push(BusEffect::Deliver {
-                to: id,
+                to: e.id,
                 // Reference-count bump only — the payload is shared, not
                 // deep-cloned per recipient.
                 env: Arc::clone(&env),
@@ -560,7 +588,7 @@ impl SystemBus {
         let req = env.req;
         match &env.payload {
             Payload::Hello { .. } => {
-                if let Some(e) = self.devices.get_mut(&src) {
+                if let Some(e) = self.device_mut(src) {
                     e.state = DeviceState::Alive;
                     e.last_seen = now;
                 }
@@ -570,7 +598,7 @@ impl SystemBus {
                 // last_seen already refreshed in handle().
             }
             Payload::Bye => {
-                if let Some(e) = self.devices.get_mut(&src) {
+                if let Some(e) = self.device_mut(src) {
                     e.state = DeviceState::Departed;
                 }
                 self.fan_out_failure(src, bytes, fx);
@@ -582,34 +610,27 @@ impl SystemBus {
                 // announcements from capturing a victim's discovery
                 // clients.
                 if self.policy.deny_shadow_announce {
-                    let shadowed = self.devices.values().any(|e| {
+                    let shadowed = self.devices.iter().any(|e| {
                         e.id != src
                             && e.state == DeviceState::Alive
                             && e.services.iter().any(|s| s.name == service.name)
                     });
                     if shadowed {
-                        self.stats.denials += 1;
-                        self.audit_record(
-                            src,
-                            PrivOpKind::Announce,
-                            Some(service.resource),
-                            None,
-                            BusVerdict::Denied,
-                            Some(DenyReason::ShadowAnnounce),
-                        );
-                        self.reply(
+                        self.deny(
                             bytes,
                             src,
                             req,
-                            Payload::BusAck {
-                                status: Status::Denied,
-                            },
+                            PrivOpKind::Announce,
+                            Some(service.resource),
+                            None,
+                            DenyReason::ShadowAnnounce,
+                            Status::Denied,
                             fx,
                         );
                         return;
                     }
                 }
-                if let Some(e) = self.devices.get_mut(&src) {
+                if let Some(e) = self.device_mut(src) {
                     e.services.retain(|s| s.id != service.id);
                     e.services.push(service.clone());
                 }
@@ -626,7 +647,7 @@ impl SystemBus {
             }
             Payload::Withdraw { service } => {
                 let service = *service;
-                if let Some(e) = self.devices.get_mut(&src) {
+                if let Some(e) = self.device_mut(src) {
                     e.services.retain(|s| s.id != service);
                 }
                 self.rebroadcast(src, req, Payload::Withdraw { service }, bytes, fx);
@@ -644,32 +665,33 @@ impl SystemBus {
                 );
             }
             Payload::RegisterController { resource } => {
+                // First claim wins; the holder may re-register.
                 let resource = *resource;
-                let status = match self.controllers.get(&resource) {
-                    None => {
-                        self.controllers.insert(resource, src);
-                        Status::Ok
-                    }
-                    Some(&owner) if owner == src => Status::Ok,
-                    Some(_) => {
-                        self.stats.denials += 1;
-                        Status::Denied
-                    }
-                };
-                let (verdict, reason) = if status == Status::Ok {
-                    (BusVerdict::Allowed, None)
-                } else {
-                    (BusVerdict::Denied, Some(DenyReason::ControllerTaken))
-                };
+                let class = resource_kind_tag(resource) as usize;
+                if self.controllers[class].is_some_and(|owner| owner != src) {
+                    self.deny(
+                        bytes,
+                        src,
+                        req,
+                        PrivOpKind::RegisterController,
+                        Some(resource),
+                        None,
+                        DenyReason::ControllerTaken,
+                        Status::Denied,
+                        fx,
+                    );
+                    return;
+                }
+                self.controllers[class] = Some(src);
                 self.audit_record(
                     src,
                     PrivOpKind::RegisterController,
                     Some(resource),
                     None,
-                    verdict,
-                    reason,
+                    BusVerdict::Allowed,
+                    None,
                 );
-                self.reply(bytes, src, req, Payload::BusAck { status }, fx);
+                self.reply(bytes, src, req, Payload::BusAck { status: Status::Ok }, fx);
             }
             Payload::MapInstruction {
                 resource,
@@ -686,29 +708,22 @@ impl SystemBus {
                 );
             }
             Payload::ResetDone => {
-                if let Some(e) = self.devices.get_mut(&src) {
+                if let Some(e) = self.device_mut(src) {
                     // The device still re-registers via Hello.
                     e.last_seen = now;
                 }
             }
             _ => {
                 // Anything else aimed at the bus is a protocol violation.
-                self.stats.denials += 1;
-                self.audit_record(
-                    src,
-                    PrivOpKind::Control,
-                    None,
-                    None,
-                    BusVerdict::Denied,
-                    Some(DenyReason::BadRequest),
-                );
-                self.reply(
+                self.deny(
                     bytes,
                     src,
                     req,
-                    Payload::BusAck {
-                        status: Status::BadRequest,
-                    },
+                    PrivOpKind::Control,
+                    None,
+                    None,
+                    DenyReason::BadRequest,
+                    Status::BadRequest,
                     fx,
                 );
             }
@@ -739,46 +754,25 @@ impl SystemBus {
         // DRAM mappings into any IOMMU. Denied before the controller check:
         // a non-Memory map instruction is a protocol violation no matter
         // who sends it.
-        if resource != ResourceKind::Memory {
-            self.stats.denials += 1;
-            self.audit_record(
-                src,
-                PrivOpKind::MapInstruction,
-                Some(resource),
-                Some(device),
-                BusVerdict::Denied,
-                Some(DenyReason::ResourceNotMemory),
-            );
-            self.reply(
-                bytes,
-                src,
-                req,
-                Payload::BusAck {
-                    status: Status::Denied,
-                },
-                fx,
-            );
-            return;
-        }
+        let refused = if resource != ResourceKind::Memory {
+            Some(DenyReason::ResourceNotMemory)
         // Privilege check: only the registered controller of this resource
         // class may instruct mappings (§2.2 "Address Translation").
-        if self.controllers.get(&resource) != Some(&src) {
-            self.stats.denials += 1;
-            self.audit_record(
-                src,
-                PrivOpKind::MapInstruction,
-                Some(resource),
-                Some(device),
-                BusVerdict::Denied,
-                Some(DenyReason::NotController),
-            );
-            self.reply(
+        } else if self.controller_of(resource) != Some(src) {
+            Some(DenyReason::NotController)
+        } else {
+            None
+        };
+        if let Some(reason) = refused {
+            self.deny(
                 bytes,
                 src,
                 req,
-                Payload::BusAck {
-                    status: Status::Denied,
-                },
+                PrivOpKind::MapInstruction,
+                Some(resource),
+                Some(device),
+                reason,
+                Status::Denied,
                 fx,
             );
             return;
@@ -787,13 +781,13 @@ impl SystemBus {
         // device — revocation must work on a failed device precisely so its
         // IOMMU is scrubbed before any reset revives it (§4).
         let target_ok = match op {
-            MapOp::Map => self
-                .devices
-                .get(&device)
-                .is_some_and(|e| e.state == DeviceState::Alive),
-            MapOp::Unmap => self.devices.contains_key(&device),
+            MapOp::Map => self.is_alive(device),
+            MapOp::Unmap => self.device(device).is_some(),
         };
         if !target_ok || pages == 0 {
+            // A malformed or stale instruction from the rightful controller,
+            // not a privilege refusal: audited and answered, but
+            // `stats.denials` counts privilege checks only.
             self.audit_record(
                 src,
                 PrivOpKind::MapInstruction,
@@ -886,13 +880,12 @@ impl SystemBus {
         fx: &mut Vec<BusEffect>,
     ) -> Result<(), BusError> {
         let entry = self
-            .devices
-            .get_mut(&device)
+            .device_mut(device)
             .ok_or(BusError::UnknownDevice(device))?;
+        entry.state = DeviceState::Failed;
         // Failure detection is spontaneous, not caused by an in-flight
         // message; do not attribute it to whatever was handled last.
         self.cur_corr = CorrId::NONE;
-        entry.state = DeviceState::Failed;
         self.fan_out_failure(device, 32, fx);
         fx.push(BusEffect::ResetDevice {
             device,
@@ -912,14 +905,10 @@ impl SystemBus {
     pub fn check_liveness(&mut self, now: SimTime, fx: &mut Vec<BusEffect>) -> Vec<DeviceId> {
         let timeout = self.heartbeat_timeout;
         let lapsed: Vec<DeviceId> = self
-            .order
+            .devices
             .iter()
-            .copied()
-            .filter(|id| {
-                self.devices.get(id).is_some_and(|e| {
-                    e.state == DeviceState::Alive && now.since(e.last_seen) >= timeout
-                })
-            })
+            .filter(|e| e.state == DeviceState::Alive && now.since(e.last_seen) >= timeout)
+            .map(|e| e.id)
             .collect();
         for &d in &lapsed {
             // Cannot fail: `d` came from the registry.
@@ -929,6 +918,12 @@ impl SystemBus {
     }
 }
 
+/// Registry index of `id`, if it can have one: [`DeviceId::BUS`] is not a
+/// registry entry.
+fn index_of(id: DeviceId) -> Option<usize> {
+    (id.0 as usize).checked_sub(1)
+}
+
 impl fmt::Debug for SystemBus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -936,19 +931,9 @@ impl fmt::Debug for SystemBus {
             "SystemBus(devices={}, alive={}, controllers={})",
             self.devices.len(),
             self.alive().count(),
-            self.controllers.len()
+            self.controllers.iter().flatten().count()
         )
     }
-}
-
-fn encode_service_desc_snap(w: &mut lastcpu_snap::SnapWriter, s: &ServiceDesc) {
-    s.snap_encode(w);
-}
-
-fn decode_service_desc_snap(
-    r: &mut lastcpu_snap::SnapReader<'_>,
-) -> lastcpu_snap::Result<ServiceDesc> {
-    ServiceDesc::snap_decode(r)
 }
 
 fn device_state_tag(s: DeviceState) -> u8 {
@@ -976,7 +961,8 @@ impl lastcpu_snap::Snapshot for SystemBus {
         w.put_u64(self.cost.processing.as_nanos());
         w.put_u64(self.cost.per_byte_ps);
         w.put_u64(self.heartbeat_timeout.as_nanos());
-        w.put_u32(self.next_id);
+        // The next id `attach` would hand out.
+        w.put_u32(self.devices.len() as u32 + 1);
         w.put_u64(self.cur_corr.0);
         w.put_u64(self.stats.messages);
         w.put_u64(self.stats.bytes);
@@ -986,17 +972,14 @@ impl lastcpu_snap::Snapshot for SystemBus {
         w.put_u64(self.stats.denials);
         w.put_u64(self.stats.flood_dropped);
         w.put_u64(self.stats.failures);
-        // Registration order is semantic: broadcast fan-out and heartbeat
-        // sweeps iterate it, so it is preserved verbatim.
-        w.put_len(self.order.len());
-        for d in &self.order {
-            w.put_u32(d.0);
+        // The format lists attach order, then the entries by id. Both are
+        // the registry's index order; restore checks that they agree.
+        w.put_len(self.devices.len());
+        for e in &self.devices {
+            w.put_u32(e.id.0);
         }
-        let mut ids: Vec<_> = self.devices.keys().copied().collect();
-        ids.sort_by_key(|d| d.0);
-        w.put_len(ids.len());
-        for id in ids {
-            let e = &self.devices[&id];
+        w.put_len(self.devices.len());
+        for e in &self.devices {
             w.put_u32(e.id.0);
             w.put_str(&e.name);
             w.put_str(&e.kind);
@@ -1004,31 +987,27 @@ impl lastcpu_snap::Snapshot for SystemBus {
             w.put_u64(e.last_seen.as_nanos());
             w.put_len(e.services.len());
             for s in &e.services {
-                encode_service_desc_snap(w, s);
+                s.snap_encode(w);
             }
         }
-        let mut ctl: Vec<_> = self
-            .controllers
-            .iter()
-            .map(|(k, d)| (crate::message::resource_kind_tag(*k), d.0))
-            .collect();
-        ctl.sort_unstable();
-        w.put_len(ctl.len());
-        for (k, d) in ctl {
-            w.put_u8(k);
-            w.put_u32(d);
+        w.put_len(self.controllers.iter().flatten().count());
+        for (class, d) in self.controllers.iter().enumerate() {
+            if let Some(d) = d {
+                w.put_u8(class as u8);
+                w.put_u32(d.0);
+            }
         }
         self.policy.encode(w);
-        let mut flood: Vec<_> = self
-            .flood
-            .iter()
-            .map(|(d, (t, n))| (d.0, t.as_nanos(), *n))
-            .collect();
-        flood.sort_unstable();
-        w.put_len(flood.len());
-        for (d, t, n) in flood {
-            w.put_u32(d);
-            w.put_u64(t);
+        // Only senders the flood limiter has counted are listed.
+        let limited = || {
+            self.devices
+                .iter()
+                .filter_map(|e| e.flood.map(|f| (e.id, f)))
+        };
+        w.put_len(limited().count());
+        for (d, (t, n)) in limited() {
+            w.put_u32(d.0);
+            w.put_u64(t.as_nanos());
             w.put_u32(n);
         }
         w.put_opt(self.audit.as_ref(), |w, a| a.snapshot(w));
@@ -1041,7 +1020,7 @@ impl lastcpu_snap::Restore for SystemBus {
         self.cost.processing = SimDuration::from_nanos(r.u64()?);
         self.cost.per_byte_ps = r.u64()?;
         self.heartbeat_timeout = SimDuration::from_nanos(r.u64()?);
-        self.next_id = r.u32()?;
+        let next_id = r.u32()?;
         self.cur_corr = CorrId(r.u64()?);
         self.stats.messages = r.u64()?;
         self.stats.bytes = r.u64()?;
@@ -1051,15 +1030,26 @@ impl lastcpu_snap::Restore for SystemBus {
         self.stats.denials = r.u64()?;
         self.stats.flood_dropped = r.u64()?;
         self.stats.failures = r.u64()?;
+        // Ids are indices, so a registry is only restorable if its attach
+        // order and its entries both read exactly 1..=n.
         let n = r.len()?;
-        self.order = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.order.push(DeviceId(r.u32()?));
+        for i in 0..n {
+            let id = r.u32()?;
+            if id as usize != i + 1 {
+                return Err(r.corrupt(format!("attach order lists dev:{id} at position {i}")));
+            }
         }
-        let n = r.len()?;
-        self.devices = DetHashMap::default();
-        for _ in 0..n {
+        if r.len()? != n || next_id as usize != n + 1 {
+            return Err(r.corrupt(format!(
+                "registry disagrees with its attach order of {n} (next id {next_id})"
+            )));
+        }
+        self.devices = Vec::with_capacity(n);
+        for i in 0..n {
             let id = DeviceId(r.u32()?);
+            if index_of(id) != Some(i) {
+                return Err(r.corrupt(format!("registry lists {id} at position {i}")));
+            }
             let name = r.str()?;
             let kind = r.str()?;
             let state = {
@@ -1071,36 +1061,36 @@ impl lastcpu_snap::Restore for SystemBus {
             let ns = r.len()?;
             let mut services = Vec::with_capacity(ns);
             for _ in 0..ns {
-                services.push(decode_service_desc_snap(r)?);
+                services.push(ServiceDesc::snap_decode(r)?);
             }
-            self.devices.insert(
+            self.devices.push(DeviceEntry {
                 id,
-                DeviceEntry {
-                    id,
-                    name,
-                    kind,
-                    state,
-                    last_seen,
-                    services,
-                },
-            );
+                name,
+                kind,
+                state,
+                last_seen,
+                services,
+                flood: None,
+            });
         }
-        let n = r.len()?;
-        self.controllers = DetHashMap::default();
-        for _ in 0..n {
+        self.controllers = [None; 4];
+        for _ in 0..r.len()? {
             let t = r.u8()?;
-            let kind = crate::message::resource_kind_from_tag(t)
+            let slot = self
+                .controllers
+                .get_mut(t as usize)
                 .ok_or_else(|| r.corrupt(format!("bad ResourceKind tag {t}")))?;
-            self.controllers.insert(kind, DeviceId(r.u32()?));
+            *slot = Some(DeviceId(r.u32()?));
         }
         self.policy = SecurityPolicy::decode(r)?;
-        let n = r.len()?;
-        self.flood = DetHashMap::default();
-        for _ in 0..n {
+        for _ in 0..r.len()? {
             let d = DeviceId(r.u32()?);
             let t = SimTime::from_nanos(r.u64()?);
             let c = r.u32()?;
-            self.flood.insert(d, (t, c));
+            match self.device_mut(d) {
+                Some(e) => e.flood = Some((t, c)),
+                None => return Err(r.corrupt(format!("flood state for unknown {d}"))),
+            }
         }
         self.audit = r.opt(|r| {
             let mut a = BusAudit::default();
@@ -2153,5 +2143,209 @@ mod tests {
         // …and the window resets.
         hb(&mut bus, nic, t0 + SimDuration::from_micros(10));
         assert_eq!(bus.stats().flood_dropped, 5);
+    }
+
+    fn unicast_to(src: DeviceId, target: DeviceId) -> Envelope {
+        Envelope {
+            src,
+            dst: Dst::Device(target),
+            req: RequestId(3),
+            corr: CorrId::NONE,
+            payload: Payload::Heartbeat,
+        }
+    }
+
+    fn ack_status(fx: &[BusEffect]) -> Status {
+        match &fx[0] {
+            BusEffect::Deliver { env, .. } => match env.payload {
+                Payload::BusAck { status } => status,
+                ref other => panic!("unexpected {other:?}"),
+            },
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Ids are indices into the registry, and they arrive in messages a
+    /// hostile device wrote: one never handed out (or the bus's own 0) must
+    /// bounce like a dead peer, not index out of range.
+    #[test]
+    fn unicast_to_an_id_never_attached_bounces() {
+        let (mut bus, nic, _, _) = setup();
+        for target in [DeviceId(9_999), DeviceId::BUS, DeviceId(u32::MAX)] {
+            let mut fx = Vec::new();
+            bus.handle(SimTime::ZERO, unicast_to(nic, target), &mut fx);
+            assert_eq!(fx.len(), 1, "{target}");
+            match &fx[0] {
+                BusEffect::Deliver { to, env, .. } => {
+                    assert_eq!(*to, nic);
+                    assert!(matches!(
+                        env.payload,
+                        Payload::ErrorNotify {
+                            code: ErrorCode::DeviceFailed,
+                            ..
+                        }
+                    ));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn map_instruction_for_an_id_never_attached_is_not_found() {
+        let (mut bus, _, _, mc) = setup();
+        register_memctl(&mut bus, mc);
+        for target in [DeviceId(0), DeviceId(u32::MAX)] {
+            for op in [MapOp::Map, MapOp::Unmap] {
+                let mut env = map_instruction(mc, target);
+                if let Payload::MapInstruction { op: ref mut o, .. } = env.payload {
+                    *o = op;
+                }
+                let mut fx = Vec::new();
+                bus.handle(SimTime::ZERO, env, &mut fx);
+                assert_eq!(ack_status(&fx), Status::NotFound, "{op:?} {target}");
+                assert_eq!(fx.len(), 1, "no IOMMU programming, no MapComplete");
+            }
+        }
+        assert_eq!(bus.stats().map_ops, 0);
+        assert!(bus.mark_failed(DeviceId(0), &mut Vec::new()).is_err());
+    }
+
+    /// A bus with every optional piece of state populated: a controller, an
+    /// announced service, flood-limiter state for one sender, an audit.
+    fn busy_bus() -> SystemBus {
+        let (mut bus, nic, ssd, mc) = setup();
+        bus.enable_audit(16);
+        bus.set_security_policy(SecurityPolicy {
+            flood_limit: Some(3),
+            ..SecurityPolicy::default()
+        });
+        register_memctl(&mut bus, mc);
+        let mut fx = Vec::new();
+        bus.handle(
+            SimTime::from_nanos(5),
+            Envelope {
+                src: ssd,
+                dst: Dst::Bus,
+                req: RequestId(1),
+                corr: CorrId(7),
+                payload: Payload::Announce {
+                    service: ServiceDesc {
+                        id: ServiceId(1),
+                        name: "file:/data/kv.db".into(),
+                        resource: ResourceKind::Storage,
+                    },
+                },
+            },
+            &mut fx,
+        );
+        bus.mark_failed(nic, &mut fx).unwrap();
+        bus
+    }
+
+    fn restored(bytes: &[u8]) -> lastcpu_snap::Result<SystemBus> {
+        use lastcpu_snap::Restore as _;
+        let mut bus = SystemBus::new();
+        bus.restore(&mut lastcpu_snap::SnapReader::new("bus", bytes))?;
+        Ok(bus)
+    }
+
+    #[test]
+    fn snapshot_restores_to_the_same_bytes() {
+        use lastcpu_snap::Snapshot as _;
+        let bus = busy_bus();
+        let bytes = bus.snapshot_bytes();
+        let back = restored(&bytes).expect("restores");
+        assert_eq!(back.snapshot_bytes(), bytes);
+        assert_eq!(back.alive().count(), 2);
+        assert_eq!(
+            back.controller_of(ResourceKind::Memory),
+            bus.controller_of(ResourceKind::Memory)
+        );
+    }
+
+    /// Byte offset of the attach-order list in a bus snapshot: four cost /
+    /// timeout words, the next id, the correlation id, eight counters.
+    const ORDER_AT: usize = 4 * 8 + 4 + 8 + 8 * 8;
+
+    fn assert_corrupt(bytes: &[u8], what: &str) {
+        match restored(bytes) {
+            Err(lastcpu_snap::SnapError::Corrupt { detail, .. }) => {
+                assert!(
+                    detail.contains(what),
+                    "{detail:?} does not mention {what:?}"
+                )
+            }
+            other => panic!("expected Corrupt({what}), got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_an_attach_order_that_is_not_one_to_n() {
+        use lastcpu_snap::Snapshot as _;
+        let mut bytes = busy_bus().snapshot_bytes();
+        // The list is a u64 length then u32 ids 1, 2, 3: swap the first two.
+        let first = ORDER_AT + 8;
+        assert_eq!(bytes[first..first + 8], [1, 0, 0, 0, 2, 0, 0, 0]);
+        bytes[first] = 2;
+        bytes[first + 4] = 1;
+        assert_corrupt(&bytes, "attach order");
+    }
+
+    #[test]
+    fn restore_rejects_a_registry_that_disagrees_with_its_order() {
+        use lastcpu_snap::Snapshot as _;
+        let mut bytes = busy_bus().snapshot_bytes();
+        // The registry length follows the three ids of the order list.
+        let registry_len = ORDER_AT + 8 + 3 * 4;
+        assert_eq!(bytes[registry_len], 3);
+        bytes[registry_len] = 2;
+        assert_corrupt(&bytes, "disagrees");
+        // Same length, but the first entry claims to be device 2.
+        let mut bytes = busy_bus().snapshot_bytes();
+        assert_eq!(bytes[registry_len + 8], 1);
+        bytes[registry_len + 8] = 2;
+        assert_corrupt(&bytes, "registry lists");
+    }
+
+    #[test]
+    fn restore_rejects_a_controller_class_past_the_table() {
+        use lastcpu_snap::Snapshot as _;
+        let bus = busy_bus();
+        let mut bytes = bus.snapshot_bytes();
+        // Find the one controller entry (tag 0 = Memory, then memctl's id)
+        // from the back: policy, empty-or-not flood list and audit follow it,
+        // so locate it by re-encoding the tail.
+        let mut tail = lastcpu_snap::SnapWriter::new();
+        tail.put_u8(0);
+        tail.put_u32(bus.controller_of(ResourceKind::Memory).unwrap().0);
+        bus.policy.encode(&mut tail);
+        let tail = tail.into_bytes();
+        let at = bytes
+            .windows(tail.len())
+            .rposition(|w| w == tail)
+            .expect("controller entry is in the snapshot");
+        bytes[at] = 4;
+        assert_corrupt(&bytes, "ResourceKind tag 4");
+    }
+
+    #[test]
+    fn restore_rejects_flood_state_for_an_unknown_sender() {
+        use lastcpu_snap::Snapshot as _;
+        let bus = busy_bus();
+        let ssd = DeviceId(2);
+        let mut bytes = bus.snapshot_bytes();
+        // The announcing SSD's flood entry: (id, window start 5 ns, 1 message).
+        let mut entry = lastcpu_snap::SnapWriter::new();
+        entry.put_u32(ssd.0);
+        entry.put_u64(5);
+        entry.put_u32(1);
+        let entry = entry.into_bytes();
+        let at = bytes
+            .windows(entry.len())
+            .rposition(|w| w == entry)
+            .expect("flood entry is in the snapshot");
+        bytes[at] = 9;
+        assert_corrupt(&bytes, "flood state for unknown");
     }
 }

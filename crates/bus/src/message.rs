@@ -890,6 +890,31 @@ impl Payload {
         )
     }
 
+    /// The terminal failure reply synthesized for an abandoned request, so
+    /// the requester's state machine unwinds instead of waiting forever.
+    /// `None` for payloads that are not requests, and for the two requests
+    /// without a typed failure: `Hello` (the reset path re-issues it) and
+    /// `ResetRequest` (its reply `ResetDone` carries no status).
+    pub fn failure_reply(&self) -> Option<Payload> {
+        let status = Status::Failed;
+        Some(match self {
+            Payload::OpenRequest { .. } => Payload::OpenResponse {
+                status,
+                conn: ConnId(0),
+                shm_bytes: 0,
+                params: Vec::new(),
+            },
+            Payload::CloseRequest { .. } => Payload::CloseResponse { status },
+            Payload::MemAlloc { .. } => Payload::MemAllocResponse { status, region: 0 },
+            Payload::MemFree { .. } => Payload::MemFreeResponse { status },
+            Payload::Share { .. } => Payload::ShareResponse { status },
+            Payload::RegisterController { .. } | Payload::MapInstruction { .. } => {
+                Payload::BusAck { status }
+            }
+            _ => return None,
+        })
+    }
+
     /// Short tag for tracing.
     pub fn kind_name(&self) -> &'static str {
         match self {
@@ -1080,6 +1105,40 @@ mod tests {
         let bytes = env.encode();
         let back = Envelope::decode(&bytes).expect("decode");
         assert_eq!(back, env);
+    }
+
+    /// Every request the retry layer tracks either has a failure reply of
+    /// the kind that completes it, or is listed here as deliberately none.
+    #[test]
+    fn every_tracked_request_has_a_failure_reply_or_is_listed() {
+        let deliberately_none = ["Hello", "ResetRequest"];
+        for p in all_variants() {
+            let name = p.kind_name();
+            match p.failure_reply() {
+                Some(reply) => {
+                    assert!(p.expects_reply(), "{name} is not a tracked request");
+                    assert!(reply.is_reply(), "{name} fails with a non-reply");
+                    let mut tracker = crate::RpcTracker::new(crate::RetryConfig::default());
+                    let env = Envelope {
+                        src: DeviceId(7),
+                        dst: Dst::Bus,
+                        req: RequestId(42),
+                        corr: CorrId::NONE,
+                        payload: p,
+                    };
+                    tracker.track(lastcpu_sim::SimTime::ZERO, &env);
+                    assert!(
+                        tracker.complete(env.src, env.req, &reply),
+                        "{name}'s failure reply does not complete it"
+                    );
+                }
+                None => assert_eq!(
+                    p.expects_reply(),
+                    deliberately_none.contains(&name),
+                    "{name}"
+                ),
+            }
+        }
     }
 
     /// One instance of every payload variant (kept exhaustive by the

@@ -5,17 +5,16 @@ use std::sync::Arc;
 
 use lastcpu_bus::bus::DeviceState;
 use lastcpu_bus::{
-    BusEffect, ConnId, DeviceId, Dst, Envelope, Payload, RequestId, RetryStats, RetryVerdict,
-    RpcTracker, Status, SystemBus,
+    BusEffect, DeviceId, Dst, Envelope, Payload, RequestId, RetryStats, RetryVerdict, RpcTracker,
+    SystemBus,
 };
 use lastcpu_devices::device::{Action, Device, DeviceCtx};
 use lastcpu_iommu::{AccessKind, Iommu, IommuFault, IommuFaultKind};
 use lastcpu_mem::{Dram, MapError, Pasid, Perms, PhysAddr, VirtAddr, PAGE_SIZE};
 use lastcpu_net::{Frame, PortId, Switch};
 use lastcpu_sim::{
-    profile, BufPool, CorrId, CounterHandle, DetHashMap, DetHashSet, DetRng, EventQueue,
-    FaultEvent, FaultKind, GaugeHandle, HistogramHandle, MetricsHub, SimDuration, SimTime,
-    TraceData, TraceSink,
+    profile, BufPool, CorrId, CounterHandle, DetRng, EventQueue, FaultEvent, FaultKind,
+    GaugeHandle, HistogramHandle, MetricsHub, SimDuration, SimTime, TraceData, TraceSink,
 };
 
 use crate::config::SystemConfig;
@@ -325,6 +324,17 @@ struct HostSlot {
     scratch_actions: Vec<HostAction>,
 }
 
+/// What a switch port is wired to.
+#[derive(Clone, Copy)]
+enum PortOwner {
+    /// The device in `slots[i]`.
+    Slot(usize),
+    /// The host in `hosts[i]`.
+    Host(usize),
+    /// An embedding rack fabric (see [`System::add_tunnel_port`]).
+    Tunnel,
+}
+
 /// The trace sources that are not a device or host, as shared handles.
 struct TraceSources {
     bus: Arc<str>,
@@ -371,12 +381,14 @@ pub struct System {
     queue: EventQueue<Event>,
     bus: SystemBus,
     dram: Dram,
+    /// One slot per bus registry entry, pushed right after `bus.attach`
+    /// hands out the id: the slot of `id` sits at `id.0 - 1`.
     slots: Vec<Slot>,
-    by_id: DetHashMap<DeviceId, usize>,
     hosts: Vec<HostSlot>,
     switch: Switch,
-    port_to_slot: DetHashMap<PortId, usize>,
-    port_to_host: DetHashMap<PortId, usize>,
+    /// One owner per switch port, pushed right after `switch.add_port`
+    /// hands out the id: the owner of port `p` sits at `p.0 - 1`.
+    port_owners: Vec<PortOwner>,
     trace: TraceSink,
     sources: TraceSources,
     stats: MetricsHub,
@@ -390,10 +402,8 @@ pub struct System {
     fault_events: Vec<FaultEvent>,
     /// RPC timeout/retry machinery (when configured).
     rpc: Option<RpcState>,
-    /// Switch ports owned by an embedding rack fabric (see
-    /// [`System::add_tunnel_port`]).
-    tunnel_ports: DetHashSet<PortId>,
-    /// Frames delivered to tunnel ports, awaiting [`System::drain_tunnel`].
+    /// Frames delivered to tunnel ports, awaiting
+    /// [`System::drain_tunnel_into`].
     tunnel_out: Vec<TunnelDelivery>,
     /// Payload-buffer pool for the zero-alloc delivery path. Devices and
     /// hosts encode into buffers drawn from here (via
@@ -440,11 +450,9 @@ impl System {
             bus,
             dram: Dram::new(config.dram_bytes),
             slots: Vec::new(),
-            by_id: DetHashMap::default(),
             hosts: Vec::new(),
             switch,
-            port_to_slot: DetHashMap::default(),
-            port_to_host: DetHashMap::default(),
+            port_owners: Vec::new(),
             trace,
             sources: TraceSources {
                 bus: "bus".into(),
@@ -459,7 +467,6 @@ impl System {
             memctl_id: None,
             fault_events,
             rpc,
-            tunnel_ports: DetHashSet::default(),
             tunnel_out: Vec::new(),
             pool: BufPool::new(),
             config,
@@ -502,6 +509,7 @@ impl System {
         met: SlotMetrics,
     ) -> DeviceHandle {
         let idx = self.slots.len();
+        assert_eq!(id.0 as usize, idx + 1, "a slot is pushed per bus.attach");
         self.slots.push(Slot {
             id,
             name: device.name().into(),
@@ -521,7 +529,6 @@ impl System {
             scratch_actions: Vec::new(),
             scratch_faults: Vec::new(),
         });
-        self.by_id.insert(id, idx);
         DeviceHandle { id, idx }
     }
 
@@ -538,11 +545,7 @@ impl System {
     fn add_device_inner(&mut self, device: Box<dyn Device>, with_port: bool) -> DeviceHandle {
         let id = self.bus.attach(device.name(), device.kind());
         let met = slot_metrics(&self.stats, device.kind(), device.name());
-        let port = with_port.then(|| {
-            let p = self.switch.add_port();
-            self.port_to_slot.insert(p, self.slots.len());
-            p
-        });
+        let port = with_port.then(|| self.add_port(PortOwner::Slot(self.slots.len())));
         self.push_slot(id, device, port, met)
     }
 
@@ -577,8 +580,8 @@ impl System {
 
     /// Adds an external host machine; returns its switch port.
     pub fn add_host(&mut self, host: Box<dyn NetHost>) -> PortId {
-        let port = self.switch.add_port();
         let hidx = self.hosts.len();
+        let port = self.add_port(PortOwner::Host(hidx));
         let rng = self.root_rng.split(0x8000_0000 | hidx as u64);
         self.hosts.push(HostSlot {
             name: host.name().into(),
@@ -587,8 +590,28 @@ impl System {
             rng,
             scratch_actions: Vec::new(),
         });
-        self.port_to_host.insert(port, hidx);
         port
+    }
+
+    /// Adds a switch port wired to `owner`.
+    fn add_port(&mut self, owner: PortOwner) -> PortId {
+        self.port_owners.push(owner);
+        self.switch.add_port()
+    }
+
+    /// The slot of bus address `id`. Ids arrive in messages from devices
+    /// that may be hostile: [`DeviceId::BUS`] and ids the bus never handed
+    /// out have no slot.
+    fn slot_of(&self, id: DeviceId) -> Option<usize> {
+        let idx = (id.0 as usize).checked_sub(1)?;
+        (idx < self.slots.len()).then_some(idx)
+    }
+
+    /// What switch port `port` is wired to, if it is one of this machine's.
+    fn port_owner(&self, port: PortId) -> Option<PortOwner> {
+        self.port_owners
+            .get((port.0 as usize).checked_sub(1)?)
+            .copied()
     }
 
     /// The network port of a device, if it has one.
@@ -599,7 +622,7 @@ impl System {
     /// The network port of a device looked up by bus address (the rack
     /// fabric's directory resolves bus registry entries to ports this way).
     pub fn port_of(&self, id: DeviceId) -> Option<PortId> {
-        self.by_id.get(&id).and_then(|&idx| self.slots[idx].port)
+        self.slots[self.slot_of(id)?].port
     }
 
     // --- Fabric embedding -------------------------------------------------
@@ -611,30 +634,18 @@ impl System {
 
     /// Adds a switch port owned by an embedding fabric. Frames delivered to
     /// it (after traversing this machine's edge switch like any other
-    /// traffic) are exported via [`System::drain_tunnel`] instead of being
-    /// handed to a device or host.
+    /// traffic) are exported via [`System::drain_tunnel_into`] instead of
+    /// being handed to a device or host.
     pub fn add_tunnel_port(&mut self) -> PortId {
-        let p = self.switch.add_port();
-        self.tunnel_ports.insert(p);
-        p
+        self.add_port(PortOwner::Tunnel)
     }
 
-    /// Takes the frames that reached tunnel ports since the last drain.
-    pub fn drain_tunnel(&mut self) -> Vec<TunnelDelivery> {
-        std::mem::take(&mut self.tunnel_out)
-    }
-
-    /// Moves the frames that reached tunnel ports into `out` (appended),
-    /// reusing the caller's buffer instead of allocating a fresh `Vec` per
-    /// drain. The fabric steps every machine once per scheduling round, so
-    /// the per-round `drain_tunnel` allocation shows up at rack scale.
+    /// Moves the frames that reached tunnel ports since the last drain into
+    /// `out` (appended). The fabric steps every machine once per scheduling
+    /// round, so it lends one buffer instead of taking a fresh `Vec` each
+    /// time.
     pub fn drain_tunnel_into(&mut self, out: &mut Vec<TunnelDelivery>) {
         out.append(&mut self.tunnel_out);
-    }
-
-    /// Whether any tunnel deliveries are waiting to be drained.
-    pub fn has_tunnel_out(&self) -> bool {
-        !self.tunnel_out.is_empty()
     }
 
     /// The machine's payload-buffer pool (for diagnostics and the `--profile`
@@ -709,11 +720,6 @@ impl System {
         &self.stats
     }
 
-    /// The metrics hub, mutably (benches reset between runs).
-    pub fn stats_mut(&mut self) -> &mut MetricsHub {
-        &mut self.stats
-    }
-
     /// The protocol trace.
     pub fn trace(&self) -> &TraceSink {
         &self.trace
@@ -725,11 +731,6 @@ impl System {
     /// ring does not evict the records they join on.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
         self.trace.set_capacity(capacity);
-    }
-
-    /// DRAM (content inspection in tests).
-    pub fn dram_mut(&mut self) -> &mut Dram {
-        &mut self.dram
     }
 
     /// A device's IOMMU (inspection in tests and experiments).
@@ -751,7 +752,9 @@ impl System {
 
     /// Typed access to a host by port.
     pub fn host_as<T: NetHost>(&self, port: PortId) -> Option<&T> {
-        let hidx = *self.port_to_host.get(&port)?;
+        let Some(PortOwner::Host(hidx)) = self.port_owner(port) else {
+            return None;
+        };
         let host: &dyn Any = self.hosts[hidx].host.as_ref();
         host.downcast_ref::<T>()
     }
@@ -805,26 +808,6 @@ impl System {
     pub fn run_for(&mut self, d: SimDuration) -> u64 {
         let deadline = self.now() + d;
         self.run_until(deadline)
-    }
-
-    /// Runs until the event queue drains completely (only terminates when
-    /// no recurring timers are armed), up to `max_events`.
-    pub fn run_to_idle(&mut self, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events {
-            let popped = {
-                let _pop = profile::span("engine.pop");
-                self.queue.pop()
-            };
-            match popped {
-                Some(ev) => {
-                    self.handle(ev.at, ev.event);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
     }
 
     // --- Fault injection ---------------------------------------------------
@@ -952,8 +935,8 @@ impl System {
                 self.met.device_resets.incr();
                 self.dispatch(idx, now, corr, |d, ctx| d.on_reset(ctx));
             }
-            Event::NetDeliver { port, frame, corr } => {
-                if self.tunnel_ports.contains(&port) {
+            Event::NetDeliver { port, frame, corr } => match self.port_owner(port) {
+                Some(PortOwner::Tunnel) => {
                     // The port belongs to an embedding rack fabric: the
                     // frame leaves this machine. The fabric drains it after
                     // this step and models the inter-machine link.
@@ -976,12 +959,14 @@ impl System {
                         frame,
                         corr,
                     });
-                } else if let Some(&idx) = self.port_to_slot.get(&port) {
-                    self.feed(idx, now, Work::Net(frame, corr));
-                } else if let Some(&hidx) = self.port_to_host.get(&port) {
-                    self.dispatch_host(hidx, now, corr, move |h, ctx| h.on_frame(ctx, frame));
                 }
-            }
+                Some(PortOwner::Slot(idx)) => self.feed(idx, now, Work::Net(frame, corr)),
+                Some(PortOwner::Host(hidx)) => {
+                    self.dispatch_host(hidx, now, corr, move |h, ctx| h.on_frame(ctx, frame))
+                }
+                // The switch only delivers to ports it handed out.
+                None => {}
+            },
             Event::HostStart(hidx) => {
                 let corr = self.fresh_corr();
                 self.dispatch_host(hidx, now, corr, |h, ctx| h.on_start(ctx))
@@ -993,7 +978,7 @@ impl System {
                 let mut fx = Vec::new();
                 let lapsed = self.bus.check_liveness(now, &mut fx);
                 for id in lapsed {
-                    if let Some(&idx) = self.by_id.get(&id) {
+                    if let Some(idx) = self.slot_of(id) {
                         self.slots[idx].halted = true;
                         self.mark_down(idx, now);
                     }
@@ -1011,7 +996,7 @@ impl System {
     /// Records the down-to-alive latency of a device whose `Hello` just
     /// brought it back to the bus's `Alive` state after a fault.
     fn note_possible_recovery(&mut self, now: SimTime, src: DeviceId) {
-        let Some(&idx) = self.by_id.get(&src) else {
+        let Some(idx) = self.slot_of(src) else {
             return;
         };
         let Some(t0) = self.slots[idx].faults.down_since else {
@@ -1243,7 +1228,7 @@ impl System {
                     attempt,
                 } => {
                     self.met.rpc_retries.incr();
-                    let src_idx = self.by_id.get(&env.src).copied();
+                    let src_idx = self.slot_of(env.src);
                     if let Some(idx) = src_idx {
                         self.slots[idx].met.retries.incr();
                     }
@@ -1294,7 +1279,7 @@ impl System {
                     // state machine unwinds instead of wedging (graceful
                     // degradation; the KVS server turns this into
                     // `Unavailable` for its clients).
-                    if let Some(payload) = failure_reply_for(&env.payload) {
+                    if let Some(payload) = env.payload.failure_reply() {
                         let src = match env.dst {
                             Dst::Device(d) => d,
                             _ => DeviceId::BUS,
@@ -1306,7 +1291,7 @@ impl System {
                             corr: env.corr,
                             payload,
                         };
-                        if let Some(&idx) = self.by_id.get(&env.src) {
+                        if let Some(idx) = self.slot_of(env.src) {
                             self.queue.schedule_at(
                                 now,
                                 Event::Deliver {
@@ -1654,8 +1639,8 @@ impl System {
                 };
                 if self.trace.is_enabled() {
                     let name = self.slots[idx].name.clone();
-                    let to = match self.by_id.get(&to) {
-                        Some(&i) => self.slots[i].id_name.clone(),
+                    let to = match self.slot_of(to) {
+                        Some(i) => self.slots[i].id_name.clone(),
                         None => to.to_string().into(),
                     };
                     self.trace
@@ -1666,7 +1651,7 @@ impl System {
                     lat += link.occupy(t, 8);
                 }
                 self.met.doorbells.incr();
-                if let Some(&to_idx) = self.by_id.get(&to) {
+                if let Some(to_idx) = self.slot_of(to) {
                     self.queue.schedule_at(
                         t + lat,
                         Event::Deliver {
@@ -1721,7 +1706,7 @@ impl System {
                     if let Some(link) = self.shared_link.as_mut() {
                         lat += link.occupy(now, env.encoded_len() as u64);
                     }
-                    if let Some(&idx) = self.by_id.get(&to) {
+                    if let Some(idx) = self.slot_of(to) {
                         // Destination-side wire faults: a reply eaten here
                         // must *not* complete the tracker — the requester
                         // never saw it.
@@ -1746,7 +1731,7 @@ impl System {
                     perms,
                     corr,
                 } => {
-                    if let Some(&idx) = self.by_id.get(&device) {
+                    if let Some(idx) = self.slot_of(device) {
                         if self.trace.is_enabled() {
                             self.trace.emit_data(
                                 now,
@@ -1784,7 +1769,7 @@ impl System {
                     pages,
                     corr,
                 } => {
-                    if let Some(&idx) = self.by_id.get(&device) {
+                    if let Some(idx) = self.slot_of(device) {
                         let lat =
                             self.config.bus_cost.hop_latency + self.config.bus_cost.processing;
                         self.queue.schedule_at(
@@ -1800,7 +1785,7 @@ impl System {
                     }
                 }
                 BusEffect::ResetDevice { device, corr } => {
-                    if let Some(&idx) = self.by_id.get(&device) {
+                    if let Some(idx) = self.slot_of(device) {
                         self.queue
                             .schedule_in(self.config.reset_latency, Event::Reset { idx, corr });
                     }
@@ -1821,7 +1806,7 @@ impl System {
         corr: CorrId,
     ) {
         let slot = &mut self.slots[idx];
-        let perms = perms_from_bits(perms);
+        let perms = Perms::from_bits(perms);
         slot.iommu.bind_pasid(Pasid(pasid));
         for i in 0..pages {
             let va_i = VirtAddr::new(va + i * PAGE_SIZE);
@@ -1900,8 +1885,8 @@ impl System {
         let from = if env.src == DeviceId::BUS {
             self.sources.bus.clone()
         } else {
-            match self.by_id.get(&env.src) {
-                Some(&i) => self.slots[i].name.clone(),
+            match self.slot_of(env.src) {
+                Some(i) => self.slots[i].name.clone(),
                 None => env.src.to_string().into(),
             }
         };
@@ -1915,52 +1900,6 @@ impl System {
             },
         );
     }
-}
-
-/// The terminal failure reply synthesized for an abandoned request, so the
-/// requester's state machine unwinds instead of waiting forever. Requests
-/// without a typed response (e.g. `Hello` — the reset path re-issues it)
-/// get none.
-fn failure_reply_for(p: &Payload) -> Option<Payload> {
-    Some(match p {
-        Payload::OpenRequest { .. } => Payload::OpenResponse {
-            status: Status::Failed,
-            conn: ConnId(0),
-            shm_bytes: 0,
-            params: Vec::new(),
-        },
-        Payload::CloseRequest { .. } => Payload::CloseResponse {
-            status: Status::Failed,
-        },
-        Payload::MemAlloc { .. } => Payload::MemAllocResponse {
-            status: Status::Failed,
-            region: 0,
-        },
-        Payload::MemFree { .. } => Payload::MemFreeResponse {
-            status: Status::Failed,
-        },
-        Payload::Share { .. } => Payload::ShareResponse {
-            status: Status::Failed,
-        },
-        Payload::RegisterController { .. } | Payload::MapInstruction { .. } => Payload::BusAck {
-            status: Status::Failed,
-        },
-        _ => return None,
-    })
-}
-
-fn perms_from_bits(bits: u8) -> Perms {
-    let mut p = Perms::NONE;
-    if bits & 1 != 0 {
-        p = p.union(Perms::R);
-    }
-    if bits & 2 != 0 {
-        p = p.union(Perms::W);
-    }
-    if bits & 4 != 0 {
-        p = p.union(Perms::X);
-    }
-    p
 }
 
 use lastcpu_snap::{Checkpoint, Manifest, SnapError, SnapWriter, Snapshot as _};
@@ -2101,10 +2040,13 @@ impl System {
             w.put_u64(l.busy_until.as_nanos());
             w.put_u64(l.per_byte_ps);
         });
-        let mut tp: Vec<u32> = self.tunnel_ports.iter().map(|p| p.0).collect();
-        tp.sort_unstable();
-        w.put_len(tp.len());
-        for p in tp {
+        let tunnel_ports = || {
+            (1u32..)
+                .zip(&self.port_owners)
+                .filter(|(_, o)| matches!(o, PortOwner::Tunnel))
+        };
+        w.put_len(tunnel_ports().count());
+        for (p, _) in tunnel_ports() {
             w.put_u32(p);
         }
         w.put_len(self.tunnel_out.len());
@@ -2667,5 +2609,104 @@ mod tests {
         sys.power_on();
         let n = sys.run_for(SimDuration::from_millis(1));
         assert!(n > 0);
+    }
+
+    /// A device that, once registered, aims every kind of id-carrying
+    /// action at ids and ports the machine never handed out.
+    struct Hostile {
+        port: Option<PortId>,
+        bounces: Vec<DeviceId>,
+    }
+
+    const UNKNOWN_DEVICES: [DeviceId; 3] = [DeviceId(9_999), DeviceId::BUS, DeviceId(u32::MAX)];
+    const UNKNOWN_PORTS: [PortId; 3] = [PortId(0), PortId(77), PortId(u32::MAX - 1)];
+
+    impl Device for Hostile {
+        fn name(&self) -> &str {
+            "hostile0"
+        }
+        fn kind(&self) -> &str {
+            "hostile"
+        }
+        fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
+            ctx.send_bus(
+                Dst::Bus,
+                Payload::Hello {
+                    name: "hostile0".into(),
+                    kind: "hostile".into(),
+                },
+            );
+        }
+        fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
+            match env.payload {
+                Payload::HelloAck { .. } => {
+                    self.port = ctx.port;
+                    for (i, to) in UNKNOWN_DEVICES.into_iter().enumerate() {
+                        ctx.send_bus_with_req(
+                            Dst::Device(to),
+                            RequestId(100 + i as u64),
+                            Payload::Heartbeat,
+                        );
+                        ctx.doorbell(to, lastcpu_bus::ConnId(1), 1);
+                    }
+                    if let Some(src) = ctx.port {
+                        for dst in UNKNOWN_PORTS {
+                            ctx.net_tx(Frame::unicast(src, dst, b"x".to_vec()));
+                        }
+                    }
+                }
+                Payload::ErrorNotify {
+                    code: lastcpu_bus::ErrorCode::DeviceFailed,
+                    ..
+                } => self.bounces.push(UNKNOWN_DEVICES[env.req.0 as usize - 100]),
+                _ => {}
+            }
+        }
+        fn on_timer(&mut self, _ctx: &mut DeviceCtx<'_>, _token: u64) {}
+    }
+
+    /// Ids are indices, and devices write them: every unknown one takes the
+    /// path it always took — bounce, drop, or the switch's `dropped` counter.
+    #[test]
+    fn ids_never_handed_out_bounce_or_drop() {
+        let mut sys = System::new(SystemConfig {
+            trace: true,
+            ..SystemConfig::default()
+        });
+        sys.add_memctl("memctl0");
+        let h = sys.add_net_device(Box::new(Hostile {
+            port: None,
+            bounces: Vec::new(),
+        }));
+        struct Bystander;
+        impl NetHost for Bystander {
+            fn name(&self) -> &str {
+                "bystander"
+            }
+            fn on_start(&mut self, _ctx: &mut HostCtx<'_>) {}
+            fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, _frame: Frame) {
+                panic!("no frame was addressed to the host");
+            }
+        }
+        let host_port = sys.add_host(Box::new(Bystander));
+        sys.power_on();
+        sys.run_for(SimDuration::from_millis(1));
+        let dev: &Hostile = sys.device_as(h).unwrap();
+        assert!(dev.port.is_some());
+        assert_eq!(dev.bounces, UNKNOWN_DEVICES);
+        assert_eq!(
+            sys.stats().counter("system.doorbells"),
+            UNKNOWN_DEVICES.len() as u64
+        );
+        assert_eq!(sys.switch.stats().dropped, UNKNOWN_PORTS.len() as u64);
+        assert_eq!(sys.switch.stats().forwarded, 0);
+        for id in UNKNOWN_DEVICES {
+            assert_eq!(sys.port_of(id), None);
+        }
+        assert!(sys.host_as::<Bystander>(host_port).is_some());
+        for port in UNKNOWN_PORTS.into_iter().chain(dev.port) {
+            assert!(sys.host_as::<Bystander>(port).is_none());
+        }
+        assert_eq!(sys.bus().alive().count(), 2, "nobody was taken down");
     }
 }

@@ -119,11 +119,6 @@ impl AuthDevice {
     pub fn secret(&self) -> u64 {
         self.secret
     }
-
-    /// `(successful, failed)` login counts.
-    pub fn login_counts(&self) -> (u64, u64) {
-        (self.logins_ok, self.logins_failed)
-    }
 }
 
 impl Device for AuthDevice {

@@ -168,15 +168,6 @@ impl<'a> DeviceCtx<'a> {
         }
     }
 
-    /// A payload buffer initialized with a copy of `src` (pooled when a
-    /// pool is attached).
-    pub fn take_buf_copy(&self, src: &[u8]) -> Bytes {
-        match self.pool {
-            Some(p) => p.take_copy(src),
-            None => src.into(),
-        }
-    }
-
     /// Consumes the context, returning queued actions, accumulated cost and
     /// faults. Called by the simulator only.
     pub fn finish(self) -> (Vec<Action>, SimDuration, Vec<IommuFault>) {

@@ -462,17 +462,6 @@ impl SmartSsd {
         self.conns.get(&conn).map_or(0, |c| c.served)
     }
 
-    /// Debug snapshot: `(conn, peer, served, queued_for_service)` rows.
-    pub fn debug_conns(&self) -> Vec<(u64, u32, u64, bool)> {
-        let mut v: Vec<_> = self
-            .conns
-            .iter()
-            .map(|(c, s)| (c.0, s.peer.0, s.served, self.work.contains(c)))
-            .collect();
-        v.sort();
-        v
-    }
-
     fn export_file(&mut self, path: &str) -> ServiceId {
         let id = ServiceId(self.next_file_svc);
         self.next_file_svc += 1;

@@ -1,12 +1,10 @@
 //! The rack fabric: N machines, one clock, modeled inter-machine links.
 
-use std::collections::HashMap;
-
 use lastcpu_core::{System, TunnelDelivery};
 use lastcpu_net::{Frame, NetCostModel, PortId};
 use lastcpu_sim::{
-    profile, CorrId, CounterHandle, EventQueue, FaultEvent, FaultKind, FaultPlan, GaugeHandle,
-    MetricsHub, SimDuration, SimTime, TraceData, TraceSink,
+    profile, CorrId, CounterHandle, DetHashMap, EventQueue, FaultEvent, FaultKind, FaultPlan,
+    GaugeHandle, MetricsHub, SimDuration, SimTime, TraceData, TraceSink,
 };
 
 use crate::proto::{DirEndpoint, DirMsg};
@@ -91,9 +89,9 @@ struct MachineSlot {
     sys: System,
     dead: bool,
     /// Proxy ports on this machine's edge switch, by remote peer.
-    proxy: HashMap<RemotePeer, PortId>,
+    proxy: DetHashMap<RemotePeer, PortId>,
     /// Reverse map: local tunnel port -> the remote peer it represents.
-    proxy_rev: HashMap<PortId, RemotePeer>,
+    proxy_rev: DetHashMap<PortId, RemotePeer>,
     /// Tunnel port answering in-band directory queries.
     dir_port: PortId,
     faults: LinkFaults,
@@ -193,7 +191,7 @@ pub struct Fabric {
     /// Per-(src, dst) traffic coalesced inside the current barrier and
     /// flushed to the metric counters once per window, so counter-handle
     /// traffic stays flat as machine count (and frames per window) grows.
-    pair_scratch: HashMap<(u32, u32), (u64, u64)>,
+    pair_scratch: DetHashMap<(u32, u32), (u64, u64)>,
     /// Flush scratch for `pair_scratch` (sorted for a deterministic, if
     /// commutative, flush order), reused across windows.
     pair_flush: Vec<((u32, u32), (u64, u64))>,
@@ -243,7 +241,7 @@ impl Fabric {
             faults: Vec::new(),
             fault_cursor: 0,
             merge_scratch: Vec::new(),
-            pair_scratch: HashMap::new(),
+            pair_scratch: DetHashMap::default(),
             pair_flush: Vec::new(),
             metrics,
             trace,
@@ -319,8 +317,8 @@ impl Fabric {
             name: name.into(),
             sys,
             dead: false,
-            proxy: HashMap::new(),
-            proxy_rev: HashMap::new(),
+            proxy: DetHashMap::default(),
+            proxy_rev: DetHashMap::default(),
             dir_port,
             faults: LinkFaults::default(),
             link_bytes,
@@ -343,11 +341,6 @@ impl Fabric {
     /// event inside [`run_until`](Self::run_until).
     pub fn machine_mut(&mut self, m: MachineId) -> &mut System {
         &mut self.machines[m.0 as usize].sys
-    }
-
-    /// The machine's name.
-    pub fn machine_name(&self, m: MachineId) -> &str {
-        &self.machines[m.0 as usize].name
     }
 
     /// Whether the machine has been killed.

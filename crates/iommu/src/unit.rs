@@ -326,11 +326,6 @@ impl Iommu {
         &self.cost
     }
 
-    /// Modelled cost of one invalidation command.
-    pub fn invalidate_cost(&self) -> SimDuration {
-        self.cost.invalidate
-    }
-
     /// Total pages mapped across all PASIDs.
     pub fn mapped_pages(&self) -> u64 {
         self.tables.values().map(|t| t.mapped_pages()).sum()

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use lastcpu_bus::{DeviceId, Token};
 use lastcpu_devices::device::DeviceCtx;
 use lastcpu_devices::monitor::{Monitor, MonitorEvent};
-use lastcpu_devices::session::{FileSession, SessionEvent, SessionState};
+use lastcpu_devices::session::{FileSession, SessionEvent};
 use lastcpu_devices::ssd::{FileOp, FileStatus, DOORBELL_WORK};
 use lastcpu_mem::Pasid;
 use lastcpu_net::PortId;
@@ -863,11 +863,6 @@ impl KvsServer {
         } else if self.state == ServerState::Ready && !self.backlog.is_empty() {
             self.pump(ctx, out);
         }
-    }
-
-    /// Whether the underlying session is healthy.
-    pub fn session_state(&self) -> Option<SessionState> {
-        self.session.as_ref().map(|s| s.state())
     }
 
     fn note_unavailable(&mut self) {

@@ -33,9 +33,6 @@ pub struct Pasid(pub u32);
 macro_rules! addr_impl {
     ($t:ident, $prefix:expr) => {
         impl $t {
-            /// The null address.
-            pub const NULL: $t = $t(0);
-
             /// Constructs from a raw value.
             pub const fn new(v: u64) -> Self {
                 $t(v)

@@ -1,12 +1,12 @@
 //! The memory-controller state machine.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use lastcpu_bus::{
     CorrId, DeviceId, Dst, Envelope, MapOp, Payload, RequestId, ResourceKind, Status,
 };
 use lastcpu_mem::{FrameAllocator, PAGE_SHIFT, PAGE_SIZE};
+use lastcpu_sim::DetHashMap;
 
 /// One share of a region into another device's address space.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,9 +94,11 @@ pub struct MemCtlStats {
 pub struct MemoryController {
     id: DeviceId,
     frames: FrameAllocator,
-    regions: HashMap<u64, Region>,
+    regions: DetHashMap<u64, Region>,
     next_region: u64,
-    usage: HashMap<DeviceId, u64>,
+    /// Bytes each device has allocated, sorted by device; a device is
+    /// listed from its first allocation on.
+    usage: Vec<(DeviceId, u64)>,
     config: MemCtlConfig,
     stats: MemCtlStats,
     next_req: u64,
@@ -114,9 +116,9 @@ impl MemoryController {
         MemoryController {
             id,
             frames: FrameAllocator::new(dram_bytes >> PAGE_SHIFT),
-            regions: HashMap::new(),
+            regions: DetHashMap::default(),
             next_region: 1,
-            usage: HashMap::new(),
+            usage: Vec::new(),
             config,
             stats: MemCtlStats::default(),
             next_req: 1,
@@ -282,7 +284,7 @@ impl MemoryController {
         let pages = bytes.div_ceil(PAGE_SIZE);
         let rounded = pages * PAGE_SIZE;
         if let Some(quota) = self.config.per_device_quota {
-            let used = self.usage.get(&from).copied().unwrap_or(0);
+            let used = self.usage_slot(from).map_or(0, |i| self.usage[i].1);
             if used + rounded > quota {
                 self.stats.denials += 1;
                 self.respond(
@@ -328,7 +330,10 @@ impl MemoryController {
                 shares: Vec::new(),
             },
         );
-        *self.usage.entry(from).or_insert(0) += rounded;
+        match self.usage_slot(from) {
+            Ok(i) => self.usage[i].1 += rounded,
+            Err(i) => self.usage.insert(i, (from, rounded)),
+        }
         self.stats.allocs += 1;
         self.stats.bytes_in_use += rounded;
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.bytes_in_use);
@@ -402,8 +407,8 @@ impl MemoryController {
         // Cannot fail: the frame came from this allocator.
         let _ = self.frames.free(r.first_frame);
         let rounded = r.bytes();
-        if let Some(u) = self.usage.get_mut(&r.owner) {
-            *u = u.saturating_sub(rounded);
+        if let Ok(i) = self.usage_slot(r.owner) {
+            self.usage[i].1 = self.usage[i].1.saturating_sub(rounded);
         }
         self.stats.bytes_in_use = self.stats.bytes_in_use.saturating_sub(rounded);
     }
@@ -495,6 +500,11 @@ impl MemoryController {
         );
     }
 
+    /// Position of `device` in `usage`, or where it would be inserted.
+    fn usage_slot(&self, device: DeviceId) -> Result<usize, usize> {
+        self.usage.binary_search_by_key(&device, |&(d, _)| d)
+    }
+
     /// Reclaims everything owned by a failed device and revokes the
     /// mappings its regions induced in surviving devices (§4 "Error
     /// Handling": the failure of one device must not strand memory).
@@ -578,12 +588,10 @@ impl lastcpu_snap::Snapshot for MemoryController {
                 w.put_u8(s.perms);
             }
         }
-        let mut usage: Vec<_> = self.usage.iter().map(|(d, b)| (d.0, *b)).collect();
-        usage.sort_unstable();
-        w.put_len(usage.len());
-        for (d, b) in usage {
-            w.put_u32(d);
-            w.put_u64(b);
+        w.put_len(self.usage.len());
+        for (d, b) in &self.usage {
+            w.put_u32(d.0);
+            w.put_u64(*b);
         }
     }
 }
@@ -604,7 +612,7 @@ impl lastcpu_snap::Restore for MemoryController {
         self.stats.peak_bytes = r.u64()?;
         self.stats.reclaimed = r.u64()?;
         let n = r.len()?;
-        self.regions = HashMap::with_capacity(n);
+        self.regions = DetHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let id = r.u64()?;
             let owner = DeviceId(r.u32()?);
@@ -638,11 +646,14 @@ impl lastcpu_snap::Restore for MemoryController {
             );
         }
         let n = r.len()?;
-        self.usage = HashMap::with_capacity(n);
+        self.usage = Vec::with_capacity(n);
         for _ in 0..n {
             let d = DeviceId(r.u32()?);
             let b = r.u64()?;
-            self.usage.insert(d, b);
+            if self.usage.last().is_some_and(|&(prev, _)| prev >= d) {
+                return Err(r.corrupt(format!("usage list not sorted at {d}")));
+            }
+            self.usage.push((d, b));
         }
         Ok(())
     }

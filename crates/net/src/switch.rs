@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use lastcpu_sim::{DetHashMap, SimDuration, SimTime};
+use lastcpu_sim::{SimDuration, SimTime};
 
 use crate::Frame;
 
@@ -69,9 +69,11 @@ pub struct SwitchStats {
 /// `max(arrival, port_busy_until)`, so a hot destination queues — this is
 /// the congestion that the isolation experiment (E3) measures.
 pub struct Switch {
-    ports: Vec<PortId>,
-    next_port: u32,
-    busy_until: DetHashMap<PortId, SimTime>,
+    /// When each egress port becomes idle, `None` until it has carried a
+    /// frame. Ids are indices: [`Switch::add_port`] is the only allocator,
+    /// hands out `1, 2, …` and never removes a port, so port `p` sits at
+    /// `p.0 - 1`.
+    busy_until: Vec<Option<SimTime>>,
     cost: NetCostModel,
     stats: SwitchStats,
 }
@@ -86,9 +88,7 @@ impl Switch {
     /// An empty switch with the default cost model.
     pub fn new() -> Self {
         Switch {
-            ports: Vec::new(),
-            next_port: 1,
-            busy_until: DetHashMap::default(),
+            busy_until: Vec::new(),
             cost: NetCostModel::default(),
             stats: SwitchStats::default(),
         }
@@ -112,24 +112,26 @@ impl Switch {
 
     /// Registers a new port and returns its id.
     pub fn add_port(&mut self) -> PortId {
-        let p = PortId(self.next_port);
-        self.next_port += 1;
-        self.ports.push(p);
-        p
+        self.busy_until.push(None);
+        PortId(self.busy_until.len() as u32)
     }
 
-    /// Whether `p` is a registered port.
+    /// Whether `p` is a registered port. Frame destinations are written by
+    /// endpoints that may be hostile: 0, [`PortId::BROADCAST`] and ids never
+    /// handed out are not ports.
     pub fn has_port(&self, p: PortId) -> bool {
-        self.ports.contains(&p)
+        (1..=self.busy_until.len()).contains(&(p.0 as usize))
     }
 
     /// Queues `wire` bytes on egress `port` (ingress serialization + switch
     /// latency already folded into `at_switch`) and returns the delivery time.
+    ///
+    /// `port` must satisfy [`Switch::has_port`].
     fn egress(&mut self, at_switch: SimTime, port: PortId, wire: u64) -> SimTime {
         let tx_time = self.cost.serialize(wire);
-        let start = (*self.busy_until.entry(port).or_insert(SimTime::ZERO)).max(at_switch);
-        let egress_done = start + tx_time;
-        self.busy_until.insert(port, egress_done);
+        let busy = &mut self.busy_until[port.0 as usize - 1];
+        let egress_done = busy.unwrap_or(SimTime::ZERO).max(at_switch) + tx_time;
+        *busy = Some(egress_done);
         self.stats.forwarded += 1;
         self.stats.bytes += wire;
         egress_done + self.cost.propagation
@@ -166,25 +168,22 @@ impl Switch {
                 None => Vec::new(),
             };
         }
-        let recipients: Vec<PortId> = self
-            .ports
-            .iter()
-            .copied()
-            .filter(|&p| p != frame.src)
-            .collect();
         let wire = frame.wire_len();
-        let mut out = Vec::with_capacity(recipients.len());
-        for port in recipients {
-            let at_switch = now + self.cost.serialize(wire) + self.cost.switch_latency;
-            let deliver = self.egress(at_switch, port, wire);
-            out.push((port, deliver));
+        let at_switch = now + self.cost.serialize(wire) + self.cost.switch_latency;
+        let n = self.busy_until.len();
+        let mut out = Vec::with_capacity(n);
+        for port in (1..=n as u32).map(PortId).filter(|&p| p != frame.src) {
+            out.push((port, self.egress(at_switch, port, wire)));
         }
         out
     }
 
     /// The time egress port `p` becomes idle (for queue-depth metrics).
     pub fn port_busy_until(&self, p: PortId) -> SimTime {
-        self.busy_until.get(&p).copied().unwrap_or(SimTime::ZERO)
+        (p.0 as usize)
+            .checked_sub(1)
+            .and_then(|i| *self.busy_until.get(i)?)
+            .unwrap_or(SimTime::ZERO)
     }
 }
 
@@ -193,7 +192,7 @@ impl fmt::Debug for Switch {
         write!(
             f,
             "Switch(ports={}, forwarded={}, dropped={})",
-            self.ports.len(),
+            self.busy_until.len(),
             self.stats.forwarded,
             self.stats.dropped
         )
@@ -229,21 +228,20 @@ impl lastcpu_snap::Snapshot for Switch {
         w.put_u64(self.stats.forwarded);
         w.put_u64(self.stats.dropped);
         w.put_u64(self.stats.bytes);
-        w.put_u32(self.next_port);
-        w.put_len(self.ports.len());
-        for p in &self.ports {
-            w.put_u32(p.0);
-        }
-        let mut busy: Vec<_> = self
-            .busy_until
-            .iter()
-            .map(|(p, t)| (p.0, t.as_nanos()))
-            .collect();
-        busy.sort_unstable();
-        w.put_len(busy.len());
-        for (p, t) in busy {
+        // The next id `add_port` would hand out, then the ports in order.
+        let n = self.busy_until.len();
+        w.put_u32(n as u32 + 1);
+        w.put_len(n);
+        for p in 1..=n as u32 {
             w.put_u32(p);
-            w.put_u64(t);
+        }
+        // Only ports that have carried a frame are listed.
+        w.put_len(self.busy_until.iter().flatten().count());
+        for (i, t) in self.busy_until.iter().enumerate() {
+            if let Some(t) = t {
+                w.put_u32(i as u32 + 1);
+                w.put_u64(t.as_nanos());
+            }
         }
     }
 }
@@ -256,18 +254,29 @@ impl lastcpu_snap::Restore for Switch {
         self.stats.forwarded = r.u64()?;
         self.stats.dropped = r.u64()?;
         self.stats.bytes = r.u64()?;
-        self.next_port = r.u32()?;
+        // Ids are indices, so the port list must read exactly 1..=n.
+        let next_port = r.u32()?;
         let n = r.len()?;
-        self.ports = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.ports.push(PortId(r.u32()?));
+        if next_port as usize != n + 1 {
+            return Err(r.corrupt(format!("{n} ports but next port id {next_port}")));
         }
-        let n = r.len()?;
-        self.busy_until = DetHashMap::default();
-        for _ in 0..n {
-            let p = PortId(r.u32()?);
+        for i in 0..n {
+            let p = r.u32()?;
+            if p as usize != i + 1 {
+                return Err(r.corrupt(format!("port list has port {p} at position {i}")));
+            }
+        }
+        self.busy_until = vec![None; n];
+        for _ in 0..r.len()? {
+            let p = r.u32()?;
             let t = SimTime::from_nanos(r.u64()?);
-            self.busy_until.insert(p, t);
+            match (p as usize)
+                .checked_sub(1)
+                .and_then(|i| self.busy_until.get_mut(i))
+            {
+                Some(busy) => *busy = Some(t),
+                None => return Err(r.corrupt(format!("busy-until for unknown port {p}"))),
+            }
         }
         Ok(())
     }
@@ -378,5 +387,98 @@ mod tests {
         sw.route(SimTime::ZERO, &frame(a, PortId::BROADCAST, 10));
         assert_eq!(sw.stats().forwarded, 2);
         assert!(sw.stats().bytes > 0);
+    }
+
+    /// Frame destinations are written by endpoints: ids the switch never
+    /// handed out are dropped and counted, whatever their value.
+    #[test]
+    fn frames_to_ids_never_handed_out_are_dropped() {
+        let mut sw = Switch::new();
+        let a = sw.add_port();
+        let hostile = [PortId(0), PortId(2), PortId(u32::MAX - 1)];
+        for dst in hostile {
+            assert!(!sw.has_port(dst));
+            assert_eq!(sw.route_unicast(SimTime::ZERO, &frame(a, dst, 64)), None);
+            assert_eq!(sw.port_busy_until(dst), SimTime::ZERO);
+        }
+        assert!(!sw.has_port(PortId::BROADCAST));
+        assert_eq!(sw.stats().dropped, hostile.len() as u64);
+        assert_eq!(sw.stats().forwarded, 0);
+    }
+
+    /// Three ports, of which only the second has carried a frame.
+    fn used_switch() -> Switch {
+        let mut sw = Switch::new();
+        let a = sw.add_port();
+        let b = sw.add_port();
+        sw.add_port();
+        sw.route(SimTime::ZERO, &frame(a, b, 100));
+        sw
+    }
+
+    fn restored(bytes: &[u8]) -> lastcpu_snap::Result<Switch> {
+        use lastcpu_snap::Restore as _;
+        let mut sw = Switch::new();
+        sw.restore(&mut lastcpu_snap::SnapReader::new("switch", bytes))?;
+        Ok(sw)
+    }
+
+    #[test]
+    fn snapshot_restores_to_the_same_bytes() {
+        use lastcpu_snap::Snapshot as _;
+        let sw = used_switch();
+        let bytes = sw.snapshot_bytes();
+        let mut back = restored(&bytes).expect("restores");
+        assert_eq!(back.snapshot_bytes(), bytes);
+        assert_eq!(
+            back.port_busy_until(PortId(2)),
+            sw.port_busy_until(PortId(2))
+        );
+        assert_eq!(back.add_port(), PortId(4));
+    }
+
+    /// Byte offset of the port list's length in a switch snapshot: three
+    /// cost words, three counters, the next port id.
+    const PORTS_AT: usize = 6 * 8 + 4;
+
+    #[test]
+    fn restore_rejects_ports_that_are_not_one_to_n() {
+        use lastcpu_snap::Snapshot as _;
+        let good = used_switch().snapshot_bytes();
+        assert_eq!(good[PORTS_AT], 3);
+        // Second port claims to be port 7.
+        let mut bytes = good.clone();
+        bytes[PORTS_AT + 8 + 4] = 7;
+        let err = restored(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, lastcpu_snap::SnapError::Corrupt { detail, .. } if detail.contains("port 7 at position 1")),
+            "{err:?}"
+        );
+        // The next port id disagrees with the port count.
+        let mut bytes = good;
+        bytes[PORTS_AT - 4] = 9;
+        let err = restored(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, lastcpu_snap::SnapError::Corrupt { detail, .. } if detail.contains("next port id 9")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_busy_entry_for_an_unknown_port() {
+        use lastcpu_snap::Snapshot as _;
+        let mut bytes = used_switch().snapshot_bytes();
+        // After the three port ids: a one-entry busy list naming port 2.
+        let busy = PORTS_AT + 8 + 3 * 4;
+        assert_eq!(bytes[busy], 1);
+        assert_eq!(bytes[busy + 8], 2);
+        for unknown in [0, 4] {
+            bytes[busy + 8] = unknown;
+            let err = restored(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, lastcpu_snap::SnapError::Corrupt { detail, .. } if detail.contains("unknown port")),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -25,14 +25,12 @@
 //! `Iommu::probe` oracle, and victim-state comparison against a no-attacker
 //! control run.
 
-use std::collections::HashMap;
-
 use lastcpu_bus::{
     DeviceId, Dst, Envelope, Payload, RequestId, ResourceKind, ServiceDesc, ServiceId, Status,
 };
 use lastcpu_devices::device::{Device, DeviceCtx};
 use lastcpu_mem::{Pasid, VirtAddr};
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{DetHashMap, SimDuration};
 
 use crate::plan::{AttackEvent, AttackKind, AttackPlan};
 
@@ -148,7 +146,7 @@ pub struct MaliciousDevice {
     /// Sorted schedule; index = timer token.
     events: Vec<AttackEvent>,
     stats: [AttackStats; AttackKind::ALL.len()],
-    pending: HashMap<RequestId, Pending>,
+    pending: DetHashMap<RequestId, Pending>,
     /// Services learned from discovery (replayed/shadowed by `SsdpSpoof`).
     observed: Vec<(DeviceId, ServiceDesc)>,
     next_service_id: u16,
@@ -169,7 +167,7 @@ impl MaliciousDevice {
             targets,
             events,
             stats: Default::default(),
-            pending: HashMap::new(),
+            pending: DetHashMap::default(),
             observed: Vec::new(),
             next_service_id: 0x6660,
             spoof_armed: false,
@@ -200,11 +198,6 @@ impl MaliciousDevice {
             t.acked_ok += s.acked_ok;
         }
         t
-    }
-
-    /// Services the attacker has learned about via discovery.
-    pub fn observed_services(&self) -> impl Iterator<Item = &ServiceDesc> {
-        self.observed.iter().map(|(_, s)| s)
     }
 
     /// The schedule this device executes.

@@ -15,8 +15,8 @@
 //! - [`DetRng`]: a seeded, splittable random number generator. Two runs with
 //!   the same seed produce identical traces. [`Zipf`] draws skewed ranks
 //!   from one in O(1).
-//! - [`stats`]: counters and log-bucketed latency histograms used by the
-//!   benchmark harness to report percentiles.
+//! - [`stats`]: the log-bucketed latency histogram the benchmark harness
+//!   reports percentiles from.
 //! - [`trace`] / [`record`]: a structured trace sink of typed records
 //!   carrying causal correlation ids (e.g. the seven steps of the paper's
 //!   Figure 2 initialization sequence reconstruct as one span).
@@ -61,6 +61,6 @@ pub use profile::{AllocScope, ProfileSnapshot};
 pub use queue::{EventQueue, ScheduledEvent};
 pub use record::{CorrId, TraceData, TraceRecord};
 pub use rng::{DetRng, Zipf};
-pub use stats::{Counter, Histogram, StatsRegistry};
+pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceSink;

@@ -104,9 +104,8 @@ struct HubInner {
 
 /// Shared, hierarchical registry of counters, gauges, and histograms.
 ///
-/// Method names are a superset of the older `StatsRegistry`, so call sites
-/// recording by string key (`incr`, `add`, `record`, `counter`, `histogram`)
-/// keep their spelling; interior mutability means recording needs only `&self`.
+/// Call sites record by string key (`incr`, `add`, `record`, `counter`,
+/// `histogram`); interior mutability means recording needs only `&self`.
 #[derive(Clone, Default)]
 pub struct MetricsHub {
     inner: Rc<RefCell<HubInner>>,
@@ -176,11 +175,6 @@ impl MetricsHub {
     /// Sets the gauge named `key`.
     pub fn gauge_set(&self, key: &str, v: i64) {
         self.gauge_handle(key).set(v);
-    }
-
-    /// Moves the gauge named `key` by `delta`.
-    pub fn gauge_add(&self, key: &str, delta: i64) {
-        self.gauge_handle(key).add(delta);
     }
 
     /// Records a duration into histogram `key`, creating it on first use.

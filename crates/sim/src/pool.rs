@@ -4,8 +4,8 @@
 //! allocs/event to frame-delivery payload buffers: every request/response
 //! hop materialized a fresh `Vec<u8>` (encode), cloned it through the switch
 //! (route), and dropped it after decode. [`BufPool`] breaks that cycle with
-//! a thread-safe free-list of reusable byte buffers, and [`Bytes`] is the
-//! payload handle that returns its storage to the pool on drop.
+//! a free-list of reusable byte buffers, and [`Bytes`] is the payload handle
+//! that returns its storage to the pool on drop.
 //!
 //! Design rules that keep the simulator deterministic:
 //!
@@ -15,9 +15,9 @@
 //! - A pool is owned by one simulated machine and only touched from its
 //!   (serialized) event execution, so the take/return sequence — and with
 //!   it the *allocation count* observed by the E9 profiler — is identical
-//!   across runs. The free-list sits behind a `Mutex` so a [`Bytes`] stays
-//!   `Send` and may be dropped on any thread; the simulator itself only
-//!   ever touches a pool from the one thread that steps its machine.
+//!   across runs. A machine holds `Rc` metric handles and never leaves the
+//!   thread that steps it, so the pool is `Rc` + `Cell` state and a
+//!   [`Bytes`] is `!Send` with it.
 //! - Unpooled `Bytes` (built from a plain `Vec<u8>`) behave identically on
 //!   the wire: same bytes, same equality, same hashes. Pooling is a pure
 //!   storage optimization — a differential test drives the same workload
@@ -29,10 +29,10 @@
 //! class this guards) panics in tests instead of silently corrupting a
 //! buffer another owner now holds.
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Default maximum number of idle buffers a pool retains.
 const DEFAULT_MAX_FREE: usize = 1024;
@@ -54,46 +54,45 @@ pub struct PoolStats {
 }
 
 struct PoolCore {
-    free: Mutex<Vec<Vec<u8>>>,
+    free: RefCell<Vec<Vec<u8>>>,
     /// Live generation ids, kept only when tracking is enabled (tests).
-    live: Option<Mutex<Vec<u64>>>,
+    live: Option<RefCell<Vec<u64>>>,
     max_free: usize,
-    next_gen: AtomicU64,
-    taken: AtomicU64,
-    recycled: AtomicU64,
-    fresh: AtomicU64,
-    returned: AtomicU64,
-    shed: AtomicU64,
+    next_gen: Cell<u64>,
+    stats: Cell<PoolStats>,
 }
 
 impl PoolCore {
-    fn take(self: &Arc<Self>) -> Bytes {
-        let buf = self.free.lock().expect("pool free-list poisoned").pop();
-        self.taken.fetch_add(1, Ordering::Relaxed);
-        let buf = match buf {
-            Some(b) => {
-                self.recycled.fetch_add(1, Ordering::Relaxed);
-                b
+    fn count(&self, f: impl FnOnce(&mut PoolStats)) {
+        let mut s = self.stats.get();
+        f(&mut s);
+        self.stats.set(s);
+    }
+
+    fn take(self: &Rc<Self>) -> Bytes {
+        let buf = self.free.borrow_mut().pop();
+        self.count(|s| {
+            s.taken += 1;
+            match buf {
+                Some(_) => s.recycled += 1,
+                None => s.fresh += 1,
             }
-            None => {
-                self.fresh.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(256)
-            }
-        };
-        let gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
+        });
+        let gen = self.next_gen.get();
+        self.next_gen.set(gen + 1);
         if let Some(live) = &self.live {
-            live.lock().expect("pool live set poisoned").push(gen);
+            live.borrow_mut().push(gen);
         }
         Bytes {
-            buf,
-            origin: Some(Arc::clone(self)),
+            buf: buf.unwrap_or_else(|| Vec::with_capacity(256)),
+            origin: Some(Rc::clone(self)),
             gen,
         }
     }
 
     fn put_back(&self, mut buf: Vec<u8>, gen: u64) {
         if let Some(live) = &self.live {
-            let mut live = live.lock().expect("pool live set poisoned");
+            let mut live = live.borrow_mut();
             match live.iter().position(|&g| g == gen) {
                 Some(i) => {
                     live.swap_remove(i);
@@ -101,23 +100,25 @@ impl PoolCore {
                 None => panic!("pool buffer generation {gen} returned twice (use-after-recycle)"),
             }
         }
-        self.returned.fetch_add(1, Ordering::Relaxed);
-        let mut free = self.free.lock().expect("pool free-list poisoned");
-        if free.len() < self.max_free {
+        let mut free = self.free.borrow_mut();
+        let keep = free.len() < self.max_free;
+        if keep {
             buf.clear();
             free.push(buf);
-        } else {
-            self.shed.fetch_add(1, Ordering::Relaxed);
         }
+        self.count(|s| {
+            s.returned += 1;
+            s.shed += u64::from(!keep);
+        });
     }
 }
 
-/// A thread-safe free-list of reusable payload buffers.
+/// A free-list of reusable payload buffers.
 ///
-/// Cloning the handle is cheap (`Arc`); all clones share one free-list.
+/// Cloning the handle is cheap (`Rc`); all clones share one free-list.
 #[derive(Clone)]
 pub struct BufPool {
-    core: Arc<PoolCore>,
+    core: Rc<PoolCore>,
 }
 
 impl Default for BufPool {
@@ -148,17 +149,17 @@ impl BufPool {
 
     /// An empty pool retaining up to `max_free` idle buffers.
     pub fn with_capacity(max_free: usize) -> Self {
+        Self::build(max_free, None)
+    }
+
+    fn build(max_free: usize, live: Option<RefCell<Vec<u64>>>) -> Self {
         BufPool {
-            core: Arc::new(PoolCore {
-                free: Mutex::new(Vec::with_capacity(max_free.min(4096))),
-                live: None,
+            core: Rc::new(PoolCore {
+                free: RefCell::new(Vec::with_capacity(max_free.min(4096))),
+                live,
                 max_free,
-                next_gen: AtomicU64::new(1),
-                taken: AtomicU64::new(0),
-                recycled: AtomicU64::new(0),
-                fresh: AtomicU64::new(0),
-                returned: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
+                next_gen: Cell::new(1),
+                stats: Cell::default(),
             }),
         }
     }
@@ -167,10 +168,7 @@ impl BufPool {
     /// double return. Test-only instrumentation: tracking costs a search per
     /// return, so production pools leave it off.
     pub fn with_tracking(max_free: usize) -> Self {
-        let mut p = Self::with_capacity(max_free);
-        let core = Arc::get_mut(&mut p.core).expect("fresh pool is unshared");
-        core.live = Some(Mutex::new(Vec::new()));
-        p
+        Self::build(max_free, Some(RefCell::default()))
     }
 
     /// Takes an empty buffer (recycled when one is idle).
@@ -194,38 +192,24 @@ impl BufPool {
 
     /// Traffic counters.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            taken: self.core.taken.load(Ordering::Relaxed),
-            recycled: self.core.recycled.load(Ordering::Relaxed),
-            fresh: self.core.fresh.load(Ordering::Relaxed),
-            returned: self.core.returned.load(Ordering::Relaxed),
-            shed: self.core.shed.load(Ordering::Relaxed),
-        }
+        self.core.stats.get()
     }
 
     /// Idle buffers currently on the free-list.
     pub fn idle(&self) -> usize {
-        self.core
-            .free
-            .lock()
-            .expect("pool free-list poisoned")
-            .len()
+        self.core.free.borrow().len()
     }
 
     /// The next generation tag a take would stamp (checkpoint cursor).
     pub fn next_generation(&self) -> u64 {
-        self.core.next_gen.load(Ordering::Relaxed)
+        self.core.next_gen.get()
     }
 
     /// Zeroes the traffic counters (sampled-measurement windows read deltas
     /// by resetting at window boundaries). The free-list, live set, and
     /// generation cursor are untouched, so determinism is unaffected.
     pub fn reset_stats(&self) {
-        self.core.taken.store(0, Ordering::Relaxed);
-        self.core.recycled.store(0, Ordering::Relaxed);
-        self.core.fresh.store(0, Ordering::Relaxed);
-        self.core.returned.store(0, Ordering::Relaxed);
-        self.core.shed.store(0, Ordering::Relaxed);
+        self.core.stats.set(PoolStats::default());
     }
 
     /// Restores checkpointed pool state: traffic counters, the generation
@@ -240,20 +224,15 @@ impl BufPool {
     pub fn restore_state(&self, stats: PoolStats, idle: usize, next_gen: u64) {
         if let Some(live) = &self.core.live {
             assert!(
-                live.lock().expect("pool live set poisoned").is_empty(),
+                live.borrow().is_empty(),
                 "BufPool::restore_state with outstanding buffers"
             );
         }
-        let mut free = self.core.free.lock().expect("pool free-list poisoned");
+        let mut free = self.core.free.borrow_mut();
         free.clear();
         free.resize_with(idle.min(self.core.max_free), Vec::new);
-        drop(free);
-        self.core.taken.store(stats.taken, Ordering::Relaxed);
-        self.core.recycled.store(stats.recycled, Ordering::Relaxed);
-        self.core.fresh.store(stats.fresh, Ordering::Relaxed);
-        self.core.returned.store(stats.returned, Ordering::Relaxed);
-        self.core.shed.store(stats.shed, Ordering::Relaxed);
-        self.core.next_gen.store(next_gen, Ordering::Relaxed);
+        self.core.stats.set(stats);
+        self.core.next_gen.set(next_gen);
     }
 
     /// Buffers handed out and not yet returned.
@@ -270,7 +249,7 @@ impl BufPool {
 /// a pooled `Bytes` returns its storage to the owning pool.
 pub struct Bytes {
     buf: Vec<u8>,
-    origin: Option<Arc<PoolCore>>,
+    origin: Option<Rc<PoolCore>>,
     gen: u64,
 }
 
@@ -596,16 +575,6 @@ mod tests {
         let pool = BufPool::new();
         let b = pool.take_filled(0xCD, 16);
         assert_eq!(*b, *vec![0xCD; 16]);
-    }
-
-    #[test]
-    fn cross_thread_return_is_safe() {
-        let pool = BufPool::with_tracking(8);
-        let b = pool.take_copy(b"migrant");
-        let handle = std::thread::spawn(move || drop(b));
-        handle.join().unwrap();
-        assert_eq!(pool.idle(), 1);
-        assert_eq!(pool.outstanding(), 0);
     }
 
     #[test]

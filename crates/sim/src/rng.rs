@@ -65,18 +65,6 @@ impl DetRng {
         DetRng::new(z)
     }
 
-    /// The raw generator cursor for checkpointing: the four xoshiro256++
-    /// state words plus the originating seed (kept so `split` still works
-    /// after a restore).
-    pub fn raw_state(&self) -> ([u64; 4], u64) {
-        (self.state, self.seed)
-    }
-
-    /// Rebuilds a stream mid-sequence from [`DetRng::raw_state`] output.
-    pub fn from_raw_state(state: [u64; 4], seed: u64) -> Self {
-        DetRng { state, seed }
-    }
-
     /// A uniform `u64` (xoshiro256++ output function).
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;

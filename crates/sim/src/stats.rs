@@ -1,40 +1,12 @@
-//! Measurement primitives: counters and latency histograms.
+//! Measurement primitive: the latency histogram.
 //!
 //! Experiments report virtual-time latencies; a log-bucketed histogram keeps
 //! recording O(1) while still giving tight percentiles across nine decades
 //! (1 ns .. ~1 s), which covers everything from an IOTLB hit to a NAND erase.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::SimDuration;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one (saturating, so long soak runs cannot overflow-panic in
-    /// debug builds).
-    pub fn incr(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Adds `n` (saturating).
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// Number of log-spaced buckets per power of two (resolution ≈ 9%).
 const SUB_BUCKETS: usize = 8;
@@ -292,68 +264,6 @@ impl lastcpu_snap::Restore for Histogram {
     }
 }
 
-/// A named registry of counters and histograms.
-///
-/// Devices and subsystems record into the registry by string key; the bench
-/// harness reads it out to print experiment tables. Keys follow a
-/// `subsystem.object.metric` convention, e.g. `ssd0.file.read_latency`.
-#[derive(Default)]
-pub struct StatsRegistry {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl StatsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments the counter named `key`, creating it on first use.
-    pub fn incr(&mut self, key: &str) {
-        self.add(key, 1);
-    }
-
-    /// Adds `n` to the counter named `key`, creating it on first use.
-    pub fn add(&mut self, key: &str, n: u64) {
-        self.counters.entry(key.to_string()).or_default().add(n);
-    }
-
-    /// Current value of counter `key` (zero when absent).
-    pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).map_or(0, |c| c.get())
-    }
-
-    /// Records a duration into histogram `key`, creating it on first use.
-    pub fn record(&mut self, key: &str, d: SimDuration) {
-        self.histograms
-            .entry(key.to_string())
-            .or_default()
-            .record(d);
-    }
-
-    /// Looks up histogram `key`.
-    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histograms.get(key)
-    }
-
-    /// Iterates counters in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, c)| (k.as_str(), c.get()))
-    }
-
-    /// Iterates histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, h)| (k.as_str(), h))
-    }
-
-    /// Clears every metric.
-    pub fn reset(&mut self) {
-        self.counters.clear();
-        self.histograms.clear();
-    }
-}
-
 #[cfg(test)]
 mod proptests {
     use super::*;
@@ -423,14 +333,6 @@ mod proptests {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn empty_histogram_is_all_zero() {
@@ -537,17 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_saturates_at_max() {
-        let mut c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.incr();
-        assert_eq!(c.get(), u64::MAX);
-        c.incr(); // must not panic, even in debug builds
-        c.add(1_000);
-        assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
     fn zero_duration_record_lands_in_exact_bucket() {
         let mut h = Histogram::new();
         h.record(SimDuration::ZERO);
@@ -625,20 +516,6 @@ mod tests {
         assert_eq!(e.count(), a.count());
         assert_eq!(e.min(), a.min());
         assert_eq!(e.max(), a.max());
-    }
-
-    #[test]
-    fn registry_round_trips() {
-        let mut r = StatsRegistry::new();
-        r.incr("bus.msgs");
-        r.add("bus.msgs", 2);
-        r.record("op.lat", SimDuration::from_micros(5));
-        assert_eq!(r.counter("bus.msgs"), 3);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.histogram("op.lat").unwrap().count(), 1);
-        assert_eq!(r.counters().count(), 1);
-        r.reset();
-        assert_eq!(r.counter("bus.msgs"), 0);
     }
 
     #[test]

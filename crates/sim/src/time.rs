@@ -82,11 +82,6 @@ impl SimDuration {
         self.0 / 1_000
     }
 
-    /// Length in fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Saturating sum of two durations.
     pub fn saturating_add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(other.0))

@@ -519,10 +519,6 @@ impl Checkpoint {
             .ok_or_else(|| SnapError::MissingSection(tag.to_string()))
     }
 
-    pub fn has_section(&self, tag: &str) -> bool {
-        self.sections.iter().any(|(t, _)| t == tag)
-    }
-
     /// A reader over one section's body.
     pub fn reader(&self, tag: &str) -> Result<SnapReader<'_>> {
         Ok(SnapReader::new(tag, self.section(tag)?))

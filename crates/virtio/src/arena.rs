@@ -44,11 +44,6 @@ impl BufferArena {
         self.free.len()
     }
 
-    /// Total slots.
-    pub fn total_slots(&self) -> u16 {
-        self.total
-    }
-
     /// First byte past the arena.
     pub fn end(&self) -> u64 {
         self.base + self.slot_size * self.total as u64
