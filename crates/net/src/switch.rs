@@ -255,10 +255,10 @@ impl lastcpu_snap::Restore for Switch {
         self.stats.dropped = r.u64()?;
         self.stats.bytes = r.u64()?;
         // Ids are indices, so the port list must read exactly 1..=n.
-        let next_port = r.u32()?;
+        let next_id = r.u32()?;
         let n = r.len()?;
-        if next_port as usize != n + 1 {
-            return Err(r.corrupt(format!("{n} ports but next port id {next_port}")));
+        if next_id as usize != n + 1 {
+            return Err(r.corrupt(format!("{n} ports but next port id {next_id}")));
         }
         for i in 0..n {
             let p = r.u32()?;
