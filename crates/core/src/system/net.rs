@@ -50,7 +50,13 @@ impl System {
     /// Adds a switch port wired to `owner`.
     pub(super) fn add_port(&mut self, owner: PortOwner) -> PortId {
         self.port_owners.push(owner);
-        self.switch.add_port()
+        let port = self.switch.add_port();
+        assert_eq!(
+            port.0 as usize,
+            self.port_owners.len(),
+            "an owner is pushed per switch.add_port"
+        );
+        port
     }
 
     /// What switch port `port` is wired to, if it is one of this machine's.

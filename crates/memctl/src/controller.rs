@@ -1209,4 +1209,42 @@ mod tests {
             }
         ));
     }
+
+    /// The usage list is kept sorted by device so a lookup is a binary
+    /// search and the snapshot walks it as is; restore holds a snapshot to
+    /// that, after a round trip that keeps every byte.
+    #[test]
+    fn usage_list_round_trips_and_must_be_sorted() {
+        use lastcpu_snap::{Restore as _, Snapshot as _};
+        let mut c = mc();
+        let mut out = Vec::new();
+        for src in [SSD, NIC] {
+            c.handle(
+                &Envelope {
+                    src,
+                    ..alloc_env(PAGE_SIZE)
+                },
+                &mut out,
+            );
+        }
+        assert_eq!(c.usage, vec![(NIC, PAGE_SIZE), (SSD, PAGE_SIZE)]);
+        let bytes = c.snapshot_bytes();
+        let mut back = mc();
+        back.restore(&mut lastcpu_snap::SnapReader::new("memctl", &bytes))
+            .expect("restores");
+        assert_eq!(back.snapshot_bytes(), bytes);
+
+        // The list is the snapshot's tail: (u32 id, u64 bytes) per device.
+        let mut swapped = bytes.clone();
+        let tail = swapped.len() - 2 * 12;
+        swapped[tail] = SSD.0 as u8;
+        swapped[tail + 12] = NIC.0 as u8;
+        let err = mc()
+            .restore(&mut lastcpu_snap::SnapReader::new("memctl", &swapped))
+            .unwrap_err();
+        assert!(
+            matches!(&err, lastcpu_snap::SnapError::Corrupt { detail, .. } if detail.contains("not sorted")),
+            "{err:?}"
+        );
+    }
 }

@@ -120,7 +120,7 @@ impl Switch {
     /// endpoints that may be hostile: 0, [`PortId::BROADCAST`] and ids never
     /// handed out are not ports.
     pub fn has_port(&self, p: PortId) -> bool {
-        (1..=self.busy_until.len()).contains(&(p.0 as usize))
+        index_of(p).is_some_and(|i| i < self.busy_until.len())
     }
 
     /// Queues `wire` bytes on egress `port` (ingress serialization + switch
@@ -129,7 +129,7 @@ impl Switch {
     /// `port` must satisfy [`Switch::has_port`].
     fn egress(&mut self, at_switch: SimTime, port: PortId, wire: u64) -> SimTime {
         let tx_time = self.cost.serialize(wire);
-        let busy = &mut self.busy_until[port.0 as usize - 1];
+        let busy = &mut self.busy_until[index_of(port).expect("has_port")];
         let egress_done = busy.unwrap_or(SimTime::ZERO).max(at_switch) + tx_time;
         *busy = Some(egress_done);
         self.stats.forwarded += 1;
@@ -180,11 +180,15 @@ impl Switch {
 
     /// The time egress port `p` becomes idle (for queue-depth metrics).
     pub fn port_busy_until(&self, p: PortId) -> SimTime {
-        (p.0 as usize)
-            .checked_sub(1)
+        index_of(p)
             .and_then(|i| *self.busy_until.get(i)?)
             .unwrap_or(SimTime::ZERO)
     }
+}
+
+/// Table index of `p`, if it can have one: ports are numbered from 1.
+fn index_of(p: PortId) -> Option<usize> {
+    (p.0 as usize).checked_sub(1)
 }
 
 impl fmt::Debug for Switch {
@@ -268,14 +272,11 @@ impl lastcpu_snap::Restore for Switch {
         }
         self.busy_until = vec![None; n];
         for _ in 0..r.len()? {
-            let p = r.u32()?;
+            let p = PortId(r.u32()?);
             let t = SimTime::from_nanos(r.u64()?);
-            match (p as usize)
-                .checked_sub(1)
-                .and_then(|i| self.busy_until.get_mut(i))
-            {
+            match index_of(p).and_then(|i| self.busy_until.get_mut(i)) {
                 Some(busy) => *busy = Some(t),
-                None => return Err(r.corrupt(format!("busy-until for unknown port {p}"))),
+                None => return Err(r.corrupt(format!("busy-until for unknown port {}", p.0))),
             }
         }
         Ok(())
@@ -423,6 +424,18 @@ mod tests {
         Ok(sw)
     }
 
+    fn assert_corrupt(bytes: &[u8], what: &str) {
+        match restored(bytes) {
+            Err(lastcpu_snap::SnapError::Corrupt { detail, .. }) => {
+                assert!(
+                    detail.contains(what),
+                    "{detail:?} does not mention {what:?}"
+                )
+            }
+            other => panic!("expected Corrupt({what}), got {:?}", other.map(|_| ())),
+        }
+    }
+
     #[test]
     fn snapshot_restores_to_the_same_bytes() {
         use lastcpu_snap::Snapshot as _;
@@ -449,19 +462,11 @@ mod tests {
         // Second port claims to be port 7.
         let mut bytes = good.clone();
         bytes[PORTS_AT + 8 + 4] = 7;
-        let err = restored(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, lastcpu_snap::SnapError::Corrupt { detail, .. } if detail.contains("port 7 at position 1")),
-            "{err:?}"
-        );
+        assert_corrupt(&bytes, "port 7 at position 1");
         // The next port id disagrees with the port count.
         let mut bytes = good;
         bytes[PORTS_AT - 4] = 9;
-        let err = restored(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, lastcpu_snap::SnapError::Corrupt { detail, .. } if detail.contains("next port id 9")),
-            "{err:?}"
-        );
+        assert_corrupt(&bytes, "next port id 9");
     }
 
     #[test]
@@ -474,11 +479,7 @@ mod tests {
         assert_eq!(bytes[busy + 8], 2);
         for unknown in [0, 4] {
             bytes[busy + 8] = unknown;
-            let err = restored(&bytes).unwrap_err();
-            assert!(
-                matches!(&err, lastcpu_snap::SnapError::Corrupt { detail, .. } if detail.contains("unknown port")),
-                "{err:?}"
-            );
+            assert_corrupt(&bytes, "unknown port");
         }
     }
 }
