@@ -431,6 +431,7 @@ impl<A: CpuApp> Device for CpuDevice<A> {
 mod tests {
     use super::*;
     use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
+    use lastcpu_devices::firmware::Firmware;
     use lastcpu_devices::flash::{NandChip, NandConfig};
     use lastcpu_devices::fs::FlashFs;
     use lastcpu_devices::ftl::Ftl;
@@ -486,67 +487,63 @@ mod tests {
         }
     }
 
-    impl Device for BrokerClient {
+    impl Firmware for BrokerClient {
+        const KIND: &'static str = "client";
+        const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+
         fn name(&self) -> &str {
             &self.name
         }
 
-        fn kind(&self) -> &str {
-            "client"
+        fn monitor(&mut self) -> &mut Monitor {
+            &mut self.monitor
         }
 
-        fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-            let name = self.name.clone();
-            self.monitor.start(ctx, &name, "client");
-            self.monitor
-                .enable_heartbeat(ctx, SimDuration::from_millis(2));
-        }
-
-        // (Timer token 10 = retry the kernel lookup until it answers —
-        // a baseline client cannot make progress before the kernel boots.)
-
-        fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-            // Centralized discovery: a unicast lookup at the kernel.
-            if let Payload::QueryHit { device, service } = &env.payload {
-                if Some(env.req) == self.query_req && self.target.is_none() {
-                    self.target = Some((*device, service.id));
-                    // Open through the broker.
-                    let mut params = lastcpu_bus::wire::WireWriter::new();
-                    params.u32(ctx.dev.0); // our pasid
-                    let op = self.monitor.open(
-                        ctx,
-                        self.cpu,
-                        KERNEL_OPEN,
-                        Token::NONE,
-                        encode_broker_params(*device, service.id, Token::NONE, &params.finish()),
-                    );
-                    self.open_op = Some(op);
-                    return;
-                }
+        /// Centralized discovery: a unicast lookup at the kernel, answered
+        /// outside any discovery the monitor started.
+        fn intercept(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) -> bool {
+            let Payload::QueryHit { device, service } = &env.payload else {
+                return false;
+            };
+            if Some(env.req) != self.query_req || self.target.is_some() {
+                return false;
             }
-            for ev in self.monitor.handle(ctx, &env) {
-                match ev {
-                    MonitorEvent::Registered => {
-                        ctx.set_timer(SimDuration::from_micros(100), 10);
-                    }
-                    MonitorEvent::OpenDone { op, result, .. } if Some(op) == self.open_op => {
-                        match result {
-                            Ok((conn, shm, _)) => {
-                                assert!(shm > 0, "file conns demand shared memory");
-                                self.got_conn = Some(conn);
-                            }
-                            Err(_) => self.denied = true,
+            self.target = Some((*device, service.id));
+            // Open through the broker.
+            let mut params = lastcpu_bus::wire::WireWriter::new();
+            params.u32(ctx.dev.0); // our pasid
+            let op = self.monitor.open(
+                ctx,
+                self.cpu,
+                KERNEL_OPEN,
+                Token::NONE,
+                encode_broker_params(*device, service.id, Token::NONE, &params.finish()),
+            );
+            self.open_op = Some(op);
+            true
+        }
+
+        fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
+            match ev {
+                MonitorEvent::Registered => {
+                    ctx.set_timer(SimDuration::from_micros(100), 10);
+                }
+                MonitorEvent::OpenDone { op, result, .. } if Some(op) == self.open_op => {
+                    match result {
+                        Ok((conn, shm, _)) => {
+                            assert!(shm > 0, "file conns demand shared memory");
+                            self.got_conn = Some(conn);
                         }
+                        Err(_) => self.denied = true,
                     }
-                    _ => {}
                 }
+                _ => {}
             }
         }
 
+        /// Token 10 = retry the kernel lookup until it answers — a baseline
+        /// client cannot make progress before the kernel boots.
         fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-            if self.monitor.on_timer(ctx, token).is_some() {
-                return;
-            }
             if token == 10 && self.target.is_none() {
                 self.query_req = Some(ctx.send_bus(
                     Dst::Device(self.cpu),

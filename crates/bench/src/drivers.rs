@@ -3,6 +3,7 @@
 use lastcpu_baseline::{encode_broker_params, KERNEL_OPEN};
 use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload, RequestId, ServiceId, Token};
 use lastcpu_core::devices::device::{Device, DeviceCtx};
+use lastcpu_core::devices::firmware::Firmware;
 use lastcpu_core::devices::monitor::{Monitor, MonitorEvent};
 use lastcpu_core::devices::session::{FileSession, SessionEvent};
 use lastcpu_mem::{Pasid, VirtAddr, PAGE_SIZE};
@@ -214,31 +215,6 @@ impl SetupClient {
         self.memctl_hint_value
     }
 
-    fn handle_centralized(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) -> bool {
-        let ControlMode::Centralized { cpu } = self.mode else {
-            return false;
-        };
-        match (&env.payload, self.state) {
-            (Payload::QueryHit { device, service }, SetupState::Discovering)
-                if Some(env.req) == self.query_req =>
-            {
-                self.target = Some((*device, service.id));
-                self.state = SetupState::Opening;
-                let mut inner = lastcpu_bus::wire::WireWriter::new();
-                inner.u32(ctx.dev.0);
-                self.open_op = self.monitor.open(
-                    ctx,
-                    cpu,
-                    KERNEL_OPEN,
-                    Token::NONE,
-                    encode_broker_params(*device, service.id, Token::NONE, &inner.finish()),
-                );
-                true
-            }
-            _ => false,
-        }
-    }
-
     fn handle_centralized_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: &MonitorEvent) {
         let ControlMode::Centralized { cpu } = self.mode else {
             return;
@@ -307,52 +283,58 @@ impl SetupClient {
     }
 }
 
-impl Device for SetupClient {
+impl Firmware for SetupClient {
+    const KIND: &'static str = "setup-client";
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(5);
+
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn kind(&self) -> &str {
-        "setup-client"
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
     }
 
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "setup-client");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(5));
-    }
-
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        if self.handle_centralized(ctx, &env) {
-            return;
-        }
-        let events = self.monitor.handle(ctx, &env);
-        for ev in events {
-            match ev {
-                MonitorEvent::Registered => {
-                    if self.state == SetupState::Boot {
-                        self.begin_iteration(ctx);
-                    }
-                }
-                ref other => match self.mode {
-                    ControlMode::Decentralized => self.handle_decentralized(ctx, other),
-                    ControlMode::Centralized { .. } => self.handle_centralized_event(ctx, other),
-                },
+    /// Centralized mode: the kernel's unicast `QueryHit` is ours, not the
+    /// monitor's (it answers no discovery the monitor started).
+    fn intercept(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) -> bool {
+        let ControlMode::Centralized { cpu } = self.mode else {
+            return false;
+        };
+        match (&env.payload, self.state) {
+            (Payload::QueryHit { device, service }, SetupState::Discovering)
+                if Some(env.req) == self.query_req =>
+            {
+                self.target = Some((*device, service.id));
+                self.state = SetupState::Opening;
+                let mut inner = lastcpu_bus::wire::WireWriter::new();
+                inner.u32(ctx.dev.0);
+                self.open_op = self.monitor.open(
+                    ctx,
+                    cpu,
+                    KERNEL_OPEN,
+                    Token::NONE,
+                    encode_broker_params(*device, service.id, Token::NONE, &inner.finish()),
+                );
+                true
             }
+            _ => false,
+        }
+    }
+
+    fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
+        match (ev, self.mode) {
+            (MonitorEvent::Registered, _) => {
+                if self.state == SetupState::Boot {
+                    self.begin_iteration(ctx);
+                }
+            }
+            (ev, ControlMode::Decentralized) => self.handle_decentralized(ctx, &ev),
+            (ev, ControlMode::Centralized { .. }) => self.handle_centralized_event(ctx, &ev),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        if let Some(events) = self.monitor.on_timer(ctx, token) {
-            for ev in events {
-                match self.mode {
-                    ControlMode::Decentralized => self.handle_decentralized(ctx, &ev),
-                    ControlMode::Centralized { .. } => self.handle_centralized_event(ctx, &ev),
-                }
-            }
-            return;
-        }
         if token == TOKEN_RETRY {
             self.retry_timer_armed = false;
             if self.state == SetupState::Discovering && !self.is_done() {
@@ -585,29 +567,19 @@ impl Announcer {
     }
 }
 
-impl Device for Announcer {
+impl Firmware for Announcer {
+    const KIND: &'static str = "announcer";
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(5);
+
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn kind(&self) -> &str {
-        "announcer"
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
     }
 
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "announcer");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(5));
-    }
-
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        let _ = self.monitor.handle(ctx, &env);
-    }
-
-    fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        let _ = self.monitor.on_timer(ctx, token);
-    }
+    fn on_event(&mut self, _ctx: &mut DeviceCtx<'_>, _ev: MonitorEvent) {}
 }
 
 /// Runs discovery sweeps and records their latency (E7's prober).
@@ -649,12 +621,25 @@ impl DiscoverProbe {
         let pattern = self.pattern.clone();
         self.op = self.monitor.discover(ctx, &pattern);
     }
+}
 
-    fn on_ev(&mut self, ctx: &mut DeviceCtx<'_>, ev: &MonitorEvent) {
+impl Firmware for DiscoverProbe {
+    const KIND: &'static str = "discover-probe";
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(5);
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
+    }
+
+    fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
         match ev {
             // Let the announcers finish booting before the first sweep.
             MonitorEvent::Registered => ctx.set_timer(SimDuration::from_micros(200), 2),
-            MonitorEvent::DiscoveryDone { op, hits } if *op == self.op => {
+            MonitorEvent::DiscoveryDone { op, hits } if op == self.op => {
                 self.latencies
                     .push((ctx.now + ctx.elapsed()).since(self.begun));
                 self.last_hits = hits.len();
@@ -665,38 +650,8 @@ impl DiscoverProbe {
             _ => {}
         }
     }
-}
-
-impl Device for DiscoverProbe {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> &str {
-        "discover-probe"
-    }
-
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "discover-probe");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(5));
-    }
-
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        let events = self.monitor.handle(ctx, &env);
-        for ev in events {
-            self.on_ev(ctx, &ev);
-        }
-    }
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        if let Some(events) = self.monitor.on_timer(ctx, token) {
-            for ev in events {
-                self.on_ev(ctx, &ev);
-            }
-            return;
-        }
         if token == 2 && self.latencies.is_empty() {
             self.kick(ctx);
         }
@@ -773,23 +728,36 @@ impl AllocChurn {
             self.op_kind = 0;
         }
     }
+}
 
-    fn on_ev(&mut self, ctx: &mut DeviceCtx<'_>, ev: &MonitorEvent) {
+impl Firmware for AllocChurn {
+    const KIND: &'static str = "alloc-churn";
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(5);
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
+    }
+
+    fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
         match ev {
             // Let the rest of the machine finish booting (the memory
             // controller may register microseconds after us).
             MonitorEvent::Registered => ctx.set_timer(SimDuration::from_micros(200), 2),
-            MonitorEvent::AllocDone { op, result } if *op == self.op && self.op_kind == 0 => {
+            MonitorEvent::AllocDone { op, result } if op == self.op && self.op_kind == 0 => {
                 let lat = (ctx.now + ctx.elapsed()).since(self.begun);
                 self.alloc_latencies.push(lat);
                 match result {
-                    Ok(region) => self.held.push(*region),
+                    Ok(region) => self.held.push(region),
                     Err(_) => self.denials += 1,
                 }
                 self.i += 1;
                 self.step(ctx);
             }
-            MonitorEvent::FreeDone { op, .. } if *op == self.op && self.op_kind == 1 => {
+            MonitorEvent::FreeDone { op, .. } if op == self.op && self.op_kind == 1 => {
                 let lat = (ctx.now + ctx.elapsed()).since(self.begun);
                 self.free_latencies.push(lat);
                 self.i += 1;
@@ -798,38 +766,8 @@ impl AllocChurn {
             _ => {}
         }
     }
-}
-
-impl Device for AllocChurn {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> &str {
-        "alloc-churn"
-    }
-
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "alloc-churn");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(5));
-    }
-
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        let events = self.monitor.handle(ctx, &env);
-        for ev in events {
-            self.on_ev(ctx, &ev);
-        }
-    }
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        if let Some(events) = self.monitor.on_timer(ctx, token) {
-            for ev in events {
-                self.on_ev(ctx, &ev);
-            }
-            return;
-        }
         if token == 2 && self.i == 0 && self.alloc_latencies.is_empty() {
             self.step(ctx);
         }
@@ -872,14 +810,27 @@ impl DmaProbe {
     pub fn is_done(&self) -> bool {
         self.out_of_bounds_faulted.is_some()
     }
+}
 
-    fn on_ev(&mut self, ctx: &mut DeviceCtx<'_>, ev: &MonitorEvent) {
+impl Firmware for DmaProbe {
+    const KIND: &'static str = "dma-probe";
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(5);
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
+    }
+
+    fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
         match ev {
             MonitorEvent::Registered => {
                 // Let the memory controller finish booting first.
                 ctx.set_timer(SimDuration::from_micros(200), 2);
             }
-            MonitorEvent::AllocDone { op, result } if *op == self.op => {
+            MonitorEvent::AllocDone { op, result } if op == self.op => {
                 if result.is_err() {
                     self.in_bounds_ok = Some(false);
                     self.out_of_bounds_faulted = Some(false);
@@ -905,38 +856,8 @@ impl DmaProbe {
             _ => {}
         }
     }
-}
-
-impl Device for DmaProbe {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> &str {
-        "dma-probe"
-    }
-
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "dma-probe");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(5));
-    }
-
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        let events = self.monitor.handle(ctx, &env);
-        for ev in events {
-            self.on_ev(ctx, &ev);
-        }
-    }
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        if let Some(events) = self.monitor.on_timer(ctx, token) {
-            for ev in events {
-                self.on_ev(ctx, &ev);
-            }
-            return;
-        }
         if token == 2 && !self.is_done() && self.in_bounds_ok.is_none() {
             self.op =
                 self.monitor

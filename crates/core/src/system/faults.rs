@@ -1,10 +1,11 @@
 //! §4 "Error Handling" and the E4 fault matrix: taking devices down,
 //! mangling their wire, noticing silence, and bringing them back.
 //!
-//! Five sites take a device down — [`System::kill_device`], the liveness
+//! Five causes take a device down — [`System::kill_device`], the liveness
 //! sweep, the `Crash` and `Hang` faults, and `Action::Halt` in `slots` — and
 //! they differ on purpose in who clears the inbox and who forgets the
-//! device's pending RPCs; DESIGN.md §8 tabulates them.
+//! device's pending RPCs. [`System::take_down`] is the one place that does
+//! it; its `match` is DESIGN.md §8's table.
 
 use std::sync::Arc;
 
@@ -16,6 +17,20 @@ use lastcpu_sim::{CorrId, DetRng, FaultKind, SimDuration, SimTime, TraceData};
 
 use super::{DeviceHandle, Event, System};
 
+/// Why a device goes down: one row each of DESIGN.md §8's table.
+pub(super) enum TakeDown {
+    /// [`System::kill_device`], the operator's kill.
+    Kill { permanent: bool, corr: CorrId },
+    /// The liveness sweep found its heartbeat lapsed.
+    Lapsed,
+    /// `FaultKind::Crash`.
+    Crash,
+    /// `FaultKind::Hang`.
+    Hang,
+    /// The firmware's own `Action::Halt`.
+    Halt { reason: String, corr: CorrId },
+}
+
 impl System {
     /// Kills a device now. With `permanent = false` the bus's reset attempt
     /// revives it after [`crate::SystemConfig::reset_latency`]; with
@@ -24,28 +39,69 @@ impl System {
     pub fn kill_device(&mut self, h: DeviceHandle, permanent: bool) {
         let now = self.now();
         let corr = self.fresh_corr();
-        self.slots[h.idx].halted = true;
         self.slots[h.idx].permanently_dead = permanent;
-        self.slots[h.idx].inbox.clear();
-        self.mark_down(h.idx, now);
-        if let Some(rpc) = self.rpc.as_mut() {
-            rpc.tracker.forget_requester(h.id);
+        self.take_down(h.idx, now, TakeDown::Kill { permanent, corr });
+    }
+
+    /// Takes slot `idx` down at `now`. Every cause halts the device and
+    /// stamps `down_since`; what else happens is the row `how` selects.
+    pub(super) fn take_down(&mut self, idx: usize, now: SimTime, how: TakeDown) {
+        let id = self.slots[idx].id;
+        let tracing = self.trace.is_enabled();
+        let record =
+            |corr, detail: std::fmt::Arguments<'_>| tracing.then(|| (corr, detail.to_string()));
+        // (clears inbox, forgets the device's tracked RPCs, tells the bus,
+        // trace record) — DESIGN.md §8.
+        let (clear_inbox, forget_rpcs, tell_bus, record) = match how {
+            TakeDown::Kill { permanent, corr } => {
+                let detail = format_args!("device {id} killed (permanent={permanent})");
+                (true, true, true, record(corr, detail))
+            }
+            // The reset pulse clears the inbox; the bus already marked the
+            // device failed, in `check_liveness`.
+            TakeDown::Lapsed => (false, false, false, None),
+            TakeDown::Crash if self.slots[idx].permanently_dead => return,
+            // Loud: `DeviceFailed` broadcast + reset pulse, and recovery
+            // replays the Figure-2 init.
+            TakeDown::Crash => (true, true, true, None),
+            // Silent: the device just stops. Only the heartbeat liveness
+            // sweep can detect this, which is the point of the fault.
+            TakeDown::Hang => (true, false, false, None),
+            TakeDown::Halt { reason, corr } => {
+                let detail = format_args!("{id} halted: {reason}");
+                (true, false, true, record(corr, detail))
+            }
+        };
+        let slot = &mut self.slots[idx];
+        slot.halted = true;
+        if clear_inbox {
+            slot.inbox.clear();
         }
-        if self.trace.is_enabled() {
+        if slot.faults.down_since.is_none() {
+            slot.faults.down_since = Some(now);
+        }
+        if forget_rpcs {
+            if let Some(rpc) = self.rpc.as_mut() {
+                rpc.tracker.forget_requester(id);
+            }
+        }
+        if let Some((corr, detail)) = record {
             self.trace.emit_data(
                 now,
                 self.sources.fault.clone(),
                 corr,
                 TraceData::DeviceFault {
-                    device: self.slots[h.idx].id_name.clone(),
-                    detail: format!("device {} killed (permanent={permanent})", h.id),
+                    device: self.slots[idx].id_name.clone(),
+                    detail,
                 },
             );
         }
-        let mut fx = Vec::new();
-        // Cannot fail: the handle came from this system.
-        let _ = self.bus.mark_failed(h.id, &mut fx);
-        self.apply_bus_effects(now, fx);
+        if tell_bus {
+            let mut fx = Vec::new();
+            // Cannot fail: `id` is a slot of this system.
+            let _ = self.bus.mark_failed(id, &mut fx);
+            self.apply_bus_effects(now, fx);
+        }
     }
 
     /// Applies one scheduled fault-plan injection.
@@ -80,31 +136,8 @@ impl System {
                 f.delay_rem += count;
                 f.delay_extra = SimDuration::from_nanos(extra_ns.max(f.delay_extra.as_nanos()));
             }
-            FaultKind::Crash => {
-                if self.slots[idx].permanently_dead {
-                    return;
-                }
-                let id = self.slots[idx].id;
-                self.slots[idx].halted = true;
-                self.slots[idx].inbox.clear();
-                self.mark_down(idx, now);
-                if let Some(rpc) = self.rpc.as_mut() {
-                    rpc.tracker.forget_requester(id);
-                }
-                // The bus notices (DeviceFailed broadcast + reset pulse):
-                // the crash is loud, recovery replays the Figure-2 init.
-                let mut fx = Vec::new();
-                let _ = self.bus.mark_failed(id, &mut fx);
-                self.apply_bus_effects(now, fx);
-            }
-            FaultKind::Hang => {
-                // Silent: the device just stops. No bus notification — only
-                // the heartbeat liveness sweep can detect this, which is
-                // the point of the fault.
-                self.slots[idx].halted = true;
-                self.slots[idx].inbox.clear();
-                self.mark_down(idx, now);
-            }
+            FaultKind::Crash => self.take_down(idx, now, TakeDown::Crash),
+            FaultKind::Hang => self.take_down(idx, now, TakeDown::Hang),
             FaultKind::SlowDown { factor, for_ns } => {
                 let f = &mut self.slots[idx].faults;
                 f.slow_factor = factor.max(1);
@@ -217,8 +250,7 @@ impl System {
         let lapsed = self.bus.check_liveness(now, &mut fx);
         for id in lapsed {
             if let Some(idx) = self.slot_of(id) {
-                self.slots[idx].halted = true;
-                self.mark_down(idx, now);
+                self.take_down(idx, now, TakeDown::Lapsed);
             }
         }
         self.apply_bus_effects(now, fx);
@@ -238,13 +270,6 @@ impl System {
         self.slots[idx].inbox.clear();
         self.met.device_resets.incr();
         self.dispatch(idx, now, corr, |d, ctx| d.on_reset(ctx));
-    }
-
-    /// Stamps the moment a device went down, if not already down.
-    pub(super) fn mark_down(&mut self, idx: usize, now: SimTime) {
-        if self.slots[idx].faults.down_since.is_none() {
-            self.slots[idx].faults.down_since = Some(now);
-        }
     }
 
     /// Records the down-to-alive latency of a device whose `Hello` just

@@ -14,6 +14,7 @@ use lastcpu_devices::device::{Action, Device, DeviceCtx};
 use lastcpu_net::Frame;
 use lastcpu_sim::{profile, CorrId, SimTime, TraceData};
 
+use super::faults::TakeDown;
 use super::{Event, System};
 
 /// A unit of work waiting in a device's ingress FIFO.
@@ -273,26 +274,7 @@ impl System {
                 self.trace
                     .emit_data(t, name, corr, TraceData::Stage { stage, id, aux });
             }
-            Action::Halt { reason } => {
-                let id = self.slots[idx].id;
-                self.slots[idx].halted = true;
-                self.slots[idx].inbox.clear();
-                self.mark_down(idx, t);
-                if self.trace.is_enabled() {
-                    self.trace.emit_data(
-                        t,
-                        self.sources.fault.clone(),
-                        corr,
-                        TraceData::DeviceFault {
-                            device: self.slots[idx].id_name.clone(),
-                            detail: format!("{id} halted: {reason}"),
-                        },
-                    );
-                }
-                let mut fx = Vec::new();
-                let _ = self.bus.mark_failed(id, &mut fx);
-                self.apply_bus_effects(t, fx);
-            }
+            Action::Halt { reason } => self.take_down(idx, t, TakeDown::Halt { reason, corr }),
         }
     }
 

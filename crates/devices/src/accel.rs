@@ -20,10 +20,11 @@
 //! software technique "if the device contains an embedded CPU").
 
 use lastcpu_bus::wire::{WireReader, WireWriter};
-use lastcpu_bus::{ConnId, DeviceId, Envelope, ResourceKind, ServiceDesc, ServiceId, Status};
+use lastcpu_bus::{ConnId, DeviceId, ResourceKind, ServiceDesc, ServiceId, Status};
 use lastcpu_sim::{DetHashMap, SimDuration};
 
-use crate::device::{Device, DeviceCtx};
+use crate::device::DeviceCtx;
+use crate::firmware::Firmware;
 use crate::monitor::{AuthMode, Monitor, MonitorEvent};
 
 /// Service id of the fabric service.
@@ -151,7 +152,109 @@ impl Accelerator {
     }
 }
 
-impl Device for Accelerator {
+impl Firmware for Accelerator {
+    const KIND: &'static str = "fpga-accelerator";
+    const SELF_TEST: SimDuration = SimDuration::from_millis(5); // fabric configuration scan
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
+    }
+
+    fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
+        match ev {
+            MonitorEvent::OpenRequested {
+                req,
+                from,
+                principal,
+                params,
+                ..
+            } => {
+                let wanted = decode_fabric_params(&params).unwrap_or(0);
+                let admit = wanted > 0
+                    && (self.mode == ShareMode::TimeShared || wanted <= self.free_regions);
+                if wanted == 0 {
+                    self.monitor.reject_open(ctx, req, from, Status::BadRequest);
+                } else if !admit {
+                    self.stats.rejected += 1;
+                    self.monitor
+                        .reject_open(ctx, req, from, Status::NoResources);
+                } else {
+                    // Partial reconfiguration takes real time.
+                    ctx.busy(SimDuration::from_millis(2).saturating_mul(wanted as u64));
+                    self.free_regions = self.free_regions.saturating_sub(wanted);
+                    let conn = self.monitor.accept_open(
+                        ctx,
+                        req,
+                        from,
+                        FABRIC_SERVICE,
+                        principal,
+                        0,
+                        encode_fabric_params(wanted),
+                    );
+                    self.conns.insert(
+                        conn,
+                        FabricConn {
+                            peer: from,
+                            regions: wanted,
+                            jobs_done: 0,
+                        },
+                    );
+                }
+            }
+            MonitorEvent::Doorbell { conn, value } => {
+                let Some(c) = self.conns.get_mut(&conn) else {
+                    return;
+                };
+                // A job: `value` work units across the conn's regions,
+                // stretched by oversubscription when time-shared.
+                let work = value.max(1);
+                let regions = c.regions;
+                let base = self
+                    .unit_time
+                    .saturating_mul(work)
+                    .as_nanos()
+                    .div_ceil(regions as u64);
+                let stretched = (base as f64 * self.oversubscription()) as u64;
+                let c = self.conns.get_mut(&conn).expect("checked above");
+                ctx.busy(SimDuration::from_nanos(stretched));
+                c.jobs_done += 1;
+                self.stats.jobs += 1;
+                self.stats.work_units += work;
+                let job = self.next_job;
+                self.next_job += 1;
+                ctx.doorbell(c.peer, conn, DOORBELL_JOB_DONE | job);
+            }
+            MonitorEvent::PeerClosed { conn } => {
+                if let Some(c) = self.conns.remove(&conn) {
+                    self.free_regions = (self.free_regions + c.regions).min(self.total_regions);
+                }
+            }
+            MonitorEvent::PeerFailed {
+                dropped_server_conns,
+                ..
+            } => {
+                for conn in dropped_server_conns {
+                    if let Some(c) = self.conns.remove(&conn) {
+                        self.free_regions = (self.free_regions + c.regions).min(self.total_regions);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn on_reset(&mut self, ctx: &mut DeviceCtx<'_>) -> bool {
+        self.conns.clear();
+        self.free_regions = self.total_regions;
+        ctx.busy(Self::SELF_TEST);
+        true
+    }
+
     fn snapshot_state(&self, w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
         lastcpu_snap::Snapshot::snapshot(self, w);
         Ok(())
@@ -159,123 +262,6 @@ impl Device for Accelerator {
 
     fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
         lastcpu_snap::Restore::restore(self, r)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> &str {
-        "fpga-accelerator"
-    }
-
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        ctx.busy(SimDuration::from_millis(5)); // fabric configuration scan
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "fpga-accelerator");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
-    }
-
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        for ev in self.monitor.handle(ctx, &env) {
-            match ev {
-                MonitorEvent::OpenRequested {
-                    req,
-                    from,
-                    principal,
-                    params,
-                    ..
-                } => {
-                    let wanted = decode_fabric_params(&params).unwrap_or(0);
-                    let admit = wanted > 0
-                        && (self.mode == ShareMode::TimeShared || wanted <= self.free_regions);
-                    if wanted == 0 {
-                        self.monitor.reject_open(ctx, req, from, Status::BadRequest);
-                    } else if !admit {
-                        self.stats.rejected += 1;
-                        self.monitor
-                            .reject_open(ctx, req, from, Status::NoResources);
-                    } else {
-                        // Partial reconfiguration takes real time.
-                        ctx.busy(SimDuration::from_millis(2).saturating_mul(wanted as u64));
-                        self.free_regions = self.free_regions.saturating_sub(wanted);
-                        let conn = self.monitor.accept_open(
-                            ctx,
-                            req,
-                            from,
-                            FABRIC_SERVICE,
-                            principal,
-                            0,
-                            encode_fabric_params(wanted),
-                        );
-                        self.conns.insert(
-                            conn,
-                            FabricConn {
-                                peer: from,
-                                regions: wanted,
-                                jobs_done: 0,
-                            },
-                        );
-                    }
-                }
-                MonitorEvent::Doorbell { conn, value } => {
-                    let Some(c) = self.conns.get_mut(&conn) else {
-                        continue;
-                    };
-                    // A job: `value` work units across the conn's regions,
-                    // stretched by oversubscription when time-shared.
-                    let work = value.max(1);
-                    let regions = c.regions;
-                    let base = self
-                        .unit_time
-                        .saturating_mul(work)
-                        .as_nanos()
-                        .div_ceil(regions as u64);
-                    let stretched = (base as f64 * self.oversubscription()) as u64;
-                    let c = self.conns.get_mut(&conn).expect("checked above");
-                    ctx.busy(SimDuration::from_nanos(stretched));
-                    c.jobs_done += 1;
-                    self.stats.jobs += 1;
-                    self.stats.work_units += work;
-                    let job = self.next_job;
-                    self.next_job += 1;
-                    ctx.doorbell(c.peer, conn, DOORBELL_JOB_DONE | job);
-                }
-                MonitorEvent::PeerClosed { conn } => {
-                    if let Some(c) = self.conns.remove(&conn) {
-                        self.free_regions = (self.free_regions + c.regions).min(self.total_regions);
-                    }
-                }
-                MonitorEvent::PeerFailed {
-                    dropped_server_conns,
-                    ..
-                } => {
-                    for conn in dropped_server_conns {
-                        if let Some(c) = self.conns.remove(&conn) {
-                            self.free_regions =
-                                (self.free_regions + c.regions).min(self.total_regions);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        let _ = self.monitor.on_timer(ctx, token);
-    }
-
-    fn on_reset(&mut self, ctx: &mut DeviceCtx<'_>) {
-        self.conns.clear();
-        self.free_regions = self.total_regions;
-        self.monitor.reset();
-        ctx.busy(SimDuration::from_millis(5));
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "fpga-accelerator");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
     }
 }
 
@@ -341,8 +327,9 @@ impl lastcpu_snap::Restore for Accelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Device;
     use lastcpu_bus::CorrId;
-    use lastcpu_bus::{Dst, Payload, RequestId, Token};
+    use lastcpu_bus::{Dst, Envelope, Payload, RequestId, Token};
     use lastcpu_iommu::Iommu;
     use lastcpu_mem::Dram;
     use lastcpu_sim::MetricsHub;

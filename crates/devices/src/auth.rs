@@ -14,10 +14,11 @@
 //! cryptographic strength.
 
 use lastcpu_bus::wire::{WireReader, WireWriter};
-use lastcpu_bus::{Envelope, ResourceKind, ServiceDesc, ServiceId, Token};
+use lastcpu_bus::{ResourceKind, ServiceDesc, ServiceId, Token};
 use lastcpu_sim::{DetHashMap, SimDuration};
 
-use crate::device::{Device, DeviceCtx};
+use crate::device::DeviceCtx;
+use crate::firmware::Firmware;
 use crate::monitor::{AuthMode, Monitor, MonitorEvent};
 
 /// Mixes `v` with SplitMix64's finalizer.
@@ -121,81 +122,61 @@ impl AuthDevice {
     }
 }
 
-impl Device for AuthDevice {
+impl Firmware for AuthDevice {
+    const KIND: &'static str = "auth-service";
+    const SELF_TEST: SimDuration = SimDuration::from_micros(2);
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn kind(&self) -> &str {
-        "auth-service"
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
     }
 
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        ctx.busy(SimDuration::from_micros(2)); // self-test
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "auth-service");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
-    }
-
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        for ev in self.monitor.handle(ctx, &env) {
-            if let MonitorEvent::OpenRequested {
-                req, from, params, ..
-            } = ev
-            {
-                // Parse credentials.
-                let mut r = WireReader::new(&params);
-                let creds = (|| -> Option<(String, String)> {
-                    let u = r.string().ok()?;
-                    let p = r.string().ok()?;
-                    r.expect_end().ok()?;
-                    Some((u, p))
-                })();
-                ctx.busy(SimDuration::from_micros(1)); // table lookup + seal
-                let token = creds.and_then(|(user, password)| {
-                    (self.users.get(&user) == Some(&principal_id(&password)))
-                        .then(|| seal(self.secret, principal_id(&user)))
-                });
-                match token {
-                    Some(t) => {
-                        self.logins_ok += 1;
-                        let mut w = WireWriter::new();
-                        w.u128(t.0);
-                        // A login session carries no shared memory; the
-                        // token rides back in the response params.
-                        self.monitor.accept_open(
-                            ctx,
-                            req,
-                            from,
-                            LOGIN_SERVICE,
-                            None,
-                            0,
-                            w.finish(),
-                        );
-                    }
-                    None => {
-                        self.logins_failed += 1;
-                        self.monitor
-                            .reject_open(ctx, req, from, lastcpu_bus::Status::Denied);
-                    }
+    fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
+        if let MonitorEvent::OpenRequested {
+            req, from, params, ..
+        } = ev
+        {
+            // Parse credentials.
+            let mut r = WireReader::new(&params);
+            let creds = (|| -> Option<(String, String)> {
+                let u = r.string().ok()?;
+                let p = r.string().ok()?;
+                r.expect_end().ok()?;
+                Some((u, p))
+            })();
+            ctx.busy(SimDuration::from_micros(1)); // table lookup + seal
+            let token = creds.and_then(|(user, password)| {
+                (self.users.get(&user) == Some(&principal_id(&password)))
+                    .then(|| seal(self.secret, principal_id(&user)))
+            });
+            match token {
+                Some(t) => {
+                    self.logins_ok += 1;
+                    let mut w = WireWriter::new();
+                    w.u128(t.0);
+                    // A login session carries no shared memory; the
+                    // token rides back in the response params.
+                    self.monitor
+                        .accept_open(ctx, req, from, LOGIN_SERVICE, None, 0, w.finish());
+                }
+                None => {
+                    self.logins_failed += 1;
+                    self.monitor
+                        .reject_open(ctx, req, from, lastcpu_bus::Status::Denied);
                 }
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        let _ = self.monitor.on_timer(ctx, token);
-    }
-
-    fn on_reset(&mut self, ctx: &mut DeviceCtx<'_>) {
-        self.monitor.reset();
-        // Re-run self-test and re-introduce ourselves (§2.2).
-        ctx.busy(SimDuration::from_micros(2));
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "auth-service");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
+    /// The credential table is configuration, so nothing is wiped; only the
+    /// self-test re-runs (§2.2).
+    fn on_reset(&mut self, ctx: &mut DeviceCtx<'_>) -> bool {
+        ctx.busy(Self::SELF_TEST);
+        true
     }
 }
 

@@ -16,12 +16,13 @@
 //! integration test) inspects. Every byte travelled the CPU-less path:
 //! control messages over the bus, data over IOMMU-translated DMA.
 
-use lastcpu_bus::{DeviceId, Envelope, Status, Token};
+use lastcpu_bus::{DeviceId, Status, Token};
 use lastcpu_mem::Pasid;
 use lastcpu_sim::SimDuration;
 
 use crate::auth;
-use crate::device::{Device, DeviceCtx};
+use crate::device::DeviceCtx;
+use crate::firmware::Firmware;
 use crate::monitor::{Monitor, MonitorEvent};
 use crate::session::{FileSession, SessionEvent};
 use crate::ssd::{FileOp, FileStatus, DOORBELL_WORK};
@@ -265,46 +266,30 @@ impl ConsoleDevice {
     }
 }
 
-impl Device for ConsoleDevice {
+impl Firmware for ConsoleDevice {
+    const KIND: &'static str = "console";
+    const SELF_TEST: SimDuration = SimDuration::from_micros(5);
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn kind(&self) -> &str {
-        "console"
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
     }
 
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        ctx.busy(SimDuration::from_micros(5));
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "console");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
+    fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
+        self.drive(ctx, &ev);
     }
 
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        for ev in self.monitor.handle(ctx, &env) {
-            self.drive(ctx, &ev);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        if let Some(events) = self.monitor.on_timer(ctx, token) {
-            for ev in events {
-                self.drive(ctx, &ev);
-            }
-        }
-    }
-
-    fn on_reset(&mut self, ctx: &mut DeviceCtx<'_>) {
-        self.monitor.reset();
+    /// Comes back without re-running the self-test (the recorded E4
+    /// fingerprints reset `console0` at this cost).
+    fn on_reset(&mut self, _ctx: &mut DeviceCtx<'_>) -> bool {
         self.session = None;
         self.state = ConsoleState::Boot;
         self.log.clear();
         self.next_offset = 0;
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "console");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
+        true
     }
 }

@@ -4,7 +4,8 @@
 //! calls the [`Device`] hooks with a [`DeviceCtx`] that (a) exposes the only
 //! capabilities a device legitimately has, and (b) accounts the virtual time
 //! the handler consumes, so outgoing effects are timestamped after the work
-//! that produced them.
+//! that produced them. What a self-managing device does *in* those hooks —
+//! the lifecycle — is [`crate::firmware`]'s.
 //!
 //! Data-plane accesses are synchronous in *state* (the bytes move now, so
 //! the next event observes them) but asynchronous in *time* (their cost
@@ -12,9 +13,11 @@
 //! This is the standard discrete-event compromise and keeps device code
 //! straight-line instead of a continuation swamp.
 
+use std::ops::Range;
+
 use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload, RequestId};
 use lastcpu_iommu::{AccessKind, Iommu, IommuFault};
-use lastcpu_mem::{Dram, Pasid, VirtAddr};
+use lastcpu_mem::{Dram, DramError, Pasid, PhysAddr, VirtAddr};
 use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::{BufPool, Bytes, CorrId, DetRng, MetricsHub, SimDuration, SimTime};
 use lastcpu_virtio::{MemFault, QueueMemory};
@@ -261,65 +264,34 @@ impl<'a> DeviceCtx<'a> {
         va: VirtAddr,
         buf: &mut [u8],
     ) -> Result<(), IommuFault> {
-        self.dma(
-            pasid,
-            va,
-            buf.len() as u64,
-            AccessKind::Read,
-            |dram, pa, off, chunk, buf| dram.read(pa, &mut buf[off..off + chunk]).map(|_| ()),
-            buf,
-        )
+        self.dma(pasid, va, buf.len(), AccessKind::Read, |dram, pa, at| {
+            dram.read(pa, &mut buf[at])
+        })
     }
 
     /// DMA-writes `data` at `va` in address space `pasid`.
     pub fn dma_write(&mut self, pasid: Pasid, va: VirtAddr, data: &[u8]) -> Result<(), IommuFault> {
-        // The closure-based helper needs a mutable buffer; clone-free path:
-        let mut remaining = data;
-        let mut cur = va;
-        while !remaining.is_empty() {
-            let in_page = (lastcpu_mem::PAGE_SIZE - cur.page_offset()) as usize;
-            let chunk = in_page.min(remaining.len());
-            let t = match self.iommu.translate(pasid, cur, AccessKind::Write) {
-                Ok(t) => t,
-                Err(f) => {
-                    // A faulting access still paid for the lookup and walk.
-                    let cm = self.iommu.cost_model();
-                    self.elapsed += cm.tlb_lookup + cm.walk_per_access.saturating_mul(4);
-                    self.faults.push(f);
-                    return Err(f);
-                }
-            };
-            self.elapsed += t.cost;
-            self.elapsed += self.dram.access_time(chunk as u64);
-            self.dram
-                .write(t.pa, &remaining[..chunk])
-                .expect("translated address within DRAM");
-            remaining = &remaining[chunk..];
-            cur = cur + chunk as u64;
-        }
-        Ok(())
+        self.dma(pasid, va, data.len(), AccessKind::Write, |dram, pa, at| {
+            dram.write(pa, &data[at])
+        })
     }
 
+    /// Walks `[va, va + len)` in page-bounded chunks: translates each,
+    /// charges translation plus DRAM time, and hands `op` the chunk's
+    /// physical address and its byte range within the transfer.
     fn dma(
         &mut self,
         pasid: Pasid,
         va: VirtAddr,
-        len: u64,
+        len: usize,
         access: AccessKind,
-        op: impl Fn(
-            &mut Dram,
-            lastcpu_mem::PhysAddr,
-            usize,
-            usize,
-            &mut [u8],
-        ) -> Result<(), lastcpu_mem::DramError>,
-        buf: &mut [u8],
+        mut op: impl FnMut(&mut Dram, PhysAddr, Range<usize>) -> Result<(), DramError>,
     ) -> Result<(), IommuFault> {
-        let mut off = 0usize;
+        let mut off = 0;
         let mut cur = va;
-        while off < len as usize {
+        while off < len {
             let in_page = (lastcpu_mem::PAGE_SIZE - cur.page_offset()) as usize;
-            let chunk = in_page.min(len as usize - off);
+            let chunk = in_page.min(len - off);
             let t = match self.iommu.translate(pasid, cur, access) {
                 Ok(t) => t,
                 Err(f) => {
@@ -332,7 +304,7 @@ impl<'a> DeviceCtx<'a> {
             };
             self.elapsed += t.cost;
             self.elapsed += self.dram.access_time(chunk as u64);
-            op(self.dram, t.pa, off, chunk, buf).expect("translated address within DRAM");
+            op(self.dram, t.pa, off..off + chunk).expect("translated address within DRAM");
             off += chunk;
             cur = cur + chunk as u64;
         }
@@ -371,9 +343,18 @@ impl QueueMemory for DmaView<'_, '_> {
     }
 }
 
-/// A self-managing device.
+/// The error a device type without checkpoint support reports.
+pub(crate) fn unsupported(name: &str, kind: &str) -> lastcpu_snap::SnapError {
+    lastcpu_snap::SnapError::Unsupported(format!("device {name:?} (kind {kind:?})"))
+}
+
+/// A device as the simulator drives it.
 ///
 /// All hooks receive a fresh [`DeviceCtx`]; state persists in `self`.
+/// Self-managing devices do not implement this directly: they implement
+/// [`crate::firmware::Firmware`] and get the lifecycle from its blanket
+/// impl. A direct impl is for a device that is deliberately *not*
+/// self-managing (DESIGN.md "Writing a device").
 ///
 /// The `Any` supertrait lets the simulator hand back typed references to
 /// devices for inspection in tests and experiments.
@@ -411,27 +392,19 @@ pub trait Device: std::any::Any {
     /// this or cannot appear in a checkpointed machine — silently
     /// skipping state would make restore verification meaningless.
     fn snapshot_state(&self, _w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
-        Err(lastcpu_snap::SnapError::Unsupported(format!(
-            "device {:?} (kind {:?})",
-            self.name(),
-            self.kind()
-        )))
+        Err(unsupported(self.name(), self.kind()))
     }
 
     /// Loads state written by [`Device::snapshot_state`] back in place.
     fn restore_state(&mut self, _r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        Err(lastcpu_snap::SnapError::Unsupported(format!(
-            "device {:?} (kind {:?})",
-            self.name(),
-            self.kind()
-        )))
+        Err(unsupported(self.name(), self.kind()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lastcpu_mem::{Perms, PhysAddr};
+    use lastcpu_mem::Perms;
 
     fn fixture() -> (Iommu, Dram, DetRng, u64) {
         let mut iommu = Iommu::new(16);

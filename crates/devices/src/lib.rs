@@ -5,17 +5,23 @@
 //! standard way, multiplex those services into isolated per-application
 //! contexts, and handle its own errors. This crate provides:
 //!
-//! - [`device`]: the [`Device`] actor trait and [`DeviceCtx`], the execution
-//!   context through which a device reaches the world — control messages to
-//!   the bus, IOMMU-translated DMA to shared memory, network frames, timers,
-//!   doorbells. A device has *no other capabilities*: in particular it can
-//!   neither touch physical memory nor program any IOMMU.
+//! - [`device`]: the [`Device`] actor trait the simulator drives and
+//!   [`DeviceCtx`], the execution context through which a device reaches
+//!   the world — control messages to the bus, IOMMU-translated DMA to shared
+//!   memory, network frames, timers, doorbells. A device has *no other
+//!   capabilities*: in particular it can neither touch physical memory nor
+//!   program any IOMMU.
+//! - [`firmware`]: the [`Firmware`] trait a self-managing device implements
+//!   and the one blanket `Device` impl that runs its lifecycle — self-test,
+//!   `Hello`, heartbeat, every envelope and timer through the monitor first,
+//!   reset. Every device below is a `Firmware`.
 //! - [`monitor`]: the resource-monitor runtime embedded in every
 //!   self-managing device (the paper compares it to a LegoOS resource
 //!   monitor). It implements the client and server sides of the bus
 //!   protocol: discovery, service sessions with per-connection isolation
 //!   contexts, shared-memory allocation/grants, heartbeats, failure
-//!   notifications. It is also the "development library" of §4
+//!   notifications; [`firmware`] is what calls it. It is also the
+//!   "development library" of §4
 //!   (*Programmability*): applications on devices call `discover` /
 //!   `open` / `alloc_shared` instead of system calls.
 //! - [`flash`], [`ftl`], [`fs`]: the smart SSD's storage stack — a NAND
@@ -39,6 +45,7 @@ pub mod accel;
 pub mod auth;
 pub mod console;
 pub mod device;
+pub mod firmware;
 pub mod flash;
 pub mod fs;
 pub mod ftl;
@@ -48,4 +55,5 @@ pub mod session;
 pub mod ssd;
 
 pub use device::{Action, Device, DeviceCtx, DmaView};
+pub use firmware::Firmware;
 pub use monitor::{AuthMode, Monitor, MonitorEvent};

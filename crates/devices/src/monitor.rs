@@ -9,10 +9,10 @@
 //! functions for service discovery, resource allocation, etc."
 //!
 //! [`Monitor`] is both: the server-side context multiplexer and the
-//! client-side library. Device code feeds it every incoming envelope and
-//! timer tick; it returns [`MonitorEvent`]s for the things the application
-//! must decide, and transparently handles the rest (discovery replies,
-//! heartbeats, auth checks, peer-failure cleanup).
+//! client-side library. The [`crate::firmware`] shell feeds it every
+//! incoming envelope and timer tick; it returns [`MonitorEvent`]s for the
+//! things the application must decide, and transparently handles the rest
+//! (discovery replies, heartbeats, auth checks, peer-failure cleanup).
 
 use lastcpu_bus::{
     ConnId, DeviceId, Dst, Envelope, ErrorCode, Payload, RequestId, ServiceDesc, ServiceId, Status,

@@ -7,18 +7,17 @@
 //! the hosted application implements [`NicApp`]; the "library" it links
 //! against is the [`Monitor`] the NIC passes in through [`NicEnv`].
 //!
-//! The NIC itself handles device lifecycle (self-test, `Hello`, heartbeats,
-//! reset) and forwards everything else: network frames, monitor events,
-//! timers and IOMMU faults go to the application. A loader-style
-//! `install()` hook swaps the application image, modelling the firmware
-//! update path.
+//! The NIC is one more [`Firmware`]: the shared shell runs its lifecycle
+//! and the NIC forwards everything else — network frames, monitor events,
+//! timers and IOMMU faults — to the application. A loader-style `install()`
+//! hook swaps the application image, modelling the firmware update path.
 
-use lastcpu_bus::Envelope;
 use lastcpu_iommu::IommuFault;
 use lastcpu_net::Frame;
 use lastcpu_sim::SimDuration;
 
-use crate::device::{Device, DeviceCtx};
+use crate::device::DeviceCtx;
+use crate::firmware::Firmware;
 use crate::monitor::{Monitor, MonitorEvent};
 
 /// Environment handed to the hosted application: the execution context and
@@ -55,7 +54,7 @@ pub trait NicApp {
 
     /// Serializes the application's durable state for a machine
     /// checkpoint (the NIC body embeds it in its own section). Loud
-    /// default, mirroring [`Device::snapshot_state`].
+    /// default, mirroring [`Firmware::snapshot_state`].
     fn snapshot_state(&self, _w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
         Err(lastcpu_snap::SnapError::Unsupported(format!(
             "nic app {:?}",
@@ -104,11 +103,6 @@ impl<A: NicApp + 'static> SmartNic<A> {
         &mut self.app
     }
 
-    /// The NIC's monitor (inspection).
-    pub fn monitor(&self) -> &Monitor {
-        &self.monitor
-    }
-
     /// Current application image version.
     pub fn app_version(&self) -> u32 {
         self.app_version
@@ -120,15 +114,70 @@ impl<A: NicApp + 'static> SmartNic<A> {
         self.app = app;
         self.app_version += 1;
         ctx.busy(SimDuration::from_millis(1)); // image flash + restart
-        let mut env = NicEnv {
-            ctx,
-            monitor: &mut self.monitor,
-        };
-        self.app.on_start(&mut env);
+        let (app, mut env) = self.hosted(ctx);
+        app.on_start(&mut env);
+    }
+
+    /// The hosted app and the environment it runs in.
+    fn hosted<'a, 'b>(&'a mut self, ctx: &'a mut DeviceCtx<'b>) -> (&'a mut A, NicEnv<'a, 'b>) {
+        let monitor = &mut self.monitor;
+        (&mut self.app, NicEnv { ctx, monitor })
     }
 }
 
-impl<A: NicApp + 'static> Device for SmartNic<A> {
+impl<A: NicApp + 'static> Firmware for SmartNic<A> {
+    const KIND: &'static str = "smart-nic";
+    const SELF_TEST: SimDuration = SimDuration::from_micros(20); // PHY bring-up
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+    // The monitor's event vector and session bookkeeping attribute as
+    // `nic.on_msg` in the E9 table.
+    const MSG_SCOPE: Option<&'static str> = Some("nic.on_msg");
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
+    }
+
+    fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
+        // The app starts once registration completes, so its first
+        // discovery happens on a live bus.
+        let first_registration = ev == MonitorEvent::Registered && !self.app_started;
+        self.app_started |= first_registration;
+        let (app, mut env) = self.hosted(ctx);
+        if first_registration {
+            app.on_start(&mut env);
+        } else {
+            app.on_event(&mut env, ev);
+        }
+    }
+
+    fn on_net(&mut self, ctx: &mut DeviceCtx<'_>, frame: Frame) {
+        // Per-frame firmware cost: parse + dispatch.
+        ctx.busy(SimDuration::from_nanos(300));
+        let (app, mut env) = self.hosted(ctx);
+        app.on_net(&mut env, frame);
+    }
+
+    fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
+        let (app, mut env) = self.hosted(ctx);
+        app.on_timer(&mut env, token);
+    }
+
+    fn on_fault(&mut self, ctx: &mut DeviceCtx<'_>, fault: IommuFault) {
+        let (app, mut env) = self.hosted(ctx);
+        app.on_fault(&mut env, fault);
+    }
+
+    fn on_reset(&mut self, ctx: &mut DeviceCtx<'_>) -> bool {
+        self.app.on_reset();
+        self.app_started = false;
+        ctx.busy(Self::SELF_TEST);
+        true
+    }
+
     fn snapshot_state(&self, w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
         w.put_str(&self.name);
         w.put_u32(self.app_version);
@@ -143,99 +192,6 @@ impl<A: NicApp + 'static> Device for SmartNic<A> {
         self.app_started = r.bool()?;
         lastcpu_snap::Restore::restore(&mut self.monitor, r)?;
         self.app.restore_state(r)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> &str {
-        "smart-nic"
-    }
-
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        ctx.busy(SimDuration::from_micros(20)); // self-test: PHY bring-up
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "smart-nic");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
-    }
-
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        // Named sub-scope: the monitor's event vector and session
-        // bookkeeping attribute as `nic.on_msg` in the E9 table.
-        let _sp = lastcpu_sim::profile::span("nic.on_msg");
-        let events = self.monitor.handle(ctx, &env);
-        for ev in events {
-            // The app starts once registration completes, so its first
-            // discovery happens on a live bus.
-            if ev == MonitorEvent::Registered && !self.app_started {
-                self.app_started = true;
-                let mut e = NicEnv {
-                    ctx,
-                    monitor: &mut self.monitor,
-                };
-                self.app.on_start(&mut e);
-                continue;
-            }
-            let mut e = NicEnv {
-                ctx,
-                monitor: &mut self.monitor,
-            };
-            self.app.on_event(&mut e, ev);
-        }
-    }
-
-    fn on_net(&mut self, ctx: &mut DeviceCtx<'_>, frame: Frame) {
-        // Per-frame firmware cost: parse + dispatch.
-        ctx.busy(SimDuration::from_nanos(300));
-        let mut e = NicEnv {
-            ctx,
-            monitor: &mut self.monitor,
-        };
-        self.app.on_net(&mut e, frame);
-    }
-
-    fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        match self.monitor.on_timer(ctx, token) {
-            None => {
-                let mut e = NicEnv {
-                    ctx,
-                    monitor: &mut self.monitor,
-                };
-                self.app.on_timer(&mut e, token);
-            }
-            Some(events) => {
-                // Monitor timers can complete operations (e.g. a discovery
-                // window closing); those events belong to the app.
-                for ev in events {
-                    let mut e = NicEnv {
-                        ctx,
-                        monitor: &mut self.monitor,
-                    };
-                    self.app.on_event(&mut e, ev);
-                }
-            }
-        }
-    }
-
-    fn on_fault(&mut self, ctx: &mut DeviceCtx<'_>, fault: IommuFault) {
-        let mut e = NicEnv {
-            ctx,
-            monitor: &mut self.monitor,
-        };
-        self.app.on_fault(&mut e, fault);
-    }
-
-    fn on_reset(&mut self, ctx: &mut DeviceCtx<'_>) {
-        self.monitor.reset();
-        self.app.on_reset();
-        self.app_started = false;
-        ctx.busy(SimDuration::from_micros(20));
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "smart-nic");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
     }
 }
 
@@ -290,26 +246,6 @@ impl NicApp for EchoApp {
     }
 }
 
-impl<A: lastcpu_snap::Snapshot> lastcpu_snap::Snapshot for SmartNic<A> {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_str(&self.name);
-        w.put_u32(self.app_version);
-        w.put_bool(self.app_started);
-        self.monitor.snapshot(w);
-        self.app.snapshot(w);
-    }
-}
-
-impl<A: lastcpu_snap::Restore> lastcpu_snap::Restore for SmartNic<A> {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.name = r.str()?;
-        self.app_version = r.u32()?;
-        self.app_started = r.bool()?;
-        self.monitor.restore(r)?;
-        self.app.restore(r)
-    }
-}
-
 impl lastcpu_snap::Snapshot for EchoApp {
     fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
         w.put_u64(self.frames_echoed);
@@ -326,8 +262,9 @@ impl lastcpu_snap::Restore for EchoApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Device;
     use lastcpu_bus::CorrId;
-    use lastcpu_bus::{DeviceId, Dst, Payload, RequestId};
+    use lastcpu_bus::{DeviceId, Dst, Envelope, Payload, RequestId};
     use lastcpu_iommu::Iommu;
     use lastcpu_mem::Dram;
     use lastcpu_net::PortId;
@@ -433,7 +370,8 @@ mod tests {
         let mut fix = Fix::new();
         let mut nic = SmartNic::new("nic0", SpyApp::default());
         let mut ctx = fix.ctx();
-        nic.on_net(
+        Device::on_net(
+            &mut nic,
             &mut ctx,
             Frame::unicast(PortId(2), PortId(9), vec![1, 2, 3]),
         );
@@ -446,7 +384,8 @@ mod tests {
         let mut fix = Fix::new();
         let mut nic = SmartNic::new("nic0", EchoApp::new());
         let mut ctx = fix.ctx();
-        nic.on_net(
+        Device::on_net(
+            &mut nic,
             &mut ctx,
             Frame::unicast(PortId(2), PortId(9), b"ping".to_vec()),
         );
@@ -483,7 +422,7 @@ mod tests {
         nic.on_message(&mut ctx, hello_ack());
         drop(ctx);
         let mut ctx = fix.ctx();
-        nic.on_reset(&mut ctx);
+        Device::on_reset(&mut nic, &mut ctx);
         assert_eq!(nic.app().resets, 1);
         let (actions, _, _) = ctx.finish();
         // Reset re-sends Hello.
@@ -506,9 +445,9 @@ mod tests {
         let mut fix = Fix::new();
         let mut nic = SmartNic::new("nic0", SpyApp::default());
         let mut ctx = fix.ctx();
-        nic.on_timer(&mut ctx, 7); // app-namespace token
-                                   // SpyApp has no on_timer counter; just verify no panic and that a
-                                   // monitor token is swallowed.
-        nic.on_timer(&mut ctx, 1 << 63);
+        // SpyApp has no on_timer counter; just verify no panic on an
+        // app-namespace token and that a monitor token is swallowed.
+        Device::on_timer(&mut nic, &mut ctx, 7);
+        Device::on_timer(&mut nic, &mut ctx, 1 << 63);
     }
 }

@@ -27,15 +27,14 @@
 use std::collections::VecDeque;
 
 use lastcpu_bus::wire::{WireReader, WireWriter};
-use lastcpu_bus::{
-    ConnId, DeviceId, Envelope, RequestId, ResourceKind, ServiceDesc, ServiceId, Status,
-};
+use lastcpu_bus::{ConnId, DeviceId, RequestId, ResourceKind, ServiceDesc, ServiceId, Status};
 use lastcpu_iommu::IommuFault;
 use lastcpu_mem::Pasid;
 use lastcpu_sim::{profile, DetHashMap, SimDuration};
 use lastcpu_virtio::{DescChain, QueueError, QueueLayout, VirtqueueDevice};
 
-use crate::device::{Device, DeviceCtx};
+use crate::device::DeviceCtx;
+use crate::firmware::Firmware;
 use crate::fs::{FlashFs, FsError};
 use crate::monitor::{AuthMode, Monitor, MonitorEvent};
 
@@ -125,26 +124,6 @@ impl FileOp {
             FileOp::Flush => w.u8(4),
         }
         *buf = w.finish();
-    }
-
-    /// Decodes a request.
-    pub fn decode(buf: &[u8]) -> Option<FileOp> {
-        let mut r = WireReader::new(buf);
-        let op = match r.u8().ok()? {
-            1 => FileOp::Read {
-                offset: r.u64().ok()?,
-                len: r.u32().ok()?,
-            },
-            2 => FileOp::Write {
-                offset: r.u64().ok()?,
-                data: r.bytes().ok()?,
-            },
-            3 => FileOp::Stat,
-            4 => FileOp::Flush,
-            _ => return None,
-        };
-        r.expect_end().ok()?;
-        Some(op)
     }
 }
 
@@ -852,26 +831,24 @@ impl SmartSsd {
     }
 }
 
-impl Device for SmartSsd {
-    fn snapshot_state(&self, w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
-        lastcpu_snap::Snapshot::snapshot(self, w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        lastcpu_snap::Restore::restore(self, r)
-    }
+impl Firmware for SmartSsd {
+    const KIND: &'static str = "smart-ssd";
+    const SELF_TEST: SimDuration = SimDuration::from_micros(50); // scan bad blocks
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+    const MSG_SCOPE: Option<&'static str> = Some("ssd.on_msg");
+    const TIMER_SCOPE: Option<&'static str> = Some("ssd.on_timer");
 
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn kind(&self) -> &str {
-        "smart-ssd"
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
     }
 
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        ctx.busy(SimDuration::from_micros(50)); // self-test: scan bad blocks
+    /// Creates and exports the configured files so `Hello` is followed by
+    /// their announces.
+    fn boot(&mut self) {
         let exports = self.config.exports.clone();
         for path in exports {
             if !self.fs.exists(&path) {
@@ -880,60 +857,46 @@ impl Device for SmartSsd {
             }
             self.export_file(&path);
         }
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "smart-ssd");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
     }
 
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        let _sp = profile::span("ssd.on_msg");
-        for ev in self.monitor.handle(ctx, &env) {
-            match ev {
-                MonitorEvent::OpenRequested {
-                    req,
-                    from,
-                    service,
-                    principal,
-                    params,
-                } => {
-                    if service == FS_SERVICE {
-                        self.handle_fs_open(ctx, req, from, &params);
-                    } else if service == LOADER_SERVICE {
-                        self.handle_loader_open(ctx, req, from, principal, &params);
-                    } else {
-                        self.handle_file_open(ctx, req, from, service, principal, &params);
-                    }
+    fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
+        match ev {
+            MonitorEvent::OpenRequested {
+                req,
+                from,
+                service,
+                principal,
+                params,
+            } => {
+                if service == FS_SERVICE {
+                    self.handle_fs_open(ctx, req, from, &params);
+                } else if service == LOADER_SERVICE {
+                    self.handle_loader_open(ctx, req, from, principal, &params);
+                } else {
+                    self.handle_file_open(ctx, req, from, service, principal, &params);
                 }
-                MonitorEvent::Doorbell { conn, value } => {
-                    self.on_doorbell(ctx, conn, value);
-                }
-                MonitorEvent::PeerClosed { conn } => {
+            }
+            MonitorEvent::Doorbell { conn, value } => {
+                self.on_doorbell(ctx, conn, value);
+            }
+            MonitorEvent::PeerClosed { conn } => {
+                self.conns.remove(&conn);
+                self.work.retain(|&c| c != conn);
+            }
+            MonitorEvent::PeerFailed {
+                dropped_server_conns,
+                ..
+            } => {
+                for conn in dropped_server_conns {
                     self.conns.remove(&conn);
                     self.work.retain(|&c| c != conn);
                 }
-                MonitorEvent::PeerFailed {
-                    dropped_server_conns,
-                    ..
-                } => {
-                    for conn in dropped_server_conns {
-                        self.conns.remove(&conn);
-                        self.work.retain(|&c| c != conn);
-                    }
-                }
-                _ => {}
             }
+            _ => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        let _sp = profile::span("ssd.on_timer");
-        // The SSD runs no client-side operations, so monitor timer events
-        // (discovery completions) cannot occur; heartbeats are handled
-        // inside the monitor.
-        if self.monitor.on_timer(ctx, token).is_some() {
-            return;
-        }
         if token == TOKEN_POLL {
             self.poll_armed = false;
             self.pump(ctx);
@@ -947,17 +910,22 @@ impl Device for SmartSsd {
         ctx.trace(format!("{}: fault {fault}", self.name));
     }
 
-    fn on_reset(&mut self, ctx: &mut DeviceCtx<'_>) {
+    fn on_reset(&mut self, ctx: &mut DeviceCtx<'_>) -> bool {
         self.conns.clear();
         self.work.clear();
         self.poll_armed = false;
-        self.monitor.reset();
-        // Re-introduce ourselves (§2.2: a reset device re-runs self-test).
-        ctx.busy(SimDuration::from_micros(50));
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "smart-ssd");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
+        // §2.2: a reset device re-runs self-test.
+        ctx.busy(Self::SELF_TEST);
+        true
+    }
+
+    fn snapshot_state(&self, w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
+        lastcpu_snap::Snapshot::snapshot(self, w);
+        Ok(())
+    }
+
+    fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
+        lastcpu_snap::Restore::restore(self, r)
     }
 }
 
@@ -1282,6 +1250,23 @@ impl FileClient {
 mod tests {
     use super::*;
     use lastcpu_virtio::{FlatMemory, VirtqueueDevice};
+    use proptest::prelude::*;
+
+    /// The borrowed view `FileOpRef::decode` must produce for `op`.
+    fn view(op: &FileOp) -> FileOpRef<'_> {
+        match op {
+            FileOp::Read { offset, len } => FileOpRef::Read {
+                offset: *offset,
+                len: *len,
+            },
+            FileOp::Write { offset, data } => FileOpRef::Write {
+                offset: *offset,
+                data,
+            },
+            FileOp::Stat => FileOpRef::Stat,
+            FileOp::Flush => FileOpRef::Flush,
+        }
+    }
 
     #[test]
     fn file_op_round_trips() {
@@ -1297,10 +1282,40 @@ mod tests {
             FileOp::Stat,
             FileOp::Flush,
         ] {
-            assert_eq!(FileOp::decode(&op.encode()), Some(op));
+            let wire = op.encode();
+            assert_eq!(FileOpRef::decode(&wire), Some(view(&op)));
+            // No truncation of a valid frame is itself a frame.
+            for cut in 0..wire.len() {
+                assert_eq!(FileOpRef::decode(&wire[..cut]), None, "cut at {cut}");
+            }
         }
-        assert_eq!(FileOp::decode(&[9, 9]), None);
-        assert_eq!(FileOp::decode(&[]), None);
+        assert_eq!(FileOpRef::decode(&[9, 9]), None);
+    }
+
+    proptest! {
+        /// Arbitrary bytes never panic the one file-op parser, and whatever
+        /// it accepts survives a re-encode (length prefixes are varints, so
+        /// the bytes themselves need not: an overlong prefix is accepted).
+        #[test]
+        fn prop_file_op_decode_is_stable_under_reencode(
+            tag in 0u8..6,
+            tail in proptest::collection::vec(any::<u8>(), 0..24),
+        ) {
+            let mut wire = vec![tag];
+            wire.extend(tail);
+            if let Some(v) = FileOpRef::decode(&wire) {
+                let owned = match v {
+                    FileOpRef::Read { offset, len } => FileOp::Read { offset, len },
+                    FileOpRef::Write { offset, data } => FileOp::Write {
+                        offset,
+                        data: data.to_vec(),
+                    },
+                    FileOpRef::Stat => FileOp::Stat,
+                    FileOpRef::Flush => FileOp::Flush,
+                };
+                prop_assert_eq!(FileOpRef::decode(&owned.encode()), Some(v));
+            }
+        }
     }
 
     #[test]
@@ -1363,8 +1378,8 @@ mod tests {
         let chain = dev.pop(&mut mem).unwrap().unwrap();
         let req = dev.read_request(&mut mem, &chain).unwrap();
         assert_eq!(
-            FileOp::decode(&req),
-            Some(FileOp::Read { offset: 0, len: 5 })
+            FileOpRef::decode(&req),
+            Some(FileOpRef::Read { offset: 0, len: 5 })
         );
         let resp = encode_response(FileStatus::Ok, b"hello");
         let n = dev.write_response(&mut mem, &chain, &resp).unwrap();

@@ -437,6 +437,33 @@ mod tests {
         );
     }
 
+    proptest::proptest! {
+        /// Owned and borrowed response decoders accept and refuse the same
+        /// bytes: arbitrary input, a valid frame, and every truncation of it.
+        #[test]
+        fn prop_response_decoders_agree(
+            status in 0u8..6,
+            id in proptest::prelude::any::<u64>(),
+            value in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
+        ) {
+            let owned = |b: &[u8]| KvsResponse::decode(b);
+            let borrowed = |b: &[u8]| {
+                KvsResponseRef::decode(b).map(|r| KvsResponse {
+                    id: r.id,
+                    status: r.status,
+                    value: r.value.to_vec(),
+                })
+            };
+            let frame = encode_response(id, KvsStatus::from_u8(status), &value);
+            proptest::prop_assert!(owned(&frame).is_some());
+            for cut in 0..=frame.len() {
+                proptest::prop_assert_eq!(owned(&frame[..cut]), borrowed(&frame[..cut]));
+            }
+            proptest::prop_assert_eq!(owned(&noise), borrowed(&noise));
+        }
+    }
+
     #[test]
     fn into_buffer_encoders_are_wire_identical() {
         let mut buf = Vec::new();

@@ -2,7 +2,8 @@
 # CI gate for the lastcpu workspace. Mirrors what a reviewer runs:
 #
 #   1. formatting, lints   cargo fmt --check; cargo clippy -D warnings; no std
-#                          HashMap/HashSet in the library crates
+#                          HashMap/HashSet in the library crates; no raw
+#                          `impl Device for` outside the named list
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -51,6 +52,27 @@ awk '
 ' $(find crates/{sim,snap,mem,iommu,virtio,bus,net,sec,memctl,devices,core,kvs,fabric,baseline}/src \
         -name '*.rs' ! -path crates/sim/src/dethash.rs | sort) || {
     echo "FAIL: std HashMap/HashSet in non-test library code"; exit 1;
+}
+
+echo "==> the lifecycle is written once (no new raw Device impl)"
+# A self-managing device implements `Firmware`; its `Device` impl is the
+# blanket one in devices/src/firmware.rs, so a new service cannot re-type
+# Hello / heartbeat / monitor pump / reset. Non-test code may implement
+# `Device` directly only for the devices DESIGN.md "Writing a device" lists
+# as deliberately not self-managing.
+awk '
+    FNR == 1 { skip = 0 }
+    /^#\[cfg\(test\)\]/ { skip = 1 }
+    !skip && /^[ \t]*impl(<.*>)? Device for / {
+        ty = $0; sub(/.* Device for /, "", ty); sub(/[^A-Za-z_0-9].*/, "", ty)
+        if (ty !~ /^(T|MemCtlDevice|CpuDevice|DumbNic|MaliciousDevice|DoorbellPinger|DoorbellPonger|ControlStorm|CentralProbe)$/) {
+            print "    " FILENAME ":" FNR ": " $0; bad = 1
+        }
+    }
+    skip && /^}/ { skip = 0 }
+    END { exit bad }
+' $(find crates/{devices,core,kvs,fabric,baseline,sec,bench}/src -name '*.rs' | sort) || {
+    echo "FAIL: raw \`impl Device for\` outside the named list; implement Firmware"; exit 1;
 }
 
 echo "==> tier-1: cargo build --release"

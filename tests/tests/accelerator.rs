@@ -1,11 +1,12 @@
 //! Integration: the FPGA-style accelerator over the live bus — spatial
 //! region allocation, doorbell-driven jobs, and release on disconnect.
 
-use lastcpu_bus::{ConnId, DeviceId, Envelope, Status, Token};
+use lastcpu_bus::{ConnId, DeviceId, Status, Token};
 use lastcpu_core::devices::accel::{
     encode_fabric_params, Accelerator, DOORBELL_JOB_DONE, FABRIC_SERVICE,
 };
-use lastcpu_core::devices::device::{Device, DeviceCtx};
+use lastcpu_core::devices::device::DeviceCtx;
+use lastcpu_core::devices::firmware::Firmware;
 use lastcpu_core::devices::monitor::{Monitor, MonitorEvent};
 use lastcpu_core::{System, SystemConfig};
 use lastcpu_sim::{SimDuration, SimTime};
@@ -54,61 +55,52 @@ impl FabricClient {
     }
 }
 
-impl Device for FabricClient {
+impl Firmware for FabricClient {
+    const KIND: &'static str = "fabric-client";
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn kind(&self) -> &str {
-        "fabric-client"
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
     }
 
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "fabric-client");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
-    }
-
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        for ev in self.monitor.handle(ctx, &env) {
-            match ev {
-                MonitorEvent::Registered => {
-                    ctx.set_timer(SimDuration::from_micros(200), 2);
-                }
-                MonitorEvent::OpenDone { op, result, .. } if op == self.op => {
-                    self.awaiting_open = false;
-                    match result {
-                        Ok((conn, _, _)) => {
-                            self.conn = Some(conn);
-                            self.submit(ctx);
-                        }
-                        Err(Status::NoResources) => self.denied = true,
-                        Err(_) => self.denied = true,
-                    }
-                }
-                MonitorEvent::Error { .. } => {
-                    // Bounced (the accelerator was still self-testing);
-                    // retry on the next tick.
-                    self.awaiting_open = false;
-                }
-                MonitorEvent::Doorbell { value, .. } if value & DOORBELL_JOB_DONE != 0 => {
-                    if let Some(at) = self.submitted_at.take() {
-                        self.job_times.push(ctx.now.since(at));
-                    }
-                    if !self.is_done() {
+    fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
+        match ev {
+            MonitorEvent::Registered => {
+                ctx.set_timer(SimDuration::from_micros(200), 2);
+            }
+            MonitorEvent::OpenDone { op, result, .. } if op == self.op => {
+                self.awaiting_open = false;
+                match result {
+                    Ok((conn, _, _)) => {
+                        self.conn = Some(conn);
                         self.submit(ctx);
                     }
+                    Err(Status::NoResources) => self.denied = true,
+                    Err(_) => self.denied = true,
                 }
-                _ => {}
             }
+            MonitorEvent::Error { .. } => {
+                // Bounced (the accelerator was still self-testing);
+                // retry on the next tick.
+                self.awaiting_open = false;
+            }
+            MonitorEvent::Doorbell { value, .. } if value & DOORBELL_JOB_DONE != 0 => {
+                if let Some(at) = self.submitted_at.take() {
+                    self.job_times.push(ctx.now.since(at));
+                }
+                if !self.is_done() {
+                    self.submit(ctx);
+                }
+            }
+            _ => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        if self.monitor.on_timer(ctx, token).is_some() {
-            return;
-        }
         if token == 2 && self.conn.is_none() && !self.denied {
             if !self.awaiting_open {
                 self.awaiting_open = true;

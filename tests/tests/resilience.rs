@@ -155,6 +155,56 @@ fn ssd_failure_mid_workload_is_fenced_and_recovered() {
     );
 }
 
+/// The one device with a hosted app: a crash wipes the NIC and the KVS
+/// server running on it, and the shell's reset path must bring both back
+/// (the app restarts on the re-registration, replays Figure 2, rebuilds its
+/// index from the SSD's log) while the client rides it out on timeouts.
+#[test]
+fn nic_crash_mid_workload_recovers() {
+    let mut setup = build_cpuless_kvs(
+        SystemConfig::default(),
+        SsdConfig::default(),
+        ServerConfig::default(),
+    );
+    let port = setup.system.add_host(Box::new(KvsClientHost::new(
+        setup.kvs_port,
+        WorkloadConfig {
+            keys: 50,
+            total_ops: 1_000_000,
+            stats_prefix: "c".into(),
+            ..WorkloadConfig::default()
+        },
+    )));
+    setup.system.power_on();
+    setup.system.run_for(SimDuration::from_millis(100));
+    let before = {
+        let c: &KvsClientHost = setup.system.host_as(port).unwrap();
+        assert!(c.ops_done() > 0);
+        c.ops_done()
+    };
+    setup.system.kill_device(setup.frontend, false);
+    setup.system.run_for(SimDuration::from_millis(500));
+    assert_eq!(
+        setup.system.bus().device(setup.frontend.id).unwrap().state,
+        DeviceState::Alive
+    );
+    assert_eq!(setup.system.stats().counter("system.device_resets"), 1);
+    let nic: &lastcpu_core::devices::nic::SmartNic<lastcpu_kvs::KvsNicApp> =
+        setup.system.device_as(setup.frontend).expect("nic");
+    assert_eq!(
+        nic.app().state(),
+        lastcpu_kvs::server::ServerState::Ready,
+        "the hosted server must restart and recover to Ready"
+    );
+    let c: &KvsClientHost = setup.system.host_as(port).unwrap();
+    assert_eq!(c.errors(), 0, "no corrupt responses across the crash");
+    assert!(
+        c.ops_done() > before,
+        "workload must make progress after recovery ({before} -> {})",
+        c.ops_done()
+    );
+}
+
 #[test]
 fn dead_device_messages_are_fenced() {
     let mut sys = System::new(SystemConfig::default());
@@ -239,7 +289,7 @@ fn memctl_quota_denies_over_budget_allocations() {
     )));
     // The same device tries to hold two 256 KiB regions concurrently: the
     // second allocation must be denied by the quota.
-    use lastcpu_core::devices::device::Device;
+    use lastcpu_core::devices::firmware::Firmware;
     use lastcpu_core::devices::monitor::{Monitor, MonitorEvent};
 
     struct DoubleAlloc {
@@ -248,45 +298,41 @@ fn memctl_quota_denies_over_budget_allocations() {
         op: u64,
         pub results: Vec<bool>,
     }
-    impl Device for DoubleAlloc {
+    impl Firmware for DoubleAlloc {
+        const KIND: &'static str = "client";
+        const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+
         fn name(&self) -> &str {
             "dbl"
         }
-        fn kind(&self) -> &str {
-            "client"
+
+        fn monitor(&mut self) -> &mut Monitor {
+            &mut self.monitor
         }
-        fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-            self.monitor.start(ctx, "dbl", "client");
-            self.monitor
-                .enable_heartbeat(ctx, SimDuration::from_millis(2));
-        }
-        fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-            for ev in self.monitor.handle(ctx, &env) {
-                match ev {
-                    MonitorEvent::Registered => {
-                        ctx.set_timer(SimDuration::from_micros(200), 2);
-                    }
-                    MonitorEvent::AllocDone { op, result } if op == self.op => {
-                        self.results.push(result.is_ok());
-                        if self.results.len() < 2 {
-                            self.op = self.monitor.alloc_shared(
-                                ctx,
-                                self.memctl,
-                                ctx.dev.0,
-                                0x7000_0000 + 0x10_0000 * self.results.len() as u64,
-                                256 * 1024,
-                                3,
-                            );
-                        }
-                    }
-                    _ => {}
+
+        fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
+            match ev {
+                MonitorEvent::Registered => {
+                    ctx.set_timer(SimDuration::from_micros(200), 2);
                 }
+                MonitorEvent::AllocDone { op, result } if op == self.op => {
+                    self.results.push(result.is_ok());
+                    if self.results.len() < 2 {
+                        self.op = self.monitor.alloc_shared(
+                            ctx,
+                            self.memctl,
+                            ctx.dev.0,
+                            0x7000_0000 + 0x10_0000 * self.results.len() as u64,
+                            256 * 1024,
+                            3,
+                        );
+                    }
+                }
+                _ => {}
             }
         }
+
         fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-            if self.monitor.on_timer(ctx, token).is_some() {
-                return;
-            }
             if token == 2 && self.results.is_empty() {
                 self.op = self.monitor.alloc_shared(
                     ctx,

@@ -2,9 +2,10 @@
 //! (create/list/delete) and the `loader` service (§4 Access Control) —
 //! exercised over the live bus by a scripted client device.
 
-use lastcpu_bus::{Envelope, ServiceId, Status, Token};
+use lastcpu_bus::{ServiceId, Status, Token};
 use lastcpu_core::devices::auth;
-use lastcpu_core::devices::device::{Device, DeviceCtx};
+use lastcpu_core::devices::device::DeviceCtx;
+use lastcpu_core::devices::firmware::Firmware;
 use lastcpu_core::devices::monitor::{AuthMode, Monitor, MonitorEvent};
 use lastcpu_core::devices::ssd::{FsOp, SmartSsd, SsdConfig, FS_SERVICE, LOADER_SERVICE};
 use lastcpu_core::{System, SystemConfig};
@@ -53,45 +54,36 @@ impl ScriptClient {
     }
 }
 
-impl Device for ScriptClient {
+impl Firmware for ScriptClient {
+    const KIND: &'static str = "script-client";
+    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn kind(&self) -> &str {
-        "script-client"
+    fn monitor(&mut self) -> &mut Monitor {
+        &mut self.monitor
     }
 
-    fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        let name = self.name.clone();
-        self.monitor.start(ctx, &name, "script-client");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
-    }
-
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        for ev in self.monitor.handle(ctx, &env) {
-            match ev {
-                MonitorEvent::Registered => {
-                    // Let the SSD boot.
-                    ctx.set_timer(SimDuration::from_micros(200), 2);
-                }
-                MonitorEvent::OpenDone { op, result, .. } if op == self.op => {
-                    match result {
-                        Ok((_, _, params)) => self.results.push((Status::Ok, params)),
-                        Err(status) => self.results.push((status, vec![])),
-                    }
-                    self.kick(ctx);
-                }
-                _ => {}
+    fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {
+        match ev {
+            MonitorEvent::Registered => {
+                // Let the SSD boot.
+                ctx.set_timer(SimDuration::from_micros(200), 2);
             }
+            MonitorEvent::OpenDone { op, result, .. } if op == self.op => {
+                match result {
+                    Ok((_, _, params)) => self.results.push((Status::Ok, params)),
+                    Err(status) => self.results.push((status, vec![])),
+                }
+                self.kick(ctx);
+            }
+            _ => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        if self.monitor.on_timer(ctx, token).is_some() {
-            return;
-        }
         if token == 2 && self.results.is_empty() && self.next == 0 {
             self.kick(ctx);
         }
