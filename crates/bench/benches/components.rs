@@ -199,7 +199,7 @@ fn bench_fabric(c: &mut Criterion) {
         assert_eq!(fab.directory().len(), 32);
         b.iter(|| black_box(fab.run_for(period)))
     });
-    // One window in which m0 has one timer event and 31 machines have
+    // One `run_for` in which m0 has one timer event and 31 machines have
     // nothing; the sweep is pushed out of the way.
     c.bench_function("fabric/idle_window_32", |b| {
         let cfg = FabricConfig {

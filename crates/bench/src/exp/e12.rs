@@ -61,10 +61,9 @@ pub const EXP: Experiment = Experiment {
 };
 
 /// The fabric-side scopes a profiled rack run must show spans in.
-const RACK_SCOPES: [&str; 5] = [
+const RACK_SCOPES: [&str; 4] = [
     "fabric.dir_sync",
     "fabric.dir_query",
-    "fabric.barrier",
     "fabric.inject",
     "kvs.router.dir_reply",
 ];
@@ -314,7 +313,7 @@ fn check(r: &Report) -> Vec<String> {
             g.require(wall + edges >= 0.95, what);
         }
     }
-    // The fabric's own work (sweep, directory answers, barrier, injection)
+    // The fabric's own work (sweep, directory answers, injection)
     // sits in named scopes of the rack run.
     for scope in RACK_SCOPES {
         let mut rows = r

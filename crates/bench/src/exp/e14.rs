@@ -128,6 +128,13 @@ fn finish(b: &mut RackBench) -> u64 {
     b.events - before
 }
 
+/// How many events `b`'s fabric has retired: the cursor its next checkpoint
+/// would carry.
+fn retired(b: &RackBench) -> u64 {
+    let ck = b.setup.fabric.checkpoint("cursor");
+    ck.expect("every rack component snapshots").manifest.events
+}
+
 /// The determinism digest over every end-state observable: fabric and
 /// machine metrics, pool activity, per-machine KVS contents, the
 /// acked-write audit, and the final rack checkpoint (which covers
@@ -164,6 +171,10 @@ fn restore_cell(args: &Args, seed: u64, crash: bool) -> (Cell, Checkpoint) {
         .checkpoint("e14")
         .expect("every rack component snapshots");
     let ckpt_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(
+        ck.manifest.events, total_events,
+        "the manifest's cursor is what the run retired on its way here"
+    );
     let encoded = ck.encode();
     // The checkpoint container round-trips bit-exactly through its own
     // framing (decode re-verifies every section checksum).
@@ -179,12 +190,14 @@ fn restore_cell(args: &Args, seed: u64, crash: bool) -> (Cell, Checkpoint) {
     // --- Restored run (fresh rack, replay + verify, continue) -----------
     let mut b = build(args, seed, crash);
     b.setup.fabric.power_on();
+    let before = retired(&b);
     let t1 = Instant::now();
     b.setup
         .fabric
         .restore_from(&ck)
         .expect("restore must verify byte-for-byte");
     let restore_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let replayed = retired(&b) - before;
     finish(&mut b);
     assert_eq!(
         d_a,
@@ -201,7 +214,7 @@ fn restore_cell(args: &Args, seed: u64, crash: bool) -> (Cell, Checkpoint) {
         .lower("ckpt_ms", round(ckpt_ms, 3), "ms", 0.25)
         .host()
         // Restore is replay: it re-executes every event up to the cursor.
-        .exact("restore_replay_events", ck.manifest.events, "count")
+        .exact("restore_replay_events", replayed, "count")
         .lower("restore_ms", round(restore_ms, 3), "ms", 0.25)
         .host()
         .exact("total_events", total_events, "count")

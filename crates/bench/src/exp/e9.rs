@@ -26,7 +26,7 @@
 //! - **rack** — sixteen such machines on a leaf-spine fabric (leaves of 4),
 //!   R = 2, each with a shard router and one E10-shaped client, run for the
 //!   same slice of virtual time. On top of the machine's work each event
-//!   now pays for the fabric: windows, the barrier merge, link transit,
+//!   now pays for the fabric: choosing the next retirement, link transit,
 //!   directory sweeps and queries, and the router. Sixteen, because the
 //!   directory plane costs O(machines²) per virtual millisecond against
 //!   O(machines) events: at eight, re-encoding every reply adds 17% to

@@ -1,10 +1,9 @@
 //! The one rack driver: a [`RackSetup`] plus one closed-loop client per
-//! machine, run in 10 ms slices until the clients are done.
+//! machine, polled every 10 ms of virtual time until the clients are done.
 //!
-//! The fabric's results depend on how `run_until` is sliced (ROADMAP,
-//! "Time is the caller's to slice"), so every rack experiment polls through
-//! [`RackBench::run_slices`]: same slice length, same event order, same
-//! digests as when each binary carried its own copy of this loop.
+//! How `run_until` calls are sliced moves nothing (the fabric retires events
+//! in one global order, DESIGN.md §13.2); the slice only sets how far past
+//! the last client's finish a run goes on.
 
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::{RackSetup, RouterStats};

@@ -40,6 +40,7 @@ BENCH_e12.json   | scopes             | scope=fabric.dir_query |                
 BENCH_e12.json   | critical_path      |              | worst_sum_error           | 0.06 | worst_sum_error 0.06 > 0.05
 BENCH_e12.json   | critical_path.rows | percentile=99} | total_ns                | 1    | segments sum to
 BENCH_e14.json   | restore             | crash=false | restore_replay_events | 1     | restore_replay_events != ckpt_events
+BENCH_e14.json   | restore             | crash=true  | ckpt_events           | 1     | restore_replay_events != ckpt_events
 BENCH_e14.json   | restore             | crash=true  | lost_acked_keys       | 1     | crash cell lost acknowledged writes
 BENCH_e14.json   | cross_process_audit |             | ok                    | false | cross-process restart audit
 BENCH_f2.json    | summary |         | trace_records_well_formed | 1     | trace shape: 1 of

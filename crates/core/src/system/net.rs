@@ -84,9 +84,8 @@ impl System {
     }
 
     /// Moves the frames that reached tunnel ports since the last drain into
-    /// `out` (appended). The fabric steps every machine once per scheduling
-    /// round, so it lends one buffer instead of taking a fresh `Vec` each
-    /// time.
+    /// `out` (appended). The fabric drains after every step, so it lends one
+    /// buffer instead of taking a fresh `Vec` each time.
     pub fn drain_tunnel_into(&mut self, out: &mut Vec<TunnelDelivery>) {
         out.append(&mut self.tunnel_out);
     }

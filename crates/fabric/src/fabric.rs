@@ -97,14 +97,11 @@ struct MachineSlot {
     faults: LinkFaults,
     link_bytes: CounterHandle,
     link_frames: CounterHandle,
-    /// Tunnel output drained at the end of each window — a per-machine
-    /// scratch buffer reused across windows so the steady-state barrier
-    /// allocates nothing.
-    pending: Vec<TunnelDelivery>,
     /// The machine's next event time as of its last refresh: at
     /// [`Fabric::run_until`] entry, after an injected frame, and after the
     /// machine is stepped. Nothing else changes a machine's queue inside
-    /// `run_until`, so a window reads this instead of peeking every wheel.
+    /// `run_until`, so choosing the next retirement reads this instead of
+    /// peeking every wheel.
     next_at: Option<SimTime>,
     /// The encoded directory reply last built for this machine and the
     /// `dir_epoch` it was built at. The reply is a function of the directory
@@ -122,19 +119,14 @@ struct LinkDelivery {
     corr: CorrId,
 }
 
-/// Steps one machine through the conservative window `[.., w_end)`, then
-/// drains its tunnel output into its own scratch. Returns events stepped;
-/// leaves `next_at` at the first event the window did not cover.
-fn run_machine_window(slot: &mut MachineSlot, w_end: SimTime) -> u64 {
-    let mut steps = 0;
-    while slot.next_at.is_some_and(|t| t < w_end) {
-        slot.sys.step();
-        steps += 1;
-        slot.next_at = slot.sys.peek_next_at();
-    }
-    let MachineSlot { sys, pending, .. } = slot;
-    sys.drain_tunnel_into(pending);
-    steps
+/// What [`Fabric::run_until`] retires next, listed in the order candidates
+/// are offered: at equal time the earlier-listed one goes first.
+#[derive(Debug, Clone, Copy)]
+enum Due {
+    Sweep,
+    Fault,
+    Link,
+    Machine(usize),
 }
 
 /// Whether `qualified` is exactly `format!("m{machine}/{device}")`, decided
@@ -166,35 +158,29 @@ fn is_qualified(qualified: &str, machine: usize, device: &str) -> bool {
 pub struct Fabric {
     cfg: FabricConfig,
     machines: Vec<MachineSlot>,
-    /// Frames in flight between machines. Unlike machine events, these are
-    /// *injections*: they only need to reach the target machine before its
-    /// window covers their timestamp, so they are folded into window starts
-    /// rather than bounding the windows.
+    /// Frames in flight between machines, each entering its target machine
+    /// when global time reaches it.
     queue: EventQueue<LinkDelivery>,
     now: SimTime,
+    /// Everything [`run_until`](Self::run_until) has retired: the progress
+    /// cursor a checkpoint's manifest records.
+    events: u64,
     directory: Vec<DirEntry>,
     dir_epoch: u64,
     /// When the next directory sweep is due (periodic; `None` before
-    /// power-on). Sweeps read global machine state, so they are control
-    /// points: every window is capped at the next one.
+    /// power-on).
     next_sync: Option<SimTime>,
     /// The fault plan, sorted by firing time; `fault_cursor` marks the next
-    /// one due. Faults are control points like sweeps.
+    /// one due.
     faults: Vec<FaultEvent>,
     fault_cursor: usize,
     /// The built link graph + per-pair path table. Rebuilt at
     /// [`power_on`](Self::power_on) once the machine count is known; the
     /// placeholder built at construction covers zero machines.
     topo: Topology,
-    /// Barrier merge scratch, reused across windows.
-    merge_scratch: Vec<(u32, TunnelDelivery)>,
-    /// Per-(src, dst) traffic coalesced inside the current barrier and
-    /// flushed to the metric counters once per window, so counter-handle
-    /// traffic stays flat as machine count (and frames per window) grows.
-    pair_scratch: DetHashMap<(u32, u32), (u64, u64)>,
-    /// Flush scratch for `pair_scratch` (sorted for a deterministic, if
-    /// commutative, flush order), reused across windows.
-    pair_flush: Vec<((u32, u32), (u64, u64))>,
+    /// Where a stepped machine's tunnel output is drained to before it
+    /// crosses the links; reused so a step allocates nothing.
+    tunnel_out: Vec<TunnelDelivery>,
     metrics: MetricsHub,
     /// Fabric-level trace (link-hop timing records). Off by default so the
     /// throughput experiments pay only a branch per forwarded frame.
@@ -235,14 +221,13 @@ impl Fabric {
             machines: Vec::new(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
+            events: 0,
             directory: Vec::new(),
             dir_epoch: 0,
             next_sync: None,
             faults: Vec::new(),
             fault_cursor: 0,
-            merge_scratch: Vec::new(),
-            pair_scratch: DetHashMap::default(),
-            pair_flush: Vec::new(),
+            tunnel_out: Vec::new(),
             metrics,
             trace,
             m_frames_forwarded,
@@ -323,7 +308,6 @@ impl Fabric {
             faults: LinkFaults::default(),
             link_bytes,
             link_frames,
-            pending: Vec::new(),
             next_at: None,
             dir_reply: None,
         });
@@ -336,9 +320,9 @@ impl Fabric {
     }
 
     /// The machine's `System`, mutably: for attaching hosts and devices or
-    /// arming timers between runs. Stepping it directly bypasses the window
-    /// schedule, and its tunnel output then waits for the machine's next
-    /// event inside [`run_until`](Self::run_until).
+    /// arming timers between runs. Stepping it directly bypasses the global
+    /// order, and its tunnel output then waits for the machine's next event
+    /// inside [`run_until`](Self::run_until).
     pub fn machine_mut(&mut self, m: MachineId) -> &mut System {
         &mut self.machines[m.0 as usize].sys
     }
@@ -411,148 +395,107 @@ impl Fabric {
         }
     }
 
-    /// The conservative lookahead: the minimum virtual time any machine's
-    /// output needs before it can influence a machine again (itself
-    /// included). Inter-machine frames pay at least the cheapest path's
-    /// total fixed latency (the topology's minimum over all machine
-    /// pairs — `switch_latency + propagation` for any two-hop path);
-    /// directory replies return after `dir_latency`. Machines are mutually
-    /// invisible inside any window shorter than this, which is what lets a
-    /// window step them one after another without interleaving.
-    fn lookahead(&self) -> SimDuration {
-        let l = self.topo.min_latency().min(self.cfg.dir_latency);
-        assert!(
-            l > SimDuration::ZERO,
-            "windowed fabric execution needs a nonzero minimum link latency \
-             (every path's latency sum, and dir_latency, must be > 0)"
-        );
-        l
-    }
-
-    /// Runs the co-simulation until `deadline`; returns events processed
-    /// (fabric events + machine events).
+    /// Runs the co-simulation until `deadline` (inclusive); returns what it
+    /// retired (fabric events + machine events).
     ///
-    /// Execution is windowed and conservative: time advances in windows of
-    /// at most one lookahead (the minimum cross-machine link latency:
-    /// serialization plus propagation), capped at the next
-    /// directory sweep or scheduled fault (which must observe a globally
-    /// consistent instant). Within a window every machine is independent —
-    /// frames produced inside it cannot be delivered before the window
-    /// ends — so machines step in index order, then a barrier merges
-    /// their tunnel output in `(timestamp, machine, production-order)`
-    /// order and crosses the links.
+    /// Each iteration retires the one globally earliest item among the
+    /// directory sweep, the next scheduled fault, the head of the
+    /// link-delivery queue and every alive machine's next event. Ties at
+    /// equal time go sweep → fault → link delivery (queue FIFO) → machine by
+    /// index. A stepped machine's tunnel output crosses the links at once, in
+    /// production order, so a link delivery enters its target machine when
+    /// global time reaches it and never earlier. The choice reads nothing
+    /// but rack state, so `run_until(a); run_until(b)` retires the same
+    /// sequence as `run_until(b)`.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let lookahead = self.lookahead();
         let mut n = 0u64;
         // Callers reach machines through `machine_mut` between calls (hosts
         // added, timers armed), so the cached event times are trusted only
-        // within one call.
+        // within one call. What they queue sits at the machine's own clock,
+        // which trails the rack's while the machine idles: the rack goes
+        // back for what this call will retire.
         for slot in &mut self.machines {
             slot.next_at = slot.sys.peek_next_at();
+            if let Some(t) = slot.next_at.filter(|&t| !slot.dead && t <= deadline) {
+                self.now = self.now.min(t);
+            }
         }
         loop {
-            // Earliest actionable instant across control points (sweep,
-            // fault), in-flight link deliveries, and machine events.
-            let mut t0: Option<SimTime> = self.queue.peek_time();
-            let mut fold = |t: Option<SimTime>| {
-                t0 = match (t0, t) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
+            let mut next: Option<(SimTime, Due)> = None;
+            let mut offer = |t: Option<SimTime>, due: Due| {
+                if let Some(t) = t {
+                    if !next.is_some_and(|(earliest, _)| earliest <= t) {
+                        next = Some((t, due));
+                    }
+                }
             };
-            fold(self.next_sync);
-            fold(self.faults.get(self.fault_cursor).map(|ev| ev.at));
-            for slot in &self.machines {
+            offer(self.next_sync, Due::Sweep);
+            offer(
+                self.faults.get(self.fault_cursor).map(|ev| ev.at),
+                Due::Fault,
+            );
+            offer(self.queue.peek_time(), Due::Link);
+            for (i, slot) in self.machines.iter().enumerate() {
                 if !slot.dead {
-                    fold(slot.next_at);
+                    offer(slot.next_at, Due::Machine(i));
                 }
             }
-            let Some(t0) = t0 else { break };
-            if t0 > deadline {
+            let Some((t, due)) = next else { break };
+            if t > deadline {
                 break;
             }
-            self.now = t0;
-
-            // Control points due exactly now, with every machine parked on
-            // events < t0 — the same consistency the old event-at-a-time
-            // interleaving gave them (fabric-first tie-break).
-            if self.next_sync == Some(t0) {
-                self.sync_directory(t0);
-                n += 1;
-            }
-            while self
-                .faults
-                .get(self.fault_cursor)
-                .is_some_and(|ev| ev.at == t0)
-            {
-                self.apply_fault(self.fault_cursor);
-                self.fault_cursor += 1;
-                n += 1;
-            }
-
-            // The window: one lookahead, capped at the next control point
-            // and (inclusively) the deadline.
-            let mut w_end =
-                (t0 + lookahead).min(deadline.saturating_add(SimDuration::from_nanos(1)));
-            if let Some(t) = self.next_sync {
-                w_end = w_end.min(t);
-            }
-            if let Some(ev) = self.faults.get(self.fault_cursor) {
-                w_end = w_end.min(ev.at);
-            }
-
-            // Inject every link delivery landing inside the window. All of
-            // them were scheduled at earlier barriers: anything produced in
-            // *this* window arrives at `>= t0 + lookahead >= w_end`, and no
-            // machine has advanced past its injection time yet.
-            while self.queue.peek_time().is_some_and(|t| t < w_end) {
-                let ev = self.queue.pop().expect("peeked event vanished");
-                let d = ev.event;
-                let slot = &mut self.machines[d.machine];
-                if slot.dead {
-                    self.m_frames_dropped.incr();
-                } else {
-                    let _prof = profile::span("fabric.inject");
-                    slot.sys.inject_frame(ev.at, d.frame, d.corr);
-                    slot.next_at = slot.sys.peek_next_at();
+            assert!(
+                t >= self.now,
+                "global time ran backwards: {due:?} at {t:?}, rack at {:?}",
+                self.now
+            );
+            self.now = t;
+            match due {
+                Due::Sweep => self.sync_directory(t),
+                Due::Fault => {
+                    self.apply_fault(self.fault_cursor);
+                    self.fault_cursor += 1;
                 }
-                n += 1;
+                Due::Link => self.deliver(),
+                Due::Machine(i) => self.step_machine(i),
             }
-
-            // Step the machines with an event inside [t0, w_end), in index
-            // order, then merge and forward whatever tunnel output they
-            // produced. A machine with nothing due produces none.
-            let mut produced = false;
-            for slot in &mut self.machines {
-                if !slot.dead && slot.next_at.is_some_and(|t| t < w_end) {
-                    n += run_machine_window(slot, w_end);
-                    produced |= !slot.pending.is_empty();
-                }
-            }
-            if produced {
-                self.barrier();
-            }
+            n += 1;
         }
         self.now = self.now.max(deadline);
+        self.events += n;
         n
     }
 
-    /// The barrier at a window's edge: merges every machine's tunnel
-    /// output into one deterministic order — by `(timestamp, machine)`,
-    /// stable, so each machine's own production order is preserved — and
-    /// crosses the inter-machine links.
-    fn barrier(&mut self) {
-        let _prof = profile::span("fabric.barrier");
-        let mut merged = std::mem::take(&mut self.merge_scratch);
-        debug_assert!(merged.is_empty());
-        for (i, slot) in self.machines.iter_mut().enumerate() {
-            for d in slot.pending.drain(..) {
-                merged.push((i as u32, d));
-            }
+    /// Pops the link-delivery queue's head into its target machine.
+    fn deliver(&mut self) {
+        let ev = self.queue.pop().expect("peeked delivery vanished");
+        let d = ev.event;
+        let slot = &mut self.machines[d.machine];
+        if slot.dead {
+            self.m_frames_dropped.incr();
+            return;
         }
-        merged.sort_by_key(|&(m, ref d)| (d.at, m));
-        for (m, d) in merged.drain(..) {
-            let i = m as usize;
+        assert!(
+            ev.at >= slot.sys.now(),
+            "a frame due at {:?} would land in {}'s past ({:?})",
+            ev.at,
+            slot.name,
+            slot.sys.now()
+        );
+        let _prof = profile::span("fabric.inject");
+        slot.sys.inject_frame(ev.at, d.frame, d.corr);
+        slot.next_at = slot.sys.peek_next_at();
+    }
+
+    /// Steps machine `i` by one event, then crosses whatever tunnel output
+    /// the event produced.
+    fn step_machine(&mut self, i: usize) {
+        let mut out = std::mem::take(&mut self.tunnel_out);
+        let slot = &mut self.machines[i];
+        slot.sys.step();
+        slot.next_at = slot.sys.peek_next_at();
+        slot.sys.drain_tunnel_into(&mut out);
+        for d in out.drain(..) {
             if d.port == self.machines[i].dir_port {
                 self.answer_dir_query(i, d);
             } else if let Some(&peer) = self.machines[i].proxy_rev.get(&d.port) {
@@ -563,34 +506,7 @@ impl Fabric {
                 self.m_frames_dropped.incr();
             }
         }
-        self.merge_scratch = merged;
-        self.flush_link_metrics();
-    }
-
-    /// Flushes the per-(src, dst) traffic coalesced by `forward` during
-    /// this barrier to the fabric and per-machine counters — one counter
-    /// update per machine pair instead of one per frame. Totals are
-    /// identical to per-frame accounting; only the update cadence changes.
-    fn flush_link_metrics(&mut self) {
-        if self.pair_scratch.is_empty() {
-            return;
-        }
-        let mut flush = std::mem::take(&mut self.pair_flush);
-        flush.extend(self.pair_scratch.drain());
-        flush.sort_unstable_by_key(|&(pair, _)| pair);
-        let (mut total_bytes, mut total_frames) = (0u64, 0u64);
-        for &((a, b), (bytes, frames)) in &flush {
-            self.machines[a as usize].link_bytes.add(bytes);
-            self.machines[a as usize].link_frames.add(frames);
-            self.machines[b as usize].link_bytes.add(bytes);
-            self.machines[b as usize].link_frames.add(frames);
-            total_bytes += bytes;
-            total_frames += frames;
-        }
-        self.m_bytes.add(total_bytes);
-        self.m_frames_forwarded.add(total_frames);
-        flush.clear();
-        self.pair_flush = flush;
+        self.tunnel_out = out;
     }
 
     /// Runs for `d` from the current global time.
@@ -723,14 +639,12 @@ impl Fabric {
         // the original sender, so replies tunnel back symmetrically.
         let src_on_b = self.proxy_port(b, a as u32, d.frame.src);
         let frame = Frame::unicast(src_on_b, peer.port, d.frame.payload);
-        // Coalesce accounting per (src, dst) pair; the barrier flushes the
-        // totals to the counters once per window.
-        let e = self
-            .pair_scratch
-            .entry((a as u32, b as u32))
-            .or_insert((0, 0));
-        e.0 += wire;
-        e.1 += 1;
+        for m in [a, b] {
+            self.machines[m].link_bytes.add(wire);
+            self.machines[m].link_frames.incr();
+        }
+        self.m_bytes.add(wire);
+        self.m_frames_forwarded.incr();
         self.queue.schedule_at(
             deliver,
             LinkDelivery {
@@ -963,17 +877,6 @@ impl Fabric {
             w.put_u32(slot.faults.drop_remaining);
             w.put_u32(slot.faults.delay_remaining);
             w.put_u64(slot.faults.delay_extra.as_nanos());
-            // `pending` is drained at every barrier, so a checkpoint taken
-            // between run calls sees it empty; serialized anyway so verify
-            // would catch a checkpoint taken mid-window.
-            w.put_len(slot.pending.len());
-            for t in &slot.pending {
-                w.put_u64(t.at.as_nanos());
-                w.put_u32(t.port.0);
-                w.put_u32(t.frame.src.0);
-                w.put_u32(t.frame.dst.0);
-                w.put_bytes(&t.frame.payload);
-            }
         }
         w.into_bytes()
     }
@@ -981,14 +884,13 @@ impl Fabric {
     /// Serializes the whole rack: a `fabric` section (directory, links,
     /// in-flight frames), the fabric metrics and link trace, then one
     /// section per machine containing that machine's full encoded
-    /// [`System::checkpoint`]. Take it between `run` calls — the rack is
-    /// quiescent at those barriers.
+    /// [`System::checkpoint`].
     pub fn checkpoint(&self, label: &str) -> lastcpu_snap::Result<Checkpoint> {
         let manifest = Manifest {
             schema_version: lastcpu_snap::SCHEMA_VERSION,
             seed: self.cfg.seed,
             virtual_ns: self.now.as_nanos(),
-            events: self.queue.events_processed(),
+            events: self.events,
             config_fp: self.config_fingerprint(),
             label: label.to_string(),
         };
@@ -1019,9 +921,10 @@ impl Fabric {
     ///
     /// The rack must be freshly built from the same recipe (checked via
     /// the manifest fingerprint) and powered on. Restore re-executes the
-    /// windowed schedule to the checkpoint's virtual time, then
-    /// verifies every section, including each machine's full checkpoint,
-    /// byte-for-byte. Fails loudly on any divergence.
+    /// run to the checkpoint's virtual time — in one call, however the
+    /// checkpointed run was sliced — then verifies the manifest and every
+    /// section, including each machine's full checkpoint, byte-for-byte.
+    /// Fails loudly on any divergence.
     pub fn restore_from(&mut self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
         if ck.manifest.schema_version != lastcpu_snap::SCHEMA_VERSION {
             return Err(SnapError::VersionMismatch {
@@ -1331,6 +1234,66 @@ mod tests {
             }
             other => panic!("expected a reply, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_zero_latency_dir_reply_enters_at_the_querys_own_instant() {
+        // With `dir_latency` zero the reply is due the instant the query
+        // left: it is retired next (a link delivery goes before a machine at
+        // equal time), after the event that sent the query.
+        let run = || {
+            let mut fab = Fabric::new(FabricConfig {
+                dir_latency: SimDuration::ZERO,
+                ..FabricConfig::default()
+            });
+            let m0 = fab.add_machine(
+                "m0",
+                System::new(SystemConfig {
+                    seed: 5,
+                    trace: true,
+                    ..SystemConfig::default()
+                }),
+            );
+            let dir = fab.directory_port(m0);
+            let replies = Vec::new();
+            let port = fab
+                .machine_mut(m0)
+                .add_host(Box::new(Prober { dir, replies }));
+            fab.power_on();
+            fab.run_for(SimDuration::from_micros(2_500));
+            let answered = fab
+                .machine(m0)
+                .host_as::<Prober>(port)
+                .unwrap()
+                .replies
+                .len();
+            // Every crossing of the machine's edge, in the order it happened.
+            let crossings: Vec<(SimTime, bool)> = fab
+                .machine(m0)
+                .trace()
+                .events()
+                .filter_map(|r| match &r.data {
+                    TraceData::Text(s) if s.starts_with("frame exits to fabric") => {
+                        Some((r.at, false))
+                    }
+                    TraceData::Text(s) if s.starts_with("frame enters from fabric") => {
+                        Some((r.at, true))
+                    }
+                    _ => None,
+                })
+                .collect();
+            (answered, crossings)
+        };
+        let (answered, crossings) = run();
+        assert_eq!(answered, 3, "queries at 0, 1 and 2 ms were answered");
+        assert_eq!(crossings.len(), 6);
+        for pair in crossings.chunks(2) {
+            let [(left, false), (entered, true)] = pair else {
+                panic!("a query leaves, then its reply enters: {crossings:?}");
+            };
+            assert_eq!(entered, left);
+        }
+        assert_eq!((answered, crossings), run());
     }
 
     #[test]

@@ -11,18 +11,19 @@
 //!
 //! Three design decisions keep the co-simulation bit-identical from a seed:
 //!
-//! 1. **Conservative time windows.** Machines interact *only* through
-//!    fabric-delivered frames, which always pay at least one link latency
-//!    (and directory replies at least `dir_latency`). The fabric therefore
-//!    advances in windows no longer than that minimum — the *lookahead* —
-//!    within which every machine is provably independent and steps its own
-//!    events freely; at each window edge a barrier merges the
-//!    machines' tunnel output in `(timestamp, machine, production-order)`
-//!    order and crosses the links. Directory sweeps and scheduled faults
-//!    are control points that additionally cap windows, so they observe a
-//!    globally consistent instant. Windows are stepped on one thread: a
-//!    window holds 3–4 events across a whole rack, too little to split
-//!    (DESIGN.md §13.2).
+//! 1. **Global-order stepping.** Machines interact *only* through
+//!    fabric-delivered frames. [`Fabric::run_until`] retires one item at a
+//!    time: the earliest among the directory sweep, the next scheduled
+//!    fault, the head of the link-delivery queue and every machine's next
+//!    event, ties at equal time broken sweep → fault → link delivery (queue
+//!    FIFO) → machine by index. A stepped machine's tunnel output crosses
+//!    the links at once, in production order, so a frame enters its target
+//!    machine when global time reaches it and never earlier; sweeps and
+//!    faults observe an instant every machine has reached. The choice reads
+//!    nothing but rack state, so `run_until(a); run_until(b)` is the same
+//!    sequence of retirements as `run_until(b)`. One thread: the windowed
+//!    schedule this replaced held 2–4 events per window across a whole
+//!    rack, too little to split or to batch (DESIGN.md §13.2).
 //! 2. **Transparent tunnels over an explicit topology.** Each machine's
 //!    edge switch grows fabric-owned *proxy ports*, one per remote peer the
 //!    machine talks to. A frame sent to a proxy port crosses the

@@ -226,8 +226,8 @@ pub struct Transit {
 }
 
 /// A built topology: the link graph plus one precomputed path per
-/// `(src, dst)` machine pair — the per-pair path cache that makes
-/// same-window batching a table lookup instead of a graph walk.
+/// `(src, dst)` machine pair, so crossing the fabric is a table lookup
+/// instead of a graph walk.
 #[derive(Debug, Clone)]
 pub struct Topology {
     cfg: TopologyConfig,
@@ -237,9 +237,6 @@ pub struct Topology {
     /// `path_links[path_off[s*machines+d] .. path_off[s*machines+d+1]]`.
     path_off: Vec<u32>,
     path_links: Vec<u32>,
-    /// Minimum total path latency across distinct-machine pairs (the
-    /// fabric's conservative lookahead).
-    min_latency: SimDuration,
     /// Fat-tree arity actually used (after auto-sizing), if applicable.
     fat_tree_k: Option<u32>,
 }
@@ -275,17 +272,14 @@ impl Topology {
             }
             TopoKind::FatTree { k } => Some(b.build_fat_tree(k, oversub)),
         };
-        let mut topo = Topology {
+        Topology {
             cfg: TopologyConfig { oversub, ..*cfg },
             machines,
             links: b.links,
             path_off: b.path_off,
             path_links: b.path_links,
-            min_latency: SimDuration::ZERO,
             fat_tree_k,
-        };
-        topo.min_latency = topo.compute_min_latency(cost);
-        topo
+        }
     }
 
     /// The configuration the topology was built from (oversub clamped ≥ 1).
@@ -306,14 +300,6 @@ impl Topology {
     /// The fat-tree arity in use (after auto-sizing), if this is one.
     pub fn fat_tree_k(&self) -> Option<u32> {
         self.fat_tree_k
-    }
-
-    /// The minimum total fixed latency over all distinct-machine paths —
-    /// the fabric's conservative lookahead. Falls back to
-    /// `switch_latency + propagation` semantics via the builder when there
-    /// are fewer than two machines (the build stores that minimum too).
-    pub fn min_latency(&self) -> SimDuration {
-        self.min_latency
     }
 
     /// The link-index path for `src → dst`.
@@ -400,29 +386,6 @@ impl Topology {
             w.put_u64(l.bytes);
             w.put_u64(l.frames);
         }
-    }
-
-    fn compute_min_latency(&self, cost: &NetCostModel) -> SimDuration {
-        let mut min: Option<SimDuration> = None;
-        for s in 0..self.machines {
-            for d in 0..self.machines {
-                if s == d {
-                    continue;
-                }
-                let lat = self
-                    .path(s, d)
-                    .iter()
-                    .map(|&li| self.links[li as usize].latency)
-                    .fold(SimDuration::ZERO, |a, b| a.saturating_add(b));
-                min = Some(match min {
-                    Some(m) if m <= lat => m,
-                    _ => lat,
-                });
-            }
-        }
-        // Fewer than two machines: fall back to the flat two-hop budget so
-        // the fabric's lookahead assertion stays meaningful.
-        min.unwrap_or(cost.switch_latency + cost.propagation)
     }
 }
 
@@ -756,16 +719,22 @@ mod tests {
     }
 
     #[test]
-    fn min_latency_is_the_two_hop_budget() {
+    fn shortest_path_latency_is_the_two_hop_budget() {
         for kind in [
             TopoKind::Flat,
             TopoKind::LeafSpine { leaf_size: 4 },
             TopoKind::FatTree { k: 0 },
         ] {
             let t = build(kind, 1, 8);
+            let latency = |(s, d)| -> u64 {
+                let hops = t.path(s, d).iter();
+                hops.map(|&l| t.link(l).latency.as_nanos()).sum()
+            };
+            let pairs = (0..8).flat_map(|s| (0..8).map(move |d| (s, d)));
+            let shortest = pairs.filter(|(s, d)| s != d).map(latency).min();
             assert_eq!(
-                t.min_latency(),
-                cost().switch_latency + cost().propagation,
+                shortest,
+                Some((cost().switch_latency + cost().propagation).as_nanos()),
                 "{kind}"
             );
         }

@@ -18,7 +18,8 @@
 #   5. obs artifacts       f2's metrics snapshot covers every instrumented
 #                          subsystem; e4's fault matrix replays from three seeds
 #                          and exports retry and recovery-latency metrics
-#   6. repo benchmark      benchmark/ci.sh: the standalone benchmark crate builds
+#   6. repo benchmark      the steps of benchmark/ci.sh (less one test, see the
+#                          stage): the standalone benchmark crate builds
 #                          offline, holds every exact metric and the state digest
 #                          to repeat bit for bit, and compares clean with itself
 #
@@ -146,11 +147,28 @@ for seed in 0xE4 7 1984; do
 done
 echo "    metrics cover bus/iommu/nic/ssd/memctl/kvs; 3 fault seeds replayed"
 
-echo "==> repo benchmark (benchmark/ci.sh: build, exactness tests, smoke self-compare)"
+echo "==> repo benchmark (build, exactness tests, smoke self-compare)"
 # The crate the pipeline measures every change with path-depends on
 # crates/*, so a change here that breaks its build or moves a simulated
 # number between two same-seed runs has to fail here, not after merge.
-bash benchmark/ci.sh | tail -3
+#
+# 2026-10-03, PR 21: benchmark/ci.sh inlined with one test skipped.
+# benchmark/src/workloads/rack.rs::fabric_results_depend_on_run_until_slicing
+# asserts (`assert_ne!`) that slicing `run_until` moves the rack's digest and
+# says it is meant to fail once the fabric is fixed. PR 21 fixed the fabric
+# and, not being a benchmark PR, could not edit benchmark/. The
+# benchmark-only follow-up flips that pin to equality, deletes
+# `rack_restore`'s scout run and refreshes benchmark/README.md "baseline
+# facts"; after it this stage goes back to `bash benchmark/ci.sh | tail -3`.
+(
+    cd benchmark
+    cargo build --release --offline
+    cargo test --release --offline -- --skip fabric_results_depend_on_run_until_slicing
+    run() { cargo run --release --offline --quiet -- "$@"; }
+    run run --smoke --repeat 2 --out "$tmp/benchmark.json"
+    run compare "$tmp/benchmark.json" "$tmp/benchmark.json"
+    echo "benchmark CI OK"
+) | tail -3
 
 if [ "${CI_CRITERION:-0}" = "1" ]; then
     echo "==> criterion host-time benches (opt-in via CI_CRITERION=1)"

@@ -359,8 +359,8 @@ fn deep_fingerprint(seed: u64, crash: bool) -> String {
 
 #[test]
 fn crash_arm_replays_bit_identically() {
-    // Faults are fabric control points: the window scheduler fires them at
-    // a globally consistent instant, so a mid-run machine crash replays
+    // A fault is retired in global order like any other event, at an
+    // instant every machine has reached, so a mid-run machine crash replays
     // bit-identically from its seed.
     for seed in [7u64, 0xE13, 1984] {
         assert_eq!(
@@ -405,13 +405,7 @@ fn every_retry_policy_replays_bit_identically() {
 /// at this scale the merged trace would dominate the (debug-build) test.
 fn leaf_spine_fingerprint(seed: u64) -> String {
     const MACHINES: usize = 64;
-    let cfg = FabricConfig {
-        topology: TopologyConfig {
-            kind: TopoKind::LeafSpine { leaf_size: 8 },
-            oversub: 1,
-        },
-        ..FabricConfig::default()
-    };
+    let cfg = leaf_spine(1);
     // Tiny per-client workload: 64 clients already put 768 ops and their
     // R=2 replication traffic through every tier of the tree.
     let wl = WorkloadConfig {
@@ -448,7 +442,7 @@ fn leaf_spine_fingerprint(seed: u64) -> String {
 fn leaf_spine_rack_replays_bit_identically() {
     // The ISSUE-10 scale-out contract: a 64-machine rack on a real
     // leaf-spine tree — per-link queuing, ECMP path diversity and all —
-    // must stay inside the windowed determinism envelope.
+    // must stay inside the determinism envelope.
     let base = leaf_spine_fingerprint(0xE10);
     assert_eq!(
         base,
@@ -486,8 +480,8 @@ fn sections_digest(fab: &Fabric) -> u64 {
     h
 }
 
-/// Runs `machines` under `cfg` for `horizon` in 10 ms slices (the slicing
-/// is part of the schedule) and digests where the rack ended up.
+/// Runs `machines` under `cfg` until the clients finish or `horizon` passes
+/// and digests where the rack ended up.
 fn schedule_digest(
     cfg: FabricConfig,
     machines: usize,
@@ -500,11 +494,31 @@ fn schedule_digest(
     sections_digest(&rack.setup.fabric)
 }
 
+/// The default flat fabric with `m1` crashing 2 ms in.
+fn flat_with_m1_crash() -> FabricConfig {
+    let mut plan = FaultPlan::new(0xE14);
+    plan.inject(SimTime::from_nanos(2_000_000), "m1", FaultKind::Crash);
+    FabricConfig {
+        fault_plan: Some(plan),
+        ..FabricConfig::default()
+    }
+}
+
+fn leaf_spine(oversub: u64) -> FabricConfig {
+    FabricConfig {
+        topology: TopologyConfig {
+            kind: TopoKind::LeafSpine { leaf_size: 8 },
+            oversub,
+        },
+        ..FabricConfig::default()
+    }
+}
+
 #[test]
-fn window_schedule_is_the_recorded_one() {
-    // Digests recorded at the commit before the fabric began skipping idle
-    // machines and reusing directory replies: neither may move one byte of
-    // any machine, the fabric section, or the fabric metrics.
+fn schedule_is_the_recorded_one() {
+    // Digests recorded when the fabric began retiring the globally earliest
+    // event: a later optimisation may not move one byte of any machine, the
+    // fabric section, or the fabric metrics.
     let flat = schedule_digest(
         FabricConfig::default(),
         8,
@@ -514,13 +528,8 @@ fn window_schedule_is_the_recorded_one() {
 
     // The crash withdraws m1's endpoints mid-run, so every survivor's
     // directory reply and router memo is invalidated once.
-    let mut plan = FaultPlan::new(0xE14);
-    plan.inject(SimTime::from_nanos(2_000_000), "m1", FaultKind::Crash);
     let crash = schedule_digest(
-        FabricConfig {
-            fault_plan: Some(plan),
-            ..FabricConfig::default()
-        },
+        flat_with_m1_crash(),
         4,
         &small_workload(),
         SimDuration::from_millis(200),
@@ -532,20 +541,138 @@ fn window_schedule_is_the_recorded_one() {
         outstanding: 2,
         ..small_workload()
     };
-    let leaf_spine = FabricConfig {
-        topology: TopologyConfig {
-            kind: TopoKind::LeafSpine { leaf_size: 8 },
-            oversub: 4,
-        },
-        ..FabricConfig::default()
-    };
-    let tree = schedule_digest(leaf_spine, 32, &wl, SimDuration::from_secs(30));
+    let tree = schedule_digest(leaf_spine(4), 32, &wl, SimDuration::from_secs(30));
 
     assert_eq!(
         format!("{flat:#018x} {crash:#018x} {tree:#018x}"),
-        "0xb31cbd0cdc3cc529 0x4f7ac5714a336b3d 0xca17e64185c136ec",
+        "0x3f744904cbe6ca9c 0x920bcb9a4ae7ff70 0xa23d1fe263272528",
         "8-machine flat, 4-machine crash arm, 32-machine leaf-spine:8 oversub 4"
     );
+}
+
+/// The shape on which slicing moved a checkpoint section before the fabric
+/// stepped in global order: 16 traced machines on leaf-spine:8, four 1 KiB
+/// requests in flight per client over 16 hot keys.
+fn sliced_rack() -> Rack {
+    let wl = WorkloadConfig {
+        keys: 16,
+        theta: 0.99,
+        read_fraction: 0.9,
+        value_size: 1024,
+        outstanding: 4,
+        total_ops: 600,
+        preload: true,
+        ..WorkloadConfig::default()
+    };
+    let mut rack = build_rack_cfg(leaf_spine(1), 16, 2, 22, true, &wl, RetryPolicy::default());
+    rack.setup.fabric.power_on();
+    rack
+}
+
+/// Drives `fab` to `until` in `run_until` calls `slice` apart.
+fn run_sliced(fab: &mut Fabric, until: SimTime, slice: SimDuration) {
+    while fab.now() < until {
+        let t = (fab.now() + slice).min(until);
+        fab.run_until(t);
+    }
+}
+
+#[test]
+fn run_until_composes_on_a_traced_rack() {
+    let until = SimTime::from_nanos(120_000_000);
+    let digest = |slice: SimDuration| {
+        let mut rack = sliced_rack();
+        run_sliced(&mut rack.setup.fabric, until, slice);
+        sections_digest(&rack.setup.fabric)
+    };
+    let one_call = digest(SimDuration::from_secs(1));
+    for slice_us in [100_000, 5_000, 1_000, 137, 17] {
+        assert_eq!(
+            digest(SimDuration::from_micros(slice_us)),
+            one_call,
+            "{slice_us} µs slices ended somewhere one call did not"
+        );
+    }
+}
+
+#[test]
+fn a_checkpoint_of_a_sliced_run_restores() {
+    let mut sliced = sliced_rack();
+    run_sliced(
+        &mut sliced.setup.fabric,
+        SimTime::from_nanos(120_000_000),
+        SimDuration::from_micros(137),
+    );
+    let ck = sliced
+        .setup
+        .fabric
+        .checkpoint("sliced")
+        .expect("rack checkpoints");
+    let mut fresh = sliced_rack();
+    fresh
+        .setup
+        .fabric
+        .restore_from(&ck)
+        .expect("one replay call lands where the slices did");
+}
+
+mod slicing_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A small rack of each wiring, one of them losing a machine mid-run.
+    fn shape(i: usize) -> (FabricConfig, usize) {
+        let fat_tree = FabricConfig {
+            topology: TopologyConfig {
+                kind: TopoKind::FatTree { k: 0 },
+                oversub: 1,
+            },
+            ..FabricConfig::default()
+        };
+        match i {
+            0 => (flat_with_m1_crash(), 4),
+            1 => (leaf_spine(1), 16),
+            _ => (fat_tree, 8),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// However the caller cuts `[0, 20 ms]` into `run_until` calls — here
+        /// a short random pattern of slice lengths, repeated — a traced rack
+        /// ends byte-for-byte where one call leaves it.
+        fn any_slicing_ends_where_one_call_does(
+            which in 0usize..3,
+            seed in 0u64..1_000,
+            pattern in proptest::collection::vec(500u64..40_000, 1..8),
+        ) {
+            let until = SimTime::from_nanos(20_000_000);
+            let build = || {
+                let (cfg, machines) = shape(which);
+                let wl = small_workload();
+                let mut rack =
+                    build_rack_cfg(cfg, machines, 2, seed, true, &wl, RetryPolicy::default());
+                rack.setup.fabric.power_on();
+                rack
+            };
+            let mut whole = build();
+            whole.setup.fabric.run_until(until);
+            let mut sliced = build();
+            let fab = &mut sliced.setup.fabric;
+            for slice in pattern.iter().cycle() {
+                if fab.now() >= until {
+                    break;
+                }
+                let t = (fab.now() + SimDuration::from_nanos(*slice)).min(until);
+                fab.run_until(t);
+            }
+            prop_assert_eq!(
+                sections_digest(&sliced.setup.fabric),
+                sections_digest(&whole.setup.fabric)
+            );
+        }
+    }
 }
 
 /// Arms a timer for every frame it receives; records when timers fire.
@@ -622,9 +749,9 @@ fn work_queued_through_machine_mut_between_runs_is_seen() {
 #[test]
 fn a_frame_from_the_fabric_wakes_an_idle_machine() {
     // m1's own queue is empty from its start event until m0's frame crosses
-    // the link 1.5 ms later, after several sweeps and thousands of windows
-    // have found it idle. The injection alone must put it back in the
-    // stepped set.
+    // the link 1.5 ms later, after several sweeps and thousands of
+    // retirements have found it idle. The injection alone must put it back
+    // among the machines with something due.
     let (after, delay) = (
         SimDuration::from_micros(1500),
         SimDuration::from_micros(700),
