@@ -4,12 +4,17 @@
 //! its exports and checkpoint are held to values recorded at the commit
 //! before the change.
 
-use lastcpu_core::devices::ssd::SsdConfig;
-use lastcpu_core::SystemConfig;
+use lastcpu_bench::drivers::{ControlMode, SetupClient};
+use lastcpu_core::devices::device::Device;
+use lastcpu_core::devices::flash::{NandChip, NandConfig};
+use lastcpu_core::devices::fs::FlashFs;
+use lastcpu_core::devices::ftl::Ftl;
+use lastcpu_core::devices::ssd::{SmartSsd, SsdConfig};
+use lastcpu_core::{DeviceHandle, System, SystemConfig};
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::{build_cpuless_kvs, ServerConfig};
 use lastcpu_sim::{export, SimDuration};
-use lastcpu_snap::{fnv1a, fnv1a_fold};
+use lastcpu_snap::{fnv1a, fnv1a_fold, Checkpoint, SnapReader, SnapWriter};
 
 /// FNV-1a and byte length of each export, the record count, and a digest
 /// over every checkpoint section (tag and bytes). The manifest is left out:
@@ -80,19 +85,22 @@ fn observe() -> Observed {
         prometheus: sized(export::metrics_prometheus(setup.system.stats())),
         records: trace.len(),
         emitted: trace.total_emitted(),
-        checkpoint: {
-            let ck = setup
+        checkpoint: sections_digest(
+            &setup
                 .system
                 .checkpoint("trace-repr")
-                .expect("every component snapshots");
-            let mut h = fnv1a(b"sections");
-            for tag in ck.section_tags() {
-                fnv1a_fold(&mut h, tag.as_bytes());
-                fnv1a_fold(&mut h, ck.section(tag).expect("listed section"));
-            }
-            h
-        },
+                .expect("every component snapshots"),
+        ),
     }
+}
+
+fn sections_digest(ck: &Checkpoint) -> u64 {
+    let mut h = fnv1a(b"sections");
+    for tag in ck.section_tags() {
+        fnv1a_fold(&mut h, tag.as_bytes());
+        fnv1a_fold(&mut h, ck.section(tag).expect("listed section"));
+    }
+    h
 }
 
 #[test]
@@ -100,4 +108,92 @@ fn traced_kv_run_exports_and_checkpoints_as_before() {
     let first = observe();
     assert_eq!(first, observe(), "same seed, same bytes");
     assert_eq!(first, PARENT);
+}
+
+/// The control plane's own machine — a memory controller, an SSD and four
+/// devices looping the Figure-2 setup — as `(every checkpoint section, the
+/// `trace` section alone, the JSONL export)`, recorded at the commit that
+/// gave `SetupClient` its snapshot hooks, before bus delivery borrowed and
+/// before `BusSend::dst`, `Discovery::dst`, `IommuMap::perms` and
+/// `SecurityDenial::check` became handles.
+const PARENT_CTL: (u64, u64, (u64, usize)) = (
+    8712181787588549560,
+    7876395069070514902,
+    (4218396763108295616, 493476),
+);
+
+fn ctl_machine() -> (System, Vec<DeviceHandle>) {
+    const FILE: &str = "/data/ctl.db";
+    let mut sys = System::new(SystemConfig {
+        seed: 11,
+        ..SystemConfig::default()
+    });
+    assert!(sys.trace().is_enabled(), "tracing is the default");
+    let memctl = sys.add_memctl("memctl0");
+    let mut fs = FlashFs::format(Ftl::new(NandChip::new(NandConfig::default())));
+    fs.create(FILE).expect("fresh filesystem");
+    sys.add_device(Box::new(SmartSsd::new(
+        "ssd0",
+        fs,
+        SsdConfig {
+            exports: vec![FILE.into()],
+            ..SsdConfig::default()
+        },
+    )));
+    let clients: Vec<_> = (0..4)
+        .map(|i| {
+            let mut c = SetupClient::new(
+                &format!("client{i}"),
+                ControlMode::Decentralized,
+                &format!("file:{FILE}"),
+                40,
+            );
+            c.memctl_hint_value = memctl.id;
+            sys.add_device(Box::new(c))
+        })
+        .collect();
+    sys.power_on();
+    (sys, clients)
+}
+
+fn observe_ctl() -> (u64, u64, (u64, usize)) {
+    let (mut sys, clients) = ctl_machine();
+    // Stops mid-setup: pending discoveries, open sessions and queued bus
+    // events are all in the checkpoint.
+    sys.run_for(SimDuration::from_micros(1_500));
+    for &h in &clients {
+        let c: &SetupClient = sys.device_as(h).expect("client handle");
+        assert!(!c.failed && !c.is_done() && c.latencies.len() > 10);
+        // The hooks invert each other on a client caught mid-setup.
+        let mut w = SnapWriter::new();
+        c.snapshot_state(&mut w).expect("client snapshots");
+        let bytes = w.into_bytes();
+        let mut fresh = SetupClient::new("", ControlMode::Decentralized, "", 0);
+        let mut r = SnapReader::new("client", &bytes);
+        fresh.restore_state(&mut r).expect("client restores");
+        r.finish().expect("restore consumes the section");
+        let mut w = SnapWriter::new();
+        fresh.snapshot_state(&mut w).expect("client snapshots");
+        assert_eq!(w.into_bytes(), bytes);
+    }
+    let ck = sys
+        .checkpoint("trace-repr-ctl")
+        .expect("every device snapshots");
+    ctl_machine()
+        .0
+        .restore_from(&ck)
+        .expect("a fresh machine replays to the same bytes");
+    let jsonl = export::trace_jsonl(sys.trace());
+    (
+        sections_digest(&ck),
+        fnv1a(ck.section("trace").expect("trace section")),
+        (fnv1a(jsonl.as_bytes()), jsonl.len()),
+    )
+}
+
+#[test]
+fn traced_figure2_run_checkpoints_as_before() {
+    let first = observe_ctl();
+    assert_eq!(first, observe_ctl(), "same seed, same bytes");
+    assert_eq!(first, PARENT_CTL);
 }
