@@ -130,6 +130,9 @@ pub struct CpuDevice<A> {
     name: String,
     monitor: Monitor,
     memctl: MemoryController,
+    /// Reply buffer lent to `memctl` per syscall (as `MemCtlDevice` does,
+    /// so E1's two arms pay the same host cost); not state.
+    memctl_out: Vec<Envelope>,
     cost: CpuCostModel,
     /// Central directory: service name → (device, descriptor).
     directory: Vec<(DeviceId, ServiceDesc)>,
@@ -159,6 +162,7 @@ impl<A: CpuApp> CpuDevice<A> {
             name: name.to_string(),
             monitor,
             memctl: MemoryController::new(id, dram_bytes),
+            memctl_out: Vec::new(),
             cost: CpuCostModel::default(),
             directory: Vec::new(),
             brokered: DetHashMap::default(),
@@ -206,9 +210,8 @@ impl<A: CpuApp> CpuDevice<A> {
     }
 
     fn forward_memctl(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
-        let mut out = Vec::new();
-        self.memctl.handle(env, &mut out);
-        for e in out {
+        self.memctl.handle(env, &mut self.memctl_out);
+        for e in self.memctl_out.drain(..) {
             ctx.send_bus_with_req(e.dst, e.req, e.payload);
         }
     }
@@ -311,7 +314,7 @@ impl<A: CpuApp> Device for CpuDevice<A> {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
+    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
         // Every arrival is an interrupt.
         ctx.busy(self.cost.interrupt_entry);
         self.stats.interrupts += 1;
@@ -335,8 +338,7 @@ impl<A: CpuApp> Device for CpuDevice<A> {
                 self.directory
                     .retain(|(d, s)| !(*d == *device && s.id == service.id));
                 self.directory.push((*device, service.clone()));
-                let events = self.monitor.handle(ctx, &env);
-                for ev in events {
+                if let Some(ev) = self.monitor.handle(ctx, env) {
                     self.handle_kernel_event(ctx, ev);
                 }
             }
@@ -348,7 +350,7 @@ impl<A: CpuApp> Device for CpuDevice<A> {
                 for (dev, svc) in &self.directory {
                     let matches = match pattern.strip_suffix('*') {
                         Some(prefix) => svc.name.starts_with(prefix),
-                        None => *pattern == svc.name,
+                        None => **pattern == *svc.name,
                     };
                     if matches {
                         ctx.send_bus_with_req(
@@ -366,11 +368,11 @@ impl<A: CpuApp> Device for CpuDevice<A> {
             Payload::MemAlloc { .. } | Payload::MemFree { .. } | Payload::Share { .. } => {
                 ctx.busy(self.cost.syscall);
                 self.stats.syscalls += 1;
-                self.forward_memctl(ctx, &env);
+                self.forward_memctl(ctx, env);
             }
             Payload::DeviceFailed { .. } => {
-                self.forward_memctl(ctx, &env);
-                for ev in self.monitor.handle(ctx, &env) {
+                self.forward_memctl(ctx, env);
+                if let Some(ev) = self.monitor.handle(ctx, env) {
                     self.handle_kernel_event(ctx, ev);
                 }
             }
@@ -385,8 +387,7 @@ impl<A: CpuApp> Device for CpuDevice<A> {
                 }
             }
             _ => {
-                let events = self.monitor.handle(ctx, &env);
-                for ev in events {
+                if let Some(ev) = self.monitor.handle(ctx, env) {
                     self.handle_kernel_event(ctx, ev);
                 }
             }
@@ -394,16 +395,11 @@ impl<A: CpuApp> Device for CpuDevice<A> {
     }
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
-        match self.monitor.on_timer(ctx, token) {
-            None => {
-                let mut env = Self::env(ctx, &mut self.monitor, self.nic, self.cost);
-                self.app.on_timer(&mut env, token);
-            }
-            Some(events) => {
-                for ev in events {
-                    self.handle_kernel_event(ctx, ev);
-                }
-            }
+        if !Monitor::owns_timer(token) {
+            let mut env = Self::env(ctx, &mut self.monitor, self.nic, self.cost);
+            self.app.on_timer(&mut env, token);
+        } else if let Some(ev) = self.monitor.on_timer(ctx, token) {
+            self.handle_kernel_event(ctx, ev);
         }
     }
 

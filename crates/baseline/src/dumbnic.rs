@@ -98,12 +98,12 @@ impl Device for DumbNic {
         );
     }
 
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        if let Payload::AppData { data, .. } = env.payload {
+    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
+        if let Payload::AppData { data, .. } = &env.payload {
             if env.src != self.cpu {
                 return; // only the kernel drives this NIC
             }
-            if let Some((dst, payload)) = decode_packet(&data) {
+            if let Some((dst, payload)) = decode_packet(data) {
                 ctx.busy(SimDuration::from_nanos(300));
                 self.stats.tx += 1;
                 if let Some(port) = ctx.port {

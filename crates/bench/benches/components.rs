@@ -138,7 +138,7 @@ impl Device for Beacon {
             },
         );
     }
-    fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: Envelope) {}
+    fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: &Envelope) {}
     fn on_timer(&mut self, _ctx: &mut DeviceCtx<'_>, _token: u64) {}
 }
 

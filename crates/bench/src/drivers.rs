@@ -1,5 +1,7 @@
 //! Driver devices the experiments use to exercise the system.
 
+use std::sync::Arc;
+
 use lastcpu_baseline::{encode_broker_params, KERNEL_OPEN};
 use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload, RequestId, ServiceId, Token};
 use lastcpu_core::devices::device::{Device, DeviceCtx};
@@ -31,7 +33,7 @@ pub struct SetupClient {
     name: String,
     monitor: Monitor,
     mode: ControlMode,
-    file_pattern: String,
+    file_pattern: Arc<str>,
     iterations: u32,
     completed: u32,
     begun_at: SimTime,
@@ -88,7 +90,7 @@ impl SetupClient {
             name: name.to_string(),
             monitor: Monitor::new(),
             mode,
-            file_pattern: file_pattern.to_string(),
+            file_pattern: file_pattern.into(),
             iterations,
             completed: 0,
             begun_at: SimTime::ZERO,
@@ -125,14 +127,13 @@ impl SetupClient {
         self.state = SetupState::Discovering;
         match self.mode {
             ControlMode::Decentralized => {
-                let pattern = self.file_pattern.clone();
-                self.open_op = self.monitor.discover(ctx, &pattern);
+                self.open_op = self.monitor.discover(ctx, Arc::clone(&self.file_pattern));
             }
             ControlMode::Centralized { cpu } => {
                 self.query_req = Some(ctx.send_bus(
                     Dst::Device(cpu),
                     Payload::Query {
-                        pattern: self.file_pattern.clone(),
+                        pattern: Arc::clone(&self.file_pattern),
                     },
                 ));
                 if !self.retry_timer_armed {
@@ -217,8 +218,7 @@ impl SetupClient {
                 }
                 None => {
                     // Target not announced yet: retry.
-                    let pattern = self.file_pattern.clone();
-                    self.open_op = self.monitor.discover(ctx, &pattern);
+                    self.open_op = self.monitor.discover(ctx, Arc::clone(&self.file_pattern));
                 }
             }
         }
@@ -406,7 +406,7 @@ impl Firmware for SetupClient {
             },
             t => return Err(r.corrupt(format!("bad ControlMode tag {t}"))),
         };
-        self.file_pattern = r.str()?;
+        self.file_pattern = r.str()?.into();
         self.iterations = r.u32()?;
         self.completed = r.u32()?;
         self.begun_at = SimTime::from_nanos(r.u64()?);
@@ -481,7 +481,7 @@ impl Device for DoorbellPonger {
         ctx.set_timer(SimDuration::from_millis(2), 1);
     }
 
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
+    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
         if let Payload::Doorbell { conn, value } = env.payload {
             ctx.doorbell(env.src, conn, value);
         }
@@ -540,7 +540,7 @@ impl Device for DoorbellPinger {
         ctx.set_timer(self.period, 2);
     }
 
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
+    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
         if let Payload::Doorbell { .. } = env.payload {
             if let Some(at) = self.sent_at.take() {
                 self.rtt.record(ctx.now.since(at));
@@ -614,7 +614,7 @@ impl Device for ControlStorm {
         ctx.set_timer(self.interval, 2);
     }
 
-    fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: Envelope) {}
+    fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: &Envelope) {}
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
         match token {
@@ -684,7 +684,7 @@ impl Firmware for Announcer {
 pub struct DiscoverProbe {
     name: String,
     monitor: Monitor,
-    pattern: String,
+    pattern: Arc<str>,
     iterations: u32,
     op: u64,
     begun: SimTime,
@@ -700,7 +700,7 @@ impl DiscoverProbe {
         DiscoverProbe {
             name: name.to_string(),
             monitor: Monitor::new(),
-            pattern: pattern.to_string(),
+            pattern: pattern.into(),
             iterations,
             op: 0,
             begun: SimTime::ZERO,
@@ -716,8 +716,7 @@ impl DiscoverProbe {
 
     fn kick(&mut self, ctx: &mut DeviceCtx<'_>) {
         self.begun = ctx.now + ctx.elapsed();
-        let pattern = self.pattern.clone();
-        self.op = self.monitor.discover(ctx, &pattern);
+        self.op = self.monitor.discover(ctx, Arc::clone(&self.pattern));
     }
 }
 

@@ -116,7 +116,7 @@ impl Device for CentralProbe {
         ctx.set_timer(SimDuration::from_millis(2), 1);
     }
 
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
+    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
         match env.payload {
             Payload::HelloAck { .. } => {
                 // Give the kernel time to boot + probe, then start.

@@ -6,8 +6,9 @@
 //! simulated machine we can afford (sweep sizes, fleet sizes, fault-matrix
 //! seeds) and is the metric the hot-path work in this crate is judged by.
 //!
-//! Four phases — the queue → machine → rack ladder, plus the machine again
-//! with its SSD data path loaded:
+//! Five phases — the queue → machine → rack ladder, plus the machine again
+//! with its SSD data path loaded and a machine where only the control plane
+//! works:
 //!
 //! - **queue** — the event queue (timing wheel) in isolation: a deep
 //!   steady-state churn (pop one, schedule one) at a fixed pending-set
@@ -23,6 +24,14 @@
 //!   chip the preload alone overfills, so garbage collection runs throughout.
 //!   A request must cost what it touches: the allocation bounds here fail if
 //!   the filesystem copies a file's extent list per request.
+//! - **ctl** — the benchmark's `ctl_setup_churn` in small: a memory
+//!   controller, an SSD and 32 devices looping the Figure-2 setup (discover →
+//!   open → alloc → grant → doorbell → teardown), tracing on as by default, no
+//!   network port. Every event is a bus message, a delivery or a timer, so
+//!   this is what a control message costs the host: a broadcast `Query`
+//!   reaching 33 devices, trace records naming devices and destinations, the
+//!   bus's effect list. The bound fails if any of them is paid per recipient
+//!   or per name again.
 //! - **rack** — sixteen such machines on a leaf-spine fabric (leaves of 4),
 //!   R = 2, each with a shard router and one E10-shaped client, run for the
 //!   same slice of virtual time. On top of the machine's work each event
@@ -40,16 +49,17 @@
 use std::time::Instant;
 
 use lastcpu_core::devices::ssd::SmartSsd;
-use lastcpu_core::SystemConfig;
+use lastcpu_core::{System, SystemConfig};
 use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
 use lastcpu_kvs::build::{build_cpuless_kvs_on, default_nand};
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::{build_rack_kvs, ServerConfig};
 use lastcpu_sim::{DetRng, EventQueue, SimDuration};
 
-use super::{saturated_kvs, Experiment, Gates};
+use super::{file_ssd, saturated_kvs, Experiment, Gates};
 use crate::alloc::{alloc_bytes_now, allocs_now};
 use crate::cli::{Args, OBS};
+use crate::drivers::{ControlMode, SetupClient};
 use crate::flags;
 use crate::obs::ObsArgs;
 use crate::rack::{e10_load, RackBench};
@@ -59,13 +69,14 @@ pub const EXP: Experiment = Experiment {
     name: "e9",
     title: "E9: engine throughput — wall-clock events/sec of the simulator core\n    \
             (queue churn; system: closed-loop KVS clients; ssd: the same through the\n    \
-            SSD data path with GC running; rack: 16 machines leaf-spine:4 R=2)",
+            SSD data path with GC running; ctl: 32 Figure-2 setup loops, tracing on;\n    \
+            rack: 16 machines leaf-spine:4 R=2)",
     flags: flags! {
         "--queue-depth" U64 "65536"   "pending events held by the queue phase"
         "--queue-ops"   U64 "4000000" "pop+schedule pairs in the queue phase"
         "--clients"     U64 "16"      "closed-loop clients in the system phase"
         "--outstanding" U64 "32"      "requests in flight per system-phase client"
-        "--virtual-ms"  U64 "2000"    "measured virtual time of the system, ssd and rack phases"
+        "--virtual-ms"  U64 "2000"    "measured virtual time of the system, ssd and rack phases (ctl: 1/20)"
         "--repeat"      U64 "3"       "runs per phase; the fastest is reported"
     },
     obs: OBS,
@@ -212,6 +223,46 @@ fn ssd_phase(vms: u64) -> Sample {
     sample
 }
 
+/// The control-plane rung: `ctl_setup_churn` in small. 32 clients loop the
+/// Figure-2 setup against one SSD and the memory controller and never
+/// finish, so the virtual-time slice bounds the phase. Tracing stays on, as
+/// `SystemConfig::default()` has it: the records are part of what a control
+/// message costs. The machine retires ≈ 29,000 events per virtual
+/// millisecond, a hundred times the system phase, so the slice is a
+/// twentieth of `--virtual-ms`.
+fn ctl_phase(vms: u64) -> Sample {
+    const FILE: &str = "/data/ctl.db";
+    let mut sys = System::new(SystemConfig {
+        seed: 0xE9,
+        ..SystemConfig::default()
+    });
+    let memctl = sys.add_memctl("memctl0");
+    sys.add_device(Box::new(file_ssd(FILE)));
+    let clients: Vec<_> = (0..32)
+        .map(|i| {
+            let pattern = format!("file:{FILE}");
+            let mut c = SetupClient::new(
+                &format!("client{i}"),
+                ControlMode::Decentralized,
+                &pattern,
+                u32::MAX,
+            );
+            c.memctl_hint_value = memctl.id;
+            sys.add_device(Box::new(c))
+        })
+        .collect();
+    // Warm up outside the measured window: registration and each client's
+    // cold first setup.
+    sys.power_on();
+    sys.run_for(SimDuration::from_millis(1));
+    let sample = measure(|| sys.run_for(SimDuration::from_micros(vms * 1000 / 20)));
+    for &h in &clients {
+        let c: &SetupClient = sys.device_as(h).expect("client handle");
+        assert!(!c.failed && c.latencies.len() > 1, "a setup loop stalled");
+    }
+    sample
+}
+
 /// The rack rung: 16 machines on leaf-spine:4, R = 2, one closed-loop E10
 /// client per machine that never finishes, so the virtual-time slice bounds
 /// the phase. Events are fabric events plus every machine's.
@@ -240,10 +291,11 @@ fn run(args: &Args) -> Result<Vec<Cell>, String> {
     let vms = args.u64("--virtual-ms");
     let (depth, ops) = (args.u64("--queue-depth"), args.u64("--queue-ops"));
     let (clients, outstanding) = (args.usize("--clients"), args.usize("--outstanding"));
-    let phases: [(&str, &dyn Fn() -> Sample); 4] = [
+    let phases: [(&str, &dyn Fn() -> Sample); 5] = [
         ("queue", &|| queue_phase(depth, ops)),
         ("system", &|| system_phase(clients, outstanding, vms, &obs)),
         ("ssd", &|| ssd_phase(vms)),
+        ("ctl", &|| ctl_phase(vms)),
         ("rack", &|| rack_phase(vms)),
     ];
     // Best-of-N per phase: minimum wall time is the standard noise filter
@@ -282,19 +334,24 @@ fn run(args: &Args) -> Result<Vec<Cell>, String> {
 fn check(r: &Report) -> Vec<String> {
     let mut g = Gates::default();
     // The pooled delivery path holds the machine at one allocation per
-    // event. The rack measured 2.948 at the smoke sizes when its bound was
-    // set 25% above that (2.741 now, exactly, on every run) — with a
-    // directory reply encoded per query and decoded per router tick it
-    // measured 4.090. The SSD rung
-    // measures 0.929 allocations and 75 B per event (0.917 and 71.6 at the
-    // smoke sizes), bounded 25% above; with the file's extent list copied
-    // per request it measures 1.401 and 1,618 B (1.392 and 1,502).
+    // event. The rack measures 0.961 allocations per event (0.971 at the
+    // smoke sizes), bounded 25% above; with endpoint names as `String`s and
+    // fresh replica lists per dispatch in the router it measured 2.733
+    // (2.742), and with a directory reply encoded per query and decoded per
+    // router tick on top, 4.090. The SSD rung measures 0.841 allocations
+    // and 55.3 B per event (0.829 and 51.8), bounded 25% above; with the
+    // file's extent list copied per request it measures 1.401 and 1,618 B
+    // (1.392 and 1,502). The control-plane rung measures 0.475 and 42.8 B
+    // (0.478 and 45.4), bounded 15% above; with the envelope copied per
+    // broadcast recipient, destinations formatted per trace record and a
+    // fresh effect list per bus message it measured 1.705 and 209 B.
     const INF: f64 = f64::INFINITY;
     for (phase, max_allocs, max_bytes) in [
         ("queue", INF, INF),
         ("system", 1.0, INF),
-        ("ssd", 1.16, 94.0),
-        ("rack", 3.69, INF),
+        ("ssd", 1.06, 70.0),
+        ("ctl", 0.55, 52.0),
+        ("rack", 1.22, INF),
     ] {
         let Some(c) = r.group("phase").find(|c| c.key_is("phase", phase)) else {
             g.require(false, format!("no {phase} phase"));

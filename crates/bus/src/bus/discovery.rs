@@ -83,7 +83,7 @@ impl SystemBus {
         &mut self,
         src: DeviceId,
         req: RequestId,
-        pattern: &str,
+        pattern: &Arc<str>,
         bytes: usize,
         fx: &mut Vec<BusEffect>,
     ) {
@@ -91,7 +91,7 @@ impl SystemBus {
             src,
             req,
             Payload::Query {
-                pattern: pattern.to_string(),
+                pattern: Arc::clone(pattern),
             },
             bytes,
             fx,

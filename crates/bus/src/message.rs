@@ -13,8 +13,10 @@
 //! | Privileged | `RegisterController`, `MapInstruction`, `MapComplete` | §2.2 "Address Translation" |
 //! | Notify | `Doorbell`, `ErrorNotify`, `ResetRequest/Done`, `DeviceFailed` | §2.3, §4 |
 
+use std::sync::Arc;
+
 use crate::ids::{ConnId, DeviceId, RequestId, ServiceId, Token};
-use crate::wire::{frame_check, varint_len, WireError, WireReader, WireWriter};
+use crate::wire::{field_len, frame_check, WireError, WireReader, WireWriter};
 use lastcpu_sim::CorrId;
 
 /// Message destination.
@@ -148,8 +150,9 @@ pub enum Payload {
     /// Discovery query (broadcast or to the bus directory). `pattern` is an
     /// exact name or a prefix ending in `*`.
     Query {
-        /// Name pattern to match.
-        pattern: String,
+        /// Name pattern to match. A shared handle: the bus re-broadcasts
+        /// the sender's text and the trace names it without copying.
+        pattern: Arc<str>,
     },
     /// Discovery answer.
     QueryHit {
@@ -386,7 +389,7 @@ impl Envelope {
     /// detected at decode and the frame dropped rather than misparsed.
     pub fn encode(&self) -> Vec<u8> {
         let _prof = lastcpu_sim::profile::span("bus.encode");
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(self.encoded_len());
         w.u32(self.src.0);
         match self.dst {
             Dst::Device(d) => {
@@ -706,11 +709,6 @@ fn encode_payload(w: &mut WireWriter, p: &Payload) {
     }
 }
 
-/// Size of a length-prefixed byte field: varint length prefix + the bytes.
-fn field_len(n: usize) -> usize {
-    varint_len(n as u64) + n
-}
-
 /// Encoded size of one payload, mirroring [`encode_payload`] field for
 /// field. Every arm is `1` (the tag byte) plus the fixed widths of its
 /// fields; only strings and byte blobs are data-dependent.
@@ -767,7 +765,7 @@ fn decode_payload(r: &mut WireReader<'_>) -> Result<Payload, WireError> {
             service: ServiceId(r.u16()?),
         },
         6 => Payload::Query {
-            pattern: r.string()?,
+            pattern: r.string()?.into(),
         },
         7 => Payload::QueryHit {
             device: DeviceId(r.u32()?),
@@ -1272,7 +1270,7 @@ mod tests {
                 data: vec![0x5A; n],
             });
             payloads.push(Payload::Query {
-                pattern: "q".repeat(n),
+                pattern: "q".repeat(n).into(),
             });
             payloads.push(Payload::ErrorNotify {
                 code: ErrorCode::Protocol,
@@ -1447,12 +1445,6 @@ mod tests {
     #[test]
     fn kind_name_is_stable() {
         assert_eq!(Payload::Heartbeat.kind_name(), "Heartbeat");
-        assert_eq!(
-            Payload::Query {
-                pattern: String::new()
-            }
-            .kind_name(),
-            "Query"
-        );
+        assert_eq!(Payload::Query { pattern: "".into() }.kind_name(), "Query");
     }
 }

@@ -109,6 +109,12 @@ pub fn varint_len(mut v: u64) -> usize {
     n
 }
 
+/// Number of bytes [`WireWriter::bytes`] / [`WireWriter::string`] emit for
+/// a field of `n` bytes: the varint length prefix plus the bytes.
+pub fn field_len(n: usize) -> usize {
+    varint_len(n as u64) + n
+}
+
 /// Append-only encoder.
 #[derive(Default)]
 pub struct WireWriter {
@@ -119,6 +125,14 @@ impl WireWriter {
     /// A fresh, empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A writer with room for `n` bytes: an encoder that knows its message's
+    /// encoded length allocates once instead of growing.
+    pub fn with_capacity(n: usize) -> Self {
+        WireWriter {
+            buf: Vec::with_capacity(n),
+        }
     }
 
     /// A writer that appends into `buf` (typically a recycled pool buffer),

@@ -19,6 +19,9 @@ pub struct MemCtlDevice {
     name: String,
     ctl: MemoryController,
     heartbeat: SimDuration,
+    /// Reply buffer lent to the controller for each message and drained
+    /// onto the bus; not state.
+    out: Vec<Envelope>,
 }
 
 impl MemCtlDevice {
@@ -38,6 +41,7 @@ impl MemCtlDevice {
             name: name.to_string(),
             ctl: MemoryController::with_config(id, dram_bytes, config),
             heartbeat: SimDuration::from_millis(2),
+            out: Vec::new(),
         }
     }
 
@@ -46,10 +50,18 @@ impl MemCtlDevice {
         &self.ctl
     }
 
-    fn forward(ctx: &mut DeviceCtx<'_>, out: Vec<Envelope>) {
-        for e in out {
+    /// Lends the controller the reply buffer and sends what it appended.
+    fn with_out(
+        &mut self,
+        ctx: &mut DeviceCtx<'_>,
+        f: impl FnOnce(&mut MemoryController, &mut Vec<Envelope>),
+    ) {
+        let mut out = std::mem::take(&mut self.out);
+        f(&mut self.ctl, &mut out);
+        for e in out.drain(..) {
             ctx.send_bus_with_req(e.dst, e.req, e.payload);
         }
+        self.out = out;
     }
 }
 
@@ -85,9 +97,7 @@ impl Device for MemCtlDevice {
             },
         );
         // Claim the Memory resource class (§2.2 "Address Translation").
-        let mut out = Vec::new();
-        self.ctl.on_start(&mut out);
-        Self::forward(ctx, out);
+        self.with_out(ctx, |ctl, out| ctl.on_start(out));
         // Announce the allocation service so applications can discover the
         // controller instead of hard-wiring its address.
         ctx.send_bus(
@@ -103,12 +113,12 @@ impl Device for MemCtlDevice {
         ctx.set_timer(self.heartbeat, TOKEN_HEARTBEAT);
     }
 
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        match env.payload {
+    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
+        match &env.payload {
             // Queries for the memory service are answered directly (the
             // wrapper has no Monitor — the controller is deliberately the
             // smallest possible device).
-            Payload::Query { ref pattern } if pattern == "memory" || pattern == "memory*" => {
+            Payload::Query { pattern } if matches!(&**pattern, "memory" | "memory*") => {
                 ctx.send_bus_with_req(
                     Dst::Device(env.src),
                     env.req,
@@ -129,9 +139,7 @@ impl Device for MemCtlDevice {
             _ => {
                 // Per-message firmware cost: table lookups and updates.
                 ctx.busy(SimDuration::from_nanos(400));
-                let mut out = Vec::new();
-                self.ctl.handle(&env, &mut out);
-                Self::forward(ctx, out);
+                self.with_out(ctx, |ctl, out| ctl.handle(env, out));
             }
         }
     }
@@ -155,9 +163,7 @@ impl Device for MemCtlDevice {
                 kind: "memory-controller".into(),
             },
         );
-        let mut out = Vec::new();
-        self.ctl.on_start(&mut out);
-        Self::forward(ctx, out);
+        self.with_out(ctx, |ctl, out| ctl.on_start(out));
         ctx.set_timer(self.heartbeat, TOKEN_HEARTBEAT);
     }
 }

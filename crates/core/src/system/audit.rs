@@ -30,7 +30,7 @@ impl System {
                         corr,
                         TraceData::SecurityDenial {
                             device: name.clone(),
-                            check: "dma".to_string(),
+                            check: "dma",
                             detail: format!(
                                 "pasid {} va {:#x} {:?}: {:?}",
                                 r.pasid.0,
@@ -83,7 +83,7 @@ impl System {
                     corr,
                     TraceData::SecurityDenial {
                         device,
-                        check: check.to_string(),
+                        check,
                         detail: format!(
                             "{:?} (resource {:?}, target {:?})",
                             r.reason, r.resource, r.target

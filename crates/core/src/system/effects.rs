@@ -34,17 +34,20 @@ impl System {
         let src = env.src;
         let corr = env.corr;
         let was_hello = matches!(env.payload, Payload::Hello { .. });
-        let mut fx = Vec::new();
+        let mut fx = std::mem::take(&mut self.bus_fx);
         self.bus.handle(now, env, &mut fx);
         self.drain_bus_audit(now, corr);
-        self.apply_bus_effects(now, fx);
+        self.apply_bus_effects(now, &mut fx);
+        self.bus_fx = fx;
         if was_hello {
             self.note_possible_recovery(now, src);
         }
     }
 
-    pub(super) fn apply_bus_effects(&mut self, now: SimTime, fx: Vec<BusEffect>) {
-        for effect in fx {
+    /// Carries out, in order, everything the bus appended to `fx`, leaving
+    /// it empty.
+    pub(super) fn apply_bus_effects(&mut self, now: SimTime, fx: &mut Vec<BusEffect>) {
+        for effect in fx.drain(..) {
             match effect {
                 BusEffect::Deliver { to, env, latency } => {
                     let mut lat = latency;
@@ -191,7 +194,7 @@ impl System {
                     va,
                     pa,
                     pages,
-                    perms: perms.to_string(),
+                    perms: perms.as_str(),
                 },
             );
         }

@@ -100,7 +100,7 @@ impl System {
             let mut fx = Vec::new();
             // Cannot fail: `id` is a slot of this system.
             let _ = self.bus.mark_failed(id, &mut fx);
-            self.apply_bus_effects(now, fx);
+            self.apply_bus_effects(now, &mut fx);
         }
     }
 
@@ -253,7 +253,7 @@ impl System {
                 self.take_down(idx, now, TakeDown::Lapsed);
             }
         }
-        self.apply_bus_effects(now, fx);
+        self.apply_bus_effects(now, &mut fx);
         if let Some(interval) = self.config.liveness_interval {
             self.queue.schedule_in(interval, Event::Liveness);
         }

@@ -27,7 +27,7 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use lastcpu_bus::{DeviceId, RpcTracker, SystemBus};
+use lastcpu_bus::{BusEffect, DeviceId, Dst, RpcTracker, SystemBus};
 use lastcpu_devices::device::{Action, Device};
 use lastcpu_iommu::{Iommu, IommuFault};
 use lastcpu_mem::Dram;
@@ -166,10 +166,12 @@ impl SysMetrics {
 
 struct Slot {
     id: DeviceId,
-    /// `device.name()` and `id.to_string()` as shared handles, created once
+    /// `device.name()`, `id.to_string()` (`"dev:N"`) and the `Debug` text of
+    /// `Dst::Device(id)` (`"Device(dev:N)"`) as shared handles, created once
     /// here so trace records naming this device never copy the text.
     name: Arc<str>,
     id_name: Arc<str>,
+    dst_name: Arc<str>,
     device: Box<dyn Device>,
     iommu: Iommu,
     rng: DetRng,
@@ -266,11 +268,14 @@ enum PortOwner {
     Tunnel,
 }
 
-/// The trace sources that are not a device or host, as shared handles.
+/// The trace sources that are not a device or host, and the two bus
+/// destinations that are not a device, as shared handles.
 struct TraceSources {
     bus: Arc<str>,
     net: Arc<str>,
     fault: Arc<str>,
+    dst_bus: Arc<str>,
+    dst_broadcast: Arc<str>,
 }
 
 /// Shared-interconnect state for the conflated-planes configuration (E6).
@@ -333,6 +338,9 @@ pub struct System {
     fault_events: Vec<FaultEvent>,
     /// RPC timeout/retry machinery (when configured).
     rpc: Option<RpcState>,
+    /// Effect buffer lent to `bus.handle` for each bus message and drained
+    /// by `apply_bus_effects`, so a message does not grow a fresh `Vec`.
+    bus_fx: Vec<BusEffect>,
     /// Frames delivered to tunnel ports, awaiting
     /// [`System::drain_tunnel_into`].
     tunnel_out: Vec<TunnelDelivery>,
@@ -389,6 +397,8 @@ impl System {
                 bus: "bus".into(),
                 net: "net".into(),
                 fault: "fault".into(),
+                dst_bus: "Bus".into(),
+                dst_broadcast: "Broadcast".into(),
             },
             stats,
             met,
@@ -398,6 +408,7 @@ impl System {
             memctl_id: None,
             fault_events,
             rpc,
+            bus_fx: Vec::new(),
             tunnel_out: Vec::new(),
             pool: BufPool::new(),
             config,
@@ -443,6 +454,7 @@ impl System {
             id,
             name: device.name().into(),
             id_name: id.to_string().into(),
+            dst_name: format!("{:?}", Dst::Device(id)).into(),
             device,
             iommu: self.new_iommu(),
             rng: self.root_rng.split(id.0 as u64),
@@ -508,6 +520,29 @@ impl System {
     fn slot_of(&self, id: DeviceId) -> Option<usize> {
         let idx = (id.0 as usize).checked_sub(1)?;
         (idx < self.slots.len()).then_some(idx)
+    }
+
+    /// `id.to_string()` as a handle: the slot's, or formatted for an id the
+    /// bus never handed out.
+    fn id_name(&self, id: DeviceId) -> Arc<str> {
+        match self.slot_of(id) {
+            Some(i) => self.slots[i].id_name.clone(),
+            None => id.to_string().into(),
+        }
+    }
+
+    /// The `Debug` text of `dst` as a handle (what `bus_send` and
+    /// `discovery` trace records carry): shared for `Bus`, `Broadcast` and
+    /// every slot, formatted for a device id the bus never handed out.
+    fn dst_name(&self, dst: Dst) -> Arc<str> {
+        match dst {
+            Dst::Bus => self.sources.dst_bus.clone(),
+            Dst::Broadcast => self.sources.dst_broadcast.clone(),
+            Dst::Device(id) => match self.slot_of(id) {
+                Some(i) => self.slots[i].dst_name.clone(),
+                None => format!("{dst:?}").into(),
+            },
+        }
     }
 
     /// The network port of a device, if it has one.
@@ -619,7 +654,7 @@ mod tests {
     use super::testutil::{base_system, small_fs};
     use super::*;
     use crate::host::HostCtx;
-    use lastcpu_bus::{Dst, Envelope, Payload, RequestId};
+    use lastcpu_bus::{Envelope, Payload, RequestId};
     use lastcpu_devices::auth::AuthDevice;
     use lastcpu_devices::console::{ConsoleDevice, ConsoleState};
     use lastcpu_devices::device::DeviceCtx;
@@ -754,7 +789,7 @@ mod tests {
                 },
             );
         }
-        fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
+        fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
             match env.payload {
                 Payload::HelloAck { .. } => {
                     self.port = ctx.port;
@@ -825,5 +860,31 @@ mod tests {
             assert!(sys.host_as::<Bystander>(port).is_none());
         }
         assert_eq!(sys.bus().alive().count(), 2, "nobody was taken down");
+        // A destination with no slot has no handle to share; its trace
+        // field is formatted, and reads as every other `Dst` does.
+        let sent_to: Vec<String> = sys
+            .trace()
+            .events()
+            .filter_map(|e| match &e.data {
+                lastcpu_sim::TraceData::BusSend {
+                    what: "Heartbeat",
+                    dst,
+                } => Some(dst.to_string()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            sent_to,
+            [
+                "Device(dev:9999)",
+                "Device(dev:BUS)",
+                "Device(dev:4294967295)"
+            ]
+        );
+        let hello_to = sys.trace().events().find_map(|e| match &e.data {
+            lastcpu_sim::TraceData::BusSend { what: "Hello", dst } => Some(dst.to_string()),
+            _ => None,
+        });
+        assert_eq!(hello_to.as_deref(), Some("Bus"));
     }
 }

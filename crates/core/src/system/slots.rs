@@ -111,13 +111,9 @@ impl System {
             Work::Msg(env) => {
                 self.slots[idx].met.msgs.incr();
                 self.trace_envelope(now, idx, &env);
-                let corr = env.corr;
-                // Devices take ownership of their message. A unicast
-                // delivery holds the last reference here, so this is a
-                // move out of the `Arc`, not a copy; only broadcast
-                // recipients (shared refcount > 1) pay a clone.
-                let env = Arc::try_unwrap(env).unwrap_or_else(|shared| (*shared).clone());
-                self.dispatch(idx, now, corr, move |d, ctx| d.on_message(ctx, env));
+                // Devices borrow their message: every recipient of a
+                // broadcast reads the one allocation its sender made.
+                self.dispatch(idx, now, env.corr, |d, ctx| d.on_message(ctx, &env));
             }
             Work::Timer(token, corr) => {
                 self.dispatch(idx, now, corr, move |d, ctx| d.on_timer(ctx, token));
@@ -198,14 +194,15 @@ impl System {
             Action::SendBus(env) => {
                 if self.trace.is_enabled() {
                     let name = self.slots[idx].name.clone();
+                    let dst = self.dst_name(env.dst);
                     let data = match &env.payload {
                         Payload::Query { pattern } => TraceData::Discovery {
-                            pattern: pattern.clone(),
-                            dst: format!("{:?}", env.dst),
+                            pattern: Arc::clone(pattern),
+                            dst,
                         },
                         p => TraceData::BusSend {
                             what: p.kind_name(),
-                            dst: format!("{:?}", env.dst),
+                            dst,
                         },
                     };
                     self.trace.emit_data(t, name, env.corr, data);
@@ -238,10 +235,7 @@ impl System {
                 };
                 if self.trace.is_enabled() {
                     let name = self.slots[idx].name.clone();
-                    let to = match self.slot_of(to) {
-                        Some(i) => self.slots[i].id_name.clone(),
-                        None => to.to_string().into(),
-                    };
+                    let to = self.id_name(to);
                     self.trace
                         .emit_data(t, name, corr, TraceData::QueueDoorbell { to, value });
                 }
@@ -288,7 +282,7 @@ impl System {
         } else {
             match self.slot_of(env.src) {
                 Some(i) => self.slots[i].name.clone(),
-                None => env.src.to_string().into(),
+                None => self.id_name(env.src),
             }
         };
         self.trace.emit_data(

@@ -385,7 +385,7 @@ mod tests {
 
     fn open_conn(fix: &mut Fix, acc: &mut Accelerator, regions: u16) -> Option<ConnId> {
         let mut ctx = fix.ctx();
-        acc.on_message(&mut ctx, open_env(regions));
+        acc.on_message(&mut ctx, &open_env(regions));
         let (actions, _, _) = ctx.finish();
         actions.iter().find_map(|a| match a {
             crate::device::Action::SendBus(Envelope {
@@ -429,7 +429,7 @@ mod tests {
         let mut ctx = fix.ctx();
         acc.on_message(
             &mut ctx,
-            Envelope {
+            &Envelope {
                 src: DeviceId(9),
                 dst: Dst::Device(DeviceId(1)),
                 req: RequestId(2),
@@ -453,7 +453,7 @@ mod tests {
         let mut ctx = fix2.ctx();
         acc2.on_message(
             &mut ctx,
-            Envelope {
+            &Envelope {
                 src: DeviceId(9),
                 dst: Dst::Device(DeviceId(1)),
                 req: RequestId(2),
@@ -482,7 +482,7 @@ mod tests {
         let mut ctx = fix.ctx();
         acc.on_message(
             &mut ctx,
-            Envelope {
+            &Envelope {
                 src: DeviceId(9),
                 dst: Dst::Device(DeviceId(1)),
                 req: RequestId(3),
@@ -501,7 +501,7 @@ mod tests {
         let mut ctx = fix.ctx();
         acc.on_message(
             &mut ctx,
-            Envelope {
+            &Envelope {
                 src: DeviceId::BUS,
                 dst: Dst::Broadcast,
                 req: RequestId(0),

@@ -165,7 +165,7 @@ impl ConsoleDevice {
                             self.state = ConsoleState::FindingLog;
                             self.discover_op = self
                                 .monitor
-                                .discover(ctx, &format!("file:{}", self.log_path));
+                                .discover(ctx, format!("file:{}", self.log_path));
                         }
                         None => self.fail(Status::Failed),
                     },

@@ -370,8 +370,10 @@ pub trait Device: std::any::Any {
     /// Initialization").
     fn on_start(&mut self, ctx: &mut DeviceCtx<'_>);
 
-    /// A control-plane message (or doorbell) arrived.
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope);
+    /// A control-plane message (or doorbell) arrived. The envelope is
+    /// borrowed: a broadcast reaches every recipient as the one allocation
+    /// its sender made, so a device copies out only what it keeps.
+    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope);
 
     /// A timer armed with [`DeviceCtx::set_timer`] fired.
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64);

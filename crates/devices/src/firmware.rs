@@ -105,25 +105,22 @@ impl<T: Firmware> Device for T {
         introduce(self, ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
+    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
         let _sp = T::MSG_SCOPE.map(profile::span);
-        if self.intercept(ctx, &env) {
+        if self.intercept(ctx, env) {
             return;
         }
-        for ev in self.monitor().handle(ctx, &env) {
+        if let Some(ev) = self.monitor().handle(ctx, env) {
             self.on_event(ctx, ev);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
         let _sp = T::TIMER_SCOPE.map(profile::span);
-        match self.monitor().on_timer(ctx, token) {
-            Some(events) => {
-                for ev in events {
-                    self.on_event(ctx, ev);
-                }
-            }
-            None => Firmware::on_timer(self, ctx, token),
+        if !Monitor::owns_timer(token) {
+            Firmware::on_timer(self, ctx, token);
+        } else if let Some(ev) = self.monitor().on_timer(ctx, token) {
+            self.on_event(ctx, ev);
         }
     }
 

@@ -14,6 +14,8 @@
 //! things the application must decide, and transparently handles the rest
 //! (discovery replies, heartbeats, auth checks, peer-failure cleanup).
 
+use std::sync::Arc;
+
 use lastcpu_bus::{
     ConnId, DeviceId, Dst, Envelope, ErrorCode, Payload, RequestId, ServiceDesc, ServiceId, Status,
     Token,
@@ -333,11 +335,11 @@ impl Monitor {
     /// Emits [`MonitorEvent::DiscoveryDone`] when the window closes.
     /// Overlapping discoveries are safe: answers echo the query's request
     /// id, so each hit is attributed to exactly the discovery that asked.
-    pub fn discover(&mut self, ctx: &mut DeviceCtx<'_>, pattern: &str) -> u64 {
+    pub fn discover(&mut self, ctx: &mut DeviceCtx<'_>, pattern: impl Into<Arc<str>>) -> u64 {
         let req = ctx.send_bus(
             Dst::Bus,
             Payload::Query {
-                pattern: pattern.to_string(),
+                pattern: pattern.into(),
             },
         );
         let op = self.new_op(PendingOp::Discover {
@@ -524,13 +526,15 @@ impl Monitor {
         }
     }
 
-    /// Feeds one incoming envelope; returns events for the application.
-    pub fn handle(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) -> Vec<MonitorEvent> {
-        let mut ev = Vec::new();
+    /// Feeds one incoming envelope; returns the event it raises for the
+    /// application, if any. An envelope raises at most one, so the pump
+    /// allocates nothing.
+    pub fn handle(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) -> Option<MonitorEvent> {
+        let mut ev = None;
         match &env.payload {
             Payload::HelloAck { .. } => {
                 self.registered = true;
-                ev.push(MonitorEvent::Registered);
+                ev = Some(MonitorEvent::Registered);
             }
             Payload::Query { pattern } => {
                 // Answer for every matching service we host.
@@ -564,13 +568,15 @@ impl Monitor {
                     self.reject_open(ctx, env.req, env.src, Status::NotFound);
                 }
                 Some((_, auth)) => match auth.check(*token) {
-                    Ok(principal) => ev.push(MonitorEvent::OpenRequested {
-                        req: env.req,
-                        from: env.src,
-                        service: *service,
-                        principal,
-                        params: params.clone(),
-                    }),
+                    Ok(principal) => {
+                        ev = Some(MonitorEvent::OpenRequested {
+                            req: env.req,
+                            from: env.src,
+                            service: *service,
+                            principal,
+                            params: params.clone(),
+                        })
+                    }
                     Err(status) => {
                         self.reject_open(ctx, env.req, env.src, status);
                     }
@@ -590,13 +596,13 @@ impl Monitor {
                         } else {
                             Err(*status)
                         };
-                        ev.push(MonitorEvent::OpenDone { op, target, result });
+                        ev = Some(MonitorEvent::OpenDone { op, target, result });
                     }
                 }
             }
             Payload::CloseRequest { conn } => {
                 let status = if self.conns.remove(conn).is_some() {
-                    ev.push(MonitorEvent::PeerClosed { conn: *conn });
+                    ev = Some(MonitorEvent::PeerClosed { conn: *conn });
                     Status::Ok
                 } else {
                     Status::NotFound
@@ -611,7 +617,7 @@ impl Monitor {
                 if let Some(op) = self.req_to_op.remove(&env.req) {
                     if let Some(PendingOp::Close { conn, .. }) = self.ops.remove(&op) {
                         self.opened.remove(&conn);
-                        ev.push(MonitorEvent::CloseDone {
+                        ev = Some(MonitorEvent::CloseDone {
                             op,
                             status: *status,
                         });
@@ -626,14 +632,14 @@ impl Monitor {
                         } else {
                             Err(*status)
                         };
-                        ev.push(MonitorEvent::AllocDone { op, result });
+                        ev = Some(MonitorEvent::AllocDone { op, result });
                     }
                 }
             }
             Payload::ShareResponse { status } => {
                 if let Some(op) = self.req_to_op.remove(&env.req) {
                     if matches!(self.ops.remove(&op), Some(PendingOp::Share)) {
-                        ev.push(MonitorEvent::ShareDone {
+                        ev = Some(MonitorEvent::ShareDone {
                             op,
                             status: *status,
                         });
@@ -643,7 +649,7 @@ impl Monitor {
             Payload::MemFreeResponse { status } => {
                 if let Some(op) = self.req_to_op.remove(&env.req) {
                     if matches!(self.ops.remove(&op), Some(PendingOp::Free)) {
-                        ev.push(MonitorEvent::FreeDone {
+                        ev = Some(MonitorEvent::FreeDone {
                             op,
                             status: *status,
                         });
@@ -651,19 +657,19 @@ impl Monitor {
                 }
             }
             Payload::MapComplete { va, pages, .. } => {
-                ev.push(MonitorEvent::MapChanged {
+                ev = Some(MonitorEvent::MapChanged {
                     va: *va,
                     pages: *pages,
                 });
             }
             Payload::Doorbell { conn, value } => {
-                ev.push(MonitorEvent::Doorbell {
+                ev = Some(MonitorEvent::Doorbell {
                     conn: *conn,
                     value: *value,
                 });
             }
             Payload::ErrorNotify { code, conn, detail } => {
-                ev.push(MonitorEvent::Error {
+                ev = Some(MonitorEvent::Error {
                     code: *code,
                     conn: *conn,
                     detail: detail.clone(),
@@ -690,7 +696,7 @@ impl Monitor {
                 }
                 // Always surfaced, even with no connections: an application
                 // mid-handshake with the dead device must learn about it.
-                ev.push(MonitorEvent::PeerFailed {
+                ev = Some(MonitorEvent::PeerFailed {
                     device: *device,
                     lost_conns: lost,
                     dropped_server_conns: dropped,
@@ -703,28 +709,28 @@ impl Monitor {
         ev
     }
 
-    /// Feeds a timer tick. Returns `None` when the token is not the
-    /// monitor's (it belongs to the device application).
-    pub fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) -> Option<Vec<MonitorEvent>> {
-        if token & TOKEN_BASE == 0 {
-            return None;
-        }
+    /// Whether a timer token is the monitor's (top bit set); any other
+    /// belongs to the device application.
+    pub fn owns_timer(token: u64) -> bool {
+        token & TOKEN_BASE != 0
+    }
+
+    /// Feeds a tick of one of the monitor's own timers (see
+    /// [`Monitor::owns_timer`]); returns the event it raises, if any.
+    pub fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) -> Option<MonitorEvent> {
         if token == TOKEN_HEARTBEAT {
             ctx.send_bus(Dst::Bus, Payload::Heartbeat);
             if let Some(interval) = self.heartbeat {
                 ctx.set_timer(interval, TOKEN_HEARTBEAT);
             }
-            return Some(Vec::new());
-        }
-        if token & TOKEN_DISCOVERY == TOKEN_DISCOVERY {
+        } else if token & TOKEN_DISCOVERY == TOKEN_DISCOVERY {
             let op = token & !(TOKEN_DISCOVERY);
             if let Some(PendingOp::Discover { hits, req }) = self.ops.remove(&op) {
                 self.req_to_op.remove(&req);
-                return Some(vec![MonitorEvent::DiscoveryDone { op, hits }]);
+                return Some(MonitorEvent::DiscoveryDone { op, hits });
             }
-            return Some(Vec::new());
         }
-        Some(Vec::new())
+        None
     }
 
     /// Wipes all state (device reset). The device must `start` again.
@@ -826,7 +832,7 @@ mod discovery_correlation_tests {
         // Close both windows.
         let ev_a = m.on_timer(&mut ctx, (1 << 63) | (1 << 62) | op_a).unwrap();
         let ev_b = m.on_timer(&mut ctx, (1 << 63) | (1 << 62) | op_b).unwrap();
-        match (&ev_a[0], &ev_b[0]) {
+        match (&ev_a, &ev_b) {
             (
                 MonitorEvent::DiscoveryDone { op: oa, hits: ha },
                 MonitorEvent::DiscoveryDone { op: ob, hits: hb },
@@ -1124,7 +1130,7 @@ mod tests {
                 },
             },
         );
-        assert_eq!(ev, vec![MonitorEvent::Registered]);
+        assert_eq!(ev, Some(MonitorEvent::Registered));
         assert!(m.is_registered());
     }
 
@@ -1215,8 +1221,10 @@ mod tests {
                 },
             },
         );
-        let ev = m.on_timer(&mut ctx, timer_token).unwrap();
-        match &ev[0] {
+        match &m
+            .on_timer(&mut ctx, timer_token)
+            .expect("the window closes")
+        {
             MonitorEvent::DiscoveryDone { op: done, hits } => {
                 assert_eq!(*done, op);
                 assert_eq!(hits.len(), 1);
@@ -1243,7 +1251,7 @@ mod tests {
         // Server receives, app accepts.
         let mut sctx = fix_server.ctx();
         let ev = server.handle(&mut sctx, &open_req);
-        let (req, from, service, principal) = match &ev[0] {
+        let (req, from, service, principal) = match ev.as_ref().expect("one event") {
             MonitorEvent::OpenRequested {
                 req,
                 from,
@@ -1262,7 +1270,7 @@ mod tests {
         // Client resolves.
         let mut cctx = fix_client.ctx();
         let ev = client.handle(&mut cctx, &resp);
-        match &ev[0] {
+        match ev.as_ref().expect("one event") {
             MonitorEvent::OpenDone {
                 op: done,
                 target,
@@ -1302,7 +1310,7 @@ mod tests {
                 },
             },
         );
-        assert!(ev.is_empty(), "auth failure handled internally");
+        assert!(ev.is_none(), "auth failure handled internally");
         let msgs = sent(ctx);
         assert!(matches!(
             msgs[0].payload,
@@ -1335,7 +1343,7 @@ mod tests {
                 },
             },
         );
-        match &ev[0] {
+        match ev.as_ref().expect("one event") {
             MonitorEvent::OpenRequested { principal, .. } => {
                 assert_eq!(*principal, Some(1234));
             }
@@ -1362,7 +1370,7 @@ mod tests {
                 },
             },
         );
-        assert!(ev.is_empty());
+        assert!(ev.is_none());
         let msgs = sent(ctx);
         assert!(matches!(
             msgs[0].payload,
@@ -1401,7 +1409,7 @@ mod tests {
                 payload: Payload::CloseRequest { conn },
             },
         );
-        assert_eq!(ev, vec![MonitorEvent::PeerClosed { conn }]);
+        assert_eq!(ev, Some(MonitorEvent::PeerClosed { conn }));
         let msgs = sent(ctx);
         assert!(matches!(
             msgs[0].payload,
@@ -1436,10 +1444,10 @@ mod tests {
         );
         assert_eq!(
             ev,
-            vec![MonitorEvent::AllocDone {
+            Some(MonitorEvent::AllocDone {
                 op: op_a,
                 result: Ok(33)
-            }]
+            })
         );
 
         let mut ctx = fix.ctx();
@@ -1458,10 +1466,10 @@ mod tests {
         );
         assert_eq!(
             ev,
-            vec![MonitorEvent::ShareDone {
+            Some(MonitorEvent::ShareDone {
                 op: op_s,
                 status: Status::Ok
-            }]
+            })
         );
 
         let mut ctx = fix.ctx();
@@ -1480,10 +1488,10 @@ mod tests {
         );
         assert_eq!(
             ev,
-            vec![MonitorEvent::FreeDone {
+            Some(MonitorEvent::FreeDone {
                 op: op_f,
                 status: Status::Ok
-            }]
+            })
         );
     }
 
@@ -1537,7 +1545,7 @@ mod tests {
                 },
             },
         );
-        match &ev[0] {
+        match ev.as_ref().expect("one event") {
             MonitorEvent::PeerFailed {
                 device,
                 lost_conns,
@@ -1568,8 +1576,8 @@ mod tests {
             })
             .unwrap();
         let mut ctx = fix.ctx();
-        let ev = m.on_timer(&mut ctx, token).unwrap();
-        assert!(ev.is_empty());
+        assert!(Monitor::owns_timer(token));
+        assert_eq!(m.on_timer(&mut ctx, token), None);
         let (actions, _, _) = ctx.finish();
         let has_hb = actions.iter().any(|a| {
             matches!(
@@ -1588,10 +1596,7 @@ mod tests {
 
     #[test]
     fn application_timers_pass_through() {
-        let mut fix = Fix::new();
-        let mut m = Monitor::new();
-        let mut ctx = fix.ctx();
-        assert!(m.on_timer(&mut ctx, 5).is_none());
+        assert!(!Monitor::owns_timer(5));
     }
 
     #[test]
@@ -1614,10 +1619,10 @@ mod tests {
         );
         assert_eq!(
             ev,
-            vec![MonitorEvent::Doorbell {
+            Some(MonitorEvent::Doorbell {
                 conn: ConnId(4),
                 value: 2
-            }]
+            })
         );
         let ev = m.handle(
             &mut ctx,
@@ -1633,7 +1638,7 @@ mod tests {
                 },
             },
         );
-        assert!(matches!(ev[0], MonitorEvent::Error { .. }));
+        assert!(matches!(ev, Some(MonitorEvent::Error { .. })));
     }
 
     #[test]

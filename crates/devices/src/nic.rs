@@ -357,10 +357,10 @@ mod tests {
         assert_eq!(nic.app().started, 0);
         drop(ctx);
         let mut ctx = fix.ctx();
-        nic.on_message(&mut ctx, hello_ack());
+        nic.on_message(&mut ctx, &hello_ack());
         assert_eq!(nic.app().started, 1);
         // A second HelloAck does not restart the app.
-        nic.on_message(&mut ctx, hello_ack());
+        nic.on_message(&mut ctx, &hello_ack());
         assert_eq!(nic.app().started, 1);
         assert_eq!(nic.app().events, 1, "second Registered surfaces as event");
     }
@@ -419,7 +419,7 @@ mod tests {
         let mut fix = Fix::new();
         let mut nic = SmartNic::new("nic0", SpyApp::default());
         let mut ctx = fix.ctx();
-        nic.on_message(&mut ctx, hello_ack());
+        nic.on_message(&mut ctx, &hello_ack());
         drop(ctx);
         let mut ctx = fix.ctx();
         Device::on_reset(&mut nic, &mut ctx);
@@ -436,7 +436,7 @@ mod tests {
         drop(actions);
         // And the app starts again on re-registration.
         let mut ctx = fix.ctx();
-        nic.on_message(&mut ctx, hello_ack());
+        nic.on_message(&mut ctx, &hello_ack());
         assert_eq!(nic.app().started, 2);
     }
 

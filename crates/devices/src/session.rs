@@ -396,10 +396,8 @@ mod tests {
     ) -> (Vec<SessionEvent>, Vec<Envelope>) {
         let mut ctx = fix.ctx();
         let mut out = Vec::new();
-        for ev in monitor.handle(&mut ctx, &env) {
-            if let Some(se) = session.on_event(&mut ctx, monitor, &ev) {
-                out.push(se);
-            }
+        if let Some(ev) = monitor.handle(&mut ctx, &env) {
+            out.extend(session.on_event(&mut ctx, monitor, &ev));
         }
         let (actions, _, _) = ctx.finish();
         let sent = actions
@@ -490,27 +488,24 @@ mod tests {
         ));
 
         let mut ctx = fix.ctx();
-        let mut ready = Vec::new();
-        for ev in monitor.handle(
-            &mut ctx,
-            &Envelope {
-                src: MEMCTL,
-                dst: Dst::Device(ME),
-                req: share_req,
-                corr: CorrId::NONE,
-                payload: Payload::ShareResponse { status: Status::Ok },
-            },
-        ) {
-            if let Some(se) = session.on_event(&mut ctx, &mut monitor, &ev) {
-                ready.push(se);
-            }
-        }
+        let ev = monitor
+            .handle(
+                &mut ctx,
+                &Envelope {
+                    src: MEMCTL,
+                    dst: Dst::Device(ME),
+                    req: share_req,
+                    corr: CorrId::NONE,
+                    payload: Payload::ShareResponse { status: Status::Ok },
+                },
+            )
+            .expect("the share completes");
         assert_eq!(
-            ready,
-            vec![SessionEvent::Ready {
+            session.on_event(&mut ctx, &mut monitor, &ev),
+            Some(SessionEvent::Ready {
                 conn: ConnId(7),
                 file_size: 4242
-            }]
+            })
         );
         assert_eq!(session.state(), SessionState::Ready);
         // The setup doorbell went to the SSD.

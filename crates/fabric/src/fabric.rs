@@ -1179,7 +1179,7 @@ mod tests {
                 },
             );
         }
-        fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: Envelope) {}
+        fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: &Envelope) {}
         fn on_timer(&mut self, _ctx: &mut DeviceCtx<'_>, _token: u64) {}
     }
 

@@ -13,7 +13,7 @@
 //! format: unknown tags and trailing bytes are errors, consistent with the
 //! "buses are hardware" stance of the bus crate.
 
-use lastcpu_bus::wire::{WireError, WireReader, WireWriter};
+use lastcpu_bus::wire::{field_len, varint_len, WireError, WireReader, WireWriter};
 
 /// Magic prefix distinguishing directory frames from workload traffic.
 pub const DIR_MAGIC: u16 = 0xD1DC;
@@ -56,9 +56,26 @@ pub enum DirMsg {
 }
 
 impl DirMsg {
-    /// Serializes the message.
+    /// Size of the encoding, without producing it.
+    pub fn encoded_len(&self) -> usize {
+        2 + 1
+            + match self {
+                DirMsg::Query { epoch_hint } => varint_len(*epoch_hint),
+                DirMsg::Reply { epoch, endpoints } => {
+                    varint_len(*epoch)
+                        + varint_len(endpoints.len() as u64)
+                        + endpoints
+                            .iter()
+                            .map(|ep| field_len(ep.name.len()) + field_len(ep.kind.len()) + 4 + 4)
+                            .sum::<usize>()
+                }
+            }
+    }
+
+    /// Serializes the message into a buffer allocated once at its exact
+    /// size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(self.encoded_len());
         w.u16(DIR_MAGIC);
         match self {
             DirMsg::Query { epoch_hint } => {
@@ -155,6 +172,36 @@ mod tests {
             ],
         };
         assert_eq!(DirMsg::decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn encode_allocates_exactly_its_length() {
+        let reply = |n: usize| DirMsg::Reply {
+            epoch: 1 << 20,
+            endpoints: (0..n)
+                .map(|i| DirEndpoint {
+                    name: format!("m{i}/nic0"),
+                    kind: "k".repeat(i),
+                    machine: i as u32,
+                    port: 3,
+                })
+                .collect(),
+        };
+        let msgs = [
+            DirMsg::Query { epoch_hint: 0 },
+            DirMsg::Query {
+                epoch_hint: 1 << 40,
+            },
+            reply(0),
+            reply(3),
+            reply(200),
+        ];
+        for m in msgs {
+            let enc = m.encode();
+            assert_eq!(enc.len(), m.encoded_len());
+            assert_eq!(enc.capacity(), enc.len());
+            assert_eq!(DirMsg::decode(&enc).unwrap(), m);
+        }
     }
 
     #[test]

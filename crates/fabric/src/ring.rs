@@ -16,6 +16,8 @@
 //! lands on one member). The finalizer (the murmur3/splitmix fmix step)
 //! restores avalanche so sequential keys spread uniformly.
 
+use std::sync::Arc;
+
 /// FNV-1a 64-bit hash of `bytes`, finalized for avalanche.
 pub fn hash64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -39,8 +41,10 @@ pub fn hash64(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct HashRing {
     vnodes: u32,
-    /// Member names, kept sorted (insertion-order independence).
-    nodes: Vec<String>,
+    /// Member names, kept sorted (insertion-order independence). Shared
+    /// handles: [`HashRing::replicas_into`] hands them out, so a caller that
+    /// keeps a member's name per request copies no text.
+    nodes: Vec<Arc<str>>,
     /// `(point_hash, index into nodes)`, sorted by `(hash, index)`.
     points: Vec<(u64, usize)>,
 }
@@ -56,7 +60,7 @@ impl HashRing {
     }
 
     /// Member names, sorted.
-    pub fn nodes(&self) -> &[String] {
+    pub fn nodes(&self) -> &[Arc<str>] {
         &self.nodes
     }
 
@@ -72,10 +76,10 @@ impl HashRing {
 
     /// Adds a member; returns false if it was already present.
     pub fn insert(&mut self, name: &str) -> bool {
-        match self.nodes.binary_search_by(|n| n.as_str().cmp(name)) {
+        match self.nodes.binary_search_by(|n| (**n).cmp(name)) {
             Ok(_) => false,
             Err(pos) => {
-                self.nodes.insert(pos, name.to_string());
+                self.nodes.insert(pos, name.into());
                 self.rebuild();
                 true
             }
@@ -84,7 +88,7 @@ impl HashRing {
 
     /// Removes a member; returns false if it was absent.
     pub fn remove(&mut self, name: &str) -> bool {
-        match self.nodes.binary_search_by(|n| n.as_str().cmp(name)) {
+        match self.nodes.binary_search_by(|n| (**n).cmp(name)) {
             Ok(pos) => {
                 self.nodes.remove(pos);
                 self.rebuild();
@@ -110,32 +114,47 @@ impl HashRing {
         self.replicas(key, 1).into_iter().next()
     }
 
+    /// The owner (index into `nodes`) of each point, one lap clockwise from
+    /// the first point at or after `hash(key)`.
+    fn walk(&self, key: &[u8]) -> impl Iterator<Item = usize> + '_ {
+        let h = hash64(key);
+        let start = self.points.partition_point(|&(p, _)| p < h);
+        let (before, from) = self.points.split_at(start);
+        from.iter().chain(before).map(|&(_, idx)| idx)
+    }
+
     /// Up to `r` distinct members for `key`, clockwise from its hash: the
     /// first entry is the primary, the rest are replicas in fail-over
     /// order.
     pub fn replicas(&self, key: &[u8], r: usize) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        if self.points.is_empty() || r == 0 {
-            return out;
-        }
-        let h = hash64(key);
-        // First point clockwise from `h`; wrap past the last point to 0.
-        let mut start = self.points.partition_point(|&(p, _)| p < h);
-        if start == self.points.len() {
-            start = 0;
-        }
         let want = r.min(self.nodes.len());
-        for off in 0..self.points.len() {
-            let (_, idx) = self.points[(start + off) % self.points.len()];
-            let name = self.nodes[idx].as_str();
+        let mut out: Vec<&str> = Vec::new();
+        for idx in self.walk(key) {
+            if out.len() == want {
+                break;
+            }
+            let name = &*self.nodes[idx];
             if !out.contains(&name) {
                 out.push(name);
-                if out.len() == want {
-                    break;
-                }
             }
         }
         out
+    }
+
+    /// [`HashRing::replicas`] into a buffer the caller keeps, as the ring's
+    /// own name handles: neither the list nor a name is allocated.
+    pub fn replicas_into(&self, key: &[u8], r: usize, out: &mut Vec<Arc<str>>) {
+        let want = r.min(self.nodes.len());
+        out.clear();
+        for idx in self.walk(key) {
+            if out.len() == want {
+                break;
+            }
+            let name = &self.nodes[idx];
+            if !out.iter().any(|o| Arc::ptr_eq(o, name)) {
+                out.push(Arc::clone(name));
+            }
+        }
     }
 }
 
@@ -162,7 +181,7 @@ impl lastcpu_snap::Restore for HashRing {
         let n = r.len()?;
         self.nodes = Vec::with_capacity(n);
         for _ in 0..n {
-            self.nodes.push(r.str()?);
+            self.nodes.push(r.str()?.into());
         }
         let np = r.len()?;
         self.points = Vec::with_capacity(np);
@@ -216,6 +235,22 @@ mod tests {
             uniq.dedup();
             assert_eq!(uniq.len(), 3, "replicas must be distinct");
             assert_eq!(reps[0], ring.primary(&key(i)).unwrap());
+        }
+    }
+
+    #[test]
+    fn replicas_into_fills_a_kept_buffer_with_the_same_list() {
+        let mut ring = HashRing::new(64);
+        let mut buf = vec!["stale".into()];
+        for m in 0..5 {
+            for r in 0..7 {
+                for i in 0..100 {
+                    ring.replicas_into(&key(i), r, &mut buf);
+                    let names: Vec<&str> = buf.iter().map(|n| &**n).collect();
+                    assert_eq!(names, ring.replicas(&key(i), r), "m={m} r={r}");
+                }
+            }
+            ring.insert(&format!("m{m}/kvs"));
         }
     }
 

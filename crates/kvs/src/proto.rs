@@ -3,7 +3,7 @@
 //! One request or response per frame; requests carry a client-chosen id the
 //! response echoes, so clients can pipeline.
 
-use lastcpu_bus::wire::{WireReader, WireWriter};
+use lastcpu_bus::wire::{field_len, WireReader, WireWriter};
 
 /// A KVS request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,28 +43,22 @@ impl KvsRequest {
         }
     }
 
-    /// Encodes to frame payload bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+    /// The request as a view borrowing its key and value.
+    pub fn borrowed(&self) -> KvsRequestRef<'_> {
         match self {
-            KvsRequest::Get { id, key } => {
-                w.u8(1);
-                w.u64(*id);
-                w.bytes(key);
-            }
-            KvsRequest::Put { id, key, value } => {
-                w.u8(2);
-                w.u64(*id);
-                w.bytes(key);
-                w.bytes(value);
-            }
-            KvsRequest::Delete { id, key } => {
-                w.u8(3);
-                w.u64(*id);
-                w.bytes(key);
-            }
+            KvsRequest::Get { id, key } => KvsRequestRef::Get { id: *id, key },
+            KvsRequest::Put { id, key, value } => KvsRequestRef::Put {
+                id: *id,
+                key,
+                value,
+            },
+            KvsRequest::Delete { id, key } => KvsRequestRef::Delete { id: *id, key },
         }
-        w.finish()
+    }
+
+    /// Encodes to frame payload bytes (see [`KvsRequestRef::encode`]).
+    pub fn encode(&self) -> Vec<u8> {
+        self.borrowed().encode()
     }
 
     /// Decodes from frame payload bytes.
@@ -122,6 +116,46 @@ impl<'a> KvsRequestRef<'a> {
             | KvsRequestRef::Put { key, .. }
             | KvsRequestRef::Delete { key, .. } => key,
         }
+    }
+
+    /// Size of the encoding, without producing it.
+    pub fn encoded_len(&self) -> usize {
+        let value = match self {
+            KvsRequestRef::Put { value, .. } => field_len(value.len()),
+            _ => 0,
+        };
+        1 + 8 + field_len(self.key().len()) + value
+    }
+
+    /// Encodes to frame payload bytes, allocated once at their exact size.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the encoding to `buf` (typically a pooled buffer).
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        let mut w = WireWriter::with_buf(std::mem::take(buf));
+        match *self {
+            KvsRequestRef::Get { id, key } => {
+                w.u8(1);
+                w.u64(id);
+                w.bytes(key);
+            }
+            KvsRequestRef::Put { id, key, value } => {
+                w.u8(2);
+                w.u64(id);
+                w.bytes(key);
+                w.bytes(value);
+            }
+            KvsRequestRef::Delete { id, key } => {
+                w.u8(3);
+                w.u64(id);
+                w.bytes(key);
+            }
+        }
+        *buf = w.finish();
     }
 
     /// Decodes a borrowed view from frame payload bytes, allocation-free.
@@ -296,22 +330,13 @@ impl<'a> KvsResponseRef<'a> {
 /// key — the client's zero-alloc issue path. Wire-identical to
 /// `KvsRequest::Get { id, key }.encode()`.
 pub fn encode_get_into(id: u64, key: &[u8], buf: &mut Vec<u8>) {
-    let mut w = WireWriter::with_buf(std::mem::take(buf));
-    w.u8(1);
-    w.u64(id);
-    w.bytes(key);
-    *buf = w.finish();
+    KvsRequestRef::Get { id, key }.encode_into(buf);
 }
 
 /// Encodes a PUT request straight into `buf` (appended), from borrowed key
 /// and value. Wire-identical to `KvsRequest::Put { .. }.encode()`.
 pub fn encode_put_into(id: u64, key: &[u8], value: &[u8], buf: &mut Vec<u8>) {
-    let mut w = WireWriter::with_buf(std::mem::take(buf));
-    w.u8(2);
-    w.u64(id);
-    w.bytes(key);
-    w.bytes(value);
-    *buf = w.finish();
+    KvsRequestRef::Put { id, key, value }.encode_into(buf);
 }
 
 /// Encodes a response directly from a borrowed value, without building a
@@ -319,7 +344,7 @@ pub fn encode_put_into(id: u64, key: &[u8], value: &[u8], buf: &mut Vec<u8>) {
 /// serialize straight out of the value cache — no intermediate copy of the
 /// value bytes.
 pub fn encode_response(id: u64, status: KvsStatus, value: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(1 + 8 + field_len(value.len()));
     encode_response_into(id, status, value, &mut buf);
     buf
 }
@@ -372,6 +397,41 @@ mod tests {
         }
         assert_eq!(KvsRequest::decode(&[99]), None);
         assert_eq!(KvsRequest::decode(&[]), None);
+    }
+
+    /// Every encoder that returns a fresh buffer sizes it once: no growth,
+    /// no slack — also across the 1- to 2-byte length-prefix boundary.
+    #[test]
+    fn encoders_allocate_exactly_their_length() {
+        for n in [0usize, 1, 127, 128, 1024] {
+            let (key, value) = (vec![7u8; n], vec![9u8; 2 * n]);
+            let kinds = [
+                KvsRequestRef::Get { id: 1, key: &key },
+                KvsRequestRef::Put {
+                    id: 2,
+                    key: &key,
+                    value: &value,
+                },
+                KvsRequestRef::Delete { id: 3, key: &key },
+            ];
+            for req in kinds {
+                let enc = req.to_owned().encode();
+                assert_eq!(enc.len(), req.encoded_len());
+                assert_eq!(enc.capacity(), enc.len(), "{req:?}");
+            }
+            for resp in [
+                KvsResponse {
+                    id: 4,
+                    status: KvsStatus::Ok,
+                    value,
+                },
+                KvsResponse::busy(5, n as u32),
+            ] {
+                let enc = resp.encode();
+                assert_eq!(enc.capacity(), enc.len(), "{resp:?}");
+                assert_eq!(KvsResponse::decode(&enc), Some(resp));
+            }
+        }
     }
 
     #[test]

@@ -40,6 +40,7 @@
 
 use lastcpu_sim::DetHashMap;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use lastcpu_core::{HostCtx, NetHost};
 use lastcpu_fabric::{DirMsg, HashRing};
@@ -49,7 +50,7 @@ use lastcpu_sim::critpath::{
 };
 use lastcpu_sim::{profile, CounterHandle, GaugeHandle, SimDuration, SimTime};
 
-use crate::proto::{KvsRequest, KvsResponse, KvsStatus};
+use crate::proto::{KvsRequest, KvsRequestRef, KvsResponse, KvsStatus};
 
 /// Timer token for the periodic tick (directory refresh + timeout sweep).
 const TOKEN_TICK: u64 = 1;
@@ -176,8 +177,8 @@ enum Op {
 
 /// One sub-request to one replica.
 struct Sub {
-    /// Endpoint name (`"m2/nic0"`).
-    target: String,
+    /// Endpoint name (`"m2/nic0"`), as the ring's handle.
+    target: Arc<str>,
     /// Router-minted id (≥ [`SUB_ID_BASE`]).
     id: u64,
     /// When it was (last) transmitted.
@@ -287,8 +288,13 @@ pub struct ShardRouterHost {
     pending: BTreeMap<u64, PendingReq>,
     /// Sub-request id → pending sequence.
     sub_index: DetHashMap<u64, u64>,
-    /// Per-endpoint congestion state (ordered, for deterministic iteration).
-    load: BTreeMap<String, EndpointLoad>,
+    /// Per-endpoint congestion state (ordered, for deterministic iteration),
+    /// keyed by the ring's name handles.
+    load: BTreeMap<Arc<str>, EndpointLoad>,
+    /// The replica list of the request being dispatched: one buffer, lent to
+    /// [`HashRing::replicas_into`] per dispatch. Empty between calls; not
+    /// state.
+    reps: Vec<Arc<str>>,
     /// Keys whose PUT the router has acknowledged to a client. The E10
     /// crash scenario audits these against surviving machines' indices.
     acked_puts: BTreeSet<Vec<u8>>,
@@ -323,6 +329,7 @@ impl ShardRouterHost {
             pending: BTreeMap::new(),
             sub_index: DetHashMap::default(),
             load: BTreeMap::new(),
+            reps: Vec::new(),
             acked_puts: BTreeSet::new(),
             stats: RouterStats::default(),
             met: None,
@@ -342,7 +349,7 @@ impl ShardRouterHost {
 
     /// Shard endpoints currently on the ring, sorted by name.
     pub fn endpoint_names(&self) -> Vec<&str> {
-        self.ring.nodes().iter().map(|s| s.as_str()).collect()
+        self.ring.nodes().iter().map(|s| &**s).collect()
     }
 
     /// Keys whose PUT has been acknowledged to a client (sorted — the set
@@ -436,7 +443,7 @@ impl ShardRouterHost {
         // re-joining endpoint starts cold (its in-flight subs were
         // cancelled below, so no outstanding count leaks).
         let endpoints = &self.endpoints;
-        self.load.retain(|name, _| endpoints.contains_key(name));
+        self.load.retain(|name, _| endpoints.contains_key(&**name));
         if membership_changed {
             // Fail over in-flight work addressed to departed endpoints now
             // rather than waiting out the sub-timeout.
@@ -446,7 +453,7 @@ impl ShardRouterHost {
                 .filter(|(_, p)| {
                     p.subs
                         .iter()
-                        .any(|s| s.ack.is_none() && !self.endpoints.contains_key(&s.target))
+                        .any(|s| s.ack.is_none() && !self.endpoints.contains_key(&*s.target))
                 })
                 .map(|(&seq, _)| seq)
                 .collect();
@@ -466,26 +473,21 @@ impl ShardRouterHost {
     }
 
     /// Sends one sub-request to `target`; registers it under `seq`.
-    fn issue_sub(&mut self, ctx: &mut HostCtx<'_>, seq: u64, target: String) {
-        let port = self.endpoints[&target];
+    fn issue_sub(&mut self, ctx: &mut HostCtx<'_>, seq: u64, target: Arc<str>) {
+        let port = self.endpoints[&*target];
         let id = self.mint_sub();
-        self.load.entry(target.clone()).or_default().outstanding += 1;
+        self.load
+            .entry(Arc::clone(&target))
+            .or_default()
+            .outstanding += 1;
         let p = self.pending.get_mut(&seq).expect("pending exists");
-        let req = match &p.op {
-            Op::Get => KvsRequest::Get {
-                id,
-                key: p.key.clone(),
-            },
-            Op::Put { value } => KvsRequest::Put {
-                id,
-                key: p.key.clone(),
-                value: value.clone(),
-            },
-            Op::Delete => KvsRequest::Delete {
-                id,
-                key: p.key.clone(),
-            },
-        };
+        let key = &p.key[..];
+        let frame = match &p.op {
+            Op::Get => KvsRequestRef::Get { id, key },
+            Op::Put { value } => KvsRequestRef::Put { id, key, value },
+            Op::Delete => KvsRequestRef::Delete { id, key },
+        }
+        .encode();
         p.subs.push(Sub {
             target,
             id,
@@ -499,7 +501,7 @@ impl ShardRouterHost {
             met.hits.incr();
         }
         ctx.stage(STAGE_ROUTER_SUB, id, opk);
-        ctx.net_tx(port, req.encode());
+        ctx.net_tx(port, frame);
     }
 
     /// Unregisters one sub: drops the id mapping and, if it was never
@@ -523,8 +525,8 @@ impl ShardRouterHost {
     }
 
     /// Folds one ack RTT sample into the target's congestion state.
-    fn record_rtt(&mut self, target: &str, rtt: SimDuration) {
-        let l = self.load.entry(target.to_string()).or_default();
+    fn record_rtt(&mut self, target: &Arc<str>, rtt: SimDuration) {
+        let l = self.load.entry(Arc::clone(target)).or_default();
         l.outstanding = l.outstanding.saturating_sub(1);
         let sample = rtt.as_nanos();
         l.ewma_rtt_ns = if l.ewma_rtt_ns == 0 {
@@ -544,38 +546,54 @@ impl ShardRouterHost {
 
     /// Picks the GET target among `reps` for the given attempt.
     ///
-    /// All arms skip `avoid` — the targets of subs the *current* re-dispatch
-    /// just cancelled unacked. Without that, the rotation
+    /// All arms skip what `avoid` names — the targets of subs the *current*
+    /// re-dispatch just cancelled unacked. Without that, the rotation
     /// `reps[attempts % len]` can land back on the endpoint that just timed
     /// out when a directory epoch reordered the replica list (the original
     /// retry bug). If every replica is excluded (R = 1), the rotation pick
     /// stands — there is nowhere else to go.
-    fn choose_get_target(
+    fn choose_get_target<'a>(
         &self,
-        reps: &[String],
+        reps: &'a [Arc<str>],
         attempts: u32,
-        avoid: &BTreeSet<String>,
+        avoid: impl Fn(&str) -> bool,
         now: SimTime,
-    ) -> String {
+    ) -> &'a Arc<str> {
         let n = reps.len();
         let start = attempts as usize % n;
-        let rotation: Vec<&String> = (0..n).map(|i| &reps[(start + i) % n]).collect();
-        let fresh: Vec<&String> = rotation
-            .iter()
-            .copied()
-            .filter(|t| !avoid.contains(*t))
-            .collect();
-        let cands = if fresh.is_empty() { rotation } else { fresh };
-        if self.config.policy.congestion_aware() && cands.len() >= 2 {
+        let rotation = || (0..n).map(|i| &reps[(start + i) % n]);
+        // The first two candidates in rotation order: those not avoided,
+        // or the whole rotation if that leaves none.
+        let mut fresh = rotation().filter(|t| !avoid(t));
+        let (a, b) = match fresh.next() {
+            Some(a) => (a, fresh.next()),
+            None => (&reps[start], rotation().nth(1)),
+        };
+        if let Some(b) = b {
             // Power of two choices over the first two rotation candidates;
             // ties keep the rotation order (deterministic). An endpoint
             // inside its backpressure window scores worst.
-            let (a, b) = (cands[0], cands[1]);
-            if self.load_score(b, now) < self.load_score(a, now) {
-                return b.clone();
+            if self.config.policy.congestion_aware()
+                && self.load_score(b, now) < self.load_score(a, now)
+            {
+                return b;
             }
         }
-        cands[0].clone()
+        a
+    }
+
+    /// Orders a write's missing replicas for fan-out. Load-aware under the
+    /// congestion policy: least-loaded replicas get their subs (and thus
+    /// uplink slots) first; the name tie-break keeps the order
+    /// deterministic. Ring order otherwise.
+    fn order_fan_out(&self, missing: &mut [Arc<str>], now: SimTime) {
+        if self.config.policy.congestion_aware() {
+            missing.sort_by(|a, b| {
+                self.load_score(a, now)
+                    .cmp(&self.load_score(b, now))
+                    .then_with(|| a.cmp(b))
+            });
+        }
     }
 
     fn respond(ctx: &mut HostCtx<'_>, p: &PendingReq, status: KvsStatus, value: Vec<u8>) {
@@ -599,10 +617,23 @@ impl ShardRouterHost {
     /// dispatch and fail-over share this path; only the latter counts as a
     /// fail-over and burns retry budget.
     fn redispatch(&mut self, ctx: &mut HostCtx<'_>, seq: u64) {
+        self.with_reps(|this, reps| this.redispatch_with(ctx, seq, reps));
+    }
+
+    /// Lends `f` the replica-list buffer.
+    fn with_reps(&mut self, f: impl FnOnce(&mut Self, &mut Vec<Arc<str>>)) {
+        let mut reps = std::mem::take(&mut self.reps);
+        f(self, &mut reps);
+        reps.clear();
+        self.reps = reps;
+    }
+
+    fn redispatch_with(&mut self, ctx: &mut HostCtx<'_>, seq: u64, reps: &mut Vec<Arc<str>>) {
         let r = self.r();
         let max_retries = self.config.max_retries;
-        // Phase 1: budget bookkeeping (short borrow of the pending entry).
-        let (key, initial, over_budget) = {
+        // Phase 1: budget bookkeeping and the current replica set (short
+        // borrow of the pending entry).
+        let (initial, over_budget) = {
             let Some(p) = self.pending.get_mut(&seq) else {
                 return;
             };
@@ -615,7 +646,8 @@ impl ShardRouterHost {
             if !initial {
                 p.attempts += 1;
             }
-            (p.key.clone(), initial, p.attempts > max_retries)
+            self.ring.replicas_into(&p.key, r, reps);
+            (initial, p.attempts > max_retries)
         };
         if !initial {
             self.stats.failovers += 1;
@@ -632,12 +664,6 @@ impl ShardRouterHost {
             Self::respond(ctx, &p, KvsStatus::Unavailable, vec![]);
             return;
         }
-        let reps: Vec<String> = self
-            .ring
-            .replicas(&key, r)
-            .into_iter()
-            .map(String::from)
-            .collect();
         if reps.is_empty() {
             // No endpoints at all (rack-wide outage); keep the request
             // parked. The next sweep retries and the budget bounds it.
@@ -673,53 +699,35 @@ impl ShardRouterHost {
             p.subs = kept;
             (cancelled, p.attempts)
         };
-        // Targets whose sub this very re-dispatch cancelled while unacked:
-        // the retry must not re-target them (they just timed out or
-        // vanished), whatever the rotation arithmetic says.
-        let avoid: BTreeSet<String> = cancelled
-            .iter()
-            .filter(|s| s.ack.is_none())
-            .map(|s| s.target.clone())
-            .collect();
         for s in &cancelled {
             self.unregister_sub(s);
         }
         // Phase 3: pick targets and issue.
-        let to_issue: Vec<String> = if is_get {
-            vec![self.choose_get_target(&reps, attempts, &avoid, ctx.now)]
+        if is_get {
+            // Targets whose sub this very re-dispatch cancelled while
+            // unacked: the retry must not re-target them (they just timed
+            // out or vanished), whatever the rotation arithmetic says.
+            let avoid = |t: &str| cancelled.iter().any(|s| s.ack.is_none() && &*s.target == t);
+            let target = Arc::clone(self.choose_get_target(reps, attempts, avoid, ctx.now));
+            self.issue_sub(ctx, seq, target);
         } else {
             let p = &self.pending[&seq];
-            let mut missing: Vec<String> = reps
-                .iter()
-                .filter(|rep| !p.subs.iter().any(|s| &s.target == *rep))
-                .cloned()
-                .collect();
-            if self.config.policy.congestion_aware() {
-                // Load-aware fan-out order: least-loaded replicas get their
-                // subs (and thus uplink slots) first. Name-tiebreak keeps
-                // the order deterministic.
-                missing.sort_by(|a, b| {
-                    self.load_score(a, ctx.now)
-                        .cmp(&self.load_score(b, ctx.now))
-                        .then_with(|| a.cmp(b))
-                });
+            reps.retain(|rep| !p.subs.iter().any(|s| s.target == *rep));
+            self.order_fan_out(reps, ctx.now);
+            for target in reps.drain(..) {
+                self.issue_sub(ctx, seq, target);
             }
-            missing
-        };
-        for target in to_issue {
-            self.issue_sub(ctx, seq, target);
-        }
-        if !is_get {
-            self.check_write_done(ctx, seq);
+            self.check_write_done(ctx, seq, reps);
         }
     }
 
     /// Completes a PUT/DELETE if every current replica has acknowledged.
-    fn check_write_done(&mut self, ctx: &mut HostCtx<'_>, seq: u64) {
+    /// `reps` is the lent replica-list buffer (refilled here).
+    fn check_write_done(&mut self, ctx: &mut HostCtx<'_>, seq: u64, reps: &mut Vec<Arc<str>>) {
         let Some(p) = self.pending.get(&seq) else {
             return;
         };
-        let reps = self.ring.replicas(&p.key, self.r());
+        self.ring.replicas_into(&p.key, self.r(), reps);
         if reps.is_empty() {
             return;
         }
@@ -802,7 +810,7 @@ impl ShardRouterHost {
                     };
                     let scale = 1 + (u64::from(depth) / 64).min(7);
                     let until = ctx.now + self.config.busy_backoff.saturating_mul(scale);
-                    let l = self.load.entry(target.clone()).or_default();
+                    let l = self.load.entry(Arc::clone(&target)).or_default();
                     if until > l.busy_until {
                         l.busy_until = until;
                     }
@@ -821,7 +829,7 @@ impl ShardRouterHost {
                     }
                 }
             }
-            _ => self.check_write_done(ctx, seq),
+            _ => self.with_reps(|this, reps| this.check_write_done(ctx, seq, reps)),
         }
     }
 
@@ -1155,7 +1163,7 @@ impl lastcpu_snap::Restore for ShardRouterHost {
             let mut subs = Vec::with_capacity(ns);
             for _ in 0..ns {
                 subs.push(Sub {
-                    target: r.str()?,
+                    target: r.str()?.into(),
                     id: r.u64()?,
                     sent_at: SimTime::from_nanos(r.u64()?),
                     ack: r.opt(|r| Ok(KvsStatus::snap_decode(r.u8()?)))?,
@@ -1188,7 +1196,7 @@ impl lastcpu_snap::Restore for ShardRouterHost {
         let n = r.len()?;
         self.load = BTreeMap::new();
         for _ in 0..n {
-            let name = r.str()?;
+            let name = r.str()?.into();
             let l = EndpointLoad {
                 outstanding: r.u32()?,
                 ewma_rtt_ns: r.u64()?,
@@ -1638,6 +1646,137 @@ mod tests {
         assert_eq!(st.busy_deferrals, storm_rounds);
         assert!(h.router.acked_put_keys().contains(&b"k".to_vec()));
         let _ = backoff;
+    }
+
+    /// Replica selection as it was written before names became handles
+    /// and the lists one lent buffer: `Vec<String>` in, fresh `Vec`s and a
+    /// `BTreeSet` per call. Kept as the reference the proptest below holds
+    /// the allocation-free code to.
+    mod oracle {
+        use super::super::*;
+
+        pub type Load = BTreeMap<String, EndpointLoad>;
+
+        fn load_score(load: &Load, target: &str, now: SimTime) -> (bool, u32, u64) {
+            let l = load.get(target).copied().unwrap_or_default();
+            (l.busy_until > now, l.outstanding, l.ewma_rtt_ns)
+        }
+
+        pub fn choose_get_target(
+            policy: RetryPolicy,
+            load: &Load,
+            reps: &[String],
+            attempts: u32,
+            avoid: &BTreeSet<String>,
+            now: SimTime,
+        ) -> String {
+            let n = reps.len();
+            let start = attempts as usize % n;
+            let rotation: Vec<&String> = (0..n).map(|i| &reps[(start + i) % n]).collect();
+            let fresh: Vec<&String> = rotation
+                .iter()
+                .copied()
+                .filter(|t| !avoid.contains(*t))
+                .collect();
+            let cands = if fresh.is_empty() { rotation } else { fresh };
+            if policy.congestion_aware() && cands.len() >= 2 {
+                let (a, b) = (cands[0], cands[1]);
+                if load_score(load, b, now) < load_score(load, a, now) {
+                    return b.clone();
+                }
+            }
+            cands[0].clone()
+        }
+
+        /// The PUT fan-out: replicas without a sub yet, in issue order.
+        pub fn fan_out(
+            policy: RetryPolicy,
+            load: &Load,
+            reps: &[String],
+            have_sub: &BTreeSet<String>,
+            now: SimTime,
+        ) -> Vec<String> {
+            let mut missing: Vec<String> = reps
+                .iter()
+                .filter(|rep| !have_sub.contains(*rep))
+                .cloned()
+                .collect();
+            if policy.congestion_aware() {
+                missing.sort_by(|a, b| {
+                    load_score(load, a, now)
+                        .cmp(&load_score(load, b, now))
+                        .then_with(|| a.cmp(b))
+                });
+            }
+            missing
+        }
+    }
+
+    mod selection_props {
+        use super::super::*;
+        use super::oracle;
+        use proptest::prelude::*;
+
+        /// Endpoint `i` of a six-machine pool. Scores collide on purpose
+        /// (small ranges), so tie-breaks are exercised.
+        fn name(i: u8) -> String {
+            format!("m{i}/nic0")
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            /// Over random replica lists, attempts, avoid sets, sub sets
+            /// and load tables, under both policies: the GET target and the
+            /// PUT fan-out order are the oracle's.
+            #[test]
+            fn selection_matches_the_oracle(
+                order in proptest::collection::vec(0u8..6, 1..7),
+                attempts in 0u32..9,
+                avoid_mask in 0u8..64,
+                sub_mask in 0u8..64,
+                table in proptest::collection::vec((0u8..6, 0u32..3, 0u64..3, 0u64..3), 0..7),
+                adaptive in any::<bool>(),
+            ) {
+                // A replica list has distinct members, in ring (any) order.
+                let mut ids = order;
+                let mut seen = 0u8;
+                ids.retain(|i| {
+                    let first = seen & (1 << i) == 0;
+                    seen |= 1 << i;
+                    first
+                });
+                let policy = if adaptive { RetryPolicy::AdaptiveP2c } else { RetryPolicy::Static };
+                let now = SimTime::from_nanos(1);
+                let masked = |mask: u8| -> BTreeSet<String> {
+                    (0..6).filter(|i| mask & (1 << i) != 0).map(name).collect()
+                };
+                let (avoid, have_sub) = (masked(avoid_mask), masked(sub_mask));
+                let mut router = ShardRouterHost::new(RouterConfig { policy, ..RouterConfig::default() });
+                let mut load = oracle::Load::new();
+                for (i, outstanding, ewma_rtt_ns, busy_until) in table {
+                    let l = EndpointLoad {
+                        outstanding,
+                        ewma_rtt_ns,
+                        busy_until: SimTime::from_nanos(busy_until),
+                    };
+                    load.insert(name(i), l);
+                    router.load.insert(name(i).into(), l);
+                }
+                let reps: Vec<String> = ids.iter().copied().map(name).collect();
+                let mut handles: Vec<Arc<str>> = reps.iter().map(|n| n.as_str().into()).collect();
+
+                let got = router.choose_get_target(&handles, attempts, |t| avoid.contains(t), now);
+                prop_assert_eq!(
+                    &**got,
+                    oracle::choose_get_target(policy, &load, &reps, attempts, &avoid, now)
+                );
+
+                handles.retain(|rep| !have_sub.contains(&**rep));
+                router.order_fan_out(&mut handles, now);
+                let got: Vec<&str> = handles.iter().map(|n| &**n).collect();
+                prop_assert_eq!(got, oracle::fan_out(policy, &load, &reps, &have_sub, now));
+            }
+        }
     }
 
     #[test]

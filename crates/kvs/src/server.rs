@@ -322,7 +322,7 @@ impl KvsServer {
             Some(dev) => {
                 self.memctl = Some(dev);
                 self.state = ServerState::FindingFile;
-                self.file_op = monitor.discover(ctx, &self.config.file_pattern);
+                self.file_op = monitor.discover(ctx, self.config.file_pattern.as_str());
             }
             None => {
                 self.state = ServerState::FindingMemory;
@@ -379,7 +379,7 @@ impl KvsServer {
                     Some((dev, _)) => {
                         self.memctl = Some(*dev);
                         self.state = ServerState::FindingFile;
-                        self.file_op = monitor.discover(ctx, &self.config.file_pattern);
+                        self.file_op = monitor.discover(ctx, self.config.file_pattern.as_str());
                     }
                     None => {
                         // The controller may still be booting; retry.
@@ -409,7 +409,7 @@ impl KvsServer {
                         self.session = Some(session);
                     }
                     None => {
-                        self.file_op = monitor.discover(ctx, &self.config.file_pattern);
+                        self.file_op = monitor.discover(ctx, self.config.file_pattern.as_str());
                     }
                 }
             }
@@ -923,7 +923,7 @@ impl KvsServer {
             Some(dev) => {
                 self.memctl = Some(dev);
                 self.state = ServerState::FindingFile;
-                self.file_op = monitor.discover(ctx, &self.config.file_pattern);
+                self.file_op = monitor.discover(ctx, self.config.file_pattern.as_str());
             }
             None => {
                 self.state = ServerState::FindingMemory;

@@ -80,15 +80,17 @@ impl Perms {
     }
 }
 
+impl Perms {
+    /// The `rwx` rendering, `-` for an absent bit (`"rw-"`); what `Debug`
+    /// and `Display` print.
+    pub const fn as_str(self) -> &'static str {
+        ["---", "r--", "-w-", "rw-", "--x", "r-x", "-wx", "rwx"][self.bits as usize]
+    }
+}
+
 impl fmt::Debug for Perms {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}{}{}",
-            if self.can_read() { "r" } else { "-" },
-            if self.can_write() { "w" } else { "-" },
-            if self.can_exec() { "x" } else { "-" },
-        )
+        f.write_str(self.as_str())
     }
 }
 

@@ -412,8 +412,8 @@ impl Device for MaliciousDevice {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
-        match env.payload {
+    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
+        match &env.payload {
             // Once armed, answer other devices' discovery queries with
             // spoofed hits: one claiming *we* offer a shadowed service, and
             // one with forged provenance naming the victim as offerer.
@@ -447,13 +447,13 @@ impl Device for MaliciousDevice {
             // Learn the directory: every service someone else announced is
             // a shadowing target.
             Payload::QueryHit { device, service }
-                if device != ctx.dev
+                if *device != ctx.dev
                     && !self
                         .observed
                         .iter()
-                        .any(|(d, s)| *d == device && s.name == service.name) =>
+                        .any(|(d, s)| d == device && s.name == service.name) =>
             {
-                self.observed.push((device, service));
+                self.observed.push((*device, service.clone()));
             }
             // Replies resolve pending attack requests.
             Payload::BusAck { status }
@@ -468,7 +468,7 @@ impl Device for MaliciousDevice {
                             self.tally(kind).denied_remote += 1;
                         }
                     }
-                    Some(Pending::Escalate) if status == Status::Ok => {
+                    Some(Pending::Escalate) if *status == Status::Ok => {
                         // Stage 2: we now own `Compute`; try to use it as
                         // authority over DRAM mappings.
                         let req = ctx.send_bus(
@@ -615,7 +615,7 @@ mod tests {
                 corr: CorrId::NONE,
                 payload: Payload::BusAck { status },
             };
-            let follow = with_ctx(&mut mmu, |ctx| dev.on_message(ctx, reply));
+            let follow = with_ctx(&mut mmu, |ctx| dev.on_message(ctx, &reply));
             escalated += follow
                 .iter()
                 .filter(|a| {
@@ -658,7 +658,7 @@ mod tests {
                 },
             },
         };
-        with_ctx(&mut mmu, |ctx| dev.on_message(ctx, hit));
+        with_ctx(&mut mmu, |ctx| dev.on_message(ctx, &hit));
         let actions = with_ctx(&mut mmu, |ctx| dev.on_timer(ctx, 0));
         let announced: Vec<String> = actions
             .iter()
@@ -697,12 +697,12 @@ mod tests {
             },
         };
         // Before any SsdpSpoof event, queries are ignored.
-        let actions = with_ctx(&mut mmu, |ctx| dev.on_message(ctx, query(DeviceId(5))));
+        let actions = with_ctx(&mut mmu, |ctx| dev.on_message(ctx, &query(DeviceId(5))));
         assert!(actions.is_empty());
         // Arm by running the spoof event, then answer a query.
         with_ctx(&mut mmu, |ctx| dev.on_timer(ctx, 0));
         let before = dev.stats(AttackKind::SsdpSpoof).attempts;
-        let actions = with_ctx(&mut mmu, |ctx| dev.on_message(ctx, query(DeviceId(5))));
+        let actions = with_ctx(&mut mmu, |ctx| dev.on_message(ctx, &query(DeviceId(5))));
         let hits: Vec<(DeviceId, String)> = actions
             .iter()
             .filter_map(|a| match a {

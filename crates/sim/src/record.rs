@@ -51,16 +51,20 @@ impl fmt::Display for CorrId {
 /// a stable human-readable line via `Display` (preserved verbatim from the
 /// original string tracer so message-sequence assertions keep working).
 ///
-/// Device names are `Arc<str>` handles: the machine creates one per device
-/// when it is attached and every record naming that device shares it, so a
-/// steady-state record costs a reference count, not a heap copy. The
-/// checkpoint and export encodings carry the text only.
+/// Names are handles. Device names and bus destinations are `Arc<str>`: the
+/// machine creates one per device when it is attached (and one each for
+/// `"Bus"` and `"Broadcast"`), a discovery pattern is the `Arc<str>` its
+/// `Query` carries, and every record shares them; names drawn from a fixed
+/// set (message kinds, permission sets, security checks, stages) are
+/// `&'static str`. A steady-state record therefore costs reference counts,
+/// not heap copies. `String` is left to the fields only faults and power-on
+/// fill. The checkpoint and export encodings carry the text only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceData {
     /// A device handed a control message to the bus.
-    BusSend { what: &'static str, dst: String },
+    BusSend { what: &'static str, dst: Arc<str> },
     /// A discovery query entered the bus.
-    Discovery { pattern: String, dst: String },
+    Discovery { pattern: Arc<str>, dst: Arc<str> },
     /// A message was delivered to a device.
     Deliver { to: Arc<str>, kind: &'static str },
     /// A device completed registration on the bus.
@@ -72,7 +76,7 @@ pub enum TraceData {
         va: u64,
         pa: u64,
         pages: u64,
-        perms: String,
+        perms: &'static str,
     },
     /// The bus revoked pages from a device's IOMMU.
     IommuUnmap {
@@ -101,7 +105,7 @@ pub enum TraceData {
         /// Device whose access or request was refused.
         device: Arc<str>,
         /// Check that refused it, e.g. `"dma"`, `"map_instruction"`.
-        check: String,
+        check: &'static str,
         /// Human-readable denial detail.
         detail: String,
     },
@@ -339,11 +343,11 @@ impl TraceData {
         Ok(match r.u8()? {
             0 => TraceData::BusSend {
                 what: lastcpu_snap::intern_static(&r.str()?),
-                dst: r.str()?,
+                dst: r.str()?.into(),
             },
             1 => TraceData::Discovery {
-                pattern: r.str()?,
-                dst: r.str()?,
+                pattern: r.str()?.into(),
+                dst: r.str()?.into(),
             },
             2 => TraceData::Deliver {
                 to: r.str()?.into(),
@@ -356,7 +360,7 @@ impl TraceData {
                 va: r.u64()?,
                 pa: r.u64()?,
                 pages: r.u64()?,
-                perms: r.str()?,
+                perms: lastcpu_snap::intern_static(&r.str()?),
             },
             5 => TraceData::IommuUnmap {
                 device: r.str()?.into(),
@@ -380,7 +384,7 @@ impl TraceData {
             },
             10 => TraceData::SecurityDenial {
                 device: r.str()?.into(),
-                check: r.str()?,
+                check: lastcpu_snap::intern_static(&r.str()?),
                 detail: r.str()?,
             },
             11 => TraceData::Stage {
@@ -484,7 +488,7 @@ mod tests {
             va: 0x1000,
             pa: 0x8000,
             pages: 4,
-            perms: "RW".into(),
+            perms: "rw-",
         };
         assert!(m
             .to_string()

@@ -320,6 +320,42 @@ mod tests {
         assert_eq!(span[1].what(), "-> ssd0: OpenRequest");
     }
 
+    /// The `trace` section the commit before `BusSend::dst`,
+    /// `Discovery::{pattern, dst}`, `IommuMap::perms` and
+    /// `SecurityDenial::check` became handles wrote for the fourteen
+    /// records of `snapshot_round_trips_every_record_variant`.
+    const PARENT_SECTION_HEX: &str = concat!(
+        "2000000000000000010e000000000000000e0000000000000000000000000000",
+        "0004000000000000006e6963300000000000000000000b000000000000004f70",
+        "656e526571756573740d00000000000000446576696365286465763a32290a00",
+        "00000000000004000000000000006e6963300100000000000000010500000000",
+        "0000007373642f2a090000000000000042726f61646361737414000000000000",
+        "0004000000000000006e69633002000000000000000204000000000000007373",
+        "6430080000000000000051756572794869741e00000000000000040000000000",
+        "00006e69633003000000000000000310000000000000006e6963302028736d61",
+        "72742d6e696329280000000000000004000000000000006e6963300400000000",
+        "0000000405000000000000006465763a33070000000020000000000000009000",
+        "0000000000040000000000000002000000000000005257320000000000000004",
+        "000000000000006e69633005000000000000000505000000000000006465763a",
+        "3307000000002000000000000004000000000000003c00000000000000040000",
+        "00000000006e6963300600000000000000060900000000000000756e616c6967",
+        "6e6564460000000000000004000000000000006e696330070000000000000007",
+        "05000000000000006465763a3304000000000000000150000000000000000400",
+        "0000000000006e69633008000000000000000805000000000000006465763a32",
+        "efbe0000000000005a0000000000000004000000000000006e69633009000000",
+        "000000000905000000000000006465763a3216000000000000006465763a3220",
+        "68616c7465643a20776561722d6f757464000000000000000400000000000000",
+        "6e6963300a000000000000000a0600000000000000726f677565300300000000",
+        "000000646d611f00000000000000706173696420312076612030783020577269",
+        "74653a204e6f744d61707065646e0000000000000004000000000000006e6963",
+        "300b000000000000000b0c00000000000000636c69656e742e69737375656300",
+        "0000000000000100000000000000780000000000000004000000000000006e69",
+        "63300c000000000000000c00000000000000000300000000000000c000000000",
+        "0000002800000000000000f4010000000000002d000000000000008200000000",
+        "00000004000000000000006e6963300d000000000000000d0900000000000000",
+        "667265652d666f726d",
+    );
+
     #[test]
     fn snapshot_round_trips_every_record_variant() {
         use lastcpu_snap::{Restore, SnapReader, Snapshot};
@@ -345,7 +381,7 @@ mod tests {
                 va: 0x2000,
                 pa: 0x9000,
                 pages: 4,
-                perms: "RW".into(),
+                perms: "RW",
             },
             TraceData::IommuUnmap {
                 device: "dev:3".into(),
@@ -371,7 +407,7 @@ mod tests {
             },
             TraceData::SecurityDenial {
                 device: "rogue0".into(),
-                check: "dma".into(),
+                check: "dma",
                 detail: "pasid 1 va 0x0 Write: NotMapped".into(),
             },
             TraceData::Stage {
@@ -404,6 +440,10 @@ mod tests {
             );
         }
         let bytes = t.snapshot_bytes();
+        // Handle-typed fields encode the bytes `String` fields did, so the
+        // decode below is also a decode of a parent-written section.
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PARENT_SECTION_HEX);
         let mut back = TraceSink::disabled();
         let mut r = SnapReader::new("trace", &bytes);
         back.restore(&mut r).expect("well-formed");

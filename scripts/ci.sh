@@ -3,7 +3,9 @@
 #
 #   1. formatting, lints   cargo fmt --check; cargo clippy -D warnings; no std
 #                          HashMap/HashSet in the library crates; no raw
-#                          `impl Device for` outside the named list
+#                          `impl Device for` outside the named list; no name
+#                          spelled in `apply_action`, no `Envelope` copied
+#                          under core/src/system/
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -74,6 +76,30 @@ awk '
     END { exit bad }
 ' $(find crates/{devices,core,kvs,fabric,baseline,sec,bench}/src -name '*.rs' | sort) || {
     echo "FAIL: raw \`impl Device for\` outside the named list; implement Firmware"; exit 1;
+}
+
+echo "==> a message is allocated once and a name is spelled once"
+# `apply_action` runs once per effect of every handler: a name it needs is
+# a handle made when the slot was (`System::dst_name` / `id_name`), never a
+# `format!` or `to_string()` per record. And the machine only ever passes an
+# envelope on (`Arc::clone`, `&*env`): a deep copy under core/src/system/
+# is a copy per recipient of a broadcast.
+awk '
+    FNR == 1 { skip = 0; in_apply = 0 }
+    /^#\[cfg\(test\)\]/ { skip = 1 }
+    /^    fn apply_action\(/ { in_apply = 1 }
+    in_apply && /format!|to_string\(\)/ {
+        print "    " FILENAME ":" FNR ": " $0; bad = 1
+    }
+    in_apply && /^    }/ { in_apply = 0 }
+    !skip && !/^[ \t]*\/\// &&
+    /(^|[^A-Za-z_])(env|envelope|shared)\.clone\(\)|\(\*[a-z_]+\)\.clone\(\)|Envelope::clone/ {
+        print "    " FILENAME ":" FNR ": " $0; bad = 1
+    }
+    skip && /^}/ { skip = 0 }
+    END { exit bad }
+' $(find crates/core/src/system -name '*.rs' | sort) || {
+    echo "FAIL: a name formatted in apply_action, or an Envelope deep-copied in core/src/system"; exit 1;
 }
 
 echo "==> tier-1: cargo build --release"

@@ -30,7 +30,7 @@ impl Device for Pinger {
         ctx.set_timer(SimDuration::from_micros(20), 2);
         ctx.set_timer(SimDuration::from_millis(2), 1);
     }
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
+    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
         if let Payload::Doorbell { .. } = env.payload {
             if let Some(at) = self.sent.take() {
                 self.rtts.push(ctx.now.since(at));
@@ -75,7 +75,7 @@ impl Device for Reflector {
         );
         ctx.set_timer(SimDuration::from_millis(2), 1);
     }
-    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
+    fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
         if let Payload::Doorbell { conn, value } = env.payload {
             ctx.doorbell(env.src, conn, value);
         }
@@ -111,7 +111,7 @@ impl Device for BulkStorm {
         ctx.set_timer(SimDuration::from_millis(2), 1);
         ctx.set_timer(SimDuration::from_micros(50), 2);
     }
-    fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: Envelope) {}
+    fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: &Envelope) {}
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
         match token {
             1 => {
@@ -192,7 +192,7 @@ fn doorbells_coalesce_under_load() {
                 ctx.doorbell(self.peer, ConnId(9), 0);
             }
         }
-        fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: Envelope) {}
+        fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: &Envelope) {}
         fn on_timer(&mut self, _ctx: &mut DeviceCtx<'_>, _token: u64) {}
     }
     /// A device that is always busy when messages arrive.
@@ -215,7 +215,7 @@ fn doorbells_coalesce_under_load() {
                 },
             );
         }
-        fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: Envelope) {
+        fn on_message(&mut self, ctx: &mut DeviceCtx<'_>, env: &Envelope) {
             if let Payload::Doorbell { .. } = env.payload {
                 self.doorbells_seen += 1;
                 ctx.busy(SimDuration::from_micros(100)); // slow handler
