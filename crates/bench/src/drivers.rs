@@ -421,15 +421,7 @@ impl Firmware for SetupClient {
             .get(tag as usize)
             .ok_or_else(|| r.corrupt(format!("bad SetupState tag {tag}")))?;
         self.session = r.opt(|r| {
-            let mut s = FileSession::new(
-                DeviceId(0),
-                DeviceId(0),
-                ServiceId(0),
-                Token::NONE,
-                Pasid(0),
-                0,
-                1,
-            );
+            let mut s = FileSession::placeholder();
             s.restore(r)?;
             Ok(s)
         })?;

@@ -238,9 +238,9 @@ fn ctl_phase(vms: u64) -> Sample {
     });
     let memctl = sys.add_memctl("memctl0");
     sys.add_device(Box::new(file_ssd(FILE)));
+    let pattern = format!("file:{FILE}");
     let clients: Vec<_> = (0..32)
         .map(|i| {
-            let pattern = format!("file:{FILE}");
             let mut c = SetupClient::new(
                 &format!("client{i}"),
                 ControlMode::Decentralized,

@@ -50,18 +50,11 @@ impl MemCtlDevice {
         &self.ctl
     }
 
-    /// Lends the controller the reply buffer and sends what it appended.
-    fn with_out(
-        &mut self,
-        ctx: &mut DeviceCtx<'_>,
-        f: impl FnOnce(&mut MemoryController, &mut Vec<Envelope>),
-    ) {
-        let mut out = std::mem::take(&mut self.out);
-        f(&mut self.ctl, &mut out);
-        for e in out.drain(..) {
+    /// Sends what the controller appended to the reply buffer.
+    fn forward(&mut self, ctx: &mut DeviceCtx<'_>) {
+        for e in self.out.drain(..) {
             ctx.send_bus_with_req(e.dst, e.req, e.payload);
         }
-        self.out = out;
     }
 }
 
@@ -97,7 +90,8 @@ impl Device for MemCtlDevice {
             },
         );
         // Claim the Memory resource class (§2.2 "Address Translation").
-        self.with_out(ctx, |ctl, out| ctl.on_start(out));
+        self.ctl.on_start(&mut self.out);
+        self.forward(ctx);
         // Announce the allocation service so applications can discover the
         // controller instead of hard-wiring its address.
         ctx.send_bus(
@@ -139,7 +133,8 @@ impl Device for MemCtlDevice {
             _ => {
                 // Per-message firmware cost: table lookups and updates.
                 ctx.busy(SimDuration::from_nanos(400));
-                self.with_out(ctx, |ctl, out| ctl.handle(env, out));
+                self.ctl.handle(env, &mut self.out);
+                self.forward(ctx);
             }
         }
     }
@@ -163,7 +158,8 @@ impl Device for MemCtlDevice {
                 kind: "memory-controller".into(),
             },
         );
-        self.with_out(ctx, |ctl, out| ctl.on_start(out));
+        self.ctl.on_start(&mut self.out);
+        self.forward(ctx);
         ctx.set_timer(self.heartbeat, TOKEN_HEARTBEAT);
     }
 }

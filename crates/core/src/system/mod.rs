@@ -661,6 +661,7 @@ mod tests {
     use lastcpu_devices::monitor::AuthMode;
     use lastcpu_devices::ssd::{SmartSsd, SsdConfig};
     use lastcpu_net::Frame;
+    use lastcpu_sim::TraceData;
 
     #[test]
     fn devices_register_on_power_on() {
@@ -866,7 +867,7 @@ mod tests {
             .trace()
             .events()
             .filter_map(|e| match &e.data {
-                lastcpu_sim::TraceData::BusSend {
+                TraceData::BusSend {
                     what: "Heartbeat",
                     dst,
                 } => Some(dst.to_string()),
@@ -882,7 +883,7 @@ mod tests {
             ]
         );
         let hello_to = sys.trace().events().find_map(|e| match &e.data {
-            lastcpu_sim::TraceData::BusSend { what: "Hello", dst } => Some(dst.to_string()),
+            TraceData::BusSend { what: "Hello", dst } => Some(dst.to_string()),
             _ => None,
         });
         assert_eq!(hello_to.as_deref(), Some("Bus"));

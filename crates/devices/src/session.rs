@@ -113,6 +113,19 @@ impl FileSession {
         }
     }
 
+    /// An idle session for [`Restore`](lastcpu_snap::Restore) to fill in.
+    pub fn placeholder() -> Self {
+        FileSession::new(
+            DeviceId(0),
+            DeviceId(0),
+            ServiceId(0),
+            Token::NONE,
+            Pasid(0),
+            0,
+            1,
+        )
+    }
+
     /// Current state.
     pub fn state(&self) -> SessionState {
         self.state

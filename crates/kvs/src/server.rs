@@ -1119,15 +1119,7 @@ impl lastcpu_snap::Restore for KvsServer {
         self.mem_op = r.u64()?;
         self.file_op = r.u64()?;
         self.session = r.opt(|r| {
-            let mut s = FileSession::new(
-                DeviceId(0),
-                DeviceId(0),
-                lastcpu_bus::ServiceId(0),
-                Token::NONE,
-                Pasid(0),
-                0,
-                1,
-            );
+            let mut s = FileSession::placeholder();
             s.restore(r)?;
             Ok(s)
         })?;
