@@ -334,24 +334,33 @@ fn run(args: &Args) -> Result<Vec<Cell>, String> {
 fn check(r: &Report) -> Vec<String> {
     let mut g = Gates::default();
     // The pooled delivery path holds the machine at one allocation per
-    // event. The rack measures 0.961 allocations per event (0.971 at the
-    // smoke sizes), bounded 25% above; with endpoint names as `String`s and
-    // fresh replica lists per dispatch in the router it measured 2.733
-    // (2.742), and with a directory reply encoded per query and decoded per
-    // router tick on top, 4.090. The SSD rung measures 0.841 allocations
-    // and 55.3 B per event (0.829 and 51.8), bounded 25% above; with the
-    // file's extent list copied per request it measures 1.401 and 1,618 B
-    // (1.392 and 1,502). The control-plane rung measures 0.475 and 42.8 B
-    // (0.478 and 45.4), bounded 15% above; with the envelope copied per
-    // broadcast recipient, destinations formatted per trace record and a
-    // fresh effect list per bus message it measured 1.705 and 209 B.
+    // event. Each rung below is bounded above what it measures at the full
+    // sizes (at the smoke sizes), 25% for ssd and rack, 15% for ctl.
+    //
+    // rack: 0.606 allocations per event (0.616). 0.961 (0.971) with an owned
+    // copy of each request in the NIC server, a descriptor list per virtqueue
+    // submit and an `Arc` per doorbell; 2.733 with endpoint names as
+    // `String`s and fresh replica lists per dispatch in the router; 4.090
+    // with a directory reply encoded per query and decoded per router tick.
+    //
+    // ssd: 0.153 allocations and 21.0 B per event (0.142 and 18.8) — what a
+    // PUT keeps: its value and the cache's copies of its key. 0.841 and
+    // 55.3 B with the three per-request allocations above plus a log record
+    // per PUT; 1.401 and 1,618 B with the file's extent list copied per
+    // request.
+    //
+    // ctl: 0.183 allocations and 14.4 B per event (0.185 and 16.9). 0.475
+    // and 42.8 B with an `Arc<Envelope>` made per send and per bus reply;
+    // 1.705 and 209 B with the envelope copied per broadcast recipient,
+    // destinations formatted per trace record and a fresh effect list per
+    // bus message.
     const INF: f64 = f64::INFINITY;
     for (phase, max_allocs, max_bytes) in [
         ("queue", INF, INF),
         ("system", 1.0, INF),
-        ("ssd", 1.06, 70.0),
-        ("ctl", 0.55, 52.0),
-        ("rack", 1.22, INF),
+        ("ssd", 0.19, 26.0),
+        ("ctl", 0.21, 19.5),
+        ("rack", 0.77, INF),
     ] {
         let Some(c) = r.group("phase").find(|c| c.key_is("phase", phase)) else {
             g.require(false, format!("no {phase} phase"));

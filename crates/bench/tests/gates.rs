@@ -15,10 +15,11 @@ use lastcpu_bench::Json;
 const CASES: &str = "\
 BENCH_e9.json    | phase | phase=queue  | events           | 0    | queue: no events retired
 BENCH_e9.json    | phase | phase=system | allocs_per_event | 1.01 | system: allocs/event 1.01 > 1
-BENCH_e9.json    | phase | phase=rack   | allocs_per_event | 1.23 | rack: allocs/event 1.23 > 1.22
-BENCH_e9.json    | phase | phase=ssd    | allocs_per_event | 1.07 | ssd: allocs/event 1.07 > 1.06
-BENCH_e9.json    | phase | phase=ssd    | alloc_bytes_per_event | 1502.2 | ssd: alloc bytes/event 1502.2 > 70
-BENCH_e9.json    | phase | phase=ctl    | allocs_per_event | 1.705 | ctl: allocs/event 1.705 > 0.55
+BENCH_e9.json    | phase | phase=rack   | allocs_per_event | 0.971 | rack: allocs/event 0.971 > 0.77
+BENCH_e9.json    | phase | phase=ssd    | allocs_per_event | 0.2 | ssd: allocs/event 0.2 > 0.19
+BENCH_e9.json    | phase | phase=ssd    | alloc_bytes_per_event | 51.8 | ssd: alloc bytes/event 51.8 > 26
+BENCH_e9.json    | phase | phase=ctl    | allocs_per_event | 0.478 | ctl: allocs/event 0.478 > 0.21
+BENCH_e9.json    | phase | phase=ctl    | alloc_bytes_per_event | 45.4 | ctl: alloc bytes/event 45.4 > 19.5
 BENCH_e9.json    | phase | phase=ssd    | ftl_gc_runs      | 0    | ssd: no garbage collection
 BENCH_e10.json   | *       | policy=static             |                 | DROP | matrix incomplete at static
 BENCH_e10.json   | scaling | machines=2 & replication=2 | ops             | 239  | incomplete (239 ops)

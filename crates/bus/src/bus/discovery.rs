@@ -111,7 +111,7 @@ impl SystemBus {
         bytes: usize,
         fx: &mut Vec<BusEffect>,
     ) {
-        let env = Arc::new(Envelope {
+        let env = self.envs.share(Envelope {
             src,
             dst: Dst::Broadcast,
             req,

@@ -25,7 +25,7 @@
 //! devices wrote, so every lookup goes through the checked
 //! [`SystemBus::device`].
 //!
-//! One file per §2.2 clause:
+//! One file per §2.2 clause (and one for the host-side envelope free list):
 //!
 //! | module | holds | paper clause / experiment |
 //! |---|---|---|
@@ -33,6 +33,7 @@
 //! | `route` | `handle`: fencing, flood limit, unicast, broadcast | §2.2 "a mechanism for device communication"; §2.3 control plane |
 //! | `discovery` | `Announce` / `Withdraw` / `Query` re-broadcast, spoof defence | §2.2 discovery (SSDP-like); E11 |
 //! | `privilege` | controllers, `MapInstruction`, `deny`, audit and policy | §2.2 address translation; E11 |
+//! | `envelopes` | the free list every message's allocation comes from and returns to | E9 (host cost only) |
 //! | `snapshot` | the `bus` checkpoint section | E14 |
 
 use std::fmt;
@@ -45,7 +46,10 @@ use crate::cost::BusCostModel;
 use crate::ids::DeviceId;
 use crate::message::{Envelope, ServiceDesc};
 
+pub use envelopes::EnvelopePool;
+
 mod discovery;
+mod envelopes;
 mod privilege;
 mod registry;
 mod route;
@@ -63,8 +67,9 @@ pub enum BusEffect {
     /// The envelope is `Arc`-shared: a broadcast hands the *same* allocation
     /// to every recipient instead of deep-cloning the payload per receiver,
     /// and a unicast forwards the sender's envelope untouched. Receivers
-    /// that need ownership (device dispatch) unwrap the `Arc`, which is a
-    /// move — not a copy — whenever they hold the last reference.
+    /// borrow it (`Device::on_message` takes `&Envelope`); whoever applies
+    /// the effect gives the `Arc` back through [`SystemBus::envelopes`] once
+    /// the delivery has run, so the allocation carries a later message.
     Deliver {
         /// Receiving device.
         to: DeviceId,
@@ -227,6 +232,10 @@ pub struct SystemBus {
     audit: Option<BusAudit>,
     /// Opt-in hardening policy; the default changes nothing.
     policy: SecurityPolicy,
+    /// Where the `Arc` of every reply and bus-made broadcast comes from, and
+    /// where the machine returns a message once delivered. Host-side scratch,
+    /// not bus state: never snapshotted, empty after a restore.
+    envs: EnvelopePool,
 }
 
 impl Default for SystemBus {
@@ -247,7 +256,16 @@ impl SystemBus {
             cur_corr: CorrId::NONE,
             audit: None,
             policy: SecurityPolicy::default(),
+            envs: EnvelopePool::default(),
         }
+    }
+
+    /// The envelope free list. The machine around the bus makes the `Arc` of
+    /// every message it sends with [`EnvelopePool::share`] and hands each
+    /// delivered message to [`EnvelopePool::recycle`], so in steady state no
+    /// message allocates its envelope.
+    pub fn envelopes(&mut self) -> &mut EnvelopePool {
+        &mut self.envs
     }
 
     /// Replaces the cost model.

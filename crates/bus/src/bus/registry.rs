@@ -2,8 +2,6 @@
 //! Handling"): slot enumeration, `Hello` / `Bye`, the failure broadcast with
 //! its reset pulse, and the heartbeat liveness sweep.
 
-use std::sync::Arc;
-
 use lastcpu_sim::{CorrId, SimDuration, SimTime};
 
 use super::{BusEffect, BusError, DeviceEntry, DeviceState, SystemBus};
@@ -102,7 +100,7 @@ impl SystemBus {
         self.stats.failures += 1;
         // Not `rebroadcast`: the notice is *from the bus* but must exclude
         // the failed device, so the exclusion differs from the envelope src.
-        let note = Arc::new(Envelope {
+        let note = self.envs.share(Envelope {
             src: DeviceId::BUS,
             dst: Dst::Broadcast,
             req: RequestId(0),

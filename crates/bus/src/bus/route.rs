@@ -72,7 +72,11 @@ impl SystemBus {
         }
 
         match env.dst {
-            Dst::Bus => self.handle_bus_directed(now, &env, bytes, fx),
+            Dst::Bus => {
+                self.handle_bus_directed(now, &env, bytes, fx);
+                // The bus was this message's only recipient.
+                self.envs.recycle(env);
+            }
             Dst::Device(target) => {
                 if self.sheds_spoofed_hit(&env) {
                     return;
@@ -183,7 +187,8 @@ impl SystemBus {
             payload,
         };
         let latency = self.cost.unicast(now_bytes.max(env.encoded_len()));
-        self.deliver(to, Arc::new(env), latency, fx);
+        let env = self.envs.share(env);
+        self.deliver(to, env, latency, fx);
     }
 
     pub(super) fn broadcast_from(

@@ -91,6 +91,8 @@ impl lastcpu_snap::Snapshot for SystemBus {
 
 impl lastcpu_snap::Restore for SystemBus {
     fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
+        // Scratch, not state: nothing of the previous life carries over.
+        self.envs.clear();
         self.cost.hop_latency = SimDuration::from_nanos(r.u64()?);
         self.cost.processing = SimDuration::from_nanos(r.u64()?);
         self.cost.per_byte_ps = r.u64()?;

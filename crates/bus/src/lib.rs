@@ -51,7 +51,7 @@ pub mod wire;
 pub use audit::{
     BusAudit, BusAuditDelta, BusAuditRecord, BusVerdict, DenyReason, PrivOpKind, SecurityPolicy,
 };
-pub use bus::{BusEffect, BusError, SystemBus};
+pub use bus::{BusEffect, BusError, EnvelopePool, SystemBus};
 pub use cost::BusCostModel;
 pub use ids::{ConnId, DeviceId, RequestId, ServiceId, Token};
 pub use lastcpu_sim::CorrId;

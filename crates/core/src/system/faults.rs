@@ -217,7 +217,7 @@ impl System {
                             )),
                         );
                     }
-                    Some((Arc::new(corrupted), SimDuration::ZERO))
+                    Some((self.bus.envelopes().share(corrupted), SimDuration::ZERO))
                 }
                 Err(_) => {
                     // The envelope's frame check sequence catches the flip;

@@ -5,8 +5,6 @@
 //! `lastcpu-bus`; this module arms its sweep event, re-sends through the same
 //! faulty wire, and synthesizes a terminal failure reply on give-up.
 
-use std::sync::Arc;
-
 use lastcpu_bus::{DeviceId, Dst, Envelope, RetryStats, RetryVerdict};
 use lastcpu_sim::{SimDuration, SimTime, TraceData};
 
@@ -70,7 +68,7 @@ impl System {
                         );
                     }
                     // Retransmissions traverse the same faulty wire.
-                    let env = Arc::new(env);
+                    let env = self.bus.envelopes().share(env);
                     let filtered = match src_idx {
                         Some(idx) => self.wire_fault_filter(send_at, idx, env),
                         None => Some((env, SimDuration::ZERO)),
@@ -117,13 +115,8 @@ impl System {
                             payload,
                         };
                         if let Some(idx) = self.slot_of(env.src) {
-                            self.queue.schedule_at(
-                                now,
-                                Event::Deliver {
-                                    idx,
-                                    env: Arc::new(fail),
-                                },
-                            );
+                            let env = self.bus.envelopes().share(fail);
+                            self.queue.schedule_at(now, Event::Deliver { idx, env });
                         }
                     }
                 }

@@ -45,6 +45,7 @@ impl System {
     /// ingress FIFO.
     pub(super) fn feed(&mut self, idx: usize, now: SimTime, work: Work) {
         if self.slots[idx].halted {
+            self.discard(work);
             return;
         }
         if self.slot_busy(idx, now) || !self.slots[idx].inbox.is_empty() {
@@ -64,6 +65,7 @@ impl System {
                     });
                     if dup {
                         self.met.doorbells_coalesced.incr();
+                        self.discard(work);
                         return;
                     }
                 }
@@ -79,6 +81,14 @@ impl System {
         self.run_work(idx, now, work);
         if !self.slots[idx].inbox.is_empty() {
             self.arm_pop(idx, now);
+        }
+    }
+
+    /// Drops work that will not run, returning a message's allocation to
+    /// the envelope free list.
+    fn discard(&mut self, work: Work) {
+        if let Work::Msg(env) = work {
+            self.bus.envelopes().recycle(env);
         }
     }
 
@@ -112,8 +122,10 @@ impl System {
                 self.slots[idx].met.msgs.incr();
                 self.trace_envelope(now, idx, &env);
                 // Devices borrow their message: every recipient of a
-                // broadcast reads the one allocation its sender made.
+                // broadcast reads the one allocation its sender made, and
+                // the last one to run hands it back for the next message.
                 self.dispatch(idx, now, env.corr, |d, ctx| d.on_message(ctx, &env));
+                self.bus.envelopes().recycle(env);
             }
             Work::Timer(token, corr) => {
                 self.dispatch(idx, now, corr, move |d, ctx| d.on_timer(ctx, token));
@@ -213,7 +225,8 @@ impl System {
                     rpc.tracker.track(t, &env);
                 }
                 self.arm_rpc_sweep();
-                let Some((env, extra)) = self.wire_fault_filter(t, idx, Arc::new(env)) else {
+                let env = self.bus.envelopes().share(env);
+                let Some((env, extra)) = self.wire_fault_filter(t, idx, env) else {
                     return;
                 };
                 // One hop to the bus; processing/latency modelled by the
@@ -245,13 +258,9 @@ impl System {
                 }
                 self.met.doorbells.incr();
                 if let Some(to_idx) = self.slot_of(to) {
-                    self.queue.schedule_at(
-                        t + lat,
-                        Event::Deliver {
-                            idx: to_idx,
-                            env: Arc::new(env),
-                        },
-                    );
+                    let env = self.bus.envelopes().share(env);
+                    self.queue
+                        .schedule_at(t + lat, Event::Deliver { idx: to_idx, env });
                 }
             }
             Action::SetTimer { delay, token } => {

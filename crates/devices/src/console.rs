@@ -218,7 +218,7 @@ impl ConsoleDevice {
                 let len = CHUNK.min((self.expected - offset) as u32);
                 let op = FileOp::Read { offset, len };
                 let mut view = ctx.dma_view(pasid);
-                if !client.can_submit() || client.submit(&mut view, &op, len).is_err() {
+                if !client.can_submit() || client.submit(&mut view, op.borrowed(), len).is_err() {
                     break;
                 }
                 offset += len as u64;

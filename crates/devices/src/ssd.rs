@@ -98,6 +98,22 @@ pub enum FileOp {
 }
 
 impl FileOp {
+    /// The operation as a view borrowing its write payload.
+    pub fn borrowed(&self) -> FileOpRef<'_> {
+        match self {
+            FileOp::Read { offset, len } => FileOpRef::Read {
+                offset: *offset,
+                len: *len,
+            },
+            FileOp::Write { offset, data } => FileOpRef::Write {
+                offset: *offset,
+                data,
+            },
+            FileOp::Stat => FileOpRef::Stat,
+            FileOp::Flush => FileOpRef::Flush,
+        }
+    }
+
     /// Encodes the request.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -105,25 +121,10 @@ impl FileOp {
         buf
     }
 
-    /// Encodes the request into a caller-supplied buffer (appended), so the
-    /// submit path can reuse one buffer across requests.
+    /// Encodes the request into a caller-supplied buffer (see
+    /// [`FileOpRef::encode_into`]).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let mut w = WireWriter::with_buf(std::mem::take(buf));
-        match self {
-            FileOp::Read { offset, len } => {
-                w.u8(1);
-                w.u64(*offset);
-                w.u32(*len);
-            }
-            FileOp::Write { offset, data } => {
-                w.u8(2);
-                w.u64(*offset);
-                w.bytes(data);
-            }
-            FileOp::Stat => w.u8(3),
-            FileOp::Flush => w.u8(4),
-        }
-        *buf = w.finish();
+        self.borrowed().encode_into(buf);
     }
 }
 
@@ -153,6 +154,27 @@ pub enum FileOpRef<'a> {
 }
 
 impl<'a> FileOpRef<'a> {
+    /// Encodes the request into a caller-supplied buffer (appended), so the
+    /// submit path can reuse one buffer across requests.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        let mut w = WireWriter::with_buf(std::mem::take(buf));
+        match *self {
+            FileOpRef::Read { offset, len } => {
+                w.u8(1);
+                w.u64(offset);
+                w.u32(len);
+            }
+            FileOpRef::Write { offset, data } => {
+                w.u8(2);
+                w.u64(offset);
+                w.bytes(data);
+            }
+            FileOpRef::Stat => w.u8(3),
+            FileOpRef::Flush => w.u8(4),
+        }
+        *buf = w.finish();
+    }
+
     /// Decodes a request without copying the write payload.
     pub fn decode(buf: &'a [u8]) -> Option<FileOpRef<'a>> {
         let mut r = WireReader::new(buf);
@@ -939,8 +961,10 @@ impl Firmware for SmartSsd {
 pub struct FileClient {
     driver: lastcpu_virtio::VirtqueueDriver,
     arena: lastcpu_virtio::BufferArena,
-    /// head → (req_va, resp_va, resp_capacity).
-    inflight: DetHashMap<u16, (u64, u64, u32)>,
+    /// `(req_va, resp_va, resp_capacity)` of the request in flight under each
+    /// descriptor head; indexed by head, one entry per descriptor.
+    inflight: Vec<Option<(u64, u64, u32)>>,
+    in_flight: usize,
     /// Reused request-encode buffer (capacity persists across submits).
     encode_buf: Vec<u8>,
 }
@@ -969,7 +993,8 @@ impl FileClient {
             FileClient {
                 driver,
                 arena: lastcpu_virtio::BufferArena::new(arena_base, CLIENT_SLOT, slots),
-                inflight: DetHashMap::default(),
+                inflight: vec![None; queue_size as usize],
+                in_flight: 0,
                 encode_buf: Vec::new(),
             },
             setup_doorbell(region_base, queue_size),
@@ -978,7 +1003,13 @@ impl FileClient {
 
     /// Requests submitted but not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.inflight.len()
+        self.in_flight
+    }
+
+    /// Whether `head` is the handle of a request submitted and not yet
+    /// completed.
+    pub fn is_in_flight(&self, head: u16) -> bool {
+        matches!(self.inflight.get(head as usize), Some(Some(_)))
     }
 
     /// Whether another request can be submitted right now.
@@ -994,7 +1025,7 @@ impl FileClient {
     pub fn submit<M: lastcpu_virtio::QueueMemory>(
         &mut self,
         mem: &mut M,
-        op: &FileOp,
+        op: FileOpRef<'_>,
         resp_capacity: u32,
     ) -> Result<u16, QueueError> {
         // Encode into the reusable buffer (lent out for the duration so the
@@ -1038,7 +1069,8 @@ impl FileClient {
                     return Err(e);
                 }
             };
-        self.inflight.insert(head, (req_va, resp_va, resp_len));
+        self.inflight[head as usize] = Some((req_va, resp_va, resp_len));
+        self.in_flight += 1;
         Ok(head)
     }
 
@@ -1058,8 +1090,10 @@ impl FileClient {
         };
         let (req_va, resp_va, cap) = self
             .inflight
-            .remove(&c.head)
+            .get_mut(c.head as usize)
+            .and_then(Option::take)
             .ok_or(QueueError::Corrupt("completion for unknown head"))?;
+        self.in_flight -= 1;
         let n = c.written.min(cap) as usize;
         buf.clear();
         buf.resize(n, 0);
@@ -1203,11 +1237,11 @@ impl lastcpu_snap::Snapshot for FileClient {
     fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
         self.driver.snapshot(w);
         self.arena.snapshot(w);
-        let mut heads: Vec<_> = self.inflight.keys().copied().collect();
-        heads.sort_unstable();
-        w.put_len(heads.len());
-        for h in heads {
-            let (req_va, resp_va, cap) = self.inflight[&h];
+        w.put_len(self.in_flight);
+        for (h, slot) in (0u16..).zip(&self.inflight) {
+            let Some((req_va, resp_va, cap)) = *slot else {
+                continue;
+            };
             w.put_u16(h);
             w.put_u64(req_va);
             w.put_u64(resp_va);
@@ -1220,14 +1254,23 @@ impl lastcpu_snap::Restore for FileClient {
     fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
         self.driver.restore(r)?;
         self.arena.restore(r)?;
-        let n = r.len()?;
-        self.inflight = DetHashMap::default();
-        for _ in 0..n {
+        self.in_flight = r.len()?;
+        if self.in_flight != self.driver.in_flight() {
+            return Err(r.corrupt(format!(
+                "{} requests in flight over {} chains",
+                self.in_flight,
+                self.driver.in_flight()
+            )));
+        }
+        self.inflight = vec![None; self.driver.layout().size as usize];
+        for _ in 0..self.in_flight {
             let h = r.u16()?;
-            let req_va = r.u64()?;
-            let resp_va = r.u64()?;
-            let cap = r.u32()?;
-            self.inflight.insert(h, (req_va, resp_va, cap));
+            // A head the driver does not hold a chain for would index out of
+            // the table, or be completed without its descriptors coming back.
+            if !self.driver.is_live_head(h) || self.is_in_flight(h) {
+                return Err(r.corrupt(format!("in-flight request {h} is not a live chain")));
+            }
+            self.inflight[h as usize] = Some((r.u64()?, r.u64()?, r.u32()?));
         }
         Ok(())
     }
@@ -1240,7 +1283,8 @@ impl FileClient {
         FileClient {
             driver: lastcpu_virtio::VirtqueueDriver::detached(),
             arena: lastcpu_virtio::BufferArena::new(0, CLIENT_SLOT, 1),
-            inflight: DetHashMap::default(),
+            inflight: Vec::new(),
+            in_flight: 0,
             encode_buf: Vec::new(),
         }
     }
@@ -1370,7 +1414,7 @@ mod tests {
         let mut dev = VirtqueueDevice::attach(QueueLayout::new(base, size));
 
         let head = client
-            .submit(&mut mem, &FileOp::Read { offset: 0, len: 5 }, 16)
+            .submit(&mut mem, FileOpRef::Read { offset: 0, len: 5 }, 16)
             .unwrap();
         assert_eq!(client.in_flight(), 1);
 
@@ -1393,6 +1437,39 @@ mod tests {
         assert_eq!(client.in_flight(), 0);
     }
 
+    /// A checkpoint is input: an in-flight entry whose head the driver holds
+    /// no chain for would be completed without its descriptors coming back
+    /// (or index out of the table), so restore refuses it.
+    #[test]
+    fn client_restore_rejects_an_in_flight_head_that_is_not_a_live_chain() {
+        use lastcpu_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+        let mut mem = FlatMemory::new(FILE_CONN_SHM as usize + 0x2000);
+        let (mut client, _) = FileClient::create(&mut mem, 0x1000, 16).unwrap();
+        let head = client.submit(&mut mem, FileOpRef::Stat, 16).unwrap();
+        let mut w = SnapWriter::new();
+        client.snapshot(&mut w);
+        let bytes = w.into_bytes();
+        let restore = |bytes: &[u8]| {
+            let mut back = FileClient::placeholder();
+            back.restore(&mut SnapReader::new("client", bytes))
+                .map(|()| back)
+        };
+        let back = restore(&bytes).expect("own section restores");
+        assert!(back.is_in_flight(head));
+        // The one in-flight entry closes the section: head, two addresses,
+        // the response capacity.
+        let head_at = bytes.len() - (2 + 8 + 8 + 4);
+        assert_eq!(bytes[head_at..head_at + 2], head.to_le_bytes());
+        for hostile in [head + 1, 999] {
+            let mut doctored = bytes.clone();
+            doctored[head_at..head_at + 2].copy_from_slice(&hostile.to_le_bytes());
+            assert!(
+                matches!(restore(&doctored), Err(SnapError::Corrupt { .. })),
+                "head {hostile} accepted"
+            );
+        }
+    }
+
     #[test]
     fn client_backpressure_and_release() {
         let mut mem = FlatMemory::new(FILE_CONN_SHM as usize + 0x2000);
@@ -1400,11 +1477,11 @@ mod tests {
         let (mut client, _) = FileClient::create(&mut mem, 0x1000, 4).unwrap();
         let mut heads = vec![];
         while client.can_submit() {
-            heads.push(client.submit(&mut mem, &FileOp::Stat, 16).unwrap());
+            heads.push(client.submit(&mut mem, FileOpRef::Stat, 16).unwrap());
         }
         assert_eq!(heads.len(), 2);
         assert!(matches!(
-            client.submit(&mut mem, &FileOp::Stat, 16),
+            client.submit(&mut mem, FileOpRef::Stat, 16),
             Err(QueueError::Full)
         ));
         // Serve one; capacity returns.
@@ -1504,7 +1581,9 @@ mod tests {
         ) -> Vec<(FileStatus, Vec<u8>)> {
             let mut ctx = self.ctx();
             for op in ops {
-                client.submit(&mut ctx.dma_view(RIG_PASID), op, 16).unwrap();
+                client
+                    .submit(&mut ctx.dma_view(RIG_PASID), op.borrowed(), 16)
+                    .unwrap();
             }
             assert!(
                 !ssd.serve_conn(&mut ctx, RIG_CONN, u32::MAX),
@@ -1584,11 +1663,11 @@ mod tests {
             data: vec![0; CLIENT_SLOT as usize + 1],
         };
         assert!(matches!(
-            client.submit(&mut mem, &big, 16),
+            client.submit(&mut mem, big.borrowed(), 16),
             Err(QueueError::ResponseTooLarge { .. })
         ));
         assert!(matches!(
-            client.submit(&mut mem, &FileOp::Stat, CLIENT_SLOT as u32),
+            client.submit(&mut mem, FileOpRef::Stat, CLIENT_SLOT as u32),
             Err(QueueError::ResponseTooLarge { .. })
         ));
     }

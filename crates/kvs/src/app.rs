@@ -100,16 +100,15 @@ impl NicApp for KvsNicApp {
                 return;
             }
         }
-        // Slow path: the request must be materialized (owned key/value)
-        // because it may outlive the frame in the server's backlog — under
-        // storage-queue backpressure even cache-hit GETs queue here to keep
-        // FIFO response order. That `to_owned` is the remaining per-request
-        // allocation the E9 profile attributes to `kvs.app.enqueue`.
+        // Everything else — PUTs, misses, and any request arriving while
+        // the storage queue is full or others wait — is served from the
+        // frame it arrived in; one that must wait is copied into the
+        // server's backlog as wire bytes. The frame's buffer goes back to
+        // the pool when this handler returns, as it always did.
         let _sp = lastcpu_sim::profile::span("kvs.app.enqueue");
         let mut out = std::mem::take(&mut self.out);
         debug_assert!(out.is_empty());
-        self.server
-            .on_request(env.ctx, frame.src, req.to_owned(), &mut out);
+        self.server.on_request(env.ctx, frame.src, req, &mut out);
         Self::transmit(env, &mut out);
         self.out = out;
     }

@@ -12,7 +12,7 @@ use lastcpu_mem::Pasid;
 use lastcpu_net::PortId;
 use lastcpu_sim::Bytes;
 
-use crate::proto::KvsRequest;
+use crate::proto::KvsRequestRef;
 use crate::server::{KvsServer, ServerConfig, ServerState, ServerStats};
 
 /// The CPU-hosted KVS application.
@@ -60,7 +60,7 @@ impl CpuApp for KvsCpuApp {
     }
 
     fn on_packet(&mut self, env: &mut KernelEnv<'_, '_>, src: PortId, payload: Vec<u8>) {
-        if let Some(req) = KvsRequest::decode(&payload) {
+        if let Some(req) = KvsRequestRef::decode(&payload) {
             let mut out = std::mem::take(&mut self.out);
             debug_assert!(out.is_empty());
             self.server.on_request(env.ctx, src, req, &mut out);

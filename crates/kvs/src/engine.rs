@@ -122,6 +122,20 @@ impl KvEngine {
     /// writes the bytes at the offset (through whatever storage path its
     /// deployment uses).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(u64, Vec<u8>), EngineError> {
+        let mut rec = Vec::new();
+        let offset = self.put_into(key, value, &mut rec)?;
+        Ok((offset, rec))
+    }
+
+    /// [`KvEngine::put`] with the record encoded into `rec` (cleared first),
+    /// so a server appending record after record reuses one buffer. Returns
+    /// the append offset.
+    pub fn put_into(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        rec: &mut Vec<u8>,
+    ) -> Result<u64, EngineError> {
         let _prof = lastcpu_sim::profile::span("kvs.engine.put");
         if key.len() > MAX_KEY {
             return Err(EngineError::KeyTooLong);
@@ -130,7 +144,8 @@ impl KvEngine {
             return Err(EngineError::ValueTooLong);
         }
         let offset = self.cursor;
-        let mut rec = Vec::with_capacity(HEADER as usize + key.len() + value.len());
+        rec.clear();
+        rec.reserve_exact(HEADER as usize + key.len() + value.len());
         rec.extend_from_slice(&(key.len() as u16).to_le_bytes());
         rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
         rec.extend_from_slice(key);
@@ -154,7 +169,7 @@ impl KvEngine {
                 self.index.insert(key.to_vec(), vref);
             }
         }
-        Ok((offset, rec))
+        Ok(offset)
     }
 
     /// Fraction of the log occupied by superseded records and tombstones.
@@ -198,6 +213,18 @@ impl KvEngine {
     /// Prepares a DELETE (tombstone). Returns `(append_offset,
     /// record_bytes)`, or `None` if the key does not exist.
     pub fn delete(&mut self, key: &[u8]) -> Result<Option<(u64, Vec<u8>)>, EngineError> {
+        let mut rec = Vec::new();
+        Ok(self.delete_into(key, &mut rec)?.map(|offset| (offset, rec)))
+    }
+
+    /// [`KvEngine::delete`] with the tombstone encoded into `rec` (cleared
+    /// first). Returns the append offset, or `None` if the key does not
+    /// exist.
+    pub fn delete_into(
+        &mut self,
+        key: &[u8],
+        rec: &mut Vec<u8>,
+    ) -> Result<Option<u64>, EngineError> {
         if key.len() > MAX_KEY {
             return Err(EngineError::KeyTooLong);
         }
@@ -206,14 +233,15 @@ impl KvEngine {
         };
         self.stats.dead_bytes += HEADER + key.len() as u64 + old.len as u64;
         let offset = self.cursor;
-        let mut rec = Vec::with_capacity(HEADER as usize + key.len());
+        rec.clear();
+        rec.reserve_exact(HEADER as usize + key.len());
         rec.extend_from_slice(&(key.len() as u16).to_le_bytes());
         rec.extend_from_slice(&TOMBSTONE.to_le_bytes());
         rec.extend_from_slice(key);
         self.cursor += rec.len() as u64;
         self.stats.log_bytes += rec.len() as u64;
         self.stats.dead_bytes += rec.len() as u64; // tombstones are garbage too
-        Ok(Some((offset, rec)))
+        Ok(Some(offset))
     }
 }
 

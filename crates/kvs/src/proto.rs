@@ -69,9 +69,11 @@ impl KvsRequest {
 
 /// A decoded request view borrowing key/value bytes from the frame payload.
 ///
-/// The server's fast path decodes into this — zero allocations — and only
-/// materializes owned buffers ([`KvsRequestRef::to_owned`]) when the request
-/// must be queued or handed to the storage engine.
+/// The server decodes into this — zero allocations — and serves the request
+/// from the frame it arrived in; one that must wait for storage-queue space is
+/// kept as its encoding ([`KvsRequestRef::encode_into`]), which is canonical:
+/// decoding it yields this view again. [`KvsRequestRef::to_owned`] is for
+/// callers that keep a request beyond its frame in decoded form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvsRequestRef<'a> {
     /// Fetch a value.
@@ -498,6 +500,49 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// What lets the server's backlog hold wire bytes instead of owned
+        /// requests: a request's encoding is canonical. Whatever bytes
+        /// decode — the encoder's own, any truncation, noise, a length
+        /// prefix padded with continuation bytes — re-encode to one fixed
+        /// point that decodes to the same request, and the encoder's own
+        /// bytes are that fixed point.
+        #[test]
+        fn prop_request_encoding_is_canonical(
+            kind in 1u8..4,
+            id in proptest::prelude::any::<u64>(),
+            key in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+            value in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            pad in proptest::prelude::any::<bool>(),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
+        ) {
+            let req = match kind {
+                1 => KvsRequestRef::Get { id, key: &key },
+                2 => KvsRequestRef::Put { id, key: &key, value: &value },
+                _ => KvsRequestRef::Delete { id, key: &key },
+            };
+            let wire = req.encode();
+            proptest::prop_assert_eq!(wire.len(), req.encoded_len());
+            proptest::prop_assert_eq!(KvsRequestRef::decode(&wire), Some(req));
+            let mut frames = vec![wire.clone(), noise];
+            if pad && key.len() < 128 {
+                // The key's one-byte length prefix, written in two.
+                let mut padded = wire.clone();
+                padded[9] |= 0x80;
+                padded.insert(10, 0);
+                proptest::prop_assert_eq!(KvsRequestRef::decode(&padded), Some(req));
+                frames.push(padded);
+            }
+            frames.extend((0..wire.len()).map(|cut| wire[..cut].to_vec()));
+            for frame in frames {
+                let Some(decoded) = KvsRequestRef::decode(&frame) else { continue };
+                let again = decoded.encode();
+                proptest::prop_assert_eq!(KvsRequestRef::decode(&again), Some(decoded));
+                if frame == wire {
+                    proptest::prop_assert_eq!(&again, &wire);
+                }
+            }
+        }
+
         /// Owned and borrowed response decoders accept and refuse the same
         /// bytes: arbitrary input, a valid frame, and every truncation of it.
         #[test]

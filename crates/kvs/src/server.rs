@@ -18,7 +18,7 @@ use lastcpu_bus::{DeviceId, Token};
 use lastcpu_devices::device::DeviceCtx;
 use lastcpu_devices::monitor::{Monitor, MonitorEvent};
 use lastcpu_devices::session::{FileSession, SessionEvent};
-use lastcpu_devices::ssd::{FileOp, FileStatus, DOORBELL_WORK};
+use lastcpu_devices::ssd::{FileOpRef, FileStatus, DOORBELL_WORK};
 use lastcpu_mem::Pasid;
 use lastcpu_net::PortId;
 use lastcpu_sim::critpath::{STAGE_SERVER_DONE, STAGE_SERVER_RECV};
@@ -26,7 +26,7 @@ use lastcpu_sim::profile;
 use lastcpu_sim::{Bytes, CounterHandle, SimDuration};
 
 use crate::engine::{KvEngine, LogScanner};
-use crate::proto::{encode_response_into, KvsRequest, KvsRequestRef, KvsStatus};
+use crate::proto::{encode_response_into, KvsRequestRef, KvsStatus};
 
 /// Rebuild read chunk.
 const REBUILD_CHUNK: u32 = 2048;
@@ -177,7 +177,10 @@ impl HubCounters {
     }
 }
 
-/// A tiny LRU value cache (the NIC-local DRAM cache of KV-Direct).
+/// A tiny FIFO value cache (the NIC-local DRAM cache of KV-Direct): a full
+/// cache evicts the entry that was *inserted* longest ago. A lookup does not
+/// refresh an entry's position — `get` takes `&self` so the hot GET path can
+/// serialize straight from the borrowed value.
 struct ValueCache {
     map: DetHashMap<Vec<u8>, Vec<u8>>,
     order: VecDeque<Vec<u8>>,
@@ -199,13 +202,13 @@ impl ValueCache {
         self.map.get(key)
     }
 
-    fn insert(&mut self, key: &[u8], value: Vec<u8>) {
+    /// Takes the key the in-flight PUT already owns: a key new to the cache
+    /// costs one copy (for `order`), an update none.
+    fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) {
         if self.capacity == 0 {
             return;
         }
-        // Updating an existing entry is allocation-free; the key is copied
-        // only when it is new to the cache.
-        if let Some(slot) = self.map.get_mut(key) {
+        if let Some(slot) = self.map.get_mut(&key) {
             *slot = value;
             return;
         }
@@ -214,7 +217,6 @@ impl ValueCache {
                 self.map.remove(&victim);
             }
         }
-        let key = key.to_vec();
         self.order.push_back(key.clone());
         self.map.insert(key, value);
     }
@@ -223,6 +225,75 @@ impl ValueCache {
         self.map.remove(key);
         self.order.retain(|k| k != key);
     }
+}
+
+/// Requests waiting for storage-queue space, oldest first.
+///
+/// A waiting request is its wire bytes ([`KvsRequestRef::encode_into`])
+/// appended to one arena the server owns and reuses, plus a `(port, length)`
+/// entry: queueing a request copies its bytes once and allocates nothing,
+/// and the checkpoint section — which always stored the encoding — is a
+/// straight copy.
+#[derive(Default)]
+struct Backlog {
+    /// `(requester, encoded length)` per waiting request.
+    entries: VecDeque<(PortId, usize)>,
+    /// The encodings of `entries`, in order, starting at `head`.
+    bytes: Vec<u8>,
+    /// Offset in `bytes` of the oldest waiting request.
+    head: usize,
+}
+
+impl Backlog {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn push_back(&mut self, port: PortId, req: &KvsRequestRef<'_>) {
+        let at = self.bytes.len();
+        req.encode_into(&mut self.bytes);
+        self.entries.push_back((port, self.bytes.len() - at));
+    }
+
+    /// Drops the consumed prefix of `bytes` once it is at least as long as
+    /// what is still waiting, so the arena stays within twice the live bytes
+    /// however long the server runs backlogged.
+    fn compact(&mut self) {
+        if self.head >= self.bytes.len() - self.head {
+            self.bytes.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// The waiting requests, oldest first.
+    fn iter(&self) -> impl Iterator<Item = (PortId, &[u8])> {
+        let mut at = self.head;
+        self.entries.iter().map(move |&(port, len)| {
+            let body = &self.bytes[at..at + len];
+            at += len;
+            (port, body)
+        })
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.bytes.clear();
+        self.head = 0;
+    }
+}
+
+/// What [`KvsServer::serve`] did with a request.
+enum Served {
+    /// Answered on the spot (cache hit, miss, error).
+    Answered,
+    /// Handed to the SSD; the caller owes it a doorbell.
+    Submitted,
+    /// The storage queue has no room; the request must wait its turn.
+    Blocked,
 }
 
 /// The KVS server state machine.
@@ -239,8 +310,12 @@ pub struct KvsServer {
     file_size: u64,
     rebuild_next: u64,
     rebuild_inflight: u64,
-    inflight: DetHashMap<u16, Pending>,
-    backlog: VecDeque<(PortId, KvsRequest)>,
+    /// The storage operation in flight under each descriptor head: a
+    /// request is a slot, indexed by the head `FileClient::submit` returned
+    /// (one entry per descriptor of the virtqueue).
+    inflight: Vec<Option<Pending>>,
+    in_flight: usize,
+    backlog: Backlog,
     cache: ValueCache,
     stats: ServerStats,
     met: Option<HubCounters>,
@@ -254,6 +329,9 @@ pub struct KvsServer {
     generation: u64,
     /// Reused completion-payload buffer for the streaming drain loop.
     comp_buf: Vec<u8>,
+    /// Reused log-record buffer: a PUT's record or a DELETE's tombstone is
+    /// encoded here and written to the queue's shared memory from here.
+    rec: Vec<u8>,
     /// Whether `try_fast_get` may answer (test hook; defaults on).
     fast_path: bool,
 }
@@ -262,6 +340,7 @@ impl KvsServer {
     /// Creates a server that will run in address space `pasid`.
     pub fn new(config: ServerConfig, pasid: Pasid) -> Self {
         let cache = ValueCache::new(config.cache_entries);
+        let inflight = Self::empty_slots(config.queue_size);
         KvsServer {
             config,
             pasid,
@@ -275,16 +354,25 @@ impl KvsServer {
             file_size: 0,
             rebuild_next: 0,
             rebuild_inflight: 0,
-            inflight: DetHashMap::default(),
-            backlog: VecDeque::new(),
+            inflight,
+            in_flight: 0,
+            backlog: Backlog::default(),
             cache,
             stats: ServerStats::default(),
             met: None,
             recovering: false,
             generation: 0,
             comp_buf: Vec::new(),
+            rec: Vec::new(),
             fast_path: true,
         }
+    }
+
+    /// An in-flight table for a virtqueue of `queue_size` descriptors.
+    fn empty_slots(queue_size: u16) -> Vec<Option<Pending>> {
+        std::iter::repeat_with(|| None)
+            .take(queue_size as usize)
+            .collect()
     }
 
     /// Enables or disables the [`try_fast_get`](Self::try_fast_get) fast
@@ -439,16 +527,44 @@ impl KvsServer {
     /// Current queue depth (backlogged + in-flight requests), reported in
     /// `Busy` responses as the backpressure signal.
     fn queue_depth(&self) -> u32 {
-        (self.backlog.len() + self.inflight.len()) as u32
+        (self.backlog.len() + self.in_flight) as u32
+    }
+
+    /// Records `op` as in flight under descriptor head `head`.
+    ///
+    /// The slot can still hold an operation of a session the device lost
+    /// without a [`restart`](Self::restart) — a NIC that was reset starts
+    /// over with this table as it was. The new operation takes the slot, as
+    /// an insert into the map this table replaced overwrote the old entry.
+    fn track(&mut self, head: u16, op: Pending) {
+        Self::track_in(&mut self.inflight, &mut self.in_flight, head, op);
+    }
+
+    /// [`track`](Self::track) for callers that hold a borrow of the session.
+    fn track_in(slots: &mut [Option<Pending>], in_flight: &mut usize, head: u16, op: Pending) {
+        if slots[head as usize].replace(op).is_none() {
+            *in_flight += 1;
+        }
+    }
+
+    fn note_shed(&mut self) {
+        self.stats.shed += 1;
+        if let Some(met) = &self.met {
+            met.shed.incr();
+        }
     }
 
     /// Handles one network request, appending response payloads onto `out`
-    /// (an app-owned scratch vector, reused across requests).
+    /// (an app-owned scratch vector, reused across requests). The request
+    /// borrows the frame it arrived in: it is served from there if the
+    /// storage queue has room, and otherwise its bytes are copied into the
+    /// backlog — the frame's buffer goes back to its pool when the caller
+    /// drops it, either way.
     pub fn on_request(
         &mut self,
         ctx: &mut DeviceCtx<'_>,
         src: PortId,
-        req: KvsRequest,
+        req: KvsRequestRef<'_>,
         out: &mut Vec<(PortId, Bytes)>,
     ) {
         // Named sub-scope: everything the fast path bypassed (PUTs,
@@ -480,10 +596,7 @@ impl KvsServer {
         }
         ctx.busy(self.config.per_request_cost);
         if self.backlog.len() >= MAX_BACKLOG {
-            self.stats.shed += 1;
-            if let Some(met) = &self.met {
-                met.shed.incr();
-            }
+            self.note_shed();
             let depth = self.queue_depth();
             Self::respond(
                 ctx,
@@ -495,8 +608,18 @@ impl KvsServer {
             );
             return;
         }
-        self.backlog.push_back((src, req));
-        self.pump(ctx, out);
+        if !self.backlog.is_empty() {
+            // Responses leave in arrival order: behind waiting requests even
+            // a cache hit waits.
+            self.backlog.push_back(src, &req);
+            self.pump(ctx, out);
+            return;
+        }
+        match self.serve(ctx, out, src, &req) {
+            Served::Answered => {}
+            Served::Submitted => self.ring(ctx),
+            Served::Blocked => self.backlog.push_back(src, &req),
+        }
     }
 
     /// Zero-alloc fast path for the dominant request shape: a GET whose key
@@ -508,7 +631,7 @@ impl KvsServer {
     /// a pooled buffer) straight from the borrowed key and cached value.
     ///
     /// Returns `true` when handled; `false` means the caller must fall back
-    /// to [`KvsServer::on_request`] with an owned request.
+    /// to [`KvsServer::on_request`].
     pub fn try_fast_get(
         &mut self,
         ctx: &mut DeviceCtx<'_>,
@@ -555,164 +678,177 @@ impl KvsServer {
         true
     }
 
-    /// Submits backlogged requests while queue space allows.
+    /// Tells the SSD there is work in the queue.
+    fn ring(&mut self, ctx: &mut DeviceCtx<'_>) {
+        if let Some(session) = &self.session {
+            ctx.doorbell(session.target(), session.conn(), DOORBELL_WORK);
+        }
+    }
+
+    /// Submits backlogged requests, oldest first, while queue space allows.
     fn pump(&mut self, ctx: &mut DeviceCtx<'_>, out: &mut Vec<(PortId, Bytes)>) {
-        let Some(session) = self.session.as_mut() else {
-            return;
-        };
-        let pasid = self.pasid;
-        let target = session.target();
-        let conn = session.conn();
+        // The arena is lent out for the loop so the requests can borrow from
+        // it while `serve` has the rest of `self`; nothing pushes meanwhile.
+        let bytes = std::mem::take(&mut self.backlog.bytes);
         let mut submitted = false;
-        while let Some((src, req)) = self.backlog.pop_front() {
-            let Some((client, _)) = session.client_mut() else {
-                self.backlog.push_front((src, req));
-                break;
-            };
-            if !client.can_submit() {
-                self.backlog.push_front((src, req));
-                break;
-            }
-            match req {
-                KvsRequest::Get { id, key } => {
-                    if let Some(v) = self.cache.get(&key) {
-                        self.stats.gets += 1;
-                        if let Some(met) = &self.met {
-                            met.gets.incr();
-                        }
-                        self.stats.cache_hits += 1;
-                        if let Some(met) = &self.met {
-                            met.cache_hits.incr();
-                        }
-                        // Serialize straight from the borrowed cache value:
-                        // no intermediate clone into a KvsResponse.
-                        Self::respond(ctx, out, src, id, KvsStatus::Ok, v);
-                        continue;
-                    }
-                    match self.engine.get(&key) {
-                        Some(vref) => {
-                            let op = FileOp::Read {
-                                offset: vref.offset,
-                                len: vref.len,
-                            };
-                            let mut view = ctx.dma_view(pasid);
-                            match client.submit(&mut view, &op, vref.len) {
-                                Ok(head) => {
-                                    self.inflight.insert(head, Pending::Get { port: src, id });
-                                    submitted = true;
-                                }
-                                Err(_) => {
-                                    self.backlog.push_front((src, KvsRequest::Get { id, key }));
-                                    break;
-                                }
-                            }
-                        }
-                        None => {
-                            self.stats.gets += 1;
-                            if let Some(met) = &self.met {
-                                met.gets.incr();
-                            }
-                            self.stats.misses += 1;
-                            if let Some(met) = &self.met {
-                                met.misses.incr();
-                            }
-                            Self::respond(ctx, out, src, id, KvsStatus::NotFound, &[]);
-                        }
-                    }
-                }
-                KvsRequest::Put { id, key, value } => {
-                    match self.engine.put(&key, &value) {
-                        Ok((offset, rec)) => {
-                            let op = FileOp::Write { offset, data: rec };
-                            let mut view = ctx.dma_view(pasid);
-                            match client.submit(&mut view, &op, 8) {
-                                Ok(head) => {
-                                    self.inflight.insert(
-                                        head,
-                                        Pending::Put {
-                                            port: src,
-                                            id,
-                                            key,
-                                            value,
-                                        },
-                                    );
-                                    submitted = true;
-                                }
-                                Err(_) => {
-                                    // Engine state already advanced; the log
-                                    // hole is tolerated (it will re-append on
-                                    // retry). Report busy.
-                                    self.stats.shed += 1;
-                                    if let Some(met) = &self.met {
-                                        met.shed.incr();
-                                    }
-                                    let depth = (self.backlog.len() + self.inflight.len()) as u32;
-                                    Self::respond(
-                                        ctx,
-                                        out,
-                                        src,
-                                        id,
-                                        KvsStatus::Busy,
-                                        &depth.to_le_bytes(),
-                                    );
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            Self::respond(ctx, out, src, id, KvsStatus::Error, &[]);
-                        }
-                    }
-                }
-                KvsRequest::Delete { id, key } => {
-                    self.cache.remove(&key);
-                    match self.engine.delete(&key) {
-                        Ok(Some((offset, rec))) => {
-                            let op = FileOp::Write { offset, data: rec };
-                            let mut view = ctx.dma_view(pasid);
-                            match client.submit(&mut view, &op, 8) {
-                                Ok(head) => {
-                                    self.inflight
-                                        .insert(head, Pending::Delete { port: src, id });
-                                    submitted = true;
-                                }
-                                Err(_) => {
-                                    self.stats.shed += 1;
-                                    if let Some(met) = &self.met {
-                                        met.shed.incr();
-                                    }
-                                    let depth = (self.backlog.len() + self.inflight.len()) as u32;
-                                    Self::respond(
-                                        ctx,
-                                        out,
-                                        src,
-                                        id,
-                                        KvsStatus::Busy,
-                                        &depth.to_le_bytes(),
-                                    );
-                                }
-                            }
-                        }
-                        Ok(None) => {
-                            self.stats.deletes += 1;
-                            if let Some(met) = &self.met {
-                                met.deletes.incr();
-                            }
-                            self.stats.misses += 1;
-                            if let Some(met) = &self.met {
-                                met.misses.incr();
-                            }
-                            Self::respond(ctx, out, src, id, KvsStatus::NotFound, &[]);
-                        }
-                        Err(_) => {
-                            Self::respond(ctx, out, src, id, KvsStatus::Error, &[]);
-                        }
-                    }
+        while let Some((src, len)) = self.backlog.entries.pop_front() {
+            let at = self.backlog.head;
+            let req = KvsRequestRef::decode(&bytes[at..at + len])
+                .expect("the backlog holds encodings this server wrote");
+            match self.serve(ctx, out, src, &req) {
+                Served::Answered => {}
+                Served::Submitted => submitted = true,
+                Served::Blocked => {
+                    self.backlog.entries.push_front((src, len));
+                    break;
                 }
             }
+            self.backlog.head += len;
         }
+        self.backlog.bytes = bytes;
+        self.backlog.compact();
         if submitted {
-            ctx.doorbell(target, conn, DOORBELL_WORK);
+            self.ring(ctx);
         }
+    }
+
+    /// Serves one request if the storage queue has room for it: answers it
+    /// from the cache or the index, or submits its storage operation. The one
+    /// path every request takes, whether it just arrived or waited in the
+    /// backlog. Only what becomes state is copied out of `req`: a PUT's key
+    /// and value (they outlive the frame in the in-flight slot, and then in
+    /// the cache).
+    fn serve(
+        &mut self,
+        ctx: &mut DeviceCtx<'_>,
+        out: &mut Vec<(PortId, Bytes)>,
+        src: PortId,
+        req: &KvsRequestRef<'_>,
+    ) -> Served {
+        let pasid = self.pasid;
+        let Some((client, _)) = self.session.as_mut().and_then(|s| s.client_mut()) else {
+            return Served::Blocked;
+        };
+        if !client.can_submit() {
+            return Served::Blocked;
+        }
+        match *req {
+            KvsRequestRef::Get { id, key } => {
+                if let Some(v) = self.cache.get(key) {
+                    self.stats.gets += 1;
+                    self.stats.cache_hits += 1;
+                    if let Some(met) = &self.met {
+                        met.gets.incr();
+                        met.cache_hits.incr();
+                    }
+                    // Serialize straight from the borrowed cache value:
+                    // no intermediate clone into a KvsResponse.
+                    Self::respond(ctx, out, src, id, KvsStatus::Ok, v);
+                    return Served::Answered;
+                }
+                let Some(vref) = self.engine.get(key) else {
+                    self.stats.gets += 1;
+                    self.stats.misses += 1;
+                    if let Some(met) = &self.met {
+                        met.gets.incr();
+                        met.misses.incr();
+                    }
+                    Self::respond(ctx, out, src, id, KvsStatus::NotFound, &[]);
+                    return Served::Answered;
+                };
+                let op = FileOpRef::Read {
+                    offset: vref.offset,
+                    len: vref.len,
+                };
+                let mut view = ctx.dma_view(pasid);
+                match client.submit(&mut view, op, vref.len) {
+                    Ok(head) => {
+                        self.track(head, Pending::Get { port: src, id });
+                        Served::Submitted
+                    }
+                    Err(_) => Served::Blocked,
+                }
+            }
+            KvsRequestRef::Put { id, key, value } => {
+                let Ok(offset) = self.engine.put_into(key, value, &mut self.rec) else {
+                    Self::respond(ctx, out, src, id, KvsStatus::Error, &[]);
+                    return Served::Answered;
+                };
+                let op = FileOpRef::Write {
+                    offset,
+                    data: &self.rec,
+                };
+                let mut view = ctx.dma_view(pasid);
+                match client.submit(&mut view, op, 8) {
+                    Ok(head) => {
+                        let op = Pending::Put {
+                            port: src,
+                            id,
+                            key: key.to_vec(),
+                            value: value.to_vec(),
+                        };
+                        self.track(head, op);
+                        Served::Submitted
+                    }
+                    Err(_) => {
+                        // Engine state already advanced; the log hole is
+                        // tolerated (it will re-append on retry). Report
+                        // busy.
+                        self.shed_unsubmitted(ctx, out, src, id);
+                        Served::Answered
+                    }
+                }
+            }
+            KvsRequestRef::Delete { id, key } => {
+                self.cache.remove(key);
+                match self.engine.delete_into(key, &mut self.rec) {
+                    Ok(Some(offset)) => {
+                        let op = FileOpRef::Write {
+                            offset,
+                            data: &self.rec,
+                        };
+                        let mut view = ctx.dma_view(pasid);
+                        match client.submit(&mut view, op, 8) {
+                            Ok(head) => {
+                                self.track(head, Pending::Delete { port: src, id });
+                                Served::Submitted
+                            }
+                            Err(_) => {
+                                self.shed_unsubmitted(ctx, out, src, id);
+                                Served::Answered
+                            }
+                        }
+                    }
+                    Ok(None) => {
+                        self.stats.deletes += 1;
+                        self.stats.misses += 1;
+                        if let Some(met) = &self.met {
+                            met.deletes.incr();
+                            met.misses.incr();
+                        }
+                        Self::respond(ctx, out, src, id, KvsStatus::NotFound, &[]);
+                        Served::Answered
+                    }
+                    Err(_) => {
+                        Self::respond(ctx, out, src, id, KvsStatus::Error, &[]);
+                        Served::Answered
+                    }
+                }
+            }
+        }
+    }
+
+    /// Answers `Busy` for a write whose log record could not be submitted.
+    fn shed_unsubmitted(
+        &mut self,
+        ctx: &mut DeviceCtx<'_>,
+        out: &mut Vec<(PortId, Bytes)>,
+        src: PortId,
+        id: u64,
+    ) {
+        self.note_shed();
+        let depth = self.queue_depth();
+        Self::respond(ctx, out, src, id, KvsStatus::Busy, &depth.to_le_bytes());
     }
 
     /// Issues index-rebuild reads while queue space allows.
@@ -727,14 +863,19 @@ impl KvsServer {
         if let Some((client, _)) = session.client_mut() {
             while self.rebuild_next < self.file_size && client.can_submit() {
                 let len = REBUILD_CHUNK.min((self.file_size - self.rebuild_next) as u32);
-                let op = FileOp::Read {
+                let op = FileOpRef::Read {
                     offset: self.rebuild_next,
                     len,
                 };
                 let mut view = ctx.dma_view(pasid);
-                match client.submit(&mut view, &op, len) {
+                match client.submit(&mut view, op, len) {
                     Ok(head) => {
-                        self.inflight.insert(head, Pending::Rebuild { len });
+                        Self::track_in(
+                            &mut self.inflight,
+                            &mut self.in_flight,
+                            head,
+                            Pending::Rebuild { len },
+                        );
                         self.rebuild_next += len as u64;
                         self.rebuild_inflight += 1;
                         issued = true;
@@ -780,9 +921,10 @@ impl KvsServer {
                     return;
                 }
             };
-            let Some(pending) = self.inflight.remove(&head) else {
+            let Some(pending) = self.inflight.get_mut(head as usize).and_then(Option::take) else {
                 continue;
             };
+            self.in_flight -= 1;
             match pending {
                 Pending::Get { port, id } => {
                     self.stats.gets += 1;
@@ -806,7 +948,7 @@ impl KvsServer {
                         met.puts.incr();
                     }
                     if status == FileStatus::Ok {
-                        self.cache.insert(&key, value);
+                        self.cache.insert(key, value);
                         Self::respond(ctx, out, port, id, KvsStatus::Ok, &[]);
                     } else {
                         Self::respond(ctx, out, port, id, KvsStatus::Error, &[]);
@@ -889,12 +1031,9 @@ impl KvsServer {
         if let Some(met) = &self.met {
             met.restarts.incr();
         }
-        // Fail the in-flight storage ops. Sorted by descriptor head so the
-        // response order is deterministic (HashMap iteration is not).
-        let mut heads: Vec<u16> = self.inflight.keys().copied().collect();
-        heads.sort_unstable();
-        for head in heads {
-            let (port, id) = match self.inflight.remove(&head) {
+        // Fail the in-flight storage ops, in descriptor-head order.
+        for head in 0..self.inflight.len() {
+            let (port, id) = match self.inflight[head].take() {
                 Some(Pending::Get { port, id })
                 | Some(Pending::Delete { port, id })
                 | Some(Pending::Put { port, id, .. }) => (port, id),
@@ -903,12 +1042,18 @@ impl KvsServer {
             self.note_unavailable();
             Self::respond(ctx, out, port, id, KvsStatus::Unavailable, &[]);
         }
-        self.inflight.clear();
+        self.in_flight = 0;
         // Fail the backlog in arrival order.
-        while let Some((port, req)) = self.backlog.pop_front() {
+        let backlog = std::mem::take(&mut self.backlog);
+        for (port, body) in backlog.iter() {
+            let id = KvsRequestRef::decode(body)
+                .expect("the backlog holds encodings this server wrote")
+                .id();
             self.note_unavailable();
-            Self::respond(ctx, out, port, req.id(), KvsStatus::Unavailable, &[]);
+            Self::respond(ctx, out, port, id, KvsStatus::Unavailable, &[]);
         }
+        self.backlog = backlog;
+        self.backlog.clear();
         // Drop the dead session and the (now untrusted) index; the rebuild
         // scan will reconstruct it from the log on reconnect.
         self.session = None;
@@ -1018,8 +1163,9 @@ impl Pending {
 impl lastcpu_snap::Snapshot for ValueCache {
     fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
         w.put_len(self.capacity);
-        // LRU order is semantic (eviction picks the front), so entries are
-        // written in `order`, not sorted; `order` holds exactly the map keys.
+        // Insertion order is semantic (eviction picks the front), so entries
+        // are written in `order`, not sorted; `order` holds exactly the map
+        // keys.
         w.put_len(self.order.len());
         for k in &self.order {
             w.put_bytes(k);
@@ -1070,17 +1216,17 @@ impl lastcpu_snap::Snapshot for KvsServer {
         w.put_u64(self.file_size);
         w.put_u64(self.rebuild_next);
         w.put_u64(self.rebuild_inflight);
-        let mut slots: Vec<u16> = self.inflight.keys().copied().collect();
-        slots.sort_unstable();
-        w.put_len(slots.len());
-        for s in slots {
-            w.put_u16(s);
-            self.inflight[&s].snap_encode(w);
+        w.put_len(self.in_flight);
+        for (head, slot) in (0u16..).zip(&self.inflight) {
+            if let Some(op) = slot {
+                w.put_u16(head);
+                op.snap_encode(w);
+            }
         }
         w.put_len(self.backlog.len());
-        for (port, req) in &self.backlog {
+        for (port, body) in self.backlog.iter() {
             w.put_u32(port.0);
-            w.put_bytes(&req.encode());
+            w.put_bytes(body);
         }
         self.cache.snapshot(w);
         w.put_u64(self.stats.gets);
@@ -1096,8 +1242,8 @@ impl lastcpu_snap::Snapshot for KvsServer {
         w.put_u64(self.generation);
         w.put_bool(self.fast_path);
         // Excluded: `met` (live MetricsHub handles, owned by the hub's own
-        // section) and `comp_buf` (reused scratch, contents meaningless
-        // between events).
+        // section), `comp_buf` and `rec` (reused scratch, contents
+        // meaningless between events).
     }
 }
 
@@ -1126,21 +1272,32 @@ impl lastcpu_snap::Restore for KvsServer {
         self.file_size = r.u64()?;
         self.rebuild_next = r.u64()?;
         self.rebuild_inflight = r.u64()?;
-        let n = r.len()?;
-        self.inflight = DetHashMap::default();
-        for _ in 0..n {
-            let slot = r.u16()?;
-            let p = Pending::snap_decode(r)?;
-            self.inflight.insert(slot, p);
+        self.in_flight = r.len()?;
+        self.inflight = Self::empty_slots(self.config.queue_size);
+        for _ in 0..self.in_flight {
+            let head = r.u16()?;
+            // A head is an index into the table. (It need not be live in the
+            // storage client: a reset NIC keeps the operations of the session
+            // it lost until their heads are reused, see `track`.)
+            let Some(slot) = self.inflight.get_mut(head as usize) else {
+                return Err(r.corrupt(format!(
+                    "in-flight operation under head {head} of a {}-descriptor queue",
+                    self.config.queue_size
+                )));
+            };
+            if slot.is_some() {
+                return Err(r.corrupt(format!("two in-flight operations under head {head}")));
+            }
+            *slot = Some(Pending::snap_decode(r)?);
         }
         let n = r.len()?;
-        self.backlog = VecDeque::with_capacity(n);
+        self.backlog.clear();
         for _ in 0..n {
             let port = PortId(r.u32()?);
             let body = r.bytes()?;
-            let req = KvsRequest::decode(&body)
+            let req = KvsRequestRef::decode(&body)
                 .ok_or_else(|| r.corrupt("undecodable backlogged request"))?;
-            self.backlog.push_back((port, req));
+            self.backlog.push_back(port, &req);
         }
         self.cache.restore(r)?;
         self.stats.gets = r.u64()?;
@@ -1165,26 +1322,115 @@ mod tests {
     use crate::proto::KvsResponse;
 
     #[test]
-    fn value_cache_lru_semantics() {
+    fn value_cache_fifo_semantics() {
         let mut c = ValueCache::new(2);
-        c.insert(b"a", vec![1]);
-        c.insert(b"b", vec![2]);
-        c.insert(b"c", vec![3]); // evicts a
+        c.insert(b"a".to_vec(), vec![1]);
+        c.insert(b"b".to_vec(), vec![2]);
+        // Reading `a` does not save it: eviction is by insertion order.
+        assert_eq!(c.get(b"a").cloned(), Some(vec![1]));
+        c.insert(b"c".to_vec(), vec![3]); // evicts a
         assert_eq!(c.get(b"a"), None);
         assert_eq!(c.get(b"b").cloned(), Some(vec![2]));
         assert_eq!(c.get(b"c").cloned(), Some(vec![3]));
         c.remove(b"b");
         assert_eq!(c.get(b"b"), None);
         // Updating an existing key does not evict.
-        c.insert(b"c", vec![9]);
+        c.insert(b"c".to_vec(), vec![9]);
         assert_eq!(c.get(b"c").cloned(), Some(vec![9]));
     }
 
     #[test]
     fn zero_capacity_cache_stores_nothing() {
         let mut c = ValueCache::new(0);
-        c.insert(b"a", vec![1]);
+        c.insert(b"a".to_vec(), vec![1]);
         assert_eq!(c.get(b"a"), None);
+    }
+
+    #[test]
+    fn backlog_is_a_fifo_of_wire_bytes_that_reuses_its_arena() {
+        let mut b = Backlog::default();
+        let key = |i: u64| format!("key-{i:04}").into_bytes();
+        // Sustained backpressure: the queue never empties, yet the arena
+        // stays within a few requests' bytes.
+        let mut next_out = 0u64;
+        for i in 0..10_000u64 {
+            let k = key(i);
+            b.push_back(PortId(i as u32), &KvsRequestRef::Get { id: i, key: &k });
+            if i >= 3 {
+                let (port, body) = b.iter().next().expect("non-empty");
+                let expect = key(next_out);
+                assert_eq!(port, PortId(next_out as u32));
+                assert_eq!(
+                    KvsRequestRef::decode(body),
+                    Some(KvsRequestRef::Get {
+                        id: next_out,
+                        key: &expect
+                    })
+                );
+                let (_, len) = b.entries.pop_front().expect("non-empty");
+                b.head += len;
+                b.compact();
+                next_out += 1;
+            }
+        }
+        assert_eq!(b.len(), 3);
+        let live: usize = b.iter().map(|(_, body)| body.len()).sum();
+        assert!(b.bytes.len() <= 2 * live, "{} bytes kept", b.bytes.len());
+        assert!(
+            b.bytes.capacity() < 1024,
+            "arena grew to {}",
+            b.bytes.capacity()
+        );
+        b.clear();
+        assert!(b.is_empty() && b.iter().next().is_none());
+    }
+
+    /// The wire accepts a length prefix padded with a continuation byte, so
+    /// a frame is not necessarily its request's encoding: the backlog (and
+    /// with it the checkpoint) holds what the request re-encodes to, which
+    /// is what the owned `KvsRequest` it used to hold would have written.
+    #[test]
+    fn backlog_holds_the_canonical_encoding_not_the_frame() {
+        let canonical = KvsRequestRef::Get { id: 7, key: b"k" }.encode();
+        let mut padded = canonical.clone();
+        assert_eq!(padded[9], 1, "key length prefix");
+        padded[9] = 0x81;
+        padded.insert(10, 0x00);
+        let req = KvsRequestRef::decode(&padded).expect("padded varints decode");
+        assert_eq!(req, KvsRequestRef::Get { id: 7, key: b"k" });
+        let mut b = Backlog::default();
+        b.push_back(PortId(1), &req);
+        assert_eq!(b.iter().next(), Some((PortId(1), &canonical[..])));
+    }
+
+    /// A checkpoint is input: an in-flight operation's head indexes the
+    /// table, so one beyond the queue must be refused, not restored into a
+    /// server that panics when the slot is touched.
+    #[test]
+    fn restore_rejects_an_in_flight_head_beyond_the_queue() {
+        use lastcpu_snap::{Restore, SnapError, SnapReader, Snapshot};
+        let mut server = KvsServer::new(ServerConfig::default(), Pasid(1));
+        let op = || Pending::Get {
+            port: PortId(7),
+            id: 2,
+        };
+        server.track(63, op());
+        let restore = |bytes: &[u8]| {
+            let mut fresh = KvsServer::new(ServerConfig::default(), Pasid(0));
+            fresh
+                .restore(&mut SnapReader::new("server", bytes))
+                .map(|()| fresh.snapshot_bytes())
+        };
+        let good = server.snapshot_bytes();
+        assert_eq!(restore(&good).expect("own section restores"), good);
+        // The same operation under head 64 of a 64-descriptor queue: a
+        // section only a doctored checkpoint can hold.
+        server.inflight[63] = None;
+        server.inflight.push(Some(op()));
+        assert!(matches!(
+            restore(&server.snapshot_bytes()),
+            Err(SnapError::Corrupt { .. })
+        ));
     }
 
     #[test]
@@ -1246,14 +1492,10 @@ mod tests {
             // Pretend the server got to Ready with work queued and in flight,
             // then the backing SSD died.
             server.state = ServerState::Ready;
-            server.backlog.push_back((
-                PortId(7),
-                KvsRequest::Get {
-                    id: 1,
-                    key: b"k".to_vec(),
-                },
-            ));
-            server.inflight.insert(
+            server
+                .backlog
+                .push_back(PortId(7), &KvsRequestRef::Get { id: 1, key: b"k" });
+            server.track(
                 4,
                 Pending::Get {
                     port: PortId(7),
@@ -1269,7 +1511,8 @@ mod tests {
                 let resp = KvsResponse::decode(bytes).unwrap();
                 assert_eq!(resp.status, KvsStatus::Unavailable);
             }
-            assert!(server.inflight.is_empty());
+            assert!(server.inflight.iter().all(Option::is_none));
+            assert_eq!(server.queue_depth(), 0);
             assert!(server.backlog.is_empty());
             assert!(server.session.is_none());
             assert!(server.recovering);
@@ -1290,10 +1533,7 @@ mod tests {
             server.on_request(
                 &mut ctx,
                 PortId(7),
-                KvsRequest::Get {
-                    id: 5,
-                    key: b"k".to_vec(),
-                },
+                KvsRequestRef::Get { id: 5, key: b"k" },
                 &mut out,
             );
             assert_eq!(
@@ -1307,10 +1547,7 @@ mod tests {
             server.on_request(
                 &mut ctx,
                 PortId(7),
-                KvsRequest::Get {
-                    id: 6,
-                    key: b"k".to_vec(),
-                },
+                KvsRequestRef::Get { id: 6, key: b"k" },
                 &mut out,
             );
             assert_eq!(
@@ -1335,15 +1572,13 @@ mod tests {
             // Fake a loaded Ready server: a full backlog plus in-flight work.
             server.state = ServerState::Ready;
             for i in 0..MAX_BACKLOG {
-                server.backlog.push_back((
-                    PortId(7),
-                    KvsRequest::Get {
-                        id: i as u64,
-                        key: b"k".to_vec(),
-                    },
-                ));
+                let req = KvsRequestRef::Get {
+                    id: i as u64,
+                    key: b"k",
+                };
+                server.backlog.push_back(PortId(7), &req);
             }
-            server.inflight.insert(
+            server.track(
                 4,
                 Pending::Get {
                     port: PortId(7),
@@ -1354,9 +1589,9 @@ mod tests {
             server.on_request(
                 &mut ctx,
                 PortId(7),
-                KvsRequest::Get {
+                KvsRequestRef::Get {
                     id: 9001,
-                    key: b"k".to_vec(),
+                    key: b"k",
                 },
                 &mut out,
             );

@@ -122,10 +122,15 @@ impl QueueLayout {
         w.put_u64(self.used);
     }
 
-    /// Inverse of [`QueueLayout::encode`].
+    /// Inverse of [`QueueLayout::encode`]. Rejects a size [`QueueLayout::new`]
+    /// would refuse: the ring arithmetic relies on it.
     pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+        let size = r.u16()?;
+        if size == 0 || size > 32768 || !size.is_power_of_two() {
+            return Err(r.corrupt(format!("queue size {size} is not a power of two <= 32768")));
+        }
         Ok(QueueLayout {
-            size: r.u16()?,
+            size,
             desc: r.u64()?,
             avail: r.u64()?,
             used: r.u64()?,

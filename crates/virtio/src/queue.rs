@@ -7,8 +7,6 @@
 //! [`QueueError::Corrupt`], the way a defensive device implementation must
 //! (the peer is another device, not a trusted kernel).
 
-use lastcpu_sim::DetHashMap;
-
 use crate::layout::QueueLayout;
 use crate::{MemFault, QueueMemory};
 
@@ -118,13 +116,50 @@ pub struct Completion {
     pub written: u32,
 }
 
+/// What the driver remembers about one descriptor while it is in flight.
+#[derive(Debug, Clone, Copy, Default)]
+struct Shadow {
+    /// The descriptor after this one in its chain (unspecified for a
+    /// chain's last descriptor and for a free one).
+    next: u16,
+    /// Descriptors in the chain this one heads; zero when it heads no
+    /// submitted chain.
+    chain_len: u16,
+}
+
 /// The driver (requester) side of a virtqueue.
+///
+/// A descriptor id is an index: what the driver must remember about a
+/// request in flight — which descriptors to take back on completion — is a
+/// table with one [`Shadow`] per descriptor, so submitting and completing a
+/// request allocates nothing.
 pub struct VirtqueueDriver {
     layout: QueueLayout,
+    /// Free descriptor ids, a stack: a chain takes its ids off the top, a
+    /// completion pushes them back in chain order.
     free: Vec<u16>,
-    chains: DetHashMap<u16, Vec<u16>>,
+    /// One entry per descriptor, indexed by id.
+    shadow: Vec<Shadow>,
+    in_flight: usize,
     avail_idx: u16,
     last_used: u16,
+}
+
+/// Validates the VIRTIO segment order: every device-readable segment
+/// precedes every device-writable one.
+fn check_segment_order(segs: &[ChainSeg]) -> Result<(), QueueError> {
+    if segs.is_empty() {
+        return Err(QueueError::Corrupt("empty chain"));
+    }
+    let mut seen_writable = false;
+    for s in segs {
+        if s.device_writes {
+            seen_writable = true;
+        } else if seen_writable {
+            return Err(QueueError::Corrupt("readable segment after writable"));
+        }
+    }
+    Ok(())
 }
 
 impl VirtqueueDriver {
@@ -137,7 +172,8 @@ impl VirtqueueDriver {
         mem.write(layout.used_idx(), &0u16.to_le_bytes())?;
         Ok(VirtqueueDriver {
             free: (0..layout.size).rev().collect(),
-            chains: DetHashMap::default(),
+            shadow: vec![Shadow::default(); layout.size as usize],
+            in_flight: 0,
             layout,
             avail_idx: 0,
             last_used: 0,
@@ -156,7 +192,34 @@ impl VirtqueueDriver {
 
     /// Requests submitted but not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.chains.len()
+        self.in_flight
+    }
+
+    /// Whether `head` heads a chain that was submitted and not yet
+    /// completed.
+    pub fn is_live_head(&self, head: u16) -> bool {
+        self.shadow
+            .get(head as usize)
+            .is_some_and(|s| s.chain_len != 0)
+    }
+
+    /// Publishes `head` in the available ring and records the `len`
+    /// descriptors of its chain as in flight.
+    fn publish<M: QueueMemory>(
+        &mut self,
+        mem: &mut M,
+        head: u16,
+        len: u16,
+    ) -> Result<(), QueueError> {
+        // Slot, then index (the index write is the release barrier on real
+        // hardware; ordering is preserved here by program order).
+        let slot = self.layout.slot(self.avail_idx);
+        mem.write(self.layout.avail_ring(slot), &head.to_le_bytes())?;
+        self.avail_idx = self.avail_idx.wrapping_add(1);
+        mem.write(self.layout.avail_idx(), &self.avail_idx.to_le_bytes())?;
+        self.shadow[head as usize].chain_len = len;
+        self.in_flight += 1;
+        Ok(())
     }
 
     /// Submits a descriptor chain, returning the head index.
@@ -169,25 +232,22 @@ impl VirtqueueDriver {
         mem: &mut M,
         segs: &[ChainSeg],
     ) -> Result<u16, QueueError> {
-        if segs.is_empty() {
-            return Err(QueueError::Corrupt("empty chain"));
-        }
-        let mut seen_writable = false;
-        for s in segs {
-            if s.device_writes {
-                seen_writable = true;
-            } else if seen_writable {
-                return Err(QueueError::Corrupt("readable segment after writable"));
-            }
-        }
+        check_segment_order(segs)?;
         if self.free.len() < segs.len() {
             return Err(QueueError::Full);
         }
-        let ids: Vec<u16> = (0..segs.len())
-            .map(|_| self.free.pop().expect("checked length"))
-            .collect();
-        for (k, (seg, &id)) in segs.iter().zip(&ids).enumerate() {
-            let last = k == segs.len() - 1;
+        // The chain takes the top `segs.len()` ids of the free stack, top
+        // first. They leave the stack whether or not every descriptor write
+        // lands: a chain that faults half-written keeps its ids out of
+        // circulation (the device may already see them).
+        let n = segs.len();
+        let base = self.free.len() - n;
+        let head = self.free[base + n - 1];
+        let mut written = Ok(());
+        for (k, seg) in segs.iter().enumerate() {
+            let id = self.free[base + n - 1 - k];
+            let last = k == n - 1;
+            let next = if last { 0 } else { self.free[base + n - 2 - k] };
             let mut flags = 0u16;
             if !last {
                 flags |= DESC_F_NEXT;
@@ -195,7 +255,7 @@ impl VirtqueueDriver {
             if seg.device_writes {
                 flags |= DESC_F_WRITE;
             }
-            write_desc(
+            written = write_desc(
                 mem,
                 &self.layout,
                 id,
@@ -203,18 +263,17 @@ impl VirtqueueDriver {
                     addr: seg.va,
                     len: seg.len,
                     flags,
-                    next: if last { 0 } else { ids[k + 1] },
+                    next,
                 },
-            )?;
+            );
+            if written.is_err() {
+                break;
+            }
+            self.shadow[id as usize].next = next;
         }
-        let head = ids[0];
-        // Publish: slot, then index (index write is the release barrier on
-        // real hardware; ordering is preserved here by program order).
-        let slot = self.layout.slot(self.avail_idx);
-        mem.write(self.layout.avail_ring(slot), &head.to_le_bytes())?;
-        self.avail_idx = self.avail_idx.wrapping_add(1);
-        mem.write(self.layout.avail_idx(), &self.avail_idx.to_le_bytes())?;
-        self.chains.insert(head, ids);
+        self.free.truncate(base);
+        written?;
+        self.publish(mem, head, n as u16)?;
         Ok(head)
     }
 
@@ -229,17 +288,7 @@ impl VirtqueueDriver {
         segs: &[ChainSeg],
         table_va: u64,
     ) -> Result<u16, QueueError> {
-        if segs.is_empty() {
-            return Err(QueueError::Corrupt("empty chain"));
-        }
-        let mut seen_writable = false;
-        for s in segs {
-            if s.device_writes {
-                seen_writable = true;
-            } else if seen_writable {
-                return Err(QueueError::Corrupt("readable segment after writable"));
-            }
-        }
+        check_segment_order(segs)?;
         if self.free.is_empty() {
             return Err(QueueError::Full);
         }
@@ -273,11 +322,7 @@ impl VirtqueueDriver {
                 next: 0,
             },
         )?;
-        let slot = self.layout.slot(self.avail_idx);
-        mem.write(self.layout.avail_ring(slot), &id.to_le_bytes())?;
-        self.avail_idx = self.avail_idx.wrapping_add(1);
-        mem.write(self.layout.avail_idx(), &self.avail_idx.to_le_bytes())?;
-        self.chains.insert(id, vec![id]);
+        self.publish(mem, id, 1)?;
         Ok(id)
     }
 
@@ -328,11 +373,16 @@ impl VirtqueueDriver {
             return Err(QueueError::Corrupt("used element id out of range"));
         }
         let head = id as u16;
-        let ids = self
-            .chains
-            .remove(&head)
-            .ok_or(QueueError::Corrupt("completion for unknown head"))?;
-        self.free.extend(ids);
+        let len = std::mem::take(&mut self.shadow[head as usize].chain_len);
+        if len == 0 {
+            return Err(QueueError::Corrupt("completion for unknown head"));
+        }
+        let mut d = head;
+        for _ in 0..len {
+            self.free.push(d);
+            d = self.shadow[d as usize].next;
+        }
+        self.in_flight -= 1;
         self.last_used = self.last_used.wrapping_add(1);
         Ok(Some(Completion { head, written }))
     }
@@ -853,40 +903,75 @@ impl lastcpu_snap::Snapshot for VirtqueueDriver {
         }
         w.put_u16(self.avail_idx);
         w.put_u16(self.last_used);
-        let mut heads: Vec<_> = self.chains.keys().copied().collect();
-        heads.sort_unstable();
-        w.put_len(heads.len());
-        for h in heads {
-            w.put_u16(h);
-            let ids = &self.chains[&h];
-            w.put_len(ids.len());
-            for &d in ids {
+        // Chains in ascending head order: the table's own order.
+        w.put_len(self.in_flight);
+        for (head, s) in (0u16..).zip(&self.shadow) {
+            if s.chain_len == 0 {
+                continue;
+            }
+            w.put_u16(head);
+            w.put_len(s.chain_len as usize);
+            let mut d = head;
+            for _ in 0..s.chain_len {
                 w.put_u16(d);
+                d = self.shadow[d as usize].next;
             }
         }
     }
 }
 
 impl lastcpu_snap::Restore for VirtqueueDriver {
+    /// Rejects a section in which a descriptor id is out of range or is
+    /// owned twice (by the free list and a chain, or by two chains): either
+    /// would later hand one descriptor to two requests.
     fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
         self.layout = QueueLayout::decode(r)?;
+        let size = self.layout.size as usize;
+        let mut owned = vec![false; size];
+        let mut claim = |r: &lastcpu_snap::SnapReader<'_>, id: u16| match owned.get_mut(id as usize)
+        {
+            None => Err(r.corrupt(format!("descriptor {id} in a queue of {size}"))),
+            Some(o) if *o => Err(r.corrupt(format!("descriptor {id} owned twice"))),
+            Some(o) => {
+                *o = true;
+                Ok(())
+            }
+        };
         let n = r.len()?;
-        self.free = Vec::with_capacity(n);
+        if n > size {
+            return Err(r.corrupt(format!("{n} free descriptors in a queue of {size}")));
+        }
+        self.free = Vec::with_capacity(size);
         for _ in 0..n {
-            self.free.push(r.u16()?);
+            let id = r.u16()?;
+            claim(r, id)?;
+            self.free.push(id);
         }
         self.avail_idx = r.u16()?;
         self.last_used = r.u16()?;
-        let n = r.len()?;
-        self.chains = DetHashMap::default();
-        for _ in 0..n {
+        self.in_flight = r.len()?;
+        if self.in_flight > size {
+            return Err(r.corrupt(format!("{} chains in a queue of {size}", self.in_flight)));
+        }
+        self.shadow = vec![Shadow::default(); size];
+        for _ in 0..self.in_flight {
             let head = r.u16()?;
             let k = r.len()?;
-            let mut ids = Vec::with_capacity(k);
-            for _ in 0..k {
-                ids.push(r.u16()?);
+            if k == 0 || k > size {
+                return Err(r.corrupt(format!("chain of {k} in a queue of {size}")));
             }
-            self.chains.insert(head, ids);
+            let mut d = r.u16()?;
+            if d != head {
+                return Err(r.corrupt(format!("chain {head} starts at descriptor {d}")));
+            }
+            claim(r, d)?;
+            for _ in 1..k {
+                let next = r.u16()?;
+                claim(r, next)?;
+                self.shadow[d as usize].next = next;
+                d = next;
+            }
+            self.shadow[head as usize].chain_len = k as u16;
         }
         Ok(())
     }
@@ -917,9 +1002,407 @@ impl VirtqueueDriver {
         VirtqueueDriver {
             layout: QueueLayout::new(0, 1),
             free: Vec::new(),
-            chains: DetHashMap::default(),
+            shadow: Vec::new(),
+            in_flight: 0,
             avail_idx: 0,
             last_used: 0,
+        }
+    }
+}
+
+/// The driver as it was before descriptor ids became table indices: a map
+/// from head to the list of ids its chain took. Kept as the reference the
+/// table is compared against.
+#[cfg(test)]
+mod oracle {
+    use std::collections::HashMap;
+
+    use super::*;
+
+    pub struct MapDriver {
+        pub layout: QueueLayout,
+        pub free: Vec<u16>,
+        pub chains: HashMap<u16, Vec<u16>>,
+        pub avail_idx: u16,
+        pub last_used: u16,
+    }
+
+    impl MapDriver {
+        pub fn create<M: QueueMemory>(mem: &mut M, layout: QueueLayout) -> Self {
+            VirtqueueDriver::create(mem, layout).expect("ring fits");
+            MapDriver {
+                layout,
+                free: (0..layout.size).rev().collect(),
+                chains: HashMap::new(),
+                avail_idx: 0,
+                last_used: 0,
+            }
+        }
+
+        fn publish<M: QueueMemory>(
+            &mut self,
+            mem: &mut M,
+            ids: Vec<u16>,
+        ) -> Result<u16, QueueError> {
+            let head = ids[0];
+            let slot = self.layout.slot(self.avail_idx);
+            mem.write(self.layout.avail_ring(slot), &head.to_le_bytes())?;
+            self.avail_idx = self.avail_idx.wrapping_add(1);
+            mem.write(self.layout.avail_idx(), &self.avail_idx.to_le_bytes())?;
+            self.chains.insert(head, ids);
+            Ok(head)
+        }
+
+        pub fn submit_chain<M: QueueMemory>(
+            &mut self,
+            mem: &mut M,
+            segs: &[ChainSeg],
+        ) -> Result<u16, QueueError> {
+            check_segment_order(segs)?;
+            if self.free.len() < segs.len() {
+                return Err(QueueError::Full);
+            }
+            let ids: Vec<u16> = (0..segs.len())
+                .map(|_| self.free.pop().expect("checked length"))
+                .collect();
+            for (k, (seg, &id)) in segs.iter().zip(&ids).enumerate() {
+                let last = k == segs.len() - 1;
+                let mut flags = if last { 0 } else { DESC_F_NEXT };
+                if seg.device_writes {
+                    flags |= DESC_F_WRITE;
+                }
+                let desc = Desc {
+                    addr: seg.va,
+                    len: seg.len,
+                    flags,
+                    next: if last { 0 } else { ids[k + 1] },
+                };
+                write_desc(mem, &self.layout, id, desc)?;
+            }
+            self.publish(mem, ids)
+        }
+
+        pub fn submit_chain_indirect<M: QueueMemory>(
+            &mut self,
+            mem: &mut M,
+            segs: &[ChainSeg],
+            table_va: u64,
+        ) -> Result<u16, QueueError> {
+            check_segment_order(segs)?;
+            if self.free.is_empty() {
+                return Err(QueueError::Full);
+            }
+            for (k, seg) in segs.iter().enumerate() {
+                let mut flags = if k == segs.len() - 1 { 0 } else { DESC_F_NEXT };
+                if seg.device_writes {
+                    flags |= DESC_F_WRITE;
+                }
+                let mut b = [0u8; 16];
+                b[0..8].copy_from_slice(&seg.va.to_le_bytes());
+                b[8..12].copy_from_slice(&seg.len.to_le_bytes());
+                b[12..14].copy_from_slice(&flags.to_le_bytes());
+                b[14..16].copy_from_slice(&((k + 1) as u16).to_le_bytes());
+                mem.write(table_va + 16 * k as u64, &b)?;
+            }
+            let id = self.free.pop().expect("checked nonempty");
+            let desc = Desc {
+                addr: table_va,
+                len: (16 * segs.len()) as u32,
+                flags: DESC_F_INDIRECT,
+                next: 0,
+            };
+            write_desc(mem, &self.layout, id, desc)?;
+            self.publish(mem, vec![id])
+        }
+
+        pub fn complete<M: QueueMemory>(
+            &mut self,
+            mem: &mut M,
+        ) -> Result<Option<Completion>, QueueError> {
+            let mut idx_b = [0u8; 2];
+            mem.read(self.layout.used_idx(), &mut idx_b)?;
+            if u16::from_le_bytes(idx_b) == self.last_used {
+                return Ok(None);
+            }
+            let mut elem = [0u8; 8];
+            mem.read(
+                self.layout.used_ring(self.layout.slot(self.last_used)),
+                &mut elem,
+            )?;
+            let id = u32::from_le_bytes(elem[0..4].try_into().expect("len 4"));
+            let written = u32::from_le_bytes(elem[4..8].try_into().expect("len 4"));
+            if id >= self.layout.size as u32 {
+                return Err(QueueError::Corrupt("used element id out of range"));
+            }
+            let head = id as u16;
+            let ids = self
+                .chains
+                .remove(&head)
+                .ok_or(QueueError::Corrupt("completion for unknown head"))?;
+            self.free.extend(ids);
+            self.last_used = self.last_used.wrapping_add(1);
+            Ok(Some(Completion { head, written }))
+        }
+
+        pub fn snapshot_bytes(&self) -> Vec<u8> {
+            let mut w = lastcpu_snap::SnapWriter::new();
+            self.layout.encode(&mut w);
+            w.put_len(self.free.len());
+            for &d in &self.free {
+                w.put_u16(d);
+            }
+            w.put_u16(self.avail_idx);
+            w.put_u16(self.last_used);
+            let mut heads: Vec<_> = self.chains.keys().copied().collect();
+            heads.sort_unstable();
+            w.put_len(heads.len());
+            for h in heads {
+                w.put_u16(h);
+                let ids = &self.chains[&h];
+                w.put_len(ids.len());
+                for &d in ids {
+                    w.put_u16(d);
+                }
+            }
+            w.into_bytes()
+        }
+    }
+}
+
+#[cfg(test)]
+mod table_tests {
+    use super::oracle::MapDriver;
+    use super::*;
+    use crate::FlatMemory;
+    use lastcpu_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+    use proptest::prelude::*;
+
+    const MEM: usize = 64 * 1024;
+    const TABLE: u64 = 0x3000;
+    const BUF: u64 = 0x8000;
+
+    fn snapshot_bytes(d: &VirtqueueDriver) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        d.snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    /// One step of a driver's life: submit a direct or an indirect chain of
+    /// `readable + writable` segments, serve up to `n` requests on the
+    /// device side (out of order when `reverse`), or drain completions.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Submit {
+            readable: usize,
+            writable: usize,
+            indirect: bool,
+        },
+        Serve {
+            n: usize,
+            reverse: bool,
+        },
+        Complete,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..4, 0usize..4, any::<bool>()).prop_map(|(readable, writable, indirect)| {
+                Op::Submit {
+                    readable,
+                    writable,
+                    indirect,
+                }
+            }),
+            (1usize..5, any::<bool>()).prop_map(|(n, reverse)| Op::Serve { n, reverse }),
+            (0u8..1).prop_map(|_| Op::Complete),
+        ]
+    }
+
+    fn segs(readable: usize, writable: usize) -> Vec<ChainSeg> {
+        (0..readable + writable)
+            .map(|k| ChainSeg {
+                va: BUF + 0x100 * k as u64,
+                len: 16,
+                device_writes: k >= readable,
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The table driver and the map driver it replaced, fed the same
+        /// submits, completions and memory faults, return the same heads
+        /// and errors, keep the same free stack, leave the same bytes in
+        /// shared memory and write the same snapshot section — which the
+        /// table driver then restores to an equal driver.
+        #[test]
+        fn prop_table_driver_matches_the_chain_map(
+            ops in proptest::collection::vec(op(), 1..120),
+            qsize_pow in 1u32..5,
+            // Where shared memory ends: inside the ring structures, inside
+            // the buffers, or (mostly) beyond everything the run touches.
+            mem_kind in 0u8..4,
+            mem_cut in 0usize..0x400,
+        ) {
+            let mem_size = match mem_kind {
+                0 => 0x100 + mem_cut / 4,
+                1 => BUF as usize + mem_cut,
+                _ => MEM,
+            };
+            let layout = QueueLayout::new(0x100, 1 << qsize_pow);
+            let (mut mem_t, mut mem_o) = (FlatMemory::new(MEM), FlatMemory::new(MEM));
+            let mut table = VirtqueueDriver::create(&mut mem_t, layout).unwrap();
+            let mut map = MapDriver::create(&mut mem_o, layout);
+            // Both sides now run against the smaller memory (the rings were
+            // initialised in the large one, so `create` is not what faults).
+            let shrink = |m: FlatMemory| {
+                let mut small = FlatMemory::new(mem_size);
+                let keep = mem_size.min(MEM);
+                let mut buf = vec![0u8; keep];
+                let mut m = m;
+                m.read(0, &mut buf).unwrap();
+                small.write(0, &buf).unwrap();
+                small
+            };
+            let (mut mem_t, mut mem_o) = (shrink(mem_t), shrink(mem_o));
+            let mut dev = VirtqueueDevice::attach(layout);
+            for op in ops {
+                match op {
+                    Op::Submit { readable, writable, indirect } => {
+                        let segs = segs(readable, writable);
+                        let (t, o) = if indirect {
+                            (
+                                table.submit_chain_indirect(&mut mem_t, &segs, TABLE),
+                                map.submit_chain_indirect(&mut mem_o, &segs, TABLE),
+                            )
+                        } else {
+                            (
+                                table.submit_chain(&mut mem_t, &segs),
+                                map.submit_chain(&mut mem_o, &segs),
+                            )
+                        };
+                        prop_assert_eq!(t, o);
+                    }
+                    Op::Serve { n, reverse } => {
+                        // The device pops from the table side's memory and
+                        // publishes the same used elements into both.
+                        let mut heads = Vec::new();
+                        while heads.len() < n {
+                            match dev.pop(&mut mem_t) {
+                                Ok(Some(chain)) => heads.push(chain.head),
+                                Ok(None) | Err(_) => break,
+                            }
+                        }
+                        if reverse {
+                            heads.reverse();
+                        }
+                        let mut twin = VirtqueueDevice::attach(layout);
+                        twin.used_idx = dev.used_idx;
+                        for h in heads {
+                            let a = dev.push_used(&mut mem_t, h, 7);
+                            let b = twin.push_used(&mut mem_o, h, 7);
+                            prop_assert_eq!(a, b);
+                        }
+                    }
+                    Op::Complete => loop {
+                        let (t, o) = (table.complete(&mut mem_t), map.complete(&mut mem_o));
+                        prop_assert_eq!(&t, &o);
+                        if !matches!(t, Ok(Some(_))) {
+                            break;
+                        }
+                    },
+                }
+                prop_assert_eq!(&table.free, &map.free);
+                prop_assert_eq!(table.in_flight(), map.chains.len());
+                for h in 0..layout.size {
+                    prop_assert_eq!(table.is_live_head(h), map.chains.contains_key(&h));
+                }
+                let bytes = snapshot_bytes(&table);
+                prop_assert_eq!(&bytes, &map.snapshot_bytes());
+                let mut back = VirtqueueDriver::detached();
+                let mut r = SnapReader::new("driver", &bytes);
+                back.restore(&mut r).unwrap();
+                r.finish().unwrap();
+                prop_assert_eq!(snapshot_bytes(&back), bytes);
+            }
+            let (mut a, mut b) = (vec![0u8; mem_size], vec![0u8; mem_size]);
+            mem_t.read(0, &mut a).unwrap();
+            mem_o.read(0, &mut b).unwrap();
+            prop_assert_eq!(a, b);
+        }
+    }
+
+    /// A driver section as `Snapshot` lays it out, with any free list and
+    /// chains the caller likes.
+    fn section(size: u16, free: &[u16], chains: &[(u16, &[u16])]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        let mut layout = QueueLayout::new(0x100, 4);
+        layout.size = size;
+        layout.encode(&mut w);
+        w.put_len(free.len());
+        free.iter().for_each(|&d| w.put_u16(d));
+        w.put_u16(1);
+        w.put_u16(0);
+        w.put_len(chains.len());
+        for (head, ids) in chains {
+            w.put_u16(*head);
+            w.put_len(ids.len());
+            ids.iter().for_each(|&d| w.put_u16(d));
+        }
+        w.into_bytes()
+    }
+
+    fn restore(bytes: &[u8]) -> Result<(), SnapError> {
+        let mut d = VirtqueueDriver::detached();
+        d.restore(&mut SnapReader::new("driver", bytes))
+    }
+
+    #[test]
+    fn restore_accepts_what_snapshot_wrote() {
+        let mut mem = FlatMemory::new(MEM);
+        let mut drv = VirtqueueDriver::create(&mut mem, QueueLayout::new(0x100, 4)).unwrap();
+        drv.submit_request(&mut mem, BUF, 4, BUF + 0x100, 4)
+            .unwrap();
+        let bytes = snapshot_bytes(&drv);
+        assert_eq!(bytes, section(4, &[3, 2], &[(0, &[0, 1])]));
+        restore(&bytes).expect("own section restores");
+        // A chain whose descriptor write faulted keeps its ids: a section
+        // that accounts for fewer than every descriptor is legitimate.
+        restore(&section(4, &[3], &[(0, &[0, 1])])).expect("a leaked descriptor restores");
+    }
+
+    #[test]
+    fn restore_rejects_a_descriptor_beyond_the_ring() {
+        for hostile in [
+            section(4, &[3, 4], &[(0, &[0, 1])]),
+            section(4, &[3, 2], &[(0, &[0, 4])]),
+            section(4, &[3, 2], &[(7, &[7, 1])]),
+        ] {
+            assert!(matches!(restore(&hostile), Err(SnapError::Corrupt { .. })));
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_descriptor_owned_twice() {
+        for hostile in [
+            // Free and in a chain; free twice; in two chains; twice in one.
+            section(4, &[3, 0], &[(0, &[0, 1])]),
+            section(4, &[3, 3], &[(0, &[0, 1])]),
+            section(4, &[], &[(0, &[0, 1]), (2, &[2, 1])]),
+            section(4, &[], &[(0, &[0, 0])]),
+        ] {
+            assert!(matches!(restore(&hostile), Err(SnapError::Corrupt { .. })));
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_malformed_chain_or_ring() {
+        for hostile in [
+            section(4, &[3, 2], &[(1, &[0, 1])]), // does not start at its head
+            section(4, &[3, 2], &[(0, &[])]),     // empty
+            section(12, &[3, 2], &[]),            // a size `QueueLayout::new` refuses
+            section(0, &[], &[]),
+        ] {
+            assert!(matches!(restore(&hostile), Err(SnapError::Corrupt { .. })));
         }
     }
 }

@@ -5,7 +5,9 @@
 #                          HashMap/HashSet in the library crates; no raw
 #                          `impl Device for` outside the named list; no name
 #                          spelled in `apply_action`, no `Envelope` copied
-#                          under core/src/system/
+#                          under core/src/system/; no owned request copy in
+#                          the NIC server, no envelope `Arc` made outside the
+#                          recycling pool, no id list collected per submit
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -100,6 +102,33 @@ awk '
     END { exit bad }
 ' $(find crates/core/src/system -name '*.rs' | sort) || {
     echo "FAIL: a name formatted in apply_action, or an Envelope deep-copied in core/src/system"; exit 1;
+}
+# A request is a slot and an envelope is recycled: the NIC-side server serves
+# the borrowed `KvsRequestRef` (a waiting one is wire bytes in the backlog
+# arena, never an owned copy); an envelope's `Arc` is made in one place,
+# `EnvelopePool::share` in bus/src/bus/envelopes.rs, so every send, doorbell
+# and reply can ride a recycled allocation; and a descriptor chain is links
+# in the driver's per-descriptor table, not a list collected per submit.
+awk '
+    FNR == 1 { skip = 0; in_submit = 0 }
+    /^#\[cfg\(test\)\]/ { skip = 1 }
+    skip && /^}/ { skip = 0 }
+    skip || /^[ \t]*\/\// { next }
+    FILENAME ~ /kvs\/src\/(app|server)\.rs$/ && /\.to_owned\(\)|KvsRequest::decode/ {
+        print "    " FILENAME ":" FNR ": " $0; bad = 1
+    }
+    FILENAME ~ /(core\/src\/system|bus\/src\/bus)\// && FILENAME !~ /envelopes\.rs$/ && /Arc::new\(/ {
+        print "    " FILENAME ":" FNR ": " $0; bad = 1
+    }
+    FILENAME ~ /virtio\/src\/queue\.rs$/ && /^    pub fn submit_chain/ { in_submit = 1 }
+    in_submit && /Vec<u16>|collect\(\)|vec!\[/ {
+        print "    " FILENAME ":" FNR ": " $0; bad = 1
+    }
+    in_submit && /^    }/ { in_submit = 0 }
+    END { exit bad }
+' crates/kvs/src/app.rs crates/kvs/src/server.rs crates/virtio/src/queue.rs \
+  $(find crates/core/src/system crates/bus/src/bus -name '*.rs' | sort) || {
+    echo "FAIL: an owned request copy in the NIC server, an envelope Arc made outside EnvelopePool::share, or a descriptor list collected per submit"; exit 1;
 }
 
 echo "==> tier-1: cargo build --release"

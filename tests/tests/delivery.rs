@@ -186,3 +186,149 @@ fn script_exercises_hits_and_misses() {
     assert!(stats.misses >= 1, "GET missing must count a miss");
     assert!(stats.cache_hits >= 3);
 }
+
+// --- The same contract under backpressure ----------------------------------
+
+/// Steps in the pressure script.
+const PRESSURE_STEPS: usize = 240;
+
+/// Step `i` of the pressure script: six keys, three PUTs in ten, values that
+/// change with every write so a stale answer shows.
+fn pressure_step(i: usize) -> (Vec<u8>, Option<Vec<u8>>) {
+    let r = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
+    let key = format!("key-{}", r % 6).into_bytes();
+    let put = i < 6 || r % 10 < 3;
+    (key, put.then(|| vec![i as u8; 48 + (r % 40) as usize]))
+}
+
+/// Keeps `WINDOW` scripted requests outstanding (one, until the server has
+/// answered anything but `Busy`) and logs every response with its time.
+struct WindowClient {
+    server: PortId,
+    booted: bool,
+    next: usize,
+    done: usize,
+    log: Vec<(u64, Vec<u8>)>,
+}
+
+/// Requests outstanding against a virtqueue that holds two.
+const WINDOW: usize = 6;
+
+impl WindowClient {
+    fn send(&mut self, ctx: &mut HostCtx<'_>, step: usize) {
+        let (key, value) = pressure_step(step);
+        let id = step as u64 + 1;
+        let mut buf = ctx.take_buf();
+        match value {
+            Some(v) => encode_put_into(id, &key, &v, buf.vec_mut()),
+            None => encode_get_into(id, &key, buf.vec_mut()),
+        }
+        ctx.net_tx(self.server, buf);
+    }
+
+    fn fill(&mut self, ctx: &mut HostCtx<'_>) {
+        let window = if self.booted { WINDOW } else { 1 };
+        while self.next < PRESSURE_STEPS && self.next - self.done < window {
+            self.send(ctx, self.next);
+            self.next += 1;
+        }
+    }
+}
+
+impl NetHost for WindowClient {
+    fn name(&self) -> &str {
+        "window-client"
+    }
+
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        self.fill(ctx);
+    }
+
+    fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: Frame) {
+        let resp = KvsResponse::decode(&frame.payload).expect("KVS response");
+        self.log.push((ctx.now.as_nanos(), frame.payload.to_vec()));
+        match resp.status {
+            KvsStatus::Busy | KvsStatus::Unavailable => self.send(ctx, resp.id as usize - 1),
+            _ => {
+                self.booted = true;
+                self.done += 1;
+                self.fill(ctx);
+            }
+        }
+    }
+
+    fn on_timer(&mut self, _ctx: &mut HostCtx<'_>, _token: u64) {}
+}
+
+/// Runs the pressure script against a server whose virtqueue has four
+/// descriptors, so most requests find it full and wait in the backlog.
+fn run_under_pressure(seed: u64, fast_path: bool) -> (Vec<(u64, Vec<u8>)>, ServerStats) {
+    let mut setup = build_cpuless_kvs(
+        SystemConfig {
+            seed,
+            ..SystemConfig::default()
+        },
+        Default::default(),
+        ServerConfig {
+            cache_entries: 16,
+            queue_size: 4,
+            ..ServerConfig::default()
+        },
+    );
+    setup
+        .system
+        .device_as_mut::<SmartNic<KvsNicApp>>(setup.frontend)
+        .expect("frontend NIC")
+        .app_mut()
+        .set_fast_path(fast_path);
+    let port = setup.system.add_host(Box::new(WindowClient {
+        server: setup.kvs_port,
+        booted: false,
+        next: 0,
+        done: 0,
+        log: Vec::new(),
+    }));
+    setup.system.power_on();
+    setup.system.run_for(SimDuration::from_millis(200));
+    let client: &WindowClient = setup.system.host_as(port).expect("client");
+    assert_eq!(client.done, PRESSURE_STEPS, "script stalled");
+    let nic: &SmartNic<KvsNicApp> = setup
+        .system
+        .device_as(setup.frontend)
+        .expect("frontend NIC");
+    (client.log.clone(), nic.app().stats())
+}
+
+#[test]
+fn fast_path_and_slow_path_are_byte_identical_under_backpressure() {
+    for seed in [1u64, 42, 0xE13] {
+        let (fast_log, fast_stats) = run_under_pressure(seed, true);
+        let (slow_log, slow_stats) = run_under_pressure(seed, false);
+        // Some GETs found the queue with room and nobody waiting; the others
+        // were refused the fast path and waited their turn in the backlog.
+        assert!(fast_stats.fast_gets > 0, "seed {seed}: no fast GET");
+        assert!(
+            fast_stats.fast_gets < fast_stats.cache_hits,
+            "seed {seed}: no cache hit was ever refused the fast path"
+        );
+        assert_eq!(slow_stats.fast_gets, 0, "seed {seed}: disabled path fired");
+        assert_eq!(
+            fast_log, slow_log,
+            "seed {seed}: fast path changed observable behavior"
+        );
+        let neutral = |mut s: ServerStats| {
+            s.fast_gets = 0;
+            s
+        };
+        assert_eq!(neutral(fast_stats), neutral(slow_stats), "seed {seed}");
+        // Every scripted request got a terminal answer.
+        let terminal = fast_log
+            .iter()
+            .filter(|(_, p)| {
+                let r = KvsResponse::decode(p).unwrap();
+                !matches!(r.status, KvsStatus::Busy | KvsStatus::Unavailable)
+            })
+            .count();
+        assert_eq!(terminal, PRESSURE_STEPS);
+    }
+}
