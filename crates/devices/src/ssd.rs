@@ -964,7 +964,6 @@ pub struct FileClient {
     /// `(req_va, resp_va, resp_capacity)` of the request in flight under each
     /// descriptor head; indexed by head, one entry per descriptor.
     inflight: Vec<Option<(u64, u64, u32)>>,
-    in_flight: usize,
     /// Reused request-encode buffer (capacity persists across submits).
     encode_buf: Vec<u8>,
 }
@@ -994,7 +993,6 @@ impl FileClient {
                 driver,
                 arena: lastcpu_virtio::BufferArena::new(arena_base, CLIENT_SLOT, slots),
                 inflight: vec![None; queue_size as usize],
-                in_flight: 0,
                 encode_buf: Vec::new(),
             },
             setup_doorbell(region_base, queue_size),
@@ -1003,7 +1001,7 @@ impl FileClient {
 
     /// Requests submitted but not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.inflight.iter().flatten().count()
     }
 
     /// Whether `head` is the handle of a request submitted and not yet
@@ -1070,7 +1068,6 @@ impl FileClient {
                 }
             };
         self.inflight[head as usize] = Some((req_va, resp_va, resp_len));
-        self.in_flight += 1;
         Ok(head)
     }
 
@@ -1093,7 +1090,6 @@ impl FileClient {
             .get_mut(c.head as usize)
             .and_then(Option::take)
             .ok_or(QueueError::Corrupt("completion for unknown head"))?;
-        self.in_flight -= 1;
         let n = c.written.min(cap) as usize;
         buf.clear();
         buf.resize(n, 0);
@@ -1237,7 +1233,7 @@ impl lastcpu_snap::Snapshot for FileClient {
     fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
         self.driver.snapshot(w);
         self.arena.snapshot(w);
-        w.put_len(self.in_flight);
+        w.put_len(self.in_flight());
         for (h, slot) in (0u16..).zip(&self.inflight) {
             let Some((req_va, resp_va, cap)) = *slot else {
                 continue;
@@ -1254,16 +1250,15 @@ impl lastcpu_snap::Restore for FileClient {
     fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
         self.driver.restore(r)?;
         self.arena.restore(r)?;
-        self.in_flight = r.len()?;
-        if self.in_flight != self.driver.in_flight() {
+        let n = r.len()?;
+        if n != self.driver.in_flight() {
             return Err(r.corrupt(format!(
-                "{} requests in flight over {} chains",
-                self.in_flight,
+                "{n} requests in flight over {} chains",
                 self.driver.in_flight()
             )));
         }
         self.inflight = vec![None; self.driver.layout().size as usize];
-        for _ in 0..self.in_flight {
+        for _ in 0..n {
             let h = r.u16()?;
             // A head the driver does not hold a chain for would index out of
             // the table, or be completed without its descriptors coming back.
@@ -1284,7 +1279,6 @@ impl FileClient {
             driver: lastcpu_virtio::VirtqueueDriver::detached(),
             arena: lastcpu_virtio::BufferArena::new(0, CLIENT_SLOT, 1),
             inflight: Vec::new(),
-            in_flight: 0,
             encode_buf: Vec::new(),
         }
     }
@@ -1295,22 +1289,6 @@ mod tests {
     use super::*;
     use lastcpu_virtio::{FlatMemory, VirtqueueDevice};
     use proptest::prelude::*;
-
-    /// The borrowed view `FileOpRef::decode` must produce for `op`.
-    fn view(op: &FileOp) -> FileOpRef<'_> {
-        match op {
-            FileOp::Read { offset, len } => FileOpRef::Read {
-                offset: *offset,
-                len: *len,
-            },
-            FileOp::Write { offset, data } => FileOpRef::Write {
-                offset: *offset,
-                data,
-            },
-            FileOp::Stat => FileOpRef::Stat,
-            FileOp::Flush => FileOpRef::Flush,
-        }
-    }
 
     #[test]
     fn file_op_round_trips() {
@@ -1327,7 +1305,7 @@ mod tests {
             FileOp::Flush,
         ] {
             let wire = op.encode();
-            assert_eq!(FileOpRef::decode(&wire), Some(view(&op)));
+            assert_eq!(FileOpRef::decode(&wire), Some(op.borrowed()));
             // No truncation of a valid frame is itself a frame.
             for cut in 0..wire.len() {
                 assert_eq!(FileOpRef::decode(&wire[..cut]), None, "cut at {cut}");

@@ -537,13 +537,8 @@ impl KvsServer {
     /// over with this table as it was. The new operation takes the slot, as
     /// an insert into the map this table replaced overwrote the old entry.
     fn track(&mut self, head: u16, op: Pending) {
-        Self::track_in(&mut self.inflight, &mut self.in_flight, head, op);
-    }
-
-    /// [`track`](Self::track) for callers that hold a borrow of the session.
-    fn track_in(slots: &mut [Option<Pending>], in_flight: &mut usize, head: u16, op: Pending) {
-        if slots[head as usize].replace(op).is_none() {
-            *in_flight += 1;
+        if self.inflight[head as usize].replace(op).is_none() {
+            self.in_flight += 1;
         }
     }
 
@@ -853,39 +848,31 @@ impl KvsServer {
 
     /// Issues index-rebuild reads while queue space allows.
     fn issue_rebuild_reads(&mut self, ctx: &mut DeviceCtx<'_>) {
-        let Some(session) = self.session.as_mut() else {
-            return;
-        };
         let pasid = self.pasid;
-        let target = session.target();
-        let conn = session.conn();
         let mut issued = false;
-        if let Some((client, _)) = session.client_mut() {
-            while self.rebuild_next < self.file_size && client.can_submit() {
-                let len = REBUILD_CHUNK.min((self.file_size - self.rebuild_next) as u32);
-                let op = FileOpRef::Read {
-                    offset: self.rebuild_next,
-                    len,
-                };
-                let mut view = ctx.dma_view(pasid);
-                match client.submit(&mut view, op, len) {
-                    Ok(head) => {
-                        Self::track_in(
-                            &mut self.inflight,
-                            &mut self.in_flight,
-                            head,
-                            Pending::Rebuild { len },
-                        );
-                        self.rebuild_next += len as u64;
-                        self.rebuild_inflight += 1;
-                        issued = true;
-                    }
-                    Err(_) => break,
-                }
+        while self.rebuild_next < self.file_size {
+            let Some((client, _)) = self.session.as_mut().and_then(|s| s.client_mut()) else {
+                break;
+            };
+            if !client.can_submit() {
+                break;
             }
+            let len = REBUILD_CHUNK.min((self.file_size - self.rebuild_next) as u32);
+            let op = FileOpRef::Read {
+                offset: self.rebuild_next,
+                len,
+            };
+            let mut view = ctx.dma_view(pasid);
+            let Ok(head) = client.submit(&mut view, op, len) else {
+                break;
+            };
+            self.track(head, Pending::Rebuild { len });
+            self.rebuild_next += len as u64;
+            self.rebuild_inflight += 1;
+            issued = true;
         }
         if issued {
-            ctx.doorbell(target, conn, DOORBELL_WORK);
+            self.ring(ctx);
         }
     }
 

@@ -131,7 +131,7 @@ struct Shadow {
 ///
 /// A descriptor id is an index: what the driver must remember about a
 /// request in flight — which descriptors to take back on completion — is a
-/// table with one [`Shadow`] per descriptor, so submitting and completing a
+/// table with one `Shadow` per descriptor, so submitting and completing a
 /// request allocates nothing.
 pub struct VirtqueueDriver {
     layout: QueueLayout,
@@ -238,34 +238,28 @@ impl VirtqueueDriver {
         }
         // The chain takes the top `segs.len()` ids of the free stack, top
         // first. They leave the stack whether or not every descriptor write
-        // lands: a chain that faults half-written keeps its ids out of
-        // circulation (the device may already see them).
-        let n = segs.len();
-        let base = self.free.len() - n;
-        let head = self.free[base + n - 1];
+        // lands — a chain that faults half-written keeps its ids, as the
+        // list of popped ids this replaces did (fault runs observe the free
+        // count).
+        let base = self.free.len() - segs.len();
+        let mut ids = self.free[base..].iter().rev().copied().peekable();
+        let head = *ids.peek().expect("a chain has a segment");
         let mut written = Ok(());
-        for (k, seg) in segs.iter().enumerate() {
-            let id = self.free[base + n - 1 - k];
-            let last = k == n - 1;
-            let next = if last { 0 } else { self.free[base + n - 2 - k] };
-            let mut flags = 0u16;
-            if !last {
-                flags |= DESC_F_NEXT;
-            }
+        for seg in segs {
+            let id = ids.next().expect("one id per segment");
+            let next = ids.peek().copied();
+            let mut flags = if next.is_some() { DESC_F_NEXT } else { 0 };
             if seg.device_writes {
                 flags |= DESC_F_WRITE;
             }
-            written = write_desc(
-                mem,
-                &self.layout,
-                id,
-                Desc {
-                    addr: seg.va,
-                    len: seg.len,
-                    flags,
-                    next,
-                },
-            );
+            let next = next.unwrap_or(0);
+            let desc = Desc {
+                addr: seg.va,
+                len: seg.len,
+                flags,
+                next,
+            };
+            written = write_desc(mem, &self.layout, id, desc);
             if written.is_err() {
                 break;
             }
@@ -273,7 +267,7 @@ impl VirtqueueDriver {
         }
         self.free.truncate(base);
         written?;
-        self.publish(mem, head, n as u16)?;
+        self.publish(mem, head, segs.len() as u16)?;
         Ok(head)
     }
 
