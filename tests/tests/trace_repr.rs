@@ -197,3 +197,177 @@ fn traced_figure2_run_checkpoints_as_before() {
     assert_eq!(first, observe_ctl(), "same seed, same bytes");
     assert_eq!(first, PARENT_CTL);
 }
+
+/// A traced rack: four machines on leaf-spine:2 (so half the replica pairs
+/// sit across the spine), R = 2, one closed-loop client per machine through
+/// its local shard router. Recorded at the commit before the fabric-link
+/// records became typed and the router began serving the borrowed frame.
+mod rack {
+    use super::*;
+    use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
+    use lastcpu_kvs::{build_rack_kvs_with_policy, RackSetup, RetryPolicy};
+    use lastcpu_sim::SimTime;
+
+    /// Exports of [`Fabric::merged_trace`], its record count, and a digest
+    /// over every section of the rack checkpoint (each machine section opened
+    /// and folded section by section, manifests left out as above).
+    #[derive(Debug, PartialEq, Eq)]
+    struct RackObserved {
+        jsonl: (u64, usize),
+        chrome: (u64, usize),
+        records: usize,
+        /// Stopped mid-run: routers hold pending requests with subs in flight.
+        mid_checkpoint: u64,
+        /// The `trace` section of machine 0 at that moment, on its own.
+        mid_m0_trace: u64,
+        end_checkpoint: u64,
+    }
+
+    const PARENT_RACK: RackObserved = RackObserved {
+        jsonl: (2839614355391125304, 5029816),
+        chrome: (4122591985127384430, 7978206),
+        records: 40634,
+        mid_checkpoint: 15635029721062338613,
+        mid_m0_trace: 15898290914135771251,
+        end_checkpoint: 17730250270755029054,
+    };
+
+    /// When the mid-run checkpoint is taken.
+    const MID: SimTime = SimTime::from_nanos(4_000_000);
+
+    fn rack() -> (RackSetup, Vec<lastcpu_net::PortId>) {
+        let mut setup = build_rack_kvs_with_policy(
+            FabricConfig {
+                topology: TopologyConfig {
+                    kind: TopoKind::LeafSpine { leaf_size: 2 },
+                    oversub: 1,
+                },
+                ..FabricConfig::default()
+            },
+            4,
+            2,
+            SystemConfig {
+                seed: 24,
+                trace: true,
+                ..SystemConfig::default()
+            },
+            RetryPolicy::default(),
+        );
+        let mut clients = Vec::new();
+        for i in 0..4 {
+            let router = setup.router_ports[i];
+            let machine = setup.fabric.machine_mut(setup.machines[i]);
+            clients.push(machine.add_host(Box::new(KvsClientHost::new(
+                router,
+                WorkloadConfig {
+                    keys: 32,
+                    theta: 0.9,
+                    read_fraction: 0.7,
+                    value_size: 200,
+                    outstanding: 4,
+                    total_ops: 150,
+                    preload: true,
+                    stats_prefix: format!("c{i}"),
+                    ..WorkloadConfig::default()
+                },
+            ))));
+        }
+        setup.fabric.power_on();
+        (setup, clients)
+    }
+
+    fn rack_sections_digest(ck: &Checkpoint) -> u64 {
+        fn fold(h: &mut u64, ck: &Checkpoint) {
+            for tag in ck.section_tags() {
+                let bytes = ck.section(tag).expect("listed section");
+                fnv1a_fold(h, tag.as_bytes());
+                if tag.starts_with("machine") {
+                    fold(
+                        h,
+                        &Checkpoint::decode(bytes).expect("machine section decodes"),
+                    );
+                } else {
+                    fnv1a_fold(h, bytes);
+                }
+            }
+        }
+        let mut h = fnv1a(b"sections");
+        fold(&mut h, ck);
+        h
+    }
+
+    fn m0_trace_digest(ck: &Checkpoint) -> u64 {
+        let m0 = ck
+            .section_tags()
+            .find(|t| t.starts_with("machine"))
+            .expect("a machine section")
+            .to_owned();
+        let m0 = Checkpoint::decode(ck.section(&m0).expect("listed")).expect("decodes");
+        fnv1a(m0.section("trace").expect("trace section"))
+    }
+
+    fn observe_rack() -> RackObserved {
+        let (mut setup, clients) = rack();
+        let client = |setup: &RackSetup, i: usize| -> (bool, u64) {
+            let c: &KvsClientHost = setup
+                .fabric
+                .machine(setup.machines[i])
+                .host_as(clients[i])
+                .expect("client port");
+            (c.is_done(), c.errors() + c.timeouts())
+        };
+        setup.fabric.run_until(MID);
+        for i in 0..4 {
+            assert!(
+                setup.router(i).stats().requests > 0,
+                "router {i} is serving"
+            );
+            assert!(!client(&setup, i).0, "client {i} is mid-run");
+        }
+        let mid = setup
+            .fabric
+            .checkpoint("trace-repr-rack")
+            .expect("rack checkpoints");
+        // A fresh rack replays to the same bytes (`restore_from` verifies
+        // every section), records rendered at checkpoint time included.
+        rack()
+            .0
+            .fabric
+            .restore_from(&mid)
+            .expect("a fresh rack replays to the same bytes");
+        setup.fabric.run_for(SimDuration::from_secs(2));
+        for i in 0..4 {
+            assert_eq!(client(&setup, i), (true, 0), "client {i} finished cleanly");
+        }
+        let merged = setup.fabric.merged_trace();
+        for crossing in [
+            "frame exits to fabric link",
+            "frame enters from fabric link",
+        ] {
+            assert!(
+                merged.containing(crossing).count() > 2_000,
+                "{crossing}: the run crosses the fabric"
+            );
+        }
+        let sized = |s: String| (fnv1a(s.as_bytes()), s.len());
+        let end = setup
+            .fabric
+            .checkpoint("trace-repr-rack")
+            .expect("rack checkpoints");
+        RackObserved {
+            jsonl: sized(export::trace_jsonl(&merged)),
+            chrome: sized(export::trace_chrome(&merged)),
+            records: merged.len(),
+            mid_checkpoint: rack_sections_digest(&mid),
+            mid_m0_trace: m0_trace_digest(&mid),
+            end_checkpoint: rack_sections_digest(&end),
+        }
+    }
+
+    #[test]
+    fn traced_rack_exports_and_checkpoints_as_before() {
+        let first = observe_rack();
+        assert_eq!(first, observe_rack(), "same seed, same bytes");
+        assert_eq!(first, PARENT_RACK);
+    }
+}
