@@ -7,6 +7,8 @@
 //! the paper describes — "The NIC exposes a KVS interface to other machines
 //! over the network" (§3).
 
+use std::fmt;
+
 use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::{BufPool, Bytes, CorrId, DetRng, MetricsHub, SimDuration, SimTime};
 
@@ -22,7 +24,7 @@ pub enum HostAction {
         /// Token returned in `on_timer`.
         token: u64,
     },
-    /// Emit a trace record.
+    /// Emit a free-form trace record.
     Trace(String),
     /// Emit a critical-path stage mark (see [`lastcpu_sim::critpath`]).
     Stage {
@@ -133,9 +135,12 @@ impl<'a> HostCtx<'a> {
         self.actions.push(HostAction::SetTimer { delay, token });
     }
 
-    /// Emits a trace record.
-    pub fn trace(&mut self, what: impl Into<String>) {
-        self.actions.push(HostAction::Trace(what.into()));
+    /// Emits a free-form trace record: `ctx.trace(format_args!(..))`. The
+    /// line is formatted only while the trace sink is collecting.
+    pub fn trace(&mut self, what: fmt::Arguments<'_>) {
+        if self.tracing {
+            self.actions.push(HostAction::Trace(what.to_string()));
+        }
     }
 
     /// Emits a critical-path stage mark. A no-op while the trace sink is
@@ -197,14 +202,37 @@ mod tests {
     fn ctx_queues_actions_in_order() {
         let stats = MetricsHub::new();
         let mut rng = DetRng::new(1);
-        let mut ctx = HostCtx::new(SimTime::ZERO, PortId(3), &stats, &mut rng, CorrId::NONE);
+        let mut ctx = HostCtx::new(SimTime::ZERO, PortId(3), &stats, &mut rng, CorrId::NONE)
+            .with_tracing(true);
         ctx.net_tx(PortId(9), vec![1]);
         ctx.set_timer(SimDuration::from_micros(1), 7);
-        ctx.trace("x");
+        ctx.trace(format_args!("x"));
         let a = ctx.finish();
         assert!(matches!(&a[0], HostAction::NetTx(f) if f.src == PortId(3) && f.dst == PortId(9)));
         assert!(matches!(a[1], HostAction::SetTimer { token: 7, .. }));
         assert!(matches!(&a[2], HostAction::Trace(_)));
+    }
+
+    #[test]
+    fn trace_lines_follow_the_tracing_flag() {
+        /// Panics if it is ever rendered.
+        struct Unformattable;
+        impl fmt::Display for Unformattable {
+            fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+                panic!("formatted with tracing off")
+            }
+        }
+        let stats = MetricsHub::new();
+        let mut rng = DetRng::new(1);
+        let mut off = HostCtx::new(SimTime::ZERO, PortId(3), &stats, &mut rng, CorrId::NONE);
+        off.trace(format_args!("{Unformattable}"));
+        assert!(off.finish().is_empty(), "lines dropped while not tracing");
+
+        let mut rng = DetRng::new(1);
+        let mut on = HostCtx::new(SimTime::ZERO, PortId(3), &stats, &mut rng, CorrId::NONE)
+            .with_tracing(true);
+        on.trace(format_args!("{} ops", 3));
+        assert_eq!(on.finish(), [HostAction::Trace("3 ops".into())]);
     }
 
     #[test]

@@ -101,11 +101,10 @@ impl System {
                 at,
                 self.sources.net.clone(),
                 corr,
-                TraceData::Text(format!(
-                    "frame enters from fabric link for port {} ({} B)",
-                    frame.dst.0,
-                    frame.payload.len()
-                )),
+                TraceData::LinkEnter {
+                    port: frame.dst.0,
+                    bytes: frame.payload.len() as u64,
+                },
             );
         }
         self.route_frame(at, frame, corr);
@@ -125,11 +124,10 @@ impl System {
                         now,
                         self.sources.net.clone(),
                         corr,
-                        TraceData::Text(format!(
-                            "frame exits to fabric link via port {} ({} B)",
-                            port.0,
-                            frame.payload.len()
-                        )),
+                        TraceData::LinkExit {
+                            port: port.0,
+                            bytes: frame.payload.len() as u64,
+                        },
                     );
                 }
                 self.tunnel_out.push(TunnelDelivery {

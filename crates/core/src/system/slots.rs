@@ -268,9 +268,9 @@ impl System {
                     .schedule_at(t + delay, Event::Timer { idx, token, corr });
             }
             Action::NetTx(frame) => self.route_frame(t, frame, corr),
-            Action::Trace(s) => {
+            Action::Trace(data) => {
                 let name = self.slots[idx].name.clone();
-                self.trace.emit_data(t, name, corr, TraceData::Text(s));
+                self.trace.emit_data(t, name, corr, data);
             }
             Action::Stage { stage, id, aux } => {
                 let name = self.slots[idx].name.clone();

@@ -13,13 +13,14 @@
 //! This is the standard discrete-event compromise and keeps device code
 //! straight-line instead of a continuation swamp.
 
+use std::fmt;
 use std::ops::Range;
 
 use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload, RequestId};
 use lastcpu_iommu::{AccessKind, Iommu, IommuFault};
 use lastcpu_mem::{Dram, DramError, Pasid, PhysAddr, VirtAddr};
 use lastcpu_net::{Frame, PortId};
-use lastcpu_sim::{BufPool, Bytes, CorrId, DetRng, MetricsHub, SimDuration, SimTime};
+use lastcpu_sim::{BufPool, Bytes, CorrId, DetRng, MetricsHub, SimDuration, SimTime, TraceData};
 use lastcpu_virtio::{MemFault, QueueMemory};
 
 /// An outgoing effect queued by a device handler.
@@ -53,7 +54,7 @@ pub enum Action {
     /// for devices without a port).
     NetTx(Frame),
     /// Emit a trace record.
-    Trace(String),
+    Trace(TraceData),
     /// Emit a critical-path stage mark (see `lastcpu_sim::critpath`).
     Stage {
         /// Milestone label (`server.recv`, `server.done`, …).
@@ -233,9 +234,19 @@ impl<'a> DeviceCtx<'a> {
         self.actions.push(Action::NetTx(frame));
     }
 
-    /// Emits a trace record.
-    pub fn trace(&mut self, what: impl Into<String>) {
-        self.actions.push(Action::Trace(what.into()));
+    /// Emits a free-form trace record: `ctx.trace(format_args!(..))`. The
+    /// line is formatted only while the trace sink is collecting.
+    pub fn trace(&mut self, what: fmt::Arguments<'_>) {
+        if self.tracing {
+            self.trace_data(TraceData::Text(what.to_string()));
+        }
+    }
+
+    /// Emits a typed trace record. A no-op while the trace sink is disabled.
+    pub fn trace_data(&mut self, data: TraceData) {
+        if self.tracing {
+            self.actions.push(Action::Trace(data));
+        }
     }
 
     /// Emits a critical-path stage mark. A no-op while the trace sink is
@@ -530,16 +541,74 @@ mod tests {
             &mut req,
             CorrId::NONE,
             &hub,
-        );
+        )
+        .with_tracing(true);
         ctx.set_timer(SimDuration::from_micros(5), 42);
         ctx.doorbell(DeviceId(2), ConnId(7), 1);
-        ctx.trace("hello");
+        ctx.trace(format_args!("hello"));
         ctx.halt("test");
         let (actions, _, _) = ctx.finish();
         assert!(matches!(actions[0], Action::SetTimer { token: 42, .. }));
         assert!(matches!(actions[1], Action::Doorbell { value: 1, .. }));
         assert!(matches!(actions[2], Action::Trace(_)));
         assert!(matches!(actions[3], Action::Halt { .. }));
+    }
+
+    #[test]
+    fn trace_records_follow_the_tracing_flag() {
+        /// Panics if it is ever rendered.
+        struct Unformattable;
+        impl fmt::Display for Unformattable {
+            fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+                panic!("formatted with tracing off")
+            }
+        }
+        let attached = TraceData::QueueAttached {
+            conn: 7,
+            base: 0x4000,
+            size: 64,
+        };
+        let (mut iommu, mut dram, mut rng, mut req) = fixture();
+        let hub = MetricsHub::new();
+        let mut off = DeviceCtx::new(
+            SimTime::ZERO,
+            DeviceId(1),
+            None,
+            &mut iommu,
+            &mut dram,
+            &mut rng,
+            &mut req,
+            CorrId::NONE,
+            &hub,
+        );
+        off.trace(format_args!("{Unformattable}"));
+        off.trace_data(attached.clone());
+        assert!(
+            off.finish().0.is_empty(),
+            "records dropped while not tracing"
+        );
+
+        let mut on = DeviceCtx::new(
+            SimTime::ZERO,
+            DeviceId(1),
+            None,
+            &mut iommu,
+            &mut dram,
+            &mut rng,
+            &mut req,
+            CorrId::NONE,
+            &hub,
+        )
+        .with_tracing(true);
+        on.trace(format_args!("{} blocks", 3));
+        on.trace_data(attached.clone());
+        assert_eq!(
+            on.finish().0,
+            [
+                Action::Trace(TraceData::Text("3 blocks".into())),
+                Action::Trace(attached)
+            ]
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use lastcpu_bus::wire::{WireReader, WireWriter};
 use lastcpu_bus::{ConnId, DeviceId, RequestId, ResourceKind, ServiceDesc, ServiceId, Status};
 use lastcpu_iommu::IommuFault;
 use lastcpu_mem::Pasid;
-use lastcpu_sim::{profile, DetHashMap, SimDuration};
+use lastcpu_sim::{profile, DetHashMap, SimDuration, TraceData};
 use lastcpu_virtio::{DescChain, QueueError, QueueLayout, VirtqueueDevice};
 
 use crate::device::DeviceCtx;
@@ -564,7 +564,7 @@ impl SmartSsd {
                     Ok(cost) => {
                         ctx.busy(cost);
                         self.stats.images_loaded += 1;
-                        ctx.trace(format!(
+                        ctx.trace(format_args!(
                             "loader: installed {path} ({} bytes) for principal {principal:?}",
                             contents.len()
                         ));
@@ -642,7 +642,11 @@ impl SmartSsd {
             if let Some((base, size)) = decode_setup_doorbell(value) {
                 let layout = QueueLayout::new(base, size);
                 state.queue = Some(VirtqueueDevice::attach(layout));
-                ctx.trace(format!("{conn:?}: queue attached at {base:#x} size {size}"));
+                ctx.trace_data(TraceData::QueueAttached {
+                    conn: conn.0,
+                    base,
+                    size,
+                });
             } else {
                 self.reset_conn(ctx, conn, "bad queue setup doorbell");
             }
@@ -929,7 +933,7 @@ impl Firmware for SmartSsd {
         // Faults surface synchronously during DMA and the affected conn is
         // reset there; an async fault with no conn attribution is only
         // logged (it cannot corrupt another context).
-        ctx.trace(format!("{}: fault {fault}", self.name));
+        ctx.trace(format_args!("{}: fault {fault}", self.name));
     }
 
     fn on_reset(&mut self, ctx: &mut DeviceCtx<'_>) -> bool {
@@ -1381,6 +1385,22 @@ mod tests {
         assert_eq!(decode_setup_doorbell(v), Some((0x40_0000, 64)));
         // A work doorbell is not a setup doorbell.
         assert_eq!(decode_setup_doorbell(DOORBELL_WORK), None);
+    }
+
+    /// `TraceData` cannot name `ConnId` (the bus crate sits above it), so
+    /// the record spells the id the way `ConnId`'s `Debug` does.
+    #[test]
+    fn queue_attached_record_spells_the_connection_as_the_bus_does() {
+        let (conn, base, size) = (ConnId(412), 0x40_0000u64, 64u16);
+        let record = TraceData::QueueAttached {
+            conn: conn.0,
+            base,
+            size,
+        };
+        assert_eq!(
+            record.to_string(),
+            format!("{conn:?}: queue attached at {base:#x} size {size}")
+        );
     }
 
     #[test]

@@ -1273,12 +1273,8 @@ mod tests {
                 .trace()
                 .events()
                 .filter_map(|r| match &r.data {
-                    TraceData::Text(s) if s.starts_with("frame exits to fabric") => {
-                        Some((r.at, false))
-                    }
-                    TraceData::Text(s) if s.starts_with("frame enters from fabric") => {
-                        Some((r.at, true))
-                    }
+                    TraceData::LinkExit { .. } => Some((r.at, false)),
+                    TraceData::LinkEnter { .. } => Some((r.at, true)),
                     _ => None,
                 })
                 .collect();

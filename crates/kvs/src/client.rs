@@ -303,7 +303,7 @@ impl KvsClientHost {
                 if self.ops_done >= self.config.total_ops && self.outstanding.is_empty() {
                     self.phase = Phase::Done;
                     self.finished_at = Some(ctx.now);
-                    ctx.trace(format!(
+                    ctx.trace(format_args!(
                         "workload done: {} ops, {} errors",
                         self.ops_done, self.errors
                     ));

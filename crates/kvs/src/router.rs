@@ -50,10 +50,15 @@ use lastcpu_sim::critpath::{
 };
 use lastcpu_sim::{profile, CounterHandle, GaugeHandle, SimDuration, SimTime};
 
-use crate::proto::{KvsRequest, KvsRequestRef, KvsResponse, KvsStatus};
+use crate::proto::{encode_response, KvsRequestRef, KvsResponseRef, KvsStatus};
 
 /// Timer token for the periodic tick (directory refresh + timeout sweep).
 const TOKEN_TICK: u64 = 1;
+
+/// Answered request slots kept for reuse at most. A router serves a few
+/// outstanding requests per client; what a burst leaves beyond this is handed
+/// back to the allocator.
+const SPARE_REQS: usize = 256;
 
 /// Sub-request ids the router mints start here. Client-chosen ids are small
 /// monotone counters, so the two id spaces can never collide and a frame
@@ -169,9 +174,10 @@ impl Default for RouterConfig {
 }
 
 /// Operation class of a pending client request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     Get,
-    Put { value: Vec<u8> },
+    Put,
     Delete,
 }
 
@@ -187,12 +193,16 @@ struct Sub {
     ack: Option<KvsStatus>,
 }
 
-/// A client request being served.
+/// A client request being served. The request is a slot: once answered it
+/// waits on the router's spare list and the next request overwrites it, so
+/// `key`, `value` and `subs` keep their buffers from request to request.
 struct PendingReq {
     client: PortId,
     client_id: u64,
     key: Vec<u8>,
     op: Op,
+    /// A PUT's value; empty for the other operations.
+    value: Vec<u8>,
     subs: Vec<Sub>,
     /// Re-dispatch count (0 = initial dispatch only).
     attempts: u32,
@@ -202,6 +212,44 @@ struct PendingReq {
     /// instant (set by `Busy`/`Unavailable` acks under an adaptive policy;
     /// a timeout or membership change overrides it).
     defer_until: Option<SimTime>,
+}
+
+impl PendingReq {
+    /// A slot that has not carried a request yet.
+    fn empty() -> PendingReq {
+        PendingReq {
+            client: PortId(0),
+            client_id: 0,
+            key: Vec::new(),
+            op: Op::Get,
+            value: Vec::new(),
+            subs: Vec::new(),
+            attempts: 0,
+            needs_redispatch: false,
+            defer_until: None,
+        }
+    }
+
+    /// Overwrites the slot with `req`, just arrived from `client` and not
+    /// dispatched yet.
+    fn fill(&mut self, client: PortId, req: KvsRequestRef<'_>) {
+        let (op, value) = match req {
+            KvsRequestRef::Get { .. } => (Op::Get, &[][..]),
+            KvsRequestRef::Put { value, .. } => (Op::Put, value),
+            KvsRequestRef::Delete { .. } => (Op::Delete, &[][..]),
+        };
+        self.client = client;
+        self.client_id = req.id();
+        self.key.clear();
+        self.key.extend_from_slice(req.key());
+        self.op = op;
+        self.value.clear();
+        self.value.extend_from_slice(value);
+        debug_assert!(self.subs.is_empty(), "cleared when it was answered");
+        self.attempts = 0;
+        self.needs_redispatch = true;
+        self.defer_until = None;
+    }
 }
 
 /// Per-endpoint congestion state, fed by ack timestamps.
@@ -298,6 +346,10 @@ pub struct ShardRouterHost {
     /// Keys whose PUT the router has acknowledged to a client. The E10
     /// crash scenario audits these against surviving machines' indices.
     acked_puts: BTreeSet<Vec<u8>>,
+    /// Answered requests, kept (at most [`SPARE_REQS`]) for
+    /// [`on_client`](Self::on_client) to overwrite. Host-side scratch: never
+    /// snapshotted; `Restore` clears it.
+    spare: Vec<PendingReq>,
     stats: RouterStats,
     met: Option<HubMetrics>,
     /// Payload of the last directory reply that went through
@@ -331,6 +383,7 @@ impl ShardRouterHost {
             load: BTreeMap::new(),
             reps: Vec::new(),
             acked_puts: BTreeSet::new(),
+            spare: Vec::new(),
             stats: RouterStats::default(),
             met: None,
             last_dir_reply: None,
@@ -482,9 +535,13 @@ impl ShardRouterHost {
             .outstanding += 1;
         let p = self.pending.get_mut(&seq).expect("pending exists");
         let key = &p.key[..];
-        let frame = match &p.op {
+        let frame = match p.op {
             Op::Get => KvsRequestRef::Get { id, key },
-            Op::Put { value } => KvsRequestRef::Put { id, key, value },
+            Op::Put => KvsRequestRef::Put {
+                id,
+                key,
+                value: &p.value,
+            },
             Op::Delete => KvsRequestRef::Delete { id, key },
         }
         .encode();
@@ -515,13 +572,25 @@ impl ShardRouterHost {
         }
     }
 
-    /// Drops a pending request and unregisters its outstanding subs.
-    fn drop_pending(&mut self, seq: u64) -> Option<PendingReq> {
-        let p = self.pending.remove(&seq)?;
+    /// Completes `seq`: unregisters its outstanding subs, answers the client
+    /// with `status` and `value` (borrowed — a GET hit goes from the replica's
+    /// frame into the client's), and keeps the slot for the next request.
+    fn complete(&mut self, ctx: &mut HostCtx<'_>, seq: u64, status: KvsStatus, value: &[u8]) {
+        let mut p = self.pending.remove(&seq).expect("pending exists");
         for sub in &p.subs {
             self.unregister_sub(sub);
         }
-        Some(p)
+        ctx.stage(
+            STAGE_ROUTER_RESPOND,
+            op_key(p.client.0, p.client_id),
+            status as u64,
+        );
+        ctx.net_tx(p.client, encode_response(p.client_id, status, value));
+        if self.spare.len() < SPARE_REQS {
+            // The targets are the ring's handles; let go of them now.
+            p.subs.clear();
+            self.spare.push(p);
+        }
     }
 
     /// Folds one ack RTT sample into the target's congestion state.
@@ -596,23 +665,6 @@ impl ShardRouterHost {
         }
     }
 
-    fn respond(ctx: &mut HostCtx<'_>, p: &PendingReq, status: KvsStatus, value: Vec<u8>) {
-        ctx.stage(
-            STAGE_ROUTER_RESPOND,
-            op_key(p.client.0, p.client_id),
-            status as u64,
-        );
-        ctx.net_tx(
-            p.client,
-            KvsResponse {
-                id: p.client_id,
-                status,
-                value,
-            }
-            .encode(),
-        );
-    }
-
     /// (Re-)dispatches `seq` against the current replica set. Initial
     /// dispatch and fail-over share this path; only the latter counts as a
     /// fail-over and burns retry budget.
@@ -660,8 +712,7 @@ impl ShardRouterHost {
             if let Some(met) = &self.met {
                 met.give_ups.incr();
             }
-            let p = self.drop_pending(seq).expect("pending exists");
-            Self::respond(ctx, &p, KvsStatus::Unavailable, vec![]);
+            self.complete(ctx, seq, KvsStatus::Unavailable, &[]);
             return;
         }
         if reps.is_empty() {
@@ -676,7 +727,7 @@ impl ShardRouterHost {
         // Phase 2: cancel stale subs (GET: everything unacked; writes:
         // everything but successful acks from targets still in the replica
         // set), remembering what was just cancelled.
-        let is_get = matches!(self.pending[&seq].op, Op::Get);
+        let is_get = self.pending[&seq].op == Op::Get;
         let (cancelled, attempts) = {
             let p = self.pending.get_mut(&seq).expect("pending exists");
             let keep = |s: &Sub| {
@@ -687,16 +738,17 @@ impl ShardRouterHost {
                         && reps.contains(&s.target)
                 }
             };
+            // In place, so what is kept stays in the slot's own buffer (an
+            // initial dispatch has nothing to cancel and allocates nothing).
             let mut cancelled = Vec::new();
-            let mut kept = Vec::new();
-            for s in p.subs.drain(..) {
-                if keep(&s) {
-                    kept.push(s);
+            let mut i = 0;
+            while i < p.subs.len() {
+                if keep(&p.subs[i]) {
+                    i += 1;
                 } else {
-                    cancelled.push(s);
+                    cancelled.push(p.subs.remove(i));
                 }
             }
-            p.subs = kept;
             (cancelled, p.attempts)
         };
         for s in &cancelled {
@@ -739,30 +791,31 @@ impl ShardRouterHost {
         if !covered {
             return;
         }
-        let any_ok = p.subs.iter().any(|s| s.ack == Some(KvsStatus::Ok));
-        let p = self.drop_pending(seq).expect("pending exists");
-        match p.op {
-            Op::Put { .. } => {
-                self.acked_puts.insert(p.key.clone());
-                Self::respond(ctx, &p, KvsStatus::Ok, vec![]);
+        let status = match p.op {
+            Op::Put => {
+                // An overwrite's key is already here; the slot keeps its own.
+                if !self.acked_puts.contains(&p.key) {
+                    self.acked_puts.insert(p.key.clone());
+                }
+                KvsStatus::Ok
             }
             Op::Delete => {
                 self.acked_puts.remove(&p.key);
                 // NotFound on every replica is an honest miss; Ok anywhere
                 // means the tombstone landed.
-                let status = if any_ok {
+                if p.subs.iter().any(|s| s.ack == Some(KvsStatus::Ok)) {
                     KvsStatus::Ok
                 } else {
                     KvsStatus::NotFound
-                };
-                Self::respond(ctx, &p, status, vec![]);
+                }
             }
             Op::Get => unreachable!("check_write_done is write-only"),
-        }
+        };
+        self.complete(ctx, seq, status, &[]);
     }
 
-    /// A replica answered sub-request `id`.
-    fn on_ack(&mut self, ctx: &mut HostCtx<'_>, resp: KvsResponse) {
+    /// A replica answered sub-request `resp.id`; `resp` borrows its frame.
+    fn on_ack(&mut self, ctx: &mut HostCtx<'_>, resp: KvsResponseRef<'_>) {
         let Some(seq) = self.sub_index.remove(&resp.id) else {
             return; // late answer to a cancelled sub
         };
@@ -777,7 +830,7 @@ impl ShardRouterHost {
             sub.ack = Some(resp.status);
             ctx.stage(STAGE_ROUTER_ACK, resp.id, op_key(p.client.0, p.client_id));
             (
-                matches!(p.op, Op::Get),
+                p.op == Op::Get,
                 sub.target.clone(),
                 ctx.now.since(sub.sent_at),
                 first_ack,
@@ -788,13 +841,11 @@ impl ShardRouterHost {
         }
         match resp.status {
             KvsStatus::Ok | KvsStatus::NotFound if is_get => {
-                let p = self.drop_pending(seq).expect("pending exists");
-                Self::respond(ctx, &p, resp.status, resp.value);
+                self.complete(ctx, seq, resp.status, resp.value);
             }
             KvsStatus::Error => {
                 // Terminal server-side failure; propagate.
-                let p = self.drop_pending(seq).expect("pending exists");
-                Self::respond(ctx, &p, KvsStatus::Error, vec![]);
+                self.complete(ctx, seq, KvsStatus::Error, &[]);
             }
             KvsStatus::Busy | KvsStatus::Unavailable => {
                 // Transient (overload / mid-recovery). Statically, retry on
@@ -833,8 +884,8 @@ impl ShardRouterHost {
         }
     }
 
-    /// A client request arrived.
-    fn on_client(&mut self, ctx: &mut HostCtx<'_>, src: PortId, req: KvsRequest) {
+    /// A client request arrived; `req` borrows its frame.
+    fn on_client(&mut self, ctx: &mut HostCtx<'_>, src: PortId, req: KvsRequestRef<'_>) {
         self.stats.requests += 1;
         if let Some(met) = &self.met {
             met.requests.incr();
@@ -842,38 +893,15 @@ impl ShardRouterHost {
         if self.ring.is_empty() {
             // Rack not discovered yet: tell the client to back off, same as
             // a booting single server would.
-            ctx.net_tx(
-                src,
-                KvsResponse {
-                    id: req.id(),
-                    status: KvsStatus::Busy,
-                    value: vec![],
-                }
-                .encode(),
-            );
+            ctx.net_tx(src, encode_response(req.id(), KvsStatus::Busy, &[]));
             return;
         }
-        let (client_id, key, op) = match req {
-            KvsRequest::Get { id, key } => (id, key, Op::Get),
-            KvsRequest::Put { id, key, value } => (id, key, Op::Put { value }),
-            KvsRequest::Delete { id, key } => (id, key, Op::Delete),
-        };
         let seq = self.next_seq;
         self.next_seq += 1;
-        ctx.stage(STAGE_ROUTER_RECV, op_key(src.0, client_id), seq);
-        self.pending.insert(
-            seq,
-            PendingReq {
-                client: src,
-                client_id,
-                key,
-                op,
-                subs: Vec::new(),
-                attempts: 0,
-                needs_redispatch: true,
-                defer_until: None,
-            },
-        );
+        ctx.stage(STAGE_ROUTER_RECV, op_key(src.0, req.id()), seq);
+        let mut p = self.spare.pop().unwrap_or_else(PendingReq::empty);
+        p.fill(src, req);
+        self.pending.insert(seq, p);
         self.redispatch(ctx, seq);
     }
 
@@ -978,7 +1006,7 @@ impl NetHost for ShardRouterHost {
         //    fall through to the request parse would mint a ghost pending
         //    request addressed back at a replica port (a NotFound response
         //    re-parses as a valid Get request).
-        if let Some(resp) = KvsResponse::decode(&frame.payload) {
+        if let Some(resp) = KvsResponseRef::decode(&frame.payload) {
             if resp.id >= SUB_ID_BASE {
                 if self.sub_index.contains_key(&resp.id) {
                     self.on_ack(ctx, resp);
@@ -992,7 +1020,7 @@ impl NetHost for ShardRouterHost {
             }
         }
         // 3. Client requests.
-        if let Some(req) = KvsRequest::decode(&frame.payload) {
+        if let Some(req) = KvsRequestRef::decode(&frame.payload) {
             self.on_client(ctx, frame.src, req);
         }
     }
@@ -1026,23 +1054,25 @@ impl RetryPolicy {
     }
 }
 
-impl Op {
-    fn snap_encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        match self {
+impl PendingReq {
+    /// The operation as a tag byte; a PUT's value follows its tag.
+    fn snap_encode_op(&self, w: &mut lastcpu_snap::SnapWriter) {
+        match self.op {
             Op::Get => w.put_u8(0),
-            Op::Put { value } => {
+            Op::Put => {
                 w.put_u8(1);
-                w.put_bytes(value);
+                w.put_bytes(&self.value);
             }
             Op::Delete => w.put_u8(2),
         }
     }
 
-    fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Op> {
+    /// Inverse of [`PendingReq::snap_encode_op`]: the operation and its value.
+    fn snap_decode_op(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<(Op, Vec<u8>)> {
         Ok(match r.u8()? {
-            0 => Op::Get,
-            1 => Op::Put { value: r.bytes()? },
-            2 => Op::Delete,
+            0 => (Op::Get, Vec::new()),
+            1 => (Op::Put, r.bytes()?),
+            2 => (Op::Delete, Vec::new()),
             t => return Err(r.corrupt(format!("unknown router op tag {t}"))),
         })
     }
@@ -1076,7 +1106,7 @@ impl lastcpu_snap::Snapshot for ShardRouterHost {
             w.put_u32(p.client.0);
             w.put_u64(p.client_id);
             w.put_bytes(&p.key);
-            p.op.snap_encode(w);
+            p.snap_encode_op(w);
             w.put_len(p.subs.len());
             for s in &p.subs {
                 w.put_str(&s.target);
@@ -1120,8 +1150,9 @@ impl lastcpu_snap::Snapshot for ShardRouterHost {
         w.put_u64(self.stats.late_acks);
         w.put_u64(self.stats.busy_deferrals);
         // Excluded: `met` (live MetricsHub handles; the hub snapshots its
-        // own key space) and `last_dir_reply` (a memo of `endpoints` and
-        // `epoch` above; the first reply after a restore decodes).
+        // own key space), `last_dir_reply` (a memo of `endpoints` and
+        // `epoch` above; the first reply after a restore decodes) and
+        // `spare` (answered slots: buffers, no request).
     }
 }
 
@@ -1158,7 +1189,7 @@ impl lastcpu_snap::Restore for ShardRouterHost {
             let client = PortId(r.u32()?);
             let client_id = r.u64()?;
             let key = r.bytes()?;
-            let op = Op::snap_decode(r)?;
+            let (op, value) = PendingReq::snap_decode_op(r)?;
             let ns = r.len()?;
             let mut subs = Vec::with_capacity(ns);
             for _ in 0..ns {
@@ -1179,6 +1210,7 @@ impl lastcpu_snap::Restore for ShardRouterHost {
                     client_id,
                     key,
                     op,
+                    value,
                     subs,
                     attempts,
                     needs_redispatch,
@@ -1220,6 +1252,7 @@ impl lastcpu_snap::Restore for ShardRouterHost {
         self.stats.late_acks = r.u64()?;
         self.stats.busy_deferrals = r.u64()?;
         self.last_dir_reply = None;
+        self.spare.clear();
         Ok(())
     }
 }
@@ -1227,6 +1260,7 @@ impl lastcpu_snap::Restore for ShardRouterHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{KvsRequest, KvsResponse};
     use lastcpu_core::HostAction;
     use lastcpu_fabric::DirEndpoint;
     use lastcpu_sim::{CorrId, DetRng, MetricsHub};
@@ -1411,6 +1445,172 @@ mod tests {
         );
         assert_eq!(h.router.stats().late_acks, 1);
         assert_eq!(h.hub.counter("fabric.router.late_acks"), 1);
+    }
+
+    /// Frames (not directory queries) transmitted in `actions`, as
+    /// `(dst, payload)` pairs.
+    fn frames_sent(actions: &[HostAction]) -> Vec<(PortId, Vec<u8>)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                HostAction::NetTx(f) if !DirMsg::sniff(&f.payload) => {
+                    Some((f.dst, f.payload.to_vec()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn triage_of_the_borrowed_frame_is_the_owned_triage() {
+        let mut h = Harness::new(RouterConfig::default());
+        h.install(&[("m0/nic0", 10)]);
+
+        // A client GET is, byte for byte, a NotFound response whose value is
+        // the key. Its id is the client's, below the router-minted range, so
+        // it is a request.
+        let get = KvsRequest::Get {
+            id: 9,
+            key: b"alias".to_vec(),
+        }
+        .encode();
+        assert_eq!(
+            KvsResponse::decode(&get),
+            Some(KvsResponse {
+                id: 9,
+                status: KvsStatus::NotFound,
+                value: b"alias".to_vec(),
+            }),
+            "test premise: the layouts alias"
+        );
+        let acts = h.frame(CLIENT_PORT, get);
+        let sent = subs_sent(&acts);
+        let [(port, KvsRequest::Get { id: sub_id, key })] = &sent[..] else {
+            panic!("one GET sub expected, got {sent:?}");
+        };
+        assert_eq!((*port, &key[..]), (PortId(10), &b"alias"[..]));
+        assert!(*sub_id >= SUB_ID_BASE);
+        assert_eq!(h.router.stats().requests, 1);
+        assert_eq!(h.router.stats().late_acks, 0);
+
+        // A Busy ack answers nobody; it marks the request for the sweep.
+        let acts = h.frame(PortId(10), KvsResponse::busy(*sub_id, 3).encode());
+        assert!(frames_sent(&acts).is_empty(), "{acts:?}");
+        assert_eq!(h.router.stats().busy_deferrals, 1);
+        assert!(h.router.pending.values().all(|p| p.needs_redispatch));
+        // The same ack again is late: its sub left the index with the first.
+        h.frame(PortId(10), KvsResponse::busy(*sub_id, 3).encode());
+        assert_eq!(h.router.stats().late_acks, 1);
+        assert_eq!(h.router.stats().requests, 1, "no ghost request");
+
+        // The retry's hit goes to the client as the bytes an owned response
+        // encodes to.
+        let acts = h.tick_after(RouterConfig::default().busy_backoff);
+        let retry = subs_sent(&acts)[0].1.id();
+        let hit = KvsResponse {
+            id: retry,
+            status: KvsStatus::Ok,
+            value: vec![0xC3; 300],
+        };
+        let acts = h.frame(PortId(10), hit.encode());
+        assert_eq!(
+            frames_sent(&acts),
+            [(
+                CLIENT_PORT,
+                KvsResponse {
+                    id: 9,
+                    status: KvsStatus::Ok,
+                    value: vec![0xC3; 300],
+                }
+                .encode()
+            )]
+        );
+        assert!(h.router.pending.is_empty() && h.router.sub_index.is_empty());
+    }
+
+    #[test]
+    fn an_answered_request_is_the_next_ones_slot() {
+        use lastcpu_snap::{Restore, Snapshot};
+        let mut h = Harness::new(RouterConfig::default());
+        h.install(&[("m0/nic0", 10)]);
+        let put = |id: u64, value: &[u8]| {
+            KvsRequest::Put {
+                id,
+                key: b"slot-key".to_vec(),
+                value: value.to_vec(),
+            }
+            .encode()
+        };
+        let ok = |id: u64| {
+            KvsResponse {
+                id,
+                status: KvsStatus::Ok,
+                value: vec![],
+            }
+            .encode()
+        };
+        let acts = h.frame(CLIENT_PORT, put(1, &[7; 64]));
+        let sub = subs_sent(&acts)[0].1.id();
+        h.frame(PortId(10), ok(sub));
+        let [slot] = &h.router.spare[..] else {
+            panic!("the answered request waits on the spare list");
+        };
+        assert!(slot.subs.is_empty(), "ring handles let go");
+        let buffers = (slot.key.as_ptr(), slot.value.as_ptr(), slot.subs.as_ptr());
+
+        // A smaller overwrite of the same key: same buffers, nothing of the
+        // first request showing through, and the acked key is not copied again.
+        let acts = h.frame(CLIENT_PORT, put(2, &[8; 16]));
+        assert!(h.router.spare.is_empty());
+        let (_, p) = h.router.pending.iter().next().expect("pending");
+        assert_eq!((p.key.as_ptr(), p.value.as_ptr(), p.subs.as_ptr()), buffers);
+        assert_eq!(
+            (&p.key[..], &p.value[..]),
+            (&b"slot-key"[..], &[8u8; 16][..])
+        );
+        assert_eq!((p.client_id, p.attempts, p.subs.len()), (2, 0, 1));
+        let sent = subs_sent(&acts);
+        assert_eq!(
+            sent[0].1,
+            KvsRequest::Put {
+                id: sent[0].1.id(),
+                key: b"slot-key".to_vec(),
+                value: vec![8; 16],
+            }
+        );
+        h.frame(PortId(10), ok(sent[0].1.id()));
+        assert_eq!(h.router.acked_put_keys().len(), 1);
+
+        // A GET through a slot that last held a PUT carries no value, in
+        // the frame or in a checkpoint taken while it waits.
+        let acts = h.frame(
+            CLIENT_PORT,
+            KvsRequest::Get {
+                id: 3,
+                key: b"k".to_vec(),
+            }
+            .encode(),
+        );
+        assert_eq!(
+            subs_sent(&acts)[0].1,
+            KvsRequest::Get {
+                id: subs_sent(&acts)[0].1.id(),
+                key: b"k".to_vec(),
+            }
+        );
+        let p = h.router.pending.values().next().expect("pending");
+        assert_eq!((p.op, p.value.len()), (Op::Get, 0));
+
+        // The spare list is not state: it is in no snapshot and a restore
+        // empties it.
+        h.frame(PortId(10), ok(subs_sent(&acts)[0].1.id()));
+        assert_eq!(h.router.spare.len(), 1);
+        let bytes = h.router.snapshot_bytes();
+        let mut fresh = ShardRouterHost::new(RouterConfig::default());
+        fresh.restore_bytes("router", &bytes).expect("restores");
+        assert_eq!(fresh.snapshot_bytes(), bytes);
+        h.router.restore_bytes("router", &bytes).expect("restores");
+        assert!(h.router.spare.is_empty());
     }
 
     fn reply_bytes(epoch: u64, eps: &[(&str, u32)]) -> Vec<u8> {

@@ -141,6 +141,37 @@ pub enum TraceData {
         /// Queueing + serialization on the destination downlink, ns.
         downlink_ns: u64,
     },
+    /// A frame from the rack fabric entered this machine's edge switch.
+    ///
+    /// This and the two variants below hold integers and are rendered on
+    /// demand: their [`kind`](TraceData::kind) is `"text"` and they encode as
+    /// the [`Text`](TraceData::Text) record of their `Display` line, which is
+    /// what was recorded before they were typed. A decoded checkpoint
+    /// therefore holds them as `Text`; they get tags of their own at the next
+    /// schema bump.
+    LinkEnter {
+        /// Local switch port the frame is addressed to.
+        port: u32,
+        /// Frame payload length in bytes.
+        bytes: u64,
+    },
+    /// A frame left this machine for the rack fabric.
+    LinkExit {
+        /// Tunnel port it left through.
+        port: u32,
+        /// Frame payload length in bytes.
+        bytes: u64,
+    },
+    /// A storage device attached the VIRTIO queue of a file connection (the
+    /// first doorbell of a Figure-2 setup).
+    QueueAttached {
+        /// The bus connection id.
+        conn: u64,
+        /// Queue base address in the connection's address space.
+        base: u64,
+        /// Ring size in descriptors.
+        size: u16,
+    },
     /// Free-form annotation.
     Text(String),
 }
@@ -196,6 +227,15 @@ impl fmt::Display for TraceData {
                 f,
                 "link hop m{src_machine} -> m{dst_machine} ({bytes} B, uplink {uplink_ns}ns, spine {spine_ns}ns, downlink {downlink_ns}ns)"
             ),
+            TraceData::LinkEnter { port, bytes } => {
+                write!(f, "frame enters from fabric link for port {port} ({bytes} B)")
+            }
+            TraceData::LinkExit { port, bytes } => {
+                write!(f, "frame exits to fabric link via port {port} ({bytes} B)")
+            }
+            TraceData::QueueAttached { conn, base, size } => {
+                write!(f, "conn:{conn}: queue attached at {base:#x} size {size}")
+            }
             TraceData::Text(s) => write!(f, "{s}"),
         }
     }
@@ -218,7 +258,10 @@ impl TraceData {
             TraceData::SecurityDenial { .. } => "security_denial",
             TraceData::Stage { .. } => "stage",
             TraceData::LinkHop { .. } => "link_hop",
-            TraceData::Text(_) => "text",
+            TraceData::LinkEnter { .. }
+            | TraceData::LinkExit { .. }
+            | TraceData::QueueAttached { .. }
+            | TraceData::Text(_) => "text",
         }
     }
 }
@@ -329,6 +372,12 @@ impl TraceData {
                 w.put_u64(*uplink_ns);
                 w.put_u64(*spine_ns);
                 w.put_u64(*downlink_ns);
+            }
+            TraceData::LinkEnter { .. }
+            | TraceData::LinkExit { .. }
+            | TraceData::QueueAttached { .. } => {
+                w.put_u8(13);
+                w.put_display(self);
             }
             TraceData::Text(s) => {
                 w.put_u8(13);
@@ -494,5 +543,63 @@ mod tests {
             .to_string()
             .starts_with("programmed IOMMU of dev:3: pasid 1"));
         assert_eq!(m.kind(), "iommu_map");
+    }
+
+    /// The records that are rendered on demand, over port and byte values
+    /// one, three and five digits wide, with the line each one used to be
+    /// formatted into when it was emitted.
+    fn rendered_on_demand() -> Vec<(TraceData, String)> {
+        let mut out = Vec::new();
+        for (port, bytes) in [
+            (7u32, 9u64),
+            (7, 12_345),
+            (104, 512),
+            (65_001, 4),
+            (65_001, 98_765),
+        ] {
+            out.push((
+                TraceData::LinkEnter { port, bytes },
+                format!("frame enters from fabric link for port {port} ({bytes} B)"),
+            ));
+            out.push((
+                TraceData::LinkExit { port, bytes },
+                format!("frame exits to fabric link via port {port} ({bytes} B)"),
+            ));
+        }
+        for (conn, base, size) in [
+            (3u64, 0x1000u64, 2u16),
+            (412, 0x7fff_f000, 256),
+            (70_000, 0, 32_768),
+        ] {
+            out.push((
+                TraceData::QueueAttached { conn, base, size },
+                format!("conn:{conn}: queue attached at {base:#x} size {size}"),
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn a_record_rendered_on_demand_encodes_as_the_text_it_renders() {
+        for (typed, line) in rendered_on_demand() {
+            assert_eq!(typed.to_string(), line);
+            assert_eq!(typed.kind(), "text");
+            let encode = |d: &TraceData| {
+                // Mid-section, as in a sink's snapshot: the length prefix is
+                // patched in place, not at offset zero.
+                let mut w = lastcpu_snap::SnapWriter::new();
+                w.put_u64(0xFEED);
+                d.encode(&mut w);
+                w.put_u8(0xAB);
+                w.into_bytes()
+            };
+            let bytes = encode(&typed);
+            assert_eq!(bytes, encode(&TraceData::Text(line.clone())), "{line}");
+            let mut r = lastcpu_snap::SnapReader::new("trace", &bytes);
+            assert_eq!(r.u64().unwrap(), 0xFEED);
+            assert_eq!(TraceData::decode(&mut r).unwrap(), TraceData::Text(line));
+            assert_eq!(r.u8().unwrap(), 0xAB);
+            r.finish().unwrap();
+        }
     }
 }

@@ -217,6 +217,24 @@ impl SnapWriter {
         self.put_bytes(s.as_bytes());
     }
 
+    /// What [`put_str`](Self::put_str) writes for `v.to_string()`, rendered
+    /// straight into the section body: no intermediate `String`.
+    pub fn put_display(&mut self, v: &dyn fmt::Display) {
+        struct Utf8<'a>(&'a mut Vec<u8>);
+        impl fmt::Write for Utf8<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.extend_from_slice(s.as_bytes());
+                Ok(())
+            }
+        }
+        let len_pos = self.buf.len();
+        self.put_u64(0); // patched below
+        fmt::Write::write_fmt(&mut Utf8(&mut self.buf), format_args!("{v}"))
+            .expect("writing to a Vec cannot fail");
+        let len = (self.buf.len() - len_pos - 8) as u64;
+        self.buf[len_pos..len_pos + 8].copy_from_slice(&len.to_le_bytes());
+    }
+
     /// `Some`/`None` tagged value.
     pub fn put_opt<T>(&mut self, v: Option<&T>, mut f: impl FnMut(&mut Self, &T)) {
         match v {

@@ -2,7 +2,10 @@
 //! steady state the NIC→SSD data path — NIC-resident server, VIRTIO queue,
 //! doorbell — allocates nothing for a GET and only what becomes state for a
 //! PUT, whether or not requests wait for queue space, and the control plane's
-//! sends, doorbells and bus replies ride recycled envelope allocations.
+//! sends, doorbells and bus replies ride recycled envelope allocations. On a
+//! rack, the shard router in front of those servers serves the borrowed frame
+//! and reuses its request slots: what it allocates per operation is the frames
+//! it sends.
 //!
 //! This file is its own test binary because it installs a counting global
 //! allocator; it holds one test so nothing else allocates while it counts.
@@ -15,20 +18,27 @@ use lastcpu_core::devices::device::{Device, DeviceCtx};
 use lastcpu_core::devices::nic::SmartNic;
 use lastcpu_core::devices::ssd::SsdConfig;
 use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
-use lastcpu_kvs::proto::{KvsRequestRef, KvsResponseRef, KvsStatus};
-use lastcpu_kvs::{build_cpuless_kvs, KvsNicApp, ServerConfig};
+use lastcpu_fabric::{DirEndpoint, DirMsg, FabricConfig};
+use lastcpu_kvs::proto::{KvsRequest, KvsRequestRef, KvsResponse, KvsResponseRef, KvsStatus};
+use lastcpu_kvs::router::SUB_ID_BASE;
+use lastcpu_kvs::{
+    build_cpuless_kvs, build_rack_kvs, KvsNicApp, RouterConfig, ServerConfig, ShardRouterHost,
+};
 use lastcpu_net::{Frame, PortId};
-use lastcpu_sim::{SimDuration, SimTime};
+use lastcpu_sim::{profile, CorrId, DetRng, MetricsHub, SimDuration, SimTime};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every call is forwarded unchanged to the std system allocator; the
-// only addition is a relaxed counter that publishes nothing.
+// additions are a relaxed counter that publishes nothing and `note_alloc`,
+// which is written to run inside a global allocator (it never allocates and
+// tolerates thread-local teardown).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        profile::note_alloc(layout.size());
         // SAFETY: same layout the caller handed us.
         unsafe { StdAlloc.alloc(layout) }
     }
@@ -40,6 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        profile::note_alloc(new_size);
         // SAFETY: `ptr` came from `StdAlloc` with `layout`; the caller
         // guarantees `new_size` is valid for it.
         unsafe { StdAlloc.realloc(ptr, layout, new_size) }
@@ -89,6 +100,9 @@ const PLAN: [(Kind, u64); 5] = [
 /// arrays, responses are decoded in place.
 struct PlanClient {
     server: PortId,
+    /// When the first request goes out: after the server's Figure-2 session
+    /// (and, on a rack, after the router has found its shards).
+    start_after: SimDuration,
     window: u64,
     phase: usize,
     sent: u64,
@@ -137,8 +151,7 @@ impl NetHost for PlanClient {
     }
 
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        // The server needs its Figure-2 session first.
-        ctx.set_timer(SimDuration::from_millis(2), 0);
+        ctx.set_timer(self.start_after, 0);
     }
 
     fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: Frame) {
@@ -177,6 +190,7 @@ fn data_path_allocs(window: u64) -> (u64, u64) {
     );
     let port = setup.system.add_host(Box::new(PlanClient {
         server: setup.kvs_port,
+        start_after: SimDuration::from_millis(2),
         window,
         phase: 0,
         sent: 0,
@@ -210,6 +224,207 @@ fn data_path_allocs(window: u64) -> (u64, u64) {
     assert_eq!(stats.puts, KEYS + WARM + MEASURED);
     assert_eq!(stats.shed + stats.failures, 0);
     (after[2] - after[1], after[4] - after[3])
+}
+
+/// Allocations inside the shard router's frame handler
+/// (`kvs.router.dispatch`: client requests in, sub-requests out, acks in,
+/// responses out) over each measured phase of [`PLAN`], as `(1,000 GETs,
+/// 1,000 PUTs)`: a four-machine rack at R = 2, the client on machine 0
+/// driving its local router with eight requests outstanding. The profiler's
+/// scopes tell the router's allocations from those of the eight servers,
+/// switches and fabric that run in the same process.
+fn router_allocs() -> (u64, u64) {
+    let mut rack = build_rack_kvs(
+        FabricConfig::default(),
+        4,
+        2,
+        SystemConfig {
+            seed: 24,
+            ..SystemConfig::default()
+        },
+    );
+    let m0 = rack.machines[0];
+    let port = rack.fabric.machine_mut(m0).add_host(Box::new(PlanClient {
+        server: rack.router_ports[0],
+        start_after: SimDuration::from_millis(10),
+        window: 8,
+        phase: 0,
+        sent: 0,
+        received: 0,
+        next_key: 0,
+        finished: 0,
+    }));
+    rack.fabric.power_on();
+    // One profiling session, read at the end of each phase: the profiler's
+    // own set-up (a histogram per scope, made when the scope first closes)
+    // falls in the load phase.
+    profile::reset();
+    profile::set_enabled(true);
+    let mut after = [0u64; PLAN.len()];
+    let mut t = SimTime::ZERO;
+    for (phase, reading) in after.iter_mut().enumerate() {
+        loop {
+            t += SimDuration::from_micros(100);
+            assert!(
+                t < SimTime::from_nanos(20_000_000_000),
+                "rack phase {phase} stalled"
+            );
+            rack.fabric.run_until(t);
+            let client: &PlanClient = rack.fabric.machine(m0).host_as(port).expect("client");
+            if client.finished > phase {
+                break;
+            }
+        }
+        let scopes = profile::snapshot().scopes;
+        let router = scopes.iter().find(|s| s.name == "kvs.router.dispatch");
+        *reading = router.expect("the router ran").allocs;
+    }
+    profile::set_enabled(false);
+    let stats = rack.router(0).stats();
+    assert_eq!(stats.requests, KEYS + 2 * (WARM + MEASURED));
+    assert_eq!(
+        stats.failovers + stats.give_ups + stats.late_acks + stats.busy_deferrals,
+        0,
+        "every operation took the plain path"
+    );
+    (after[2] - after[1], after[4] - after[3])
+}
+
+/// A router driven frame by frame, outside any machine.
+struct DrivenRouter {
+    router: ShardRouterHost,
+    hub: MetricsHub,
+    rng: DetRng,
+    /// The action buffer the machine would lend.
+    scratch: Vec<lastcpu_core::HostAction>,
+}
+
+impl DrivenRouter {
+    const DIR: PortId = PortId(900);
+    const SELF: PortId = PortId(1);
+    const CLIENT: PortId = PortId(5);
+    const SHARD: PortId = PortId(10);
+
+    /// Delivers `payload` from `src`; returns the frames the router sent and
+    /// what handling it allocated (the frame itself is built before the
+    /// counter is read).
+    fn frame(&mut self, src: PortId, payload: Vec<u8>) -> (Vec<Frame>, u64) {
+        let frame = Frame::unicast(src, Self::SELF, payload);
+        let scratch = std::mem::take(&mut self.scratch);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let mut ctx = HostCtx::new(
+            SimTime::ZERO,
+            Self::SELF,
+            &self.hub,
+            &mut self.rng,
+            CorrId::NONE,
+        )
+        .with_scratch(scratch);
+        self.router.on_frame(&mut ctx, frame);
+        let mut actions = ctx.finish();
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let sent = actions
+            .drain(..)
+            .filter_map(|a| match a {
+                lastcpu_core::HostAction::NetTx(f) => Some(f),
+                _ => None,
+            })
+            .collect();
+        self.scratch = actions;
+        (sent, allocs)
+    }
+}
+
+/// What the router allocates to triage, in order: a late ack, a `Busy` ack,
+/// a GET-shaped client frame (byte for byte a `NotFound` response) and the
+/// hit that answers it.
+fn triage_allocs() -> [u64; 4] {
+    let mut d = DrivenRouter {
+        router: ShardRouterHost::new(RouterConfig {
+            dir_port: DrivenRouter::DIR,
+            ..RouterConfig::default()
+        }),
+        hub: MetricsHub::new(),
+        rng: DetRng::new(7),
+        scratch: Vec::with_capacity(8),
+    };
+    let reply = DirMsg::Reply {
+        epoch: 1,
+        endpoints: vec![DirEndpoint {
+            name: "m0/nic0".into(),
+            kind: "smart-nic".into(),
+            machine: 0,
+            port: DrivenRouter::SHARD.0,
+        }],
+    };
+    d.frame(DrivenRouter::DIR, reply.encode());
+    let get = |id: u64| {
+        KvsRequest::Get {
+            id,
+            key: b"key-0001".to_vec(),
+        }
+        .encode()
+    };
+    let ack = |id: u64, status: KvsStatus, value: &[u8]| {
+        KvsResponse {
+            id,
+            status,
+            value: value.to_vec(),
+        }
+        .encode()
+    };
+    let sub_of = |sent: &[Frame]| {
+        let [sub] = sent else {
+            panic!("one sub-request expected, got {sent:?}");
+        };
+        assert_eq!(sub.dst, DrivenRouter::SHARD);
+        KvsRequestRef::decode(&sub.payload).expect("a request").id()
+    };
+    // Warm-up: four requests in flight at once, then answered, so the
+    // tables have their buffers and four slots wait on the spare list.
+    let subs: Vec<u64> = (1..=4)
+        .map(|id| sub_of(&d.frame(DrivenRouter::CLIENT, get(id)).0))
+        .collect();
+    for sub in subs {
+        d.frame(DrivenRouter::SHARD, ack(sub, KvsStatus::Ok, &[1; 64]));
+    }
+
+    let (sent, late) = d.frame(
+        DrivenRouter::SHARD,
+        ack(SUB_ID_BASE | 0xDEAD, KvsStatus::NotFound, b"ghost-key"),
+    );
+    assert!(sent.is_empty());
+
+    let (sent, _) = d.frame(DrivenRouter::CLIENT, get(5));
+    let (answered, busy) = d.frame(
+        DrivenRouter::SHARD,
+        KvsResponse::busy(sub_of(&sent), 3).encode(),
+    );
+    assert!(answered.is_empty());
+
+    let aliasing = get(6);
+    assert_eq!(
+        KvsResponseRef::decode(&aliasing).map(|r| r.status),
+        Some(KvsStatus::NotFound),
+        "a GET is byte for byte a NotFound response"
+    );
+    let (sent, request) = d.frame(DrivenRouter::CLIENT, aliasing);
+    let (answered, hit) = d.frame(
+        DrivenRouter::SHARD,
+        ack(sub_of(&sent), KvsStatus::Ok, &[2; 64]),
+    );
+    let [response] = &answered[..] else {
+        panic!("one response expected, got {answered:?}");
+    };
+    assert_eq!(response.dst, DrivenRouter::CLIENT);
+    assert_eq!(response.payload.to_vec(), ack(6, KvsStatus::Ok, &[2; 64]));
+
+    let stats = d.router.stats();
+    assert_eq!(
+        (stats.requests, stats.late_acks, stats.busy_deferrals),
+        (6, 1, 1)
+    );
+    [late, busy, request, hit]
 }
 
 /// Time between a [`Chatter`]'s rounds: one revolution of the event wheel
@@ -343,4 +558,24 @@ fn the_data_path_allocates_state_and_nothing_else() {
     // 4,000 allocations.
     let ctl = control_plane_allocs();
     assert!(ctl <= SLACK, "{ctl} allocations for 4,000 control messages");
+
+    // The router in front of a rack's servers: a frame is triaged where it
+    // lies, and what is left is the frames the router sends — the exact-size
+    // `Vec` of each sub-request and of the response. They stay out of the
+    // machine's buffer pool on purpose: its taken/recycled counters are
+    // checkpointed state.
+    let (gets, puts) = router_allocs();
+    // One sub-request to one replica, one response to the client. Before the
+    // router served the borrowed frame it also copied the key twice (a GET
+    // parses as a response first), the hit's value, and pushed onto a fresh
+    // sub list: 6 per GET.
+    assert_eq!(gets, 2 * MEASURED, "router, 1,000 GETs");
+    // A sub-request to each of the two replicas, one response. The value and
+    // key land in the request slot's own buffers and an overwritten key is
+    // already in the acked set: 3 per PUT, where there were 7.
+    assert_eq!(puts, 3 * MEASURED, "router, 1,000 PUTs");
+    // Triage itself: nothing for a late or a `Busy` ack; a client request
+    // costs the sub-request's frame and its hit the response's (1, 1, 4 and
+    // 2 when every frame was decoded into an owned response first).
+    assert_eq!(triage_allocs(), [0, 0, 1, 1]);
 }
