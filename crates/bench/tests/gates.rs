@@ -15,7 +15,8 @@ use lastcpu_bench::Json;
 const CASES: &str = "\
 BENCH_e9.json    | phase | phase=queue  | events           | 0    | queue: no events retired
 BENCH_e9.json    | phase | phase=system | allocs_per_event | 1.01 | system: allocs/event 1.01 > 1
-BENCH_e9.json    | phase | phase=rack   | allocs_per_event | 0.971 | rack: allocs/event 0.971 > 0.77
+BENCH_e9.json    | phase | phase=rack   | allocs_per_event | 0.616 | rack: allocs/event 0.616 > 0.252
+BENCH_e9.json    | phase | phase=rack   | alloc_bytes_per_event | 90.2 | rack: alloc bytes/event 90.2 > 67
 BENCH_e9.json    | phase | phase=ssd    | allocs_per_event | 0.2 | ssd: allocs/event 0.2 > 0.19
 BENCH_e9.json    | phase | phase=ssd    | alloc_bytes_per_event | 51.8 | ssd: alloc bytes/event 51.8 > 26
 BENCH_e9.json    | phase | phase=ctl    | allocs_per_event | 0.478 | ctl: allocs/event 0.478 > 0.21

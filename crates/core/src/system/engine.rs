@@ -123,6 +123,9 @@ impl System {
     /// The firing time of this machine's next pending event, if any. The
     /// fabric's global scheduler advances whichever machine is earliest.
     pub fn peek_next_at(&mut self) -> Option<SimTime> {
+        // Peeking may advance the wheel's cursor and refill a bucket, as a
+        // pop would: what that allocates is the pop's.
+        let _pop = profile::AllocScope::enter("engine.pop");
         self.queue.peek_time()
     }
 

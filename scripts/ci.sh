@@ -7,7 +7,9 @@
 #                          spelled in `apply_action`, no `Envelope` copied
 #                          under core/src/system/; no owned request copy in
 #                          the NIC server, no envelope `Arc` made outside the
-#                          recycling pool, no id list collected per submit
+#                          recycling pool, no id list collected per submit;
+#                          no fabric-link record formatted per frame, no owned
+#                          decode in the shard router
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -109,6 +111,9 @@ awk '
 # `EnvelopePool::share` in bus/src/bus/envelopes.rs, so every send, doorbell
 # and reply can ride a recycled allocation; and a descriptor chain is links
 # in the driver's per-descriptor table, not a list collected per submit.
+# On the rack: a frame crossing the fabric link is recorded as two integers
+# and rendered when a checkpoint or an export wants the line, and the shard
+# router triages and serves the borrowed `KvsResponseRef` / `KvsRequestRef`.
 awk '
     FNR == 1 { skip = 0; in_submit = 0 }
     /^#\[cfg\(test\)\]/ { skip = 1 }
@@ -120,15 +125,21 @@ awk '
     FILENAME ~ /(core\/src\/system|bus\/src\/bus)\// && FILENAME !~ /envelopes\.rs$/ && /Arc::new\(/ {
         print "    " FILENAME ":" FNR ": " $0; bad = 1
     }
+    FILENAME ~ /core\/src\/system\/net\.rs$/ && /TraceData::Text\(format!\(/ {
+        print "    " FILENAME ":" FNR ": " $0; bad = 1
+    }
+    FILENAME ~ /kvs\/src\/router\.rs$/ && /Kvs(Response|Request)::decode\(/ {
+        print "    " FILENAME ":" FNR ": " $0; bad = 1
+    }
     FILENAME ~ /virtio\/src\/queue\.rs$/ && /^    pub fn submit_chain/ { in_submit = 1 }
     in_submit && /Vec<u16>|collect\(\)|vec!\[/ {
         print "    " FILENAME ":" FNR ": " $0; bad = 1
     }
     in_submit && /^    }/ { in_submit = 0 }
     END { exit bad }
-' crates/kvs/src/app.rs crates/kvs/src/server.rs crates/virtio/src/queue.rs \
+' crates/kvs/src/app.rs crates/kvs/src/server.rs crates/kvs/src/router.rs crates/virtio/src/queue.rs \
   $(find crates/core/src/system crates/bus/src/bus -name '*.rs' | sort) || {
-    echo "FAIL: an owned request copy in the NIC server, an envelope Arc made outside EnvelopePool::share, or a descriptor list collected per submit"; exit 1;
+    echo "FAIL: an owned request copy in the NIC server or the shard router, an envelope Arc made outside EnvelopePool::share, a descriptor list collected per submit, or a fabric-link record formatted per frame"; exit 1;
 }
 
 echo "==> tier-1: cargo build --release"
