@@ -227,10 +227,10 @@ impl SnapWriter {
                 Ok(())
             }
         }
+        use fmt::Write as _;
         let len_pos = self.buf.len();
         self.put_u64(0); // patched below
-        fmt::Write::write_fmt(&mut Utf8(&mut self.buf), format_args!("{v}"))
-            .expect("writing to a Vec cannot fail");
+        write!(Utf8(&mut self.buf), "{v}").expect("writing to a Vec cannot fail");
         let len = (self.buf.len() - len_pos - 8) as u64;
         self.buf[len_pos..len_pos + 8].copy_from_slice(&len.to_le_bytes());
     }

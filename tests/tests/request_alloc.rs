@@ -17,7 +17,7 @@ use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload, ResourceKind};
 use lastcpu_core::devices::device::{Device, DeviceCtx};
 use lastcpu_core::devices::nic::SmartNic;
 use lastcpu_core::devices::ssd::SsdConfig;
-use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
+use lastcpu_core::{HostAction, HostCtx, NetHost, System, SystemConfig};
 use lastcpu_fabric::{DirEndpoint, DirMsg, FabricConfig};
 use lastcpu_kvs::proto::{KvsRequest, KvsRequestRef, KvsResponse, KvsResponseRef, KvsStatus};
 use lastcpu_kvs::router::SUB_ID_BASE;
@@ -296,7 +296,7 @@ struct DrivenRouter {
     hub: MetricsHub,
     rng: DetRng,
     /// The action buffer the machine would lend.
-    scratch: Vec<lastcpu_core::HostAction>,
+    scratch: Vec<HostAction>,
 }
 
 impl DrivenRouter {
@@ -326,7 +326,7 @@ impl DrivenRouter {
         let sent = actions
             .drain(..)
             .filter_map(|a| match a {
-                lastcpu_core::HostAction::NetTx(f) => Some(f),
+                HostAction::NetTx(f) => Some(f),
                 _ => None,
             })
             .collect();

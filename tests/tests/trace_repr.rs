@@ -94,12 +94,24 @@ fn observe() -> Observed {
     }
 }
 
+/// A rack checkpoint's `machine…` sections are checkpoints themselves: each
+/// is opened and folded section by section in place of its encoding, so its
+/// manifest stays out too. A machine's own tags never start with `machine`.
 fn sections_digest(ck: &Checkpoint) -> u64 {
-    let mut h = fnv1a(b"sections");
-    for tag in ck.section_tags() {
-        fnv1a_fold(&mut h, tag.as_bytes());
-        fnv1a_fold(&mut h, ck.section(tag).expect("listed section"));
+    fn fold(h: &mut u64, ck: &Checkpoint) {
+        for tag in ck.section_tags() {
+            let bytes = ck.section(tag).expect("listed section");
+            fnv1a_fold(h, tag.as_bytes());
+            if tag.starts_with("machine") {
+                let machine = Checkpoint::decode(bytes).expect("machine section decodes");
+                fold(h, &machine);
+            } else {
+                fnv1a_fold(h, bytes);
+            }
+        }
     }
+    let mut h = fnv1a(b"sections");
+    fold(&mut h, ck);
     h
 }
 
@@ -208,9 +220,8 @@ mod rack {
     use lastcpu_kvs::{build_rack_kvs_with_policy, RackSetup, RetryPolicy};
     use lastcpu_sim::SimTime;
 
-    /// Exports of [`Fabric::merged_trace`], its record count, and a digest
-    /// over every section of the rack checkpoint (each machine section opened
-    /// and folded section by section, manifests left out as above).
+    /// Exports of [`Fabric::merged_trace`], its record count, and
+    /// [`sections_digest`] of the rack checkpoint.
     #[derive(Debug, PartialEq, Eq)]
     struct RackObserved {
         jsonl: (u64, usize),
@@ -276,26 +287,6 @@ mod rack {
         (setup, clients)
     }
 
-    fn rack_sections_digest(ck: &Checkpoint) -> u64 {
-        fn fold(h: &mut u64, ck: &Checkpoint) {
-            for tag in ck.section_tags() {
-                let bytes = ck.section(tag).expect("listed section");
-                fnv1a_fold(h, tag.as_bytes());
-                if tag.starts_with("machine") {
-                    fold(
-                        h,
-                        &Checkpoint::decode(bytes).expect("machine section decodes"),
-                    );
-                } else {
-                    fnv1a_fold(h, bytes);
-                }
-            }
-        }
-        let mut h = fnv1a(b"sections");
-        fold(&mut h, ck);
-        h
-    }
-
     fn m0_trace_digest(ck: &Checkpoint) -> u64 {
         let m0 = ck
             .section_tags()
@@ -358,9 +349,9 @@ mod rack {
             jsonl: sized(export::trace_jsonl(&merged)),
             chrome: sized(export::trace_chrome(&merged)),
             records: merged.len(),
-            mid_checkpoint: rack_sections_digest(&mid),
+            mid_checkpoint: sections_digest(&mid),
             mid_m0_trace: m0_trace_digest(&mid),
-            end_checkpoint: rack_sections_digest(&end),
+            end_checkpoint: sections_digest(&end),
         }
     }
 
