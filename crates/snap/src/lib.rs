@@ -784,6 +784,47 @@ mod tests {
         r.finish().unwrap();
     }
 
+    /// A section body: empty, one MiB, or a few hundred bytes, filled from
+    /// `seed`.
+    fn body(kind: u8, seed: u64) -> Vec<u8> {
+        let len = match kind {
+            0 => 0,
+            1 => 1 << 20,
+            _ => (seed % 500) as usize,
+        };
+        (0..len as u64)
+            .map(|i| (i.wrapping_mul(seed | 1) >> 7) as u8)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The old digest expression is kept only as this oracle.
+        fn digest_is_fnv1a_of_the_encoding(
+            label in proptest::arbitrary::any::<String>(),
+            repeat in 0usize..64,
+            tags in proptest::collection::vec(proptest::arbitrary::any::<String>(), 0..9),
+            bodies in proptest::collection::vec((0u8..3, proptest::arbitrary::any::<u64>()), 8..9),
+            seed in proptest::arbitrary::any::<u64>(),
+        ) {
+            let mut ck = Checkpoint::new(Manifest {
+                schema_version: SCHEMA_VERSION,
+                seed,
+                virtual_ns: seed >> 3,
+                events: seed >> 9,
+                config_fp: !seed,
+                label: label.repeat(repeat),
+            });
+            for (i, (tag, &(kind, seed))) in tags.iter().zip(&bodies).enumerate() {
+                ck.add_section(&format!("{i}{tag}"), body(kind, seed));
+            }
+            let bytes = ck.encode();
+            proptest::prop_assert_eq!(ck.digest(), fnv1a(&bytes));
+            proptest::prop_assert_eq!(Checkpoint::decode(&bytes).expect("decodes"), ck);
+        }
+    }
+
     #[test]
     fn reader_rejects_trailing_bytes() {
         let mut w = SnapWriter::new();
