@@ -409,7 +409,7 @@ impl lastcpu_snap::Restore for BusAudit {
         self.pending_rate_limited = r.u64()?;
         self.dropped = r.u64()?;
         self.cap = r.u64()? as usize;
-        let n = r.len()?;
+        let n = r.count()?;
         if n > self.cap {
             return Err(r.corrupt("audit log exceeds its capacity"));
         }

@@ -135,7 +135,7 @@ impl lastcpu_snap::Restore for SystemBus {
                     .ok_or_else(|| r.corrupt(format!("bad DeviceState tag {t}")))?
             };
             let last_seen = SimTime::from_nanos(r.u64()?);
-            let ns = r.len()?;
+            let ns = r.count()?;
             let mut services = Vec::with_capacity(ns);
             for _ in 0..ns {
                 services.push(ServiceDesc::snap_decode(r)?);

@@ -3,7 +3,9 @@
 //! byte.
 
 use lastcpu_sim::SimTime;
-use lastcpu_snap::{Checkpoint, Manifest, SnapError, SnapWriter, Snapshot as _};
+use lastcpu_snap::{
+    Checkpoint, Diff, Emit, Encoder, Manifest, SectionSink, SnapError, SnapWriter, Snapshot as _,
+};
 
 use super::{Event, PortOwner, Slot, System, Work};
 
@@ -216,31 +218,36 @@ impl System {
         Ok(w.into_bytes())
     }
 
-    /// Serializes the whole machine into a versioned [`Checkpoint`]:
-    /// manifest (seed, virtual time, event cursor, config fingerprint)
-    /// plus one checksummed section per component, in fixed order.
-    ///
-    /// Fails loudly ([`SnapError::Unsupported`]) if any attached device or
-    /// host does not implement its snapshot hook — a checkpoint that
-    /// silently skipped state could never verify a restore.
-    pub fn checkpoint(&self, label: &str) -> lastcpu_snap::Result<Checkpoint> {
-        let manifest = Manifest {
+    /// Checkpoint-wide metadata for this machine, now.
+    fn manifest(&self, label: &str) -> Manifest {
+        Manifest {
             schema_version: lastcpu_snap::SCHEMA_VERSION,
             seed: self.config.seed,
             virtual_ns: self.queue.now().as_nanos(),
             events: self.queue.events_processed(),
             config_fp: self.config_fingerprint(),
             label: label.to_string(),
-        };
-        let mut ck = Checkpoint::new(manifest);
-        ck.add_section("engine", self.engine_section());
-        ck.add_section("rng", {
+        }
+    }
+
+    /// How many sections [`each_section`](Self::each_section) yields: nine
+    /// machine-wide ones (`engine` … `trace`), then one per device and host.
+    fn section_count(&self) -> usize {
+        9 + self.slots.len() + self.hosts.len()
+    }
+
+    /// The one section producer: every component's `(tag, body)`, in fixed
+    /// order, handed to `out` one at a time. Stops at the first component
+    /// that cannot serialize.
+    fn each_section(&self, out: &mut impl SectionSink) -> lastcpu_snap::Result<()> {
+        out.section("engine", self.engine_section());
+        out.section("rng", {
             let mut w = SnapWriter::new();
             self.root_rng.snapshot(&mut w);
             w.into_bytes()
         });
-        ck.add_section("bus", self.bus.snapshot_bytes());
-        ck.add_section("rpc", {
+        out.section("bus", self.bus.snapshot_bytes());
+        out.section("rpc", {
             let mut w = SnapWriter::new();
             w.put_opt(self.rpc.as_ref(), |w, rpc| {
                 rpc.tracker.snapshot(w);
@@ -249,22 +256,44 @@ impl System {
             });
             w.into_bytes()
         });
-        ck.add_section("dram", self.dram.snapshot_bytes());
-        ck.add_section("switch", self.switch.snapshot_bytes());
-        ck.add_section("pool", self.pool.snapshot_bytes());
-        ck.add_section("metrics", self.stats.snapshot_bytes());
-        ck.add_section("trace", self.trace.snapshot_bytes());
+        out.section("dram", self.dram.snapshot_bytes());
+        out.section("switch", self.switch.snapshot_bytes());
+        out.section("pool", self.pool.snapshot_bytes());
+        out.section("metrics", self.stats.snapshot_bytes());
+        out.section("trace", self.trace.snapshot_bytes());
         for (i, s) in self.slots.iter().enumerate() {
-            ck.add_section(&format!("dev{i}"), self.slot_section(s)?);
+            out.section(&format!("dev{i}"), self.slot_section(s)?);
         }
         for (i, hs) in self.hosts.iter().enumerate() {
             let mut w = SnapWriter::new();
             w.put_u32(hs.port.0);
             hs.rng.snapshot(&mut w);
             hs.host.snapshot_state(&mut w)?;
-            ck.add_section(&format!("host{i}"), w.into_bytes());
+            out.section(&format!("host{i}"), w.into_bytes());
         }
+        Ok(())
+    }
+
+    /// Serializes the whole machine into a versioned [`Checkpoint`]:
+    /// manifest (seed, virtual time, event cursor, config fingerprint)
+    /// plus one checksummed section per component, in fixed order.
+    ///
+    /// Fails loudly ([`SnapError::Unsupported`]) if any attached device or
+    /// host does not implement its snapshot hook — a checkpoint that
+    /// silently skipped state could never verify a restore.
+    pub fn checkpoint(&self, label: &str) -> lastcpu_snap::Result<Checkpoint> {
+        let mut ck = Checkpoint::new(self.manifest(label));
+        self.each_section(&mut ck)?;
         Ok(ck)
+    }
+
+    /// Streams to `emit` the bytes `self.checkpoint(label)?.encode()` would
+    /// return, holding one section at a time.
+    pub fn encode_checkpoint(&self, label: &str, emit: &mut Emit<'_>) -> lastcpu_snap::Result<()> {
+        let mut enc = Encoder::new(&self.manifest(label), self.section_count(), emit);
+        self.each_section(&mut enc)?;
+        enc.finish();
+        Ok(())
     }
 
     /// Steps until exactly `events` events have been processed (the
@@ -280,17 +309,20 @@ impl System {
         n
     }
 
-    /// Byte-for-byte verification of this machine against `ck`: takes a
-    /// fresh checkpoint and requires every section to match exactly.
+    /// Byte-for-byte verification of this machine against `ck`: serializes
+    /// the machine section by section and compares each against `ck`'s
+    /// section at the same index as it is produced, so no second checkpoint
+    /// is held.
     pub fn verify_checkpoint(&self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
-        let mine = self.checkpoint(&ck.manifest.label)?;
-        if let Some(detail) = ck.diff(&mine) {
-            return Err(SnapError::VerifyMismatch {
+        let mut diff = Diff::new(ck, &self.manifest(&ck.manifest.label));
+        self.each_section(&mut diff)?;
+        match diff.finish() {
+            Some(detail) => Err(SnapError::VerifyMismatch {
                 section: "system".into(),
                 detail,
-            });
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Restores this machine to the state captured in `ck`.

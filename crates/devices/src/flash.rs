@@ -333,7 +333,7 @@ impl lastcpu_snap::Restore for NandChip {
         self.stats.programs = r.u64()?;
         self.stats.erases = r.u64()?;
         self.stats.bad_blocks = r.u32()?;
-        let n = r.len()?;
+        let n = r.count()?;
         if n != self.config.blocks as usize {
             return Err(r.corrupt(format!(
                 "block-state count {n} != configured blocks {}",

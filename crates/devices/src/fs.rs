@@ -268,14 +268,14 @@ impl lastcpu_snap::Restore for FlashFs {
         for _ in 0..n {
             let name = r.str()?;
             let size = r.u64()?;
-            let k = r.len()?;
+            let k = r.count()?;
             let mut lpns = Vec::with_capacity(k);
             for _ in 0..k {
                 lpns.push(r.u32()?);
             }
             self.files.insert(name, FileMeta { lpns, size });
         }
-        let n = r.len()?;
+        let n = r.count()?;
         self.free_lpns = Vec::with_capacity(n);
         for _ in 0..n {
             self.free_lpns.push(r.u32()?);
@@ -434,6 +434,40 @@ mod tests {
         let rcost = f.read("x", 0, &mut buf).unwrap();
         assert!(rcost > SimDuration::ZERO);
         assert!(rcost < wcost, "flash reads are cheaper than programs");
+    }
+
+    /// A length field patched to 2^40 — the first NAND page's RLE total, the
+    /// FTL map's length, a file's LPN count — fails the restore as corrupt
+    /// instead of asking the allocator for a terabyte.
+    #[test]
+    fn a_hostile_length_is_corrupt_not_an_allocation() {
+        use lastcpu_snap::{Restore, SnapError, Snapshot};
+        let mut f = fs();
+        f.create("/f").unwrap();
+        f.write("/f", 0, &[7; 200]).unwrap();
+        let bytes = f.snapshot_bytes();
+        let nand = f.ftl_mut().nand_mut().snapshot_bytes().len();
+        let ftl = f.ftl.snapshot_bytes().len();
+        // NAND: 12 B geometry, 3 latencies, erase limit, 3 counters, bad
+        // blocks, 9 B per block state, the page-record count, then page
+        // (0, 0): block, page, RLE total.
+        let page = 12 + 24 + 4 + 24 + 4 + 8 + 9 * 32 + 8 + 8;
+        // FTL: logical pages, six counters, retry policy, then the map.
+        let map = nand + 4 + 48 + 16 + 8;
+        // Files: count, then "/f": name, size, LPN count.
+        let lpns = ftl + 8 + 8 + 2 + 8;
+        for (at, holds) in [(page, 64), (map, f.ftl.logical_pages() as u64), (lpns, 4)] {
+            let field = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            assert_eq!(field, holds, "the length field at {at}");
+            let mut hostile = bytes.clone();
+            hostile[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+            match fs().restore_bytes("fs", &hostile) {
+                Err(SnapError::Corrupt { .. }) => {}
+                other => panic!("length at {at}: {other:?}"),
+            }
+        }
+        fs().restore_bytes("fs", &bytes)
+            .expect("the untouched bytes restore");
     }
 }
 

@@ -696,17 +696,17 @@ impl lastcpu_snap::Restore for Ftl {
         self.retry.cap = SimDuration::from_nanos(r.u64()?);
         self.retry.max_retries = r.u32()?;
         self.retry.jitter_pct = r.u32()?;
-        let n = r.len()?;
+        let n = r.count()?;
         self.map = Vec::with_capacity(n);
         for _ in 0..n {
             self.map.push(r.opt(|r| Ok((r.u32()?, r.u32()?)))?);
         }
-        let n = r.len()?;
+        let n = r.count()?;
         self.valid = Vec::with_capacity(n);
         for _ in 0..n {
             self.valid.push(r.u32()?);
         }
-        let n = r.len()?;
+        let n = r.count()?;
         self.free_blocks = Vec::with_capacity(n);
         for _ in 0..n {
             self.free_blocks.push(r.u32()?);

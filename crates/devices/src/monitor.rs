@@ -917,7 +917,7 @@ impl PendingOp {
     fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
         Ok(match r.u8()? {
             0 => {
-                let n = r.len()?;
+                let n = r.count()?;
                 let mut hits = Vec::with_capacity(n);
                 for _ in 0..n {
                     let d = DeviceId(r.u32()?);
@@ -990,7 +990,7 @@ impl lastcpu_snap::Snapshot for Monitor {
 
 impl lastcpu_snap::Restore for Monitor {
     fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let n = r.len()?;
+        let n = r.count()?;
         self.services = Vec::with_capacity(n);
         for _ in 0..n {
             let svc = ServiceDesc::snap_decode(r)?;

@@ -1179,7 +1179,7 @@ impl lastcpu_snap::Restore for SmartSsd {
         self.fs.restore(r)?;
         self.config.isolation = r.bool()?;
         self.config.quantum = r.u32()?;
-        let n = r.len()?;
+        let n = r.count()?;
         self.config.exports = Vec::with_capacity(n);
         for _ in 0..n {
             self.config.exports.push(r.str()?);
@@ -1218,7 +1218,7 @@ impl lastcpu_snap::Restore for SmartSsd {
                 },
             );
         }
-        let n = r.len()?;
+        let n = r.count()?;
         self.work = VecDeque::with_capacity(n);
         for _ in 0..n {
             self.work.push_back(ConnId(r.u64()?));

@@ -800,7 +800,7 @@ impl Fabric {
 // Rack checkpoints
 // ---------------------------------------------------------------------------
 
-use lastcpu_snap::{Checkpoint, Manifest, SnapError, SnapWriter, Snapshot as _};
+use lastcpu_snap::{Checkpoint, Diff, Manifest, SectionSink, SnapError, SnapWriter, Snapshot as _};
 
 impl Fabric {
     /// Stable fingerprint of the rack recipe: fabric configuration plus
@@ -881,40 +881,59 @@ impl Fabric {
         w.into_bytes()
     }
 
-    /// Serializes the whole rack: a `fabric` section (directory, links,
-    /// in-flight frames), the fabric metrics and link trace, then one
-    /// section per machine containing that machine's full encoded
-    /// [`System::checkpoint`].
-    pub fn checkpoint(&self, label: &str) -> lastcpu_snap::Result<Checkpoint> {
-        let manifest = Manifest {
+    /// Checkpoint-wide metadata for this rack, now.
+    fn manifest(&self, label: &str) -> Manifest {
+        Manifest {
             schema_version: lastcpu_snap::SCHEMA_VERSION,
             seed: self.cfg.seed,
             virtual_ns: self.now.as_nanos(),
             events: self.events,
             config_fp: self.config_fingerprint(),
             label: label.to_string(),
-        };
-        let mut ck = Checkpoint::new(manifest);
-        ck.add_section("fabric", self.fabric_section());
-        ck.add_section("metrics", self.metrics.snapshot_bytes());
-        ck.add_section("trace", self.trace.snapshot_bytes());
-        for (i, slot) in self.machines.iter().enumerate() {
-            let inner = slot.sys.checkpoint(&format!("{label}/{}", slot.name))?;
-            ck.add_section(&format!("machine{i}"), inner.encode());
         }
+    }
+
+    /// The one section producer: the `fabric` section (directory, links,
+    /// in-flight frames), the fabric metrics and link trace, then one section
+    /// per machine holding that machine's whole encoded
+    /// [`System::checkpoint`], streamed as the machine produces it.
+    fn each_section(&self, label: &str, out: &mut impl SectionSink) -> lastcpu_snap::Result<()> {
+        out.section("fabric", self.fabric_section());
+        out.section("metrics", self.metrics.snapshot_bytes());
+        out.section("trace", self.trace.snapshot_bytes());
+        for (i, slot) in self.machines.iter().enumerate() {
+            let label = format!("{label}/{}", slot.name);
+            out.streamed(&format!("machine{i}"), &mut |emit| {
+                slot.sys.encode_checkpoint(&label, emit)
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Serializes the whole rack: a `fabric` section (directory, links,
+    /// in-flight frames), the fabric metrics and link trace, then one
+    /// section per machine holding that machine's full encoded
+    /// [`System::checkpoint`], written straight into the section.
+    pub fn checkpoint(&self, label: &str) -> lastcpu_snap::Result<Checkpoint> {
+        let mut ck = Checkpoint::new(self.manifest(label));
+        self.each_section(label, &mut ck)?;
         Ok(ck)
     }
 
-    /// Byte-for-byte verification of the rack against `ck`.
+    /// Byte-for-byte verification of the rack against `ck`, compared as it
+    /// serializes: a machine's encoding is checked piece by piece against
+    /// its stored section, so the rack never holds a second copy of itself.
     pub fn verify_checkpoint(&self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
-        let mine = self.checkpoint(&ck.manifest.label)?;
-        if let Some(detail) = ck.diff(&mine) {
-            return Err(SnapError::VerifyMismatch {
+        let label = &ck.manifest.label;
+        let mut diff = Diff::new(ck, &self.manifest(label));
+        self.each_section(label, &mut diff)?;
+        match diff.finish() {
+            Some(detail) => Err(SnapError::VerifyMismatch {
                 section: "rack".into(),
                 detail,
-            });
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Restores this rack to the state captured in `ck`.

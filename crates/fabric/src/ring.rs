@@ -178,12 +178,12 @@ impl lastcpu_snap::Snapshot for HashRing {
 impl lastcpu_snap::Restore for HashRing {
     fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
         self.vnodes = r.u32()?;
-        let n = r.len()?;
+        let n = r.count()?;
         self.nodes = Vec::with_capacity(n);
         for _ in 0..n {
             self.nodes.push(r.str()?.into());
         }
-        let np = r.len()?;
+        let np = r.count()?;
         self.points = Vec::with_capacity(np);
         for _ in 0..np {
             let h = r.u64()?;

@@ -216,7 +216,7 @@ impl lastcpu_snap::Restore for DmaAudit {
         self.pending_denied = r.u64()?;
         self.dropped = r.u64()?;
         self.cap = r.u64()? as usize;
-        let n = r.len()?;
+        let n = r.count()?;
         if n > self.cap {
             return Err(r.corrupt("audit log exceeds its capacity"));
         }

@@ -1190,7 +1190,7 @@ impl lastcpu_snap::Restore for ShardRouterHost {
             let client_id = r.u64()?;
             let key = r.bytes()?;
             let (op, value) = PendingReq::snap_decode_op(r)?;
-            let ns = r.len()?;
+            let ns = r.count()?;
             let mut subs = Vec::with_capacity(ns);
             for _ in 0..ns {
                 subs.push(Sub {

@@ -1164,7 +1164,7 @@ impl lastcpu_snap::Snapshot for ValueCache {
 impl lastcpu_snap::Restore for ValueCache {
     fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
         self.capacity = r.len()?;
-        let n = r.len()?;
+        let n = r.count()?;
         if n > self.capacity {
             return Err(r.corrupt(format!(
                 "cache holds {n} entries but capacity is {}",

@@ -611,7 +611,7 @@ impl lastcpu_snap::Restore for MemoryController {
         self.stats.bytes_in_use = r.u64()?;
         self.stats.peak_bytes = r.u64()?;
         self.stats.reclaimed = r.u64()?;
-        let n = r.len()?;
+        let n = r.count()?;
         self.regions = DetHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let id = r.u64()?;
@@ -621,7 +621,7 @@ impl lastcpu_snap::Restore for MemoryController {
             let pages = r.u64()?;
             let first_frame = r.u64()?;
             let perms = r.u8()?;
-            let k = r.len()?;
+            let k = r.count()?;
             let mut shares = Vec::with_capacity(k);
             for _ in 0..k {
                 shares.push(ShareEntry {
@@ -645,7 +645,7 @@ impl lastcpu_snap::Restore for MemoryController {
                 },
             );
         }
-        let n = r.len()?;
+        let n = r.count()?;
         self.usage = Vec::with_capacity(n);
         for _ in 0..n {
             let d = DeviceId(r.u32()?);

@@ -360,8 +360,9 @@ impl<'a> SnapReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// A collection length, sanity-capped against the bytes actually left so
-    /// a corrupted length cannot trigger an absurd allocation.
+    /// A length field, refused above 2^40. That bounds a loop, not an
+    /// allocation: a length that sizes a reservation is read with
+    /// [`count`](Self::count), which also checks the bytes left.
     ///
     /// This *decodes* a length field — it is not the reader's own size, so
     /// the `len`/`is_empty` pairing convention does not apply.
@@ -372,6 +373,22 @@ impl<'a> SnapReader<'a> {
             return Err(self.corrupt(format!("implausible length {n}")));
         }
         Ok(n as usize)
+    }
+
+    /// The length of a collection whose elements take at least one byte
+    /// each on the wire, refused when the bytes left could not hold that
+    /// many. Reserve with this, never with [`len`](Self::len): a hostile
+    /// length then fails as [`SnapError::Corrupt`] instead of asking the
+    /// allocator for terabytes.
+    pub fn count(&mut self) -> Result<usize> {
+        let n = self.len()?;
+        if n > self.remaining() {
+            return Err(self.corrupt(format!(
+                "{n} elements cannot fit in the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n)
     }
 
     pub fn bytes(&mut self) -> Result<Vec<u8>> {
@@ -392,11 +409,13 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Inverse of [`SnapWriter::put_bytes_rle`].
+    /// Inverse of [`SnapWriter::put_bytes_rle`]. The output grows run by run
+    /// and never past the declared total, so a declared total that the runs
+    /// do not cover fails before it is allocated.
     pub fn bytes_rle(&mut self) -> Result<Vec<u8>> {
         let total = self.len()?;
         let runs = self.u64()?;
-        let mut out = Vec::with_capacity(total);
+        let mut out = Vec::new();
         for _ in 0..runs {
             let n = self.len()?;
             let byte = self.u8()?;
@@ -475,15 +494,6 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u32(self.schema_version);
-        w.put_u64(self.seed);
-        w.put_u64(self.virtual_ns);
-        w.put_u64(self.events);
-        w.put_u64(self.config_fp);
-        w.put_str(&self.label);
-    }
-
     fn decode(r: &mut SnapReader<'_>) -> Result<Manifest> {
         Ok(Manifest {
             schema_version: r.u32()?,
@@ -493,6 +503,54 @@ impl Manifest {
             config_fp: r.u64()?,
             label: r.str()?,
         })
+    }
+}
+
+/// Where an encoding goes, piece by piece.
+pub type Emit<'a> = dyn FnMut(&[u8]) + 'a;
+
+/// Hands `emit` the framing in front of a checkpoint's sections, piece by
+/// piece: magic, manifest, section count.
+fn walk_head(m: &Manifest, sections: usize, emit: &mut Emit<'_>) {
+    emit(MAGIC);
+    emit(&m.schema_version.to_le_bytes());
+    for v in [m.seed, m.virtual_ns, m.events, m.config_fp] {
+        emit(&v.to_le_bytes());
+    }
+    emit(&(m.label.len() as u64).to_le_bytes());
+    emit(m.label.as_bytes());
+    emit(&(sections as u64).to_le_bytes());
+}
+
+/// Hands `emit` one section, piece by piece: its tag and body, each
+/// length-prefixed, then `sum`, the body's checksum.
+fn walk_section(tag: &str, body: &[u8], sum: u64, emit: &mut Emit<'_>) {
+    emit(&(tag.len() as u64).to_le_bytes());
+    emit(tag.as_bytes());
+    emit(&(body.len() as u64).to_le_bytes());
+    emit(body);
+    emit(&sum.to_le_bytes());
+}
+
+/// Where a producer's sections go, in order: collected into a
+/// [`Checkpoint`], streamed out by an [`Encoder`], or compared against a
+/// stored checkpoint by a [`Diff`].
+pub trait SectionSink {
+    /// The next section.
+    fn section(&mut self, tag: &str, body: Vec<u8>);
+
+    /// The next section, its body handed over in pieces by `write` (a
+    /// machine's whole encoding, inside a rack). By default the pieces are
+    /// collected and passed to [`section`](Self::section).
+    fn streamed(
+        &mut self,
+        tag: &str,
+        write: &mut dyn FnMut(&mut Emit<'_>) -> Result<()>,
+    ) -> Result<()> {
+        let mut body = Vec::new();
+        write(&mut |piece| body.extend_from_slice(piece))?;
+        self.section(tag, body);
+        Ok(())
     }
 }
 
@@ -550,19 +608,24 @@ impl Checkpoint {
         self.sections.len()
     }
 
-    /// Full binary encoding: magic, manifest, then each section as
-    /// `tag, body, fnv1a(body)`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.buf.extend_from_slice(MAGIC);
-        self.manifest.encode(&mut w);
-        w.put_len(self.sections.len());
+    /// The one walk over exactly the bytes [`encode`](Self::encode) writes:
+    /// magic, manifest, section count, then per section its tag, body and
+    /// `sum(body)`. Encoding and digest consume it; neither copies a body.
+    fn walk(&self, sum: fn(&[u8]) -> u64, emit: &mut Emit<'_>) {
+        walk_head(&self.manifest, self.sections.len(), emit);
         for (tag, body) in &self.sections {
-            w.put_str(tag);
-            w.put_bytes(body);
-            w.put_u64(fnv1a(body));
+            walk_section(tag, body, sum(body), emit);
         }
-        w.into_bytes()
+    }
+
+    /// Full binary encoding: magic, manifest, then each section as
+    /// `tag, body, fnv1a(body)`, in one buffer allocated at its exact length.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut len = 0;
+        self.walk(|_| 0, &mut |piece| len += piece.len());
+        let mut out = Vec::with_capacity(len);
+        self.walk(fnv1a, &mut |piece| out.extend_from_slice(piece));
+        out
     }
 
     /// Decodes and *fully verifies* a checkpoint: magic, schema version, and
@@ -612,39 +675,175 @@ impl Checkpoint {
     /// First divergence between two checkpoints, as a human-readable report
     /// (`None` when identical). Drives the loud restore-verification error.
     pub fn diff(&self, other: &Checkpoint) -> Option<String> {
-        if self.manifest != other.manifest {
-            return Some(format!(
-                "manifest differs: {:?} vs {:?}",
-                self.manifest, other.manifest
-            ));
+        let mut d = Diff::new(self, &other.manifest);
+        for (tag, body) in &other.sections {
+            d.compare(tag, body);
         }
-        for (i, ((ta, ba), (tb, bb))) in self.sections.iter().zip(&other.sections).enumerate() {
-            if ta != tb {
-                return Some(format!("section {i} tag differs: {ta:?} vs {tb:?}"));
+        d.finish()
+    }
+
+    /// One digest over the entire encoded checkpoint, folded as the encoding
+    /// is walked: `fnv1a(&self.encode())` without the encoding.
+    pub fn digest(&self) -> u64 {
+        let mut h = FNV_OFFSET;
+        self.walk(fnv1a, &mut |piece| fnv1a_fold(&mut h, piece));
+        h
+    }
+}
+
+impl SectionSink for Checkpoint {
+    fn section(&mut self, tag: &str, body: Vec<u8>) {
+        self.add_section(tag, body);
+    }
+}
+
+/// A checkpoint's encoding, streamed as its sections are produced: `emit`
+/// receives the bytes [`Checkpoint::encode`] would write for the same
+/// manifest and sections, and no section outlives its turn.
+pub struct Encoder<F: FnMut(&[u8])> {
+    emit: F,
+    /// Sections still to come.
+    left: usize,
+}
+
+impl<F: FnMut(&[u8])> Encoder<F> {
+    /// Starts the encoding of `sections` sections under `manifest`.
+    pub fn new(manifest: &Manifest, sections: usize, mut emit: F) -> Self {
+        walk_head(manifest, sections, &mut emit);
+        Encoder {
+            emit,
+            left: sections,
+        }
+    }
+
+    /// Ends the encoding. The section count is written first, so a producer
+    /// that yields fewer sections than it declared is a bug.
+    pub fn finish(self) {
+        assert_eq!(
+            self.left, 0,
+            "checkpoint sections declared but not produced"
+        );
+    }
+}
+
+impl<F: FnMut(&[u8])> SectionSink for Encoder<F> {
+    fn section(&mut self, tag: &str, body: Vec<u8>) {
+        self.left = self
+            .left
+            .checked_sub(1)
+            .expect("more checkpoint sections than declared");
+        walk_section(tag, &body, fnv1a(&body), &mut self.emit);
+    }
+}
+
+/// The streaming form of [`Checkpoint::diff`]: a stored checkpoint against
+/// one produced a section at a time. Each section is compared as it arrives
+/// and dropped after; [`finish`](Self::finish) reports what `diff` would.
+pub struct Diff<'a> {
+    want: &'a Checkpoint,
+    /// Sections produced so far.
+    seen: usize,
+    /// The first divergence, once found.
+    first: Option<String>,
+}
+
+/// One produced body against the stored body at its index: its length so
+/// far and the first offset where the two differ.
+struct BodyDiff<'a> {
+    /// The stored section, `None` once the checkpoints are known to differ.
+    want: Option<(&'a str, &'a [u8])>,
+    len: usize,
+    diverged: Option<usize>,
+}
+
+impl BodyDiff<'_> {
+    fn feed(&mut self, piece: &[u8]) {
+        if let (Some((_, want)), None) = (self.want, self.diverged) {
+            let rest = want.get(self.len..).unwrap_or_default();
+            let n = rest.len().min(piece.len());
+            if rest[..n] != piece[..n] {
+                let off = rest.iter().zip(piece).position(|(a, b)| a != b);
+                self.diverged = off.map(|o| self.len + o);
             }
-            if ba != bb {
-                let off = ba.iter().zip(bb.iter()).position(|(x, y)| x != y);
-                return Some(format!(
-                    "section {ta:?} differs: {} vs {} bytes, first divergence at {}",
-                    ba.len(),
-                    bb.len(),
-                    off.map_or_else(|| "end".to_string(), |o| format!("offset {o}")),
+        }
+        self.len += piece.len();
+    }
+}
+
+impl<'a> Diff<'a> {
+    /// Compares against `want` a checkpoint whose manifest is `got`.
+    pub fn new(want: &'a Checkpoint, got: &Manifest) -> Self {
+        let first = (want.manifest != *got)
+            .then(|| format!("manifest differs: {:?} vs {got:?}", want.manifest));
+        Diff {
+            want,
+            seen: 0,
+            first,
+        }
+    }
+
+    /// Opens the next produced section, `tag`.
+    fn begin(&mut self, tag: &str) -> BodyDiff<'a> {
+        let i = self.seen;
+        self.seen += 1;
+        let mut want = None;
+        if let (None, Some((t, b))) = (&self.first, self.want.sections.get(i)) {
+            if t == tag {
+                want = Some((t.as_str(), b.as_slice()));
+            } else {
+                self.first = Some(format!("section {i} tag differs: {t:?} vs {tag:?}"));
+            }
+        }
+        BodyDiff {
+            want,
+            len: 0,
+            diverged: None,
+        }
+    }
+
+    fn end(&mut self, body: BodyDiff<'_>) {
+        if let Some((tag, want)) = body.want {
+            if body.len != want.len() || body.diverged.is_some() {
+                self.first = Some(format!(
+                    "section {tag:?} differs: {} vs {} bytes, first divergence at {}",
+                    want.len(),
+                    body.len,
+                    body.diverged
+                        .map_or_else(|| "end".to_string(), |o| format!("offset {o}")),
                 ));
             }
         }
-        if self.sections.len() != other.sections.len() {
-            return Some(format!(
-                "section count differs: {} vs {}",
-                self.sections.len(),
-                other.sections.len()
-            ));
-        }
-        None
     }
 
-    /// One digest over the entire encoded checkpoint.
-    pub fn digest(&self) -> u64 {
-        fnv1a(&self.encode())
+    fn compare(&mut self, tag: &str, body: &[u8]) {
+        let mut d = self.begin(tag);
+        d.feed(body);
+        self.end(d);
+    }
+
+    /// The first divergence (`None` when the produced checkpoint is the
+    /// stored one), in the words of [`Checkpoint::diff`].
+    pub fn finish(self) -> Option<String> {
+        let (want, seen) = (self.want.sections.len(), self.seen);
+        self.first
+            .or_else(|| (want != seen).then(|| format!("section count differs: {want} vs {seen}")))
+    }
+}
+
+impl SectionSink for Diff<'_> {
+    fn section(&mut self, tag: &str, body: Vec<u8>) {
+        self.compare(tag, &body);
+    }
+
+    fn streamed(
+        &mut self,
+        tag: &str,
+        write: &mut dyn FnMut(&mut Emit<'_>) -> Result<()>,
+    ) -> Result<()> {
+        let mut body = self.begin(tag);
+        write(&mut |piece| body.feed(piece))?;
+        self.end(body);
+        Ok(())
     }
 }
 
@@ -820,8 +1019,100 @@ mod tests {
                 ck.add_section(&format!("{i}{tag}"), body(kind, seed));
             }
             let bytes = ck.encode();
+            proptest::prop_assert_eq!(bytes.len(), bytes.capacity());
             proptest::prop_assert_eq!(ck.digest(), fnv1a(&bytes));
             proptest::prop_assert_eq!(Checkpoint::decode(&bytes).expect("decodes"), ck);
+        }
+    }
+
+    /// `Checkpoint::diff` before it became [`Diff`], kept as the oracle.
+    fn diff_oracle(a: &Checkpoint, b: &Checkpoint) -> Option<String> {
+        if a.manifest != b.manifest {
+            return Some(format!(
+                "manifest differs: {:?} vs {:?}",
+                a.manifest, b.manifest
+            ));
+        }
+        for (i, ((ta, ba), (tb, bb))) in a.sections.iter().zip(&b.sections).enumerate() {
+            if ta != tb {
+                return Some(format!("section {i} tag differs: {ta:?} vs {tb:?}"));
+            }
+            if ba != bb {
+                let off = ba.iter().zip(bb.iter()).position(|(x, y)| x != y);
+                return Some(format!(
+                    "section {ta:?} differs: {} vs {} bytes, first divergence at {}",
+                    ba.len(),
+                    bb.len(),
+                    off.map_or_else(|| "end".to_string(), |o| format!("offset {o}")),
+                ));
+            }
+        }
+        if a.sections.len() != b.sections.len() {
+            return Some(format!(
+                "section count differs: {} vs {}",
+                a.sections.len(),
+                b.sections.len()
+            ));
+        }
+        None
+    }
+
+    proptest::proptest! {
+        /// One edit to a checkpoint, found by `diff`, by a [`Diff`] fed each
+        /// body in arbitrary pieces and by the oracle in the same words; an
+        /// [`Encoder`] fed the edited sections writes its `encode`.
+        fn a_streamed_diff_reports_what_diff_did(
+            edit in 0u8..8,
+            at in proptest::arbitrary::any::<u64>(),
+            cuts in proptest::collection::vec(0usize..600, 0..4),
+            kinds in proptest::collection::vec(0u8..3, 1..6),
+        ) {
+            let mut want = sample();
+            for (i, &kind) in kinds.iter().enumerate() {
+                want.add_section(&format!("s{i}"), body(kind % 2 * 2, at ^ i as u64));
+            }
+            let mut got = want.clone();
+            let n = got.sections.len();
+            let (tag, bytes) = &mut got.sections[at as usize % n];
+            match edit {
+                1 => got.manifest.events += 1,
+                2 => tag.push('x'),
+                3 if !bytes.is_empty() => {
+                    let i = (at >> 8) as usize % bytes.len();
+                    bytes[i] ^= 1;
+                }
+                4 => bytes.truncate(bytes.len() / 2),
+                5 => bytes.push(0),
+                6 => drop(got.sections.remove(at as usize % n)),
+                7 => got.add_section("extra", vec![7]),
+                _ => {}
+            }
+            let oracle = diff_oracle(&want, &got);
+            proptest::prop_assert_eq!(want.diff(&got), oracle.clone());
+
+            let mut streamed = Diff::new(&want, &got.manifest);
+            let mut bytes = Vec::new();
+            let mut enc = Encoder::new(&got.manifest, got.section_count(), |p: &[u8]| {
+                bytes.extend_from_slice(p)
+            });
+            for (tag, body) in &got.sections {
+                streamed
+                    .streamed(tag, &mut |emit| {
+                        let mut rest = &body[..];
+                        for &cut in &cuts {
+                            let (piece, tail) = rest.split_at(cut.min(rest.len()));
+                            emit(piece);
+                            rest = tail;
+                        }
+                        emit(rest);
+                        Ok(())
+                    })
+                    .expect("nothing fails to write");
+                enc.section(tag, body.clone());
+            }
+            enc.finish();
+            proptest::prop_assert_eq!(streamed.finish(), oracle);
+            proptest::prop_assert_eq!(bytes, got.encode());
         }
     }
 

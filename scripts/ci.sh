@@ -1,15 +1,12 @@
 #!/usr/bin/env bash
 # CI gate for the lastcpu workspace. Mirrors what a reviewer runs:
 #
-#   1. formatting, lints   cargo fmt --check; cargo clippy -D warnings; no std
-#                          HashMap/HashSet in the library crates; no raw
-#                          `impl Device for` outside the named list; no name
-#                          spelled in `apply_action`, no `Envelope` copied
-#                          under core/src/system/; no owned request copy in
-#                          the NIC server, no envelope `Arc` made outside the
-#                          recycling pool, no id list collected per submit;
-#                          no fabric-link record formatted per frame, no owned
-#                          decode in the shard router
+#   1. formatting, lints   cargo fmt --check; cargo clippy -D warnings; a
+#                          census of lines the library must not contain, one
+#                          rule per refusal (a seeded std map, a raw `impl
+#                          Device for`, a copied envelope or request, a record
+#                          formatted per frame, a digest or verification that
+#                          holds a second copy of a checkpoint, ...)
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -42,104 +39,103 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (all targets, -D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> library maps hash without a per-process seed (every library crate)"
-# A std HashMap re-seeds per process, so its table growth — and with it
-# allocs/event — differs between two runs of one binary. Non-test code in
-# the library crates uses lastcpu_sim::DetHashMap/DetHashSet; only a
-# top-level `#[cfg(test)]` item (the models the proptests compare against)
-# and sim/src/dethash.rs, which defines the aliases, are exempt.
-awk '
-    FNR == 1 { skip = 0 }
-    /^#\[cfg\(test\)\]/ { skip = 1 }
-    !skip && !/^[ \t]*\/\// && /(^|[^A-Za-z_])Hash(Map|Set)/ {
-        print "    " FILENAME ":" FNR ": " $0; bad = 1
-    }
-    skip && /^}/ { skip = 0 }
-    END { exit bad }
-' $(find crates/{sim,snap,mem,iommu,virtio,bus,net,sec,memctl,devices,core,kvs,fabric,baseline}/src \
-        -name '*.rs' ! -path crates/sim/src/dethash.rs | sort) || {
-    echo "FAIL: std HashMap/HashSet in non-test library code"; exit 1;
-}
+echo "==> source census (one table of refused lines, one loop)"
+# Each rule is a paragraph of `key: value` lines; every value is an awk ERE
+# except `why`, which is printed with each offending line:
+#   files   the paths the rule reads          skip   paths it leaves alone
+#   forbid  the refused line                  allow  lines let through anyway
+#   from/to the region of a file it reads (default: the whole file)
+# Comment lines and top-level `#[cfg(test)]` items (the models proptests
+# compare against, test-only devices) are never read.
+lib='^crates/(sim|snap|mem|iommu|virtio|bus|net|sec|memctl|devices|core|kvs|fabric|baseline)/src/'
+census="
+files: $lib
+skip: ^crates/sim/src/dethash\.rs\$
+forbid: (^|[^A-Za-z_])Hash(Map|Set)
+why: a std HashMap/HashSet re-seeds per process, so its growth and allocs/event differ between runs; use lastcpu_sim::DetHashMap/DetHashSet
 
-echo "==> the lifecycle is written once (no new raw Device impl)"
-# A self-managing device implements `Firmware`; its `Device` impl is the
-# blanket one in devices/src/firmware.rs, so a new service cannot re-type
-# Hello / heartbeat / monitor pump / reset. Non-test code may implement
-# `Device` directly only for the devices DESIGN.md "Writing a device" lists
-# as deliberately not self-managing.
-awk '
-    FNR == 1 { skip = 0 }
-    /^#\[cfg\(test\)\]/ { skip = 1 }
-    !skip && /^[ \t]*impl(<.*>)? Device for / {
-        ty = $0; sub(/.* Device for /, "", ty); sub(/[^A-Za-z_0-9].*/, "", ty)
-        if (ty !~ /^(T|MemCtlDevice|CpuDevice|DumbNic|MaliciousDevice|DoorbellPinger|DoorbellPonger|ControlStorm|CentralProbe)$/) {
-            print "    " FILENAME ":" FNR ": " $0; bad = 1
+files: ^crates/(devices|core|kvs|fabric|baseline|sec|bench)/src/
+forbid: ^[ \t]*impl(<.*>)? Device for
+allow: Device for (T|MemCtlDevice|CpuDevice|DumbNic|MaliciousDevice|DoorbellPinger|DoorbellPonger|ControlStorm|CentralProbe)([^A-Za-z_0-9]|\$)
+why: a self-managing device implements Firmware (DESIGN.md §5 \"Writing a device\" lists the exceptions)
+
+files: ^crates/core/src/system/
+from: ^    fn apply_action\(
+to: ^    }
+forbid: format!|to_string\(\)
+why: apply_action runs per effect; a name it needs is a handle made with the slot
+
+files: ^crates/core/src/system/
+forbid: (^|[^A-Za-z_])(env|envelope|shared)\.clone\(\)|\(\*[a-z_]+\)\.clone\(\)|Envelope::clone
+why: the machine passes an envelope on; a deep copy is one per broadcast recipient
+
+files: ^crates/kvs/src/(app|server)\.rs\$
+forbid: \.to_owned\(\)|KvsRequest::decode
+why: the NIC server serves the borrowed KvsRequestRef; a waiting request is wire bytes in the backlog arena
+
+files: ^crates/(core/src/system|bus/src/bus)/
+skip: envelopes\.rs\$
+forbid: Arc::new\(
+why: an envelope Arc is made by EnvelopePool::share alone, so every send rides a recycled allocation
+
+files: ^crates/core/src/system/net\.rs\$
+forbid: TraceData::Text\(format!\(
+why: a fabric-link record is two integers, rendered when a checkpoint or an export wants the line
+
+files: ^crates/kvs/src/router\.rs\$
+forbid: Kvs(Response|Request)::decode\(
+why: the shard router triages and serves the borrowed KvsResponseRef / KvsRequestRef
+
+files: ^crates/virtio/src/queue\.rs\$
+from: ^    pub fn submit_chain
+to: ^    }
+forbid: Vec<u16>|collect\(\)|vec!\[
+why: a descriptor chain is links in the driver's table, not a list collected per submit
+
+files: $lib
+forbid: fnv1a\(&.*\.encode\(\)
+why: hashing an encoding builds the encoding first; Checkpoint::digest folds over the walk
+
+files: $lib
+from: fn verify_checkpoint\(
+to: ^    }
+forbid: self\.checkpoint\(
+why: verification compares each section as it serializes; a second checkpoint holds the state twice
+"
+census="$census" awk '
+    BEGIN {
+        n = split(ENVIRON["census"], paras, /\n\n/)
+        for (i = 1; i <= n; i++) {
+            k = split(paras[i], kv, /\n/)
+            for (j = 1; j <= k; j++) {
+                if (kv[j] == "") continue
+                key = kv[j]; sub(/:.*/, "", key)
+                val = kv[j]; sub(/^[a-z]+: /, "", val)
+                rule[i, key] = val
+            }
         }
     }
-    skip && /^}/ { skip = 0 }
+    FNR == 1 { test = 0; for (i = 1; i <= n; i++) inside[i] = rule[i, "from"] == "" }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test && /^}/ { test = 0; next }
+    test || /^[ \t]*\/\// { next }
+    {
+        for (i = 1; i <= n; i++) {
+            if (FILENAME !~ rule[i, "files"]) continue
+            if (rule[i, "skip"] != "" && FILENAME ~ rule[i, "skip"]) continue
+            if (rule[i, "from"] != "" && $0 ~ rule[i, "from"]) inside[i] = 1
+            if (inside[i] && $0 ~ rule[i, "forbid"] &&
+                (rule[i, "allow"] == "" || $0 !~ rule[i, "allow"])) {
+                print "    " FILENAME ":" FNR ": " $0
+                print "      refused: " rule[i, "why"]
+                bad = 1
+            }
+            if (rule[i, "from"] != "" && $0 ~ rule[i, "to"]) inside[i] = 0
+        }
+    }
     END { exit bad }
-' $(find crates/{devices,core,kvs,fabric,baseline,sec,bench}/src -name '*.rs' | sort) || {
-    echo "FAIL: raw \`impl Device for\` outside the named list; implement Firmware"; exit 1;
-}
-
-echo "==> a message is allocated once and a name is spelled once"
-# `apply_action` runs once per effect of every handler: a name it needs is
-# a handle made when the slot was (`System::dst_name` / `id_name`), never a
-# `format!` or `to_string()` per record. And the machine only ever passes an
-# envelope on (`Arc::clone`, `&*env`): a deep copy under core/src/system/
-# is a copy per recipient of a broadcast.
-awk '
-    FNR == 1 { skip = 0; in_apply = 0 }
-    /^#\[cfg\(test\)\]/ { skip = 1 }
-    /^    fn apply_action\(/ { in_apply = 1 }
-    in_apply && /format!|to_string\(\)/ {
-        print "    " FILENAME ":" FNR ": " $0; bad = 1
-    }
-    in_apply && /^    }/ { in_apply = 0 }
-    !skip && !/^[ \t]*\/\// &&
-    /(^|[^A-Za-z_])(env|envelope|shared)\.clone\(\)|\(\*[a-z_]+\)\.clone\(\)|Envelope::clone/ {
-        print "    " FILENAME ":" FNR ": " $0; bad = 1
-    }
-    skip && /^}/ { skip = 0 }
-    END { exit bad }
-' $(find crates/core/src/system -name '*.rs' | sort) || {
-    echo "FAIL: a name formatted in apply_action, or an Envelope deep-copied in core/src/system"; exit 1;
-}
-# A request is a slot and an envelope is recycled: the NIC-side server serves
-# the borrowed `KvsRequestRef` (a waiting one is wire bytes in the backlog
-# arena, never an owned copy); an envelope's `Arc` is made in one place,
-# `EnvelopePool::share` in bus/src/bus/envelopes.rs, so every send, doorbell
-# and reply can ride a recycled allocation; and a descriptor chain is links
-# in the driver's per-descriptor table, not a list collected per submit.
-# On the rack: a frame crossing the fabric link is recorded as two integers
-# and rendered when a checkpoint or an export wants the line, and the shard
-# router triages and serves the borrowed `KvsResponseRef` / `KvsRequestRef`.
-awk '
-    FNR == 1 { skip = 0; in_submit = 0 }
-    /^#\[cfg\(test\)\]/ { skip = 1 }
-    skip && /^}/ { skip = 0 }
-    skip || /^[ \t]*\/\// { next }
-    FILENAME ~ /kvs\/src\/(app|server)\.rs$/ && /\.to_owned\(\)|KvsRequest::decode/ {
-        print "    " FILENAME ":" FNR ": " $0; bad = 1
-    }
-    FILENAME ~ /(core\/src\/system|bus\/src\/bus)\// && FILENAME !~ /envelopes\.rs$/ && /Arc::new\(/ {
-        print "    " FILENAME ":" FNR ": " $0; bad = 1
-    }
-    FILENAME ~ /core\/src\/system\/net\.rs$/ && /TraceData::Text\(format!\(/ {
-        print "    " FILENAME ":" FNR ": " $0; bad = 1
-    }
-    FILENAME ~ /kvs\/src\/router\.rs$/ && /Kvs(Response|Request)::decode\(/ {
-        print "    " FILENAME ":" FNR ": " $0; bad = 1
-    }
-    FILENAME ~ /virtio\/src\/queue\.rs$/ && /^    pub fn submit_chain/ { in_submit = 1 }
-    in_submit && /Vec<u16>|collect\(\)|vec!\[/ {
-        print "    " FILENAME ":" FNR ": " $0; bad = 1
-    }
-    in_submit && /^    }/ { in_submit = 0 }
-    END { exit bad }
-' crates/kvs/src/app.rs crates/kvs/src/server.rs crates/kvs/src/router.rs crates/virtio/src/queue.rs \
-  $(find crates/core/src/system crates/bus/src/bus -name '*.rs' | sort) || {
-    echo "FAIL: an owned request copy in the NIC server or the shard router, an envelope Arc made outside EnvelopePool::share, a descriptor list collected per submit, or a fabric-link record formatted per frame"; exit 1;
+' $(find crates -path '*/src/*' -name '*.rs' | sort) || {
+    echo "FAIL: a refused line in library code (see above)"; exit 1;
 }
 
 echo "==> tier-1: cargo build --release"
