@@ -5,12 +5,15 @@
 //! hardware that carries them out. A `MapInstruction` programs the target's
 //! IOMMU one hop plus bus processing after it was accepted — strictly before
 //! any two-hop response can reach the requester, so a device never sees
-//! "allocation succeeded" while its mapping is pending.
+//! "allocation succeeded" while its mapping is pending. It programs its
+//! whole region at once ([`Iommu::grant`](lastcpu_iommu::Iommu::grant),
+//! [`Iommu::revoke`](lastcpu_iommu::Iommu::revoke)), one table walk per
+//! leaf table.
 
 use std::sync::Arc;
 
 use lastcpu_bus::{BusEffect, Envelope, Payload};
-use lastcpu_mem::{MapError, Pasid, Perms, PhysAddr, VirtAddr, PAGE_SIZE};
+use lastcpu_mem::{Pasid, Perms, PhysAddr, VirtAddr};
 use lastcpu_sim::{CorrId, SimTime, TraceData};
 
 use super::{Event, System};
@@ -155,32 +158,26 @@ impl System {
     ) {
         let slot = &mut self.slots[idx];
         let perms = Perms::from_bits(perms);
-        slot.iommu.bind_pasid(Pasid(pasid));
-        for i in 0..pages {
-            let va_i = VirtAddr::new(va + i * PAGE_SIZE);
-            let pa_i = PhysAddr::new(pa + i * PAGE_SIZE);
-            match slot.iommu.map(Pasid(pasid), va_i, pa_i, perms) {
-                Ok(()) => {}
-                Err(MapError::AlreadyMapped { .. }) => {
-                    // Idempotent re-grant (e.g. a share retried after a
-                    // failure broadcast raced with it): refresh permissions.
-                    let _ = slot.iommu.protect(Pasid(pasid), va_i, perms);
-                }
-                Err(e) => {
-                    if self.trace.is_enabled() {
-                        self.trace.emit_data(
-                            self.queue.now(),
-                            self.sources.bus.clone(),
-                            corr,
-                            TraceData::MapFailure {
-                                error: format!("{e}"),
-                            },
-                        );
-                    }
-                    self.met.map_failures.incr();
-                    return;
-                }
+        let granted = slot.iommu.grant(
+            Pasid(pasid),
+            VirtAddr::new(va),
+            PhysAddr::new(pa),
+            pages,
+            perms,
+        );
+        if let Err(e) = granted {
+            if self.trace.is_enabled() {
+                self.trace.emit_data(
+                    self.queue.now(),
+                    self.sources.bus.clone(),
+                    corr,
+                    TraceData::MapFailure {
+                        error: format!("{e}"),
+                    },
+                );
             }
+            self.met.map_failures.incr();
+            return;
         }
         self.met.pages_mapped.add(pages);
         if self.trace.is_enabled() {
@@ -209,13 +206,7 @@ impl System {
         corr: CorrId,
     ) {
         let slot = &mut self.slots[idx];
-        let mut removed = 0;
-        for i in 0..pages {
-            let va_i = VirtAddr::new(va + i * PAGE_SIZE);
-            if slot.iommu.unmap(Pasid(pasid), va_i).is_ok() {
-                removed += 1;
-            }
-        }
+        let removed = slot.iommu.revoke(Pasid(pasid), VirtAddr::new(va), pages);
         self.met.pages_unmapped.add(removed);
         if self.trace.is_enabled() {
             self.trace.emit_data(

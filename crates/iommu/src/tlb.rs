@@ -220,14 +220,38 @@ impl Iotlb {
     /// Invalidates the entry for one page, if present. Returns whether an
     /// entry was removed.
     pub fn invalidate_page(&mut self, pasid: Pasid, va: VirtAddr) -> bool {
-        let key = (pasid, va.page_number());
-        if self.front.is_some_and(|f| (f.pasid, f.page) == key) {
+        self.invalidate_range(pasid, va, 1) == 1
+    }
+
+    /// Invalidates `pasid`'s entries for the `pages` pages from the one
+    /// containing `va`. Returns how many were removed, which is what
+    /// `stats.invalidations` gains.
+    ///
+    /// Costs O(min(pages, entries)): a short range is removed key by key, a
+    /// long one by one pass over the entries. The caller that revokes a
+    /// region relies on every entry being a mapped page, so invalidating
+    /// the whole region removes exactly what invalidating each page that
+    /// was mapped would have.
+    pub fn invalidate_range(&mut self, pasid: Pasid, va: VirtAddr, pages: u64) -> usize {
+        let first = va.page_number();
+        let range = first..first.saturating_add(pages);
+        if self
+            .front
+            .is_some_and(|f| f.pasid == pasid && range.contains(&f.page))
+        {
             self.front = None;
         }
-        let removed = self.entries.remove(&key).is_some();
-        if removed {
-            self.stats.invalidations += 1;
+        let before = self.entries.len();
+        if pages <= before as u64 {
+            for page in range {
+                self.entries.remove(&(pasid, page));
+            }
+        } else {
+            self.entries
+                .retain(|&(p, page), _| p != pasid || !range.contains(&page));
         }
+        let removed = before - self.entries.len();
+        self.stats.invalidations += removed as u64;
         removed
     }
 
@@ -249,6 +273,20 @@ impl Iotlb {
         self.front = None;
         self.stats.invalidations += self.entries.len() as u64;
         self.entries.clear();
+    }
+}
+
+/// What the IOTLB would serve, for tests that hold it to the page tables.
+#[cfg(test)]
+impl Iotlb {
+    /// Every cached translation as `(pasid, page, frame, perms)`, the
+    /// front entry included.
+    pub(crate) fn cached(&self) -> Vec<(Pasid, u64, PhysAddr, Perms)> {
+        let front = self.front.map(|f| (f.pasid, f.page, f.frame_pa, f.perms));
+        (self.entries.iter())
+            .map(|(&(pasid, page), e)| (pasid, page, e.frame_pa, e.perms))
+            .chain(front)
+            .collect()
     }
 }
 
@@ -299,7 +337,12 @@ impl lastcpu_snap::Restore for Iotlb {
         if n > capacity {
             return Err(r.corrupt("Iotlb entry count exceeds capacity"));
         }
-        let mut entries = DetHashMap::with_capacity_and_hasher(capacity, Default::default());
+        // The declared capacity sizes a reservation: a hostile one must fail
+        // as `Corrupt`, not abort in the allocator.
+        let mut entries = DetHashMap::default();
+        if let Err(e) = entries.try_reserve(capacity) {
+            return Err(r.corrupt(format!("Iotlb capacity {capacity}: {e}")));
+        }
         for _ in 0..n {
             let pasid = Pasid(r.u32()?);
             let page = r.u64()?;
@@ -411,6 +454,27 @@ mod tests {
     }
 
     #[test]
+    fn invalidate_range_removes_the_range_of_one_pasid() {
+        let mut tlb = Iotlb::new(8);
+        for page in 0..4 {
+            tlb.insert(Pasid(1), va(page), pa(page), Perms::R);
+        }
+        tlb.insert(Pasid(2), va(1), pa(9), Perms::R);
+        // The front entry is page 2.
+        tlb.lookup(Pasid(1), va(2), Perms::R);
+        // Two pages of five entries: removed key by key.
+        assert_eq!(tlb.invalidate_range(Pasid(1), va(1), 2), 2);
+        assert!(tlb.lookup(Pasid(1), va(2), Perms::R).is_none());
+        assert!(tlb.lookup(Pasid(1), va(0), Perms::R).is_some());
+        assert!(tlb.lookup(Pasid(1), va(3), Perms::R).is_some());
+        assert!(tlb.lookup(Pasid(2), va(1), Perms::R).is_some());
+        // More pages than entries: one pass over the entries.
+        assert_eq!(tlb.invalidate_range(Pasid(1), va(0), u64::MAX), 2);
+        assert_eq!(tlb.len(), 1);
+        assert_eq!(tlb.stats().invalidations, 4);
+    }
+
+    #[test]
     fn hit_rate_computation() {
         let mut tlb = Iotlb::new(4);
         tlb.insert(Pasid(1), va(1), pa(1), Perms::R);
@@ -438,6 +502,23 @@ mod tests {
         let s = tlb.stats();
         assert_eq!(s.hits, 1);
         assert!((s.hit_rate() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_hostile_capacity_fails_restore_as_corrupt() {
+        use lastcpu_snap::{Restore, SnapError, SnapReader, Snapshot};
+        let mut tlb = Iotlb::new(4);
+        tlb.insert(Pasid(1), va(1), pa(1), Perms::R);
+        let mut bytes = tlb.snapshot_bytes();
+        bytes[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let mut back = Iotlb::new(4);
+        let err = back.restore(&mut SnapReader::new("iotlb", &bytes));
+        assert!(matches!(err, Err(SnapError::Corrupt { .. })), "{err:?}");
+        // The capacity it was given restores.
+        bytes[..8].copy_from_slice(&4u64.to_le_bytes());
+        back.restore(&mut SnapReader::new("iotlb", &bytes))
+            .expect("well-formed");
+        assert_eq!(back.snapshot_bytes(), tlb.snapshot_bytes());
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub struct TranslationOutcome {
 /// paper's security argument: device implementations receive translation
 /// service through their DMA context, never a `&mut Iommu`, so a buggy or
 /// malicious device cannot extend its own mappings. Only the system-bus glue
-/// (in `lastcpu-core`) holds the units and performs [`Iommu::map`] /
-/// [`Iommu::unmap`], and it does so only on instruction from the controller
+/// (in `lastcpu-core`) holds the units and performs [`Iommu::grant`] /
+/// [`Iommu::revoke`], and it does so only on instruction from the controller
 /// of the mapped resource.
 ///
 /// # Examples
@@ -168,6 +168,50 @@ impl Iommu {
         table.map(va, pa, perms)?;
         self.stats.maps += 1;
         Ok(())
+    }
+
+    /// Programs a region: `pages` pages from `va` onto consecutive frames
+    /// from `pa`, one table walk per leaf table. Privileged: this is the
+    /// bus carrying out a `MapInstruction`.
+    ///
+    /// A fresh page is mapped. A page that is already mapped (an idempotent
+    /// re-grant, e.g. a share retried after a failure broadcast raced with
+    /// it) keeps its frame, takes `perms` and loses its IOTLB entry. The
+    /// first error stops the grant; the pages before it stay mapped.
+    /// `stats.maps` counts fresh pages only.
+    pub fn grant(
+        &mut self,
+        pasid: Pasid,
+        va: VirtAddr,
+        pa: PhysAddr,
+        pages: u64,
+        perms: Perms,
+    ) -> Result<(), MapError> {
+        let table = self.tables.entry(pasid).or_default();
+        let done = table.map_range(va, pa, pages, perms);
+        self.stats.maps += done.fresh;
+        if done.refreshed > 0 {
+            // Fresh pages have no IOTLB entry, so invalidating the
+            // programmed prefix drops exactly the refreshed pages' entries.
+            self.tlb
+                .invalidate_range(pasid, va, done.fresh + done.refreshed);
+        }
+        done.error.map_or(Ok(()), Err)
+    }
+
+    /// Revokes a region: unmaps whatever is mapped among the `pages` pages
+    /// from `va` and drops their IOTLB entries. Privileged. Returns how
+    /// many pages it unmapped.
+    pub fn revoke(&mut self, pasid: Pasid, va: VirtAddr, pages: u64) -> u64 {
+        let Some(table) = self.tables.get_mut(&pasid) else {
+            return 0;
+        };
+        let removed = table.unmap_range(va, pages);
+        if removed > 0 {
+            self.tlb.invalidate_range(pasid, va, pages);
+        }
+        self.stats.unmaps += removed;
+        removed
     }
 
     /// Unmaps one page and invalidates its IOTLB entry. Privileged.
@@ -404,6 +448,192 @@ mod proptests {
                 }
             }
         }
+    }
+}
+
+/// `grant` and `revoke` against the system's per-page loops from before a
+/// region was programmed by the leaf table (`apply_map` / `apply_unmap` in
+/// `lastcpu-core`, copied verbatim but for their trace records), on
+/// statistics and snapshot bytes after every step.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use lastcpu_mem::PAGE_SIZE;
+    use lastcpu_snap::Snapshot;
+    use proptest::prelude::*;
+
+    fn apply_map(
+        slot: &mut Iommu,
+        pasid: u32,
+        va: u64,
+        pa: u64,
+        pages: u64,
+        perms: u8,
+    ) -> Result<(), MapError> {
+        let perms = Perms::from_bits(perms);
+        slot.bind_pasid(Pasid(pasid));
+        for i in 0..pages {
+            let va_i = VirtAddr::new(va + i * PAGE_SIZE);
+            let pa_i = PhysAddr::new(pa + i * PAGE_SIZE);
+            match slot.map(Pasid(pasid), va_i, pa_i, perms) {
+                Ok(()) => {}
+                Err(MapError::AlreadyMapped { .. }) => {
+                    // Idempotent re-grant (e.g. a share retried after a
+                    // failure broadcast raced with it): refresh permissions.
+                    let _ = slot.protect(Pasid(pasid), va_i, perms);
+                }
+                Err(e) => {
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn apply_unmap(slot: &mut Iommu, pasid: u32, va: u64, pages: u64) -> u64 {
+        let mut removed = 0;
+        for i in 0..pages {
+            let va_i = VirtAddr::new(va + i * PAGE_SIZE);
+            if slot.unmap(Pasid(pasid), va_i).is_ok() {
+                removed += 1;
+            }
+        }
+        removed
+    }
+
+    /// Every IOTLB entry is a page its table maps, to the cached frame with
+    /// the cached permissions: what lets `revoke` and `grant` invalidate a
+    /// whole range.
+    fn assert_tlb_is_mapped(mmu: &Iommu) {
+        for (pasid, page, frame, perms) in mmu.tlb.cached() {
+            let t = mmu.tables[&pasid]
+                .translate(VirtAddr::new(page * PAGE_SIZE), Perms::NONE)
+                .expect("a cached page is mapped");
+            assert_eq!((t.pa, t.perms), (frame, perms), "page {page:#x}");
+        }
+    }
+
+    fn assert_same(new: &Iommu, old: &Iommu) {
+        assert_eq!(format!("{:?}", new.stats()), format!("{:?}", old.stats()));
+        assert_eq!(new.tlb_stats(), old.tlb_stats());
+        assert_eq!(new.tlb.snapshot_bytes(), old.tlb.snapshot_bytes());
+        assert_eq!(new.snapshot_bytes(), old.snapshot_bytes());
+        assert_tlb_is_mapped(new);
+        assert_tlb_is_mapped(old);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Grant(u32, u64, u64, u64, u8),
+        Revoke(u32, u64, u64),
+        Touch(u32, u64, u64, bool),
+        Unbind(u32),
+    }
+
+    const EDGE_PAGE: u64 = 1 << 36;
+
+    /// A page around a leaf-table boundary or the edge of the range.
+    fn page() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..1200, EDGE_PAGE - 700..EDGE_PAGE + 4]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            ((0u32..3, page()), 0u64..4096, 0u64..600, 0u8..8, 0u64..12).prop_map(
+                |((p, v), f, n, b, k)| {
+                    // One grant in twelve is unaligned in va, one in pa.
+                    let va = (v << 12) | ((k == 0) as u64 * 0x10);
+                    let pa = (f << 12) | ((k == 1) as u64 * 0x10);
+                    Op::Grant(p, va, pa, n, b)
+                }
+            ),
+            (0u32..3, page(), 0u64..600, 0u64..2).prop_map(|(p, v, n, off)| Op::Revoke(
+                p,
+                (v << 12) | (off * 0x234),
+                n
+            )),
+            (0u32..3, page(), 1u64..80, 0u8..2).prop_map(|(p, v, n, w)| Op::Touch(p, v, n, w == 1)),
+            (0u32..3, page(), 1u64..80, 0u8..2).prop_map(|(p, v, n, w)| Op::Touch(p, v, n, w == 1)),
+            (0u32..12).prop_map(Op::Unbind),
+        ]
+    }
+
+    fn run(new: &mut Iommu, old: &mut Iommu, op: Op) {
+        match op {
+            Op::Grant(p, va, pa, n, b) => {
+                let got = new.grant(
+                    Pasid(p),
+                    VirtAddr::new(va),
+                    PhysAddr::new(pa),
+                    n,
+                    Perms::from_bits(b),
+                );
+                assert_eq!(got, apply_map(old, p, va, pa, n, b));
+            }
+            Op::Revoke(p, va, n) => {
+                let got = new.revoke(Pasid(p), VirtAddr::new(va), n);
+                assert_eq!(got, apply_unmap(old, p, va, n));
+            }
+            Op::Touch(p, v, n, write) => {
+                let access = if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                // Each page twice, as a streaming device touches it: the
+                // second access hits, so the IOTLB's front entry is live.
+                for i in 0..2 * n {
+                    let va = VirtAddr::new((v + i / 2) * PAGE_SIZE + 8);
+                    let got = new.translate(Pasid(p), va, access);
+                    assert_eq!(got, old.translate(Pasid(p), va, access));
+                }
+            }
+            Op::Unbind(p) => {
+                // Mostly a no-op: a PASID beyond 2 was never bound.
+                assert_eq!(new.unbind_pasid(Pasid(p)), old.unbind_pasid(Pasid(p)));
+            }
+        }
+        assert_same(new, old);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn prop_grant_and_revoke_match_the_per_page_loops(
+            tlb in 1usize..96,
+            ops in proptest::collection::vec(op(), 1..40)
+        ) {
+            let (mut new, mut old) = (Iommu::new(tlb), Iommu::new(tlb));
+            for op in ops {
+                run(&mut new, &mut old, op);
+            }
+        }
+    }
+
+    /// The sequence `tests/iommu_pins.rs` records, through `grant` and
+    /// `revoke`.
+    #[test]
+    fn the_pinned_edge_cases_match_the_per_page_loops() {
+        let (mut new, mut old) = (Iommu::new(16), Iommu::new(16));
+        let leaf = 512 * PAGE_SIZE;
+        let edge = EDGE_PAGE * PAGE_SIZE;
+        for op in [
+            Op::Grant(3, leaf - 3 * PAGE_SIZE, 0x10_0000, 8, 3),
+            Op::Touch(3, 509, 8, false),
+            Op::Grant(3, leaf - 6 * PAGE_SIZE, 0x90_0000, 10, 1),
+            Op::Touch(3, 506, 12, false),
+            Op::Revoke(3, leaf - 8 * PAGE_SIZE, 12),
+            Op::Touch(3, 504, 16, false),
+            Op::Grant(3, edge - 3 * PAGE_SIZE, 0x40_0000, 6, 3),
+            Op::Touch(3, EDGE_PAGE - 3, 3, false),
+            Op::Revoke(3, edge - 2 * PAGE_SIZE, 5),
+            Op::Grant(3, 0x5001, 0x20_0000, 4, 3),
+            Op::Grant(3, 0x5000, 0x20_0001, 4, 3),
+            Op::Grant(7, 0x7003, 0x30_0000, 0, 3),
+        ] {
+            run(&mut new, &mut old, op);
+        }
+        assert_eq!(new.mapped_pages(), 2);
     }
 }
 

@@ -24,4 +24,4 @@ pub mod pagetable;
 pub use addr::{Pasid, PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 pub use dram::{Dram, DramCostModel, DramError};
 pub use frame::{FrameAllocError, FrameAllocator};
-pub use pagetable::{MapError, PageTable, Perms, TranslateError};
+pub use pagetable::{MapError, MappedRange, PageTable, Perms, TranslateError};

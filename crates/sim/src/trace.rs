@@ -203,6 +203,11 @@ impl lastcpu_snap::Restore for TraceSink {
             });
         }
         self.ring.clear();
+        // `set_capacity` reserves the whole ring; a hostile capacity must
+        // fail as `Corrupt` here, not abort in the allocator there.
+        if let Err(e) = self.ring.try_reserve(capacity) {
+            return Err(r.corrupt(format!("trace capacity {capacity}: {e}")));
+        }
         self.set_capacity(capacity);
         self.enabled = enabled;
         self.emitted = emitted;
@@ -455,6 +460,18 @@ mod tests {
         assert_eq!(back.total_emitted(), t.total_emitted());
         assert!(back.is_enabled());
         assert_eq!(back.snapshot_bytes(), bytes);
+    }
+
+    #[test]
+    fn a_hostile_capacity_fails_restore_as_corrupt() {
+        use lastcpu_snap::{Restore, SnapError, SnapReader, Snapshot};
+        let mut t = TraceSink::bounded(4);
+        t.emit(SimTime::from_nanos(1), "s", "a");
+        let mut bytes = t.snapshot_bytes();
+        bytes[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let mut back = TraceSink::disabled();
+        let err = back.restore(&mut SnapReader::new("trace", &bytes));
+        assert!(matches!(err, Err(SnapError::Corrupt { .. })), "{err:?}");
     }
 
     #[test]

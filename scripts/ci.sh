@@ -66,6 +66,10 @@ forbid: format!|to_string\(\)
 why: apply_action runs per effect; a name it needs is a handle made with the slot
 
 files: ^crates/core/src/system/
+forbid: \.iommu\.(map|unmap)\(
+why: a MapInstruction programs its region through Iommu::grant/revoke, one walk per leaf table
+
+files: ^crates/core/src/system/
 forbid: (^|[^A-Za-z_])(env|envelope|shared)\.clone\(\)|\(\*[a-z_]+\)\.clone\(\)|Envelope::clone
 why: the machine passes an envelope on; a deep copy is one per broadcast recipient
 
