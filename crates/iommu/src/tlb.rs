@@ -220,38 +220,14 @@ impl Iotlb {
     /// Invalidates the entry for one page, if present. Returns whether an
     /// entry was removed.
     pub fn invalidate_page(&mut self, pasid: Pasid, va: VirtAddr) -> bool {
-        self.invalidate_range(pasid, va, 1) == 1
-    }
-
-    /// Invalidates `pasid`'s entries for the `pages` pages from the one
-    /// containing `va`. Returns how many were removed, which is what
-    /// `stats.invalidations` gains.
-    ///
-    /// Costs O(min(pages, entries)): a short range is removed key by key, a
-    /// long one by one pass over the entries. The caller that revokes a
-    /// region relies on every entry being a mapped page, so invalidating
-    /// the whole region removes exactly what invalidating each page that
-    /// was mapped would have.
-    pub fn invalidate_range(&mut self, pasid: Pasid, va: VirtAddr, pages: u64) -> usize {
-        let first = va.page_number();
-        let range = first..first.saturating_add(pages);
-        if self
-            .front
-            .is_some_and(|f| f.pasid == pasid && range.contains(&f.page))
-        {
+        let key = (pasid, va.page_number());
+        if self.front.is_some_and(|f| (f.pasid, f.page) == key) {
             self.front = None;
         }
-        let before = self.entries.len();
-        if pages <= before as u64 {
-            for page in range {
-                self.entries.remove(&(pasid, page));
-            }
-        } else {
-            self.entries
-                .retain(|&(p, page), _| p != pasid || !range.contains(&page));
+        let removed = self.entries.remove(&key).is_some();
+        if removed {
+            self.stats.invalidations += 1;
         }
-        let removed = before - self.entries.len();
-        self.stats.invalidations += removed as u64;
         removed
     }
 
@@ -321,10 +297,17 @@ impl lastcpu_snap::Snapshot for Iotlb {
 
 impl lastcpu_snap::Restore for Iotlb {
     fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let capacity = r.u64()? as usize;
-        if capacity == 0 {
-            return Err(r.corrupt("Iotlb capacity must be positive"));
+        // The capacity is the unit's configuration, not its state: a
+        // checkpoint restores only into a TLB built with the capacity it
+        // declares, so a hostile one never sizes an allocation.
+        let capacity = r.u64()?;
+        if capacity != self.capacity as u64 {
+            return Err(r.corrupt(format!(
+                "Iotlb capacity {capacity}, but this unit holds {}",
+                self.capacity
+            )));
         }
+        let capacity = self.capacity;
         let tick = r.u64()?;
         let stats = TlbStats {
             hits: r.u64()?,
@@ -337,12 +320,7 @@ impl lastcpu_snap::Restore for Iotlb {
         if n > capacity {
             return Err(r.corrupt("Iotlb entry count exceeds capacity"));
         }
-        // The declared capacity sizes a reservation: a hostile one must fail
-        // as `Corrupt`, not abort in the allocator.
-        let mut entries = DetHashMap::default();
-        if let Err(e) = entries.try_reserve(capacity) {
-            return Err(r.corrupt(format!("Iotlb capacity {capacity}: {e}")));
-        }
+        let mut entries = DetHashMap::with_capacity_and_hasher(capacity, Default::default());
         for _ in 0..n {
             let pasid = Pasid(r.u32()?);
             let page = r.u64()?;
@@ -362,7 +340,6 @@ impl lastcpu_snap::Restore for Iotlb {
                 last_used: r.u64()?,
             })
         })?;
-        self.capacity = capacity;
         self.tick = tick;
         self.stats = stats;
         self.entries = entries;
@@ -454,27 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_range_removes_the_range_of_one_pasid() {
-        let mut tlb = Iotlb::new(8);
-        for page in 0..4 {
-            tlb.insert(Pasid(1), va(page), pa(page), Perms::R);
-        }
-        tlb.insert(Pasid(2), va(1), pa(9), Perms::R);
-        // The front entry is page 2.
-        tlb.lookup(Pasid(1), va(2), Perms::R);
-        // Two pages of five entries: removed key by key.
-        assert_eq!(tlb.invalidate_range(Pasid(1), va(1), 2), 2);
-        assert!(tlb.lookup(Pasid(1), va(2), Perms::R).is_none());
-        assert!(tlb.lookup(Pasid(1), va(0), Perms::R).is_some());
-        assert!(tlb.lookup(Pasid(1), va(3), Perms::R).is_some());
-        assert!(tlb.lookup(Pasid(2), va(1), Perms::R).is_some());
-        // More pages than entries: one pass over the entries.
-        assert_eq!(tlb.invalidate_range(Pasid(1), va(0), u64::MAX), 2);
-        assert_eq!(tlb.len(), 1);
-        assert_eq!(tlb.stats().invalidations, 4);
-    }
-
-    #[test]
     fn hit_rate_computation() {
         let mut tlb = Iotlb::new(4);
         tlb.insert(Pasid(1), va(1), pa(1), Perms::R);
@@ -510,11 +466,15 @@ mod tests {
         let mut tlb = Iotlb::new(4);
         tlb.insert(Pasid(1), va(1), pa(1), Perms::R);
         let mut bytes = tlb.snapshot_bytes();
-        bytes[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         let mut back = Iotlb::new(4);
-        let err = back.restore(&mut SnapReader::new("iotlb", &bytes));
-        assert!(matches!(err, Err(SnapError::Corrupt { .. })), "{err:?}");
-        // The capacity it was given restores.
+        // Huge or merely different, a capacity this unit was not built with
+        // is refused before anything is reserved.
+        for capacity in [1u64 << 40, 8] {
+            bytes[..8].copy_from_slice(&capacity.to_le_bytes());
+            let err = back.restore(&mut SnapReader::new("iotlb", &bytes));
+            assert!(matches!(err, Err(SnapError::Corrupt { .. })), "{err:?}");
+        }
+        // The capacity it was built with restores.
         bytes[..8].copy_from_slice(&4u64.to_le_bytes());
         back.restore(&mut SnapReader::new("iotlb", &bytes))
             .expect("well-formed");

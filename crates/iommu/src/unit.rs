@@ -2,7 +2,10 @@
 
 use std::fmt;
 
-use lastcpu_mem::{MapError, PageTable, Pasid, Perms, PhysAddr, TranslateError, VirtAddr};
+use lastcpu_mem::pagetable::{MAX_RESTORED_NODES, VA_BITS};
+use lastcpu_mem::{
+    MapError, PageTable, Pasid, Perms, PhysAddr, TranslateError, VirtAddr, PAGE_SHIFT,
+};
 use lastcpu_sim::{DetHashMap, SimDuration};
 
 use crate::audit::{DmaAudit, DmaDenialRecord};
@@ -191,10 +194,7 @@ impl Iommu {
         let done = table.map_range(va, pa, pages, perms);
         self.stats.maps += done.fresh;
         if done.refreshed > 0 {
-            // Fresh pages have no IOTLB entry, so invalidating the
-            // programmed prefix drops exactly the refreshed pages' entries.
-            self.tlb
-                .invalidate_range(pasid, va, done.fresh + done.refreshed);
+            self.invalidate_pages(pasid, va, done.fresh + done.refreshed);
         }
         done.error.map_or(Ok(()), Err)
     }
@@ -208,10 +208,23 @@ impl Iommu {
         };
         let removed = table.unmap_range(va, pages);
         if removed > 0 {
-            self.tlb.invalidate_range(pasid, va, pages);
+            self.invalidate_pages(pasid, va, pages);
         }
         self.stats.unmaps += removed;
         removed
+    }
+
+    /// Drops the IOTLB entry of each of the `pages` pages from the one
+    /// containing `va`. Only a mapped page has an entry, so over a range
+    /// just programmed or revoked this removes what the per-page `protect`
+    /// or `unmap` would have; pages past the translatable edge have none.
+    fn invalidate_pages(&mut self, pasid: Pasid, va: VirtAddr, pages: u64) {
+        let first = va.page_number();
+        let end = first.saturating_add(pages).min(1 << (VA_BITS - PAGE_SHIFT));
+        for page in first..end {
+            self.tlb
+                .invalidate_page(pasid, VirtAddr::new(page << PAGE_SHIFT));
+        }
     }
 
     /// Unmaps one page and invalidates its IOTLB entry. Privileged.
@@ -502,8 +515,8 @@ mod oracle {
     }
 
     /// Every IOTLB entry is a page its table maps, to the cached frame with
-    /// the cached permissions: what lets `revoke` and `grant` invalidate a
-    /// whole range.
+    /// the cached permissions: what lets `revoke` and `grant` invalidate
+    /// every page of their range, mapped or not.
     fn assert_tlb_is_mapped(mmu: &Iommu) {
         for (pasid, page, frame, perms) in mmu.tlb.cached() {
             let t = mmu.tables[&pasid]
@@ -670,10 +683,20 @@ impl lastcpu_snap::Restore for Iommu {
         self.stats.unmaps = r.u64()?;
         let n = r.len()?;
         self.tables = DetHashMap::default();
+        // A table's replay makes no more tables than it declares; the unit
+        // holds the declared counts of all its PASIDs to the bound one table
+        // has, so many sparse tables cannot add up to what one may not.
+        let mut nodes = 0;
         for _ in 0..n {
             let pasid = Pasid(r.u32()?);
             let mut table = PageTable::new();
             table.restore(r)?;
+            nodes += table.node_count();
+            if nodes > MAX_RESTORED_NODES {
+                return Err(r.corrupt(format!(
+                    "{nodes} tables exceed the {MAX_RESTORED_NODES} a restore may make"
+                )));
+            }
             self.tables.insert(pasid, table);
         }
         self.tlb.restore(r)?;
@@ -853,6 +876,36 @@ mod tests {
         assert_eq!(mmu.tlb_stats().hits, 1);
         assert_eq!(mmu.mapped_pages(), 1);
         assert!(mmu.table_nodes() >= 4);
+    }
+
+    #[test]
+    fn a_restore_bounds_the_tables_of_all_pasids() {
+        use lastcpu_snap::{Restore, SnapError, Snapshot};
+        let mut mmu = unit();
+        mmu.map(
+            Pasid(2),
+            VirtAddr::new(0x1000),
+            PhysAddr::new(0x9000),
+            Perms::R,
+        )
+        .unwrap();
+        let mut bytes = mmu.snapshot_bytes();
+        // Seven counters and the PASID count, then per PASID its id, its
+        // table's declared node count and one 17-byte mapping.
+        let first = 8 * 8 + 4;
+        let second = first + 8 + 8 + 17 + 4;
+        let half = MAX_RESTORED_NODES / 2 + 1;
+        for at in [first, second] {
+            bytes[at..at + 8].copy_from_slice(&half.to_le_bytes());
+        }
+        let mut back = Iommu::new(16);
+        let err = back.restore_bytes("iommu", &bytes);
+        assert!(matches!(err, Err(SnapError::Corrupt { .. })), "{err:?}");
+        // Either table alone is within the bound.
+        bytes[second..second + 8].copy_from_slice(&4u64.to_le_bytes());
+        back.restore_bytes("iommu", &bytes)
+            .expect("within the bound");
+        assert_eq!(back.table_nodes(), half + 4);
     }
 
     #[test]

@@ -235,6 +235,11 @@ type Dir<T> = DetHashMap<u16, T>;
 /// First page number past the translatable range.
 const PAGE_LIMIT: u64 = 1 << (VA_BITS - PAGE_SHIFT);
 
+/// The most tables (root included) a checkpoint may declare for one
+/// address space, or for all of one IOMMU's: 16,384 tables, at most 64 MiB
+/// of leaf pages. The SSD of a churning Figure-2 machine holds 32.
+pub const MAX_RESTORED_NODES: u64 = 1 << 14;
+
 /// The three interior indices of `page`, root first.
 fn dir_indices(page: u64) -> [u16; LEVELS - 1] {
     let idx = |level: u64| ((page >> (BITS_PER_LEVEL * level)) & (ENTRIES as u64 - 1)) as u16;
@@ -521,8 +526,21 @@ impl lastcpu_snap::Snapshot for PageTable {
 }
 
 impl lastcpu_snap::Restore for PageTable {
+    /// Replays the mappings. A sparse record costs a whole 4 KiB leaf
+    /// table, so the replay is held to the table count the checkpoint
+    /// declares — never more than the table it was taken from held, since
+    /// unmapping frees none — and that count to [`MAX_RESTORED_NODES`].
     fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
+        let corrupt = |detail: String| lastcpu_snap::SnapError::Corrupt {
+            section: "pagetable".into(),
+            detail,
+        };
         let node_count = r.u64()?;
+        if node_count > MAX_RESTORED_NODES {
+            return Err(corrupt(format!(
+                "{node_count} tables exceed the {MAX_RESTORED_NODES} a restore may make"
+            )));
+        }
         *self = PageTable::new();
         let n = r.len()?;
         for _ in 0..n {
@@ -530,10 +548,12 @@ impl lastcpu_snap::Restore for PageTable {
             let pa = PhysAddr::new(r.u64()?);
             let perms = Perms::from_bits(r.u8()?);
             self.map(va, pa, perms)
-                .map_err(|e| lastcpu_snap::SnapError::Corrupt {
-                    section: "pagetable".into(),
-                    detail: format!("replaying mapping {va}: {e}"),
-                })?;
+                .map_err(|e| corrupt(format!("replaying mapping {va}: {e}")))?;
+            if self.node_count > node_count {
+                return Err(corrupt(format!(
+                    "replaying mapping {va} makes more than the {node_count} tables declared"
+                )));
+            }
         }
         self.node_count = node_count;
         Ok(())
@@ -1148,6 +1168,48 @@ mod tests {
         assert_eq!(all[0].0, VirtAddr::new(0x1000));
         assert_eq!(all[1].0, VirtAddr::new(0x3000));
         assert_eq!(all[0].2, Perms::RW);
+    }
+
+    /// A checkpoint of `records` pages 2 MiB apart, one leaf table each,
+    /// declaring `declared` tables.
+    fn sparse_snapshot(declared: u64, records: u64) -> Vec<u8> {
+        let mut w = lastcpu_snap::SnapWriter::new();
+        w.put_u64(declared);
+        w.put_len(records as usize);
+        for i in 0..records {
+            w.put_u64(i << 21);
+            w.put_u64(0x1000);
+            w.put_u8(Perms::R.to_bits());
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_restore_makes_no_more_tables_than_declared() {
+        use lastcpu_snap::{Restore, SnapError, Snapshot};
+        let mut pt = PageTable::new();
+        for i in 0..100 {
+            pt.map(VirtAddr::new(i << 21), PhysAddr::new(0x1000), Perms::R)
+                .unwrap();
+        }
+        // Root, one directory on each of the two levels, 100 leaves.
+        assert_eq!(pt.node_count(), 103);
+        let bytes = pt.snapshot_bytes();
+        assert_eq!(bytes, sparse_snapshot(103, 100));
+        let mut back = PageTable::new();
+        back.restore_bytes("pagetable", &bytes)
+            .expect("well-formed");
+        assert_eq!(back.snapshot_bytes(), bytes);
+
+        // The same records declaring one table fewer than they need fail
+        // as the replay makes the extra leaf.
+        let err = back.restore_bytes("pagetable", &sparse_snapshot(102, 100));
+        assert!(matches!(err, Err(SnapError::Corrupt { .. })), "{err:?}");
+        // A count beyond the bound fails before any table is made.
+        let err = back.restore_bytes("pagetable", &sparse_snapshot(MAX_RESTORED_NODES + 1, 1));
+        assert!(matches!(err, Err(SnapError::Corrupt { .. })), "{err:?}");
+        back.restore_bytes("pagetable", &sparse_snapshot(MAX_RESTORED_NODES, 1))
+            .expect("at the bound");
     }
 
     #[test]

@@ -13,6 +13,11 @@ use std::sync::Arc;
 use crate::record::{CorrId, TraceData, TraceRecord};
 use crate::time::SimTime;
 
+/// The largest retention bound a checkpoint may declare: 16 Mi records,
+/// 16 times what E12 raises a machine's sink to. A sink raised past it
+/// runs, but its checkpoint does not restore.
+pub const MAX_RESTORED_CAPACITY: usize = 1 << 24;
+
 /// A bounded in-memory trace collector.
 ///
 /// When `enabled` is false, `emit` is a no-op so hot paths pay only a branch.
@@ -202,9 +207,15 @@ impl lastcpu_snap::Restore for TraceSink {
                 detail: format!("{n} retained records exceed capacity {capacity}"),
             });
         }
+        // `set_capacity` reserves the whole ring, so a capacity is refused
+        // above a fixed bound whatever the host would grant, and below it
+        // one the host cannot reserve is `Corrupt`, not an abort.
+        if capacity > MAX_RESTORED_CAPACITY {
+            return Err(r.corrupt(format!(
+                "trace capacity {capacity} exceeds the {MAX_RESTORED_CAPACITY} a restore may reserve"
+            )));
+        }
         self.ring.clear();
-        // `set_capacity` reserves the whole ring; a hostile capacity must
-        // fail as `Corrupt` here, not abort in the allocator there.
         if let Err(e) = self.ring.try_reserve(capacity) {
             return Err(r.corrupt(format!("trace capacity {capacity}: {e}")));
         }
@@ -468,10 +479,19 @@ mod tests {
         let mut t = TraceSink::bounded(4);
         t.emit(SimTime::from_nanos(1), "s", "a");
         let mut bytes = t.snapshot_bytes();
-        bytes[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         let mut back = TraceSink::disabled();
-        let err = back.restore(&mut SnapReader::new("trace", &bytes));
-        assert!(matches!(err, Err(SnapError::Corrupt { .. })), "{err:?}");
+        // Refused by the bound, not by the allocator: the outcome does not
+        // depend on how much the host would let the ring reserve.
+        for capacity in [1u64 << 40, MAX_RESTORED_CAPACITY as u64 + 1] {
+            bytes[..8].copy_from_slice(&capacity.to_le_bytes());
+            let err = back.restore(&mut SnapReader::new("trace", &bytes));
+            assert!(matches!(err, Err(SnapError::Corrupt { .. })), "{err:?}");
+            assert!(!back.is_enabled(), "a refused restore changes nothing");
+        }
+        bytes[..8].copy_from_slice(&4u64.to_le_bytes());
+        back.restore(&mut SnapReader::new("trace", &bytes))
+            .expect("well-formed");
+        assert_eq!(back.snapshot_bytes(), t.snapshot_bytes());
     }
 
     #[test]
