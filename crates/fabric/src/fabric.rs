@@ -97,12 +97,6 @@ struct MachineSlot {
     faults: LinkFaults,
     link_bytes: CounterHandle,
     link_frames: CounterHandle,
-    /// The machine's next event time as of its last refresh: at
-    /// [`Fabric::run_until`] entry, after an injected frame, and after the
-    /// machine is stepped. Nothing else changes a machine's queue inside
-    /// `run_until`, so choosing the next retirement reads this instead of
-    /// peeking every wheel.
-    next_at: Option<SimTime>,
     /// The encoded directory reply last built for this machine and the
     /// `dir_epoch` it was built at. The reply is a function of the directory
     /// at that epoch and this machine's proxy table, whose ports are
@@ -127,6 +121,69 @@ enum Due {
     Fault,
     Link,
     Machine(usize),
+}
+
+/// The machines' next event times as a winner tree: the earliest
+/// `(time, index)` is read at the root, and a changed key costs one walk from
+/// its leaf up. `None` — an idle or dead machine — loses to every time, so no
+/// `SimTime` is reserved to mean "nothing due".
+#[derive(Default)]
+struct NextEvents {
+    /// Node `k` holds the least [`rank`](Self::rank) below it: the root is
+    /// node 1, node `k`'s children are `2k` and `2k + 1`, and machine `i` is
+    /// leaf node `tree.len() / 2 + i`. The tree is a power of two wide;
+    /// leaves past the machine count rank as `None`.
+    tree: Vec<u128>,
+}
+
+impl NextEvents {
+    /// Bit 96 set for `None`, the time in bits 32..96, the index below: one
+    /// integer comparison orders `(key, index)` with `None` last, and a
+    /// node is the plain `min` of its children.
+    fn rank(i: usize, key: Option<SimTime>) -> u128 {
+        let (idle, t) = key.map_or((1, 0), |t| (0, t.as_nanos()));
+        idle << 96 | u128::from(t) << 32 | i as u128
+    }
+
+    /// Rebuilds the tree over one key per machine, in index order.
+    fn rebuild(&mut self, keys: impl ExactSizeIterator<Item = Option<SimTime>>) {
+        let leaves = keys.len().next_power_of_two();
+        self.tree.clear();
+        self.tree.resize(leaves, 0);
+        self.tree.extend(
+            keys.chain(std::iter::repeat(None))
+                .take(leaves)
+                .enumerate()
+                .map(|(i, key)| Self::rank(i, key)),
+        );
+        for k in (1..leaves).rev() {
+            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
+        }
+    }
+
+    /// Sets machine `i`'s key and replays the matches on its path.
+    fn set(&mut self, i: usize, key: Option<SimTime>) {
+        let mut k = self.tree.len() / 2 + i;
+        self.tree[k] = Self::rank(i, key);
+        while k > 1 {
+            k /= 2;
+            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
+        }
+    }
+
+    /// Takes machine `i` out of the running. A machine added since the last
+    /// rebuild may have no leaf yet; the next rebuild finds it dead.
+    fn leave(&mut self, i: usize) {
+        if i < self.tree.len() / 2 {
+            self.set(i, None);
+        }
+    }
+
+    /// The earliest `(time, machine)`, ties to the lower index.
+    fn first(&self) -> Option<(SimTime, usize)> {
+        let r = *self.tree.get(1)?;
+        (r >> 96 == 0).then(|| (SimTime::from_nanos((r >> 32) as u64), r as u32 as usize))
+    }
 }
 
 /// Whether `qualified` is exactly `format!("m{machine}/{device}")`, decided
@@ -158,6 +215,11 @@ fn is_qualified(qualified: &str, machine: usize, device: &str) -> bool {
 pub struct Fabric {
     cfg: FabricConfig,
     machines: Vec<MachineSlot>,
+    /// Every live machine's next event time, as of its last refresh. Inside
+    /// [`run_until`](Self::run_until) it equals each machine's
+    /// `peek_next_at` whenever the next retirement is chosen (DESIGN.md
+    /// §13.2 lists the four places that keep it so).
+    next: NextEvents,
     /// Frames in flight between machines, each entering its target machine
     /// when global time reaches it.
     queue: EventQueue<LinkDelivery>,
@@ -222,6 +284,7 @@ impl Fabric {
             cfg,
             topo,
             machines: Vec::new(),
+            next: NextEvents::default(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             events: 0,
@@ -317,7 +380,6 @@ impl Fabric {
             faults: LinkFaults::default(),
             link_bytes,
             link_frames,
-            next_at: None,
             dir_reply: None,
         });
         MachineId(idx as u32)
@@ -374,6 +436,7 @@ impl Fabric {
             slot.dead = true;
             self.g_machines_dead.add(1);
         }
+        self.next.leave(m.0 as usize);
     }
 
     /// The built rack topology (graph, per-pair paths, per-link counters).
@@ -419,15 +482,17 @@ impl Fabric {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0u64;
         // Callers reach machines through `machine_mut` between calls (hosts
-        // added, timers armed), so the cached event times are trusted only
-        // within one call. What they queue sits at the machine's own clock,
-        // which trails the rack's while the machine idles: the rack goes
-        // back for what this call will retire.
-        for slot in &mut self.machines {
-            slot.next_at = slot.sys.peek_next_at();
-            if let Some(t) = slot.next_at.filter(|&t| !slot.dead && t <= deadline) {
-                self.now = self.now.min(t);
-            }
+        // added, timers armed), so the tree is trusted only within one call.
+        // What they queue sits at the machine's own clock, which trails the
+        // rack's while the machine idles: the rack goes back for what this
+        // call will retire.
+        self.next.rebuild(
+            self.machines
+                .iter_mut()
+                .map(|slot| slot.sys.peek_next_at().filter(|_| !slot.dead)),
+        );
+        if let Some((t, _)) = self.next.first().filter(|&(t, _)| t <= deadline) {
+            self.now = self.now.min(t);
         }
         loop {
             let mut next: Option<(SimTime, Due)> = None;
@@ -444,10 +509,8 @@ impl Fabric {
                 Due::Fault,
             );
             offer(self.queue.peek_time(), Due::Link);
-            for (i, slot) in self.machines.iter().enumerate() {
-                if !slot.dead {
-                    offer(slot.next_at, Due::Machine(i));
-                }
+            if let Some((t, i)) = self.next.first() {
+                offer(Some(t), Due::Machine(i));
             }
             let Some((t, due)) = next else { break };
             if t > deadline {
@@ -493,7 +556,8 @@ impl Fabric {
         );
         let _prof = profile::span("fabric.inject");
         slot.sys.inject_frame(ev.at, d.frame, d.corr);
-        slot.next_at = slot.sys.peek_next_at();
+        let at = slot.sys.peek_next_at();
+        self.next.set(d.machine, at);
     }
 
     /// Steps machine `i` by one event, then crosses whatever tunnel output
@@ -502,8 +566,9 @@ impl Fabric {
         let mut out = std::mem::take(&mut self.tunnel_out);
         let slot = &mut self.machines[i];
         slot.sys.step();
-        slot.next_at = slot.sys.peek_next_at();
+        let at = slot.sys.peek_next_at();
         slot.sys.drain_tunnel_into(&mut out);
+        self.next.set(i, at);
         for d in out.drain(..) {
             if d.port == self.machines[i].dir_port {
                 self.answer_dir_query(i, d);
@@ -953,6 +1018,99 @@ impl Fabric {
         }
         self.run_until(SimTime::from_nanos(ck.manifest.virtual_ns));
         self.verify_checkpoint(ck)
+    }
+}
+
+#[cfg(test)]
+mod next_events {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The choice before the tree, kept as its oracle: a fold over every
+    /// live machine's next event time, where only a strictly earlier time
+    /// displaces the candidate.
+    fn fold(next_at: &[Option<SimTime>], dead: &[bool]) -> Option<(SimTime, usize)> {
+        let mut next: Option<(SimTime, usize)> = None;
+        for (i, &t) in next_at.iter().enumerate() {
+            if let Some(t) = t.filter(|_| !dead[i]) {
+                if !next.is_some_and(|(earliest, _)| earliest <= t) {
+                    next = Some((t, i));
+                }
+            }
+        }
+        next
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A machine's next event moved (a step or an injected frame);
+        /// `None` is idle.
+        Set(usize, Option<u64>),
+        Kill(usize),
+        /// Every machine idle at once.
+        IdleAll,
+        /// `run_until` entry, after `add` machines joined between calls.
+        Rebuild {
+            add: usize,
+        },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Six distinct times and an idle key, so ties are common.
+        (0u8..11, any::<usize>(), 0u64..7).prop_map(|(kind, i, t)| match kind {
+            0..=7 => Op::Set(i, (t < 6).then_some(t)),
+            8 => Op::Kill(i),
+            9 => Op::IdleAll,
+            _ => Op::Rebuild { add: i % 3 },
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After every step the tree names the fold's `(time, index)`, at
+        /// any width up to 130 machines.
+        #[test]
+        fn prop_tree_matches_fold(m in 0usize..=130, ops in proptest::collection::vec(op(), 0..200)) {
+            let mut next_at: Vec<Option<SimTime>> = vec![None; m];
+            let mut dead = vec![false; m];
+            let mut tree = NextEvents::default();
+            let rebuild = |tree: &mut NextEvents, next_at: &[Option<SimTime>], dead: &[bool]| {
+                tree.rebuild(next_at.iter().zip(dead).map(|(&t, &d)| t.filter(|_| !d)));
+            };
+            rebuild(&mut tree, &next_at, &dead);
+            prop_assert_eq!(tree.first(), None);
+            for op in ops {
+                let m = next_at.len();
+                match op {
+                    Op::Set(i, t) if m > 0 && !dead[i % m] => {
+                        next_at[i % m] = t.map(SimTime::from_nanos);
+                        tree.set(i % m, next_at[i % m]);
+                    }
+                    Op::Kill(i) if m > 0 => {
+                        dead[i % m] = true;
+                        tree.leave(i % m);
+                    }
+                    Op::IdleAll => {
+                        for (i, t) in next_at.iter_mut().enumerate() {
+                            *t = None;
+                            if !dead[i] {
+                                tree.set(i, None);
+                            }
+                        }
+                        prop_assert_eq!(tree.first(), None);
+                    }
+                    Op::Rebuild { add } => {
+                        let grown = (m + add).min(130);
+                        next_at.resize(grown, Some(SimTime::ZERO));
+                        dead.resize(grown, false);
+                        rebuild(&mut tree, &next_at, &dead);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(tree.first(), fold(&next_at, &dead));
+            }
+        }
     }
 }
 

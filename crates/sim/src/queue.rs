@@ -12,7 +12,9 @@
 //! horizon parks in a small overflow heap. Under heavy traffic almost every
 //! event lands in a slot or in the ready run, so the per-event cost is a push
 //! plus an amortized share of one small sort — no O(log n) sift through a
-//! cache-hostile heap per operation.
+//! cache-hostile heap per operation. A slot is a singly linked list of nodes
+//! in one slab the wheel owns, so an idle slot costs a `u32` head, not a
+//! `Vec` of its own.
 //!
 //! The original `BinaryHeap` queue survives only as the `#[cfg(test)]`
 //! reference model: the differential and property tests below check that the
@@ -73,21 +75,39 @@ const SLOT_SHIFT: u32 = 8;
 /// liveness scans) take the overflow heap, which is fine — they are rare.
 const NUM_SLOTS: usize = 1024;
 
+/// The end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A slab node: a bucketed entry and the next node of its bucket, or, while
+/// free, `None` and the next free node.
+struct Node<E> {
+    entry: Option<Entry<E>>,
+    next: u32,
+}
+
 /// The timing wheel.
 ///
 /// Invariants (checked by the differential property tests):
 ///
 /// - `ready` is sorted ascending by `(at, seq)` and holds only entries whose
 ///   slot is `<= drain_slot`.
-/// - `slots[s & mask]` holds only entries whose absolute slot is exactly `s`
-///   for some `s` in `(drain_slot, drain_slot + NUM_SLOTS)`; buckets are
-///   unsorted until drained.
+/// - The list at `heads[s & mask]` holds only entries whose absolute slot is
+///   exactly `s` for some `s` in `(drain_slot, drain_slot + NUM_SLOTS)`;
+///   buckets are unsorted until drained.
+/// - Every node of `nodes` is on exactly one bucket list (`entry` is `Some`)
+///   or on the free list (`entry` is `None`); `in_slots` counts the former.
 /// - `overflow` holds entries at or beyond the horizon at the time they were
 ///   scheduled; its min is always `>=` every slot/ready entry **after**
 ///   [`Wheel::refill`] has run for the current `drain_slot`.
 struct Wheel<E> {
-    slots: Vec<Vec<Entry<E>>>,
-    /// Occupancy bitmap over `slots` (bit per bucket): the drain cursor
+    /// First node of each bucket's list, `NIL` when the bucket is empty.
+    heads: [u32; NUM_SLOTS],
+    /// The slab every bucket list lives in.
+    nodes: Vec<Node<E>>,
+    /// First free node, `NIL` when every node is in a bucket. Freed nodes
+    /// are reused before the slab grows.
+    free: u32,
+    /// Occupancy bitmap over `heads` (bit per bucket): the drain cursor
     /// skips runs of empty buckets with a couple of word scans instead of
     /// stepping slot by slot. Sparse schedules (events microseconds apart,
     /// i.e. dozens of empty slots between occupied ones) would otherwise
@@ -100,16 +120,16 @@ struct Wheel<E> {
     overflow: BinaryHeap<Entry<E>>,
     /// Absolute slot index the drain cursor points at.
     drain_slot: u64,
-    /// Number of entries across all `slots` buckets.
+    /// Number of entries across all bucket lists.
     in_slots: usize,
 }
 
 impl<E> Wheel<E> {
     fn new() -> Self {
-        let mut slots = Vec::with_capacity(NUM_SLOTS);
-        slots.resize_with(NUM_SLOTS, Vec::new);
         Wheel {
-            slots,
+            heads: [NIL; NUM_SLOTS],
+            nodes: Vec::new(),
+            free: NIL,
             occupied: [0; NUM_SLOTS / 64],
             ready: VecDeque::new(),
             overflow: BinaryHeap::new(),
@@ -118,10 +138,28 @@ impl<E> Wheel<E> {
         }
     }
 
-    /// Marks bucket `idx` occupied.
+    /// Links `entry` into bucket `idx` on a free node (a new one only when
+    /// none is free) and marks the bucket occupied.
     #[inline]
-    fn mark(&mut self, idx: usize) {
+    fn push_bucket(&mut self, idx: usize, entry: Entry<E>) {
+        let next = self.heads[idx];
+        let n = if self.free == NIL {
+            self.nodes.push(Node {
+                entry: Some(entry),
+                next,
+            });
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 - 1 bucketed events")
+        } else {
+            let n = self.free;
+            let node = &mut self.nodes[n as usize];
+            self.free = node.next;
+            node.entry = Some(entry);
+            node.next = next;
+            n
+        };
+        self.heads[idx] = n;
         self.occupied[idx / 64] |= 1u64 << (idx % 64);
+        self.in_slots += 1;
     }
 
     /// Circular distance (in slots, `0..NUM_SLOTS`) from the cursor to the
@@ -172,10 +210,7 @@ impl<E> Wheel<E> {
                 self.ready.insert(pos, entry);
             }
         } else if s - self.drain_slot < NUM_SLOTS as u64 {
-            let idx = (s & Self::mask()) as usize;
-            self.slots[idx].push(entry);
-            self.mark(idx);
-            self.in_slots += 1;
+            self.push_bucket((s & Self::mask()) as usize, entry);
         } else {
             self.overflow.push(entry);
         }
@@ -194,10 +229,7 @@ impl<E> Wheel<E> {
             // `s >= drain_slot` always holds: overflow entries were beyond
             // the horizon when scheduled and the cursor only moves forward
             // (a cursor jump targets exactly the overflow minimum's slot).
-            let idx = (s & Self::mask()) as usize;
-            self.slots[idx].push(entry);
-            self.mark(idx);
-            self.in_slots += 1;
+            self.push_bucket((s & Self::mask()) as usize, entry);
         }
     }
 
@@ -228,19 +260,49 @@ impl<E> Wheel<E> {
                 self.refill();
             }
             let idx = (self.drain_slot & Self::mask()) as usize;
-            let bucket = &mut self.slots[idx];
-            bucket.sort_unstable_by_key(|e| (e.at, e.seq));
-            self.in_slots -= bucket.len();
             self.occupied[idx / 64] &= !(1u64 << (idx % 64));
-            // `drain` keeps the bucket's capacity for the next revolution.
-            self.ready.extend(bucket.drain(..));
+            // Move the bucket's entries into the (empty) ready run and its
+            // nodes onto the free list, then sort the run once. Clearing
+            // the empty run rewinds it to the start of its buffer, so the
+            // sort finds it contiguous.
+            self.ready.clear();
+            let mut n = std::mem::replace(&mut self.heads[idx], NIL);
+            while n != NIL {
+                let node = &mut self.nodes[n as usize];
+                self.ready
+                    .push_back(node.entry.take().expect("a bucketed node holds its entry"));
+                let next = std::mem::replace(&mut node.next, self.free);
+                self.free = n;
+                self.in_slots -= 1;
+                n = next;
+            }
+            self.ready
+                .make_contiguous()
+                .sort_unstable_by_key(|e| (e.at, e.seq));
         }
     }
 
+    /// Every bucketed entry, bucket by bucket.
+    fn bucketed(&self) -> impl Iterator<Item = &Entry<E>> {
+        self.heads.iter().flat_map(move |&head| {
+            let mut n = head;
+            std::iter::from_fn(move || {
+                (n != NIL).then(|| {
+                    let node = &self.nodes[n as usize];
+                    n = node.next;
+                    node.entry
+                        .as_ref()
+                        .expect("a bucketed node holds its entry")
+                })
+            })
+        })
+    }
+
     fn clear(&mut self, now: SimTime) {
-        for bucket in &mut self.slots {
-            bucket.clear();
-        }
+        self.heads = [NIL; NUM_SLOTS];
+        // Keeps the slab's capacity for the next schedule.
+        self.nodes.clear();
+        self.free = NIL;
         self.occupied = [0; NUM_SLOTS / 64];
         self.ready.clear();
         self.overflow.clear();
@@ -418,7 +480,7 @@ impl<E> EventQueue<E> {
         let mut out: Vec<(SimTime, u64, &E)> = w
             .ready
             .iter()
-            .chain(w.slots.iter().flatten())
+            .chain(w.bucketed())
             .chain(w.overflow.iter())
             .map(|e| (e.at, e.seq, &e.event))
             .collect();
@@ -521,20 +583,46 @@ mod difftest {
                 event: entry.event,
             })
         }
+
+        /// Every pending entry, sorted by `(at, seq)`.
+        fn entries(&self) -> Vec<(SimTime, u64, &E)> {
+            let mut out: Vec<_> = self.heap.iter().map(|e| (e.at, e.seq, &e.event)).collect();
+            out.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+            out
+        }
+    }
+
+    impl<E> Wheel<E> {
+        /// Length of the free list.
+        fn free_len(&self) -> usize {
+            let (mut n, mut len) = (self.free, 0);
+            while n != NIL {
+                let node = &self.nodes[n as usize];
+                assert!(node.entry.is_none(), "a free node holds an entry");
+                n = node.next;
+                len += 1;
+            }
+            len
+        }
     }
 
     /// Differential check: the wheel and the reference heap produce identical
     /// pop sequences on a deterministic pseudo-random schedule mixing
     /// same-instant bursts, near-future and far-future (beyond-horizon)
-    /// events, interleaved with pops and deadline-limited pops.
+    /// events, interleaved with pops and deadline-limited pops. At random
+    /// points the wheel's `entries()` must equal the heap's, across `clear`
+    /// and `reinit_from` too. After every step each slab node is either on
+    /// a bucket list or on the free list, and the slab holds no more nodes
+    /// than the most events ever pending at once.
     pub fn differential_run(seed: u64, ops: usize) {
         use crate::rng::DetRng;
         let mut rng = DetRng::new(seed);
         let mut wheel: EventQueue<u64> = EventQueue::new();
         let mut heap: HeapQueue<u64> = HeapQueue::new();
         let mut next_id = 0u64;
+        let mut peak = 0;
         for _ in 0..ops {
-            match rng.below(10) {
+            match rng.below(14) {
                 // Schedule a burst (possibly same-instant FIFO).
                 0..=4 => {
                     let base = wheel.now();
@@ -568,12 +656,42 @@ mod difftest {
                     assert_eq!(a, b, "pop_until diverged (seed {seed:#x})");
                 }
                 // Peek (exercises the wheel cursor without consuming).
-                _ => {
+                9 => {
                     assert_eq!(wheel.peek_time(), heap.peek_time());
+                }
+                10 | 11 => {
+                    assert_eq!(wheel.entries(), heap.entries(), "entries (seed {seed:#x})");
+                }
+                // Restore the wheel from the model's checkpointed state.
+                12 => {
+                    let pending = heap.entries().into_iter().map(|(at, s, &e)| (at, s, e));
+                    wheel.reinit_from(heap.now, heap.seq, heap.popped, pending);
+                    assert_eq!(wheel.entries(), heap.entries(), "reinit (seed {seed:#x})");
+                }
+                _ => {
+                    if rng.below(4) == 0 {
+                        wheel.clear();
+                        heap.heap.clear();
+                        heap.seq = 0;
+                    }
+                    assert_eq!(wheel.entries(), heap.entries(), "clear (seed {seed:#x})");
                 }
             }
             assert_eq!(wheel.now(), heap.now);
             assert_eq!(wheel.len(), heap.heap.len());
+            assert_eq!(wheel.seq_cursor(), heap.seq);
+            peak = peak.max(heap.heap.len());
+            let w = &wheel.wheel;
+            assert_eq!(
+                w.in_slots + w.free_len(),
+                w.nodes.len(),
+                "a slab node is on neither a bucket nor the free list (seed {seed:#x})"
+            );
+            assert!(
+                w.nodes.len() <= peak,
+                "slab holds {} nodes, peak pending {peak} (seed {seed:#x})",
+                w.nodes.len()
+            );
         }
         // Drain: remaining sequences must match exactly.
         loop {
