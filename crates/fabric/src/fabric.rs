@@ -1056,9 +1056,13 @@ mod next_events {
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        // Six distinct times and an idle key, so ties are common.
-        (0u8..11, any::<usize>(), 0u64..7).prop_map(|(kind, i, t)| match kind {
-            0..=7 => Op::Set(i, (t < 6).then_some(t)),
+        // Six small times, the two largest a `SimTime` can hold and an idle
+        // key: ties are common, and a time's top bit meets the idle bit.
+        (0u8..11, any::<usize>(), 0u64..9).prop_map(|(kind, i, t)| match kind {
+            0..=7 => Op::Set(
+                i,
+                (t < 8).then(|| if t < 6 { t } else { u64::MAX - (t - 6) }),
+            ),
             8 => Op::Kill(i),
             9 => Op::IdleAll,
             _ => Op::Rebuild { add: i % 3 },
