@@ -7,7 +7,8 @@
 #                          Device for`, a copied envelope or request, a record
 #                          formatted per frame, a digest or verification that
 #                          holds a second copy of a checkpoint, a shared
-#                          string in a trace record, ...)
+#                          string in a trace record, a walk of every machine
+#                          per retired rack event, ...)
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -110,6 +111,12 @@ from: fn verify_checkpoint\(
 to: ^    }
 forbid: self\.checkpoint\(
 why: verification compares each section as it serializes; a second checkpoint holds the state twice
+
+files: ^crates/fabric/src/fabric\.rs\$
+from: ^        loop \{
+to: ^        \}
+forbid: self\.machines\.(iter|iter_mut)\(|in &(mut )?self\.machines
+why: choosing the next retirement must not visit every machine; run_until's winner tree names it, and a step, an injected frame or a kill moves one leaf
 "
 census="$census" awk '
     BEGIN {
