@@ -333,11 +333,15 @@ fn run(args: &Args) -> Result<Vec<Cell>, String> {
 
 fn check(r: &Report) -> Vec<String> {
     let mut g = Gates::default();
-    // The pooled delivery path holds the machine at one allocation per
-    // event. Each rung below is bounded above what it measures at the full
-    // sizes (at the smoke sizes), 25% for ssd, 15% for ctl, 10% for rack.
+    // Each rung is bounded about 10% above what it measures at the full sizes
+    // (at the smoke sizes, where that is higher). While every event-wheel
+    // slot was a `Vec` of its own, each rung also paid for those `Vec`s
+    // growing: system 0.039 (0.051), rack 0.229 (0.239), ssd 0.153 (0.142),
+    // ctl 0.171 (0.173).
     //
-    // rack: 0.229 allocations and 60.9 B per event (0.239 and 63.4) — the
+    // system: 0.032 allocations per event (0.035).
+    //
+    // rack: 0.228 allocations and 60.4 B per event (0.228 and 59.7) — the
     // frames the router sends, the directory query and reply of a tick, a
     // PUT's key and value on its servers. 0.606 (0.616) with every frame at
     // the router decoded into an owned response and then an owned request,
@@ -347,13 +351,13 @@ fn check(r: &Report) -> Vec<String> {
     // `String`s and fresh replica lists per dispatch in the router; 4.090
     // with a directory reply encoded per query and decoded per router tick.
     //
-    // ssd: 0.153 allocations and 21.0 B per event (0.142 and 18.8) — what a
+    // ssd: 0.152 allocations and 20.8 B per event (0.141 and 17.9) — what a
     // PUT keeps: its value and the cache's copies of its key. 0.841 and
     // 55.3 B with the three per-request allocations above plus a log record
     // per PUT; 1.401 and 1,618 B with the file's extent list copied per
     // request.
     //
-    // ctl: 0.171 allocations and 13.7 B per event (0.173 and 16.3). 0.183
+    // ctl: 0.170 allocations and 13.6 B per event (0.171 and 13.7). 0.183
     // and 14.4 B with the SSD's queue-attached note formatted per setup; 0.475
     // and 42.8 B with an `Arc<Envelope>` made per send and per bus reply;
     // 1.705 and 209 B with the envelope copied per broadcast recipient,
@@ -362,10 +366,10 @@ fn check(r: &Report) -> Vec<String> {
     const INF: f64 = f64::INFINITY;
     for (phase, max_allocs, max_bytes) in [
         ("queue", INF, INF),
-        ("system", 1.0, INF),
-        ("ssd", 0.19, 26.0),
-        ("ctl", 0.21, 19.5),
-        ("rack", 0.252, 67.0),
+        ("system", 0.039, INF),
+        ("ssd", 0.167, 22.9),
+        ("ctl", 0.188, 15.1),
+        ("rack", 0.251, 66.4),
     ] {
         let Some(c) = r.group("phase").find(|c| c.key_is("phase", phase)) else {
             g.require(false, format!("no {phase} phase"));

@@ -14,13 +14,13 @@ use lastcpu_bench::Json;
 /// metric), `HOST` (mark it host-clock) or `DROP` (remove the cells).
 const CASES: &str = "\
 BENCH_e9.json    | phase | phase=queue  | events           | 0    | queue: no events retired
-BENCH_e9.json    | phase | phase=system | allocs_per_event | 1.01 | system: allocs/event 1.01 > 1
-BENCH_e9.json    | phase | phase=rack   | allocs_per_event | 0.616 | rack: allocs/event 0.616 > 0.252
-BENCH_e9.json    | phase | phase=rack   | alloc_bytes_per_event | 90.2 | rack: alloc bytes/event 90.2 > 67
-BENCH_e9.json    | phase | phase=ssd    | allocs_per_event | 0.2 | ssd: allocs/event 0.2 > 0.19
-BENCH_e9.json    | phase | phase=ssd    | alloc_bytes_per_event | 51.8 | ssd: alloc bytes/event 51.8 > 26
-BENCH_e9.json    | phase | phase=ctl    | allocs_per_event | 0.478 | ctl: allocs/event 0.478 > 0.21
-BENCH_e9.json    | phase | phase=ctl    | alloc_bytes_per_event | 45.4 | ctl: alloc bytes/event 45.4 > 19.5
+BENCH_e9.json    | phase | phase=system | allocs_per_event | 0.051 | system: allocs/event 0.051 > 0.039
+BENCH_e9.json    | phase | phase=rack   | allocs_per_event | 0.616 | rack: allocs/event 0.616 > 0.251
+BENCH_e9.json    | phase | phase=rack   | alloc_bytes_per_event | 90.2 | rack: alloc bytes/event 90.2 > 66.4
+BENCH_e9.json    | phase | phase=ssd    | allocs_per_event | 0.2 | ssd: allocs/event 0.2 > 0.167
+BENCH_e9.json    | phase | phase=ssd    | alloc_bytes_per_event | 51.8 | ssd: alloc bytes/event 51.8 > 22.9
+BENCH_e9.json    | phase | phase=ctl    | allocs_per_event | 0.478 | ctl: allocs/event 0.478 > 0.188
+BENCH_e9.json    | phase | phase=ctl    | alloc_bytes_per_event | 45.4 | ctl: alloc bytes/event 45.4 > 15.1
 BENCH_e9.json    | phase | phase=ssd    | ftl_gc_runs      | 0    | ssd: no garbage collection
 BENCH_e10.json   | *       | policy=static             |                 | DROP | matrix incomplete at static
 BENCH_e10.json   | scaling | machines=2 & replication=2 | ops             | 239  | incomplete (239 ops)
