@@ -144,11 +144,15 @@ impl<E> Wheel<E> {
     fn push_bucket(&mut self, idx: usize, entry: Entry<E>) {
         let next = self.heads[idx];
         let n = if self.free == NIL {
+            let n = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("fewer than 2^32 - 1 events bucketed at once");
             self.nodes.push(Node {
                 entry: Some(entry),
                 next,
             });
-            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 - 1 bucketed events")
+            n
         } else {
             let n = self.free;
             let node = &mut self.nodes[n as usize];
@@ -267,15 +271,17 @@ impl<E> Wheel<E> {
             // sort finds it contiguous.
             self.ready.clear();
             let mut n = std::mem::replace(&mut self.heads[idx], NIL);
-            while n != NIL {
-                let node = &mut self.nodes[n as usize];
-                self.ready
-                    .push_back(node.entry.take().expect("a bucketed node holds its entry"));
-                let next = std::mem::replace(&mut node.next, self.free);
-                self.free = n;
-                self.in_slots -= 1;
-                n = next;
-            }
+            let (nodes, free, in_slots) = (&mut self.nodes, &mut self.free, &mut self.in_slots);
+            self.ready.extend(std::iter::from_fn(|| {
+                (n != NIL).then(|| {
+                    let node = &mut nodes[n as usize];
+                    let next = std::mem::replace(&mut node.next, *free);
+                    *free = n;
+                    *in_slots -= 1;
+                    n = next;
+                    node.entry.take().expect("a bucketed node holds its entry")
+                })
+            }));
             self.ready
                 .make_contiguous()
                 .sort_unstable_by_key(|e| (e.at, e.seq));
