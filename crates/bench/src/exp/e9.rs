@@ -334,10 +334,10 @@ fn run(args: &Args) -> Result<Vec<Cell>, String> {
 fn check(r: &Report) -> Vec<String> {
     let mut g = Gates::default();
     // Each rung is bounded about 10% above what it measures at the full sizes
-    // (at the smoke sizes, where that is higher). While every event-wheel
-    // slot was a `Vec` of its own, each rung also paid for those `Vec`s
-    // growing: system 0.039 (0.051), rack 0.229 (0.239), ssd 0.153 (0.142),
-    // ctl 0.171 (0.173).
+    // (at the smoke sizes, where that is higher). With a `Vec` per
+    // event-wheel slot every rung reads higher, each slot growing its own:
+    // system 0.039 (0.051), rack 0.229 (0.239), ssd 0.153 (0.142), ctl 0.171
+    // (0.173).
     //
     // system: 0.032 allocations per event (0.035).
     //
