@@ -84,29 +84,34 @@ impl std::error::Error for FlashError {}
 struct BlockState {
     erase_count: u32,
     bad: bool,
-    /// The block's programmed pages back to back. Pages within a block are
-    /// programmed in order, so programming is appending: the next page that
-    /// may be programmed is `slab.len() / page_size`, and a page holds data
-    /// exactly when it is below that. Capacity for the whole block is
-    /// reserved at the first program and kept across erases — the FTL erases
-    /// only to refill — until an erase wears the block out.
+    /// Pages programmed since the last erase: the next page that may be
+    /// programmed (sequential rule), and a page holds data exactly when it
+    /// is below this.
+    written: u32,
+    /// The stored bytes of the block's programmed pages, appended in program
+    /// order; the chip's span table says which of them each page reads.
+    /// Capacity for a whole block of full pages is reserved at the first
+    /// program and kept across erases — the FTL erases only to refill —
+    /// until an erase wears the block out, so appending never reallocates.
     slab: Vec<u8>,
 }
 
-impl BlockState {
-    /// Index of the next page that may be programmed (sequential rule).
-    fn write_ptr(&self, config: &NandConfig) -> u32 {
-        (self.slab.len() / config.page_size as usize) as u32
-    }
-
-    /// Programs the next page.
-    fn push_page(&mut self, data: &[u8], config: &NandConfig) {
-        if self.slab.capacity() == 0 {
-            self.slab
-                .reserve_exact(config.pages_per_block as usize * config.page_size as usize);
+/// Length of `data` without its trailing zero bytes, scanned a word at a
+/// time from the end.
+fn stored_len(data: &[u8]) -> usize {
+    let mut words = data.rchunks_exact(8);
+    let mut end = data.len();
+    for word in &mut words {
+        if u64::from_ne_bytes(word.try_into().expect("eight bytes")) != 0 {
+            return end - word.iter().rev().take_while(|&&b| b == 0).count();
         }
-        self.slab.extend_from_slice(data);
+        end -= 8;
     }
+    words
+        .remainder()
+        .iter()
+        .rposition(|&b| b != 0)
+        .map_or(0, |i| i + 1)
 }
 
 /// Aggregate flash statistics.
@@ -123,20 +128,80 @@ pub struct FlashStats {
 }
 
 /// A NAND chip.
+///
+/// A programmed page stores the bytes written, without its trailing zeros,
+/// which a read supplies. When those bytes start with everything the
+/// previous page of the same block stored, the page shares them and only
+/// its new suffix is appended — a log's tail page rewritten out of place
+/// costs what the append added, not a page.
 pub struct NandChip {
     config: NandConfig,
     blocks: Vec<BlockState>,
+    /// `(start, end)` in its block's slab of each programmed page's stored
+    /// bytes, indexed `block * pages_per_block + page`; read only below the
+    /// block's write pointer.
+    spans: Vec<(u32, u32)>,
     stats: FlashStats,
 }
 
 impl NandChip {
     /// A chip with the given geometry, fully erased.
     pub fn new(config: NandConfig) -> Self {
+        let pages = config.blocks as usize * config.pages_per_block as usize;
         NandChip {
             blocks: vec![BlockState::default(); config.blocks as usize],
+            spans: vec![(0, 0); pages],
             config,
             stats: FlashStats::default(),
         }
+    }
+
+    /// Bytes the chip holds for its programmed pages: each page's bytes
+    /// without trailing zeros, a prefix shared with the page before it
+    /// counted once.
+    pub fn stored_bytes(&self) -> u64 {
+        self.blocks.iter().map(|b| b.slab.len() as u64).sum()
+    }
+
+    fn span_index(&self, block: u32, page: u32) -> usize {
+        block as usize * self.config.pages_per_block as usize + page as usize
+    }
+
+    /// Stores `data` as the next page of `block`.
+    fn push_page(&mut self, block: u32, data: &[u8]) {
+        let first = self.span_index(block, 0);
+        let st = &mut self.blocks[block as usize];
+        if st.slab.capacity() == 0 {
+            st.slab.reserve_exact(
+                self.config.pages_per_block as usize * self.config.page_size as usize,
+            );
+        }
+        let data = &data[..stored_len(data)];
+        // The previous page's stored bytes always end the slab, so a page
+        // that starts with them appends only what follows.
+        let start = match st.written.checked_sub(1) {
+            Some(prev) => {
+                let (s, e) = self.spans[first + prev as usize];
+                debug_assert_eq!(e as usize, st.slab.len());
+                if data.starts_with(&st.slab[s as usize..e as usize]) {
+                    s as usize
+                } else {
+                    st.slab.len()
+                }
+            }
+            None => st.slab.len(),
+        };
+        st.slab.extend_from_slice(&data[st.slab.len() - start..]);
+        self.spans[first + st.written as usize] = (start as u32, st.slab.len() as u32);
+        st.written += 1;
+    }
+
+    /// Page `page` of `block` as programmed, into `buf` (one page long).
+    fn rebuild_page(&self, block: u32, page: u32, buf: &mut [u8]) {
+        let (s, e) = self.spans[self.span_index(block, page)];
+        let stored = &self.blocks[block as usize].slab[s as usize..e as usize];
+        buf[..stored.len()].copy_from_slice(stored);
+        buf[stored.len()..].fill(0);
     }
 
     /// The chip's geometry and timing.
@@ -202,10 +267,16 @@ impl NandChip {
         if start > ps || buf.len() > ps - start {
             return Err(FlashError::BadLength);
         }
-        let at = page as usize * ps + start;
-        match self.blocks[block as usize].slab.get(at..at + buf.len()) {
-            Some(data) => buf.copy_from_slice(data),
-            None => buf.fill(0xFF), // erased pages read all-ones
+        let st = &self.blocks[block as usize];
+        if page < st.written {
+            // The stored bytes, then the trailing zeros they left out.
+            let (s, e) = self.spans[self.span_index(block, page)];
+            let stored = st.slab[s as usize..e as usize].get(start..).unwrap_or(&[]);
+            let n = stored.len().min(buf.len());
+            buf[..n].copy_from_slice(&stored[..n]);
+            buf[n..].fill(0);
+        } else {
+            buf.fill(0xFF); // erased pages read all-ones
         }
         self.stats.reads += 1;
         Ok(self.config.read_latency)
@@ -222,15 +293,14 @@ impl NandChip {
         if data.len() != self.config.page_size as usize {
             return Err(FlashError::BadLength);
         }
-        let st = &mut self.blocks[block as usize];
-        let next = st.write_ptr(&self.config);
+        let next = self.blocks[block as usize].written;
         if page < next {
             return Err(FlashError::NotErased);
         }
         if page > next {
             return Err(FlashError::OutOfOrderProgram);
         }
-        st.push_page(data, &self.config);
+        self.push_page(block, data);
         self.stats.programs += 1;
         Ok(self.config.program_latency)
     }
@@ -243,6 +313,7 @@ impl NandChip {
         // An erased block is about to be programmed again (the FTL erases
         // only to refill): keep its storage. A worn-out one never will be.
         st.slab.clear();
+        st.written = 0;
         st.erase_count += 1;
         self.stats.erases += 1;
         if st.erase_count >= max {
@@ -303,18 +374,19 @@ impl lastcpu_snap::Snapshot for NandChip {
         w.put_len(self.blocks.len());
         for b in &self.blocks {
             w.put_u32(b.erase_count);
-            w.put_u32(b.write_ptr(&self.config));
+            w.put_u32(b.written);
             w.put_bool(b.bad);
         }
         // Programmed pages in (block, page) order: exactly the pages below
-        // each block's write pointer.
-        let ps = self.config.page_size as usize;
-        w.put_len(self.blocks.iter().map(|b| b.slab.len() / ps).sum());
-        for (blk, b) in self.blocks.iter().enumerate() {
-            for (pg, body) in b.slab.chunks_exact(ps).enumerate() {
-                w.put_u32(blk as u32);
-                w.put_u32(pg as u32);
-                w.put_bytes_rle(body);
+        // each block's write pointer, each a whole page as programmed.
+        w.put_len(self.blocks.iter().map(|b| b.written as usize).sum());
+        let mut body = vec![0; self.config.page_size as usize];
+        for (blk, b) in (0u32..).zip(&self.blocks) {
+            for pg in 0..b.written {
+                self.rebuild_page(blk, pg, &mut body);
+                w.put_u32(blk);
+                w.put_u32(pg);
+                w.put_bytes_rle(&body);
             }
         }
     }
@@ -322,9 +394,18 @@ impl lastcpu_snap::Snapshot for NandChip {
 
 impl lastcpu_snap::Restore for NandChip {
     fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.config.blocks = r.u32()?;
-        self.config.pages_per_block = r.u32()?;
-        self.config.page_size = r.u32()?;
+        // The geometry sized the span table when the chip was built; a
+        // checkpoint may only restore into the chip it was taken from.
+        for (field, own) in [
+            ("blocks", self.config.blocks),
+            ("pages_per_block", self.config.pages_per_block),
+            ("page_size", self.config.page_size),
+        ] {
+            let declared = r.u32()?;
+            if declared != own {
+                return Err(r.corrupt(format!("{field} {declared} != the chip's {own}")));
+            }
+        }
         self.config.read_latency = SimDuration::from_nanos(r.u64()?);
         self.config.program_latency = SimDuration::from_nanos(r.u64()?);
         self.config.erase_latency = SimDuration::from_nanos(r.u64()?);
@@ -355,7 +436,7 @@ impl lastcpu_snap::Restore for NandChip {
             self.blocks.push(BlockState {
                 erase_count,
                 bad: r.bool()?,
-                slab: Vec::new(),
+                ..BlockState::default()
             });
         }
         // Page records must be exactly the pages below each block's write
@@ -367,10 +448,10 @@ impl lastcpu_snap::Restore for NandChip {
                 "{n} page records for {programmed} programmed pages"
             )));
         }
-        for (blk, (st, write_ptr)) in self.blocks.iter_mut().zip(write_ptrs).enumerate() {
+        for (blk, write_ptr) in (0u32..).zip(write_ptrs) {
             for pg in 0..write_ptr {
                 let at = (r.u32()?, r.u32()?);
-                if at != (blk as u32, pg) {
+                if at != (blk, pg) {
                     return Err(r.corrupt(format!("page record {at:?} where ({blk},{pg}) belongs")));
                 }
                 let body = r.bytes_rle()?;
@@ -381,7 +462,7 @@ impl lastcpu_snap::Restore for NandChip {
                         self.config.page_size
                     )));
                 }
-                st.push_page(&body, &self.config);
+                self.push_page(blk, &body);
             }
         }
         Ok(())
@@ -497,8 +578,9 @@ mod tests {
 }
 
 /// The page store this chip had before per-block slabs — a map from
-/// `(block, page)` to the page's bytes — kept as the differential model:
-/// same operations, same results, same counters, same checkpoint bytes.
+/// `(block, page)` to a full copy of the page's bytes — kept as the
+/// differential model: same operations, same results, same counters, same
+/// checkpoint bytes.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -657,13 +739,46 @@ mod oracle {
         Ok(chip)
     }
 
+    /// A page body for `(block, page)` of one of six shapes, `prev` being
+    /// what the page before it in the block holds: no zero at either end,
+    /// a nonzero head then zeros, all zeros, `prev`
+    /// extended past its last nonzero byte, the same with a byte of that
+    /// prefix changed, and a strict prefix of `prev` padded with zeros.
+    fn body(shape: u32, fill: u8, block: u32, page: u32, prev: Option<&[u8]>) -> [u8; 8] {
+        let mut data = [0u8; 8];
+        let fill = fill.max(1);
+        let prev = prev.unwrap_or(&[]);
+        let prev_len = stored_len(prev);
+        match shape {
+            0 => data = [fill, block as u8, page as u8, 3, 4, 5, 6, fill],
+            1 => data[..(fill % 8) as usize].fill(fill),
+            2 => {}
+            3 | 4 => {
+                data[..prev_len].copy_from_slice(&prev[..prev_len]);
+                let end = (prev_len + 1 + fill as usize % 3).min(8);
+                data[prev_len..end].fill(fill);
+                if shape == 4 && prev_len > 0 {
+                    data[fill as usize % prev_len] ^= 0x5A;
+                }
+            }
+            _ => {
+                let keep = prev_len.saturating_sub(1 + fill as usize % 3);
+                data[..keep].copy_from_slice(&prev[..keep]);
+            }
+        }
+        data
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
         /// Random program / erase / read / kill sequences, some out of range
         /// and some out of order, with blocks wearing out after three
         /// erases: every result, buffer and counter matches the map, a page
         /// is stored exactly when it is below its block's write pointer, and
-        /// the checkpoint bytes are the map's.
+        /// the checkpoint bytes are the map's. Page bodies end in zeros, are
+        /// all zeros, extend the page before them (sometimes with an earlier
+        /// byte changed) or are shorter than it, and partial reads straddle
+        /// the end of what a page stores.
         #[test]
         fn prop_slab_chip_matches_map_chip(
             ops in proptest::collection::vec((0u8..8, 0u32..5, 0u32..5, any::<u8>(), 0u32..10), 1..200)
@@ -677,7 +792,8 @@ mod oracle {
                     // Mostly the page the block expects next, so blocks fill.
                     0..=2 => {
                         let next = map.blocks.get(block as usize).map_or(page, |b| b.1);
-                        let data = [fill, block as u8, next as u8, 3, 4, 5, 6, fill];
+                        let prev = next.checked_sub(1).and_then(|p| map.data.get(&(block, p)));
+                        let data = body(at % 6, fill, block, next, prev.map(Vec::as_slice));
                         prop_assert_eq!(
                             chip.program_page(block, next, &data),
                             map.program_page(block, next, &data)
@@ -721,17 +837,77 @@ mod oracle {
                     (b.reads, b.programs, b.erases, b.bad_blocks)
                 );
             }
-            for (b, st) in chip.blocks.iter().enumerate() {
-                prop_assert_eq!(st.write_ptr(&CONFIG), map.blocks[b].1);
+            for (b, st) in (0u32..).zip(&chip.blocks) {
+                prop_assert_eq!(st.written, map.blocks[b as usize].1);
+                let mut copies = 0;
                 for p in 0..CONFIG.pages_per_block {
-                    let stored = map.data.contains_key(&(b as u32, p));
-                    prop_assert_eq!(stored, p < st.write_ptr(&CONFIG));
+                    let stored = map.data.get(&(b, p));
+                    prop_assert_eq!(stored.is_some(), p < st.written);
+                    copies += stored.map_or(0, |d| stored_len(d));
                 }
+                // The last page's bytes end the slab, which never holds more
+                // than the pages' own bytes would.
+                if let Some(last) = st.written.checked_sub(1) {
+                    prop_assert_eq!(chip.spans[chip.span_index(b, last)].1 as usize, st.slab.len());
+                }
+                prop_assert!(st.slab.len() <= copies);
             }
             let bytes = snapshot_of(&chip);
             prop_assert_eq!(&bytes, &map.snapshot());
-            prop_assert_eq!(snapshot_of(&restore(&bytes).unwrap()), bytes);
+            // A restored chip shares what the original shared and reads the
+            // same pages.
+            let mut back = restore(&bytes).unwrap();
+            prop_assert_eq!(back.stored_bytes(), chip.stored_bytes());
+            for (&(b, p), page) in &map.data {
+                let mut got = [0u8; 8];
+                back.read_page(b, p, &mut got).unwrap();
+                prop_assert_eq!(&got[..], &page[..]);
+            }
+            back.stats = chip.stats;
+            prop_assert_eq!(snapshot_of(&back), bytes);
         }
+    }
+
+    /// A programmed page stores its bytes without trailing zeros, shares
+    /// the page before it when that is a prefix, and reads back whole.
+    #[test]
+    fn a_page_stores_what_was_written() {
+        let mut chip = NandChip::new(NandConfig {
+            pages_per_block: 8,
+            ..CONFIG
+        });
+        let pages: [[u8; 8]; 5] = [
+            [1, 2, 0, 0, 0, 0, 0, 0],
+            [1, 2, 3, 0, 0, 0, 0, 0], // extends page 0
+            [1, 2, 3, 0, 0, 0, 0, 0], // equal to page 1
+            [9, 2, 3, 4, 0, 0, 0, 0], // extends page 2 with byte 0 changed
+            [0; 8],
+        ];
+        let mut stored = Vec::new();
+        for (p, data) in (0u32..).zip(&pages) {
+            chip.program_page(0, p, data).unwrap();
+            stored.push(chip.stored_bytes());
+        }
+        assert_eq!(stored, [2, 3, 3, 7, 7]);
+        for (p, data) in (0u32..).zip(&pages) {
+            let mut got = [0xEE; 8];
+            chip.read_page(0, p, &mut got).unwrap();
+            assert_eq!(&got, data, "page {p}");
+            // From inside the stored bytes across to the implicit zeros.
+            let mut part = [0xEE; 4];
+            chip.read_page_part(0, p, 1, &mut part).unwrap();
+            assert_eq!(part, data[1..5], "page {p} from byte 1");
+        }
+        assert_eq!(
+            (
+                stored_len(&[0; 17]),
+                stored_len(&[5; 17]),
+                stored_len(&[0, 0, 3, 0, 0, 0, 0, 0, 0, 0])
+            ),
+            (0, 17, 3)
+        );
+        chip.erase_block(0).unwrap();
+        assert_eq!(chip.stored_bytes(), 0);
     }
 
     fn corrupt_detail(bytes: &[u8]) -> String {
@@ -781,5 +957,27 @@ mod oracle {
         let mut m = written();
         m.blocks[3].1 = 5;
         assert!(corrupt_detail(&m.snapshot()).contains("write pointer 5"));
+    }
+
+    /// The span table is sized by the chip's own geometry: a checkpoint
+    /// declaring another one is refused before anything is allocated for
+    /// it, however large the numbers.
+    #[test]
+    fn restore_refuses_a_geometry_other_than_the_chips() {
+        let mut m = written();
+        m.config.pages_per_block = u32::MAX;
+        assert_eq!(
+            corrupt_detail(&m.snapshot()),
+            format!("pages_per_block {} != the chip's 4", u32::MAX)
+        );
+        let mut m = written();
+        m.config.blocks = 5;
+        assert_eq!(corrupt_detail(&m.snapshot()), "blocks 5 != the chip's 4");
+        let mut m = written();
+        m.config.page_size = 4096;
+        assert_eq!(
+            corrupt_detail(&m.snapshot()),
+            "page_size 4096 != the chip's 8"
+        );
     }
 }

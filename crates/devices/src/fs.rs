@@ -436,6 +436,35 @@ mod tests {
         assert!(rcost < wcost, "flash reads are cheaper than programs");
     }
 
+    /// Appending to a file rewrites its tail page out of place; each new
+    /// version extends the one programmed just before it, so the chip stores
+    /// what was appended — plus at most one page, re-stored when the writes
+    /// move on to a fresh block — not a page per append.
+    #[test]
+    fn appends_store_the_bytes_appended() {
+        let mut f = FlashFs::format(Ftl::new(NandChip::new(NandConfig::default())));
+        f.create("/log").unwrap();
+        let (records, len) = (100u64, 290usize);
+        for i in 0..records {
+            let record = vec![(i % 255) as u8 + 1; len];
+            f.write("/log", i * len as u64, &record).unwrap();
+        }
+        let appended = records * len as u64;
+        let nand = f.ftl_mut().nand_mut();
+        let ps = nand.config().page_size as u64;
+        assert!(nand.stats().programs >= records);
+        let stored = nand.stored_bytes();
+        assert!(
+            stored <= appended + ps,
+            "{stored} bytes stored for {appended} appended"
+        );
+        let mut back = vec![0; appended as usize];
+        f.read("/log", 0, &mut back).unwrap();
+        assert!((0..records as usize).all(|i| back[i * len..(i + 1) * len]
+            .iter()
+            .all(|&b| b == (i % 255) as u8 + 1)));
+    }
+
     /// A length field patched to 2^40 — the first NAND page's RLE total, the
     /// FTL map's length, a file's LPN count — fails the restore as corrupt
     /// instead of asking the allocator for a terabyte.
