@@ -4,6 +4,11 @@
 //! machine and a warmed rack are held to their digests, and each is verified
 //! against doctored copies of its own checkpoint: the `VerifyMismatch` text
 //! must be the parent's, character for character.
+//!
+//! The reports for checksums doctored inside a rack's machine sections, and
+//! `Checkpoint::decode`'s choice between two failures, were recorded at the
+//! commit before a verify took a matched section's checksum as a claim and
+//! checked the claims four at a time (DESIGN.md §14.2).
 
 use lastcpu_bus::{Dst, Envelope, Payload};
 use lastcpu_core::devices::device::{Device, DeviceCtx};
@@ -200,6 +205,172 @@ fn a_rack_digests_and_reports_as_before() {
     reports.push(report(setup.fabric.verify_checkpoint(&cut)));
     assert_eq!(ck.digest(), PARENT_RACK.0);
     assert_eq!(reports, PARENT_RACK.1);
+}
+
+/// Each section of an encoded checkpoint: its tag and where its body and
+/// its checksum start.
+fn framing(enc: &[u8]) -> Vec<(String, usize, usize)> {
+    let word =
+        |at: usize| u64::from_le_bytes(enc[at..at + 8].try_into().expect("8 bytes")) as usize;
+    // Magic, schema version, four manifest words, then the label.
+    let label = 8 + 4 + 4 * 8;
+    let mut at = label + 8 + word(label);
+    let n = word(at);
+    at += 8;
+    (0..n)
+        .map(|_| {
+            let tag = String::from_utf8(enc[at + 8..at + 8 + word(at)].to_vec()).expect("utf-8");
+            at += 8 + tag.len();
+            let body = at + 8;
+            at = body + word(at);
+            let sum = at;
+            at += 8;
+            (tag, body, sum)
+        })
+        .collect()
+}
+
+/// Where `tag`'s body and checksum start in an encoded checkpoint.
+fn locate(enc: &[u8], tag: &str) -> (usize, usize) {
+    let (_, body, sum) = framing(enc)
+        .into_iter()
+        .find(|(t, _, _)| t == tag)
+        .expect("an inner section");
+    (body, sum)
+}
+
+/// `ck` with `edit` applied to the bodies of the named machine sections.
+fn doctor_machines(ck: &Checkpoint, mut edit: impl FnMut(&str, &mut Vec<u8>)) -> Checkpoint {
+    rebuilt(ck, |t, b| {
+        let mut b = b.to_vec();
+        edit(t, &mut b);
+        Some((t.into(), b))
+    })
+}
+
+/// What a rack reports against checkpoints doctored inside a machine's
+/// encoding, where the inner checksums are: byte 0 and byte 7 of four of
+/// machine1's inner sums; a sum and a later body byte of machine1; the body
+/// byte just before a sum; a sum in machine2 and a body byte in machine3;
+/// machine1 cut inside a sum; two sums of machine1; a sum in machine1 and
+/// one in machine2.
+const PARENT_RACK_SUMS: [&str; 14] = [
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 195"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 202"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 288352"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 288359"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 563525"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 563532"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 574759"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 574766"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 195"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 288351"#,
+    r#"restored state diverged in section "rack": section "machine2" differs: 491014 vs 491014 bytes, first divergence at offset 723"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 563529 vs 574767 bytes, first divergence at end"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 195"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 563525"#,
+];
+
+#[test]
+fn a_rack_reports_a_doctored_inner_checksum_as_before() {
+    let setup = rack();
+    let ck = setup.fabric.checkpoint("pins").expect("rack checkpoints");
+    let m1 = ck.section("machine1").expect("a machine");
+    let mut cases = Vec::new();
+    for tag in ["engine", "trace", "dev1", "host1"] {
+        let (_, sum) = locate(m1, tag);
+        for byte in [0, 7] {
+            cases.push(doctor_machines(&ck, |t, b| {
+                if t == "machine1" {
+                    b[sum + byte] ^= 0x01;
+                }
+            }));
+        }
+    }
+    let (_, engine_sum) = locate(m1, "engine");
+    let (trace_body, trace_sum) = locate(m1, "trace");
+    cases.push(doctor_machines(&ck, |t, b| {
+        if t == "machine1" {
+            b[engine_sum] ^= 0x80;
+            b[(trace_body + trace_sum) / 2] ^= 0x02;
+        }
+    }));
+    cases.push(doctor_machines(&ck, |t, b| {
+        if t == "machine1" {
+            b[trace_sum - 1] ^= 0x04;
+        }
+    }));
+    cases.push(doctor_machines(&ck, |t, b| {
+        if t == "machine2" {
+            let (_, sum) = locate(b, "rpc");
+            b[sum + 3] ^= 0x10;
+        }
+        if t == "machine3" {
+            let (body, sum) = locate(b, "dev1");
+            b[(body + sum) / 2] ^= 0x20;
+        }
+    }));
+    let (_, dev1_sum) = locate(m1, "dev1");
+    cases.push(doctor_machines(&ck, |t, b| {
+        if t == "machine1" {
+            b.truncate(dev1_sum + 4);
+        }
+    }));
+    cases.push(doctor_machines(&ck, |t, b| {
+        if t == "machine1" {
+            b[trace_sum + 7] ^= 0x01;
+            b[engine_sum] ^= 0x01;
+        }
+    }));
+    cases.push(doctor_machines(&ck, |t, b| {
+        if t == "machine1" {
+            b[dev1_sum] ^= 0x01;
+        }
+        if t == "machine2" {
+            let (_, sum) = locate(b, "rpc");
+            b[sum + 3] ^= 0x10;
+        }
+    }));
+    let reports: Vec<String> = cases
+        .iter()
+        .map(|d| report(setup.fabric.verify_checkpoint(d)))
+        .collect();
+    assert_eq!(reports, PARENT_RACK_SUMS);
+}
+
+/// What `Checkpoint::decode` reports for a machine's encoding with two
+/// checksums flipped, with a checksum flipped before a cut, and cut alone.
+const PARENT_DECODE: [&str; 3] = [
+    r#"checksum mismatch in section "rng": stored 0x5382caef2f839fae, body hashes to 0x5382caef2f839faf"#,
+    r#"checksum mismatch in section "bus": stored 0x2f11fc9e580e816d, body hashes to 0x2f11fc9e580f816d"#,
+    r#"corrupt section "checkpoint": truncated: need 220699 bytes at offset 8648, have 110349"#,
+];
+
+#[test]
+fn decode_reports_the_first_failure_in_the_encoding() {
+    let enc = machine().checkpoint("pins").expect("checkpoints").encode();
+    let (_, rng_sum) = locate(&enc, "rng");
+    let (trace_body, trace_sum) = locate(&enc, "trace");
+    let (_, bus_sum) = locate(&enc, "bus");
+    let failure = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = enc.clone();
+        edit(&mut bytes);
+        Checkpoint::decode(&bytes)
+            .expect_err("a doctored encoding fails")
+            .to_string()
+    };
+    let reports = [
+        failure(&|b| {
+            b[rng_sum] ^= 1;
+            b[trace_sum + 7] ^= 1;
+        }),
+        failure(&|b| {
+            b[bus_sum + 2] ^= 1;
+            b.truncate((trace_body + trace_sum) / 2);
+        }),
+        failure(&|b| b.truncate((trace_body + trace_sum) / 2)),
+    ];
+    assert_eq!(reports, PARENT_DECODE);
 }
 
 /// Registers and listens; has no snapshot hook.
