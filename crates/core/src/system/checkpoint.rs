@@ -289,7 +289,7 @@ impl System {
 
     /// Streams to `emit` the bytes `self.checkpoint(label)?.encode()` would
     /// return, holding one section at a time.
-    pub fn encode_checkpoint(&self, label: &str, emit: &mut Emit<'_>) -> lastcpu_snap::Result<()> {
+    pub fn encode_checkpoint(&self, label: &str, emit: &mut dyn Emit) -> lastcpu_snap::Result<()> {
         let mut enc = Encoder::new(&self.manifest(label), self.section_count(), emit);
         self.each_section(&mut enc)?;
         enc.finish();

@@ -196,14 +196,6 @@ impl NandChip {
         st.written += 1;
     }
 
-    /// Page `page` of `block` as programmed, into `buf` (one page long).
-    fn rebuild_page(&self, block: u32, page: u32, buf: &mut [u8]) {
-        let (s, e) = self.spans[self.span_index(block, page)];
-        let stored = &self.blocks[block as usize].slab[s as usize..e as usize];
-        buf[..stored.len()].copy_from_slice(stored);
-        buf[stored.len()..].fill(0);
-    }
-
     /// The chip's geometry and timing.
     pub fn config(&self) -> &NandConfig {
         &self.config
@@ -378,15 +370,18 @@ impl lastcpu_snap::Snapshot for NandChip {
             w.put_bool(b.bad);
         }
         // Programmed pages in (block, page) order: exactly the pages below
-        // each block's write pointer, each a whole page as programmed.
+        // each block's write pointer, each a whole page as programmed — its
+        // stored bytes and the zeros they leave out.
         w.put_len(self.blocks.iter().map(|b| b.written as usize).sum());
-        let mut body = vec![0; self.config.page_size as usize];
         for (blk, b) in (0u32..).zip(&self.blocks) {
             for pg in 0..b.written {
-                self.rebuild_page(blk, pg, &mut body);
+                let (s, e) = self.spans[self.span_index(blk, pg)];
                 w.put_u32(blk);
                 w.put_u32(pg);
-                w.put_bytes_rle(&body);
+                w.put_bytes_rle_padded(
+                    &b.slab[s as usize..e as usize],
+                    self.config.page_size as usize,
+                );
             }
         }
     }

@@ -60,6 +60,53 @@ pub fn fnv1a_fold(h: &mut u64, bytes: &[u8]) {
     }
 }
 
+/// [`fnv1a`] of each string, in order.
+///
+/// One FNV-1a chain waits on its multiply at every byte; independent chains
+/// overlap, so four strings hash in about the time of one. The strings are
+/// taken longest first, four to a group, and a group runs all four chains
+/// as far as its shortest string, then its three longest, and so on.
+fn fnv1a_each(strings: &[&[u8]]) -> Vec<u64> {
+    let mut order: Vec<usize> = (0..strings.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(strings[i].len()));
+    let mut sums = vec![FNV_OFFSET; strings.len()];
+    for group in order.chunks(4) {
+        let mut from = 0;
+        for live in (1..=group.len()).rev() {
+            let lanes = &group[..live];
+            let to = strings[lanes[live - 1]].len();
+            match live {
+                4 => chains::<4>(&mut sums, strings, lanes, from..to),
+                3 => chains::<3>(&mut sums, strings, lanes, from..to),
+                2 => chains::<2>(&mut sums, strings, lanes, from..to),
+                _ => chains::<1>(&mut sums, strings, lanes, from..to),
+            }
+            from = to;
+        }
+    }
+    sums
+}
+
+/// Carries the `N` chains `sums[lanes[k]]` over bytes `at` of
+/// `strings[lanes[k]]`, side by side.
+fn chains<const N: usize>(
+    sums: &mut [u64],
+    strings: &[&[u8]],
+    lanes: &[usize],
+    at: std::ops::Range<usize>,
+) {
+    let mut h: [u64; N] = std::array::from_fn(|k| sums[lanes[k]]);
+    let s: [&[u8]; N] = std::array::from_fn(|k| &strings[lanes[k]][at.clone()]);
+    for i in 0..at.len() {
+        for (h, s) in h.iter_mut().zip(&s) {
+            *h = (*h ^ s[i] as u64).wrapping_mul(FNV_PRIME);
+        }
+    }
+    for (&lane, h) in lanes.iter().zip(h) {
+        sums[lane] = h;
+    }
+}
+
 /// Interns a string with `'static` lifetime.
 ///
 /// Checkpointed enums carry a few `&'static str` fields (trace stage names,
@@ -247,23 +294,47 @@ impl SnapWriter {
     }
 
     /// Byte run-length encoding for sparse memory images: pairs of
-    /// (run_len u64, byte u8). Typical DRAM images are almost all zero.
+    /// (run_len u64, byte u8), each run as long as it goes, so no run is
+    /// empty and no two neighbours repeat a byte. Typical DRAM images are
+    /// almost all zero.
     pub fn put_bytes_rle(&mut self, b: &[u8]) {
-        self.put_len(b.len());
-        let mut i = 0;
+        self.put_bytes_rle_padded(b, b.len());
+    }
+
+    /// What [`put_bytes_rle`](Self::put_bytes_rle) writes for `b` followed
+    /// by zeros up to `len` bytes, without building the padded copy: the
+    /// zeros join `b`'s last run when it is a run of zeros and are one run
+    /// of their own otherwise.
+    pub fn put_bytes_rle_padded(&mut self, b: &[u8], len: usize) {
+        assert!(b.len() <= len, "{} bytes padded to {len}", b.len());
+        self.put_len(len);
         let mut runs = 0u64;
         let runs_pos = self.buf.len();
         self.put_u64(0); // patched below
-        while i < b.len() {
-            let byte = b[i];
-            let mut j = i + 1;
-            while j < b.len() && b[j] == byte {
-                j += 1;
-            }
-            self.put_u64((j - i) as u64);
+        let mut rest = b;
+        // Where the last run's length sits, if that run is of zeros.
+        let mut zero_run = None;
+        while let Some(&byte) = rest.first() {
+            let n = rest.iter().position(|&x| x != byte).unwrap_or(rest.len());
+            zero_run = (byte == 0).then_some(self.buf.len());
+            self.put_u64(n as u64);
             self.put_u8(byte);
             runs += 1;
-            i = j;
+            rest = &rest[n..];
+        }
+        let pad = (len - b.len()) as u64;
+        if pad > 0 {
+            match zero_run {
+                Some(at) => {
+                    let n = u64::from_le_bytes(self.buf[at..at + 8].try_into().expect("8 bytes"));
+                    self.buf[at..at + 8].copy_from_slice(&(n + pad).to_le_bytes());
+                }
+                None => {
+                    self.put_u64(pad);
+                    self.put_u8(0);
+                    runs += 1;
+                }
+            }
         }
         self.buf[runs_pos..runs_pos + 8].copy_from_slice(&runs.to_le_bytes());
     }
@@ -411,14 +482,23 @@ impl<'a> SnapReader<'a> {
 
     /// Inverse of [`SnapWriter::put_bytes_rle`]. The output grows run by run
     /// and never past the declared total, so a declared total that the runs
-    /// do not cover fails before it is allocated.
+    /// do not cover fails before it is allocated. Only the runs the writer
+    /// makes are read: an empty run, or one repeating the byte of the run
+    /// before it, would restore state whose next snapshot differs.
     pub fn bytes_rle(&mut self) -> Result<Vec<u8>> {
         let total = self.len()?;
         let runs = self.u64()?;
         let mut out = Vec::new();
+        let mut last = None;
         for _ in 0..runs {
             let n = self.len()?;
             let byte = self.u8()?;
+            if n == 0 {
+                return Err(self.corrupt("empty rle run"));
+            }
+            if last.replace(byte) == Some(byte) {
+                return Err(self.corrupt(format!("rle run repeats byte {byte:#04x}")));
+            }
             if out.len() + n > total {
                 return Err(self.corrupt("rle runs exceed declared length"));
             }
@@ -507,29 +587,63 @@ impl Manifest {
 }
 
 /// Where an encoding goes, piece by piece.
-pub type Emit<'a> = dyn FnMut(&[u8]) + 'a;
+///
+/// A closure `FnMut(&[u8])` is one: it takes every piece, a section's
+/// checksum included. A sink that can settle a checksum without hashing
+/// overrides [`sum_of`](Self::sum_of) — a [`Diff`] that has matched the
+/// body against a stored one needs only the stored checksum to be the
+/// stored body's.
+pub trait Emit {
+    /// The next bytes of the encoding.
+    fn piece(&mut self, bytes: &[u8]);
+
+    /// The next eight bytes are `body`'s checksum, `fnv1a(body)`, and
+    /// `body` is what the last pieces handed over.
+    fn sum_of(&mut self, body: &[u8]) {
+        self.piece(&fnv1a(body).to_le_bytes());
+    }
+}
+
+impl<F: FnMut(&[u8])> Emit for F {
+    fn piece(&mut self, bytes: &[u8]) {
+        self(bytes)
+    }
+}
+
+/// Counts the bytes of an encoding; a checksum is eight of them, unhashed.
+struct Len(usize);
+
+impl Emit for Len {
+    fn piece(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn sum_of(&mut self, _: &[u8]) {
+        self.0 += 8;
+    }
+}
 
 /// Hands `emit` the framing in front of a checkpoint's sections, piece by
 /// piece: magic, manifest, section count.
-fn walk_head(m: &Manifest, sections: usize, emit: &mut Emit<'_>) {
-    emit(MAGIC);
-    emit(&m.schema_version.to_le_bytes());
+fn walk_head(m: &Manifest, sections: usize, emit: &mut dyn Emit) {
+    emit.piece(MAGIC);
+    emit.piece(&m.schema_version.to_le_bytes());
     for v in [m.seed, m.virtual_ns, m.events, m.config_fp] {
-        emit(&v.to_le_bytes());
+        emit.piece(&v.to_le_bytes());
     }
-    emit(&(m.label.len() as u64).to_le_bytes());
-    emit(m.label.as_bytes());
-    emit(&(sections as u64).to_le_bytes());
+    emit.piece(&(m.label.len() as u64).to_le_bytes());
+    emit.piece(m.label.as_bytes());
+    emit.piece(&(sections as u64).to_le_bytes());
 }
 
 /// Hands `emit` one section, piece by piece: its tag and body, each
-/// length-prefixed, then `sum`, the body's checksum.
-fn walk_section(tag: &str, body: &[u8], sum: u64, emit: &mut Emit<'_>) {
-    emit(&(tag.len() as u64).to_le_bytes());
-    emit(tag.as_bytes());
-    emit(&(body.len() as u64).to_le_bytes());
-    emit(body);
-    emit(&sum.to_le_bytes());
+/// length-prefixed, then the body's checksum.
+fn walk_section(tag: &str, body: &[u8], emit: &mut dyn Emit) {
+    emit.piece(&(tag.len() as u64).to_le_bytes());
+    emit.piece(tag.as_bytes());
+    emit.piece(&(body.len() as u64).to_le_bytes());
+    emit.piece(body);
+    emit.sum_of(body);
 }
 
 /// Where a producer's sections go, in order: collected into a
@@ -545,10 +659,10 @@ pub trait SectionSink {
     fn streamed(
         &mut self,
         tag: &str,
-        write: &mut dyn FnMut(&mut Emit<'_>) -> Result<()>,
+        write: &mut dyn FnMut(&mut dyn Emit) -> Result<()>,
     ) -> Result<()> {
         let mut body = Vec::new();
-        write(&mut |piece| body.extend_from_slice(piece))?;
+        write(&mut |piece: &[u8]| body.extend_from_slice(piece))?;
         self.section(tag, body);
         Ok(())
     }
@@ -610,26 +724,31 @@ impl Checkpoint {
 
     /// The one walk over exactly the bytes [`encode`](Self::encode) writes:
     /// magic, manifest, section count, then per section its tag, body and
-    /// `sum(body)`. Encoding and digest consume it; neither copies a body.
-    fn walk(&self, sum: fn(&[u8]) -> u64, emit: &mut Emit<'_>) {
+    /// checksum. Encoding and digest consume it; neither copies a body.
+    fn walk(&self, emit: &mut dyn Emit) {
         walk_head(&self.manifest, self.sections.len(), emit);
         for (tag, body) in &self.sections {
-            walk_section(tag, body, sum(body), emit);
+            walk_section(tag, body, emit);
         }
     }
 
     /// Full binary encoding: magic, manifest, then each section as
     /// `tag, body, fnv1a(body)`, in one buffer allocated at its exact length.
     pub fn encode(&self) -> Vec<u8> {
-        let mut len = 0;
-        self.walk(|_| 0, &mut |piece| len += piece.len());
-        let mut out = Vec::with_capacity(len);
-        self.walk(fnv1a, &mut |piece| out.extend_from_slice(piece));
+        let mut len = Len(0);
+        self.walk(&mut len);
+        let mut out = Vec::with_capacity(len.0);
+        self.walk(&mut |piece: &[u8]| out.extend_from_slice(piece));
         out
     }
 
     /// Decodes and *fully verifies* a checkpoint: magic, schema version, and
     /// every section checksum — before any component state is handed out.
+    ///
+    /// Every section is read first and the checksums are then computed side
+    /// by side; the report is still the first failure in the encoding: a
+    /// checksum that does not match, else the section the bytes ran out in,
+    /// else trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint> {
         let mut r = SnapReader::new("checkpoint", bytes);
         let magic = r.take(MAGIC.len())?;
@@ -645,20 +764,25 @@ impl Checkpoint {
         }
         let n = r.len()?;
         let mut ck = Checkpoint::new(manifest);
-        for _ in 0..n {
+        let mut stored = Vec::new();
+        let read: Result<()> = (0..n).try_for_each(|_| {
             let tag = r.str()?;
             let body = r.bytes()?;
-            let want = r.u64()?;
-            let got = fnv1a(&body);
-            if want != got {
-                return Err(SnapError::ChecksumMismatch {
-                    section: tag,
-                    want,
-                    got,
-                });
-            }
+            stored.push(r.u64()?);
             ck.sections.push((tag, body));
+            Ok(())
+        });
+        let bodies: Vec<&[u8]> = ck.sections.iter().map(|(_, b)| b.as_slice()).collect();
+        let sums = fnv1a_each(&bodies);
+        let mut checked = ck.sections.iter().zip(stored).zip(sums);
+        if let Some((((tag, _), want), got)) = checked.find(|((_, want), got)| want != got) {
+            return Err(SnapError::ChecksumMismatch {
+                section: tag.clone(),
+                want,
+                got,
+            });
         }
+        read?;
         r.finish()?;
         Ok(ck)
     }
@@ -686,7 +810,7 @@ impl Checkpoint {
     /// is walked: `fnv1a(&self.encode())` without the encoding.
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
-        self.walk(fnv1a, &mut |piece| fnv1a_fold(&mut h, piece));
+        self.walk(&mut |piece: &[u8]| fnv1a_fold(&mut h, piece));
         h
     }
 }
@@ -700,16 +824,16 @@ impl SectionSink for Checkpoint {
 /// A checkpoint's encoding, streamed as its sections are produced: `emit`
 /// receives the bytes [`Checkpoint::encode`] would write for the same
 /// manifest and sections, and no section outlives its turn.
-pub struct Encoder<F: FnMut(&[u8])> {
-    emit: F,
+pub struct Encoder<'e> {
+    emit: &'e mut dyn Emit,
     /// Sections still to come.
     left: usize,
 }
 
-impl<F: FnMut(&[u8])> Encoder<F> {
+impl<'e> Encoder<'e> {
     /// Starts the encoding of `sections` sections under `manifest`.
-    pub fn new(manifest: &Manifest, sections: usize, mut emit: F) -> Self {
-        walk_head(manifest, sections, &mut emit);
+    pub fn new(manifest: &Manifest, sections: usize, emit: &'e mut dyn Emit) -> Self {
+        walk_head(manifest, sections, emit);
         Encoder {
             emit,
             left: sections,
@@ -726,25 +850,47 @@ impl<F: FnMut(&[u8])> Encoder<F> {
     }
 }
 
-impl<F: FnMut(&[u8])> SectionSink for Encoder<F> {
+impl SectionSink for Encoder<'_> {
     fn section(&mut self, tag: &str, body: Vec<u8>) {
         self.left = self
             .left
             .checked_sub(1)
             .expect("more checkpoint sections than declared");
-        walk_section(tag, &body, fnv1a(&body), &mut self.emit);
+        walk_section(tag, &body, self.emit);
     }
 }
 
 /// The streaming form of [`Checkpoint::diff`]: a stored checkpoint against
 /// one produced a section at a time. Each section is compared as it arrives
 /// and dropped after; [`finish`](Self::finish) reports what `diff` would.
+///
+/// A streamed body that carries checksums of its own (a machine's encoding
+/// inside a rack) is not hashed as it streams. While the body has matched
+/// the stored one byte for byte, the checksum that follows it can only be
+/// `fnv1a` of the stored body, so the `Diff` takes the stored checksum as a
+/// claim to that effect and `finish` checks every claim, four chains side
+/// by side (`fnv1a_each`). A claim that fails is reported as the
+/// divergence it stands for: its first wrong byte, in its section.
 pub struct Diff<'a> {
     want: &'a Checkpoint,
     /// Sections produced so far.
     seen: usize,
-    /// The first divergence, once found.
-    first: Option<String>,
+    /// The first divergence found by comparing bytes, and the index of the
+    /// section it is in.
+    first: Option<(usize, String)>,
+    /// The checksums taken as matching, in the order they were produced.
+    claims: Vec<Claim>,
+}
+
+/// A stored checksum a [`Diff`] took as matching: the eight bytes at `sum`
+/// of stored section `section` are `fnv1a` of the bytes `body..sum` before
+/// them.
+struct Claim {
+    section: usize,
+    body: usize,
+    sum: usize,
+    /// How long the produced section turned out to be.
+    produced: usize,
 }
 
 /// One produced body against the stored body at its index: its length so
@@ -752,8 +898,12 @@ pub struct Diff<'a> {
 struct BodyDiff<'a> {
     /// The stored section, `None` once the checkpoints are known to differ.
     want: Option<(&'a str, &'a [u8])>,
+    /// The section's index.
+    index: usize,
     len: usize,
     diverged: Option<usize>,
+    /// The `Diff`'s claims, lent for the section's turn.
+    claims: Vec<Claim>,
 }
 
 impl BodyDiff<'_> {
@@ -770,15 +920,51 @@ impl BodyDiff<'_> {
     }
 }
 
+impl Emit for BodyDiff<'_> {
+    fn piece(&mut self, bytes: &[u8]) {
+        self.feed(bytes);
+    }
+
+    /// A claim while the body has matched so far and the stored section has
+    /// eight more bytes; otherwise the real checksum, compared as bytes.
+    fn sum_of(&mut self, body: &[u8]) {
+        match self.want {
+            Some((_, want)) if self.diverged.is_none() && want.len() >= self.len + 8 => {
+                self.claims.push(Claim {
+                    section: self.index,
+                    body: self.len - body.len(),
+                    sum: self.len,
+                    produced: 0,
+                });
+                self.len += 8;
+            }
+            _ => self.feed(&fnv1a(body).to_le_bytes()),
+        }
+    }
+}
+
+/// The report of a section whose bytes differ.
+fn differs(tag: &str, want: usize, got: usize, diverged: Option<usize>) -> String {
+    format!(
+        "section {tag:?} differs: {want} vs {got} bytes, first divergence at {}",
+        diverged.map_or_else(|| "end".to_string(), |o| format!("offset {o}")),
+    )
+}
+
 impl<'a> Diff<'a> {
     /// Compares against `want` a checkpoint whose manifest is `got`.
     pub fn new(want: &'a Checkpoint, got: &Manifest) -> Self {
-        let first = (want.manifest != *got)
-            .then(|| format!("manifest differs: {:?} vs {got:?}", want.manifest));
+        let first = (want.manifest != *got).then(|| {
+            (
+                0,
+                format!("manifest differs: {:?} vs {got:?}", want.manifest),
+            )
+        });
         Diff {
             want,
             seen: 0,
             first,
+            claims: Vec::new(),
         }
     }
 
@@ -791,26 +977,33 @@ impl<'a> Diff<'a> {
             if t == tag {
                 want = Some((t.as_str(), b.as_slice()));
             } else {
-                self.first = Some(format!("section {i} tag differs: {t:?} vs {tag:?}"));
+                self.first = Some((i, format!("section {i} tag differs: {t:?} vs {tag:?}")));
             }
         }
         BodyDiff {
             want,
+            index: i,
             len: 0,
             diverged: None,
+            claims: std::mem::take(&mut self.claims),
         }
     }
 
-    fn end(&mut self, body: BodyDiff<'_>) {
+    fn end(&mut self, mut body: BodyDiff<'_>) {
+        let index = body.index;
+        for c in body
+            .claims
+            .iter_mut()
+            .rev()
+            .take_while(|c| c.section == index)
+        {
+            c.produced = body.len;
+        }
+        self.claims = body.claims;
         if let Some((tag, want)) = body.want {
             if body.len != want.len() || body.diverged.is_some() {
-                self.first = Some(format!(
-                    "section {tag:?} differs: {} vs {} bytes, first divergence at {}",
-                    want.len(),
-                    body.len,
-                    body.diverged
-                        .map_or_else(|| "end".to_string(), |o| format!("offset {o}")),
-                ));
+                let report = differs(tag, want.len(), body.len, body.diverged);
+                self.first = Some((index, report));
             }
         }
     }
@@ -821,11 +1014,41 @@ impl<'a> Diff<'a> {
         self.end(d);
     }
 
+    /// The first claim that fails, as the report of its section: every claim
+    /// precedes any divergence in its section, so its first wrong byte is
+    /// the section's first divergence.
+    fn broken_claim(&self) -> Option<(usize, String)> {
+        let stored = |c: &Claim| self.want.sections[c.section].1.as_slice();
+        let bodies: Vec<&[u8]> = self
+            .claims
+            .iter()
+            .map(|c| &stored(c)[c.body..c.sum])
+            .collect();
+        let sums = fnv1a_each(&bodies);
+        self.claims.iter().zip(sums).find_map(|(c, got)| {
+            let want = &stored(c)[c.sum..c.sum + 8];
+            let off = want
+                .iter()
+                .zip(got.to_le_bytes())
+                .position(|(a, b)| *a != b)?;
+            let (tag, body) = &self.want.sections[c.section];
+            let report = differs(tag, body.len(), c.produced, Some(c.sum + off));
+            Some((c.section, report))
+        })
+    }
+
     /// The first divergence (`None` when the produced checkpoint is the
     /// stored one), in the words of [`Checkpoint::diff`].
     pub fn finish(self) -> Option<String> {
+        // The earlier section's report; in one section, the claim's byte
+        // comes first.
+        let first = [self.broken_claim(), self.first]
+            .into_iter()
+            .flatten()
+            .min_by_key(|&(section, _)| section);
         let (want, seen) = (self.want.sections.len(), self.seen);
-        self.first
+        first
+            .map(|(_, report)| report)
             .or_else(|| (want != seen).then(|| format!("section count differs: {want} vs {seen}")))
     }
 }
@@ -838,12 +1061,12 @@ impl SectionSink for Diff<'_> {
     fn streamed(
         &mut self,
         tag: &str,
-        write: &mut dyn FnMut(&mut Emit<'_>) -> Result<()>,
+        write: &mut dyn FnMut(&mut dyn Emit) -> Result<()>,
     ) -> Result<()> {
         let mut body = self.begin(tag);
-        write(&mut |piece| body.feed(piece))?;
+        let written = write(&mut body);
         self.end(body);
-        Ok(())
+        written
     }
 }
 
@@ -983,6 +1206,96 @@ mod tests {
         r.finish().unwrap();
     }
 
+    /// `put_bytes_rle` before it took a padded length, kept as the oracle.
+    fn rle_oracle(b: &[u8]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_len(b.len());
+        let mut i = 0;
+        let mut runs = 0u64;
+        let runs_pos = w.buf.len();
+        w.put_u64(0); // patched below
+        while i < b.len() {
+            let byte = b[i];
+            let mut j = i + 1;
+            while j < b.len() && b[j] == byte {
+                j += 1;
+            }
+            w.put_u64((j - i) as u64);
+            w.put_u8(byte);
+            runs += 1;
+            i = j;
+        }
+        w.buf[runs_pos..runs_pos + 8].copy_from_slice(&runs.to_le_bytes());
+        w.into_bytes()
+    }
+
+    proptest::proptest! {
+        /// Zero-padding inside the writer writes what the old writer wrote
+        /// for the padded copy: bytes from a three-letter alphabet with zero
+        /// in it, so runs form and the padding sometimes extends a run of
+        /// zeros.
+        fn a_padded_rle_is_the_rle_of_the_padded_bytes(
+            bytes in proptest::collection::vec(0u8..3, 0..40),
+            pad in 0usize..20,
+        ) {
+            let mut padded = bytes.clone();
+            padded.resize(bytes.len() + pad, 0);
+            let want = rle_oracle(&padded);
+            let mut w = SnapWriter::new();
+            w.put_bytes_rle_padded(&bytes, padded.len());
+            proptest::prop_assert_eq!(w.into_bytes(), want.clone());
+            let mut w = SnapWriter::new();
+            w.put_bytes_rle(&padded);
+            proptest::prop_assert_eq!(w.into_bytes(), want.clone());
+            proptest::prop_assert_eq!(SnapReader::new("rle", &want).bytes_rle().unwrap(), padded);
+        }
+
+        /// [`fnv1a_each`] is [`fnv1a`] of each string, for none to nine
+        /// strings, empty ones and ones of equal length among them.
+        fn fnv1a_each_is_fnv1a_of_each(
+            strings in proptest::collection::vec((0usize..6, proptest::arbitrary::any::<u64>()), 0..10),
+        ) {
+            let strings: Vec<Vec<u8>> = strings
+                .iter()
+                .map(|&(kind, seed)| {
+                    let len = [0, 1, 3, 64, 64 + seed as usize % 3, seed as usize % 300][kind];
+                    (0..len as u64).map(|i| (i.wrapping_mul(seed | 1) >> 5) as u8).collect()
+                })
+                .collect();
+            let refs: Vec<&[u8]> = strings.iter().map(Vec::as_slice).collect();
+            let want: Vec<u64> = refs.iter().map(|s| fnv1a(s)).collect();
+            proptest::prop_assert_eq!(fnv1a_each(&refs), want);
+        }
+    }
+
+    /// Runs the writer never makes are refused as `Corrupt`: an empty run,
+    /// and a run of the byte the run before it had. Both restored `Ok`
+    /// before, into state whose next snapshot is not the bytes it came from.
+    #[test]
+    fn rle_refuses_runs_the_writer_never_makes() {
+        let runs = |runs: &[(u64, u8)]| {
+            let mut w = SnapWriter::new();
+            w.put_len(4);
+            w.put_u64(runs.len() as u64);
+            for &(n, byte) in runs {
+                w.put_u64(n);
+                w.put_u8(byte);
+            }
+            w.into_bytes()
+        };
+        assert_eq!(rle_oracle(&[7, 7, 0, 0]), runs(&[(2, 7), (2, 0)]));
+        for bad in [
+            runs(&[(2, 7), (0, 9), (2, 0)]),
+            runs(&[(1, 7), (1, 7), (2, 0)]),
+            runs(&[(2, 7), (2, 0), (0, 0)]),
+        ] {
+            match SnapReader::new("rle", &bad).bytes_rle() {
+                Err(SnapError::Corrupt { .. }) => {}
+                other => panic!("expected corrupt, got {other:?}"),
+            }
+        }
+    }
+
     /// A section body: empty, one MiB, or a few hundred bytes, filled from
     /// `seed`.
     fn body(kind: u8, seed: u64) -> Vec<u8> {
@@ -1057,15 +1370,227 @@ mod tests {
         None
     }
 
+    /// The streamed [`Diff`] before it took checksums as claims, kept as the
+    /// oracle: it compares every byte, a checksum hashed as it streams.
+    struct OracleDiff<'a> {
+        want: &'a Checkpoint,
+        seen: usize,
+        first: Option<String>,
+    }
+
+    struct OracleBody<'a> {
+        want: Option<(&'a str, &'a [u8])>,
+        len: usize,
+        diverged: Option<usize>,
+    }
+
+    impl OracleBody<'_> {
+        fn feed(&mut self, piece: &[u8]) {
+            if let (Some((_, want)), None) = (self.want, self.diverged) {
+                let rest = want.get(self.len..).unwrap_or_default();
+                let n = rest.len().min(piece.len());
+                if rest[..n] != piece[..n] {
+                    let off = rest.iter().zip(piece).position(|(a, b)| a != b);
+                    self.diverged = off.map(|o| self.len + o);
+                }
+            }
+            self.len += piece.len();
+        }
+    }
+
+    impl<'a> OracleDiff<'a> {
+        fn new(want: &'a Checkpoint, got: &Manifest) -> Self {
+            let first = (want.manifest != *got)
+                .then(|| format!("manifest differs: {:?} vs {got:?}", want.manifest));
+            OracleDiff {
+                want,
+                seen: 0,
+                first,
+            }
+        }
+
+        fn begin(&mut self, tag: &str) -> OracleBody<'a> {
+            let i = self.seen;
+            self.seen += 1;
+            let mut want = None;
+            if let (None, Some((t, b))) = (&self.first, self.want.sections.get(i)) {
+                if t == tag {
+                    want = Some((t.as_str(), b.as_slice()));
+                } else {
+                    self.first = Some(format!("section {i} tag differs: {t:?} vs {tag:?}"));
+                }
+            }
+            OracleBody {
+                want,
+                len: 0,
+                diverged: None,
+            }
+        }
+
+        fn end(&mut self, body: OracleBody<'_>) {
+            if let Some((tag, want)) = body.want {
+                if body.len != want.len() || body.diverged.is_some() {
+                    self.first = Some(format!(
+                        "section {tag:?} differs: {} vs {} bytes, first divergence at {}",
+                        want.len(),
+                        body.len,
+                        body.diverged
+                            .map_or_else(|| "end".to_string(), |o| format!("offset {o}")),
+                    ));
+                }
+            }
+        }
+
+        fn finish(self) -> Option<String> {
+            let (want, seen) = (self.want.sections.len(), self.seen);
+            self.first.or_else(|| {
+                (want != seen).then(|| format!("section count differs: {want} vs {seen}"))
+            })
+        }
+    }
+
+    impl SectionSink for OracleDiff<'_> {
+        fn section(&mut self, tag: &str, body: Vec<u8>) {
+            let mut d = self.begin(tag);
+            d.feed(&body);
+            self.end(d);
+        }
+
+        fn streamed(
+            &mut self,
+            tag: &str,
+            write: &mut dyn FnMut(&mut dyn Emit) -> Result<()>,
+        ) -> Result<()> {
+            let mut body = self.begin(tag);
+            write(&mut |piece: &[u8]| body.feed(piece))?;
+            self.end(body);
+            Ok(())
+        }
+    }
+
+    /// Each section of an encoding: where its body length, its body and
+    /// its checksum start.
+    fn framing(enc: &[u8]) -> Vec<(usize, usize, usize)> {
+        let mut r = SnapReader::new("framing", enc);
+        r.take(MAGIC.len()).unwrap();
+        Manifest::decode(&mut r).unwrap();
+        let n = r.len().unwrap();
+        (0..n)
+            .map(|_| {
+                r.str().unwrap();
+                let len = r.pos;
+                let body = r.len().unwrap();
+                r.take(body).unwrap();
+                let sum = r.pos;
+                r.u64().unwrap();
+                (len, len + 8, sum)
+            })
+            .collect()
+    }
+
+    /// The nested half of `a_streamed_diff_reports_what_diff_did`, the shape
+    /// of a rack: every stored section is an encoded checkpoint (`inner`
+    /// gives the body kinds of each), doctored by `edits` in a byte
+    /// anywhere, an inner checksum, an inner body, an inner length field, a
+    /// cut anywhere, a cut inside an inner checksum or every inner checksum
+    /// of every section (so that several claims fail). The produced sections
+    /// stream through an [`Encoder`], so a [`Diff`] takes their checksums as
+    /// claims; it must report what the oracles do.
+    fn nested_case(inner: &[Vec<u8>], edits: &[(u8, u64)], seed: u64) {
+        let inners: Vec<Checkpoint> = inner
+            .iter()
+            .enumerate()
+            .map(|(i, kinds)| {
+                let mut ck = Checkpoint::new(Manifest {
+                    label: format!("m{i}"),
+                    ..sample().manifest
+                });
+                for (j, &kind) in kinds.iter().enumerate() {
+                    ck.add_section(
+                        &format!("t{j}"),
+                        body(kind % 2 * 2, seed ^ (i * 8 + j) as u64),
+                    );
+                }
+                ck
+            })
+            .collect();
+        let mut got = Checkpoint::new(sample().manifest);
+        for (i, ck) in inners.iter().enumerate() {
+            got.add_section(&format!("m{i}"), ck.encode());
+        }
+        let mut want = got.clone();
+        for &(kind, at) in edits {
+            if kind == 6 {
+                for ((_, stored), (_, produced)) in want.sections.iter_mut().zip(&got.sections) {
+                    for (_, _, sum) in framing(produced) {
+                        if let Some(b) = stored.get_mut(sum + (at >> 16) as usize % 8) {
+                            *b ^= 1;
+                        }
+                    }
+                }
+                continue;
+            }
+            let i = at as usize % want.sections.len();
+            let frame = framing(&got.sections[i].1);
+            let bytes = &mut want.sections[i].1;
+            let pick = frame.get((at >> 8) as usize % frame.len().max(1));
+            let flip = match (kind, pick) {
+                (0, _) => Some((at >> 16) as usize % bytes.len().max(1)),
+                (1, Some(&(_, _, sum))) => Some(sum + (at >> 16) as usize % 8),
+                (2, Some(&(_, start, sum))) if sum > start => {
+                    Some(start + (at >> 16) as usize % (sum - start))
+                }
+                (3, Some(&(len, _, _))) => Some(len + (at >> 16) as usize % 2),
+                (4, _) => {
+                    bytes.truncate((at >> 16) as usize % (bytes.len() + 1));
+                    None
+                }
+                (5, Some(&(_, _, sum))) => {
+                    bytes.truncate(sum + 1 + (at >> 16) as usize % 7);
+                    None
+                }
+                _ => None,
+            };
+            if let Some(b) = flip.and_then(|at| bytes.get_mut(at)) {
+                *b ^= 1 << (seed % 8);
+            }
+        }
+        let produce = |sink: &mut dyn SectionSink| {
+            for (i, ck) in inners.iter().enumerate() {
+                sink.streamed(&format!("m{i}"), &mut |emit| {
+                    let mut enc = Encoder::new(&ck.manifest, ck.section_count(), emit);
+                    for (tag, body) in &ck.sections {
+                        enc.section(tag, body.clone());
+                    }
+                    enc.finish();
+                    Ok(())
+                })
+                .expect("nothing fails to write");
+            }
+        };
+        let oracle = diff_oracle(&want, &got);
+        assert_eq!(want.diff(&got), oracle);
+        let mut parent = OracleDiff::new(&want, &got.manifest);
+        produce(&mut parent);
+        assert_eq!(parent.finish(), oracle);
+        let mut streamed = Diff::new(&want, &got.manifest);
+        produce(&mut streamed);
+        assert_eq!(streamed.finish(), oracle);
+    }
+
     proptest::proptest! {
         /// One edit to a checkpoint, found by `diff`, by a [`Diff`] fed each
-        /// body in arbitrary pieces and by the oracle in the same words; an
-        /// [`Encoder`] fed the edited sections writes its `encode`.
+        /// body in arbitrary pieces, by the streamed oracle and by the
+        /// oracle in the same words; an [`Encoder`] fed the edited sections
+        /// writes its `encode`. Then the same for nested checkpoints
+        /// ([`nested_case`]).
         fn a_streamed_diff_reports_what_diff_did(
             edit in 0u8..8,
             at in proptest::arbitrary::any::<u64>(),
             cuts in proptest::collection::vec(0usize..600, 0..4),
             kinds in proptest::collection::vec(0u8..3, 1..6),
+            inner in proptest::collection::vec(proptest::collection::vec(0u8..3, 0..4), 1..5),
+            edits in proptest::collection::vec((0u8..7, proptest::arbitrary::any::<u64>()), 0..4),
         ) {
             let mut want = sample();
             for (i, &kind) in kinds.iter().enumerate() {
@@ -1091,28 +1616,30 @@ mod tests {
             proptest::prop_assert_eq!(want.diff(&got), oracle.clone());
 
             let mut streamed = Diff::new(&want, &got.manifest);
+            let mut parent = OracleDiff::new(&want, &got.manifest);
             let mut bytes = Vec::new();
-            let mut enc = Encoder::new(&got.manifest, got.section_count(), |p: &[u8]| {
-                bytes.extend_from_slice(p)
-            });
+            let mut out = |p: &[u8]| bytes.extend_from_slice(p);
+            let mut enc = Encoder::new(&got.manifest, got.section_count(), &mut out);
             for (tag, body) in &got.sections {
-                streamed
-                    .streamed(tag, &mut |emit| {
-                        let mut rest = &body[..];
-                        for &cut in &cuts {
-                            let (piece, tail) = rest.split_at(cut.min(rest.len()));
-                            emit(piece);
-                            rest = tail;
-                        }
-                        emit(rest);
-                        Ok(())
-                    })
-                    .expect("nothing fails to write");
+                let mut write = |emit: &mut dyn Emit| {
+                    let mut rest = &body[..];
+                    for &cut in &cuts {
+                        let (piece, tail) = rest.split_at(cut.min(rest.len()));
+                        emit.piece(piece);
+                        rest = tail;
+                    }
+                    emit.piece(rest);
+                    Ok(())
+                };
+                streamed.streamed(tag, &mut write).expect("nothing fails to write");
+                parent.streamed(tag, &mut write).expect("nothing fails to write");
                 enc.section(tag, body.clone());
             }
             enc.finish();
-            proptest::prop_assert_eq!(streamed.finish(), oracle);
+            proptest::prop_assert_eq!(streamed.finish(), oracle.clone());
+            proptest::prop_assert_eq!(parent.finish(), oracle);
             proptest::prop_assert_eq!(bytes, got.encode());
+            nested_case(&inner, &edits, at);
         }
     }
 

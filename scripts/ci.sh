@@ -8,7 +8,8 @@
 #                          formatted per frame, a digest or verification that
 #                          holds a second copy of a checkpoint, a shared
 #                          string in a trace record, a walk of every machine
-#                          per retired rack event, ...)
+#                          per retired rack event, a checkpoint checksum
+#                          hashed one section at a time, ...)
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -111,6 +112,18 @@ from: fn verify_checkpoint\(
 to: ^    }
 forbid: self\.checkpoint\(
 why: verification compares each section as it serializes; a second checkpoint holds the state twice
+
+files: ^crates/snap/src/lib\.rs\$
+from: ^impl.* SectionSink for Encoder
+to: ^}
+forbid: fnv1a\(
+why: the encoder hands a section's checksum over through Emit::sum_of, so a verify can take it as a claim instead of hashing the body
+
+files: ^crates/snap/src/lib\.rs\$
+from: ^    pub fn decode\(bytes
+to: ^    }
+forbid: fnv1a\(
+why: decode reads every section first and hashes their bodies side by side with fnv1a_each
 
 files: ^crates/fabric/src/fabric\.rs\$
 from: ^        loop \{
