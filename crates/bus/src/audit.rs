@@ -279,162 +279,39 @@ impl SecurityPolicy {
     }
 }
 
-impl PrivOpKind {
-    /// Serializes into a snapshot section.
-    pub fn encode(self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u8(match self {
-            PrivOpKind::RegisterController => 0,
-            PrivOpKind::MapInstruction => 1,
-            PrivOpKind::Announce => 2,
-            PrivOpKind::Control => 3,
-        });
-    }
+lastcpu_snap::tags! { PrivOpKind { RegisterController = 0, MapInstruction = 1, Announce = 2, Control = 3 } }
 
-    /// Inverse of [`PrivOpKind::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => PrivOpKind::RegisterController,
-            1 => PrivOpKind::MapInstruction,
-            2 => PrivOpKind::Announce,
-            3 => PrivOpKind::Control,
-            t => return Err(r.corrupt(format!("bad PrivOpKind tag {t}"))),
-        })
-    }
-}
+lastcpu_snap::tags! { BusVerdict { Allowed = 0, Denied = 1, RateLimited = 2 } }
 
-impl BusVerdict {
-    /// Serializes into a snapshot section.
-    pub fn encode(self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u8(match self {
-            BusVerdict::Allowed => 0,
-            BusVerdict::Denied => 1,
-            BusVerdict::RateLimited => 2,
-        });
-    }
+lastcpu_snap::tags! { DenyReason {
+    NotController = 0, ResourceNotMemory = 1, ControllerTaken = 2, TargetNotFound = 3,
+    BadRequest = 4, ShadowAnnounce = 5, FloodLimited = 6,
+} }
 
-    /// Inverse of [`BusVerdict::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => BusVerdict::Allowed,
-            1 => BusVerdict::Denied,
-            2 => BusVerdict::RateLimited,
-            t => return Err(r.corrupt(format!("bad BusVerdict tag {t}"))),
-        })
-    }
-}
+lastcpu_snap::record!(BusAuditRecord {
+    src,
+    op,
+    resource,
+    target,
+    verdict,
+    reason
+});
 
-impl DenyReason {
-    /// Serializes into a snapshot section.
-    pub fn encode(self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u8(match self {
-            DenyReason::NotController => 0,
-            DenyReason::ResourceNotMemory => 1,
-            DenyReason::ControllerTaken => 2,
-            DenyReason::TargetNotFound => 3,
-            DenyReason::BadRequest => 4,
-            DenyReason::ShadowAnnounce => 5,
-            DenyReason::FloodLimited => 6,
-        });
-    }
+lastcpu_snap::fields! { BusAudit |self| (BusAudit::default()) {
+    allowed, denied, rate_limited, pending_allowed, pending_denied, pending_rate_limited,
+    dropped, cap, log: lastcpu_snap::Max(self.cap, "audit log exceeds its capacity"),
+} }
 
-    /// Inverse of [`DenyReason::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => DenyReason::NotController,
-            1 => DenyReason::ResourceNotMemory,
-            2 => DenyReason::ControllerTaken,
-            3 => DenyReason::TargetNotFound,
-            4 => DenyReason::BadRequest,
-            5 => DenyReason::ShadowAnnounce,
-            6 => DenyReason::FloodLimited,
-            t => return Err(r.corrupt(format!("bad DenyReason tag {t}"))),
-        })
-    }
-}
+lastcpu_snap::record!(SecurityPolicy {
+    deny_shadow_announce,
+    flood_limit,
+    flood_window
+});
 
-impl BusAuditRecord {
-    /// Serializes into a snapshot section.
-    pub fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u32(self.src.0);
-        self.op.encode(w);
-        w.put_opt(self.resource.as_ref(), |w, k| {
-            w.put_u8(crate::message::resource_kind_tag(*k))
-        });
-        w.put_opt(self.target.as_ref(), |w, d| w.put_u32(d.0));
-        self.verdict.encode(w);
-        w.put_opt(self.reason.as_ref(), |w, x| x.encode(w));
-    }
-
-    /// Inverse of [`BusAuditRecord::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(BusAuditRecord {
-            src: DeviceId(r.u32()?),
-            op: PrivOpKind::decode(r)?,
-            resource: r.opt(|r| {
-                let t = r.u8()?;
-                crate::message::resource_kind_from_tag(t)
-                    .ok_or_else(|| r.corrupt(format!("bad ResourceKind tag {t}")))
-            })?,
-            target: r.opt(|r| Ok(DeviceId(r.u32()?)))?,
-            verdict: BusVerdict::decode(r)?,
-            reason: r.opt(DenyReason::decode)?,
-        })
-    }
-}
-
-impl lastcpu_snap::Snapshot for BusAudit {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.allowed);
-        w.put_u64(self.denied);
-        w.put_u64(self.rate_limited);
-        w.put_u64(self.pending_allowed);
-        w.put_u64(self.pending_denied);
-        w.put_u64(self.pending_rate_limited);
-        w.put_u64(self.dropped);
-        w.put_u64(self.cap as u64);
-        w.put_len(self.log.len());
-        for rec in &self.log {
-            rec.encode(w);
-        }
-    }
-}
-
-impl lastcpu_snap::Restore for BusAudit {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.allowed = r.u64()?;
-        self.denied = r.u64()?;
-        self.rate_limited = r.u64()?;
-        self.pending_allowed = r.u64()?;
-        self.pending_denied = r.u64()?;
-        self.pending_rate_limited = r.u64()?;
-        self.dropped = r.u64()?;
-        self.cap = r.u64()? as usize;
-        let n = r.count()?;
-        if n > self.cap {
-            return Err(r.corrupt("audit log exceeds its capacity"));
-        }
-        self.log = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.log.push(BusAuditRecord::decode(r)?);
-        }
-        Ok(())
-    }
-}
-
+#[cfg(test)]
 impl SecurityPolicy {
-    /// Serializes into a snapshot section.
-    pub fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_bool(self.deny_shadow_announce);
-        w.put_opt(self.flood_limit.as_ref(), |w, v| w.put_u32(*v));
-        w.put_u64(self.flood_window.as_nanos());
-    }
-
-    /// Inverse of [`SecurityPolicy::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(SecurityPolicy {
-            deny_shadow_announce: r.bool()?,
-            flood_limit: r.opt(|r| r.u32())?,
-            flood_window: SimDuration::from_nanos(r.u64()?),
-        })
+    /// What the bus section writes for the policy.
+    pub(crate) fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
+        lastcpu_snap::Field::put(self, w);
     }
 }

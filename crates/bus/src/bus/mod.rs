@@ -220,7 +220,7 @@ pub struct SystemBus {
     /// entry, so the entry of `id` sits at `id.0 - 1`.
     devices: Vec<DeviceEntry>,
     /// The registered controller of each resource class, indexed by
-    /// `resource_kind_tag`.
+    /// `ResourceKind::tag`.
     controllers: [Option<DeviceId>; 4],
     cost: BusCostModel,
     heartbeat_timeout: SimDuration,

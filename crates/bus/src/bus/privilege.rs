@@ -6,7 +6,7 @@
 use super::{BusEffect, SystemBus};
 use crate::audit::{BusAudit, BusAuditRecord, BusVerdict, DenyReason, PrivOpKind, SecurityPolicy};
 use crate::ids::{DeviceId, RequestId};
-use crate::message::{resource_kind_tag, MapOp, Payload, ResourceKind, Status};
+use crate::message::{MapOp, Payload, ResourceKind, Status};
 
 impl SystemBus {
     /// Enables the privileged-operation audit ([`BusAudit`]), keeping at
@@ -40,7 +40,7 @@ impl SystemBus {
 
     /// The registered controller of `resource`, if any.
     pub fn controller_of(&self, resource: ResourceKind) -> Option<DeviceId> {
-        self.controllers[resource_kind_tag(resource) as usize]
+        self.controllers[resource.tag() as usize]
     }
 
     /// `RegisterController`: first claim wins; the holder may re-register.
@@ -52,7 +52,7 @@ impl SystemBus {
         bytes: usize,
         fx: &mut Vec<BusEffect>,
     ) {
-        let class = resource_kind_tag(resource) as usize;
+        let class = resource.tag() as usize;
         if self.controllers[class].is_some_and(|owner| owner != src) {
             self.deny(
                 bytes,

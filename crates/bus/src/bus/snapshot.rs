@@ -3,115 +3,82 @@
 //! controllers and flood state as sparse lists; restore checks that they
 //! describe a registry whose ids are exactly `1..=n`.
 
-use lastcpu_sim::{CorrId, SimDuration, SimTime};
+use lastcpu_sim::SimTime;
+use lastcpu_snap::Field;
 
 use super::registry::index_of;
-use super::{DeviceEntry, DeviceState, SystemBus};
-use crate::audit::{BusAudit, SecurityPolicy};
+use super::{BusStats, DeviceEntry, DeviceState, SystemBus};
 use crate::ids::DeviceId;
-use crate::message::ServiceDesc;
+#[cfg(test)]
+use {crate::audit::SecurityPolicy, crate::message::ServiceDesc, lastcpu_sim::CorrId};
 
-fn device_state_tag(s: DeviceState) -> u8 {
-    match s {
-        DeviceState::Attached => 0,
-        DeviceState::Alive => 1,
-        DeviceState::Failed => 2,
-        DeviceState::Departed => 3,
-    }
-}
+lastcpu_snap::tags! { DeviceState { Attached = 0, Alive = 1, Failed = 2, Departed = 3 } }
 
-fn device_state_from_tag(t: u8) -> Option<DeviceState> {
-    Some(match t {
-        0 => DeviceState::Attached,
-        1 => DeviceState::Alive,
-        2 => DeviceState::Failed,
-        3 => DeviceState::Departed,
-        _ => return None,
-    })
-}
+lastcpu_snap::record!(BusStats {
+    messages,
+    bytes,
+    unicasts,
+    broadcast_deliveries,
+    map_ops,
+    denials,
+    flood_dropped,
+    failures,
+});
 
-impl lastcpu_snap::Snapshot for SystemBus {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.cost.hop_latency.as_nanos());
-        w.put_u64(self.cost.processing.as_nanos());
-        w.put_u64(self.cost.per_byte_ps);
-        w.put_u64(self.heartbeat_timeout.as_nanos());
-        // The next id `attach` would hand out.
-        w.put_u32(self.devices.len() as u32 + 1);
-        w.put_u64(self.cur_corr.0);
-        w.put_u64(self.stats.messages);
-        w.put_u64(self.stats.bytes);
-        w.put_u64(self.stats.unicasts);
-        w.put_u64(self.stats.broadcast_deliveries);
-        w.put_u64(self.stats.map_ops);
-        w.put_u64(self.stats.denials);
-        w.put_u64(self.stats.flood_dropped);
-        w.put_u64(self.stats.failures);
-        // The format lists attach order, then the entries by id. Both are
-        // the registry's index order; restore checks that they agree.
-        w.put_len(self.devices.len());
-        for e in &self.devices {
-            w.put_u32(e.id.0);
+lastcpu_snap::fields! { SystemBus |self| {
+    cost.hop_latency, cost.processing, cost.per_byte_ps, heartbeat_timeout, ..Registry, audit,
+} restored {
+    // Scratch, not state: nothing of the previous life carries over.
+    self.envs.clear();
+} }
+
+/// The registry, in the layout that predates its indexing: the next id
+/// `attach` would hand out, the correlation id and counters, attach order
+/// and then the entries by id (both the registry's index order, and a
+/// restore checks that they read exactly `1..=n`), the controllers as a
+/// sparse list, the policy, and flood state for the senders the limiter
+/// has counted.
+struct Registry;
+
+impl lastcpu_snap::Span<SystemBus> for Registry {
+    fn put(&self, b: &SystemBus, w: &mut lastcpu_snap::SnapWriter) {
+        (b.devices.len() as u32 + 1).put(w);
+        b.cur_corr.put(w);
+        b.stats.put(w);
+        w.put_len(b.devices.len());
+        b.devices.iter().for_each(|e| e.id.put(w));
+        w.put_len(b.devices.len());
+        for e in &b.devices {
+            e.id.put(w);
+            e.name.put(w);
+            e.kind.put(w);
+            e.state.put(w);
+            e.last_seen.put(w);
+            e.services.put(w);
         }
-        w.put_len(self.devices.len());
-        for e in &self.devices {
-            w.put_u32(e.id.0);
-            w.put_str(&e.name);
-            w.put_str(&e.kind);
-            w.put_u8(device_state_tag(e.state));
-            w.put_u64(e.last_seen.as_nanos());
-            w.put_len(e.services.len());
-            for s in &e.services {
-                s.snap_encode(w);
-            }
-        }
-        w.put_len(self.controllers.iter().flatten().count());
-        for (class, d) in self.controllers.iter().enumerate() {
+        w.put_len(b.controllers.iter().flatten().count());
+        for (class, d) in (0u8..).zip(&b.controllers) {
             if let Some(d) = d {
-                w.put_u8(class as u8);
-                w.put_u32(d.0);
+                (class, *d).put(w);
             }
         }
-        self.policy.encode(w);
-        // Only senders the flood limiter has counted are listed.
-        let limited = || {
-            self.devices
-                .iter()
-                .filter_map(|e| e.flood.map(|f| (e.id, f)))
-        };
+        b.policy.put(w);
+        let limited = || b.devices.iter().filter_map(|e| Some((e.id, e.flood?)));
         w.put_len(limited().count());
-        for (d, (t, n)) in limited() {
-            w.put_u32(d.0);
-            w.put_u64(t.as_nanos());
-            w.put_u32(n);
-        }
-        w.put_opt(self.audit.as_ref(), |w, a| a.snapshot(w));
+        limited().for_each(|(d, (t, n))| (d, t, n).put(w));
     }
-}
 
-impl lastcpu_snap::Restore for SystemBus {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        // Scratch, not state: nothing of the previous life carries over.
-        self.envs.clear();
-        self.cost.hop_latency = SimDuration::from_nanos(r.u64()?);
-        self.cost.processing = SimDuration::from_nanos(r.u64()?);
-        self.cost.per_byte_ps = r.u64()?;
-        self.heartbeat_timeout = SimDuration::from_nanos(r.u64()?);
-        let next_id = r.u32()?;
-        self.cur_corr = CorrId(r.u64()?);
-        self.stats.messages = r.u64()?;
-        self.stats.bytes = r.u64()?;
-        self.stats.unicasts = r.u64()?;
-        self.stats.broadcast_deliveries = r.u64()?;
-        self.stats.map_ops = r.u64()?;
-        self.stats.denials = r.u64()?;
-        self.stats.flood_dropped = r.u64()?;
-        self.stats.failures = r.u64()?;
-        // Ids are indices, so a registry is only restorable if its attach
-        // order and its entries both read exactly 1..=n.
+    fn take(
+        &self,
+        b: &mut SystemBus,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
+        let next_id = u32::take(r)?;
+        b.cur_corr = Field::take(r)?;
+        b.stats = Field::take(r)?;
         let n = r.len()?;
         for i in 0..n {
-            let id = r.u32()?;
+            let id = u32::take(r)?;
             if id as usize != i + 1 {
                 return Err(r.corrupt(format!("attach order lists dev:{id} at position {i}")));
             }
@@ -121,59 +88,37 @@ impl lastcpu_snap::Restore for SystemBus {
                 "registry disagrees with its attach order of {n} (next id {next_id})"
             )));
         }
-        self.devices = Vec::with_capacity(n);
+        b.devices = Vec::with_capacity(n);
         for i in 0..n {
-            let id = DeviceId(r.u32()?);
+            let id = DeviceId::take(r)?;
             if index_of(id) != Some(i) {
                 return Err(r.corrupt(format!("registry lists {id} at position {i}")));
             }
-            let name = r.str()?;
-            let kind = r.str()?;
-            let state = {
-                let t = r.u8()?;
-                device_state_from_tag(t)
-                    .ok_or_else(|| r.corrupt(format!("bad DeviceState tag {t}")))?
-            };
-            let last_seen = SimTime::from_nanos(r.u64()?);
-            let ns = r.count()?;
-            let mut services = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                services.push(ServiceDesc::snap_decode(r)?);
-            }
-            self.devices.push(DeviceEntry {
+            b.devices.push(DeviceEntry {
                 id,
-                name,
-                kind,
-                state,
-                last_seen,
-                services,
+                name: Field::take(r)?,
+                kind: Field::take(r)?,
+                state: Field::take(r)?,
+                last_seen: Field::take(r)?,
+                services: Field::take(r)?,
                 flood: None,
             });
         }
-        self.controllers = [None; 4];
+        b.controllers = [None; 4];
         for _ in 0..r.len()? {
             let t = r.u8()?;
-            let slot = self
-                .controllers
-                .get_mut(t as usize)
+            let slot = (b.controllers.get_mut(t as usize))
                 .ok_or_else(|| r.corrupt(format!("bad ResourceKind tag {t}")))?;
-            *slot = Some(DeviceId(r.u32()?));
+            *slot = Some(DeviceId::take(r)?);
         }
-        self.policy = SecurityPolicy::decode(r)?;
+        b.policy = Field::take(r)?;
         for _ in 0..r.len()? {
-            let d = DeviceId(r.u32()?);
-            let t = SimTime::from_nanos(r.u64()?);
-            let c = r.u32()?;
-            match self.device_mut(d) {
+            let (d, t, c): (DeviceId, SimTime, u32) = Field::take(r)?;
+            match b.device_mut(d) {
                 Some(e) => e.flood = Some((t, c)),
                 None => return Err(r.corrupt(format!("flood state for unknown {d}"))),
             }
         }
-        self.audit = r.opt(|r| {
-            let mut a = BusAudit::default();
-            a.restore(r)?;
-            Ok(a)
-        })?;
         Ok(())
     }
 }

@@ -80,6 +80,8 @@ impl fmt::Debug for Token {
     }
 }
 
+lastcpu_snap::newtypes!(DeviceId, ServiceId, RequestId, ConnId, Token);
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -302,63 +302,22 @@ impl RpcTracker {
     }
 }
 
-impl lastcpu_snap::Snapshot for RpcTracker {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.config.timeout.as_nanos());
-        w.put_u64(self.config.backoff.base.as_nanos());
-        w.put_u64(self.config.backoff.cap.as_nanos());
-        w.put_u32(self.config.backoff.max_retries);
-        w.put_u32(self.config.backoff.jitter_pct);
-        w.put_u64(self.stats.tracked);
-        w.put_u64(self.stats.completed);
-        w.put_u64(self.stats.retries);
-        w.put_u64(self.stats.give_ups);
-        w.put_u64(self.stats.recovered);
-        let mut keys: Vec<_> = self.pending.keys().copied().collect();
-        keys.sort_by_key(|(d, r)| (d.0, r.0));
-        w.put_len(keys.len());
-        for key in keys {
-            let p = &self.pending[&key];
-            w.put_u32(key.0 .0);
-            w.put_u64(key.1 .0);
-            w.put_bytes(&p.env.encode());
-            w.put_u64(p.first_sent.as_nanos());
-            w.put_u32(p.retries);
-            w.put_u64(p.deadline.as_nanos());
-        }
-    }
-}
+lastcpu_snap::record!(RetryConfig { timeout, backoff });
+lastcpu_snap::record!(RetryStats {
+    tracked,
+    completed,
+    retries,
+    give_ups,
+    recovered
+});
+lastcpu_snap::record!(PendingRpc {
+    env,
+    first_sent,
+    retries,
+    deadline
+});
 
-impl lastcpu_snap::Restore for RpcTracker {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.config.timeout = SimDuration::from_nanos(r.u64()?);
-        self.config.backoff.base = SimDuration::from_nanos(r.u64()?);
-        self.config.backoff.cap = SimDuration::from_nanos(r.u64()?);
-        self.config.backoff.max_retries = r.u32()?;
-        self.config.backoff.jitter_pct = r.u32()?;
-        self.stats.tracked = r.u64()?;
-        self.stats.completed = r.u64()?;
-        self.stats.retries = r.u64()?;
-        self.stats.give_ups = r.u64()?;
-        self.stats.recovered = r.u64()?;
-        let n = r.len()?;
-        self.pending = DetHashMap::default();
-        for _ in 0..n {
-            let key = (DeviceId(r.u32()?), RequestId(r.u64()?));
-            let body = r.bytes()?;
-            let env = Envelope::decode(&body)
-                .map_err(|e| r.corrupt(format!("pending rpc envelope: {e}")))?;
-            let p = PendingRpc {
-                env,
-                first_sent: SimTime::from_nanos(r.u64()?),
-                retries: r.u32()?,
-                deadline: SimTime::from_nanos(r.u64()?),
-            };
-            self.pending.insert(key, p);
-        }
-        Ok(())
-    }
-}
+lastcpu_snap::fields! { RpcTracker |self| { config, stats, pending } }
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,7 @@
 //! privileged bus is an attack surface.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum length accepted for any string or blob (1 MiB).
 ///
@@ -113,6 +114,73 @@ pub fn varint_len(mut v: u64) -> usize {
 /// a field of `n` bytes: the varint length prefix plus the bytes.
 pub fn field_len(n: usize) -> usize {
     varint_len(n as u64) + n
+}
+
+/// A value's wire encoding: `put` writes it, `take` reads it back, and
+/// `encoded_len` is what `put` writes, counted without writing. A payload's
+/// layout is declared once (`lastcpu_snap::variants!`) and all three follow
+/// from it.
+pub trait Wire: Sized {
+    /// Writes the value.
+    fn put(&self, w: &mut WireWriter);
+    /// Reads a value back.
+    fn take(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+    /// Bytes [`put`](Self::put) writes.
+    fn encoded_len(&self) -> usize;
+}
+
+macro_rules! fixed {
+    ($($t:ident: $n:literal),*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut WireWriter) {
+                w.$t(*self);
+            }
+            fn take(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                r.$t()
+            }
+            fn encoded_len(&self) -> usize {
+                $n
+            }
+        }
+    )*};
+}
+
+fixed!(u8: 1, u16: 2, u32: 4, u64: 8, u128: 16);
+
+impl Wire for Vec<u8> {
+    fn put(&self, w: &mut WireWriter) {
+        w.bytes(self);
+    }
+    fn take(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.bytes()
+    }
+    fn encoded_len(&self) -> usize {
+        field_len(self.len())
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut WireWriter) {
+        w.string(self);
+    }
+    fn take(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.string()
+    }
+    fn encoded_len(&self) -> usize {
+        field_len(self.len())
+    }
+}
+
+impl Wire for Arc<str> {
+    fn put(&self, w: &mut WireWriter) {
+        w.string(self);
+    }
+    fn take(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(r.string()?.into())
+    }
+    fn encoded_len(&self) -> usize {
+        field_len(self.len())
+    }
 }
 
 /// Append-only encoder.
@@ -310,6 +378,14 @@ impl<'a> WireReader<'a> {
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, WireError> {
         String::from_utf8(self.bytes()?).map_err(|_| WireError::InvalidUtf8)
+    }
+
+    /// The refusal of an enum tag no variant of `what` has.
+    pub fn bad_tag(&self, what: &'static str, tag: u8) -> WireError {
+        WireError::BadDiscriminant {
+            what,
+            value: tag as u64,
+        }
     }
 
     /// Reads a boolean byte (strictly 0 or 1).

@@ -166,7 +166,7 @@ impl System {
         for f in &self.fault_events {
             w.put_u64(f.at.as_nanos());
             w.put_str(&f.target);
-            f.kind.encode(&mut w);
+            lastcpu_snap::Field::put(&f.kind, &mut w);
         }
         w.into_bytes()
     }

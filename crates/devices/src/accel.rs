@@ -265,64 +265,21 @@ impl Firmware for Accelerator {
     }
 }
 
-impl lastcpu_snap::Snapshot for Accelerator {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_str(&self.name);
-        self.monitor.snapshot(w);
-        w.put_u16(self.total_regions);
-        w.put_u16(self.free_regions);
-        w.put_u8(match self.mode {
-            ShareMode::Spatial => 0,
-            ShareMode::TimeShared => 1,
-        });
-        w.put_u64(self.unit_time.as_nanos());
-        w.put_u64(self.stats.jobs);
-        w.put_u64(self.stats.work_units);
-        w.put_u64(self.stats.rejected);
-        w.put_u64(self.next_job);
-        let mut conns: Vec<_> = self.conns.keys().copied().collect();
-        conns.sort_by_key(|c| c.0);
-        w.put_len(conns.len());
-        for c in conns {
-            let fc = &self.conns[&c];
-            w.put_u64(c.0);
-            w.put_u32(fc.peer.0);
-            w.put_u16(fc.regions);
-            w.put_u64(fc.jobs_done);
-        }
-    }
-}
+lastcpu_snap::tags! { ShareMode { Spatial = 0, TimeShared = 1 } }
+lastcpu_snap::record!(FabricConn {
+    peer,
+    regions,
+    jobs_done
+});
+lastcpu_snap::record!(AccelStats {
+    jobs,
+    work_units,
+    rejected
+});
 
-impl lastcpu_snap::Restore for Accelerator {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.name = r.str()?;
-        self.monitor.restore(r)?;
-        self.total_regions = r.u16()?;
-        self.free_regions = r.u16()?;
-        self.mode = match r.u8()? {
-            0 => ShareMode::Spatial,
-            1 => ShareMode::TimeShared,
-            t => return Err(r.corrupt(format!("bad ShareMode tag {t}"))),
-        };
-        self.unit_time = SimDuration::from_nanos(r.u64()?);
-        self.stats.jobs = r.u64()?;
-        self.stats.work_units = r.u64()?;
-        self.stats.rejected = r.u64()?;
-        self.next_job = r.u64()?;
-        let n = r.len()?;
-        self.conns = DetHashMap::default();
-        for _ in 0..n {
-            let c = ConnId(r.u64()?);
-            let fc = FabricConn {
-                peer: DeviceId(r.u32()?),
-                regions: r.u16()?,
-                jobs_done: r.u64()?,
-            };
-            self.conns.insert(c, fc);
-        }
-        Ok(())
-    }
-}
+lastcpu_snap::fields! { Accelerator |self| {
+    name, mut monitor, total_regions, free_regions, mode, unit_time, stats, next_job, conns,
+} }
 
 #[cfg(test)]
 mod tests {

@@ -350,92 +350,95 @@ impl fmt::Debug for NandChip {
     }
 }
 
-impl lastcpu_snap::Snapshot for NandChip {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u32(self.config.blocks);
-        w.put_u32(self.config.pages_per_block);
-        w.put_u32(self.config.page_size);
-        w.put_u64(self.config.read_latency.as_nanos());
-        w.put_u64(self.config.program_latency.as_nanos());
-        w.put_u64(self.config.erase_latency.as_nanos());
-        w.put_u32(self.config.max_erase_cycles);
-        w.put_u64(self.stats.reads);
-        w.put_u64(self.stats.programs);
-        w.put_u64(self.stats.erases);
-        w.put_u32(self.stats.bad_blocks);
-        w.put_len(self.blocks.len());
-        for b in &self.blocks {
-            w.put_u32(b.erase_count);
-            w.put_u32(b.written);
-            w.put_bool(b.bad);
-        }
-        // Programmed pages in (block, page) order: exactly the pages below
-        // each block's write pointer, each a whole page as programmed — its
-        // stored bytes and the zeros they leave out.
-        w.put_len(self.blocks.iter().map(|b| b.written as usize).sum());
-        for (blk, b) in (0u32..).zip(&self.blocks) {
-            for pg in 0..b.written {
-                let (s, e) = self.spans[self.span_index(blk, pg)];
-                w.put_u32(blk);
-                w.put_u32(pg);
-                w.put_bytes_rle_padded(
-                    &b.slab[s as usize..e as usize],
-                    self.config.page_size as usize,
-                );
-            }
+lastcpu_snap::record!(FlashStats {
+    reads,
+    programs,
+    erases,
+    bad_blocks
+});
+
+lastcpu_snap::fields! { NandChip |self| {
+    config.blocks: Chip("blocks", self.config.blocks),
+    config.pages_per_block: Chip("pages_per_block", self.config.pages_per_block),
+    config.page_size: Chip("page_size", self.config.page_size),
+    config.read_latency, config.program_latency, config.erase_latency, config.max_erase_cycles,
+    stats, ..Pages,
+} }
+
+/// A geometry field. The geometry sized the span table when the chip was
+/// built; a checkpoint may only restore into the chip it was taken from.
+struct Chip(&'static str, u32);
+
+impl lastcpu_snap::Codec<u32> for Chip {
+    fn put(&self, v: &u32, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_u32(*v);
+    }
+
+    fn take(&self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<u32> {
+        let (field, own) = (self.0, self.1);
+        match r.u32()? {
+            declared if declared == own => Ok(own),
+            declared => Err(r.corrupt(format!("{field} {declared} != the chip's {own}"))),
         }
     }
 }
 
-impl lastcpu_snap::Restore for NandChip {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        // The geometry sized the span table when the chip was built; a
-        // checkpoint may only restore into the chip it was taken from.
-        for (field, own) in [
-            ("blocks", self.config.blocks),
-            ("pages_per_block", self.config.pages_per_block),
-            ("page_size", self.config.page_size),
-        ] {
-            let declared = r.u32()?;
-            if declared != own {
-                return Err(r.corrupt(format!("{field} {declared} != the chip's {own}")));
+/// Each block's erase count, write pointer and bad flag, then the
+/// programmed pages in (block, page) order: exactly the pages below each
+/// block's write pointer, each a whole page as programmed — its stored
+/// bytes and the zeros they leave out — read back through the same
+/// prefix-sharing store that programming uses.
+struct Pages;
+
+impl lastcpu_snap::Span<NandChip> for Pages {
+    fn put(&self, c: &NandChip, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_len(c.blocks.len());
+        for b in &c.blocks {
+            lastcpu_snap::Field::put(&(b.erase_count, b.written, b.bad), w);
+        }
+        w.put_len(c.blocks.iter().map(|b| b.written as usize).sum());
+        for (blk, b) in (0u32..).zip(&c.blocks) {
+            for pg in 0..b.written {
+                let (s, e) = c.spans[c.span_index(blk, pg)];
+                w.put_u32(blk);
+                w.put_u32(pg);
+                w.put_bytes_rle_padded(
+                    &b.slab[s as usize..e as usize],
+                    c.config.page_size as usize,
+                );
             }
         }
-        self.config.read_latency = SimDuration::from_nanos(r.u64()?);
-        self.config.program_latency = SimDuration::from_nanos(r.u64()?);
-        self.config.erase_latency = SimDuration::from_nanos(r.u64()?);
-        self.config.max_erase_cycles = r.u32()?;
-        self.stats.reads = r.u64()?;
-        self.stats.programs = r.u64()?;
-        self.stats.erases = r.u64()?;
-        self.stats.bad_blocks = r.u32()?;
+    }
+
+    fn take(
+        &self,
+        c: &mut NandChip,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
         let n = r.count()?;
-        if n != self.config.blocks as usize {
+        if n != c.config.blocks as usize {
+            let blocks = c.config.blocks;
             return Err(r.corrupt(format!(
-                "block-state count {n} != configured blocks {}",
-                self.config.blocks
+                "block-state count {n} != configured blocks {blocks}"
             )));
         }
-        self.blocks = Vec::with_capacity(n);
+        c.blocks = Vec::with_capacity(n);
         let mut write_ptrs = Vec::with_capacity(n);
         for blk in 0..n {
-            let erase_count = r.u32()?;
-            let write_ptr = r.u32()?;
-            if write_ptr > self.config.pages_per_block {
+            let (erase_count, write_ptr, bad): (u32, u32, bool) = lastcpu_snap::Field::take(r)?;
+            if write_ptr > c.config.pages_per_block {
+                let ppb = c.config.pages_per_block;
                 return Err(r.corrupt(format!(
-                    "block {blk} write pointer {write_ptr} > {} pages per block",
-                    self.config.pages_per_block
+                    "block {blk} write pointer {write_ptr} > {ppb} pages per block"
                 )));
             }
             write_ptrs.push(write_ptr);
-            self.blocks.push(BlockState {
+            c.blocks.push(BlockState {
                 erase_count,
-                bad: r.bool()?,
+                bad,
                 ..BlockState::default()
             });
         }
-        // Page records must be exactly the pages below each block's write
-        // pointer, in the (block, page) order `snapshot` emits them.
         let n = r.len()?;
         let programmed: usize = write_ptrs.iter().map(|&p| p as usize).sum();
         if n != programmed {
@@ -450,14 +453,13 @@ impl lastcpu_snap::Restore for NandChip {
                     return Err(r.corrupt(format!("page record {at:?} where ({blk},{pg}) belongs")));
                 }
                 let body = r.bytes_rle()?;
-                if body.len() != self.config.page_size as usize {
-                    return Err(r.corrupt(format!(
-                        "page ({blk},{pg}) body is {} bytes, want {}",
-                        body.len(),
-                        self.config.page_size
-                    )));
+                if body.len() != c.config.page_size as usize {
+                    let (n, ps) = (body.len(), c.config.page_size);
+                    return Err(
+                        r.corrupt(format!("page ({blk},{pg}) body is {n} bytes, want {ps}"))
+                    );
                 }
-                self.push_page(blk, &body);
+                c.push_page(blk, &body);
             }
         }
         Ok(())

@@ -240,49 +240,11 @@ impl fmt::Debug for FlashFs {
     }
 }
 
-impl lastcpu_snap::Snapshot for FlashFs {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        self.ftl.snapshot(w);
-        w.put_len(self.files.len());
-        for (name, meta) in &self.files {
-            w.put_str(name);
-            w.put_u64(meta.size);
-            w.put_len(meta.lpns.len());
-            for &l in &meta.lpns {
-                w.put_u32(l);
-            }
-        }
-        w.put_len(self.free_lpns.len());
-        for &l in &self.free_lpns {
-            w.put_u32(l);
-        }
-    }
-}
+lastcpu_snap::record!(FileMeta { size, lpns });
 
-impl lastcpu_snap::Restore for FlashFs {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.ftl.restore(r)?;
-        self.page_buf = vec![0; self.ftl.page_size() as usize];
-        let n = r.len()?;
-        self.files = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.str()?;
-            let size = r.u64()?;
-            let k = r.count()?;
-            let mut lpns = Vec::with_capacity(k);
-            for _ in 0..k {
-                lpns.push(r.u32()?);
-            }
-            self.files.insert(name, FileMeta { lpns, size });
-        }
-        let n = r.count()?;
-        self.free_lpns = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.free_lpns.push(r.u32()?);
-        }
-        Ok(())
-    }
-}
+lastcpu_snap::fields! { FlashFs |self| { mut ftl, files, free_lpns } restored {
+    self.page_buf = vec![0; self.ftl.page_size() as usize];
+} }
 
 #[cfg(test)]
 mod tests {

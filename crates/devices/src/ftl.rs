@@ -633,97 +633,43 @@ mod retirement_tests {
     }
 }
 
-impl lastcpu_snap::Snapshot for Ftl {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        self.nand.snapshot(w);
-        w.put_u32(self.logical_pages);
-        w.put_u64(self.stats.host_writes);
-        w.put_u64(self.stats.nand_writes);
-        w.put_u64(self.stats.gc_runs);
-        w.put_u64(self.stats.gc_moved_pages);
-        w.put_u64(self.stats.retired_blocks);
-        w.put_u64(self.stats.retry_exhausted);
-        w.put_u64(self.retry.base.as_nanos());
-        w.put_u64(self.retry.cap.as_nanos());
-        w.put_u32(self.retry.max_retries);
-        w.put_u32(self.retry.jitter_pct);
-        w.put_len(self.map.len());
-        for m in &self.map {
-            w.put_opt(m.as_ref(), |w, (b, p)| {
-                w.put_u32(*b);
-                w.put_u32(*p);
-            });
-        }
-        w.put_len(self.valid.len());
-        for &v in &self.valid {
-            w.put_u32(v);
-        }
-        w.put_len(self.free_blocks.len());
-        for &b in &self.free_blocks {
-            w.put_u32(b);
-        }
-        w.put_opt(self.active.as_ref(), |w, (b, p)| {
-            w.put_u32(*b);
-            w.put_u32(*p);
-        });
-        w.put_opt(self.spare.as_ref(), |w, b| w.put_u32(*b));
-        // rmap is derivable from map, but is serialized so restore needs no
-        // recomputation pass and verify covers it directly.
-        // Index order is (block, page) order.
-        let ppb = self.nand.config().pages_per_block;
-        w.put_len(self.rmap.iter().filter(|&&l| l != NO_LPN).count());
-        for (i, &l) in (0u32..).zip(&self.rmap) {
-            if l != NO_LPN {
-                w.put_u32(i / ppb);
-                w.put_u32(i % ppb);
-                w.put_u32(l);
-            }
+lastcpu_snap::record!(FtlStats {
+    host_writes,
+    nand_writes,
+    gc_runs,
+    gc_moved_pages,
+    retired_blocks,
+    retry_exhausted,
+});
+
+lastcpu_snap::fields! { Ftl |self| {
+    mut nand, logical_pages, stats, retry, map, valid, free_blocks, active, spare, ..Rmap,
+} }
+
+/// The reverse map, derivable from `map` but serialized so a restore needs
+/// no recomputation pass and verify covers it directly: its live entries
+/// in (block, page) order, each `(block, page, logical page)`.
+struct Rmap;
+
+impl lastcpu_snap::Span<Ftl> for Rmap {
+    fn put(&self, f: &Ftl, w: &mut lastcpu_snap::SnapWriter) {
+        let ppb = f.nand.config().pages_per_block;
+        w.put_len(f.rmap.iter().filter(|&&l| l != NO_LPN).count());
+        for (i, &l) in (0u32..).zip(&f.rmap).filter(|&(_, &l)| l != NO_LPN) {
+            lastcpu_snap::Field::put(&(i / ppb, i % ppb, l), w);
         }
     }
-}
 
-impl lastcpu_snap::Restore for Ftl {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.nand.restore(r)?;
-        self.logical_pages = r.u32()?;
-        self.stats.host_writes = r.u64()?;
-        self.stats.nand_writes = r.u64()?;
-        self.stats.gc_runs = r.u64()?;
-        self.stats.gc_moved_pages = r.u64()?;
-        self.stats.retired_blocks = r.u64()?;
-        self.stats.retry_exhausted = r.u64()?;
-        self.retry.base = SimDuration::from_nanos(r.u64()?);
-        self.retry.cap = SimDuration::from_nanos(r.u64()?);
-        self.retry.max_retries = r.u32()?;
-        self.retry.jitter_pct = r.u32()?;
-        let n = r.count()?;
-        self.map = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.map.push(r.opt(|r| Ok((r.u32()?, r.u32()?)))?);
-        }
-        let n = r.count()?;
-        self.valid = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.valid.push(r.u32()?);
-        }
-        let n = r.count()?;
-        self.free_blocks = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.free_blocks.push(r.u32()?);
-        }
-        self.active = r.opt(|r| Ok((r.u32()?, r.u32()?)))?;
-        self.spare = r.opt(|r| r.u32())?;
-        let config = *self.nand.config();
-        self.rmap = vec![NO_LPN; self.nand.total_pages() as usize];
+    fn take(&self, f: &mut Ftl, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
+        let config = *f.nand.config();
+        f.rmap = vec![NO_LPN; f.nand.total_pages() as usize];
         for _ in 0..r.len()? {
-            let b = r.u32()?;
-            let p = r.u32()?;
-            let l = r.u32()?;
-            if b >= config.blocks || p >= config.pages_per_block || l as usize >= self.map.len() {
+            let (b, p, l): (u32, u32, u32) = lastcpu_snap::Field::take(r)?;
+            if b >= config.blocks || p >= config.pages_per_block || l as usize >= f.map.len() {
                 return Err(r.corrupt(format!("rmap entry ({b},{p}) -> {l} out of range")));
             }
-            let i = self.rmap_index(b, p);
-            self.rmap[i] = l;
+            let i = f.rmap_index(b, p);
+            f.rmap[i] = l;
         }
         Ok(())
     }

@@ -849,194 +849,24 @@ mod discovery_correlation_tests {
     }
 }
 
-impl AuthMode {
-    /// Serializes into a snapshot section.
-    pub fn snap_encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        match self {
-            AuthMode::Open => w.put_u8(0),
-            AuthMode::Local(set) => {
-                w.put_u8(1);
-                let mut tokens: Vec<u128> = set.iter().map(|t| t.0).collect();
-                tokens.sort_unstable();
-                w.put_len(tokens.len());
-                for t in tokens {
-                    w.put_u128(t);
-                }
-            }
-            AuthMode::Sealed { secret } => {
-                w.put_u8(2);
-                w.put_u64(*secret);
-            }
-        }
-    }
+lastcpu_snap::variants! { AuthMode { Open = 0 {}, Local = 1 { 0: tokens }, Sealed = 2 { secret } } }
 
-    /// Inverse of [`AuthMode::snap_encode`].
-    pub fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => AuthMode::Open,
-            1 => {
-                let n = r.len()?;
-                let mut set = DetHashSet::default();
-                for _ in 0..n {
-                    set.insert(Token(r.u128()?));
-                }
-                AuthMode::Local(set)
-            }
-            2 => AuthMode::Sealed { secret: r.u64()? },
-            t => return Err(r.corrupt(format!("bad AuthMode tag {t}"))),
-        })
-    }
-}
+lastcpu_snap::variants! { PendingOp {
+    Discover = 0 { hits, req }, Open = 1 { target }, Alloc = 2 {}, Share = 3 {}, Free = 4 {},
+    Close = 5 { conn },
+} }
 
-impl PendingOp {
-    fn snap_encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        match self {
-            PendingOp::Discover { hits, req } => {
-                w.put_u8(0);
-                w.put_len(hits.len());
-                for (d, svc) in hits {
-                    w.put_u32(d.0);
-                    svc.snap_encode(w);
-                }
-                w.put_u64(req.0);
-            }
-            PendingOp::Open { target } => {
-                w.put_u8(1);
-                w.put_u32(target.0);
-            }
-            PendingOp::Alloc => w.put_u8(2),
-            PendingOp::Share => w.put_u8(3),
-            PendingOp::Free => w.put_u8(4),
-            PendingOp::Close { conn } => {
-                w.put_u8(5);
-                w.put_u64(conn.0);
-            }
-        }
-    }
+lastcpu_snap::record!(ServerConn {
+    conn,
+    peer,
+    service,
+    principal
+});
 
-    fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => {
-                let n = r.count()?;
-                let mut hits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let d = DeviceId(r.u32()?);
-                    hits.push((d, ServiceDesc::snap_decode(r)?));
-                }
-                PendingOp::Discover {
-                    hits,
-                    req: RequestId(r.u64()?),
-                }
-            }
-            1 => PendingOp::Open {
-                target: DeviceId(r.u32()?),
-            },
-            2 => PendingOp::Alloc,
-            3 => PendingOp::Share,
-            4 => PendingOp::Free,
-            5 => PendingOp::Close {
-                conn: ConnId(r.u64()?),
-            },
-            t => return Err(r.corrupt(format!("bad PendingOp tag {t}"))),
-        })
-    }
-}
-
-impl lastcpu_snap::Snapshot for Monitor {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_len(self.services.len());
-        for (svc, auth) in &self.services {
-            svc.snap_encode(w);
-            auth.snap_encode(w);
-        }
-        let mut ops: Vec<_> = self.ops.keys().copied().collect();
-        ops.sort_unstable();
-        w.put_len(ops.len());
-        for id in ops {
-            w.put_u64(id);
-            self.ops[&id].snap_encode(w);
-        }
-        w.put_u64(self.next_op);
-        let mut reqs: Vec<_> = self.req_to_op.iter().map(|(r, o)| (r.0, *o)).collect();
-        reqs.sort_unstable();
-        w.put_len(reqs.len());
-        for (req, op) in reqs {
-            w.put_u64(req);
-            w.put_u64(op);
-        }
-        let mut conns: Vec<_> = self.conns.keys().copied().collect();
-        conns.sort_by_key(|c| c.0);
-        w.put_len(conns.len());
-        for c in conns {
-            let sc = &self.conns[&c];
-            w.put_u64(sc.conn.0);
-            w.put_u32(sc.peer.0);
-            w.put_u16(sc.service.0);
-            w.put_opt(sc.principal.as_ref(), |w, p| w.put_u64(*p));
-        }
-        w.put_u64(self.next_conn);
-        let mut opened: Vec<_> = self.opened.iter().map(|(c, d)| (c.0, d.0)).collect();
-        opened.sort_unstable();
-        w.put_len(opened.len());
-        for (c, d) in opened {
-            w.put_u64(c);
-            w.put_u32(d);
-        }
-        w.put_u64(self.discovery_window.as_nanos());
-        w.put_opt(self.heartbeat.as_ref(), |w, h| w.put_u64(h.as_nanos()));
-        w.put_bool(self.registered);
-    }
-}
-
-impl lastcpu_snap::Restore for Monitor {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let n = r.count()?;
-        self.services = Vec::with_capacity(n);
-        for _ in 0..n {
-            let svc = ServiceDesc::snap_decode(r)?;
-            let auth = AuthMode::snap_decode(r)?;
-            self.services.push((svc, auth));
-        }
-        let n = r.len()?;
-        self.ops = DetHashMap::default();
-        for _ in 0..n {
-            let id = r.u64()?;
-            self.ops.insert(id, PendingOp::snap_decode(r)?);
-        }
-        self.next_op = r.u64()?;
-        let n = r.len()?;
-        self.req_to_op = DetHashMap::default();
-        for _ in 0..n {
-            let req = RequestId(r.u64()?);
-            let op = r.u64()?;
-            self.req_to_op.insert(req, op);
-        }
-        let n = r.len()?;
-        self.conns = DetHashMap::default();
-        for _ in 0..n {
-            let conn = ConnId(r.u64()?);
-            let sc = ServerConn {
-                conn,
-                peer: DeviceId(r.u32()?),
-                service: ServiceId(r.u16()?),
-                principal: r.opt(|r| r.u64())?,
-            };
-            self.conns.insert(conn, sc);
-        }
-        self.next_conn = r.u64()?;
-        let n = r.len()?;
-        self.opened = DetHashMap::default();
-        for _ in 0..n {
-            let c = ConnId(r.u64()?);
-            let d = DeviceId(r.u32()?);
-            self.opened.insert(c, d);
-        }
-        self.discovery_window = SimDuration::from_nanos(r.u64()?);
-        self.heartbeat = r.opt(|r| Ok(SimDuration::from_nanos(r.u64()?)))?;
-        self.registered = r.bool()?;
-        Ok(())
-    }
-}
+lastcpu_snap::fields! { Monitor |self| {
+    services, ops, next_op, req_to_op, conns: lastcpu_snap::Keyed(|c: &ServerConn| c.conn),
+    next_conn, opened, discovery_window, heartbeat, registered,
+} }
 
 #[cfg(test)]
 mod tests {

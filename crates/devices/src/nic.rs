@@ -246,18 +246,7 @@ impl NicApp for EchoApp {
     }
 }
 
-impl lastcpu_snap::Snapshot for EchoApp {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.frames_echoed);
-    }
-}
-
-impl lastcpu_snap::Restore for EchoApp {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.frames_echoed = r.u64()?;
-        Ok(())
-    }
-}
+lastcpu_snap::fields! { EchoApp |self| { frames_echoed } }
 
 #[cfg(test)]
 mod tests {

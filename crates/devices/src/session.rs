@@ -265,78 +265,15 @@ impl FileSession {
     }
 }
 
-impl SessionState {
-    /// Serializes into a snapshot section.
-    pub fn snap_encode(self, w: &mut lastcpu_snap::SnapWriter) {
-        match self {
-            SessionState::Idle => w.put_u8(0),
-            SessionState::Opening => w.put_u8(1),
-            SessionState::Allocating => w.put_u8(2),
-            SessionState::Sharing => w.put_u8(3),
-            SessionState::Ready => w.put_u8(4),
-            SessionState::Failed(s) => {
-                w.put_u8(5);
-                s.snap_encode(w);
-            }
-        }
-    }
+lastcpu_snap::variants! { SessionState {
+    Idle = 0 {}, Opening = 1 {}, Allocating = 2 {}, Sharing = 3 {}, Ready = 4 {},
+    Failed = 5 { 0: status },
+} }
 
-    /// Inverse of [`SessionState::snap_encode`].
-    pub fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => SessionState::Idle,
-            1 => SessionState::Opening,
-            2 => SessionState::Allocating,
-            3 => SessionState::Sharing,
-            4 => SessionState::Ready,
-            5 => SessionState::Failed(Status::snap_decode(r)?),
-            t => return Err(r.corrupt(format!("bad SessionState tag {t}"))),
-        })
-    }
-}
-
-impl lastcpu_snap::Snapshot for FileSession {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u32(self.memctl.0);
-        w.put_u32(self.target.0);
-        w.put_u16(self.service.0);
-        w.put_u128(self.token.0);
-        w.put_u32(self.pasid.0);
-        w.put_u64(self.va_base);
-        w.put_u16(self.queue_size);
-        self.state.snap_encode(w);
-        w.put_u64(self.op);
-        w.put_u64(self.conn.0);
-        w.put_u64(self.region);
-        w.put_u64(self.shm_bytes);
-        w.put_u64(self.file_size);
-        w.put_opt(self.client.as_ref(), |w, c| c.snapshot(w));
-    }
-}
-
-impl lastcpu_snap::Restore for FileSession {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.memctl = DeviceId(r.u32()?);
-        self.target = DeviceId(r.u32()?);
-        self.service = ServiceId(r.u16()?);
-        self.token = Token(r.u128()?);
-        self.pasid = Pasid(r.u32()?);
-        self.va_base = r.u64()?;
-        self.queue_size = r.u16()?;
-        self.state = SessionState::snap_decode(r)?;
-        self.op = r.u64()?;
-        self.conn = ConnId(r.u64()?);
-        self.region = r.u64()?;
-        self.shm_bytes = r.u64()?;
-        self.file_size = r.u64()?;
-        self.client = r.opt(|r| {
-            let mut c = FileClient::placeholder();
-            c.restore(r)?;
-            Ok(c)
-        })?;
-        Ok(())
-    }
-}
+lastcpu_snap::fields! { FileSession |self| (FileSession::placeholder()) {
+    memctl, target, service, token, pasid, va_base, queue_size, state, op, conn, region,
+    shm_bytes, file_size, client,
+} }
 
 #[cfg(test)]
 mod tests {

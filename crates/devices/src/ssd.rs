@@ -1123,153 +1123,66 @@ impl FileClient {
     }
 }
 
-impl lastcpu_snap::Snapshot for SmartSsd {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_str(&self.name);
-        self.monitor.snapshot(w);
-        self.fs.snapshot(w);
-        w.put_bool(self.config.isolation);
-        w.put_u32(self.config.quantum);
-        w.put_len(self.config.exports.len());
-        for e in &self.config.exports {
-            w.put_str(e);
-        }
-        self.config.file_auth.snap_encode(w);
-        self.config.loader_auth.snap_encode(w);
-        w.put_u64(self.config.per_request_overhead.as_nanos());
-        let mut svcs: Vec<_> = self.exported.iter().map(|(s, p)| (s.0, p)).collect();
-        svcs.sort_unstable();
-        w.put_len(svcs.len());
-        for (s, p) in svcs {
-            w.put_u16(s);
-            w.put_str(p);
-        }
-        w.put_u16(self.next_file_svc);
-        let mut conns: Vec<_> = self.conns.keys().copied().collect();
-        conns.sort_by_key(|c| c.0);
-        w.put_len(conns.len());
-        for c in conns {
-            let fc = &self.conns[&c];
-            w.put_u64(c.0);
-            w.put_u32(fc.peer.0);
-            w.put_u32(fc.pasid.0);
-            w.put_str(&fc.file);
-            w.put_opt(fc.queue.as_ref(), |w, q| q.snapshot(w));
-            w.put_u64(fc.served);
-        }
-        w.put_len(self.work.len());
-        for c in &self.work {
-            w.put_u64(c.0);
-        }
-        w.put_bool(self.poll_armed);
-        w.put_u64(self.stats.requests);
-        w.put_u64(self.stats.bytes_read);
-        w.put_u64(self.stats.bytes_written);
-        w.put_u64(self.stats.conn_resets);
-        w.put_u64(self.stats.images_loaded);
-        // scratch_* buffers are reused walk scratch, cleared before every
-        // use — deliberately not state.
-    }
-}
+lastcpu_snap::record!(FileConn {
+    peer,
+    pasid,
+    file,
+    queue,
+    served
+});
+lastcpu_snap::record!(SsdStats {
+    requests,
+    bytes_read,
+    bytes_written,
+    conn_resets,
+    images_loaded
+});
 
-impl lastcpu_snap::Restore for SmartSsd {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.name = r.str()?;
-        self.monitor.restore(r)?;
-        self.fs.restore(r)?;
-        self.config.isolation = r.bool()?;
-        self.config.quantum = r.u32()?;
-        let n = r.count()?;
-        self.config.exports = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.config.exports.push(r.str()?);
-        }
-        self.config.file_auth = AuthMode::snap_decode(r)?;
-        self.config.loader_auth = AuthMode::snap_decode(r)?;
-        self.config.per_request_overhead = SimDuration::from_nanos(r.u64()?);
-        let n = r.len()?;
-        self.exported = DetHashMap::default();
-        for _ in 0..n {
-            let s = ServiceId(r.u16()?);
-            self.exported.insert(s, r.str()?);
-        }
-        self.next_file_svc = r.u16()?;
-        let n = r.len()?;
-        self.conns = DetHashMap::default();
-        for _ in 0..n {
-            let c = ConnId(r.u64()?);
-            let peer = DeviceId(r.u32()?);
-            let pasid = Pasid(r.u32()?);
-            let file = r.str()?;
-            let queue = r.opt(|r| {
-                let mut q = VirtqueueDevice::attach(QueueLayout::new(0, 1));
-                q.restore(r)?;
-                Ok(q)
-            })?;
-            let served = r.u64()?;
-            self.conns.insert(
-                c,
-                FileConn {
-                    peer,
-                    pasid,
-                    file,
-                    queue,
-                    served,
-                },
-            );
-        }
-        let n = r.count()?;
-        self.work = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            self.work.push_back(ConnId(r.u64()?));
-        }
-        self.poll_armed = r.bool()?;
-        self.stats.requests = r.u64()?;
-        self.stats.bytes_read = r.u64()?;
-        self.stats.bytes_written = r.u64()?;
-        self.stats.conn_resets = r.u64()?;
-        self.stats.images_loaded = r.u64()?;
-        Ok(())
-    }
-}
+// `scratch_*` buffers are reused walk scratch, cleared before every use —
+// deliberately not state.
+lastcpu_snap::fields! { SmartSsd |self| {
+    name, mut monitor, mut fs, config.isolation, config.quantum, config.exports,
+    config.file_auth, config.loader_auth, config.per_request_overhead, exported, next_file_svc,
+    conns, work, poll_armed, stats,
+} }
 
-impl lastcpu_snap::Snapshot for FileClient {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        self.driver.snapshot(w);
-        self.arena.snapshot(w);
-        w.put_len(self.in_flight());
-        for (h, slot) in (0u16..).zip(&self.inflight) {
-            let Some((req_va, resp_va, cap)) = *slot else {
-                continue;
-            };
-            w.put_u16(h);
-            w.put_u64(req_va);
-            w.put_u64(resp_va);
-            w.put_u32(cap);
+lastcpu_snap::fields! { FileClient |self| (FileClient::placeholder()) {
+    mut driver, mut arena, ..InFlight,
+} }
+
+/// The requests in flight, by head: the head, then the request and
+/// response buffers and the response capacity.
+struct InFlight;
+
+impl lastcpu_snap::Span<FileClient> for InFlight {
+    fn put(&self, c: &FileClient, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_len(c.in_flight());
+        for (h, slot) in (0u16..).zip(&c.inflight) {
+            if let Some(req) = slot {
+                lastcpu_snap::Field::put(&(h, *req), w);
+            }
         }
     }
-}
 
-impl lastcpu_snap::Restore for FileClient {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.driver.restore(r)?;
-        self.arena.restore(r)?;
+    fn take(
+        &self,
+        c: &mut FileClient,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
         let n = r.len()?;
-        if n != self.driver.in_flight() {
-            return Err(r.corrupt(format!(
-                "{n} requests in flight over {} chains",
-                self.driver.in_flight()
-            )));
+        if n != c.driver.in_flight() {
+            let chains = c.driver.in_flight();
+            return Err(r.corrupt(format!("{n} requests in flight over {chains} chains")));
         }
-        self.inflight = vec![None; self.driver.layout().size as usize];
+        c.inflight = vec![None; c.driver.layout().size as usize];
         for _ in 0..n {
             let h = r.u16()?;
             // A head the driver does not hold a chain for would index out of
             // the table, or be completed without its descriptors coming back.
-            if !self.driver.is_live_head(h) || self.is_in_flight(h) {
+            if !c.driver.is_live_head(h) || c.is_in_flight(h) {
                 return Err(r.corrupt(format!("in-flight request {h} is not a live chain")));
             }
-            self.inflight[h as usize] = Some((r.u64()?, r.u64()?, r.u32()?));
+            c.inflight[h as usize] = Some(lastcpu_snap::Field::take(r)?);
         }
         Ok(())
     }

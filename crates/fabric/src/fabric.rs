@@ -881,7 +881,7 @@ impl Fabric {
         for f in &self.faults {
             w.put_u64(f.at.as_nanos());
             w.put_str(&f.target);
-            f.kind.encode(&mut w);
+            lastcpu_snap::Field::put(&f.kind, &mut w);
         }
         // In-flight inter-machine deliveries, digested by full content.
         let mut entries = self.queue.entries();

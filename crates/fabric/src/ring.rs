@@ -158,42 +158,28 @@ impl HashRing {
     }
 }
 
-impl lastcpu_snap::Snapshot for HashRing {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u32(self.vnodes);
-        // `points` is fully derivable from `nodes`, but serializing it keeps
-        // restore recomputation-free and lets verification cover it.
-        w.put_len(self.nodes.len());
-        for n in &self.nodes {
-            w.put_str(n);
-        }
-        w.put_len(self.points.len());
-        for (h, i) in &self.points {
-            w.put_u64(*h);
-            w.put_len(*i);
-        }
-    }
-}
+// `points` is fully derivable from `nodes`, but serializing it keeps a
+// restore recomputation-free and lets verification cover it.
+lastcpu_snap::fields! { HashRing |self| { vnodes, nodes, points: Points(self) } }
 
-impl lastcpu_snap::Restore for HashRing {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.vnodes = r.u32()?;
-        let n = r.count()?;
-        self.nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.nodes.push(r.str()?.into());
+/// The point table, each point naming one of the ring's nodes.
+struct Points<'a>(&'a HashRing);
+
+impl lastcpu_snap::Codec<Vec<(u64, usize)>> for Points<'_> {
+    fn put(&self, points: &Vec<(u64, usize)>, w: &mut lastcpu_snap::SnapWriter) {
+        lastcpu_snap::Field::put(points, w);
+    }
+
+    fn take(
+        &self,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<Vec<(u64, usize)>> {
+        let points: Vec<(u64, usize)> = lastcpu_snap::Field::take(r)?;
+        let n = self.0.nodes.len();
+        match points.iter().find(|&&(_, i)| i >= n) {
+            Some((_, i)) => Err(r.corrupt(format!("ring point references node {i} of {n}"))),
+            None => Ok(points),
         }
-        let np = r.count()?;
-        self.points = Vec::with_capacity(np);
-        for _ in 0..np {
-            let h = r.u64()?;
-            let i = r.len()?;
-            if i >= n {
-                return Err(r.corrupt(format!("ring point references node {i} of {n}")));
-            }
-            self.points.push((h, i));
-        }
-        Ok(())
     }
 }
 

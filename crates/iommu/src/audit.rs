@@ -173,57 +173,14 @@ impl DmaAudit {
     }
 }
 
-impl DmaDenialRecord {
-    /// Serializes into a snapshot section.
-    pub fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u32(self.pasid.0);
-        w.put_u64(self.va.as_u64());
-        self.access.encode(w);
-        self.kind.encode(w);
-    }
+lastcpu_snap::record!(DmaDenialRecord {
+    pasid,
+    va,
+    access,
+    kind
+});
 
-    /// Inverse of [`DmaDenialRecord::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(DmaDenialRecord {
-            pasid: Pasid(r.u32()?),
-            va: VirtAddr::new(r.u64()?),
-            access: AccessKind::decode(r)?,
-            kind: IommuFaultKind::decode(r)?,
-        })
-    }
-}
-
-impl lastcpu_snap::Snapshot for DmaAudit {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.allowed);
-        w.put_u64(self.denied);
-        w.put_u64(self.pending_allowed);
-        w.put_u64(self.pending_denied);
-        w.put_u64(self.dropped);
-        w.put_u64(self.cap as u64);
-        w.put_len(self.log.len());
-        for rec in &self.log {
-            rec.encode(w);
-        }
-    }
-}
-
-impl lastcpu_snap::Restore for DmaAudit {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.allowed = r.u64()?;
-        self.denied = r.u64()?;
-        self.pending_allowed = r.u64()?;
-        self.pending_denied = r.u64()?;
-        self.dropped = r.u64()?;
-        self.cap = r.u64()? as usize;
-        let n = r.count()?;
-        if n > self.cap {
-            return Err(r.corrupt("audit log exceeds its capacity"));
-        }
-        self.log = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.log.push(DmaDenialRecord::decode(r)?);
-        }
-        Ok(())
-    }
-}
+lastcpu_snap::fields! { DmaAudit |self| (DmaAudit::default()) {
+    allowed, denied, pending_allowed, pending_denied, dropped, cap,
+    log: lastcpu_snap::Max(self.cap, "audit log exceeds its capacity"),
+} }

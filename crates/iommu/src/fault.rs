@@ -103,74 +103,18 @@ impl fmt::Display for IommuFault {
     }
 }
 
-impl AccessKind {
-    /// Serializes into a snapshot section.
-    pub fn encode(self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u8(match self {
-            AccessKind::Read => 0,
-            AccessKind::Write => 1,
-            AccessKind::Execute => 2,
-        });
-    }
+lastcpu_snap::tags! { AccessKind { Read = 0, Write = 1, Execute = 2 } }
 
-    /// Inverse of [`AccessKind::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => AccessKind::Read,
-            1 => AccessKind::Write,
-            2 => AccessKind::Execute,
-            t => return Err(r.corrupt(format!("bad AccessKind tag {t}"))),
-        })
-    }
-}
+lastcpu_snap::variants! { IommuFaultKind {
+    NotMapped = 0 {}, PermissionDenied = 1 { have }, OutOfRange = 2 {}, UnknownPasid = 3 {},
+} }
 
-impl IommuFaultKind {
-    /// Serializes into a snapshot section.
-    pub fn encode(self, w: &mut lastcpu_snap::SnapWriter) {
-        match self {
-            IommuFaultKind::NotMapped => w.put_u8(0),
-            IommuFaultKind::PermissionDenied { have } => {
-                w.put_u8(1);
-                w.put_u8(have.to_bits());
-            }
-            IommuFaultKind::OutOfRange => w.put_u8(2),
-            IommuFaultKind::UnknownPasid => w.put_u8(3),
-        }
-    }
-
-    /// Inverse of [`IommuFaultKind::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(match r.u8()? {
-            0 => IommuFaultKind::NotMapped,
-            1 => IommuFaultKind::PermissionDenied {
-                have: Perms::from_bits(r.u8()?),
-            },
-            2 => IommuFaultKind::OutOfRange,
-            3 => IommuFaultKind::UnknownPasid,
-            t => return Err(r.corrupt(format!("bad IommuFaultKind tag {t}"))),
-        })
-    }
-}
-
-impl IommuFault {
-    /// Serializes into a snapshot section.
-    pub fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u32(self.pasid.0);
-        w.put_u64(self.va.as_u64());
-        self.access.encode(w);
-        self.kind.encode(w);
-    }
-
-    /// Inverse of [`IommuFault::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(IommuFault {
-            pasid: Pasid(r.u32()?),
-            va: VirtAddr::new(r.u64()?),
-            access: AccessKind::decode(r)?,
-            kind: IommuFaultKind::decode(r)?,
-        })
-    }
-}
+lastcpu_snap::record!(IommuFault {
+    pasid,
+    va,
+    access,
+    kind
+});
 
 #[cfg(test)]
 mod tests {

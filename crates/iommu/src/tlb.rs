@@ -266,85 +266,54 @@ impl Iotlb {
     }
 }
 
-impl lastcpu_snap::Snapshot for Iotlb {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.capacity as u64);
-        w.put_u64(self.tick);
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.perm_misses);
-        w.put_u64(self.stats.evictions);
-        w.put_u64(self.stats.invalidations);
-        let mut entries: Vec<_> = self.entries.iter().collect();
-        entries.sort_by_key(|(&(pasid, page), _)| (pasid.0, page));
-        w.put_len(entries.len());
-        for (&(pasid, page), e) in entries {
-            w.put_u32(pasid.0);
-            w.put_u64(page);
-            w.put_u64(e.frame_pa.as_u64());
-            w.put_u8(e.perms.to_bits());
-            w.put_u64(e.last_used);
-        }
-        w.put_opt(self.front.as_ref(), |w, f| {
-            w.put_u32(f.pasid.0);
-            w.put_u64(f.page);
-            w.put_u64(f.frame_pa.as_u64());
-            w.put_u8(f.perms.to_bits());
-            w.put_u64(f.last_used);
-        });
-    }
-}
+lastcpu_snap::record!(TlbStats {
+    hits,
+    misses,
+    perm_misses,
+    evictions,
+    invalidations
+});
+lastcpu_snap::record!(TlbEntry {
+    frame_pa,
+    perms,
+    last_used
+});
+lastcpu_snap::record!(FrontEntry {
+    pasid,
+    page,
+    frame_pa,
+    perms,
+    last_used
+});
 
-impl lastcpu_snap::Restore for Iotlb {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        // The capacity is the unit's configuration, not its state: a
-        // checkpoint restores only into a TLB built with the capacity it
-        // declares, so a hostile one never sizes an allocation.
-        let capacity = r.u64()?;
-        if capacity != self.capacity as u64 {
-            return Err(r.corrupt(format!(
-                "Iotlb capacity {capacity}, but this unit holds {}",
-                self.capacity
-            )));
+lastcpu_snap::fields! { Iotlb |self| {
+    capacity: Built(self.capacity),
+    tick,
+    stats,
+    entries: lastcpu_snap::Max(self.capacity, "Iotlb entry count exceeds capacity"),
+    front,
+} restored {
+    self.entries.reserve(self.capacity - self.entries.len());
+} }
+
+/// The capacity is the unit's configuration, not its state: a checkpoint
+/// restores only into a TLB built with the capacity it declares, so a
+/// hostile one never sizes an allocation.
+struct Built(usize);
+
+impl lastcpu_snap::Codec<usize> for Built {
+    fn put(&self, capacity: &usize, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_u64(*capacity as u64);
+    }
+
+    fn take(&self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<usize> {
+        match r.u64()? {
+            c if c == self.0 as u64 => Ok(self.0),
+            c => Err(r.corrupt(format!(
+                "Iotlb capacity {c}, but this unit holds {}",
+                self.0
+            ))),
         }
-        let capacity = self.capacity;
-        let tick = r.u64()?;
-        let stats = TlbStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            perm_misses: r.u64()?,
-            evictions: r.u64()?,
-            invalidations: r.u64()?,
-        };
-        let n = r.len()?;
-        if n > capacity {
-            return Err(r.corrupt("Iotlb entry count exceeds capacity"));
-        }
-        let mut entries = DetHashMap::with_capacity_and_hasher(capacity, Default::default());
-        for _ in 0..n {
-            let pasid = Pasid(r.u32()?);
-            let page = r.u64()?;
-            let entry = TlbEntry {
-                frame_pa: PhysAddr::new(r.u64()?),
-                perms: Perms::from_bits(r.u8()?),
-                last_used: r.u64()?,
-            };
-            entries.insert((pasid, page), entry);
-        }
-        let front = r.opt(|r| {
-            Ok(FrontEntry {
-                pasid: Pasid(r.u32()?),
-                page: r.u64()?,
-                frame_pa: PhysAddr::new(r.u64()?),
-                perms: Perms::from_bits(r.u8()?),
-                last_used: r.u64()?,
-            })
-        })?;
-        self.tick = tick;
-        self.stats = stats;
-        self.entries = entries;
-        self.front = front;
-        Ok(())
     }
 }
 

@@ -650,63 +650,47 @@ mod oracle {
     }
 }
 
-impl lastcpu_snap::Snapshot for Iommu {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.cost.tlb_lookup.as_nanos());
-        w.put_u64(self.cost.walk_per_access.as_nanos());
-        w.put_u64(self.cost.invalidate.as_nanos());
-        w.put_u64(self.stats.translations);
-        w.put_u64(self.stats.faults);
-        w.put_u64(self.stats.maps);
-        w.put_u64(self.stats.unmaps);
-        let mut pasids: Vec<_> = self.tables.keys().copied().collect();
-        pasids.sort_by_key(|p| p.0);
-        w.put_len(pasids.len());
-        for p in pasids {
-            w.put_u32(p.0);
-            self.tables[&p].snapshot(w);
-        }
-        self.tlb.snapshot(w);
-        w.put_opt(self.last_fault.as_ref(), |w, f| f.encode(w));
-        w.put_opt(self.audit.as_ref(), |w, a| a.snapshot(w));
-    }
-}
+lastcpu_snap::record!(IommuCostModel {
+    tlb_lookup,
+    walk_per_access,
+    invalidate
+});
+lastcpu_snap::record!(IommuStats {
+    translations,
+    faults,
+    maps,
+    unmaps
+});
 
-impl lastcpu_snap::Restore for Iommu {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.cost.tlb_lookup = SimDuration::from_nanos(r.u64()?);
-        self.cost.walk_per_access = SimDuration::from_nanos(r.u64()?);
-        self.cost.invalidate = SimDuration::from_nanos(r.u64()?);
-        self.stats.translations = r.u64()?;
-        self.stats.faults = r.u64()?;
-        self.stats.maps = r.u64()?;
-        self.stats.unmaps = r.u64()?;
-        let n = r.len()?;
-        self.tables = DetHashMap::default();
-        // A table's replay makes no more tables than it declares; the unit
-        // holds the declared counts of all its PASIDs to the bound one table
-        // has, so many sparse tables cannot add up to what one may not.
+lastcpu_snap::fields! { Iommu |self| { cost, stats, tables: Tables, mut tlb, last_fault, audit } }
+
+/// The page tables by PASID. A table's replay makes no more tables than it
+/// declares; the unit holds the declared counts of all its PASIDs to the
+/// bound one table has, so many sparse tables cannot add up to what one may
+/// not.
+struct Tables;
+
+impl lastcpu_snap::Codec<DetHashMap<Pasid, PageTable>> for Tables {
+    fn put(&self, tables: &DetHashMap<Pasid, PageTable>, w: &mut lastcpu_snap::SnapWriter) {
+        lastcpu_snap::Field::put(tables, w);
+    }
+
+    fn take(
+        &self,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<DetHashMap<Pasid, PageTable>> {
         let mut nodes = 0;
-        for _ in 0..n {
-            let pasid = Pasid(r.u32()?);
-            let mut table = PageTable::new();
-            table.restore(r)?;
+        let table = |r: &mut lastcpu_snap::SnapReader<'_>| {
+            let (pasid, table): (Pasid, PageTable) = lastcpu_snap::Field::take(r)?;
             nodes += table.node_count();
             if nodes > MAX_RESTORED_NODES {
                 return Err(r.corrupt(format!(
                     "{nodes} tables exceed the {MAX_RESTORED_NODES} a restore may make"
                 )));
             }
-            self.tables.insert(pasid, table);
-        }
-        self.tlb.restore(r)?;
-        self.last_fault = r.opt(IommuFault::decode)?;
-        self.audit = r.opt(|r| {
-            let mut a = DmaAudit::default();
-            a.restore(r)?;
-            Ok(a)
-        })?;
-        Ok(())
+            Ok((pasid, table))
+        };
+        lastcpu_snap::take_sorted(r, table, |&(p, _)| p)
     }
 }
 

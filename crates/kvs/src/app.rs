@@ -128,16 +128,6 @@ impl NicApp for KvsNicApp {
     }
 }
 
-impl lastcpu_snap::Snapshot for KvsNicApp {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        // `out` is drained within the same delivery, so only the server
-        // carries durable state.
-        self.server.snapshot(w);
-    }
-}
-
-impl lastcpu_snap::Restore for KvsNicApp {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.server.restore(r)
-    }
-}
+// `out` is drained within the same delivery, so only the server carries
+// durable state.
+lastcpu_snap::fields! { KvsNicApp |self| { mut server } }

@@ -484,93 +484,18 @@ impl NetHost for KvsClientHost {
     }
 }
 
-fn phase_tag(p: Phase) -> u8 {
-    match p {
-        Phase::Probing => 0,
-        Phase::Loading => 1,
-        Phase::Running => 2,
-        Phase::Done => 3,
-    }
-}
+lastcpu_snap::tags! { Phase { Probing = 0, Loading = 1, Running = 2, Done = 3 } }
 
-impl lastcpu_snap::Snapshot for KvsClientHost {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u32(self.server.0);
-        w.put_u64(self.config.keys);
-        w.put_f64(self.config.theta);
-        w.put_f64(self.config.read_fraction);
-        w.put_len(self.config.value_size);
-        w.put_len(self.config.outstanding);
-        w.put_u64(self.config.total_ops);
-        w.put_bool(self.config.preload);
-        w.put_u64(self.config.timeout.as_nanos());
-        w.put_str(&self.config.stats_prefix);
-        w.put_u8(phase_tag(self.phase));
-        w.put_u64(self.next_id);
-        let mut ids: Vec<u64> = self.outstanding.keys().copied().collect();
-        ids.sort_unstable();
-        w.put_len(ids.len());
-        for id in ids {
-            let (sent, is_read) = self.outstanding[&id];
-            w.put_u64(id);
-            w.put_u64(sent.as_nanos());
-            w.put_bool(is_read);
-        }
-        w.put_u64(self.load_next);
-        w.put_u64(self.ops_done);
-        w.put_u64(self.ops_issued);
-        w.put_u64(self.errors);
-        w.put_u64(self.busy_rejections);
-        w.put_u64(self.unavailable_rejections);
-        w.put_u64(self.timeouts);
-        w.put_opt(self.started_at.as_ref(), |w, t| w.put_u64(t.as_nanos()));
-        w.put_opt(self.finished_at.as_ref(), |w, t| w.put_u64(t.as_nanos()));
-        // Excluded: `met` (live MetricsHub handles), `value_scratch`
-        // (refilled on every issue) and `zipf` (rebuilt from the config).
-    }
-}
-
-impl lastcpu_snap::Restore for KvsClientHost {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.server = PortId(r.u32()?);
-        self.config.keys = r.u64()?;
-        self.config.theta = r.f64()?;
-        self.config.read_fraction = r.f64()?;
-        self.config.value_size = r.len()?;
-        self.config.outstanding = r.len()?;
-        self.config.total_ops = r.u64()?;
-        self.config.preload = r.bool()?;
-        self.config.timeout = SimDuration::from_nanos(r.u64()?);
-        self.config.stats_prefix = r.str()?;
-        self.zipf = Zipf::try_new(self.config.keys, self.config.theta).map_err(|e| r.corrupt(e))?;
-        self.phase = match r.u8()? {
-            0 => Phase::Probing,
-            1 => Phase::Loading,
-            2 => Phase::Running,
-            3 => Phase::Done,
-            t => return Err(r.corrupt(format!("unknown client phase tag {t}"))),
-        };
-        self.next_id = r.u64()?;
-        let n = r.len()?;
-        self.outstanding = DetHashMap::default();
-        for _ in 0..n {
-            let id = r.u64()?;
-            let sent = SimTime::from_nanos(r.u64()?);
-            let is_read = r.bool()?;
-            self.outstanding.insert(id, (sent, is_read));
-        }
-        self.load_next = r.u64()?;
-        self.ops_done = r.u64()?;
-        self.ops_issued = r.u64()?;
-        self.errors = r.u64()?;
-        self.busy_rejections = r.u64()?;
-        self.unavailable_rejections = r.u64()?;
-        self.timeouts = r.u64()?;
-        self.started_at = r.opt(|r| Ok(SimTime::from_nanos(r.u64()?)))?;
-        self.finished_at = r.opt(|r| Ok(SimTime::from_nanos(r.u64()?)))?;
-        Ok(())
-    }
-}
+// Excluded: `met` (live MetricsHub handles), `value_scratch` (refilled on
+// every issue) and `zipf` (rebuilt from the config).
+lastcpu_snap::fields! { KvsClientHost |self| {
+    server, config.keys, config.theta, config.read_fraction, config.value_size,
+    config.outstanding, config.total_ops, config.preload, config.timeout, config.stats_prefix,
+    phase, next_id, outstanding, load_next, ops_done, ops_issued, errors, busy_rejections,
+    unavailable_rejections, timeouts, started_at, finished_at,
+} restored |r| {
+    self.zipf = Zipf::try_new(self.config.keys, self.config.theta).map_err(|e| r.corrupt(e))?;
+} }
 
 #[cfg(test)]
 mod tests {

@@ -500,57 +500,15 @@ mod compaction_tests {
     }
 }
 
-impl lastcpu_snap::Snapshot for KvEngine {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.cursor);
-        w.put_u64(self.stats.log_bytes);
-        w.put_u64(self.stats.dead_bytes);
-        // Sorted by key: DetHashMap iteration order depends on insertion
-        // history, which a restore does not reproduce.
-        let mut keys: Vec<&Vec<u8>> = self.index.keys().collect();
-        keys.sort_unstable();
-        w.put_len(keys.len());
-        for k in keys {
-            let v = self.index[k];
-            w.put_bytes(k);
-            w.put_u64(v.offset);
-            w.put_u32(v.len);
-        }
-    }
-}
+lastcpu_snap::record!(ValueRef { offset, len });
 
-impl lastcpu_snap::Restore for KvEngine {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.cursor = r.u64()?;
-        self.stats.log_bytes = r.u64()?;
-        self.stats.dead_bytes = r.u64()?;
-        let n = r.len()?;
-        self.index = DetHashMap::default();
-        for _ in 0..n {
-            let k = r.bytes()?;
-            let offset = r.u64()?;
-            let len = r.u32()?;
-            self.index.insert(k, ValueRef { offset, len });
-        }
-        self.stats.live_keys = self.index.len() as u64;
-        Ok(())
-    }
-}
+// The index is written sorted by key: its iteration order depends on
+// insertion history, which a restore does not reproduce.
+lastcpu_snap::fields! { KvEngine |self| { cursor, stats.log_bytes, stats.dead_bytes, index } restored {
+    self.stats.live_keys = self.index.len() as u64;
+} }
 
-impl lastcpu_snap::Snapshot for LogScanner {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_bytes(&self.carry);
-        w.put_u64(self.base);
-    }
-}
-
-impl lastcpu_snap::Restore for LogScanner {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.carry = r.bytes()?;
-        self.base = r.u64()?;
-        Ok(())
-    }
-}
+lastcpu_snap::fields! { LogScanner |self| { carry, base } }
 
 #[cfg(test)]
 mod tests {

@@ -221,25 +221,18 @@ pub enum KvsStatus {
     Unavailable,
 }
 
+lastcpu_snap::tags! { KvsStatus { Ok = 0, NotFound = 1, Busy = 2, Error = 3, Unavailable = 4 } }
+
 impl KvsStatus {
     fn to_u8(self) -> u8 {
-        match self {
-            KvsStatus::Ok => 0,
-            KvsStatus::NotFound => 1,
-            KvsStatus::Busy => 2,
-            KvsStatus::Error => 3,
-            KvsStatus::Unavailable => 4,
-        }
+        self.tag()
     }
 
+    /// The wire is lenient: a tag no status has reads as `Error` (fault
+    /// injection corrupts frames, and what they decode to is part of the
+    /// record). A checkpoint refuses it.
     fn from_u8(v: u8) -> KvsStatus {
-        match v {
-            0 => KvsStatus::Ok,
-            1 => KvsStatus::NotFound,
-            2 => KvsStatus::Busy,
-            4 => KvsStatus::Unavailable,
-            _ => KvsStatus::Error,
-        }
+        KvsStatus::from_tag(v).unwrap_or(KvsStatus::Error)
     }
 }
 
@@ -360,18 +353,6 @@ pub fn encode_response_into(id: u64, status: KvsStatus, value: &[u8], buf: &mut 
     w.u64(id);
     w.bytes(value);
     *buf = w.finish();
-}
-
-impl KvsStatus {
-    /// Stable one-byte tag for snapshot sections (same values as the wire).
-    pub fn snap_encode(self) -> u8 {
-        self.to_u8()
-    }
-
-    /// Inverse of [`KvsStatus::snap_encode`].
-    pub fn snap_decode(v: u8) -> KvsStatus {
-        KvsStatus::from_u8(v)
-    }
 }
 
 #[cfg(test)]

@@ -1034,226 +1034,89 @@ impl NetHost for ShardRouterHost {
     }
 }
 
-impl RetryPolicy {
-    /// Stable one-byte tag for snapshot sections.
-    pub fn snap_encode(self) -> u8 {
-        match self {
-            RetryPolicy::Static => 0,
-            RetryPolicy::AdaptiveP2c => 3,
-        }
-    }
+// Tags 1 and 2 belonged to the retired `adaptive`-only and `p2c`-only arms
+// and no longer decode.
+lastcpu_snap::tags! { RetryPolicy { Static = 0, AdaptiveP2c = 3 } }
 
-    /// Inverse of [`RetryPolicy::snap_encode`]. Tags 1 and 2 belonged to
-    /// the retired `adaptive`-only and `p2c`-only arms and no longer decode.
-    pub fn snap_decode(v: u8) -> Option<RetryPolicy> {
-        Some(match v {
-            0 => RetryPolicy::Static,
-            3 => RetryPolicy::AdaptiveP2c,
-            _ => return None,
-        })
-    }
-}
+lastcpu_snap::record!(Sub {
+    target,
+    id,
+    sent_at,
+    ack
+});
+lastcpu_snap::record!(EndpointLoad {
+    outstanding,
+    ewma_rtt_ns,
+    busy_until
+});
+lastcpu_snap::record!(RouterStats {
+    requests,
+    hits,
+    failovers,
+    give_ups,
+    rebalance_moves,
+    epoch,
+    dir_replies,
+    dir_installs,
+    late_acks,
+    busy_deferrals,
+});
 
-impl PendingReq {
-    /// The operation as a tag byte; a PUT's value follows its tag.
-    fn snap_encode_op(&self, w: &mut lastcpu_snap::SnapWriter) {
-        match self.op {
+lastcpu_snap::fields! { PendingReq |self| (PendingReq::empty()) {
+    client, client_id, key, ..OpValue, subs, attempts, needs_redispatch, defer_until,
+} }
+
+/// The operation as a tag byte; a PUT's value follows its tag.
+struct OpValue;
+
+impl lastcpu_snap::Span<PendingReq> for OpValue {
+    fn put(&self, p: &PendingReq, w: &mut lastcpu_snap::SnapWriter) {
+        match p.op {
             Op::Get => w.put_u8(0),
             Op::Put => {
                 w.put_u8(1);
-                w.put_bytes(&self.value);
+                w.put_bytes(&p.value);
             }
             Op::Delete => w.put_u8(2),
         }
     }
 
-    /// Inverse of [`PendingReq::snap_encode_op`]: the operation and its value.
-    fn snap_decode_op(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<(Op, Vec<u8>)> {
-        Ok(match r.u8()? {
+    fn take(
+        &self,
+        p: &mut PendingReq,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
+        (p.op, p.value) = match r.u8()? {
             0 => (Op::Get, Vec::new()),
             1 => (Op::Put, r.bytes()?),
             2 => (Op::Delete, Vec::new()),
-            t => return Err(r.corrupt(format!("unknown router op tag {t}"))),
-        })
-    }
-}
-
-impl lastcpu_snap::Snapshot for ShardRouterHost {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u32(self.config.dir_port.0);
-        w.put_str(&self.config.service_kind);
-        w.put_len(self.config.replication);
-        w.put_u32(self.config.vnodes);
-        w.put_u64(self.config.tick.as_nanos());
-        w.put_u64(self.config.sub_timeout.as_nanos());
-        w.put_u32(self.config.max_retries);
-        w.put_u8(self.config.policy.snap_encode());
-        w.put_u64(self.config.rtt_multiplier);
-        w.put_u64(self.config.busy_backoff.as_nanos());
-        w.put_str(&self.config.name);
-        self.ring.snapshot(w);
-        w.put_len(self.endpoints.len());
-        for (name, port) in &self.endpoints {
-            w.put_str(name);
-            w.put_u32(port.0);
-        }
-        w.put_u64(self.epoch);
-        w.put_u64(self.next_sub_id);
-        w.put_u64(self.next_seq);
-        w.put_len(self.pending.len());
-        for (seq, p) in &self.pending {
-            w.put_u64(*seq);
-            w.put_u32(p.client.0);
-            w.put_u64(p.client_id);
-            w.put_bytes(&p.key);
-            p.snap_encode_op(w);
-            w.put_len(p.subs.len());
-            for s in &p.subs {
-                w.put_str(&s.target);
-                w.put_u64(s.id);
-                w.put_u64(s.sent_at.as_nanos());
-                w.put_opt(s.ack.as_ref(), |w, a| w.put_u8(a.snap_encode()));
-            }
-            w.put_u32(p.attempts);
-            w.put_bool(p.needs_redispatch);
-            w.put_opt(p.defer_until.as_ref(), |w, t| w.put_u64(t.as_nanos()));
-        }
-        // sub_index is derivable from pending, but serialized so restore
-        // needs no rebuild pass and verification covers it. Sorted: it is
-        // an unordered map.
-        let mut subs: Vec<u64> = self.sub_index.keys().copied().collect();
-        subs.sort_unstable();
-        w.put_len(subs.len());
-        for id in subs {
-            w.put_u64(id);
-            w.put_u64(self.sub_index[&id]);
-        }
-        w.put_len(self.load.len());
-        for (name, l) in &self.load {
-            w.put_str(name);
-            w.put_u32(l.outstanding);
-            w.put_u64(l.ewma_rtt_ns);
-            w.put_u64(l.busy_until.as_nanos());
-        }
-        w.put_len(self.acked_puts.len());
-        for k in &self.acked_puts {
-            w.put_bytes(k);
-        }
-        w.put_u64(self.stats.requests);
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.failovers);
-        w.put_u64(self.stats.give_ups);
-        w.put_u64(self.stats.rebalance_moves);
-        w.put_u64(self.stats.epoch);
-        w.put_u64(self.stats.dir_replies);
-        w.put_u64(self.stats.dir_installs);
-        w.put_u64(self.stats.late_acks);
-        w.put_u64(self.stats.busy_deferrals);
-        // Excluded: `met` (live MetricsHub handles; the hub snapshots its
-        // own key space), `last_dir_reply` (a memo of `endpoints` and
-        // `epoch` above; the first reply after a restore decodes) and
-        // `spare` (answered slots: buffers, no request).
-    }
-}
-
-impl lastcpu_snap::Restore for ShardRouterHost {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.config.dir_port = PortId(r.u32()?);
-        self.config.service_kind = r.str()?;
-        self.config.replication = r.len()?;
-        self.config.vnodes = r.u32()?;
-        self.config.tick = SimDuration::from_nanos(r.u64()?);
-        self.config.sub_timeout = SimDuration::from_nanos(r.u64()?);
-        self.config.max_retries = r.u32()?;
-        let tag = r.u8()?;
-        self.config.policy = RetryPolicy::snap_decode(tag)
-            .ok_or_else(|| r.corrupt(format!("unknown retry policy tag {tag}")))?;
-        self.config.rtt_multiplier = r.u64()?;
-        self.config.busy_backoff = SimDuration::from_nanos(r.u64()?);
-        self.config.name = r.str()?;
-        self.ring.restore(r)?;
-        let n = r.len()?;
-        self.endpoints = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.str()?;
-            let port = PortId(r.u32()?);
-            self.endpoints.insert(name, port);
-        }
-        self.epoch = r.u64()?;
-        self.next_sub_id = r.u64()?;
-        self.next_seq = r.u64()?;
-        let n = r.len()?;
-        self.pending = BTreeMap::new();
-        for _ in 0..n {
-            let seq = r.u64()?;
-            let client = PortId(r.u32()?);
-            let client_id = r.u64()?;
-            let key = r.bytes()?;
-            let (op, value) = PendingReq::snap_decode_op(r)?;
-            let ns = r.count()?;
-            let mut subs = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                subs.push(Sub {
-                    target: r.str()?.into(),
-                    id: r.u64()?,
-                    sent_at: SimTime::from_nanos(r.u64()?),
-                    ack: r.opt(|r| Ok(KvsStatus::snap_decode(r.u8()?)))?,
-                });
-            }
-            let attempts = r.u32()?;
-            let needs_redispatch = r.bool()?;
-            let defer_until = r.opt(|r| Ok(SimTime::from_nanos(r.u64()?)))?;
-            self.pending.insert(
-                seq,
-                PendingReq {
-                    client,
-                    client_id,
-                    key,
-                    op,
-                    value,
-                    subs,
-                    attempts,
-                    needs_redispatch,
-                    defer_until,
-                },
-            );
-        }
-        let n = r.len()?;
-        self.sub_index = DetHashMap::default();
-        for _ in 0..n {
-            let id = r.u64()?;
-            let seq = r.u64()?;
-            self.sub_index.insert(id, seq);
-        }
-        let n = r.len()?;
-        self.load = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.str()?.into();
-            let l = EndpointLoad {
-                outstanding: r.u32()?,
-                ewma_rtt_ns: r.u64()?,
-                busy_until: SimTime::from_nanos(r.u64()?),
-            };
-            self.load.insert(name, l);
-        }
-        let n = r.len()?;
-        self.acked_puts = BTreeSet::new();
-        for _ in 0..n {
-            self.acked_puts.insert(r.bytes()?);
-        }
-        self.stats.requests = r.u64()?;
-        self.stats.hits = r.u64()?;
-        self.stats.failovers = r.u64()?;
-        self.stats.give_ups = r.u64()?;
-        self.stats.rebalance_moves = r.u64()?;
-        self.stats.epoch = r.u64()?;
-        self.stats.dir_replies = r.u64()?;
-        self.stats.dir_installs = r.u64()?;
-        self.stats.late_acks = r.u64()?;
-        self.stats.busy_deferrals = r.u64()?;
-        self.last_dir_reply = None;
-        self.spare.clear();
+            t => return Err(r.bad_tag("Op", t)),
+        };
         Ok(())
+    }
+}
+
+// `sub_index` is derivable from `pending`, but serialized so a restore
+// needs no rebuild pass and verification covers it. Excluded: `met` (live
+// MetricsHub handles; the hub snapshots its own key space),
+// `last_dir_reply` (a memo of `endpoints` and `epoch`; the first reply
+// after a restore decodes) and `spare` (answered slots: buffers, no
+// request).
+lastcpu_snap::fields! { ShardRouterHost |self| {
+    config.dir_port, config.service_kind, config.replication, config.vnodes, config.tick,
+    config.sub_timeout, config.max_retries, config.policy, config.rtt_multiplier,
+    config.busy_backoff, config.name, mut ring, endpoints, epoch, next_sub_id, next_seq, pending,
+    sub_index, load, acked_puts, stats,
+} restored {
+    self.last_dir_reply = None;
+    self.spare.clear();
+} }
+
+#[cfg(test)]
+impl RetryPolicy {
+    /// The policy's checkpoint tag.
+    fn snap_encode(self) -> u8 {
+        self.tag()
     }
 }
 

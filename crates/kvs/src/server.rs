@@ -1065,240 +1065,143 @@ impl KvsServer {
     }
 }
 
-fn server_state_tag(s: ServerState) -> u8 {
-    match s {
-        ServerState::Boot => 0,
-        ServerState::FindingMemory => 1,
-        ServerState::FindingFile => 2,
-        ServerState::Connecting => 3,
-        ServerState::Rebuilding => 4,
-        ServerState::Ready => 5,
-        ServerState::Failed => 6,
-    }
-}
+lastcpu_snap::tags! { ServerState {
+    Boot = 0, FindingMemory = 1, FindingFile = 2, Connecting = 3, Rebuilding = 4, Ready = 5,
+    Failed = 6,
+} }
 
-fn server_state_from_tag(
-    r: &mut lastcpu_snap::SnapReader<'_>,
-    tag: u8,
-) -> lastcpu_snap::Result<ServerState> {
-    Ok(match tag {
-        0 => ServerState::Boot,
-        1 => ServerState::FindingMemory,
-        2 => ServerState::FindingFile,
-        3 => ServerState::Connecting,
-        4 => ServerState::Rebuilding,
-        5 => ServerState::Ready,
-        6 => ServerState::Failed,
-        t => return Err(r.corrupt(format!("unknown server state tag {t}"))),
-    })
-}
+lastcpu_snap::variants! { Pending {
+    Get = 0 { port, id }, Put = 1 { port, id, key, value }, Delete = 2 { port, id },
+    Rebuild = 3 { len },
+} }
 
-impl Pending {
-    fn snap_encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        match self {
-            Pending::Get { port, id } => {
-                w.put_u8(0);
-                w.put_u32(port.0);
-                w.put_u64(*id);
-            }
-            Pending::Put {
-                port,
-                id,
-                key,
-                value,
-            } => {
-                w.put_u8(1);
-                w.put_u32(port.0);
-                w.put_u64(*id);
-                w.put_bytes(key);
-                w.put_bytes(value);
-            }
-            Pending::Delete { port, id } => {
-                w.put_u8(2);
-                w.put_u32(port.0);
-                w.put_u64(*id);
-            }
-            Pending::Rebuild { len } => {
-                w.put_u8(3);
-                w.put_u32(*len);
-            }
-        }
-    }
+lastcpu_snap::fields! { ValueCache |self| { capacity, ..Entries } }
 
-    fn snap_decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Pending> {
-        Ok(match r.u8()? {
-            0 => Pending::Get {
-                port: PortId(r.u32()?),
-                id: r.u64()?,
-            },
-            1 => Pending::Put {
-                port: PortId(r.u32()?),
-                id: r.u64()?,
-                key: r.bytes()?,
-                value: r.bytes()?,
-            },
-            2 => Pending::Delete {
-                port: PortId(r.u32()?),
-                id: r.u64()?,
-            },
-            3 => Pending::Rebuild { len: r.u32()? },
-            t => return Err(r.corrupt(format!("unknown pending-op tag {t}"))),
-        })
-    }
-}
+/// The cached entries in insertion order, not sorted: eviction picks the
+/// front, so the order is semantic. `order` holds exactly the map's keys.
+struct Entries;
 
-impl lastcpu_snap::Snapshot for ValueCache {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_len(self.capacity);
-        // Insertion order is semantic (eviction picks the front), so entries
-        // are written in `order`, not sorted; `order` holds exactly the map
-        // keys.
-        w.put_len(self.order.len());
-        for k in &self.order {
+impl lastcpu_snap::Span<ValueCache> for Entries {
+    fn put(&self, c: &ValueCache, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_len(c.order.len());
+        for k in &c.order {
             w.put_bytes(k);
-            w.put_bytes(&self.map[k]);
+            w.put_bytes(&c.map[k]);
         }
     }
-}
 
-impl lastcpu_snap::Restore for ValueCache {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.capacity = r.len()?;
+    fn take(
+        &self,
+        c: &mut ValueCache,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
         let n = r.count()?;
-        if n > self.capacity {
-            return Err(r.corrupt(format!(
-                "cache holds {n} entries but capacity is {}",
-                self.capacity
-            )));
+        if n > c.capacity {
+            let cap = c.capacity;
+            return Err(r.corrupt(format!("cache holds {n} entries but capacity is {cap}")));
         }
-        self.map = DetHashMap::default();
-        self.order = VecDeque::with_capacity(n);
+        c.map = DetHashMap::default();
+        c.order = VecDeque::with_capacity(n);
         for _ in 0..n {
-            let k = r.bytes()?;
-            let v = r.bytes()?;
-            self.order.push_back(k.clone());
-            self.map.insert(k, v);
+            let (k, v): (Vec<u8>, Vec<u8>) = lastcpu_snap::Field::take(r)?;
+            if c.map.insert(k.clone(), v).is_some() {
+                return Err(r.corrupt("cache lists a key twice"));
+            }
+            c.order.push_back(k);
         }
         Ok(())
     }
 }
 
-impl lastcpu_snap::Snapshot for KvsServer {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_str(&self.config.file_pattern);
-        w.put_opt(self.config.memctl.as_ref(), |w, d| w.put_u32(d.0));
-        w.put_u128(self.config.token.0);
-        w.put_u64(self.config.va_base);
-        w.put_u16(self.config.queue_size);
-        w.put_len(self.config.cache_entries);
-        w.put_u64(self.config.per_request_cost.as_nanos());
-        w.put_u32(self.pasid.0);
-        w.put_u8(server_state_tag(self.state));
-        self.engine.snapshot(w);
-        self.scanner.snapshot(w);
-        w.put_opt(self.memctl.as_ref(), |w, d| w.put_u32(d.0));
-        w.put_u64(self.mem_op);
-        w.put_u64(self.file_op);
-        w.put_opt(self.session.as_ref(), |w, s| s.snapshot(w));
-        w.put_u64(self.file_size);
-        w.put_u64(self.rebuild_next);
-        w.put_u64(self.rebuild_inflight);
-        w.put_len(self.in_flight);
-        for (head, slot) in (0u16..).zip(&self.inflight) {
+lastcpu_snap::record!(ServerStats {
+    gets,
+    puts,
+    deletes,
+    cache_hits,
+    fast_gets,
+    shed,
+    misses,
+    failures,
+    unavailable,
+});
+
+// Excluded: `met` (live MetricsHub handles, owned by the hub's own section),
+// `comp_buf` and `rec` (reused scratch, contents meaningless between
+// events).
+lastcpu_snap::fields! { KvsServer |self| {
+    config.file_pattern, config.memctl, config.token, config.va_base, config.queue_size,
+    config.cache_entries, config.per_request_cost, pasid, state, mut engine, mut scanner, memctl,
+    mem_op, file_op, session, file_size, rebuild_next, rebuild_inflight, ..InFlight, ..Backlogged,
+    mut cache, stats, recovering, generation, fast_path,
+} }
+
+/// The storage operations in flight, by head: the count, then each head
+/// and its operation.
+struct InFlight;
+
+impl lastcpu_snap::Span<KvsServer> for InFlight {
+    fn put(&self, s: &KvsServer, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_len(s.in_flight);
+        for (head, slot) in (0u16..).zip(&s.inflight) {
             if let Some(op) = slot {
-                w.put_u16(head);
-                op.snap_encode(w);
+                lastcpu_snap::Field::put(&head, w);
+                lastcpu_snap::Field::put(op, w);
             }
         }
-        w.put_len(self.backlog.len());
-        for (port, body) in self.backlog.iter() {
-            w.put_u32(port.0);
-            w.put_bytes(body);
-        }
-        self.cache.snapshot(w);
-        w.put_u64(self.stats.gets);
-        w.put_u64(self.stats.puts);
-        w.put_u64(self.stats.deletes);
-        w.put_u64(self.stats.cache_hits);
-        w.put_u64(self.stats.fast_gets);
-        w.put_u64(self.stats.shed);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.failures);
-        w.put_u64(self.stats.unavailable);
-        w.put_bool(self.recovering);
-        w.put_u64(self.generation);
-        w.put_bool(self.fast_path);
-        // Excluded: `met` (live MetricsHub handles, owned by the hub's own
-        // section), `comp_buf` and `rec` (reused scratch, contents
-        // meaningless between events).
     }
-}
 
-impl lastcpu_snap::Restore for KvsServer {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.config.file_pattern = r.str()?;
-        self.config.memctl = r.opt(|r| Ok(DeviceId(r.u32()?)))?;
-        self.config.token = Token(r.u128()?);
-        self.config.va_base = r.u64()?;
-        self.config.queue_size = r.u16()?;
-        self.config.cache_entries = r.len()?;
-        self.config.per_request_cost = SimDuration::from_nanos(r.u64()?);
-        self.pasid = Pasid(r.u32()?);
-        let tag = r.u8()?;
-        self.state = server_state_from_tag(r, tag)?;
-        self.engine.restore(r)?;
-        self.scanner.restore(r)?;
-        self.memctl = r.opt(|r| Ok(DeviceId(r.u32()?)))?;
-        self.mem_op = r.u64()?;
-        self.file_op = r.u64()?;
-        self.session = r.opt(|r| {
-            let mut s = FileSession::placeholder();
-            s.restore(r)?;
-            Ok(s)
-        })?;
-        self.file_size = r.u64()?;
-        self.rebuild_next = r.u64()?;
-        self.rebuild_inflight = r.u64()?;
-        self.in_flight = r.len()?;
-        self.inflight = Self::empty_slots(self.config.queue_size);
-        for _ in 0..self.in_flight {
+    fn take(
+        &self,
+        s: &mut KvsServer,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
+        s.in_flight = r.len()?;
+        s.inflight = KvsServer::empty_slots(s.config.queue_size);
+        for _ in 0..s.in_flight {
             let head = r.u16()?;
             // A head is an index into the table. (It need not be live in the
             // storage client: a reset NIC keeps the operations of the session
             // it lost until their heads are reused, see `track`.)
-            let Some(slot) = self.inflight.get_mut(head as usize) else {
+            let Some(slot) = s.inflight.get_mut(head as usize) else {
+                let size = s.config.queue_size;
                 return Err(r.corrupt(format!(
-                    "in-flight operation under head {head} of a {}-descriptor queue",
-                    self.config.queue_size
+                    "in-flight operation under head {head} of a {size}-descriptor queue"
                 )));
             };
             if slot.is_some() {
                 return Err(r.corrupt(format!("two in-flight operations under head {head}")));
             }
-            *slot = Some(Pending::snap_decode(r)?);
+            *slot = Some(lastcpu_snap::Field::take(r)?);
         }
-        let n = r.len()?;
-        self.backlog.clear();
-        for _ in 0..n {
-            let port = PortId(r.u32()?);
+        Ok(())
+    }
+}
+
+/// The backlog: each waiting request's port and wire bytes, in order.
+struct Backlogged;
+
+impl lastcpu_snap::Span<KvsServer> for Backlogged {
+    fn put(&self, s: &KvsServer, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_len(s.backlog.len());
+        for (port, body) in s.backlog.iter() {
+            lastcpu_snap::Field::put(&port, w);
+            w.put_bytes(body);
+        }
+    }
+
+    fn take(
+        &self,
+        s: &mut KvsServer,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
+        s.backlog.clear();
+        for _ in 0..r.len()? {
+            let port = lastcpu_snap::Field::take(r)?;
             let body = r.bytes()?;
             let req = KvsRequestRef::decode(&body)
                 .ok_or_else(|| r.corrupt("undecodable backlogged request"))?;
-            self.backlog.push_back(port, &req);
+            s.backlog.push_back(port, &req);
         }
-        self.cache.restore(r)?;
-        self.stats.gets = r.u64()?;
-        self.stats.puts = r.u64()?;
-        self.stats.deletes = r.u64()?;
-        self.stats.cache_hits = r.u64()?;
-        self.stats.fast_gets = r.u64()?;
-        self.stats.shed = r.u64()?;
-        self.stats.misses = r.u64()?;
-        self.stats.failures = r.u64()?;
-        self.stats.unavailable = r.u64()?;
-        self.recovering = r.bool()?;
-        self.generation = r.u64()?;
-        self.fast_path = r.bool()?;
         Ok(())
     }
 }

@@ -30,6 +30,8 @@ pub struct VirtAddr(u64);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Pasid(pub u32);
 
+lastcpu_snap::newtypes!(PhysAddr, VirtAddr, Pasid);
+
 macro_rules! addr_impl {
     ($t:ident, $prefix:expr) => {
         impl $t {

@@ -250,49 +250,43 @@ impl Dram {
     }
 }
 
-impl lastcpu_snap::Snapshot for Dram {
-    /// Serializes size, cost model, traffic counters, and every resident
-    /// frame (sorted by frame number, page bodies RLE-compressed — DRAM
-    /// images are overwhelmingly zero). Frame *residency* is part of the
-    /// state: a frame that was written and later zeroed in place stays
-    /// resident, and restore reproduces that exactly.
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.size);
-        w.put_u64(self.cost.access_latency.as_nanos());
-        w.put_u64(self.cost.per_byte_ps);
-        w.put_u64(self.bytes_read);
-        w.put_u64(self.bytes_written);
-        let mut frames: Vec<u64> = self.frames.keys().copied().collect();
-        frames.sort_unstable();
-        w.put_len(frames.len());
-        for f in frames {
-            w.put_u64(f);
-            w.put_bytes_rle(&self.frames[&f]);
+lastcpu_snap::record!(DramCostModel {
+    access_latency,
+    per_byte_ps
+});
+
+lastcpu_snap::fields! { Dram |self| { size, cost, bytes_read, bytes_written, frames: Frames } }
+
+/// Every resident frame in frame order, its page RLE-compressed (DRAM images
+/// are overwhelmingly zero). Frame *residency* is part of the state: a
+/// frame that was written and later zeroed in place stays resident, and a
+/// restore reproduces that exactly.
+struct Frames;
+
+impl lastcpu_snap::Codec<DetHashMap<u64, Box<[u8]>>> for Frames {
+    fn put(&self, frames: &DetHashMap<u64, Box<[u8]>>, w: &mut lastcpu_snap::SnapWriter) {
+        let mut sorted: Vec<(&u64, &Box<[u8]>)> = frames.iter().collect();
+        sorted.sort_unstable_by_key(|&(f, _)| *f);
+        w.put_len(sorted.len());
+        for (f, page) in sorted {
+            w.put_u64(*f);
+            w.put_bytes_rle(page);
         }
     }
-}
 
-impl lastcpu_snap::Restore for Dram {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.size = r.u64()?;
-        self.cost.access_latency = SimDuration::from_nanos(r.u64()?);
-        self.cost.per_byte_ps = r.u64()?;
-        self.bytes_read = r.u64()?;
-        self.bytes_written = r.u64()?;
-        self.frames.clear();
-        let n = r.len()?;
-        for _ in 0..n {
-            let f = r.u64()?;
-            let body = r.bytes_rle()?;
-            if body.len() != PAGE_SIZE as usize {
-                return Err(lastcpu_snap::SnapError::Corrupt {
-                    section: "dram".into(),
-                    detail: format!("frame {f} body is {} bytes, want {PAGE_SIZE}", body.len()),
-                });
+    fn take(
+        &self,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<DetHashMap<u64, Box<[u8]>>> {
+        let frame = |r: &mut lastcpu_snap::SnapReader<'_>| {
+            let (f, page) = (r.u64()?, r.bytes_rle()?);
+            if page.len() != PAGE_SIZE as usize {
+                let n = page.len();
+                return Err(r.corrupt(format!("frame {f} body is {n} bytes, want {PAGE_SIZE}")));
             }
-            self.frames.insert(f, body.into_boxed_slice());
-        }
-        Ok(())
+            Ok((f, page.into_boxed_slice()))
+        };
+        lastcpu_snap::take_sorted(r, frame, |&(f, _)| f)
     }
 }
 

@@ -213,55 +213,26 @@ impl FrameAllocator {
     }
 }
 
-impl lastcpu_snap::Snapshot for FrameAllocator {
-    /// Serializes the free lists (already ordered sets) and the allocated
-    /// map in frame order.
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.total);
-        w.put_u64(self.in_use);
-        w.put_len(self.free.len());
-        for set in &self.free {
-            w.put_len(set.len());
-            for &f in set {
-                w.put_u64(f);
-            }
-        }
-        let mut blocks: Vec<(u64, u8)> = self.allocated.iter().map(|(&f, &o)| (f, o)).collect();
-        blocks.sort_unstable();
-        w.put_len(blocks.len());
-        for (f, o) in blocks {
-            w.put_u64(f);
-            w.put_u8(o);
-        }
-    }
-}
+lastcpu_snap::fields! { FrameAllocator |self| { total, in_use, free: Orders, allocated } }
 
-impl lastcpu_snap::Restore for FrameAllocator {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.total = r.u64()?;
-        self.in_use = r.u64()?;
-        let orders = r.len()?;
-        if orders != MAX_ORDER as usize + 1 {
-            return Err(lastcpu_snap::SnapError::Corrupt {
-                section: "frame-allocator".into(),
-                detail: format!("{orders} order lists, want {}", MAX_ORDER + 1),
-            });
+/// One free list per order, `0..=MAX_ORDER`, each an ordered set.
+struct Orders;
+
+impl lastcpu_snap::Codec<Vec<BTreeSet<u64>>> for Orders {
+    fn put(&self, free: &Vec<BTreeSet<u64>>, w: &mut lastcpu_snap::SnapWriter) {
+        lastcpu_snap::Field::put(free, w);
+    }
+
+    fn take(
+        &self,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<Vec<BTreeSet<u64>>> {
+        let free: Vec<BTreeSet<u64>> = lastcpu_snap::Field::take(r)?;
+        if free.len() != MAX_ORDER as usize + 1 {
+            let n = free.len();
+            return Err(r.corrupt(format!("{n} order lists, want {}", MAX_ORDER + 1)));
         }
-        self.free = vec![BTreeSet::new(); orders];
-        for set in &mut self.free {
-            let n = r.len()?;
-            for _ in 0..n {
-                set.insert(r.u64()?);
-            }
-        }
-        self.allocated.clear();
-        let n = r.len()?;
-        for _ in 0..n {
-            let f = r.u64()?;
-            let o = r.u8()?;
-            self.allocated.insert(f, o);
-        }
-        Ok(())
+        Ok(free)
     }
 }
 

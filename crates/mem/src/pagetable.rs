@@ -508,55 +508,65 @@ impl PageTable {
     }
 }
 
-impl lastcpu_snap::Snapshot for PageTable {
-    /// Serializes the sorted leaf mappings plus the node counter. The
-    /// counter is explicit because it is *history*, not structure: unmap
-    /// leaves tables in place, so the same mapping set can have different
-    /// node counts depending on how it was reached.
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.node_count);
-        let maps = self.iter();
-        w.put_len(maps.len());
-        for (va, pa, perms) in maps {
-            w.put_u64(va.as_u64());
-            w.put_u64(pa.as_u64());
-            w.put_u8(perms.to_bits());
-        }
-    }
-}
+lastcpu_snap::fields! { PageTable |self| (PageTable::new()) { ..Replay } }
 
-impl lastcpu_snap::Restore for PageTable {
-    /// Replays the mappings. A sparse record costs a whole 4 KiB leaf
-    /// table, so the replay is held to the table count the checkpoint
-    /// declares — never more than the table it was taken from held, since
-    /// unmapping frees none — and that count to [`MAX_RESTORED_NODES`].
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let corrupt = |detail: String| lastcpu_snap::SnapError::Corrupt {
-            section: "pagetable".into(),
-            detail,
-        };
-        let node_count = r.u64()?;
+/// The node counter, then the leaf mappings in address order, replayed on
+/// restore. The counter is explicit because it is *history*, not
+/// structure: unmap leaves tables in place, so the same mapping set can
+/// have different node counts depending on how it was reached. A sparse
+/// record costs a whole 4 KiB leaf table, so the replay is held to the
+/// table count the checkpoint declares — never more than the table it was
+/// taken from held, since unmapping frees none — and that count to
+/// [`MAX_RESTORED_NODES`].
+struct Replay;
+
+impl lastcpu_snap::Span<PageTable> for Replay {
+    fn put(&self, t: &PageTable, w: &mut lastcpu_snap::SnapWriter) {
+        lastcpu_snap::Field::put(&(t.node_count, t.iter()), w);
+    }
+
+    fn take(
+        &self,
+        t: &mut PageTable,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
+        use lastcpu_snap::Field;
+        let node_count = u64::take(r)?;
         if node_count > MAX_RESTORED_NODES {
-            return Err(corrupt(format!(
+            return Err(r.corrupt(format!(
                 "{node_count} tables exceed the {MAX_RESTORED_NODES} a restore may make"
             )));
         }
-        *self = PageTable::new();
-        let n = r.len()?;
-        for _ in 0..n {
-            let va = VirtAddr::new(r.u64()?);
-            let pa = PhysAddr::new(r.u64()?);
-            let perms = Perms::from_bits(r.u8()?);
-            self.map(va, pa, perms)
-                .map_err(|e| corrupt(format!("replaying mapping {va}: {e}")))?;
-            if self.node_count > node_count {
-                return Err(corrupt(format!(
+        *t = PageTable::new();
+        let mut last = None;
+        for _ in 0..r.len()? {
+            let (va, pa, perms) = Field::take(r)?;
+            lastcpu_snap::ascending(r, last.as_ref(), &va)?;
+            last = Some(va);
+            t.map(va, pa, perms)
+                .map_err(|e| r.corrupt(format!("replaying mapping {va}: {e}")))?;
+            if t.node_count > node_count {
+                return Err(r.corrupt(format!(
                     "replaying mapping {va} makes more than the {node_count} tables declared"
                 )));
             }
         }
-        self.node_count = node_count;
+        t.node_count = node_count;
         Ok(())
+    }
+}
+
+/// The `rwx` bits; a byte with any other bit set is no permission set.
+impl lastcpu_snap::Field for Perms {
+    fn put(&self, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_u8(self.bits);
+    }
+
+    fn take(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+        match r.u8()? {
+            bits @ 0..=7 => Ok(Perms { bits }),
+            bits => Err(r.corrupt(format!("permission bits {bits:#04x} above rwx"))),
+        }
     }
 }
 

@@ -553,111 +553,38 @@ impl fmt::Debug for MemoryController {
     }
 }
 
-impl lastcpu_snap::Snapshot for MemoryController {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u32(self.id.0);
-        self.frames.snapshot(w);
-        w.put_u64(self.next_region);
-        w.put_u64(self.next_req);
-        w.put_opt(self.config.per_device_quota.as_ref(), |w, q| w.put_u64(*q));
-        w.put_u64(self.stats.allocs);
-        w.put_u64(self.stats.frees);
-        w.put_u64(self.stats.shares);
-        w.put_u64(self.stats.denials);
-        w.put_u64(self.stats.oom);
-        w.put_u64(self.stats.bytes_in_use);
-        w.put_u64(self.stats.peak_bytes);
-        w.put_u64(self.stats.reclaimed);
-        let mut ids: Vec<_> = self.regions.keys().copied().collect();
-        ids.sort_unstable();
-        w.put_len(ids.len());
-        for id in ids {
-            let rg = &self.regions[&id];
-            w.put_u64(rg.id);
-            w.put_u32(rg.owner.0);
-            w.put_u32(rg.pasid);
-            w.put_u64(rg.va);
-            w.put_u64(rg.pages);
-            w.put_u64(rg.first_frame);
-            w.put_u8(rg.perms);
-            w.put_len(rg.shares.len());
-            for s in &rg.shares {
-                w.put_u32(s.device.0);
-                w.put_u32(s.pasid);
-                w.put_u64(s.va);
-                w.put_u8(s.perms);
-            }
-        }
-        w.put_len(self.usage.len());
-        for (d, b) in &self.usage {
-            w.put_u32(d.0);
-            w.put_u64(*b);
-        }
-    }
-}
+lastcpu_snap::record!(ShareEntry {
+    device,
+    pasid,
+    va,
+    perms
+});
+lastcpu_snap::record!(Region {
+    id,
+    owner,
+    pasid,
+    va,
+    pages,
+    first_frame,
+    perms,
+    shares
+});
+lastcpu_snap::record!(MemCtlConfig { per_device_quota });
+lastcpu_snap::record!(MemCtlStats {
+    allocs,
+    frees,
+    shares,
+    denials,
+    oom,
+    bytes_in_use,
+    peak_bytes,
+    reclaimed,
+});
 
-impl lastcpu_snap::Restore for MemoryController {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.id = DeviceId(r.u32()?);
-        self.frames.restore(r)?;
-        self.next_region = r.u64()?;
-        self.next_req = r.u64()?;
-        self.config.per_device_quota = r.opt(|r| r.u64())?;
-        self.stats.allocs = r.u64()?;
-        self.stats.frees = r.u64()?;
-        self.stats.shares = r.u64()?;
-        self.stats.denials = r.u64()?;
-        self.stats.oom = r.u64()?;
-        self.stats.bytes_in_use = r.u64()?;
-        self.stats.peak_bytes = r.u64()?;
-        self.stats.reclaimed = r.u64()?;
-        let n = r.count()?;
-        self.regions = DetHashMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let id = r.u64()?;
-            let owner = DeviceId(r.u32()?);
-            let pasid = r.u32()?;
-            let va = r.u64()?;
-            let pages = r.u64()?;
-            let first_frame = r.u64()?;
-            let perms = r.u8()?;
-            let k = r.count()?;
-            let mut shares = Vec::with_capacity(k);
-            for _ in 0..k {
-                shares.push(ShareEntry {
-                    device: DeviceId(r.u32()?),
-                    pasid: r.u32()?,
-                    va: r.u64()?,
-                    perms: r.u8()?,
-                });
-            }
-            self.regions.insert(
-                id,
-                Region {
-                    id,
-                    owner,
-                    pasid,
-                    va,
-                    pages,
-                    first_frame,
-                    perms,
-                    shares,
-                },
-            );
-        }
-        let n = r.count()?;
-        self.usage = Vec::with_capacity(n);
-        for _ in 0..n {
-            let d = DeviceId(r.u32()?);
-            let b = r.u64()?;
-            if self.usage.last().is_some_and(|&(prev, _)| prev >= d) {
-                return Err(r.corrupt(format!("usage list not sorted at {d}")));
-            }
-            self.usage.push((d, b));
-        }
-        Ok(())
-    }
-}
+lastcpu_snap::fields! { MemoryController |self| {
+    id, mut frames, next_region, next_req, config, stats,
+    regions: lastcpu_snap::Keyed(|r: &Region| r.id), usage: lastcpu_snap::Sorted,
+} }
 
 #[cfg(test)]
 mod tests {

@@ -224,41 +224,42 @@ mod ordering_tests {
     }
 }
 
-impl lastcpu_snap::Snapshot for Switch {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.cost.per_byte_ps);
-        w.put_u64(self.cost.switch_latency.as_nanos());
-        w.put_u64(self.cost.propagation.as_nanos());
-        w.put_u64(self.stats.forwarded);
-        w.put_u64(self.stats.dropped);
-        w.put_u64(self.stats.bytes);
-        // The next id `add_port` would hand out, then the ports in order.
-        let n = self.busy_until.len();
-        w.put_u32(n as u32 + 1);
-        w.put_len(n);
-        for p in 1..=n as u32 {
-            w.put_u32(p);
-        }
-        // Only ports that have carried a frame are listed.
-        w.put_len(self.busy_until.iter().flatten().count());
-        for (i, t) in self.busy_until.iter().enumerate() {
+lastcpu_snap::newtypes!(PortId);
+lastcpu_snap::record!(SwitchStats {
+    forwarded,
+    dropped,
+    bytes
+});
+
+lastcpu_snap::fields! { Switch |self| {
+    cost.per_byte_ps, cost.switch_latency, cost.propagation, stats, ..Ports,
+} }
+
+/// The ports, in the layout that predates their indexing: the next id
+/// `add_port` would hand out, the ports in order (ids are indices, so a
+/// restore requires exactly `1..=n`), then the busy-until time of each
+/// port that has carried a frame.
+struct Ports;
+
+impl lastcpu_snap::Span<Switch> for Ports {
+    fn put(&self, s: &Switch, w: &mut lastcpu_snap::SnapWriter) {
+        let n = s.busy_until.len() as u32;
+        w.put_u32(n + 1);
+        w.put_len(n as usize);
+        (1..=n).for_each(|p| w.put_u32(p));
+        w.put_len(s.busy_until.iter().flatten().count());
+        for (p, t) in (1u32..).zip(&s.busy_until) {
             if let Some(t) = t {
-                w.put_u32(i as u32 + 1);
-                w.put_u64(t.as_nanos());
+                lastcpu_snap::Field::put(&(p, *t), w);
             }
         }
     }
-}
 
-impl lastcpu_snap::Restore for Switch {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.cost.per_byte_ps = r.u64()?;
-        self.cost.switch_latency = SimDuration::from_nanos(r.u64()?);
-        self.cost.propagation = SimDuration::from_nanos(r.u64()?);
-        self.stats.forwarded = r.u64()?;
-        self.stats.dropped = r.u64()?;
-        self.stats.bytes = r.u64()?;
-        // Ids are indices, so the port list must read exactly 1..=n.
+    fn take(
+        &self,
+        s: &mut Switch,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
         let next_id = r.u32()?;
         let n = r.len()?;
         if next_id as usize != n + 1 {
@@ -270,11 +271,10 @@ impl lastcpu_snap::Restore for Switch {
                 return Err(r.corrupt(format!("port list has port {p} at position {i}")));
             }
         }
-        self.busy_until = vec![None; n];
+        s.busy_until = vec![None; n];
         for _ in 0..r.len()? {
-            let p = PortId(r.u32()?);
-            let t = SimTime::from_nanos(r.u64()?);
-            match index_of(p).and_then(|i| self.busy_until.get_mut(i)) {
+            let (p, t): (PortId, SimTime) = lastcpu_snap::Field::take(r)?;
+            match index_of(p).and_then(|i| s.busy_until.get_mut(i)) {
                 Some(busy) => *busy = Some(t),
                 None => return Err(r.corrupt(format!("busy-until for unknown port {}", p.0))),
             }

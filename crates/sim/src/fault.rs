@@ -92,80 +92,18 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-impl FaultKind {
-    /// Stable wire encoding for checkpoints.
-    pub fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        match self {
-            FaultKind::Drop { count } => {
-                w.put_u8(0);
-                w.put_u32(*count);
-            }
-            FaultKind::Corrupt { count } => {
-                w.put_u8(1);
-                w.put_u32(*count);
-            }
-            FaultKind::Delay { count, extra_ns } => {
-                w.put_u8(2);
-                w.put_u32(*count);
-                w.put_u64(*extra_ns);
-            }
-            FaultKind::Crash => w.put_u8(3),
-            FaultKind::Hang => w.put_u8(4),
-            FaultKind::SlowDown { factor, for_ns } => {
-                w.put_u8(5);
-                w.put_u32(*factor);
-                w.put_u64(*for_ns);
-            }
-            FaultKind::IommuStorm { count } => {
-                w.put_u8(6);
-                w.put_u32(*count);
-            }
-        }
-    }
+lastcpu_snap::variants! { FaultKind {
+    Drop = 0 { count }, Corrupt = 1 { count }, Delay = 2 { count, extra_ns }, Crash = 3 {},
+    Hang = 4 {}, SlowDown = 5 { factor, for_ns }, IommuStorm = 6 { count },
+} }
 
-    /// Inverse of [`FaultKind::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<FaultKind> {
-        Ok(match r.u8()? {
-            0 => FaultKind::Drop { count: r.u32()? },
-            1 => FaultKind::Corrupt { count: r.u32()? },
-            2 => FaultKind::Delay {
-                count: r.u32()?,
-                extra_ns: r.u64()?,
-            },
-            3 => FaultKind::Crash,
-            4 => FaultKind::Hang,
-            5 => FaultKind::SlowDown {
-                factor: r.u32()?,
-                for_ns: r.u64()?,
-            },
-            6 => FaultKind::IommuStorm { count: r.u32()? },
-            tag => {
-                return Err(lastcpu_snap::SnapError::Corrupt {
-                    section: "faults".into(),
-                    detail: format!("unknown FaultKind tag {tag}"),
-                })
-            }
-        })
-    }
-}
-
-impl FaultEvent {
-    /// Stable wire encoding for checkpoints.
-    pub fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.at.as_nanos());
-        w.put_str(&self.target);
-        self.kind.encode(w);
-    }
-
-    /// Inverse of [`FaultEvent::encode`].
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<FaultEvent> {
-        Ok(FaultEvent {
-            at: SimTime::from_nanos(r.u64()?),
-            target: r.str()?,
-            kind: FaultKind::decode(r)?,
-        })
-    }
-}
+lastcpu_snap::record!(FaultEvent { at, target, kind });
+lastcpu_snap::record!(BackoffPolicy {
+    base,
+    cap,
+    max_retries,
+    jitter_pct
+});
 
 /// A deterministic fault schedule.
 ///

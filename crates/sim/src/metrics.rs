@@ -274,53 +274,51 @@ impl MetricsHub {
     }
 }
 
-impl lastcpu_snap::Snapshot for MetricsHub {
-    /// Serializes every registered metric in key order. Zero-valued but
-    /// registered metrics are included: registration is part of the state
-    /// (a restored hub must re-export the same key set).
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        let inner = self.inner.borrow();
+lastcpu_snap::fields! { MetricsHub |self| { ..Registered } }
+
+/// Every registered metric in key order, counters, gauges, then histograms.
+/// Zero-valued but registered metrics are included: registration is part
+/// of the state (a restored hub must re-export the same key set). A
+/// restore zeroes the live metrics, then loads through the get-or-create
+/// path recording uses, so outstanding handles stay valid.
+struct Registered;
+
+impl lastcpu_snap::Span<MetricsHub> for Registered {
+    fn put(&self, hub: &MetricsHub, w: &mut lastcpu_snap::SnapWriter) {
+        use lastcpu_snap::Field;
+        let inner = hub.inner.borrow();
         w.put_len(inner.counters.len());
         for (k, c) in &inner.counters {
-            w.put_str(k);
-            w.put_u64(c.get());
+            k.put(w);
+            c.get().put(w);
         }
         w.put_len(inner.gauges.len());
         for (k, g) in &inner.gauges {
-            w.put_str(k);
-            w.put_i64(g.get());
+            k.put(w);
+            g.get().put(w);
         }
         w.put_len(inner.histograms.len());
         for (k, h) in &inner.histograms {
-            w.put_str(k);
-            h.borrow().snapshot(w);
+            k.put(w);
+            h.borrow().put(w);
         }
     }
-}
 
-impl lastcpu_snap::Restore for MetricsHub {
-    /// Zeroes live metrics, then loads checkpointed values — creating
-    /// registrations for keys not yet seen, through the same get-or-create
-    /// path recording uses, so outstanding handles stay valid.
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.reset();
-        let n = r.len()?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let v = r.u64()?;
-            self.counter_handle(&k).0.set(v);
+    fn take(
+        &self,
+        hub: &mut MetricsHub,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
+        use lastcpu_snap::Field;
+        hub.reset();
+        for (k, v) in BTreeMap::<String, u64>::take(r)? {
+            hub.counter_handle(&k).0.set(v);
         }
-        let n = r.len()?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let v = r.i64()?;
-            self.gauge_handle(&k).0.set(v);
+        for (k, v) in BTreeMap::<String, i64>::take(r)? {
+            hub.gauge_handle(&k).0.set(v);
         }
-        let n = r.len()?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let h = self.histogram_handle(&k);
-            h.0.borrow_mut().restore(r)?;
+        for (k, h) in BTreeMap::<String, Histogram>::take(r)? {
+            *hub.histogram_handle(&k).0.borrow_mut() = h;
         }
         Ok(())
     }

@@ -422,35 +422,34 @@ impl<const N: usize> PartialEq<[u8; N]> for Bytes {
     }
 }
 
-impl lastcpu_snap::Snapshot for BufPool {
-    /// Serializes counters, the free-list length, and the generation cursor.
-    /// Buffer contents are deliberately excluded: recycled buffers are
-    /// cleared on return, so only the free-list *length* shapes future
-    /// behavior (hit/miss sequence) and the E9 allocation accounting.
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        let s = self.stats();
-        w.put_u64(s.taken);
-        w.put_u64(s.recycled);
-        w.put_u64(s.fresh);
-        w.put_u64(s.returned);
-        w.put_u64(s.shed);
-        w.put_len(self.idle());
-        w.put_u64(self.next_generation());
-    }
-}
+lastcpu_snap::record!(PoolStats {
+    taken,
+    recycled,
+    fresh,
+    returned,
+    shed
+});
 
-impl lastcpu_snap::Restore for BufPool {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let stats = PoolStats {
-            taken: r.u64()?,
-            recycled: r.u64()?,
-            fresh: r.u64()?,
-            returned: r.u64()?,
-            shed: r.u64()?,
-        };
-        let idle = r.len()?;
-        let next_gen = r.u64()?;
-        self.restore_state(stats, idle, next_gen);
+lastcpu_snap::fields! { BufPool |self| { ..Counters } }
+
+/// The counters, the free-list length and the generation cursor. Buffer
+/// contents are deliberately excluded: recycled buffers are cleared on
+/// return, so only the free-list *length* shapes future behavior (hit/miss
+/// sequence) and the E9 allocation accounting.
+struct Counters;
+
+impl lastcpu_snap::Span<BufPool> for Counters {
+    fn put(&self, pool: &BufPool, w: &mut lastcpu_snap::SnapWriter) {
+        lastcpu_snap::Field::put(&(pool.stats(), pool.idle(), pool.next_generation()), w);
+    }
+
+    fn take(
+        &self,
+        pool: &mut BufPool,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
+        let (stats, idle, next_gen) = lastcpu_snap::Field::take(r)?;
+        pool.restore_state(stats, idle, next_gen);
         Ok(())
     }
 }

@@ -28,6 +28,8 @@ use crate::trace::Name;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CorrId(pub u64);
 
+lastcpu_snap::newtypes!(CorrId);
+
 impl CorrId {
     /// The null id: not part of any tracked activity.
     pub const NONE: CorrId = CorrId(0);

@@ -230,26 +230,7 @@ fn zeta(n: u64, theta: f64) -> f64 {
     sum
 }
 
-impl lastcpu_snap::Snapshot for DetRng {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        for s in self.state {
-            w.put_u64(s);
-        }
-        w.put_u64(self.seed);
-    }
-}
-
-impl lastcpu_snap::Restore for DetRng {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let mut state = [0u64; 4];
-        for s in &mut state {
-            *s = r.u64()?;
-        }
-        self.seed = r.u64()?;
-        self.state = state;
-        Ok(())
-    }
-}
+lastcpu_snap::fields! { DetRng |self| { state, seed } }
 
 impl std::fmt::Debug for DetRng {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -222,45 +222,35 @@ impl fmt::Debug for Histogram {
     }
 }
 
-impl lastcpu_snap::Snapshot for Histogram {
-    /// Serializes the envelope plus only the non-zero buckets (bucket
-    /// layout is a compile-time constant, so sparse pairs are stable).
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.count);
-        w.put_u128(self.sum);
-        w.put_u64(self.min);
-        w.put_u64(self.max);
-        let nonzero = self.buckets.iter().filter(|&&c| c != 0).count();
-        w.put_len(nonzero);
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c != 0 {
-                w.put_u32(idx as u32);
-                w.put_u32(c);
-            }
+lastcpu_snap::fields! { Histogram |self| (Histogram::new()) { count, sum, min, max, buckets: Sparse } }
+
+/// The buckets as `(index, count)` pairs of the non-zero ones, in index
+/// order: the bucket layout is a compile-time constant, so the pairs are
+/// stable.
+struct Sparse;
+
+impl lastcpu_snap::Codec<Vec<u32>> for Sparse {
+    fn put(&self, buckets: &Vec<u32>, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_len(buckets.iter().filter(|&&c| c != 0).count());
+        for (i, &c) in (0u32..).zip(buckets).filter(|&(_, &c)| c != 0) {
+            w.put_u32(i);
+            w.put_u32(c);
         }
     }
-}
 
-impl lastcpu_snap::Restore for Histogram {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.reset();
-        self.count = r.u64()?;
-        self.sum = r.u128()?;
-        self.min = r.u64()?;
-        self.max = r.u64()?;
-        let n = r.len()?;
-        for _ in 0..n {
-            let idx = r.u32()? as usize;
-            let c = r.u32()?;
-            if idx >= BUCKETS {
-                return Err(lastcpu_snap::SnapError::Corrupt {
-                    section: "histogram".into(),
-                    detail: format!("bucket index {idx} out of range"),
-                });
+    fn take(&self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Vec<u32>> {
+        let mut buckets = vec![0; BUCKETS];
+        let mut last = None;
+        for _ in 0..r.len()? {
+            let (i, c): (u32, u32) = lastcpu_snap::Field::take(r)?;
+            lastcpu_snap::ascending(r, last.as_ref(), &i)?;
+            last = Some(i);
+            match buckets.get_mut(i as usize) {
+                Some(b) if c != 0 => *b = c,
+                _ => return Err(r.corrupt(format!("bucket {i} of count {c}"))),
             }
-            self.buckets[idx] = c;
         }
-        Ok(())
+        Ok(buckets)
     }
 }
 

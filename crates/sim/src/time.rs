@@ -15,6 +15,8 @@ pub struct SimTime(u64);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
+lastcpu_snap::newtypes!(SimTime, SimDuration);
+
 impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);

@@ -829,32 +829,35 @@ impl fmt::Display for What<'_, '_> {
     }
 }
 
-impl lastcpu_snap::Snapshot for TraceSink {
-    /// Serializes the full sink: configuration, lifetime counter, and every
-    /// retained record (names and texts written out, so a restored sink
-    /// renders byte-identical trace output).
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_len(self.capacity);
-        w.put_bool(self.enabled);
-        w.put_u64(self.emitted);
-        w.put_len(self.ring.len());
-        for rec in self.events() {
+lastcpu_snap::fields! { TraceSink |self| { ..Ring } }
+
+/// The full sink: configuration, lifetime counter, and every retained
+/// record, names and texts written out (a record in the
+/// [`TraceView::encode`] layout, read back by
+/// [`TraceSink::restore_record`]), so a restored sink renders
+/// byte-identical trace output.
+struct Ring;
+
+impl lastcpu_snap::Span<TraceSink> for Ring {
+    fn put(&self, t: &TraceSink, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_len(t.capacity);
+        w.put_bool(t.enabled);
+        w.put_u64(t.emitted);
+        w.put_len(t.ring.len());
+        for rec in t.events() {
             rec.encode(w);
         }
     }
-}
 
-impl lastcpu_snap::Restore for TraceSink {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let capacity = r.len()?;
-        let enabled = r.bool()?;
-        let emitted = r.u64()?;
-        let n = r.len()?;
+    fn take(
+        &self,
+        t: &mut TraceSink,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
+        let (capacity, enabled, emitted, n): (usize, bool, u64, usize) =
+            lastcpu_snap::Field::take(r)?;
         if n > capacity {
-            return Err(lastcpu_snap::SnapError::Corrupt {
-                section: "trace".into(),
-                detail: format!("{n} retained records exceed capacity {capacity}"),
-            });
+            return Err(r.corrupt(format!("{n} retained records exceed capacity {capacity}")));
         }
         // The whole ring is reserved, so a capacity is refused above a
         // fixed bound whatever the host would grant, and below it one the
@@ -869,20 +872,20 @@ impl lastcpu_snap::Restore for TraceSink {
         if let Err(e) = ring.try_reserve_exact(capacity) {
             return Err(r.corrupt(format!("trace capacity {capacity}: {e}")));
         }
-        self.ring = ring;
-        self.head = 0;
-        self.capacity = capacity;
-        self.texts.clear();
-        self.staged.clear();
-        self.enabled = enabled;
-        self.emitted = 0;
+        t.ring = ring;
+        t.head = 0;
+        t.capacity = capacity;
+        t.texts.clear();
+        t.staged.clear();
+        t.enabled = enabled;
+        t.emitted = 0;
         for _ in 0..n {
-            if let Err(e) = self.restore_record(r) {
-                self.staged.clear();
+            if let Err(e) = t.restore_record(r) {
+                t.staged.clear();
                 return Err(e);
             }
         }
-        self.emitted = emitted;
+        t.emitted = emitted;
         Ok(())
     }
 }

@@ -27,8 +27,10 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
 use std::fmt;
+
+mod fields;
+pub use fields::{ascending, take_sorted, Codec, Count, Field, Keyed, Max, Rle, Sorted, Span};
 
 /// Bumped whenever the framing or any section layout changes shape.
 /// v2: the fabric section serializes per-topology-link queue cursors and
@@ -256,6 +258,11 @@ impl SnapWriter {
     /// Length-prefixed raw bytes.
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_len(b.len());
+        self.put_raw(b);
+    }
+
+    /// Raw bytes, no length: the reader knows how many.
+    pub fn put_raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
 
@@ -367,6 +374,11 @@ impl<'a> SnapReader<'a> {
             section: self.section.clone(),
             detail: detail.into(),
         }
+    }
+
+    /// The refusal of an enum tag no variant has.
+    pub fn bad_tag(&self, what: &str, tag: u8) -> SnapError {
+        self.corrupt(format!("bad {what} tag {tag}"))
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -1067,59 +1079,6 @@ impl SectionSink for Diff<'_> {
         let written = write(&mut body);
         self.end(body);
         written
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Blanket impls for common shapes
-// ---------------------------------------------------------------------------
-
-impl Snapshot for u64 {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u64(*self);
-    }
-}
-
-impl Restore for u64 {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<()> {
-        *self = r.u64()?;
-        Ok(())
-    }
-}
-
-impl Snapshot for Vec<u8> {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_bytes(self);
-    }
-}
-
-impl Restore for Vec<u8> {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<()> {
-        *self = r.bytes()?;
-        Ok(())
-    }
-}
-
-impl Snapshot for BTreeMap<String, u64> {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_len(self.len());
-        for (k, v) in self {
-            w.put_str(k);
-            w.put_u64(*v);
-        }
-    }
-}
-
-impl Restore for BTreeMap<String, u64> {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<()> {
-        self.clear();
-        let n = r.len()?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let v = r.u64()?;
-            self.insert(k, v);
-        }
-        Ok(())
     }
 }
 

@@ -75,36 +75,30 @@ impl BufferArena {
     }
 }
 
-impl lastcpu_snap::Snapshot for BufferArena {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.base);
-        w.put_u64(self.slot_size);
-        w.put_u16(self.total);
-        w.put_len(self.free.len());
-        for &s in &self.free {
-            w.put_u16(s);
-        }
-    }
-}
+lastcpu_snap::fields! { BufferArena |self| { base, slot_size, total, free: Slots(self.total) } }
 
-impl lastcpu_snap::Restore for BufferArena {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.base = r.u64()?;
-        self.slot_size = r.u64()?;
-        self.total = r.u16()?;
+/// The free slots, each below the arena's `.0` slots.
+struct Slots(u16);
+
+impl lastcpu_snap::Codec<Vec<u16>> for Slots {
+    fn put(&self, free: &Vec<u16>, w: &mut lastcpu_snap::SnapWriter) {
+        lastcpu_snap::Field::put(free, w);
+    }
+
+    fn take(&self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Vec<u16>> {
         let n = r.len()?;
-        if n > self.total as usize {
+        if n > self.0 as usize {
             return Err(r.corrupt("more free slots than arena total"));
         }
-        self.free = Vec::with_capacity(n);
+        let mut free = Vec::with_capacity(n);
         for _ in 0..n {
             let s = r.u16()?;
-            if s >= self.total {
+            if s >= self.0 {
                 return Err(r.corrupt(format!("free slot {s} out of range")));
             }
-            self.free.push(s);
+            free.push(s);
         }
-        Ok(())
+        Ok(free)
     }
 }
 

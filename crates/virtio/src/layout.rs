@@ -113,28 +113,33 @@ impl QueueLayout {
     }
 }
 
-impl QueueLayout {
-    /// Serializes into a snapshot section.
-    pub fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u16(self.size);
-        w.put_u64(self.desc);
-        w.put_u64(self.avail);
-        w.put_u64(self.used);
+/// Refuses a size [`QueueLayout::new`] would refuse: the ring arithmetic
+/// relies on it.
+impl lastcpu_snap::Field for QueueLayout {
+    fn put(&self, w: &mut lastcpu_snap::SnapWriter) {
+        (self.size, self.desc, self.avail, self.used).put(w);
     }
 
-    /// Inverse of [`QueueLayout::encode`]. Rejects a size [`QueueLayout::new`]
-    /// would refuse: the ring arithmetic relies on it.
-    pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+    fn take(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
         let size = r.u16()?;
         if size == 0 || size > 32768 || !size.is_power_of_two() {
             return Err(r.corrupt(format!("queue size {size} is not a power of two <= 32768")));
         }
+        let (desc, avail, used) = lastcpu_snap::Field::take(r)?;
         Ok(QueueLayout {
             size,
-            desc: r.u64()?,
-            avail: r.u64()?,
-            used: r.u64()?,
+            desc,
+            avail,
+            used,
         })
+    }
+}
+
+#[cfg(test)]
+impl QueueLayout {
+    /// What a queue's section writes for its layout.
+    pub(crate) fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
+        lastcpu_snap::Field::put(self, w);
     }
 }
 

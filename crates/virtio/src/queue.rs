@@ -888,39 +888,37 @@ mod indirect_tests {
     }
 }
 
-impl lastcpu_snap::Snapshot for VirtqueueDriver {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        self.layout.encode(w);
-        w.put_len(self.free.len());
-        for &d in &self.free {
-            w.put_u16(d);
-        }
-        w.put_u16(self.avail_idx);
-        w.put_u16(self.last_used);
-        // Chains in ascending head order: the table's own order.
-        w.put_len(self.in_flight);
-        for (head, s) in (0u16..).zip(&self.shadow) {
-            if s.chain_len == 0 {
-                continue;
-            }
-            w.put_u16(head);
+lastcpu_snap::fields! { VirtqueueDriver |self| (VirtqueueDriver::detached()) { layout, ..Descriptors } }
+
+/// The free list, the ring cursors, then the chains in flight in ascending
+/// head order (the table's own order), each its descriptor ids. A restore
+/// refuses a descriptor id out of range or owned twice (by the free list
+/// and a chain, or by two chains): either would later hand one descriptor
+/// to two requests.
+struct Descriptors;
+
+impl lastcpu_snap::Span<VirtqueueDriver> for Descriptors {
+    fn put(&self, d: &VirtqueueDriver, w: &mut lastcpu_snap::SnapWriter) {
+        use lastcpu_snap::Field;
+        d.free.put(w);
+        (d.avail_idx, d.last_used, d.in_flight).put(w);
+        for (head, s) in (0u16..).zip(&d.shadow).filter(|(_, s)| s.chain_len != 0) {
+            head.put(w);
             w.put_len(s.chain_len as usize);
-            let mut d = head;
+            let mut id = head;
             for _ in 0..s.chain_len {
-                w.put_u16(d);
-                d = self.shadow[d as usize].next;
+                id.put(w);
+                id = d.shadow[id as usize].next;
             }
         }
     }
-}
 
-impl lastcpu_snap::Restore for VirtqueueDriver {
-    /// Rejects a section in which a descriptor id is out of range or is
-    /// owned twice (by the free list and a chain, or by two chains): either
-    /// would later hand one descriptor to two requests.
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.layout = QueueLayout::decode(r)?;
-        let size = self.layout.size as usize;
+    fn take(
+        &self,
+        d: &mut VirtqueueDriver,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<()> {
+        let size = d.layout.size as usize;
         let mut owned = vec![false; size];
         let mut claim = |r: &lastcpu_snap::SnapReader<'_>, id: u16| match owned.get_mut(id as usize)
         {
@@ -935,58 +933,45 @@ impl lastcpu_snap::Restore for VirtqueueDriver {
         if n > size {
             return Err(r.corrupt(format!("{n} free descriptors in a queue of {size}")));
         }
-        self.free = Vec::with_capacity(size);
+        d.free = Vec::with_capacity(size);
         for _ in 0..n {
             let id = r.u16()?;
             claim(r, id)?;
-            self.free.push(id);
+            d.free.push(id);
         }
-        self.avail_idx = r.u16()?;
-        self.last_used = r.u16()?;
-        self.in_flight = r.len()?;
-        if self.in_flight > size {
-            return Err(r.corrupt(format!("{} chains in a queue of {size}", self.in_flight)));
+        d.avail_idx = r.u16()?;
+        d.last_used = r.u16()?;
+        d.in_flight = r.len()?;
+        if d.in_flight > size {
+            return Err(r.corrupt(format!("{} chains in a queue of {size}", d.in_flight)));
         }
-        self.shadow = vec![Shadow::default(); size];
-        for _ in 0..self.in_flight {
+        d.shadow = vec![Shadow::default(); size];
+        for _ in 0..d.in_flight {
             let head = r.u16()?;
             let k = r.len()?;
             if k == 0 || k > size {
                 return Err(r.corrupt(format!("chain of {k} in a queue of {size}")));
             }
-            let mut d = r.u16()?;
-            if d != head {
-                return Err(r.corrupt(format!("chain {head} starts at descriptor {d}")));
+            let mut id = r.u16()?;
+            if id != head {
+                return Err(r.corrupt(format!("chain {head} starts at descriptor {id}")));
             }
-            claim(r, d)?;
+            claim(r, id)?;
             for _ in 1..k {
                 let next = r.u16()?;
                 claim(r, next)?;
-                self.shadow[d as usize].next = next;
-                d = next;
+                d.shadow[id as usize].next = next;
+                id = next;
             }
-            self.shadow[head as usize].chain_len = k as u16;
+            d.shadow[head as usize].chain_len = k as u16;
         }
         Ok(())
     }
 }
 
-impl lastcpu_snap::Snapshot for VirtqueueDevice {
-    fn snapshot(&self, w: &mut lastcpu_snap::SnapWriter) {
-        self.layout.encode(w);
-        w.put_u16(self.last_avail);
-        w.put_u16(self.used_idx);
-    }
-}
-
-impl lastcpu_snap::Restore for VirtqueueDevice {
-    fn restore(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.layout = QueueLayout::decode(r)?;
-        self.last_avail = r.u16()?;
-        self.used_idx = r.u16()?;
-        Ok(())
-    }
-}
+lastcpu_snap::fields! { VirtqueueDevice |self| (VirtqueueDevice::attach(QueueLayout::new(0, 1))) {
+    layout, last_avail, used_idx,
+} }
 
 impl VirtqueueDriver {
     /// A driver endpoint with empty state, intended as the target of a
