@@ -1494,4 +1494,27 @@ mod tests {
         m.start(&mut ctx2, "d", "k");
         assert_eq!(sent(ctx2).len(), 2);
     }
+
+    /// A connection listed twice is refused as `Corrupt`. It restored `Ok`
+    /// before, into a monitor whose next snapshot lists it once.
+    #[test]
+    fn a_repeated_connection_is_corrupt() {
+        use lastcpu_snap::{Restore, SnapError, Snapshot};
+        let mut m = Monitor::new();
+        m.opened.insert(ConnId(1), DeviceId(5));
+        m.opened.insert(ConnId(2), DeviceId(6));
+        let mut bytes = m.snapshot_bytes();
+        let second = [2, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0];
+        let at = bytes
+            .windows(12)
+            .position(|w| w == second)
+            .expect("second entry");
+        bytes[at] = 1;
+        let restored = Monitor::new().restore_bytes("monitor", &bytes);
+        assert!(
+            matches!(restored, Err(SnapError::Corrupt { .. })),
+            "{:?}",
+            restored.err()
+        );
+    }
 }

@@ -1874,4 +1874,56 @@ mod tests {
         let second = subs_sent(&acts)[0].0;
         assert_ne!(first, second, "p2c spreads load across the replica pair");
     }
+
+    /// An ack whose tag no status has, and an endpoint listed twice, are
+    /// refused as `Corrupt`. Both restored `Ok` before, into a router whose
+    /// next snapshot differs: the unknown ack read as `Error`, the second
+    /// endpoint replaced the first.
+    #[test]
+    fn an_unknown_ack_or_a_repeated_endpoint_is_corrupt() {
+        use lastcpu_snap::{Restore, SnapError, Snapshot};
+        let with_ack = |ack| {
+            let mut r = ShardRouterHost::new(RouterConfig::default());
+            let mut p = PendingReq::empty();
+            p.subs.push(Sub {
+                target: "m0/nic0".into(),
+                id: SUB_ID_BASE,
+                sent_at: SimTime::ZERO,
+                ack: Some(ack),
+            });
+            r.pending.insert(1, p);
+            r.snapshot_bytes()
+        };
+        // The ack is the one byte the two snapshots differ in.
+        let (ok, mut bytes) = (with_ack(KvsStatus::Ok), with_ack(KvsStatus::Busy));
+        let diff: Vec<usize> = (0..bytes.len()).filter(|&i| ok[i] != bytes[i]).collect();
+        let [at] = diff[..] else {
+            panic!("expected one differing byte, got {diff:?}")
+        };
+        bytes[at] = 9;
+        let restored =
+            ShardRouterHost::new(RouterConfig::default()).restore_bytes("router", &bytes);
+        assert!(
+            matches!(restored, Err(SnapError::Corrupt { .. })),
+            "{:?}",
+            restored.err()
+        );
+
+        let mut r = ShardRouterHost::new(RouterConfig::default());
+        r.endpoints.insert("ep-a".into(), PortId(1));
+        r.endpoints.insert("ep-b".into(), PortId(2));
+        let mut bytes = r.snapshot_bytes();
+        let at = bytes
+            .windows(4)
+            .position(|w| w == b"ep-b")
+            .expect("endpoint");
+        bytes[at + 3] = b'a';
+        let restored =
+            ShardRouterHost::new(RouterConfig::default()).restore_bytes("router", &bytes);
+        assert!(
+            matches!(restored, Err(SnapError::Corrupt { .. })),
+            "{:?}",
+            restored.err()
+        );
+    }
 }

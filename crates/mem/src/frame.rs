@@ -407,4 +407,26 @@ mod tests {
         assert_eq!(fa.block_len(a), Some(4));
         assert_eq!(fa.block_len(a + 1), None);
     }
+
+    /// Allocated blocks out of frame order are refused as `Corrupt`. They
+    /// restored `Ok` before, into an allocator whose next snapshot sorts
+    /// them.
+    #[test]
+    fn allocated_blocks_out_of_order_are_corrupt() {
+        use lastcpu_snap::{Restore, SnapError, Snapshot};
+        let mut fa = FrameAllocator::new(1024);
+        assert_eq!((fa.alloc_order(0), fa.alloc_order(0)), (Ok(0), Ok(1)));
+        let mut bytes = fa.snapshot_bytes();
+        // The section ends with the two blocks: (frame u64, order u8) each.
+        let n = bytes.len();
+        assert_eq!(bytes[n - 18..n - 9], [0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(bytes[n - 9..], [1, 0, 0, 0, 0, 0, 0, 0, 0]);
+        bytes.swap(n - 18, n - 9);
+        let restored = FrameAllocator::new(1024).restore_bytes("frames", &bytes);
+        assert!(
+            matches!(restored, Err(SnapError::Corrupt { .. })),
+            "{:?}",
+            restored.err()
+        );
+    }
 }

@@ -1233,4 +1233,24 @@ mod tests {
         assert_eq!(format!("{}", Perms::RWX), "rwx");
         assert_eq!(format!("{}", Perms::NONE), "---");
     }
+
+    /// Permission bits above `rwx` are refused as `Corrupt`. They were
+    /// masked off before, into a table whose next snapshot differs.
+    #[test]
+    fn permission_bits_above_rwx_are_corrupt() {
+        use lastcpu_snap::{Restore, SnapError, Snapshot};
+        let mut t = PageTable::new();
+        t.map(VirtAddr::new(0x1000), PhysAddr::new(0x2000), Perms::RW)
+            .unwrap();
+        let mut bytes = t.snapshot_bytes();
+        let last = bytes.len() - 1;
+        assert_eq!(bytes[last], 3, "the mapping's permissions end the section");
+        bytes[last] = 0x0b;
+        let restored = PageTable::new().restore_bytes("pagetable", &bytes);
+        assert!(
+            matches!(restored, Err(SnapError::Corrupt { .. })),
+            "{:?}",
+            restored.err()
+        );
+    }
 }

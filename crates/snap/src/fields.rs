@@ -551,3 +551,86 @@ macro_rules! variants {
     (@bind $f:tt) => { $f };
     (@bind $f:tt $b:ident) => { $b };
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Bytes a reader of `T` may take: small little-endian counts (so that
+    /// collections, strings and options have a chance to parse) mixed with
+    /// arbitrary bytes.
+    fn bytes() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec((any::<bool>(), any::<u8>()), 0..64).prop_map(|parts| {
+            let mut out = Vec::new();
+            for (count, b) in parts {
+                match count {
+                    true => out.extend_from_slice(&u64::from(b % 4).to_le_bytes()),
+                    false => out.push(b % 8),
+                }
+            }
+            out
+        })
+    }
+
+    /// Whatever `take` accepts, `put` writes back byte for byte: the bytes
+    /// it consumed, no more and no other.
+    fn canonical<T>(
+        bytes: &[u8],
+        take: impl Fn(&mut SnapReader<'_>) -> Result<T>,
+        put: impl Fn(&T, &mut SnapWriter),
+    ) {
+        let mut r = SnapReader::new("codec", bytes);
+        if let Ok(v) = take(&mut r) {
+            let used = bytes.len() - r.remaining();
+            let mut w = SnapWriter::new();
+            put(&v, &mut w);
+            assert_eq!(w.into_bytes(), bytes[..used], "{bytes:?}");
+        }
+    }
+
+    fn field<T: Field>(bytes: &[u8]) {
+        canonical(bytes, T::take, T::put);
+    }
+
+    fn codec<T>(bytes: &[u8], c: impl Codec<T>) {
+        canonical(bytes, |r| c.take(r), |v, w| c.put(v, w));
+    }
+
+    type DetMap<K, V> =
+        HashMap<K, V, std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>>;
+    type DetSet<T> =
+        HashSet<T, std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>>;
+
+    proptest! {
+        #[test]
+        fn every_field_codec_puts_back_what_it_took(bytes in bytes()) {
+            field::<u8>(&bytes);
+            field::<u16>(&bytes);
+            field::<u32>(&bytes);
+            field::<u64>(&bytes);
+            field::<u128>(&bytes);
+            field::<i64>(&bytes);
+            field::<f64>(&bytes);
+            field::<bool>(&bytes);
+            field::<usize>(&bytes);
+            field::<String>(&bytes);
+            field::<Arc<str>>(&bytes);
+            field::<Option<u16>>(&bytes);
+            field::<Vec<u8>>(&bytes);
+            field::<Vec<(u8, bool)>>(&bytes);
+            field::<VecDeque<u16>>(&bytes);
+            field::<[u8; 3]>(&bytes);
+            field::<(u8, u16, u32)>(&bytes);
+            field::<(u8, u8, u8, u8)>(&bytes);
+            field::<BTreeSet<u8>>(&bytes);
+            field::<BTreeMap<u8, Option<u8>>>(&bytes);
+            field::<DetMap<u8, u8>>(&bytes);
+            field::<DetSet<u16>>(&bytes);
+            codec::<Vec<u8>>(&bytes, Rle);
+            codec::<Vec<u8>>(&bytes, Max(2, "too many"));
+            codec::<Vec<(u8, u8)>>(&bytes, Sorted);
+            codec::<DetMap<u8, (u8, u8)>>(&bytes, Keyed(|v: &(u8, u8)| v.0));
+        }
+    }
+}

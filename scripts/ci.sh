@@ -53,9 +53,18 @@ echo "==> source census (one table of refused lines, one loop)"
 lib='^crates/(sim|snap|mem|iommu|virtio|bus|net|sec|memctl|devices|core|kvs|fabric|baseline)/src/'
 census="
 files: $lib
-skip: ^crates/sim/src/dethash\.rs\$
+skip: ^crates/(sim/src/dethash|snap/src/fields)\.rs\$
 forbid: (^|[^A-Za-z_])Hash(Map|Set)
-why: a std HashMap/HashSet re-seeds per process, so its growth and allocs/event differ between runs; use lastcpu_sim::DetHashMap/DetHashSet
+why: a std HashMap/HashSet re-seeds per process, so its growth and allocs/event differ between runs; use lastcpu_sim::DetHashMap/DetHashSet (the snap field codecs take any hasher)
+
+files: $lib
+skip: ^crates/snap/src/
+forbid: ^[ \t]*impl(<.*>)? ([A-Za-z_]+::)*Restore for
+why: a component's reader is derived from its one field list (lastcpu_snap::fields!, DESIGN.md §14.1); a hand-written Restore is a second spelling of its layout
+
+files: $lib
+forbid: fn (snap_decode|decode_payload)[(<]
+why: an inverse is derived from the declaration (fields!, tags!, variants!), never written beside its writer
 
 files: ^crates/(devices|core|kvs|fabric|baseline|sec|bench)/src/
 forbid: ^[ \t]*impl(<.*>)? Device for
