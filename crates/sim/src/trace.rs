@@ -428,120 +428,6 @@ impl TraceSink {
         let seq = self.next_seq - self.ring.len() as u64 + i as u64;
         TraceView::new(self, &self.ring[slot], seq)
     }
-
-    /// Reads one record in the [`TraceView::encode`] layout and appends it.
-    /// `&'static str` fields come back through the process-wide intern
-    /// table; names through [`TraceSink::name_or_text`].
-    fn restore_record(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        use lastcpu_snap::intern_static;
-        let at = SimTime::from_nanos(r.u64()?);
-        let source = self.name_or_text(&r.str()?);
-        let corr = CorrId(r.u64()?);
-        let (data, text) = match r.u8()? {
-            0 => (
-                TraceData::BusSend {
-                    what: intern_static(&r.str()?),
-                    dst: self.name_or_text(&r.str()?),
-                },
-                None,
-            ),
-            1 => (
-                TraceData::Discovery {
-                    pattern: self.name_or_text(&r.str()?),
-                    dst: self.name_or_text(&r.str()?),
-                },
-                None,
-            ),
-            2 => (
-                TraceData::Deliver {
-                    to: self.name_or_text(&r.str()?),
-                    kind: intern_static(&r.str()?),
-                },
-                None,
-            ),
-            3 => (TraceData::BusRegister, Some(r.str()?)),
-            4 => (
-                TraceData::IommuMap {
-                    device: self.name_or_text(&r.str()?),
-                    pasid: r.u32()?,
-                    va: r.u64()?,
-                    pa: r.u64()?,
-                    pages: r.u64()?,
-                    perms: self.name_or_text(&r.str()?),
-                },
-                None,
-            ),
-            5 => (
-                TraceData::IommuUnmap {
-                    device: self.name_or_text(&r.str()?),
-                    pasid: r.u32()?,
-                    va: r.u64()?,
-                    pages: r.u64()?,
-                },
-                None,
-            ),
-            6 => (TraceData::MapFailure, Some(r.str()?)),
-            7 => (
-                TraceData::DmaGrant {
-                    to: self.name_or_text(&r.str()?),
-                    pages: r.u64()?,
-                    writable: r.bool()?,
-                },
-                None,
-            ),
-            8 => (
-                TraceData::QueueDoorbell {
-                    to: self.name_or_text(&r.str()?),
-                    value: r.u64()?,
-                },
-                None,
-            ),
-            9 => (
-                TraceData::DeviceFault {
-                    device: self.name_or_text(&r.str()?),
-                },
-                Some(r.str()?),
-            ),
-            10 => (
-                TraceData::SecurityDenial {
-                    device: self.name_or_text(&r.str()?),
-                    check: intern_static(&r.str()?),
-                },
-                Some(r.str()?),
-            ),
-            11 => (
-                TraceData::Stage {
-                    stage: intern_static(&r.str()?),
-                    id: r.u64()?,
-                    aux: r.u64()?,
-                },
-                None,
-            ),
-            12 => {
-                let mut machine = || {
-                    let m = r.u64()?;
-                    u16::try_from(m).map_err(|_| r.corrupt(format!("machine index {m}")))
-                };
-                let (src_machine, dst_machine) = (machine()?, machine()?);
-                (
-                    TraceData::LinkHop {
-                        src_machine,
-                        dst_machine,
-                        bytes: r.u64()?,
-                        uplink_ns: r.u64()?,
-                        spine_ns: r.u64()?,
-                        downlink_ns: r.u64()?,
-                    },
-                    None,
-                )
-            }
-            13 => (TraceData::Text, Some(r.str()?)),
-            tag => return Err(r.corrupt(format!("unknown TraceData tag {tag}"))),
-        };
-        self.staged.extend(text);
-        self.push(at, source, corr, data);
-        Ok(())
-    }
 }
 
 /// A retained record read through its sink: the record's time, correlation
@@ -607,125 +493,6 @@ impl<'a> TraceView<'a> {
     /// Human-readable description (the legacy string form).
     pub fn what(&self) -> String {
         What(self).to_string()
-    }
-
-    /// Stable wire encoding for checkpoints: what the record's owned form
-    /// encoded, names and texts written out as strings.
-    fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        w.put_u64(self.at.as_nanos());
-        w.put_str(self.source());
-        w.put_u64(self.corr.0);
-        match self.data {
-            TraceData::BusSend { what, dst } => {
-                w.put_u8(0);
-                w.put_str(what);
-                w.put_str(self.name(dst));
-            }
-            TraceData::Discovery { pattern, dst } => {
-                w.put_u8(1);
-                w.put_str(self.name(pattern));
-                w.put_str(self.name(dst));
-            }
-            TraceData::Deliver { to, kind } => {
-                w.put_u8(2);
-                w.put_str(self.name(to));
-                w.put_str(kind);
-            }
-            TraceData::BusRegister => {
-                w.put_u8(3);
-                w.put_str(self.text());
-            }
-            TraceData::IommuMap {
-                device,
-                pasid,
-                va,
-                pa,
-                pages,
-                perms,
-            } => {
-                w.put_u8(4);
-                w.put_str(self.name(device));
-                w.put_u32(pasid);
-                w.put_u64(va);
-                w.put_u64(pa);
-                w.put_u64(pages);
-                w.put_str(self.name(perms));
-            }
-            TraceData::IommuUnmap {
-                device,
-                pasid,
-                va,
-                pages,
-            } => {
-                w.put_u8(5);
-                w.put_str(self.name(device));
-                w.put_u32(pasid);
-                w.put_u64(va);
-                w.put_u64(pages);
-            }
-            TraceData::MapFailure => {
-                w.put_u8(6);
-                w.put_str(self.text());
-            }
-            TraceData::DmaGrant {
-                to,
-                pages,
-                writable,
-            } => {
-                w.put_u8(7);
-                w.put_str(self.name(to));
-                w.put_u64(pages);
-                w.put_bool(writable);
-            }
-            TraceData::QueueDoorbell { to, value } => {
-                w.put_u8(8);
-                w.put_str(self.name(to));
-                w.put_u64(value);
-            }
-            TraceData::DeviceFault { device } => {
-                w.put_u8(9);
-                w.put_str(self.name(device));
-                w.put_str(self.text());
-            }
-            TraceData::SecurityDenial { device, check } => {
-                w.put_u8(10);
-                w.put_str(self.name(device));
-                w.put_str(check);
-                w.put_str(self.text());
-            }
-            TraceData::Stage { stage, id, aux } => {
-                w.put_u8(11);
-                w.put_str(stage);
-                w.put_u64(id);
-                w.put_u64(aux);
-            }
-            TraceData::LinkHop {
-                src_machine,
-                dst_machine,
-                bytes,
-                uplink_ns,
-                spine_ns,
-                downlink_ns,
-            } => {
-                w.put_u8(12);
-                w.put_u64(src_machine.into());
-                w.put_u64(dst_machine.into());
-                w.put_u64(bytes);
-                w.put_u64(uplink_ns);
-                w.put_u64(spine_ns);
-                w.put_u64(downlink_ns);
-            }
-            TraceData::LinkEnter { .. }
-            | TraceData::LinkExit { .. }
-            | TraceData::QueueAttached { .. } => {
-                w.put_u8(13);
-                w.put_display(&What(self));
-            }
-            TraceData::Text => {
-                w.put_u8(13);
-                w.put_str(self.text());
-            }
-        }
     }
 }
 
@@ -831,11 +598,138 @@ impl fmt::Display for What<'_, '_> {
 
 lastcpu_snap::fields! { TraceSink |self| { ..Ring } }
 
+/// A record's checkpoint layout, one row per variant: its tag, its fields in
+/// order and, marked `text`, its own text after them. A name is written
+/// out as its string and read back through
+/// [`TraceSink::name_or_text`]; a `&'static str` comes back through the
+/// process-wide intern table. The typed link and queue lines encode as
+/// tag 13, a text, their rendered line.
+macro_rules! record_layout {
+    ($($v:ident = $tag:literal { $($f:ident),* } $($text:ident)?),* $(,)?) => {
+        impl TraceView<'_> {
+            fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
+                (self.at, self.source, self.corr).put(self, w);
+                match self.data {
+                    $(TraceData::$v { $($f),* } => {
+                        w.put_u8($tag);
+                        $($f.put(self, w);)*
+                        record_layout!(@put_text self w $($text)?);
+                    })*
+                    TraceData::LinkEnter { .. }
+                    | TraceData::LinkExit { .. }
+                    | TraceData::QueueAttached { .. } => {
+                        w.put_u8(13);
+                        w.put_display(&What(self));
+                    }
+                }
+            }
+        }
+
+        impl TraceSink {
+            /// Reads one record in the [`TraceView::encode`] layout and
+            /// appends it.
+            fn restore_record(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
+                let (at, source, corr) = Part::take(self, r)?;
+                let (data, text) = match r.u8()? {
+                    $($tag => (
+                        TraceData::$v { $($f: Part::take(self, r)?),* },
+                        record_layout!(@text r $($text)?),
+                    ),)*
+                    tag => return Err(r.bad_tag("TraceData", tag)),
+                };
+                self.staged.extend(text);
+                self.push(at, source, corr, data);
+                Ok(())
+            }
+        }
+    };
+    (@put_text $v:ident $w:ident) => {};
+    (@put_text $v:ident $w:ident text) => { $w.put_str($v.text()) };
+    (@text $r:ident) => { None };
+    (@text $r:ident text) => { Some($r.str()?) };
+}
+
+record_layout! {
+    BusSend = 0 { what, dst },
+    Discovery = 1 { pattern, dst },
+    Deliver = 2 { to, kind },
+    BusRegister = 3 {} text,
+    IommuMap = 4 { device, pasid, va, pa, pages, perms },
+    IommuUnmap = 5 { device, pasid, va, pages },
+    MapFailure = 6 {} text,
+    DmaGrant = 7 { to, pages, writable },
+    QueueDoorbell = 8 { to, value },
+    DeviceFault = 9 { device } text,
+    SecurityDenial = 10 { device, check } text,
+    Stage = 11 { stage, id, aux },
+    LinkHop = 12 { src_machine, dst_machine, bytes, uplink_ns, spine_ns, downlink_ns },
+    Text = 13 {} text,
+}
+
+/// One field of a record in a checkpoint.
+trait Part: Sized {
+    fn put(self, v: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter);
+    fn take(t: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self>;
+}
+
+macro_rules! plain_parts {
+    ($($t:ty),*) => {$(
+        impl Part for $t {
+            fn put(self, _: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter) {
+                lastcpu_snap::Field::put(&self, w);
+            }
+            fn take(_: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+                lastcpu_snap::Field::take(r)
+            }
+        }
+    )*};
+}
+
+plain_parts!(u32, u64, bool, SimTime, CorrId);
+
+impl Part for Name {
+    fn put(self, v: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_str(v.name(self));
+    }
+    fn take(t: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+        Ok(t.name_or_text(&r.str()?))
+    }
+}
+
+impl Part for &'static str {
+    fn put(self, _: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_str(self);
+    }
+    fn take(_: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+        Ok(lastcpu_snap::intern_static(&r.str()?))
+    }
+}
+
+/// A machine index, a `u64` on the wire.
+impl Part for u16 {
+    fn put(self, _: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_u64(self.into());
+    }
+    fn take(_: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+        let m = r.u64()?;
+        u16::try_from(m).map_err(|_| r.corrupt(format!("machine index {m}")))
+    }
+}
+
+impl<A: Part, B: Part, C: Part> Part for (A, B, C) {
+    fn put(self, v: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter) {
+        self.0.put(v, w);
+        self.1.put(v, w);
+        self.2.put(v, w);
+    }
+    fn take(t: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+        Ok((A::take(t, r)?, B::take(t, r)?, C::take(t, r)?))
+    }
+}
+
 /// The full sink: configuration, lifetime counter, and every retained
-/// record, names and texts written out (a record in the
-/// [`TraceView::encode`] layout, read back by
-/// [`TraceSink::restore_record`]), so a restored sink renders
-/// byte-identical trace output.
+/// record in the `record_layout!` layout, names and texts written out, so
+/// a restored sink renders byte-identical trace output.
 struct Ring;
 
 impl lastcpu_snap::Span<TraceSink> for Ring {

@@ -9,17 +9,20 @@
 //! matters is not density but *stability*: the same component state must
 //! encode to the same bytes on every host, every run, every thread count.
 //!
-//! Two traits split the work:
+//! Two traits split the work, and neither is written by hand:
 //!
-//! - [`Snapshot`] — serialize your state into a [`SnapWriter`]. Every
-//!   stateful component implements this; it needs only `&self`.
+//! - [`Snapshot`] — serialize your state into a [`SnapWriter`]; it needs
+//!   only `&self`.
 //! - [`Restore`] — load state back *in place* from a [`SnapReader`].
-//!   Implemented where in-place loading is tractable (RNGs, queues, pools,
-//!   metrics); higher layers (`System`, `Fabric`) restore by deterministic
-//!   re-execution to the manifest's event cursor and then *verify* every
-//!   section byte-for-byte against a fresh snapshot (see DESIGN.md §14 for
-//!   why re-execution + verification is equivalent to in-place loading in a
-//!   deterministic simulator, and strictly harder to get silently wrong).
+//!
+//! A component declares its layout once, as an ordered field list
+//! ([`fields!`]), and both impls are derived from it through the field
+//! codecs of [`Field`], [`Codec`] and [`Span`]. Higher layers (`System`,
+//! `Fabric`) restore by deterministic re-execution to the manifest's event
+//! cursor and then *verify* every section byte-for-byte against a fresh
+//! snapshot (see DESIGN.md §14 for why re-execution + verification is
+//! equivalent to in-place loading in a deterministic simulator, and
+//! strictly harder to get silently wrong).
 //!
 //! Corruption never loads partially: [`Checkpoint::decode`] verifies every
 //! section checksum before any component sees any bytes, and readers
