@@ -304,19 +304,6 @@ impl<K: Field + Ord + Clone, V: Field> Codec<Vec<(K, V)>> for Sorted {
     }
 }
 
-/// A byte string run-length encoded ([`SnapWriter::put_bytes_rle`]), for
-/// memory images that are mostly one byte.
-pub struct Rle;
-
-impl Codec<Vec<u8>> for Rle {
-    fn put(&self, v: &Vec<u8>, w: &mut SnapWriter) {
-        w.put_bytes_rle(v);
-    }
-    fn take(&self, r: &mut SnapReader<'_>) -> Result<Vec<u8>> {
-        r.bytes_rle()
-    }
-}
-
 /// A collection of at most `.0` items: the bound the data sets (a capacity
 /// restored just before it, a unit's own size), never what the allocator
 /// grants. `.1` is the refusal.
@@ -627,7 +614,6 @@ mod tests {
             field::<BTreeMap<u8, Option<u8>>>(&bytes);
             field::<DetMap<u8, u8>>(&bytes);
             field::<DetSet<u16>>(&bytes);
-            codec::<Vec<u8>>(&bytes, Rle);
             codec::<Vec<u8>>(&bytes, Max(2, "too many"));
             codec::<Vec<(u8, u8)>>(&bytes, Sorted);
             codec::<DetMap<u8, (u8, u8)>>(&bytes, Keyed(|v: &(u8, u8)| v.0));

@@ -33,7 +33,7 @@
 use std::fmt;
 
 mod fields;
-pub use fields::{ascending, take_sorted, Codec, Count, Field, Keyed, Max, Rle, Sorted, Span};
+pub use fields::{ascending, take_sorted, Codec, Count, Field, Keyed, Max, Sorted, Span};
 
 /// Bumped whenever the framing or any section layout changes shape.
 /// v2: the fabric section serializes per-topology-link queue cursors and
