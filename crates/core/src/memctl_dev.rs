@@ -58,18 +58,17 @@ impl MemCtlDevice {
     }
 }
 
+// `out` is drained within the same delivery.
+lastcpu_snap::fields! { MemCtlDevice |self| { name, heartbeat, mut ctl } }
+
 impl Device for MemCtlDevice {
     fn snapshot_state(&self, w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
-        w.put_str(&self.name);
-        w.put_u64(self.heartbeat.as_nanos());
-        lastcpu_snap::Snapshot::snapshot(&self.ctl, w);
+        lastcpu_snap::Snapshot::snapshot(self, w);
         Ok(())
     }
 
     fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.name = r.str()?;
-        self.heartbeat = SimDuration::from_nanos(r.u64()?);
-        lastcpu_snap::Restore::restore(&mut self.ctl, r)
+        lastcpu_snap::Restore::restore(self, r)
     }
 
     fn name(&self) -> &str {

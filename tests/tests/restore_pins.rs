@@ -172,6 +172,11 @@ fn a_kvs_machine_restores_every_component_it_snapshots() {
         MemoryController::new(DeviceId(0), 1 << 22),
     );
     pin(
+        "memctl device",
+        m,
+        MemCtlDevice::new("x", DeviceId(0), 1 << 22),
+    );
+    pin(
         "client",
         c,
         KvsClientHost::new(PortId(0), WorkloadConfig::default()),
