@@ -378,8 +378,8 @@ mod tests {
         // The sim exporters' output must be parseable by this reader (F2's
         // trace-shape gate reads the JSONL exporter's lines through it).
         let hub = lastcpu_sim::MetricsHub::new();
-        hub.add("a.counter", 3);
-        hub.record_value("h.lat", 700);
+        hub.counter_handle("a.counter").add(3);
+        hub.histogram_handle("h.lat").record_value(700);
         let j = Json::parse(lastcpu_sim::export::metrics_json(&hub).trim()).unwrap();
         assert!(j.path("counters.a.counter").is_none()); // dotted key, not a path
         assert_eq!(

@@ -18,7 +18,6 @@ impl System {
                 self.met.sec_dma_allowed.add(delta.allowed);
             }
             if delta.denied > 0 {
-                self.met.sec_dma_denied.add(delta.denied);
                 slot.met.sec_dma_denied.add(delta.denied);
             }
             if self.trace.is_enabled() && !delta.records.is_empty() {

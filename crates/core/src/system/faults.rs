@@ -156,7 +156,6 @@ impl System {
                     self.dispatch(idx, now, corr, move |d, ctx| d.on_fault(ctx, fault));
                 }
                 self.slots[idx].met.iommu_faults.add(count as u64);
-                self.met.iommu_faults.add(count as u64);
             }
         }
     }

@@ -32,8 +32,8 @@ use lastcpu_iommu::{Iommu, IommuFault};
 use lastcpu_mem::Dram;
 use lastcpu_net::{PortId, Switch};
 use lastcpu_sim::{
-    BufPool, CorrId, CounterHandle, DetRng, EventQueue, FaultEvent, GaugeHandle, HistogramHandle,
-    MetricsHub, Name, SimDuration, SimTime, TraceSink,
+    BufPool, CorrId, DetRng, EventQueue, FaultEvent, MetricsHub, Name, SimDuration, SimTime,
+    TraceSink,
 };
 
 use crate::config::SystemConfig;
@@ -67,22 +67,6 @@ pub struct DeviceHandle {
 /// so an attacker cannot turn the audit into a memory-exhaustion vector.
 const SEC_AUDIT_CAP: usize = 4096;
 
-/// Pre-registered per-device metric handles (`{subsystem}.{name}.*` keys), so
-/// hot-path updates are a `Cell` add with no map lookup.
-struct SlotMetrics {
-    msgs: CounterHandle,
-    frames_rx: CounterHandle,
-    inbox_depth: GaugeHandle,
-    handler_ns: HistogramHandle,
-    iommu_faults: CounterHandle,
-    /// RPC retransmissions issued on behalf of this device.
-    retries: CounterHandle,
-    /// Down-to-re-registered latency of this device's recoveries.
-    recovery_latency: HistogramHandle,
-    /// DMA translations denied for this device (E11 security audit).
-    sec_dma_denied: CounterHandle,
-}
-
 /// Maps a device kind string to the metric-key subsystem prefix.
 fn subsystem_of(kind: &str) -> &'static str {
     match kind {
@@ -95,71 +79,52 @@ fn subsystem_of(kind: &str) -> &'static str {
     }
 }
 
-fn slot_metrics(hub: &MetricsHub, kind: &str, name: &str) -> SlotMetrics {
-    let sub = subsystem_of(kind);
-    SlotMetrics {
-        msgs: hub.counter_handle(&format!("{sub}.{name}.msgs")),
-        frames_rx: hub.counter_handle(&format!("{sub}.{name}.frames_rx")),
-        inbox_depth: hub.gauge_handle(&format!("{sub}.{name}.inbox_depth")),
-        handler_ns: hub.histogram_handle(&format!("{sub}.{name}.handler_ns")),
-        iommu_faults: hub.counter_handle(&format!("iommu.{name}.faults")),
-        retries: hub.counter_handle(&format!("bus.{name}.retries")),
-        recovery_latency: hub.histogram_handle(&format!("bus.{name}.recovery_latency")),
-        sec_dma_denied: hub.counter_handle(&format!("sec.{name}.dma_denied")),
+lastcpu_sim::instruments! {
+    /// A device's instruments, registered when its slot is added. A row
+    /// naming a machine-wide key feeds it too: that key is the sum over the
+    /// machine's slots.
+    struct SlotMetrics(sub: &str, name: &str) {
+        msgs: counter "{sub}.{name}.msgs",
+        frames_rx: counter "{sub}.{name}.frames_rx",
+        inbox_depth: gauge "{sub}.{name}.inbox_depth",
+        handler_ns: histogram "{sub}.{name}.handler_ns",
+        iommu_faults: counter "iommu.{name}.faults" "iommu.faults",
+        /// RPC retransmissions issued on behalf of this device.
+        retries: counter "bus.{name}.retries",
+        /// Down-to-re-registered latency of this device's recoveries.
+        recovery_latency: histogram "bus.{name}.recovery_latency",
+        /// DMA translations denied for this device (E11 security audit).
+        sec_dma_denied: counter "sec.{name}.dma_denied" "sec.dma_denied",
     }
 }
 
-/// Pre-registered system-wide metric handles.
-struct SysMetrics {
-    bus_messages: CounterHandle,
-    pages_mapped: CounterHandle,
-    pages_unmapped: CounterHandle,
-    map_failures: CounterHandle,
-    iommu_faults: CounterHandle,
-    doorbells: CounterHandle,
-    doorbells_coalesced: CounterHandle,
-    device_resets: CounterHandle,
-    link_control_msgs: CounterHandle,
-    faults_injected: CounterHandle,
-    msgs_dropped: CounterHandle,
-    msgs_corrupted: CounterHandle,
-    msgs_delayed: CounterHandle,
-    rpc_retries: CounterHandle,
-    rpc_give_ups: CounterHandle,
-    /// E11 security audit: DMA translation verdicts.
-    sec_dma_allowed: CounterHandle,
-    sec_dma_denied: CounterHandle,
-    /// E11 security audit: privileged bus-operation verdicts.
-    sec_privops_allowed: CounterHandle,
-    sec_privops_denied: CounterHandle,
-    /// E11 security audit: control messages shed by the flood limiter.
-    sec_flood_dropped: CounterHandle,
-}
-
-impl SysMetrics {
-    fn register(hub: &MetricsHub) -> Self {
-        SysMetrics {
-            bus_messages: hub.counter_handle("bus.messages"),
-            pages_mapped: hub.counter_handle("bus.pages_mapped"),
-            pages_unmapped: hub.counter_handle("bus.pages_unmapped"),
-            map_failures: hub.counter_handle("bus.map_failures"),
-            iommu_faults: hub.counter_handle("iommu.faults"),
-            doorbells: hub.counter_handle("system.doorbells"),
-            doorbells_coalesced: hub.counter_handle("system.doorbells_coalesced"),
-            device_resets: hub.counter_handle("system.device_resets"),
-            link_control_msgs: hub.counter_handle("link.control_msgs"),
-            faults_injected: hub.counter_handle("fault.injected"),
-            msgs_dropped: hub.counter_handle("fault.msgs_dropped"),
-            msgs_corrupted: hub.counter_handle("fault.msgs_corrupted"),
-            msgs_delayed: hub.counter_handle("fault.msgs_delayed"),
-            rpc_retries: hub.counter_handle("bus.rpc_retries"),
-            rpc_give_ups: hub.counter_handle("bus.rpc_give_ups"),
-            sec_dma_allowed: hub.counter_handle("sec.dma_allowed"),
-            sec_dma_denied: hub.counter_handle("sec.dma_denied"),
-            sec_privops_allowed: hub.counter_handle("sec.privops_allowed"),
-            sec_privops_denied: hub.counter_handle("sec.privops_denied"),
-            sec_flood_dropped: hub.counter_handle("sec.flood_dropped"),
-        }
+lastcpu_sim::instruments! {
+    /// The machine's instruments, registered when it is built.
+    struct SysMetrics {
+        bus_messages: counter "bus.messages",
+        pages_mapped: counter "bus.pages_mapped",
+        pages_unmapped: counter "bus.pages_unmapped",
+        map_failures: counter "bus.map_failures",
+        doorbells: counter "system.doorbells",
+        doorbells_coalesced: counter "system.doorbells_coalesced",
+        device_resets: counter "system.device_resets",
+        link_control_msgs: counter "link.control_msgs",
+        faults_injected: counter "fault.injected",
+        msgs_dropped: counter "fault.msgs_dropped",
+        msgs_corrupted: counter "fault.msgs_corrupted",
+        msgs_delayed: counter "fault.msgs_delayed",
+        rpc_retries: counter "bus.rpc_retries",
+        rpc_give_ups: counter "bus.rpc_give_ups",
+        /// E11 security audit: DMA translation verdicts.
+        sec_dma_allowed: counter "sec.dma_allowed",
+        /// E11 security audit: privileged bus-operation verdicts.
+        sec_privops_allowed: counter "sec.privops_allowed",
+        sec_privops_denied: counter "sec.privops_denied",
+        /// E11 security audit: control messages shed by the flood limiter.
+        sec_flood_dropped: counter "sec.flood_dropped";
+        /// The machine-wide sums every slot's row of the same key feeds.
+        counter "iommu.faults",
+        counter "sec.dma_denied",
     }
 }
 
@@ -436,7 +401,7 @@ impl System {
     ) -> DeviceHandle {
         let id = self.bus.attach(name, kind);
         let device = build(id, self.dram.size());
-        let met = slot_metrics(&self.stats, kind, name);
+        let met = SlotMetrics::register(&self.stats, subsystem_of(kind), name);
         self.push_slot(id, device, None, met)
     }
 
@@ -488,7 +453,7 @@ impl System {
 
     fn add_device_inner(&mut self, device: Box<dyn Device>, with_port: bool) -> DeviceHandle {
         let id = self.bus.attach(device.name(), device.kind());
-        let met = slot_metrics(&self.stats, device.kind(), device.name());
+        let met = SlotMetrics::register(&self.stats, subsystem_of(device.kind()), device.name());
         let port = with_port.then(|| self.add_port(PortOwner::Slot(self.slots.len())));
         self.push_slot(id, device, port, met)
     }
@@ -506,7 +471,7 @@ impl System {
         config: lastcpu_memctl::MemCtlConfig,
     ) -> DeviceHandle {
         let id = self.bus.attach(name, "memory-controller");
-        let met = slot_metrics(&self.stats, "memory-controller", name);
+        let met = SlotMetrics::register(&self.stats, subsystem_of("memory-controller"), name);
         let dev = MemCtlDevice::with_config(name, id, self.dram.size(), config);
         self.memctl_id = Some(id);
         self.push_slot(id, Box::new(dev), None, met)

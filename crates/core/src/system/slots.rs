@@ -180,7 +180,6 @@ impl System {
         profile::charge_sim(elapsed.as_nanos());
         if !faults.is_empty() {
             slot.met.iommu_faults.add(faults.len() as u64);
-            self.met.iommu_faults.add(faults.len() as u64);
         }
         self.drain_dma_audit(idx, now, corr);
         {

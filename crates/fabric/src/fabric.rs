@@ -3,8 +3,8 @@
 use lastcpu_core::{System, TunnelDelivery};
 use lastcpu_net::{Frame, NetCostModel, PortId};
 use lastcpu_sim::{
-    profile, CorrId, CounterHandle, DetHashMap, EventQueue, FaultEvent, FaultKind, FaultPlan,
-    GaugeHandle, MetricsHub, Name, SimDuration, SimTime, TraceData, TraceSink,
+    profile, CorrId, DetHashMap, EventQueue, FaultEvent, FaultKind, FaultPlan, MetricsHub, Name,
+    SimDuration, SimTime, TraceData, TraceSink,
 };
 
 use crate::proto::{DirEndpoint, DirMsg};
@@ -84,6 +84,30 @@ struct LinkFaults {
     delay_extra: SimDuration,
 }
 
+lastcpu_sim::instruments! {
+    /// The fabric's instruments (link, directory and fault counters).
+    struct FabricMetrics {
+        frames_forwarded: counter "fabric.frames_forwarded",
+        frames_dropped: counter "fabric.frames_dropped",
+        frames_delayed: counter "fabric.frames_delayed",
+        bytes: counter "fabric.bytes",
+        dir_queries: counter "fabric.dir.queries",
+        dir_syncs: counter "fabric.dir.syncs",
+        dir_removals: counter "fabric.dir.removals",
+        faults_applied: counter "fabric.faults_applied",
+        dir_epoch: gauge "fabric.dir_epoch",
+        machines_dead: gauge "fabric.machines_dead",
+    }
+}
+
+lastcpu_sim::instruments! {
+    /// One machine's link into the fabric, registered when it is added.
+    struct LinkMetrics(idx: usize) {
+        bytes: counter "fabric.link.m{idx}.bytes",
+        frames: counter "fabric.link.m{idx}.frames",
+    }
+}
+
 struct MachineSlot {
     name: String,
     sys: System,
@@ -95,8 +119,7 @@ struct MachineSlot {
     /// Tunnel port answering in-band directory queries.
     dir_port: PortId,
     faults: LinkFaults,
-    link_bytes: CounterHandle,
-    link_frames: CounterHandle,
+    link: LinkMetrics,
     /// The encoded directory reply last built for this machine and the
     /// `dir_epoch` it was built at. The reply is a function of the directory
     /// at that epoch and this machine's proxy table, whose ports are
@@ -249,33 +272,14 @@ pub struct Fabric {
     trace: TraceSink,
     /// `"fabric"`, the source of every link-hop record, in `trace`.
     link_source: Name,
-    // Pre-registered fabric metrics.
-    m_frames_forwarded: CounterHandle,
-    m_frames_dropped: CounterHandle,
-    m_frames_delayed: CounterHandle,
-    m_bytes: CounterHandle,
-    m_dir_queries: CounterHandle,
-    m_dir_syncs: CounterHandle,
-    m_dir_removals: CounterHandle,
-    m_faults_applied: CounterHandle,
-    g_dir_epoch: GaugeHandle,
-    g_machines_dead: GaugeHandle,
+    met: FabricMetrics,
 }
 
 impl Fabric {
     /// An empty fabric.
     pub fn new(cfg: FabricConfig) -> Self {
         let metrics = MetricsHub::new();
-        let m_frames_forwarded = metrics.counter_handle("fabric.frames_forwarded");
-        let m_frames_dropped = metrics.counter_handle("fabric.frames_dropped");
-        let m_frames_delayed = metrics.counter_handle("fabric.frames_delayed");
-        let m_bytes = metrics.counter_handle("fabric.bytes");
-        let m_dir_queries = metrics.counter_handle("fabric.dir.queries");
-        let m_dir_syncs = metrics.counter_handle("fabric.dir.syncs");
-        let m_dir_removals = metrics.counter_handle("fabric.dir.removals");
-        let m_faults_applied = metrics.counter_handle("fabric.faults_applied");
-        let g_dir_epoch = metrics.gauge_handle("fabric.dir_epoch");
-        let g_machines_dead = metrics.gauge_handle("fabric.machines_dead");
+        let met = FabricMetrics::register(&metrics);
         let mut trace = TraceSink::default();
         trace.set_enabled(false);
         let link_source = trace.name("fabric");
@@ -297,16 +301,7 @@ impl Fabric {
             metrics,
             trace,
             link_source,
-            m_frames_forwarded,
-            m_frames_dropped,
-            m_frames_delayed,
-            m_bytes,
-            m_dir_queries,
-            m_dir_syncs,
-            m_dir_removals,
-            m_faults_applied,
-            g_dir_epoch,
-            g_machines_dead,
+            met,
         }
     }
 
@@ -364,12 +359,7 @@ impl Fabric {
         );
         sys.set_corr_base(((idx as u64) + 1) << 40);
         let dir_port = sys.add_tunnel_port();
-        let link_bytes = self
-            .metrics
-            .counter_handle(&format!("fabric.link.m{idx}.bytes"));
-        let link_frames = self
-            .metrics
-            .counter_handle(&format!("fabric.link.m{idx}.frames"));
+        let link = LinkMetrics::register(&self.metrics, idx);
         self.machines.push(MachineSlot {
             name: name.into(),
             sys,
@@ -378,8 +368,7 @@ impl Fabric {
             proxy_rev: DetHashMap::default(),
             dir_port,
             faults: LinkFaults::default(),
-            link_bytes,
-            link_frames,
+            link,
             dir_reply: None,
         });
         MachineId(idx as u32)
@@ -434,7 +423,7 @@ impl Fabric {
         let slot = &mut self.machines[m.0 as usize];
         if !slot.dead {
             slot.dead = true;
-            self.g_machines_dead.add(1);
+            self.met.machines_dead.add(1);
         }
         self.next.leave(m.0 as usize);
     }
@@ -544,7 +533,7 @@ impl Fabric {
         let d = ev.event;
         let slot = &mut self.machines[d.machine];
         if slot.dead {
-            self.m_frames_dropped.incr();
+            self.met.frames_dropped.incr();
             return;
         }
         assert!(
@@ -577,7 +566,7 @@ impl Fabric {
             } else {
                 // A tunnel port the fabric does not know (cannot happen for
                 // fabric-created ports; defensive).
-                self.m_frames_dropped.incr();
+                self.met.frames_dropped.incr();
             }
         }
         self.tunnel_out = out;
@@ -630,19 +619,19 @@ impl Fabric {
         let _prof = profile::span("fabric.forward");
         let b = peer.machine as usize;
         if self.machines[a].dead || self.machines[b].dead {
-            self.m_frames_dropped.incr();
+            self.met.frames_dropped.incr();
             return;
         }
         // Link faults: a `Drop` on either endpoint consumes the frame; a
         // `Delay` on either endpoint adds its extra latency.
         if self.machines[a].faults.drop_remaining > 0 {
             self.machines[a].faults.drop_remaining -= 1;
-            self.m_frames_dropped.incr();
+            self.met.frames_dropped.incr();
             return;
         }
         if self.machines[b].faults.drop_remaining > 0 {
             self.machines[b].faults.drop_remaining -= 1;
-            self.m_frames_dropped.incr();
+            self.met.frames_dropped.incr();
             return;
         }
         let mut extra = SimDuration::ZERO;
@@ -655,7 +644,7 @@ impl Fabric {
             extra = extra.saturating_add(self.machines[b].faults.delay_extra);
         }
         if extra > SimDuration::ZERO {
-            self.m_frames_delayed.incr();
+            self.met.frames_delayed.incr();
         }
         // Timing: walk the frame across its topology path — first hop off
         // `a`, any fabric hops ECMP chose for this pair, last hop into `b` —
@@ -695,11 +684,11 @@ impl Fabric {
         let src_on_b = self.proxy_port(b, a as u32, d.frame.src);
         let frame = Frame::unicast(src_on_b, peer.port, d.frame.payload);
         for m in [a, b] {
-            self.machines[m].link_bytes.add(wire);
-            self.machines[m].link_frames.incr();
+            self.machines[m].link.bytes.add(wire);
+            self.machines[m].link.frames.incr();
         }
-        self.m_bytes.add(wire);
-        self.m_frames_forwarded.incr();
+        self.met.bytes.add(wire);
+        self.met.frames_forwarded.incr();
         self.queue.schedule_at(
             deliver,
             LinkDelivery {
@@ -713,9 +702,9 @@ impl Fabric {
     /// Answers an in-band directory query from machine `q`.
     fn answer_dir_query(&mut self, q: usize, d: TunnelDelivery) {
         let _prof = profile::span("fabric.dir_query");
-        self.m_dir_queries.incr();
+        self.met.dir_queries.incr();
         let Ok(DirMsg::Query { .. }) = DirMsg::decode(&d.frame.payload) else {
-            self.m_frames_dropped.incr();
+            self.met.frames_dropped.incr();
             return;
         };
         let reply = match &self.machines[q].dir_reply {
@@ -794,7 +783,7 @@ impl Fabric {
     /// machine's bus registry when it no longer matches them.
     fn sync_directory(&mut self, now: SimTime) {
         let _prof = profile::span("fabric.dir_sync");
-        self.m_dir_syncs.incr();
+        self.met.dir_syncs.incr();
         self.next_sync = Some(now + self.cfg.sync_interval);
         if self.directory_is_current() {
             return;
@@ -821,10 +810,10 @@ impl Fabric {
             .filter(|old| !fresh.iter().any(|n| n.name == old.name))
             .count() as u64;
         if removed > 0 {
-            self.m_dir_removals.add(removed);
+            self.met.dir_removals.add(removed);
         }
         self.dir_epoch += 1;
-        self.g_dir_epoch.set(self.dir_epoch as i64);
+        self.met.dir_epoch.set(self.dir_epoch as i64);
         self.directory = fresh;
     }
 
@@ -833,7 +822,7 @@ impl Fabric {
         let Some(m) = self.machines.iter().position(|s| s.name == ev.target) else {
             return;
         };
-        self.m_faults_applied.incr();
+        self.met.faults_applied.incr();
         match ev.kind {
             FaultKind::Crash | FaultKind::Hang => self.kill_machine(MachineId(m as u32)),
             FaultKind::Drop { count } | FaultKind::Corrupt { count } => {

@@ -7,9 +7,7 @@
 
 use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::critpath::{op_key, STAGE_CLIENT_DONE, STAGE_CLIENT_ISSUE};
-use lastcpu_sim::{
-    CounterHandle, DetHashMap, HistogramHandle, MetricsHub, SimDuration, SimTime, Zipf,
-};
+use lastcpu_sim::{DetHashMap, SimDuration, SimTime, Zipf};
 
 use lastcpu_core::{HostCtx, NetHost};
 
@@ -73,30 +71,19 @@ enum Phase {
     Done,
 }
 
-/// Pre-registered metric handles, interned once at power-on. The measured
-/// loop used to build five `format!("{prefix}.…")` keys per completed op —
-/// the single largest client-side contributor to the E9 allocs/event count.
-struct ClientMetrics {
-    latency: HistogramHandle,
-    kvs_latency: HistogramHandle,
-    get_latency: HistogramHandle,
-    put_latency: HistogramHandle,
-    gets: CounterHandle,
-    puts: CounterHandle,
-    unavailable: CounterHandle,
-}
-
-impl ClientMetrics {
-    fn register(hub: &MetricsHub, prefix: &str) -> Self {
-        ClientMetrics {
-            latency: hub.histogram_handle(&format!("{prefix}.latency")),
-            kvs_latency: hub.histogram_handle(&format!("kvs.{prefix}.latency")),
-            get_latency: hub.histogram_handle(&format!("{prefix}.get_latency")),
-            put_latency: hub.histogram_handle(&format!("{prefix}.put_latency")),
-            gets: hub.counter_handle(&format!("kvs.{prefix}.gets")),
-            puts: hub.counter_handle(&format!("kvs.{prefix}.puts")),
-            unavailable: hub.counter_handle(&format!("kvs.{prefix}.unavailable")),
-        }
+lastcpu_sim::instruments! {
+    /// The client's instruments, registered at power-on under its stats
+    /// prefix. `latency` also feeds the copy under the `kvs.` subsystem, so
+    /// a metrics snapshot always exposes the KVS layer.
+    struct ClientMetrics(prefix: &str) {
+        latency: histogram "{prefix}.latency" "kvs.{prefix}.latency",
+        get_latency: histogram "{prefix}.get_latency",
+        put_latency: histogram "{prefix}.put_latency",
+        gets: counter "kvs.{prefix}.gets",
+        puts: counter "kvs.{prefix}.puts",
+        /// Measured operations answered `Unavailable` (the loading phase's
+        /// are in `unavailable_rejections` only).
+        unavailable: counter "kvs.{prefix}.unavailable",
     }
 }
 
@@ -407,9 +394,6 @@ impl NetHost for KvsClientHost {
                             latency.as_nanos(),
                         );
                         met.latency.record(latency);
-                        // Hub-keyed copies under the `kvs.` subsystem so a
-                        // metrics snapshot always exposes the KVS layer.
-                        met.kvs_latency.record(latency);
                         if is_read {
                             met.get_latency.record(latency);
                             met.gets.incr();

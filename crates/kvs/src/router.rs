@@ -48,7 +48,7 @@ use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::critpath::{
     op_key, STAGE_ROUTER_ACK, STAGE_ROUTER_RECV, STAGE_ROUTER_RESPOND, STAGE_ROUTER_SUB,
 };
-use lastcpu_sim::{profile, CounterHandle, GaugeHandle, SimDuration, SimTime};
+use lastcpu_sim::{profile, SimDuration, SimTime};
 
 use crate::proto::{encode_response, KvsRequestRef, KvsResponseRef, KvsStatus};
 
@@ -264,61 +264,38 @@ struct EndpointLoad {
     busy_until: SimTime,
 }
 
-/// Router counters, inspectable without the metrics hub.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RouterStats {
-    /// Client requests accepted.
-    pub requests: u64,
-    /// Sub-requests routed to shard endpoints.
-    pub hits: u64,
-    /// Re-dispatches (timeout, replica loss, or transient rejection).
-    pub failovers: u64,
-    /// Requests abandoned after `max_retries` re-dispatches.
-    pub give_ups: u64,
-    /// Acked keys whose primary moved across directory epochs.
-    pub rebalance_moves: u64,
-    /// Directory epochs observed.
-    pub epoch: u64,
-    /// Directory replies received (including no-change replies).
-    pub dir_replies: u64,
-    /// Directory replies that actually installed a change.
-    pub dir_installs: u64,
-    /// Late replica responses to already-cancelled subs, dropped at triage.
-    pub late_acks: u64,
-    /// Re-dispatches deferred by `Busy`/`Unavailable` backpressure.
-    pub busy_deferrals: u64,
-}
-
-/// Pre-registered `fabric.router.*` handles on the machine's metrics hub.
-struct HubMetrics {
-    requests: CounterHandle,
-    hits: CounterHandle,
-    failovers: CounterHandle,
-    give_ups: CounterHandle,
-    rebalance_moves: CounterHandle,
-    dir_replies: CounterHandle,
-    dir_installs: CounterHandle,
-    late_acks: CounterHandle,
-    busy_deferrals: CounterHandle,
-    epoch: GaugeHandle,
-    endpoints: GaugeHandle,
-}
-
-impl HubMetrics {
-    fn register(hub: &lastcpu_sim::MetricsHub) -> Self {
-        HubMetrics {
-            requests: hub.counter_handle("fabric.router.requests"),
-            hits: hub.counter_handle("fabric.router.hits"),
-            failovers: hub.counter_handle("fabric.router.failovers"),
-            give_ups: hub.counter_handle("fabric.router.give_ups"),
-            rebalance_moves: hub.counter_handle("fabric.router.rebalance_moves"),
-            dir_replies: hub.counter_handle("fabric.router.dir_replies"),
-            dir_installs: hub.counter_handle("fabric.router.dir_installs"),
-            late_acks: hub.counter_handle("fabric.router.late_acks"),
-            busy_deferrals: hub.counter_handle("fabric.router.busy_deferrals"),
-            epoch: hub.gauge_handle("fabric.router.epoch"),
-            endpoints: hub.gauge_handle("fabric.router.endpoints"),
+lastcpu_sim::instruments! {
+    /// The router's instruments: its own counts, each fed to the
+    /// `fabric.router.*` key of its row once the router starts.
+    struct RouterMetrics {
+        /// Router counters, inspectable without the metrics hub.
+        #[derive(Debug, Default, Clone, Copy)]
+        pub struct RouterStats {
+            /// Client requests accepted.
+            requests: counter "fabric.router.requests",
+            /// Sub-requests routed to shard endpoints.
+            hits: counter "fabric.router.hits",
+            /// Re-dispatches (timeout, replica loss, or transient rejection).
+            failovers: counter "fabric.router.failovers",
+            /// Requests abandoned after `max_retries` re-dispatches.
+            give_ups: counter "fabric.router.give_ups",
+            /// Acked keys whose primary moved across directory epochs.
+            rebalance_moves: counter "fabric.router.rebalance_moves",
+            /// Directory epochs observed.
+            epoch: gauge "fabric.router.epoch",
+            /// Directory replies received, including the no-change replies
+            /// most ticks get (the router re-queries every tick).
+            dir_replies: counter "fabric.router.dir_replies",
+            /// Directory replies that actually installed a change.
+            dir_installs: counter "fabric.router.dir_installs",
+            /// Late replica responses to already-cancelled subs, dropped at
+            /// triage.
+            late_acks: counter "fabric.router.late_acks",
+            /// Re-dispatches deferred by `Busy`/`Unavailable` backpressure.
+            busy_deferrals: counter "fabric.router.busy_deferrals",
         }
+        /// Shard endpoints in the last installed directory.
+        endpoints: gauge "fabric.router.endpoints",
     }
 }
 
@@ -350,8 +327,7 @@ pub struct ShardRouterHost {
     /// [`on_client`](Self::on_client) to overwrite. Host-side scratch: never
     /// snapshotted; `Restore` clears it.
     spare: Vec<PendingReq>,
-    stats: RouterStats,
-    met: Option<HubMetrics>,
+    met: RouterMetrics,
     /// Payload of the last directory reply that went through
     /// [`install_directory`](Self::install_directory). A byte-equal reply
     /// decodes to the `endpoints` and `epoch` that call left behind, so it
@@ -384,15 +360,14 @@ impl ShardRouterHost {
             reps: Vec::new(),
             acked_puts: BTreeSet::new(),
             spare: Vec::new(),
-            stats: RouterStats::default(),
-            met: None,
+            met: RouterMetrics::default(),
             last_dir_reply: None,
         }
     }
 
     /// Counters.
     pub fn stats(&self) -> RouterStats {
-        self.stats
+        self.met.stats()
     }
 
     /// Whether the router has discovered at least one shard endpoint.
@@ -426,16 +401,6 @@ impl ShardRouterHost {
         );
     }
 
-    /// Counts one directory reply. Replies and installs are distinct
-    /// counters: most replies carry no change (the router re-queries every
-    /// tick).
-    fn count_dir_reply(&mut self) {
-        self.stats.dir_replies += 1;
-        if let Some(met) = &self.met {
-            met.dir_replies.incr();
-        }
-    }
-
     /// Installs a directory reply: rebuild the ring, count rebalance moves,
     /// and mark pendings whose in-flight targets vanished for immediate
     /// re-dispatch (machine-crash fail-over path).
@@ -445,7 +410,7 @@ impl ShardRouterHost {
         epoch: u64,
         eps: Vec<lastcpu_fabric::DirEndpoint>,
     ) {
-        self.count_dir_reply();
+        self.met.dir_replies.incr();
         let mut fresh: BTreeMap<String, PortId> = BTreeMap::new();
         for ep in eps {
             if ep.kind == self.config.service_kind {
@@ -455,16 +420,10 @@ impl ShardRouterHost {
         if fresh == self.endpoints && epoch == self.epoch {
             return;
         }
-        self.stats.dir_installs += 1;
-        if let Some(met) = &self.met {
-            met.dir_installs.incr();
-        }
+        self.met.dir_installs.incr();
         self.epoch = epoch;
-        self.stats.epoch = epoch;
-        if let Some(met) = &self.met {
-            met.epoch.set(epoch as i64);
-            met.endpoints.set(fresh.len() as i64);
-        }
+        self.met.epoch.set(epoch);
+        self.met.endpoints.set(fresh.len() as u64);
         let membership_changed = fresh.keys().ne(self.endpoints.keys());
         if membership_changed {
             let mut ring = HashRing::new(self.config.vnodes);
@@ -484,10 +443,7 @@ impl ShardRouterHost {
                 })
                 .count() as u64;
             if moves > 0 {
-                self.stats.rebalance_moves += moves;
-                if let Some(met) = &self.met {
-                    met.rebalance_moves.add(moves);
-                }
+                self.met.rebalance_moves.add(moves);
             }
             self.ring = ring;
         }
@@ -553,10 +509,7 @@ impl ShardRouterHost {
         });
         let opk = op_key(p.client.0, p.client_id);
         self.sub_index.insert(id, seq);
-        self.stats.hits += 1;
-        if let Some(met) = &self.met {
-            met.hits.incr();
-        }
+        self.met.hits.incr();
         ctx.stage(STAGE_ROUTER_SUB, id, opk);
         ctx.net_tx(port, frame);
     }
@@ -702,16 +655,10 @@ impl ShardRouterHost {
             (initial, p.attempts > max_retries)
         };
         if !initial {
-            self.stats.failovers += 1;
-            if let Some(met) = &self.met {
-                met.failovers.incr();
-            }
+            self.met.failovers.incr();
         }
         if over_budget {
-            self.stats.give_ups += 1;
-            if let Some(met) = &self.met {
-                met.give_ups.incr();
-            }
+            self.met.give_ups.incr();
             self.complete(ctx, seq, KvsStatus::Unavailable, &[]);
             return;
         }
@@ -865,10 +812,7 @@ impl ShardRouterHost {
                     if until > l.busy_until {
                         l.busy_until = until;
                     }
-                    self.stats.busy_deferrals += 1;
-                    if let Some(met) = &self.met {
-                        met.busy_deferrals.incr();
-                    }
+                    self.met.busy_deferrals.incr();
                     Some(until)
                 } else {
                     None
@@ -886,10 +830,7 @@ impl ShardRouterHost {
 
     /// A client request arrived; `req` borrows its frame.
     fn on_client(&mut self, ctx: &mut HostCtx<'_>, src: PortId, req: KvsRequestRef<'_>) {
-        self.stats.requests += 1;
-        if let Some(met) = &self.met {
-            met.requests.incr();
-        }
+        self.met.requests.incr();
         if self.ring.is_empty() {
             // Rack not discovered yet: tell the client to back off, same as
             // a booting single server would.
@@ -980,7 +921,7 @@ impl NetHost for ShardRouterHost {
     }
 
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        self.met = Some(HubMetrics::register(ctx.stats));
+        self.met.register(ctx.stats);
         self.query_directory(ctx);
         ctx.set_timer(self.config.tick, TOKEN_TICK);
     }
@@ -992,7 +933,7 @@ impl NetHost for ShardRouterHost {
         if frame.src == self.config.dir_port && DirMsg::sniff(&frame.payload) {
             let _prof = profile::span("kvs.router.dir_reply");
             if self.last_dir_reply.as_deref() == Some(&frame.payload[..]) {
-                self.count_dir_reply();
+                self.met.dir_replies.incr();
             } else if let Ok(DirMsg::Reply { epoch, endpoints }) = DirMsg::decode(&frame.payload) {
                 self.install_directory(ctx, epoch, endpoints);
                 self.last_dir_reply = Some(frame.payload.to_vec());
@@ -1011,10 +952,7 @@ impl NetHost for ShardRouterHost {
                 if self.sub_index.contains_key(&resp.id) {
                     self.on_ack(ctx, resp);
                 } else {
-                    self.stats.late_acks += 1;
-                    if let Some(met) = &self.met {
-                        met.late_acks.incr();
-                    }
+                    self.met.late_acks.incr();
                 }
                 return;
             }
@@ -1048,18 +986,6 @@ lastcpu_snap::record!(EndpointLoad {
     outstanding,
     ewma_rtt_ns,
     busy_until
-});
-lastcpu_snap::record!(RouterStats {
-    requests,
-    hits,
-    failovers,
-    give_ups,
-    rebalance_moves,
-    epoch,
-    dir_replies,
-    dir_installs,
-    late_acks,
-    busy_deferrals,
 });
 
 lastcpu_snap::fields! { PendingReq |self| (PendingReq::empty()) {
@@ -1097,8 +1023,8 @@ impl lastcpu_snap::Span<PendingReq> for OpValue {
 }
 
 // `sub_index` is derivable from `pending`, but serialized so a restore
-// needs no rebuild pass and verification covers it. Excluded: `met` (live
-// MetricsHub handles; the hub snapshots its own key space),
+// needs no rebuild pass and verification covers it. `met` is its
+// `RouterStats` (the hub snapshots its own key space). Excluded:
 // `last_dir_reply` (a memo of `endpoints` and `epoch`; the first reply
 // after a restore decodes) and `spare` (answered slots: buffers, no
 // request).
@@ -1106,7 +1032,7 @@ lastcpu_snap::fields! { ShardRouterHost |self| {
     config.dir_port, config.service_kind, config.replication, config.vnodes, config.tick,
     config.sub_timeout, config.max_retries, config.policy, config.rtt_multiplier,
     config.busy_backoff, config.name, mut ring, endpoints, epoch, next_sub_id, next_seq, pending,
-    sub_index, load, acked_puts, stats,
+    sub_index, load, acked_puts, mut met,
 } restored {
     self.last_dir_reply = None;
     self.spare.clear();

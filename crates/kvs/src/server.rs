@@ -23,7 +23,7 @@ use lastcpu_mem::Pasid;
 use lastcpu_net::PortId;
 use lastcpu_sim::critpath::{STAGE_SERVER_DONE, STAGE_SERVER_RECV};
 use lastcpu_sim::profile;
-use lastcpu_sim::{Bytes, CounterHandle, SimDuration};
+use lastcpu_sim::{Bytes, SimDuration};
 
 use crate::engine::{KvEngine, LogScanner};
 use crate::proto::{encode_response_into, KvsRequestRef, KvsStatus};
@@ -122,57 +122,34 @@ enum Pending {
     },
 }
 
-/// Server counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ServerStats {
-    /// GETs served.
-    pub gets: u64,
-    /// PUTs served.
-    pub puts: u64,
-    /// DELETEs served.
-    pub deletes: u64,
-    /// GETs answered from the local cache.
-    pub cache_hits: u64,
-    /// Cache-hit GETs answered via the zero-alloc fast path (a subset of
-    /// `cache_hits`; zero when the fast path is disabled).
-    pub fast_gets: u64,
-    /// Requests answered `Busy` due to backlog overflow.
-    pub shed: u64,
-    /// Requests answered `NotFound`.
-    pub misses: u64,
-    /// Backing-resource failures survived (each triggers a restart).
-    pub failures: u64,
-    /// Requests answered `Unavailable` (failed over or arrived mid-recovery).
-    pub unavailable: u64,
-}
-
-/// Handles into the system-wide [`MetricsHub`], registered when the server
-/// starts so `kvs.server.*` keys exist even before any request arrives.
-/// Mirrors [`ServerStats`]; hub updates are plain `Cell` writes.
-///
-/// [`MetricsHub`]: lastcpu_sim::MetricsHub
-struct HubCounters {
-    gets: CounterHandle,
-    puts: CounterHandle,
-    deletes: CounterHandle,
-    cache_hits: CounterHandle,
-    shed: CounterHandle,
-    misses: CounterHandle,
-    restarts: CounterHandle,
-    unavailable: CounterHandle,
-}
-
-impl HubCounters {
-    fn register(hub: &lastcpu_sim::MetricsHub) -> Self {
-        HubCounters {
-            gets: hub.counter_handle("kvs.server.gets"),
-            puts: hub.counter_handle("kvs.server.puts"),
-            deletes: hub.counter_handle("kvs.server.deletes"),
-            cache_hits: hub.counter_handle("kvs.server.cache_hits"),
-            shed: hub.counter_handle("kvs.server.shed"),
-            misses: hub.counter_handle("kvs.server.misses"),
-            restarts: hub.counter_handle("kvs.server.restarts"),
-            unavailable: hub.counter_handle("kvs.server.unavailable"),
+lastcpu_sim::instruments! {
+    /// The server's instruments: its own counts, each fed to the
+    /// `kvs.server.*` key of its row once the server starts. Servers sharing
+    /// a machine share those keys, which sum them.
+    struct ServerMetrics {
+        /// Server counters.
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct ServerStats {
+            /// GETs served.
+            gets: counter "kvs.server.gets",
+            /// PUTs served.
+            puts: counter "kvs.server.puts",
+            /// DELETEs served.
+            deletes: counter "kvs.server.deletes",
+            /// GETs answered from the local cache.
+            cache_hits: counter "kvs.server.cache_hits",
+            /// Cache-hit GETs answered via the zero-alloc fast path (a subset
+            /// of `cache_hits`; zero when the fast path is disabled).
+            fast_gets: counter,
+            /// Requests answered `Busy` due to backlog overflow.
+            shed: counter "kvs.server.shed",
+            /// Requests answered `NotFound`.
+            misses: counter "kvs.server.misses",
+            /// Backing-resource failures survived (each triggers a restart).
+            failures: counter "kvs.server.restarts",
+            /// Requests answered `Unavailable` (failed over or arrived
+            /// mid-recovery).
+            unavailable: counter "kvs.server.unavailable",
         }
     }
 }
@@ -317,8 +294,7 @@ pub struct KvsServer {
     in_flight: usize,
     backlog: Backlog,
     cache: ValueCache,
-    stats: ServerStats,
-    met: Option<HubCounters>,
+    met: ServerMetrics,
     /// True between a failure-triggered [`restart`](Self::restart) and the
     /// next transition to [`ServerState::Ready`]; requests arriving in that
     /// window get `Unavailable` (lost resource) rather than `Busy`
@@ -358,8 +334,7 @@ impl KvsServer {
             in_flight: 0,
             backlog: Backlog::default(),
             cache,
-            stats: ServerStats::default(),
-            met: None,
+            met: ServerMetrics::default(),
             recovering: false,
             generation: 0,
             comp_buf: Vec::new(),
@@ -389,7 +364,7 @@ impl KvsServer {
 
     /// Counters.
     pub fn stats(&self) -> ServerStats {
-        self.stats
+        self.met.stats()
     }
 
     /// Live keys in the index.
@@ -405,7 +380,7 @@ impl KvsServer {
 
     /// Starts the setup pipeline (call once registered on the bus).
     pub fn start(&mut self, ctx: &mut DeviceCtx<'_>, monitor: &mut Monitor) {
-        self.met = Some(HubCounters::register(ctx.stats));
+        self.met.register(ctx.stats);
         match self.config.memctl {
             Some(dev) => {
                 self.memctl = Some(dev);
@@ -542,13 +517,6 @@ impl KvsServer {
         }
     }
 
-    fn note_shed(&mut self) {
-        self.stats.shed += 1;
-        if let Some(met) = &self.met {
-            met.shed.incr();
-        }
-    }
-
     /// Handles one network request, appending response payloads onto `out`
     /// (an app-owned scratch vector, reused across requests). The request
     /// borrows the frame it arrived in: it is served from there if the
@@ -574,7 +542,7 @@ impl KvsServer {
             // congestion-aware router can scale its backoff instead of
             // retrying blind ([`KvsResponse::busy`]).
             if self.recovering || self.state == ServerState::Failed {
-                self.note_unavailable();
+                self.met.unavailable.incr();
                 Self::respond(ctx, out, src, req.id(), KvsStatus::Unavailable, &[]);
             } else {
                 let depth = self.queue_depth();
@@ -591,7 +559,7 @@ impl KvsServer {
         }
         ctx.busy(self.config.per_request_cost);
         if self.backlog.len() >= MAX_BACKLOG {
-            self.note_shed();
+            self.met.shed.incr();
             let depth = self.queue_depth();
             Self::respond(
                 ctx,
@@ -661,13 +629,9 @@ impl KvsServer {
         // byte-identical).
         ctx.stage(STAGE_SERVER_RECV, id, 0);
         ctx.busy(self.config.per_request_cost);
-        self.stats.gets += 1;
-        self.stats.cache_hits += 1;
-        self.stats.fast_gets += 1;
-        if let Some(met) = &self.met {
-            met.gets.incr();
-            met.cache_hits.incr();
-        }
+        self.met.gets.incr();
+        self.met.cache_hits.incr();
+        self.met.fast_gets.incr();
         ctx.stage(STAGE_SERVER_DONE, id, KvsStatus::Ok as u64);
         encode_response_into(id, KvsStatus::Ok, v, buf);
         true
@@ -730,24 +694,16 @@ impl KvsServer {
         match *req {
             KvsRequestRef::Get { id, key } => {
                 if let Some(v) = self.cache.get(key) {
-                    self.stats.gets += 1;
-                    self.stats.cache_hits += 1;
-                    if let Some(met) = &self.met {
-                        met.gets.incr();
-                        met.cache_hits.incr();
-                    }
+                    self.met.gets.incr();
+                    self.met.cache_hits.incr();
                     // Serialize straight from the borrowed cache value:
                     // no intermediate clone into a KvsResponse.
                     Self::respond(ctx, out, src, id, KvsStatus::Ok, v);
                     return Served::Answered;
                 }
                 let Some(vref) = self.engine.get(key) else {
-                    self.stats.gets += 1;
-                    self.stats.misses += 1;
-                    if let Some(met) = &self.met {
-                        met.gets.incr();
-                        met.misses.incr();
-                    }
+                    self.met.gets.incr();
+                    self.met.misses.incr();
                     Self::respond(ctx, out, src, id, KvsStatus::NotFound, &[]);
                     return Served::Answered;
                 };
@@ -815,12 +771,8 @@ impl KvsServer {
                         }
                     }
                     Ok(None) => {
-                        self.stats.deletes += 1;
-                        self.stats.misses += 1;
-                        if let Some(met) = &self.met {
-                            met.deletes.incr();
-                            met.misses.incr();
-                        }
+                        self.met.deletes.incr();
+                        self.met.misses.incr();
                         Self::respond(ctx, out, src, id, KvsStatus::NotFound, &[]);
                         Served::Answered
                     }
@@ -841,7 +793,7 @@ impl KvsServer {
         src: PortId,
         id: u64,
     ) {
-        self.note_shed();
+        self.met.shed.incr();
         let depth = self.queue_depth();
         Self::respond(ctx, out, src, id, KvsStatus::Busy, &depth.to_le_bytes());
     }
@@ -914,10 +866,7 @@ impl KvsServer {
             self.in_flight -= 1;
             match pending {
                 Pending::Get { port, id } => {
-                    self.stats.gets += 1;
-                    if let Some(met) = &self.met {
-                        met.gets.incr();
-                    }
+                    self.met.gets.incr();
                     if status == FileStatus::Ok {
                         Self::respond(ctx, out, port, id, KvsStatus::Ok, comp_buf);
                     } else {
@@ -930,10 +879,7 @@ impl KvsServer {
                     key,
                     value,
                 } => {
-                    self.stats.puts += 1;
-                    if let Some(met) = &self.met {
-                        met.puts.incr();
-                    }
+                    self.met.puts.incr();
                     if status == FileStatus::Ok {
                         self.cache.insert(key, value);
                         Self::respond(ctx, out, port, id, KvsStatus::Ok, &[]);
@@ -942,10 +888,7 @@ impl KvsServer {
                     }
                 }
                 Pending::Delete { port, id } => {
-                    self.stats.deletes += 1;
-                    if let Some(met) = &self.met {
-                        met.deletes.incr();
-                    }
+                    self.met.deletes.incr();
                     let st = if status == FileStatus::Ok {
                         KvsStatus::Ok
                     } else {
@@ -994,13 +937,6 @@ impl KvsServer {
         }
     }
 
-    fn note_unavailable(&mut self) {
-        self.stats.unavailable += 1;
-        if let Some(met) = &self.met {
-            met.unavailable.incr();
-        }
-    }
-
     /// Fails over after losing a backing resource: answers every queued and
     /// in-flight request with an explicit [`KvsStatus::Unavailable`] (instead
     /// of wedging them forever), drops the dead session, resets the index,
@@ -1014,10 +950,7 @@ impl KvsServer {
         monitor: &mut Monitor,
         out: &mut Vec<(PortId, Bytes)>,
     ) {
-        self.stats.failures += 1;
-        if let Some(met) = &self.met {
-            met.restarts.incr();
-        }
+        self.met.failures.incr();
         // Fail the in-flight storage ops, in descriptor-head order.
         for head in 0..self.inflight.len() {
             let (port, id) = match self.inflight[head].take() {
@@ -1026,7 +959,7 @@ impl KvsServer {
                 | Some(Pending::Put { port, id, .. }) => (port, id),
                 Some(Pending::Rebuild { .. }) | None => continue,
             };
-            self.note_unavailable();
+            self.met.unavailable.incr();
             Self::respond(ctx, out, port, id, KvsStatus::Unavailable, &[]);
         }
         self.in_flight = 0;
@@ -1036,7 +969,7 @@ impl KvsServer {
             let id = KvsRequestRef::decode(body)
                 .expect("the backlog holds encodings this server wrote")
                 .id();
-            self.note_unavailable();
+            self.met.unavailable.incr();
             Self::respond(ctx, out, port, id, KvsStatus::Unavailable, &[]);
         }
         self.backlog = backlog;
@@ -1113,26 +1046,14 @@ impl lastcpu_snap::Span<ValueCache> for Entries {
     }
 }
 
-lastcpu_snap::record!(ServerStats {
-    gets,
-    puts,
-    deletes,
-    cache_hits,
-    fast_gets,
-    shed,
-    misses,
-    failures,
-    unavailable,
-});
-
-// Excluded: `met` (live MetricsHub handles, owned by the hub's own section),
-// `comp_buf` and `rec` (reused scratch, contents meaningless between
-// events).
+// `met` is its `ServerStats` (the hub snapshots its own key space).
+// Excluded: `comp_buf` and `rec` (reused scratch, contents meaningless
+// between events).
 lastcpu_snap::fields! { KvsServer |self| {
     config.file_pattern, config.memctl, config.token, config.va_base, config.queue_size,
     config.cache_entries, config.per_request_cost, pasid, state, mut engine, mut scanner, memctl,
     mem_op, file_op, session, file_size, rebuild_next, rebuild_inflight, ..InFlight, ..Backlogged,
-    mut cache, stats, recovering, generation, fast_path,
+    mut cache, mut met, recovering, generation, fast_path,
 } }
 
 /// The storage operations in flight, by head: the count, then each head

@@ -404,9 +404,10 @@ mod tests {
     #[test]
     fn prometheus_snapshot_has_all_metric_kinds() {
         let hub = MetricsHub::new();
-        hub.add("bus.messages", 7);
-        hub.gauge_set("nic.nic0.queue_depth", 3);
-        hub.record("kvs.kvs0.latency", SimDuration::from_micros(10));
+        hub.counter_handle("bus.messages").add(7);
+        hub.gauge_handle("nic.nic0.queue_depth").set(3);
+        hub.histogram_handle("kvs.kvs0.latency")
+            .record(SimDuration::from_micros(10));
         let out = metrics_prometheus(&hub);
         assert!(out.contains("# TYPE lastcpu_bus_messages counter"));
         assert!(out.contains("lastcpu_bus_messages 7"));
@@ -460,9 +461,9 @@ mod tests {
     #[test]
     fn metrics_json_is_valid() {
         let hub = MetricsHub::new();
-        hub.incr("a.b\"c"); // hostile key
-        hub.record_value("h.x", 5);
-        hub.gauge_set("g.y", -4);
+        hub.counter_handle("a.b\"c").incr(); // hostile key
+        hub.histogram_handle("h.x").record_value(5);
+        hub.gauge_handle("g.y").set(-4);
         let out = metrics_json(&hub);
         check_json(out.trim()).unwrap();
         assert!(out.contains("\"count\":1"));

@@ -64,3 +64,7 @@ pub use rng::{DetRng, Zipf};
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Name, TraceSink, TraceView};
+
+/// The checkpoint crate, for the code [`instruments!`] derives.
+#[doc(hidden)]
+pub use lastcpu_snap as __snap;

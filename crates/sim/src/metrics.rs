@@ -9,13 +9,24 @@
 //! it as Prometheus text or JSON.
 //!
 //! The hub is a cheaply clonable handle (`Rc<RefCell<…>>` — the simulator is
-//! deliberately single-threaded). Hot paths should grab a [`CounterHandle`],
-//! [`GaugeHandle`], or [`HistogramHandle`] once and update through it: a
+//! deliberately single-threaded). Components record through a
+//! [`CounterHandle`], [`GaugeHandle`], or [`HistogramHandle`] taken once: a
 //! handle update is a single `Cell` add, with no map lookup and no borrow
 //! bookkeeping.
+//!
+//! A component declares its instruments once, with [`instruments!`]: one row
+//! per instrument, naming its field, its kind and the hub keys it feeds. The
+//! declaration derives the struct of handles and its registration, so one
+//! call per event bumps every key the row names. A component that counts for
+//! itself as well (`stats()`, checkpoints) declares a snapshot struct inside
+//! its live one; each row then keeps the instance's own count and feeds the
+//! hub key, which sums every instance registered on that hub.
+//!
+//! [`instruments!`]: crate::instruments
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::rc::Rc;
 
 use crate::stats::Histogram;
@@ -84,15 +95,224 @@ impl HistogramHandle {
         self.0.borrow_mut().record_value(v);
     }
 
-    /// Merges a whole sample set.
-    pub fn merge(&self, other: &Histogram) {
-        self.0.borrow_mut().merge(other);
-    }
-
     /// A point-in-time copy.
     pub fn snapshot(&self) -> Histogram {
         self.0.borrow().clone()
     }
+}
+
+/// One declared instrument's handles: every hub key its row names, bumped
+/// by one call.
+pub struct Keys<H, const K: usize>(pub [H; K]);
+
+/// Gives [`Keys`] of handle type `$h` the handle's recording calls, each
+/// applied to every key.
+macro_rules! fan_out {
+    ($h:ty: $($call:ident($($arg:ident: $t:ty),*)),*) => {
+        impl<const K: usize> Keys<$h, K> {
+            $(#[inline]
+            pub fn $call(&self, $($arg: $t),*) {
+                self.0.iter().for_each(|h| h.$call($($arg),*));
+            })*
+        }
+    };
+}
+
+fan_out!(CounterHandle: incr(), add(n: u64));
+fan_out!(GaugeHandle: set(v: i64), add(delta: i64));
+fan_out!(HistogramHandle: record(d: SimDuration));
+
+/// An instance's own count, fed to the hub key of its row once the instance
+/// registers: the count is the instance's (`stats()`, its checkpoint), the
+/// key sums every instance on the hub. What it counts before registering
+/// stays its own.
+#[derive(Default)]
+pub struct Count {
+    /// The instance's own count.
+    pub n: u64,
+    /// The row's key, once the instance registered (never, for a row that
+    /// names none).
+    pub key: Option<CounterHandle>,
+}
+
+impl Count {
+    /// Counts one.
+    #[inline]
+    pub fn incr(&mut self) {
+        self.add(1);
+    }
+
+    /// Counts `n`.
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        self.n += n;
+        if let Some(key) = &self.key {
+            key.add(n);
+        }
+    }
+}
+
+/// An instance's own level, fed to a gauge key once the instance registers
+/// (see [`Count`]).
+#[derive(Default)]
+pub struct Level {
+    /// The instance's own level.
+    pub n: u64,
+    /// The row's key, once the instance registered.
+    pub key: Option<GaugeHandle>,
+}
+
+impl Level {
+    /// Sets the level.
+    #[inline]
+    pub fn set(&mut self, v: u64) {
+        self.n = v;
+        if let Some(key) = &self.key {
+            key.set(v as i64);
+        }
+    }
+}
+
+/// The handle `get` returns for the key a row spells: a key without
+/// placeholders is looked up as written, a template is formatted once.
+#[doc(hidden)]
+pub fn handle<H>(key: fmt::Arguments<'_>, get: impl FnOnce(&str) -> H) -> H {
+    match key.as_str() {
+        Some(key) => get(key),
+        None => get(&fmt::format(key)),
+    }
+}
+
+/// Declares a component's instruments once: one row per instrument, `field:
+/// kind "key" …` — the kind `counter`, `gauge` or `histogram`, then the hub
+/// keys it feeds. A key is a `format!` template over the group's parameters
+/// (`"{sub}.{name}.msgs"`); a key without placeholders builds no string.
+///
+/// `struct S(params) { rows }` derives `S`, a struct of [`Keys`], and
+/// `S::register(hub, params)`; one call per event (`s.field.incr()`) bumps
+/// every key of the row. Rows after a `;` name only a kind and a key: the
+/// group registers that key and keeps no handle, for rows of another group
+/// to feed.
+///
+/// `struct L { struct S { rows } rows }` is a component that counts for
+/// itself as well. `S` is the plain snapshot of its own counts (a `u64` per
+/// row, in row order, with a [`Field`](lastcpu_snap::Field)); a row of `S`
+/// names at most one key, or none. `L` holds a [`Count`] or [`Level`] per row
+/// of both lists (the rows after `S` are not in it) and derives `Default`,
+/// `register(&mut self, hub)`, `stats()` and a checkpoint that is `S`'s.
+///
+/// ```
+/// use lastcpu_sim::MetricsHub;
+/// lastcpu_sim::instruments! {
+///     struct Link(idx: usize) {
+///         bytes: counter "link.m{idx}.bytes" "link.bytes";
+///         counter "link.drops",
+///     }
+/// }
+/// lastcpu_sim::instruments! {
+///     struct Server {
+///         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///         pub struct ServerStats {
+///             gets: counter "server.gets",
+///             fast_gets: counter,
+///         }
+///         depth: gauge "server.depth",
+///     }
+/// }
+/// let hub = MetricsHub::new();
+/// let link = Link::register(&hub, 3);
+/// link.bytes.add(64);
+/// let (mut a, mut b) = (Server::default(), Server::default());
+/// a.gets.incr(); // before registering: the instance's alone
+/// a.register(&hub);
+/// b.register(&hub);
+/// a.gets.incr();
+/// b.gets.add(2);
+/// assert_eq!(hub.counter("link.m3.bytes"), 64);
+/// assert_eq!(hub.counter("link.bytes"), 64);
+/// assert_eq!(hub.counters().len(), 4); // link.drops registered too
+/// assert_eq!(a.stats(), ServerStats { gets: 2, fast_gets: 0 });
+/// assert_eq!(hub.counter("server.gets"), 3);
+/// ```
+#[macro_export]
+macro_rules! instruments {
+    ($(#[$lm:meta])* $lv:vis struct $live:ident {
+        $(#[$sm:meta])* $sv:vis struct $snap:ident {
+            $($(#[$fm:meta])* $f:ident: $kind:ident $($key:literal)?),* $(,)?
+        }
+        $($(#[$hm:meta])* $h:ident: $hkind:ident $hkey:literal),* $(,)?
+    }) => {
+        $(#[$sm])*
+        $sv struct $snap {
+            $($(#[$fm])* pub $f: u64,)*
+        }
+        $crate::__snap::record!($snap { $($f),* });
+
+        $(#[$lm])*
+        #[derive(Default)]
+        $lv struct $live {
+            $($f: $crate::instruments!(@own $kind),)*
+            $($(#[$hm])* $h: $crate::instruments!(@own $hkind),)*
+        }
+
+        impl $live {
+            /// Feeds every row to its key on `hub`; what was counted before
+            /// stays the instance's own.
+            $lv fn register(&mut self, hub: &$crate::MetricsHub) {
+                $($(self.$f.key = Some($crate::instruments!(@key hub $kind $key));)?)*
+                $(self.$h.key = Some($crate::instruments!(@key hub $hkind $hkey));)*
+            }
+
+            /// The instance's own counts.
+            $lv fn stats(&self) -> $snap {
+                $snap { $($f: self.$f.n),* }
+            }
+        }
+
+        impl $crate::__snap::Snapshot for $live {
+            fn snapshot(&self, w: &mut $crate::__snap::SnapWriter) {
+                $crate::__snap::Field::put(&self.stats(), w);
+            }
+        }
+
+        impl $crate::__snap::Restore for $live {
+            fn restore(&mut self, r: &mut $crate::__snap::SnapReader<'_>) -> $crate::__snap::Result<()> {
+                let s: $snap = $crate::__snap::Field::take(r)?;
+                $(self.$f.n = s.$f;)*
+                Ok(())
+            }
+        }
+    };
+    ($(#[$m:meta])* $v:vis struct $ty:ident $(($($p:ident: $pt:ty),*))? {
+        $($(#[$fm:meta])* $f:ident: $kind:ident $($key:literal)+),* $(,)?
+        $(; $($(#[$am:meta])* $akind:ident $akey:literal),+ $(,)?)?
+    }) => {
+        $(#[$m])*
+        $v struct $ty {
+            $($(#[$fm])* $f: $crate::metrics::Keys<
+                $crate::instruments!(@handle $kind), { <[&str]>::len(&[$($key),+]) }
+            >,)*
+        }
+
+        impl $ty {
+            /// Registers every row on `hub`.
+            $v fn register(hub: &$crate::MetricsHub, $($($p: $pt),*)?) -> Self {
+                $($($crate::instruments!(@key hub $akind $akey);)+)?
+                $ty { $($f: $crate::metrics::Keys([$($crate::instruments!(@key hub $kind $key)),+]),)* }
+            }
+        }
+    };
+    (@key $hub:ident $kind:ident $key:literal) => {
+        $crate::metrics::handle(format_args!($key), |k| $crate::instruments!(@reg $kind)($hub, k))
+    };
+    (@own counter) => { $crate::metrics::Count };
+    (@own gauge) => { $crate::metrics::Level };
+    (@handle counter) => { $crate::CounterHandle };
+    (@handle gauge) => { $crate::GaugeHandle };
+    (@handle histogram) => { $crate::HistogramHandle };
+    (@reg counter) => { $crate::MetricsHub::counter_handle };
+    (@reg gauge) => { $crate::MetricsHub::gauge_handle };
+    (@reg histogram) => { $crate::MetricsHub::histogram_handle };
 }
 
 #[derive(Default)]
@@ -104,8 +324,9 @@ struct HubInner {
 
 /// Shared, hierarchical registry of counters, gauges, and histograms.
 ///
-/// Call sites record by string key (`incr`, `add`, `record`, `counter`,
-/// `histogram`); interior mutability means recording needs only `&self`.
+/// Everything is recorded through a handle; an instrument is declared once
+/// with [`instruments!`](crate::instruments), which registers its handles.
+/// Readers look a key up by string (`counter`, `gauge`, `histogram`).
 #[derive(Clone, Default)]
 pub struct MetricsHub {
     inner: Rc<RefCell<HubInner>>,
@@ -121,11 +342,9 @@ impl MetricsHub {
 
     /// The counter named `key`, creating it on first use.
     ///
-    /// Existing keys are looked up by `&str` — no `String` is built. The
-    /// `BTreeMap::entry` spelling used here originally interned `key` on
-    /// *every* call, which made each by-key `incr`/`add`/`record` on a hot
-    /// path cost one heap allocation even after the metric existed (the
-    /// single largest contributor to E9's system-phase allocs/event).
+    /// Existing keys are looked up by `&str` — no `String` is built, so a
+    /// second instance registering a key the hub already holds allocates
+    /// nothing.
     pub fn counter_handle(&self, key: &str) -> CounterHandle {
         let mut inner = self.inner.borrow_mut();
         if let Some(cell) = inner.counters.get(key) {
@@ -158,39 +377,6 @@ impl MetricsHub {
         let h = Rc::new(RefCell::new(Histogram::new()));
         inner.histograms.insert(key.to_string(), h.clone());
         HistogramHandle(h)
-    }
-
-    // --- by-key recording ---------------------------------------------------
-
-    /// Increments the counter named `key`, creating it on first use.
-    pub fn incr(&self, key: &str) {
-        self.add(key, 1);
-    }
-
-    /// Adds `n` to the counter named `key`, creating it on first use.
-    pub fn add(&self, key: &str, n: u64) {
-        self.counter_handle(key).add(n);
-    }
-
-    /// Sets the gauge named `key`.
-    pub fn gauge_set(&self, key: &str, v: i64) {
-        self.gauge_handle(key).set(v);
-    }
-
-    /// Records a duration into histogram `key`, creating it on first use.
-    pub fn record(&self, key: &str, d: SimDuration) {
-        self.histogram_handle(key).record(d);
-    }
-
-    /// Records a raw value into histogram `key`, creating it on first use.
-    pub fn record_value(&self, key: &str, v: u64) {
-        self.histogram_handle(key).record_value(v);
-    }
-
-    /// Merges a whole sample set into histogram `key`, creating it on first
-    /// use (used by the profiler to publish per-scope span histograms).
-    pub fn merge_histogram(&self, key: &str, h: &Histogram) {
-        self.histogram_handle(key).merge(h);
     }
 
     // --- reading ------------------------------------------------------------
@@ -242,21 +428,6 @@ impl MetricsHub {
             .iter()
             .map(|(k, h)| (k.clone(), h.borrow().clone()))
             .collect()
-    }
-
-    /// Keys (counters, gauges, histograms) under `prefix`, in order.
-    pub fn keys_under(&self, prefix: &str) -> Vec<String> {
-        let inner = self.inner.borrow();
-        let mut keys: Vec<String> = inner
-            .counters
-            .keys()
-            .chain(inner.gauges.keys())
-            .chain(inner.histograms.keys())
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect();
-        keys.sort();
-        keys
     }
 
     /// Zeroes every metric but keeps registrations (handles stay valid).
@@ -342,12 +513,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn by_key_round_trips() {
+    fn handles_round_trip_through_keys() {
         let hub = MetricsHub::new();
-        hub.incr("bus.messages");
-        hub.add("bus.messages", 2);
-        hub.record("kvs.kvs0.latency", SimDuration::from_micros(5));
-        hub.gauge_set("nic.nic0.queue_depth", 7);
+        let msgs = hub.counter_handle("bus.messages");
+        msgs.incr();
+        msgs.add(2);
+        hub.histogram_handle("kvs.kvs0.latency")
+            .record(SimDuration::from_micros(5));
+        hub.gauge_handle("nic.nic0.queue_depth").set(7);
         assert_eq!(hub.counter("bus.messages"), 3);
         assert_eq!(hub.counter("missing"), 0);
         assert_eq!(hub.gauge("nic.nic0.queue_depth"), 7);
@@ -361,7 +534,7 @@ mod tests {
         let h = hub.counter_handle("iommu.dev3.maps");
         h.incr();
         h.add(4);
-        hub.incr("iommu.dev3.maps");
+        hub.counter_handle("iommu.dev3.maps").incr();
         assert_eq!(hub.counter("iommu.dev3.maps"), 6);
         assert_eq!(h.get(), 6);
 
@@ -380,7 +553,7 @@ mod tests {
     fn clones_view_the_same_hub() {
         let hub = MetricsHub::new();
         let view = hub.clone();
-        hub.incr("a.b.c");
+        hub.counter_handle("a.b.c").incr();
         assert_eq!(view.counter("a.b.c"), 1);
     }
 
@@ -399,10 +572,9 @@ mod tests {
 
     #[test]
     fn handle_lookup_of_existing_key_does_not_reintern() {
-        // Regression for the hot-path allocation: fetching a handle for a
-        // key that already exists must return the same storage (and, by
-        // construction, never rebuilds the key String — the lookup goes
-        // through `BTreeMap::get(&str)`).
+        // Fetching a handle for a key that already exists must return the
+        // same storage (and, by construction, never rebuilds the key String
+        // — the lookup goes through `BTreeMap::get(&str)`).
         let hub = MetricsHub::new();
         let a = hub.counter_handle("kvs.c0.gets");
         let b = hub.counter_handle("kvs.c0.gets");
@@ -419,33 +591,109 @@ mod tests {
     }
 
     #[test]
-    fn merge_histogram_unions_samples() {
-        let hub = MetricsHub::new();
-        let mut h = Histogram::new();
-        h.record_value(10);
-        h.record_value(20);
-        hub.record_value("prof.span", 5);
-        hub.merge_histogram("prof.span", &h);
-        let got = hub.histogram("prof.span").unwrap();
-        assert_eq!(got.count(), 3);
-        assert_eq!(got.min().as_nanos(), 5);
-        assert_eq!(got.max().as_nanos(), 20);
-    }
-
-    #[test]
     fn snapshots_and_reset() {
         let hub = MetricsHub::new();
-        hub.incr("bus.messages");
-        hub.gauge_set("q", -2);
-        hub.record_value("h", 9);
+        let handle = hub.counter_handle("bus.messages");
+        handle.incr();
+        hub.gauge_handle("q").set(-2);
+        hub.histogram_handle("h").record_value(9);
         assert_eq!(hub.counters().len(), 1);
         assert_eq!(hub.gauges().len(), 1);
         assert_eq!(hub.histograms().len(), 1);
-        assert_eq!(hub.keys_under("bus."), vec!["bus.messages".to_string()]);
-        let handle = hub.counter_handle("bus.messages");
         hub.reset();
         assert_eq!(hub.counter("bus.messages"), 0);
         handle.incr(); // handles survive reset
         assert_eq!(hub.counter("bus.messages"), 1);
+    }
+
+    crate::instruments! {
+        struct Machine {
+            msgs: counter "bus.messages";
+            counter "iommu.faults",
+        }
+    }
+
+    crate::instruments! {
+        struct Slot(sub: &str, name: &str) {
+            depth: gauge "{sub}.{name}.inbox_depth",
+            faults: counter "iommu.{name}.faults" "iommu.faults",
+            handler_ns: histogram "{sub}.{name}.handler_ns",
+        }
+    }
+
+    crate::instruments! {
+        struct Server {
+            #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+            struct Stats {
+                gets: counter "kvs.server.gets",
+                fast_gets: counter,
+                failures: counter "kvs.server.restarts",
+                epoch: gauge "kvs.server.epoch",
+            }
+            depth: gauge "kvs.server.depth",
+        }
+    }
+
+    #[test]
+    fn a_row_feeds_every_key_it_names() {
+        let hub = MetricsHub::new();
+        let machine = Machine::register(&hub);
+        assert_eq!(hub.counters().len(), 2, "a row after `;` registers its key");
+        let slots = [
+            Slot::register(&hub, "nic", "nic0"),
+            Slot::register(&hub, "ssd", "ssd0"),
+        ];
+        machine.msgs.incr();
+        slots[0].faults.add(2);
+        slots[1].faults.incr();
+        slots[1].depth.set(4);
+        slots[0].handler_ns.record(SimDuration::from_nanos(90));
+        assert_eq!(hub.counter("bus.messages"), 1);
+        assert_eq!(hub.counter("iommu.nic0.faults"), 2);
+        assert_eq!(hub.counter("iommu.ssd0.faults"), 1);
+        assert_eq!(hub.counter("iommu.faults"), 3);
+        assert_eq!(hub.gauge("ssd.ssd0.inbox_depth"), 4);
+        assert_eq!(hub.histogram("nic.nic0.handler_ns").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn an_instance_counts_for_itself_and_the_hub_sums_instances() {
+        use lastcpu_snap::{Restore, Snapshot};
+        let hub = MetricsHub::new();
+        let (mut a, mut b) = (Server::default(), Server::default());
+        a.gets.incr();
+        a.register(&hub);
+        b.register(&hub);
+        a.gets.incr();
+        a.fast_gets.incr();
+        b.gets.add(3);
+        b.failures.incr();
+        b.epoch.set(7);
+        b.depth.set(2);
+        let want = Stats {
+            gets: 3,
+            fast_gets: 0,
+            failures: 1,
+            epoch: 7,
+        };
+        assert_eq!(b.stats(), want);
+        assert_eq!(a.stats().gets, 2, "the count before registering is kept");
+        assert_eq!(hub.counter("kvs.server.gets"), 4, "…but reaches no key");
+        assert_eq!(hub.counter("kvs.server.restarts"), 1);
+        assert_eq!(hub.gauge("kvs.server.epoch"), 7);
+        assert_eq!(hub.gauge("kvs.server.depth"), 2);
+        assert!(hub.counters().iter().all(|(k, _)| !k.contains("fast")));
+
+        // The checkpoint is the snapshot struct's encoding; a restore loads
+        // the own counts and feeds no key.
+        let bytes = b.snapshot_bytes();
+        let mut w = lastcpu_snap::SnapWriter::new();
+        lastcpu_snap::Field::put(&want, &mut w);
+        assert_eq!(bytes, w.into_bytes());
+        let mut c = Server::default();
+        c.register(&hub);
+        c.restore_bytes("server", &bytes).unwrap();
+        assert_eq!(c.stats(), want);
+        assert_eq!(hub.counter("kvs.server.gets"), 4);
     }
 }

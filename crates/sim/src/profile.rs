@@ -16,8 +16,7 @@
 //!   [`charge_sim_to`] by the code that computes them (e.g. the dispatcher
 //!   charges a device handler's modeled latency to the scope it ran under).
 //! - [`snapshot`] / [`reset`]: drain the per-scope tables between benchmark
-//!   phases; [`ProfileSnapshot::publish_to`] mirrors them into a
-//!   [`MetricsHub`] under `profile.<scope>.*` keys.
+//!   phases.
 //!
 //! # Determinism
 //!
@@ -30,16 +29,16 @@
 //!
 //! Profiling is **off** by default. Every entry point first reads one
 //! thread-local `Cell<bool>`; when the flag is clear, guards are inert and
-//! no `Instant` is sampled, so instrumented hot paths pay a branch. Compiling
-//! with `--no-default-features` (dropping the `profiling` feature) removes
-//! even that branch: the whole API becomes a unit struct no-op.
+//! no `Instant` is sampled, so instrumented hot paths pay a branch.
 //!
 //! All state is thread-local: the simulator is single-threaded, and keeping
 //! the tables off shared atomics means parallel test threads cannot observe
 //! each other's scopes. [`note_alloc`] tolerates being called during thread
 //! teardown (it uses `try_with` and drops the sample if TLS is gone).
 
-use crate::metrics::MetricsHub;
+use std::cell::{Cell, RefCell};
+use std::time::Instant;
+
 use crate::stats::Histogram;
 
 /// Hard cap on distinct scope names. Attribution wants a handful of
@@ -120,362 +119,275 @@ impl ProfileSnapshot {
     pub fn sim_total_ns(&self) -> u64 {
         self.scopes.iter().map(|s| s.sim_ns).sum()
     }
+}
 
-    /// Mirrors the snapshot into `hub` under `profile.<scope>.*`:
-    /// `allocs` / `alloc_bytes` / `spans` / `sim_ns` counters and the
-    /// `span_wall_ns` histogram. The unattributed bucket publishes as
-    /// `profile.unattributed.allocs`.
-    pub fn publish_to(&self, hub: &MetricsHub) {
-        for s in &self.scopes {
-            let base = format!("profile.{}", s.name);
-            hub.add(&format!("{base}.allocs"), s.allocs);
-            hub.add(&format!("{base}.alloc_bytes"), s.alloc_bytes);
-            hub.add(&format!("{base}.spans"), s.spans);
-            hub.add(&format!("{base}.sim_ns"), s.sim_ns);
-            if s.wall_hist.count() > 0 {
-                hub.merge_histogram(&format!("{base}.span_wall_ns"), &s.wall_hist);
-            }
+/// Sentinel marking an inert guard (profiling disabled at entry, or the
+/// scope table was full).
+const INERT: u16 = u16::MAX;
+
+struct Registry {
+    /// Slot 0 is the unattributed bucket; named scopes start at 1.
+    names: Vec<&'static str>,
+    /// `&'static str` pointer → slot cache. The same literal can have
+    /// distinct addresses across codegen units, so this is a cache in
+    /// front of the by-content scan, not the source of truth.
+    by_ptr: Vec<(*const u8, usize, u16)>,
+}
+
+/// Span/sim-time tables. Allocation tallies live in the flat `ALLOCS` /
+/// `BYTES` cells instead (the allocator hook cannot take a `RefCell`).
+struct Table {
+    spans: [u64; MAX_SCOPES],
+    root_spans: [u64; MAX_SCOPES],
+    wall: [u64; MAX_SCOPES],
+    wall_root: [u64; MAX_SCOPES],
+    sim: [u64; MAX_SCOPES],
+    hists: Vec<Option<Histogram>>,
+}
+
+impl Table {
+    fn new() -> Self {
+        Table {
+            spans: [0; MAX_SCOPES],
+            root_spans: [0; MAX_SCOPES],
+            wall: [0; MAX_SCOPES],
+            wall_root: [0; MAX_SCOPES],
+            sim: [0; MAX_SCOPES],
+            hists: Vec::new(),
         }
-        hub.add("profile.unattributed.allocs", self.unattributed_allocs);
-        hub.add("profile.unattributed.alloc_bytes", self.unattributed_bytes);
     }
 }
 
-#[cfg(feature = "profiling")]
-mod imp {
-    use super::*;
-    use std::cell::{Cell, RefCell};
-    use std::time::Instant;
+thread_local! {
+    /// Innermost active scope slot; 0 = unattributed. Const-initialized
+    /// `Cell`s so the allocator hook can read them without triggering a
+    /// lazy TLS initializer (which could itself allocate).
+    static CURRENT: Cell<u16> = const { Cell::new(0) };
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    /// Allocation tally, kept as flat const-init cells for the same
+    /// reason: [`note_alloc`] runs inside the global allocator.
+    static ALLOCS: [Cell<u64>; MAX_SCOPES] =
+        const { [const { Cell::new(0) }; MAX_SCOPES] };
+    static BYTES: [Cell<u64>; MAX_SCOPES] =
+        const { [const { Cell::new(0) }; MAX_SCOPES] };
+    /// Everything not touched from the allocator lives behind RefCells.
+    static REGISTRY: RefCell<Registry> = RefCell::new(Registry {
+        names: vec![UNATTRIBUTED],
+        by_ptr: Vec::new(),
+    });
+    static TABLE: RefCell<Table> = RefCell::new(Table::new());
+}
 
-    /// Sentinel marking an inert guard (profiling disabled at entry, or the
-    /// scope table was full).
-    const INERT: u16 = u16::MAX;
+/// Turns profiling on or off for the **calling thread**.
+pub fn set_enabled(on: bool) {
+    ENABLED.with(|e| e.set(on));
+}
 
-    struct Registry {
-        /// Slot 0 is the unattributed bucket; named scopes start at 1.
-        names: Vec<&'static str>,
-        /// `&'static str` pointer → slot cache. The same literal can have
-        /// distinct addresses across codegen units, so this is a cache in
-        /// front of the by-content scan, not the source of truth.
-        by_ptr: Vec<(*const u8, usize, u16)>,
-    }
+/// Whether profiling is enabled on the calling thread.
+pub fn is_enabled() -> bool {
+    ENABLED.with(|e| e.get())
+}
 
-    /// Span/sim-time tables. Allocation tallies live in the flat `ALLOCS` /
-    /// `BYTES` cells instead (the allocator hook cannot take a `RefCell`).
-    struct Table {
-        spans: [u64; MAX_SCOPES],
-        root_spans: [u64; MAX_SCOPES],
-        wall: [u64; MAX_SCOPES],
-        wall_root: [u64; MAX_SCOPES],
-        sim: [u64; MAX_SCOPES],
-        hists: Vec<Option<Histogram>>,
-    }
-
-    impl Table {
-        fn new() -> Self {
-            Table {
-                spans: [0; MAX_SCOPES],
-                root_spans: [0; MAX_SCOPES],
-                wall: [0; MAX_SCOPES],
-                wall_root: [0; MAX_SCOPES],
-                sim: [0; MAX_SCOPES],
-                hists: Vec::new(),
-            }
+/// Interns `name`, returning its slot, or `INERT` when the table is full.
+fn intern(name: &'static str) -> u16 {
+    REGISTRY.with(|r| {
+        let mut r = r.borrow_mut();
+        let key = (name.as_ptr(), name.len());
+        if let Some(&(_, _, slot)) = r.by_ptr.iter().find(|&&(p, l, _)| p == key.0 && l == key.1) {
+            return slot;
         }
-    }
-
-    thread_local! {
-        /// Innermost active scope slot; 0 = unattributed. Const-initialized
-        /// `Cell`s so the allocator hook can read them without triggering a
-        /// lazy TLS initializer (which could itself allocate).
-        static CURRENT: Cell<u16> = const { Cell::new(0) };
-        static ENABLED: Cell<bool> = const { Cell::new(false) };
-        /// Allocation tally, kept as flat const-init cells for the same
-        /// reason: [`note_alloc`] runs inside the global allocator.
-        static ALLOCS: [Cell<u64>; MAX_SCOPES] =
-            const { [const { Cell::new(0) }; MAX_SCOPES] };
-        static BYTES: [Cell<u64>; MAX_SCOPES] =
-            const { [const { Cell::new(0) }; MAX_SCOPES] };
-        /// Everything not touched from the allocator lives behind RefCells.
-        static REGISTRY: RefCell<Registry> = RefCell::new(Registry {
-            names: vec![UNATTRIBUTED],
-            by_ptr: Vec::new(),
-        });
-        static TABLE: RefCell<Table> = RefCell::new(Table::new());
-    }
-
-    /// Turns profiling on or off for the **calling thread**.
-    pub fn set_enabled(on: bool) {
-        ENABLED.with(|e| e.set(on));
-    }
-
-    /// Whether profiling is enabled on the calling thread.
-    pub fn is_enabled() -> bool {
-        ENABLED.with(|e| e.get())
-    }
-
-    /// Interns `name`, returning its slot, or `INERT` when the table is full.
-    fn intern(name: &'static str) -> u16 {
-        REGISTRY.with(|r| {
-            let mut r = r.borrow_mut();
-            let key = (name.as_ptr(), name.len());
-            if let Some(&(_, _, slot)) =
-                r.by_ptr.iter().find(|&&(p, l, _)| p == key.0 && l == key.1)
-            {
-                return slot;
+        let slot = match r.names.iter().position(|&n| n == name) {
+            Some(i) => i as u16,
+            None if r.names.len() < MAX_SCOPES => {
+                r.names.push(name);
+                (r.names.len() - 1) as u16
             }
-            let slot = match r.names.iter().position(|&n| n == name) {
-                Some(i) => i as u16,
-                None if r.names.len() < MAX_SCOPES => {
-                    r.names.push(name);
-                    (r.names.len() - 1) as u16
-                }
-                None => return INERT,
-            };
-            r.by_ptr.push((key.0, key.1, slot));
-            slot
-        })
-    }
+            None => return INERT,
+        };
+        r.by_ptr.push((key.0, key.1, slot));
+        slot
+    })
+}
 
-    /// RAII guard tagging allocations (but not time) to `name`.
-    pub struct AllocScope {
-        prev: u16,
-    }
+/// RAII guard tagging allocations (but not time) to `name`.
+pub struct AllocScope {
+    prev: u16,
+}
 
-    impl AllocScope {
-        /// Pushes `name` as the innermost attribution scope. Inert (and
-        /// free beyond one branch) while profiling is disabled.
-        #[inline]
-        pub fn enter(name: &'static str) -> Self {
-            if !is_enabled() {
-                return AllocScope { prev: INERT };
-            }
-            let slot = intern(name);
-            if slot == INERT {
-                return AllocScope { prev: INERT };
-            }
-            let prev = CURRENT.with(|c| c.replace(slot));
-            AllocScope { prev }
-        }
-    }
-
-    impl Drop for AllocScope {
-        #[inline]
-        fn drop(&mut self) {
-            if self.prev != INERT {
-                CURRENT.with(|c| c.set(self.prev));
-            }
-        }
-    }
-
-    /// RAII guard tagging allocations *and* wall time to `name`.
-    pub struct Span {
-        prev: u16,
-        slot: u16,
-        /// `None` for inert guards, so the disabled path never samples the
-        /// clock (an `Instant::now()` per event would show up in the E9
-        /// profiling-off overhead budget).
-        start: Option<Instant>,
-    }
-
-    /// Opens a timed span named `name`; see [`Span`]. Inert while disabled.
+impl AllocScope {
+    /// Pushes `name` as the innermost attribution scope. Inert (and
+    /// free beyond one branch) while profiling is disabled.
     #[inline]
-    pub fn span(name: &'static str) -> Span {
+    pub fn enter(name: &'static str) -> Self {
         if !is_enabled() {
-            return Span {
-                prev: INERT,
-                slot: INERT,
-                start: None,
-            };
+            return AllocScope { prev: INERT };
         }
         let slot = intern(name);
         if slot == INERT {
-            return Span {
-                prev: INERT,
-                slot: INERT,
-                start: None,
-            };
+            return AllocScope { prev: INERT };
         }
         let prev = CURRENT.with(|c| c.replace(slot));
-        Span {
-            prev,
-            slot,
-            start: Some(Instant::now()),
-        }
+        AllocScope { prev }
     }
+}
 
-    impl Drop for Span {
-        #[inline]
-        fn drop(&mut self) {
-            if self.slot == INERT {
-                return;
-            }
-            let ns = self
-                .start
-                .map(|t| t.elapsed().as_nanos() as u64)
-                .unwrap_or(0);
+impl Drop for AllocScope {
+    #[inline]
+    fn drop(&mut self) {
+        if self.prev != INERT {
             CURRENT.with(|c| c.set(self.prev));
-            let slot = self.slot as usize;
-            TABLE.with(|t| {
-                let mut t = t.borrow_mut();
-                t.spans[slot] += 1;
-                t.wall[slot] += ns;
-                if self.prev == 0 {
-                    t.root_spans[slot] += 1;
-                    t.wall_root[slot] += ns;
-                }
-                if t.hists.len() <= slot {
-                    t.hists.resize_with(slot + 1, || None);
-                }
-                t.hists[slot]
-                    .get_or_insert_with(Histogram::new)
-                    .record_value(ns);
-            });
         }
     }
+}
 
-    /// Charges `ns` of modeled sim time to the innermost active scope.
+/// RAII guard tagging allocations *and* wall time to `name`.
+pub struct Span {
+    prev: u16,
+    slot: u16,
+    /// `None` for inert guards, so the disabled path never samples the
+    /// clock (an `Instant::now()` per event would show up in the E9
+    /// profiling-off overhead budget).
+    start: Option<Instant>,
+}
+
+/// Opens a timed span named `name`; see [`Span`]. Inert while disabled.
+#[inline]
+pub fn span(name: &'static str) -> Span {
+    if !is_enabled() {
+        return Span {
+            prev: INERT,
+            slot: INERT,
+            start: None,
+        };
+    }
+    let slot = intern(name);
+    if slot == INERT {
+        return Span {
+            prev: INERT,
+            slot: INERT,
+            start: None,
+        };
+    }
+    let prev = CURRENT.with(|c| c.replace(slot));
+    Span {
+        prev,
+        slot,
+        start: Some(Instant::now()),
+    }
+}
+
+impl Drop for Span {
     #[inline]
-    pub fn charge_sim(ns: u64) {
-        if !is_enabled() {
+    fn drop(&mut self) {
+        if self.slot == INERT {
             return;
         }
-        let slot = CURRENT.with(|c| c.get()) as usize;
-        TABLE.with(|t| t.borrow_mut().sim[slot] += ns);
+        let ns = self
+            .start
+            .map(|t| t.elapsed().as_nanos() as u64)
+            .unwrap_or(0);
+        CURRENT.with(|c| c.set(self.prev));
+        let slot = self.slot as usize;
+        TABLE.with(|t| {
+            let mut t = t.borrow_mut();
+            t.spans[slot] += 1;
+            t.wall[slot] += ns;
+            if self.prev == 0 {
+                t.root_spans[slot] += 1;
+                t.wall_root[slot] += ns;
+            }
+            if t.hists.len() <= slot {
+                t.hists.resize_with(slot + 1, || None);
+            }
+            t.hists[slot]
+                .get_or_insert_with(Histogram::new)
+                .record_value(ns);
+        });
     }
+}
 
-    /// Charges `ns` of modeled sim time to `name` regardless of the active
-    /// scope (used by components that compute latencies for work that
-    /// happens "elsewhere", e.g. fabric link serialization).
-    #[inline]
-    pub fn charge_sim_to(name: &'static str, ns: u64) {
-        if !is_enabled() {
-            return;
-        }
-        let slot = intern(name);
-        if slot == INERT {
-            return;
-        }
-        TABLE.with(|t| t.borrow_mut().sim[slot as usize] += ns);
+/// Charges `ns` of modeled sim time to the innermost active scope.
+#[inline]
+pub fn charge_sim(ns: u64) {
+    if !is_enabled() {
+        return;
     }
+    let slot = CURRENT.with(|c| c.get()) as usize;
+    TABLE.with(|t| t.borrow_mut().sim[slot] += ns);
+}
 
-    /// Allocator hook: charges one allocation of `bytes` to the innermost
-    /// active scope. Must be called from a `#[global_allocator]`, so it
-    /// never allocates and tolerates TLS teardown.
-    #[inline]
-    pub fn note_alloc(bytes: usize) {
-        let enabled = ENABLED.try_with(|e| e.get()).unwrap_or(false);
-        if !enabled {
-            return;
-        }
-        let slot = CURRENT.try_with(|c| c.get()).unwrap_or(0) as usize;
-        let _ = ALLOCS.try_with(|a| a[slot].set(a[slot].get() + 1));
-        let _ = BYTES.try_with(|b| b[slot].set(b[slot].get() + bytes as u64));
+/// Charges `ns` of modeled sim time to `name` regardless of the active
+/// scope (used by components that compute latencies for work that
+/// happens "elsewhere", e.g. fabric link serialization).
+#[inline]
+pub fn charge_sim_to(name: &'static str, ns: u64) {
+    if !is_enabled() {
+        return;
     }
+    let slot = intern(name);
+    if slot == INERT {
+        return;
+    }
+    TABLE.with(|t| t.borrow_mut().sim[slot as usize] += ns);
+}
 
-    /// Copies the calling thread's attribution tables.
-    pub fn snapshot() -> ProfileSnapshot {
-        REGISTRY.with(|r| {
-            let r = r.borrow();
-            TABLE.with(|t| {
-                let t = t.borrow();
-                let allocs: Vec<u64> = ALLOCS.with(|a| a.iter().map(Cell::get).collect());
-                let bytes: Vec<u64> = BYTES.with(|b| b.iter().map(Cell::get).collect());
-                let scopes = r
-                    .names
-                    .iter()
-                    .enumerate()
-                    .skip(1) // slot 0 = unattributed
-                    .map(|(i, &name)| ScopeStats {
-                        name,
-                        allocs: allocs[i],
-                        alloc_bytes: bytes[i],
-                        spans: t.spans[i],
-                        root_spans: t.root_spans[i],
-                        wall_ns: t.wall[i],
-                        wall_root_ns: t.wall_root[i],
-                        sim_ns: t.sim[i],
-                        wall_hist: t.hists.get(i).and_then(|h| h.clone()).unwrap_or_default(),
-                    })
-                    .collect();
-                ProfileSnapshot {
-                    scopes,
-                    unattributed_allocs: allocs[0],
-                    unattributed_bytes: bytes[0],
-                }
-            })
+/// Allocator hook: charges one allocation of `bytes` to the innermost
+/// active scope. Must be called from a `#[global_allocator]`, so it
+/// never allocates and tolerates TLS teardown.
+#[inline]
+pub fn note_alloc(bytes: usize) {
+    let enabled = ENABLED.try_with(|e| e.get()).unwrap_or(false);
+    if !enabled {
+        return;
+    }
+    let slot = CURRENT.try_with(|c| c.get()).unwrap_or(0) as usize;
+    let _ = ALLOCS.try_with(|a| a[slot].set(a[slot].get() + 1));
+    let _ = BYTES.try_with(|b| b[slot].set(b[slot].get() + bytes as u64));
+}
+
+/// Copies the calling thread's attribution tables.
+pub fn snapshot() -> ProfileSnapshot {
+    REGISTRY.with(|r| {
+        let r = r.borrow();
+        TABLE.with(|t| {
+            let t = t.borrow();
+            let allocs: Vec<u64> = ALLOCS.with(|a| a.iter().map(Cell::get).collect());
+            let bytes: Vec<u64> = BYTES.with(|b| b.iter().map(Cell::get).collect());
+            let scopes = r
+                .names
+                .iter()
+                .enumerate()
+                .skip(1) // slot 0 = unattributed
+                .map(|(i, &name)| ScopeStats {
+                    name,
+                    allocs: allocs[i],
+                    alloc_bytes: bytes[i],
+                    spans: t.spans[i],
+                    root_spans: t.root_spans[i],
+                    wall_ns: t.wall[i],
+                    wall_root_ns: t.wall_root[i],
+                    sim_ns: t.sim[i],
+                    wall_hist: t.hists.get(i).and_then(|h| h.clone()).unwrap_or_default(),
+                })
+                .collect();
+            ProfileSnapshot {
+                scopes,
+                unattributed_allocs: allocs[0],
+                unattributed_bytes: bytes[0],
+            }
         })
-    }
-
-    /// Zeroes all counters and histograms. Scope registrations (and any
-    /// active guards) survive, so a benchmark can reset after warmup.
-    pub fn reset() {
-        ALLOCS.with(|a| a.iter().for_each(|c| c.set(0)));
-        BYTES.with(|b| b.iter().for_each(|c| c.set(0)));
-        TABLE.with(|t| *t.borrow_mut() = Table::new());
-    }
+    })
 }
 
-#[cfg(not(feature = "profiling"))]
-mod imp {
-    //! `profiling` feature disabled: the whole API compiles to no-ops.
-    use super::*;
-
-    /// No-op without the `profiling` feature.
-    pub fn set_enabled(_on: bool) {}
-
-    /// Always false without the `profiling` feature.
-    pub fn is_enabled() -> bool {
-        false
-    }
-
-    /// Inert guard without the `profiling` feature.
-    pub struct AllocScope;
-
-    impl AllocScope {
-        /// No-op without the `profiling` feature.
-        #[inline]
-        pub fn enter(_name: &'static str) -> Self {
-            AllocScope
-        }
-    }
-
-    /// Inert guard without the `profiling` feature.
-    pub struct Span;
-
-    /// No-op without the `profiling` feature.
-    #[inline]
-    pub fn span(_name: &'static str) -> Span {
-        Span
-    }
-
-    /// No-op without the `profiling` feature.
-    #[inline]
-    pub fn charge_sim(_ns: u64) {}
-
-    /// No-op without the `profiling` feature.
-    #[inline]
-    pub fn charge_sim_to(_name: &'static str, _ns: u64) {}
-
-    /// No-op without the `profiling` feature.
-    #[inline]
-    pub fn note_alloc(_bytes: usize) {}
-
-    /// Always empty without the `profiling` feature.
-    pub fn snapshot() -> ProfileSnapshot {
-        ProfileSnapshot::default()
-    }
-
-    /// No-op without the `profiling` feature.
-    pub fn reset() {}
+/// Zeroes all counters and histograms. Scope registrations (and any
+/// active guards) survive, so a benchmark can reset after warmup.
+pub fn reset() {
+    ALLOCS.with(|a| a.iter().for_each(|c| c.set(0)));
+    BYTES.with(|b| b.iter().for_each(|c| c.set(0)));
+    TABLE.with(|t| *t.borrow_mut() = Table::new());
 }
 
-pub use imp::{
-    charge_sim, charge_sim_to, is_enabled, note_alloc, reset, set_enabled, snapshot, span,
-    AllocScope, Span,
-};
-
-#[cfg(all(test, feature = "profiling"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -612,30 +524,6 @@ mod tests {
             }
             let snap = snapshot();
             assert!(snap.scopes.len() < MAX_SCOPES);
-        });
-    }
-
-    #[test]
-    fn publish_mirrors_into_hub() {
-        with_profiling(|| {
-            {
-                let _s = span("test.pub");
-                note_alloc(24);
-            }
-            charge_sim_to("test.pub", 42);
-            let snap = snapshot();
-            let hub = MetricsHub::new();
-            snap.publish_to(&hub);
-            assert_eq!(hub.counter("profile.test.pub.allocs"), 1);
-            assert_eq!(hub.counter("profile.test.pub.alloc_bytes"), 24);
-            assert_eq!(hub.counter("profile.test.pub.spans"), 1);
-            assert_eq!(hub.counter("profile.test.pub.sim_ns"), 42);
-            assert_eq!(
-                hub.histogram("profile.test.pub.span_wall_ns")
-                    .unwrap()
-                    .count(),
-                1
-            );
         });
     }
 }

@@ -67,12 +67,13 @@ fn fixture_sink() -> TraceSink {
 /// Fixed metric values covering all three metric kinds.
 fn fixture_hub() -> MetricsHub {
     let hub = MetricsHub::new();
-    hub.add("bus.messages", 7);
-    hub.incr("engine.events");
-    hub.gauge_set("nic.nic0.queue_depth", 3);
-    hub.gauge_set("fabric.machines_dead", 0);
+    hub.counter_handle("bus.messages").add(7);
+    hub.counter_handle("engine.events").incr();
+    hub.gauge_handle("nic.nic0.queue_depth").set(3);
+    hub.gauge_handle("fabric.machines_dead").set(0);
+    let latency = hub.histogram_handle("kvs.kvs0.latency");
     for ns in [100u64, 200, 400, 800, 100_000] {
-        hub.record("kvs.kvs0.latency", SimDuration::from_nanos(ns));
+        latency.record(SimDuration::from_nanos(ns));
     }
     hub
 }
