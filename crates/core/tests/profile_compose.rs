@@ -2,8 +2,6 @@
 //! `--trace-out` cannot change the recorded trace, and the profiler's own
 //! accounting must not double-count nested spans.
 
-#![cfg(feature = "profiling")]
-
 use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
 use lastcpu_devices::auth::AuthDevice;
 use lastcpu_devices::console::ConsoleDevice;
