@@ -67,7 +67,8 @@ impl fmt::Display for CorrId {
 /// kinds, security checks, stages) are `&'static str`. The free text of
 /// `BusRegister`, `MapFailure`, `DeviceFault`, `SecurityDenial` and `Text`
 /// lives in the sink beside the record ([`TraceData::has_text`]). The
-/// checkpoint and export encodings carry the text only.
+/// checkpoint and export encodings carry the text only. Each variant's tag,
+/// export kind and layout are one row of the table in `trace.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceData {
     /// A device handed a control message to the bus.
@@ -181,73 +182,6 @@ pub enum TraceData {
     },
     /// Free-form annotation: its text is the line.
     Text,
-}
-
-impl TraceData {
-    /// A short machine-readable tag for exporters (`"iommu_map"`, …).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceData::BusSend { .. } => "bus_send",
-            TraceData::Discovery { .. } => "discovery",
-            TraceData::Deliver { .. } => "deliver",
-            TraceData::BusRegister => "bus_register",
-            TraceData::IommuMap { .. } => "iommu_map",
-            TraceData::IommuUnmap { .. } => "iommu_unmap",
-            TraceData::MapFailure => "map_failure",
-            TraceData::DmaGrant { .. } => "dma_grant",
-            TraceData::QueueDoorbell { .. } => "queue_doorbell",
-            TraceData::DeviceFault { .. } => "device_fault",
-            TraceData::SecurityDenial { .. } => "security_denial",
-            TraceData::Stage { .. } => "stage",
-            TraceData::LinkHop { .. } => "link_hop",
-            TraceData::LinkEnter { .. }
-            | TraceData::LinkExit { .. }
-            | TraceData::QueueAttached { .. }
-            | TraceData::Text => "text",
-        }
-    }
-
-    /// Whether the record carries a free text of its own, kept by its sink
-    /// and read with [`TraceView::text`](crate::trace::TraceView::text).
-    pub fn has_text(&self) -> bool {
-        matches!(
-            self,
-            TraceData::BusRegister
-                | TraceData::MapFailure
-                | TraceData::DeviceFault { .. }
-                | TraceData::SecurityDenial { .. }
-                | TraceData::Text
-        )
-    }
-
-    /// Calls `f` on every name field, in declaration order.
-    pub(crate) fn for_each_name(&mut self, mut f: impl FnMut(&mut Name)) {
-        match self {
-            TraceData::Discovery { pattern, dst } => {
-                f(pattern);
-                f(dst);
-            }
-            TraceData::IommuMap { device, perms, .. } => {
-                f(device);
-                f(perms);
-            }
-            TraceData::BusSend { dst: n, .. }
-            | TraceData::Deliver { to: n, .. }
-            | TraceData::DmaGrant { to: n, .. }
-            | TraceData::QueueDoorbell { to: n, .. }
-            | TraceData::IommuUnmap { device: n, .. }
-            | TraceData::DeviceFault { device: n }
-            | TraceData::SecurityDenial { device: n, .. } => f(n),
-            TraceData::BusRegister
-            | TraceData::MapFailure
-            | TraceData::Stage { .. }
-            | TraceData::LinkHop { .. }
-            | TraceData::LinkEnter { .. }
-            | TraceData::LinkExit { .. }
-            | TraceData::QueueAttached { .. }
-            | TraceData::Text => {}
-        }
-    }
 }
 
 /// One trace record: when, which activity, who, and what — exactly one

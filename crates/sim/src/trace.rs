@@ -598,14 +598,43 @@ impl fmt::Display for What<'_, '_> {
 
 lastcpu_snap::fields! { TraceSink |self| { ..Ring } }
 
-/// A record's checkpoint layout, one row per variant: its tag, its fields in
-/// order and, marked `text`, its own text after them. A name is written
-/// out as its string and read back through
-/// [`TraceSink::name_or_text`]; a `&'static str` comes back through the
-/// process-wide intern table. The typed link and queue lines encode as
-/// tag 13, a text, their rendered line.
+/// Every record variant, one row each: its checkpoint tag, its export
+/// [`kind`](TraceData::kind), its fields in order and, marked `text`, its own
+/// text after them. A name is written out as its string and read back
+/// through [`TraceSink::name_or_text`]; a `&'static str` comes back through
+/// the process-wide intern table. The rows after the `;` are rendered on
+/// demand: they encode as tag 13, a text, their rendered line, and a decoded
+/// checkpoint holds them as `Text`.
 macro_rules! record_layout {
-    ($($v:ident = $tag:literal { $($f:ident),* } $($text:ident)?),* $(,)?) => {
+    ($($v:ident = $tag:literal $kind:literal { $($f:ident),* } $($text:ident)?),* ;
+     $($rv:ident = $rtag:literal $rkind:literal { $($rf:ident),* }),* $(,)?) => {
+        impl TraceData {
+            /// A short machine-readable tag for exporters (`"iommu_map"`, …).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceData::$v { .. } => $kind,)*
+                    $(TraceData::$rv { .. } => $rkind,)*
+                }
+            }
+
+            /// Whether the record carries a free text of its own, kept by its
+            /// sink and read with [`TraceView::text`].
+            pub fn has_text(&self) -> bool {
+                match self {
+                    $(TraceData::$v { .. } => record_layout!(@has $($text)?),)*
+                    $(TraceData::$rv { .. } => false,)*
+                }
+            }
+
+            /// Calls `f` on every name field, in declaration order.
+            pub(crate) fn for_each_name(&mut self, mut f: impl FnMut(&mut Name)) {
+                match self {
+                    $(TraceData::$v { $($f),* } => { $(Part::names($f, &mut f);)* })*
+                    $(TraceData::$rv { $($rf),* } => { $(Part::names($rf, &mut f);)* })*
+                }
+            }
+        }
+
         impl TraceView<'_> {
             fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
                 (self.at, self.source, self.corr).put(self, w);
@@ -615,12 +644,10 @@ macro_rules! record_layout {
                         $($f.put(self, w);)*
                         record_layout!(@put_text self w $($text)?);
                     })*
-                    TraceData::LinkEnter { .. }
-                    | TraceData::LinkExit { .. }
-                    | TraceData::QueueAttached { .. } => {
-                        w.put_u8(13);
+                    $(TraceData::$rv { .. } => {
+                        w.put_u8($rtag);
                         w.put_display(&What(self));
-                    }
+                    })*
                 }
             }
         }
@@ -643,6 +670,8 @@ macro_rules! record_layout {
             }
         }
     };
+    (@has) => { false };
+    (@has text) => { true };
     (@put_text $v:ident $w:ident) => {};
     (@put_text $v:ident $w:ident text) => { $w.put_str($v.text()) };
     (@text $r:ident) => { None };
@@ -650,26 +679,32 @@ macro_rules! record_layout {
 }
 
 record_layout! {
-    BusSend = 0 { what, dst },
-    Discovery = 1 { pattern, dst },
-    Deliver = 2 { to, kind },
-    BusRegister = 3 {} text,
-    IommuMap = 4 { device, pasid, va, pa, pages, perms },
-    IommuUnmap = 5 { device, pasid, va, pages },
-    MapFailure = 6 {} text,
-    DmaGrant = 7 { to, pages, writable },
-    QueueDoorbell = 8 { to, value },
-    DeviceFault = 9 { device } text,
-    SecurityDenial = 10 { device, check } text,
-    Stage = 11 { stage, id, aux },
-    LinkHop = 12 { src_machine, dst_machine, bytes, uplink_ns, spine_ns, downlink_ns },
-    Text = 13 {} text,
+    BusSend = 0 "bus_send" { what, dst },
+    Discovery = 1 "discovery" { pattern, dst },
+    Deliver = 2 "deliver" { to, kind },
+    BusRegister = 3 "bus_register" {} text,
+    IommuMap = 4 "iommu_map" { device, pasid, va, pa, pages, perms },
+    IommuUnmap = 5 "iommu_unmap" { device, pasid, va, pages },
+    MapFailure = 6 "map_failure" {} text,
+    DmaGrant = 7 "dma_grant" { to, pages, writable },
+    QueueDoorbell = 8 "queue_doorbell" { to, value },
+    DeviceFault = 9 "device_fault" { device } text,
+    SecurityDenial = 10 "security_denial" { device, check } text,
+    Stage = 11 "stage" { stage, id, aux },
+    LinkHop = 12 "link_hop" { src_machine, dst_machine, bytes, uplink_ns, spine_ns, downlink_ns },
+    Text = 13 "text" {} text;
+    LinkEnter = 13 "text" { port, bytes },
+    LinkExit = 13 "text" { port, bytes },
+    QueueAttached = 13 "text" { conn, base, size },
 }
 
 /// One field of a record in a checkpoint.
 trait Part: Sized {
     fn put(self, v: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter);
     fn take(t: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self>;
+
+    /// Calls `f` on the field if it is a [`Name`].
+    fn names(&mut self, _f: &mut impl FnMut(&mut Name)) {}
 }
 
 macro_rules! plain_parts {
@@ -693,6 +728,9 @@ impl Part for Name {
     }
     fn take(t: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
         Ok(t.name_or_text(&r.str()?))
+    }
+    fn names(&mut self, f: &mut impl FnMut(&mut Name)) {
+        f(self);
     }
 }
 
