@@ -9,7 +9,8 @@
 #                          holds a second copy of a checkpoint, a shared
 #                          string in a trace record, a walk of every machine
 #                          per retired rack event, a checkpoint checksum
-#                          hashed one section at a time, ...)
+#                          hashed one section at a time, a hand-registered
+#                          metric handle, ...)
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -139,6 +140,15 @@ from: ^        loop \{
 to: ^        \}
 forbid: self\.machines\.(iter|iter_mut)\(|in &(mut )?self\.machines
 why: choosing the next retirement must not visit every machine; run_until's winner tree names it, and a step, an injected frame or a kill moves one leaf
+
+files: $lib
+skip: ^crates/sim/src/metrics\.rs\$
+forbid: (counter|gauge|histogram)_handle\(
+why: an instrument is one row of a lastcpu_sim::instruments! declaration (DESIGN.md §7), which registers its handles; a hand-registered handle spells its key a second time
+
+files: $lib
+forbid: if let Some\(met\) = &self\.met
+why: one call per event feeds the instance's own count and every key of its row; a block copying a count into the hub is a second spelling of the instrument
 "
 census="$census" awk '
     BEGIN {
