@@ -2,10 +2,13 @@
 //! `MapInstruction` began walking its region once per leaf table
 //! (DESIGN.md §3, "crates/iommu"). A Figure-2 control plane stopped
 //! mid-churn is held to its checkpoint digest and to every slot's IOMMU
-//! counters; a direct sequence of grants and revokes on one unit is held to
-//! its snapshot bytes and counters after every step, edge cases included.
+//! counters, and the same machine in the centralized mode to its clients'
+//! state; a direct sequence of grants and revokes on one unit is held to its
+//! snapshot bytes and counters after every step, edge cases included.
 
+use lastcpu_baseline::{CpuDevice, IdleApp};
 use lastcpu_bench::drivers::{ControlMode, SetupClient};
+use lastcpu_core::devices::firmware::Firmware;
 use lastcpu_core::devices::flash::{NandChip, NandConfig};
 use lastcpu_core::devices::fs::FlashFs;
 use lastcpu_core::devices::ftl::Ftl;
@@ -14,7 +17,7 @@ use lastcpu_core::{DeviceHandle, System, SystemConfig};
 use lastcpu_iommu::{AccessKind, Iommu};
 use lastcpu_mem::{MapError, Pasid, Perms, PhysAddr, VirtAddr, PAGE_SIZE};
 use lastcpu_sim::SimTime;
-use lastcpu_snap::{fnv1a, Snapshot};
+use lastcpu_snap::{fnv1a, SnapWriter, Snapshot};
 
 const FILE: &str = "/data/ctl.db";
 
@@ -95,6 +98,65 @@ fn a_churning_control_plane_programs_as_before() {
     let got: Vec<String> = slots.iter().map(|&h| counters(sys.iommu(h))).collect();
     assert_eq!(ck.digest(), PARENT_CHURN.0);
     assert_eq!(got, PARENT_CHURN.1);
+}
+
+/// The same machine in the baseline's control mode: a CPU brokers every
+/// open and serves every allocation, eight clients loop the Figure-2 setup
+/// through it, stopped mid-churn. A `CpuDevice` does not snapshot, so
+/// `System::checkpoint` refuses this machine; the pin is the SSD's and every
+/// client's state section instead.
+fn central_churn() -> Vec<u8> {
+    let mut sys = System::new(SystemConfig {
+        seed: 27,
+        ..SystemConfig::default()
+    });
+    let cpu = sys.add_device_with("cpu0", "cpu", |id, dram| {
+        Box::new(CpuDevice::new("cpu0", id, dram, IdleApp))
+    });
+    let mut fs = FlashFs::format(Ftl::new(NandChip::new(NandConfig::default())));
+    fs.create(FILE).expect("fresh filesystem");
+    let ssd = sys.add_device(Box::new(SmartSsd::new(
+        "ssd0",
+        fs,
+        SsdConfig {
+            exports: vec![FILE.into()],
+            ..SsdConfig::default()
+        },
+    )));
+    let clients: Vec<_> = (0..8)
+        .map(|i| {
+            let mut c = SetupClient::new(
+                &format!("client{i}"),
+                ControlMode::Centralized { cpu: cpu.id },
+                &format!("file:{FILE}"),
+                1_000,
+            );
+            c.memctl_hint_value = cpu.id;
+            sys.add_device(Box::new(c))
+        })
+        .collect();
+    sys.power_on();
+    sys.run_until(SimTime::from_nanos(5_807_131));
+    let s: &SmartSsd = sys.device_as(ssd).expect("ssd");
+    let mut w = SnapWriter::new();
+    s.snapshot(&mut w);
+    for h in clients {
+        let c: &SetupClient = sys.device_as(h).expect("client");
+        assert!(
+            c.latencies.len() > 10 && !c.is_done() && !c.failed,
+            "every client is mid-churn"
+        );
+        Firmware::snapshot_state(c, &mut w).expect("a client snapshots");
+    }
+    w.into_bytes()
+}
+
+/// FNV-1a of the centralized machine's SSD and client sections.
+const PARENT_CENTRAL_CHURN: u64 = 1227174088389822426;
+
+#[test]
+fn a_centralized_control_plane_snapshots_as_before() {
+    assert_eq!(fnv1a(&central_churn()), PARENT_CENTRAL_CHURN);
 }
 
 /// What the system did for a `MapInstruction` when these pins were

@@ -9,12 +9,14 @@
 //! read out of the live devices or driven the way their crates' tests
 //! drive them.
 
-use lastcpu_baseline::CpuDevice;
+use lastcpu_baseline::{CpuDevice, IdleApp};
+use lastcpu_bench::drivers::{ControlMode, SetupClient};
 use lastcpu_bus::{
     CorrId, DeviceId, Dst, Envelope, MapOp, Payload, RequestId, ResourceKind, RetryConfig,
     RpcTracker, SystemBus,
 };
 use lastcpu_core::devices::accel::Accelerator;
+use lastcpu_core::devices::firmware::Firmware;
 use lastcpu_core::devices::flash::NandChip;
 use lastcpu_core::devices::fs::FlashFs;
 use lastcpu_core::devices::ftl::Ftl;
@@ -36,7 +38,7 @@ use lastcpu_mem::{Dram, FrameAllocator, PageTable, Pasid, Perms, PhysAddr, VirtA
 use lastcpu_memctl::MemoryController;
 use lastcpu_net::{PortId, Switch};
 use lastcpu_sim::{BufPool, DetRng, Histogram, MetricsHub, SimTime, TraceSink};
-use lastcpu_snap::{Checkpoint, Restore, SnapReader, Snapshot};
+use lastcpu_snap::{Checkpoint, Restore, SnapReader, SnapWriter, Snapshot};
 use lastcpu_virtio::queue::ChainSeg;
 use lastcpu_virtio::{BufferArena, FlatMemory, QueueLayout, VirtqueueDevice, VirtqueueDriver};
 
@@ -294,6 +296,67 @@ fn a_cpu_hosted_kvs_restores_what_it_snapshots() {
         cpu.app(),
         KvsCpuApp::new(ServerConfig::default(), Pasid(0)),
     );
+}
+
+/// Setup clients of both control modes, mid-churn: each client's state
+/// section, read back by a fresh client.
+#[test]
+fn setup_clients_restore_what_they_snapshot() {
+    for centralized in [false, true] {
+        let mut sys = System::new(SystemConfig {
+            seed: 9,
+            ..SystemConfig::default()
+        });
+        let (mode, server) = if centralized {
+            let cpu = sys.add_device_with("cpu0", "cpu", |id, dram| {
+                Box::new(CpuDevice::new("cpu0", id, dram, IdleApp))
+            });
+            (ControlMode::Centralized { cpu: cpu.id }, cpu.id)
+        } else {
+            (ControlMode::Decentralized, sys.add_memctl("memctl0").id)
+        };
+        let mut fs = fresh_fs();
+        fs.create(KVS_FILE).expect("fresh filesystem");
+        sys.add_device(Box::new(SmartSsd::new(
+            "ssd0",
+            fs,
+            SsdConfig {
+                exports: vec![KVS_FILE.into()],
+                ..SsdConfig::default()
+            },
+        )));
+        let clients: Vec<_> = (0..3)
+            .map(|i| {
+                let mut c = SetupClient::new(
+                    &format!("client{i}"),
+                    mode,
+                    &format!("file:{KVS_FILE}"),
+                    1_000,
+                );
+                c.memctl_hint_value = server;
+                sys.add_device(Box::new(c))
+            })
+            .collect();
+        sys.power_on();
+        sys.run_until(SimTime::from_nanos(1_234_567));
+        for h in clients {
+            let c: &SetupClient = sys.device_as(h).expect("client");
+            assert!(!c.latencies.is_empty() && !c.is_done(), "mid-churn");
+            let mut w = SnapWriter::new();
+            Firmware::snapshot_state(c, &mut w).expect("a client snapshots");
+            let bytes = w.into_bytes();
+            let mut fresh = SetupClient::new("x", ControlMode::Decentralized, "", 0);
+            let mut r = SnapReader::new("setup client", &bytes);
+            Firmware::restore_state(&mut fresh, &mut r).expect("a client restores");
+            assert_eq!(r.remaining(), 0, "a client reads all it wrote");
+            let mut again = SnapWriter::new();
+            Firmware::snapshot_state(&fresh, &mut again).expect("a client snapshots");
+            assert!(
+                again.into_bytes() == bytes,
+                "a setup client re-snapshots differently"
+            );
+        }
+    }
 }
 
 /// Components driven directly, as their crates' tests drive them.
