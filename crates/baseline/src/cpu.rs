@@ -1,6 +1,6 @@
 //! The last CPU: a kernel device providing centralized control.
 
-use lastcpu_bus::wire::{WireReader, WireWriter};
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{
     DeviceId, Dst, Envelope, Payload, RequestId, ResourceKind, ServiceDesc, ServiceId, Status,
     Token,
@@ -12,36 +12,29 @@ use lastcpu_net::PortId;
 use lastcpu_sim::{DetHashMap, SimDuration};
 
 use crate::cost::CpuCostModel;
-use crate::dumbnic::{decode_packet, encode_packet};
+use crate::dumbnic::Packet;
 
 /// The kernel's open-broker service: clients open remote services *through*
 /// the kernel, which forwards and polices (the OmniX/M³X model).
 pub const KERNEL_OPEN: ServiceId = ServiceId(1);
 
-/// Encodes broker parameters: which service the client actually wants.
-pub fn encode_broker_params(
-    target: DeviceId,
-    service: ServiceId,
-    token: Token,
-    inner: &[u8],
-) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u32(target.0);
-    w.u16(service.0);
-    w.u128(token.0);
-    w.bytes(inner);
-    w.finish()
+/// The kernel broker's open params: which service the client actually
+/// wants, and the params to open it with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BrokerParams<'a> {
+    /// The device serving it.
+    pub target: DeviceId,
+    /// The service.
+    pub service: ServiceId,
+    /// The token to open it with.
+    pub token: Token,
+    /// The open params the service itself takes.
+    pub inner: &'a [u8],
 }
 
-fn decode_broker_params(buf: &[u8]) -> Option<(DeviceId, ServiceId, Token, Vec<u8>)> {
-    let mut r = WireReader::new(buf);
-    let dev = DeviceId(r.u32().ok()?);
-    let svc = ServiceId(r.u16().ok()?);
-    let token = Token(r.u128().ok()?);
-    let inner = r.bytes().ok()?;
-    r.expect_end().ok()?;
-    Some((dev, svc, token, inner))
-}
+lastcpu_sim::__snap::record!(wire lastcpu_bus::wire; BrokerParams<'a> {
+    target, service, token, inner,
+});
 
 /// Environment handed to the CPU-hosted application.
 pub struct KernelEnv<'a, 'b> {
@@ -61,7 +54,11 @@ impl KernelEnv<'_, '_> {
         let Some(nic) = self.nic else { return };
         self.ctx
             .busy(self.cost.syscall + self.cost.copy(payload.len()));
-        let data = encode_packet(dst, &payload);
+        let data = Packet {
+            port: dst.0,
+            payload: &payload,
+        }
+        .encode();
         self.ctx.send_bus(
             Dst::Device(nic),
             Payload::AppData {
@@ -239,13 +236,14 @@ impl<A: CpuApp> CpuDevice<A> {
                 // Broker an open on the client's behalf (syscall).
                 ctx.busy(self.cost.syscall + self.cost.context_switch);
                 self.stats.syscalls += 1;
-                match decode_broker_params(&params) {
-                    Some((target, svc, token, inner)) => {
+                match BrokerParams::decode(&params) {
+                    Ok(p) => {
                         self.stats.opens_brokered += 1;
-                        let op = self.monitor.open(ctx, target, svc, token, inner);
+                        let inner = p.inner.to_vec();
+                        let op = self.monitor.open(ctx, p.target, p.service, p.token, inner);
                         self.brokered.insert(op, (from, req));
                     }
-                    None => {
+                    Err(_) => {
                         self.monitor.reject_open(ctx, req, from, Status::BadRequest);
                     }
                 }
@@ -381,9 +379,10 @@ impl<A: CpuApp> Device for CpuDevice<A> {
                 ctx.busy(self.cost.interrupt_with_copy(data.len()) + self.cost.context_switch);
                 self.stats.packets += 1;
                 self.nic = Some(env.src);
-                if let Some((src, payload)) = decode_packet(data) {
+                if let Ok(Packet { port, payload }) = Packet::decode(data) {
                     let mut kenv = Self::env(ctx, &mut self.monitor, self.nic, self.cost);
-                    self.app.on_packet(&mut kenv, src, payload);
+                    self.app
+                        .on_packet(&mut kenv, PortId(port), payload.to_vec());
                 }
             }
             _ => {
@@ -431,7 +430,7 @@ mod tests {
     use lastcpu_devices::flash::{NandChip, NandConfig};
     use lastcpu_devices::fs::FlashFs;
     use lastcpu_devices::ftl::Ftl;
-    use lastcpu_devices::ssd::{SmartSsd, SsdConfig};
+    use lastcpu_devices::ssd::{FileOpen, SmartSsd, SsdConfig};
     use lastcpu_net::Frame;
     use lastcpu_sim::SimDuration;
 
@@ -447,12 +446,14 @@ mod tests {
 
     #[test]
     fn broker_params_round_trip() {
-        let p = encode_broker_params(DeviceId(3), ServiceId(100), Token(42), &[1, 2]);
-        assert_eq!(
-            decode_broker_params(&p),
-            Some((DeviceId(3), ServiceId(100), Token(42), vec![1, 2]))
-        );
-        assert_eq!(decode_broker_params(&[1]), None);
+        let p = BrokerParams {
+            target: DeviceId(3),
+            service: ServiceId(100),
+            token: Token(42),
+            inner: &[1, 2],
+        };
+        assert_eq!(BrokerParams::decode(&p.encode()), Ok(p));
+        assert!(BrokerParams::decode(&[1]).is_err());
     }
 
     /// A client device that opens an SSD file service *through* the kernel
@@ -506,15 +507,16 @@ mod tests {
             }
             self.target = Some((*device, service.id));
             // Open through the broker.
-            let mut params = lastcpu_bus::wire::WireWriter::new();
-            params.u32(ctx.dev.0); // our pasid
-            let op = self.monitor.open(
-                ctx,
-                self.cpu,
-                KERNEL_OPEN,
-                Token::NONE,
-                encode_broker_params(*device, service.id, Token::NONE, &params.finish()),
-            );
+            let inner = FileOpen { pasid: ctx.dev.0 }.encode();
+            let params = BrokerParams {
+                target: *device,
+                service: service.id,
+                token: Token::NONE,
+                inner: &inner,
+            };
+            let op = self
+                .monitor
+                .open(ctx, self.cpu, KERNEL_OPEN, Token::NONE, params.encode());
             self.open_op = Some(op);
             true
         }

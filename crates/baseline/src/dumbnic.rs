@@ -5,7 +5,7 @@
 //! message. Transmits whatever the kernel hands back. All protocol
 //! intelligence lives on the CPU.
 
-use lastcpu_bus::wire::{WireReader, WireWriter};
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload};
 use lastcpu_devices::device::{Device, DeviceCtx};
 use lastcpu_net::{Frame, PortId};
@@ -14,22 +14,17 @@ use lastcpu_sim::SimDuration;
 /// Heartbeat timer token.
 const TOKEN_HEARTBEAT: u64 = 1;
 
-/// Encodes a packet crossing the NIC↔kernel boundary: `(peer_port, bytes)`.
-pub fn encode_packet(port: PortId, payload: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u32(port.0);
-    w.bytes(payload);
-    w.finish()
+/// A packet crossing the NIC↔kernel boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Packet<'a> {
+    /// The peer's switch port (`PortId`): the sender of a received frame,
+    /// the destination of one to transmit.
+    pub port: u32,
+    /// The frame's bytes.
+    pub payload: &'a [u8],
 }
 
-/// Decodes a packet crossing the NIC↔kernel boundary.
-pub fn decode_packet(data: &[u8]) -> Option<(PortId, Vec<u8>)> {
-    let mut r = WireReader::new(data);
-    let port = PortId(r.u32().ok()?);
-    let payload = r.bytes().ok()?;
-    r.expect_end().ok()?;
-    Some((port, payload))
-}
+lastcpu_sim::__snap::record!(wire lastcpu_bus::wire; Packet<'a> { port, payload });
 
 /// NIC counters.
 #[derive(Debug, Default, Clone, Copy)]
@@ -93,7 +88,11 @@ impl Device for DumbNic {
             Dst::Device(self.cpu),
             Payload::AppData {
                 conn: ConnId(0),
-                data: encode_packet(frame.src, &frame.payload),
+                data: Packet {
+                    port: frame.src.0,
+                    payload: &frame.payload,
+                }
+                .encode(),
             },
         );
     }
@@ -103,11 +102,11 @@ impl Device for DumbNic {
             if env.src != self.cpu {
                 return; // only the kernel drives this NIC
             }
-            if let Some((dst, payload)) = decode_packet(data) {
+            if let Ok(Packet { port: dst, payload }) = Packet::decode(data) {
                 ctx.busy(SimDuration::from_nanos(300));
                 self.stats.tx += 1;
                 if let Some(port) = ctx.port {
-                    ctx.net_tx(Frame::unicast(port, dst, payload));
+                    ctx.net_tx(Frame::unicast(port, PortId(dst), payload.to_vec()));
                 }
             }
         }
@@ -139,14 +138,20 @@ mod tests {
 
     #[test]
     fn packet_framing_round_trips() {
-        let enc = encode_packet(PortId(7), b"hello");
-        assert_eq!(decode_packet(&enc), Some((PortId(7), b"hello".to_vec())));
-        assert_eq!(decode_packet(&[1, 2]), None);
+        let packet = Packet {
+            port: 7,
+            payload: b"hello",
+        };
+        assert_eq!(Packet::decode(&packet.encode()), Ok(packet));
+        assert!(Packet::decode(&[1, 2]).is_err());
     }
 
     #[test]
     fn empty_payload_round_trips() {
-        let enc = encode_packet(PortId(0), b"");
-        assert_eq!(decode_packet(&enc), Some((PortId(0), vec![])));
+        let packet = Packet {
+            port: 0,
+            payload: b"",
+        };
+        assert_eq!(Packet::decode(&packet.encode()), Ok(packet));
     }
 }

@@ -31,5 +31,5 @@ pub mod cpu;
 pub mod dumbnic;
 
 pub use cost::CpuCostModel;
-pub use cpu::{encode_broker_params, CpuApp, CpuDevice, IdleApp, KernelEnv, KERNEL_OPEN};
-pub use dumbnic::{decode_packet, encode_packet, DumbNic};
+pub use cpu::{BrokerParams, CpuApp, CpuDevice, IdleApp, KernelEnv, KERNEL_OPEN};
+pub use dumbnic::{DumbNic, Packet};

@@ -9,6 +9,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{DeviceId, Dst, Envelope, Payload, RequestId, ServiceId, Token};
 use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
 use lastcpu_devices::device::{Device, DeviceCtx};

@@ -2,15 +2,17 @@
 
 use std::sync::Arc;
 
-use lastcpu_baseline::{encode_broker_params, KERNEL_OPEN};
+use lastcpu_baseline::{BrokerParams, KERNEL_OPEN};
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload, RequestId, ServiceId, Token};
 use lastcpu_core::devices::device::{Device, DeviceCtx};
 use lastcpu_core::devices::firmware::Firmware;
 use lastcpu_core::devices::monitor::{Monitor, MonitorEvent};
 use lastcpu_core::devices::session::{FileSession, SessionEvent};
+use lastcpu_core::devices::ssd::FileOpen;
 use lastcpu_mem::{Pasid, VirtAddr, PAGE_SIZE};
 use lastcpu_sim::{Histogram, SimDuration, SimTime};
-use lastcpu_snap::{Restore as _, SnapReader, SnapWriter, Snapshot as _};
+use lastcpu_snap::{SnapReader, SnapWriter};
 
 /// How a setup client reaches control-plane services.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,17 +70,17 @@ enum SetupState {
     Done,
 }
 
-impl SetupState {
-    /// Every state, indexed by its snapshot tag (`self as u8`).
-    const ALL: [SetupState; 6] = [
-        SetupState::Boot,
-        SetupState::Discovering,
-        SetupState::Opening,
-        SetupState::Allocating,
-        SetupState::Sharing,
-        SetupState::Done,
-    ];
-}
+lastcpu_snap::tags! { SetupState {
+    Boot = 0, Discovering = 1, Opening = 2, Allocating = 3, Sharing = 4, Done = 5,
+} }
+
+lastcpu_snap::variants! { ControlMode { Decentralized = 0 {}, Centralized = 1 { cpu } } }
+
+lastcpu_snap::fields! { SetupClient |self| {
+    name, mut monitor, mode, file_pattern, iterations, completed, begun_at, latencies, failed,
+    state, session, query_req, target, open_op, alloc_op, share_op, conn, region,
+    retry_timer_armed, memctl_hint_value,
+} }
 
 const TOKEN_RETRY: u64 = 1;
 const SETUP_VA: u64 = 0x3000_0000;
@@ -320,15 +322,16 @@ impl Firmware for SetupClient {
             {
                 self.target = Some((*device, service.id));
                 self.state = SetupState::Opening;
-                let mut inner = lastcpu_bus::wire::WireWriter::new();
-                inner.u32(ctx.dev.0);
-                self.open_op = self.monitor.open(
-                    ctx,
-                    cpu,
-                    KERNEL_OPEN,
-                    Token::NONE,
-                    encode_broker_params(*device, service.id, Token::NONE, &inner.finish()),
-                );
+                let inner = FileOpen { pasid: ctx.dev.0 }.encode();
+                let params = BrokerParams {
+                    target: *device,
+                    service: service.id,
+                    token: Token::NONE,
+                    inner: &inner,
+                };
+                self.open_op =
+                    self.monitor
+                        .open(ctx, cpu, KERNEL_OPEN, Token::NONE, params.encode());
                 true
             }
             _ => false,
@@ -361,80 +364,12 @@ impl Firmware for SetupClient {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) -> lastcpu_snap::Result<()> {
-        w.put_str(&self.name);
-        self.monitor.snapshot(w);
-        match self.mode {
-            ControlMode::Decentralized => w.put_u8(0),
-            ControlMode::Centralized { cpu } => {
-                w.put_u8(1);
-                w.put_u32(cpu.0);
-            }
-        }
-        w.put_str(&self.file_pattern);
-        w.put_u32(self.iterations);
-        w.put_u32(self.completed);
-        w.put_u64(self.begun_at.as_nanos());
-        w.put_len(self.latencies.len());
-        for l in &self.latencies {
-            w.put_u64(l.as_nanos());
-        }
-        w.put_bool(self.failed);
-        w.put_u8(self.state as u8);
-        w.put_opt(self.session.as_ref(), |w, s| s.snapshot(w));
-        w.put_opt(self.query_req.as_ref(), |w, r| w.put_u64(r.0));
-        w.put_opt(self.target.as_ref(), |w, (d, s)| {
-            w.put_u32(d.0);
-            w.put_u16(s.0);
-        });
-        w.put_u64(self.open_op);
-        w.put_u64(self.alloc_op);
-        w.put_u64(self.share_op);
-        w.put_u64(self.conn.0);
-        w.put_u64(self.region);
-        w.put_bool(self.retry_timer_armed);
-        w.put_u32(self.memctl_hint_value.0);
+        lastcpu_snap::Snapshot::snapshot(self, w);
         Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.name = r.str()?;
-        self.monitor.restore(r)?;
-        self.mode = match r.u8()? {
-            0 => ControlMode::Decentralized,
-            1 => ControlMode::Centralized {
-                cpu: DeviceId(r.u32()?),
-            },
-            t => return Err(r.corrupt(format!("bad ControlMode tag {t}"))),
-        };
-        self.file_pattern = r.str()?.into();
-        self.iterations = r.u32()?;
-        self.completed = r.u32()?;
-        self.begun_at = SimTime::from_nanos(r.u64()?);
-        let n = r.len()?;
-        self.latencies = Vec::new();
-        for _ in 0..n {
-            self.latencies.push(SimDuration::from_nanos(r.u64()?));
-        }
-        self.failed = r.bool()?;
-        let tag = r.u8()?;
-        self.state = *SetupState::ALL
-            .get(tag as usize)
-            .ok_or_else(|| r.corrupt(format!("bad SetupState tag {tag}")))?;
-        self.session = r.opt(|r| {
-            let mut s = FileSession::placeholder();
-            s.restore(r)?;
-            Ok(s)
-        })?;
-        self.query_req = r.opt(|r| Ok(RequestId(r.u64()?)))?;
-        self.target = r.opt(|r| Ok((DeviceId(r.u32()?), ServiceId(r.u16()?))))?;
-        self.open_op = r.u64()?;
-        self.alloc_op = r.u64()?;
-        self.share_op = r.u64()?;
-        self.conn = ConnId(r.u64()?);
-        self.region = r.u64()?;
-        self.retry_timer_armed = r.bool()?;
-        self.memctl_hint_value = DeviceId(r.u32()?);
-        Ok(())
+        lastcpu_snap::Restore::restore(self, r)
     }
 }
 

@@ -368,12 +368,7 @@ impl Envelope {
     /// as its encoder; `encoded_len_matches_encode_for_all_variants` locks
     /// the two together.
     pub fn encoded_len(&self) -> usize {
-        let dst = match self.dst {
-            Dst::Device(_) => 1 + 4,
-            Dst::Bus | Dst::Broadcast => 1,
-        };
-        // src + dst + req + corr + payload + 4-byte frame check sequence.
-        4 + dst + 8 + 8 + self.payload.encoded_len() + 4
+        Wire::encoded_len(self) + 4
     }
 
     /// Encodes to the wire format. The frame ends with a 4-byte frame check
@@ -381,20 +376,8 @@ impl Envelope {
     /// detected at decode and the frame dropped rather than misparsed.
     pub fn encode(&self) -> Vec<u8> {
         let _prof = lastcpu_sim::profile::span("bus.encode");
-        let mut w = WireWriter::with_capacity(self.encoded_len());
-        w.u32(self.src.0);
-        match self.dst {
-            Dst::Device(d) => {
-                w.u8(0);
-                w.u32(d.0);
-            }
-            Dst::Bus => w.u8(1),
-            Dst::Broadcast => w.u8(2),
-        }
-        w.u64(self.req.0);
-        w.u64(self.corr.0);
-        self.payload.put(&mut w);
-        let mut bytes = w.finish();
+        let mut bytes = Vec::with_capacity(self.encoded_len());
+        Wire::encode_into(self, &mut bytes);
         let fcs = frame_check(&bytes);
         bytes.extend_from_slice(&fcs.to_le_bytes());
         bytes
@@ -413,30 +396,7 @@ impl Envelope {
         if expected != actual {
             return Err(WireError::ChecksumMismatch { expected, actual });
         }
-        let mut r = WireReader::new(body);
-        let src = DeviceId(r.u32()?);
-        let dst = match r.u8()? {
-            0 => Dst::Device(DeviceId(r.u32()?)),
-            1 => Dst::Bus,
-            2 => Dst::Broadcast,
-            v => {
-                return Err(WireError::BadDiscriminant {
-                    what: "Dst",
-                    value: v as u64,
-                })
-            }
-        };
-        let req = RequestId(r.u64()?);
-        let corr = CorrId(r.u64()?);
-        let payload = Payload::take(&mut r)?;
-        r.expect_end()?;
-        Ok(Envelope {
-            src,
-            dst,
-            req,
-            corr,
-            payload,
-        })
+        Wire::decode(body)
     }
 }
 
@@ -455,30 +415,12 @@ lastcpu_snap::tags! { MapOp { Map = 0, Unmap = 1 } }
 
 lastcpu_snap::record!(ServiceDesc { id, name, resource });
 
-/// A tagged enum on the wire: its one tag table.
-macro_rules! wire_tags {
-    ($($t:ident),*) => {$(
-        impl Wire for $t {
-            fn put(&self, w: &mut WireWriter) {
-                w.u8(self.tag());
-            }
-            fn take(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                let t = r.u8()?;
-                Self::from_tag(t).ok_or_else(|| r.bad_tag(stringify!($t), t))
-            }
-            fn encoded_len(&self) -> usize {
-                1
-            }
-        }
-    )*};
-}
-
-wire_tags!(Status, ResourceKind, ErrorCode, MapOp);
+crate::wire_tags!(Status, ResourceKind, ErrorCode, MapOp);
 
 /// An id on the wire: its integer.
 macro_rules! wire_ids {
     ($($t:ident),*) => {$(
-        impl Wire for $t {
+        impl Wire<'_> for $t {
             fn put(&self, w: &mut WireWriter) {
                 self.0.put(w);
             }
@@ -492,28 +434,17 @@ macro_rules! wire_ids {
     )*};
 }
 
-wire_ids!(DeviceId, ServiceId, ConnId, Token);
+wire_ids!(DeviceId, ServiceId, RequestId, ConnId, Token, CorrId);
 
-impl Wire for ServiceDesc {
-    fn put(&self, w: &mut WireWriter) {
-        self.id.put(w);
-        self.name.put(w);
-        self.resource.put(w);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ServiceDesc {
-            id: Wire::take(r)?,
-            name: Wire::take(r)?,
-            resource: Wire::take(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + self.name.encoded_len() + self.resource.encoded_len()
-    }
-}
+lastcpu_snap::record!(wire crate::wire; ServiceDesc { id, name, resource });
+
+lastcpu_snap::variants! { wire crate::wire; Dst { Device = 0 { 0: d }, Bus = 1 {}, Broadcast = 2 {} } }
+
+// An envelope's body; the frame check sequence follows it (`encode`).
+lastcpu_snap::record!(wire crate::wire; Envelope { src, dst, req, corr, payload });
 
 // Every payload's wire layout: tag, then its fields in order.
-lastcpu_snap::variants! { wire Wire, WireWriter, WireReader<'_>, WireError; Payload {
+lastcpu_snap::variants! { wire crate::wire; Payload {
     Hello = 0 { name, kind },
     HelloAck = 1 { assigned },
     Heartbeat = 2 {},

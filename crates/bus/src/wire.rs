@@ -117,37 +117,117 @@ pub fn field_len(n: usize) -> usize {
 }
 
 /// A value's wire encoding: `put` writes it, `take` reads it back, and
-/// `encoded_len` is what `put` writes, counted without writing. A payload's
-/// layout is declared once (`lastcpu_snap::variants!`) and all three follow
-/// from it.
-pub trait Wire: Sized {
+/// `encoded_len` is what `put` writes, counted without writing. `'a` is the
+/// input a decoded value may borrow from (a key, a write's data), so a view
+/// such as `KvsRequestRef<'a>` decodes without copying.
+///
+/// A message's layout is declared once (`lastcpu_snap::variants!`,
+/// `record!` and [`wire_tags!`](crate::wire_tags) in their `wire` mode, DESIGN.md
+/// §14.1) and all three follow from it, as does its whole-message framing:
+/// [`encode`](Self::encode), [`encode_into`](Self::encode_into) and
+/// [`decode`](Self::decode).
+pub trait Wire<'a>: Sized {
     /// Writes the value.
     fn put(&self, w: &mut WireWriter);
     /// Reads a value back.
-    fn take(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+    fn take(r: &mut WireReader<'a>) -> Result<Self, WireError>;
     /// Bytes [`put`](Self::put) writes.
     fn encoded_len(&self) -> usize;
+
+    /// The value as a whole message, allocated once at its exact size.
+    fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the value, as a whole message, to a lent buffer (typically
+    /// a pooled one).
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        let mut w = WireWriter {
+            buf: std::mem::take(buf),
+        };
+        self.put(&mut w);
+        *buf = w.buf;
+    }
+
+    /// Reads a whole message: every byte of `buf`, and no more.
+    fn decode(buf: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = WireReader::new(buf);
+        let v = Self::take(&mut r)?;
+        r.expect_end()?;
+        Ok(v)
+    }
 }
 
+/// A fixed-width little-endian integer: the writer's and the reader's method
+/// of its name, and its `Wire` impl.
 macro_rules! fixed {
-    ($($t:ident: $n:literal),*) => {$(
-        impl Wire for $t {
+    ($($t:ident),*) => {$(
+        impl WireWriter {
+            #[doc = concat!("Writes a little-endian `", stringify!($t), "`.")]
+            #[inline]
+            pub fn $t(&mut self, v: $t) {
+                self.buf.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+
+        impl<'a> WireReader<'a> {
+            #[doc = concat!("Reads a little-endian `", stringify!($t), "`.")]
+            #[inline]
+            pub fn $t(&mut self) -> Result<$t, WireError> {
+                let bytes = self.take(std::mem::size_of::<$t>())?;
+                Ok($t::from_le_bytes(bytes.try_into().expect("sized")))
+            }
+        }
+
+        impl Wire<'_> for $t {
+            #[inline]
             fn put(&self, w: &mut WireWriter) {
                 w.$t(*self);
             }
+            #[inline]
             fn take(r: &mut WireReader<'_>) -> Result<Self, WireError> {
                 r.$t()
             }
             fn encoded_len(&self) -> usize {
-                $n
+                std::mem::size_of::<$t>()
             }
         }
     )*};
 }
 
-fixed!(u8: 1, u16: 2, u32: 4, u64: 8, u128: 16);
+fixed!(u8, u16, u32, u64, u128);
 
-impl Wire for Vec<u8> {
+/// Bytes, length-prefixed, borrowed from the input.
+impl<'a> Wire<'a> for &'a [u8] {
+    #[inline]
+    fn put(&self, w: &mut WireWriter) {
+        w.bytes(self);
+    }
+    #[inline]
+    fn take(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        r.bytes_ref()
+    }
+    fn encoded_len(&self) -> usize {
+        field_len(self.len())
+    }
+}
+
+/// UTF-8, length-prefixed, borrowed from the input.
+impl<'a> Wire<'a> for &'a str {
+    fn put(&self, w: &mut WireWriter) {
+        w.string(self);
+    }
+    fn take(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        std::str::from_utf8(r.bytes_ref()?).map_err(|_| WireError::InvalidUtf8)
+    }
+    fn encoded_len(&self) -> usize {
+        field_len(self.len())
+    }
+}
+
+impl Wire<'_> for Vec<u8> {
     fn put(&self, w: &mut WireWriter) {
         w.bytes(self);
     }
@@ -159,7 +239,7 @@ impl Wire for Vec<u8> {
     }
 }
 
-impl Wire for String {
+impl Wire<'_> for String {
     fn put(&self, w: &mut WireWriter) {
         w.string(self);
     }
@@ -171,7 +251,7 @@ impl Wire for String {
     }
 }
 
-impl Wire for Arc<str> {
+impl Wire<'_> for Arc<str> {
     fn put(&self, w: &mut WireWriter) {
         w.string(self);
     }
@@ -181,6 +261,105 @@ impl Wire for Arc<str> {
     fn encoded_len(&self) -> usize {
         field_len(self.len())
     }
+}
+
+/// A field's layout where it is not its type's own [`Wire`] layout, named
+/// at the field in a declaration (`epoch as Varint`).
+pub trait Codec<'a, T> {
+    /// Writes `v`.
+    fn put(&self, v: &T, w: &mut WireWriter);
+    /// Reads a value back.
+    fn take(&self, r: &mut WireReader<'a>) -> Result<T, WireError>;
+    /// Bytes [`put`](Self::put) writes for `v`.
+    fn encoded_len(&self, v: &T) -> usize;
+}
+
+/// A `u64` as an LEB128 varint.
+pub struct Varint;
+
+impl Codec<'_, u64> for Varint {
+    fn put(&self, v: &u64, w: &mut WireWriter) {
+        w.varint(*v);
+    }
+    fn take(&self, r: &mut WireReader<'_>) -> Result<u64, WireError> {
+        r.varint()
+    }
+    fn encoded_len(&self, v: &u64) -> usize {
+        varint_len(*v)
+    }
+}
+
+/// A list: a varint count, then the items. The reader reserves room for at
+/// most `.0` items, whatever the count claims; a count the bytes cannot
+/// hold fails as a truncation.
+pub struct Counted(pub usize);
+
+impl<'a, T: Wire<'a>> Codec<'a, Vec<T>> for Counted {
+    fn put(&self, v: &Vec<T>, w: &mut WireWriter) {
+        w.varint(v.len() as u64);
+        v.iter().for_each(|x| x.put(w));
+    }
+    fn take(&self, r: &mut WireReader<'a>) -> Result<Vec<T>, WireError> {
+        let n = r.varint()?;
+        let mut v = Vec::with_capacity(n.min(self.0 as u64) as usize);
+        for _ in 0..n {
+            v.push(T::take(r)?);
+        }
+        Ok(v)
+    }
+    fn encoded_len(&self, v: &Vec<T>) -> usize {
+        varint_len(v.len() as u64) + v.iter().map(T::encoded_len).sum::<usize>()
+    }
+}
+
+/// The bytes left in the message, unprefixed: its last field.
+pub struct Rest;
+
+impl<'a> Codec<'a, &'a [u8]> for Rest {
+    #[inline]
+    fn put(&self, v: &&'a [u8], w: &mut WireWriter) {
+        w.buf.extend_from_slice(v);
+    }
+    #[inline]
+    fn take(&self, r: &mut WireReader<'a>) -> Result<&'a [u8], WireError> {
+        Ok(r.rest())
+    }
+    fn encoded_len(&self, v: &&'a [u8]) -> usize {
+        v.len()
+    }
+}
+
+/// Declares the wire codec of [`tags!`](lastcpu_snap::tags) enums: the tag
+/// byte. An unknown tag is refused; with `else Variant` it reads as that
+/// variant instead, for a status the wire reads leniently (fault injection
+/// corrupts frames, and what they decode to is part of the record). A
+/// checkpoint's [`Field`](lastcpu_snap::Field) refuses it either way.
+#[macro_export]
+macro_rules! wire_tags {
+    ($($t:ident $(else $d:ident)?),* $(,)?) => {$(
+        impl $crate::wire::Wire<'_> for $t {
+            #[inline]
+            fn put(&self, w: &mut $crate::wire::WireWriter) {
+                w.u8(self.tag());
+            }
+            #[inline]
+            fn take(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::wire::WireError> {
+                let t = r.u8()?;
+                $crate::wire_tags!(@unknown $t r t $($d)?)
+            }
+            fn encoded_len(&self) -> usize {
+                1
+            }
+        }
+    )*};
+    (@unknown $ty:ident $r:ident $t:ident) => {
+        Self::from_tag($t).ok_or_else(|| $r.bad_tag(stringify!($ty), $t))
+    };
+    (@unknown $ty:ident $r:ident $t:ident $d:ident) => {
+        Ok(Self::from_tag($t).unwrap_or($ty::$d))
+    };
 }
 
 /// Append-only encoder.
@@ -195,61 +374,13 @@ impl WireWriter {
         Self::default()
     }
 
-    /// A writer with room for `n` bytes: an encoder that knows its message's
-    /// encoded length allocates once instead of growing.
-    pub fn with_capacity(n: usize) -> Self {
-        WireWriter {
-            buf: Vec::with_capacity(n),
-        }
-    }
-
-    /// A writer that appends into `buf` (typically a recycled pool buffer),
-    /// so hot-path encoders reuse storage instead of allocating per message.
-    pub fn with_buf(buf: Vec<u8>) -> Self {
-        WireWriter { buf }
-    }
-
     /// Finishes encoding, returning the bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Writes one raw byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u128`.
-    pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Writes an unsigned LEB128 varint.
+    #[inline]
     pub fn varint(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7f) as u8;
@@ -263,6 +394,7 @@ impl WireWriter {
     }
 
     /// Writes a length-prefixed byte blob.
+    #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
         self.varint(b.len() as u64);
         self.buf.extend_from_slice(b);
@@ -287,16 +419,27 @@ pub struct WireReader<'a> {
 
 impl<'a> WireReader<'a> {
     /// Wraps `buf` for decoding.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         WireReader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
+    /// The bytes not yet consumed, all of them.
+    #[inline]
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
+    }
+
     /// Fails unless every input byte was consumed.
+    #[inline]
     pub fn expect_end(&self) -> Result<(), WireError> {
         if self.remaining() == 0 {
             Ok(())
@@ -307,6 +450,7 @@ impl<'a> WireReader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
@@ -316,34 +460,8 @@ impl<'a> WireReader<'a> {
         Ok(s)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    /// Reads a little-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, WireError> {
-        Ok(u128::from_le_bytes(
-            self.take(16)?.try_into().expect("len 16"),
-        ))
-    }
-
     /// Reads an unsigned LEB128 varint.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, WireError> {
         let mut v: u64 = 0;
         for i in 0..10 {
@@ -367,6 +485,7 @@ impl<'a> WireReader<'a> {
 
     /// Reads a length-prefixed byte blob, borrowed from the input. The
     /// zero-alloc decode paths use this to inspect keys/values in place.
+    #[inline]
     pub fn bytes_ref(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.varint()?;
         if len as usize > MAX_FIELD_LEN {
@@ -380,11 +499,26 @@ impl<'a> WireReader<'a> {
         String::from_utf8(self.bytes()?).map_err(|_| WireError::InvalidUtf8)
     }
 
-    /// The refusal of an enum tag no variant of `what` has.
-    pub fn bad_tag(&self, what: &'static str, tag: u8) -> WireError {
+    /// The refusal of an enum tag (or a magic number) no variant of `what`
+    /// has.
+    pub fn bad_tag(&self, what: &'static str, tag: impl Into<u64>) -> WireError {
         WireError::BadDiscriminant {
             what,
-            value: tag as u64,
+            value: tag.into(),
+        }
+    }
+
+    /// Reads a `T` that must be `want` (a magic number), refusing another.
+    pub fn expect_value<T: Wire<'a> + PartialEq + Into<u64>>(
+        &mut self,
+        want: T,
+        what: &'static str,
+    ) -> Result<(), WireError> {
+        let got = T::take(self)?;
+        if got == want {
+            Ok(())
+        } else {
+            Err(self.bad_tag(what, got))
         }
     }
 

@@ -19,7 +19,7 @@
 //! stretches their job times by the fabric's oversubscription factor (the
 //! software technique "if the device contains an embedded CPU").
 
-use lastcpu_bus::wire::{WireReader, WireWriter};
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ConnId, DeviceId, ResourceKind, ServiceDesc, ServiceId, Status};
 use lastcpu_sim::{DetHashMap, SimDuration};
 
@@ -43,19 +43,14 @@ pub enum ShareMode {
     TimeShared,
 }
 
-/// Encodes fabric open params: number of regions requested.
-pub fn encode_fabric_params(regions: u16) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u16(regions);
-    w.finish()
+/// Fabric open params: how many regions the opener wants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FabricParams {
+    /// Regions requested.
+    pub regions: u16,
 }
 
-fn decode_fabric_params(buf: &[u8]) -> Option<u16> {
-    let mut r = WireReader::new(buf);
-    let n = r.u16().ok()?;
-    r.expect_end().ok()?;
-    Some(n)
-}
+lastcpu_snap::record!(wire lastcpu_bus::wire; FabricParams { regions });
 
 struct FabricConn {
     peer: DeviceId,
@@ -174,7 +169,7 @@ impl Firmware for Accelerator {
                 params,
                 ..
             } => {
-                let wanted = decode_fabric_params(&params).unwrap_or(0);
+                let wanted = FabricParams::decode(&params).map_or(0, |p| p.regions);
                 let admit = wanted > 0
                     && (self.mode == ShareMode::TimeShared || wanted <= self.free_regions);
                 if wanted == 0 {
@@ -194,7 +189,7 @@ impl Firmware for Accelerator {
                         FABRIC_SERVICE,
                         principal,
                         0,
-                        encode_fabric_params(wanted),
+                        FabricParams { regions: wanted }.encode(),
                     );
                     self.conns.insert(
                         conn,
@@ -335,7 +330,7 @@ mod tests {
             payload: Payload::OpenRequest {
                 service: FABRIC_SERVICE,
                 token: Token::NONE,
-                params: encode_fabric_params(regions),
+                params: FabricParams { regions }.encode(),
             },
         }
     }

@@ -13,7 +13,7 @@
 //! emulator models the protocol structure (who checks what, when), not
 //! cryptographic strength.
 
-use lastcpu_bus::wire::{WireReader, WireWriter};
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ResourceKind, ServiceDesc, ServiceId, Token};
 use lastcpu_sim::{DetHashMap, SimDuration};
 
@@ -60,21 +60,25 @@ pub fn principal_id(user: &str) -> u64 {
 /// Service id of the login service on an [`AuthDevice`].
 pub const LOGIN_SERVICE: ServiceId = ServiceId(1);
 
-/// Encodes login parameters for an `OpenRequest` to the login service.
-pub fn encode_login(user: &str, password: &str) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.string(user);
-    w.string(password);
-    w.finish()
+/// The login service's open params: the credentials.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Login<'a> {
+    /// User name.
+    pub user: &'a str,
+    /// Password.
+    pub password: &'a str,
 }
 
-/// Decodes the token out of a successful login `OpenResponse`'s params.
-pub fn decode_login_response(params: &[u8]) -> Option<Token> {
-    let mut r = WireReader::new(params);
-    let t = r.u128().ok()?;
-    r.expect_end().ok()?;
-    Some(Token(t))
+lastcpu_snap::record!(wire lastcpu_bus::wire; Login<'a> { user, password });
+
+/// A successful login's reply params: the sealed token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoginReply {
+    /// The token, sealed for the user's principal.
+    pub token: Token,
 }
+
+lastcpu_snap::record!(wire lastcpu_bus::wire; LoginReply { token });
 
 /// The authentication device.
 pub struct AuthDevice {
@@ -140,28 +144,21 @@ impl Firmware for AuthDevice {
             req, from, params, ..
         } = ev
         {
-            // Parse credentials.
-            let mut r = WireReader::new(&params);
-            let creds = (|| -> Option<(String, String)> {
-                let u = r.string().ok()?;
-                let p = r.string().ok()?;
-                r.expect_end().ok()?;
-                Some((u, p))
-            })();
             ctx.busy(SimDuration::from_micros(1)); // table lookup + seal
-            let token = creds.and_then(|(user, password)| {
-                (self.users.get(&user) == Some(&principal_id(&password)))
-                    .then(|| seal(self.secret, principal_id(&user)))
-            });
+            let token = Login::decode(&params)
+                .ok()
+                .and_then(|Login { user, password }| {
+                    (self.users.get(user) == Some(&principal_id(password)))
+                        .then(|| seal(self.secret, principal_id(user)))
+                });
             match token {
                 Some(t) => {
                     self.logins_ok += 1;
-                    let mut w = WireWriter::new();
-                    w.u128(t.0);
                     // A login session carries no shared memory; the
                     // token rides back in the response params.
+                    let reply = LoginReply { token: t }.encode();
                     self.monitor
-                        .accept_open(ctx, req, from, LOGIN_SERVICE, None, 0, w.finish());
+                        .accept_open(ctx, req, from, LOGIN_SERVICE, None, 0, reply);
                 }
                 None => {
                     self.logins_failed += 1;
@@ -218,18 +215,17 @@ mod tests {
 
     #[test]
     fn login_params_round_trip() {
-        let p = encode_login("alice", "hunter2");
-        let mut r = WireReader::new(&p);
-        assert_eq!(r.string().unwrap(), "alice");
-        assert_eq!(r.string().unwrap(), "hunter2");
+        let login = Login {
+            user: "alice",
+            password: "hunter2",
+        };
+        assert_eq!(Login::decode(&login.encode()), Ok(login));
     }
 
     #[test]
     fn login_response_decoding() {
-        let t = seal(1, 2);
-        let mut w = WireWriter::new();
-        w.u128(t.0);
-        assert_eq!(decode_login_response(&w.finish()), Some(t));
-        assert_eq!(decode_login_response(&[1, 2, 3]), None);
+        let reply = LoginReply { token: seal(1, 2) };
+        assert_eq!(LoginReply::decode(&reply.encode()), Ok(reply));
+        assert!(LoginReply::decode(&[1, 2, 3]).is_err());
     }
 }

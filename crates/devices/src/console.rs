@@ -16,6 +16,7 @@
 //! integration test) inspects. Every byte travelled the CPU-less path:
 //! control messages over the bus, data over IOMMU-translated DMA.
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{DeviceId, Status, Token};
 use lastcpu_mem::Pasid;
 use lastcpu_sim::SimDuration;
@@ -25,7 +26,7 @@ use crate::device::DeviceCtx;
 use crate::firmware::Firmware;
 use crate::monitor::{Monitor, MonitorEvent};
 use crate::session::{FileSession, SessionEvent};
-use crate::ssd::{FileOp, FileStatus, DOORBELL_WORK};
+use crate::ssd::{FileOpRef, FileStatus, DOORBELL_WORK};
 
 /// Where the console maps its shared region.
 const VA_BASE: u64 = 0x4000_0000;
@@ -152,22 +153,26 @@ impl ConsoleDevice {
                     dev,
                     svc,
                     Token::NONE,
-                    auth::encode_login(&self.user, &self.password),
+                    auth::Login {
+                        user: &self.user,
+                        password: &self.password,
+                    }
+                    .encode(),
                 );
             }
             (ConsoleState::LoggingIn, MonitorEvent::OpenDone { op, result, .. })
                 if *op == self.login_op =>
             {
                 match result {
-                    Ok((_, _, params)) => match auth::decode_login_response(params) {
-                        Some(token) => {
+                    Ok((_, _, params)) => match auth::LoginReply::decode(params) {
+                        Ok(auth::LoginReply { token }) => {
                             self.token = token;
                             self.state = ConsoleState::FindingLog;
                             self.discover_op = self
                                 .monitor
                                 .discover(ctx, format!("file:{}", self.log_path));
                         }
-                        None => self.fail(Status::Failed),
+                        Err(_) => self.fail(Status::Failed),
                     },
                     Err(status) => self.fail(*status),
                 }
@@ -216,9 +221,9 @@ impl ConsoleDevice {
         if let Some((client, _conn)) = session.client_mut() {
             while offset < self.expected {
                 let len = CHUNK.min((self.expected - offset) as u32);
-                let op = FileOp::Read { offset, len };
+                let op = FileOpRef::Read { offset, len };
                 let mut view = ctx.dma_view(pasid);
-                if !client.can_submit() || client.submit(&mut view, op.borrowed(), len).is_err() {
+                if !client.can_submit() || client.submit(&mut view, op, len).is_err() {
                     break;
                 }
                 offset += len as u64;

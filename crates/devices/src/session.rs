@@ -16,12 +16,13 @@
 //! application and the console device reuse this machine — it is the
 //! "development library" codepath of §4 (*Programmability*).
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ConnId, DeviceId, ServiceId, Status, Token};
 use lastcpu_mem::Pasid;
 
 use crate::device::DeviceCtx;
 use crate::monitor::{Monitor, MonitorEvent};
-use crate::ssd::{FileClient, DOORBELL_COMPLETION};
+use crate::ssd::{FileClient, FileOpen, FileOpened, DOORBELL_COMPLETION};
 
 /// Session lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,9 +158,10 @@ impl FileSession {
     /// Kicks off the open (§3 step 3).
     pub fn start(&mut self, ctx: &mut DeviceCtx<'_>, monitor: &mut Monitor) {
         debug_assert_eq!(self.state, SessionState::Idle);
-        let mut params = lastcpu_bus::wire::WireWriter::new();
-        params.u32(self.pasid.as_u32());
-        self.op = monitor.open(ctx, self.target, self.service, self.token, params.finish());
+        let params = FileOpen {
+            pasid: self.pasid.as_u32(),
+        };
+        self.op = monitor.open(ctx, self.target, self.service, self.token, params.encode());
         self.state = SessionState::Opening;
     }
 
@@ -186,9 +188,8 @@ impl FileSession {
                         self.conn = *conn;
                         self.shm_bytes = *shm;
                         // File services reply with the file size.
-                        if params.len() == 8 {
-                            self.file_size =
-                                u64::from_le_bytes(params[..8].try_into().expect("len 8"));
+                        if let Ok(FileOpened { size }) = FileOpened::decode(params) {
+                            self.file_size = size;
                         }
                         // §3 step 5: allocate the shared memory.
                         self.op = monitor.alloc_shared(
@@ -381,8 +382,6 @@ mod tests {
         assert_eq!(session.state(), SessionState::Opening);
 
         // Step 4: SSD accepts, demanding shared memory.
-        let mut size_params = lastcpu_bus::wire::WireWriter::new();
-        size_params.u64(4242);
         let (evs, sent) = feed(
             &mut fix,
             &mut monitor,
@@ -396,7 +395,7 @@ mod tests {
                     status: Status::Ok,
                     conn: ConnId(7),
                     shm_bytes: crate::ssd::FILE_CONN_SHM,
-                    params: size_params.finish(),
+                    params: FileOpened { size: 4242 }.encode(),
                 },
             },
         );

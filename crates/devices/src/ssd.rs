@@ -26,7 +26,7 @@
 
 use std::collections::VecDeque;
 
-use lastcpu_bus::wire::{WireReader, WireWriter};
+use lastcpu_bus::wire::{Rest, Wire};
 use lastcpu_bus::{ConnId, DeviceId, RequestId, ResourceKind, ServiceDesc, ServiceId, Status};
 use lastcpu_iommu::IommuFault;
 use lastcpu_mem::Pasid;
@@ -74,61 +74,7 @@ fn decode_setup_doorbell(value: u64) -> Option<(u64, u16)> {
 
 // --- File-service wire protocol (rides in virtqueue buffers) -----------
 
-/// File operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FileOp {
-    /// Read `len` bytes at `offset`.
-    Read {
-        /// Byte offset.
-        offset: u64,
-        /// Bytes to read.
-        len: u32,
-    },
-    /// Write `data` at `offset`.
-    Write {
-        /// Byte offset.
-        offset: u64,
-        /// Bytes to write.
-        data: Vec<u8>,
-    },
-    /// Query the file size.
-    Stat,
-    /// Durability barrier.
-    Flush,
-}
-
-impl FileOp {
-    /// The operation as a view borrowing its write payload.
-    pub fn borrowed(&self) -> FileOpRef<'_> {
-        match self {
-            FileOp::Read { offset, len } => FileOpRef::Read {
-                offset: *offset,
-                len: *len,
-            },
-            FileOp::Write { offset, data } => FileOpRef::Write {
-                offset: *offset,
-                data,
-            },
-            FileOp::Stat => FileOpRef::Stat,
-            FileOp::Flush => FileOpRef::Flush,
-        }
-    }
-
-    /// Encodes the request.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// Encodes the request into a caller-supplied buffer (see
-    /// [`FileOpRef::encode_into`]).
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        self.borrowed().encode_into(buf);
-    }
-}
-
-/// A decoded file-op view borrowing write payloads from the request bytes.
+/// A file operation, borrowing a write's payload from the request bytes.
 /// The SSD serve loop decodes through this so WRITE data is never copied
 /// out of the request buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,48 +99,9 @@ pub enum FileOpRef<'a> {
     Flush,
 }
 
-impl<'a> FileOpRef<'a> {
-    /// Encodes the request into a caller-supplied buffer (appended), so the
-    /// submit path can reuse one buffer across requests.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let mut w = WireWriter::with_buf(std::mem::take(buf));
-        match *self {
-            FileOpRef::Read { offset, len } => {
-                w.u8(1);
-                w.u64(offset);
-                w.u32(len);
-            }
-            FileOpRef::Write { offset, data } => {
-                w.u8(2);
-                w.u64(offset);
-                w.bytes(data);
-            }
-            FileOpRef::Stat => w.u8(3),
-            FileOpRef::Flush => w.u8(4),
-        }
-        *buf = w.finish();
-    }
-
-    /// Decodes a request without copying the write payload.
-    pub fn decode(buf: &'a [u8]) -> Option<FileOpRef<'a>> {
-        let mut r = WireReader::new(buf);
-        let op = match r.u8().ok()? {
-            1 => FileOpRef::Read {
-                offset: r.u64().ok()?,
-                len: r.u32().ok()?,
-            },
-            2 => FileOpRef::Write {
-                offset: r.u64().ok()?,
-                data: r.bytes_ref().ok()?,
-            },
-            3 => FileOpRef::Stat,
-            4 => FileOpRef::Flush,
-            _ => return None,
-        };
-        r.expect_end().ok()?;
-        Some(op)
-    }
-}
+lastcpu_snap::variants! { wire lastcpu_bus::wire; FileOpRef<'a> {
+    Read = 1 { offset, len }, Write = 2 { offset, data }, Stat = 3 {}, Flush = 4 {},
+} }
 
 /// File-operation response status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,49 +118,23 @@ pub enum FileStatus {
     Bad,
 }
 
-impl FileStatus {
-    fn to_u8(self) -> u8 {
-        match self {
-            FileStatus::Ok => 0,
-            FileStatus::Eof => 1,
-            FileStatus::NoSpace => 2,
-            FileStatus::Io => 3,
-            FileStatus::Bad => 4,
-        }
-    }
+lastcpu_snap::tags! { FileStatus { Ok = 0, Eof = 1, NoSpace = 2, Io = 3, Bad = 4 } }
 
-    fn from_u8(v: u8) -> FileStatus {
-        match v {
-            0 => FileStatus::Ok,
-            1 => FileStatus::Eof,
-            2 => FileStatus::NoSpace,
-            3 => FileStatus::Io,
-            _ => FileStatus::Bad,
-        }
-    }
+lastcpu_bus::wire_tags!(FileStatus else Bad);
+
+/// A file operation's reply: its status, then what it returns, unprefixed
+/// (a read's data, a write's byte count, a stat's size).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileReply<'a> {
+    /// Outcome.
+    pub status: FileStatus,
+    /// The bytes after the status, borrowed from the reply.
+    pub data: &'a [u8],
 }
 
-/// Encodes a file-op response: status byte + payload.
-pub fn encode_response(status: FileStatus, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 1);
-    encode_response_into(status, payload, &mut out);
-    out
-}
+lastcpu_snap::record!(wire lastcpu_bus::wire; FileReply<'a> { status, data as Rest });
 
-/// Like [`encode_response`], but clears and reuses a caller buffer.
-pub fn encode_response_into(status: FileStatus, payload: &[u8], buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(status.to_u8());
-    buf.extend_from_slice(payload);
-}
-
-/// Splits a file-op response into status and payload.
-pub fn decode_response(buf: &[u8]) -> Option<(FileStatus, &[u8])> {
-    let (&s, rest) = buf.split_first()?;
-    Some((FileStatus::from_u8(s), rest))
-}
-
-// --- fs control-service parameters --------------------------------------
+// --- Open parameters ------------------------------------------------------
 
 /// Operations on the `fs` control service (carried in open params).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -272,47 +153,54 @@ pub enum FsOp {
     List,
 }
 
-impl FsOp {
-    /// Encodes into open-request params.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        match self {
-            FsOp::Create { path } => {
-                w.u8(1);
-                w.string(path);
-            }
-            FsOp::Delete { path } => {
-                w.u8(2);
-                w.string(path);
-            }
-            FsOp::List => w.u8(3),
-        }
-        w.finish()
-    }
+lastcpu_snap::variants! { wire lastcpu_bus::wire; FsOp {
+    Create = 1 { path }, Delete = 2 { path }, List = 3 {},
+} }
 
-    fn decode(buf: &[u8]) -> Option<FsOp> {
-        let mut r = WireReader::new(buf);
-        let op = match r.u8().ok()? {
-            1 => FsOp::Create {
-                path: r.string().ok()?,
-            },
-            2 => FsOp::Delete {
-                path: r.string().ok()?,
-            },
-            3 => FsOp::List,
-            _ => return None,
-        };
-        r.expect_end().ok()?;
-        Some(op)
-    }
+/// The reply params of an [`FsOp::Create`]: the service the new file is
+/// exported as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FsCreated {
+    /// The file's service id.
+    pub service: ServiceId,
 }
 
-/// Encodes loader open params: image name + contents.
-pub fn encode_loader_params(image: &str, contents: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.string(image);
-    w.bytes(contents);
-    w.finish()
+lastcpu_snap::record!(wire lastcpu_bus::wire; FsCreated { service });
+
+/// Loader open params: the image's name and its contents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoaderParams<'a> {
+    /// Image name; it is installed as `/boot/{image}`.
+    pub image: &'a str,
+    /// Image contents.
+    pub contents: &'a [u8],
+}
+
+lastcpu_snap::record!(wire lastcpu_bus::wire; LoaderParams<'a> { image, contents });
+
+/// A file service's open params: the PASID whose address space the
+/// connection's queue lives in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileOpen {
+    /// The opener's PASID.
+    pub pasid: u32,
+}
+
+lastcpu_snap::record!(wire lastcpu_bus::wire; FileOpen { pasid });
+
+/// A file service's open reply params: the file's size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileOpened {
+    /// File size in bytes.
+    pub size: u64,
+}
+
+lastcpu_snap::record!(wire lastcpu_bus::wire; FileOpened { size });
+
+/// Refills `buf` with a file operation's reply.
+fn reply(status: FileStatus, data: &[u8], buf: &mut Vec<u8>) {
+    buf.clear();
+    FileReply { status, data }.encode_into(buf);
 }
 
 // --- The device ----------------------------------------------------------
@@ -486,17 +374,16 @@ impl SmartSsd {
         params: &[u8],
     ) {
         ctx.busy(SimDuration::from_micros(2));
-        match FsOp::decode(params) {
+        match FsOp::decode(params).ok() {
             Some(FsOp::Create { path }) => match self.fs.create(&path) {
                 Ok(()) => {
-                    let svc = self.export_file(&path);
-                    self.monitor.announce(ctx, svc);
-                    let mut w = WireWriter::new();
-                    w.u16(svc.0);
+                    let service = self.export_file(&path);
+                    self.monitor.announce(ctx, service);
                     // Control conns carry no shared memory and are closed
                     // by the response itself (conn id unused by clients).
+                    let reply = FsCreated { service }.encode();
                     self.monitor
-                        .accept_open(ctx, req, from, FS_SERVICE, None, 0, w.finish());
+                        .accept_open(ctx, req, from, FS_SERVICE, None, 0, reply);
                 }
                 Err(FsError::Exists) => self.monitor.reject_open(ctx, req, from, Status::Failed),
                 Err(FsError::NoSpace) => {
@@ -546,21 +433,14 @@ impl SmartSsd {
         principal: Option<u64>,
         params: &[u8],
     ) {
-        let mut r = WireReader::new(params);
-        let parsed = (|| -> Option<(String, Vec<u8>)> {
-            let name = r.string().ok()?;
-            let contents = r.bytes().ok()?;
-            r.expect_end().ok()?;
-            Some((name, contents))
-        })();
-        match parsed {
-            Some((image, contents)) => {
+        match LoaderParams::decode(params) {
+            Ok(LoaderParams { image, contents }) => {
                 let path = format!("/boot/{image}");
                 if !self.fs.exists(&path) && self.fs.create(&path).is_err() {
                     self.monitor.reject_open(ctx, req, from, Status::Failed);
                     return;
                 }
-                match self.fs.write(&path, 0, &contents) {
+                match self.fs.write(&path, 0, contents) {
                     Ok(cost) => {
                         ctx.busy(cost);
                         self.stats.images_loaded += 1;
@@ -585,7 +465,7 @@ impl SmartSsd {
                     Err(_) => self.monitor.reject_open(ctx, req, from, Status::Failed),
                 }
             }
-            None => self.monitor.reject_open(ctx, req, from, Status::BadRequest),
+            Err(_) => self.monitor.reject_open(ctx, req, from, Status::BadRequest),
         }
     }
 
@@ -602,25 +482,15 @@ impl SmartSsd {
             self.monitor.reject_open(ctx, req, from, Status::NotFound);
             return;
         };
-        let mut r = WireReader::new(params);
-        let pasid = match r.u32() {
-            Ok(p) if r.expect_end().is_ok() => p,
-            _ => {
-                self.monitor.reject_open(ctx, req, from, Status::BadRequest);
-                return;
-            }
+        let Ok(FileOpen { pasid }) = FileOpen::decode(params) else {
+            self.monitor.reject_open(ctx, req, from, Status::BadRequest);
+            return;
         };
-        let mut w = WireWriter::new();
-        w.u64(self.fs.len(&path).unwrap_or(0));
-        let conn = self.monitor.accept_open(
-            ctx,
-            req,
-            from,
-            service,
-            principal,
-            FILE_CONN_SHM,
-            w.finish(),
-        );
+        let size = self.fs.len(&path).unwrap_or(0);
+        let reply = FileOpened { size }.encode();
+        let conn =
+            self.monitor
+                .accept_open(ctx, req, from, service, principal, FILE_CONN_SHM, reply);
         self.conns.insert(
             conn,
             FileConn {
@@ -779,7 +649,7 @@ impl SmartSsd {
         }
         // Borrowed decode (WRITE payloads stay in `req_buf`) and a reusable
         // response buffer: steady-state service allocates nothing.
-        match FileOpRef::decode(req_buf) {
+        match FileOpRef::decode(req_buf).ok() {
             Some(FileOpRef::Read { offset, len }) => {
                 // The client chose `offset` and `len`: bound them by the
                 // file before sizing anything by them.
@@ -798,37 +668,33 @@ impl SmartSsd {
                             Ok(cost) => {
                                 ctx.busy(cost);
                                 stats.bytes_read += len as u64;
-                                resp_buf[0] = FileStatus::Ok.to_u8();
+                                resp_buf[0] = FileStatus::Ok.tag();
                             }
-                            Err(_) => encode_response_into(FileStatus::Io, &[], resp_buf),
+                            Err(_) => reply(FileStatus::Io, &[], resp_buf),
                         }
                     }
-                    Ok(false) => encode_response_into(FileStatus::Eof, &[], resp_buf),
-                    Err(_) => encode_response_into(FileStatus::Io, &[], resp_buf),
+                    Ok(false) => reply(FileStatus::Eof, &[], resp_buf),
+                    Err(_) => reply(FileStatus::Io, &[], resp_buf),
                 }
             }
             Some(FileOpRef::Write { offset, data }) => match fs.write(file, offset, data) {
                 Ok(cost) => {
                     ctx.busy(cost);
                     stats.bytes_written += data.len() as u64;
-                    encode_response_into(
-                        FileStatus::Ok,
-                        &(data.len() as u32).to_le_bytes(),
-                        resp_buf,
-                    );
+                    reply(FileStatus::Ok, &(data.len() as u32).to_le_bytes(), resp_buf);
                 }
-                Err(FsError::NoSpace) => encode_response_into(FileStatus::NoSpace, &[], resp_buf),
-                Err(_) => encode_response_into(FileStatus::Io, &[], resp_buf),
+                Err(FsError::NoSpace) => reply(FileStatus::NoSpace, &[], resp_buf),
+                Err(_) => reply(FileStatus::Io, &[], resp_buf),
             },
             Some(FileOpRef::Stat) => {
                 let size = fs.len(file).unwrap_or(0);
-                encode_response_into(FileStatus::Ok, &size.to_le_bytes(), resp_buf);
+                reply(FileStatus::Ok, &size.to_le_bytes(), resp_buf);
             }
             Some(FileOpRef::Flush) => {
                 ctx.busy(SimDuration::from_micros(10));
-                encode_response_into(FileStatus::Ok, &[], resp_buf);
+                reply(FileStatus::Ok, &[], resp_buf);
             }
-            None => encode_response_into(FileStatus::Bad, &[], resp_buf),
+            None => reply(FileStatus::Bad, &[], resp_buf),
         }
         stats.requests += 1;
         let written = {
@@ -838,7 +704,7 @@ impl SmartSsd {
                 Err(QueueError::ResponseTooLarge { .. }) => {
                     // Client under-provisioned its buffer: report truncated
                     // status-only response.
-                    queue.write_response(&mut view, chain, &[FileStatus::Bad.to_u8()])?
+                    queue.write_response(&mut view, chain, &[FileStatus::Bad.tag()])?
                 }
                 Err(e) => return Err(e),
             }
@@ -1100,10 +966,9 @@ impl FileClient {
         mem.read(resp_va, buf)?;
         self.arena.free(req_va);
         self.arena.free(resp_va);
-        if buf.is_empty() {
-            return Err(QueueError::Corrupt("empty file-op response"));
-        }
-        let status = FileStatus::from_u8(buf[0]);
+        let status = FileReply::decode(buf)
+            .map_err(|_| QueueError::Corrupt("empty file-op response"))?
+            .status;
         buf.copy_within(1.., 0);
         buf.truncate(n - 1);
         Ok(Some((c.head, status)))
@@ -1210,25 +1075,25 @@ mod tests {
     #[test]
     fn file_op_round_trips() {
         for op in [
-            FileOp::Read {
+            FileOpRef::Read {
                 offset: 7,
                 len: 100,
             },
-            FileOp::Write {
+            FileOpRef::Write {
                 offset: 0,
-                data: vec![1, 2, 3],
+                data: &[1, 2, 3],
             },
-            FileOp::Stat,
-            FileOp::Flush,
+            FileOpRef::Stat,
+            FileOpRef::Flush,
         ] {
             let wire = op.encode();
-            assert_eq!(FileOpRef::decode(&wire), Some(op.borrowed()));
+            assert_eq!(FileOpRef::decode(&wire), Ok(op));
             // No truncation of a valid frame is itself a frame.
             for cut in 0..wire.len() {
-                assert_eq!(FileOpRef::decode(&wire[..cut]), None, "cut at {cut}");
+                assert!(FileOpRef::decode(&wire[..cut]).is_err(), "cut at {cut}");
             }
         }
-        assert_eq!(FileOpRef::decode(&[9, 9]), None);
+        assert!(FileOpRef::decode(&[9, 9]).is_err());
     }
 
     proptest! {
@@ -1242,17 +1107,8 @@ mod tests {
         ) {
             let mut wire = vec![tag];
             wire.extend(tail);
-            if let Some(v) = FileOpRef::decode(&wire) {
-                let owned = match v {
-                    FileOpRef::Read { offset, len } => FileOp::Read { offset, len },
-                    FileOpRef::Write { offset, data } => FileOp::Write {
-                        offset,
-                        data: data.to_vec(),
-                    },
-                    FileOpRef::Stat => FileOp::Stat,
-                    FileOpRef::Flush => FileOp::Flush,
-                };
-                prop_assert_eq!(FileOpRef::decode(&owned.encode()), Some(v));
+            if let Ok(v) = FileOpRef::decode(&wire) {
+                prop_assert_eq!(FileOpRef::decode(&v.encode()), Ok(v));
             }
         }
     }
@@ -1268,27 +1124,28 @@ mod tests {
             },
             FsOp::List,
         ] {
-            assert_eq!(FsOp::decode(&op.encode()), Some(op));
+            assert_eq!(FsOp::decode(&op.encode()), Ok(op));
         }
-        assert_eq!(FsOp::decode(&[0]), None);
+        assert!(FsOp::decode(&[0]).is_err());
     }
 
     #[test]
     fn response_encoding_round_trips() {
-        let r = encode_response(FileStatus::Ok, b"payload");
-        let (s, p) = decode_response(&r).unwrap();
-        assert_eq!(s, FileStatus::Ok);
-        assert_eq!(p, b"payload");
-        assert_eq!(decode_response(&[]), None);
-        for st in [
+        let r = FileReply {
+            status: FileStatus::Ok,
+            data: b"payload",
+        };
+        assert_eq!(FileReply::decode(&r.encode()), Ok(r));
+        assert!(FileReply::decode(&[]).is_err());
+        for status in [
             FileStatus::Ok,
             FileStatus::Eof,
             FileStatus::NoSpace,
             FileStatus::Io,
             FileStatus::Bad,
         ] {
-            let enc = encode_response(st, &[]);
-            assert_eq!(decode_response(&enc).unwrap().0, st);
+            let enc = FileReply { status, data: &[] }.encode();
+            assert_eq!(FileReply::decode(&enc).unwrap().status, status);
         }
     }
 
@@ -1342,9 +1199,13 @@ mod tests {
         let req = dev.read_request(&mut mem, &chain).unwrap();
         assert_eq!(
             FileOpRef::decode(&req),
-            Some(FileOpRef::Read { offset: 0, len: 5 })
+            Ok(FileOpRef::Read { offset: 0, len: 5 })
         );
-        let resp = encode_response(FileStatus::Ok, b"hello");
+        let resp = FileReply {
+            status: FileStatus::Ok,
+            data: b"hello",
+        }
+        .encode();
         let n = dev.write_response(&mut mem, &chain, &resp).unwrap();
         dev.push_used(&mut mem, chain.head, n).unwrap();
 
@@ -1406,7 +1267,11 @@ mod tests {
         // Serve one; capacity returns.
         let mut dev = VirtqueueDevice::attach(QueueLayout::new(0x1000, 4));
         let chain = dev.pop(&mut mem).unwrap().unwrap();
-        let resp = encode_response(FileStatus::Ok, &[]);
+        let resp = FileReply {
+            status: FileStatus::Ok,
+            data: &[],
+        }
+        .encode();
         let n = dev.write_response(&mut mem, &chain, &resp).unwrap();
         dev.push_used(&mut mem, chain.head, n).unwrap();
         assert_eq!(client.completions(&mut mem).unwrap().len(), 1);
@@ -1496,12 +1361,12 @@ mod tests {
             &mut self,
             ssd: &mut SmartSsd,
             client: &mut FileClient,
-            ops: &[FileOp],
+            ops: &[FileOpRef<'_>],
         ) -> Vec<(FileStatus, Vec<u8>)> {
             let mut ctx = self.ctx();
             for op in ops {
                 client
-                    .submit(&mut ctx.dma_view(RIG_PASID), op.borrowed(), 16)
+                    .submit(&mut ctx.dma_view(RIG_PASID), *op, 16)
                     .unwrap();
             }
             assert!(
@@ -1521,15 +1386,15 @@ mod tests {
             &mut ssd,
             &mut client,
             &[
-                FileOp::Read {
+                FileOpRef::Read {
                     offset: u64::MAX - 3,
                     len: 8,
                 },
-                FileOp::Write {
+                FileOpRef::Write {
                     offset: u64::MAX - 3,
-                    data: vec![1; 8],
+                    data: &[1; 8],
                 },
-                FileOp::Read { offset: 6, len: 5 },
+                FileOpRef::Read { offset: 6, len: 5 },
             ],
         );
         assert_eq!(
@@ -1553,12 +1418,12 @@ mod tests {
             &mut ssd,
             &mut client,
             &[
-                FileOp::Read {
+                FileOpRef::Read {
                     offset: 0,
                     len: u32::MAX,
                 },
-                FileOp::Read { offset: 0, len: 12 },
-                FileOp::Read { offset: 0, len: 11 },
+                FileOpRef::Read { offset: 0, len: 12 },
+                FileOpRef::Read { offset: 0, len: 11 },
             ],
         );
         assert_eq!(
@@ -1577,12 +1442,13 @@ mod tests {
     fn oversized_request_rejected() {
         let mut mem = FlatMemory::new(FILE_CONN_SHM as usize + 0x2000);
         let (mut client, _) = FileClient::create(&mut mem, 0x1000, 16).unwrap();
-        let big = FileOp::Write {
+        let data = vec![0; CLIENT_SLOT as usize + 1];
+        let big = FileOpRef::Write {
             offset: 0,
-            data: vec![0; CLIENT_SLOT as usize + 1],
+            data: &data,
         };
         assert!(matches!(
-            client.submit(&mut mem, big.borrowed(), 16),
+            client.submit(&mut mem, big, 16),
             Err(QueueError::ResponseTooLarge { .. })
         ));
         assert!(matches!(

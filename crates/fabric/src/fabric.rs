@@ -1,5 +1,6 @@
 //! The rack fabric: N machines, one clock, modeled inter-machine links.
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_core::{System, TunnelDelivery};
 use lastcpu_net::{Frame, NetCostModel, PortId};
 use lastcpu_sim::{

@@ -13,10 +13,14 @@
 //! format: unknown tags and trailing bytes are errors, consistent with the
 //! "buses are hardware" stance of the bus crate.
 
-use lastcpu_bus::wire::{field_len, varint_len, WireError, WireReader, WireWriter};
+use lastcpu_bus::wire::{Counted, Varint};
 
 /// Magic prefix distinguishing directory frames from workload traffic.
 pub const DIR_MAGIC: u16 = 0xD1DC;
+
+/// Endpoints a reader reserves room for before it has read them, whatever
+/// a reply's count claims.
+const RESERVE_ENDPOINTS: usize = 4096;
 
 /// One rack endpoint, as seen by the querying machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +36,8 @@ pub struct DirEndpoint {
     /// remote).
     pub port: u32,
 }
+
+lastcpu_snap::record!(wire lastcpu_bus::wire; DirEndpoint { name, kind, machine, port });
 
 /// A directory message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,87 +61,12 @@ pub enum DirMsg {
     },
 }
 
+lastcpu_snap::variants! { wire lastcpu_bus::wire; DirMsg magic(DIR_MAGIC) {
+    Query = 1 { epoch_hint as Varint },
+    Reply = 2 { epoch as Varint, endpoints as Counted(RESERVE_ENDPOINTS) },
+} }
+
 impl DirMsg {
-    /// Size of the encoding, without producing it.
-    pub fn encoded_len(&self) -> usize {
-        2 + 1
-            + match self {
-                DirMsg::Query { epoch_hint } => varint_len(*epoch_hint),
-                DirMsg::Reply { epoch, endpoints } => {
-                    varint_len(*epoch)
-                        + varint_len(endpoints.len() as u64)
-                        + endpoints
-                            .iter()
-                            .map(|ep| field_len(ep.name.len()) + field_len(ep.kind.len()) + 4 + 4)
-                            .sum::<usize>()
-                }
-            }
-    }
-
-    /// Serializes the message into a buffer allocated once at its exact
-    /// size.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(self.encoded_len());
-        w.u16(DIR_MAGIC);
-        match self {
-            DirMsg::Query { epoch_hint } => {
-                w.u8(1);
-                w.varint(*epoch_hint);
-            }
-            DirMsg::Reply { epoch, endpoints } => {
-                w.u8(2);
-                w.varint(*epoch);
-                w.varint(endpoints.len() as u64);
-                for ep in endpoints {
-                    w.string(&ep.name);
-                    w.string(&ep.kind);
-                    w.u32(ep.machine);
-                    w.u32(ep.port);
-                }
-            }
-        }
-        w.finish()
-    }
-
-    /// Deserializes a message, rejecting trailing bytes and unknown tags.
-    pub fn decode(buf: &[u8]) -> Result<DirMsg, WireError> {
-        let mut r = WireReader::new(buf);
-        let magic = r.u16()?;
-        if magic != DIR_MAGIC {
-            return Err(WireError::BadDiscriminant {
-                what: "DirMsg.magic",
-                value: magic as u64,
-            });
-        }
-        let msg = match r.u8()? {
-            1 => DirMsg::Query {
-                epoch_hint: r.varint()?,
-            },
-            2 => {
-                let epoch = r.varint()?;
-                let n = r.varint()? as usize;
-                let mut endpoints = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    endpoints.push(DirEndpoint {
-                        name: r.string()?,
-                        kind: r.string()?,
-                        machine: r.u32()?,
-                        port: r.u32()?,
-                    });
-                }
-                DirMsg::Reply { epoch, endpoints }
-            }
-            t => {
-                return Err(WireError::BadDiscriminant {
-                    what: "DirMsg.tag",
-                    value: t as u64,
-                })
-            }
-        };
-        r.expect_end()?;
-        Ok(msg)
-    }
-
     /// Whether `buf` looks like a directory frame (magic matches).
     pub fn sniff(buf: &[u8]) -> bool {
         buf.len() >= 2 && u16::from_le_bytes([buf[0], buf[1]]) == DIR_MAGIC
@@ -145,6 +76,7 @@ impl DirMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lastcpu_bus::wire::Wire;
 
     #[test]
     fn query_round_trips() {

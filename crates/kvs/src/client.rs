@@ -9,9 +9,10 @@ use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::critpath::{op_key, STAGE_CLIENT_DONE, STAGE_CLIENT_ISSUE};
 use lastcpu_sim::{DetHashMap, SimDuration, SimTime, Zipf};
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_core::{HostCtx, NetHost};
 
-use crate::proto::{encode_get_into, encode_put_into, KvsRequest, KvsResponseRef, KvsStatus};
+use crate::proto::{encode_get_into, encode_put_into, KvsRequestRef, KvsResponseRef, KvsStatus};
 
 /// Retry/progress timer token.
 const TOKEN_TICK: u64 = 1;
@@ -305,14 +306,8 @@ impl KvsClientHost {
         let id = self.next_id;
         self.next_id += 1;
         self.outstanding.insert(id, (ctx.now, true));
-        ctx.net_tx(
-            self.server,
-            KvsRequest::Get {
-                id,
-                key: b"probe".to_vec(),
-            }
-            .encode(),
-        );
+        let probe = KvsRequestRef::Get { id, key: b"probe" };
+        ctx.net_tx(self.server, probe.encode());
         ctx.set_timer(SimDuration::from_millis(2), TOKEN_TICK);
     }
 }

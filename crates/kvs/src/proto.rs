@@ -3,77 +3,14 @@
 //! One request or response per frame; requests carry a client-chosen id the
 //! response echoes, so clients can pipeline.
 
-use lastcpu_bus::wire::{field_len, WireReader, WireWriter};
+use lastcpu_bus::wire::Wire;
 
-/// A KVS request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvsRequest {
-    /// Fetch a value.
-    Get {
-        /// Request id echoed in the response.
-        id: u64,
-        /// The key.
-        key: Vec<u8>,
-    },
-    /// Insert or update a value.
-    Put {
-        /// Request id echoed in the response.
-        id: u64,
-        /// The key.
-        key: Vec<u8>,
-        /// The value.
-        value: Vec<u8>,
-    },
-    /// Remove a key.
-    Delete {
-        /// Request id echoed in the response.
-        id: u64,
-        /// The key.
-        key: Vec<u8>,
-    },
-}
-
-impl KvsRequest {
-    /// The request id.
-    pub fn id(&self) -> u64 {
-        match self {
-            KvsRequest::Get { id, .. }
-            | KvsRequest::Put { id, .. }
-            | KvsRequest::Delete { id, .. } => *id,
-        }
-    }
-
-    /// The request as a view borrowing its key and value.
-    pub fn borrowed(&self) -> KvsRequestRef<'_> {
-        match self {
-            KvsRequest::Get { id, key } => KvsRequestRef::Get { id: *id, key },
-            KvsRequest::Put { id, key, value } => KvsRequestRef::Put {
-                id: *id,
-                key,
-                value,
-            },
-            KvsRequest::Delete { id, key } => KvsRequestRef::Delete { id: *id, key },
-        }
-    }
-
-    /// Encodes to frame payload bytes (see [`KvsRequestRef::encode`]).
-    pub fn encode(&self) -> Vec<u8> {
-        self.borrowed().encode()
-    }
-
-    /// Decodes from frame payload bytes.
-    pub fn decode(buf: &[u8]) -> Option<KvsRequest> {
-        KvsRequestRef::decode(buf).map(|r| r.to_owned())
-    }
-}
-
-/// A decoded request view borrowing key/value bytes from the frame payload.
+/// A KVS request, borrowing its key and value from the frame payload.
 ///
 /// The server decodes into this — zero allocations — and serves the request
 /// from the frame it arrived in; one that must wait for storage-queue space is
-/// kept as its encoding ([`KvsRequestRef::encode_into`]), which is canonical:
-/// decoding it yields this view again. [`KvsRequestRef::to_owned`] is for
-/// callers that keep a request beyond its frame in decoded form.
+/// kept as its encoding ([`Wire::encode_into`]), which is canonical:
+/// decoding it yields this view again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvsRequestRef<'a> {
     /// Fetch a value.
@@ -101,6 +38,12 @@ pub enum KvsRequestRef<'a> {
     },
 }
 
+lastcpu_snap::variants! { wire lastcpu_bus::wire; KvsRequestRef<'a> {
+    Get = 1 { id, key },
+    Put = 2 { id, key, value },
+    Delete = 3 { id, key },
+} }
+
 impl<'a> KvsRequestRef<'a> {
     /// The request id.
     pub fn id(&self) -> u64 {
@@ -120,86 +63,11 @@ impl<'a> KvsRequestRef<'a> {
         }
     }
 
-    /// Size of the encoding, without producing it.
-    pub fn encoded_len(&self) -> usize {
-        let value = match self {
-            KvsRequestRef::Put { value, .. } => field_len(value.len()),
-            _ => 0,
-        };
-        1 + 8 + field_len(self.key().len()) + value
-    }
-
-    /// Encodes to frame payload bytes, allocated once at their exact size.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// Appends the encoding to `buf` (typically a pooled buffer).
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let mut w = WireWriter::with_buf(std::mem::take(buf));
-        match *self {
-            KvsRequestRef::Get { id, key } => {
-                w.u8(1);
-                w.u64(id);
-                w.bytes(key);
-            }
-            KvsRequestRef::Put { id, key, value } => {
-                w.u8(2);
-                w.u64(id);
-                w.bytes(key);
-                w.bytes(value);
-            }
-            KvsRequestRef::Delete { id, key } => {
-                w.u8(3);
-                w.u64(id);
-                w.bytes(key);
-            }
-        }
-        *buf = w.finish();
-    }
-
-    /// Decodes a borrowed view from frame payload bytes, allocation-free.
+    /// Decodes a view from frame payload bytes, allocation-free; `None` for
+    /// bytes that are not exactly one request. Inherent, so a caller needs
+    /// no `Wire` in scope.
     pub fn decode(buf: &'a [u8]) -> Option<KvsRequestRef<'a>> {
-        let mut r = WireReader::new(buf);
-        let req = match r.u8().ok()? {
-            1 => KvsRequestRef::Get {
-                id: r.u64().ok()?,
-                key: r.bytes_ref().ok()?,
-            },
-            2 => KvsRequestRef::Put {
-                id: r.u64().ok()?,
-                key: r.bytes_ref().ok()?,
-                value: r.bytes_ref().ok()?,
-            },
-            3 => KvsRequestRef::Delete {
-                id: r.u64().ok()?,
-                key: r.bytes_ref().ok()?,
-            },
-            _ => return None,
-        };
-        r.expect_end().ok()?;
-        Some(req)
-    }
-
-    /// Copies the borrowed fields into an owned [`KvsRequest`].
-    pub fn to_owned(self) -> KvsRequest {
-        match self {
-            KvsRequestRef::Get { id, key } => KvsRequest::Get {
-                id,
-                key: key.to_vec(),
-            },
-            KvsRequestRef::Put { id, key, value } => KvsRequest::Put {
-                id,
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-            KvsRequestRef::Delete { id, key } => KvsRequest::Delete {
-                id,
-                key: key.to_vec(),
-            },
-        }
+        Wire::decode(buf).ok()
     }
 }
 
@@ -223,95 +91,35 @@ pub enum KvsStatus {
 
 lastcpu_snap::tags! { KvsStatus { Ok = 0, NotFound = 1, Busy = 2, Error = 3, Unavailable = 4 } }
 
-impl KvsStatus {
-    fn to_u8(self) -> u8 {
-        self.tag()
-    }
+lastcpu_bus::wire_tags!(KvsStatus else Error);
 
-    /// The wire is lenient: a tag no status has reads as `Error` (fault
-    /// injection corrupts frames, and what they decode to is part of the
-    /// record). A checkpoint refuses it.
-    fn from_u8(v: u8) -> KvsStatus {
-        KvsStatus::from_tag(v).unwrap_or(KvsStatus::Error)
-    }
-}
-
-/// A KVS response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KvsResponse {
-    /// Echoed request id.
-    pub id: u64,
-    /// Outcome.
-    pub status: KvsStatus,
-    /// Value bytes (GET hits only).
-    pub value: Vec<u8>,
-}
-
-impl KvsResponse {
-    /// Builds a [`KvsStatus::Busy`] response carrying the server's current
-    /// queue depth (backlog + in-flight) in the value bytes. The depth is
-    /// the backpressure signal: a congestion-aware router scales its
-    /// re-dispatch deferral by it instead of retrying blind.
-    pub fn busy(id: u64, depth: u32) -> KvsResponse {
-        KvsResponse {
-            id,
-            status: KvsStatus::Busy,
-            value: depth.to_le_bytes().to_vec(),
-        }
-    }
-
-    /// The queue depth a [`KvsStatus::Busy`] response reported, if any.
-    /// Older/minimal Busy responses carry no payload; they read as `None`
-    /// and callers fall back to a default backoff.
-    pub fn busy_depth(&self) -> Option<u32> {
-        if self.status != KvsStatus::Busy {
-            return None;
-        }
-        let bytes: [u8; 4] = self.value.as_slice().try_into().ok()?;
-        Some(u32::from_le_bytes(bytes))
-    }
-
-    /// Encodes to frame payload bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        encode_response(self.id, self.status, &self.value)
-    }
-
-    /// Decodes from frame payload bytes.
-    pub fn decode(buf: &[u8]) -> Option<KvsResponse> {
-        KvsResponseRef::decode(buf).map(|r| KvsResponse {
-            id: r.id,
-            status: r.status,
-            value: r.value.to_vec(),
-        })
-    }
-}
-
-/// A decoded response view borrowing the value bytes from the payload.
-/// Clients that only inspect the value (or ignore it) decode through this
-/// without allocating.
+/// A KVS response, borrowing the value bytes from the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvsResponseRef<'a> {
     /// Echoed request id.
     pub id: u64,
     /// Outcome.
     pub status: KvsStatus,
-    /// Value bytes (GET hits only), borrowed from the payload.
+    /// Value bytes (GET hits only), borrowed from the payload. A
+    /// [`KvsStatus::Busy`] response carries the server's queue depth here
+    /// ([`busy_depth`](Self::busy_depth)).
     pub value: &'a [u8],
 }
 
+lastcpu_snap::record!(wire lastcpu_bus::wire; KvsResponseRef<'a> { status, id, value });
+
 impl<'a> KvsResponseRef<'a> {
-    /// Decodes a borrowed view from frame payload bytes, allocation-free.
+    /// Decodes a view from frame payload bytes, allocation-free; `None` for
+    /// bytes that are not exactly one response. Inherent, so a caller needs
+    /// no `Wire` in scope.
     pub fn decode(buf: &'a [u8]) -> Option<KvsResponseRef<'a>> {
-        let mut r = WireReader::new(buf);
-        let status = KvsStatus::from_u8(r.u8().ok()?);
-        let id = r.u64().ok()?;
-        let value = r.bytes_ref().ok()?;
-        r.expect_end().ok()?;
-        Some(KvsResponseRef { id, status, value })
+        Wire::decode(buf).ok()
     }
 
-    /// The queue depth a [`KvsStatus::Busy`] response reported, if any
-    /// (see [`KvsResponse::busy_depth`]).
+    /// The queue depth a [`KvsStatus::Busy`] response reported, if any: the
+    /// backpressure signal a congestion-aware router scales its re-dispatch
+    /// deferral by. Minimal Busy responses carry no payload; they read as
+    /// `None` and callers fall back to a default backoff.
     pub fn busy_depth(&self) -> Option<u32> {
         if self.status != KvsStatus::Busy {
             return None;
@@ -322,37 +130,22 @@ impl<'a> KvsResponseRef<'a> {
 }
 
 /// Encodes a GET request straight into `buf` (appended), from a borrowed
-/// key — the client's zero-alloc issue path. Wire-identical to
-/// `KvsRequest::Get { id, key }.encode()`.
+/// key — the client's zero-alloc issue path.
 pub fn encode_get_into(id: u64, key: &[u8], buf: &mut Vec<u8>) {
     KvsRequestRef::Get { id, key }.encode_into(buf);
 }
 
 /// Encodes a PUT request straight into `buf` (appended), from borrowed key
-/// and value. Wire-identical to `KvsRequest::Put { .. }.encode()`.
+/// and value.
 pub fn encode_put_into(id: u64, key: &[u8], value: &[u8], buf: &mut Vec<u8>) {
     KvsRequestRef::Put { id, key, value }.encode_into(buf);
 }
 
-/// Encodes a response directly from a borrowed value, without building a
-/// [`KvsResponse`] first. The server's cache-hit fast path uses this to
-/// serialize straight out of the value cache — no intermediate copy of the
-/// value bytes.
-pub fn encode_response(id: u64, status: KvsStatus, value: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(1 + 8 + field_len(value.len()));
-    encode_response_into(id, status, value, &mut buf);
-    buf
-}
-
-/// Like [`encode_response`], but appends into a caller-supplied buffer
-/// (typically drawn from the machine's payload pool). The zero-alloc
-/// delivery path serializes every response through here.
+/// Encodes a response straight into `buf` (appended, typically a buffer
+/// drawn from the machine's payload pool) from a borrowed value. The
+/// zero-alloc delivery path serializes every response through here.
 pub fn encode_response_into(id: u64, status: KvsStatus, value: &[u8], buf: &mut Vec<u8>) {
-    let mut w = WireWriter::with_buf(std::mem::take(buf));
-    w.u8(status.to_u8());
-    w.u64(id);
-    w.bytes(value);
-    *buf = w.finish();
+    KvsResponseRef { id, status, value }.encode_into(buf);
 }
 
 #[cfg(test)]
@@ -362,24 +155,23 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         for req in [
-            KvsRequest::Get {
-                id: 7,
-                key: b"k".to_vec(),
-            },
-            KvsRequest::Put {
+            KvsRequestRef::Get { id: 7, key: b"k" },
+            KvsRequestRef::Put {
                 id: 8,
-                key: b"k".to_vec(),
-                value: b"v".to_vec(),
+                key: b"k",
+                value: b"v",
             },
-            KvsRequest::Delete {
-                id: 9,
-                key: b"k".to_vec(),
-            },
+            KvsRequestRef::Delete { id: 9, key: b"k" },
         ] {
-            assert_eq!(KvsRequest::decode(&req.encode()), Some(req));
+            assert_eq!(KvsRequestRef::decode(&req.encode()), Some(req));
         }
-        assert_eq!(KvsRequest::decode(&[99]), None);
-        assert_eq!(KvsRequest::decode(&[]), None);
+        assert_eq!(KvsRequestRef::decode(&[99]), None);
+        assert_eq!(KvsRequestRef::decode(&[]), None);
+    }
+
+    #[test]
+    fn id_accessor() {
+        assert_eq!(KvsRequestRef::Get { id: 5, key: b"" }.id(), 5);
     }
 
     /// Every encoder that returns a fresh buffer sizes it once: no growth,
@@ -398,22 +190,18 @@ mod tests {
                 KvsRequestRef::Delete { id: 3, key: &key },
             ];
             for req in kinds {
-                let enc = req.to_owned().encode();
+                let enc = req.encode();
                 assert_eq!(enc.len(), req.encoded_len());
                 assert_eq!(enc.capacity(), enc.len(), "{req:?}");
             }
-            for resp in [
-                KvsResponse {
-                    id: 4,
-                    status: KvsStatus::Ok,
-                    value,
-                },
-                KvsResponse::busy(5, n as u32),
-            ] {
-                let enc = resp.encode();
-                assert_eq!(enc.capacity(), enc.len(), "{resp:?}");
-                assert_eq!(KvsResponse::decode(&enc), Some(resp));
-            }
+            let resp = KvsResponseRef {
+                id: 4,
+                status: KvsStatus::Ok,
+                value: &value,
+            };
+            let enc = resp.encode();
+            assert_eq!(enc.capacity(), enc.len(), "{resp:?}");
+            assert_eq!(KvsResponseRef::decode(&enc), Some(resp));
         }
     }
 
@@ -426,58 +214,13 @@ mod tests {
             KvsStatus::Error,
             KvsStatus::Unavailable,
         ] {
-            let resp = KvsResponse {
+            let resp = KvsResponseRef {
                 id: 42,
                 status,
-                value: b"value".to_vec(),
+                value: b"value",
             };
-            assert_eq!(KvsResponse::decode(&resp.encode()), Some(resp));
+            assert_eq!(KvsResponseRef::decode(&resp.encode()), Some(resp));
         }
-    }
-
-    #[test]
-    fn id_accessor() {
-        assert_eq!(KvsRequest::Get { id: 5, key: vec![] }.id(), 5);
-    }
-
-    #[test]
-    fn borrowed_views_agree_with_owned_decode() {
-        let reqs = [
-            KvsRequest::Get {
-                id: 7,
-                key: b"k1".to_vec(),
-            },
-            KvsRequest::Put {
-                id: 8,
-                key: b"k2".to_vec(),
-                value: b"v".to_vec(),
-            },
-            KvsRequest::Delete {
-                id: 9,
-                key: b"k3".to_vec(),
-            },
-        ];
-        for req in reqs {
-            let wire = req.encode();
-            let view = KvsRequestRef::decode(&wire).unwrap();
-            assert_eq!(view.to_owned(), req);
-            assert_eq!(view.id(), req.id());
-        }
-        let resp = KvsResponse {
-            id: 3,
-            status: KvsStatus::Ok,
-            value: b"val".to_vec(),
-        };
-        let wire = resp.encode();
-        let view = KvsResponseRef::decode(&wire).unwrap();
-        assert_eq!(view.id, 3);
-        assert_eq!(view.status, KvsStatus::Ok);
-        assert_eq!(view.value, b"val");
-        let busy = KvsResponse::busy(4, 77).encode();
-        assert_eq!(
-            KvsResponseRef::decode(&busy).unwrap().busy_depth(),
-            Some(77)
-        );
     }
 
     proptest::proptest! {
@@ -524,78 +267,79 @@ mod tests {
             }
         }
 
-        /// Owned and borrowed response decoders accept and refuse the same
-        /// bytes: arbitrary input, a valid frame, and every truncation of it.
+        /// A response decodes from its own encoding and from no truncation
+        /// of it, whatever its status tag (an unknown one reads as `Error`);
+        /// noise that decodes re-encodes to the bytes it came from, less an
+        /// unknown status.
         #[test]
-        fn prop_response_decoders_agree(
+        fn prop_response_decodes_only_whole_frames(
             status in 0u8..6,
             id in proptest::prelude::any::<u64>(),
             value in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40),
             noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
         ) {
-            let owned = |b: &[u8]| KvsResponse::decode(b);
-            let borrowed = |b: &[u8]| {
-                KvsResponseRef::decode(b).map(|r| KvsResponse {
-                    id: r.id,
-                    status: r.status,
-                    value: r.value.to_vec(),
-                })
-            };
-            let frame = encode_response(id, KvsStatus::from_u8(status), &value);
-            proptest::prop_assert!(owned(&frame).is_some());
-            for cut in 0..=frame.len() {
-                proptest::prop_assert_eq!(owned(&frame[..cut]), borrowed(&frame[..cut]));
+            let status = KvsStatus::from_tag(status).unwrap_or(KvsStatus::Error);
+            let resp = KvsResponseRef { id, status, value: &value };
+            let frame = resp.encode();
+            proptest::prop_assert_eq!(KvsResponseRef::decode(&frame), Some(resp));
+            for cut in 0..frame.len() {
+                proptest::prop_assert_eq!(KvsResponseRef::decode(&frame[..cut]), None);
             }
-            proptest::prop_assert_eq!(owned(&noise), borrowed(&noise));
+            if let Some(r) = KvsResponseRef::decode(&noise) {
+                proptest::prop_assert_eq!(&r.encode()[1..], &noise[1..]);
+            }
         }
     }
 
     #[test]
     fn into_buffer_encoders_are_wire_identical() {
-        let mut buf = Vec::new();
+        let mut buf = vec![0xee];
         encode_get_into(11, b"key", &mut buf);
         assert_eq!(
-            buf,
-            KvsRequest::Get {
+            buf[1..],
+            KvsRequestRef::Get {
                 id: 11,
-                key: b"key".to_vec()
+                key: b"key"
             }
             .encode()
         );
-        buf.clear();
+        buf.truncate(1);
         encode_put_into(12, b"key", b"value", &mut buf);
-        assert_eq!(
-            buf,
-            KvsRequest::Put {
-                id: 12,
-                key: b"key".to_vec(),
-                value: b"value".to_vec()
-            }
-            .encode()
-        );
-        buf.clear();
+        let put = KvsRequestRef::Put {
+            id: 12,
+            key: b"key",
+            value: b"value",
+        };
+        assert_eq!(buf[1..], put.encode());
+        buf.truncate(1);
         encode_response_into(13, KvsStatus::NotFound, b"", &mut buf);
-        assert_eq!(buf, encode_response(13, KvsStatus::NotFound, b""));
+        let resp = KvsResponseRef {
+            id: 13,
+            status: KvsStatus::NotFound,
+            value: b"",
+        };
+        assert_eq!(buf[1..], resp.encode());
     }
 
     #[test]
     fn busy_depth_round_trips() {
-        let resp = KvsResponse::busy(7, 513);
-        assert_eq!(resp.status, KvsStatus::Busy);
-        assert_eq!(resp.busy_depth(), Some(513));
-        let wire = KvsResponse::decode(&resp.encode()).unwrap();
-        assert_eq!(wire.busy_depth(), Some(513));
-        // Legacy empty-payload Busy and non-Busy responses report no depth.
-        let legacy = KvsResponse {
+        let depth = 513u32.to_le_bytes();
+        let busy = KvsResponseRef {
             id: 7,
             status: KvsStatus::Busy,
-            value: vec![],
+            value: &depth,
         };
-        assert_eq!(legacy.busy_depth(), None);
-        let ok = KvsResponse {
-            id: 7,
+        let wire = busy.encode();
+        assert_eq!(
+            KvsResponseRef::decode(&wire).unwrap().busy_depth(),
+            Some(513)
+        );
+        // An empty-payload Busy and a non-Busy response report no depth.
+        let empty = KvsResponseRef { value: b"", ..busy };
+        assert_eq!(empty.busy_depth(), None);
+        let ok = KvsResponseRef {
             status: KvsStatus::Ok,
-            value: 9u32.to_le_bytes().to_vec(),
+            ..busy
         };
         assert_eq!(ok.busy_depth(), None);
     }

@@ -42,6 +42,7 @@ use lastcpu_sim::DetHashMap;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_core::{HostCtx, NetHost};
 use lastcpu_fabric::{DirMsg, HashRing};
 use lastcpu_net::{Frame, PortId};
@@ -50,7 +51,7 @@ use lastcpu_sim::critpath::{
 };
 use lastcpu_sim::{profile, SimDuration, SimTime};
 
-use crate::proto::{encode_response, KvsRequestRef, KvsResponseRef, KvsStatus};
+use crate::proto::{KvsRequestRef, KvsResponseRef, KvsStatus};
 
 /// Timer token for the periodic tick (directory refresh + timeout sweep).
 const TOKEN_TICK: u64 = 1;
@@ -538,7 +539,12 @@ impl ShardRouterHost {
             op_key(p.client.0, p.client_id),
             status as u64,
         );
-        ctx.net_tx(p.client, encode_response(p.client_id, status, value));
+        let resp = KvsResponseRef {
+            id: p.client_id,
+            status,
+            value,
+        };
+        ctx.net_tx(p.client, resp.encode());
         if self.spare.len() < SPARE_REQS {
             // The targets are the ring's handles; let go of them now.
             p.subs.clear();
@@ -834,7 +840,12 @@ impl ShardRouterHost {
         if self.ring.is_empty() {
             // Rack not discovered yet: tell the client to back off, same as
             // a booting single server would.
-            ctx.net_tx(src, encode_response(req.id(), KvsStatus::Busy, &[]));
+            let busy = KvsResponseRef {
+                id: req.id(),
+                status: KvsStatus::Busy,
+                value: &[],
+            };
+            ctx.net_tx(src, busy.encode());
             return;
         }
         let seq = self.next_seq;
@@ -1049,7 +1060,6 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{KvsRequest, KvsResponse};
     use lastcpu_core::HostAction;
     use lastcpu_fabric::DirEndpoint;
     use lastcpu_sim::{CorrId, DetRng, MetricsHub};
@@ -1186,11 +1196,11 @@ mod tests {
 
     /// KVS sub-requests (not directory queries) transmitted in `actions`,
     /// as `(dst, request)` pairs.
-    fn subs_sent(actions: &[HostAction]) -> Vec<(PortId, KvsRequest)> {
+    fn subs_sent(actions: &[HostAction]) -> Vec<(PortId, KvsRequestRef<'_>)> {
         actions
             .iter()
             .filter_map(|a| match a {
-                HostAction::NetTx(f) => KvsRequest::decode(&f.payload).map(|r| (f.dst, r)),
+                HostAction::NetTx(f) => KvsRequestRef::decode(&f.payload).map(|r| (f.dst, r)),
                 _ => None,
             })
             .collect()
@@ -1203,11 +1213,7 @@ mod tests {
         // A GET in flight, so the router is live and has one real pending.
         let acts = h.frame(
             CLIENT_PORT,
-            KvsRequest::Get {
-                id: 1,
-                key: b"k".to_vec(),
-            }
-            .encode(),
+            KvsRequestRef::Get { id: 1, key: b"k" }.encode(),
         );
         assert_eq!(subs_sent(&acts).len(), 1);
         assert_eq!(h.router.stats().requests, 1);
@@ -1215,14 +1221,14 @@ mod tests {
         // A late NotFound response to a sub the router no longer tracks.
         // Its wire bytes alias a *valid* Get request — the ghost-request
         // hazard this test pins down.
-        let late = KvsResponse {
+        let late = KvsResponseRef {
             id: SUB_ID_BASE | 0xDEAD,
             status: KvsStatus::NotFound,
-            value: b"ghost-key".to_vec(),
+            value: b"ghost-key",
         };
         let payload = late.encode();
         assert!(
-            KvsRequest::decode(&payload).is_some(),
+            KvsRequestRef::decode(&payload).is_some(),
             "test premise: the late response must alias a request"
         );
         let acts = h.frame(PortId(10), payload);
@@ -1234,6 +1240,16 @@ mod tests {
         );
         assert_eq!(h.router.stats().late_acks, 1);
         assert_eq!(h.hub.counter("fabric.router.late_acks"), 1);
+    }
+
+    /// A Busy response reporting `depth`.
+    fn busy(id: u64, depth: u32) -> Vec<u8> {
+        KvsResponseRef {
+            id,
+            status: KvsStatus::Busy,
+            value: &depth.to_le_bytes(),
+        }
+        .encode()
     }
 
     /// Frames (not directory queries) transmitted in `actions`, as
@@ -1258,23 +1274,23 @@ mod tests {
         // A client GET is, byte for byte, a NotFound response whose value is
         // the key. Its id is the client's, below the router-minted range, so
         // it is a request.
-        let get = KvsRequest::Get {
+        let get = KvsRequestRef::Get {
             id: 9,
-            key: b"alias".to_vec(),
+            key: b"alias",
         }
         .encode();
         assert_eq!(
-            KvsResponse::decode(&get),
-            Some(KvsResponse {
+            KvsResponseRef::decode(&get),
+            Some(KvsResponseRef {
                 id: 9,
                 status: KvsStatus::NotFound,
-                value: b"alias".to_vec(),
+                value: b"alias",
             }),
             "test premise: the layouts alias"
         );
         let acts = h.frame(CLIENT_PORT, get);
         let sent = subs_sent(&acts);
-        let [(port, KvsRequest::Get { id: sub_id, key })] = &sent[..] else {
+        let [(port, KvsRequestRef::Get { id: sub_id, key })] = &sent[..] else {
             panic!("one GET sub expected, got {sent:?}");
         };
         assert_eq!((*port, &key[..]), (PortId(10), &b"alias"[..]));
@@ -1283,12 +1299,12 @@ mod tests {
         assert_eq!(h.router.stats().late_acks, 0);
 
         // A Busy ack answers nobody; it marks the request for the sweep.
-        let acts = h.frame(PortId(10), KvsResponse::busy(*sub_id, 3).encode());
+        let acts = h.frame(PortId(10), busy(*sub_id, 3));
         assert!(frames_sent(&acts).is_empty(), "{acts:?}");
         assert_eq!(h.router.stats().busy_deferrals, 1);
         assert!(h.router.pending.values().all(|p| p.needs_redispatch));
         // The same ack again is late: its sub left the index with the first.
-        h.frame(PortId(10), KvsResponse::busy(*sub_id, 3).encode());
+        h.frame(PortId(10), busy(*sub_id, 3));
         assert_eq!(h.router.stats().late_acks, 1);
         assert_eq!(h.router.stats().requests, 1, "no ghost request");
 
@@ -1296,20 +1312,20 @@ mod tests {
         // encodes to.
         let acts = h.tick_after(RouterConfig::default().busy_backoff);
         let retry = subs_sent(&acts)[0].1.id();
-        let hit = KvsResponse {
+        let hit = KvsResponseRef {
             id: retry,
             status: KvsStatus::Ok,
-            value: vec![0xC3; 300],
+            value: &[0xC3; 300],
         };
         let acts = h.frame(PortId(10), hit.encode());
         assert_eq!(
             frames_sent(&acts),
             [(
                 CLIENT_PORT,
-                KvsResponse {
+                KvsResponseRef {
                     id: 9,
                     status: KvsStatus::Ok,
-                    value: vec![0xC3; 300],
+                    value: &[0xC3; 300],
                 }
                 .encode()
             )]
@@ -1323,18 +1339,18 @@ mod tests {
         let mut h = Harness::new(RouterConfig::default());
         h.install(&[("m0/nic0", 10)]);
         let put = |id: u64, value: &[u8]| {
-            KvsRequest::Put {
+            KvsRequestRef::Put {
                 id,
-                key: b"slot-key".to_vec(),
-                value: value.to_vec(),
+                key: b"slot-key",
+                value,
             }
             .encode()
         };
         let ok = |id: u64| {
-            KvsResponse {
+            KvsResponseRef {
                 id,
                 status: KvsStatus::Ok,
-                value: vec![],
+                value: &[],
             }
             .encode()
         };
@@ -1361,10 +1377,10 @@ mod tests {
         let sent = subs_sent(&acts);
         assert_eq!(
             sent[0].1,
-            KvsRequest::Put {
+            KvsRequestRef::Put {
                 id: sent[0].1.id(),
-                key: b"slot-key".to_vec(),
-                value: vec![8; 16],
+                key: b"slot-key",
+                value: &[8; 16],
             }
         );
         h.frame(PortId(10), ok(sent[0].1.id()));
@@ -1374,17 +1390,13 @@ mod tests {
         // the frame or in a checkpoint taken while it waits.
         let acts = h.frame(
             CLIENT_PORT,
-            KvsRequest::Get {
-                id: 3,
-                key: b"k".to_vec(),
-            }
-            .encode(),
+            KvsRequestRef::Get { id: 3, key: b"k" }.encode(),
         );
         assert_eq!(
             subs_sent(&acts)[0].1,
-            KvsRequest::Get {
+            KvsRequestRef::Get {
                 id: subs_sent(&acts)[0].1.id(),
-                key: b"k".to_vec(),
+                key: b"k",
             }
         );
         let p = h.router.pending.values().next().expect("pending");
@@ -1509,11 +1521,7 @@ mod tests {
         h.install(&[(a, 10), (b, 11)]);
         let acts = h.frame(
             CLIENT_PORT,
-            KvsRequest::Get {
-                id: 1,
-                key: key.clone(),
-            }
-            .encode(),
+            KvsRequestRef::Get { id: 1, key: &key }.encode(),
         );
         assert_eq!(subs_sent(&acts), {
             let sent = subs_sent(&acts);
@@ -1547,10 +1555,10 @@ mod tests {
         h.install(&[("m0/nic0", 10)]);
         let acts = h.frame(
             CLIENT_PORT,
-            KvsRequest::Put {
+            KvsRequestRef::Put {
                 id: 1,
-                key: b"k".to_vec(),
-                value: b"v".to_vec(),
+                key: b"k",
+                value: b"v",
             }
             .encode(),
         );
@@ -1559,7 +1567,7 @@ mod tests {
         let sub_id = sent[0].1.id();
 
         // The server reports Busy with a shallow queue.
-        h.frame(PortId(10), KvsResponse::busy(sub_id, 3).encode());
+        h.frame(PortId(10), busy(sub_id, 3));
         assert_eq!(h.router.stats().busy_deferrals, 1);
 
         // Next tick falls inside the backpressure window: no reissue.
@@ -1593,10 +1601,10 @@ mod tests {
         h.install(&[("m0/nic0", 10)]);
         let acts = h.frame(
             CLIENT_PORT,
-            KvsRequest::Put {
+            KvsRequestRef::Put {
                 id: 1,
-                key: b"k".to_vec(),
-                value: b"v".to_vec(),
+                key: b"k",
+                value: b"v",
             }
             .encode(),
         );
@@ -1605,7 +1613,7 @@ mod tests {
         let storm_rounds = 10;
         for _ in 0..storm_rounds {
             // Deep queue: depth 512 stretches the deferral window.
-            h.frame(PortId(10), KvsResponse::busy(last_sub, 512).encode());
+            h.frame(PortId(10), busy(last_sub, 512));
             // Sweep every tick until the deferral expires and a reissue
             // appears; the window is depth-scaled, so allow several ticks.
             let mut reissued = None;
@@ -1622,10 +1630,10 @@ mod tests {
         // Finally the server drains and accepts.
         h.frame(
             PortId(10),
-            KvsResponse {
+            KvsResponseRef {
                 id: last_sub,
                 status: KvsStatus::Ok,
-                value: vec![],
+                value: &[],
             }
             .encode(),
         );
@@ -1780,22 +1788,14 @@ mod tests {
         // First GET: both replicas idle, tie keeps rotation order.
         let acts = h.frame(
             CLIENT_PORT,
-            KvsRequest::Get {
-                id: 1,
-                key: b"k".to_vec(),
-            }
-            .encode(),
+            KvsRequestRef::Get { id: 1, key: b"k" }.encode(),
         );
         let first = subs_sent(&acts)[0].0;
         // Second GET for the same key while the first sub is outstanding:
         // p2c must pick the other replica.
         let acts = h.frame(
             CLIENT_PORT,
-            KvsRequest::Get {
-                id: 2,
-                key: b"k".to_vec(),
-            }
-            .encode(),
+            KvsRequestRef::Get { id: 2, key: b"k" }.encode(),
         );
         let second = subs_sent(&acts)[0].0;
         assert_ne!(first, second, "p2c spreads load across the replica pair");

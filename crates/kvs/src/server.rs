@@ -14,6 +14,7 @@
 use lastcpu_sim::DetHashMap;
 use std::collections::VecDeque;
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{DeviceId, Token};
 use lastcpu_devices::device::DeviceCtx;
 use lastcpu_devices::monitor::{Monitor, MonitorEvent};
@@ -484,7 +485,7 @@ impl KvsServer {
     /// (every response path funnels through here so the E12 analyzer can
     /// join the replica side of each operation). The response serializes
     /// straight from the borrowed value into a pooled buffer — no
-    /// intermediate `KvsResponse`, no per-response `Vec`.
+    /// intermediate owned response, no per-response `Vec`.
     fn respond(
         ctx: &mut DeviceCtx<'_>,
         out: &mut Vec<(PortId, Bytes)>,
@@ -540,7 +541,7 @@ impl KvsServer {
             // former as "back off longer".
             // Busy responses carry the current queue depth so a
             // congestion-aware router can scale its backoff instead of
-            // retrying blind ([`KvsResponse::busy`]).
+            // retrying blind ([`KvsResponseRef::busy_depth`]).
             if self.recovering || self.state == ServerState::Failed {
                 self.met.unavailable.incr();
                 Self::respond(ctx, out, src, req.id(), KvsStatus::Unavailable, &[]);
@@ -697,7 +698,7 @@ impl KvsServer {
                     self.met.gets.incr();
                     self.met.cache_hits.incr();
                     // Serialize straight from the borrowed cache value:
-                    // no intermediate clone into a KvsResponse.
+                    // no intermediate clone into an owned response.
                     Self::respond(ctx, out, src, id, KvsStatus::Ok, v);
                     return Served::Answered;
                 }
@@ -1130,7 +1131,7 @@ impl lastcpu_snap::Span<KvsServer> for Backlogged {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::KvsResponse;
+    use crate::proto::KvsResponseRef;
 
     #[test]
     fn value_cache_fifo_semantics() {
@@ -1319,7 +1320,7 @@ mod tests {
             // with an explicit Unavailable instead of being wedged.
             assert_eq!(out.len(), 2);
             for (_, bytes) in &out {
-                let resp = KvsResponse::decode(bytes).unwrap();
+                let resp = KvsResponseRef::decode(bytes).unwrap();
                 assert_eq!(resp.status, KvsStatus::Unavailable);
             }
             assert!(server.inflight.iter().all(Option::is_none));
@@ -1348,7 +1349,7 @@ mod tests {
                 &mut out,
             );
             assert_eq!(
-                KvsResponse::decode(&out[0].1).unwrap().status,
+                KvsResponseRef::decode(&out[0].1).unwrap().status,
                 KvsStatus::Busy
             );
             // After a failure-triggered restart: recovering => Unavailable.
@@ -1362,7 +1363,7 @@ mod tests {
                 &mut out,
             );
             assert_eq!(
-                KvsResponse::decode(&out[0].1).unwrap().status,
+                KvsResponseRef::decode(&out[0].1).unwrap().status,
                 KvsStatus::Unavailable
             );
             // Reaching Ready clears the recovering flag.
@@ -1406,7 +1407,7 @@ mod tests {
                 },
                 &mut out,
             );
-            let resp = KvsResponse::decode(&out[0].1).unwrap();
+            let resp = KvsResponseRef::decode(&out[0].1).unwrap();
             assert_eq!(resp.status, KvsStatus::Busy);
             assert_eq!(resp.busy_depth(), Some(MAX_BACKLOG as u32 + 1));
         }

@@ -422,9 +422,40 @@ macro_rules! fields {
 }
 
 /// Declares a struct that is a plain value: its fields in wire order, each
-/// its type's [`Field`]. Derives [`Field`], built by a struct literal.
+/// its type's [`Field`]. Derives [`Field`], built by a struct literal. With
+/// a leading `wire path::to::wire;` it derives that module's `Wire` codec
+/// instead, as [`variants!`](crate::variants) does, and a field may name a
+/// `Codec` (`data as Rest`).
 #[macro_export]
 macro_rules! record {
+    (wire $($m:ident)::+; $ty:ident<$lt:lifetime> $fields:tt) => {
+        $crate::record!(@wire [$($m)::+] $lt, $ty<$lt>, $ty $fields);
+    };
+    (wire $($m:ident)::+; $ty:ident $fields:tt) => {
+        $crate::record!(@wire [$($m)::+] 'w, $ty, $ty $fields);
+    };
+    (@wire [$($m:ident)::+] $lt:lifetime, $t:ty, $ty:ident
+        { $($f:ident $(as $c:expr)?),* $(,)? }) => {
+        const _: () = {
+            use $($m)::+ as __w;
+            impl<$lt> __w::Wire<$lt> for $t {
+                #[inline]
+                fn put(&self, w: &mut __w::WireWriter) {
+                    $($crate::variants!(@put w (&self.$f) $($c)?);)*
+                }
+                #[inline]
+                fn take(
+                    r: &mut __w::WireReader<$lt>,
+                ) -> ::std::result::Result<Self, __w::WireError> {
+                    Ok($ty { $($f: $crate::variants!(@take r $($c)?)),* })
+                }
+                #[inline]
+                fn encoded_len(&self) -> usize {
+                    0 $(+ $crate::variants!(@len (&self.$f) $($c)?))*
+                }
+            }
+        };
+    };
     ($ty:ident { $($f:ident),* $(,)? }) => {
         impl $crate::Field for $ty {
             fn put(&self, w: &mut $crate::SnapWriter) {
@@ -483,39 +514,66 @@ macro_rules! tags {
 
 /// Declares the layout of an enum with data: `Variant = tag { fields }`, a
 /// tuple variant's fields by position (`Failed = 5 { 0: status }`), a unit
-/// variant's braces empty. Derives a [`Field`]. With a leading
-/// `wire Trait, Writer, Reader, Error;` it derives that format's codec
-/// instead — a `put`, a `take` and an analytic `encoded_len` — for a protocol whose
-/// primitives are not a checkpoint's.
+/// variant's braces empty. Derives a [`Field`].
+///
+/// With a leading `wire path::to::wire;` it derives that module's `Wire`
+/// codec instead (a `put`, a `take` and an analytic `encoded_len`; the
+/// module's trait frames whole messages from them), for a protocol whose
+/// primitives are not a checkpoint's. The enum may borrow from the input
+/// (`KvsRequestRef<'a>`), a field may name a `Codec` (`epoch as Varint`),
+/// and `magic(EXPR)` before the table puts a fixed value ahead of the tag
+/// that the reader refuses to see otherwise.
 #[macro_export]
 macro_rules! variants {
-    (wire $tr:path, $W:ty, $R:ty, $E:ty;
-        $ty:ident { $($v:ident = $tag:literal { $($f:tt $(: $b:ident)?),* }),* $(,)? }) => {
-        impl $tr for $ty {
-            fn put(&self, w: &mut $W) {
-                match self {$(
-                    $ty::$v { $($f $(: $b)?),* } => {
-                        <u8 as $tr>::put(&$tag, w);
-                        $(<_ as $tr>::put($crate::variants!(@bind $f $($b)?), w);)*
-                    }
-                )*}
-            }
-            fn take(r: &mut $R) -> ::std::result::Result<Self, $E> {
-                let t = <u8 as $tr>::take(r)?;
-                Ok(match t {
-                    $($tag => $ty::$v { $($f: <_ as $tr>::take(r)?),* },)*
-                    _ => return Err(r.bad_tag(stringify!($ty), t)),
-                })
-            }
-            fn encoded_len(&self) -> usize {
-                match self {$(
-                    $ty::$v { $($f $(: $b)?),* } => {
-                        1 $(+ <_ as $tr>::encoded_len($crate::variants!(@bind $f $($b)?)))*
-                    }
-                )*}
-            }
-        }
+    (wire $($m:ident)::+; $ty:ident<$lt:lifetime> $($rest:tt)*) => {
+        $crate::variants!(@wire [$($m)::+] $lt, $ty<$lt>, $ty $($rest)*);
     };
+    (wire $($m:ident)::+; $ty:ident $($rest:tt)*) => {
+        $crate::variants!(@wire [$($m)::+] 'w, $ty, $ty $($rest)*);
+    };
+    (@wire [$($m:ident)::+] $lt:lifetime, $t:ty, $ty:ident $(magic($pre:expr))?
+        { $($v:ident = $tag:literal { $($f:tt $(: $b:ident)? $(as $c:expr)?),* }),* $(,)? }) => {
+        const _: () = {
+            use $($m)::+ as __w;
+            impl<$lt> __w::Wire<$lt> for $t {
+                #[inline]
+                fn put(&self, w: &mut __w::WireWriter) {
+                    $(__w::Wire::put(&$pre, w);)?
+                    match self {$(
+                        $ty::$v { $($f $(: $b)?),* } => {
+                            w.u8($tag);
+                            $($crate::variants!(@put w ($crate::variants!(@bind $f $($b)?)) $($c)?);)*
+                        }
+                    )*}
+                }
+                #[inline]
+                fn take(
+                    r: &mut __w::WireReader<$lt>,
+                ) -> ::std::result::Result<Self, __w::WireError> {
+                    $(r.expect_value($pre, concat!(stringify!($ty), ".magic"))?;)?
+                    let t = r.u8()?;
+                    Ok(match t {
+                        $($tag => $ty::$v { $($f: $crate::variants!(@take r $($c)?)),* },)*
+                        _ => return Err(r.bad_tag(stringify!($ty), t)),
+                    })
+                }
+                #[inline]
+                fn encoded_len(&self) -> usize {
+                    $(__w::Wire::encoded_len(&$pre) +)? match self {$(
+                        $ty::$v { $($f $(: $b)?),* } => {
+                            1 $(+ $crate::variants!(@len ($crate::variants!(@bind $f $($b)?)) $($c)?))*
+                        }
+                    )*}
+                }
+            }
+        };
+    };
+    (@put $w:ident ($v:expr)) => { __w::Wire::put($v, $w) };
+    (@put $w:ident ($v:expr) $c:expr) => { __w::Codec::put(&$c, $v, $w) };
+    (@take $r:ident) => { __w::Wire::take($r)? };
+    (@take $r:ident $c:expr) => { __w::Codec::take(&$c, $r)? };
+    (@len ($v:expr)) => { __w::Wire::encoded_len($v) };
+    (@len ($v:expr) $c:expr) => { __w::Codec::encoded_len(&$c, $v) };
     ($ty:ident { $($v:ident = $tag:literal { $($f:tt $(: $b:ident)?),* }),* $(,)? }) => {
         impl $crate::Field for $ty {
             fn put(&self, w: &mut $crate::SnapWriter) {

@@ -4,7 +4,8 @@
 #   1. formatting, lints   cargo fmt --check; cargo clippy -D warnings; a
 #                          census of lines the library must not contain, one
 #                          rule per refusal (a seeded std map, a raw `impl
-#                          Device for`, a copied envelope or request, a record
+#                          Device for`, a hand-built wire writer or reader, a
+#                          copied envelope, a record
 #                          formatted per frame, a digest or verification that
 #                          holds a second copy of a checkpoint, a shared
 #                          string in a trace record, a walk of every machine
@@ -86,10 +87,6 @@ files: ^crates/core/src/system/
 forbid: (^|[^A-Za-z_])(env|envelope|shared)\.clone\(\)|\(\*[a-z_]+\)\.clone\(\)|Envelope::clone
 why: the machine passes an envelope on; a deep copy is one per broadcast recipient
 
-files: ^crates/kvs/src/(app|server)\.rs\$
-forbid: \.to_owned\(\)|KvsRequest::decode
-why: the NIC server serves the borrowed KvsRequestRef; a waiting request is wire bytes in the backlog arena
-
 files: ^crates/(core/src/system|bus/src/bus)/
 skip: envelopes\.rs\$
 forbid: Arc::new\(
@@ -103,9 +100,14 @@ files: ^crates/(sim/src/record\.rs|core/src/system/)
 forbid: Arc<str>
 why: a trace record is plain data; a name is a Name in the sink's table, interned once
 
-files: ^crates/kvs/src/router\.rs\$
-forbid: Kvs(Response|Request)::decode\(
-why: the shard router triages and serves the borrowed KvsResponseRef / KvsRequestRef
+files: $lib|^crates/bench/src/
+skip: ^crates/bus/src/wire\.rs\$
+forbid: WireWriter::(new|with_buf|with_capacity)|WireReader::new
+why: a message is one declaration against the wire codec (variants!, record!, wire_tags!; DESIGN.md §14.1), which derives its encoder, decoder and framing; a hand-built writer or reader is a second spelling of its layout
+
+files: $lib|^crates/bench/src/
+forbid: from_le_bytes\(params
+why: open params are a declared message (FileOpened, FsCreated, ...); decode them, do not slice them
 
 files: ^crates/virtio/src/queue\.rs\$
 from: ^    pub fn submit_chain

@@ -1,10 +1,9 @@
 //! Integration: the FPGA-style accelerator over the live bus — spatial
 //! region allocation, doorbell-driven jobs, and release on disconnect.
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ConnId, DeviceId, Status, Token};
-use lastcpu_core::devices::accel::{
-    encode_fabric_params, Accelerator, DOORBELL_JOB_DONE, FABRIC_SERVICE,
-};
+use lastcpu_core::devices::accel::{Accelerator, FabricParams, DOORBELL_JOB_DONE, FABRIC_SERVICE};
 use lastcpu_core::devices::device::DeviceCtx;
 use lastcpu_core::devices::firmware::Firmware;
 use lastcpu_core::devices::monitor::{Monitor, MonitorEvent};
@@ -109,7 +108,10 @@ impl Firmware for FabricClient {
                     self.accel,
                     FABRIC_SERVICE,
                     Token::NONE,
-                    encode_fabric_params(self.regions),
+                    FabricParams {
+                        regions: self.regions,
+                    }
+                    .encode(),
                 );
             }
             ctx.set_timer(SimDuration::from_millis(1), 2);

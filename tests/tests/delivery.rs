@@ -9,7 +9,7 @@
 
 use lastcpu_core::devices::nic::SmartNic;
 use lastcpu_core::{HostCtx, NetHost, SystemConfig};
-use lastcpu_kvs::proto::{encode_get_into, encode_put_into, KvsResponse, KvsStatus};
+use lastcpu_kvs::proto::{encode_get_into, encode_put_into, KvsResponseRef, KvsStatus};
 use lastcpu_kvs::server::{ServerConfig, ServerStats};
 use lastcpu_kvs::{build_cpuless_kvs, KvsNicApp};
 use lastcpu_net::{Frame, PortId};
@@ -81,7 +81,7 @@ impl NetHost for ScriptClient {
     }
 
     fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: Frame) {
-        let resp = KvsResponse::decode(&frame.payload).expect("KVS response");
+        let resp = KvsResponseRef::decode(&frame.payload).expect("KVS response");
         self.log.push((ctx.now.as_nanos(), frame.payload.to_vec()));
         match resp.status {
             // Boot-time warm-up (or shed load): retry the same step. Both
@@ -174,13 +174,13 @@ fn script_exercises_hits_and_misses() {
     let terminal = log
         .iter()
         .filter(|(_, p)| {
-            let r = KvsResponse::decode(p).unwrap();
+            let r = KvsResponseRef::decode(p).unwrap();
             !matches!(r.status, KvsStatus::Busy | KvsStatus::Unavailable)
         })
         .count();
     assert_eq!(terminal, SCRIPT.len());
     // The miss really missed and the re-read saw the rewritten value.
-    let last = KvsResponse::decode(&log.last().unwrap().1).unwrap();
+    let last = KvsResponseRef::decode(&log.last().unwrap().1).unwrap();
     assert_eq!(last.status, KvsStatus::Ok);
     assert_eq!(last.value, vec![0x33u8; 64]);
     assert!(stats.misses >= 1, "GET missing must count a miss");
@@ -245,7 +245,7 @@ impl NetHost for WindowClient {
     }
 
     fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: Frame) {
-        let resp = KvsResponse::decode(&frame.payload).expect("KVS response");
+        let resp = KvsResponseRef::decode(&frame.payload).expect("KVS response");
         self.log.push((ctx.now.as_nanos(), frame.payload.to_vec()));
         match resp.status {
             KvsStatus::Busy | KvsStatus::Unavailable => self.send(ctx, resp.id as usize - 1),
@@ -325,7 +325,7 @@ fn fast_path_and_slow_path_are_byte_identical_under_backpressure() {
         let terminal = fast_log
             .iter()
             .filter(|(_, p)| {
-                let r = KvsResponse::decode(p).unwrap();
+                let r = KvsResponseRef::decode(p).unwrap();
                 !matches!(r.status, KvsStatus::Busy | KvsStatus::Unavailable)
             })
             .count();

@@ -13,13 +13,14 @@
 use std::alloc::{GlobalAlloc, Layout, System as StdAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload, ResourceKind};
 use lastcpu_core::devices::device::{Device, DeviceCtx};
 use lastcpu_core::devices::nic::SmartNic;
 use lastcpu_core::devices::ssd::SsdConfig;
 use lastcpu_core::{HostAction, HostCtx, NetHost, System, SystemConfig};
 use lastcpu_fabric::{DirEndpoint, DirMsg, FabricConfig};
-use lastcpu_kvs::proto::{KvsRequest, KvsRequestRef, KvsResponse, KvsResponseRef, KvsStatus};
+use lastcpu_kvs::proto::{KvsRequestRef, KvsResponseRef, KvsStatus};
 use lastcpu_kvs::router::SUB_ID_BASE;
 use lastcpu_kvs::{
     build_cpuless_kvs, build_rack_kvs, KvsNicApp, RouterConfig, ServerConfig, ShardRouterHost,
@@ -359,20 +360,14 @@ fn triage_allocs() -> [u64; 4] {
     };
     d.frame(DrivenRouter::DIR, reply.encode());
     let get = |id: u64| {
-        KvsRequest::Get {
+        KvsRequestRef::Get {
             id,
-            key: b"key-0001".to_vec(),
+            key: b"key-0001",
         }
         .encode()
     };
-    let ack = |id: u64, status: KvsStatus, value: &[u8]| {
-        KvsResponse {
-            id,
-            status,
-            value: value.to_vec(),
-        }
-        .encode()
-    };
+    let ack =
+        |id: u64, status: KvsStatus, value: &[u8]| KvsResponseRef { id, status, value }.encode();
     let sub_of = |sent: &[Frame]| {
         let [sub] = sent else {
             panic!("one sub-request expected, got {sent:?}");
@@ -398,7 +393,7 @@ fn triage_allocs() -> [u64; 4] {
     let (sent, _) = d.frame(DrivenRouter::CLIENT, get(5));
     let (answered, busy) = d.frame(
         DrivenRouter::SHARD,
-        KvsResponse::busy(sub_of(&sent), 3).encode(),
+        ack(sub_of(&sent), KvsStatus::Busy, &3u32.to_le_bytes()),
     );
     assert!(answered.is_empty());
 

@@ -7,6 +7,7 @@
 //! device sections are held to digests recorded at the commit before the
 //! change.
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_core::devices::nic::SmartNic;
 use lastcpu_core::devices::ssd::SsdConfig;
 use lastcpu_core::{HostCtx, NetHost, SystemConfig};

@@ -2,12 +2,15 @@
 //! (create/list/delete) and the `loader` service (§4 Access Control) —
 //! exercised over the live bus by a scripted client device.
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ServiceId, Status, Token};
 use lastcpu_core::devices::auth;
 use lastcpu_core::devices::device::DeviceCtx;
 use lastcpu_core::devices::firmware::Firmware;
 use lastcpu_core::devices::monitor::{AuthMode, Monitor, MonitorEvent};
-use lastcpu_core::devices::ssd::{FsOp, SmartSsd, SsdConfig, FS_SERVICE, LOADER_SERVICE};
+use lastcpu_core::devices::ssd::{
+    FileOpen, FsOp, LoaderParams, SmartSsd, SsdConfig, FS_SERVICE, LOADER_SERVICE,
+};
 use lastcpu_core::{System, SystemConfig};
 use lastcpu_sim::SimDuration;
 use lastcpu_tests::small_fs;
@@ -165,7 +168,11 @@ fn loader_requires_sealed_token() {
     });
     let good = auth::seal(secret, auth::principal_id("admin"));
     let forged = Token(good.0 ^ 1);
-    let image = lastcpu_core::devices::ssd::encode_loader_params("fw-v2.bin", b"BINARY IMAGE");
+    let image = LoaderParams {
+        image: "fw-v2.bin",
+        contents: b"BINARY IMAGE",
+    }
+    .encode();
     let client = sys.add_device(Box::new(ScriptClient::new(
         "client0",
         ssd.id,
@@ -199,12 +206,10 @@ fn file_service_open_denied_with_wrong_auth() {
         file_auth: AuthMode::Sealed { secret: 0xAAAA },
         ..SsdConfig::default()
     });
-    let mut params = lastcpu_bus::wire::WireWriter::new();
-    params.u32(55); // pasid
     let client = sys.add_device(Box::new(ScriptClient::new(
         "client0",
         ssd.id,
-        vec![(ServiceId(100), Token::NONE, params.finish())],
+        vec![(ServiceId(100), Token::NONE, FileOpen { pasid: 55 }.encode())],
     )));
     sys.power_on();
     sys.run_for(SimDuration::from_millis(50));

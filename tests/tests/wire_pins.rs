@@ -11,20 +11,80 @@ use std::alloc::{GlobalAlloc, Layout, System as StdAlloc};
 use std::cell::Cell;
 use std::fmt::Debug;
 
-use lastcpu_baseline::{decode_packet, encode_broker_params, encode_packet};
+use lastcpu_baseline::{BrokerParams, Packet};
+use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{DeviceId, ServiceId, Token};
-use lastcpu_core::devices::accel::encode_fabric_params;
-use lastcpu_core::devices::auth::{decode_login_response, encode_login};
+use lastcpu_core::devices::accel::FabricParams;
+use lastcpu_core::devices::auth::{Login, LoginReply};
 use lastcpu_core::devices::ssd::{
-    decode_response, encode_loader_params, encode_response as encode_file_response, FileOpRef,
-    FileStatus, FsOp,
+    FileOpRef, FileOpen, FileOpened, FileReply, FileStatus, FsCreated, FsOp, LoaderParams,
 };
 use lastcpu_fabric::{DirEndpoint, DirMsg};
 use lastcpu_kvs::proto::{
-    encode_get_into, encode_put_into, encode_response, encode_response_into, KvsRequestRef,
-    KvsResponseRef, KvsStatus,
+    encode_get_into, encode_put_into, encode_response_into, KvsRequestRef, KvsResponseRef,
+    KvsStatus,
 };
 use lastcpu_net::PortId;
+
+// The encoders and decoders these pins were recorded through, each now one
+// declaration's derived codec.
+
+fn encode_response(id: u64, status: KvsStatus, value: &[u8]) -> Vec<u8> {
+    KvsResponseRef { id, status, value }.encode()
+}
+
+fn encode_file_response(status: FileStatus, data: &[u8]) -> Vec<u8> {
+    FileReply { status, data }.encode()
+}
+
+fn decode_response(buf: &[u8]) -> Option<(FileStatus, &[u8])> {
+    FileReply::decode(buf).ok().map(|r| (r.status, r.data))
+}
+
+fn encode_loader_params(image: &str, contents: &[u8]) -> Vec<u8> {
+    LoaderParams { image, contents }.encode()
+}
+
+fn encode_broker_params(
+    target: DeviceId,
+    service: ServiceId,
+    token: Token,
+    inner: &[u8],
+) -> Vec<u8> {
+    BrokerParams {
+        target,
+        service,
+        token,
+        inner,
+    }
+    .encode()
+}
+
+fn encode_packet(port: PortId, payload: &[u8]) -> Vec<u8> {
+    Packet {
+        port: port.0,
+        payload,
+    }
+    .encode()
+}
+
+fn decode_packet(buf: &[u8]) -> Option<(PortId, Vec<u8>)> {
+    Packet::decode(buf)
+        .ok()
+        .map(|p| (PortId(p.port), p.payload.to_vec()))
+}
+
+fn encode_login(user: &str, password: &str) -> Vec<u8> {
+    Login { user, password }.encode()
+}
+
+fn decode_login_response(buf: &[u8]) -> Option<Token> {
+    LoginReply::decode(buf).ok().map(|r| r.token)
+}
+
+fn encode_fabric_params(regions: u16) -> Vec<u8> {
+    FabricParams { regions }.encode()
+}
 
 struct WatchingAlloc;
 
@@ -292,7 +352,7 @@ fn verdicts() -> Vec<(String, [String; 4])> {
     .encode_into(&mut op);
     add(
         "file op",
-        frames(&op, 0, 9).map(|f| verdict(FileOpRef::decode(&f))),
+        frames(&op, 0, 9).map(|f| verdict(FileOpRef::decode(&f).ok())),
     );
     let reply = encode_file_response(FileStatus::Eof, b"ab");
     add(
@@ -463,4 +523,81 @@ fn a_hostile_endpoint_count_reserves_at_most_4096() {
         largest <= 4096 * std::mem::size_of::<DirEndpoint>(),
         "reserved {largest} bytes"
     );
+}
+
+/// The open parameters written by hand in several crates before they were
+/// declared, in the bytes those writers produced: `u32(pasid)`,
+/// `u64(size)`, `u16(service)` and `u128(token)`.
+#[test]
+fn declared_open_params_write_what_the_hand_writers_wrote() {
+    let pasid = 0x0102_0304;
+    assert_eq!(FileOpen { pasid }.encode(), u32::to_le_bytes(pasid));
+    assert_eq!(FileOpened { size: 4242 }.encode(), 4242u64.to_le_bytes());
+    let service = ServiceId(0x0102);
+    assert_eq!(FsCreated { service }.encode(), [2, 1]);
+    let token = Token(u128::MAX - 5);
+    assert_eq!(LoginReply { token }.encode(), token.0.to_le_bytes());
+}
+
+/// The verdicts of the decoders that were private to their devices, whose
+/// bytes `every_message_encodes_as_before` pins: recorded when each became
+/// a declaration, with the refusal each gives.
+const PRIVATE_VERDICTS: &str = r#"fs op: Ok(Create { path: "/a" }) | Err(BadDiscriminant { what: "FsOp", value: 9 }) | Err(TrailingBytes { remaining: 1 }) | Err(Truncated)
+loader: Ok(LoaderParams { image: "img", contents: [120, 121] }) | Err(Truncated) | Err(TrailingBytes { remaining: 1 }) | Err(Truncated)
+broker: Ok(BrokerParams { target: dev:3, service: svc:100, token: token:0x5, inner: [105, 110] }) | Ok(BrokerParams { target: dev:9, service: svc:100, token: token:0x5, inner: [105, 110] }) | Err(TrailingBytes { remaining: 1 }) | Err(Truncated)
+fabric params: Ok(FabricParams { regions: 2 }) | Ok(FabricParams { regions: 9 }) | Err(TrailingBytes { remaining: 1 }) | Err(Truncated)
+login: Ok(Login { user: "al", password: "pw" }) | Err(InvalidUtf8) | Err(TrailingBytes { remaining: 1 }) | Err(Truncated)
+file open: Ok(FileOpen { pasid: 7 }) | Ok(FileOpen { pasid: 9 }) | Err(TrailingBytes { remaining: 1 }) | Err(Truncated)
+file opened: Ok(FileOpened { size: 9 }) | Ok(FileOpened { size: 1 }) | Err(TrailingBytes { remaining: 1 }) | Err(Truncated)
+fs created: Ok(FsCreated { service: svc:100 }) | Ok(FsCreated { service: svc:1 }) | Err(TrailingBytes { remaining: 1 }) | Err(Truncated)
+"#;
+
+#[test]
+fn formerly_private_decoders_refuse_as_declared() {
+    fn show<T: Debug>(r: Result<T, lastcpu_bus::wire::WireError>) -> String {
+        format!("{r:?}")
+    }
+    let mut got = String::new();
+    let mut add = |name: &str, v: [String; 4]| got += &format!("{name}: {}\n", v.join(" | "));
+    let fs = FsOp::Create { path: "/a".into() }.encode();
+    add("fs op", frames(&fs, 0, 9).map(|f| show(FsOp::decode(&f))));
+    let loader = encode_loader_params("img", b"xy");
+    add(
+        "loader",
+        frames(&loader, 0, 9).map(|f| show(LoaderParams::decode(&f))),
+    );
+    let broker = encode_broker_params(DeviceId(3), ServiceId(100), Token(5), b"in");
+    add(
+        "broker",
+        frames(&broker, 0, 9).map(|f| show(BrokerParams::decode(&f))),
+    );
+    let fabric = encode_fabric_params(2);
+    add(
+        "fabric params",
+        frames(&fabric, 0, 9).map(|f| show(FabricParams::decode(&f))),
+    );
+    let login = encode_login("al", "pw");
+    add(
+        "login",
+        frames(&login, 1, 0xff).map(|f| show(Login::decode(&f))),
+    );
+    let open = FileOpen { pasid: 7 }.encode();
+    add(
+        "file open",
+        frames(&open, 0, 9).map(|f| show(FileOpen::decode(&f))),
+    );
+    let opened = FileOpened { size: 9 }.encode();
+    add(
+        "file opened",
+        frames(&opened, 0, 1).map(|f| show(FileOpened::decode(&f))),
+    );
+    let created = FsCreated {
+        service: ServiceId(100),
+    }
+    .encode();
+    add(
+        "fs created",
+        frames(&created, 0, 1).map(|f| show(FsCreated::decode(&f))),
+    );
+    assert_eq!(got, PRIVATE_VERDICTS);
 }
