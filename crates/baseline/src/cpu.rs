@@ -32,6 +32,7 @@ pub struct BrokerParams<'a> {
     pub inner: &'a [u8],
 }
 
+// This crate reaches `lastcpu_snap`'s declaration macros through `lastcpu_sim`.
 lastcpu_sim::__snap::record!(wire lastcpu_bus::wire; BrokerParams<'a> {
     target, service, token, inner,
 });
