@@ -26,9 +26,6 @@
 //!   promise: with R ≥ 2 **no acknowledged write is lost** (the replicated
 //!   copy survives on a live machine), while an R = 1 control loses the
 //!   victim's shard.
-//! - **Retry-policy baseline** — `--policies` repeats the matrix per router
-//!   [`RetryPolicy`] arm (`static`, `adaptive+p2c`); the default is the
-//!   shipping `adaptive+p2c` arm alone.
 //!
 //! Everything is virtual-time; two same-flag runs produce byte-identical
 //! artifacts. `--trace-out` dumps the *merged* rack trace of the last crash
@@ -37,8 +34,8 @@
 
 use lastcpu_core::SystemConfig;
 use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
+use lastcpu_kvs::build_rack_kvs;
 use lastcpu_kvs::client::WorkloadConfig;
-use lastcpu_kvs::{build_rack_kvs_with_policy, RetryPolicy};
 use lastcpu_sim::SimDuration;
 
 use super::{Experiment, Gates};
@@ -56,7 +53,6 @@ pub const EXP: Experiment = Experiment {
     flags: flags! {
         "--machines"      U64List "8,16,32,64,128"           "rack sizes"
         "--replication"   U64List "2"                        "replication factors"
-        "--policies"      StrList "adaptive+p2c"             "router retry arms (static, adaptive+p2c)"
         "--topologies"    StrList "flat,leaf-spine,fat-tree" "wiring graphs (flat, leaf-spine[:leaf], fat-tree[:k])"
         "--oversub"       U64List "1,4"                      "oversubscription ratios (flat runs once)"
         "--ops"           U64     "400"                      "measured ops per client"
@@ -69,14 +65,12 @@ pub const EXP: Experiment = Experiment {
     },
     obs: OBS_RACK,
     smoke: &[
-        // Both policy arms, the R = 1 control and the R = 2 audit.
-        "--machines 1,2 --replication 1,2 --ops 120 --keys 60 \
-         --policies static,adaptive+p2c --topologies flat --oversub 1",
+        // The R = 1 control and the R = 2 audit.
+        "--machines 1,2 --replication 1,2 --ops 120 --keys 60 --topologies flat --oversub 1",
         // The 8xR=3 tail cell at full size against its R = 2 baseline.
-        "--machines 8 --replication 2,3 --policies adaptive+p2c --topologies flat --oversub 1",
+        "--machines 8 --replication 2,3 --topologies flat --oversub 1",
         // A real tree: 2 leaves of 8, ECMP over the spines oversub 4 leaves.
-        "--machines 16 --replication 2 --ops 120 --keys 60 \
-         --policies adaptive+p2c --topologies leaf-spine:8 --oversub 4",
+        "--machines 16 --replication 2 --ops 120 --keys 60 --topologies leaf-spine:8 --oversub 4",
     ],
     run,
     check,
@@ -87,7 +81,6 @@ const RUN_CAP: SimDuration = SimDuration::from_secs(60);
 /// One cell's coordinates in the matrix.
 #[derive(Clone, Copy)]
 struct Point {
-    policy: RetryPolicy,
     topology: TopoKind,
     oversub: u64,
     machines: usize,
@@ -97,7 +90,6 @@ struct Point {
 impl Point {
     fn cell(&self, group: &str) -> Cell {
         Cell::new(group)
-            .id("policy", self.policy.to_string())
             .id("topology", self.topology.to_string())
             .id("oversub", self.oversub)
             .id("machines", self.machines)
@@ -105,7 +97,7 @@ impl Point {
     }
 
     fn build(&self, args: &Args, read_fraction: f64) -> RackBench {
-        let setup = build_rack_kvs_with_policy(
+        let setup = build_rack_kvs(
             FabricConfig {
                 topology: TopologyConfig {
                     kind: self.topology,
@@ -120,7 +112,6 @@ impl Point {
                 trace: args.str("--trace-out").is_some(),
                 ..SystemConfig::default()
             },
-            self.policy,
         );
         let load = WorkloadConfig {
             keys: args.u64("--keys"),
@@ -133,17 +124,10 @@ impl Point {
     }
 }
 
-/// The matrix in run order: policy × (topology, oversub) × machines ×
-/// replication. A flat fabric has no oversubscription knob (one implicit
+/// The matrix in run order: (topology, oversub) × machines × replication. A flat fabric has no oversubscription knob (one implicit
 /// infinite spine), so it runs once regardless of `--oversub`; a cell
 /// cannot hold R distinct replicas on fewer than R machines.
 fn matrix(args: &Args) -> Result<Vec<Point>, String> {
-    let policy = |p: &&str| RetryPolicy::parse(p).ok_or(format!("bad --policies arm {p:?}"));
-    let policies: Vec<_> = args
-        .strs("--policies")
-        .iter()
-        .map(policy)
-        .collect::<Result<_, _>>()?;
     let topology = |t: &&str| TopoKind::parse(t).map_err(|e| format!("bad --topologies arm: {e}"));
     let topologies: Vec<_> = args
         .strs("--topologies")
@@ -155,23 +139,20 @@ fn matrix(args: &Args) -> Result<Vec<Point>, String> {
         return Err("--machines and --replication must be at least 1".into());
     }
     let mut points = Vec::new();
-    for &policy in &policies {
-        for &topology in &topologies {
-            let oversubs = match topology {
-                TopoKind::Flat => vec![1],
-                _ => args.u64s("--oversub"),
-            };
-            for &oversub in &oversubs {
-                for &machines in &sizes {
-                    for &replication in factors.iter().filter(|&&r| r <= machines) {
-                        points.push(Point {
-                            policy,
-                            topology,
-                            oversub: oversub.max(1),
-                            machines: machines as usize,
-                            replication: replication as usize,
-                        });
-                    }
+    for &topology in &topologies {
+        let oversubs = match topology {
+            TopoKind::Flat => vec![1],
+            _ => args.u64s("--oversub"),
+        };
+        for &oversub in &oversubs {
+            for &machines in &sizes {
+                for &replication in factors.iter().filter(|&&r| r <= machines) {
+                    points.push(Point {
+                        topology,
+                        oversub: oversub.max(1),
+                        machines: machines as usize,
+                        replication: replication as usize,
+                    });
                 }
             }
         }
@@ -282,24 +263,22 @@ fn check(r: &Report) -> Vec<String> {
     let mut g = Gates::default();
     let list = |key: &str| r.config.get(key).and_then(Json::as_arr).unwrap_or(&[]);
     let crashes = r.config.get("no_crash") != Some(&true.into());
-    // The matrix is complete: every configured policy arm ran every rack
-    // size that can hold the replicas, and crashed every one that has two.
-    for policy in list("policies") {
-        for m in list("machines") {
-            let fits = |rep: &&Json| rep.as_f64() <= m.as_f64();
-            for rep in list("replication").iter().filter(fits) {
-                let ids = [("policy", policy), ("machines", m), ("replication", rep)];
-                let ran = |group| {
-                    r.group(group)
-                        .any(|c| ids.iter().all(|(k, v)| c.key(k) == Some(v)))
-                };
-                let crash_ran = !crashes || m.as_f64() < Some(2.0) || ran("crash");
-                let at = format!("{} x {} machines x R={}", show(policy), show(m), show(rep));
-                g.require(
-                    ran("scaling") && crash_ran,
-                    format!("matrix incomplete at {at}"),
-                );
-            }
+    // The matrix is complete: every rack size that can hold the replicas
+    // ran, and every one that has two crashed.
+    for m in list("machines") {
+        let fits = |rep: &&Json| rep.as_f64() <= m.as_f64();
+        for rep in list("replication").iter().filter(fits) {
+            let ids = [("machines", m), ("replication", rep)];
+            let ran = |group| {
+                r.group(group)
+                    .any(|c| ids.iter().all(|(k, v)| c.key(k) == Some(v)))
+            };
+            let crash_ran = !crashes || m.as_f64() < Some(2.0) || ran("crash");
+            let at = format!("{} machines x R={}", show(m), show(rep));
+            g.require(
+                ran("scaling") && crash_ran,
+                format!("matrix incomplete at {at}"),
+            );
         }
     }
     let ops = r.config_num("ops").unwrap_or(0.0);
@@ -332,11 +311,11 @@ fn check(r: &Report) -> Vec<String> {
             let hot = c.get("hot_link").and_then(Json::as_str).unwrap_or("");
             g.require(!hot.is_empty(), format!("{at}: no hot link named"));
         }
-        // The congestion-aware arm keeps the R = 3 tail within 2x of R = 2
-        // (the static arm sits ~9x above it).
-        if c.key_is("replication", 3u64) && c.key_is("policy", "adaptive+p2c") {
+        // Congestion-aware dispatch keeps the R = 3 tail within 2x of R = 2
+        // (the retired static arm sat ~9x above it).
+        if c.key_is("replication", 3u64) {
             let same = |t: &&Cell| {
-                ["policy", "topology", "oversub", "machines"]
+                ["topology", "oversub", "machines"]
                     .iter()
                     .all(|k| t.key(k) == c.key(k))
             };

@@ -1,43 +1,11 @@
-//! E11 — security evaluation: an adversarial device attacks the paper's
-//! isolation story, and the audit layer proves every attack blocked.
-//!
-//! §2.2's claim is that per-device IOMMUs plus a bus that only programs
-//! them "on instruction from the registered controller" make DRAM safe in
-//! a machine where *every* device is a first-class bus citizen. E11 tests
-//! that claim the only honest way: by compromising a device. A
-//! [`MaliciousDevice`] joins an otherwise ordinary §3 KVS machine and runs
-//! the full attack matrix —
-//!
-//! - **wild-dma** — DMA at addresses never mapped for it, under the victim
-//!   app's PASID and random PASIDs (its own IOMMU must fault every probe);
-//! - **stale-generation** — DMA at every VA window the KVS session protocol
-//!   has used or will use (rotated-away generations must be revoked);
-//! - **confused-deputy** — forged `MapInstruction`s, a vacant-class
-//!   `RegisterController` escalation, and guessed-handle `Share`s (the bus
-//!   and memory controller must refuse every one);
-//! - **ssdp-spoof** — `Announce`s shadowing live service names, verbatim
-//!   replays of observed descriptors, and forged `QueryHit`s (denied under
-//!   the hardened [`SecurityPolicy`]);
-//! - **control-flood** — bursts of bus-directed messages (shed by the
-//!   hardened policy's per-sender limiter without starving the workload).
-//!
-//! Every verdict is recorded by the DMA/bus audit layer (`sec.*` metrics;
-//! `SystemConfig::security_audit`), so each row's `blocked` count is
-//! *evidence*, not absence of symptoms; `leaked` additionally cross-checks
-//! the IOMMU state with the read-only probe oracle and the bus directory.
-//! Any `leaked > 0` under the hardened policy is a real isolation bug.
-//!
-//! Phases: per seed, (`single`) the single-machine matrix under the
-//! hardened policy with a no-attacker control run (integrity: the victim's
-//! key count matches the control's, so blocking the attacker cost the
-//! workload nothing), (`rack`) the same matrix on the E10 rack (attacker on
-//! machine 0, replicated shards, acked-write audit). One extra
-//! single-machine run per invocation repeats the first seed under the
-//! *default* policy to document which classes the opt-in hardening closes
-//! (discovery shadowing and floods) and which the base protocol already
-//! blocks (all DMA and deputy classes). `*.attacks` has one row per attack
-//! class and run. Everything is virtual-time and seeded; threat model in
-//! `DESIGN.md` §11.
+//! E11 — security evaluation: a [`MaliciousDevice`] joins a §3 KVS machine
+//! and runs the attack matrix (wild DMA, stale generations, confused
+//! deputy, SSDP spoofing, control floods) under the hardened
+//! [`SecurityPolicy`], on one machine (`single`, against a no-attacker
+//! control) and on the E10 rack (`rack`), plus one default-policy run per
+//! invocation. `blocked` counts audited denials; any `leaked > 0` under the
+//! hardened policy is an isolation bug. EXPERIMENTS.md E11 has the method
+//! and results, DESIGN.md §11 the threat model.
 
 use lastcpu_bus::{SecurityPolicy, SystemBus};
 use lastcpu_core::{DeviceHandle, System, SystemConfig};
@@ -47,7 +15,7 @@ use lastcpu_fabric::FabricConfig;
 use lastcpu_iommu::AccessKind;
 use lastcpu_kvs::build::KVS_FILE;
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
-use lastcpu_kvs::{build_cpuless_kvs, build_rack_kvs, KvsNicApp, ServerConfig, VA_STRIDE};
+use lastcpu_kvs::{build_cpuless_kvs, build_rack_kvs, KvsNicApp, ServerConfig, VA_BASE, VA_STRIDE};
 use lastcpu_mem::{Pasid, VirtAddr};
 use lastcpu_net::PortId;
 use lastcpu_sec::{AttackKind, AttackPlan, AttackStats, AttackTargets, MaliciousDevice};
@@ -153,7 +121,7 @@ fn probe_attacker(system: &System, attacker: DeviceHandle, app_pasid: u32) -> (u
     let shares: u64 = (0..16u64)
         .map(|guess| hit(0x7100_0000 + (guess << 16)))
         .sum();
-    (hit(0x2000_0000), deputy + shares)
+    (hit(VA_BASE), deputy + shares)
 }
 
 /// Counts the victim app's generation windows that still translate. In a
@@ -162,7 +130,7 @@ fn probe_attacker(system: &System, attacker: DeviceHandle, app_pasid: u32) -> (u
 fn probe_victim_windows(system: &System, frontend: DeviceHandle, app_pasid: u32) -> u64 {
     let mmu = system.iommu(frontend);
     let live = |g: &u64| {
-        let va = VirtAddr::new(0x2000_0000 + g * VA_STRIDE);
+        let va = VirtAddr::new(VA_BASE + g * VA_STRIDE);
         mmu.probe(Pasid(app_pasid), va, AccessKind::Read).is_some()
     };
     (0..8u64).filter(live).count() as u64

@@ -1,29 +1,11 @@
-//! E12 — performance attribution: where do the allocations, the wall-clock
-//! nanoseconds, and the tail-latency nanoseconds actually go?
-//!
-//! E9 reports *how fast* the simulator core is and E10 reports *how slow*
-//! the rack's p99 is; neither says *why*. E12 closes that gap with the
-//! three instruments this crate's profiling layer provides:
-//!
-//! - **Attribution** (`attribution`, `scopes`) — the E9 system phase re-run
-//!   under the scoped profiler: every allocation and every profiled span is
-//!   charged to a `subsystem.site` scope (engine dispatch, KVS engine,
-//!   IOMMU, bus codec, fabric). The gate: ≥ 95% of the measured window's
-//!   allocations — and, in wall mode, ≥ 95% of its wall time — land in
-//!   named scopes. The rack run below is profiled the same way.
-//! - **Overhead** (`overhead`, wall mode only) — the same workload with the
-//!   profiler off vs. on, priced in events/sec. The disabled configuration
-//!   is the one E9's headline numbers use; its cost must be a compiled-out
-//!   no-op.
-//! - **Critical path** (`critical_path`, `critical_path.rows`) — the E10
-//!   rack cell (default 8 machines, R = 3) with stage + link-hop tracing
-//!   on; the offline analyzer decomposes every completed op into nine named
-//!   segments that sum exactly to its end-to-end latency, and names the
-//!   dominant segment at p99.
+//! E12 — performance attribution: which scopes own the allocations and the
+//! wall time (`attribution`, `scopes`), what the profiler costs (`overhead`,
+//! wall mode only), and which causal segment owns the E10 rack's tail
+//! (`critical_path`, `critical_path.rows`). EXPERIMENTS.md E12 has the
+//! method and gates, DESIGN.md §12 the instruments.
 //!
 //! With `--no-wall` every host-clock-derived metric is omitted and the
-//! overhead phase is skipped: the remaining output is pure virtual time and
-//! allocation counts, so two same-seed runs are **byte-identical**.
+//! overhead phase is skipped, so two same-seed runs are byte-identical.
 
 use std::time::Instant;
 

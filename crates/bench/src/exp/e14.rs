@@ -1,33 +1,9 @@
 //! E14 — deterministic checkpoint/restore: a rack checkpoint taken mid-run
-//! must restore into a fresh process-or-fabric and continue *byte-identically*
-//! to a run that was never interrupted.
-//!
-//! The snapshot subsystem (DESIGN.md §14) serializes every stateful
-//! component into a versioned, checksummed [`Checkpoint`]; restore is
-//! deterministic re-execution to the manifest's event cursor followed by
-//! byte-for-byte verification of every section. E14 exercises the full
-//! matrix the correctness bar demands:
-//!
-//! - **Byte-identity** (`restore`) — for each seed × fault arm, run a
-//!   reference rack to completion, checkpointing at a mid-run barrier; then
-//!   build a second rack from the same recipe, `restore_from` the
-//!   checkpoint (replay + verify — any divergence fails loudly), continue
-//!   to completion, and *hard-assert* the final digests (metrics, pool
-//!   activity, per-machine KVS contents, acked-write audit, and the final
-//!   rack checkpoint itself) are identical.
-//! - **Sampled measurement** — both runs reset pool counters at the
-//!   checkpoint barrier, so the digested pool activity covers exactly the
-//!   post-checkpoint window. This is the warm-start measurement mode:
-//!   checkpoint once, then measure only the region of interest.
-//! - **Cross-process durability** (`cross_process_audit`) — the crash arm
-//!   kills a rack machine before the checkpoint, writes the checkpoint to
-//!   disk, re-executes `lastcpu-bench e14 --restore-from`, and the child —
-//!   a fresh OS process — restores, finishes the workload, and reports its
-//!   digest and `lost_acked_keys` (`restored`). The parent requires the
-//!   child's digest to match its own uninterrupted run, with 0 lost.
-//!
-//! Flags `--checkpoint-out FILE` / `--restore-from FILE` also work
-//! standalone for warm-start experimentation.
+//! restores, in this process (`restore`) and in a fresh one re-executed as
+//! `lastcpu-bench e14 --restore-from` (`cross_process_audit`), and continues
+//! byte-identically to a run never interrupted. EXPERIMENTS.md E14 has the
+//! matrix and gates, DESIGN.md §14 the format; `--checkpoint-out` and
+//! `--restore-from` also work standalone.
 
 use std::time::Instant;
 

@@ -1,47 +1,8 @@
-//! E9 — engine throughput: wall-clock capacity of the simulator core.
-//!
-//! Every other experiment reports *virtual* time — what the simulated
-//! machine would observe. E9 reports *host* time: how many discrete events
-//! the engine retires per wall-clock second. That number bounds how much
-//! simulated machine we can afford (sweep sizes, fleet sizes, fault-matrix
-//! seeds) and is the metric the hot-path work in this crate is judged by.
-//!
-//! Five phases — the queue → machine → rack ladder, plus the machine again
-//! with its SSD data path loaded and a machine where only the control plane
-//! works:
-//!
-//! - **queue** — the event queue (timing wheel) in isolation: a deep
-//!   steady-state churn (pop one, schedule one) at a fixed pending-set
-//!   depth.
-//! - **system** — a saturating end-to-end workload: the §3 KVS on the
-//!   CPU-less deployment (smart NIC + SSD + memory controller), many closed
-//!   loops deep, run for a fixed slice of virtual time. Queue operations
-//!   are only part of each event here; the rest is routing, DMA and device
-//!   work.
-//! - **ssd** — the same machine shaped like the benchmark's `kv_ssd_mix`:
-//!   4,000 uniform keys against the 512-entry NIC cache and 80/20 GET/PUT,
-//!   so nearly every request crosses virtio → fs → FTL → flash, on an 8 MiB
-//!   chip the preload alone overfills, so garbage collection runs throughout.
-//!   A request must cost what it touches: the allocation bounds here fail if
-//!   the filesystem copies a file's extent list per request, and the bound on
-//!   the chip's stored bytes fails if a programmed page is kept as a whole
-//!   page again.
-//! - **ctl** — the benchmark's `ctl_setup_churn` in small: a memory
-//!   controller, an SSD and 32 devices looping the Figure-2 setup (discover →
-//!   open → alloc → grant → doorbell → teardown), tracing on as by default, no
-//!   network port. Every event is a bus message, a delivery or a timer, so
-//!   this is what a control message costs the host: a broadcast `Query`
-//!   reaching 33 devices, trace records naming devices and destinations, the
-//!   bus's effect list. The bound fails if any of them is paid per recipient
-//!   or per name again.
-//! - **rack** — sixteen such machines on a leaf-spine fabric (leaves of 4),
-//!   R = 2, each with a shard router and one E10-shaped client, run for the
-//!   same slice of virtual time. On top of the machine's work each event
-//!   now pays for the fabric: choosing the next retirement, link transit,
-//!   directory sweeps and queries, and the router. Sixteen, because the
-//!   directory plane costs O(machines²) per virtual millisecond against
-//!   O(machines) events: at eight, re-encoding every reply adds 17% to
-//!   allocs/event and would slip under the CI bound; at sixteen it adds 39%.
+//! E9 — engine throughput: the events the simulator core retires per host
+//! second, on the queue → machine → rack ladder plus a machine with its SSD
+//! data path loaded and one where only the control plane works (phases
+//! `queue`, `system`, `ssd`, `ctl`, `rack`). EXPERIMENTS.md E9 describes each
+//! phase and what its allocation gates catch.
 //!
 //! `events`, `allocs_per_event` and `alloc_bytes_per_event` are
 //! deterministic; everything derived from the host clock is a host metric.

@@ -25,7 +25,7 @@ e6  | 4 |
 e7  | 4 |
 e8  | 4 |
 e9  | 4 | --queue-depth --queue-ops --clients --outstanding --virtual-ms --repeat
-e10 | 2 | --machines --replication --policies --topologies --oversub --ops --keys --value-size --outstanding --read-fraction --seed --no-crash
+e10 | 2 | --machines --replication --topologies --oversub --ops --keys --value-size --outstanding --read-fraction --seed --no-crash
 e11 | 2 | --seeds --ops --keys --value-size --outstanding --flood-limit --machines --replication --no-rack
 e12 | 0 | --seed --clients --outstanding --virtual-ms --machines --replication --rack-ops
 e14 | 0 | --machines --replication --ops --keys --value-size --outstanding --seeds --ckpt-at-us --checkpoint-out --restore-from --seed --crash

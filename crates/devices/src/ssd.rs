@@ -31,6 +31,7 @@ use lastcpu_bus::{ConnId, DeviceId, RequestId, ResourceKind, ServiceDesc, Servic
 use lastcpu_iommu::IommuFault;
 use lastcpu_mem::Pasid;
 use lastcpu_sim::{profile, DetHashMap, SimDuration, TraceData};
+use lastcpu_snap::{Pin, Pinned};
 use lastcpu_virtio::{DescChain, QueueError, QueueLayout, VirtqueueDevice};
 
 use crate::device::DeviceCtx;
@@ -50,6 +51,8 @@ pub const FILE_CONN_SHM: u64 = 256 * 1024;
 
 /// Timer token for continuing queue processing.
 const TOKEN_POLL: u64 = 1;
+/// Firmware overhead per request (command parse, dispatch).
+const PER_REQUEST_OVERHEAD: SimDuration = SimDuration::from_micros(1);
 
 /// Doorbell values (client → SSD): a setup doorbell carries the queue base
 /// (page-aligned) OR'd with log2(queue size); a work doorbell is 0.
@@ -218,8 +221,6 @@ pub struct SsdConfig {
     pub file_auth: AuthMode,
     /// Auth for the loader service.
     pub loader_auth: AuthMode,
-    /// Firmware overhead per request (command parse, dispatch).
-    pub per_request_overhead: SimDuration,
 }
 
 impl Default for SsdConfig {
@@ -230,7 +231,6 @@ impl Default for SsdConfig {
             exports: Vec::new(),
             file_auth: AuthMode::Open,
             loader_auth: AuthMode::Open,
-            per_request_overhead: SimDuration::from_micros(1),
         }
     }
 }
@@ -583,7 +583,6 @@ impl SmartSsd {
                     match Self::serve_request(
                         &mut self.fs,
                         &mut self.stats,
-                        &self.config,
                         queue,
                         ctx,
                         pasid,
@@ -631,7 +630,6 @@ impl SmartSsd {
     fn serve_request(
         fs: &mut FlashFs,
         stats: &mut SsdStats,
-        config: &SsdConfig,
         queue: &mut VirtqueueDevice,
         ctx: &mut DeviceCtx<'_>,
         pasid: Pasid,
@@ -640,7 +638,7 @@ impl SmartSsd {
         req_buf: &mut Vec<u8>,
         resp_buf: &mut Vec<u8>,
     ) -> Result<(), QueueError> {
-        ctx.busy(config.per_request_overhead);
+        ctx.busy(PER_REQUEST_OVERHEAD);
         {
             let mut view = ctx.dma_view(pasid);
             // Gather into the reusable request buffer (capacity persists
@@ -1003,11 +1001,18 @@ lastcpu_snap::record!(SsdStats {
     images_loaded
 });
 
+/// [`PER_REQUEST_OVERHEAD`], where an SSD section carried it as
+/// configuration (the next `SCHEMA_VERSION` drops these bytes).
+const PINNED_OVERHEAD: Pinned = Pinned(&[(
+    "SSD per-request overhead",
+    Pin::U64(PER_REQUEST_OVERHEAD.as_nanos()),
+)]);
+
 // `scratch_*` buffers are reused walk scratch, cleared before every use —
 // deliberately not state.
 lastcpu_snap::fields! { SmartSsd |self| {
     name, mut monitor, mut fs, config.isolation, config.quantum, config.exports,
-    config.file_auth, config.loader_auth, config.per_request_overhead, exported, next_file_svc,
+    config.file_auth, config.loader_auth, ..PINNED_OVERHEAD, exported, next_file_svc,
     conns, work, poll_armed, stats,
 } }
 

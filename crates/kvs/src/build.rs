@@ -13,7 +13,7 @@ use lastcpu_net::PortId;
 
 use crate::app::KvsNicApp;
 use crate::cpu_app::KvsCpuApp;
-use crate::router::{RetryPolicy, RouterConfig, ShardRouterHost};
+use crate::router::{RouterConfig, ShardRouterHost};
 use crate::server::ServerConfig;
 
 /// An assembled machine running the KVS.
@@ -236,24 +236,6 @@ pub fn build_rack_kvs(
     replication: usize,
     base: SystemConfig,
 ) -> RackSetup {
-    build_rack_kvs_with_policy(
-        fabric_config,
-        machines,
-        replication,
-        base,
-        RetryPolicy::default(),
-    )
-}
-
-/// [`build_rack_kvs`] with an explicit router [`RetryPolicy`] — how E10
-/// runs the `static` baseline. Every router in the rack runs the same arm.
-pub fn build_rack_kvs_with_policy(
-    fabric_config: FabricConfig,
-    machines: usize,
-    replication: usize,
-    base: SystemConfig,
-    policy: RetryPolicy,
-) -> RackSetup {
     let mut fabric = Fabric::new(fabric_config);
     let mut ids = Vec::with_capacity(machines);
     let mut frontends = Vec::with_capacity(machines);
@@ -275,7 +257,6 @@ pub fn build_rack_kvs_with_policy(
             .add_host(Box::new(ShardRouterHost::new(RouterConfig {
                 dir_port,
                 replication,
-                policy,
                 name: format!("router{i}"),
                 ..RouterConfig::default()
             })));

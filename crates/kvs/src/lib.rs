@@ -37,11 +37,10 @@ pub mod server;
 
 pub use app::KvsNicApp;
 pub use build::{
-    build_baseline_kvs, build_cpuless_kvs, build_hybrid_kvs, build_rack_kvs,
-    build_rack_kvs_with_policy, KvsSetup, RackSetup,
+    build_baseline_kvs, build_cpuless_kvs, build_hybrid_kvs, build_rack_kvs, KvsSetup, RackSetup,
 };
 pub use client::{KvsClientHost, WorkloadConfig};
 pub use cpu_app::KvsCpuApp;
 pub use engine::KvEngine;
-pub use router::{RetryPolicy, RouterConfig, RouterStats, ShardRouterHost};
-pub use server::{KvsServer, ServerConfig, ServerState, ServerStats, VA_STRIDE};
+pub use router::{RouterConfig, RouterStats, ShardRouterHost};
+pub use server::{KvsServer, ServerConfig, ServerState, ServerStats, VA_BASE, VA_STRIDE};

@@ -23,18 +23,18 @@
 //!    set. The consistent-hash ring guarantees only the dead machine's keys
 //!    move (`fabric.router.rebalance_moves` counts them).
 //! 4. **Tracks congestion.** Every sub carries a send timestamp; acks feed a
-//!    per-endpoint RTT EWMA and outstanding-sub counts. The default
-//!    [`RetryPolicy`] uses that state: power-of-two-choices replica
-//!    selection for GETs, load-aware write fan-out order, adaptive
-//!    (`max(base, k×ewma)`) timeouts, and Busy backpressure driven by the
-//!    queue depth servers report in their `Busy` responses.
+//!    per-endpoint RTT EWMA and outstanding-sub counts. Dispatch uses that
+//!    state: power-of-two-choices replica selection for GETs, load-aware
+//!    write fan-out order, adaptive (`max(base, k×ewma)`) timeouts, and Busy
+//!    backpressure driven by the queue depth servers report in their `Busy`
+//!    responses.
 //!
 //! Determinism: all request bookkeeping lives in `BTreeMap`/`BTreeSet`
 //! (iteration order is data-, not allocation-, dependent), sweeps walk
 //! pendings in sequence order, and replica sets come from the ring, which
 //! is membership-order independent. The congestion state is itself a pure
 //! function of the event history (integer EWMA, no RNG, `BTreeMap`-ordered),
-//! so every policy arm replays bit-identically from the same seed.
+//! so a run replays bit-identically from the same seed.
 //!
 //! [`DirMsg::Query`]: lastcpu_fabric::DirMsg::Query
 
@@ -50,6 +50,7 @@ use lastcpu_sim::critpath::{
     op_key, STAGE_ROUTER_ACK, STAGE_ROUTER_RECV, STAGE_ROUTER_RESPOND, STAGE_ROUTER_SUB,
 };
 use lastcpu_sim::{profile, SimDuration, SimTime};
+use lastcpu_snap::{Pin, Pinned};
 
 use crate::proto::{KvsRequestRef, KvsResponseRef, KvsStatus};
 
@@ -67,59 +68,39 @@ const SPARE_REQS: usize = 256;
 /// is disambiguated by its id range.
 pub const SUB_ID_BASE: u64 = 1 << 62;
 
-/// Retry/dispatch policy: the congestion-aware default and the documented
-/// pre-congestion-aware baseline it is measured against.
-///
-/// `Static` preserves the original behavior (fixed `sub_timeout`, blind
-/// rotation across replicas on retry). `AdaptiveP2c` switches on the whole
-/// congestion machinery:
-///
-/// - timeouts stretch to `max(sub_timeout, k × ewma_rtt)` of the sub's
-///   target, and `Busy`/`Unavailable` acks defer the re-dispatch by the
-///   backpressure window instead of retrying on the very next tick;
-/// - GETs pick the less-loaded of two rotation candidates (outstanding
-///   subs, then RTT EWMA; ties resolve in rotation order, so the choice
-///   stays deterministic), and write fan-out issues subs to the
-///   least-loaded replicas first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetryPolicy {
-    /// Fixed timeout + blind rotation (the pre-congestion-aware router).
-    Static,
-    /// Adaptive timeouts, Busy backpressure, power-of-two-choices GET
-    /// placement and load-aware write fan-out order (default).
-    #[default]
-    AdaptiveP2c,
-}
+/// Directory `kind` of the endpoints the router shards over.
+const SERVICE_KIND: &str = "smart-nic";
 
-impl RetryPolicy {
-    /// Both arms, baseline first.
-    pub const ALL: [RetryPolicy; 2] = [RetryPolicy::Static, RetryPolicy::AdaptiveP2c];
+/// Tick period: directory re-query + pending-request timeout sweep.
+const TICK: SimDuration = SimDuration::from_micros(1000);
 
-    /// The flag/JSON spelling (`"static"`, `"adaptive+p2c"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RetryPolicy::Static => "static",
-            RetryPolicy::AdaptiveP2c => "adaptive+p2c",
-        }
-    }
+/// Age after which an unanswered sub-request is re-dispatched: the floor of
+/// the adaptive timeout `max(SUB_TIMEOUT, RTT_MULTIPLIER × ewma_rtt(target))`.
+const SUB_TIMEOUT: SimDuration = SimDuration::from_micros(5000);
 
-    /// Parses the [`name`](Self::name) spelling.
-    pub fn parse(s: &str) -> Option<RetryPolicy> {
-        RetryPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
+/// Re-dispatch budget per client request before giving up with
+/// [`KvsStatus::Unavailable`].
+const MAX_RETRIES: u32 = 24;
 
-    /// Whether the congestion machinery (adaptive timeouts, backpressure,
-    /// load-aware replica selection) is on.
-    fn congestion_aware(self) -> bool {
-        self == RetryPolicy::AdaptiveP2c
-    }
-}
+/// Adaptive-timeout multiplier `k` in `max(SUB_TIMEOUT, k × ewma_rtt)`.
+const RTT_MULTIPLIER: u64 = 4;
 
-impl std::fmt::Display for RetryPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// Base re-dispatch deferral after a `Busy`/`Unavailable` ack, scaled up
+/// with the queue depth the server reported.
+const BUSY_BACKOFF: SimDuration = SimDuration::from_micros(2000);
+
+/// The constants above, where a router section carried them as
+/// configuration; the `u8` is the tag of the one dispatch policy, which
+/// was a configured arm (the next `SCHEMA_VERSION` drops these bytes).
+const PINNED_KIND: Pinned = Pinned(&[("router service kind", Pin::Str(SERVICE_KIND))]);
+const PINNED_TIMING: Pinned = Pinned(&[
+    ("router tick", Pin::U64(TICK.as_nanos())),
+    ("router sub-timeout", Pin::U64(SUB_TIMEOUT.as_nanos())),
+    ("router retry budget", Pin::U32(MAX_RETRIES)),
+    ("router policy tag", Pin::U8(3)),
+    ("router RTT multiplier", Pin::U64(RTT_MULTIPLIER)),
+    ("router busy backoff", Pin::U64(BUSY_BACKOFF.as_nanos())),
+]);
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -128,30 +109,11 @@ pub struct RouterConfig {
     ///
     /// [`Fabric::directory_port`]: lastcpu_fabric::Fabric::directory_port
     pub dir_port: PortId,
-    /// Directory `kind` of the endpoints to shard over (`"smart-nic"`).
-    pub service_kind: String,
     /// Replication factor R (clamped to ≥ 1; effective R is bounded by the
     /// number of live endpoints).
     pub replication: usize,
     /// Virtual nodes per endpoint on the hash ring.
     pub vnodes: u32,
-    /// Tick period: directory re-query + pending-request timeout sweep.
-    pub tick: SimDuration,
-    /// Age after which an unanswered sub-request is re-dispatched. Under the
-    /// congestion-aware policy this is the *floor*; the effective timeout is
-    /// `max(sub_timeout, rtt_multiplier × ewma_rtt(target))`.
-    pub sub_timeout: SimDuration,
-    /// Re-dispatch budget per client request before giving up with
-    /// [`KvsStatus::Unavailable`].
-    pub max_retries: u32,
-    /// Retry/dispatch policy arm.
-    pub policy: RetryPolicy,
-    /// Adaptive-timeout multiplier `k` in `max(sub_timeout, k × ewma_rtt)`.
-    pub rtt_multiplier: u64,
-    /// Base re-dispatch deferral after a `Busy`/`Unavailable` ack under the
-    /// congestion-aware policy, scaled up with the queue depth the server
-    /// reported.
-    pub busy_backoff: SimDuration,
     /// Host name (traces, stats).
     pub name: String,
 }
@@ -160,15 +122,8 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             dir_port: PortId(0),
-            service_kind: "smart-nic".into(),
             replication: 1,
             vnodes: 64,
-            tick: SimDuration::from_micros(1000),
-            sub_timeout: SimDuration::from_micros(5000),
-            max_retries: 24,
-            policy: RetryPolicy::default(),
-            rtt_multiplier: 4,
-            busy_backoff: SimDuration::from_micros(2000),
             name: "router".into(),
         }
     }
@@ -210,8 +165,8 @@ struct PendingReq {
     /// Marked by acks/timeouts; the sweep re-dispatches marked requests.
     needs_redispatch: bool,
     /// Backpressure: a marked request is not re-dispatched before this
-    /// instant (set by `Busy`/`Unavailable` acks under an adaptive policy;
-    /// a timeout or membership change overrides it).
+    /// instant (set by `Busy`/`Unavailable` acks; a timeout or membership
+    /// change overrides it).
     defer_until: Option<SimTime>,
 }
 
@@ -278,7 +233,7 @@ lastcpu_sim::instruments! {
             hits: counter "fabric.router.hits",
             /// Re-dispatches (timeout, replica loss, or transient rejection).
             failovers: counter "fabric.router.failovers",
-            /// Requests abandoned after `max_retries` re-dispatches.
+            /// Requests abandoned after `MAX_RETRIES` re-dispatches.
             give_ups: counter "fabric.router.give_ups",
             /// Acked keys whose primary moved across directory epochs.
             rebalance_moves: counter "fabric.router.rebalance_moves",
@@ -414,7 +369,7 @@ impl ShardRouterHost {
         self.met.dir_replies.incr();
         let mut fresh: BTreeMap<String, PortId> = BTreeMap::new();
         for ep in eps {
-            if ep.kind == self.config.service_kind {
+            if ep.kind == SERVICE_KIND {
                 fresh.insert(ep.name, PortId(ep.port));
             }
         }
@@ -574,7 +529,7 @@ impl ShardRouterHost {
 
     /// Picks the GET target among `reps` for the given attempt.
     ///
-    /// All arms skip what `avoid` names — the targets of subs the *current*
+    /// It skips what `avoid` names — the targets of subs the *current*
     /// re-dispatch just cancelled unacked. Without that, the rotation
     /// `reps[attempts % len]` can land back on the endpoint that just timed
     /// out when a directory epoch reordered the replica list (the original
@@ -597,31 +552,24 @@ impl ShardRouterHost {
             Some(a) => (a, fresh.next()),
             None => (&reps[start], rotation().nth(1)),
         };
-        if let Some(b) = b {
-            // Power of two choices over the first two rotation candidates;
-            // ties keep the rotation order (deterministic). An endpoint
-            // inside its backpressure window scores worst.
-            if self.config.policy.congestion_aware()
-                && self.load_score(b, now) < self.load_score(a, now)
-            {
-                return b;
-            }
+        // Power of two choices over the first two rotation candidates; ties
+        // keep the rotation order (deterministic). An endpoint inside its
+        // backpressure window scores worst.
+        match b {
+            Some(b) if self.load_score(b, now) < self.load_score(a, now) => b,
+            _ => a,
         }
-        a
     }
 
-    /// Orders a write's missing replicas for fan-out. Load-aware under the
-    /// congestion policy: least-loaded replicas get their subs (and thus
-    /// uplink slots) first; the name tie-break keeps the order
-    /// deterministic. Ring order otherwise.
+    /// Orders a write's missing replicas for fan-out, load-aware:
+    /// least-loaded replicas get their subs (and thus uplink slots) first;
+    /// the name tie-break keeps the order deterministic.
     fn order_fan_out(&self, missing: &mut [Arc<str>], now: SimTime) {
-        if self.config.policy.congestion_aware() {
-            missing.sort_by(|a, b| {
-                self.load_score(a, now)
-                    .cmp(&self.load_score(b, now))
-                    .then_with(|| a.cmp(b))
-            });
-        }
+        missing.sort_by(|a, b| {
+            self.load_score(a, now)
+                .cmp(&self.load_score(b, now))
+                .then_with(|| a.cmp(b))
+        });
     }
 
     /// (Re-)dispatches `seq` against the current replica set. Initial
@@ -641,7 +589,6 @@ impl ShardRouterHost {
 
     fn redispatch_with(&mut self, ctx: &mut HostCtx<'_>, seq: u64, reps: &mut Vec<Arc<str>>) {
         let r = self.r();
-        let max_retries = self.config.max_retries;
         // Phase 1: budget bookkeeping and the current replica set (short
         // borrow of the pending entry).
         let (initial, over_budget) = {
@@ -658,7 +605,7 @@ impl ShardRouterHost {
                 p.attempts += 1;
             }
             self.ring.replicas_into(&p.key, r, reps);
-            (initial, p.attempts > max_retries)
+            (initial, p.attempts > MAX_RETRIES)
         };
         if !initial {
             self.met.failovers.incr();
@@ -801,33 +748,25 @@ impl ShardRouterHost {
                 self.complete(ctx, seq, KvsStatus::Error, &[]);
             }
             KvsStatus::Busy | KvsStatus::Unavailable => {
-                // Transient (overload / mid-recovery). Statically, retry on
-                // the next sweep. Under the default policy the response is
+                // Transient (overload / mid-recovery), so the response is
                 // backpressure: mark the endpoint busy for a window scaled
                 // by the queue depth it reported and defer the re-dispatch
                 // until the window passes, instead of hammering it tickwise.
-                let defer = if self.config.policy.congestion_aware() {
-                    let depth = if resp.status == KvsStatus::Busy {
-                        resp.busy_depth().unwrap_or(0)
-                    } else {
-                        0
-                    };
-                    let scale = 1 + (u64::from(depth) / 64).min(7);
-                    let until = ctx.now + self.config.busy_backoff.saturating_mul(scale);
-                    let l = self.load.entry(Arc::clone(&target)).or_default();
-                    if until > l.busy_until {
-                        l.busy_until = until;
-                    }
-                    self.met.busy_deferrals.incr();
-                    Some(until)
+                let depth = if resp.status == KvsStatus::Busy {
+                    resp.busy_depth().unwrap_or(0)
                 } else {
-                    None
+                    0
                 };
+                let scale = 1 + (u64::from(depth) / 64).min(7);
+                let until = ctx.now + BUSY_BACKOFF.saturating_mul(scale);
+                let l = self.load.entry(Arc::clone(&target)).or_default();
+                if until > l.busy_until {
+                    l.busy_until = until;
+                }
+                self.met.busy_deferrals.incr();
                 if let Some(p) = self.pending.get_mut(&seq) {
                     p.needs_redispatch = true;
-                    if let Some(until) = defer {
-                        p.defer_until = Some(p.defer_until.map_or(until, |d| d.max(until)));
-                    }
+                    p.defer_until = Some(p.defer_until.map_or(until, |d| d.max(until)));
                 }
             }
             _ => self.with_reps(|this, reps| this.check_write_done(ctx, seq, reps)),
@@ -862,9 +801,6 @@ impl ShardRouterHost {
     fn sweep(&mut self, ctx: &mut HostCtx<'_>) {
         self.query_directory(ctx);
         let now = ctx.now;
-        let base = self.config.sub_timeout;
-        let adaptive = self.config.policy.congestion_aware();
-        let mult = self.config.rtt_multiplier;
         let load = &self.load;
         let seqs: Vec<u64> = self
             .pending
@@ -880,20 +816,18 @@ impl ShardRouterHost {
                     if s.ack.is_some() {
                         return false;
                     }
-                    // Adaptive arm: a loaded endpoint earns patience
-                    // proportional to its measured RTT, so in-flight work
-                    // that is *about to complete* is not cancelled just
-                    // because the rack is warm. The static floor still
-                    // bounds cold endpoints.
-                    let mut timeout = base;
-                    if adaptive {
-                        if let Some(l) = load.get(&s.target) {
-                            if l.ewma_rtt_ns > 0 {
-                                let est =
-                                    SimDuration::from_nanos(l.ewma_rtt_ns.saturating_mul(mult));
-                                if est > timeout {
-                                    timeout = est;
-                                }
+                    // A loaded endpoint earns patience proportional to its
+                    // measured RTT, so in-flight work that is *about to
+                    // complete* is not cancelled just because the rack is
+                    // warm. The floor still bounds cold endpoints.
+                    let mut timeout = SUB_TIMEOUT;
+                    if let Some(l) = load.get(&s.target) {
+                        if l.ewma_rtt_ns > 0 {
+                            let est = SimDuration::from_nanos(
+                                l.ewma_rtt_ns.saturating_mul(RTT_MULTIPLIER),
+                            );
+                            if est > timeout {
+                                timeout = est;
                             }
                         }
                     }
@@ -934,7 +868,7 @@ impl NetHost for ShardRouterHost {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         self.met.register(ctx.stats);
         self.query_directory(ctx);
-        ctx.set_timer(self.config.tick, TOKEN_TICK);
+        ctx.set_timer(TICK, TOKEN_TICK);
     }
 
     fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: Frame) {
@@ -979,13 +913,9 @@ impl NetHost for ShardRouterHost {
             return;
         }
         self.sweep(ctx);
-        ctx.set_timer(self.config.tick, TOKEN_TICK);
+        ctx.set_timer(TICK, TOKEN_TICK);
     }
 }
-
-// Tags 1 and 2 belonged to the retired `adaptive`-only and `p2c`-only arms
-// and no longer decode.
-lastcpu_snap::tags! { RetryPolicy { Static = 0, AdaptiveP2c = 3 } }
 
 lastcpu_snap::record!(Sub {
     target,
@@ -1040,22 +970,13 @@ impl lastcpu_snap::Span<PendingReq> for OpValue {
 // after a restore decodes) and `spare` (answered slots: buffers, no
 // request).
 lastcpu_snap::fields! { ShardRouterHost |self| {
-    config.dir_port, config.service_kind, config.replication, config.vnodes, config.tick,
-    config.sub_timeout, config.max_retries, config.policy, config.rtt_multiplier,
-    config.busy_backoff, config.name, mut ring, endpoints, epoch, next_sub_id, next_seq, pending,
+    config.dir_port, ..PINNED_KIND, config.replication, config.vnodes, ..PINNED_TIMING,
+    config.name, mut ring, endpoints, epoch, next_sub_id, next_seq, pending,
     sub_index, load, acked_puts, mut met,
 } restored {
     self.last_dir_reply = None;
     self.spare.clear();
 } }
-
-#[cfg(test)]
-impl RetryPolicy {
-    /// The policy's checkpoint tag.
-    fn snap_encode(self) -> u8 {
-        self.tag()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1078,54 +999,6 @@ mod tests {
         assert!(r.endpoint_names().is_empty());
         assert_eq!(r.stats().requests, 0);
         assert!(r.acked_put_keys().is_empty());
-    }
-
-    #[test]
-    fn retry_policy_names_round_trip() {
-        for p in RetryPolicy::ALL {
-            assert_eq!(RetryPolicy::parse(p.name()), Some(p));
-            assert_eq!(p.to_string(), p.name());
-        }
-        assert_eq!(RetryPolicy::parse("bogus"), None);
-        assert_eq!(RetryPolicy::parse("adaptive"), None);
-        assert_eq!(RetryPolicy::parse("p2c"), None);
-        assert_eq!(RetryPolicy::default(), RetryPolicy::AdaptiveP2c);
-    }
-
-    #[test]
-    fn retired_policy_tags_restore_as_corrupt() {
-        use lastcpu_snap::{Restore, SnapError, Snapshot};
-        let cfg = RouterConfig::default();
-        let snap = |policy| {
-            ShardRouterHost::new(RouterConfig {
-                policy,
-                ..cfg.clone()
-            })
-            .snapshot_bytes()
-        };
-        // The policy tag is the one byte the two arms' snapshots differ in.
-        let (stat, mut bytes) = (snap(RetryPolicy::Static), snap(RetryPolicy::AdaptiveP2c));
-        let diff: Vec<usize> = (0..bytes.len()).filter(|&i| stat[i] != bytes[i]).collect();
-        let [at] = diff[..] else {
-            panic!("expected one differing byte, got {diff:?}")
-        };
-        for tag in [0u8, 3] {
-            bytes[at] = tag;
-            let mut r = ShardRouterHost::new(cfg.clone());
-            r.restore_bytes("router", &bytes)
-                .expect("kept tag restores");
-            assert_eq!(r.config.policy.snap_encode(), tag);
-        }
-        for tag in [1u8, 2] {
-            bytes[at] = tag;
-            let err = ShardRouterHost::new(cfg.clone())
-                .restore_bytes("router", &bytes)
-                .expect_err("retired tag must not decode");
-            assert!(
-                matches!(err, SnapError::Corrupt { .. }),
-                "tag {tag}: {err:?}"
-            );
-        }
     }
 
     // --- direct-drive harness -------------------------------------------
@@ -1310,7 +1183,7 @@ mod tests {
 
         // The retry's hit goes to the client as the bytes an owned response
         // encodes to.
-        let acts = h.tick_after(RouterConfig::default().busy_backoff);
+        let acts = h.tick_after(BUSY_BACKOFF);
         let retry = subs_sent(&acts)[0].1.id();
         let hit = KvsResponseRef {
             id: retry,
@@ -1493,10 +1366,10 @@ mod tests {
         // Reproduces the rotation bug: a directory epoch reorders the
         // replica list between dispatch and retry, so the blind
         // `reps[attempts % len]` lands back on the endpoint that just timed
-        // out. Static policy — the skip is a bugfix on every arm.
+        // out. The skip is a bugfix, not a load choice: with A avoided, C is
+        // the only candidate left for the two choices.
         let cfg = RouterConfig {
             replication: 2,
-            policy: RetryPolicy::Static,
             ..RouterConfig::default()
         };
         // Find a key whose replica list under {A,B} starts with A, and
@@ -1540,18 +1413,10 @@ mod tests {
     }
 
     #[test]
-    fn busy_ack_defers_redispatch_under_adaptive_policy() {
-        let cfg = RouterConfig {
-            policy: RetryPolicy::AdaptiveP2c,
-            ..RouterConfig::default()
-        };
-        let tick = cfg.tick;
-        let backoff = cfg.busy_backoff;
-        assert!(
-            backoff > tick,
-            "test relies on the deferral spanning a tick"
-        );
-        let mut h = Harness::new(cfg);
+    fn busy_ack_defers_redispatch() {
+        let (tick, backoff) = (TICK, BUSY_BACKOFF);
+        const { assert!(BUSY_BACKOFF.as_nanos() > TICK.as_nanos()) }
+        let mut h = Harness::new(RouterConfig::default());
         h.install(&[("m0/nic0", 10)]);
         let acts = h.frame(
             CLIENT_PORT,
@@ -1588,16 +1453,10 @@ mod tests {
     #[test]
     fn busy_storm_stays_bounded_without_give_ups() {
         // A server under depth pressure answers Busy to every sub. The
-        // adaptive arm must keep retrying at the backpressure cadence —
-        // bounded fail-overs, no give-ups — instead of burning the whole
-        // retry budget tick by tick.
-        let cfg = RouterConfig {
-            policy: RetryPolicy::AdaptiveP2c,
-            ..RouterConfig::default()
-        };
-        let tick = cfg.tick;
-        let backoff = cfg.busy_backoff;
-        let mut h = Harness::new(cfg);
+        // router must keep retrying at the backpressure cadence — bounded
+        // fail-overs, no give-ups — instead of burning the whole retry
+        // budget tick by tick.
+        let mut h = Harness::new(RouterConfig::default());
         h.install(&[("m0/nic0", 10)]);
         let acts = h.frame(
             CLIENT_PORT,
@@ -1618,7 +1477,7 @@ mod tests {
             // appears; the window is depth-scaled, so allow several ticks.
             let mut reissued = None;
             for _ in 0..64 {
-                let acts = h.tick_after(tick);
+                let acts = h.tick_after(TICK);
                 let sent = subs_sent(&acts);
                 if !sent.is_empty() {
                     reissued = Some(sent[0].1.id());
@@ -1642,7 +1501,6 @@ mod tests {
         assert_eq!(st.failovers, storm_rounds, "one fail-over per storm round");
         assert_eq!(st.busy_deferrals, storm_rounds);
         assert!(h.router.acked_put_keys().contains(&b"k".to_vec()));
-        let _ = backoff;
     }
 
     /// Replica selection as it was written before names became handles
@@ -1660,7 +1518,6 @@ mod tests {
         }
 
         pub fn choose_get_target(
-            policy: RetryPolicy,
             load: &Load,
             reps: &[String],
             attempts: u32,
@@ -1676,7 +1533,7 @@ mod tests {
                 .filter(|t| !avoid.contains(*t))
                 .collect();
             let cands = if fresh.is_empty() { rotation } else { fresh };
-            if policy.congestion_aware() && cands.len() >= 2 {
+            if cands.len() >= 2 {
                 let (a, b) = (cands[0], cands[1]);
                 if load_score(load, b, now) < load_score(load, a, now) {
                     return b.clone();
@@ -1687,7 +1544,6 @@ mod tests {
 
         /// The PUT fan-out: replicas without a sub yet, in issue order.
         pub fn fan_out(
-            policy: RetryPolicy,
             load: &Load,
             reps: &[String],
             have_sub: &BTreeSet<String>,
@@ -1698,13 +1554,11 @@ mod tests {
                 .filter(|rep| !have_sub.contains(*rep))
                 .cloned()
                 .collect();
-            if policy.congestion_aware() {
-                missing.sort_by(|a, b| {
-                    load_score(load, a, now)
-                        .cmp(&load_score(load, b, now))
-                        .then_with(|| a.cmp(b))
-                });
-            }
+            missing.sort_by(|a, b| {
+                load_score(load, a, now)
+                    .cmp(&load_score(load, b, now))
+                    .then_with(|| a.cmp(b))
+            });
             missing
         }
     }
@@ -1723,8 +1577,8 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
             /// Over random replica lists, attempts, avoid sets, sub sets
-            /// and load tables, under both policies: the GET target and the
-            /// PUT fan-out order are the oracle's.
+            /// and load tables: the GET target and the PUT fan-out order
+            /// are the oracle's.
             #[test]
             fn selection_matches_the_oracle(
                 order in proptest::collection::vec(0u8..6, 1..7),
@@ -1732,7 +1586,6 @@ mod tests {
                 avoid_mask in 0u8..64,
                 sub_mask in 0u8..64,
                 table in proptest::collection::vec((0u8..6, 0u32..3, 0u64..3, 0u64..3), 0..7),
-                adaptive in any::<bool>(),
             ) {
                 // A replica list has distinct members, in ring (any) order.
                 let mut ids = order;
@@ -1742,13 +1595,12 @@ mod tests {
                     seen |= 1 << i;
                     first
                 });
-                let policy = if adaptive { RetryPolicy::AdaptiveP2c } else { RetryPolicy::Static };
                 let now = SimTime::from_nanos(1);
                 let masked = |mask: u8| -> BTreeSet<String> {
                     (0..6).filter(|i| mask & (1 << i) != 0).map(name).collect()
                 };
                 let (avoid, have_sub) = (masked(avoid_mask), masked(sub_mask));
-                let mut router = ShardRouterHost::new(RouterConfig { policy, ..RouterConfig::default() });
+                let mut router = ShardRouterHost::new(RouterConfig::default());
                 let mut load = oracle::Load::new();
                 for (i, outstanding, ewma_rtt_ns, busy_until) in table {
                     let l = EndpointLoad {
@@ -1765,13 +1617,13 @@ mod tests {
                 let got = router.choose_get_target(&handles, attempts, |t| avoid.contains(t), now);
                 prop_assert_eq!(
                     &**got,
-                    oracle::choose_get_target(policy, &load, &reps, attempts, &avoid, now)
+                    oracle::choose_get_target(&load, &reps, attempts, &avoid, now)
                 );
 
                 handles.retain(|rep| !have_sub.contains(&**rep));
                 router.order_fan_out(&mut handles, now);
                 let got: Vec<&str> = handles.iter().map(|n| &**n).collect();
-                prop_assert_eq!(got, oracle::fan_out(policy, &load, &reps, &have_sub, now));
+                prop_assert_eq!(got, oracle::fan_out(&load, &reps, &have_sub, now));
             }
         }
     }
@@ -1780,7 +1632,6 @@ mod tests {
     fn p2c_picks_the_less_loaded_replica() {
         let cfg = RouterConfig {
             replication: 2,
-            policy: RetryPolicy::AdaptiveP2c,
             ..RouterConfig::default()
         };
         let mut h = Harness::new(cfg);

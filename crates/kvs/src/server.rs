@@ -25,6 +25,7 @@ use lastcpu_net::PortId;
 use lastcpu_sim::critpath::{STAGE_SERVER_DONE, STAGE_SERVER_RECV};
 use lastcpu_sim::profile;
 use lastcpu_sim::{Bytes, SimDuration};
+use lastcpu_snap::{Pin, Pinned};
 
 use crate::engine::{KvEngine, LogScanner};
 use crate::proto::{encode_response_into, KvsRequestRef, KvsStatus};
@@ -33,6 +34,11 @@ use crate::proto::{encode_response_into, KvsRequestRef, KvsStatus};
 const REBUILD_CHUNK: u32 = 2048;
 /// Maximum queued-but-unsubmitted requests before shedding load.
 const MAX_BACKLOG: usize = 512;
+/// Per-request processing cost (hash, parse) on the serving device.
+const PER_REQUEST_COST: SimDuration = SimDuration::from_nanos(500);
+/// Virtual base of the shared region in the server's address space: where
+/// session generation 0 maps it.
+pub const VA_BASE: u64 = 0x2000_0000;
 /// Virtual-address stride between session incarnations (16 MiB; regions are
 /// ~256 KiB). A failed incarnation's region may still be mapped at its old
 /// VA — there is no unmap protocol for an owner that survived its peer — so
@@ -40,7 +46,7 @@ const MAX_BACKLOG: usize = 512;
 /// the stale mapping.
 ///
 /// Public because the E11 security evaluation probes exactly these windows
-/// (generation `g` lives at `va_base + g * VA_STRIDE`): a rotated-away
+/// (generation `g` lives at `VA_BASE + g * VA_STRIDE`): a rotated-away
 /// generation must be revoked, not merely unused.
 pub const VA_STRIDE: u64 = 0x0100_0000;
 
@@ -55,14 +61,10 @@ pub struct ServerConfig {
     pub memctl: Option<DeviceId>,
     /// Auth token presented when opening the file service.
     pub token: Token,
-    /// Virtual base for the shared region in the server's address space.
-    pub va_base: u64,
     /// Virtqueue depth.
     pub queue_size: u16,
     /// Entries in the local value cache (0 = disabled).
     pub cache_entries: usize,
-    /// Per-request processing cost (hash, parse) on the serving device.
-    pub per_request_cost: SimDuration,
 }
 
 impl Default for ServerConfig {
@@ -71,10 +73,8 @@ impl Default for ServerConfig {
             file_pattern: "file:/data/kv.db".into(),
             memctl: None,
             token: Token::NONE,
-            va_base: 0x2000_0000,
             queue_size: 64,
             cache_entries: 0,
-            per_request_cost: SimDuration::from_nanos(500),
         }
     }
 }
@@ -465,7 +465,7 @@ impl KvsServer {
                             svc.id,
                             self.config.token,
                             self.pasid,
-                            self.config.va_base + self.generation * VA_STRIDE,
+                            VA_BASE + self.generation * VA_STRIDE,
                             self.config.queue_size,
                         );
                         self.state = ServerState::Connecting;
@@ -558,7 +558,7 @@ impl KvsServer {
             }
             return;
         }
-        ctx.busy(self.config.per_request_cost);
+        ctx.busy(PER_REQUEST_COST);
         if self.backlog.len() >= MAX_BACKLOG {
             self.met.shed.incr();
             let depth = self.queue_depth();
@@ -629,7 +629,7 @@ impl KvsServer {
         // shape (the differential test in `tests/` holds the two paths
         // byte-identical).
         ctx.stage(STAGE_SERVER_RECV, id, 0);
-        ctx.busy(self.config.per_request_cost);
+        ctx.busy(PER_REQUEST_COST);
         self.met.gets.incr();
         self.met.cache_hits.incr();
         self.met.fast_gets.incr();
@@ -1047,12 +1047,20 @@ impl lastcpu_snap::Span<ValueCache> for Entries {
     }
 }
 
+/// [`VA_BASE`] and [`PER_REQUEST_COST`], where a server section carried them
+/// as configuration (the next `SCHEMA_VERSION` drops these bytes).
+const PINNED_VA_BASE: Pinned = Pinned(&[("server VA base", Pin::U64(VA_BASE))]);
+const PINNED_COST: Pinned = Pinned(&[(
+    "server per-request cost",
+    Pin::U64(PER_REQUEST_COST.as_nanos()),
+)]);
+
 // `met` is its `ServerStats` (the hub snapshots its own key space).
 // Excluded: `comp_buf` and `rec` (reused scratch, contents meaningless
 // between events).
 lastcpu_snap::fields! { KvsServer |self| {
-    config.file_pattern, config.memctl, config.token, config.va_base, config.queue_size,
-    config.cache_entries, config.per_request_cost, pasid, state, mut engine, mut scanner, memctl,
+    config.file_pattern, config.memctl, config.token, ..PINNED_VA_BASE, config.queue_size,
+    config.cache_entries, ..PINNED_COST, pasid, state, mut engine, mut scanner, memctl,
     mem_op, file_op, session, file_size, rebuild_next, rebuild_inflight, ..InFlight, ..Backlogged,
     mut cache, mut met, recovering, generation, fast_path,
 } }

@@ -9,7 +9,7 @@ use lastcpu_fabric::ring::HashRing;
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::router::RouterConfig;
 use lastcpu_kvs::server::ServerConfig;
-use lastcpu_kvs::{build_cpuless_kvs, KvEngine, RetryPolicy, ShardRouterHost};
+use lastcpu_kvs::{build_cpuless_kvs, KvEngine, ShardRouterHost};
 use lastcpu_net::PortId;
 use lastcpu_sim::SimDuration;
 use lastcpu_snap::{Checkpoint, Restore, SnapReader, Snapshot};
@@ -77,19 +77,13 @@ proptest! {
     fn router_roundtrip_is_byte_identical(
         replication in 1usize..5,
         vnodes in 1u32..64,
-        max_retries in 0u32..8,
-        rtt_multiplier in 1u64..6,
         dir_port in any::<u32>(),
     ) {
         let a = ShardRouterHost::new(RouterConfig {
             dir_port: PortId(dir_port),
             replication,
             vnodes,
-            max_retries,
-            rtt_multiplier,
-            policy: RetryPolicy::AdaptiveP2c,
             name: format!("router-{vnodes}"),
-            ..RouterConfig::default()
         });
         let bytes = a.snapshot_bytes();
         let b = restore_fresh(

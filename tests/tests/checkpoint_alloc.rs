@@ -12,9 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lastcpu_core::SystemConfig;
 use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
-use lastcpu_kvs::build_rack_kvs_with_policy;
+use lastcpu_kvs::build_rack_kvs;
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
-use lastcpu_kvs::RetryPolicy;
 use lastcpu_sim::SimTime;
 
 struct CountingAlloc;
@@ -74,7 +73,7 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 fn a_checkpoint_is_held_once() {
     // Four machines on leaf-spine:2, R = 2, tracing on (the default), a
     // client per machine through its local router, stopped mid-run.
-    let mut setup = build_rack_kvs_with_policy(
+    let mut setup = build_rack_kvs(
         FabricConfig {
             topology: TopologyConfig {
                 kind: TopoKind::LeafSpine { leaf_size: 2 },
@@ -88,7 +87,6 @@ fn a_checkpoint_is_held_once() {
             seed: 24,
             ..SystemConfig::default()
         },
-        RetryPolicy::default(),
     );
     for i in 0..4 {
         let router = setup.router_ports[i];

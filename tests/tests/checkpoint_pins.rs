@@ -17,7 +17,7 @@ use lastcpu_core::{System, SystemConfig};
 use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::ServerConfig;
-use lastcpu_kvs::{build_cpuless_kvs, build_rack_kvs_with_policy, RackSetup, RetryPolicy};
+use lastcpu_kvs::{build_cpuless_kvs, build_rack_kvs, RackSetup};
 use lastcpu_sim::{SimDuration, SimTime};
 use lastcpu_snap::{Checkpoint, Result};
 
@@ -60,7 +60,7 @@ fn machine() -> System {
 /// Four machines on leaf-spine:2, R = 2, a client per machine through its
 /// local router, stopped mid-run.
 fn rack() -> RackSetup {
-    let mut setup = build_rack_kvs_with_policy(
+    let mut setup = build_rack_kvs(
         FabricConfig {
             topology: TopologyConfig {
                 kind: TopoKind::LeafSpine { leaf_size: 2 },
@@ -74,7 +74,6 @@ fn rack() -> RackSetup {
             seed: 24,
             ..SystemConfig::default()
         },
-        RetryPolicy::default(),
     );
     for i in 0..4 {
         let router = setup.router_ports[i];

@@ -11,7 +11,7 @@
 use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
 use lastcpu_fabric::{Fabric, FabricConfig, TopoKind, TopologyConfig};
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
-use lastcpu_kvs::{build_rack_kvs_with_policy, RackSetup, RetryPolicy};
+use lastcpu_kvs::{build_rack_kvs, RackSetup};
 use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::{export, CorrId, FaultKind, FaultPlan, SimDuration, SimTime};
 use lastcpu_snap::{fnv1a_fold, Checkpoint};
@@ -24,22 +24,6 @@ struct Rack {
 }
 
 fn build_rack(machines: usize, replication: usize, seed: u64, workload: &WorkloadConfig) -> Rack {
-    build_rack_policy(
-        machines,
-        replication,
-        seed,
-        workload,
-        RetryPolicy::default(),
-    )
-}
-
-fn build_rack_policy(
-    machines: usize,
-    replication: usize,
-    seed: u64,
-    workload: &WorkloadConfig,
-    policy: RetryPolicy,
-) -> Rack {
     build_rack_cfg(
         FabricConfig::default(),
         machines,
@@ -47,7 +31,6 @@ fn build_rack_policy(
         seed,
         false,
         workload,
-        policy,
     )
 }
 
@@ -58,9 +41,8 @@ fn build_rack_cfg(
     seed: u64,
     trace: bool,
     workload: &WorkloadConfig,
-    policy: RetryPolicy,
 ) -> Rack {
-    let mut setup = build_rack_kvs_with_policy(
+    let mut setup = build_rack_kvs(
         cfg,
         machines,
         replication,
@@ -69,7 +51,6 @@ fn build_rack_cfg(
             trace,
             ..lastcpu_core::SystemConfig::default()
         },
-        policy,
     );
     let mut client_ports = Vec::new();
     for i in 0..machines {
@@ -231,11 +212,11 @@ fn unreplicated_rack_loses_acked_writes_on_crash() {
 /// every router stat, every machine-hub counter, client progress, and
 /// per-machine key counts. Two runs with equal fingerprints took the same
 /// event path.
-fn run_fingerprint(seed: u64, policy: RetryPolicy) -> String {
-    let mut rack = build_rack_policy(2, 2, seed, &small_workload(), policy);
+fn run_fingerprint(seed: u64) -> String {
+    let mut rack = build_rack(2, 2, seed, &small_workload());
     rack.setup.fabric.power_on();
     rack.run_to_completion(SimDuration::from_secs(10));
-    assert!(rack.all_done(), "workload incomplete under {policy}");
+    assert!(rack.all_done(), "workload incomplete at seed {seed:#x}");
     let mut fp = String::new();
     for (k, v) in rack.setup.fabric.metrics().counters() {
         fp.push_str(&format!("{k}={v};"));
@@ -271,9 +252,21 @@ fn run_fingerprint(seed: u64, policy: RetryPolicy) -> String {
 
 #[test]
 fn rack_runs_are_bit_identical() {
-    let run = |seed: u64| run_fingerprint(seed, RetryPolicy::default());
-    assert_eq!(run(7), run(7), "same seed, same rack, same bytes");
-    assert_ne!(run(7), run(8), "different seed perturbs the run");
+    // The congestion machinery (EWMA timeouts, p2c selection, Busy
+    // deferral) is a pure function of the event history: same seed, same
+    // bytes.
+    for seed in [7u64, 0xE10, 1984] {
+        assert_eq!(
+            run_fingerprint(seed),
+            run_fingerprint(seed),
+            "seed {seed:#x}: same rack, other bytes"
+        );
+    }
+    assert_ne!(
+        run_fingerprint(7),
+        run_fingerprint(8),
+        "different seed perturbs the run"
+    );
     // The deep observables — merged trace, metrics exports, pool activity —
     // replay too, so event order and buffer reuse are seed-determined.
     for seed in [7u64, 0xE13, 1984] {
@@ -313,15 +306,7 @@ fn deep_fingerprint(seed: u64, crash: bool) -> String {
         plan.inject(SimTime::from_nanos(2_000_000), "m1", FaultKind::Crash);
         cfg.fault_plan = Some(plan);
     }
-    let mut rack = build_rack_cfg(
-        cfg,
-        2,
-        2,
-        seed,
-        true,
-        &small_workload(),
-        RetryPolicy::default(),
-    );
+    let mut rack = build_rack_cfg(cfg, 2, 2, seed, true, &small_workload());
     rack.setup.fabric.power_on();
     if crash {
         // The crash arm never completes the workload; a fixed virtual-time
@@ -376,29 +361,6 @@ fn crash_arm_replays_bit_identically() {
     );
 }
 
-#[test]
-fn every_retry_policy_replays_bit_identically() {
-    // Property sweep over the policy x seed grid: the congestion machinery
-    // (EWMA timeouts, p2c selection, Busy deferral) must stay a pure
-    // function of the event history — same seed, same arm, same bytes.
-    // Different seeds must still perturb every arm (the fingerprint is not
-    // trivially constant).
-    for policy in RetryPolicy::ALL {
-        for seed in [7u64, 0xE10, 1984] {
-            assert_eq!(
-                run_fingerprint(seed, policy),
-                run_fingerprint(seed, policy),
-                "policy {policy} seed {seed:#x} diverged on replay"
-            );
-        }
-        assert_ne!(
-            run_fingerprint(7, policy),
-            run_fingerprint(8, policy),
-            "policy {policy} fingerprint insensitive to seed"
-        );
-    }
-}
-
 /// Compact fingerprint of a 64-machine leaf-spine run (8 leaves of 8,
 /// ECMP across 8 spines): fabric metrics, final clock, per-machine KVS
 /// state, client progress, and the acked-write audit. Tracing stays off —
@@ -414,7 +376,7 @@ fn leaf_spine_fingerprint(seed: u64) -> String {
         outstanding: 2,
         ..small_workload()
     };
-    let mut rack = build_rack_cfg(cfg, MACHINES, 2, seed, false, &wl, RetryPolicy::default());
+    let mut rack = build_rack_cfg(cfg, MACHINES, 2, seed, false, &wl);
     rack.setup.fabric.power_on();
     rack.run_to_completion(SimDuration::from_secs(30));
     assert!(
@@ -488,7 +450,7 @@ fn schedule_digest(
     wl: &WorkloadConfig,
     horizon: SimDuration,
 ) -> u64 {
-    let mut rack = build_rack_cfg(cfg, machines, 2, 0xE14, false, wl, RetryPolicy::default());
+    let mut rack = build_rack_cfg(cfg, machines, 2, 0xE14, false, wl);
     rack.setup.fabric.power_on();
     rack.run_to_completion(horizon);
     sections_digest(&rack.setup.fabric)
@@ -564,7 +526,7 @@ fn sliced_rack() -> Rack {
         preload: true,
         ..WorkloadConfig::default()
     };
-    let mut rack = build_rack_cfg(leaf_spine(1), 16, 2, 22, true, &wl, RetryPolicy::default());
+    let mut rack = build_rack_cfg(leaf_spine(1), 16, 2, 22, true, &wl);
     rack.setup.fabric.power_on();
     rack
 }
@@ -652,7 +614,7 @@ mod slicing_props {
                 let (cfg, machines) = shape(which);
                 let wl = small_workload();
                 let mut rack =
-                    build_rack_cfg(cfg, machines, 2, seed, true, &wl, RetryPolicy::default());
+                    build_rack_cfg(cfg, machines, 2, seed, true, &wl);
                 rack.setup.fabric.power_on();
                 rack
             };

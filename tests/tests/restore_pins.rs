@@ -31,8 +31,8 @@ use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::engine::LogScanner;
 use lastcpu_kvs::router::RouterConfig;
 use lastcpu_kvs::{
-    build_baseline_kvs, build_rack_kvs_with_policy, KvEngine, KvsCpuApp, KvsNicApp, RetryPolicy,
-    ServerConfig, ShardRouterHost,
+    build_baseline_kvs, build_rack_kvs, KvEngine, KvsCpuApp, KvsNicApp, ServerConfig,
+    ShardRouterHost,
 };
 use lastcpu_mem::{Dram, FrameAllocator, PageTable, Pasid, Perms, PhysAddr, VirtAddr};
 use lastcpu_memctl::MemoryController;
@@ -200,7 +200,7 @@ fn a_kvs_machine_restores_every_component_it_snapshots() {
 /// nested ones and every router.
 #[test]
 fn a_rack_restores_every_component_it_snapshots() {
-    let mut setup = build_rack_kvs_with_policy(
+    let mut setup = build_rack_kvs(
         FabricConfig {
             topology: TopologyConfig {
                 kind: TopoKind::LeafSpine { leaf_size: 2 },
@@ -214,7 +214,6 @@ fn a_rack_restores_every_component_it_snapshots() {
             seed: 24,
             ..SystemConfig::default()
         },
-        RetryPolicy::default(),
     );
     for i in 0..4 {
         let router = setup.router_ports[i];

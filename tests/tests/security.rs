@@ -18,7 +18,7 @@ use lastcpu_bus::SecurityPolicy;
 use lastcpu_core::{DeviceHandle, System, SystemConfig};
 use lastcpu_iommu::AccessKind;
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
-use lastcpu_kvs::{build_cpuless_kvs, ServerConfig, VA_STRIDE};
+use lastcpu_kvs::{build_cpuless_kvs, ServerConfig, VA_BASE, VA_STRIDE};
 use lastcpu_mem::{Pasid, VirtAddr};
 use lastcpu_net::PortId;
 use lastcpu_sec::{AttackKind, AttackPlan, AttackTargets, MaliciousDevice};
@@ -26,9 +26,6 @@ use lastcpu_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 use lastcpu_devices::ssd::SsdConfig;
-
-/// Base VA of the KVS app's generation-0 window (`ServerConfig` default).
-const VA_BASE: u64 = 0x2000_0000;
 
 /// An attacked KVS machine: the §3 deployment plus `evil0` and a small
 /// closed-loop client, powered on and ready to run.

@@ -17,8 +17,8 @@ use lastcpu_core::devices::ftl::Ftl;
 use lastcpu_core::devices::ssd::{SmartSsd, SsdConfig};
 use lastcpu_core::{System, SystemConfig};
 use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
+use lastcpu_kvs::build_rack_kvs;
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
-use lastcpu_kvs::{build_rack_kvs_with_policy, RetryPolicy};
 use lastcpu_sim::{profile, SimDuration, SimTime};
 
 struct CountingAlloc;
@@ -104,7 +104,7 @@ fn figure2_window(trace: bool) -> (u64, u64) {
 /// Allocations the profiler charged to `fabric.forward` over a traced
 /// four-machine rack run, and the link-hop records it left.
 fn forward_allocs(link_tracing: bool) -> (u64, usize) {
-    let mut setup = build_rack_kvs_with_policy(
+    let mut setup = build_rack_kvs(
         FabricConfig {
             topology: TopologyConfig {
                 kind: TopoKind::LeafSpine { leaf_size: 2 },
@@ -118,7 +118,6 @@ fn forward_allocs(link_tracing: bool) -> (u64, usize) {
             seed: 28,
             ..SystemConfig::default()
         },
-        RetryPolicy::default(),
     );
     setup.fabric.set_link_tracing(link_tracing);
     setup.fabric.set_link_trace_capacity(256);

@@ -178,8 +178,8 @@ fn a_wrapped_ring_renders_and_checkpoints_as_before() {
 mod rack {
     use super::*;
     use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
+    use lastcpu_kvs::build_rack_kvs;
     use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
-    use lastcpu_kvs::{build_rack_kvs_with_policy, RetryPolicy};
 
     /// `(merged records, FNV-1a and length of the merged JSONL export,
     /// FNV-1a and length of the critical-path report's `Debug` text)`.
@@ -192,7 +192,7 @@ mod rack {
     );
 
     fn observe_linked() -> Linked {
-        let mut setup = build_rack_kvs_with_policy(
+        let mut setup = build_rack_kvs(
             FabricConfig {
                 topology: TopologyConfig {
                     kind: TopoKind::LeafSpine { leaf_size: 2 },
@@ -207,7 +207,6 @@ mod rack {
                 trace: true,
                 ..SystemConfig::default()
             },
-            RetryPolicy::default(),
         );
         setup.fabric.set_link_tracing(true);
         let mut clients = Vec::new();

@@ -217,7 +217,7 @@ fn traced_figure2_run_checkpoints_as_before() {
 mod rack {
     use super::*;
     use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
-    use lastcpu_kvs::{build_rack_kvs_with_policy, RackSetup, RetryPolicy};
+    use lastcpu_kvs::{build_rack_kvs, RackSetup};
     use lastcpu_sim::SimTime;
 
     /// Exports of [`Fabric::merged_trace`], its record count, and
@@ -247,7 +247,7 @@ mod rack {
     const MID: SimTime = SimTime::from_nanos(4_000_000);
 
     fn rack() -> (RackSetup, Vec<lastcpu_net::PortId>) {
-        let mut setup = build_rack_kvs_with_policy(
+        let mut setup = build_rack_kvs(
             FabricConfig {
                 topology: TopologyConfig {
                     kind: TopoKind::LeafSpine { leaf_size: 2 },
@@ -262,7 +262,6 @@ mod rack {
                 trace: true,
                 ..SystemConfig::default()
             },
-            RetryPolicy::default(),
         );
         let mut clients = Vec::new();
         for i in 0..4 {
