@@ -124,9 +124,10 @@ impl Point {
     }
 }
 
-/// The matrix in run order: (topology, oversub) × machines × replication. A flat fabric has no oversubscription knob (one implicit
-/// infinite spine), so it runs once regardless of `--oversub`; a cell
-/// cannot hold R distinct replicas on fewer than R machines.
+/// The matrix in run order: (topology, oversub) × machines × replication.
+/// A flat fabric has no oversubscription knob (one implicit infinite
+/// spine), so it runs once regardless of `--oversub`; a cell cannot hold R
+/// distinct replicas on fewer than R machines.
 fn matrix(args: &Args) -> Result<Vec<Point>, String> {
     let topology = |t: &&str| TopoKind::parse(t).map_err(|e| format!("bad --topologies arm: {e}"));
     let topologies: Vec<_> = args
