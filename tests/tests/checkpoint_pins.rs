@@ -414,3 +414,55 @@ fn a_machine_that_cannot_serialize_reports_so() {
         r#"component "device \"opaque\" (kind \"opaque\")" does not support snapshot/restore"#
     );
 }
+
+/// What `restore_from` refuses before it replays: a checkpoint of another
+/// schema, one whose manifest names another seed, and one made from another
+/// recipe. A rack checks no seed of its own (the fabric's seed is part of
+/// its recipe), so a doctored seed reaches the manifest comparison.
+const PARENT_REFUSALS: [&str; 6] = [
+    "schema version mismatch: this build reads v2, checkpoint is v3",
+    r#"restored state diverged in section "manifest": seed mismatch: checkpoint 12, this machine 11"#,
+    r#"restored state diverged in section "manifest": config fingerprint mismatch: checkpoint 0x4cd4cf37c65d4b52, this machine 0x9fe55e76e15c0789"#,
+    "schema version mismatch: this build reads v2, checkpoint is v3",
+    r#"restored state diverged in section "rack": manifest differs: Manifest { schema_version: 2, seed: 4012, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" } vs Manifest { schema_version: 2, seed: 4011, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" }"#,
+    r#"restored state diverged in section "manifest": config fingerprint mismatch: checkpoint 0xe5f7223714506deb, this rack 0xf306f7746aceafbc"#,
+];
+
+/// `ck` with its manifest edited.
+fn with_manifest(ck: &Checkpoint, edit: impl FnOnce(&mut lastcpu_snap::Manifest)) -> Checkpoint {
+    let mut out = ck.clone();
+    edit(&mut out.manifest);
+    out
+}
+
+#[test]
+fn restore_refuses_another_schema_seed_or_recipe_as_before() {
+    let mut sys = machine();
+    let ck = sys.checkpoint("pins").expect("checkpoints");
+    let mut reports = vec![
+        report(sys.restore_from(&with_manifest(&ck, |m| m.schema_version += 1))),
+        report(sys.restore_from(&with_manifest(&ck, |m| m.seed += 1))),
+        report(
+            System::new(SystemConfig {
+                seed: 11,
+                ..SystemConfig::default()
+            })
+            .restore_from(&ck),
+        ),
+    ];
+    let mut setup = rack();
+    let ck = setup.fabric.checkpoint("pins").expect("rack checkpoints");
+    reports.push(report(
+        setup
+            .fabric
+            .restore_from(&with_manifest(&ck, |m| m.schema_version += 1)),
+    ));
+    reports.push(report(
+        setup
+            .fabric
+            .restore_from(&with_manifest(&ck, |m| m.seed += 1)),
+    ));
+    let other = lastcpu_fabric::Fabric::new(FabricConfig::default());
+    reports.push(report({ other }.restore_from(&ck)));
+    assert_eq!(reports, PARENT_REFUSALS);
+}
