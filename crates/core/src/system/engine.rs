@@ -75,6 +75,23 @@ pub(super) enum Event {
     RetryCheck,
 }
 
+lastcpu_snap::variants! { Event {
+    Start = 0 { 0: i },
+    BusMsg = 1 { 0: env },
+    Deliver = 2 { idx, env },
+    Timer = 3 { idx, token, corr },
+    Map = 4 { idx, pasid, va, pa, pages, perms, corr },
+    Unmap = 5 { idx, pasid, va, pages, corr },
+    Reset = 6 { idx, corr },
+    InboxPop = 7 { 0: i },
+    NetDeliver = 8 { port, frame, corr },
+    HostStart = 9 { 0: i },
+    HostTimer = 10 { hidx, token, corr },
+    Liveness = 11 {},
+    Fault = 12 { 0: i },
+    RetryCheck = 13 {},
+} }
+
 /// Maps an event to the profiling scope its handling is attributed to.
 /// Grouped by mechanism (the attribution table wants "where do the
 /// allocations come from", not one row per enum variant).

@@ -31,6 +31,9 @@ pub struct TunnelDelivery {
     pub corr: CorrId,
 }
 
+// The correlation id is not in the layout: a reader gives `CorrId::NONE`.
+lastcpu_snap::record!(TunnelDelivery { at, port, frame, corr = CorrId::NONE });
+
 impl System {
     /// Adds an external host machine; returns its switch port.
     pub fn add_host(&mut self, host: Box<dyn NetHost>) -> PortId {

@@ -24,6 +24,12 @@ pub(super) enum Work {
     Net(Frame, CorrId),
 }
 
+lastcpu_snap::variants! { Work {
+    Msg = 0 { 0: env },
+    Timer = 1 { 0: token, 1: corr },
+    Net = 2 { 0: frame, 1: corr },
+} }
+
 impl System {
     fn slot_busy(&self, idx: usize, now: SimTime) -> bool {
         self.slots[idx].busy_until > now

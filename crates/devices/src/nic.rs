@@ -179,21 +179,20 @@ impl<A: NicApp + 'static> Firmware for SmartNic<A> {
     }
 
     fn snapshot_state(&self, w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
-        w.put_str(&self.name);
-        w.put_u32(self.app_version);
-        w.put_bool(self.app_started);
-        lastcpu_snap::Snapshot::snapshot(&self.monitor, w);
+        lastcpu_snap::Span::put(&Own, self, w);
         self.app.snapshot_state(w)
     }
 
     fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        self.name = r.str()?;
-        self.app_version = r.u32()?;
-        self.app_started = r.bool()?;
-        lastcpu_snap::Restore::restore(&mut self.monitor, r)?;
+        lastcpu_snap::Span::take(&Own, self, r)?;
         self.app.restore_state(r)
     }
 }
+
+/// The NIC's own fields, ahead of its app's state in its section.
+struct Own;
+
+lastcpu_snap::fields! { <A> Own for SmartNic<A> |nic| { name, app_version, app_started, mut monitor } }
 
 /// A trivial app that echoes every frame back to its sender — the NIC
 /// equivalent of a loopback firmware, used in tests and as the default

@@ -70,12 +70,16 @@ pub struct DirEntry {
     pub port: PortId,
 }
 
+lastcpu_snap::record!(DirEntry { machine, name, kind, port });
+
 /// The far side of a proxy port: a specific port on a specific machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct RemotePeer {
     machine: u32,
     port: PortId,
 }
+
+lastcpu_snap::record!(RemotePeer { machine, port });
 
 /// Per-machine link fault state (consumed counts, like the bus layer).
 #[derive(Debug, Default)]
@@ -84,6 +88,8 @@ struct LinkFaults {
     delay_remaining: u32,
     delay_extra: SimDuration,
 }
+
+lastcpu_snap::fields! { LinkFaults |self| { drop_remaining, delay_remaining, delay_extra } }
 
 lastcpu_sim::instruments! {
     /// The fabric's instruments (link, directory and fault counters).
@@ -136,6 +142,8 @@ struct LinkDelivery {
     frame: Frame,
     corr: CorrId,
 }
+
+lastcpu_snap::record!(LinkDelivery { machine, frame, corr });
 
 /// What [`Fabric::run_until`] retires next, listed in the order candidates
 /// are offered: at equal time the earlier-listed one goes first.
@@ -845,7 +853,31 @@ impl Fabric {
 // Rack checkpoints
 // ---------------------------------------------------------------------------
 
-use lastcpu_snap::{Checkpoint, Diff, Manifest, SectionSink, SnapError, SnapWriter, Snapshot as _};
+use lastcpu_sim::Pending;
+use lastcpu_snap::{
+    Checkpoint, Derived, Diff, Each, Manifest, SectionSink, SnapError, Snapshot as _, Span as _,
+};
+
+/// The `fabric` section, the rack's own durable state: clock, directory,
+/// fault schedule, the count and a content digest of the frames in flight
+/// between machines, link occupancy, proxy wiring, and per-machine link
+/// faults.
+struct Rack;
+
+lastcpu_snap::fields! { Rack for Fabric |f| {
+    now, dir_epoch, next_sync, fault_cursor, faults,
+    queue: ..Pending(b"links"),
+    ..Derived("link queue cursors", |f: &Fabric| {
+        (f.queue.events_processed(), f.queue.seq_cursor())
+    }),
+    directory, mut topo, machines: ..Each,
+} }
+
+// One machine's part of the `fabric` section; its system has a section of
+// its own. The reverse proxy map is the forward one, inverted.
+lastcpu_snap::fields! { MachineSlot |self| { name, dead, dir_port, proxy, mut faults } restored {
+    self.proxy_rev = self.proxy.iter().map(|(&peer, &port)| (port, peer)).collect();
+} }
 
 impl Fabric {
     /// Stable fingerprint of the rack recipe: fabric configuration plus
@@ -857,73 +889,6 @@ impl Fabric {
             lastcpu_snap::fnv1a_fold(&mut h, &slot.sys.config_fingerprint().to_le_bytes());
         }
         h
-    }
-
-    /// The fabric's own durable state: clock, directory, link occupancy,
-    /// in-flight frame digest, proxy wiring, and per-machine link faults.
-    fn fabric_section(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.put_u64(self.now.as_nanos());
-        w.put_u64(self.dir_epoch);
-        w.put_opt(self.next_sync.as_ref(), |w, t| w.put_u64(t.as_nanos()));
-        w.put_len(self.fault_cursor);
-        w.put_len(self.faults.len());
-        for f in &self.faults {
-            w.put_u64(f.at.as_nanos());
-            w.put_str(&f.target);
-            lastcpu_snap::Field::put(&f.kind, &mut w);
-        }
-        // In-flight inter-machine deliveries, digested by full content.
-        let mut entries = self.queue.entries();
-        entries.sort_by_key(|(at, seq, _)| (*at, *seq));
-        w.put_len(entries.len());
-        let mut h = lastcpu_snap::fnv1a(b"links");
-        for (at, seq, d) in &entries {
-            let mut ew = SnapWriter::new();
-            ew.put_u64(at.as_nanos());
-            ew.put_u64(*seq);
-            ew.put_len(d.machine);
-            ew.put_u32(d.frame.src.0);
-            ew.put_u32(d.frame.dst.0);
-            ew.put_bytes(&d.frame.payload);
-            ew.put_u64(d.corr.0);
-            lastcpu_snap::fnv1a_fold(&mut h, &ew.into_bytes());
-        }
-        w.put_u64(h);
-        w.put_u64(self.queue.events_processed());
-        w.put_u64(self.queue.seq_cursor());
-        w.put_len(self.directory.len());
-        for e in &self.directory {
-            w.put_u32(e.machine);
-            w.put_str(&e.name);
-            w.put_str(&e.kind);
-            w.put_u32(e.port.0);
-        }
-        // Per-link queue cursors + traffic counters. The graph itself is a
-        // pure function of the (fingerprinted) config and machine count, so
-        // only dynamic state is serialized.
-        self.topo.snapshot_state(&mut w);
-        for slot in &self.machines {
-            w.put_str(&slot.name);
-            w.put_bool(slot.dead);
-            w.put_u32(slot.dir_port.0);
-            let mut proxies: Vec<(u32, u32, u32)> = slot
-                .proxy
-                .iter()
-                .map(|(peer, local)| (peer.machine, peer.port.0, local.0))
-                .collect();
-            proxies.sort_unstable();
-            w.put_len(proxies.len());
-            for (pm, pp, lp) in proxies {
-                w.put_u32(pm);
-                w.put_u32(pp);
-                w.put_u32(lp);
-            }
-            w.put_u32(slot.faults.drop_remaining);
-            w.put_u32(slot.faults.delay_remaining);
-            w.put_u64(slot.faults.delay_extra.as_nanos());
-        }
-        w.into_bytes()
     }
 
     /// Checkpoint-wide metadata for this rack, now.
@@ -943,7 +908,7 @@ impl Fabric {
     /// per machine holding that machine's whole encoded
     /// [`System::checkpoint`], streamed as the machine produces it.
     fn each_section(&self, label: &str, out: &mut impl SectionSink) -> lastcpu_snap::Result<()> {
-        out.section("fabric", self.fabric_section());
+        out.section("fabric", Rack.bytes(self));
         out.section("metrics", self.metrics.snapshot_bytes());
         out.section("trace", self.trace.snapshot_bytes());
         for (i, slot) in self.machines.iter().enumerate() {
@@ -990,22 +955,8 @@ impl Fabric {
     /// section, including each machine's full checkpoint, byte-for-byte.
     /// Fails loudly on any divergence.
     pub fn restore_from(&mut self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
-        if ck.manifest.schema_version != lastcpu_snap::SCHEMA_VERSION {
-            return Err(SnapError::VersionMismatch {
-                want: lastcpu_snap::SCHEMA_VERSION,
-                got: ck.manifest.schema_version,
-            });
-        }
-        if ck.manifest.config_fp != self.config_fingerprint() {
-            return Err(SnapError::VerifyMismatch {
-                section: "manifest".into(),
-                detail: format!(
-                    "config fingerprint mismatch: checkpoint {:#018x}, this rack {:#018x}",
-                    ck.manifest.config_fp,
-                    self.config_fingerprint()
-                ),
-            });
-        }
+        ck.manifest
+            .admit("rack", None, self.config_fingerprint())?;
         self.run_until(SimTime::from_nanos(ck.manifest.virtual_ns));
         self.verify_checkpoint(ck)
     }

@@ -41,7 +41,7 @@
 
 use lastcpu_net::NetCostModel;
 use lastcpu_sim::{SimDuration, SimTime};
-use lastcpu_snap::SnapWriter;
+use lastcpu_snap::{Derived, Each};
 
 use crate::ring::hash64;
 
@@ -374,20 +374,17 @@ impl Topology {
             downlink_ns,
         }
     }
-
-    /// Serializes the dynamic per-link state (queue cursors + counters)
-    /// into a checkpoint section. The graph itself is rebuilt from the
-    /// configuration, so only mutable state is written.
-    pub fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.put_len(self.links.len());
-        for l in &self.links {
-            w.put_u64(l.busy.as_nanos());
-            w.put_u64(l.busy_ns);
-            w.put_u64(l.bytes);
-            w.put_u64(l.frames);
-        }
-    }
 }
+
+// A topology's section is its dynamic per-link state (queue cursors and
+// counters). The graph itself is rebuilt from the configuration, so its
+// link count is held to the one replay built, and no more is written.
+lastcpu_snap::fields! { Topology |self| {
+    ..Derived("link count", |t: &Topology| t.links.len()),
+    links: ..Each,
+} }
+
+lastcpu_snap::fields! { Link |self| { busy, busy_ns, bytes, frames } }
 
 /// Build-time scratch: link allocation plus path emission.
 struct Builder<'a> {

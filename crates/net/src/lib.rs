@@ -43,6 +43,8 @@ pub struct Frame {
     pub payload: Bytes,
 }
 
+lastcpu_snap::record!(Frame { src, dst, payload });
+
 impl Frame {
     /// Creates a unicast frame. Accepts a plain `Vec<u8>` or a pooled
     /// [`Bytes`] payload.

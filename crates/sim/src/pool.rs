@@ -366,6 +366,17 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+/// Length-prefixed, as `SnapWriter::put_bytes` writes it; a restored
+/// payload is unpooled.
+impl lastcpu_snap::Field for Bytes {
+    fn put(&self, w: &mut lastcpu_snap::SnapWriter) {
+        w.put_bytes(self);
+    }
+    fn take(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+        r.bytes().map(Bytes::from)
+    }
+}
+
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Self {
         Bytes::from(s.to_vec())

@@ -24,6 +24,8 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
+use lastcpu_snap::{Field, SnapReader, SnapWriter, Span};
+
 use crate::time::{SimDuration, SimTime};
 
 /// An event extracted from the queue.
@@ -536,6 +538,52 @@ impl<E> EventQueue<E> {
                 event,
             });
         }
+    }
+}
+
+/// The pending events as a checkpoint section carries them: their count,
+/// then an FNV-1a digest, seeded with `.0`, of each entry's `(at, seq,
+/// event)` encoding in pop order. Named in a `lastcpu_snap::fields!` list
+/// as `queue: ..Pending(b"queue")`. The events themselves are not stored,
+/// so a reader loads nothing: it holds the count and digest to those of the
+/// queue it is handed (one replayed to the same cursor) and refuses others
+/// as corrupt.
+pub struct Pending(pub &'static [u8]);
+
+impl Pending {
+    /// `q`'s count and digest. One writer takes each entry in turn, so the
+    /// fold allocates nothing per entry that the entry's own encoding does
+    /// not.
+    fn of<E: Field>(&self, q: &EventQueue<E>) -> (usize, u64) {
+        let entries = q.entries();
+        let mut h = lastcpu_snap::fnv1a(self.0);
+        let mut w = SnapWriter::new();
+        for (at, seq, ev) in &entries {
+            at.put(&mut w);
+            seq.put(&mut w);
+            ev.put(&mut w);
+            w.fold_into(&mut h);
+        }
+        (entries.len(), h)
+    }
+}
+
+impl<E: Field> Span<EventQueue<E>> for Pending {
+    fn put(&self, q: &EventQueue<E>, w: &mut SnapWriter) {
+        self.of(q).put(w);
+    }
+
+    fn take(&self, q: &mut EventQueue<E>, r: &mut SnapReader<'_>) -> lastcpu_snap::Result<()> {
+        let (held, held_sum) = <(usize, u64)>::take(r)?;
+        let (n, sum) = self.of(q);
+        if (held, held_sum) != (n, sum) {
+            let name = String::from_utf8_lossy(self.0);
+            return Err(r.corrupt(format!(
+                "{held} pending {name} events digesting to {held_sum:#018x}, \
+                 but the replayed {name} holds {n} digesting to {sum:#018x}"
+            )));
+        }
+        Ok(())
     }
 }
 

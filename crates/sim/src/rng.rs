@@ -230,7 +230,7 @@ fn zeta(n: u64, theta: f64) -> f64 {
     sum
 }
 
-lastcpu_snap::fields! { DetRng |self| { state, seed } }
+lastcpu_snap::fields! { DetRng |self| (DetRng::new(0)) { state, seed } }
 
 impl std::fmt::Debug for DetRng {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

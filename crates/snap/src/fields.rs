@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
-use crate::{Result, SnapReader, SnapWriter};
+use crate::{Restore, Result, SnapReader, SnapWriter, Snapshot};
 
 /// A value with one encoding: `take` reads back exactly what `put` wrote,
 /// and refuses (as [`SnapError::Corrupt`](crate::SnapError::Corrupt)) bytes
@@ -52,6 +52,13 @@ pub trait Codec<T> {
 pub trait Span<S> {
     fn put(&self, s: &S, w: &mut SnapWriter);
     fn take(&self, s: &mut S, r: &mut SnapReader<'_>) -> Result<()>;
+
+    /// What `put` writes for `s`, as a section of its own.
+    fn bytes(&self, s: &S) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        self.put(s, &mut w);
+        w.into_bytes()
+    }
 }
 
 macro_rules! scalar {
@@ -110,6 +117,15 @@ impl Field for Arc<str> {
     }
     fn take(r: &mut SnapReader<'_>) -> Result<Self> {
         Ok(r.str()?.into())
+    }
+}
+
+impl<T: Field> Field for Arc<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        T::put(self, w);
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self> {
+        T::take(r).map(Arc::new)
     }
 }
 
@@ -374,6 +390,45 @@ impl<S> Span<S> for Pinned {
     }
 }
 
+/// A value replay rebuilds: written as `.1` gives it for the state, and
+/// on read held to what `.1` gives for the state read into (one replayed
+/// to the same cursor); another value is refused as corrupt, naming `.0`.
+/// Named in a [`fields!`](crate::fields) list as `..Derived(name, getter)`.
+pub struct Derived<F>(pub &'static str, pub F);
+
+impl<S, T, F> Span<S> for Derived<F>
+where
+    F: Fn(&S) -> T,
+    T: Field + PartialEq,
+{
+    fn put(&self, s: &S, w: &mut SnapWriter) {
+        (self.1)(s).put(w);
+    }
+
+    fn take(&self, s: &mut S, r: &mut SnapReader<'_>) -> Result<()> {
+        if T::take(r)? != (self.1)(s) {
+            return Err(r.corrupt(format!("{} differ from the replayed state", self.0)));
+        }
+        Ok(())
+    }
+}
+
+/// Items that keep their places, each written and restored in place by its
+/// own [`Snapshot`] and [`Restore`], with no count: a list whose length the
+/// recipe sets. Named in a [`fields!`](crate::fields) list as
+/// `field: ..Each`.
+pub struct Each;
+
+impl<T: Snapshot + Restore> Span<Vec<T>> for Each {
+    fn put(&self, items: &Vec<T>, w: &mut SnapWriter) {
+        items.iter().for_each(|x| x.snapshot(w));
+    }
+
+    fn take(&self, items: &mut Vec<T>, r: &mut SnapReader<'_>) -> Result<()> {
+        items.iter_mut().try_for_each(|x| x.restore(r))
+    }
+}
+
 impl<T> Count for Vec<T> {
     fn count(&self) -> usize {
         self.len()
@@ -390,11 +445,17 @@ impl<K, V, S> Count for HashMap<K, V, S> {
 /// written by its type's [`Field`] impl, or by the [`Codec`] after a colon;
 /// `mut field` is a component restored in place through its own
 /// [`Restore`](crate::Restore), so its configuration survives; `..span` is
-/// a [`Span`]. Derives [`Snapshot`](crate::Snapshot) from `&self` and
+/// a [`Span`] of the struct, `field: ..span` one of the field. Derives
+/// [`Snapshot`](crate::Snapshot) from `&self` and
 /// [`Restore`](crate::Restore) as `self.f = take(r)?` per field, in order,
 /// then the optional `restored` block (`restored |r| { .. }` names the
 /// reader, for a refusal). With `(expr)` before the list, the
 /// type is also a [`Field`], taken by restoring into `expr`.
+///
+/// `Name for Type |t| { .. }` (after `<A, ..>` for a generic type) derives
+/// the two as the [`Span`] `Name` of `Type` instead, its paths taken from
+/// `t`: a section that is part of its owner's state, declared without
+/// giving the owner a `Snapshot` of its own.
 ///
 /// ```
 /// # use lastcpu_snap::{Max, Restore, Snapshot};
@@ -407,6 +468,23 @@ impl<K, V, S> Count for HashMap<K, V, S> {
 /// ```
 #[macro_export]
 macro_rules! fields {
+    ($(<$($g:ident),*>)? $span:ident for $ty:ty |$s:ident| { $($list:tt)* }
+        $(restored $(|$rr:ident|)? $after:block)?) => {
+        impl$(<$($g),*>)? $crate::Span<$ty> for $span {
+            fn put(&self, $s: &$ty, w: &mut $crate::SnapWriter) {
+                $crate::fields!(@put $s w $($list)*);
+            }
+            fn take(
+                &self,
+                $s: &mut $ty,
+                r: &mut $crate::SnapReader<'_>,
+            ) -> $crate::Result<()> {
+                $crate::fields!(@take $s r $($list)*);
+                $($(let $rr = &mut *r;)? $after)?
+                Ok(())
+            }
+        }
+    };
     ($ty:ty |$s:tt| $(($blank:expr))? { $($list:tt)* }
         $(restored $(|$rr:ident|)? $after:block)?) => {
         impl $crate::Snapshot for $ty {
@@ -437,6 +515,10 @@ macro_rules! fields {
         $crate::Span::put(&$c, $s, $w);
         $crate::fields!(@put $s $w $($($rest)*)?);
     };
+    (@put $s:tt $w:ident $($f:ident).+ : ..$c:expr $(, $($rest:tt)*)?) => {
+        $crate::Span::put(&$c, &$s.$($f).+, $w);
+        $crate::fields!(@put $s $w $($($rest)*)?);
+    };
     (@put $s:tt $w:ident mut $($f:ident).+ $(, $($rest:tt)*)?) => {
         $crate::Snapshot::snapshot(&$s.$($f).+, $w);
         $crate::fields!(@put $s $w $($($rest)*)?);
@@ -454,6 +536,10 @@ macro_rules! fields {
         $crate::Span::take(&$c, $s, $r)?;
         $crate::fields!(@take $s $r $($($rest)*)?);
     };
+    (@take $s:tt $r:ident $($f:ident).+ : ..$c:expr $(, $($rest:tt)*)?) => {
+        $crate::Span::take(&$c, &mut $s.$($f).+, $r)?;
+        $crate::fields!(@take $s $r $($($rest)*)?);
+    };
     (@take $s:tt $r:ident mut $($f:ident).+ $(, $($rest:tt)*)?) => {
         $crate::Restore::restore(&mut $s.$($f).+, $r)?;
         $crate::fields!(@take $s $r $($($rest)*)?);
@@ -469,7 +555,9 @@ macro_rules! fields {
 }
 
 /// Declares a struct that is a plain value: its fields in wire order, each
-/// its type's [`Field`]. Derives [`Field`], built by a struct literal. With
+/// its type's [`Field`]. Derives [`Field`], built by a struct literal. A
+/// field given `= expr` is not in the layout, and a reader sets it to
+/// `expr`. With
 /// a leading `wire path::to::wire;` it derives that module's `Wire` codec
 /// instead, as [`variants!`](crate::variants) does, and a field may name a
 /// `Codec` (`data as Rest`).
@@ -503,16 +591,20 @@ macro_rules! record {
             }
         };
     };
-    ($ty:ident { $($f:ident),* $(,)? }) => {
+    ($ty:ident { $($f:ident $(= $d:expr)?),* $(,)? }) => {
         impl $crate::Field for $ty {
             fn put(&self, w: &mut $crate::SnapWriter) {
-                $($crate::Field::put(&self.$f, w);)*
+                $($crate::record!(@put w (&self.$f) $(= $d)?);)*
             }
             fn take(r: &mut $crate::SnapReader<'_>) -> $crate::Result<Self> {
-                Ok($ty { $($f: $crate::Field::take(r)?),* })
+                Ok($ty { $($f: $crate::record!(@take r $(= $d)?)),* })
             }
         }
     };
+    (@put $w:ident ($v:expr)) => { $crate::Field::put($v, $w) };
+    (@put $w:ident ($v:expr) = $d:expr) => {};
+    (@take $r:ident) => { $crate::Field::take($r)? };
+    (@take $r:ident = $d:expr) => { $d };
 }
 
 /// Declares newtypes over one [`Field`], each written as its inner value.

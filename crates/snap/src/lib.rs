@@ -34,7 +34,8 @@ use std::fmt;
 
 mod fields;
 pub use fields::{
-    ascending, take_sorted, Codec, Count, Field, Keyed, Max, Pin, Pinned, Sorted, Span,
+    ascending, take_sorted, Codec, Count, Derived, Each, Field, Keyed, Max, Pin, Pinned, Sorted,
+    Span,
 };
 
 /// Bumped whenever the framing or any section layout changes shape.
@@ -219,6 +220,13 @@ impl SnapWriter {
 
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// Folds the bytes written so far into the rolling FNV-1a digest `h`
+    /// and empties the writer, keeping its buffer for what comes next.
+    pub fn fold_into(&mut self, h: &mut u64) {
+        fnv1a_fold(h, &self.buf);
+        self.buf.clear();
     }
 
     pub fn put_u8(&mut self, v: u8) {
@@ -551,6 +559,21 @@ pub trait Snapshot {
         self.snapshot(&mut w);
         w.into_bytes()
     }
+
+    /// A section that is this component's fields followed by what `hook`
+    /// writes: the fallible `snapshot_state` of a device or host it carries.
+    fn snapshot_then(
+        &self,
+        hook: impl FnOnce(&mut SnapWriter) -> Result<()>,
+    ) -> Result<Vec<u8>>
+    where
+        Self: Sized,
+    {
+        let mut w = SnapWriter::new();
+        self.snapshot(&mut w);
+        hook(&mut w)?;
+        Ok(w.into_bytes())
+    }
 }
 
 /// Load serialized state back in place.
@@ -591,6 +614,39 @@ pub struct Manifest {
 }
 
 impl Manifest {
+    /// Whether a checkpoint with this manifest may be restored into
+    /// `this` (`"machine"`, `"rack"`): one of this build's schema, the
+    /// producer's `seed` when it checks one, and its recipe `config_fp`.
+    /// A rack passes no seed; its seed is part of its recipe, and a
+    /// manifest doctored to another one fails the comparison after replay.
+    pub fn admit(&self, this: &str, seed: Option<u64>, config_fp: u64) -> Result<()> {
+        if self.schema_version != SCHEMA_VERSION {
+            return Err(SnapError::VersionMismatch {
+                want: SCHEMA_VERSION,
+                got: self.schema_version,
+            });
+        }
+        let refuse = |detail| {
+            Err(SnapError::VerifyMismatch {
+                section: "manifest".into(),
+                detail,
+            })
+        };
+        if let Some(seed) = seed.filter(|&s| s != self.seed) {
+            return refuse(format!(
+                "seed mismatch: checkpoint {}, this {this} {seed}",
+                self.seed
+            ));
+        }
+        if self.config_fp != config_fp {
+            return refuse(format!(
+                "config fingerprint mismatch: checkpoint {:#018x}, this {this} {config_fp:#018x}",
+                self.config_fp
+            ));
+        }
+        Ok(())
+    }
+
     fn decode(r: &mut SnapReader<'_>) -> Result<Manifest> {
         Ok(Manifest {
             schema_version: r.u32()?,
