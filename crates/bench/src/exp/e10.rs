@@ -1,36 +1,14 @@
-//! E10 — rack scale-out: N CPU-less machines co-simulated under one fabric,
-//! serving one sharded, replicated KVS.
+//! E10 — rack scale-out: N CPU-less machines under one fabric serving one
+//! sharded, replicated KVS. EXPERIMENTS.md "E10" has the claim, matrix,
+//! flags, gates and results; docs/TOPOLOGY.md has the wiring graphs.
 //!
-//! The paper's closing argument is that a machine with no CPU composes: if
-//! every per-machine function is a self-managing device, a *rack* of such
-//! machines is just more devices behind more links. E10 measures exactly
-//! that composition:
-//!
-//! - **Scale-out** (`scaling`) — aggregate throughput and end-to-end
-//!   p50/p99 as the rack grows 8 → 128 machines (one closed-loop client per
-//!   machine, aimed at its local shard router; keys shard over every
-//!   smart-NIC frontend in the rack, so ~(M−1)/M of requests cross the
-//!   modeled inter-machine links).
-//! - **Topology** — the same sweep over real wiring graphs: `flat` (the
-//!   historical single spine), `leaf-spine`, and a k-ary `fat-tree`, each
-//!   at oversubscription ratios from `--oversub`. Every cell reports
-//!   per-link utilization (max/mean and the hottest link by busy time), so
-//!   congestion is attributable to actual wires. See docs/TOPOLOGY.md.
-//! - **Replication** — each PUT is acknowledged only when every replica
-//!   acked, so R buys crash-durability with link and latency cost that
-//!   this phase prices (`--replication`; default R = 2).
-//! - **Fail-over at every cell** (`crash`) — a whole-machine crash mid-run,
-//!   per (topology, oversubscription, machine-count) cell. The fabric's
-//!   next directory sweep withdraws the dead machine's endpoints; routers
-//!   re-shard and re-dispatch in-flight work. The run audits the paper's
-//!   promise: with R ≥ 2 **no acknowledged write is lost** (the replicated
-//!   copy survives on a live machine), while an R = 1 control loses the
-//!   victim's shard.
-//!
-//! Everything is virtual-time; two same-flag runs produce byte-identical
-//! artifacts. `--trace-out` dumps the *merged* rack trace of the last crash
-//! run (sources prefixed `m{i}/`, correlation ids rack-unique, so Perfetto
-//! draws cross-machine spans); `--metrics-out` dumps the fabric metrics hub.
+//! Each machine's client aims at its local shard router and keys shard over
+//! every NIC in the rack, so ~(M−1)/M of requests cross the modeled links.
+//! A crash cell kills a machine mid-run; the next directory sweep withdraws
+//! its endpoints and the routers re-dispatch its in-flight work.
+//! `--trace-out` dumps the merged trace of the last crash run (sources
+//! prefixed `m{i}/`, correlation ids rack-unique, so Perfetto draws
+//! cross-machine spans).
 
 use lastcpu_core::SystemConfig;
 use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};

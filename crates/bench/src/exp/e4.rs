@@ -1,21 +1,14 @@
-//! E4 — failure handling (§4 "Error Handling").
+//! E4 — failure handling (§4 "Error Handling"). EXPERIMENTS.md "E4" has the
+//! claim, phases, flags and results.
 //!
-//! 1. **Recoverable faults stay local** (`local_fault`). A device DMAs
-//!    outside its mapping; the IOMMU delivers the fault to *that device*,
-//!    which handles it inline. Nothing else in the system notices.
-//! 2. **Whole-device failure fan-out and reset recovery**
-//!    (`device_failure`). The SSD dies while N clients hold connections to
-//!    it. The bus broadcasts `DeviceFailed`; we measure when the first and
-//!    last survivor learns, confirm the memory controller reclaimed every
-//!    region the dead device could reach, and time the reset until the SSD
-//!    is alive (re-registered) again.
-//! 3. **Owner death** (`owner_death`): the memory controller reclaims a
-//!    dead client's regions and revokes what it shared.
-//! 4. **The deterministic fault matrix** (`fault_matrix`): each {drop,
-//!    corrupt, delay} wire fault is paired with each {crash, hang} device
-//!    fault, every cell is run **twice** from the same `--fault-seed`, and
-//!    the two runs must agree bit-for-bit (same trace, same clock). Faults
-//!    are ordinary scheduled events, so a faulty run replays exactly.
+//! `local_fault`: the IOMMU delivers an out-of-mapping DMA's fault to the
+//! device that made it, and nothing else notices. `device_failure`: the SSD
+//! dies under N connections; the bus broadcasts `DeviceFailed`, the memory
+//! controller reclaims every region the SSD could reach, and a reset brings
+//! it back. `owner_death`: a dead client's regions are reclaimed and what it
+//! shared is revoked. `fault_matrix`: each wire × device fault cell runs
+//! twice from one `--fault-seed` and must replay bit for bit, because
+//! faults are ordinary scheduled events.
 
 use std::hash::{Hash, Hasher};
 

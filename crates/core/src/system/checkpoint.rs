@@ -29,7 +29,7 @@ lastcpu_snap::fields! { Engine for System |s| {
     tunnel_out, fault_events,
 } }
 
-lastcpu_snap::record!(SharedLink { busy_until, per_byte_ps });
+lastcpu_snap::record! { SharedLink { busy_until, per_byte_ps } }
 
 /// The `rpc` section: the retry machinery, when it is configured.
 struct Rpc;
@@ -195,5 +195,182 @@ impl System {
             .admit("machine", Some(self.config.seed), self.config_fingerprint())?;
         self.run_to_cursor(ck.manifest.events);
         self.verify_checkpoint(ck)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testutil::small_fs;
+    use super::*;
+    use crate::config::SystemConfig;
+    use crate::host::{HostCtx, NetHost};
+    use lastcpu_devices::nic::{EchoApp, SmartNic};
+    use lastcpu_devices::ssd::{SmartSsd, SsdConfig};
+    use lastcpu_net::Frame;
+    use lastcpu_sim::{FaultKind, FaultPlan, SimDuration, SimTime};
+    use lastcpu_snap::{Restore as _, SnapReader};
+
+    /// Pings the NIC every 3 µs and counts the echoes.
+    struct Pinger {
+        nic: PortId,
+        sent: u64,
+        echoed: u64,
+    }
+
+    lastcpu_snap::fields! { Pinger |self| { sent, echoed } }
+
+    impl NetHost for Pinger {
+        fn name(&self) -> &str {
+            "pinger"
+        }
+        fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+            ctx.set_timer(SimDuration::from_micros(3), 0);
+        }
+        fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, _frame: Frame) {
+            self.echoed += 1;
+        }
+        fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
+            ctx.net_tx(self.nic, b"ping".to_vec());
+            self.sent += 1;
+            ctx.set_timer(SimDuration::from_micros(3), 0);
+        }
+        fn snapshot_state(&self, w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
+            lastcpu_snap::Snapshot::snapshot(self, w);
+            Ok(())
+        }
+        fn restore_state(&mut self, r: &mut SnapReader<'_>) -> lastcpu_snap::Result<()> {
+            self.restore(r)
+        }
+    }
+
+    /// A traced machine with RPC retries on, its planes conflated (so the
+    /// shared link carries state) and faults armed on its SSD: memctl, an
+    /// echo NIC, the SSD and a host pinging the NIC. Powered on, not run.
+    fn recipe() -> System {
+        let mut plan = FaultPlan::new(3);
+        let at = SimTime::from_nanos(1_000_000);
+        plan.inject(at, "ssd0", FaultKind::Corrupt { count: 1000 });
+        let delay = FaultKind::Delay {
+            count: 1000,
+            extra_ns: 100,
+        };
+        plan.inject(at, "ssd0", delay);
+        let mut sys = System::new(SystemConfig {
+            seed: 7,
+            conflate_planes: true,
+            rpc_retry: Some(RetryConfig::default()),
+            fault_plan: Some(plan),
+            ..SystemConfig::default()
+        });
+        sys.add_memctl("memctl0");
+        let nic = sys.add_net_device(Box::new(SmartNic::new("nic0", EchoApp::new())));
+        let ssd = SmartSsd::new("ssd0", small_fs(), SsdConfig::default());
+        sys.add_device(Box::new(ssd));
+        let nic = sys.device_port(nic).expect("a NIC has a port");
+        sys.add_host(Box::new(Pinger {
+            nic,
+            sent: 0,
+            echoed: 0,
+        }));
+        sys.power_on();
+        sys
+    }
+
+    /// `recipe()` run to a checkpoint with pings in flight.
+    fn warmed() -> (System, Checkpoint) {
+        let mut sys = recipe();
+        sys.run_until(SimTime::from_nanos(2_000_123));
+        let ck = sys
+            .checkpoint("readers")
+            .expect("every component snapshots");
+        assert!(sys.queue.len() > 3, "events are pending");
+        assert!(
+            sys.slots[2].faults.corrupt_rng.is_some(),
+            "faults are armed"
+        );
+        (sys, ck)
+    }
+
+    /// Reads one of the machine's own sections through its declared reader
+    /// (and the device's or host's hook after it), all of it.
+    fn load(sys: &mut System, tag: &str, body: &[u8]) -> lastcpu_snap::Result<()> {
+        let mut r = SnapReader::new(tag, body);
+        let index = |prefix| {
+            tag.strip_prefix(prefix)
+                .and_then(|i| i.parse::<usize>().ok())
+        };
+        match tag {
+            "engine" => Engine.take(sys, &mut r)?,
+            "rng" => sys.root_rng.restore(&mut r)?,
+            "rpc" => Rpc.take(sys, &mut r)?,
+            _ => match (index("dev"), index("host")) {
+                (Some(i), _) => {
+                    sys.slots[i].restore(&mut r)?;
+                    sys.slots[i].device.restore_state(&mut r)?;
+                }
+                (_, Some(i)) => {
+                    sys.hosts[i].restore(&mut r)?;
+                    sys.hosts[i].host.restore_state(&mut r)?;
+                }
+                _ => panic!("{tag} is not declared here"),
+            },
+        }
+        r.finish()
+    }
+
+    /// Each section the machine declares, restored into a twin replayed to
+    /// the same cursor, snapshots to the bytes it was read from; every one
+    /// but `engine` (which holds replayed state to the replay) does so too
+    /// in a twin that has only powered on, so its reader loads all it reads.
+    #[test]
+    fn every_declared_section_reads_back_what_it_wrote() {
+        let (sys, ck) = warmed();
+        let mut tags = vec!["engine".to_string(), "rng".into(), "rpc".into()];
+        tags.extend((0..sys.slots.len()).map(|i| format!("dev{i}")));
+        tags.extend((0..sys.hosts.len()).map(|i| format!("host{i}")));
+        let mut twin = recipe();
+        twin.run_to_cursor(ck.manifest.events);
+        for tag in &tags {
+            let body = ck.section(tag).expect("written");
+            let mut fresh = recipe();
+            let targets = match tag.as_str() {
+                "engine" => vec![&mut twin],
+                _ => vec![&mut twin, &mut fresh],
+            };
+            for sys in targets {
+                load(sys, tag, body).unwrap_or_else(|e| panic!("{tag} does not read: {e}"));
+                let again = sys.checkpoint("readers").expect("snapshots");
+                assert!(
+                    again.section(tag).expect("written") == body,
+                    "{tag} re-snapshots to other bytes than it was read from"
+                );
+            }
+        }
+        twin.verify_checkpoint(&ck)
+            .expect("the twin is the checkpointed machine");
+    }
+
+    /// The pending events are digested, not stored: read against a queue
+    /// that was not replayed to the cursor, the digest is refused.
+    #[test]
+    fn the_pending_reader_refuses_a_queue_that_was_not_replayed() {
+        let (_, ck) = warmed();
+        let engine = ck.section("engine").expect("written");
+        let mut fresh = recipe();
+        // The clock and two cursors come first, eight bytes each.
+        let mut r = SnapReader::new("engine", &engine[24..]);
+        let err = Pending(b"queue")
+            .take(&mut fresh.queue, &mut r)
+            .expect_err("another queue");
+        match err {
+            SnapError::Corrupt { section, detail } => {
+                assert_eq!(section, "engine");
+                assert!(
+                    detail.contains("pending queue events") && detail.contains("replayed queue"),
+                    "{detail}"
+                );
+            }
+            other => panic!("not refused as corrupt: {other}"),
+        }
     }
 }

@@ -31,7 +31,8 @@ pub struct TunnelDelivery {
     pub corr: CorrId,
 }
 
-// The correlation id is not in the layout: a reader gives `CorrId::NONE`.
+// The section layout predates the correlation id, so it is not written and
+// a reader gives `CorrId::NONE`.
 lastcpu_snap::record!(TunnelDelivery { at, port, frame, corr = CorrId::NONE });
 
 impl System {

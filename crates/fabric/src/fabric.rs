@@ -70,7 +70,7 @@ pub struct DirEntry {
     pub port: PortId,
 }
 
-lastcpu_snap::record!(DirEntry { machine, name, kind, port });
+lastcpu_snap::record! { DirEntry { machine, name, kind, port } }
 
 /// The far side of a proxy port: a specific port on a specific machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -79,7 +79,7 @@ struct RemotePeer {
     port: PortId,
 }
 
-lastcpu_snap::record!(RemotePeer { machine, port });
+lastcpu_snap::record! { RemotePeer { machine, port } }
 
 /// Per-machine link fault state (consumed counts, like the bus layer).
 #[derive(Debug, Default)]
@@ -143,7 +143,7 @@ struct LinkDelivery {
     corr: CorrId,
 }
 
-lastcpu_snap::record!(LinkDelivery { machine, frame, corr });
+lastcpu_snap::record! { LinkDelivery { machine, frame, corr } }
 
 /// What [`Fabric::run_until`] retires next, listed in the order candidates
 /// are offered: at equal time the earlier-listed one goes first.
@@ -874,9 +874,11 @@ lastcpu_snap::fields! { Rack for Fabric |f| {
 } }
 
 // One machine's part of the `fabric` section; its system has a section of
-// its own. The reverse proxy map is the forward one, inverted.
+// its own. The reverse proxy map is the forward one, inverted, and the
+// cached directory reply is rebuilt on the next query.
 lastcpu_snap::fields! { MachineSlot |self| { name, dead, dir_port, proxy, mut faults } restored {
     self.proxy_rev = self.proxy.iter().map(|(&peer, &port)| (port, peer)).collect();
+    self.dir_reply = None;
 } }
 
 impl Fabric {
@@ -955,8 +957,7 @@ impl Fabric {
     /// section, including each machine's full checkpoint, byte-for-byte.
     /// Fails loudly on any divergence.
     pub fn restore_from(&mut self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
-        ck.manifest
-            .admit("rack", None, self.config_fingerprint())?;
+        ck.manifest.admit("rack", None, self.config_fingerprint())?;
         self.run_until(SimTime::from_nanos(ck.manifest.virtual_ns));
         self.verify_checkpoint(ck)
     }
@@ -1659,6 +1660,92 @@ mod tests {
             gap >= tx,
             "second frame must queue behind the first on the shared uplink \
              (gap {gap:?} < tx {tx:?})"
+        );
+    }
+
+    /// Sends a frame to `target` every 2 µs.
+    struct Streamer {
+        target: PortId,
+    }
+    impl NetHost for Streamer {
+        fn name(&self) -> &str {
+            "streamer"
+        }
+        fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+            ctx.set_timer(SimDuration::from_micros(2), 0);
+        }
+        fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, _frame: Frame) {}
+        fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
+            ctx.net_tx(self.target, vec![1; 256]);
+            ctx.set_timer(SimDuration::from_micros(2), 0);
+        }
+    }
+
+    /// Three machines on leaf-spine:2, link tracing on, each streaming to
+    /// the next one's echo host through a tunnel, with link delays armed on
+    /// `m1`. Powered on, not run.
+    fn streaming_rack() -> Fabric {
+        use crate::topology::{TopoKind, TopologyConfig};
+        let mut plan = FaultPlan::new(5);
+        let delay = FaultKind::Delay {
+            count: 1_000_000,
+            extra_ns: 50,
+        };
+        plan.inject(SimTime::from_nanos(100_000), "m1", delay);
+        let mut fab = Fabric::new(FabricConfig {
+            topology: TopologyConfig {
+                kind: TopoKind::LeafSpine { leaf_size: 2 },
+                oversub: 1,
+            },
+            fault_plan: Some(plan),
+            ..FabricConfig::default()
+        });
+        fab.set_link_tracing(true);
+        let ms: Vec<MachineId> = (0..3u64)
+            .map(|i| fab.add_machine(format!("m{i}"), quiet_sys(i)))
+            .collect();
+        let echoes: Vec<PortId> = ms
+            .iter()
+            .map(|&m| fab.machine_mut(m).add_host(Box::new(Echo)))
+            .collect();
+        for (i, &m) in ms.iter().enumerate() {
+            let to = (i + 1) % ms.len();
+            let target = fab.open_tunnel(m, ms[to], echoes[to]);
+            fab.machine_mut(m).add_host(Box::new(Streamer { target }));
+        }
+        fab.power_on();
+        fab
+    }
+
+    /// The `fabric` section, restored into a twin run to the same instant,
+    /// snapshots to the bytes it was read from; its in-flight digest, read
+    /// against a rack that was not run, is refused.
+    #[test]
+    fn the_fabric_section_reads_back_what_it_wrote() {
+        let at = SimTime::from_nanos(1_000_321);
+        let mut fab = streaming_rack();
+        fab.run_until(at);
+        assert!(fab.queue.len() > 3, "frames are in flight");
+        assert!(
+            fab.machines[1].faults.delay_remaining > 0,
+            "delays are armed"
+        );
+        let body = Rack.bytes(&fab);
+        let mut twin = streaming_rack();
+        twin.run_until(at);
+        let mut r = lastcpu_snap::SnapReader::new("fabric", &body);
+        Rack.take(&mut twin, &mut r).expect("the section reads");
+        r.finish().expect("all of it");
+        assert!(Rack.bytes(&twin) == body, "re-snapshots to other bytes");
+
+        let links = Pending(b"links").bytes(&fab.queue);
+        let mut r = lastcpu_snap::SnapReader::new("fabric", &links);
+        let err = Pending(b"links")
+            .take(&mut streaming_rack().queue, &mut r)
+            .expect_err("another queue");
+        assert!(
+            matches!(&err, SnapError::Corrupt { detail, .. } if detail.contains("pending links events")),
+            "{err}"
         );
     }
 }

@@ -407,7 +407,7 @@ where
 
     fn take(&self, s: &mut S, r: &mut SnapReader<'_>) -> Result<()> {
         if T::take(r)? != (self.1)(s) {
-            return Err(r.corrupt(format!("{} differ from the replayed state", self.0)));
+            return Err(r.corrupt(format!("{}: not the replayed state's", self.0)));
         }
         Ok(())
     }
@@ -812,6 +812,64 @@ mod tests {
                 "byte {at}: {err:?}"
             );
         }
+    }
+
+    struct Part {
+        n: u32,
+    }
+    crate::fields! { Part |self| { n } }
+
+    struct Whole {
+        clock: u64,
+        parts: Vec<Part>,
+    }
+
+    struct Own;
+    crate::fields! { Own for Whole |s| { ..Derived("clock", |s: &Whole| s.clock), parts: ..Each } }
+
+    fn whole(clock: u64, ns: &[u32]) -> Whole {
+        let parts = ns.iter().map(|&n| Part { n }).collect();
+        Whole { clock, parts }
+    }
+
+    #[test]
+    fn a_declared_span_checks_what_replay_rebuilds_and_loads_the_rest() {
+        let bytes = Own.bytes(&whole(9, &[1, 2]));
+        assert_eq!(
+            bytes.len(),
+            8 + 4 + 4,
+            "the clock, then each part, no count"
+        );
+        let mut into = whole(9, &[0, 0]);
+        let mut r = SnapReader::new("whole", &bytes);
+        Own.take(&mut into, &mut r).expect("the same clock");
+        r.finish().expect("all of it");
+        assert_eq!(Own.bytes(&into), bytes);
+        let mut r = SnapReader::new("whole", &bytes);
+        let err = Own
+            .take(&mut whole(8, &[0, 0]), &mut r)
+            .expect_err("another clock");
+        assert!(
+            matches!(&err, crate::SnapError::Corrupt { detail, .. } if detail.starts_with("clock")),
+            "{err}"
+        );
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Tagged {
+        a: u8,
+        b: u8,
+    }
+    crate::record!(Tagged { a, b = 7 });
+
+    #[test]
+    fn a_record_field_given_a_value_is_not_in_the_layout() {
+        let mut w = SnapWriter::new();
+        Tagged { a: 1, b: 2 }.put(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, [1]);
+        let mut r = SnapReader::new("tagged", &bytes);
+        assert_eq!(Tagged::take(&mut r).expect("reads"), Tagged { a: 1, b: 7 });
     }
 
     proptest! {

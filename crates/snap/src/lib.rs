@@ -562,10 +562,7 @@ pub trait Snapshot {
 
     /// A section that is this component's fields followed by what `hook`
     /// writes: the fallible `snapshot_state` of a device or host it carries.
-    fn snapshot_then(
-        &self,
-        hook: impl FnOnce(&mut SnapWriter) -> Result<()>,
-    ) -> Result<Vec<u8>>
+    fn snapshot_then(&self, hook: impl FnOnce(&mut SnapWriter) -> Result<()>) -> Result<Vec<u8>>
     where
         Self: Sized,
     {

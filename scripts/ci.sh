@@ -11,7 +11,8 @@
 #                          string in a trace record, a walk of every machine
 #                          per retired rack event, a checkpoint checksum
 #                          hashed one section at a time, a hand-registered
-#                          metric handle, ...)
+#                          metric handle, a hand-written machine, rack or
+#                          NIC section writer, ...)
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -147,6 +148,10 @@ files: $lib
 skip: ^crates/sim/src/metrics\.rs\$
 forbid: (counter|gauge|histogram)_handle\(
 why: an instrument is one row of a lastcpu_sim::instruments! declaration (DESIGN.md §7), which registers its handles; a hand-registered handle spells its key a second time
+
+files: ^crates/(core/src/system/|fabric/src/|devices/src/nic\.rs\$)
+forbid: SnapWriter::new\(\)|w\.put_
+why: a machine, rack or NIC section is one declaration against lastcpu_snap (fields!, variants!, record!, a Span; DESIGN.md §14.1), which derives its writer and its reader; a hand-written writer is a layout no reader has
 
 files: $lib
 forbid: if let Some\(met\) = &self\.met

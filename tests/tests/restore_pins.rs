@@ -16,6 +16,7 @@ use lastcpu_bus::{
     RpcTracker, SystemBus,
 };
 use lastcpu_core::devices::accel::Accelerator;
+use lastcpu_core::devices::device::Device;
 use lastcpu_core::devices::firmware::Firmware;
 use lastcpu_core::devices::flash::NandChip;
 use lastcpu_core::devices::fs::FlashFs;
@@ -58,6 +59,25 @@ fn pin<T: Snapshot + Restore>(what: &str, live: &T, fresh: T) {
     let bytes = live.snapshot_bytes();
     assert!(!bytes.is_empty(), "{what} writes nothing");
     pin_bytes(what, &bytes, fresh);
+}
+
+/// `live`'s state as its device section carries it, restored into `fresh`
+/// through the device hooks.
+fn pin_device<D: Device>(what: &str, live: &D, mut fresh: D) {
+    let state = |d: &D| {
+        let mut w = SnapWriter::new();
+        Device::snapshot_state(d, &mut w).unwrap_or_else(|e| panic!("{what} snapshots: {e}"));
+        w.into_bytes()
+    };
+    let bytes = state(live);
+    let mut r = SnapReader::new(what, &bytes);
+    Device::restore_state(&mut fresh, &mut r)
+        .and_then(|()| r.finish())
+        .unwrap_or_else(|e| panic!("{what} does not restore: {e}"));
+    assert!(
+        state(&fresh) == bytes,
+        "{what} re-snapshots to other bytes than it restored from"
+    );
 }
 
 /// The component `fresh` reads at the front of `bytes`, which must be the
@@ -167,6 +187,8 @@ fn a_kvs_machine_restores_every_component_it_snapshots() {
         n.app(),
         KvsNicApp::new(ServerConfig::default(), Pasid(0)),
     );
+    let fresh_app = KvsNicApp::new(ServerConfig::default(), Pasid(0));
+    pin_device("nic", n, SmartNic::new("x", fresh_app));
     let m: &MemCtlDevice = sys.device_as(memctl).expect("memctl");
     pin(
         "memctl",
