@@ -377,8 +377,8 @@ impl Topology {
 }
 
 // A topology's section is its dynamic per-link state (queue cursors and
-// counters). The graph itself is rebuilt from the configuration, so its
-// link count is held to the one replay built, and no more is written.
+// counters). The graph itself is rebuilt from the configuration: of it,
+// the section holds only the link count, checked against the rebuilt one.
 lastcpu_snap::fields! { Topology |self| {
     ..Derived("link count", |t: &Topology| t.links.len()),
     links: ..Each,

@@ -120,6 +120,7 @@ impl Field for Arc<str> {
     }
 }
 
+/// What the `Arc` points to.
 impl<T: Field> Field for Arc<T> {
     fn put(&self, w: &mut SnapWriter) {
         T::put(self, w);
@@ -445,12 +446,12 @@ impl<K, V, S> Count for HashMap<K, V, S> {
 /// written by its type's [`Field`] impl, or by the [`Codec`] after a colon;
 /// `mut field` is a component restored in place through its own
 /// [`Restore`](crate::Restore), so its configuration survives; `..span` is
-/// a [`Span`] of the struct, `field: ..span` one of the field. Derives
+/// a [`Span`] of the struct and `field: ..span` one of the field. Derives
 /// [`Snapshot`](crate::Snapshot) from `&self` and
 /// [`Restore`](crate::Restore) as `self.f = take(r)?` per field, in order,
 /// then the optional `restored` block (`restored |r| { .. }` names the
-/// reader, for a refusal). With `(expr)` before the list, the
-/// type is also a [`Field`], taken by restoring into `expr`.
+/// reader, for a refusal). With `(expr)` before the list, the type is also
+/// a [`Field`], taken by restoring into `expr`.
 ///
 /// `Name for Type |t| { .. }` (after `<A, ..>` for a generic type) derives
 /// the two as the [`Span`] `Name` of `Type` instead, its paths taken from
@@ -557,10 +558,9 @@ macro_rules! fields {
 /// Declares a struct that is a plain value: its fields in wire order, each
 /// its type's [`Field`]. Derives [`Field`], built by a struct literal. A
 /// field given `= expr` is not in the layout, and a reader sets it to
-/// `expr`. With
-/// a leading `wire path::to::wire;` it derives that module's `Wire` codec
-/// instead, as [`variants!`](crate::variants) does, and a field may name a
-/// `Codec` (`data as Rest`).
+/// `expr`. With a leading `wire path::to::wire;` it derives that module's
+/// `Wire` codec instead, as [`variants!`](crate::variants) does, and a
+/// field may name a `Codec` (`data as Rest`).
 #[macro_export]
 macro_rules! record {
     (wire $($m:ident)::+; $ty:ident<$lt:lifetime> $fields:tt) => {
