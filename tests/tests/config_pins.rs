@@ -4,20 +4,28 @@
 //! at its old position until the next `SCHEMA_VERSION` drops them, so a
 //! fresh instance and a short rack run must write the bytes they wrote
 //! then. Each section is held to its length and its FNV-1a digest.
+//!
+//! The timing defaults the cost table declares are held the same way: the
+//! `Debug` of each, recorded before they read a row.
 
-use lastcpu_core::devices::flash::NandChip;
+use lastcpu_baseline::CpuCostModel;
+use lastcpu_bus::{BusCostModel, RetryConfig, SecurityPolicy, SystemBus};
+use lastcpu_core::devices::flash::{NandChip, NandConfig};
 use lastcpu_core::devices::fs::FlashFs;
 use lastcpu_core::devices::ftl::Ftl;
+use lastcpu_core::devices::monitor::Monitor;
 use lastcpu_core::devices::ssd::{SmartSsd, SsdConfig};
 use lastcpu_core::SystemConfig;
 use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
+use lastcpu_iommu::IommuCostModel;
 use lastcpu_kvs::build::default_nand;
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::router::RouterConfig;
 use lastcpu_kvs::{build_rack_kvs, KvsNicApp, ServerConfig, ShardRouterHost};
-use lastcpu_mem::Pasid;
-use lastcpu_sim::SimTime;
-use lastcpu_snap::{fnv1a, Checkpoint, Restore, SnapError, Snapshot};
+use lastcpu_mem::{DramCostModel, Pasid};
+use lastcpu_net::NetCostModel;
+use lastcpu_sim::{BackoffPolicy, SimDuration, SimTime};
+use lastcpu_snap::{fnv1a, Checkpoint, Field, Restore, SnapError, SnapReader, Snapshot};
 
 /// `(length, FNV-1a)` of a section body.
 fn pin(bytes: &[u8]) -> (usize, u64) {
@@ -196,6 +204,78 @@ fn a_rack_run_writes_the_recorded_sections() {
         .collect();
     assert_eq!(got, RACK, "per machine: SSD, KVS NIC, router");
 }
+
+/// The duration a fresh section writes as its `word`-th eight-byte word.
+/// Neither the bus's heartbeat timeout nor the monitor's discovery window
+/// has a getter; each sits at a fixed word of its section while the lists
+/// before it are empty.
+fn word(section: &[u8], word: usize) -> SimDuration {
+    let mut r = SnapReader::new("pins", &section[8 * word..]);
+    SimDuration::take(&mut r).expect("a word")
+}
+
+#[test]
+fn timing_defaults_read_as_recorded() {
+    let sys = SystemConfig::default();
+    let fab = FabricConfig::default();
+    let got = [
+        format!("{:?}", BusCostModel::default()),
+        format!("{:?}", NetCostModel::default()),
+        format!("{:?}", CpuCostModel::default()),
+        format!("{:?}", IommuCostModel::default()),
+        format!("{:?}", DramCostModel::default()),
+        format!("{:?}", NandConfig::default()),
+        format!(
+            "{:?}",
+            (
+                sys.bus_cost,
+                sys.net_cost,
+                sys.doorbell_latency,
+                sys.reset_latency,
+                sys.liveness_interval,
+            )
+        ),
+        format!("{:?}", (fab.link_cost, fab.sync_interval, fab.dir_latency)),
+        format!("{:?}", word(&SystemBus::new().snapshot_bytes(), 3)),
+        format!("{:?}", word(&Monitor::new().snapshot_bytes(), 7)),
+        format!("{:?}", (RetryConfig::default(), BackoffPolicy::default())),
+        format!(
+            "{:?}",
+            (SecurityPolicy::default(), SecurityPolicy::hardened(64))
+        ),
+    ];
+    for (got, want) in got.iter().zip(DEFAULTS) {
+        assert_eq!(got, want);
+    }
+}
+
+/// Bus, net, CPU, IOMMU and DRAM cost models; NAND; the timing fields of
+/// `SystemConfig`, then of `FabricConfig`; a fresh bus's heartbeat timeout
+/// and a fresh monitor's discovery window; RPC retry and backoff; the
+/// default and the hardened security policy.
+const DEFAULTS: [&str; 12] = [
+    "BusCostModel { hop_latency: 200ns, processing: 300ns, per_byte_ps: 400 }",
+    "NetCostModel { per_byte_ps: 100, switch_latency: 500ns, propagation: 1000ns }",
+    "CpuCostModel { interrupt_entry: 1500ns, syscall: 2000ns, context_switch: 3000ns, \
+     per_byte_copy_ps: 250 }",
+    "IommuCostModel { tlb_lookup: 2ns, walk_per_access: 30ns, invalidate: 100ns }",
+    "DramCostModel { access_latency: 60ns, per_byte_ps: 50 }",
+    "NandConfig { blocks: 256, pages_per_block: 64, page_size: 4096, read_latency: 25000ns, \
+     program_latency: 200000ns, erase_latency: 2000000ns, max_erase_cycles: 3000 }",
+    "(BusCostModel { hop_latency: 200ns, processing: 300ns, per_byte_ps: 400 }, \
+     NetCostModel { per_byte_ps: 100, switch_latency: 500ns, propagation: 1000ns }, \
+     250ns, 100000ns, None)",
+    "(NetCostModel { per_byte_ps: 40, switch_latency: 600ns, propagation: 2000ns }, \
+     250000ns, 500ns)",
+    "10000000ns",
+    "50000ns",
+    "(RetryConfig { timeout: 200000ns, backoff: BackoffPolicy { base: 10000ns, cap: 1000000ns, \
+     max_retries: 5, jitter_pct: 25 } }, BackoffPolicy { base: 10000ns, cap: 1000000ns, \
+     max_retries: 5, jitter_pct: 25 })",
+    "(SecurityPolicy { deny_shadow_announce: false, flood_limit: None, \
+     flood_window: 1000000ns }, SecurityPolicy { deny_shadow_announce: true, \
+     flood_limit: Some(64), flood_window: 1000000ns })",
+];
 
 /// Router, KVS server (its NIC app), SSD.
 const FRESH: [(usize, u64); 3] = [
