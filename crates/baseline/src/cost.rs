@@ -1,10 +1,13 @@
 //! CPU cost model.
 //!
-//! Numbers approximate a current server core running a general-purpose
-//! kernel; the experiments sweep them, so only the *relations* matter
-//! (interrupt < syscall < context switch ≪ device latencies).
+//! The defaults are the `cpu.*` rows of the cost table
+//! ([`lastcpu_sim::costs`]) and approximate a current server core running a
+//! general-purpose kernel. No experiment builds this struct with other
+//! values yet (sweeping the rows is ROADMAP item 6); the *relations* are
+//! the modelling decision (interrupt < syscall < context switch ≪ device
+//! latencies).
 
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{costs, SimDuration};
 
 /// Costs of kernel involvement.
 #[derive(Debug, Clone, Copy)]
@@ -15,18 +18,17 @@ pub struct CpuCostModel {
     pub syscall: SimDuration,
     /// Context switch to the serving task.
     pub context_switch: SimDuration,
-    /// Per-byte cost of copying payloads through the kernel (ps/byte;
-    /// 250 ps/B = 4 GB/s memcpy).
+    /// Per-byte cost of copying payloads through the kernel (ps/byte).
     pub per_byte_copy_ps: u64,
 }
 
 impl Default for CpuCostModel {
     fn default() -> Self {
         CpuCostModel {
-            interrupt_entry: SimDuration::from_nanos(1_500),
-            syscall: SimDuration::from_nanos(2_000),
-            context_switch: SimDuration::from_nanos(3_000),
-            per_byte_copy_ps: 250,
+            interrupt_entry: costs::CPU_INTERRUPT_ENTRY,
+            syscall: costs::CPU_SYSCALL,
+            context_switch: costs::CPU_CONTEXT_SWITCH,
+            per_byte_copy_ps: costs::CPU_PER_BYTE_COPY,
         }
     }
 }

@@ -9,7 +9,7 @@ use lastcpu_devices::device::{Device, DeviceCtx};
 use lastcpu_devices::monitor::{AuthMode, Monitor, MonitorEvent};
 use lastcpu_memctl::MemoryController;
 use lastcpu_net::PortId;
-use lastcpu_sim::{DetHashMap, SimDuration};
+use lastcpu_sim::{costs, DetHashMap};
 
 use crate::cost::CpuCostModel;
 use crate::dumbnic::Packet;
@@ -67,11 +67,6 @@ impl KernelEnv<'_, '_> {
                 data,
             },
         );
-    }
-
-    /// The kernel cost model (apps charge their compute via `ctx.busy`).
-    pub fn cost(&self) -> &CpuCostModel {
-        &self.cost
     }
 }
 
@@ -170,12 +165,6 @@ impl<A: CpuApp> CpuDevice<A> {
             probe_op: None,
             stats: CpuStats::default(),
         }
-    }
-
-    /// Replaces the cost model.
-    pub fn with_cost_model(mut self, cost: CpuCostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// Counters.
@@ -300,11 +289,10 @@ impl<A: CpuApp> Device for CpuDevice<A> {
     }
 
     fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        ctx.busy(SimDuration::from_micros(500)); // the one long boot in the system
+        ctx.busy(costs::CPU_BOOT);
         let name = self.name.clone();
         self.monitor.start(ctx, &name, "cpu");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
+        self.monitor.enable_heartbeat(ctx, costs::DEVICE_HEARTBEAT);
         // The kernel is the memory manager: claim the Memory class.
         let mut out = Vec::new();
         self.memctl.on_start(&mut out);
@@ -410,11 +398,10 @@ impl<A: CpuApp> Device for CpuDevice<A> {
         self.brokered.clear();
         self.app_started = false;
         self.probe_op = None;
-        ctx.busy(SimDuration::from_micros(500));
+        ctx.busy(costs::CPU_BOOT);
         let name = self.name.clone();
         self.monitor.start(ctx, &name, "cpu");
-        self.monitor
-            .enable_heartbeat(ctx, SimDuration::from_millis(2));
+        self.monitor.enable_heartbeat(ctx, costs::DEVICE_HEARTBEAT);
         let mut out = Vec::new();
         self.memctl.on_start(&mut out);
         for e in out {

@@ -9,7 +9,7 @@ use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload};
 use lastcpu_devices::device::{Device, DeviceCtx};
 use lastcpu_net::{Frame, PortId};
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::costs;
 
 /// Heartbeat timer token.
 const TOKEN_HEARTBEAT: u64 = 1;
@@ -68,7 +68,7 @@ impl Device for DumbNic {
     }
 
     fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        ctx.busy(SimDuration::from_micros(20));
+        ctx.busy(costs::DUMB_NIC_SELF_TEST);
         ctx.send_bus(
             Dst::Bus,
             Payload::Hello {
@@ -76,13 +76,13 @@ impl Device for DumbNic {
                 kind: "dumb-nic".into(),
             },
         );
-        ctx.set_timer(SimDuration::from_millis(2), TOKEN_HEARTBEAT);
+        ctx.set_timer(costs::DEVICE_HEARTBEAT, TOKEN_HEARTBEAT);
     }
 
     fn on_net(&mut self, ctx: &mut DeviceCtx<'_>, frame: Frame) {
         // DMA into the kernel ring + interrupt. The payload rides the
         // AppData message; its copy cost is charged by the CPU on receipt.
-        ctx.busy(SimDuration::from_nanos(300));
+        ctx.busy(costs::DUMB_NIC_PER_FRAME);
         self.stats.rx += 1;
         ctx.send_bus(
             Dst::Device(self.cpu),
@@ -103,7 +103,7 @@ impl Device for DumbNic {
                 return; // only the kernel drives this NIC
             }
             if let Ok(Packet { port: dst, payload }) = Packet::decode(data) {
-                ctx.busy(SimDuration::from_nanos(300));
+                ctx.busy(costs::DUMB_NIC_PER_FRAME);
                 self.stats.tx += 1;
                 if let Some(port) = ctx.port {
                     ctx.net_tx(Frame::unicast(port, PortId(dst), payload.to_vec()));
@@ -115,12 +115,12 @@ impl Device for DumbNic {
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
         if token == TOKEN_HEARTBEAT {
             ctx.send_bus(Dst::Bus, Payload::Heartbeat);
-            ctx.set_timer(SimDuration::from_millis(2), TOKEN_HEARTBEAT);
+            ctx.set_timer(costs::DEVICE_HEARTBEAT, TOKEN_HEARTBEAT);
         }
     }
 
     fn on_reset(&mut self, ctx: &mut DeviceCtx<'_>) {
-        ctx.busy(SimDuration::from_micros(20));
+        ctx.busy(costs::DUMB_NIC_SELF_TEST);
         ctx.send_bus(
             Dst::Bus,
             Payload::Hello {
@@ -128,7 +128,7 @@ impl Device for DumbNic {
                 kind: "dumb-nic".into(),
             },
         );
-        ctx.set_timer(SimDuration::from_millis(2), TOKEN_HEARTBEAT);
+        ctx.set_timer(costs::DEVICE_HEARTBEAT, TOKEN_HEARTBEAT);
     }
 }
 

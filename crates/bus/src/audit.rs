@@ -53,7 +53,7 @@
 //! assert_eq!(audit.denied(), 1);
 //! ```
 
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{costs, SimDuration};
 
 use crate::ids::DeviceId;
 use crate::message::ResourceKind;
@@ -262,7 +262,7 @@ impl Default for SecurityPolicy {
         SecurityPolicy {
             deny_shadow_announce: false,
             flood_limit: None,
-            flood_window: SimDuration::from_millis(1),
+            flood_window: costs::BUS_FLOOD_WINDOW,
         }
     }
 }
@@ -274,7 +274,7 @@ impl SecurityPolicy {
         SecurityPolicy {
             deny_shadow_announce: true,
             flood_limit: Some(limit),
-            flood_window: SimDuration::from_millis(1),
+            flood_window: costs::BUS_FLOOD_WINDOW,
         }
     }
 }

@@ -39,7 +39,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use lastcpu_sim::{CorrId, SimDuration, SimTime};
+use lastcpu_sim::{costs, CorrId, SimDuration, SimTime};
 
 use crate::audit::{BusAudit, SecurityPolicy};
 use crate::cost::BusCostModel;
@@ -245,13 +245,14 @@ impl Default for SystemBus {
 }
 
 impl SystemBus {
-    /// A bus with default cost model and a 10 ms heartbeat timeout.
+    /// A bus with the default cost model and the `bus.heartbeat_timeout`
+    /// row as its heartbeat timeout.
     pub fn new() -> Self {
         SystemBus {
             devices: Vec::new(),
             controllers: [None; 4],
             cost: BusCostModel::default(),
-            heartbeat_timeout: SimDuration::from_millis(10),
+            heartbeat_timeout: costs::BUS_HEARTBEAT_TIMEOUT,
             stats: BusStats::default(),
             cur_corr: CorrId::NONE,
             audit: None,
@@ -272,11 +273,6 @@ impl SystemBus {
     pub fn with_cost_model(mut self, cost: BusCostModel) -> Self {
         self.cost = cost;
         self
-    }
-
-    /// The configured cost model.
-    pub fn cost_model(&self) -> &BusCostModel {
-        &self.cost
     }
 
     /// Traffic counters.

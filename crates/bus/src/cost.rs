@@ -3,12 +3,14 @@
 //! §2.3: the management bus "must be able to process messages, so it can
 //! update the management tables on behalf of applications", but it does not
 //! need data-plane throughput. The defaults model a modest embedded
-//! message processor on a shared control interconnect: ~200 ns propagation
-//! per hop (device → bus → device), ~300 ns of message processing, and a
-//! small per-byte cost. Experiment E6 sweeps these to locate the point where
-//! an under-provisioned control plane would start to matter.
+//! message processor on a shared control interconnect: the `bus.*` rows of
+//! the cost table ([`lastcpu_sim::costs`]) give ~200 ns propagation per hop
+//! (device → bus → device), ~300 ns of message processing, and a small
+//! per-byte cost. No experiment builds this model with other values yet:
+//! sweeping the rows to find where an under-provisioned control plane
+//! starts to matter is ROADMAP item 6.
 
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{costs, SimDuration};
 
 /// Latency/bandwidth model for control-plane messages.
 #[derive(Debug, Clone, Copy)]
@@ -24,9 +26,9 @@ pub struct BusCostModel {
 impl Default for BusCostModel {
     fn default() -> Self {
         BusCostModel {
-            hop_latency: SimDuration::from_nanos(200),
-            processing: SimDuration::from_nanos(300),
-            per_byte_ps: 400, // 2.5 GB/s control link
+            hop_latency: costs::BUS_HOP_LATENCY,
+            processing: costs::BUS_PROCESSING,
+            per_byte_ps: costs::BUS_PER_BYTE,
         }
     }
 }

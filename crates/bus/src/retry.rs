@@ -29,7 +29,7 @@
 
 use crate::ids::{DeviceId, RequestId};
 use crate::message::{Dst, Envelope, Payload};
-use lastcpu_sim::{BackoffPolicy, DetHashMap, DetRng, SimDuration, SimTime};
+use lastcpu_sim::{costs, BackoffPolicy, DetHashMap, DetRng, SimDuration, SimTime};
 
 impl Payload {
     /// Whether this payload is a request that expects a matching reply,
@@ -82,14 +82,14 @@ pub struct RetryConfig {
 }
 
 impl Default for RetryConfig {
-    /// 200µs reply timeout with the shared default backoff policy
-    /// (10µs base doubling to a 1ms cap, 5 retries, 25% jitter). The
+    /// The `rpc.timeout` row (200µs) with the shared default backoff
+    /// policy (10µs base doubling to a 1ms cap, 5 retries, 25% jitter). The
     /// timeout is an order of magnitude above a healthy request/response
     /// round trip (two bus hops plus handler time, ~1–20µs), so spurious
     /// retransmissions under load are rare.
     fn default() -> Self {
         RetryConfig {
-            timeout: SimDuration::from_micros(200),
+            timeout: costs::RPC_TIMEOUT,
             backoff: BackoffPolicy::default(),
         }
     }

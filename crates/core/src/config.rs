@@ -2,7 +2,7 @@
 
 use lastcpu_bus::{BusCostModel, RetryConfig, SecurityPolicy};
 use lastcpu_net::NetCostModel;
-use lastcpu_sim::{FaultPlan, SimDuration};
+use lastcpu_sim::{costs, FaultPlan, SimDuration};
 
 /// Configuration of the emulated machine.
 #[derive(Debug, Clone)]
@@ -62,8 +62,8 @@ impl Default for SystemConfig {
             iotlb_entries: 64,
             bus_cost: BusCostModel::default(),
             net_cost: NetCostModel::default(),
-            doorbell_latency: SimDuration::from_nanos(250),
-            reset_latency: SimDuration::from_micros(100),
+            doorbell_latency: costs::SYSTEM_DOORBELL_LATENCY,
+            reset_latency: costs::SYSTEM_RESET_LATENCY,
             liveness_interval: None,
             conflate_planes: false,
             trace: true,

@@ -9,7 +9,7 @@
 use lastcpu_bus::{Dst, Envelope, Payload, ResourceKind, ServiceDesc, ServiceId};
 use lastcpu_devices::device::{Device, DeviceCtx};
 use lastcpu_memctl::{MemCtlConfig, MemoryController};
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{costs, SimDuration};
 
 /// Heartbeat timer token.
 const TOKEN_HEARTBEAT: u64 = 1;
@@ -40,7 +40,7 @@ impl MemCtlDevice {
         MemCtlDevice {
             name: name.to_string(),
             ctl: MemoryController::with_config(id, dram_bytes, config),
-            heartbeat: SimDuration::from_millis(2),
+            heartbeat: costs::DEVICE_HEARTBEAT,
             out: Vec::new(),
         }
     }
@@ -80,7 +80,7 @@ impl Device for MemCtlDevice {
     }
 
     fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
-        ctx.busy(SimDuration::from_micros(10)); // DRAM training, ECC scrub
+        ctx.busy(costs::MEMCTL_SELF_TEST);
         ctx.send_bus(
             Dst::Bus,
             Payload::Hello {
@@ -131,7 +131,7 @@ impl Device for MemCtlDevice {
             | Payload::Withdraw { .. } => {}
             _ => {
                 // Per-message firmware cost: table lookups and updates.
-                ctx.busy(SimDuration::from_nanos(400));
+                ctx.busy(costs::MEMCTL_REQUEST);
                 self.ctl.handle(env, &mut self.out);
                 self.forward(ctx);
             }
@@ -149,7 +149,7 @@ impl Device for MemCtlDevice {
         // A memory-controller reset loses the allocation tables: in a real
         // machine this is close to fatal. The wrapper re-registers; the
         // tables start empty (documented failure-model boundary).
-        ctx.busy(SimDuration::from_micros(10));
+        ctx.busy(costs::MEMCTL_SELF_TEST);
         ctx.send_bus(
             Dst::Bus,
             Payload::Hello {

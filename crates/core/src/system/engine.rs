@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use lastcpu_bus::Envelope;
 use lastcpu_net::{Frame, PortId};
-use lastcpu_sim::{profile, CorrId, SimDuration, SimTime};
+use lastcpu_sim::{costs, profile, CorrId, SimDuration, SimTime};
 
 use super::{DeviceHandle, System, Work};
 
@@ -111,14 +111,17 @@ fn scope_of(ev: &Event) -> &'static str {
 
 impl System {
     /// Schedules power-on: every device and host runs its start hook with a
-    /// small deterministic jitter (devices do not boot lockstep).
+    /// small deterministic jitter (devices do not boot lockstep), devices
+    /// within the `engine.start_jitter` row and hosts within the same span
+    /// after it.
     pub fn power_on(&mut self) {
+        let spread = costs::ENGINE_START_JITTER.as_nanos();
         for idx in 0..self.slots.len() {
-            let jitter = SimDuration::from_nanos(self.root_rng.below(5_000));
+            let jitter = SimDuration::from_nanos(self.root_rng.below(spread));
             self.queue.schedule_in(jitter, Event::Start(idx));
         }
         for hidx in 0..self.hosts.len() {
-            let jitter = SimDuration::from_nanos(5_000 + self.root_rng.below(5_000));
+            let jitter = SimDuration::from_nanos(spread + self.root_rng.below(spread));
             self.queue.schedule_in(jitter, Event::HostStart(hidx));
         }
         if let Some(interval) = self.config.liveness_interval {

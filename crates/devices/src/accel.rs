@@ -21,7 +21,7 @@
 
 use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ConnId, DeviceId, ResourceKind, ServiceDesc, ServiceId, Status};
-use lastcpu_sim::{DetHashMap, SimDuration};
+use lastcpu_sim::{costs, DetHashMap, SimDuration};
 
 use crate::device::DeviceCtx;
 use crate::firmware::Firmware;
@@ -108,7 +108,7 @@ impl Accelerator {
             free_regions: regions,
             mode,
             conns: DetHashMap::default(),
-            unit_time: SimDuration::from_micros(10),
+            unit_time: costs::ACCEL_UNIT_TIME,
             stats: AccelStats::default(),
             next_job: 1,
         }
@@ -149,8 +149,7 @@ impl Accelerator {
 
 impl Firmware for Accelerator {
     const KIND: &'static str = "fpga-accelerator";
-    const SELF_TEST: SimDuration = SimDuration::from_millis(5); // fabric configuration scan
-    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+    const SELF_TEST: SimDuration = costs::ACCEL_SELF_TEST;
 
     fn name(&self) -> &str {
         &self.name
@@ -180,7 +179,7 @@ impl Firmware for Accelerator {
                         .reject_open(ctx, req, from, Status::NoResources);
                 } else {
                     // Partial reconfiguration takes real time.
-                    ctx.busy(SimDuration::from_millis(2).saturating_mul(wanted as u64));
+                    ctx.busy(costs::ACCEL_RECONFIG_PER_REGION.saturating_mul(wanted as u64));
                     self.free_regions = self.free_regions.saturating_sub(wanted);
                     let conn = self.monitor.accept_open(
                         ctx,

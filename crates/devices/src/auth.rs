@@ -15,7 +15,7 @@
 
 use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ResourceKind, ServiceDesc, ServiceId, Token};
-use lastcpu_sim::{DetHashMap, SimDuration};
+use lastcpu_sim::{costs, DetHashMap, SimDuration};
 
 use crate::device::DeviceCtx;
 use crate::firmware::Firmware;
@@ -128,8 +128,7 @@ impl AuthDevice {
 
 impl Firmware for AuthDevice {
     const KIND: &'static str = "auth-service";
-    const SELF_TEST: SimDuration = SimDuration::from_micros(2);
-    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+    const SELF_TEST: SimDuration = costs::AUTH_SELF_TEST;
 
     fn name(&self) -> &str {
         &self.name
@@ -144,7 +143,7 @@ impl Firmware for AuthDevice {
             req, from, params, ..
         } = ev
         {
-            ctx.busy(SimDuration::from_micros(1)); // table lookup + seal
+            ctx.busy(costs::AUTH_LOGIN);
             let token = Login::decode(&params)
                 .ok()
                 .and_then(|Login { user, password }| {

@@ -19,7 +19,7 @@
 use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{DeviceId, Status, Token};
 use lastcpu_mem::Pasid;
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{costs, SimDuration};
 
 use crate::auth;
 use crate::device::DeviceCtx;
@@ -273,8 +273,7 @@ impl ConsoleDevice {
 
 impl Firmware for ConsoleDevice {
     const KIND: &'static str = "console";
-    const SELF_TEST: SimDuration = SimDuration::from_micros(5);
-    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+    const SELF_TEST: SimDuration = costs::CONSOLE_SELF_TEST;
 
     fn name(&self) -> &str {
         &self.name

@@ -13,7 +13,7 @@
 use lastcpu_bus::Envelope;
 use lastcpu_iommu::IommuFault;
 use lastcpu_net::Frame;
-use lastcpu_sim::{profile, SimDuration};
+use lastcpu_sim::{costs, profile, SimDuration};
 use lastcpu_snap::{SnapReader, SnapWriter};
 
 use crate::device::{unsupported, Device, DeviceCtx};
@@ -26,7 +26,7 @@ pub trait Firmware: 'static {
     /// Self-test time charged at power-on, before `Hello`.
     const SELF_TEST: SimDuration = SimDuration::ZERO;
     /// Heartbeat period.
-    const HEARTBEAT: SimDuration;
+    const HEARTBEAT: SimDuration = costs::DEVICE_HEARTBEAT;
     /// Profiler scope opened around each envelope (an E12 row), if any.
     const MSG_SCOPE: Option<&'static str> = None;
     /// Profiler scope opened around each timer (an E12 row), if any.

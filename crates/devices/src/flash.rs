@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{costs, SimDuration};
 
 /// Flash geometry and timing.
 #[derive(Debug, Clone, Copy)]
@@ -37,14 +37,14 @@ pub struct NandConfig {
 
 impl Default for NandConfig {
     fn default() -> Self {
-        // TLC-ish NAND behind an SSD controller.
+        // TLC-ish NAND behind an SSD controller: the `nand.*` rows.
         NandConfig {
             blocks: 256,
             pages_per_block: 64,
             page_size: 4096,
-            read_latency: SimDuration::from_micros(25),
-            program_latency: SimDuration::from_micros(200),
-            erase_latency: SimDuration::from_millis(2),
+            read_latency: costs::NAND_READ,
+            program_latency: costs::NAND_PROGRAM,
+            erase_latency: costs::NAND_ERASE,
             max_erase_cycles: 3000,
         }
     }

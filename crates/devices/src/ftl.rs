@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use lastcpu_sim::{BackoffPolicy, SimDuration};
+use lastcpu_sim::{costs, BackoffPolicy, SimDuration};
 
 use crate::flash::{FlashError, NandChip};
 
@@ -135,8 +135,8 @@ impl Ftl {
             // time; jitter is pointless against deterministic media, so the
             // policy is used jitter-free here.
             retry: BackoffPolicy {
-                base: SimDuration::from_micros(50),
-                cap: SimDuration::from_millis(2),
+                base: costs::FTL_RETRY_BASE,
+                cap: costs::FTL_RETRY_CAP,
                 max_retries: 6,
                 jitter_pct: 0,
             },

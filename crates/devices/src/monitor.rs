@@ -20,7 +20,7 @@ use lastcpu_bus::{
     ConnId, DeviceId, Dst, Envelope, ErrorCode, Payload, RequestId, ServiceDesc, ServiceId, Status,
     Token,
 };
-use lastcpu_sim::{DetHashMap, DetHashSet, SimDuration};
+use lastcpu_sim::{costs, DetHashMap, DetHashSet, SimDuration};
 
 use crate::auth;
 use crate::device::DeviceCtx;
@@ -230,7 +230,8 @@ impl Default for Monitor {
 }
 
 impl Monitor {
-    /// A monitor with a 50 µs discovery window and no heartbeat.
+    /// A monitor with the `monitor.discovery_window` row as its discovery
+    /// window, and no heartbeat.
     pub fn new() -> Self {
         Monitor {
             services: Vec::new(),
@@ -240,7 +241,7 @@ impl Monitor {
             conns: DetHashMap::default(),
             next_conn: 1,
             opened: DetHashMap::default(),
-            discovery_window: SimDuration::from_micros(50),
+            discovery_window: costs::MONITOR_DISCOVERY_WINDOW,
             heartbeat: None,
             registered: false,
         }

@@ -14,7 +14,7 @@
 
 use lastcpu_iommu::IommuFault;
 use lastcpu_net::Frame;
-use lastcpu_sim::SimDuration;
+use lastcpu_sim::{costs, SimDuration};
 
 use crate::device::DeviceCtx;
 use crate::firmware::Firmware;
@@ -113,7 +113,7 @@ impl<A: NicApp + 'static> SmartNic<A> {
     pub fn install(&mut self, ctx: &mut DeviceCtx<'_>, app: A) {
         self.app = app;
         self.app_version += 1;
-        ctx.busy(SimDuration::from_millis(1)); // image flash + restart
+        ctx.busy(costs::NIC_INSTALL);
         let (app, mut env) = self.hosted(ctx);
         app.on_start(&mut env);
     }
@@ -127,8 +127,7 @@ impl<A: NicApp + 'static> SmartNic<A> {
 
 impl<A: NicApp + 'static> Firmware for SmartNic<A> {
     const KIND: &'static str = "smart-nic";
-    const SELF_TEST: SimDuration = SimDuration::from_micros(20); // PHY bring-up
-    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+    const SELF_TEST: SimDuration = costs::NIC_SELF_TEST;
     // The monitor's event vector and session bookkeeping attribute as
     // `nic.on_msg` in the E9 table.
     const MSG_SCOPE: Option<&'static str> = Some("nic.on_msg");
@@ -155,8 +154,7 @@ impl<A: NicApp + 'static> Firmware for SmartNic<A> {
     }
 
     fn on_net(&mut self, ctx: &mut DeviceCtx<'_>, frame: Frame) {
-        // Per-frame firmware cost: parse + dispatch.
-        ctx.busy(SimDuration::from_nanos(300));
+        ctx.busy(costs::NIC_PER_FRAME);
         let (app, mut env) = self.hosted(ctx);
         app.on_net(&mut env, frame);
     }

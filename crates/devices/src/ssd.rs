@@ -30,7 +30,7 @@ use lastcpu_bus::wire::{Rest, Wire};
 use lastcpu_bus::{ConnId, DeviceId, RequestId, ResourceKind, ServiceDesc, ServiceId, Status};
 use lastcpu_iommu::IommuFault;
 use lastcpu_mem::Pasid;
-use lastcpu_sim::{profile, DetHashMap, SimDuration, TraceData};
+use lastcpu_sim::{costs, profile, DetHashMap, SimDuration, TraceData};
 use lastcpu_snap::{Pin, Pinned};
 use lastcpu_virtio::{DescChain, QueueError, QueueLayout, VirtqueueDevice};
 
@@ -51,8 +51,6 @@ pub const FILE_CONN_SHM: u64 = 256 * 1024;
 
 /// Timer token for continuing queue processing.
 const TOKEN_POLL: u64 = 1;
-/// Firmware overhead per request (command parse, dispatch).
-const PER_REQUEST_OVERHEAD: SimDuration = SimDuration::from_micros(1);
 
 /// Doorbell values (client → SSD): a setup doorbell carries the queue base
 /// (page-aligned) OR'd with log2(queue size); a work doorbell is 0.
@@ -373,7 +371,7 @@ impl SmartSsd {
         from: DeviceId,
         params: &[u8],
     ) {
-        ctx.busy(SimDuration::from_micros(2));
+        ctx.busy(costs::SSD_FS_OPEN);
         match FsOp::decode(params).ok() {
             Some(FsOp::Create { path }) => match self.fs.create(&path) {
                 Ok(()) => {
@@ -638,7 +636,7 @@ impl SmartSsd {
         req_buf: &mut Vec<u8>,
         resp_buf: &mut Vec<u8>,
     ) -> Result<(), QueueError> {
-        ctx.busy(PER_REQUEST_OVERHEAD);
+        ctx.busy(costs::SSD_PER_REQUEST);
         {
             let mut view = ctx.dma_view(pasid);
             // Gather into the reusable request buffer (capacity persists
@@ -689,7 +687,7 @@ impl SmartSsd {
                 reply(FileStatus::Ok, &size.to_le_bytes(), resp_buf);
             }
             Some(FileOpRef::Flush) => {
-                ctx.busy(SimDuration::from_micros(10));
+                ctx.busy(costs::SSD_FLUSH);
                 reply(FileStatus::Ok, &[], resp_buf);
             }
             None => reply(FileStatus::Bad, &[], resp_buf),
@@ -723,8 +721,7 @@ impl SmartSsd {
 
 impl Firmware for SmartSsd {
     const KIND: &'static str = "smart-ssd";
-    const SELF_TEST: SimDuration = SimDuration::from_micros(50); // scan bad blocks
-    const HEARTBEAT: SimDuration = SimDuration::from_millis(2);
+    const SELF_TEST: SimDuration = costs::SSD_SELF_TEST;
     const MSG_SCOPE: Option<&'static str> = Some("ssd.on_msg");
     const TIMER_SCOPE: Option<&'static str> = Some("ssd.on_timer");
 
@@ -1001,11 +998,11 @@ lastcpu_snap::record!(SsdStats {
     images_loaded
 });
 
-/// [`PER_REQUEST_OVERHEAD`], where an SSD section carried it as
+/// The `ssd.per_request` row, where an SSD section carried it as
 /// configuration (the next `SCHEMA_VERSION` drops these bytes).
 const PINNED_OVERHEAD: Pinned = Pinned(&[(
     "SSD per-request overhead",
-    Pin::U64(PER_REQUEST_OVERHEAD.as_nanos()),
+    Pin::U64(costs::SSD_PER_REQUEST.as_nanos()),
 )]);
 
 // `scratch_*` buffers are reused walk scratch, cleared before every use —

@@ -4,8 +4,8 @@ use lastcpu_bus::wire::Wire;
 use lastcpu_core::{System, TunnelDelivery};
 use lastcpu_net::{Frame, NetCostModel, PortId};
 use lastcpu_sim::{
-    profile, CorrId, DetHashMap, EventQueue, FaultEvent, FaultKind, FaultPlan, MetricsHub, Name,
-    SimDuration, SimTime, TraceData, TraceSink,
+    costs, profile, CorrId, DetHashMap, EventQueue, FaultEvent, FaultKind, FaultPlan, MetricsHub,
+    Name, SimDuration, SimTime, TraceData, TraceSink,
 };
 
 use crate::proto::{DirEndpoint, DirMsg};
@@ -21,9 +21,9 @@ pub struct FabricConfig {
     /// Fabric seed: keys the topology's per-pair ECMP tie-breaks and is
     /// recorded in every rack checkpoint manifest.
     pub seed: u64,
-    /// Inter-machine link timing. Defaults model 25 GbE wires: 40 ps/B
-    /// line rate on every link, 600 ns store-and-forward switch latency,
-    /// 2 µs end-to-end propagation.
+    /// Inter-machine link timing. The defaults are the `link.*` rows and
+    /// model 25 GbE wires: 40 ps/B line rate on every link, 600 ns
+    /// store-and-forward switch latency, 2 µs end-to-end propagation.
     pub link_cost: NetCostModel,
     /// The rack wiring graph (flat single-spine, leaf-spine, or k-ary
     /// fat-tree) plus the oversubscription ratio. The graph is built at
@@ -45,13 +45,13 @@ impl Default for FabricConfig {
         FabricConfig {
             seed: 0xFAB,
             link_cost: NetCostModel {
-                per_byte_ps: 40,
-                switch_latency: SimDuration::from_nanos(600),
-                propagation: SimDuration::from_micros(2),
+                per_byte_ps: costs::LINK_PER_BYTE,
+                switch_latency: costs::LINK_SWITCH_LATENCY,
+                propagation: costs::LINK_PROPAGATION,
             },
             topology: TopologyConfig::default(),
-            sync_interval: SimDuration::from_micros(250),
-            dir_latency: SimDuration::from_nanos(500),
+            sync_interval: costs::FABRIC_SYNC_INTERVAL,
+            dir_latency: costs::FABRIC_DIR_LATENCY,
             fault_plan: None,
         }
     }

@@ -6,7 +6,7 @@ use lastcpu_mem::pagetable::{MAX_RESTORED_NODES, VA_BITS};
 use lastcpu_mem::{
     MapError, PageTable, Pasid, Perms, PhysAddr, TranslateError, VirtAddr, PAGE_SHIFT,
 };
-use lastcpu_sim::{DetHashMap, SimDuration};
+use lastcpu_sim::{costs, DetHashMap, SimDuration};
 
 use crate::audit::{DmaAudit, DmaDenialRecord};
 use crate::fault::{AccessKind, IommuFault, IommuFaultKind};
@@ -14,9 +14,10 @@ use crate::tlb::{Iotlb, TlbStats};
 
 /// Latency model for the translation path.
 ///
-/// Defaults approximate published IOTLB numbers: ~2 ns for a TLB hit, ~30 ns
-/// per table-node access on a walk (an uncached memory read), ~100 ns to
-/// process an invalidation command.
+/// The defaults are the `iommu.*` rows of the cost table
+/// ([`lastcpu_sim::costs`]): ~2 ns for a TLB hit, ~30 ns per table-node
+/// access on a walk (an uncached memory read), ~100 ns to process an
+/// invalidation command.
 #[derive(Debug, Clone, Copy)]
 pub struct IommuCostModel {
     /// IOTLB lookup time (paid on every translation).
@@ -30,9 +31,9 @@ pub struct IommuCostModel {
 impl Default for IommuCostModel {
     fn default() -> Self {
         IommuCostModel {
-            tlb_lookup: SimDuration::from_nanos(2),
-            walk_per_access: SimDuration::from_nanos(30),
-            invalidate: SimDuration::from_nanos(100),
+            tlb_lookup: costs::IOMMU_TLB_LOOKUP,
+            walk_per_access: costs::IOMMU_WALK_PER_ACCESS,
+            invalidate: costs::IOMMU_INVALIDATE,
         }
     }
 }
@@ -122,12 +123,6 @@ impl Iommu {
     /// Mutable audit access (the event core drains denial records here).
     pub fn audit_mut(&mut self) -> Option<&mut DmaAudit> {
         self.audit.as_mut()
-    }
-
-    /// Replaces the cost model.
-    pub fn with_cost_model(mut self, cost: IommuCostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// Binds a PASID, creating its (empty) address space.

@@ -7,7 +7,7 @@
 
 use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::critpath::{op_key, STAGE_CLIENT_DONE, STAGE_CLIENT_ISSUE};
-use lastcpu_sim::{DetHashMap, SimDuration, SimTime, Zipf};
+use lastcpu_sim::{costs, DetHashMap, SimDuration, SimTime, Zipf};
 
 use lastcpu_bus::wire::Wire;
 use lastcpu_core::{HostCtx, NetHost};
@@ -53,7 +53,7 @@ impl Default for WorkloadConfig {
             outstanding: 8,
             total_ops: 2000,
             preload: true,
-            timeout: SimDuration::from_millis(100),
+            timeout: costs::KVS_CLIENT_TIMEOUT,
             stats_prefix: "client".into(),
         }
     }
@@ -308,7 +308,7 @@ impl KvsClientHost {
         self.outstanding.insert(id, (ctx.now, true));
         let probe = KvsRequestRef::Get { id, key: b"probe" };
         ctx.net_tx(self.server, probe.encode());
-        ctx.set_timer(SimDuration::from_millis(2), TOKEN_TICK);
+        ctx.set_timer(costs::KVS_CLIENT_PROBE, TOKEN_TICK);
     }
 }
 

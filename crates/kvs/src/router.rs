@@ -49,7 +49,7 @@ use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::critpath::{
     op_key, STAGE_ROUTER_ACK, STAGE_ROUTER_RECV, STAGE_ROUTER_RESPOND, STAGE_ROUTER_SUB,
 };
-use lastcpu_sim::{profile, SimDuration, SimTime};
+use lastcpu_sim::{costs, profile, SimDuration, SimTime};
 use lastcpu_snap::{Pin, Pinned};
 
 use crate::proto::{KvsRequestRef, KvsResponseRef, KvsStatus};
@@ -71,35 +71,32 @@ pub const SUB_ID_BASE: u64 = 1 << 62;
 /// Directory `kind` of the endpoints the router shards over.
 const SERVICE_KIND: &str = "smart-nic";
 
-/// Tick period: directory re-query + pending-request timeout sweep.
-const TICK: SimDuration = SimDuration::from_micros(1000);
-
-/// Age after which an unanswered sub-request is re-dispatched: the floor of
-/// the adaptive timeout `max(SUB_TIMEOUT, RTT_MULTIPLIER × ewma_rtt(target))`.
-const SUB_TIMEOUT: SimDuration = SimDuration::from_micros(5000);
-
 /// Re-dispatch budget per client request before giving up with
 /// [`KvsStatus::Unavailable`].
 const MAX_RETRIES: u32 = 24;
 
-/// Adaptive-timeout multiplier `k` in `max(SUB_TIMEOUT, k × ewma_rtt)`.
+/// Adaptive-timeout multiplier `k`: an unanswered sub-request is
+/// re-dispatched at age `max(router.sub_timeout, k × ewma_rtt(target))`.
 const RTT_MULTIPLIER: u64 = 4;
 
-/// Base re-dispatch deferral after a `Busy`/`Unavailable` ack, scaled up
-/// with the queue depth the server reported.
-const BUSY_BACKOFF: SimDuration = SimDuration::from_micros(2000);
-
-/// The constants above, where a router section carried them as
-/// configuration; the `u8` is the tag of the one dispatch policy, which
-/// was a configured arm (the next `SCHEMA_VERSION` drops these bytes).
+/// The constants above and the router's rows of the cost table, where a
+/// router section carried them as configuration; the `u8` is the tag of the
+/// one dispatch policy, which was a configured arm (the next
+/// `SCHEMA_VERSION` drops these bytes).
 const PINNED_KIND: Pinned = Pinned(&[("router service kind", Pin::Str(SERVICE_KIND))]);
 const PINNED_TIMING: Pinned = Pinned(&[
-    ("router tick", Pin::U64(TICK.as_nanos())),
-    ("router sub-timeout", Pin::U64(SUB_TIMEOUT.as_nanos())),
+    ("router tick", Pin::U64(costs::ROUTER_TICK.as_nanos())),
+    (
+        "router sub-timeout",
+        Pin::U64(costs::ROUTER_SUB_TIMEOUT.as_nanos()),
+    ),
     ("router retry budget", Pin::U32(MAX_RETRIES)),
     ("router policy tag", Pin::U8(3)),
     ("router RTT multiplier", Pin::U64(RTT_MULTIPLIER)),
-    ("router busy backoff", Pin::U64(BUSY_BACKOFF.as_nanos())),
+    (
+        "router busy backoff",
+        Pin::U64(costs::ROUTER_BUSY_BACKOFF.as_nanos()),
+    ),
 ]);
 
 /// Router configuration.
@@ -758,7 +755,7 @@ impl ShardRouterHost {
                     0
                 };
                 let scale = 1 + (u64::from(depth) / 64).min(7);
-                let until = ctx.now + BUSY_BACKOFF.saturating_mul(scale);
+                let until = ctx.now + costs::ROUTER_BUSY_BACKOFF.saturating_mul(scale);
                 let l = self.load.entry(Arc::clone(&target)).or_default();
                 if until > l.busy_until {
                     l.busy_until = until;
@@ -820,7 +817,7 @@ impl ShardRouterHost {
                     // measured RTT, so in-flight work that is *about to
                     // complete* is not cancelled just because the rack is
                     // warm. The floor still bounds cold endpoints.
-                    let mut timeout = SUB_TIMEOUT;
+                    let mut timeout = costs::ROUTER_SUB_TIMEOUT;
                     if let Some(l) = load.get(&s.target) {
                         if l.ewma_rtt_ns > 0 {
                             let est = SimDuration::from_nanos(
@@ -868,7 +865,7 @@ impl NetHost for ShardRouterHost {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         self.met.register(ctx.stats);
         self.query_directory(ctx);
-        ctx.set_timer(TICK, TOKEN_TICK);
+        ctx.set_timer(costs::ROUTER_TICK, TOKEN_TICK);
     }
 
     fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: Frame) {
@@ -913,7 +910,7 @@ impl NetHost for ShardRouterHost {
             return;
         }
         self.sweep(ctx);
-        ctx.set_timer(TICK, TOKEN_TICK);
+        ctx.set_timer(costs::ROUTER_TICK, TOKEN_TICK);
     }
 }
 
@@ -1183,7 +1180,7 @@ mod tests {
 
         // The retry's hit goes to the client as the bytes an owned response
         // encodes to.
-        let acts = h.tick_after(BUSY_BACKOFF);
+        let acts = h.tick_after(costs::ROUTER_BUSY_BACKOFF);
         let retry = subs_sent(&acts)[0].1.id();
         let hit = KvsResponseRef {
             id: retry,
@@ -1414,8 +1411,8 @@ mod tests {
 
     #[test]
     fn busy_ack_defers_redispatch() {
-        let (tick, backoff) = (TICK, BUSY_BACKOFF);
-        const { assert!(BUSY_BACKOFF.as_nanos() > TICK.as_nanos()) }
+        let (tick, backoff) = (costs::ROUTER_TICK, costs::ROUTER_BUSY_BACKOFF);
+        const { assert!(costs::ROUTER_BUSY_BACKOFF.as_nanos() > costs::ROUTER_TICK.as_nanos()) }
         let mut h = Harness::new(RouterConfig::default());
         h.install(&[("m0/nic0", 10)]);
         let acts = h.frame(
@@ -1477,7 +1474,7 @@ mod tests {
             // appears; the window is depth-scaled, so allow several ticks.
             let mut reissued = None;
             for _ in 0..64 {
-                let acts = h.tick_after(TICK);
+                let acts = h.tick_after(costs::ROUTER_TICK);
                 let sent = subs_sent(&acts);
                 if !sent.is_empty() {
                     reissued = Some(sent[0].1.id());

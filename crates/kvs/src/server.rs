@@ -24,7 +24,7 @@ use lastcpu_mem::Pasid;
 use lastcpu_net::PortId;
 use lastcpu_sim::critpath::{STAGE_SERVER_DONE, STAGE_SERVER_RECV};
 use lastcpu_sim::profile;
-use lastcpu_sim::{Bytes, SimDuration};
+use lastcpu_sim::{costs, Bytes};
 use lastcpu_snap::{Pin, Pinned};
 
 use crate::engine::{KvEngine, LogScanner};
@@ -34,8 +34,6 @@ use crate::proto::{encode_response_into, KvsRequestRef, KvsStatus};
 const REBUILD_CHUNK: u32 = 2048;
 /// Maximum queued-but-unsubmitted requests before shedding load.
 const MAX_BACKLOG: usize = 512;
-/// Per-request processing cost (hash, parse) on the serving device.
-const PER_REQUEST_COST: SimDuration = SimDuration::from_nanos(500);
 /// Virtual base of the shared region in the server's address space: where
 /// session generation 0 maps it.
 pub const VA_BASE: u64 = 0x2000_0000;
@@ -558,7 +556,7 @@ impl KvsServer {
             }
             return;
         }
-        ctx.busy(PER_REQUEST_COST);
+        ctx.busy(costs::KVS_SERVER_PER_REQUEST);
         if self.backlog.len() >= MAX_BACKLOG {
             self.met.shed.incr();
             let depth = self.queue_depth();
@@ -629,7 +627,7 @@ impl KvsServer {
         // shape (the differential test in `tests/` holds the two paths
         // byte-identical).
         ctx.stage(STAGE_SERVER_RECV, id, 0);
-        ctx.busy(PER_REQUEST_COST);
+        ctx.busy(costs::KVS_SERVER_PER_REQUEST);
         self.met.gets.incr();
         self.met.cache_hits.incr();
         self.met.fast_gets.incr();
@@ -1047,12 +1045,13 @@ impl lastcpu_snap::Span<ValueCache> for Entries {
     }
 }
 
-/// [`VA_BASE`] and [`PER_REQUEST_COST`], where a server section carried them
-/// as configuration (the next `SCHEMA_VERSION` drops these bytes).
+/// [`VA_BASE`] and the `kvs.server_per_request` row, where a server section
+/// carried them as configuration (the next `SCHEMA_VERSION` drops these
+/// bytes).
 const PINNED_VA_BASE: Pinned = Pinned(&[("server VA base", Pin::U64(VA_BASE))]);
 const PINNED_COST: Pinned = Pinned(&[(
     "server per-request cost",
-    Pin::U64(PER_REQUEST_COST.as_nanos()),
+    Pin::U64(costs::KVS_SERVER_PER_REQUEST.as_nanos()),
 )]);
 
 // `met` is its `ServerStats` (the hub snapshots its own key space).

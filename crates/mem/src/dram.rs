@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use lastcpu_sim::{DetHashMap, SimDuration};
+use lastcpu_sim::{costs, DetHashMap, SimDuration};
 
 use crate::addr::{PhysAddr, PAGE_SIZE};
 
@@ -41,9 +41,10 @@ impl std::error::Error for DramError {}
 
 /// Latency/bandwidth model for DRAM accesses.
 ///
-/// Defaults approximate DDR4 behind an on-device memory controller:
-/// ~60 ns access setup (row activation + controller queue) and ~20 GB/s of
-/// streaming bandwidth (0.05 ns/byte), which the experiments sweep anyway.
+/// The defaults are the `dram.*` rows of the cost table
+/// ([`lastcpu_sim::costs`]) and approximate DDR4 behind an on-device memory
+/// controller: ~60 ns access setup (row activation + controller queue) and
+/// ~20 GB/s of streaming bandwidth (0.05 ns/byte).
 #[derive(Debug, Clone, Copy)]
 pub struct DramCostModel {
     /// Fixed per-access setup latency.
@@ -55,8 +56,8 @@ pub struct DramCostModel {
 impl Default for DramCostModel {
     fn default() -> Self {
         DramCostModel {
-            access_latency: SimDuration::from_nanos(60),
-            per_byte_ps: 50,
+            access_latency: costs::DRAM_ACCESS_LATENCY,
+            per_byte_ps: costs::DRAM_PER_BYTE,
         }
     }
 }
@@ -102,17 +103,6 @@ impl Dram {
             bytes_read: 0,
             bytes_written: 0,
         }
-    }
-
-    /// Replaces the cost model.
-    pub fn with_cost_model(mut self, cost: DramCostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// The configured cost model.
-    pub fn cost_model(&self) -> &DramCostModel {
-        &self.cost
     }
 
     /// Physical memory size in bytes.

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use lastcpu_sim::{SimDuration, SimTime};
+use lastcpu_sim::{costs, SimDuration, SimTime};
 
 use crate::Frame;
 
@@ -15,7 +15,8 @@ impl PortId {
     pub const BROADCAST: PortId = PortId(u32::MAX);
 }
 
-/// Link timing model. Defaults approximate a 10 GbE datacenter edge:
+/// Link timing model. The defaults are the `net.*` rows of the cost table
+/// ([`lastcpu_sim::costs`]) and approximate a 10 GbE datacenter edge:
 /// 100 ps/byte line rate, 500 ns switch latency, 1 µs propagation.
 #[derive(Debug, Clone, Copy)]
 pub struct NetCostModel {
@@ -30,9 +31,9 @@ pub struct NetCostModel {
 impl Default for NetCostModel {
     fn default() -> Self {
         NetCostModel {
-            per_byte_ps: 100,
-            switch_latency: SimDuration::from_nanos(500),
-            propagation: SimDuration::from_micros(1),
+            per_byte_ps: costs::NET_PER_BYTE,
+            switch_latency: costs::NET_SWITCH_LATENCY,
+            propagation: costs::NET_PROPAGATION,
         }
     }
 }

@@ -30,7 +30,7 @@ use lastcpu_bus::{
 };
 use lastcpu_devices::device::{Device, DeviceCtx};
 use lastcpu_mem::{Pasid, VirtAddr};
-use lastcpu_sim::{DetHashMap, SimDuration};
+use lastcpu_sim::{costs, DetHashMap};
 
 use crate::plan::{AttackEvent, AttackKind, AttackPlan};
 
@@ -39,8 +39,6 @@ use crate::plan::{AttackEvent, AttackKind, AttackPlan};
 const TOKEN_BASE: u64 = 1 << 63;
 /// Periodic liveness heartbeat (the attacker must stay registered).
 const TOKEN_HEARTBEAT: u64 = TOKEN_BASE;
-/// Heartbeat period — comfortably inside the bus's 10 ms default timeout.
-const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_millis(2);
 
 /// What the attacker aims at — the identifiers a compromised device could
 /// plausibly learn from watching the fabric (device ids and PASIDs are not
@@ -406,7 +404,7 @@ impl Device for MaliciousDevice {
                 pattern: "*".into(),
             },
         );
-        ctx.set_timer(HEARTBEAT_PERIOD, TOKEN_HEARTBEAT);
+        ctx.set_timer(costs::DEVICE_HEARTBEAT, TOKEN_HEARTBEAT);
         for (idx, ev) in self.events.iter().enumerate() {
             ctx.set_timer(ev.at.since(ctx.now), idx as u64);
         }
@@ -498,7 +496,7 @@ impl Device for MaliciousDevice {
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, token: u64) {
         if token == TOKEN_HEARTBEAT {
             ctx.send_bus(Dst::Bus, Payload::Heartbeat);
-            ctx.set_timer(HEARTBEAT_PERIOD, TOKEN_HEARTBEAT);
+            ctx.set_timer(costs::DEVICE_HEARTBEAT, TOKEN_HEARTBEAT);
             return;
         }
         let Some(ev) = self.events.get(token as usize).copied() else {

@@ -13,6 +13,7 @@
 //! policy used by bus RPC retries and the FTL's media retries; jitter comes
 //! from a caller-supplied [`DetRng`] stream so it, too, replays.
 
+use crate::costs;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -235,12 +236,13 @@ pub struct BackoffPolicy {
 }
 
 impl Default for BackoffPolicy {
-    /// 10 µs base, 1 ms cap, 5 retries, 25 % jitter — tuned to the
-    /// emulator's bus RTT (a few µs), not wall-clock networks.
+    /// The `backoff.*` rows (10 µs base, 1 ms cap), 5 retries, 25 % jitter
+    /// — tuned to the emulator's bus RTT (a few µs), not wall-clock
+    /// networks.
     fn default() -> Self {
         BackoffPolicy {
-            base: SimDuration::from_micros(10),
-            cap: SimDuration::from_millis(1),
+            base: costs::BACKOFF_BASE,
+            cap: costs::BACKOFF_CAP,
             max_retries: 5,
             jitter_pct: 25,
         }

@@ -15,6 +15,8 @@
 //! - [`DetRng`]: a seeded, splittable random number generator. Two runs with
 //!   the same seed produce identical traces. [`Zipf`] draws skewed ranks
 //!   from one in O(1).
+//! - [`costs`]: the cost table — every timing constant of the emulator,
+//!   declared once with its unit and its source.
 //! - [`stats`]: the log-bucketed latency histogram the benchmark harness
 //!   reports percentiles from.
 //! - [`trace`] / [`record`]: a structured trace sink of typed records
@@ -38,6 +40,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod costs;
 pub mod critpath;
 pub mod dethash;
 pub mod export;

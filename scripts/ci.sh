@@ -12,7 +12,8 @@
 #                          per retired rack event, a checkpoint checksum
 #                          hashed one section at a time, a hand-registered
 #                          metric handle, a hand-written machine, rack or
-#                          NIC section writer, ...)
+#                          NIC section writer, a timing literal outside the
+#                          cost table, ...)
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -156,6 +157,12 @@ why: a machine, rack or NIC section is one declaration against lastcpu_snap (fie
 files: $lib
 forbid: if let Some\(met\) = &self\.met
 why: one call per event feeds the instance's own count and every key of its row; a block copying a count into the hub is a second spelling of the instrument
+
+files: $lib
+skip: ^crates/sim/src/costs\.rs\$
+forbid: SimDuration::from_(nanos|micros|millis|secs)\([0-9]
+allow: SimDuration::from_nanos\(1\)
+why: a timing constant is one row of the cost table (lastcpu_sim::costs, DESIGN.md §5), declared once with its unit and its source; the 1 ns let through is the clock's resolution, which puts an event strictly after another and prices nothing
 "
 census="$census" awk '
     BEGIN {
