@@ -20,7 +20,7 @@ use lastcpu_bus::{
     ConnId, DeviceId, Dst, Envelope, ErrorCode, Payload, RequestId, ServiceDesc, ServiceId, Status,
     Token,
 };
-use lastcpu_sim::{costs, DetHashMap, DetHashSet, SimDuration};
+use lastcpu_sim::{costs, DetHashMap, SimDuration};
 
 use crate::auth;
 use crate::device::DeviceCtx;
@@ -37,8 +37,6 @@ const TOKEN_DISCOVERY: u64 = TOKEN_BASE | (1 << 62);
 pub enum AuthMode {
     /// Accept everything (public service).
     Open,
-    /// Accept tokens from an explicit allow-list.
-    Local(DetHashSet<Token>),
     /// Accept tokens sealed with a shared secret by an authentication
     /// service (capability-style; see [`crate::auth`]).
     Sealed {
@@ -54,13 +52,6 @@ impl AuthMode {
     pub fn check(&self, token: Token) -> Result<Option<u64>, Status> {
         match self {
             AuthMode::Open => Ok(None),
-            AuthMode::Local(set) => {
-                if set.contains(&token) {
-                    Ok(None)
-                } else {
-                    Err(Status::Denied)
-                }
-            }
             AuthMode::Sealed { secret } => match auth::verify(*secret, token) {
                 Some(principal) => Ok(Some(principal)),
                 None => Err(Status::Denied),
@@ -850,7 +841,9 @@ mod discovery_correlation_tests {
     }
 }
 
-lastcpu_snap::variants! { AuthMode { Open = 0 {}, Local = 1 { 0: tokens }, Sealed = 2 { secret } } }
+// Tag 1 stays unused, so every section encodes as before and a restored 1 is
+// refused as corrupt.
+lastcpu_snap::variants! { AuthMode { Open = 0 {}, Sealed = 2 { secret } } }
 
 lastcpu_snap::variants! { PendingOp {
     Discover = 0 { hits, req }, Open = 1 { target }, Alloc = 2 {}, Share = 3 {}, Free = 4 {},
@@ -1117,39 +1110,6 @@ mod tests {
         }
         assert_eq!(client.open_conn_count(), 1);
         assert_eq!(server.server_conns().count(), 1);
-    }
-
-    #[test]
-    fn open_denied_by_local_auth() {
-        let mut fix = Fix::new();
-        let mut server = Monitor::new();
-        let mut allowed = DetHashSet::default();
-        allowed.insert(Token(42));
-        server.add_service(svc(1, "secret"), AuthMode::Local(allowed));
-        let mut ctx = fix.ctx();
-        let ev = server.handle(
-            &mut ctx,
-            &Envelope {
-                src: DeviceId(9),
-                dst: Dst::Device(DeviceId(1)),
-                req: RequestId(3),
-                corr: CorrId::NONE,
-                payload: Payload::OpenRequest {
-                    service: ServiceId(1),
-                    token: Token(7), // wrong
-                    params: vec![],
-                },
-            },
-        );
-        assert!(ev.is_none(), "auth failure handled internally");
-        let msgs = sent(ctx);
-        assert!(matches!(
-            msgs[0].payload,
-            Payload::OpenResponse {
-                status: Status::Denied,
-                ..
-            }
-        ));
     }
 
     #[test]
@@ -1512,6 +1472,36 @@ mod tests {
             .expect("second entry");
         bytes[at] = 1;
         let restored = Monitor::new().restore_bytes("monitor", &bytes);
+        assert!(
+            matches!(restored, Err(SnapError::Corrupt { .. })),
+            "{:?}",
+            restored.err()
+        );
+    }
+
+    /// An auth mode is tag 0 (`Open`) or tag 2 (`Sealed`, then its secret).
+    /// Tag 1 was an allow-list mode that no service registered with; a
+    /// restore refuses it as `Corrupt`, even with the body an empty list had.
+    #[test]
+    fn a_restored_auth_mode_tag_1_is_corrupt() {
+        use lastcpu_snap::{Restore, SnapError, Snapshot};
+        let with = |auth| {
+            let mut m = Monitor::new();
+            m.add_service(svc(1, "s"), auth);
+            m.snapshot_bytes()
+        };
+        let open = with(AuthMode::Open);
+        let mut sealed = with(AuthMode::Sealed { secret: 0 });
+        let at = open
+            .iter()
+            .zip(&sealed)
+            .position(|(a, b)| a != b)
+            .expect("the modes differ");
+        assert_eq!((open[at], sealed[at]), (0, 2));
+        assert_eq!(&sealed[at + 1..at + 9], &[0; 8]);
+        assert!(Monitor::new().restore_bytes("monitor", &sealed).is_ok());
+        sealed[at] = 1;
+        let restored = Monitor::new().restore_bytes("monitor", &sealed);
         assert!(
             matches!(restored, Err(SnapError::Corrupt { .. })),
             "{:?}",

@@ -20,17 +20,18 @@
 //!   [`VirtqueueDevice`] (device side).
 //! - [`arena`]: a slot allocator for request/response buffer space inside
 //!   the shared region.
-//! - [`features`]: feature-bit negotiation.
+//!
+//! A chain is always direct: no device offers indirect descriptor tables
+//! or negotiates any feature bit, so a descriptor that sets
+//! [`queue::DESC_F_INDIRECT`] is refused as corrupt.
 
 #![forbid(unsafe_code)]
 
 pub mod arena;
-pub mod features;
 pub mod layout;
 pub mod queue;
 
 pub use arena::BufferArena;
-pub use features::{FeatureSet, F_EVENT_IDX, F_INDIRECT_DESC, F_VERSION_1};
 pub use layout::QueueLayout;
 pub use queue::{DescChain, QueueError, VirtqueueDevice, VirtqueueDriver};
 

@@ -7,6 +7,8 @@
 //! [`QueueError::Corrupt`], the way a defensive device implementation must
 //! (the peer is another device, not a trusted kernel).
 
+use lastcpu_mem::PAGE_SIZE;
+
 use crate::layout::QueueLayout;
 use crate::{MemFault, QueueMemory};
 
@@ -15,8 +17,13 @@ pub const DESC_F_NEXT: u16 = 1;
 /// Descriptor flag: the device writes this buffer (driver reads it back).
 pub const DESC_F_WRITE: u16 = 2;
 /// Descriptor flag: the buffer holds an indirect descriptor table
-/// (VIRTIO 1.1 §2.6.5.3; requires `F_INDIRECT_DESC`).
+/// (VIRTIO 1.1 §2.6.5.3). No device here offers `F_INDIRECT_DESC`, so a
+/// device refuses a descriptor that sets it.
 pub const DESC_F_INDIRECT: u16 = 4;
+
+/// The most bytes a chain may offer in either direction: VIRTIO 1.1 §2.6.5
+/// forbids a driver to add a chain longer than 2^32 bytes in total.
+const MAX_CHAIN_BYTES: u64 = 1 << 32;
 
 /// Errors from queue operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -271,55 +278,6 @@ impl VirtqueueDriver {
         Ok(head)
     }
 
-    /// Submits a chain through an *indirect* descriptor table (VIRTIO 1.1
-    /// §2.6.5.3): the whole chain is serialized as a table at `table_va`
-    /// (caller-owned buffer space, `16 * segs.len()` bytes) and consumes
-    /// only a single ring descriptor — the mechanism long chains use to
-    /// avoid exhausting the ring.
-    pub fn submit_chain_indirect<M: QueueMemory>(
-        &mut self,
-        mem: &mut M,
-        segs: &[ChainSeg],
-        table_va: u64,
-    ) -> Result<u16, QueueError> {
-        check_segment_order(segs)?;
-        if self.free.is_empty() {
-            return Err(QueueError::Full);
-        }
-        // Serialize the indirect table: entries chained by table-local
-        // `next` indices.
-        for (k, seg) in segs.iter().enumerate() {
-            let last = k == segs.len() - 1;
-            let mut flags = 0u16;
-            if !last {
-                flags |= DESC_F_NEXT;
-            }
-            if seg.device_writes {
-                flags |= DESC_F_WRITE;
-            }
-            let mut b = [0u8; 16];
-            b[0..8].copy_from_slice(&seg.va.to_le_bytes());
-            b[8..12].copy_from_slice(&seg.len.to_le_bytes());
-            b[12..14].copy_from_slice(&flags.to_le_bytes());
-            b[14..16].copy_from_slice(&((k + 1) as u16).to_le_bytes());
-            mem.write(table_va + 16 * k as u64, &b)?;
-        }
-        let id = self.free.pop().expect("checked nonempty");
-        write_desc(
-            mem,
-            &self.layout,
-            id,
-            Desc {
-                addr: table_va,
-                len: (16 * segs.len()) as u32,
-                flags: DESC_F_INDIRECT,
-                next: 0,
-            },
-        )?;
-        self.publish(mem, id, 1)?;
-        Ok(id)
-    }
-
     /// Convenience: submits one request buffer (already written to `out_va`
     /// by the caller via `mem`) plus one response buffer.
     pub fn submit_request<M: QueueMemory>(
@@ -484,54 +442,9 @@ impl VirtqueueDevice {
             }
             let d = read_desc(mem, &self.layout, i)?;
             if d.flags & DESC_F_INDIRECT != 0 {
-                // An indirect descriptor must stand alone (§2.6.5.3.1) and
-                // carries the whole chain in its buffer.
-                if d.flags & DESC_F_NEXT != 0 {
-                    return Err(QueueError::Corrupt("indirect descriptor with NEXT"));
-                }
-                if hops != 1 {
-                    return Err(QueueError::Corrupt("indirect descriptor mid-chain"));
-                }
-                if d.len == 0 || d.len % 16 != 0 {
-                    return Err(QueueError::Corrupt("indirect table length not 16-aligned"));
-                }
-                let entries = (d.len / 16) as u16;
-                let mut j = 0u16;
-                let mut ihops = 0u32;
-                loop {
-                    ihops += 1;
-                    if ihops > entries as u32 {
-                        return Err(QueueError::Corrupt("indirect table cycle"));
-                    }
-                    let mut b = [0u8; 16];
-                    mem.read(d.addr + 16 * j as u64, &mut b)?;
-                    let e = Desc {
-                        addr: u64::from_le_bytes(b[0..8].try_into().expect("len 8")),
-                        len: u32::from_le_bytes(b[8..12].try_into().expect("len 4")),
-                        flags: u16::from_le_bytes(b[12..14].try_into().expect("len 2")),
-                        next: u16::from_le_bytes(b[14..16].try_into().expect("len 2")),
-                    };
-                    if e.flags & DESC_F_INDIRECT != 0 {
-                        return Err(QueueError::Corrupt("nested indirect table"));
-                    }
-                    if e.flags & DESC_F_WRITE != 0 {
-                        writable.push((e.addr, e.len));
-                    } else {
-                        if !writable.is_empty() {
-                            return Err(QueueError::Corrupt("readable after writable"));
-                        }
-                        readable.push((e.addr, e.len));
-                    }
-                    if e.flags & DESC_F_NEXT == 0 {
-                        break;
-                    }
-                    if e.next >= entries {
-                        return Err(QueueError::Corrupt("indirect next out of range"));
-                    }
-                    j = e.next;
-                }
-                self.last_avail = self.last_avail.wrapping_add(1);
-                return Ok(true);
+                // VIRTIO 1.1 §2.6.5.3.1: a driver sets the flag only once
+                // `F_INDIRECT_DESC` is negotiated, and nothing offers it.
+                return Err(QueueError::Corrupt("indirect descriptor not offered"));
             }
             if d.flags & DESC_F_WRITE != 0 {
                 writable.push((d.addr, d.len));
@@ -549,6 +462,9 @@ impl VirtqueueDevice {
             }
             i = d.next;
         }
+        if chain.readable_len() > MAX_CHAIN_BYTES || chain.writable_len() > MAX_CHAIN_BYTES {
+            return Err(QueueError::Corrupt("chain longer than 2^32 bytes"));
+        }
         self.last_avail = self.last_avail.wrapping_add(1);
         Ok(true)
     }
@@ -565,8 +481,10 @@ impl VirtqueueDevice {
     }
 
     /// Reads and concatenates a chain's readable segments into `out`,
-    /// clearing it first and reusing its capacity. Each segment is read
-    /// directly into its slice of `out` — no per-segment staging buffer.
+    /// clearing it first and reusing its capacity. Each segment is read in
+    /// place, one page-bounded piece at a time (the chunks DMA charges for):
+    /// a segment's length is the peer's claim, so `out` grows with the bytes
+    /// read, never to a length the peer names.
     pub fn read_request_into<M: QueueMemory>(
         &self,
         mem: &mut M,
@@ -574,12 +492,16 @@ impl VirtqueueDevice {
         out: &mut Vec<u8>,
     ) -> Result<(), QueueError> {
         out.clear();
-        out.resize(chain.readable_len() as usize, 0);
-        let mut off = 0usize;
         for &(va, len) in &chain.readable {
-            let end = off + len as usize;
-            mem.read(va, &mut out[off..end])?;
-            off = end;
+            let (mut at, mut left) = (va, len as u64);
+            while left > 0 {
+                let piece = (PAGE_SIZE - at % PAGE_SIZE).min(left);
+                let off = out.len();
+                out.resize(off + piece as usize, 0);
+                mem.read(at, &mut out[off..])?;
+                at = at.wrapping_add(piece);
+                left -= piece;
+            }
         }
         Ok(())
     }
@@ -700,191 +622,6 @@ mod proptests {
             prop_assert_eq!(drv.in_flight(), 0);
             prop_assert_eq!(drv.free_descriptors(), size as usize);
         }
-    }
-}
-
-#[cfg(test)]
-mod indirect_tests {
-    use super::*;
-    use crate::FlatMemory;
-
-    fn setup(size: u16) -> (FlatMemory, VirtqueueDriver, VirtqueueDevice) {
-        let mut mem = FlatMemory::new(128 * 1024);
-        let layout = QueueLayout::new(0x100, size);
-        let drv = VirtqueueDriver::create(&mut mem, layout).unwrap();
-        let dev = VirtqueueDevice::attach(layout);
-        (mem, drv, dev)
-    }
-
-    const TABLE: u64 = 0x3000;
-    const BUF: u64 = 0x8000;
-
-    #[test]
-    fn indirect_round_trip_consumes_one_ring_slot() {
-        let (mut mem, mut drv, mut dev) = setup(4);
-        mem.write(BUF, b"hello").unwrap();
-        // A 5-segment chain would not even fit a 4-entry ring directly.
-        let segs = [
-            ChainSeg {
-                va: BUF,
-                len: 2,
-                device_writes: false,
-            },
-            ChainSeg {
-                va: BUF + 2,
-                len: 3,
-                device_writes: false,
-            },
-            ChainSeg {
-                va: BUF + 0x100,
-                len: 2,
-                device_writes: true,
-            },
-            ChainSeg {
-                va: BUF + 0x200,
-                len: 2,
-                device_writes: true,
-            },
-            ChainSeg {
-                va: BUF + 0x300,
-                len: 4,
-                device_writes: true,
-            },
-        ];
-        let head = drv.submit_chain_indirect(&mut mem, &segs, TABLE).unwrap();
-        assert_eq!(drv.free_descriptors(), 3, "only one ring descriptor used");
-
-        let chain = dev.pop(&mut mem).unwrap().unwrap();
-        assert_eq!(chain.head, head);
-        assert_eq!(chain.readable.len(), 2);
-        assert_eq!(chain.writable.len(), 3);
-        let req = dev.read_request(&mut mem, &chain).unwrap();
-        assert_eq!(req, b"hello");
-        let n = dev.write_response(&mut mem, &chain, b"worldfly").unwrap();
-        dev.push_used(&mut mem, head, n).unwrap();
-
-        let c = drv.complete(&mut mem).unwrap().unwrap();
-        assert_eq!(c.head, head);
-        assert_eq!(drv.free_descriptors(), 4);
-        let mut out = [0u8; 2];
-        mem.read(BUF + 0x100, &mut out).unwrap();
-        assert_eq!(&out, b"wo");
-    }
-
-    #[test]
-    fn nested_indirect_rejected() {
-        let (mut mem, mut drv, mut dev) = setup(4);
-        drv.submit_chain_indirect(
-            &mut mem,
-            &[ChainSeg {
-                va: BUF,
-                len: 4,
-                device_writes: false,
-            }],
-            TABLE,
-        )
-        .unwrap();
-        // Corrupt the table entry to claim it is itself indirect.
-        let mut b = [0u8; 16];
-        mem.read(TABLE, &mut b).unwrap();
-        b[12] |= DESC_F_INDIRECT as u8;
-        mem.write(TABLE, &b).unwrap();
-        assert!(matches!(dev.pop(&mut mem), Err(QueueError::Corrupt(_))));
-    }
-
-    #[test]
-    fn indirect_table_cycle_rejected() {
-        let (mut mem, mut drv, mut dev) = setup(4);
-        drv.submit_chain_indirect(
-            &mut mem,
-            &[
-                ChainSeg {
-                    va: BUF,
-                    len: 4,
-                    device_writes: false,
-                },
-                ChainSeg {
-                    va: BUF + 8,
-                    len: 4,
-                    device_writes: false,
-                },
-            ],
-            TABLE,
-        )
-        .unwrap();
-        // Point entry 1 back at entry 0.
-        let mut b = [0u8; 16];
-        mem.read(TABLE + 16, &mut b).unwrap();
-        b[12] |= DESC_F_NEXT as u8;
-        b[14] = 0;
-        b[15] = 0;
-        mem.write(TABLE + 16, &b).unwrap();
-        assert!(matches!(dev.pop(&mut mem), Err(QueueError::Corrupt(_))));
-    }
-
-    #[test]
-    fn misaligned_indirect_len_rejected() {
-        let (mut mem, mut drv, mut dev) = setup(4);
-        drv.submit_chain_indirect(
-            &mut mem,
-            &[ChainSeg {
-                va: BUF,
-                len: 4,
-                device_writes: false,
-            }],
-            TABLE,
-        )
-        .unwrap();
-        // Corrupt the ring descriptor's len to a non-multiple of 16.
-        let layout = *drv.layout();
-        let mut b = [0u8; 16];
-        mem.read(layout.desc_addr(3), &mut b).unwrap(); // head popped from free list top (id 3? find it)
-                                                        // Find the published head instead of guessing the id.
-        let mut head_b = [0u8; 2];
-        mem.read(layout.avail_ring(0), &mut head_b).unwrap();
-        let head = u16::from_le_bytes(head_b);
-        mem.read(layout.desc_addr(head), &mut b).unwrap();
-        b[8..12].copy_from_slice(&7u32.to_le_bytes());
-        mem.write(layout.desc_addr(head), &b).unwrap();
-        assert!(matches!(dev.pop(&mut mem), Err(QueueError::Corrupt(_))));
-    }
-
-    #[test]
-    fn indirect_interleaves_with_direct() {
-        let (mut mem, mut drv, mut dev) = setup(8);
-        mem.write(BUF, b"AB").unwrap();
-        let direct = drv
-            .submit_request(&mut mem, BUF, 2, BUF + 0x500, 4)
-            .unwrap();
-        let indirect = drv
-            .submit_chain_indirect(
-                &mut mem,
-                &[
-                    ChainSeg {
-                        va: BUF,
-                        len: 2,
-                        device_writes: false,
-                    },
-                    ChainSeg {
-                        va: BUF + 0x600,
-                        len: 4,
-                        device_writes: true,
-                    },
-                ],
-                TABLE,
-            )
-            .unwrap();
-        let c1 = dev.pop(&mut mem).unwrap().unwrap();
-        let c2 = dev.pop(&mut mem).unwrap().unwrap();
-        assert_eq!(c1.head, direct);
-        assert_eq!(c2.head, indirect);
-        for c in [c1, c2] {
-            let n = dev.write_response(&mut mem, &c, b"ok").unwrap();
-            dev.push_used(&mut mem, c.head, n).unwrap();
-        }
-        assert_eq!(drv.complete(&mut mem).unwrap().unwrap().head, direct);
-        assert_eq!(drv.complete(&mut mem).unwrap().unwrap().head, indirect);
-        assert_eq!(drv.free_descriptors(), 8);
     }
 }
 
@@ -1061,39 +798,6 @@ mod oracle {
             self.publish(mem, ids)
         }
 
-        pub fn submit_chain_indirect<M: QueueMemory>(
-            &mut self,
-            mem: &mut M,
-            segs: &[ChainSeg],
-            table_va: u64,
-        ) -> Result<u16, QueueError> {
-            check_segment_order(segs)?;
-            if self.free.is_empty() {
-                return Err(QueueError::Full);
-            }
-            for (k, seg) in segs.iter().enumerate() {
-                let mut flags = if k == segs.len() - 1 { 0 } else { DESC_F_NEXT };
-                if seg.device_writes {
-                    flags |= DESC_F_WRITE;
-                }
-                let mut b = [0u8; 16];
-                b[0..8].copy_from_slice(&seg.va.to_le_bytes());
-                b[8..12].copy_from_slice(&seg.len.to_le_bytes());
-                b[12..14].copy_from_slice(&flags.to_le_bytes());
-                b[14..16].copy_from_slice(&((k + 1) as u16).to_le_bytes());
-                mem.write(table_va + 16 * k as u64, &b)?;
-            }
-            let id = self.free.pop().expect("checked nonempty");
-            let desc = Desc {
-                addr: table_va,
-                len: (16 * segs.len()) as u32,
-                flags: DESC_F_INDIRECT,
-                next: 0,
-            };
-            write_desc(mem, &self.layout, id, desc)?;
-            self.publish(mem, vec![id])
-        }
-
         pub fn complete<M: QueueMemory>(
             &mut self,
             mem: &mut M,
@@ -1157,7 +861,6 @@ mod table_tests {
     use proptest::prelude::*;
 
     const MEM: usize = 64 * 1024;
-    const TABLE: u64 = 0x3000;
     const BUF: u64 = 0x8000;
 
     fn snapshot_bytes(d: &VirtqueueDriver) -> Vec<u8> {
@@ -1166,32 +869,20 @@ mod table_tests {
         w.into_bytes()
     }
 
-    /// One step of a driver's life: submit a direct or an indirect chain of
-    /// `readable + writable` segments, serve up to `n` requests on the
-    /// device side (out of order when `reverse`), or drain completions.
+    /// One step of a driver's life: submit a chain of `readable + writable`
+    /// segments, serve up to `n` requests on the device side (out of order
+    /// when `reverse`), or drain completions.
     #[derive(Debug, Clone)]
     enum Op {
-        Submit {
-            readable: usize,
-            writable: usize,
-            indirect: bool,
-        },
-        Serve {
-            n: usize,
-            reverse: bool,
-        },
+        Submit { readable: usize, writable: usize },
+        Serve { n: usize, reverse: bool },
         Complete,
     }
 
     fn op() -> impl Strategy<Value = Op> {
         prop_oneof![
-            (0usize..4, 0usize..4, any::<bool>()).prop_map(|(readable, writable, indirect)| {
-                Op::Submit {
-                    readable,
-                    writable,
-                    indirect,
-                }
-            }),
+            (0usize..4, 0usize..4)
+                .prop_map(|(readable, writable)| Op::Submit { readable, writable }),
             (1usize..5, any::<bool>()).prop_map(|(n, reverse)| Op::Serve { n, reverse }),
             (0u8..1).prop_map(|_| Op::Complete),
         ]
@@ -1246,20 +937,10 @@ mod table_tests {
             let mut dev = VirtqueueDevice::attach(layout);
             for op in ops {
                 match op {
-                    Op::Submit { readable, writable, indirect } => {
+                    Op::Submit { readable, writable } => {
                         let segs = segs(readable, writable);
-                        let (t, o) = if indirect {
-                            (
-                                table.submit_chain_indirect(&mut mem_t, &segs, TABLE),
-                                map.submit_chain_indirect(&mut mem_o, &segs, TABLE),
-                            )
-                        } else {
-                            (
-                                table.submit_chain(&mut mem_t, &segs),
-                                map.submit_chain(&mut mem_o, &segs),
-                            )
-                        };
-                        prop_assert_eq!(t, o);
+                        let t = table.submit_chain(&mut mem_t, &segs);
+                        prop_assert_eq!(t, map.submit_chain(&mut mem_o, &segs));
                     }
                     Op::Serve { n, reverse } => {
                         // The device pops from the table side's memory and
@@ -1663,6 +1344,105 @@ mod tests {
             drv.complete(&mut mem),
             Err(QueueError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn an_indirect_descriptor_is_refused() {
+        let (mut mem, _drv, mut dev) = setup(4);
+        let layout = *dev.layout();
+        // A well-formed one-entry table at BUF0 (4 readable bytes at BUF1)
+        // and a ring descriptor naming it, published by hand: no driver
+        // here writes one.
+        let mut entry = [0u8; 16];
+        entry[0..8].copy_from_slice(&BUF1.to_le_bytes());
+        entry[8..12].copy_from_slice(&4u32.to_le_bytes());
+        mem.write(BUF0, &entry).unwrap();
+        let indirect = Desc {
+            addr: BUF0,
+            len: 16,
+            flags: DESC_F_INDIRECT,
+            next: 0,
+        };
+        write_desc(&mut mem, &layout, 0, indirect).unwrap();
+        mem.write(layout.avail_ring(0), &0u16.to_le_bytes())
+            .unwrap();
+        mem.write(layout.avail_idx(), &1u16.to_le_bytes()).unwrap();
+        let mut chain = DescChain {
+            head: 0,
+            readable: Vec::new(),
+            writable: Vec::new(),
+        };
+        assert_eq!(
+            dev.pop_into(&mut mem, &mut chain),
+            Err(QueueError::Corrupt("indirect descriptor not offered"))
+        );
+        assert_eq!(dev.last_avail, 0);
+        assert_eq!(dev.pending(&mut mem).unwrap(), 1);
+    }
+
+    #[test]
+    fn a_peers_lengths_size_no_buffer() {
+        let seg = |va, len, device_writes| ChainSeg {
+            va,
+            len,
+            device_writes,
+        };
+        let mut chain = DescChain {
+            head: 0,
+            readable: Vec::new(),
+            writable: Vec::new(),
+        };
+        // More than 2^32 bytes either way is refused at pop.
+        let huge = [seg(BUF0, u32::MAX, false); 8];
+        let huge_response = [
+            seg(BUF0, 4, false),
+            seg(BUF1, u32::MAX, true),
+            seg(BUF1, 2, true),
+        ];
+        for segs in [&huge[..], &huge_response[..]] {
+            let (mut mem, mut drv, mut dev) = setup(8);
+            drv.submit_chain(&mut mem, segs).unwrap();
+            assert_eq!(
+                dev.pop_into(&mut mem, &mut chain),
+                Err(QueueError::Corrupt("chain longer than 2^32 bytes"))
+            );
+            assert_eq!(dev.last_avail, 0);
+        }
+        // One segment of u32::MAX bytes is within the bound; reading it
+        // faults where memory ends, having grown the buffer only by what
+        // was read.
+        let (mut mem, mut drv, mut dev) = setup(8);
+        drv.submit_chain(&mut mem, &[seg(BUF0, u32::MAX, false)])
+            .unwrap();
+        assert!(dev.pop_into(&mut mem, &mut chain).unwrap());
+        let mut out = Vec::new();
+        assert_eq!(
+            dev.read_request_into(&mut mem, &chain, &mut out),
+            Err(QueueError::Fault(MemFault {
+                va: mem.size() as u64,
+                write: false
+            }))
+        );
+        assert!(out.capacity() <= mem.size() + PAGE_SIZE as usize);
+    }
+
+    #[test]
+    fn a_request_across_pages_reads_whole() {
+        let (mut mem, mut drv, mut dev) = setup(8);
+        let data: Vec<u8> = (0..0x2100u32).map(|i| (i * 7) as u8).collect();
+        mem.write(BUF0 + 0xF00, &data).unwrap();
+        let seg = |va, len| ChainSeg {
+            va,
+            len,
+            device_writes: false,
+        };
+        drv.submit_chain(
+            &mut mem,
+            &[seg(BUF0 + 0xF00, 0x10), seg(BUF0 + 0xF10, 0x20F0)],
+        )
+        .unwrap();
+        let chain = dev.pop(&mut mem).unwrap().unwrap();
+        assert_eq!(dev.read_request(&mut mem, &chain).unwrap(), data);
     }
 
     #[test]

@@ -112,10 +112,16 @@ forbid: from_le_bytes\(params
 why: open params are a declared message (FileOpened, FsCreated, ...); decode them, do not slice them
 
 files: ^crates/virtio/src/queue\.rs\$
-from: ^    pub fn submit_chain
+from: ^    pub fn submit_chain[<(]
 to: ^    }
 forbid: Vec<u16>|collect\(\)|vec!\[
 why: a descriptor chain is links in the driver's table, not a list collected per submit
+
+files: ^crates/virtio/src/queue\.rs\$
+from: ^    pub fn read_request_into
+to: ^    }
+forbid: resize\(chain\.(readable|writable)_len
+why: a peer's descriptor lengths are claims; a buffer grows with the bytes DMA read
 
 files: $lib
 forbid: fnv1a\(&.*\.encode\(\)
