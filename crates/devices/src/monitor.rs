@@ -1143,6 +1143,38 @@ mod tests {
     }
 
     #[test]
+    fn open_denied_by_sealed_auth() {
+        let secret = 0xFEED;
+        let mut fix = Fix::new();
+        let mut server = Monitor::new();
+        server.add_service(svc(1, "secure"), AuthMode::Sealed { secret });
+        let mut ctx = fix.ctx();
+        let ev = server.handle(
+            &mut ctx,
+            &Envelope {
+                src: DeviceId(9),
+                dst: Dst::Device(DeviceId(1)),
+                req: RequestId(3),
+                corr: CorrId::NONE,
+                payload: Payload::OpenRequest {
+                    service: ServiceId(1),
+                    token: auth::seal(secret ^ 1, 1234), // sealed with the wrong secret
+                    params: vec![],
+                },
+            },
+        );
+        assert!(ev.is_none(), "auth failure handled internally");
+        let msgs = sent(ctx);
+        assert!(matches!(
+            msgs[0].payload,
+            Payload::OpenResponse {
+                status: Status::Denied,
+                ..
+            }
+        ));
+    }
+
+    #[test]
     fn open_unknown_service_not_found() {
         let mut fix = Fix::new();
         let mut server = Monitor::new();

@@ -622,6 +622,34 @@ mod proptests {
             prop_assert_eq!(drv.in_flight(), 0);
             prop_assert_eq!(drv.free_descriptors(), size as usize);
         }
+
+        /// Reading a request piece by piece gives the same bytes as one
+        /// read of each whole segment, wherever the segments start and
+        /// however many pages they cross.
+        #[test]
+        fn prop_request_reads_as_its_segments(
+            segs in proptest::collection::vec((0x8000u64..0x3_0000, 0u32..0x3000), 1..7),
+        ) {
+            let mut mem = FlatMemory::new(256 * 1024);
+            let fill: Vec<u8> = (0..0x3_0000u32).map(|i| (i ^ (i >> 8)) as u8).collect();
+            mem.write(0x8000, &fill[0x8000..]).unwrap();
+            let layout = QueueLayout::new(0x100, 8);
+            let mut drv = VirtqueueDriver::create(&mut mem, layout).unwrap();
+            let mut dev = VirtqueueDevice::attach(layout);
+            let chain: Vec<ChainSeg> = segs
+                .iter()
+                .map(|&(va, len)| ChainSeg { va, len, device_writes: false })
+                .collect();
+            drv.submit_chain(&mut mem, &chain).unwrap();
+            let popped = dev.pop(&mut mem).unwrap().expect("one pending");
+            let mut want = Vec::new();
+            for &(va, len) in &segs {
+                let mut b = vec![0u8; len as usize];
+                mem.read(va, &mut b).unwrap();
+                want.extend_from_slice(&b);
+            }
+            prop_assert_eq!(dev.read_request(&mut mem, &popped).unwrap(), want);
+        }
     }
 }
 
@@ -1443,6 +1471,88 @@ mod tests {
         .unwrap();
         let chain = dev.pop(&mut mem).unwrap().unwrap();
         assert_eq!(dev.read_request(&mut mem, &chain).unwrap(), data);
+    }
+
+    #[test]
+    fn an_indirect_flag_mid_chain_is_refused() {
+        let (mut mem, mut drv, mut dev) = setup(4);
+        drv.submit_request(&mut mem, BUF0, 4, BUF1, 4).unwrap();
+        // The chain's second (writable) descriptor claims to be a table.
+        let layout = *drv.layout();
+        let mut head_b = [0u8; 2];
+        mem.read(layout.avail_ring(0), &mut head_b).unwrap();
+        let head = read_desc(&mut mem, &layout, u16::from_le_bytes(head_b)).unwrap();
+        let mut tail = read_desc(&mut mem, &layout, head.next).unwrap();
+        tail.flags |= DESC_F_INDIRECT;
+        write_desc(&mut mem, &layout, head.next, tail).unwrap();
+        assert_eq!(
+            dev.pop(&mut mem),
+            Err(QueueError::Corrupt("indirect descriptor not offered"))
+        );
+        assert_eq!(dev.last_avail, 0);
+    }
+
+    #[test]
+    fn a_chain_of_exactly_2_32_bytes_pops() {
+        let seg = |va, len, device_writes| ChainSeg {
+            va,
+            len,
+            device_writes,
+        };
+        // u32::MAX + 1 = 2^32 bytes: the most a chain may offer either way.
+        let request = [seg(BUF0, u32::MAX, false), seg(BUF0, 1, false)];
+        let response = [
+            seg(BUF0, 4, false),
+            seg(BUF1, u32::MAX, true),
+            seg(BUF1, 1, true),
+        ];
+        for segs in [&request[..], &response[..]] {
+            let (mut mem, mut drv, mut dev) = setup(8);
+            let head = drv.submit_chain(&mut mem, segs).unwrap();
+            let chain = dev.pop(&mut mem).unwrap().expect("one pending");
+            assert_eq!(chain.head, head);
+            assert_eq!(
+                chain.readable_len().max(chain.writable_len()),
+                MAX_CHAIN_BYTES
+            );
+            assert_eq!(dev.last_avail, 1);
+        }
+    }
+
+    #[test]
+    fn read_request_into_clears_and_reuses_the_buffer() {
+        let (mut mem, mut drv, mut dev) = setup(8);
+        mem.write(BUF0, b"ping").unwrap();
+        drv.submit_request(&mut mem, BUF0, 4, BUF1, 4).unwrap();
+        let chain = dev.pop(&mut mem).unwrap().unwrap();
+        let mut out = Vec::with_capacity(64);
+        out.extend_from_slice(b"stale bytes from the last request");
+        let ptr = out.as_ptr();
+        dev.read_request_into(&mut mem, &chain, &mut out).unwrap();
+        assert_eq!(out, b"ping");
+        assert_eq!((out.as_ptr(), out.capacity()), (ptr, 64));
+    }
+
+    #[test]
+    fn zero_length_segments_read_as_nothing() {
+        let (mut mem, mut drv, mut dev) = setup(8);
+        mem.write(BUF0, b"ab").unwrap();
+        mem.write(BUF1, b"cd").unwrap();
+        let seg = |va, len| ChainSeg {
+            va,
+            len,
+            device_writes: false,
+        };
+        // A zero-length segment at the very end of memory is never touched.
+        let end = mem.size() as u64;
+        drv.submit_chain(
+            &mut mem,
+            &[seg(BUF0, 2), seg(end, 0), seg(BUF1, 2), seg(BUF1, 0)],
+        )
+        .unwrap();
+        let chain = dev.pop(&mut mem).unwrap().unwrap();
+        assert_eq!(chain.readable.len(), 4);
+        assert_eq!(dev.read_request(&mut mem, &chain).unwrap(), b"abcd");
     }
 
     #[test]
