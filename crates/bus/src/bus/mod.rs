@@ -29,7 +29,7 @@
 //!
 //! | module | holds | paper clause / experiment |
 //! |---|---|---|
-//! | `registry` | `attach`, `Hello` / `Bye`, failure fan-out, liveness | §2.2 system initialization; §4 error handling |
+//! | `registry` | `attach`, `Hello`, failure fan-out, liveness | §2.2 system initialization; §4 error handling |
 //! | `route` | `handle`: fencing, flood limit, unicast, broadcast | §2.2 "a mechanism for device communication"; §2.3 control plane |
 //! | `discovery` | `Announce` / `Withdraw` / `Query` re-broadcast, spoof defence | §2.2 discovery (SSDP-like); E11 |
 //! | `privilege` | controllers, `MapInstruction`, `deny`, audit and policy | §2.2 address translation; E11 |
@@ -143,8 +143,6 @@ pub enum DeviceState {
     Alive,
     /// Declared failed; a reset has been attempted.
     Failed,
-    /// Departed via `Bye`.
-    Departed,
 }
 
 /// Bus-side record for one device.

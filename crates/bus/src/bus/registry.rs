@@ -1,6 +1,6 @@
 //! Who exists and who is alive (§2.2 "System Initialization", §4 "Error
-//! Handling"): slot enumeration, `Hello` / `Bye`, the failure broadcast with
-//! its reset pulse, and the heartbeat liveness sweep.
+//! Handling"): slot enumeration, `Hello`, the failure broadcast with its
+//! reset pulse, and the heartbeat liveness sweep.
 
 use lastcpu_sim::{CorrId, SimDuration, SimTime};
 
@@ -77,23 +77,6 @@ impl SystemBus {
             e.last_seen = now;
         }
         self.reply(bytes, src, req, Payload::HelloAck { assigned: src }, fx);
-    }
-
-    /// `Bye`: an orderly departure, announced to everyone like a failure.
-    pub(super) fn on_bye(&mut self, src: DeviceId, bytes: usize, fx: &mut Vec<BusEffect>) {
-        if let Some(e) = self.device_mut(src) {
-            e.state = DeviceState::Departed;
-        }
-        self.fan_out_failure(src, bytes, fx);
-    }
-
-    /// `ResetDone`: the device came out of reset; it still re-registers via
-    /// `Hello`.
-    pub(super) fn on_reset_done(&mut self, now: SimTime, src: DeviceId) {
-        if let Some(e) = self.device_mut(src) {
-            // The device still re-registers via Hello.
-            e.last_seen = now;
-        }
     }
 
     fn fan_out_failure(&mut self, failed: DeviceId, bytes: usize, fx: &mut Vec<BusEffect>) {
@@ -287,31 +270,5 @@ mod tests {
         let failed = bus.check_liveness(boundary, &mut fx);
         assert!(failed.contains(&nic), "boundary tick must fire");
         assert_eq!(bus.device(nic).unwrap().state, DeviceState::Failed);
-    }
-
-    #[test]
-    fn bye_departs_and_notifies() {
-        let (mut bus, nic, _, _) = setup();
-        let mut fx = Vec::new();
-        bus.handle(
-            SimTime::ZERO,
-            Envelope {
-                src: nic,
-                dst: Dst::Bus,
-                req: RequestId(0),
-                corr: CorrId::NONE,
-                payload: Payload::Bye,
-            },
-            &mut fx,
-        );
-        assert_eq!(bus.device(nic).unwrap().state, DeviceState::Departed);
-        assert!(fx.iter().any(|e| matches!(
-            e,
-            BusEffect::Deliver { env, .. }
-                if matches!(env.payload, Payload::DeviceFailed { .. })
-        )));
-        // Departed devices cannot come back with Hello (unlike Failed).
-        hello(&mut bus, nic);
-        assert_eq!(bus.device(nic).unwrap().state, DeviceState::Departed);
     }
 }

@@ -121,7 +121,6 @@ impl SystemBus {
             Payload::Heartbeat => {
                 // last_seen already refreshed in handle().
             }
-            Payload::Bye => self.on_bye(src, bytes, fx),
             Payload::Announce { service } => self.on_announce(src, req, service, bytes, fx),
             Payload::Withdraw { service } => self.on_withdraw(src, req, *service, bytes, fx),
             Payload::Query { pattern } => self.on_query(src, req, pattern, bytes, fx),
@@ -142,7 +141,6 @@ impl SystemBus {
                     bytes, src, req, *resource, *op, *device, *pasid, *va, *pa, *pages, *perms, fx,
                 );
             }
-            Payload::ResetDone => self.on_reset_done(now, src),
             _ => {
                 // Anything else aimed at the bus is a protocol violation.
                 self.deny(

@@ -12,7 +12,7 @@ use crate::ids::DeviceId;
 #[cfg(test)]
 use {crate::audit::SecurityPolicy, crate::message::ServiceDesc, lastcpu_sim::CorrId};
 
-lastcpu_snap::tags! { DeviceState { Attached = 0, Alive = 1, Failed = 2, Departed = 3 } }
+lastcpu_snap::tags! { DeviceState { Attached = 0, Alive = 1, Failed = 2 } }
 
 lastcpu_snap::record!(BusStats {
     messages,
@@ -226,6 +226,24 @@ mod tests {
         assert_eq!(bytes[registry_len + 8], 1);
         bytes[registry_len + 8] = 2;
         assert_corrupt(&bytes, "registry lists");
+    }
+
+    /// Tag 3 was `DeviceState::Departed`, which only the deleted `Bye`
+    /// reached.
+    #[test]
+    fn restore_rejects_a_device_state_past_the_table() {
+        use lastcpu_snap::Snapshot as _;
+        let bus = busy_bus();
+        let mut bytes = bus.snapshot_bytes();
+        // The first registry entry is the failed NIC: its id, name and kind,
+        // then its state.
+        let nic = bus.device(DeviceId(1)).unwrap();
+        let mut head = lastcpu_snap::SnapWriter::new();
+        (nic.id, nic.name.clone(), nic.kind.clone()).put(&mut head);
+        let at = ORDER_AT + 8 + 3 * 4 + 8 + head.into_bytes().len();
+        assert_eq!(bytes[at], DeviceState::Failed.tag());
+        bytes[at] = 3;
+        assert_corrupt(&bytes, "bad DeviceState tag 3");
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //!
 //! | Group | Messages | Paper reference |
 //! |---|---|---|
-//! | Lifecycle | `Hello`, `HelloAck`, `Heartbeat`, `Bye` | §2.2 "System Initialization" |
+//! | Lifecycle | `Hello`, `HelloAck`, `Heartbeat` | §2.2 "System Initialization" |
 //! | Discovery | `Announce`, `Withdraw`, `Query`, `QueryHit` | §2.2 (SSDP analogy) |
 //! | Sessions | `OpenRequest/Response`, `CloseRequest/Response` | §3 steps 3–4 |
 //! | Memory | `MemAlloc`, `MemFree`, `Share`, + responses | §3 steps 5–7 |
 //! | Privileged | `RegisterController`, `MapInstruction`, `MapComplete` | §2.2 "Address Translation" |
-//! | Notify | `Doorbell`, `ErrorNotify`, `ResetRequest/Done`, `DeviceFailed` | §2.3, §4 |
+//! | Notify | `Doorbell`, `ErrorNotify`, `DeviceFailed` | §2.3, §4 |
 
 use std::sync::Arc;
 
@@ -41,8 +41,6 @@ pub enum Status {
     NotFound,
     /// Resource exhausted (memory, contexts, queue slots).
     NoResources,
-    /// Target is temporarily unable to serve.
-    Busy,
     /// The request was malformed or violated protocol.
     BadRequest,
     /// The operation was attempted and failed.
@@ -71,21 +69,15 @@ pub enum ResourceKind {
 }
 
 /// Error classes for [`Payload::ErrorNotify`], following the paper's §4
-/// error taxonomy.
+/// error taxonomy. Resource failures, translation faults and auth denials
+/// travel as other messages (an IOMMU fault to the device, an
+/// `OpenResponse` with [`Status::Denied`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// A service context was reset; consumers must reconnect.
     ServiceReset,
-    /// A resource failed fatally but the device survived (§4: "the device is
-    /// responsible for handling the error itself ... send a message to any
-    /// consumer using that resource").
-    ResourceFailed,
     /// An entire device failed (broadcast by the bus).
     DeviceFailed,
-    /// A recoverable translation fault was handled by the device.
-    PageFault,
-    /// Authentication/authorization failure.
-    AuthFailure,
     /// Protocol violation.
     Protocol,
 }
@@ -133,8 +125,6 @@ pub enum Payload {
     },
     /// Periodic liveness beacon.
     Heartbeat,
-    /// Orderly departure.
-    Bye,
 
     // --- Discovery ----------------------------------------------------
     /// Device publishes a service into the bus directory.
@@ -310,10 +300,6 @@ pub enum Payload {
         /// Human-readable detail.
         detail: String,
     },
-    /// Bus asks a device to reset (after failure detection).
-    ResetRequest,
-    /// Device reports reset completion.
-    ResetDone,
     /// Bus broadcast: a device died; consumers of its resources must
     /// recover (§4: "the resource bus must send messages to all other
     /// devices in the system that may be using a resource of the failed
@@ -401,15 +387,12 @@ impl Envelope {
 }
 
 lastcpu_snap::tags! { Status {
-    Ok = 0, Denied = 1, NotFound = 2, NoResources = 3, Busy = 4, BadRequest = 5, Failed = 6,
+    Ok = 0, Denied = 1, NotFound = 2, NoResources = 3, BadRequest = 5, Failed = 6,
 } }
 
 lastcpu_snap::tags! { ResourceKind { Memory = 0, Storage = 1, Network = 2, Compute = 3 } }
 
-lastcpu_snap::tags! { ErrorCode {
-    ServiceReset = 0, ResourceFailed = 1, DeviceFailed = 2, PageFault = 3, AuthFailure = 4,
-    Protocol = 5,
-} }
+lastcpu_snap::tags! { ErrorCode { ServiceReset = 0, DeviceFailed = 2, Protocol = 5 } }
 
 lastcpu_snap::tags! { MapOp { Map = 0, Unmap = 1 } }
 
@@ -443,34 +426,93 @@ lastcpu_snap::variants! { wire crate::wire; Dst { Device = 0 { 0: d }, Bus = 1 {
 // An envelope's body; the frame check sequence follows it (`encode`).
 lastcpu_snap::record!(wire crate::wire; Envelope { src, dst, req, corr, payload });
 
-// Every payload's wire layout: tag, then its fields in order.
-lastcpu_snap::variants! { wire crate::wire; Payload {
-    Hello = 0 { name, kind },
+/// Declares the bus protocol in one table. A row is a payload's wire row,
+/// as in [`variants!`](lastcpu_snap::variants)'s wire mode; a request the
+/// retry layer tracks adds `=> Reply { .. } | Other`, the replies that
+/// answer it, the first with the fields of its failure reply where it has
+/// one. Derives the wire codec and `kind_name`, `expects_reply`, `is_reply`,
+/// `is_answered_by` and `failure_reply`, so no request, reply or name is
+/// listed twice.
+macro_rules! protocol {
+    ($ty:ident { $($v:ident = $tag:literal { $($f:ident),* }
+        $(=> $reply:ident $({ $($rf:ident: $rv:expr),* })? $(| $also:ident)*)?,)* }) => {
+        lastcpu_snap::variants! { wire crate::wire; $ty { $($v = $tag { $($f),* },)* } }
+
+        impl $ty {
+            /// The payload's name, for traces and exports.
+            pub fn kind_name(&self) -> &'static str {
+                match self { $($ty::$v { .. } => stringify!($v),)* }
+            }
+
+            /// Whether this payload is a request that expects a reply, so
+            /// the retry layer (`RpcTracker`) times it out and resends it.
+            /// `Query` is not one: zero `QueryHit`s is a legitimate answer.
+            pub fn expects_reply(&self) -> bool {
+                match self { $($ty::$v { .. } => protocol!(@some $($reply)?),)* }
+            }
+
+            /// Whether this payload is a reply: it echoes a request's id and
+            /// may complete an RPC the retry layer tracks.
+            #[allow(unreachable_patterns)] // `BusAck` answers two requests
+            pub fn is_reply(&self) -> bool {
+                match self { $($($ty::$reply { .. } $(| $ty::$also { .. })* => true,)?)* _ => false }
+            }
+
+            /// Whether `reply` is of a kind that answers this request. Request
+            /// ids are unique per device only, so a `MapComplete` to a device
+            /// must not complete its unrelated request of the same id.
+            pub(crate) fn is_answered_by(&self, reply: &$ty) -> bool {
+                match self { $($ty::$v { .. } => protocol!(@answers reply $ty $($reply $(| $also)*)?),)* }
+            }
+
+            /// The failure reply synthesized for an abandoned request, so the
+            /// requester's state machine unwinds instead of waiting forever.
+            /// `None` for a payload that is not a request, and for `Hello`,
+            /// which the reset path re-issues.
+            pub fn failure_reply(&self) -> Option<$ty> {
+                match self { $($ty::$v { .. } => protocol!(@fail $ty $($reply $({ $($rf: $rv),* })?)?),)* }
+            }
+        }
+    };
+    (@some) => { false };
+    (@some $reply:ident) => { true };
+    (@answers $r:ident $ty:ident) => { false };
+    (@answers $r:ident $ty:ident $($reply:ident)|+) => { matches!($r, $($ty::$reply { .. })|+) };
+    (@fail $ty:ident $($reply:ident)?) => { None };
+    (@fail $ty:ident $reply:ident { $($f:ident: $v:expr),* }) => { Some($ty::$reply { $($f: $v),* }) };
+}
+
+// The bus protocol: every payload's wire row (tag, then its fields in
+// order) and, after `=>`, the replies that answer a request the retry layer
+// tracks; the first reply's fields, where given, are the failure reply an
+// abandoned request unwinds with.
+protocol! { Payload {
+    Hello = 0 { name, kind } => HelloAck,
     HelloAck = 1 { assigned },
     Heartbeat = 2 {},
-    Bye = 3 {},
     Announce = 4 { service },
     Withdraw = 5 { service },
     Query = 6 { pattern },
     QueryHit = 7 { device, service },
-    OpenRequest = 8 { service, token, params },
+    OpenRequest = 8 { service, token, params } => OpenResponse {
+        status: Status::Failed, conn: ConnId(0), shm_bytes: 0, params: Vec::new()
+    },
     OpenResponse = 9 { status, conn, shm_bytes, params },
-    CloseRequest = 10 { conn },
+    CloseRequest = 10 { conn } => CloseResponse { status: Status::Failed },
     CloseResponse = 11 { status },
-    MemAlloc = 12 { pasid, va, bytes, perms },
+    MemAlloc = 12 { pasid, va, bytes, perms } => MemAllocResponse { status: Status::Failed, region: 0 },
     MemAllocResponse = 13 { status, region },
-    MemFree = 14 { region },
+    MemFree = 14 { region } => MemFreeResponse { status: Status::Failed },
     MemFreeResponse = 15 { status },
-    Share = 16 { region, target, pasid, va, perms },
+    Share = 16 { region, target, pasid, va, perms } => ShareResponse { status: Status::Failed },
     ShareResponse = 17 { status },
-    RegisterController = 18 { resource },
+    RegisterController = 18 { resource } => BusAck { status: Status::Failed },
     BusAck = 19 { status },
-    MapInstruction = 20 { resource, op, device, pasid, va, pa, pages, perms },
+    MapInstruction = 20 { resource, op, device, pasid, va, pa, pages, perms }
+        => BusAck { status: Status::Failed } | MapComplete,
     MapComplete = 21 { status, va, pages },
     Doorbell = 22 { conn, value },
     ErrorNotify = 23 { code, conn, detail },
-    ResetRequest = 24 {},
-    ResetDone = 25 {},
     DeviceFailed = 26 { device },
     AppData = 27 { conn, data },
 } }
@@ -483,85 +525,6 @@ impl lastcpu_snap::Field for Envelope {
     fn take(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
         let frame = r.bytes()?;
         Envelope::decode(&frame).map_err(|e| r.corrupt(format!("envelope: {e}")))
-    }
-}
-
-impl Payload {
-    /// Whether this payload is a reply/acknowledgement kind — a message
-    /// that echoes a request's id and may complete an RPC tracked by the
-    /// retry layer (`retry::RpcTracker`).
-    pub fn is_reply(&self) -> bool {
-        matches!(
-            self,
-            Payload::HelloAck { .. }
-                | Payload::OpenResponse { .. }
-                | Payload::CloseResponse { .. }
-                | Payload::MemAllocResponse { .. }
-                | Payload::MemFreeResponse { .. }
-                | Payload::ShareResponse { .. }
-                | Payload::BusAck { .. }
-                | Payload::MapComplete { .. }
-                | Payload::ResetDone
-        )
-    }
-
-    /// The terminal failure reply synthesized for an abandoned request, so
-    /// the requester's state machine unwinds instead of waiting forever.
-    /// `None` for payloads that are not requests, and for the two requests
-    /// without a typed failure: `Hello` (the reset path re-issues it) and
-    /// `ResetRequest` (its reply `ResetDone` carries no status).
-    pub fn failure_reply(&self) -> Option<Payload> {
-        let status = Status::Failed;
-        Some(match self {
-            Payload::OpenRequest { .. } => Payload::OpenResponse {
-                status,
-                conn: ConnId(0),
-                shm_bytes: 0,
-                params: Vec::new(),
-            },
-            Payload::CloseRequest { .. } => Payload::CloseResponse { status },
-            Payload::MemAlloc { .. } => Payload::MemAllocResponse { status, region: 0 },
-            Payload::MemFree { .. } => Payload::MemFreeResponse { status },
-            Payload::Share { .. } => Payload::ShareResponse { status },
-            Payload::RegisterController { .. } | Payload::MapInstruction { .. } => {
-                Payload::BusAck { status }
-            }
-            _ => return None,
-        })
-    }
-
-    /// Short tag for tracing.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Payload::Hello { .. } => "Hello",
-            Payload::HelloAck { .. } => "HelloAck",
-            Payload::Heartbeat => "Heartbeat",
-            Payload::Bye => "Bye",
-            Payload::Announce { .. } => "Announce",
-            Payload::Withdraw { .. } => "Withdraw",
-            Payload::Query { .. } => "Query",
-            Payload::QueryHit { .. } => "QueryHit",
-            Payload::OpenRequest { .. } => "OpenRequest",
-            Payload::OpenResponse { .. } => "OpenResponse",
-            Payload::CloseRequest { .. } => "CloseRequest",
-            Payload::CloseResponse { .. } => "CloseResponse",
-            Payload::MemAlloc { .. } => "MemAlloc",
-            Payload::MemAllocResponse { .. } => "MemAllocResponse",
-            Payload::MemFree { .. } => "MemFree",
-            Payload::MemFreeResponse { .. } => "MemFreeResponse",
-            Payload::Share { .. } => "Share",
-            Payload::ShareResponse { .. } => "ShareResponse",
-            Payload::RegisterController { .. } => "RegisterController",
-            Payload::BusAck { .. } => "BusAck",
-            Payload::MapInstruction { .. } => "MapInstruction",
-            Payload::MapComplete { .. } => "MapComplete",
-            Payload::Doorbell { .. } => "Doorbell",
-            Payload::ErrorNotify { .. } => "ErrorNotify",
-            Payload::ResetRequest => "ResetRequest",
-            Payload::ResetDone => "ResetDone",
-            Payload::DeviceFailed { .. } => "DeviceFailed",
-            Payload::AppData { .. } => "AppData",
-        }
     }
 }
 
@@ -649,38 +612,48 @@ mod tests {
         assert_eq!(back, env);
     }
 
-    /// Every request the retry layer tracks either has a failure reply of
-    /// the kind that completes it, or is listed here as deliberately none.
+    /// The pairing is the declaration's: every declared request's failure
+    /// reply, where it has one, is a reply kind that completes it in an
+    /// `RpcTracker`; every kind that answers a request is a reply and not
+    /// itself a tracked request; and `Hello` alone is tracked without a
+    /// failure reply.
     #[test]
-    fn every_tracked_request_has_a_failure_reply_or_is_listed() {
-        let deliberately_none = ["Hello", "ResetRequest"];
-        for p in all_variants() {
+    fn every_declared_request_is_completed_by_its_failure_reply() {
+        let all = all_variants();
+        for p in &all {
             let name = p.kind_name();
-            match p.failure_reply() {
-                Some(reply) => {
-                    assert!(p.expects_reply(), "{name} is not a tracked request");
-                    assert!(reply.is_reply(), "{name} fails with a non-reply");
-                    let mut tracker = crate::RpcTracker::new(crate::RetryConfig::default());
-                    let env = Envelope {
-                        src: DeviceId(7),
-                        dst: Dst::Bus,
-                        req: RequestId(42),
-                        corr: CorrId::NONE,
-                        payload: p,
-                    };
-                    tracker.track(lastcpu_sim::SimTime::ZERO, &env);
-                    assert!(
-                        tracker.complete(env.src, env.req, &reply),
-                        "{name}'s failure reply does not complete it"
-                    );
-                }
-                None => assert_eq!(
-                    p.expects_reply(),
-                    deliberately_none.contains(&name),
-                    "{name}"
-                ),
+            for reply in all.iter().filter(|r| p.is_answered_by(r)) {
+                let kind = reply.kind_name();
+                assert!(p.expects_reply(), "{name} is answered but not tracked");
+                assert!(reply.is_reply(), "{kind} answers {name} but is no reply");
+                assert!(!reply.expects_reply(), "{kind} is a reply and a request");
             }
+            let Some(reply) = p.failure_reply() else {
+                assert_eq!(p.expects_reply(), name == "Hello", "{name}");
+                continue;
+            };
+            let mut tracker = crate::RpcTracker::new(crate::RetryConfig::default());
+            let env = Envelope {
+                src: DeviceId(7),
+                dst: Dst::Bus,
+                req: RequestId(42),
+                corr: CorrId::NONE,
+                payload: p.clone(),
+            };
+            tracker.track(lastcpu_sim::SimTime::ZERO, &env);
+            assert!(
+                tracker.complete(env.src, env.req, &reply),
+                "{name}'s failure reply does not complete it"
+            );
         }
+        let answers = |request: &str| -> Vec<&str> {
+            let p = all.iter().find(|p| p.kind_name() == request).unwrap();
+            let replies = all.iter().filter(|r| p.is_answered_by(r));
+            replies.map(Payload::kind_name).collect()
+        };
+        assert_eq!(answers("MapInstruction"), ["BusAck", "MapComplete"]);
+        assert_eq!(answers("Hello"), ["HelloAck"]);
+        assert!(answers("Query").is_empty());
     }
 
     /// One instance of every payload variant (a variant added to the
@@ -701,7 +674,6 @@ mod tests {
                 assigned: DeviceId(5),
             },
             Payload::Heartbeat,
-            Payload::Bye,
             Payload::Announce {
                 service: svc.clone(),
             },
@@ -776,12 +748,10 @@ mod tests {
                 value: 1,
             },
             Payload::ErrorNotify {
-                code: ErrorCode::ResourceFailed,
+                code: ErrorCode::ServiceReset,
                 conn: ConnId(77),
                 detail: "flash block died".into(),
             },
-            Payload::ResetRequest,
-            Payload::ResetDone,
             Payload::DeviceFailed {
                 device: DeviceId(2),
             },
@@ -865,26 +835,58 @@ mod tests {
         bytes
     }
 
-    #[test]
-    fn bad_payload_tag_rejected() {
-        let env = Envelope {
+    /// `body[at] = tag`, correctly reframed, decodes as a refusal of a
+    /// `what` tag.
+    fn refuses_tag(env: &Envelope, at: usize, what: &str, tags: &[u8]) {
+        for &tag in tags {
+            let mut bytes = env.encode();
+            bytes[at] = tag;
+            let got = Envelope::decode(&reframe(bytes));
+            assert!(
+                matches!(got, Err(WireError::BadDiscriminant { what: w, value })
+                    if w == what && value == u64::from(tag)),
+                "{what} tag {tag}: {got:?}"
+            );
+        }
+    }
+
+    fn to_bus(payload: Payload) -> Envelope {
+        Envelope {
             src: DeviceId(1),
             dst: Dst::Bus,
             req: RequestId(0),
             corr: CorrId::NONE,
-            payload: Payload::Heartbeat,
-        };
-        let mut bytes = env.encode();
-        let tag_at = bytes.len() - 5; // last body byte: the payload tag
-        bytes[tag_at] = 200;
-        let bytes = reframe(bytes);
-        assert!(matches!(
-            Envelope::decode(&bytes),
-            Err(WireError::BadDiscriminant {
-                what: "Payload",
-                ..
-            })
-        ));
+            payload,
+        }
+    }
+
+    /// An unassigned payload tag is refused, among them those of `Bye` (3),
+    /// `ResetRequest` (24) and `ResetDone` (25), deleted because nothing
+    /// sent them.
+    #[test]
+    fn bad_payload_tag_rejected() {
+        let env = to_bus(Payload::Heartbeat);
+        let tag_at = env.encode().len() - 5; // last body byte: the payload tag
+        refuses_tag(&env, tag_at, "Payload", &[3, 24, 25, 28, 200]);
+    }
+
+    /// The `ErrorCode`s `ResourceFailed` (1), `PageFault` (3) and
+    /// `AuthFailure` (4) and the bus `Status::Busy` (4), deleted because
+    /// nothing sent them, are refused.
+    #[test]
+    fn deleted_error_codes_and_status_are_refused() {
+        let notify = to_bus(Payload::ErrorNotify {
+            code: ErrorCode::Protocol,
+            conn: ConnId(0),
+            detail: String::new(),
+        });
+        // The code follows the tag; the connection and the empty detail end
+        // the body.
+        let code = notify.encode().len() - 4 - 1 - 8 - 1;
+        assert_eq!(notify.encode()[code], 5, "the Protocol tag");
+        refuses_tag(&notify, code, "ErrorCode", &[1, 3, 4]);
+        let ack = to_bus(Payload::BusAck { status: Status::Ok });
+        refuses_tag(&ack, ack.encode().len() - 5, "Status", &[4]);
     }
 
     #[test]
@@ -927,7 +929,7 @@ mod tests {
     /// encoded `Heartbeat` could alias it into a *valid* `Bye`, silently
     /// deregistering the device (found by the E4 fault-injection matrix).
     /// With the FCS, every single-bit flip must be rejected, never
-    /// misparsed.
+    /// misparsed. (`Bye` has since been deleted: nothing sent it.)
     #[test]
     fn single_bit_corruption_never_aliases() {
         let env = Envelope {

@@ -31,47 +31,6 @@ use crate::ids::{DeviceId, RequestId};
 use crate::message::{Dst, Envelope, Payload};
 use lastcpu_sim::{costs, BackoffPolicy, DetHashMap, DetRng, SimDuration, SimTime};
 
-impl Payload {
-    /// Whether this payload is a request that expects a matching reply,
-    /// making it eligible for timeout tracking and retransmission.
-    ///
-    /// Discovery `Query` is deliberately excluded: zero `QueryHit`s is a
-    /// legitimate answer ("nobody offers that service"), so a missing reply
-    /// is not evidence of loss. Notifications, responses, and beacons never
-    /// expect replies.
-    pub fn expects_reply(&self) -> bool {
-        matches!(
-            self,
-            Payload::Hello { .. }
-                | Payload::OpenRequest { .. }
-                | Payload::CloseRequest { .. }
-                | Payload::MemAlloc { .. }
-                | Payload::MemFree { .. }
-                | Payload::Share { .. }
-                | Payload::RegisterController { .. }
-                | Payload::MapInstruction { .. }
-                | Payload::ResetRequest
-        )
-    }
-}
-
-/// Whether `reply` is the reply kind that answers `request`.
-fn reply_pairs(request: &Payload, reply: &Payload) -> bool {
-    matches!(
-        (request, reply),
-        (Payload::Hello { .. }, Payload::HelloAck { .. })
-            | (Payload::OpenRequest { .. }, Payload::OpenResponse { .. })
-            | (Payload::CloseRequest { .. }, Payload::CloseResponse { .. })
-            | (Payload::MemAlloc { .. }, Payload::MemAllocResponse { .. })
-            | (Payload::MemFree { .. }, Payload::MemFreeResponse { .. })
-            | (Payload::Share { .. }, Payload::ShareResponse { .. })
-            | (Payload::RegisterController { .. }, Payload::BusAck { .. })
-            | (Payload::MapInstruction { .. }, Payload::BusAck { .. })
-            | (Payload::MapInstruction { .. }, Payload::MapComplete { .. })
-            | (Payload::ResetRequest, Payload::ResetDone)
-    )
-}
-
 /// Configuration for the RPC retry state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryConfig {
@@ -228,7 +187,7 @@ impl RpcTracker {
         let matches = self
             .pending
             .get(&key)
-            .is_some_and(|p| reply_pairs(&p.env.payload, reply));
+            .is_some_and(|p| p.env.payload.is_answered_by(reply));
         if !matches {
             return false;
         }
@@ -368,7 +327,6 @@ mod tests {
             params: vec![],
         }
         .expects_reply());
-        assert!(Payload::ResetRequest.expects_reply());
         assert!(Payload::Hello {
             name: "x".into(),
             kind: "y".into()

@@ -253,11 +253,6 @@ impl Monitor {
         self.conns.values()
     }
 
-    /// Looks up a served connection.
-    pub fn server_conn(&self, conn: ConnId) -> Option<&ServerConn> {
-        self.conns.get(&conn)
-    }
-
     /// Number of client-side connections currently open.
     pub fn open_conn_count(&self) -> usize {
         self.opened.len()

@@ -296,11 +296,7 @@ impl SmartSsd {
             work: VecDeque::new(),
             poll_armed: false,
             stats: SsdStats::default(),
-            scratch_chain: DescChain {
-                head: 0,
-                readable: Vec::new(),
-                writable: Vec::new(),
-            },
+            scratch_chain: DescChain::default(),
             scratch_req: Vec::new(),
             scratch_resp: Vec::new(),
         };
@@ -1197,8 +1193,9 @@ mod tests {
         assert_eq!(client.in_flight(), 1);
 
         // Device side: echo a canned response.
-        let chain = dev.pop(&mut mem).unwrap().unwrap();
-        let req = dev.read_request(&mut mem, &chain).unwrap();
+        let (mut chain, mut req) = (DescChain::default(), Vec::new());
+        assert!(dev.pop_into(&mut mem, &mut chain).unwrap());
+        dev.read_request_into(&mut mem, &chain, &mut req).unwrap();
         assert_eq!(
             FileOpRef::decode(&req),
             Ok(FileOpRef::Read { offset: 0, len: 5 })
@@ -1268,7 +1265,8 @@ mod tests {
         ));
         // Serve one; capacity returns.
         let mut dev = VirtqueueDevice::attach(QueueLayout::new(0x1000, 4));
-        let chain = dev.pop(&mut mem).unwrap().unwrap();
+        let mut chain = DescChain::default();
+        assert!(dev.pop_into(&mut mem, &mut chain).unwrap());
         let resp = FileReply {
             status: FileStatus::Ok,
             data: &[],

@@ -341,7 +341,7 @@ impl VirtqueueDriver {
 }
 
 /// A request chain popped by the device side.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DescChain {
     /// Head descriptor index (echoed into the used ring on completion).
     pub head: u16,
@@ -392,27 +392,11 @@ impl VirtqueueDevice {
         Ok(u16::from_le_bytes(idx_b).wrapping_sub(self.last_avail))
     }
 
-    /// Pops the next request chain, if any.
-    pub fn pop<M: QueueMemory>(&mut self, mem: &mut M) -> Result<Option<DescChain>, QueueError> {
-        let mut chain = DescChain {
-            head: 0,
-            readable: Vec::new(),
-            writable: Vec::new(),
-        };
-        Ok(if self.pop_into(mem, &mut chain)? {
-            Some(chain)
-        } else {
-            None
-        })
-    }
-
     /// Pops the next request chain into `chain`, reusing its segment-vector
     /// capacity. Returns `Ok(false)` when no request is pending (the chain
-    /// contents are then unspecified).
-    ///
-    /// This is the allocation-free variant of [`pop`](Self::pop): a device
-    /// loop that pops thousands of chains can hold one `DescChain` and walk
-    /// descriptors without a pair of fresh `Vec`s per request.
+    /// contents are then unspecified). A device loop that pops thousands of
+    /// chains holds one `DescChain` and walks descriptors without a pair of
+    /// fresh `Vec`s per request.
     pub fn pop_into<M: QueueMemory>(
         &mut self,
         mem: &mut M,
@@ -467,17 +451,6 @@ impl VirtqueueDevice {
         }
         self.last_avail = self.last_avail.wrapping_add(1);
         Ok(true)
-    }
-
-    /// Reads and concatenates a chain's readable segments.
-    pub fn read_request<M: QueueMemory>(
-        &self,
-        mem: &mut M,
-        chain: &DescChain,
-    ) -> Result<Vec<u8>, QueueError> {
-        let mut out = Vec::new();
-        self.read_request_into(mem, chain, &mut out)?;
-        Ok(out)
     }
 
     /// Reads and concatenates a chain's readable segments into `out`,
@@ -578,6 +551,7 @@ mod proptests {
             let mut submitted = 0u64;
             let mut served = 0u64;
             let mut completed = 0u64;
+            let (mut chain, mut req) = (DescChain::default(), Vec::new());
             for do_submit in schedule {
                 if do_submit {
                     let out_va = 0x8000 + (seq as u64 % 64) * 0x100;
@@ -591,8 +565,8 @@ mod proptests {
                         Err(QueueError::Full) => {}
                         Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
                     }
-                } else if let Some(chain) = dev.pop(&mut mem).unwrap() {
-                    let req = dev.read_request(&mut mem, &chain).unwrap();
+                } else if dev.pop_into(&mut mem, &mut chain).unwrap() {
+                    dev.read_request_into(&mut mem, &chain, &mut req).unwrap();
                     prop_assert_eq!(req.len(), 4);
                     let mut resp = req.clone();
                     resp.extend_from_slice(&req);
@@ -606,8 +580,8 @@ mod proptests {
                 }
             }
             // Drain everything still in flight.
-            while let Some(chain) = dev.pop(&mut mem).unwrap() {
-                let req = dev.read_request(&mut mem, &chain).unwrap();
+            while dev.pop_into(&mut mem, &mut chain).unwrap() {
+                dev.read_request_into(&mut mem, &chain, &mut req).unwrap();
                 let mut resp = req.clone();
                 resp.extend_from_slice(&req);
                 let n = dev.write_response(&mut mem, &chain, &resp).unwrap();
@@ -641,14 +615,17 @@ mod proptests {
                 .map(|&(va, len)| ChainSeg { va, len, device_writes: false })
                 .collect();
             drv.submit_chain(&mut mem, &chain).unwrap();
-            let popped = dev.pop(&mut mem).unwrap().expect("one pending");
+            let mut popped = DescChain::default();
+            prop_assert!(dev.pop_into(&mut mem, &mut popped).unwrap(), "one pending");
             let mut want = Vec::new();
             for &(va, len) in &segs {
                 let mut b = vec![0u8; len as usize];
                 mem.read(va, &mut b).unwrap();
                 want.extend_from_slice(&b);
             }
-            prop_assert_eq!(dev.read_request(&mut mem, &popped).unwrap(), want);
+            let mut got = Vec::new();
+            dev.read_request_into(&mut mem, &popped, &mut got).unwrap();
+            prop_assert_eq!(got, want);
         }
     }
 }
@@ -973,11 +950,11 @@ mod table_tests {
                     Op::Serve { n, reverse } => {
                         // The device pops from the table side's memory and
                         // publishes the same used elements into both.
-                        let mut heads = Vec::new();
+                        let (mut heads, mut chain) = (Vec::new(), DescChain::default());
                         while heads.len() < n {
-                            match dev.pop(&mut mem_t) {
-                                Ok(Some(chain)) => heads.push(chain.head),
-                                Ok(None) | Err(_) => break,
+                            match dev.pop_into(&mut mem_t, &mut chain) {
+                                Ok(true) => heads.push(chain.head),
+                                Ok(false) | Err(_) => break,
                             }
                         }
                         if reverse {
@@ -1119,9 +1096,10 @@ mod tests {
         let head = drv.submit_request(&mut mem, BUF0, 4, BUF1, 16).unwrap();
         assert_eq!(drv.in_flight(), 1);
 
-        let chain = dev.pop(&mut mem).unwrap().expect("one pending");
+        let (mut chain, mut req) = (DescChain::default(), Vec::new());
+        assert!(dev.pop_into(&mut mem, &mut chain).unwrap(), "one pending");
         assert_eq!(chain.head, head);
-        let req = dev.read_request(&mut mem, &chain).unwrap();
+        dev.read_request_into(&mut mem, &chain, &mut req).unwrap();
         assert_eq!(req, b"ping");
         let n = dev.write_response(&mut mem, &chain, b"pong!").unwrap();
         dev.push_used(&mut mem, chain.head, n).unwrap();
@@ -1146,8 +1124,9 @@ mod tests {
             .submit_request(&mut mem, BUF0 + 100, 1, BUF1 + 100, 8)
             .unwrap();
         // Device serves out of order: h2 first.
-        let c1 = dev.pop(&mut mem).unwrap().unwrap();
-        let c2 = dev.pop(&mut mem).unwrap().unwrap();
+        let (mut c1, mut c2) = (DescChain::default(), DescChain::default());
+        assert!(dev.pop_into(&mut mem, &mut c1).unwrap());
+        assert!(dev.pop_into(&mut mem, &mut c2).unwrap());
         assert_eq!((c1.head, c2.head), (h1, h2));
         dev.push_used(&mut mem, c2.head, 0).unwrap();
         dev.push_used(&mut mem, c1.head, 0).unwrap();
@@ -1172,7 +1151,7 @@ mod tests {
     #[test]
     fn empty_queue_pops_nothing() {
         let (mut mem, mut drv, mut dev) = setup(4);
-        assert!(dev.pop(&mut mem).unwrap().is_none());
+        assert!(!dev.pop_into(&mut mem, &mut DescChain::default()).unwrap());
         assert!(drv.complete(&mut mem).unwrap().is_none());
         assert_eq!(dev.pending(&mut mem).unwrap(), 0);
     }
@@ -1181,14 +1160,12 @@ mod tests {
     fn indices_wrap_around_u16() {
         let (mut mem, mut drv, mut dev) = setup(2);
         mem.write(BUF0, b"x").unwrap();
+        let mut chain = DescChain::default();
         // Drive > 65536 round trips through a size-2 queue so both the
         // free-running indices and the ring slots wrap many times.
         for i in 0..70_000u32 {
             let head = drv.submit_request(&mut mem, BUF0, 1, BUF1, 4).unwrap();
-            let chain = dev
-                .pop(&mut mem)
-                .unwrap()
-                .unwrap_or_else(|| panic!("iter {i}"));
+            assert!(dev.pop_into(&mut mem, &mut chain).unwrap(), "iter {i}");
             dev.push_used(&mut mem, chain.head, 1).unwrap();
             let c = drv.complete(&mut mem).unwrap().unwrap();
             assert_eq!(c.head, head);
@@ -1216,6 +1193,7 @@ mod tests {
         mem.write(BUF0, b"x").unwrap();
         let mut submitted = 0u64;
         let mut completed = 0u64;
+        let mut chain = DescChain::default();
         // Each request uses 2 descriptors -> up to 8 outstanding.
         while completed < 70_000 {
             while drv.free_descriptors() >= 2 && submitted - completed < 8 {
@@ -1227,7 +1205,7 @@ mod tests {
             let pending = dev.pending(&mut mem).unwrap();
             let serve = (pending / 2).max(1);
             for _ in 0..serve {
-                let chain = dev.pop(&mut mem).unwrap().expect("pending chain");
+                assert!(dev.pop_into(&mut mem, &mut chain).unwrap(), "pending chain");
                 dev.push_used(&mut mem, chain.head, 1).unwrap();
             }
             while let Some(c) = drv.complete(&mut mem).unwrap() {
@@ -1238,7 +1216,7 @@ mod tests {
         assert!(submitted > 65_536, "must cross the u16 wrap");
         assert_eq!(drv.in_flight() as u64, submitted - completed);
         // Drain the tail.
-        while let Some(chain) = dev.pop(&mut mem).unwrap() {
+        while dev.pop_into(&mut mem, &mut chain).unwrap() {
             dev.push_used(&mut mem, chain.head, 1).unwrap();
         }
         while drv.complete(&mut mem).unwrap().is_some() {
@@ -1294,7 +1272,10 @@ mod tests {
         b[14] = 0; // next = 0 (itself or within chain)
         b[15] = 0;
         mem.write(layout.desc_addr(0), &b).unwrap();
-        assert!(matches!(dev.pop(&mut mem), Err(QueueError::Corrupt(_))));
+        assert!(matches!(
+            dev.pop_into(&mut mem, &mut DescChain::default()),
+            Err(QueueError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -1306,7 +1287,7 @@ mod tests {
         mem.write(layout.avail_ring(0), &999u16.to_le_bytes())
             .unwrap();
         assert_eq!(
-            dev.pop(&mut mem),
+            dev.pop_into(&mut mem, &mut DescChain::default()),
             Err(QueueError::Corrupt("avail head out of range"))
         );
     }
@@ -1315,7 +1296,8 @@ mod tests {
     fn response_too_large_detected() {
         let (mut mem, mut drv, mut dev) = setup(4);
         drv.submit_request(&mut mem, BUF0, 1, BUF1, 4).unwrap();
-        let chain = dev.pop(&mut mem).unwrap().unwrap();
+        let mut chain = DescChain::default();
+        assert!(dev.pop_into(&mut mem, &mut chain).unwrap());
         assert_eq!(
             dev.write_response(&mut mem, &chain, &[0u8; 100]),
             Err(QueueError::ResponseTooLarge { need: 100, have: 4 })
@@ -1347,7 +1329,8 @@ mod tests {
                 ],
             )
             .unwrap();
-        let chain = dev.pop(&mut mem).unwrap().unwrap();
+        let mut chain = DescChain::default();
+        assert!(dev.pop_into(&mut mem, &mut chain).unwrap());
         assert_eq!(chain.writable.len(), 2);
         let n = dev.write_response(&mut mem, &chain, b"abcdefgh").unwrap();
         dev.push_used(&mut mem, head, n).unwrap();
@@ -1395,11 +1378,7 @@ mod tests {
         mem.write(layout.avail_ring(0), &0u16.to_le_bytes())
             .unwrap();
         mem.write(layout.avail_idx(), &1u16.to_le_bytes()).unwrap();
-        let mut chain = DescChain {
-            head: 0,
-            readable: Vec::new(),
-            writable: Vec::new(),
-        };
+        let mut chain = DescChain::default();
         assert_eq!(
             dev.pop_into(&mut mem, &mut chain),
             Err(QueueError::Corrupt("indirect descriptor not offered"))
@@ -1415,11 +1394,7 @@ mod tests {
             len,
             device_writes,
         };
-        let mut chain = DescChain {
-            head: 0,
-            readable: Vec::new(),
-            writable: Vec::new(),
-        };
+        let mut chain = DescChain::default();
         // More than 2^32 bytes either way is refused at pop.
         let huge = [seg(BUF0, u32::MAX, false); 8];
         let huge_response = [
@@ -1469,8 +1444,11 @@ mod tests {
             &[seg(BUF0 + 0xF00, 0x10), seg(BUF0 + 0xF10, 0x20F0)],
         )
         .unwrap();
-        let chain = dev.pop(&mut mem).unwrap().unwrap();
-        assert_eq!(dev.read_request(&mut mem, &chain).unwrap(), data);
+        let mut chain = DescChain::default();
+        assert!(dev.pop_into(&mut mem, &mut chain).unwrap());
+        let mut req = Vec::new();
+        dev.read_request_into(&mut mem, &chain, &mut req).unwrap();
+        assert_eq!(req, data);
     }
 
     #[test]
@@ -1486,7 +1464,7 @@ mod tests {
         tail.flags |= DESC_F_INDIRECT;
         write_desc(&mut mem, &layout, head.next, tail).unwrap();
         assert_eq!(
-            dev.pop(&mut mem),
+            dev.pop_into(&mut mem, &mut DescChain::default()),
             Err(QueueError::Corrupt("indirect descriptor not offered"))
         );
         assert_eq!(dev.last_avail, 0);
@@ -1509,7 +1487,8 @@ mod tests {
         for segs in [&request[..], &response[..]] {
             let (mut mem, mut drv, mut dev) = setup(8);
             let head = drv.submit_chain(&mut mem, segs).unwrap();
-            let chain = dev.pop(&mut mem).unwrap().expect("one pending");
+            let mut chain = DescChain::default();
+            assert!(dev.pop_into(&mut mem, &mut chain).unwrap(), "one pending");
             assert_eq!(chain.head, head);
             assert_eq!(
                 chain.readable_len().max(chain.writable_len()),
@@ -1524,7 +1503,8 @@ mod tests {
         let (mut mem, mut drv, mut dev) = setup(8);
         mem.write(BUF0, b"ping").unwrap();
         drv.submit_request(&mut mem, BUF0, 4, BUF1, 4).unwrap();
-        let chain = dev.pop(&mut mem).unwrap().unwrap();
+        let mut chain = DescChain::default();
+        assert!(dev.pop_into(&mut mem, &mut chain).unwrap());
         let mut out = Vec::with_capacity(64);
         out.extend_from_slice(b"stale bytes from the last request");
         let ptr = out.as_ptr();
@@ -1550,9 +1530,12 @@ mod tests {
             &[seg(BUF0, 2), seg(end, 0), seg(BUF1, 2), seg(BUF1, 0)],
         )
         .unwrap();
-        let chain = dev.pop(&mut mem).unwrap().unwrap();
+        let mut chain = DescChain::default();
+        assert!(dev.pop_into(&mut mem, &mut chain).unwrap());
         assert_eq!(chain.readable.len(), 4);
-        assert_eq!(dev.read_request(&mut mem, &chain).unwrap(), b"abcd");
+        let mut req = Vec::new();
+        dev.read_request_into(&mut mem, &chain, &mut req).unwrap();
+        assert_eq!(req, b"abcd");
     }
 
     #[test]
@@ -1563,9 +1546,10 @@ mod tests {
         let mut drv = VirtqueueDriver::create(&mut mem, layout).unwrap();
         let mut dev = VirtqueueDevice::attach(layout);
         drv.submit_request(&mut mem, 0xFF00, 4, 0xFF10, 4).unwrap();
-        let chain = dev.pop(&mut mem).unwrap().unwrap();
+        let mut chain = DescChain::default();
+        assert!(dev.pop_into(&mut mem, &mut chain).unwrap());
         assert!(matches!(
-            dev.read_request(&mut mem, &chain),
+            dev.read_request_into(&mut mem, &chain, &mut Vec::new()),
             Err(QueueError::Fault(_))
         ));
     }

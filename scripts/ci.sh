@@ -107,6 +107,10 @@ skip: ^crates/bus/src/wire\.rs\$
 forbid: WireWriter::(new|with_buf|with_capacity)|WireReader::new
 why: a message is one declaration against the wire codec (variants!, record!, wire_tags!; DESIGN.md §14.1), which derives its encoder, decoder and framing; a hand-built writer or reader is a second spelling of its layout
 
+files: $lib
+forbid: \(Payload::[A-Za-z]+( \{ \.\. \})?, Payload::|Payload::[A-Za-z]+( \{ \.\. \})? => \"
+why: a request's reply and a payload's name are declared once, in message.rs's Payload declaration (protocol!, DESIGN.md §14.1); a hand list of pairs or names is a second statement of the protocol
+
 files: $lib|^crates/bench/src/
 forbid: from_le_bytes\(params
 why: open params are a declared message (FileOpened, FsCreated, ...); decode them, do not slice them

@@ -41,7 +41,9 @@ use lastcpu_net::{PortId, Switch};
 use lastcpu_sim::{BufPool, DetRng, Histogram, MetricsHub, SimTime, TraceSink};
 use lastcpu_snap::{Checkpoint, Restore, SnapReader, SnapWriter, Snapshot};
 use lastcpu_virtio::queue::ChainSeg;
-use lastcpu_virtio::{BufferArena, FlatMemory, QueueLayout, VirtqueueDevice, VirtqueueDriver};
+use lastcpu_virtio::{
+    BufferArena, DescChain, FlatMemory, QueueLayout, VirtqueueDevice, VirtqueueDriver,
+};
 
 /// `bytes` restored into `fresh`, which must then snapshot to `bytes`.
 fn pin_bytes<T: Snapshot + Restore>(what: &str, bytes: &[u8], mut fresh: T) {
@@ -499,7 +501,10 @@ fn driven_components_restore_what_they_snapshot() {
         ];
         drv.submit_chain(&mut mem, &segs).unwrap();
     }
-    dev.pop(&mut mem).unwrap().expect("a chain");
+    assert!(
+        dev.pop_into(&mut mem, &mut DescChain::default()).unwrap(),
+        "a chain"
+    );
     pin("driver", &drv, VirtqueueDriver::detached());
     pin(
         "device queue",
