@@ -68,7 +68,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
         });
     });
     // A record naming a device, the way `System` emits a doorbell: source
-    // and target are names interned once, so the record is one slot write.
+    // and target are names interned once, so the record is a few varints
+    // packed into the ring.
     c.bench_function("trace/emit_enabled_bounded", |b| {
         let mut sink = TraceSink::bounded(4096);
         let (source, to) = (sink.name("bench"), sink.name("dev:9"));

@@ -1,8 +1,10 @@
 //! E9 — engine throughput: the events the simulator core retires per host
 //! second, on the queue → machine → rack ladder plus a machine with its SSD
 //! data path loaded and one where only the control plane works (phases
-//! `queue`, `system`, `ssd`, `ctl`, `rack`). EXPERIMENTS.md E9 describes each
-//! phase and what its allocation gates catch.
+//! `queue`, `system`, `ssd`, `ctl`, `rack`), and what the trace ring costs
+//! a record of that control-plane machine (phase `trace`, where an event is
+//! a record). EXPERIMENTS.md E9 describes each phase and what its
+//! allocation gates catch.
 //!
 //! `events`, `allocs_per_event` and `alloc_bytes_per_event` are
 //! deterministic; everything derived from the host clock is a host metric.
@@ -17,7 +19,8 @@ use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
 use lastcpu_kvs::build::{build_cpuless_kvs_on, default_nand};
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::{build_rack_kvs, ServerConfig};
-use lastcpu_sim::{DetRng, EventQueue, SimDuration};
+use lastcpu_sim::{CorrId, DetRng, EventQueue, SimDuration, SimTime, TraceData, TraceSink};
+use lastcpu_snap::{Restore, SnapReader, Snapshot};
 
 use super::{file_ssd, saturated_kvs, Experiment, Gates};
 use crate::alloc::{alloc_bytes_now, allocs_now};
@@ -33,7 +36,8 @@ pub const EXP: Experiment = Experiment {
     title: "E9: engine throughput — wall-clock events/sec of the simulator core\n    \
             (queue churn; system: closed-loop KVS clients; ssd: the same through the\n    \
             SSD data path with GC running; ctl: 32 Figure-2 setup loops, tracing on;\n    \
-            rack: 16 machines leaf-spine:4 R=2)",
+            rack: 16 machines leaf-spine:4 R=2; trace: the ctl machine's records emitted\n    \
+            again into a default-capacity sink, an event per record)",
     flags: flags! {
         "--queue-depth" U64 "65536"   "pending events held by the queue phase"
         "--queue-ops"   U64 "4000000" "pop+schedule pairs in the queue phase"
@@ -57,6 +61,9 @@ struct Sample {
     alloc_bytes: u64,
     /// What only the ssd phase reports.
     ssd: Option<SsdCounts>,
+    /// What only the trace phase reports: bytes a retained record takes in
+    /// the ring.
+    bytes_per_record: Option<f64>,
 }
 
 /// The ssd phase's flash, read around its window.
@@ -79,6 +86,7 @@ fn measure(work: impl FnOnce() -> u64) -> Sample {
         allocs: allocs_now() - allocs0,
         alloc_bytes: alloc_bytes_now() - bytes0,
         ssd: None,
+        bytes_per_record: None,
     }
 }
 
@@ -206,14 +214,11 @@ fn ssd_phase(vms: u64) -> Sample {
     sample
 }
 
-/// The control-plane rung: `ctl_setup_churn` in small. 32 clients loop the
-/// Figure-2 setup against one SSD and the memory controller and never
-/// finish, so the virtual-time slice bounds the phase. Tracing stays on, as
-/// `SystemConfig::default()` has it: the records are part of what a control
-/// message costs. The machine retires ≈ 29,000 events per virtual
-/// millisecond, a hundred times the system phase, so the slice is a
-/// twentieth of `--virtual-ms`.
-fn ctl_phase(vms: u64) -> Sample {
+/// The control-plane machine: one SSD, the memory controller and 32 clients
+/// looping the Figure-2 setup, which never finish; tracing on, as
+/// `SystemConfig::default()` has it. Powered on and warmed up: registration
+/// and each client's cold first setup.
+fn ctl_machine() -> (System, Vec<lastcpu_core::DeviceHandle>) {
     const FILE: &str = "/data/ctl.db";
     let mut sys = System::new(SystemConfig {
         seed: 0xE9,
@@ -234,15 +239,99 @@ fn ctl_phase(vms: u64) -> Sample {
             sys.add_device(Box::new(c))
         })
         .collect();
-    // Warm up outside the measured window: registration and each client's
-    // cold first setup.
     sys.power_on();
     sys.run_for(SimDuration::from_millis(1));
+    (sys, clients)
+}
+
+/// The control-plane rung: `ctl_setup_churn` in small. 32 clients loop the
+/// Figure-2 setup against one SSD and the memory controller and never
+/// finish, so the virtual-time slice bounds the phase. Tracing stays on, as
+/// `SystemConfig::default()` has it: the records are part of what a control
+/// message costs. The machine retires ≈ 29,000 events per virtual
+/// millisecond, a hundred times the system phase, so the slice is a
+/// twentieth of `--virtual-ms`.
+fn ctl_phase(vms: u64) -> Sample {
+    let (mut sys, clients) = ctl_machine();
     let sample = measure(|| sys.run_for(SimDuration::from_micros(vms * 1000 / 20)));
     for &h in &clients {
         let c: &SetupClient = sys.device_as(h).expect("client handle");
         assert!(!c.failed && c.latencies.len() > 1, "a setup loop stalled");
     }
+    sample
+}
+
+/// The trace rung: what the ring costs a record of the ctl phase's machine.
+/// The machine runs the ctl slice; its ring is restored into a sink of the
+/// default capacity, which therefore holds every name the records carry; and
+/// its records, texts included, are emitted into that sink again, lap after
+/// lap, each lap later by the span of the records. A lap that wraps the ring
+/// comes first, so the measured laps, at least 2^20 records, are what a
+/// machine's ring does in steady state.
+fn trace_phase(vms: u64) -> Sample {
+    let (mut sys, _) = ctl_machine();
+    sys.run_for(SimDuration::from_micros(vms * 1000 / 20));
+    let section = sys.trace().snapshot_bytes();
+    let mut sink = TraceSink::default();
+    sink.restore(&mut SnapReader::new("trace", &section))
+        .expect("the ring restores");
+    let views: Vec<_> = sink
+        .events()
+        .map(|e| {
+            (
+                e.at,
+                e.source().to_owned(),
+                e.corr,
+                e.data,
+                e.text().to_owned(),
+            )
+        })
+        .collect();
+    let records: Vec<(SimTime, _, CorrId, TraceData)> = views
+        .iter()
+        .map(|(at, source, corr, data, _)| (*at, sink.name(source), *corr, *data))
+        .collect();
+    // The texts of a lap, last first, made before it as an emitter makes
+    // them.
+    let texts = || -> Vec<String> {
+        let own = views.iter().filter(|v| v.3.has_text());
+        own.rev().map(|v| v.4.clone()).collect()
+    };
+    let span = records.last().map_or(0, |r| r.0.as_nanos()) + 1;
+    let lap = |sink: &mut TraceSink, lap: u64, mut texts: Vec<String>| {
+        for &(at, source, corr, data) in &records {
+            let at = SimTime::from_nanos(at.as_nanos() + lap * span);
+            if data.has_text() {
+                let text = texts.pop().expect("a text per record that has one");
+                sink.emit_text(at, source, corr, data, text);
+            } else {
+                sink.emit_data(at, source, corr, data);
+            }
+        }
+    };
+    // Laps until one leaves the number retained where it was: that lap
+    // evicted a record for every record it packed.
+    let mut laps = 0;
+    loop {
+        let retained = sink.len();
+        laps += 1;
+        lap(&mut sink, laps, texts());
+        if sink.len() == retained {
+            break;
+        }
+    }
+    let measured: Vec<Vec<String>> = (0..(1usize << 20).div_ceil(records.len().max(1)))
+        .map(|_| texts())
+        .collect();
+    let records_measured = (measured.len() * records.len()) as u64;
+    let mut sample = measure(|| {
+        for texts in measured {
+            laps += 1;
+            lap(&mut sink, laps, texts);
+        }
+        records_measured
+    });
+    sample.bytes_per_record = Some(sink.packed_bytes() as f64 / sink.len() as f64);
     sample
 }
 
@@ -274,12 +363,13 @@ fn run(args: &Args) -> Result<Vec<Cell>, String> {
     let vms = args.u64("--virtual-ms");
     let (depth, ops) = (args.u64("--queue-depth"), args.u64("--queue-ops"));
     let (clients, outstanding) = (args.usize("--clients"), args.usize("--outstanding"));
-    let phases: [(&str, &dyn Fn() -> Sample); 5] = [
+    let phases: [(&str, &dyn Fn() -> Sample); 6] = [
         ("queue", &|| queue_phase(depth, ops)),
         ("system", &|| system_phase(clients, outstanding, vms, &obs)),
         ("ssd", &|| ssd_phase(vms)),
         ("ctl", &|| ctl_phase(vms)),
         ("rack", &|| rack_phase(vms)),
+        ("trace", &|| trace_phase(vms)),
     ];
     // Best-of-N per phase: minimum wall time is the standard noise filter
     // for wall-clock benchmarks (the fastest run had the least interference).
@@ -305,6 +395,9 @@ fn run(args: &Args) -> Result<Vec<Cell>, String> {
                 ssd.flash_stored_bytes,
                 "B",
             );
+        }
+        if let Some(bytes) = s.bytes_per_record {
+            cell = cell.lower("bytes_per_record", round(bytes, 2), "B", 0.02);
         }
         cell.lower("wall_seconds", round(wall, 6), "s", 0.05)
             .host()
@@ -351,6 +444,10 @@ fn check(r: &Report) -> Vec<String> {
     // destinations formatted per trace record and a fresh effect list per
     // bus message.
     //
+    // trace: no allocation per record once the ring has wrapped. A ring
+    // that grows when it wraps, or a record that allocates as it is packed,
+    // reads above 0.
+    //
     // ssd, the chip at window end: 3,154,233 bytes stored (2,096,922), for
     // pages whose full copies would be 8,007,680 (8,011,776) — what it held
     // with every programmed page kept as a page.
@@ -362,6 +459,7 @@ fn check(r: &Report) -> Vec<String> {
         ("ssd", 0.167, 22.9),
         ("ctl", 0.188, 15.1),
         ("rack", 0.251, 66.4),
+        ("trace", 0.0, 0.0),
     ] {
         let Some(c) = r.group("phase").find(|c| c.key_is("phase", phase)) else {
             g.require(false, format!("no {phase} phase"));

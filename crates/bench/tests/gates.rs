@@ -23,6 +23,7 @@ BENCH_e9.json    | phase | phase=ctl    | allocs_per_event | 0.478 | ctl: allocs
 BENCH_e9.json    | phase | phase=ctl    | alloc_bytes_per_event | 45.4 | ctl: alloc bytes/event 45.4 > 15.1
 BENCH_e9.json    | phase | phase=ssd    | ftl_gc_runs      | 0    | ssd: no garbage collection
 BENCH_e9.json    | phase | phase=ssd    | flash_stored_bytes | 8011776 | ssd: flash stored bytes 8011776 > 3470000
+BENCH_e9.json    | phase | phase=trace  | allocs_per_event | 0.001 | trace: allocs/event 0.001 > 0
 BENCH_e10.json   | *       | machines=2 & replication=1 |                | DROP | matrix incomplete at 2 machines x R=1
 BENCH_e10.json   | scaling | machines=2 & replication=2 | ops             | 239  | incomplete (239 ops)
 BENCH_e10.json   | scaling | machines=2 & replication=2 | fabric_bytes    | 0    | no fabric traffic

@@ -62,7 +62,7 @@ pub use metrics::{CounterHandle, GaugeHandle, HistogramHandle, MetricsHub};
 pub use pool::{BufPool, Bytes, PoolStats};
 pub use profile::{AllocScope, ProfileSnapshot};
 pub use queue::{EventQueue, Pending, ScheduledEvent};
-pub use record::{CorrId, TraceData, TraceRecord};
+pub use record::{CorrId, TraceData};
 pub use rng::{DetRng, Zipf};
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};

@@ -10,13 +10,13 @@
 //! GET crossing nic → bus → ssd → iommu) and the exporters in
 //! [`crate::export`] turn those spans into Perfetto-loadable trees.
 //!
-//! A record is plain data: 64 bytes, `Copy`, no heap pointer. Its names are
-//! handles into the table of the [`TraceSink`](crate::trace::TraceSink) that
-//! holds it, and it is read through that sink.
+//! A record is plain data: `Copy`, no heap pointer. Its names are handles
+//! into the table of the [`TraceSink`](crate::trace::TraceSink) that holds
+//! it, which keeps it packed in about 14 bytes and hands it back as a
+//! [`TraceView`](crate::trace::TraceView).
 
 use std::fmt;
 
-use crate::time::SimTime;
 use crate::trace::Name;
 
 /// A causal correlation id.
@@ -60,11 +60,12 @@ impl fmt::Display for CorrId {
 /// working).
 ///
 /// The payload is plain data: it is `Copy` and holds no heap pointer, so a
-/// record is written into its ring slot and overwritten there without a
+/// record is packed into its sink's ring and evicted from it without a
 /// reference count or a drop. Device names, bus destinations, discovery
 /// patterns and permission sets are [`Name`]s, handles into the table of
 /// the sink that holds the record; names drawn from a fixed set (message
-/// kinds, security checks, stages) are `&'static str`. The free text of
+/// kinds, security checks, stages) are `&'static str`, which the ring packs
+/// as an index into the sink's table of them. The free text of
 /// `BusRegister`, `MapFailure`, `DeviceFault`, `SecurityDenial` and `Text`
 /// lives in the sink beside the record ([`TraceData::has_text`]). The
 /// checkpoint and export encodings carry the text only. Each variant's tag,
@@ -184,24 +185,6 @@ pub enum TraceData {
     Text,
 }
 
-/// One trace record: when, which activity, who, and what — exactly one
-/// cache line of plain data. Its names resolve through the sink that holds
-/// it, which is the only way to read one ([`TraceSink::events`]).
-///
-/// [`TraceSink::events`]: crate::trace::TraceSink::events
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(align(64))]
-pub struct TraceRecord {
-    /// Virtual time at which the event occurred.
-    pub(crate) at: SimTime,
-    /// Causal correlation id ([`CorrId::NONE`] when untracked).
-    pub(crate) corr: CorrId,
-    /// Subsystem tag, e.g. `"bus"`, `"nic0"`, `"iommu.ssd0"`.
-    pub(crate) source: Name,
-    /// The typed payload.
-    pub(crate) data: TraceData,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,17 +197,36 @@ mod tests {
         assert!(CorrId(1).is_some());
     }
 
-    /// A record is one cache line of plain data: no `Arc`, no `String`, no
-    /// drop glue, and no payload larger than the 40 bytes the line leaves it.
+    /// A `Stage` record packs in 16 bytes or fewer while its id is below
+    /// 2^21 and its aux below 128, even a long gap and a new activity after
+    /// the record before it: 2^27 - 1 ns later and 2^20 - 1 correlation ids
+    /// on.
     #[test]
-    fn a_record_is_one_cache_line_of_plain_data() {
-        use std::mem::{align_of, needs_drop, size_of};
-        assert_eq!(size_of::<TraceRecord>(), 64);
-        assert_eq!(align_of::<TraceRecord>(), 64);
-        assert_eq!(size_of::<TraceData>(), 40);
-        assert_eq!(size_of::<Name>(), 4);
-        assert!(!needs_drop::<TraceRecord>());
-        assert!(!needs_drop::<TraceData>());
+    fn a_stage_record_packs_in_sixteen_bytes() {
+        use crate::time::SimTime;
+        use crate::trace::TraceSink;
+        let mut t = TraceSink::bounded(4);
+        let source = t.name("c0");
+        let stage = |id, aux| TraceData::Stage {
+            stage: "client.issue",
+            id,
+            aux,
+        };
+        t.emit_data(SimTime::from_nanos(5), source, CorrId(7), stage(1, 0));
+        let before = t.packed_bytes();
+        let (at, corr) = (5 + (1 << 27) - 1, 7 + (1 << 20) - 1);
+        let last = stage((1 << 21) - 1, 127);
+        t.emit_data(SimTime::from_nanos(at), source, CorrId(corr), last);
+        assert!(
+            t.packed_bytes() - before <= 16,
+            "{}",
+            t.packed_bytes() - before
+        );
+        let back = t.events().last().expect("a record");
+        assert_eq!(
+            (back.at.as_nanos(), back.corr, back.data),
+            (at, CorrId(corr), last)
+        );
     }
 
     #[test]

@@ -2,23 +2,27 @@
 //!
 //! The paper's Figure 2 is a message-sequence chart; to "reproduce the
 //! figure" the emulator records every protocol-level step into a
-//! [`TraceSink`] which the F2 experiment replays as a table. Traces are
-//! typed [`TraceRecord`]s (see [`crate::record`]) carrying a timestamp, a
-//! subsystem tag, a causal [`CorrId`], and a [`TraceData`] payload, and are
-//! kept in a bounded ring so long runs cannot exhaust memory.
+//! [`TraceSink`] which the F2 experiment replays as a table. Records are
+//! typed (see [`crate::record`]): a timestamp, a subsystem tag, a causal
+//! [`CorrId`] and a [`TraceData`] payload, kept in a bounded ring so long
+//! runs cannot exhaust memory.
 //!
-//! A record is 64 bytes of plain data. Its names are [`Name`]s into the
-//! sink's table, interned once by whoever emits them (a machine interns each
-//! device's names when the device is attached), and the few variants that
-//! carry free text leave it with the sink. Emitting a record is one write
-//! into the slot of the oldest one; the slot is never read first. Records are
-//! read through the sink, as [`TraceView`]s.
+//! The ring is one byte buffer of packed records, about 14 bytes each on
+//! the benchmark's workloads (DESIGN.md §7). A record's names are [`Name`]s
+//! into the sink's table, interned once by whoever emits them (a machine
+//! interns each device's names when the device is attached); its
+//! `&'static str` fields are indices into the sink's table of the static
+//! strings it has been handed; and the few variants that carry free text
+//! leave it with the sink. Emitting a record packs it after the newest one,
+//! after evicting the oldest once the ring is full, which reads only that
+//! record's length byte. Records are read through the sink, as
+//! [`TraceView`]s decoded one after another from the oldest.
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use crate::dethash::DetHashMap;
-use crate::record::{CorrId, TraceData, TraceRecord};
+use crate::record::{CorrId, TraceData};
 use crate::time::SimTime;
 
 /// The largest retention bound a checkpoint may declare: 16 Mi records,
@@ -30,6 +34,8 @@ pub const MAX_RESTORED_CAPACITY: usize = 1 << 24;
 /// not choose: a discovery pattern, a registry name a device picked, a name
 /// read back from a checkpoint. A new one then rides its record as text
 /// ([`TraceSink::name_or_text`]), so a hostile device cannot grow the table.
+/// It also bounds the static strings a process reads back from checkpoints
+/// ([`lastcpu_snap::intern_static`]), and with them a sink's static table.
 pub const MAX_NAMES: usize = 4096;
 
 /// Names of one record that may ride it as text: its source and its two
@@ -38,6 +44,29 @@ const TEXT_SLOTS: u32 = 3;
 
 /// The first [`Name`] that stands for a text of its record.
 const TEXT_BASE: u32 = u32::MAX - (TEXT_SLOTS - 1);
+
+/// Ring bytes reserved per record of capacity. A record packs in about 14
+/// on the benchmark's workloads; a ring whose records average more grows.
+const BYTES_PER_RECORD: usize = 16;
+
+/// The bytes packing one record may touch: the widest record (67 bytes, an
+/// `IommuMap` or a `LinkHop` with every field at its widest) and the rest of
+/// the 8-byte word its last varint is written with. The writer wants this
+/// much room before it packs.
+const MAX_PACKED: usize = 80;
+
+/// The fewest bytes a record takes in a checkpoint section: its time, its
+/// source's length, its correlation id and its tag.
+const MIN_ENCODED: usize = 25;
+
+/// The room for `records` records of [`BYTES_PER_RECORD`] bytes, with the
+/// writer's margin.
+fn room_for(records: usize) -> usize {
+    records
+        .checked_mul(BYTES_PER_RECORD)
+        .and_then(|b| b.checked_add(4 * MAX_PACKED))
+        .expect("trace ring larger than the address space")
+}
 
 /// A name in a [`TraceSink`]'s table: a device, a bus destination, a
 /// discovery pattern, a subsystem. Made by [`TraceSink::name`] and read back
@@ -94,6 +123,415 @@ impl Names {
     }
 }
 
+/// The static strings a sink keeps inline, all of them hashed; more spill
+/// to the heap and are found by a scan.
+const STATIC_INLINE: usize = 64;
+
+/// The `&'static str`s a sink's records have carried, each under the index
+/// a packed record holds. Emitters hand over literals, and a restore strings
+/// from [`lastcpu_snap::intern_static`], which holds at most [`MAX_NAMES`],
+/// so the table stays small: a machine's holds a few dozen. A string is
+/// found by its address, so two copies of one text take two indices.
+struct Statics {
+    /// The first [`STATIC_INLINE`] strings, in the sink itself so that a
+    /// sink allocates nothing for them.
+    inline: [&'static str; STATIC_INLINE],
+    /// The strings after them.
+    spill: Vec<&'static str>,
+    len: usize,
+    /// The inline strings open-addressed on their addresses, each with its
+    /// index. At most half full.
+    slots: [(Option<&'static str>, u32); 2 * STATIC_INLINE],
+}
+
+impl Statics {
+    fn new() -> Self {
+        Statics {
+            inline: [""; STATIC_INLINE],
+            spill: Vec::new(),
+            len: 0,
+            slots: [(None, 0); 2 * STATIC_INLINE],
+        }
+    }
+
+    /// The index of `s`, taking the next one on first sight.
+    #[inline]
+    fn index(&mut self, s: &'static str) -> u64 {
+        let mut i = Self::slot(s);
+        loop {
+            match self.slots[i] {
+                (None, _) => return self.index_cold(s),
+                (Some(t), k) if std::ptr::eq(t, s) => return k.into(),
+                _ => i = (i + 1) % self.slots.len(),
+            }
+        }
+    }
+
+    #[cold]
+    fn index_cold(&mut self, s: &'static str) -> u64 {
+        if let Some(k) = self.spill.iter().position(|&t| std::ptr::eq(t, s)) {
+            return (STATIC_INLINE + k) as u64;
+        }
+        let k = self.len;
+        self.len += 1;
+        if k < STATIC_INLINE {
+            self.inline[k] = s;
+            let mut i = Self::slot(s);
+            while self.slots[i].0.is_some() {
+                i = (i + 1) % self.slots.len();
+            }
+            self.slots[i] = (Some(s), k as u32);
+        } else {
+            self.spill.push(s);
+        }
+        k as u64
+    }
+
+    /// The string at index `k`.
+    #[inline]
+    fn get(&self, k: usize) -> &'static str {
+        match k.checked_sub(STATIC_INLINE) {
+            None => self.inline[k],
+            Some(k) => self.spill[k],
+        }
+    }
+
+    /// The first slot to probe for `s`: its address, mixed.
+    fn slot(s: &str) -> usize {
+        ((s.as_ptr() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize
+            % (2 * STATIC_INLINE)
+    }
+}
+
+/// `d`, a difference taken modulo 2^64, folded so that a small step either
+/// way is a small number.
+fn zigzag(d: u64) -> u64 {
+    let d = d as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// The bytes of a varint, by the leading zeros of its value.
+const VARINT_BYTES: [u8; 65] = {
+    let mut bytes = [0; 65];
+    let mut zeros = 0;
+    while zeros <= 64 {
+        let bits = 64 - zeros;
+        bytes[zeros] = if bits == 0 { 1 } else { bits.div_ceil(7) as u8 };
+        zeros += 1;
+    }
+    bytes
+};
+
+/// A record being packed into a window of [`MAX_PACKED`] ring bytes: byte 0
+/// is its length, byte 1 its variant, and varints follow from byte 2.
+struct Pack<'a> {
+    buf: &'a mut [u8; MAX_PACKED],
+    pos: usize,
+    statics: &'a mut Statics,
+}
+
+impl Pack<'_> {
+    /// Writes `v` as a prefix varint: the trailing one bits of its first
+    /// byte count the bytes after it, so a number below 2^(7n) takes n bytes
+    /// for n up to 8, and any other nine. Its length is looked up, not
+    /// branched on, so a run of numbers of mixed widths is not a run of
+    /// mispredicted branches; only the nine-byte form branches.
+    #[inline(always)]
+    fn varint(&mut self, v: u64) {
+        let at = self.pos;
+        let n = usize::from(VARINT_BYTES[v.leading_zeros() as usize]);
+        if n <= 8 {
+            let word = ((v << 1 | 1) << (n - 1)) - 1;
+            self.buf[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            self.pos = at + n;
+        } else {
+            self.buf[at] = 0xff;
+            self.buf[at + 1..at + 9].copy_from_slice(&v.to_le_bytes());
+            self.pos = at + 9;
+        }
+    }
+
+    /// A record's time and correlation id deltas: most often a byte each,
+    /// written as one pair.
+    #[inline(always)]
+    fn deltas(&mut self, at: u64, corr: u64) {
+        if (at | corr) < 1 << 7 {
+            let pair = (at << 1 | corr << 9) as u16;
+            self.buf[self.pos..self.pos + 2].copy_from_slice(&pair.to_le_bytes());
+            self.pos += 2;
+        } else {
+            self.varint(at);
+            self.varint(corr);
+        }
+    }
+
+    /// [`Pack::varint`] for a number that is nearly always below 128: a
+    /// name, a static string's index, the source.
+    #[inline(always)]
+    fn small(&mut self, v: u64) {
+        if v < 1 << 7 {
+            self.buf[self.pos] = (v as u8) << 1;
+            self.pos += 1;
+        } else {
+            self.varint(v);
+        }
+    }
+
+    fn variant(&mut self, v: Variant) {
+        self.buf[1] = v as u8;
+    }
+}
+
+/// A packed record being read, a varint at a time.
+struct Unpack<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    statics: &'a Statics,
+}
+
+impl Unpack<'_> {
+    /// Reads a varint [`Pack::varint`] wrote.
+    #[inline(always)]
+    fn varint(&mut self) -> u64 {
+        let at = self.pos;
+        let first = self.buf[at];
+        if first & 1 == 0 {
+            self.pos = at + 1;
+            return (first >> 1).into();
+        }
+        let word = u64::from_le_bytes(self.buf[at..at + 8].try_into().expect("a word"));
+        let n = first.trailing_ones() as usize + 1;
+        if n <= 8 {
+            self.pos = at + n;
+            (word << (64 - 8 * n)) >> (64 - 7 * n)
+        } else {
+            self.pos = at + 9;
+            u64::from_le_bytes(self.buf[at + 1..at + 9].try_into().expect("a word"))
+        }
+    }
+}
+
+/// The retained records, packed back to back in one buffer, oldest at
+/// `head`. They run from `head` to `end` and, once the writer has wrapped
+/// to the front (`tail < head`), from the front to `tail`; unwrapped, `end`
+/// is `tail`. No record straddles the end of the buffer.
+///
+/// A record is a length byte, a variant byte, its time and correlation id
+/// as zigzag varint deltas from the record before, its source, then its
+/// fields in `record_layout!` order, each a varint.
+struct Packed {
+    /// Reserved at `room` bytes, and initialised [`MAX_PACKED`] bytes
+    /// past the furthest record the writer has reached, so a page is
+    /// touched when records reach it.
+    buf: Vec<u8>,
+    room: usize,
+    head: usize,
+    end: usize,
+    tail: usize,
+    len: usize,
+    /// The time and correlation id of the newest record.
+    last: (u64, u64),
+    statics: Statics,
+}
+
+impl Packed {
+    /// An empty ring with `room` bytes reserved.
+    fn with_room(room: usize) -> Self {
+        Packed {
+            buf: Vec::with_capacity(room),
+            room,
+            head: 0,
+            end: 0,
+            tail: 0,
+            len: 0,
+            last: (0, 0),
+            statics: Statics::new(),
+        }
+    }
+
+    /// Bytes the retained records take.
+    fn used(&self) -> usize {
+        if self.tail < self.head {
+            self.end - self.head + self.tail
+        } else {
+            self.tail - self.head
+        }
+    }
+
+    /// Packs a record after the newest one.
+    #[inline]
+    fn push(&mut self, at: u64, corr: u64, source: Name, data: TraceData) {
+        let start = self.slot();
+        if self.buf.len() < start + MAX_PACKED {
+            self.buf.resize(start + MAX_PACKED, 0);
+        }
+        let window = &mut self.buf[start..start + MAX_PACKED];
+        let mut p = Pack {
+            buf: window.try_into().expect("a record's room"),
+            pos: 2,
+            statics: &mut self.statics,
+        };
+        p.deltas(
+            zigzag(at.wrapping_sub(self.last.0)),
+            zigzag(corr.wrapping_sub(self.last.1)),
+        );
+        p.small(source.0.into());
+        data.pack(&mut p);
+        let n = p.pos;
+        debug_assert!(n + 8 <= MAX_PACKED, "a record of {n} bytes");
+        p.buf[0] = n as u8;
+        self.last = (at, corr);
+        self.len += 1;
+        let wrapped = start < self.head;
+        self.tail = start + n;
+        if !wrapped {
+            self.end = self.tail;
+        }
+    }
+
+    /// Where the next record goes: after the newest if [`MAX_PACKED`] bytes
+    /// are free there, else at the front, else after the newest once the
+    /// records have moved into a buffer twice the size.
+    fn slot(&mut self) -> usize {
+        if self.tail < self.head {
+            if self.head - self.tail >= MAX_PACKED {
+                return self.tail;
+            }
+        } else if self.room - self.tail >= MAX_PACKED {
+            return self.tail;
+        } else if self.head >= MAX_PACKED {
+            self.tail = 0;
+            return 0;
+        }
+        self.relocate(2 * self.room);
+        self.tail
+    }
+
+    /// Drops the oldest record, reading only its length.
+    #[inline]
+    fn evict(&mut self) {
+        self.head += usize::from(self.buf[self.head]);
+        self.len -= 1;
+        if self.len == 0 {
+            self.clear();
+        } else if self.head == self.end {
+            (self.head, self.end) = (0, self.tail);
+        }
+    }
+
+    /// The time and correlation id the oldest record's deltas count from:
+    /// the newest record's, less every retained record's deltas. Eviction
+    /// leaves them to the reader, since a record is emitted far more often
+    /// than it is read.
+    fn base(&self) -> (u64, u64) {
+        let (mut at, mut corr) = self.last;
+        let mut pos = self.head;
+        for _ in 0..self.len {
+            if pos == self.end {
+                pos = 0;
+            }
+            let mut u = Unpack {
+                buf: &self.buf,
+                pos: pos + 2,
+                statics: &self.statics,
+            };
+            at = at.wrapping_sub(unzigzag(u.varint()));
+            corr = corr.wrapping_sub(unzigzag(u.varint()));
+            pos += usize::from(self.buf[pos]);
+        }
+        (at, corr)
+    }
+
+    /// Drops every record; the buffer stays.
+    fn clear(&mut self) {
+        (self.head, self.end, self.tail, self.len) = (0, 0, 0, 0);
+    }
+
+    /// Moves the records to the front of a fresh buffer of `room` bytes, or
+    /// of what they take and the writer's margin if that is more.
+    fn relocate(&mut self, room: usize) {
+        self.room = room.max(self.used() + 4 * MAX_PACKED);
+        let mut buf = Vec::with_capacity(self.room);
+        if self.tail < self.head {
+            buf.extend_from_slice(&self.buf[self.head..self.end]);
+            buf.extend_from_slice(&self.buf[..self.tail]);
+        } else {
+            buf.extend_from_slice(&self.buf[self.head..self.tail]);
+        }
+        let n = buf.len();
+        buf.resize(n + MAX_PACKED, 0);
+        self.buf = buf;
+        (self.head, self.end, self.tail) = (0, n, n);
+    }
+
+    /// Empties the ring for `records` records to come, keeping the buffer
+    /// if it has the room for them.
+    fn reset(&mut self, records: usize) {
+        let room = room_for(records);
+        if self.room < room {
+            (self.buf, self.room) = (Vec::with_capacity(room), room);
+        }
+        self.clear();
+    }
+}
+
+/// The retained records, oldest first, each decoded from the deltas of the
+/// one before.
+struct Records<'a> {
+    sink: &'a TraceSink,
+    pos: usize,
+    left: usize,
+    at: u64,
+    corr: u64,
+    seq: u64,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = TraceView<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceView<'a>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let ring = &self.sink.ring;
+        if self.pos == ring.end {
+            self.pos = 0;
+        }
+        let start = self.pos;
+        let mut u = Unpack {
+            buf: &ring.buf,
+            pos: start + 2,
+            statics: &ring.statics,
+        };
+        self.at = self.at.wrapping_add(unzigzag(u.varint()));
+        self.corr = self.corr.wrapping_add(unzigzag(u.varint()));
+        let source = Name(u.varint() as u32);
+        let data = TraceData::unpack(ring.buf[start + 1], &mut u);
+        self.pos = start + usize::from(ring.buf[start]);
+        self.seq += 1;
+        Some(TraceView {
+            at: SimTime::from_nanos(self.at),
+            corr: CorrId(self.corr),
+            data,
+            source,
+            seq: self.seq - 1,
+            sink: self.sink,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Records<'_> {}
+
 /// A bounded in-memory trace collector.
 ///
 /// When `enabled` is false, `emit` is a no-op so hot paths pay only a branch.
@@ -114,10 +552,8 @@ impl Names {
 /// assert_eq!((first.source(), first.what()), ("bus", "-> nic0: QueryHit".into()));
 /// ```
 pub struct TraceSink {
-    /// The retained records, oldest at `head`: one allocation of `capacity`
-    /// slots, filled once and then overwritten in place.
-    ring: Vec<TraceRecord>,
-    head: usize,
+    /// The retained records, packed: at most `capacity` of them.
+    ring: Packed,
     capacity: usize,
     enabled: bool,
     emitted: u64,
@@ -127,7 +563,7 @@ pub struct TraceSink {
     names: Names,
     /// The texts of retained records, oldest first, each beside its
     /// record's sequence number: the names that ride a record as text, then
-    /// its own text. A record's texts go when its slot is overwritten.
+    /// its own text. A record's texts go when it is evicted.
     texts: VecDeque<(u64, String)>,
     /// The texts of the next record, as [`TraceSink::name_or_text`] and the
     /// emitters stage them.
@@ -143,14 +579,13 @@ impl Default for TraceSink {
 impl TraceSink {
     /// A sink keeping at most `capacity` most-recent records.
     ///
-    /// The ring is reserved up front so steady-state emission never
-    /// reallocates (growing incrementally under a hot loop used to cost a
-    /// series of doubling copies before the ring reached capacity).
+    /// The ring is reserved up front at 16 bytes a record, so steady-state
+    /// emission never allocates while records average no more than that;
+    /// its pages stay untouched until records reach them.
     pub fn bounded(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         TraceSink {
-            ring: Vec::with_capacity(capacity),
-            head: 0,
+            ring: Packed::with_room(room_for(capacity)),
             capacity,
             enabled: true,
             emitted: 0,
@@ -183,12 +618,11 @@ impl TraceSink {
         if capacity == self.capacity {
             return;
         }
-        let keep = self.ring.len().min(capacity);
-        let mut ring = Vec::with_capacity(capacity);
-        ring.extend(self.records().skip(self.ring.len() - keep));
-        self.drop_texts_before(self.next_seq - keep as u64);
-        self.ring = ring;
-        self.head = 0;
+        while self.ring.len > capacity {
+            self.ring.evict();
+        }
+        self.drop_texts_before(self.next_seq - self.ring.len as u64);
+        self.ring.relocate(room_for(capacity));
         self.capacity = capacity;
     }
 
@@ -258,7 +692,7 @@ impl TraceSink {
 
     /// Records a typed event whose variant carries a text of its own
     /// (`BusRegister`, `MapFailure`, `DeviceFault`, `SecurityDenial`,
-    /// `Text`). The sink keeps `text` until the record is overwritten.
+    /// `Text`). The sink keeps `text` until the record is evicted.
     pub fn emit_text(
         &mut self,
         at: SimTime,
@@ -278,31 +712,20 @@ impl TraceSink {
         self.push(at, source, corr, data);
     }
 
-    /// Writes a record, with the staged texts, over the oldest one once the
-    /// ring is full. The slot it takes is written, never read: the evicted
-    /// record's texts, if it had any, lead the text FIFO.
+    /// Packs a record, with the staged texts, after evicting the oldest
+    /// once the ring is full. The evicted record's texts, if it had any,
+    /// lead the text FIFO.
     fn push(&mut self, at: SimTime, source: Name, corr: CorrId, data: TraceData) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.emitted += 1;
-        let rec = TraceRecord {
-            at,
-            corr,
-            source,
-            data,
-        };
-        if self.ring.len() < self.capacity {
-            self.ring.push(rec);
-        } else {
-            self.ring[self.head] = rec;
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
-            }
+        if self.ring.len == self.capacity {
+            self.ring.evict();
             if !self.texts.is_empty() {
                 self.drop_texts_before(seq + 1 - self.capacity as u64);
             }
         }
+        self.ring.push(at.as_nanos(), corr.0, source, data);
         if !self.staged.is_empty() {
             self.texts.extend(self.staged.drain(..).map(|t| (seq, t)));
         }
@@ -316,26 +739,37 @@ impl TraceSink {
     }
 
     /// The retained records, oldest first.
-    fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.ring[self.head..].iter().chain(&self.ring[..self.head])
-    }
-
-    /// The retained records, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = TraceView<'_>> {
-        let first = self.next_seq - self.ring.len() as u64;
-        self.records()
-            .zip(first..)
-            .map(move |(rec, seq)| TraceView::new(self, rec, seq))
+    pub fn events(&self) -> impl ExactSizeIterator<Item = TraceView<'_>> {
+        let (at, corr) = self.ring.base();
+        Records {
+            sink: self,
+            pos: self.ring.head,
+            left: self.ring.len,
+            at,
+            corr,
+            seq: self.next_seq - self.ring.len as u64,
+        }
     }
 
     /// Number of records currently retained.
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.ring.len
     }
 
     /// Whether no records are retained.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.ring.len == 0
+    }
+
+    /// Bytes the retained records take packed: about 14 a record on the
+    /// benchmark's workloads.
+    pub fn packed_bytes(&self) -> usize {
+        self.ring.used()
+    }
+
+    /// Bytes the ring has reserved for records.
+    pub fn reserved_bytes(&self) -> usize {
+        self.ring.buf.capacity()
     }
 
     /// Total records emitted over the sink's lifetime (including evicted).
@@ -362,7 +796,6 @@ impl TraceSink {
     /// Discards all retained records (the lifetime counter is kept).
     pub fn clear(&mut self) {
         self.ring.clear();
-        self.head = 0;
         self.texts.clear();
     }
 
@@ -370,14 +803,13 @@ impl TraceSink {
     /// order. A part with a label has its sources renamed
     /// `"{label}/{source}"`; each `(part, name)` pair is interned once.
     pub fn merged(parts: &[(&TraceSink, Option<&str>)]) -> TraceSink {
-        let total: usize = parts.iter().map(|(s, _)| s.len()).sum();
+        // Each part decoded once, in its own order.
+        let views: Vec<Vec<TraceView<'_>>> =
+            parts.iter().map(|(s, _)| s.events().collect()).collect();
+        let total = views.iter().map(Vec::len).sum();
         let mut order: Vec<(SimTime, u32, u32)> = Vec::with_capacity(total);
-        for (p, (sink, _)) in parts.iter().enumerate() {
-            order.extend(
-                (0u32..)
-                    .zip(sink.records())
-                    .map(|(i, r)| (r.at, p as u32, i)),
-            );
+        for (p, part) in views.iter().enumerate() {
+            order.extend((0u32..).zip(part).map(|(i, e)| (e.at, p as u32, i)));
         }
         order.sort_unstable();
         let mut out = TraceSink::bounded(total);
@@ -390,7 +822,7 @@ impl TraceSink {
         let mut names = sources.clone();
         for (_, p, i) in order {
             let (sink, label) = parts[p as usize];
-            let view = sink.view(i as usize);
+            let view = views[p as usize][i as usize];
             // Texts keep their order, so a name standing for one keeps its
             // index.
             for (k, t) in view.texts().enumerate() {
@@ -421,13 +853,6 @@ impl TraceSink {
         }
         out
     }
-
-    /// The `i`-th retained record, oldest first.
-    fn view(&self, i: usize) -> TraceView<'_> {
-        let slot = (self.head + i) % self.ring.len();
-        let seq = self.next_seq - self.ring.len() as u64 + i as u64;
-        TraceView::new(self, &self.ring[slot], seq)
-    }
 }
 
 /// A retained record read through its sink: the record's time, correlation
@@ -446,17 +871,6 @@ pub struct TraceView<'a> {
 }
 
 impl<'a> TraceView<'a> {
-    fn new(sink: &'a TraceSink, rec: &TraceRecord, seq: u64) -> Self {
-        TraceView {
-            at: rec.at,
-            corr: rec.corr,
-            data: rec.data,
-            source: rec.source,
-            seq,
-            sink,
-        }
-    }
-
     /// Subsystem tag, e.g. `"bus"`, `"nic0"`, `"iommu.ssd0"`.
     pub fn source(&self) -> &'a str {
         self.name(self.source)
@@ -600,9 +1014,11 @@ lastcpu_snap::fields! { TraceSink |self| { ..Ring } }
 
 /// Every record variant, one row each: its checkpoint tag, its export
 /// [`kind`](TraceData::kind), its fields in order and, marked `text`, its own
-/// text after them. A name is written out as its string and read back
-/// through [`TraceSink::name_or_text`]; a `&'static str` comes back through
-/// the process-wide intern table. The rows after the `;` are rendered on
+/// text after them. The ring packs the same fields in the same order
+/// ([`Packed`]), its variant byte the row's position. In a checkpoint a name
+/// is written out as its string and read back through
+/// [`TraceSink::name_or_text`]; a `&'static str` comes back through the
+/// process-wide intern table. The rows after the `;` are rendered on
 /// demand: they encode as tag 13, a text, their rendered line, and a decoded
 /// checkpoint holds them as `Text`.
 macro_rules! record_layout {
@@ -633,7 +1049,31 @@ macro_rules! record_layout {
                     $(TraceData::$rv { $($rf),* } => { $(Part::names($rf, &mut f);)* })*
                 }
             }
+
+            /// Writes the variant byte and the fields of a packed record.
+            #[inline]
+            fn pack(self, p: &mut Pack<'_>) {
+                match self {
+                    $(TraceData::$v { $($f),* } => { p.variant(Variant::$v); $($f.pack(p);)* })*
+                    $(TraceData::$rv { $($rf),* } => { p.variant(Variant::$rv); $($rf.pack(p);)* })*
+                }
+            }
+
+            /// Reads the fields of a packed record of `variant` back.
+            #[inline]
+            fn unpack(variant: u8, u: &mut Unpack<'_>) -> TraceData {
+                match VARIANTS[usize::from(variant)] {
+                    $(Variant::$v => TraceData::$v { $($f: Packs::unpack(u)),* },)*
+                    $(Variant::$rv => TraceData::$rv { $($rf: Packs::unpack(u)),* },)*
+                }
+            }
         }
+
+        /// A packed record's variant byte: its row's position.
+        #[derive(Clone, Copy)]
+        enum Variant { $($v,)* $($rv,)* }
+
+        const VARIANTS: &[Variant] = &[$(Variant::$v,)* $(Variant::$rv,)*];
 
         impl TraceView<'_> {
             fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
@@ -739,7 +1179,12 @@ impl Part for &'static str {
         w.put_str(self);
     }
     fn take(_: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(lastcpu_snap::intern_static(&r.str()?))
+        let s = r.str()?;
+        lastcpu_snap::intern_static(&s, MAX_NAMES).ok_or_else(|| {
+            r.corrupt(format!(
+                "static name {s:?}: the process holds the {MAX_NAMES} a restore may intern"
+            ))
+        })
     }
 }
 
@@ -765,6 +1210,64 @@ impl<A: Part, B: Part, C: Part> Part for (A, B, C) {
     }
 }
 
+/// One field of a record in the ring: a varint, a `&'static str` by its
+/// index in the sink's [`Statics`].
+trait Packs: Sized {
+    fn pack(self, p: &mut Pack<'_>);
+    fn unpack(u: &mut Unpack<'_>) -> Self;
+}
+
+macro_rules! packed_ints {
+    ($($t:ty),*) => {$(
+        impl Packs for $t {
+            #[inline(always)]
+            fn pack(self, p: &mut Pack<'_>) {
+                p.varint(self.into());
+            }
+            #[inline(always)]
+            fn unpack(u: &mut Unpack<'_>) -> Self {
+                u.varint() as $t
+            }
+        }
+    )*};
+}
+
+packed_ints!(u16, u32, u64);
+
+impl Packs for bool {
+    #[inline(always)]
+    fn pack(self, p: &mut Pack<'_>) {
+        p.small(self.into());
+    }
+    #[inline(always)]
+    fn unpack(u: &mut Unpack<'_>) -> Self {
+        u.varint() != 0
+    }
+}
+
+impl Packs for Name {
+    #[inline(always)]
+    fn pack(self, p: &mut Pack<'_>) {
+        p.small(self.0.into());
+    }
+    #[inline(always)]
+    fn unpack(u: &mut Unpack<'_>) -> Self {
+        Name(u.varint() as u32)
+    }
+}
+
+impl Packs for &'static str {
+    #[inline(always)]
+    fn pack(self, p: &mut Pack<'_>) {
+        let k = p.statics.index(self);
+        p.small(k);
+    }
+    #[inline(always)]
+    fn unpack(u: &mut Unpack<'_>) -> Self {
+        u.statics.get(u.varint() as usize)
+    }
+}
+
 /// The full sink: configuration, lifetime counter, and every retained
 /// record in the `record_layout!` layout, names and texts written out, so
 /// a restored sink renders byte-identical trace output.
@@ -775,7 +1278,7 @@ impl lastcpu_snap::Span<TraceSink> for Ring {
         w.put_len(t.capacity);
         w.put_bool(t.enabled);
         w.put_u64(t.emitted);
-        w.put_len(t.ring.len());
+        w.put_len(t.len());
         for rec in t.events() {
             rec.encode(w);
         }
@@ -791,22 +1294,16 @@ impl lastcpu_snap::Span<TraceSink> for Ring {
         if n > capacity {
             return Err(r.corrupt(format!("{n} retained records exceed capacity {capacity}")));
         }
-        // The whole ring is reserved, so a capacity is refused above a
-        // fixed bound whatever the host would grant, and below it one the
-        // host cannot reserve is `Corrupt`, not an abort.
+        // A capacity is refused above a fixed bound, so what a restored
+        // sink may grow to does not depend on the host. The ring reserves
+        // for the records the section can hold, not for its capacity.
         if capacity > MAX_RESTORED_CAPACITY {
             return Err(r.corrupt(format!(
                 "trace capacity {capacity} exceeds the {MAX_RESTORED_CAPACITY} a restore may reserve"
             )));
         }
-        let capacity = capacity.max(1);
-        let mut ring = Vec::new();
-        if let Err(e) = ring.try_reserve_exact(capacity) {
-            return Err(r.corrupt(format!("trace capacity {capacity}: {e}")));
-        }
-        t.ring = ring;
-        t.head = 0;
-        t.capacity = capacity;
+        t.ring.reset(n.min(r.remaining() / MIN_ENCODED));
+        t.capacity = capacity.max(1);
         t.texts.clear();
         t.staged.clear();
         t.enabled = enabled;
@@ -849,12 +1346,104 @@ mod tests {
         assert_eq!(t.total_emitted(), 10);
     }
 
+    /// A sink reserves 16 bytes a record up front, and records that
+    /// average no more wrap it five times without growing it.
     #[test]
-    fn ring_is_fully_reserved_up_front() {
-        let t = TraceSink::bounded(4096);
-        assert!(t.ring.capacity() >= 4096, "capacity {}", t.ring.capacity());
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
+    fn a_ring_of_records_averaging_sixteen_bytes_never_grows() {
+        let mut t = TraceSink::bounded(4096);
+        let reserved = t.reserved_bytes();
+        assert!(
+            (16 * 4096..16 * 4096 + 1024).contains(&reserved),
+            "{reserved}"
+        );
+        assert!(t.is_empty() && t.packed_bytes() == 0);
+        let source = t.name("c0");
+        // An 8-byte stage and a 24-byte link hop in turn: 16 on average.
+        let record = |i: u64| match i % 2 {
+            0 => TraceData::Stage {
+                stage: "client.issue",
+                id: i % 128,
+                aux: 0,
+            },
+            _ => TraceData::LinkHop {
+                src_machine: 1,
+                dst_machine: 2,
+                bytes: u64::MAX,
+                uplink_ns: 1 << 20,
+                spine_ns: 1 << 20,
+                downlink_ns: 1 << 13,
+            },
+        };
+        for i in 0..5 * 4096u64 {
+            let before = t.packed_bytes();
+            t.emit_data(SimTime::from_nanos(i), source, CorrId(i), record(i));
+            if i < 2 {
+                assert_eq!(t.packed_bytes() - before, [8, 24][i as usize]);
+            }
+            assert_eq!(t.reserved_bytes(), reserved, "grew at record {i}");
+        }
+        assert_eq!(t.packed_bytes(), 16 * 4096);
+        let first = 4 * 4096;
+        assert!(t
+            .events()
+            .zip(first..)
+            .all(|(e, i)| (e.at.as_nanos(), e.corr, e.data) == (i, CorrId(i), record(i))));
+    }
+
+    /// Past the static strings a sink keeps inline, more are kept on the
+    /// heap; each comes back as the string it was handed, the same copy.
+    #[test]
+    fn static_strings_past_the_inline_table_spill() {
+        let stages: Vec<&'static str> = (0..3 * STATIC_INLINE)
+            .map(|i| &*Box::leak(format!("stage.{i}").into_boxed_str()))
+            .collect();
+        let mut t = TraceSink::bounded(2 * stages.len());
+        let source = t.name("c0");
+        for round in 0..3u64 {
+            for (i, &stage) in stages.iter().enumerate() {
+                let data = TraceData::Stage {
+                    stage,
+                    id: round,
+                    aux: i as u64,
+                };
+                t.emit_data(SimTime::from_nanos(round), source, CorrId::NONE, data);
+            }
+        }
+        assert_eq!(t.ring.statics.len, stages.len());
+        assert_eq!(t.ring.statics.spill.len(), stages.len() - STATIC_INLINE);
+        for (e, i) in t.events().zip(stages.len()..) {
+            let i = i % stages.len();
+            let TraceData::Stage { stage, aux, .. } = e.data else {
+                panic!("{e}");
+            };
+            assert!(std::ptr::eq(stage, stages[i]) && aux == i as u64, "{e}");
+        }
+    }
+
+    /// Records that outgrow the reservation move into a larger buffer, in
+    /// order, wrapped or not.
+    #[test]
+    fn a_ring_of_wide_records_grows_and_keeps_them() {
+        let mut t = TraceSink::bounded(64);
+        let reserved = t.reserved_bytes();
+        let source = t.name("m0");
+        let hop = |i: u64| TraceData::LinkHop {
+            src_machine: u16::MAX,
+            dst_machine: i as u16,
+            bytes: u64::MAX - i,
+            uplink_ns: u64::MAX,
+            spine_ns: 1 << 60,
+            downlink_ns: i,
+        };
+        for i in 0..1000u64 {
+            t.emit_data(SimTime::from_nanos(i << 40), source, CorrId(!i), hop(i));
+            let want: Vec<_> = (i.saturating_sub(63)..=i).map(hop).collect();
+            let got: Vec<_> = t.events().map(|e| e.data).collect();
+            assert_eq!(got, want, "after {i}");
+        }
+        assert!(t.reserved_bytes() > reserved);
+        let last = t.events().last().expect("a record");
+        assert_eq!((last.at.as_nanos(), last.corr), (999 << 40, CorrId(!999)));
     }
 
     /// A record's texts leave with it: the FIFO holds the texts of retained
@@ -1666,7 +2255,9 @@ mod oracle {
         }
 
         pub fn decode(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<TraceData> {
-            use lastcpu_snap::intern_static;
+            // The old sink interned without a bound.
+            let intern_static =
+                |s: &str| lastcpu_snap::intern_static(s, usize::MAX).expect("unbounded");
             Ok(match r.u8()? {
                 0 => TraceData::BusSend {
                     what: intern_static(&r.str()?),
@@ -1953,17 +2544,34 @@ mod oracle {
     }
 
     /// One record of any variant, and how each of its names (source first)
-    /// reaches the plain sink.
+    /// reaches the plain sink. One in four is drawn at the edges of what the
+    /// ring packs: each integer now and then 0 or the top of its range (a
+    /// `LinkHop` machine index `u16::MAX`), every name as text (the source
+    /// then at the top of the `u32` range), and the time going backwards, as
+    /// a doctored restore order can make it, or leaping 2^32 ns or more.
     fn record(rng: &mut DetRng, at: &mut u64) -> (TraceRecord, Vec<How>) {
+        let edge = rng.chance(0.25);
         let mut hows = Vec::new();
         let mut n = |rng: &mut DetRng| {
             let (s, how) = name(rng);
-            hows.push(how);
+            hows.push(if edge { How::Text } else { how });
             s
         };
-        *at += rng.below(3);
+        // `typical`, or on an edge record 0 or `max` a third of the time each.
+        let int = |typical: u64, max: u64, rng: &mut DetRng| match (edge, rng.below(3)) {
+            (true, 0) => 0,
+            (true, 1) => max,
+            _ => typical,
+        };
+        *at = match (edge, rng.below(4)) {
+            (true, 0) => at.wrapping_sub(rng.below(1 << 40)),
+            (true, 1) => at.wrapping_add((1 << 32) + rng.below(1 << 40)),
+            _ => at.wrapping_add(rng.below(3)),
+        };
         let source = n(rng);
-        let corr = CorrId(rng.below(4));
+        let corr = CorrId(int(rng.below(4), u64::MAX, rng));
+        const U16: u64 = u16::MAX as u64;
+        const U32: u64 = u32::MAX as u64;
         let data = match rng.below(17) {
             0 => TraceData::BusSend {
                 what: pick(rng, &KINDS),
@@ -1980,27 +2588,27 @@ mod oracle {
             3 => TraceData::BusRegister { device: text(rng) },
             4 => TraceData::IommuMap {
                 device: n(rng),
-                pasid: rng.next_u64() as u32,
-                va: rng.next_u64(),
-                pa: rng.next_u64(),
-                pages: rng.below(600),
+                pasid: int(rng.next_u64() & U32, U32, rng) as u32,
+                va: int(rng.next_u64(), u64::MAX, rng),
+                pa: int(rng.next_u64(), u64::MAX, rng),
+                pages: int(rng.below(600), u64::MAX, rng),
                 perms: pick(rng, &PERMS),
             },
             5 => TraceData::IommuUnmap {
                 device: n(rng),
-                pasid: rng.below(9) as u32,
-                va: rng.next_u64(),
-                pages: rng.below(600),
+                pasid: int(rng.below(9), U32, rng) as u32,
+                va: int(rng.next_u64(), u64::MAX, rng),
+                pages: int(rng.below(600), u64::MAX, rng),
             },
             6 => TraceData::MapFailure { error: text(rng) },
             7 => TraceData::DmaGrant {
                 to: n(rng),
-                pages: rng.below(600),
+                pages: int(rng.below(600), u64::MAX, rng),
                 writable: rng.chance(0.5),
             },
             8 => TraceData::QueueDoorbell {
                 to: n(rng),
-                value: rng.next_u64(),
+                value: int(rng.next_u64(), u64::MAX, rng),
             },
             9 => TraceData::DeviceFault {
                 device: n(rng),
@@ -2013,29 +2621,29 @@ mod oracle {
             },
             11 => TraceData::Stage {
                 stage: pick(rng, &["client.issue", "router.sub"]),
-                id: rng.next_u64(),
-                aux: rng.below(9),
+                id: int(rng.next_u64(), u64::MAX, rng),
+                aux: int(rng.below(9), u64::MAX, rng),
             },
             12 => TraceData::LinkHop {
-                src_machine: rng.below(1 << 16) as usize,
-                dst_machine: rng.below(130) as usize,
-                bytes: rng.below(10_000),
-                uplink_ns: rng.below(10_000),
-                spine_ns: rng.below(10_000),
-                downlink_ns: rng.below(10_000),
+                src_machine: int(rng.below(1 << 16), U16, rng) as usize,
+                dst_machine: int(rng.below(130), U16, rng) as usize,
+                bytes: int(rng.below(10_000), u64::MAX, rng),
+                uplink_ns: int(rng.below(10_000), u64::MAX, rng),
+                spine_ns: int(rng.below(10_000), u64::MAX, rng),
+                downlink_ns: int(rng.below(10_000), u64::MAX, rng),
             },
             13 => TraceData::LinkEnter {
-                port: rng.next_u64() as u32,
-                bytes: rng.below(100_000),
+                port: int(rng.next_u64() & U32, U32, rng) as u32,
+                bytes: int(rng.below(100_000), u64::MAX, rng),
             },
             14 => TraceData::LinkExit {
-                port: rng.below(70_000) as u32,
-                bytes: rng.below(100_000),
+                port: int(rng.below(70_000), U32, rng) as u32,
+                bytes: int(rng.below(100_000), u64::MAX, rng),
             },
             15 => TraceData::QueueAttached {
-                conn: rng.below(100_000),
-                base: rng.next_u64(),
-                size: rng.next_u64() as u16,
+                conn: int(rng.below(100_000), u64::MAX, rng),
+                base: int(rng.next_u64(), u64::MAX, rng),
+                size: int(rng.next_u64() & U16, U16, rng) as u16,
             },
             _ => TraceData::Text(text(rng)),
         };

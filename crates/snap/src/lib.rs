@@ -115,23 +115,27 @@ fn chains<const N: usize>(
     }
 }
 
-/// Interns a string with `'static` lifetime.
+/// Interns a string with `'static` lifetime, or refuses it.
 ///
 /// Checkpointed enums carry a few `&'static str` fields (trace stage names,
 /// delivery kinds); restore rebuilds them through this table. Each distinct
-/// string leaks exactly once per process — the sets involved are tiny and
-/// fixed (protocol milestone names), so this is bounded.
-pub fn intern_static(s: &str) -> &'static str {
+/// string leaks once per process, and a checkpoint chooses the strings, so
+/// the table refuses a new one (`None`) once it holds `bound`: however many
+/// distinct names doctored checkpoints carry, the leak stays bounded.
+pub fn intern_static(s: &str, bound: usize) -> Option<&'static str> {
     use std::sync::{Mutex, OnceLock};
     static TABLE: OnceLock<Mutex<std::collections::BTreeSet<&'static str>>> = OnceLock::new();
     let table = TABLE.get_or_init(|| Mutex::new(std::collections::BTreeSet::new()));
     let mut t = table.lock().expect("intern table poisoned");
     if let Some(&hit) = t.get(s) {
-        return hit;
+        return Some(hit);
+    }
+    if t.len() >= bound {
+        return None;
     }
     let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
     t.insert(leaked);
-    leaked
+    Some(leaked)
 }
 
 /// Why a checkpoint could not be produced or loaded.

@@ -102,6 +102,12 @@ files: ^crates/(sim/src/record\.rs|core/src/system/)
 forbid: Arc<str>
 why: a trace record is plain data; a name is a Name in the sink's table, interned once
 
+files: ^crates/sim/src/trace\.rs\$
+from: ^impl(<'a>)? (Pack|Unpack|Packed|Iterator for Records)[<' ]
+to: ^}
+forbid: TraceData::[A-Z]
+why: the ring packs and unpacks every variant through the code record_layout! generates from its rows, so a variant added to the table is in the ring; a variant named in the ring's own code is a second list of them
+
 files: $lib|^crates/bench/src/
 skip: ^crates/bus/src/wire\.rs\$
 forbid: WireWriter::(new|with_buf|with_capacity)|WireReader::new
