@@ -23,7 +23,7 @@ use lastcpu_sim::{CorrId, DetRng, EventQueue, SimDuration, SimTime, TraceData, T
 use lastcpu_snap::{Restore, SnapReader, Snapshot};
 
 use super::{file_ssd, saturated_kvs, Experiment, Gates};
-use crate::alloc::{alloc_bytes_now, allocs_now};
+use crate::alloc::watch;
 use crate::cli::{Args, OBS};
 use crate::drivers::{ControlMode, SetupClient};
 use crate::flags;
@@ -77,14 +77,13 @@ struct SsdCounts {
 
 /// Times `work`, which returns the events it retired.
 fn measure(work: impl FnOnce() -> u64) -> Sample {
-    let (allocs0, bytes0) = (allocs_now(), alloc_bytes_now());
     let t0 = Instant::now();
-    let events = work();
+    let (events, seen) = watch(work);
     Sample {
         events,
         wall_seconds: t0.elapsed().as_secs_f64(),
-        allocs: allocs_now() - allocs0,
-        alloc_bytes: alloc_bytes_now() - bytes0,
+        allocs: seen.allocs,
+        alloc_bytes: seen.bytes,
         ssd: None,
         bytes_per_record: None,
     }

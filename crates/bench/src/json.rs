@@ -264,12 +264,13 @@ fn string(b: &[u8], i: &mut usize) -> Result<String, String> {
                     b'b' => out.push('\u{8}'),
                     b'f' => out.push('\u{c}'),
                     b'u' => {
-                        let hex = b
-                            .get(*i..*i + 4)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
+                        let hex = b.get(*i..*i + 4).ok_or("truncated \\u escape")?;
+                        // Four hex digits exactly (`from_str_radix` would
+                        // also take a sign).
+                        let code = hex
+                            .iter()
+                            .try_fold(0, |code, &h| Some(code * 16 + (h as char).to_digit(16)?))
+                            .ok_or("bad \\u escape digits")?;
                         *i += 4;
                         // Surrogates are not emitted by our exporters; map
                         // them to the replacement character rather than fail.
@@ -297,15 +298,43 @@ fn string(b: &[u8], i: &mut usize) -> Result<String, String> {
     Err("unterminated string".into())
 }
 
+/// RFC 8259 §6: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+/// `f64::from_str` alone would also take `+1`, `1.`, `.5` and `01`.
 fn number(b: &[u8], i: &mut usize) -> Result<Json, String> {
     let start = *i;
-    while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
+    let digits = |i: &mut usize| {
+        let from = *i;
+        while b.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i - from
+    };
+    if b.get(*i) == Some(&b'-') {
         *i += 1;
     }
+    let int = *i;
+    let mut ok = match digits(i) {
+        0 => false,
+        1 => true,
+        _ => b[int] != b'0',
+    };
+    if b.get(*i) == Some(&b'.') {
+        *i += 1;
+        ok &= digits(i) > 0;
+    }
+    if matches!(b.get(*i), Some(b'e' | b'E')) {
+        *i += 1;
+        if matches!(b.get(*i), Some(b'+' | b'-')) {
+            *i += 1;
+        }
+        ok &= digits(i) > 0;
+    }
+    // Only ASCII was consumed.
     let s = std::str::from_utf8(&b[start..*i]).map_err(|_| "bad number")?;
-    s.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number {s:?} at byte {start}"))
+    match s.parse::<f64>() {
+        Ok(n) if ok => Ok(Json::Num(n)),
+        _ => Err(format!("bad number {s:?} at byte {start}")),
+    }
 }
 
 fn literal(b: &[u8], i: &mut usize, word: &str, v: Json) -> Result<Json, String> {
@@ -371,6 +400,63 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("123 456").is_err());
         assert!(Json::parse("troo").is_err());
+    }
+
+    #[test]
+    fn refuses_a_plus_sign() {
+        assert!(number(b"+1", &mut 0).is_err());
+        assert!(Json::parse("[+1]").is_err());
+        assert!(Json::parse("1e+5").is_ok(), "an exponent may carry one");
+    }
+
+    #[test]
+    fn refuses_a_point_without_a_fraction() {
+        assert!(number(b"1.", &mut 0).is_err());
+        assert!(Json::parse("[-1.]").is_err());
+        assert!(Json::parse("1.e5").is_err());
+    }
+
+    #[test]
+    fn refuses_a_point_without_an_integer() {
+        assert!(number(b".5", &mut 0).is_err());
+        assert!(Json::parse("-.5").is_err());
+    }
+
+    #[test]
+    fn refuses_a_leading_zero() {
+        assert!(number(b"01", &mut 0).is_err());
+        assert!(Json::parse("[-01]").is_err());
+        let nums = [0.0, -0.5, 10.0].map(Json::Num).to_vec();
+        assert_eq!(Json::parse("[0, -0.5, 10]").unwrap(), Json::Arr(nums));
+    }
+
+    #[test]
+    fn refuses_a_signed_unicode_escape() {
+        assert!(Json::parse(r#""\u+fff""#).is_err());
+        assert!(Json::parse(r#""\u-fff""#).is_err());
+        assert_eq!(Json::parse(r#""\u00e9""#).unwrap(), Json::Str("é".into()));
+    }
+
+    /// Every artifact the repository commits reads back and re-dumps to the
+    /// bytes it was written as; `BENCHMARK.json`, written by hand, reads.
+    #[test]
+    fn committed_artifacts_round_trip() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(root).expect("the repository root") {
+            let path = entry.expect("a directory entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !(name.starts_with("BENCH") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable");
+            let j = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            if name != "BENCHMARK.json" {
+                assert_eq!(j.dump(), text, "{name} re-dumps to other bytes");
+                seen += 1;
+            }
+        }
+        assert!(seen > 0, "no BENCH_*.json under {root}");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 use lastcpu_bench::alloc::CountingAlloc;
 
 // E9 and E12 report allocations per event, so the one binary counts them for
-// everybody: one relaxed add and one branch per allocation. Installed here,
-// never in the library — `benchmark/` links the library and brings its own.
+// everybody: a few thread-local adds and one branch per allocation. Installed
+// here, never in the library — `benchmark/` links the library and brings its
+// own.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 

@@ -39,7 +39,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use lastcpu_sim::{costs, CorrId, SimDuration, SimTime};
+use lastcpu_sim::{costs, CorrId, MetricsHub, SimDuration, SimTime};
 
 use crate::audit::{BusAudit, SecurityPolicy};
 use crate::cost::BusCostModel;
@@ -166,26 +166,32 @@ pub struct DeviceEntry {
     flood: Option<(SimTime, u32)>,
 }
 
-/// Traffic counters.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BusStats {
-    /// Messages handled.
-    pub messages: u64,
-    /// Bytes carried (control plane only).
-    pub bytes: u64,
-    /// Unicast deliveries emitted.
-    pub unicasts: u64,
-    /// Broadcast deliveries emitted (one per recipient).
-    pub broadcast_deliveries: u64,
-    /// Map/unmap instructions executed.
-    pub map_ops: u64,
-    /// Requests denied by privilege checks.
-    pub denials: u64,
-    /// Messages shed by the flood limiter (see
-    /// [`SecurityPolicy::flood_limit`]).
-    pub flood_dropped: u64,
-    /// Device failures detected (heartbeat timeout or explicit).
-    pub failures: u64,
+lastcpu_sim::instruments! {
+    /// The bus's traffic counts, each fed to the `bus.*` key of its row once
+    /// the machine registers the bus on its hub.
+    struct BusMetrics {
+        /// Traffic counters.
+        #[derive(Debug, Default, Clone, Copy)]
+        pub struct BusStats {
+            /// Messages handled.
+            messages: counter "bus.messages",
+            /// Bytes carried (control plane only).
+            bytes: counter,
+            /// Unicast deliveries emitted.
+            unicasts: counter,
+            /// Broadcast deliveries emitted (one per recipient).
+            broadcast_deliveries: counter,
+            /// Map/unmap instructions executed.
+            map_ops: counter,
+            /// Requests denied by privilege checks.
+            denials: counter,
+            /// Messages shed by the flood limiter (see
+            /// [`SecurityPolicy::flood_limit`]).
+            flood_dropped: counter,
+            /// Device failures detected (heartbeat timeout or explicit).
+            failures: counter,
+        }
+    }
 }
 
 /// The system management bus.
@@ -222,7 +228,7 @@ pub struct SystemBus {
     controllers: [Option<DeviceId>; 4],
     cost: BusCostModel,
     heartbeat_timeout: SimDuration,
-    stats: BusStats,
+    met: BusMetrics,
     /// Correlation id of the message currently being handled; stamped onto
     /// every reply, broadcast, and IOMMU-programming effect it causes.
     cur_corr: CorrId,
@@ -251,7 +257,7 @@ impl SystemBus {
             controllers: [None; 4],
             cost: BusCostModel::default(),
             heartbeat_timeout: costs::BUS_HEARTBEAT_TIMEOUT,
-            stats: BusStats::default(),
+            met: BusMetrics::default(),
             cur_corr: CorrId::NONE,
             audit: None,
             policy: SecurityPolicy::default(),
@@ -275,7 +281,12 @@ impl SystemBus {
 
     /// Traffic counters.
     pub fn stats(&self) -> BusStats {
-        self.stats
+        self.met.stats()
+    }
+
+    /// Feeds the counters whose rows name a key to `hub` from now on.
+    pub fn register_metrics(&mut self, hub: &MetricsHub) {
+        self.met.register(hub);
     }
 }
 

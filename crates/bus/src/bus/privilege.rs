@@ -164,7 +164,7 @@ impl SystemBus {
             );
             return;
         }
-        self.stats.map_ops += 1;
+        self.met.map_ops.incr();
         self.audit_record(
             src,
             PrivOpKind::MapInstruction,
@@ -238,7 +238,7 @@ impl SystemBus {
         target: Option<DeviceId>,
         reason: DenyReason,
     ) {
-        self.stats.denials += 1;
+        self.met.denials.incr();
         self.audit_record(src, op, resource, target, BusVerdict::Denied, Some(reason));
     }
 

@@ -80,7 +80,7 @@ impl SystemBus {
     }
 
     fn fan_out_failure(&mut self, failed: DeviceId, bytes: usize, fx: &mut Vec<BusEffect>) {
-        self.stats.failures += 1;
+        self.met.failures.incr();
         // Not `rebroadcast`: the notice is *from the bus* but must exclude
         // the failed device, so the exclusion differs from the envelope src.
         let note = self.envs.share(Envelope {

@@ -27,8 +27,8 @@ impl SystemBus {
         let env: Arc<Envelope> = env.into();
         let bytes = env.encoded_len();
         self.cur_corr = env.corr;
-        self.stats.messages += 1;
-        self.stats.bytes += bytes as u64;
+        self.met.messages.incr();
+        self.met.bytes.add(bytes as u64);
 
         // Fencing: only attached/alive devices may talk. `Hello` is allowed
         // from `Attached` (that is how a device becomes alive) and from
@@ -57,7 +57,7 @@ impl SystemBus {
                 }
                 slot.1 += 1;
                 if slot.1 > limit {
-                    self.stats.flood_dropped += 1;
+                    self.met.flood_dropped.incr();
                     self.audit_record(
                         env.src,
                         PrivOpKind::Control,
@@ -165,7 +165,7 @@ impl SystemBus {
         latency: SimDuration,
         fx: &mut Vec<BusEffect>,
     ) {
-        self.stats.unicasts += 1;
+        self.met.unicasts.incr();
         fx.push(BusEffect::Deliver { to, env, latency });
     }
 
@@ -203,7 +203,7 @@ impl SystemBus {
             }
             let latency = self.cost.broadcast_nth(bytes, n);
             n += 1;
-            self.stats.broadcast_deliveries += 1;
+            self.met.broadcast_deliveries.incr();
             fx.push(BusEffect::Deliver {
                 to: e.id,
                 // Reference-count bump only — the payload is shared, not

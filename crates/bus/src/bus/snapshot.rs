@@ -4,26 +4,15 @@
 //! describe a registry whose ids are exactly `1..=n`.
 
 use lastcpu_sim::SimTime;
-use lastcpu_snap::Field;
+use lastcpu_snap::{Field, Restore, Snapshot};
 
 use super::registry::index_of;
-use super::{BusStats, DeviceEntry, DeviceState, SystemBus};
+use super::{DeviceEntry, DeviceState, SystemBus};
 use crate::ids::DeviceId;
 #[cfg(test)]
 use {crate::audit::SecurityPolicy, crate::message::ServiceDesc, lastcpu_sim::CorrId};
 
 lastcpu_snap::tags! { DeviceState { Attached = 0, Alive = 1, Failed = 2 } }
-
-lastcpu_snap::record!(BusStats {
-    messages,
-    bytes,
-    unicasts,
-    broadcast_deliveries,
-    map_ops,
-    denials,
-    flood_dropped,
-    failures,
-});
 
 lastcpu_snap::fields! { SystemBus |self| {
     cost.hop_latency, cost.processing, cost.per_byte_ps, heartbeat_timeout, ..Registry, audit,
@@ -44,7 +33,7 @@ impl lastcpu_snap::Span<SystemBus> for Registry {
     fn put(&self, b: &SystemBus, w: &mut lastcpu_snap::SnapWriter) {
         (b.devices.len() as u32 + 1).put(w);
         b.cur_corr.put(w);
-        b.stats.put(w);
+        b.met.snapshot(w);
         w.put_len(b.devices.len());
         b.devices.iter().for_each(|e| e.id.put(w));
         w.put_len(b.devices.len());
@@ -75,7 +64,7 @@ impl lastcpu_snap::Span<SystemBus> for Registry {
     ) -> lastcpu_snap::Result<()> {
         let next_id = u32::take(r)?;
         b.cur_corr = Field::take(r)?;
-        b.stats = Field::take(r)?;
+        b.met.restore(r)?;
         let n = r.len()?;
         for i in 0..n {
             let id = u32::take(r)?;

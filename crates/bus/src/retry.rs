@@ -29,7 +29,7 @@
 
 use crate::ids::{DeviceId, RequestId};
 use crate::message::{Dst, Envelope, Payload};
-use lastcpu_sim::{costs, BackoffPolicy, DetHashMap, DetRng, SimDuration, SimTime};
+use lastcpu_sim::{costs, BackoffPolicy, DetHashMap, DetRng, MetricsHub, SimDuration, SimTime};
 
 /// Configuration for the RPC retry state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,19 +92,25 @@ pub enum RetryVerdict {
     },
 }
 
-/// Aggregate counters for one tracker.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Requests registered for tracking.
-    pub tracked: u64,
-    /// Requests completed by a matching reply.
-    pub completed: u64,
-    /// Retransmissions issued.
-    pub retries: u64,
-    /// Requests abandoned after exhausting the budget.
-    pub give_ups: u64,
-    /// Completions that arrived only after at least one retry.
-    pub recovered: u64,
+lastcpu_sim::instruments! {
+    /// The tracker's counts, the retry and give-up rows each fed to their
+    /// `bus.*` key once the machine registers the tracker on its hub.
+    struct RetryMetrics {
+        /// Aggregate counters for one tracker.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct RetryStats {
+            /// Requests registered for tracking.
+            tracked: counter,
+            /// Requests completed by a matching reply.
+            completed: counter,
+            /// Retransmissions issued.
+            retries: counter "bus.rpc_retries",
+            /// Requests abandoned after exhausting the budget.
+            give_ups: counter "bus.rpc_give_ups",
+            /// Completions that arrived only after at least one retry.
+            recovered: counter,
+        }
+    }
 }
 
 /// Timeout/retry state machine for bus RPCs, keyed by
@@ -114,11 +120,11 @@ pub struct RetryStats {
 /// the pair is unique across in-flight requests. A reply is matched by the
 /// requester's id and the echoed request id — replies echo `req` by
 /// protocol, so no payload inspection is needed.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct RpcTracker {
     config: RetryConfig,
     pending: DetHashMap<(DeviceId, RequestId), PendingRpc>,
-    stats: RetryStats,
+    met: RetryMetrics,
 }
 
 impl RpcTracker {
@@ -127,7 +133,7 @@ impl RpcTracker {
         RpcTracker {
             config,
             pending: DetHashMap::default(),
-            stats: RetryStats::default(),
+            met: RetryMetrics::default(),
         }
     }
 
@@ -138,7 +144,12 @@ impl RpcTracker {
 
     /// Aggregate counters.
     pub fn stats(&self) -> RetryStats {
-        self.stats
+        self.met.stats()
+    }
+
+    /// Feeds the counters whose rows name a key to `hub` from now on.
+    pub fn register_metrics(&mut self, hub: &MetricsHub) {
+        self.met.register(hub);
     }
 
     /// Number of requests currently awaiting replies.
@@ -170,7 +181,7 @@ impl RpcTracker {
                 deadline,
             },
         );
-        self.stats.tracked += 1;
+        self.met.tracked.incr();
         Some(deadline)
     }
 
@@ -192,9 +203,9 @@ impl RpcTracker {
             return false;
         }
         let p = self.pending.remove(&key).expect("checked above");
-        self.stats.completed += 1;
+        self.met.completed.incr();
         if p.retries > 0 {
-            self.stats.recovered += 1;
+            self.met.recovered.incr();
         }
         true
     }
@@ -224,7 +235,7 @@ impl RpcTracker {
                     p.retries = next;
                     let send_at = now + delay;
                     p.deadline = send_at + self.config.timeout;
-                    self.stats.retries += 1;
+                    self.met.retries.incr();
                     verdicts.push(RetryVerdict::Resend {
                         env: p.env.clone(),
                         send_at,
@@ -233,7 +244,7 @@ impl RpcTracker {
                 }
                 None => {
                     let p = self.pending.remove(&key).expect("present");
-                    self.stats.give_ups += 1;
+                    self.met.give_ups.incr();
                     verdicts.push(RetryVerdict::GiveUp {
                         attempts: p.retries + 1,
                         first_sent: p.first_sent,
@@ -262,13 +273,6 @@ impl RpcTracker {
 }
 
 lastcpu_snap::record!(RetryConfig { timeout, backoff });
-lastcpu_snap::record!(RetryStats {
-    tracked,
-    completed,
-    retries,
-    give_ups,
-    recovered
-});
 lastcpu_snap::record!(PendingRpc {
     env,
     first_sent,
@@ -276,7 +280,7 @@ lastcpu_snap::record!(PendingRpc {
     deadline
 });
 
-lastcpu_snap::fields! { RpcTracker |self| { config, stats, pending } }
+lastcpu_snap::fields! { RpcTracker |self| { config, mut met, pending } }
 
 #[cfg(test)]
 mod tests {

@@ -21,7 +21,6 @@ use super::{Event, System};
 impl System {
     /// Hands one message to the bus and applies what it decides.
     pub(super) fn bus_msg(&mut self, now: SimTime, env: Arc<Envelope>) {
-        self.met.bus_messages.incr();
         if self.trace.is_enabled() {
             if let Payload::Hello { name, kind } = &env.payload {
                 self.trace.emit_text(

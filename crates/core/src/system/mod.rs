@@ -28,7 +28,7 @@ use std::any::Any;
 
 use lastcpu_bus::{BusEffect, DeviceId, Dst, RpcTracker, SystemBus};
 use lastcpu_devices::device::{Action, Device};
-use lastcpu_iommu::{Iommu, IommuFault};
+use lastcpu_iommu::Iommu;
 use lastcpu_mem::Dram;
 use lastcpu_net::{PortId, Switch};
 use lastcpu_sim::{
@@ -101,7 +101,6 @@ lastcpu_sim::instruments! {
 lastcpu_sim::instruments! {
     /// The machine's instruments, registered when it is built.
     struct SysMetrics {
-        bus_messages: counter "bus.messages",
         pages_mapped: counter "bus.pages_mapped",
         pages_unmapped: counter "bus.pages_unmapped",
         map_failures: counter "bus.map_failures",
@@ -113,8 +112,6 @@ lastcpu_sim::instruments! {
         msgs_dropped: counter "fault.msgs_dropped",
         msgs_corrupted: counter "fault.msgs_corrupted",
         msgs_delayed: counter "fault.msgs_delayed",
-        rpc_retries: counter "bus.rpc_retries",
-        rpc_give_ups: counter "bus.rpc_give_ups",
         /// E11 security audit: DMA translation verdicts.
         sec_dma_allowed: counter "sec.dma_allowed",
         /// E11 security audit: privileged bus-operation verdicts.
@@ -125,6 +122,9 @@ lastcpu_sim::instruments! {
         /// The machine-wide sums every slot's row of the same key feeds.
         counter "iommu.faults",
         counter "sec.dma_denied",
+        /// The retry tracker's keys, registered with retries off too.
+        counter "bus.rpc_retries",
+        counter "bus.rpc_give_ups",
     }
 }
 
@@ -159,8 +159,6 @@ struct Slot {
     /// Reusable action buffer, lent to each `DeviceCtx` and reclaimed after
     /// its effects apply, so steady-state dispatch allocates nothing.
     scratch_actions: Vec<Action>,
-    /// Reusable fault buffer (same lifecycle as `scratch_actions`).
-    scratch_faults: Vec<IommuFault>,
 }
 
 /// Per-slot fault-injection state, armed by [`Event::Fault`] and consumed
@@ -342,18 +340,23 @@ impl System {
         });
         let stats = MetricsHub::new();
         let met = SysMetrics::register(&stats);
+        bus.register_metrics(&stats);
         let root_rng = DetRng::new(config.seed);
         let fault_events = config
             .fault_plan
             .as_ref()
             .map(|p| p.events())
             .unwrap_or_default();
-        let rpc = config.rpc_retry.map(|rc| RpcState {
-            tracker: RpcTracker::new(rc),
-            // `split` derives without advancing `root_rng`, so enabling
-            // retries does not perturb the rest of a seeded run.
-            rng: root_rng.split(0x5E7_127),
-            sweep_at: None,
+        let rpc = config.rpc_retry.map(|rc| {
+            let mut tracker = RpcTracker::new(rc);
+            tracker.register_metrics(&stats);
+            RpcState {
+                tracker,
+                // `split` derives without advancing `root_rng`, so enabling
+                // retries does not perturb the rest of a seeded run.
+                rng: root_rng.split(0x5E7_127),
+                sweep_at: None,
+            }
         });
         System {
             queue: EventQueue::new(),
@@ -436,7 +439,6 @@ impl System {
             met,
             faults: SlotFaults::default(),
             scratch_actions: Vec::new(),
-            scratch_faults: Vec::new(),
         });
         DeviceHandle { id, idx }
     }

@@ -50,7 +50,6 @@ impl System {
                     send_at,
                     attempt,
                 } => {
-                    self.met.rpc_retries.incr();
                     let src_idx = self.slot_of(env.src);
                     if let Some(idx) = src_idx {
                         self.slots[idx].met.retries.incr();
@@ -85,7 +84,6 @@ impl System {
                     first_sent,
                     attempts,
                 } => {
-                    self.met.rpc_give_ups.incr();
                     if self.trace.is_enabled() {
                         self.trace.emit_text(
                             now,

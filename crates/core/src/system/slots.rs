@@ -156,7 +156,7 @@ impl System {
             return;
         }
         let scratch_actions = std::mem::take(&mut slot.scratch_actions);
-        let scratch_faults = std::mem::take(&mut slot.scratch_faults);
+        let faults_before = slot.iommu.stats().faults;
         let mut ctx = DeviceCtx::new(
             now,
             slot.id,
@@ -170,9 +170,9 @@ impl System {
         )
         .with_tracing(self.trace.is_enabled())
         .with_pool(&self.pool)
-        .with_scratch(scratch_actions, scratch_faults);
+        .with_scratch(scratch_actions);
         f(slot.device.as_mut(), &mut ctx);
-        let (mut actions, mut elapsed, mut faults) = ctx.finish();
+        let (mut actions, mut elapsed) = ctx.finish();
         if slot.faults.slow_factor > 1 && now < slot.faults.slow_until {
             // An active slow-down fault stretches the firmware's service
             // time (thermal throttling, background housekeeping).
@@ -184,8 +184,10 @@ impl System {
         // The handler's modeled service time is the sim-ns cost of whatever
         // event scope this dispatch ran under.
         profile::charge_sim(elapsed.as_nanos());
-        if !faults.is_empty() {
-            slot.met.iommu_faults.add(faults.len() as u64);
+        // The handler's DMA faults, as the slot's IOMMU counted them.
+        let faults = slot.iommu.stats().faults - faults_before;
+        if faults > 0 {
+            slot.met.iommu_faults.add(faults);
         }
         self.drain_dma_audit(idx, now, corr);
         {
@@ -197,13 +199,10 @@ impl System {
                 self.apply_action(idx, t, corr, a);
             }
         }
-        // Hand the (now empty) scratch buffers back to the slot. No
-        // reentrant dispatch happens inside `apply_action` (effects become
-        // scheduled events), so the slot's buffers were untouched meanwhile.
-        faults.clear();
-        let slot = &mut self.slots[idx];
-        slot.scratch_actions = actions;
-        slot.scratch_faults = faults;
+        // Hand the (now empty) scratch buffer back to the slot. No reentrant
+        // dispatch happens inside `apply_action` (effects become scheduled
+        // events), so the slot's buffer was untouched meanwhile.
+        self.slots[idx].scratch_actions = actions;
     }
 
     fn apply_action(&mut self, idx: usize, t: SimTime, corr: CorrId, action: Action) {

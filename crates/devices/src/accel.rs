@@ -337,7 +337,7 @@ mod tests {
     fn open_conn(fix: &mut Fix, acc: &mut Accelerator, regions: u16) -> Option<ConnId> {
         let mut ctx = fix.ctx();
         acc.on_message(&mut ctx, &open_env(regions));
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         actions.iter().find_map(|a| match a {
             crate::device::Action::SendBus(Envelope {
                 payload:
@@ -392,7 +392,7 @@ mod tests {
             },
         );
         let wide_time = ctx.elapsed();
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         assert!(actions.iter().any(|a| matches!(
             a,
             crate::device::Action::Doorbell { value, .. } if value & DOORBELL_JOB_DONE != 0

@@ -103,9 +103,6 @@ pub struct DeviceCtx<'a> {
     elapsed: SimDuration,
     /// Queued effects.
     actions: Vec<Action>,
-    /// Faults raised by DMA during this handler (for stats; the handler
-    /// also sees each fault as an `Err` return).
-    faults: Vec<IommuFault>,
 }
 
 impl<'a> DeviceCtx<'a> {
@@ -136,7 +133,6 @@ impl<'a> DeviceCtx<'a> {
             pool: None,
             elapsed: SimDuration::ZERO,
             actions: Vec::new(),
-            faults: Vec::new(),
         }
     }
 
@@ -153,13 +149,12 @@ impl<'a> DeviceCtx<'a> {
         self
     }
 
-    /// Seeds the action/fault buffers with reusable scratch `Vec`s
-    /// (simulator only; the simulator stores the `Vec`s back after
-    /// draining them, so the per-handler allocations disappear).
-    pub fn with_scratch(mut self, actions: Vec<Action>, faults: Vec<IommuFault>) -> Self {
-        debug_assert!(actions.is_empty() && faults.is_empty());
+    /// Seeds the action buffer with a reusable scratch `Vec` (simulator
+    /// only; the simulator stores the `Vec` back after draining it, so the
+    /// per-handler allocation disappears).
+    pub fn with_scratch(mut self, actions: Vec<Action>) -> Self {
+        debug_assert!(actions.is_empty());
         self.actions = actions;
-        self.faults = faults;
         self
     }
 
@@ -174,10 +169,11 @@ impl<'a> DeviceCtx<'a> {
         }
     }
 
-    /// Consumes the context, returning queued actions, accumulated cost and
-    /// faults. Called by the simulator only.
-    pub fn finish(self) -> (Vec<Action>, SimDuration, Vec<IommuFault>) {
-        (self.actions, self.elapsed, self.faults)
+    /// Consumes the context, returning queued actions and accumulated cost.
+    /// Called by the simulator only; a DMA fault is counted by the IOMMU
+    /// that raised it ([`Iommu::stats`]).
+    pub fn finish(self) -> (Vec<Action>, SimDuration) {
+        (self.actions, self.elapsed)
     }
 
     /// The device's deterministic RNG.
@@ -314,7 +310,6 @@ impl<'a> DeviceCtx<'a> {
                     // A faulting access still paid for the lookup and walk.
                     let cm = self.iommu.cost_model();
                     self.elapsed += cm.tlb_lookup + cm.walk_per_access.saturating_mul(4);
-                    self.faults.push(f);
                     return Err(f);
                 }
             };
@@ -468,10 +463,10 @@ mod tests {
             .unwrap();
         assert_eq!(&back, b"span across pages!");
         assert!(ctx.elapsed() > SimDuration::ZERO);
-        let (actions, cost, faults) = ctx.finish();
+        let (actions, cost) = ctx.finish();
         assert!(actions.is_empty());
         assert!(cost > SimDuration::ZERO);
-        assert!(faults.is_empty());
+        assert_eq!(iommu.stats().faults, 0);
     }
 
     #[test]
@@ -494,8 +489,9 @@ mod tests {
             .dma_read(Pasid(1), VirtAddr::new(0x9000), &mut buf)
             .unwrap_err();
         assert_eq!(err.va, VirtAddr::new(0x9000));
-        let (_, _, faults) = ctx.finish();
-        assert_eq!(faults.len(), 1);
+        ctx.finish();
+        assert_eq!(iommu.stats().faults, 1);
+        assert_eq!(iommu.last_fault(), Some(err));
     }
 
     #[test]
@@ -552,7 +548,7 @@ mod tests {
         ctx.doorbell(DeviceId(2), ConnId(7), 1);
         ctx.trace(format_args!("hello"));
         ctx.halt("test");
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         assert!(matches!(actions[0], Action::SetTimer { token: 42, .. }));
         assert!(matches!(actions[1], Action::Doorbell { value: 1, .. }));
         assert!(matches!(actions[2], Action::TraceText(_)));

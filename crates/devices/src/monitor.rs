@@ -760,7 +760,7 @@ mod discovery_correlation_tests {
         );
         let op_a = m.discover(&mut ctx, "alpha:*");
         let op_b = m.discover(&mut ctx, "beta:*");
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         // Extract the two query request ids, in order.
         let reqs: Vec<RequestId> = actions
             .iter()
@@ -910,7 +910,7 @@ mod tests {
     }
 
     fn sent(ctx: DeviceCtx<'_>) -> Vec<Envelope> {
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         actions
             .into_iter()
             .filter_map(|a| match a {
@@ -1010,7 +1010,7 @@ mod tests {
         let mut m = Monitor::new();
         let mut ctx = fix.ctx();
         let op = m.discover(&mut ctx, "file:*");
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         assert!(actions.iter().any(|a| matches!(
             a,
             crate::device::Action::SendBus(Envelope {
@@ -1385,7 +1385,7 @@ mod tests {
         let mut m = Monitor::new();
         let mut ctx = fix.ctx();
         m.enable_heartbeat(&mut ctx, SimDuration::from_millis(1));
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         let token = actions
             .iter()
             .find_map(|a| match a {
@@ -1396,7 +1396,7 @@ mod tests {
         let mut ctx = fix.ctx();
         assert!(Monitor::owns_timer(token));
         assert_eq!(m.on_timer(&mut ctx, token), None);
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         let has_hb = actions.iter().any(|a| {
             matches!(
                 a,

@@ -375,7 +375,7 @@ mod tests {
             &mut ctx,
             Frame::unicast(PortId(2), PortId(9), b"ping".to_vec()),
         );
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         let tx = actions
             .iter()
             .find_map(|a| match a {
@@ -410,7 +410,7 @@ mod tests {
         let mut ctx = fix.ctx();
         Device::on_reset(&mut nic, &mut ctx);
         assert_eq!(nic.app().resets, 1);
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         // Reset re-sends Hello.
         assert!(actions.iter().any(|a| matches!(
             a,

@@ -350,7 +350,7 @@ mod tests {
         if let Some(ev) = monitor.handle(&mut ctx, &env) {
             out.extend(session.on_event(&mut ctx, monitor, &ev));
         }
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         let sent = actions
             .into_iter()
             .filter_map(|a| match a {
@@ -371,7 +371,7 @@ mod tests {
         // Step 3: open.
         let mut ctx = fix.ctx();
         session.start(&mut ctx, &mut monitor);
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         let open_req = match &actions[0] {
             crate::device::Action::SendBus(e) => {
                 assert!(matches!(e.payload, Payload::OpenRequest { .. }));
@@ -458,7 +458,7 @@ mod tests {
         );
         assert_eq!(session.state(), SessionState::Ready);
         // The setup doorbell went to the SSD.
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         assert!(actions.iter().any(|a| matches!(
             a,
             crate::device::Action::Doorbell { to, conn, value }
@@ -475,7 +475,7 @@ mod tests {
             FileSession::new(MEMCTL, SSD, ServiceId(100), Token::NONE, Pasid(1), VA, 16);
         let mut ctx = fix.ctx();
         session.start(&mut ctx, &mut monitor);
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         let open_req = match &actions[0] {
             crate::device::Action::SendBus(e) => e.req,
             other => panic!("unexpected {other:?}"),

@@ -551,7 +551,7 @@ mod tests {
             &hub,
         );
         f(&mut ctx);
-        let (actions, _, _) = ctx.finish();
+        let (actions, _) = ctx.finish();
         actions
     }
 

@@ -13,7 +13,8 @@
 #                          hashed one section at a time, a hand-registered
 #                          metric handle, a hand-written machine, rack or
 #                          NIC section writer, a timing literal outside the
-#                          cost table, ...)
+#                          cost table, a second counting allocator, ...);
+#                          it reads crates/*/src, crates/*/tests and tests/
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -179,6 +180,11 @@ skip: ^crates/sim/src/costs\.rs\$
 forbid: SimDuration::from_(nanos|micros|millis|secs)\([0-9]
 allow: SimDuration::from_nanos\(1\)
 why: a timing constant is one row of the cost table (lastcpu_sim::costs, DESIGN.md §5), declared once with its unit and its source; the 1 ns let through is the clock's resolution, which puts an event strictly after another and prices nothing
+
+files: ^(crates|tests)/
+skip: ^crates/bench/src/alloc\.rs\$
+forbid: unsafe impl GlobalAlloc
+why: allocations are counted by one allocator, lastcpu_bench::alloc::CountingAlloc (DESIGN.md §12.1), which counts only the calling thread; a binary installs it with one #[global_allocator] line and measures with watch
 "
 census="$census" awk '
     BEGIN {
@@ -212,8 +218,8 @@ census="$census" awk '
         }
     }
     END { exit bad }
-' $(find crates -path '*/src/*' -name '*.rs' | sort) || {
-    echo "FAIL: a refused line in library code (see above)"; exit 1;
+' $(find crates tests \( -path '*/src/*' -o -path '*/tests/*' \) -name '*.rs' | sort) || {
+    echo "FAIL: a refused line in library or test code (see above)"; exit 1;
 }
 
 echo "==> tier-1: cargo build --release"

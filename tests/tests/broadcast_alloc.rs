@@ -3,56 +3,15 @@
 //! hands each recipient a borrow of that allocation, so what a broadcast
 //! costs the host does not grow with the number of devices listening.
 //!
-//! This file is its own test binary because it installs a counting global
-//! allocator; it holds one test so nothing else allocates while it counts.
+//! This file is its own test binary because it installs the counting global
+//! allocator (`lastcpu_bench::alloc`), which counts only the thread that
+//! runs a window.
 
-use std::alloc::{GlobalAlloc, Layout, System as StdAlloc};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use lastcpu_bench::alloc::{watch, CountingAlloc};
 use lastcpu_bus::{ConnId, Dst, Envelope, Payload};
 use lastcpu_core::devices::device::{Device, DeviceCtx};
 use lastcpu_core::{System, SystemConfig};
 use lastcpu_sim::SimDuration;
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Set on the thread that runs the machine while it is counted: the test
-    /// harness's own threads allocate too, now and then inside the window.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn note() {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to the std system allocator; the
-// only addition is a relaxed counter that publishes nothing, bumped when a
-// const-initialised thread-local flag (no allocation, no destructor) is set.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same layout the caller handed us.
-        unsafe { StdAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `StdAlloc` with this layout.
-        unsafe { StdAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: `ptr` came from `StdAlloc` with `layout`; the caller
-        // guarantees `new_size` is valid for it.
-        unsafe { StdAlloc.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -149,17 +108,13 @@ fn allocs_per_200_broadcasts(listeners: usize) -> u64 {
             .sum()
     };
     let before_heard = heard(&sys);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    COUNTING.set(true);
-    sys.run_for(PERIOD.saturating_mul(200));
-    COUNTING.set(false);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let (_, seen) = watch(|| sys.run_for(PERIOD.saturating_mul(200)));
     let delivered = (heard(&sys) - before_heard) / 64;
     assert!(
         delivered.abs_diff(200 * listeners as u64) <= listeners as u64,
         "every listener heard every broadcast ({delivered} deliveries)"
     );
-    allocs
+    seen.allocs
 }
 
 #[test]

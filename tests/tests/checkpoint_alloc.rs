@@ -4,70 +4,19 @@
 //! serializes, so it holds about one machine section at a time — never a
 //! second rack.
 //!
-//! This file is its own test binary because it installs a counting global
-//! allocator; it holds one test so nothing else allocates while it counts.
+//! This file is its own test binary because it installs the counting global
+//! allocator (`lastcpu_bench::alloc`), which counts only the thread that
+//! runs a window.
 
-use std::alloc::{GlobalAlloc, Layout, System as StdAlloc};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
+use lastcpu_bench::alloc::{watch, CountingAlloc};
 use lastcpu_core::SystemConfig;
 use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
 use lastcpu_kvs::build_rack_kvs;
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_sim::SimTime;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-/// Bytes allocated and not yet freed.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// The most `LIVE` has been since [`measured`] last reset it.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to the std system allocator; the
-// additions are relaxed counters that publish nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
-        // SAFETY: same layout the caller handed us.
-        unsafe { StdAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` came from `StdAlloc` with this layout.
-        unsafe { StdAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        grew(new_size);
-        // SAFETY: `ptr` came from `StdAlloc` with `layout`; the caller
-        // guarantees `new_size` is valid for it.
-        unsafe { StdAlloc.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations made by `f`, and the most bytes it had live at once beyond
-/// what was live when it started.
-fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = f();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    (out, allocs, PEAK.load(Ordering::Relaxed) - base)
-}
 
 #[test]
 fn a_checkpoint_is_held_once() {
@@ -115,13 +64,13 @@ fn a_checkpoint_is_held_once() {
         .collect();
     let largest = *machine_sections.iter().max().expect("four machines");
 
-    let (digest, allocs, _) = measured(|| ck.digest());
-    assert_eq!(allocs, 0, "digest streams over the sections");
+    let (digest, seen) = watch(|| ck.digest());
+    assert_eq!(seen.allocs, 0, "digest streams over the sections");
 
-    let (bytes, allocs, held) = measured(|| ck.encode());
-    assert_eq!(allocs, 1, "encode sizes its buffer once");
+    let (bytes, seen) = watch(|| ck.encode());
+    assert_eq!(seen.allocs, 1, "encode sizes its buffer once");
     assert_eq!(bytes.len(), bytes.capacity());
-    assert_eq!(held, bytes.len());
+    assert_eq!(seen.peak_live, bytes.len() as u64);
     assert_eq!(digest, lastcpu_snap::fnv1a(&bytes));
     drop(bytes);
 
@@ -129,8 +78,9 @@ fn a_checkpoint_is_held_once() {
     // machine 1's 1.41 MB `trace` section, in the 2 MiB buffer its writer
     // doubled into. The parent built a second rack checkpoint and every
     // machine's encoding besides: 13,176,202 bytes at this point.
-    let (verified, _, held) = measured(|| setup.fabric.verify_checkpoint(&ck));
+    let (verified, seen) = watch(|| setup.fabric.verify_checkpoint(&ck));
     verified.expect("the rack verifies against its own checkpoint");
+    let held = seen.peak_live as usize;
     assert!(
         held * 4 <= largest * 5,
         "verify held {held} B; the largest machine section is {largest} B"

@@ -7,12 +7,11 @@
 //! and reuses its request slots: what it allocates per operation is the frames
 //! it sends.
 //!
-//! This file is its own test binary because it installs a counting global
-//! allocator; it holds one test so nothing else allocates while it counts.
+//! This file is its own test binary because it installs the counting global
+//! allocator (`lastcpu_bench::alloc`), which counts only the thread that
+//! runs a window.
 
-use std::alloc::{GlobalAlloc, Layout, System as StdAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use lastcpu_bench::alloc::{watch, CountingAlloc};
 use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload, ResourceKind};
 use lastcpu_core::devices::device::{Device, DeviceCtx};
@@ -27,36 +26,6 @@ use lastcpu_kvs::{
 };
 use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::{profile, CorrId, DetRng, MetricsHub, SimDuration, SimTime};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to the std system allocator; the
-// additions are a relaxed counter that publishes nothing and `note_alloc`,
-// which is written to run inside a global allocator (it never allocates and
-// tolerates thread-local teardown).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        profile::note_alloc(layout.size());
-        // SAFETY: same layout the caller handed us.
-        unsafe { StdAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `StdAlloc` with this layout.
-        unsafe { StdAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        profile::note_alloc(new_size);
-        // SAFETY: `ptr` came from `StdAlloc` with `layout`; the caller
-        // guarantees `new_size` is valid for it.
-        unsafe { StdAlloc.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -200,11 +169,11 @@ fn data_path_allocs(window: u64) -> (u64, u64) {
         finished: 0,
     }));
     setup.system.power_on();
-    // One counter reading per phase, taken in the quiet gap after it.
-    let mut after = [0u64; PLAN.len()];
+    // What each phase allocated, up to the quiet gap after it.
+    let mut during = [0u64; PLAN.len()];
     let mut t = SimTime::ZERO;
-    for (phase, reading) in after.iter_mut().enumerate() {
-        loop {
+    for (phase, allocs) in during.iter_mut().enumerate() {
+        let ((), seen) = watch(|| loop {
             t += SimDuration::from_micros(100);
             assert!(
                 t < SimTime::from_nanos(20_000_000_000),
@@ -215,8 +184,8 @@ fn data_path_allocs(window: u64) -> (u64, u64) {
             if client.finished > phase {
                 break;
             }
-        }
-        *reading = ALLOCS.load(Ordering::Relaxed);
+        });
+        *allocs = seen.allocs;
     }
     let nic: &SmartNic<KvsNicApp> = setup.system.device_as(setup.frontend).expect("NIC");
     let stats = nic.app().stats();
@@ -224,7 +193,7 @@ fn data_path_allocs(window: u64) -> (u64, u64) {
     assert_eq!(stats.cache_hits, 0, "every GET read the SSD");
     assert_eq!(stats.puts, KEYS + WARM + MEASURED);
     assert_eq!(stats.shed + stats.failures, 0);
-    (after[2] - after[1], after[4] - after[3])
+    (during[2], during[4])
 }
 
 /// Allocations inside the shard router's frame handler
@@ -312,18 +281,18 @@ impl DrivenRouter {
     fn frame(&mut self, src: PortId, payload: Vec<u8>) -> (Vec<Frame>, u64) {
         let frame = Frame::unicast(src, Self::SELF, payload);
         let scratch = std::mem::take(&mut self.scratch);
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let mut ctx = HostCtx::new(
-            SimTime::ZERO,
-            Self::SELF,
-            &self.hub,
-            &mut self.rng,
-            CorrId::NONE,
-        )
-        .with_scratch(scratch);
-        self.router.on_frame(&mut ctx, frame);
-        let mut actions = ctx.finish();
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let (mut actions, seen) = watch(|| {
+            let mut ctx = HostCtx::new(
+                SimTime::ZERO,
+                Self::SELF,
+                &self.hub,
+                &mut self.rng,
+                CorrId::NONE,
+            )
+            .with_scratch(scratch);
+            self.router.on_frame(&mut ctx, frame);
+            ctx.finish()
+        });
         let sent = actions
             .drain(..)
             .filter_map(|a| match a {
@@ -332,7 +301,7 @@ impl DrivenRouter {
             })
             .collect();
         self.scratch = actions;
-        (sent, allocs)
+        (sent, seen.allocs)
     }
 }
 
@@ -514,16 +483,14 @@ fn control_plane_allocs() -> u64 {
         (c.rounds, c.acks)
     };
     let (rounds_before, acks_before) = counts(&sys);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    sys.run_for(PERIOD.saturating_mul(1_000));
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let (_, seen) = watch(|| sys.run_for(PERIOD.saturating_mul(1_000)));
     let (rounds, acks) = counts(&sys);
     assert!((rounds - rounds_before).abs_diff(1_000) <= 1);
     assert!(
         (acks - acks_before).abs_diff(1_000) <= 1,
         "the bus answered"
     );
-    allocs
+    seen.allocs
 }
 
 #[test]

@@ -4,12 +4,11 @@
 //! a window of more than 10,000 records, and the rack fabric's forward step
 //! allocates exactly as much with link-hop tracing on as with it off.
 //!
-//! This file is its own test binary because it installs a counting global
-//! allocator; it holds one test so nothing else allocates while it counts.
+//! This file is its own test binary because it installs the counting global
+//! allocator (`lastcpu_bench::alloc`), which counts only the thread that
+//! runs a window.
 
-use std::alloc::{GlobalAlloc, Layout, System as StdAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use lastcpu_bench::alloc::{watch, CountingAlloc};
 use lastcpu_bench::drivers::{ControlMode, SetupClient};
 use lastcpu_core::devices::flash::{NandChip, NandConfig};
 use lastcpu_core::devices::fs::FlashFs;
@@ -20,36 +19,6 @@ use lastcpu_fabric::{FabricConfig, TopoKind, TopologyConfig};
 use lastcpu_kvs::build_rack_kvs;
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_sim::{profile, SimDuration, SimTime};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to the std system allocator; the
-// additions are a relaxed counter that publishes nothing and `note_alloc`,
-// which is written to run inside a global allocator (it never allocates and
-// tolerates thread-local teardown).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        profile::note_alloc(layout.size());
-        // SAFETY: same layout the caller handed us.
-        unsafe { StdAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `StdAlloc` with this layout.
-        unsafe { StdAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        profile::note_alloc(new_size);
-        // SAFETY: `ptr` came from `StdAlloc` with `layout`; the caller
-        // guarantees `new_size` is valid for it.
-        unsafe { StdAlloc.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -95,10 +64,9 @@ fn figure2(trace: bool) -> System {
 fn figure2_window(trace: bool) -> (u64, u64) {
     let mut sys = figure2(trace);
     sys.run_until(SimTime::from_nanos(2_000_000));
-    let (a0, e0) = (ALLOCS.load(Ordering::Relaxed), sys.trace().total_emitted());
-    sys.run_until(SimTime::from_nanos(4_000_000));
-    let (a1, e1) = (ALLOCS.load(Ordering::Relaxed), sys.trace().total_emitted());
-    (a1 - a0, e1 - e0)
+    let e0 = sys.trace().total_emitted();
+    let (_, seen) = watch(|| sys.run_until(SimTime::from_nanos(4_000_000)));
+    (seen.allocs, sys.trace().total_emitted() - e0)
 }
 
 /// Allocations the profiler charged to `fabric.forward` over a traced

@@ -3,51 +3,17 @@
 //! and carrying one reserves a few hundred bytes, where reserving for its
 //! capacity would be 256 MiB. The ring then grows as records arrive.
 //!
-//! This file is its own test binary because it installs a counting global
-//! allocator; it holds one test so nothing else allocates while it counts.
+//! This file is its own test binary because it installs the counting global
+//! allocator (`lastcpu_bench::alloc`), which counts only the thread that
+//! runs a window.
 
-use std::alloc::{GlobalAlloc, Layout, System as StdAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use lastcpu_bench::alloc::{watch, CountingAlloc};
 use lastcpu_sim::trace::MAX_RESTORED_CAPACITY;
 use lastcpu_sim::{CorrId, SimTime, TraceData, TraceSink};
 use lastcpu_snap::{Restore, SnapReader, Snapshot};
 
-struct CountingAlloc;
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to the std system allocator; the
-// addition is a relaxed counter that publishes nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: same layout the caller handed us.
-        unsafe { StdAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `StdAlloc` with this layout.
-        unsafe { StdAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `StdAlloc` with `layout`; the caller
-        // guarantees `new_size` is valid for it.
-        unsafe { StdAlloc.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Bytes allocated while `f` runs.
-fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = BYTES.load(Ordering::Relaxed);
-    let out = f();
-    (out, BYTES.load(Ordering::Relaxed) - before)
-}
 
 #[test]
 fn a_restore_reserves_for_the_records_a_section_carries() {
@@ -64,8 +30,9 @@ fn a_restore_reserves_for_the_records_a_section_carries() {
     bytes[..8].copy_from_slice(&(MAX_RESTORED_CAPACITY as u64).to_le_bytes());
 
     let mut back = TraceSink::disabled();
-    let (restored, reserved) = allocated(|| back.restore(&mut SnapReader::new("trace", &bytes)));
+    let (restored, seen) = watch(|| back.restore(&mut SnapReader::new("trace", &bytes)));
     restored.expect("a declared capacity at the bound restores");
+    let reserved = seen.bytes;
     assert!(
         reserved < 64 << 10,
         "a one-record section reserved {reserved} B"

@@ -7,11 +7,10 @@
 //! A message is rendered as hex, a run of four or more equal bytes as
 //! `xx*N`.
 
-use std::alloc::{GlobalAlloc, Layout, System as StdAlloc};
-use std::cell::Cell;
 use std::fmt::Debug;
 
 use lastcpu_baseline::{BrokerParams, Packet};
+use lastcpu_bench::alloc::{watch, CountingAlloc};
 use lastcpu_bus::wire::Wire;
 use lastcpu_bus::{DeviceId, ServiceId, Token};
 use lastcpu_core::devices::accel::FabricParams;
@@ -86,54 +85,8 @@ fn encode_fabric_params(regions: u16) -> Vec<u8> {
     FabricParams { regions }.encode()
 }
 
-struct WatchingAlloc;
-
-thread_local! {
-    /// The largest allocation this thread made while watching, if watching.
-    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-fn note(size: usize) {
-    let _ = LARGEST.try_with(|l| {
-        if let Some(max) = l.get() {
-            l.set(Some(max.max(size)));
-        }
-    });
-}
-
-// SAFETY: every call is forwarded unchanged to the std system allocator; the
-// addition is `note`, which never allocates and tolerates thread-local
-// teardown.
-unsafe impl GlobalAlloc for WatchingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: same layout the caller handed us.
-        unsafe { StdAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `StdAlloc` with this layout.
-        unsafe { StdAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` came from `StdAlloc` with `layout`; the caller
-        // guarantees `new_size` is valid for it.
-        unsafe { StdAlloc.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: WatchingAlloc = WatchingAlloc;
-
-/// The largest single allocation `f` makes on this thread.
-fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LARGEST.with(|l| l.set(Some(0)));
-    let out = f();
-    let max = LARGEST.with(|l| l.replace(None)).unwrap_or(0);
-    (out, max)
-}
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Hex, with a run of four or more equal bytes as `xx*N`.
 fn show(bytes: &[u8]) -> String {
@@ -517,10 +470,11 @@ fn a_hostile_endpoint_count_reserves_at_most_4096() {
     }
     frame.push(n as u8);
     assert_eq!(frame.len(), 13);
-    let (decoded, largest) = largest_allocation(|| DirMsg::decode(&frame));
+    let (decoded, seen) = watch(|| DirMsg::decode(&frame));
     assert!(decoded.is_err(), "{decoded:?}");
+    let largest = seen.largest;
     assert!(
-        largest <= 4096 * std::mem::size_of::<DirEndpoint>(),
+        largest <= 4096 * std::mem::size_of::<DirEndpoint>() as u64,
         "reserved {largest} bytes"
     );
 }
