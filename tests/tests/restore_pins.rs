@@ -26,7 +26,7 @@ use lastcpu_core::devices::nic::{EchoApp, SmartNic};
 use lastcpu_core::devices::ssd::{SmartSsd, SsdConfig};
 use lastcpu_core::{MemCtlDevice, System, SystemConfig};
 use lastcpu_fabric::{FabricConfig, HashRing, TopoKind, TopologyConfig};
-use lastcpu_iommu::{Iommu, Iotlb};
+use lastcpu_iommu::{AccessKind, Iommu, Iotlb};
 use lastcpu_kvs::build::{default_nand, KVS_FILE};
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::engine::LogScanner;
@@ -39,7 +39,7 @@ use lastcpu_mem::{Dram, FrameAllocator, PageTable, Pasid, Perms, PhysAddr, VirtA
 use lastcpu_memctl::MemoryController;
 use lastcpu_net::{PortId, Switch};
 use lastcpu_sim::{BufPool, DetRng, Histogram, MetricsHub, SimTime, TraceSink};
-use lastcpu_snap::{Checkpoint, Restore, SnapReader, SnapWriter, Snapshot};
+use lastcpu_snap::{fnv1a, Checkpoint, Restore, SnapReader, SnapWriter, Snapshot};
 use lastcpu_virtio::queue::ChainSeg;
 use lastcpu_virtio::{
     BufferArena, DescChain, FlatMemory, QueueLayout, VirtqueueDevice, VirtqueueDriver,
@@ -523,4 +523,59 @@ fn driven_components_restore_what_they_snapshot() {
         Accelerator::new("x", 1),
     );
     pin("echo", &EchoApp::new(), EchoApp::new());
+}
+
+/// `(length, FNV-1a)` of a section body.
+fn digest(bytes: &[u8]) -> (usize, u64) {
+    (bytes.len(), fnv1a(bytes))
+}
+
+/// An audited IOMMU that refused several DMAs, one of each kind and one
+/// past the log's capacity: its section bytes as recorded before the audit
+/// kept `IommuFault`s.
+#[test]
+fn an_audited_iommu_with_denials_keeps_its_bytes() {
+    let mut mmu = Iommu::new(8);
+    mmu.enable_audit(3);
+    mmu.bind_pasid(Pasid(1));
+    mmu.map(
+        Pasid(1),
+        VirtAddr::new(0x1000),
+        PhysAddr::new(0x8000),
+        Perms::R,
+    )
+    .unwrap();
+    assert!(mmu
+        .translate(Pasid(1), VirtAddr::new(0x1000), AccessKind::Read)
+        .is_ok());
+    let denied = [
+        (Pasid(1), 0x1000, AccessKind::Write),
+        (Pasid(1), 0xdead_f000, AccessKind::Read),
+        (Pasid(9), 0x2000, AccessKind::Write),
+        (Pasid(1), 1 << 60, AccessKind::Read),
+    ];
+    for (pasid, va, access) in denied {
+        assert!(mmu.translate(pasid, VirtAddr::new(va), access).is_err());
+    }
+    let bytes = mmu.snapshot_bytes();
+    assert_eq!(digest(&bytes), (310, 1370405884347656973), "audited iommu");
+    pin_bytes("audited iommu", &bytes, Iommu::new(8));
+}
+
+/// A pool after takes, returns and a `reset_stats` with buffers out: its
+/// section bytes as recorded before the pool kept one live count.
+#[test]
+fn a_pool_after_takes_returns_and_a_reset_keeps_its_bytes() {
+    let pool = BufPool::with_capacity(4);
+    let held: Vec<_> = (0..6).map(|_| pool.take()).collect();
+    drop(held);
+    let early = pool.take();
+    pool.reset_stats();
+    let late = pool.take_filled(7, 32);
+    drop(early);
+    drop(late);
+    let _ = pool.take();
+    let bytes = pool.snapshot_bytes();
+    assert_eq!(digest(&bytes), (56, 12763025439155701256), "pool");
+    pin_bytes("pool", &bytes, BufPool::with_capacity(4));
 }
