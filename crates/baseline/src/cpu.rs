@@ -177,11 +177,6 @@ impl<A: CpuApp> CpuDevice<A> {
         &self.app
     }
 
-    /// Entries currently in the central directory.
-    pub fn directory_len(&self) -> usize {
-        self.directory.len()
-    }
-
     fn env<'a, 'b>(
         ctx: &'a mut DeviceCtx<'b>,
         monitor: &'a mut Monitor,
@@ -563,7 +558,7 @@ mod tests {
         sys.run_for(SimDuration::from_millis(60));
 
         let cpu_dev: &CpuDevice<IdleApp> = sys.device_as(cpu).unwrap();
-        assert!(cpu_dev.directory_len() >= 3, "fs + loader + file service");
+        assert!(cpu_dev.directory.len() >= 3, "fs + loader + file service");
         assert_eq!(cpu_dev.stats().opens_brokered, 1);
         assert!(cpu_dev.stats().interrupts > 0);
         let c: &BrokerClient = sys.device_as(client).unwrap();

@@ -66,14 +66,6 @@ impl Json {
         }
     }
 
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -279,6 +271,10 @@ fn string(b: &[u8], i: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("unknown escape at byte {}", *i - 1)),
                 }
             }
+            // RFC 8259 §7: a control character is written escaped.
+            0x00..=0x1F => {
+                return Err(format!("unescaped control character at byte {}", *i - 1));
+            }
             _ => {
                 // Re-decode the UTF-8 sequence starting at c.
                 let start = *i - 1;
@@ -370,7 +366,7 @@ mod tests {
             metrics[0].get("value").and_then(Json::as_f64),
             Some(376731.3)
         );
-        assert_eq!(metrics[0].get("host").and_then(Json::as_bool), Some(true));
+        assert_eq!(metrics[0].get("host"), Some(&Json::Bool(true)));
         assert_eq!(metrics[1], Json::Null);
     }
 
@@ -428,6 +424,28 @@ mod tests {
         assert!(Json::parse("[-01]").is_err());
         let nums = [0.0, -0.5, 10.0].map(Json::Num).to_vec();
         assert_eq!(Json::parse("[0, -0.5, 10]").unwrap(), Json::Arr(nums));
+    }
+
+    #[test]
+    fn refuses_a_raw_control_character() {
+        assert!(Json::parse("\"a\u{1}b\"").is_err());
+        assert!(Json::parse("[\"\n\"]").is_err());
+        assert!(Json::parse("\"\u{1f}\"").is_err());
+        assert_eq!(
+            Json::parse(r#""\u0001\n""#).unwrap(),
+            Json::Str("\u{1}\n".into())
+        );
+    }
+
+    /// What the parser refuses raw, the writer never writes raw.
+    #[test]
+    fn every_control_character_dumps_escaped_and_reads_back() {
+        for c in (0u8..0x20).map(char::from) {
+            let j = Json::Str(format!("a{c}b"));
+            let text = j.dump();
+            assert!(!text.trim_end().contains(c), "{c:?} written raw");
+            assert_eq!(Json::parse(&text), Ok(j));
+        }
     }
 
     #[test]

@@ -130,6 +130,12 @@ impl Cell {
 
     fn metric(mut self, name: &str, value: Json, unit: &str, better: Better, bound: f64) -> Cell {
         assert!(self.get(name).is_none(), "metric {name} declared twice");
+        if let Json::Num(n) = value {
+            assert!(
+                n.is_finite(),
+                "metric {name} is {n}, which JSON cannot write"
+            );
+        }
         self.metrics.push(Metric {
             name: name.into(),
             value,
@@ -520,6 +526,18 @@ mod tests {
                 Cell::new("summary").exact("leaked", 0u64, "count"),
             ],
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "metric p99_us is NaN")]
+    fn refuses_a_non_finite_metric() {
+        let _ = Cell::new("scaling").lower("p99_us", f64::NAN, "us", 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "metric ops is inf")]
+    fn refuses_an_infinite_exact_metric() {
+        let _ = Cell::new("scaling").exact("ops", f64::INFINITY, "1/s");
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub struct BusAuditRecord {
 ///
 /// Counters are exact; the record log is capped so an attacker flooding
 /// denied operations cannot exhaust host memory through its own audit
-/// trail. Overflowed records are counted in `dropped_records`.
+/// trail. Overflowed records are counted in the section.
 #[derive(Debug, Clone, Default)]
 pub struct BusAudit {
     allowed: u64,
@@ -160,8 +160,7 @@ pub struct BusAuditDelta {
     pub denied: u64,
     /// Flood-shed messages since the last drain (exact).
     pub rate_limited: u64,
-    /// Retained verdict records (bounded; see
-    /// [`BusAudit::dropped_records`]).
+    /// Retained verdict records (bounded by the audit's capacity).
     pub records: Vec<BusAuditRecord>,
 }
 
@@ -209,11 +208,6 @@ impl BusAudit {
     /// Exact count of messages shed by the flood limiter.
     pub fn rate_limited(&self) -> u64 {
         self.rate_limited
-    }
-
-    /// Records dropped because the bounded log was full.
-    pub fn dropped_records(&self) -> u64 {
-        self.dropped
     }
 
     /// Retained verdict records, oldest first.

@@ -2,7 +2,7 @@
 //! Handling"): slot enumeration, `Hello`, the failure broadcast with its
 //! reset pulse, and the heartbeat liveness sweep.
 
-use lastcpu_sim::{CorrId, SimDuration, SimTime};
+use lastcpu_sim::{CorrId, SimTime};
 
 use super::{BusEffect, BusError, DeviceEntry, DeviceState, SystemBus};
 use crate::ids::{DeviceId, RequestId};
@@ -54,12 +54,6 @@ impl SystemBus {
     /// Devices currently alive, in attach order.
     pub fn alive(&self) -> impl Iterator<Item = &DeviceEntry> {
         self.devices().filter(|d| d.state == DeviceState::Alive)
-    }
-
-    /// Sets the heartbeat timeout after which a silent device is declared
-    /// failed by [`SystemBus::check_liveness`].
-    pub fn set_heartbeat_timeout(&mut self, t: SimDuration) {
-        self.heartbeat_timeout = t;
     }
 
     /// `Hello`: the device passed self-test and is alive (§2.2 "System
@@ -229,8 +223,7 @@ mod tests {
     #[test]
     fn heartbeat_timeout_detection() {
         let (mut bus, nic, _, _) = setup();
-        bus.set_heartbeat_timeout(SimDuration::from_millis(1));
-        let later = SimTime::ZERO + SimDuration::from_millis(5);
+        let later = SimTime::ZERO + lastcpu_sim::costs::BUS_HEARTBEAT_TIMEOUT.saturating_mul(5);
         // nic heartbeats late enough; others lapse.
         let mut fx = Vec::new();
         bus.handle(
@@ -258,8 +251,7 @@ mod tests {
         // device, so a dead device stayed "Alive" forever on deterministic
         // schedules.
         let (mut bus, nic, _, _) = setup();
-        let timeout = SimDuration::from_millis(1);
-        bus.set_heartbeat_timeout(timeout);
+        let timeout = lastcpu_sim::costs::BUS_HEARTBEAT_TIMEOUT;
         let mut fx = Vec::new();
         // One tick before the deadline: still alive.
         let almost = SimTime::from_nanos(timeout.as_nanos() - 1);

@@ -48,13 +48,6 @@ impl BusCostModel {
     pub fn broadcast_nth(&self, bytes: usize, n: usize) -> SimDuration {
         self.unicast(bytes) + self.processing.saturating_mul(n as u64)
     }
-
-    /// Processing-only cost (bus-terminated messages such as heartbeats).
-    pub fn terminal(&self, bytes: usize) -> SimDuration {
-        self.hop_latency
-            + self.processing
-            + SimDuration::from_nanos(bytes as u64 * self.per_byte_ps / 1000)
-    }
 }
 
 #[cfg(test)]
@@ -82,11 +75,5 @@ mod tests {
         let m = BusCostModel::default();
         assert!(m.broadcast_nth(64, 10) > m.broadcast_nth(64, 0));
         assert_eq!(m.broadcast_nth(64, 0), m.unicast(64));
-    }
-
-    #[test]
-    fn terminal_is_cheaper_than_unicast() {
-        let m = BusCostModel::default();
-        assert!(m.terminal(64) < m.unicast(64));
     }
 }

@@ -404,11 +404,6 @@ impl WireWriter {
     pub fn string(&mut self, s: &str) {
         self.bytes(s.as_bytes());
     }
-
-    /// Writes a boolean as one byte.
-    pub fn boolean(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
 }
 
 /// Cursor-based decoder.
@@ -521,18 +516,6 @@ impl<'a> WireReader<'a> {
             Err(self.bad_tag(what, got))
         }
     }
-
-    /// Reads a boolean byte (strictly 0 or 1).
-    pub fn boolean(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(WireError::BadDiscriminant {
-                what: "bool",
-                value: v as u64,
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -548,7 +531,6 @@ mod tests {
         w.u32(0xDEADBEEF);
         w.u64(u64::MAX);
         w.u128(u128::MAX - 1);
-        w.boolean(true);
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 0xAB);
@@ -556,7 +538,6 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 0xDEADBEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.u128().unwrap(), u128::MAX - 1);
-        assert!(r.boolean().unwrap());
         r.expect_end().unwrap();
     }
 
@@ -600,15 +581,6 @@ mod tests {
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
         assert!(matches!(r.bytes(), Err(WireError::FieldTooLong { .. })));
-    }
-
-    #[test]
-    fn bool_is_strict() {
-        let mut r = WireReader::new(&[2]);
-        assert!(matches!(
-            r.boolean(),
-            Err(WireError::BadDiscriminant { .. })
-        ));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::fmt;
 
 use lastcpu_net::{Frame, PortId};
-use lastcpu_sim::{BufPool, Bytes, CorrId, DetRng, MetricsHub, SimDuration, SimTime};
+use lastcpu_sim::{BufPool, Bytes, CorrId, DetRng, MetricsHub, SimDuration, SimTime, TraceData};
 
 /// Effects a host queues during a callback.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,17 +24,11 @@ pub enum HostAction {
         /// Token returned in `on_timer`.
         token: u64,
     },
-    /// Emit a free-form trace record.
-    Trace(String),
-    /// Emit a critical-path stage mark (see [`lastcpu_sim::critpath`]).
-    Stage {
-        /// Milestone label (`client.issue`, `router.recv`, …).
-        stage: &'static str,
-        /// Primary join key.
-        id: u64,
-        /// Secondary disambiguator.
-        aux: u64,
-    },
+    /// Emit a trace record of a variant that holds integers only (a
+    /// critical-path stage mark, see [`lastcpu_sim::critpath`]).
+    Trace(TraceData),
+    /// Emit a free-form trace line (a `TraceData::Text` record).
+    TraceText(String),
 }
 
 /// Execution context of a host callback.
@@ -49,11 +43,11 @@ pub struct HostCtx<'a> {
     /// The system-wide metrics hub (hosts record end-to-end latencies).
     pub stats: &'a MetricsHub,
     /// Whether the system's trace sink is collecting. Hosts use this to
-    /// skip building [`HostAction::Trace`] / [`HostAction::Stage`] payloads
-    /// on hot paths when nothing would record them.
+    /// skip building [`HostAction::Trace`] / [`HostAction::TraceText`]
+    /// payloads on hot paths when nothing would record them.
     pub tracing: bool,
     rng: &'a mut DetRng,
-    pool: Option<&'a BufPool>,
+    pool: &'a BufPool,
     actions: Vec<HostAction>,
 }
 
@@ -65,6 +59,7 @@ impl<'a> HostCtx<'a> {
         stats: &'a MetricsHub,
         rng: &'a mut DetRng,
         corr: CorrId,
+        pool: &'a BufPool,
     ) -> Self {
         HostCtx {
             now,
@@ -73,7 +68,7 @@ impl<'a> HostCtx<'a> {
             stats,
             tracing: false,
             rng,
-            pool: None,
+            pool,
             actions: Vec::new(),
         }
     }
@@ -82,12 +77,6 @@ impl<'a> HostCtx<'a> {
     /// the trace sink's state before each callback).
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    /// Attaches the machine's payload-buffer pool (simulator only).
-    pub fn with_pool(mut self, pool: &'a BufPool) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -105,23 +94,17 @@ impl<'a> HostCtx<'a> {
         self.rng
     }
 
-    /// An empty payload buffer, drawn from the machine's pool when one is
-    /// attached. Encode into it and pass it to [`HostCtx::net_tx`]; the
-    /// storage recycles when the frame is consumed at the receiver.
+    /// An empty payload buffer from the machine's pool. Encode into it and
+    /// pass it to [`HostCtx::net_tx`]; the storage recycles when the frame
+    /// is consumed at the receiver.
     pub fn take_buf(&self) -> Bytes {
-        match self.pool {
-            Some(p) => p.take(),
-            None => Bytes::new(),
-        }
+        self.pool.take()
     }
 
-    /// A payload buffer pre-filled with `len` copies of `byte` (pooled when
-    /// a pool is attached).
+    /// A payload buffer from the machine's pool, filled with `len` copies
+    /// of `byte`.
     pub fn take_buf_filled(&self, byte: u8, len: usize) -> Bytes {
-        match self.pool {
-            Some(p) => p.take_filled(byte, len),
-            None => vec![byte; len].into(),
-        }
+        self.pool.take_filled(byte, len)
     }
 
     /// Queues a frame for transmission.
@@ -139,16 +122,18 @@ impl<'a> HostCtx<'a> {
     /// line is formatted only while the trace sink is collecting.
     pub fn trace(&mut self, what: fmt::Arguments<'_>) {
         if self.tracing {
-            self.actions.push(HostAction::Trace(what.to_string()));
+            self.actions.push(HostAction::TraceText(what.to_string()));
         }
     }
 
-    /// Emits a critical-path stage mark. A no-op while the trace sink is
-    /// disabled, so per-operation marks cost performance runs nothing.
+    /// Emits a critical-path stage mark (a [`TraceData::Stage`] record). A
+    /// no-op while the trace sink is disabled, so per-operation marks cost
+    /// performance runs nothing.
     #[inline]
     pub fn stage(&mut self, stage: &'static str, id: u64, aux: u64) {
         if self.tracing {
-            self.actions.push(HostAction::Stage { stage, id, aux });
+            let mark = TraceData::Stage { stage, id, aux };
+            self.actions.push(HostAction::Trace(mark));
         }
     }
 
@@ -201,16 +186,24 @@ mod tests {
     #[test]
     fn ctx_queues_actions_in_order() {
         let stats = MetricsHub::new();
+        let pool = BufPool::new();
         let mut rng = DetRng::new(1);
-        let mut ctx = HostCtx::new(SimTime::ZERO, PortId(3), &stats, &mut rng, CorrId::NONE)
-            .with_tracing(true);
+        let mut ctx = HostCtx::new(
+            SimTime::ZERO,
+            PortId(3),
+            &stats,
+            &mut rng,
+            CorrId::NONE,
+            &pool,
+        )
+        .with_tracing(true);
         ctx.net_tx(PortId(9), vec![1]);
         ctx.set_timer(SimDuration::from_micros(1), 7);
         ctx.trace(format_args!("x"));
         let a = ctx.finish();
         assert!(matches!(&a[0], HostAction::NetTx(f) if f.src == PortId(3) && f.dst == PortId(9)));
         assert!(matches!(a[1], HostAction::SetTimer { token: 7, .. }));
-        assert!(matches!(&a[2], HostAction::Trace(_)));
+        assert!(matches!(&a[2], HostAction::TraceText(_)));
     }
 
     #[test]
@@ -223,38 +216,65 @@ mod tests {
             }
         }
         let stats = MetricsHub::new();
+        let pool = BufPool::new();
         let mut rng = DetRng::new(1);
-        let mut off = HostCtx::new(SimTime::ZERO, PortId(3), &stats, &mut rng, CorrId::NONE);
+        let mut off = HostCtx::new(
+            SimTime::ZERO,
+            PortId(3),
+            &stats,
+            &mut rng,
+            CorrId::NONE,
+            &pool,
+        );
         off.trace(format_args!("{Unformattable}"));
         assert!(off.finish().is_empty(), "lines dropped while not tracing");
 
         let mut rng = DetRng::new(1);
-        let mut on = HostCtx::new(SimTime::ZERO, PortId(3), &stats, &mut rng, CorrId::NONE)
-            .with_tracing(true);
+        let mut on = HostCtx::new(
+            SimTime::ZERO,
+            PortId(3),
+            &stats,
+            &mut rng,
+            CorrId::NONE,
+            &pool,
+        )
+        .with_tracing(true);
         on.trace(format_args!("{} ops", 3));
-        assert_eq!(on.finish(), [HostAction::Trace("3 ops".into())]);
+        assert_eq!(on.finish(), [HostAction::TraceText("3 ops".into())]);
     }
 
     #[test]
     fn stage_marks_follow_the_tracing_flag() {
         let stats = MetricsHub::new();
+        let pool = BufPool::new();
         let mut rng = DetRng::new(1);
-        let mut off = HostCtx::new(SimTime::ZERO, PortId(3), &stats, &mut rng, CorrId::NONE);
+        let mut off = HostCtx::new(
+            SimTime::ZERO,
+            PortId(3),
+            &stats,
+            &mut rng,
+            CorrId::NONE,
+            &pool,
+        );
         off.stage("client.issue", 1, 2);
         assert!(off.finish().is_empty(), "marks dropped while not tracing");
 
         let mut rng = DetRng::new(1);
-        let mut on = HostCtx::new(SimTime::ZERO, PortId(3), &stats, &mut rng, CorrId::NONE)
-            .with_tracing(true);
+        let mut on = HostCtx::new(
+            SimTime::ZERO,
+            PortId(3),
+            &stats,
+            &mut rng,
+            CorrId::NONE,
+            &pool,
+        )
+        .with_tracing(true);
         on.stage("client.issue", 1, 2);
-        let a = on.finish();
-        assert!(matches!(
-            a[0],
-            HostAction::Stage {
-                stage: "client.issue",
-                id: 1,
-                aux: 2
-            }
-        ));
+        let mark = TraceData::Stage {
+            stage: "client.issue",
+            id: 1,
+            aux: 2,
+        };
+        assert_eq!(on.finish(), [HostAction::Trace(mark)]);
     }
 }

@@ -1,9 +1,8 @@
 //! §4 "Error Handling" and the E4 fault matrix: taking devices down,
 //! mangling their wire, noticing silence, and bringing them back.
 //!
-//! Five causes take a device down — [`System::kill_device`], the liveness
-//! sweep, the `Crash` and `Hang` faults, and `Action::Halt` in `slots` — and
-//! they differ on purpose in who clears the inbox and who forgets the
+//! Four causes take a device down — [`System::kill_device`], the liveness
+//! sweep, and the `Crash` and `Hang` faults — and they differ on purpose in who clears the inbox and who forgets the
 //! device's pending RPCs. [`System::take_down`] is the one place that does
 //! it; its `match` is DESIGN.md §8's table.
 
@@ -27,8 +26,6 @@ pub(super) enum TakeDown {
     Crash,
     /// `FaultKind::Hang`.
     Hang,
-    /// The firmware's own `Action::Halt`.
-    Halt { reason: String, corr: CorrId },
 }
 
 impl System {
@@ -67,10 +64,6 @@ impl System {
             // Silent: the device just stops. Only the heartbeat liveness
             // sweep can detect this, which is the point of the fault.
             TakeDown::Hang => (true, false, false, None),
-            TakeDown::Halt { reason, corr } => {
-                let detail = format_args!("{id} halted: {reason}");
-                (true, false, true, record(corr, detail))
-            }
         };
         let slot = &mut self.slots[idx];
         slot.halted = true;

@@ -863,6 +863,82 @@ mod tests {
         assert_eq!(hello_to.as_deref(), Some("Bus"));
     }
 
+    /// Marks one critical-path stage when it starts, and takes a buffer.
+    struct Marker;
+
+    impl Device for Marker {
+        fn name(&self) -> &str {
+            "marker"
+        }
+        fn kind(&self) -> &str {
+            "marker"
+        }
+        fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {
+            ctx.stage("server.recv", 7, 1);
+            drop(ctx.take_buf());
+        }
+        fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: &Envelope) {}
+        fn on_timer(&mut self, _ctx: &mut DeviceCtx<'_>, _token: u64) {}
+    }
+
+    impl NetHost for Marker {
+        fn name(&self) -> &str {
+            "host-marker"
+        }
+        fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+            ctx.stage("client.issue", 9, 2);
+            drop(ctx.take_buf_filled(0xAB, 300));
+        }
+        fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, _frame: Frame) {}
+    }
+
+    /// The stage marks and buffer takes of one powered-on `Marker` device
+    /// or host, on a machine traced or not.
+    fn marked(trace: bool, add: impl FnOnce(&mut System)) -> (Vec<String>, u64) {
+        let mut sys = System::new(SystemConfig {
+            trace,
+            ..SystemConfig::default()
+        });
+        add(&mut sys);
+        let taken = sys.pool().stats().taken;
+        sys.power_on();
+        sys.run_for(SimDuration::from_micros(10));
+        let marks = sys
+            .trace()
+            .events()
+            .filter(|e| matches!(e.data, TraceData::Stage { .. }))
+            .map(|e| format!("{} {}", e.source(), e.what()))
+            .collect();
+        assert_eq!(sys.pool().outstanding(), 0, "the buffer went back");
+        (marks, sys.pool().stats().taken - taken)
+    }
+
+    /// A device's stage mark is a typed `Stage` record under the device's
+    /// name, and its buffers come from the machine's pool.
+    #[test]
+    fn a_device_stage_mark_is_a_stage_record() {
+        let add = |sys: &mut System| {
+            sys.add_device(Box::new(Marker));
+        };
+        let (marks, taken) = marked(true, add);
+        assert_eq!(marks, ["marker stage server.recv id=7 aux=1"]);
+        assert_eq!(taken, 1);
+        assert_eq!(marked(false, add).0, Vec::<String>::new());
+    }
+
+    /// A host's stage mark is the same record under the host's name, and
+    /// its buffers come from the machine's pool too.
+    #[test]
+    fn a_host_stage_mark_is_a_stage_record() {
+        let add = |sys: &mut System| {
+            sys.add_host(Box::new(Marker));
+        };
+        let (marks, taken) = marked(true, add);
+        assert_eq!(marks, ["host-marker stage client.issue id=9 aux=2"]);
+        assert_eq!(taken, 1);
+        assert_eq!(marked(false, add).0, Vec::<String>::new());
+    }
+
     /// Once registered, sends `BATCH` discovery queries with patterns never
     /// seen before and `BATCH` heartbeats to ids the bus never handed out
     /// per timer tick, until it has sent `TOTAL` of each.
@@ -924,11 +1000,23 @@ mod tests {
         assert_eq!(dev.sent, Flooder::TOTAL);
         let trace = sys.trace();
         assert!(trace.total_emitted() > 2 * Flooder::TOTAL as u64);
+        // Past the table's bound a pattern rides its record as text, under
+        // one of a record's three text handles: the retained queries hold
+        // at most MAX_NAMES + 3 distinct handles among many more records.
+        let patterns = || {
+            trace.events().filter_map(|e| match e.data {
+                TraceData::Discovery { pattern, .. } => Some(pattern),
+                _ => None,
+            })
+        };
+        let bound = lastcpu_sim::trace::MAX_NAMES + 3;
         assert!(
-            trace.name_count() <= lastcpu_sim::trace::MAX_NAMES,
-            "{} names",
-            trace.name_count()
+            patterns().count() > 2 * bound,
+            "{} queries",
+            patterns().count()
         );
+        let handles: std::collections::HashSet<_> = patterns().collect();
+        assert!(handles.len() <= bound, "{} pattern names", handles.len());
         let last = |needle: &str| trace.containing(needle).last().map(|e| e.what());
         let n = Flooder::TOTAL - 1;
         assert_eq!(

@@ -159,9 +159,8 @@ impl System {
     ) {
         let hs = &mut self.hosts[hidx];
         let scratch = std::mem::take(&mut hs.scratch_actions);
-        let mut ctx = HostCtx::new(now, hs.port, &self.stats, &mut hs.rng, corr)
+        let mut ctx = HostCtx::new(now, hs.port, &self.stats, &mut hs.rng, corr, &self.pool)
             .with_tracing(self.trace.is_enabled())
-            .with_pool(&self.pool)
             .with_scratch(scratch);
         f(hs.host.as_mut(), &mut ctx);
         let mut actions = ctx.finish();
@@ -172,14 +171,13 @@ impl System {
                     self.queue
                         .schedule_in(delay, Event::HostTimer { hidx, token, corr });
                 }
-                HostAction::Trace(line) => {
+                HostAction::Trace(data) => {
+                    let name = self.hosts[hidx].name;
+                    self.trace.emit_data(now, name, corr, data);
+                }
+                HostAction::TraceText(line) => {
                     let name = self.hosts[hidx].name;
                     self.trace.emit_text(now, name, corr, TraceData::Text, line);
-                }
-                HostAction::Stage { stage, id, aux } => {
-                    let name = self.hosts[hidx].name;
-                    self.trace
-                        .emit_data(now, name, corr, TraceData::Stage { stage, id, aux });
                 }
             }
         }

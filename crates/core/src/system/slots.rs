@@ -14,7 +14,6 @@ use lastcpu_devices::device::{Action, Device, DeviceCtx};
 use lastcpu_net::Frame;
 use lastcpu_sim::{profile, CorrId, SimTime, TraceData};
 
-use super::faults::TakeDown;
 use super::{Event, System};
 
 /// A unit of work waiting in a device's ingress FIFO.
@@ -167,9 +166,9 @@ impl System {
             &mut slot.next_req,
             corr,
             &self.stats,
+            &self.pool,
         )
         .with_tracing(self.trace.is_enabled())
-        .with_pool(&self.pool)
         .with_scratch(scratch_actions);
         f(slot.device.as_mut(), &mut ctx);
         let (mut actions, mut elapsed) = ctx.finish();
@@ -280,12 +279,6 @@ impl System {
                 let name = self.slots[idx].name;
                 self.trace.emit_text(t, name, corr, TraceData::Text, line);
             }
-            Action::Stage { stage, id, aux } => {
-                let name = self.slots[idx].name;
-                self.trace
-                    .emit_data(t, name, corr, TraceData::Stage { stage, id, aux });
-            }
-            Action::Halt { reason } => self.take_down(idx, t, TakeDown::Halt { reason, corr }),
         }
     }
 

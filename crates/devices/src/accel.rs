@@ -292,6 +292,7 @@ mod tests {
         rng: DetRng,
         req: u64,
         stats: MetricsHub,
+        pool: lastcpu_sim::BufPool,
     }
 
     impl Fix {
@@ -302,6 +303,7 @@ mod tests {
                 rng: DetRng::new(7),
                 req: 0,
                 stats: MetricsHub::new(),
+                pool: lastcpu_sim::BufPool::new(),
             }
         }
 
@@ -316,6 +318,7 @@ mod tests {
                 &mut self.req,
                 CorrId::NONE,
                 &self.stats,
+                &self.pool,
             )
         }
     }

@@ -57,21 +57,6 @@ pub enum Action {
     Trace(TraceData),
     /// Emit a free-form trace line (a `TraceData::Text` record).
     TraceText(String),
-    /// Emit a critical-path stage mark (see `lastcpu_sim::critpath`).
-    Stage {
-        /// Milestone label (`server.recv`, `server.done`, …).
-        stage: &'static str,
-        /// Primary join key.
-        id: u64,
-        /// Secondary disambiguator.
-        aux: u64,
-    },
-    /// The device declares itself failed (self-detected fatal error). The
-    /// simulator tells the bus, which fences and broadcasts (§4).
-    Halt {
-        /// Why the device died.
-        reason: String,
-    },
 }
 
 /// The execution context of one handler invocation.
@@ -91,14 +76,14 @@ pub struct DeviceCtx<'a> {
     /// obtained once are plain `Cell` writes on the hot path.
     pub stats: &'a MetricsHub,
     /// Whether the system's trace sink is collecting. Devices use this to
-    /// skip building [`Action::Trace`] / [`Action::Stage`] payloads on hot
-    /// paths when nothing would record them.
+    /// skip building [`Action::Trace`] payloads on hot paths when nothing
+    /// would record them.
     pub tracing: bool,
     iommu: &'a mut Iommu,
     dram: &'a mut Dram,
     rng: &'a mut DetRng,
     next_req: &'a mut u64,
-    pool: Option<&'a BufPool>,
+    pool: &'a BufPool,
     /// Accumulated handler cost.
     elapsed: SimDuration,
     /// Queued effects.
@@ -118,6 +103,7 @@ impl<'a> DeviceCtx<'a> {
         next_req: &'a mut u64,
         corr: CorrId,
         stats: &'a MetricsHub,
+        pool: &'a BufPool,
     ) -> Self {
         DeviceCtx {
             now,
@@ -130,7 +116,7 @@ impl<'a> DeviceCtx<'a> {
             dram,
             rng,
             next_req,
-            pool: None,
+            pool,
             elapsed: SimDuration::ZERO,
             actions: Vec::new(),
         }
@@ -143,12 +129,6 @@ impl<'a> DeviceCtx<'a> {
         self
     }
 
-    /// Attaches the machine's payload-buffer pool (simulator only).
-    pub fn with_pool(mut self, pool: &'a BufPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Seeds the action buffer with a reusable scratch `Vec` (simulator
     /// only; the simulator stores the `Vec` back after draining it, so the
     /// per-handler allocation disappears).
@@ -158,15 +138,11 @@ impl<'a> DeviceCtx<'a> {
         self
     }
 
-    /// An empty payload buffer, drawn from the machine's pool when one is
-    /// attached. Encode into it and hand it to [`DeviceCtx::net_tx`] (via
-    /// [`Frame::unicast`]); the storage recycles when the frame is consumed
-    /// at the receiver.
+    /// An empty payload buffer from the machine's pool. Encode into it and
+    /// hand it to [`DeviceCtx::net_tx`] (via [`Frame::unicast`]); the
+    /// storage recycles when the frame is consumed at the receiver.
     pub fn take_buf(&self) -> Bytes {
-        match self.pool {
-            Some(p) => p.take(),
-            None => Bytes::new(),
-        }
+        self.pool.take()
     }
 
     /// Consumes the context, returning queued actions and accumulated cost.
@@ -250,20 +226,12 @@ impl<'a> DeviceCtx<'a> {
         }
     }
 
-    /// Emits a critical-path stage mark. A no-op while the trace sink is
-    /// disabled, so per-operation marks cost performance runs nothing.
+    /// Emits a critical-path stage mark (a [`TraceData::Stage`] record; see
+    /// `lastcpu_sim::critpath`). A no-op while the trace sink is disabled,
+    /// so per-operation marks cost performance runs nothing.
     #[inline]
     pub fn stage(&mut self, stage: &'static str, id: u64, aux: u64) {
-        if self.tracing {
-            self.actions.push(Action::Stage { stage, id, aux });
-        }
-    }
-
-    /// Declares the device failed.
-    pub fn halt(&mut self, reason: impl Into<String>) {
-        self.actions.push(Action::Halt {
-            reason: reason.into(),
-        });
+        self.trace_data(TraceData::Stage { stage, id, aux });
     }
 
     /// DMA-reads `buf.len()` bytes at `va` in address space `pasid`.
@@ -445,6 +413,7 @@ mod tests {
     fn dma_round_trip_and_cost() {
         let (mut iommu, mut dram, mut rng, mut req) = fixture();
         let hub = MetricsHub::new();
+        let pool = BufPool::new();
         let mut ctx = DeviceCtx::new(
             SimTime::ZERO,
             DeviceId(1),
@@ -455,6 +424,7 @@ mod tests {
             &mut req,
             CorrId::NONE,
             &hub,
+            &pool,
         );
         ctx.dma_write(Pasid(1), VirtAddr::new(0x1ff0), b"span across pages!")
             .unwrap();
@@ -473,6 +443,7 @@ mod tests {
     fn dma_fault_is_returned_and_recorded() {
         let (mut iommu, mut dram, mut rng, mut req) = fixture();
         let hub = MetricsHub::new();
+        let pool = BufPool::new();
         let mut ctx = DeviceCtx::new(
             SimTime::ZERO,
             DeviceId(1),
@@ -483,6 +454,7 @@ mod tests {
             &mut req,
             CorrId::NONE,
             &hub,
+            &pool,
         );
         let mut buf = [0u8; 4];
         let err = ctx
@@ -498,6 +470,7 @@ mod tests {
     fn request_ids_are_unique_and_persistent() {
         let (mut iommu, mut dram, mut rng, mut req) = fixture();
         let hub = MetricsHub::new();
+        let pool = BufPool::new();
         {
             let mut ctx = DeviceCtx::new(
                 SimTime::ZERO,
@@ -509,6 +482,7 @@ mod tests {
                 &mut req,
                 CorrId::NONE,
                 &hub,
+                &pool,
             );
             assert_eq!(ctx.send_bus(Dst::Bus, Payload::Heartbeat), RequestId(0));
             assert_eq!(ctx.send_bus(Dst::Bus, Payload::Heartbeat), RequestId(1));
@@ -524,6 +498,7 @@ mod tests {
             &mut req,
             CorrId::NONE,
             &hub,
+            &pool,
         );
         assert_eq!(ctx.next_request_id(), RequestId(2));
     }
@@ -532,6 +507,7 @@ mod tests {
     fn actions_queue_in_order() {
         let (mut iommu, mut dram, mut rng, mut req) = fixture();
         let hub = MetricsHub::new();
+        let pool = BufPool::new();
         let mut ctx = DeviceCtx::new(
             SimTime::ZERO,
             DeviceId(1),
@@ -542,17 +518,23 @@ mod tests {
             &mut req,
             CorrId::NONE,
             &hub,
+            &pool,
         )
         .with_tracing(true);
         ctx.set_timer(SimDuration::from_micros(5), 42);
         ctx.doorbell(DeviceId(2), ConnId(7), 1);
         ctx.trace(format_args!("hello"));
-        ctx.halt("test");
+        ctx.stage("server.recv", 3, 0);
         let (actions, _) = ctx.finish();
         assert!(matches!(actions[0], Action::SetTimer { token: 42, .. }));
         assert!(matches!(actions[1], Action::Doorbell { value: 1, .. }));
         assert!(matches!(actions[2], Action::TraceText(_)));
-        assert!(matches!(actions[3], Action::Halt { .. }));
+        let stage = TraceData::Stage {
+            stage: "server.recv",
+            id: 3,
+            aux: 0,
+        };
+        assert_eq!(actions[3], Action::Trace(stage));
     }
 
     #[test]
@@ -571,6 +553,7 @@ mod tests {
         };
         let (mut iommu, mut dram, mut rng, mut req) = fixture();
         let hub = MetricsHub::new();
+        let pool = BufPool::new();
         let mut off = DeviceCtx::new(
             SimTime::ZERO,
             DeviceId(1),
@@ -581,6 +564,7 @@ mod tests {
             &mut req,
             CorrId::NONE,
             &hub,
+            &pool,
         );
         off.trace(format_args!("{Unformattable}"));
         off.trace_data(attached);
@@ -599,6 +583,7 @@ mod tests {
             &mut req,
             CorrId::NONE,
             &hub,
+            &pool,
         )
         .with_tracing(true);
         on.trace(format_args!("{} blocks", 3));
@@ -616,6 +601,7 @@ mod tests {
     fn dma_view_implements_queue_memory() {
         let (mut iommu, mut dram, mut rng, mut req) = fixture();
         let hub = MetricsHub::new();
+        let pool = BufPool::new();
         let mut ctx = DeviceCtx::new(
             SimTime::ZERO,
             DeviceId(1),
@@ -626,6 +612,7 @@ mod tests {
             &mut req,
             CorrId::NONE,
             &hub,
+            &pool,
         );
         let mut view = ctx.dma_view(Pasid(1));
         view.write(0x1000, b"via view").unwrap();
@@ -646,6 +633,7 @@ mod tests {
     fn busy_accumulates() {
         let (mut iommu, mut dram, mut rng, mut req) = fixture();
         let hub = MetricsHub::new();
+        let pool = BufPool::new();
         let mut ctx = DeviceCtx::new(
             SimTime::ZERO,
             DeviceId(1),
@@ -656,6 +644,7 @@ mod tests {
             &mut req,
             CorrId::NONE,
             &hub,
+            &pool,
         );
         ctx.busy(SimDuration::from_nanos(100));
         ctx.busy(SimDuration::from_nanos(50));

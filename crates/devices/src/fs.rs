@@ -493,7 +493,9 @@ mod snapshot_identity {
         let mut write = |f: &mut FlashFs, rng: &mut DetRng, name: &str, span: u64| {
             let len = rng.range(1, 200) as usize;
             let off = rng.below(span - len as u64);
-            rng.fill_bytes(&mut data[..len]);
+            for chunk in data[..len].chunks_mut(8) {
+                chunk.copy_from_slice(&rng.next_u64().to_le_bytes()[..chunk.len()]);
+            }
             f.write(name, off, &data[..len]).unwrap();
         };
         f.create("/log").unwrap();

@@ -143,16 +143,6 @@ impl Ftl {
         }
     }
 
-    /// Overrides the bounded retry policy for program failures.
-    pub fn set_retry_policy(&mut self, policy: BackoffPolicy) {
-        self.retry = policy;
-    }
-
-    /// The bounded retry policy in effect.
-    pub fn retry_policy(&self) -> BackoffPolicy {
-        self.retry
-    }
-
     /// Exported capacity in logical pages.
     pub fn logical_pages(&self) -> u32 {
         self.logical_pages
@@ -573,12 +563,7 @@ mod retirement_tests {
         let mut f = ftl();
         // A zero-retry policy turns the first program failure into an
         // immediate, accounted give-up instead of a retry loop.
-        f.set_retry_policy(lastcpu_sim::BackoffPolicy {
-            base: lastcpu_sim::SimDuration::from_micros(1),
-            cap: lastcpu_sim::SimDuration::from_micros(1),
-            max_retries: 0,
-            jitter_pct: 0,
-        });
+        f.retry.max_retries = 0;
         f.write(0, &[7; 32]).unwrap();
         let active_block = f.active.expect("active block in use").0;
         f.nand_mut().force_bad_block(active_block);
@@ -598,7 +583,7 @@ mod retirement_tests {
         let active_block = f.active.expect("active block in use").0;
         f.nand_mut().force_bad_block(active_block);
         let retried_cost = f.write(2, &[2; 32]).unwrap();
-        let base = f.retry_policy().base;
+        let base = f.retry.base;
         assert!(
             retried_cost >= clean_cost + base,
             "retried write ({retried_cost}) must absorb at least one backoff delay over a clean write ({clean_cost})"

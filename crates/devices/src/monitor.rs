@@ -243,21 +243,6 @@ impl Monitor {
         self.discovery_window = w;
     }
 
-    /// Whether the bus has acknowledged our `Hello`.
-    pub fn is_registered(&self) -> bool {
-        self.registered
-    }
-
-    /// Connections currently served, in unspecified order.
-    pub fn server_conns(&self) -> impl Iterator<Item = &ServerConn> {
-        self.conns.values()
-    }
-
-    /// Number of client-side connections currently open.
-    pub fn open_conn_count(&self) -> usize {
-        self.opened.len()
-    }
-
     // --- Startup -----------------------------------------------------
 
     /// Sends `Hello` (after the device's self-test) and announces services.
@@ -746,6 +731,7 @@ mod discovery_correlation_tests {
         let mut rng = DetRng::new(7);
         let mut req = 0u64;
         let hub = MetricsHub::new();
+        let pool = lastcpu_sim::BufPool::new();
         let mut m = Monitor::new();
         let mut ctx = DeviceCtx::new(
             SimTime::ZERO,
@@ -757,6 +743,7 @@ mod discovery_correlation_tests {
             &mut req,
             CorrId::NONE,
             &hub,
+            &pool,
         );
         let op_a = m.discover(&mut ctx, "alpha:*");
         let op_b = m.discover(&mut ctx, "beta:*");
@@ -789,6 +776,7 @@ mod discovery_correlation_tests {
             &mut req,
             CorrId::NONE,
             &hub,
+            &pool,
         );
         m.handle(
             &mut ctx,
@@ -873,6 +861,7 @@ mod tests {
         rng: DetRng,
         req: u64,
         stats: MetricsHub,
+        pool: lastcpu_sim::BufPool,
     }
 
     impl Fix {
@@ -883,6 +872,7 @@ mod tests {
                 rng: DetRng::new(7),
                 req: 0,
                 stats: MetricsHub::new(),
+                pool: lastcpu_sim::BufPool::new(),
             }
         }
 
@@ -897,6 +887,7 @@ mod tests {
                 &mut self.req,
                 CorrId::NONE,
                 &self.stats,
+                &self.pool,
             )
         }
     }
@@ -950,7 +941,7 @@ mod tests {
             },
         );
         assert_eq!(ev, Some(MonitorEvent::Registered));
-        assert!(m.is_registered());
+        assert!(m.registered);
     }
 
     #[test]
@@ -1103,8 +1094,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(client.open_conn_count(), 1);
-        assert_eq!(server.server_conns().count(), 1);
+        assert_eq!(client.opened.len(), 1);
+        assert_eq!(server.conns.len(), 1);
     }
 
     #[test]
@@ -1233,7 +1224,7 @@ mod tests {
             msgs[0].payload,
             Payload::CloseResponse { status: Status::Ok }
         ));
-        assert_eq!(server.server_conns().count(), 0);
+        assert_eq!(server.conns.len(), 0);
     }
 
     #[test]
@@ -1375,8 +1366,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(m.open_conn_count(), 0);
-        assert_eq!(m.server_conns().count(), 0);
+        assert_eq!(m.opened.len(), 0);
+        assert_eq!(m.conns.len(), 0);
     }
 
     #[test]
@@ -1475,8 +1466,8 @@ mod tests {
             vec![],
         );
         m.reset();
-        assert_eq!(m.server_conns().count(), 0);
-        assert!(!m.is_registered());
+        assert_eq!(m.conns.len(), 0);
+        assert!(!m.registered);
         // Services survive reset (they are device configuration, not state).
         let mut ctx2 = fix.ctx();
         m.start(&mut ctx2, "d", "k");

@@ -263,6 +263,7 @@ mod tests {
         rng: DetRng,
         req: u64,
         stats: MetricsHub,
+        pool: lastcpu_sim::BufPool,
     }
 
     impl Fix {
@@ -273,6 +274,7 @@ mod tests {
                 rng: DetRng::new(7),
                 req: 0,
                 stats: MetricsHub::new(),
+                pool: lastcpu_sim::BufPool::new(),
             }
         }
 
@@ -287,6 +289,7 @@ mod tests {
                 &mut self.req,
                 CorrId::NONE,
                 &self.stats,
+                &self.pool,
             )
         }
     }

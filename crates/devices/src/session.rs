@@ -297,6 +297,7 @@ mod tests {
         rng: DetRng,
         req: u64,
         stats: MetricsHub,
+        pool: lastcpu_sim::BufPool,
     }
 
     impl Fix {
@@ -321,6 +322,7 @@ mod tests {
                 rng: DetRng::new(7),
                 req: 0,
                 stats: MetricsHub::new(),
+                pool: lastcpu_sim::BufPool::new(),
             }
         }
 
@@ -335,6 +337,7 @@ mod tests {
                 &mut self.req,
                 CorrId::NONE,
                 &self.stats,
+                &self.pool,
             )
         }
     }

@@ -340,11 +340,6 @@ impl SmartSsd {
         self.config.quantum = quantum.max(1);
     }
 
-    /// Requests served on `conn` (per-context accounting).
-    pub fn conn_served(&self, conn: ConnId) -> u64 {
-        self.conns.get(&conn).map_or(0, |c| c.served)
-    }
-
     fn export_file(&mut self, path: &str) -> ServiceId {
         let id = ServiceId(self.next_file_svc);
         self.next_file_svc += 1;
@@ -1287,6 +1282,7 @@ mod tests {
         rng: lastcpu_sim::DetRng,
         req: u64,
         stats: lastcpu_sim::MetricsHub,
+        pool: lastcpu_sim::BufPool,
     }
 
     const RIG_PASID: Pasid = Pasid(7);
@@ -1309,6 +1305,7 @@ mod tests {
                 rng: lastcpu_sim::DetRng::new(7),
                 req: 0,
                 stats: lastcpu_sim::MetricsHub::new(),
+                pool: lastcpu_sim::BufPool::new(),
             }
         }
 
@@ -1323,6 +1320,7 @@ mod tests {
                 &mut self.req,
                 lastcpu_sim::CorrId::NONE,
                 &self.stats,
+                &self.pool,
             )
         }
 
@@ -1407,7 +1405,7 @@ mod tests {
         );
         assert_eq!(ssd.stats().requests, 3);
         assert_eq!(ssd.stats().conn_resets, 0);
-        assert_eq!(ssd.conn_served(RIG_CONN), 3);
+        assert_eq!(ssd.conns[&RIG_CONN].served, 3);
     }
 
     #[test]

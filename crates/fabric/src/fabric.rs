@@ -341,19 +341,9 @@ impl Fabric {
         self.trace.set_capacity(capacity);
     }
 
-    /// The fabric's own trace (link-hop records only).
-    pub fn link_trace(&self) -> &TraceSink {
-        &self.trace
-    }
-
     /// Current global virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of machines.
-    pub fn num_machines(&self) -> usize {
-        self.machines.len()
     }
 
     /// Adds a machine. The fabric rebases the machine's correlation-id
@@ -840,8 +830,11 @@ impl Fabric {
                 self.machines[m].faults.drop_remaining += count;
             }
             FaultKind::Delay { count, extra_ns } => {
-                self.machines[m].faults.delay_remaining += count;
-                self.machines[m].faults.delay_extra = SimDuration::from_nanos(extra_ns);
+                // A smaller second delay does not shorten what the first
+                // still owes (the machine's own link faults do the same).
+                let f = &mut self.machines[m].faults;
+                f.delay_remaining += count;
+                f.delay_extra = SimDuration::from_nanos(extra_ns.max(f.delay_extra.as_nanos()));
             }
             // Device-level faults have no whole-machine meaning here.
             FaultKind::SlowDown { .. } | FaultKind::IommuStorm { .. } => {}
@@ -1195,8 +1188,8 @@ mod tests {
     fn link_tracing_is_off_by_default() {
         two_machine_ping(77); // exercises forward()
         let fab = Fabric::new(FabricConfig::default());
-        assert!(!fab.link_trace().is_enabled());
-        assert!(fab.link_trace().is_empty());
+        assert!(!fab.trace.is_enabled());
+        assert!(fab.trace.is_empty());
     }
 
     #[test]
@@ -1519,12 +1512,12 @@ mod tests {
             .map(|r| r.corr.0)
             .collect();
         for &c in &corrs {
-            let on_m0 = merged
-                .by_corr(CorrId(c))
-                .any(|r| r.source().starts_with("m0/"));
-            let on_m1 = merged
-                .by_corr(CorrId(c))
-                .any(|r| r.source().starts_with("m1/"));
+            let on = |m: &str| {
+                merged
+                    .events()
+                    .any(|r| r.corr == CorrId(c) && r.source().starts_with(m))
+            };
+            let (on_m0, on_m1) = (on("m0/"), on("m1/"));
             if on_m0 && on_m1 {
                 spans_both += 1;
             }
@@ -1655,7 +1648,8 @@ mod tests {
         let host = fab.machine(m0).host_as::<DoublePing>(port).unwrap();
         assert_eq!(host.replies.len(), 2);
         let gap = host.replies[1].since(host.replies[0]);
-        let tx = fab.config().link_cost.serialize_frame(9000);
+        let wire = 9000 + lastcpu_net::FRAME_OVERHEAD_BYTES;
+        let tx = fab.config().link_cost.serialize(wire);
         assert!(
             gap >= tx,
             "second frame must queue behind the first on the shared uplink \
@@ -1715,6 +1709,33 @@ mod tests {
         }
         fab.power_on();
         fab
+    }
+
+    /// A second `Delay` on a machine whose first is still owed keeps the
+    /// larger extra latency, as a machine's own link faults do: a smaller
+    /// later delay does not shorten the frames the first one covers.
+    #[test]
+    fn a_smaller_second_delay_keeps_the_first_ones_latency() {
+        let mut plan = FaultPlan::new(44);
+        for (at, extra_ns) in [(100_000, 5_000), (200_000, 50)] {
+            let delay = FaultKind::Delay {
+                count: 1_000,
+                extra_ns,
+            };
+            plan.inject(SimTime::from_nanos(at), "m1", delay);
+        }
+        let mut fab = Fabric::new(FabricConfig {
+            fault_plan: Some(plan),
+            ..FabricConfig::default()
+        });
+        for i in 0..2u64 {
+            fab.add_machine(format!("m{i}"), quiet_sys(i));
+        }
+        fab.power_on();
+        fab.run_until(SimTime::from_nanos(300_000));
+        let faults = &fab.machines[1].faults;
+        assert_eq!(faults.delay_remaining, 2_000);
+        assert_eq!(faults.delay_extra, SimDuration::from_nanos(5_000));
     }
 
     /// The `fabric` section, restored into a twin run to the same instant,

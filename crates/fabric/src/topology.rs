@@ -287,11 +287,6 @@ impl Topology {
         &self.cfg
     }
 
-    /// Machines the path table covers.
-    pub fn num_machines(&self) -> usize {
-        self.machines
-    }
-
     /// Directed links in the graph.
     pub fn num_links(&self) -> usize {
         self.links.len()

@@ -14,8 +14,9 @@
 //! Two facilities live here:
 //!
 //! - [`DmaAudit`], the per-unit verdict recorder: counts allowed/denied
-//!   accesses and keeps a bounded log of denial records
-//!   ([`DmaDenialRecord`]) for the `sec.*` metrics and trace events.
+//!   accesses and keeps a bounded log of the denied accesses' faults
+//!   ([`IommuFault`]s, as the device saw them) for the `sec.*` metrics and
+//!   trace events.
 //! - [`crate::Iommu::probe`], a *read-only* translation oracle that answers "would
 //!   this access be allowed right now?" without touching the IOTLB, the
 //!   statistics, the audit, or the fault register. Tests and the E11 bench
@@ -25,7 +26,7 @@
 //! # Examples
 //!
 //! ```
-//! use lastcpu_iommu::{AccessKind, AccessVerdict, Iommu};
+//! use lastcpu_iommu::{AccessKind, Iommu, IommuFaultKind};
 //! use lastcpu_mem::{Pasid, Perms, PhysAddr, VirtAddr};
 //!
 //! let mut mmu = Iommu::new(16);
@@ -42,53 +43,21 @@
 //! assert_eq!(audit.denied(), 1);
 //! let rec = &audit.denials()[0];
 //! assert_eq!(rec.va, VirtAddr::new(0xdead_f000));
-//! assert_eq!(rec.verdict(), AccessVerdict::Denied);
+//! assert_eq!(rec.kind, IommuFaultKind::NotMapped);
 //!
 //! // The read-only oracle agrees, without perturbing any state.
 //! assert!(mmu.probe(Pasid(1), VirtAddr::new(0xdead_f000), AccessKind::Write).is_none());
 //! assert!(mmu.probe(Pasid(1), VirtAddr::new(0x1000), AccessKind::Read).is_some());
 //! ```
 
-use lastcpu_mem::{Pasid, VirtAddr};
-
-use crate::fault::{AccessKind, IommuFaultKind};
-
-/// The audit verdict on one translated access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessVerdict {
-    /// The access translated successfully under its PASID.
-    Allowed,
-    /// The access faulted; the device saw an [`crate::IommuFault`], not data.
-    Denied,
-}
-
-/// One denied DMA, as recorded at the translation choke point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DmaDenialRecord {
-    /// PASID the access was attempted under.
-    pub pasid: Pasid,
-    /// Faulting virtual address.
-    pub va: VirtAddr,
-    /// Read or write.
-    pub access: AccessKind,
-    /// Why the IOMMU refused it.
-    pub kind: IommuFaultKind,
-}
-
-impl DmaDenialRecord {
-    /// Always [`AccessVerdict::Denied`]; present so audit consumers can
-    /// treat allowed and denied records uniformly.
-    pub fn verdict(&self) -> AccessVerdict {
-        AccessVerdict::Denied
-    }
-}
+use crate::fault::IommuFault;
 
 /// Per-IOMMU audit state: verdict counters plus a bounded denial log.
 ///
 /// The log is bounded (`cap` entries) so a control-flood attacker cannot
 /// turn the audit itself into a memory-exhaustion vector; overflowed
 /// denials are still *counted* (`denied()` is exact), only their detail
-/// records are dropped, and `dropped_records()` says how many.
+/// records are dropped, and the section counts how many.
 #[derive(Debug, Clone, Default)]
 pub struct DmaAudit {
     allowed: u64,
@@ -97,7 +66,7 @@ pub struct DmaAudit {
     pending_denied: u64,
     dropped: u64,
     cap: usize,
-    log: Vec<DmaDenialRecord>,
+    log: Vec<IommuFault>,
 }
 
 /// Verdicts accumulated since the previous [`DmaAudit::drain`].
@@ -107,9 +76,9 @@ pub struct DmaAuditDelta {
     pub allowed: u64,
     /// Denied translations since the last drain (exact).
     pub denied: u64,
-    /// Retained denial records (bounded; see
-    /// [`DmaAudit::dropped_records`]).
-    pub records: Vec<DmaDenialRecord>,
+    /// Retained denials, each the fault the device saw (bounded by the
+    /// audit's capacity).
+    pub records: Vec<IommuFault>,
 }
 
 impl DmaAudit {
@@ -128,7 +97,7 @@ impl DmaAudit {
     }
 
     /// Records a denied translation.
-    pub(crate) fn record_denied(&mut self, rec: DmaDenialRecord) {
+    pub(crate) fn record_denied(&mut self, rec: IommuFault) {
         self.denied += 1;
         self.pending_denied += 1;
         if self.log.len() < self.cap {
@@ -149,13 +118,8 @@ impl DmaAudit {
     }
 
     /// Denial records retained (at most the configured capacity).
-    pub fn denials(&self) -> &[DmaDenialRecord] {
+    pub fn denials(&self) -> &[IommuFault] {
         &self.log
-    }
-
-    /// Denial records dropped because the bounded log was full.
-    pub fn dropped_records(&self) -> u64 {
-        self.dropped
     }
 
     /// Drains verdicts accumulated since the previous drain.
@@ -172,13 +136,6 @@ impl DmaAudit {
         }
     }
 }
-
-lastcpu_snap::record!(DmaDenialRecord {
-    pasid,
-    va,
-    access,
-    kind
-});
 
 lastcpu_snap::fields! { DmaAudit |self| (DmaAudit::default()) {
     allowed, denied, pending_allowed, pending_denied, dropped, cap,

@@ -24,7 +24,7 @@ pub mod fault;
 pub mod tlb;
 pub mod unit;
 
-pub use audit::{AccessVerdict, DmaAudit, DmaAuditDelta, DmaDenialRecord};
+pub use audit::{DmaAudit, DmaAuditDelta};
 pub use fault::{AccessKind, IommuFault, IommuFaultKind};
 pub use tlb::{Iotlb, TlbStats};
 pub use unit::{Iommu, IommuCostModel, IommuStats, TranslationOutcome};

@@ -230,26 +230,6 @@ impl Iotlb {
         }
         removed
     }
-
-    /// Invalidates every entry belonging to `pasid`. Returns how many were
-    /// removed.
-    pub fn invalidate_pasid(&mut self, pasid: Pasid) -> usize {
-        if self.front.is_some_and(|f| f.pasid == pasid) {
-            self.front = None;
-        }
-        let before = self.entries.len();
-        self.entries.retain(|(p, _), _| *p != pasid);
-        let removed = before - self.entries.len();
-        self.stats.invalidations += removed as u64;
-        removed
-    }
-
-    /// Invalidates everything.
-    pub fn invalidate_all(&mut self) {
-        self.front = None;
-        self.stats.invalidations += self.entries.len() as u64;
-        self.entries.clear();
-    }
 }
 
 /// What the IOTLB would serve, for tests that hold it to the page tables.
@@ -385,18 +365,18 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_page_and_pasid() {
+    fn invalidation_is_per_page_and_pasid() {
         let mut tlb = Iotlb::new(8);
         tlb.insert(Pasid(1), va(1), pa(1), Perms::R);
         tlb.insert(Pasid(1), va(2), pa(2), Perms::R);
         tlb.insert(Pasid(2), va(1), pa(3), Perms::R);
         assert!(tlb.invalidate_page(Pasid(1), va(1)));
         assert!(!tlb.invalidate_page(Pasid(1), va(1)));
-        assert_eq!(tlb.invalidate_pasid(Pasid(1)), 1);
+        assert_eq!(tlb.len(), 2);
+        assert!(tlb.invalidate_page(Pasid(2), va(1)), "another PASID's page");
         assert_eq!(tlb.len(), 1);
-        tlb.invalidate_all();
-        assert!(tlb.is_empty());
-        assert_eq!(tlb.stats().invalidations, 3);
+        assert!(tlb.lookup(Pasid(1), va(2), Perms::R).is_some());
+        assert_eq!(tlb.stats().invalidations, 2);
     }
 
     #[test]
@@ -480,16 +460,6 @@ mod tests {
         tlb.lookup(Pasid(1), va(1), Perms::R); // populate front
         assert!(tlb.invalidate_page(Pasid(1), va(1)));
         assert!(tlb.lookup(Pasid(1), va(1), Perms::R).is_none());
-
-        tlb.insert(Pasid(2), va(2), pa(2), Perms::RW);
-        tlb.lookup(Pasid(2), va(2), Perms::R);
-        tlb.invalidate_pasid(Pasid(2));
-        assert!(tlb.lookup(Pasid(2), va(2), Perms::R).is_none());
-
-        tlb.insert(Pasid(3), va(3), pa(3), Perms::RW);
-        tlb.lookup(Pasid(3), va(3), Perms::R);
-        tlb.invalidate_all();
-        assert!(tlb.lookup(Pasid(3), va(3), Perms::R).is_none());
 
         // Re-insert with a different frame: the front entry for the old
         // frame must not win.

@@ -8,7 +8,7 @@ use lastcpu_mem::{
 };
 use lastcpu_sim::{costs, DetHashMap, SimDuration};
 
-use crate::audit::{DmaAudit, DmaDenialRecord};
+use crate::audit::DmaAudit;
 use crate::fault::{AccessKind, IommuFault, IommuFaultKind};
 use crate::tlb::{Iotlb, TlbStats};
 
@@ -130,23 +130,6 @@ impl Iommu {
     /// Idempotent: rebinding an existing PASID keeps its table.
     pub fn bind_pasid(&mut self, pasid: Pasid) {
         self.tables.entry(pasid).or_default();
-    }
-
-    /// Unbinds a PASID, dropping its table and invalidating its TLB entries.
-    ///
-    /// Returns the physical page bases that were mapped (so the caller can
-    /// release grants).
-    pub fn unbind_pasid(&mut self, pasid: Pasid) -> Vec<PhysAddr> {
-        self.tlb.invalidate_pasid(pasid);
-        match self.tables.remove(&pasid) {
-            Some(table) => table.iter().into_iter().map(|(_, pa, _)| pa).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Whether `pasid` has a bound address space.
-    pub fn has_pasid(&self, pasid: Pasid) -> bool {
-        self.tables.contains_key(&pasid)
     }
 
     /// Bound PASIDs, in unspecified order.
@@ -332,12 +315,7 @@ impl Iommu {
         self.stats.faults += 1;
         self.last_fault = Some(f);
         if let Some(a) = self.audit.as_mut() {
-            a.record_denied(DmaDenialRecord {
-                pasid,
-                va,
-                access,
-                kind,
-            });
+            a.record_denied(f);
         }
         f
     }
@@ -535,7 +513,6 @@ mod oracle {
         Grant(u32, u64, u64, u64, u8),
         Revoke(u32, u64, u64),
         Touch(u32, u64, u64, bool),
-        Unbind(u32),
     }
 
     const EDGE_PAGE: u64 = 1 << 36;
@@ -562,7 +539,6 @@ mod oracle {
             )),
             (0u32..3, page(), 1u64..80, 0u8..2).prop_map(|(p, v, n, w)| Op::Touch(p, v, n, w == 1)),
             (0u32..3, page(), 1u64..80, 0u8..2).prop_map(|(p, v, n, w)| Op::Touch(p, v, n, w == 1)),
-            (0u32..12).prop_map(Op::Unbind),
         ]
     }
 
@@ -595,10 +571,6 @@ mod oracle {
                     let got = new.translate(Pasid(p), va, access);
                     assert_eq!(got, old.translate(Pasid(p), va, access));
                 }
-            }
-            Op::Unbind(p) => {
-                // Mostly a no-op: a PASID beyond 2 was never bound.
-                assert_eq!(new.unbind_pasid(Pasid(p)), old.unbind_pasid(Pasid(p)));
             }
         }
         assert_same(new, old);
@@ -706,6 +678,48 @@ mod tests {
         mmu
     }
 
+    /// The audit keeps each denial as the fault the device saw: the same
+    /// record `translate` returned and `last_fault` holds.
+    #[test]
+    fn the_audit_keeps_the_fault_the_device_saw() {
+        let mut mmu = unit();
+        mmu.enable_audit(8);
+        let denied = [
+            (Pasid(1), 0x1000, AccessKind::Execute),
+            (Pasid(1), 0x9000, AccessKind::Read),
+            (Pasid(7), 0x1000, AccessKind::Write),
+        ];
+        let mut seen = Vec::new();
+        for (pasid, va, access) in denied {
+            let fault = mmu.translate(pasid, VirtAddr::new(va), access).unwrap_err();
+            assert_eq!(mmu.last_fault(), Some(fault));
+            seen.push(fault);
+        }
+        let audit = mmu.audit_mut().expect("audit on");
+        assert_eq!(audit.denials(), seen.as_slice());
+        let delta = audit.drain();
+        assert_eq!((delta.denied, delta.records), (3, seen));
+        assert!(audit.denials().is_empty(), "a drain takes the records");
+    }
+
+    /// Denials past the log's capacity are counted, not kept.
+    #[test]
+    fn the_audit_log_is_bounded_and_counts_every_denial() {
+        let mut mmu = unit();
+        mmu.enable_audit(2);
+        for page in 0..5u64 {
+            let va = VirtAddr::new(0x10_0000 + (page << 12));
+            assert!(mmu.translate(Pasid(1), va, AccessKind::Read).is_err());
+        }
+        let ok = mmu.translate(Pasid(1), VirtAddr::new(0x1000), AccessKind::Read);
+        assert!(ok.is_ok());
+        let audit = mmu.audit().expect("audit on");
+        assert_eq!((audit.allowed(), audit.denied()), (1, 5));
+        let kept: Vec<_> = audit.denials().iter().map(|f| f.va.as_u64()).collect();
+        assert_eq!(kept, [0x10_0000, 0x10_1000], "the first two");
+        assert_eq!(mmu.stats().faults, 5);
+    }
+
     #[test]
     fn translation_walks_then_hits() {
         let mut mmu = unit();
@@ -789,23 +803,6 @@ mod tests {
         assert!(mmu
             .translate(Pasid(1), VirtAddr::new(0x1000), AccessKind::Read)
             .is_err());
-    }
-
-    #[test]
-    fn unbind_returns_mapped_frames() {
-        let mut mmu = unit();
-        mmu.map(
-            Pasid(1),
-            VirtAddr::new(0x2000),
-            PhysAddr::new(0x9000),
-            Perms::R,
-        )
-        .unwrap();
-        let mut frames = mmu.unbind_pasid(Pasid(1));
-        frames.sort();
-        assert_eq!(frames, vec![PhysAddr::new(0x8000), PhysAddr::new(0x9000)]);
-        assert!(!mmu.has_pasid(Pasid(1)));
-        assert!(mmu.unbind_pasid(Pasid(1)).is_empty());
     }
 
     #[test]

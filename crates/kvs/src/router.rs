@@ -323,11 +323,6 @@ impl ShardRouterHost {
         self.met.stats()
     }
 
-    /// Whether the router has discovered at least one shard endpoint.
-    pub fn is_ready(&self) -> bool {
-        !self.ring.is_empty()
-    }
-
     /// Shard endpoints currently on the ring, sorted by name.
     pub fn endpoint_names(&self) -> Vec<&str> {
         self.ring.nodes().iter().map(|s| &**s).collect()
@@ -992,7 +987,7 @@ mod tests {
     #[test]
     fn fresh_router_is_not_ready() {
         let r = ShardRouterHost::new(RouterConfig::default());
-        assert!(!r.is_ready());
+        assert!(r.ring.is_empty());
         assert!(r.endpoint_names().is_empty());
         assert_eq!(r.stats().requests, 0);
         assert!(r.acked_put_keys().is_empty());
@@ -1007,6 +1002,7 @@ mod tests {
     struct Harness {
         router: ShardRouterHost,
         hub: MetricsHub,
+        pool: lastcpu_sim::BufPool,
         rng: DetRng,
         now: SimTime,
         epoch: u64,
@@ -1020,11 +1016,19 @@ mod tests {
                     ..config
                 }),
                 hub: MetricsHub::new(),
+                pool: lastcpu_sim::BufPool::new(),
                 rng: DetRng::new(7),
                 now: SimTime::ZERO,
                 epoch: 0,
             };
-            let mut ctx = HostCtx::new(h.now, ROUTER_PORT, &h.hub, &mut h.rng, CorrId::NONE);
+            let mut ctx = HostCtx::new(
+                h.now,
+                ROUTER_PORT,
+                &h.hub,
+                &mut h.rng,
+                CorrId::NONE,
+                &h.pool,
+            );
             h.router.on_start(&mut ctx);
             ctx.finish();
             h
@@ -1038,6 +1042,7 @@ mod tests {
                 &self.hub,
                 &mut self.rng,
                 CorrId::NONE,
+                &self.pool,
             );
             self.router.on_frame(&mut ctx, frame);
             ctx.finish()
@@ -1052,6 +1057,7 @@ mod tests {
                 &self.hub,
                 &mut self.rng,
                 CorrId::NONE,
+                &self.pool,
             );
             self.router.on_timer(&mut ctx, TOKEN_TICK);
             ctx.finish()

@@ -1272,6 +1272,7 @@ mod tests {
             rng: DetRng,
             req: u64,
             stats: MetricsHub,
+            pool: lastcpu_sim::BufPool,
         }
 
         impl Fix {
@@ -1282,6 +1283,7 @@ mod tests {
                     rng: DetRng::new(11),
                     req: 0,
                     stats: MetricsHub::new(),
+                    pool: lastcpu_sim::BufPool::new(),
                 }
             }
 
@@ -1296,6 +1298,7 @@ mod tests {
                     &mut self.req,
                     CorrId::NONE,
                     &self.stats,
+                    &self.pool,
                 )
             }
         }

@@ -60,16 +60,6 @@ macro_rules! addr_impl {
                 $t(self.0 & !(PAGE_SIZE - 1))
             }
 
-            /// Rounds up to the next page boundary (saturating).
-            pub const fn page_align_up(self) -> $t {
-                let rounded = (self.0 & !(PAGE_SIZE - 1));
-                if rounded == self.0 {
-                    $t(self.0)
-                } else {
-                    $t(rounded.saturating_add(PAGE_SIZE))
-                }
-            }
-
             /// Whether the address is page-aligned.
             pub const fn is_page_aligned(self) -> bool {
                 self.0 & (PAGE_SIZE - 1) == 0
@@ -130,28 +120,6 @@ impl fmt::Display for Pasid {
     }
 }
 
-/// Splits a byte range `[addr, addr+len)` into per-page subranges.
-///
-/// Yields `(page_base_va, offset_in_range, chunk_len)` tuples. Used by DMA
-/// paths, which must translate each page separately.
-pub fn page_chunks(addr: VirtAddr, len: u64) -> impl Iterator<Item = (VirtAddr, u64, u64)> {
-    let mut remaining = len;
-    let mut va = addr;
-    let mut done = 0u64;
-    std::iter::from_fn(move || {
-        if remaining == 0 {
-            return None;
-        }
-        let in_page = PAGE_SIZE - va.page_offset();
-        let chunk = in_page.min(remaining);
-        let item = (va, done, chunk);
-        va = va + chunk;
-        done += chunk;
-        remaining -= chunk;
-        Some(item)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,10 +130,8 @@ mod tests {
         assert_eq!(a.page_offset(), 0x234);
         assert_eq!(a.page_number(), 1);
         assert_eq!(a.page_base(), VirtAddr::new(0x1000));
-        assert_eq!(a.page_align_up(), VirtAddr::new(0x2000));
         assert!(!a.is_page_aligned());
         assert!(a.page_base().is_page_aligned());
-        assert_eq!(VirtAddr::new(0x2000).page_align_up(), VirtAddr::new(0x2000));
     }
 
     #[test]
@@ -174,31 +140,6 @@ mod tests {
         assert_eq!((a + 0x10).as_u64(), 0x1010);
         assert_eq!((a + 0x10) - a, 0x10);
         assert_eq!(PhysAddr::new(u64::MAX).checked_add(1), None);
-    }
-
-    #[test]
-    fn chunking_splits_on_page_boundaries() {
-        let chunks: Vec<_> = page_chunks(VirtAddr::new(0xff0), 0x30).collect();
-        assert_eq!(
-            chunks,
-            vec![
-                (VirtAddr::new(0xff0), 0, 0x10),
-                (VirtAddr::new(0x1000), 0x10, 0x20),
-            ]
-        );
-    }
-
-    #[test]
-    fn chunking_empty_range() {
-        assert_eq!(page_chunks(VirtAddr::new(0x10), 0).count(), 0);
-    }
-
-    #[test]
-    fn chunking_covers_exactly() {
-        let total: u64 = page_chunks(VirtAddr::new(0x123), 3 * PAGE_SIZE + 7)
-            .map(|(_, _, l)| l)
-            .sum();
-        assert_eq!(total, 3 * PAGE_SIZE + 7);
     }
 
     #[test]

@@ -176,42 +176,6 @@ impl Dram {
         Ok(())
     }
 
-    /// Reads a little-endian `u64` at `addr`.
-    pub fn read_u64(&mut self, addr: PhysAddr) -> Result<u64, DramError> {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u64` at `addr`.
-    pub fn write_u64(&mut self, addr: PhysAddr, v: u64) -> Result<(), DramError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
-    /// Reads a little-endian `u32` at `addr`.
-    pub fn read_u32(&mut self, addr: PhysAddr) -> Result<u32, DramError> {
-        let mut b = [0u8; 4];
-        self.read(addr, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u32` at `addr`.
-    pub fn write_u32(&mut self, addr: PhysAddr, v: u32) -> Result<(), DramError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
-    /// Reads a little-endian `u16` at `addr`.
-    pub fn read_u16(&mut self, addr: PhysAddr) -> Result<u16, DramError> {
-        let mut b = [0u8; 2];
-        self.read(addr, &mut b)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u16` at `addr`.
-    pub fn write_u16(&mut self, addr: PhysAddr, v: u16) -> Result<(), DramError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
     /// Zeroes `len` bytes starting at `addr`, releasing whole backing frames
     /// where possible.
     pub fn zero(&mut self, addr: PhysAddr, len: u64) -> Result<(), DramError> {
@@ -351,18 +315,6 @@ mod tests {
         assert!(d.write(PhysAddr::new(PAGE_SIZE), &buf[..1]).is_err());
         // Wrap-around is caught, not panicking.
         assert!(d.read(PhysAddr::new(u64::MAX), &mut buf).is_err());
-    }
-
-    #[test]
-    fn scalar_helpers_round_trip() {
-        let mut d = Dram::new(PAGE_SIZE);
-        d.write_u64(PhysAddr::new(8), 0xDEAD_BEEF_CAFE_F00D)
-            .unwrap();
-        assert_eq!(d.read_u64(PhysAddr::new(8)).unwrap(), 0xDEAD_BEEF_CAFE_F00D);
-        d.write_u32(PhysAddr::new(16), 0x1234_5678).unwrap();
-        assert_eq!(d.read_u32(PhysAddr::new(16)).unwrap(), 0x1234_5678);
-        d.write_u16(PhysAddr::new(20), 0xABCD).unwrap();
-        assert_eq!(d.read_u16(PhysAddr::new(20)).unwrap(), 0xABCD);
     }
 
     #[test]

@@ -13,8 +13,6 @@ use std::fmt;
 
 use lastcpu_sim::DetHashMap;
 
-use crate::addr::{PhysAddr, PAGE_SHIFT};
-
 /// Largest block order: `2^10` frames = 4 MiB.
 pub const MAX_ORDER: u8 = 10;
 
@@ -66,9 +64,9 @@ impl std::error::Error for FrameAllocError {}
 ///
 /// let mut fa = FrameAllocator::new(1024); // 4 MiB of frames
 /// let a = fa.alloc_frames(3).unwrap();    // rounds up to order 2 (4 frames)
-/// assert_eq!(fa.allocated_frames(), 4);
+/// assert_eq!(fa.free_frames(), 1020);
 /// fa.free(a).unwrap();
-/// assert_eq!(fa.allocated_frames(), 0);
+/// assert_eq!(fa.free_frames(), 1024);
 /// ```
 pub struct FrameAllocator {
     /// Free blocks per order, as ordered sets of first-frame numbers.
@@ -108,11 +106,6 @@ impl FrameAllocator {
     /// Total managed frames.
     pub fn total_frames(&self) -> u64 {
         self.total
-    }
-
-    /// Frames currently allocated (including round-up padding).
-    pub fn allocated_frames(&self) -> u64 {
-        self.in_use
     }
 
     /// Frames currently free.
@@ -183,33 +176,10 @@ impl FrameAllocator {
         Ok(())
     }
 
-    /// The number of frames in the block allocated at `first_frame`, if any.
-    pub fn block_len(&self, first_frame: u64) -> Option<u64> {
-        self.allocated.get(&first_frame).map(|&o| 1u64 << o)
-    }
-
-    /// External-fragmentation proxy: the largest allocation order that can
-    /// currently be satisfied.
-    pub fn largest_free_order(&self) -> Option<u8> {
-        (0..=MAX_ORDER)
-            .rev()
-            .find(|&o| !self.free[o as usize].is_empty())
-    }
-
     /// Number of distinct free blocks (more blocks at equal free space =
     /// more fragmentation).
     pub fn free_block_count(&self) -> usize {
         self.free.iter().map(|s| s.len()).sum()
-    }
-
-    /// Converts a frame number to its physical byte address.
-    pub fn frame_to_phys(frame: u64) -> PhysAddr {
-        PhysAddr::new(frame << PAGE_SHIFT)
-    }
-
-    /// Converts a physical byte address to its containing frame number.
-    pub fn phys_to_frame(pa: PhysAddr) -> u64 {
-        pa.as_u64() >> PAGE_SHIFT
     }
 }
 
@@ -284,13 +254,17 @@ mod proptests {
                     }
                 }
                 let used: u64 = live.iter().map(|&(_, l)| l).sum();
-                prop_assert_eq!(fa.allocated_frames(), used);
+                prop_assert_eq!(fa.total_frames() - fa.free_frames(), used);
             }
             for (b, _) in live.drain(..) {
                 fa.free(b).unwrap();
             }
             prop_assert_eq!(fa.free_frames(), total);
-            prop_assert_eq!(fa.largest_free_order(), Some(MAX_ORDER));
+            // Coalesced back into the blocks a fresh allocator starts with.
+            prop_assert_eq!(
+                fa.free_block_count(),
+                FrameAllocator::new(total).free_block_count()
+            );
         }
     }
 }
@@ -315,13 +289,12 @@ mod tests {
         let a = fa.alloc_frames(1).unwrap();
         let b = fa.alloc_frames(1).unwrap();
         assert_ne!(a, b);
-        assert_eq!(fa.allocated_frames(), 2);
+        assert_eq!(fa.total_frames() - fa.free_frames(), 2);
         fa.free(a).unwrap();
         fa.free(b).unwrap();
-        assert_eq!(fa.allocated_frames(), 0);
+        assert_eq!(fa.total_frames() - fa.free_frames(), 0);
         // Everything coalesced back to one max-order block.
         assert_eq!(fa.free_block_count(), 1);
-        assert_eq!(fa.largest_free_order(), Some(MAX_ORDER));
     }
 
     #[test]
@@ -375,11 +348,9 @@ mod tests {
             .map(|_| fa.alloc_frames(1).unwrap())
             .collect();
         assert_eq!(fa.free_frames(), 0);
-        assert_eq!(fa.largest_free_order(), None);
         for b in blocks {
             fa.free(b).unwrap();
         }
-        assert_eq!(fa.largest_free_order(), Some(MAX_ORDER));
         assert_eq!(fa.free_block_count(), 1);
     }
 
@@ -395,17 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn phys_frame_conversions() {
-        assert_eq!(FrameAllocator::frame_to_phys(2).as_u64(), 0x2000);
-        assert_eq!(FrameAllocator::phys_to_frame(PhysAddr::new(0x2fff)), 2);
-    }
-
-    #[test]
-    fn block_len_reports_rounded_size() {
+    fn an_allocation_takes_its_rounded_block() {
         let mut fa = FrameAllocator::new(1 << MAX_ORDER);
         let a = fa.alloc_frames(3).unwrap();
-        assert_eq!(fa.block_len(a), Some(4));
-        assert_eq!(fa.block_len(a + 1), None);
+        assert_eq!(fa.free_frames(), (1 << MAX_ORDER) - 4);
+        let inside = FrameAllocError::NotAllocated { frame: a + 1 };
+        assert_eq!(fa.free(a + 1), Err(inside));
     }
 
     /// Allocated blocks out of frame order are refused as `Corrupt`. They

@@ -45,31 +45,9 @@ impl Perms {
     /// Read-write-execute.
     pub const RWX: Perms = Perms { bits: 7 };
 
-    /// Whether reads are allowed.
-    pub const fn can_read(self) -> bool {
-        self.bits & 1 != 0
-    }
-
-    /// Whether writes are allowed.
-    pub const fn can_write(self) -> bool {
-        self.bits & 2 != 0
-    }
-
-    /// Whether execution is allowed.
-    pub const fn can_exec(self) -> bool {
-        self.bits & 4 != 0
-    }
-
     /// Whether every permission in `needed` is present in `self`.
     pub const fn allows(self, needed: Perms) -> bool {
         self.bits & needed.bits == needed.bits
-    }
-
-    /// Union of two permission sets.
-    pub const fn union(self, other: Perms) -> Perms {
-        Perms {
-            bits: self.bits | other.bits,
-        }
     }
 
     /// The raw permission bits (checkpoint wire form).
@@ -79,7 +57,9 @@ impl Perms {
 
     /// Rebuilds from [`Perms::to_bits`] output (extra bits are masked off).
     pub const fn from_bits(bits: u8) -> Perms {
-        Perms { bits: bits & 7 }
+        Perms {
+            bits: bits & Perms::RWX.bits,
+        }
     }
 }
 
@@ -968,20 +948,6 @@ mod proptests {
         ]
     }
 
-    fn perms_from(bits: u8) -> Perms {
-        let mut p = Perms::NONE;
-        if bits & 1 != 0 {
-            p = p.union(Perms::R);
-        }
-        if bits & 2 != 0 {
-            p = p.union(Perms::W);
-        }
-        if bits & 4 != 0 {
-            p = p.union(Perms::X);
-        }
-        p
-    }
-
     proptest! {
         #[test]
         fn prop_pagetable_matches_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
@@ -992,7 +958,7 @@ mod proptests {
                     Op::Map(vp, pp, bits) => {
                         let va = VirtAddr::new(vp << PAGE_SHIFT);
                         let pa = PhysAddr::new(pp << PAGE_SHIFT);
-                        let perms = perms_from(bits);
+                        let perms = Perms::from_bits(bits);
                         let r = pt.map(va, pa, perms);
                         if let std::collections::hash_map::Entry::Vacant(e) = model.entry(vp) {
                             prop_assert!(r.is_ok());
@@ -1024,11 +990,11 @@ mod proptests {
                     }
                     Op::Protect(vp, bits) => {
                         let va = VirtAddr::new(vp << PAGE_SHIFT);
-                        let r = pt.protect(va, perms_from(bits));
+                        let r = pt.protect(va, Perms::from_bits(bits));
                         match model.get_mut(&vp) {
                             Some(entry) => {
                                 prop_assert!(r.is_ok());
-                                entry.1 = perms_from(bits);
+                                entry.1 = Perms::from_bits(bits);
                             }
                             None => prop_assert!(r.is_err()),
                         }
@@ -1222,12 +1188,22 @@ mod tests {
             .expect("at the bound");
     }
 
+    /// Bits above `rwx` are masked off; every value below reads back.
+    #[test]
+    fn from_bits_masks_bits_above_rwx() {
+        for bits in 0..=u8::MAX {
+            let p = Perms::from_bits(bits);
+            assert_eq!(p.to_bits(), bits & 7, "{bits:#x}");
+            assert!(Perms::RWX.allows(p));
+        }
+    }
+
     #[test]
     fn perms_algebra() {
         assert!(Perms::RW.allows(Perms::R));
         assert!(Perms::RW.allows(Perms::W));
         assert!(!Perms::R.allows(Perms::W));
-        assert!(Perms::R.union(Perms::W) == Perms::RW);
+        assert!(Perms::from_bits(0b1011) == Perms::from_bits(3));
         assert!(Perms::RWX.allows(Perms::X));
         assert_eq!(format!("{}", Perms::RW), "rw-");
         assert_eq!(format!("{}", Perms::RWX), "rwx");

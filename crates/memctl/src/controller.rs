@@ -140,11 +140,6 @@ impl MemoryController {
         self.frames.free_frames() * PAGE_SIZE
     }
 
-    /// Number of live regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Looks up a region by handle.
     pub fn region(&self, id: u64) -> Option<&Region> {
         self.regions.get(&id)
@@ -799,7 +794,7 @@ mod tests {
             Payload::MemFreeResponse { status: Status::Ok }
         ));
         assert_eq!(c.stats().bytes_in_use, 0);
-        assert_eq!(c.region_count(), 0);
+        assert_eq!(c.regions.len(), 0);
     }
 
     #[test]
@@ -823,7 +818,7 @@ mod tests {
                 status: Status::Denied
             }
         ));
-        assert_eq!(c.region_count(), 1);
+        assert_eq!(c.regions.len(), 1);
         assert_eq!(c.stats().denials, 1);
     }
 
@@ -1034,7 +1029,7 @@ mod tests {
             },
             &mut out,
         );
-        assert_eq!(c.region_count(), 0);
+        assert_eq!(c.regions.len(), 0);
         assert!(c.free_bytes() > free_before);
         assert_eq!(c.stats().reclaimed, 1);
         // The share into the surviving SSD is revoked.
@@ -1082,7 +1077,7 @@ mod tests {
             &mut out,
         );
         // Region survives (owner alive) but the share is gone.
-        assert_eq!(c.region_count(), 1);
+        assert_eq!(c.regions.len(), 1);
         assert!(c.region(region).unwrap().shares.is_empty());
         assert!(out.iter().any(|e| matches!(
             e.payload,

@@ -43,14 +43,6 @@ impl NetCostModel {
     pub fn serialize(&self, bytes: u64) -> SimDuration {
         SimDuration::from_nanos(bytes.saturating_mul(self.per_byte_ps) / 1000)
     }
-
-    /// Time to clock a frame with `payload_bytes` of payload onto the wire,
-    /// including the fixed [`crate::FRAME_OVERHEAD_BYTES`] header overhead —
-    /// the same constant [`crate::Frame::wire_len`] reports, so cost and
-    /// accounting can never drift apart.
-    pub fn serialize_frame(&self, payload_bytes: u64) -> SimDuration {
-        self.serialize(payload_bytes.saturating_add(crate::FRAME_OVERHEAD_BYTES))
-    }
 }
 
 /// Switch counters.
@@ -177,13 +169,6 @@ impl Switch {
             out.push((port, self.egress(at_switch, port, wire)));
         }
         out
-    }
-
-    /// The time egress port `p` becomes idle (for queue-depth metrics).
-    pub fn port_busy_until(&self, p: PortId) -> SimTime {
-        index_of(p)
-            .and_then(|i| *self.busy_until.get(i)?)
-            .unwrap_or(SimTime::ZERO)
     }
 }
 
@@ -369,10 +354,10 @@ mod tests {
         let mut sw = Switch::new();
         let a = sw.add_port();
         let b = sw.add_port();
-        sw.route(SimTime::ZERO, &frame(a, b, 9000));
-        let busy = sw.port_busy_until(b);
+        // The port is idle again by the time the frame is delivered.
+        let delivered = sw.route(SimTime::ZERO, &frame(a, b, 9000))[0].1;
         // A frame arriving after the port drained is not delayed by it.
-        let later = busy + SimDuration::from_micros(10);
+        let later = delivered + SimDuration::from_micros(10);
         let t = sw.route(later, &frame(a, b, 64))[0].1;
         let fresh_latency = sw.cost_model().serialize(82).saturating_mul(2)
             + sw.cost_model().switch_latency
@@ -401,7 +386,6 @@ mod tests {
         for dst in hostile {
             assert!(!sw.has_port(dst));
             assert_eq!(sw.route_unicast(SimTime::ZERO, &frame(a, dst, 64)), None);
-            assert_eq!(sw.port_busy_until(dst), SimTime::ZERO);
         }
         assert!(!sw.has_port(PortId::BROADCAST));
         assert_eq!(sw.stats().dropped, hostile.len() as u64);
@@ -444,10 +428,6 @@ mod tests {
         let bytes = sw.snapshot_bytes();
         let mut back = restored(&bytes).expect("restores");
         assert_eq!(back.snapshot_bytes(), bytes);
-        assert_eq!(
-            back.port_busy_until(PortId(2)),
-            sw.port_busy_until(PortId(2))
-        );
         assert_eq!(back.add_port(), PortId(4));
     }
 

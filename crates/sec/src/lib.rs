@@ -30,11 +30,10 @@
 //! use lastcpu_sec::{AttackKind, AttackPlan};
 //! use lastcpu_sim::{SimDuration, SimTime};
 //!
-//! // A seeded random schedule covering ~10 ms of virtual time.
-//! let plan = AttackPlan::generate(0xE11, SimTime::ZERO, SimDuration::from_millis(10), 12);
-//! assert_eq!(plan.len(), 12);
-//! // Attacks never fire during the init-quiet leading eighth.
-//! assert!(plan.events()[0].at >= SimTime::from_nanos(10_000_000 / 8));
+//! // Every attack class once, 50 µs apart, from 1 µs.
+//! let plan = AttackPlan::matrix(0xE11, SimTime::from_nanos(1_000), SimDuration::from_micros(50));
+//! assert_eq!(plan.len(), AttackKind::ALL.len());
+//! assert_eq!(plan.events()[1].at, SimTime::from_nanos(51_000));
 //! // Tags are stable — they key the BENCH_e11.json rows.
 //! assert_eq!(AttackKind::ALL[0].tag(), "wild-dma");
 //! ```

@@ -539,6 +539,7 @@ mod tests {
         let mut rng = DetRng::new(1);
         let mut req = 100;
         let hub = MetricsHub::new();
+        let pool = lastcpu_sim::BufPool::new();
         let mut ctx = DeviceCtx::new(
             SimTime::from_nanos(5_000),
             DeviceId(9),
@@ -549,6 +550,7 @@ mod tests {
             &mut req,
             CorrId::NONE,
             &hub,
+            &pool,
         );
         f(&mut ctx);
         let (actions, _) = ctx.finish();

@@ -89,10 +89,9 @@ pub struct AttackEvent {
 
 /// A deterministic attack schedule.
 ///
-/// Built explicitly ([`inject`](AttackPlan::inject)), as a full matrix
-/// ([`matrix`](AttackPlan::matrix)), or randomly from a seed
-/// ([`generate`](AttackPlan::generate)). In every case the plan is plain
-/// data: two runs fed the same plan produce identical attack traffic.
+/// Built explicitly ([`inject`](AttackPlan::inject)) or as a full matrix
+/// ([`matrix`](AttackPlan::matrix)). Either way the plan is plain data: two
+/// runs fed the same plan produce identical attack traffic.
 ///
 /// # Examples
 ///
@@ -100,13 +99,7 @@ pub struct AttackEvent {
 /// use lastcpu_sec::{AttackKind, AttackPlan};
 /// use lastcpu_sim::{SimDuration, SimTime};
 ///
-/// // Random generation is a pure function of the seed…
-/// let a = AttackPlan::generate(7, SimTime::ZERO, SimDuration::from_millis(10), 20);
-/// let b = AttackPlan::generate(7, SimTime::ZERO, SimDuration::from_millis(10), 20);
-/// assert_eq!(a.events(), b.events());
-/// assert_eq!(a.len(), 20);
-///
-/// // …and the matrix helper schedules every attack class exactly once.
+/// // The matrix helper schedules every attack class exactly once.
 /// let m = AttackPlan::matrix(7, SimTime::from_nanos(1_000), SimDuration::from_micros(500));
 /// assert_eq!(m.len(), AttackKind::ALL.len());
 /// assert_eq!(m.events()[0].kind, AttackKind::WildDma);
@@ -171,27 +164,6 @@ impl AttackPlan {
         plan
     }
 
-    /// Generates a random plan of `count` attacks spread over
-    /// `[start + horizon/8, start + horizon)`.
-    ///
-    /// Purely a function of its arguments: the same seed always yields the
-    /// same plan. The leading eighth of the horizon is kept attack-free so
-    /// the system finishes initialization (and the KVS maps its first
-    /// generation window) before the adversary stirs — mirroring
-    /// `FaultPlan::generate`.
-    pub fn generate(seed: u64, start: SimTime, horizon: SimDuration, count: u32) -> Self {
-        let mut rng = DetRng::new(seed ^ 0x5EC5_5EC5_5EC5_5EC5);
-        let mut plan = AttackPlan::new(seed);
-        let quiet = horizon.as_nanos() / 8;
-        let window = horizon.as_nanos().saturating_sub(quiet).max(1);
-        for _ in 0..count {
-            let at = start + SimDuration::from_nanos(quiet + rng.below(window));
-            let kind = AttackKind::ALL[rng.below(AttackKind::ALL.len() as u64) as usize];
-            plan.inject(at, kind);
-        }
-        plan
-    }
-
     /// A per-attack RNG stream derived from the plan seed and the attack's
     /// index, for deterministic choices *while executing* an attack (which
     /// wild address to probe, which PASID to try).
@@ -203,27 +175,6 @@ impl AttackPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn generation_is_deterministic_and_seed_sensitive() {
-        let a = AttackPlan::generate(1, SimTime::ZERO, SimDuration::from_secs(1), 64);
-        let b = AttackPlan::generate(1, SimTime::ZERO, SimDuration::from_secs(1), 64);
-        assert_eq!(a.events(), b.events());
-        let c = AttackPlan::generate(2, SimTime::ZERO, SimDuration::from_secs(1), 64);
-        assert_ne!(a.events(), c.events());
-    }
-
-    #[test]
-    fn generation_respects_quiet_period_and_horizon() {
-        let start = SimTime::from_nanos(300);
-        let horizon = SimDuration::from_millis(8);
-        let p = AttackPlan::generate(9, start, horizon, 48);
-        assert_eq!(p.len(), 48);
-        for e in p.events() {
-            assert!(e.at >= start + SimDuration::from_nanos(horizon.as_nanos() / 8));
-            assert!(e.at < start + horizon);
-        }
-    }
 
     #[test]
     fn matrix_covers_every_kind_once_in_order() {

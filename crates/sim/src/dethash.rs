@@ -11,7 +11,7 @@
 //! same-seed runs to be byte-identical *including* per-scope allocation
 //! counts.
 //!
-//! [`DetHashMap`] / [`DetHashSet`] replace the random seed with FNV-1a,
+//! [`DetHashMap`] replaces the random seed with FNV-1a,
 //! making table growth a pure function of the key sequence. Use them for
 //! all simulator state; keep `std` maps only in host-side tooling where
 //! reproducible allocation behavior does not matter. FNV is not
@@ -20,7 +20,7 @@
 //! influence over hash seeds (the E11 adversary manipulates bus traffic,
 //! not host hash tables).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 64-bit FNV-1a. Small, allocation-free, and — unlike `RandomState` —
@@ -56,9 +56,6 @@ pub type DetBuildHasher = BuildHasherDefault<DetHasher>;
 /// A `HashMap` whose allocation pattern is a pure function of the key
 /// sequence (no per-process seed).
 pub type DetHashMap<K, V> = HashMap<K, V, DetBuildHasher>;
-
-/// Set counterpart of [`DetHashMap`].
-pub type DetHashSet<T> = HashSet<T, DetBuildHasher>;
 
 #[cfg(test)]
 mod tests {

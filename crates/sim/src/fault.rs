@@ -276,11 +276,6 @@ impl BackoffPolicy {
         let jitter = if span == 0 { 0 } else { rng.below(span + 1) };
         Some(d + SimDuration::from_nanos(jitter))
     }
-
-    /// Total attempts (original + retries).
-    pub fn max_attempts(&self) -> u32 {
-        self.max_retries + 1
-    }
 }
 
 #[cfg(test)]
@@ -337,7 +332,6 @@ mod tests {
         assert_eq!(p.delay(4), Some(SimDuration::from_micros(55)), "capped");
         assert_eq!(p.delay(5), Some(SimDuration::from_micros(55)));
         assert_eq!(p.delay(6), None, "budget exhausted");
-        assert_eq!(p.max_attempts(), 6);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! - [`fault`]: deterministic fault plans ([`FaultPlan`]) and the shared
 //!   bounded-exponential [`BackoffPolicy`], so failure experiments replay
 //!   bit-identically from a seed.
-//! - [`dethash`]: [`DetHashMap`] / [`DetHashSet`] — seedless FNV-backed
-//!   maps for simulator state, so even *allocation counts* (which the
+//! - [`dethash`]: [`DetHashMap`] — a seedless FNV-backed
+//!   map for simulator state, so even *allocation counts* (which the
 //!   [`profile`] layer attributes per scope) are identical across
 //!   processes, not just simulation semantics.
 //!
@@ -56,7 +56,7 @@ pub mod time;
 pub mod trace;
 
 pub use critpath::CritPathReport;
-pub use dethash::{DetHashMap, DetHashSet};
+pub use dethash::DetHashMap;
 pub use fault::{BackoffPolicy, FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{CounterHandle, GaugeHandle, HistogramHandle, MetricsHub};
 pub use pool::{BufPool, Bytes, PoolStats};

@@ -23,11 +23,9 @@
 //!   storage optimization — a differential test drives the same workload
 //!   with pooling on and off and asserts byte-identical outputs.
 //!
-//! Generation tags: every take stamps the handle with a fresh generation id
-//! and records it in the pool's live set; the return path asserts the id is
-//! still live and retires it. A double return (the use-after-recycle bug
-//! class this guards) panics in tests instead of silently corrupting a
-//! buffer another owner now holds.
+//! A pool counts its live buffers (taken and not yet returned) in every
+//! build, and a restore refuses to run while any is out. It also counts
+//! every take: that count is the checkpointed generation cursor.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -55,8 +53,8 @@ pub struct PoolStats {
 
 struct PoolCore {
     free: RefCell<Vec<Vec<u8>>>,
-    /// Live generation ids, kept only when tracking is enabled (tests).
-    live: Option<RefCell<Vec<u64>>>,
+    /// Buffers taken and not yet returned.
+    live: Cell<u64>,
     max_free: usize,
     next_gen: Cell<u64>,
     stats: Cell<PoolStats>,
@@ -78,28 +76,16 @@ impl PoolCore {
                 None => s.fresh += 1,
             }
         });
-        let gen = self.next_gen.get();
-        self.next_gen.set(gen + 1);
-        if let Some(live) = &self.live {
-            live.borrow_mut().push(gen);
-        }
+        self.next_gen.set(self.next_gen.get() + 1);
+        self.live.set(self.live.get() + 1);
         Bytes {
             buf: buf.unwrap_or_else(|| Vec::with_capacity(256)),
             origin: Some(Rc::clone(self)),
-            gen,
         }
     }
 
-    fn put_back(&self, mut buf: Vec<u8>, gen: u64) {
-        if let Some(live) = &self.live {
-            let mut live = live.borrow_mut();
-            match live.iter().position(|&g| g == gen) {
-                Some(i) => {
-                    live.swap_remove(i);
-                }
-                None => panic!("pool buffer generation {gen} returned twice (use-after-recycle)"),
-            }
-        }
+    fn put_back(&self, mut buf: Vec<u8>) {
+        self.live.set(self.live.get() - 1);
         let mut free = self.free.borrow_mut();
         let keep = free.len() < self.max_free;
         if keep {
@@ -149,14 +135,10 @@ impl BufPool {
 
     /// An empty pool retaining up to `max_free` idle buffers.
     pub fn with_capacity(max_free: usize) -> Self {
-        Self::build(max_free, None)
-    }
-
-    fn build(max_free: usize, live: Option<RefCell<Vec<u64>>>) -> Self {
         BufPool {
             core: Rc::new(PoolCore {
                 free: RefCell::new(Vec::with_capacity(max_free.min(4096))),
-                live,
+                live: Cell::new(0),
                 max_free,
                 next_gen: Cell::new(1),
                 stats: Cell::default(),
@@ -164,23 +146,9 @@ impl BufPool {
         }
     }
 
-    /// A pool that additionally tracks live generation ids and panics on a
-    /// double return. Test-only instrumentation: tracking costs a search per
-    /// return, so production pools leave it off.
-    pub fn with_tracking(max_free: usize) -> Self {
-        Self::build(max_free, Some(RefCell::default()))
-    }
-
     /// Takes an empty buffer (recycled when one is idle).
     pub fn take(&self) -> Bytes {
         self.core.take()
-    }
-
-    /// Takes a buffer pre-filled with a copy of `src`.
-    pub fn take_copy(&self, src: &[u8]) -> Bytes {
-        let mut b = self.core.take();
-        b.buf.extend_from_slice(src);
-        b
     }
 
     /// Takes a buffer filled with `len` copies of `byte`.
@@ -200,14 +168,15 @@ impl BufPool {
         self.core.free.borrow().len()
     }
 
-    /// The next generation tag a take would stamp (checkpoint cursor).
+    /// One more than the takes over the pool's life (checkpoint cursor).
     pub fn next_generation(&self) -> u64 {
         self.core.next_gen.get()
     }
 
     /// Zeroes the traffic counters (sampled-measurement windows read deltas
-    /// by resetting at window boundaries). The free-list, live set, and
-    /// generation cursor are untouched, so determinism is unaffected.
+    /// by resetting at window boundaries). The free-list, the live count
+    /// and the generation cursor are untouched, so determinism is
+    /// unaffected.
     pub fn reset_stats(&self) {
         self.core.stats.set(PoolStats::default());
     }
@@ -222,12 +191,11 @@ impl BufPool {
     /// Panics if buffers are still outstanding — restoring under live
     /// handles would corrupt the generation cursor.
     pub fn restore_state(&self, stats: PoolStats, idle: usize, next_gen: u64) {
-        if let Some(live) = &self.core.live {
-            assert!(
-                live.borrow().is_empty(),
-                "BufPool::restore_state with outstanding buffers"
-            );
-        }
+        assert_eq!(
+            self.outstanding(),
+            0,
+            "BufPool::restore_state with outstanding buffers"
+        );
         let mut free = self.core.free.borrow_mut();
         free.clear();
         free.resize_with(idle.min(self.core.max_free), Vec::new);
@@ -237,8 +205,7 @@ impl BufPool {
 
     /// Buffers handed out and not yet returned.
     pub fn outstanding(&self) -> u64 {
-        let s = self.stats();
-        s.taken - s.returned
+        self.core.live.get()
     }
 }
 
@@ -250,7 +217,6 @@ impl BufPool {
 pub struct Bytes {
     buf: Vec<u8>,
     origin: Option<Rc<PoolCore>>,
-    gen: u64,
 }
 
 impl Bytes {
@@ -259,7 +225,6 @@ impl Bytes {
         Bytes {
             buf: Vec::new(),
             origin: None,
-            gen: 0,
         }
     }
 
@@ -282,22 +247,12 @@ impl Bytes {
             std::mem::take(&mut self.buf)
         }
     }
-
-    /// Whether this buffer came from a pool.
-    pub fn is_pooled(&self) -> bool {
-        self.origin.is_some()
-    }
-
-    /// The generation tag stamped at take time (0 for unpooled buffers).
-    pub fn generation(&self) -> u64 {
-        self.gen
-    }
 }
 
 impl Drop for Bytes {
     fn drop(&mut self) {
         if let Some(core) = self.origin.take() {
-            core.put_back(std::mem::take(&mut self.buf), self.gen);
+            core.put_back(std::mem::take(&mut self.buf));
         }
     }
 }
@@ -318,11 +273,7 @@ impl Clone for Bytes {
                 b.buf.extend_from_slice(&self.buf);
                 b
             }
-            None => Bytes {
-                buf: self.buf.clone(),
-                origin: None,
-                gen: 0,
-            },
+            None => Bytes::from(self.buf.clone()),
         }
     }
 }
@@ -331,7 +282,7 @@ impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Bytes(len={}", self.buf.len())?;
         if self.origin.is_some() {
-            write!(f, ", pooled gen={}", self.gen)?;
+            write!(f, ", pooled")?;
         }
         write!(f, ")")
     }
@@ -358,11 +309,7 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(buf: Vec<u8>) -> Self {
-        Bytes {
-            buf,
-            origin: None,
-            gen: 0,
-        }
+        Bytes { buf, origin: None }
     }
 }
 
@@ -487,14 +434,19 @@ impl Ord for Bytes {
 mod tests {
     use super::*;
 
+    fn copy(pool: &BufPool, src: &[u8]) -> Bytes {
+        let mut b = pool.take();
+        b.vec_mut().extend_from_slice(src);
+        b
+    }
+
     #[test]
     fn take_and_drop_recycles_storage() {
         let pool = BufPool::with_capacity(8);
         {
-            let mut b = pool.take();
-            b.vec_mut().extend_from_slice(b"hello");
-            assert!(b.is_pooled());
+            let b = copy(&pool, b"hello");
             assert_eq!(&*b, b"hello");
+            assert_eq!(pool.outstanding(), 1);
         }
         assert_eq!(pool.idle(), 1);
         let b2 = pool.take();
@@ -507,30 +459,40 @@ mod tests {
 
     #[test]
     fn every_buffer_returns_exactly_once() {
-        let pool = BufPool::with_tracking(64);
-        let mut held = Vec::new();
-        for i in 0..32 {
-            let mut b = pool.take();
-            b.vec_mut().push(i as u8);
-            held.push(b);
-        }
+        let pool = BufPool::with_capacity(64);
+        let held: Vec<Bytes> = (0..32).map(|i| copy(&pool, &[i])).collect();
         assert_eq!(pool.outstanding(), 32);
-        held.clear();
+        drop(held);
         assert_eq!(pool.outstanding(), 0);
         let s = pool.stats();
         assert_eq!(s.taken, 32);
         assert_eq!(s.returned, 32);
         assert_eq!(pool.idle(), 32);
+        assert_eq!(pool.next_generation(), 33, "one step per take");
+    }
+
+    /// The live count is not a traffic counter: a window boundary between
+    /// a take and its return does not move it.
+    #[test]
+    fn a_reset_between_take_and_return_keeps_the_live_count() {
+        let pool = BufPool::new();
+        let early = pool.take();
+        pool.reset_stats();
+        drop(early);
+        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(pool.stats().returned, 1);
+        let late = pool.take();
+        assert_eq!(pool.outstanding(), 1);
+        drop(late);
+        assert_eq!(pool.outstanding(), 0);
     }
 
     #[test]
-    fn generation_tags_are_unique_per_take() {
-        let pool = BufPool::with_tracking(4);
-        let a = pool.take();
-        let ga = a.generation();
-        drop(a);
-        let b = pool.take();
-        assert_ne!(ga, b.generation(), "recycled storage gets a fresh tag");
+    #[should_panic(expected = "outstanding buffers")]
+    fn a_restore_refuses_a_live_buffer() {
+        let pool = BufPool::new();
+        let _live = pool.take();
+        pool.restore_state(PoolStats::default(), 0, 1);
     }
 
     #[test]
@@ -545,11 +507,11 @@ mod tests {
     #[test]
     fn clone_draws_from_the_same_pool() {
         let pool = BufPool::with_capacity(8);
-        let b = pool.take_copy(b"payload");
+        let b = copy(&pool, b"payload");
         let c = b.clone();
-        assert!(c.is_pooled());
         assert_eq!(b, c);
-        assert_ne!(b.generation(), c.generation());
+        assert_eq!(pool.outstanding(), 2);
+        assert_eq!(pool.stats().taken, 2);
         drop(b);
         drop(c);
         assert_eq!(pool.idle(), 2);
@@ -558,7 +520,7 @@ mod tests {
     #[test]
     fn pooled_and_unpooled_compare_equal() {
         let pool = BufPool::new();
-        let pooled = pool.take_copy(b"abc");
+        let pooled = copy(&pool, b"abc");
         let plain: Bytes = b"abc".to_vec().into();
         assert_eq!(pooled, plain);
         assert_eq!(pooled, b"abc");
@@ -574,10 +536,22 @@ mod tests {
     #[test]
     fn into_vec_preserves_content() {
         let pool = BufPool::new();
-        let pooled = pool.take_copy(b"xyz");
+        let pooled = copy(&pool, b"xyz");
         assert_eq!(pooled.into_vec(), b"xyz".to_vec());
+        assert_eq!(pool.idle(), 1, "the storage went back");
         let plain: Bytes = b"xyz".to_vec().into();
         assert_eq!(plain.into_vec(), b"xyz".to_vec());
+    }
+
+    /// A filled take draws recycled storage and overwrites what it held.
+    #[test]
+    fn take_filled_reuses_a_recycled_buffer() {
+        let pool = BufPool::new();
+        drop(copy(&pool, b"old contents"));
+        let b = pool.take_filled(7, 3);
+        assert_eq!(&*b, [7, 7, 7]);
+        let s = pool.stats();
+        assert_eq!((s.taken, s.recycled, s.fresh), (2, 1, 1));
     }
 
     #[test]
@@ -585,16 +559,5 @@ mod tests {
         let pool = BufPool::new();
         let b = pool.take_filled(0xCD, 16);
         assert_eq!(*b, *vec![0xCD; 16]);
-    }
-
-    #[test]
-    #[should_panic(expected = "returned twice")]
-    fn double_return_panics_under_tracking() {
-        let pool = BufPool::with_tracking(8);
-        let b = pool.take();
-        let gen = b.generation();
-        drop(b);
-        // Forge a second return of the same generation.
-        pool.core.put_back(Vec::new(), gen);
     }
 }

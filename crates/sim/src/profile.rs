@@ -114,11 +114,6 @@ impl ProfileSnapshot {
     pub fn root_span_total(&self) -> u64 {
         self.scopes.iter().map(|s| s.root_spans).sum()
     }
-
-    /// Sum of sim-ns charges across all scopes.
-    pub fn sim_total_ns(&self) -> u64 {
-        self.scopes.iter().map(|s| s.sim_ns).sum()
-    }
 }
 
 /// Sentinel marking an inert guard (profiling disabled at entry, or the
@@ -495,7 +490,6 @@ mod tests {
             let snap = snapshot();
             assert_eq!(stats(&snap, "test.simmed").sim_ns, 150);
             assert_eq!(stats(&snap, "test.elsewhere").sim_ns, 70);
-            assert_eq!(snap.sim_total_ns(), 220);
         });
     }
 

@@ -118,19 +118,6 @@ impl DetRng {
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit() < p.clamp(0.0, 1.0)
     }
-
-    /// Fills `buf` with uniform bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        let mut chunks = buf.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let w = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&w[..rem.len()]);
-        }
-    }
 }
 
 /// A Zipfian rank sampler over `[0, n)` with exponent `theta`: the classic

@@ -29,7 +29,7 @@ const BUCKETS: usize = MAX_POW2 * SUB_BUCKETS;
 /// for us in 1..=100u64 {
 ///     h.record(SimDuration::from_micros(us));
 /// }
-/// let p50 = h.percentile(50.0).as_micros();
+/// let p50 = h.percentile(50.0).as_nanos() / 1_000;
 /// assert!((45..=55).contains(&p50), "p50 was {p50}us");
 /// ```
 #[derive(Clone)]

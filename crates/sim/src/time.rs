@@ -31,11 +31,6 @@ impl SimTime {
         self.0
     }
 
-    /// Microseconds since the epoch, truncated.
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// The duration elapsed since `earlier`.
     ///
     /// Returns [`SimDuration::ZERO`] if `earlier` is in the future, mirroring
@@ -77,11 +72,6 @@ impl SimDuration {
     /// Length in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Length in (truncated) microseconds.
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Saturating sum of two durations.
@@ -188,7 +178,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(SimDuration::from_micros(1).as_nanos(), 1_000);
-        assert_eq!(SimDuration::from_micros(3).as_micros(), 3);
     }
 
     #[test]

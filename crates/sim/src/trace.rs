@@ -534,7 +534,8 @@ impl ExactSizeIterator for Records<'_> {}
 
 /// A bounded in-memory trace collector.
 ///
-/// When `enabled` is false, `emit` is a no-op so hot paths pay only a branch.
+/// When `enabled` is false, an emit is a no-op so hot paths pay only a
+/// branch.
 ///
 /// # Examples
 ///
@@ -542,11 +543,11 @@ impl ExactSizeIterator for Records<'_> {}
 /// use lastcpu_sim::{CorrId, SimTime, TraceData, TraceSink};
 ///
 /// let mut t = TraceSink::bounded(2);
-/// t.emit(SimTime::from_nanos(1), "bus", "device nic0 registered");
 /// let (bus, nic) = (t.name("bus"), t.name("nic0"));
+/// t.emit_text(SimTime::from_nanos(1), bus, CorrId::NONE, TraceData::Text, "nic0 registered");
 /// let hit = TraceData::Deliver { to: nic, kind: "QueryHit" };
 /// t.emit_data(SimTime::from_nanos(2), bus, CorrId(1), hit);
-/// t.emit(SimTime::from_nanos(3), "bus", "discovery query");
+/// t.emit_text(SimTime::from_nanos(3), bus, CorrId::NONE, TraceData::Text, "discovery query");
 /// assert_eq!(t.len(), 2); // oldest evicted
 /// let first = t.events().next().unwrap();
 /// assert_eq!((first.source(), first.what()), ("bus", "-> nic0: QueryHit".into()));
@@ -659,23 +660,6 @@ impl TraceSink {
         Name::text(k)
     }
 
-    /// How many names the table holds.
-    pub fn name_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Records a free-form annotation with no correlation id (no-op when
-    /// disabled). Prefer [`TraceSink::emit_data`] for typed records.
-    pub fn emit(&mut self, at: SimTime, source: &str, what: impl Into<String>) {
-        self.emit_corr(at, source, CorrId::NONE, what);
-    }
-
-    /// Records a free-form annotation tagged with a correlation id.
-    pub fn emit_corr(&mut self, at: SimTime, source: &str, corr: CorrId, what: impl Into<String>) {
-        let source = self.name(source);
-        self.emit_text(at, source, corr, TraceData::Text, what);
-    }
-
     /// Records a typed event (no-op when disabled). A variant with a text
     /// of its own ([`TraceData::has_text`]) gets an empty one; give it one
     /// with [`TraceSink::emit_text`].
@@ -767,30 +751,14 @@ impl TraceSink {
         self.ring.used()
     }
 
-    /// Bytes the ring has reserved for records.
-    pub fn reserved_bytes(&self) -> usize {
-        self.ring.buf.capacity()
-    }
-
     /// Total records emitted over the sink's lifetime (including evicted).
     pub fn total_emitted(&self) -> u64 {
         self.emitted
     }
 
-    /// Records whose source starts with `prefix`, oldest first.
-    pub fn by_source<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = TraceView<'a>> {
-        self.events()
-            .filter(move |e| e.source().starts_with(prefix))
-    }
-
     /// Records whose description contains `needle`, oldest first.
     pub fn containing<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = TraceView<'a>> {
         self.events().filter(move |e| e.what().contains(needle))
-    }
-
-    /// Records belonging to correlation id `corr`, oldest first.
-    pub fn by_corr(&self, corr: CorrId) -> impl Iterator<Item = TraceView<'_>> {
-        self.events().filter(move |e| e.corr == corr)
     }
 
     /// Discards all retained records (the lifetime counter is kept).
@@ -1319,6 +1287,30 @@ impl lastcpu_snap::Span<TraceSink> for Ring {
     }
 }
 
+/// Free-form lines from a named source, as the tests below and
+/// `export`'s write them.
+#[cfg(test)]
+impl TraceSink {
+    pub(crate) fn emit(&mut self, at: SimTime, source: &str, what: impl Into<String>) {
+        self.emit_corr(at, source, CorrId::NONE, what);
+    }
+
+    pub(crate) fn emit_corr(
+        &mut self,
+        at: SimTime,
+        source: &str,
+        corr: CorrId,
+        what: impl Into<String>,
+    ) {
+        let source = self.name(source);
+        self.emit_text(at, source, corr, TraceData::Text, what);
+    }
+
+    fn reserved_bytes(&self) -> usize {
+        self.ring.buf.capacity()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1535,26 +1527,9 @@ mod tests {
         t.emit(SimTime::ZERO, "bus", "register nic0");
         t.emit(SimTime::ZERO, "nic0", "self-test ok");
         t.emit(SimTime::ZERO, "bus", "register ssd0");
-        assert_eq!(t.by_source("bus").count(), 2);
         assert_eq!(t.containing("nic0").count(), 1);
         t.clear();
         assert_eq!(t.events().count(), 0);
-    }
-
-    #[test]
-    fn corr_filter_selects_one_activity() {
-        let mut t = TraceSink::bounded(16);
-        t.emit_corr(SimTime::ZERO, "nic0", CorrId(1), "step one");
-        t.emit_corr(SimTime::ZERO, "bus", CorrId(2), "unrelated");
-        let (bus, to) = (t.name("bus"), t.name("ssd0"));
-        let open = TraceData::Deliver {
-            to,
-            kind: "OpenRequest",
-        };
-        t.emit_data(SimTime::from_nanos(5), bus, CorrId(1), open);
-        let span: Vec<_> = t.by_corr(CorrId(1)).collect();
-        assert_eq!(span.len(), 2);
-        assert_eq!(span[1].what(), "-> ssd0: OpenRequest");
     }
 
     #[test]
@@ -1868,7 +1843,7 @@ mod tests {
         for i in 0..MAX_NAMES {
             query(&mut t, &format!("file:/p{i}"));
         }
-        assert_eq!(t.name_count(), MAX_NAMES);
+        assert_eq!(t.names.len(), MAX_NAMES);
         let late = query(&mut t, "file:/late");
         assert_eq!(late, Name::text(0));
         assert_eq!(
@@ -1876,7 +1851,7 @@ mod tests {
             Name(9),
             "an interned name keeps its handle"
         );
-        assert_eq!(t.name_count(), MAX_NAMES);
+        assert_eq!(t.names.len(), MAX_NAMES);
         let whats: Vec<_> = t.events().map(|e| e.what()).collect();
         assert_eq!(whats[6], "sends Query(file:/late) to Bus");
         assert_eq!(whats[7], "sends Query(file:/p7) to Bus");
@@ -1896,7 +1871,7 @@ mod tests {
             check: "map_instruction",
         };
         t.emit_text(SimTime::ZERO, source, CorrId(5), deny, "NotController");
-        assert_eq!(t.name_count(), 0);
+        assert_eq!(t.names.len(), 0);
         let line = t.events().next().unwrap().to_string();
         assert!(
             line.ends_with(
@@ -2428,18 +2403,8 @@ mod oracle {
             self.emitted
         }
 
-        pub fn by_source<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceRecord> {
-            self.ring
-                .iter()
-                .filter(move |e| e.source.starts_with(prefix))
-        }
-
         pub fn containing<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = &'a TraceRecord> {
             self.ring.iter().filter(move |e| e.what().contains(needle))
-        }
-
-        pub fn by_corr(&self, corr: CorrId) -> impl Iterator<Item = &TraceRecord> {
-            self.ring.iter().filter(move |e| e.corr == corr)
         }
 
         pub fn clear(&mut self) {
@@ -2819,17 +2784,6 @@ mod oracle {
         assert_eq!(plain.total_emitted(), oracle.total_emitted());
         let lines = plain.events().map(|e| e.to_string());
         assert!(lines.eq(oracle.events().map(|e| e.to_string())));
-        for prefix in ["", "m0/", "dev", "fresh1", "b"] {
-            let a = plain.by_source(prefix).map(|e| e.to_string());
-            assert!(
-                a.eq(oracle.by_source(prefix).map(|e| e.to_string())),
-                "{prefix}"
-            );
-        }
-        for corr in 0..4 {
-            let a = plain.by_corr(CorrId(corr)).map(|e| e.to_string());
-            assert!(a.eq(oracle.by_corr(CorrId(corr)).map(|e| e.to_string())));
-        }
         for needle in ["Query", "dev:3", "quoted", "line 1", "ü", " B)"] {
             let a = plain.containing(needle).map(|e| e.to_string());
             assert!(
@@ -2916,9 +2870,9 @@ mod oracle {
                 dst: format!("Device(dev:{forged})").into(),
             };
             oracle.emit_data(at, format!("dev:{forged}").into(), CorrId(i), data);
-            assert!(plain.name_count() <= MAX_NAMES);
+            assert!(plain.names.len() <= MAX_NAMES);
         }
-        assert_eq!(plain.name_count(), MAX_NAMES);
+        assert_eq!(plain.names.len(), MAX_NAMES);
         assert!(plain.texts.len() <= 2 * 1024, "{}", plain.texts.len());
         assert!(plain.events().any(|e| e.data.kind() == "discovery"
             && matches!(e.data, Data::Discovery { pattern, .. } if pattern == Name::text(0))));

@@ -55,11 +55,14 @@ fn fixture_sink() -> TraceSink {
     };
     let fabric = t.name("fabric");
     t.emit_data(SimTime::from_nanos(1_200), fabric, CorrId(2), hop);
-    t.emit_corr(
+    let ssd0 = t.name("ssd0");
+    let line = "quoted \"x\"\nnewline\ttab";
+    t.emit_text(
         SimTime::from_nanos(2_000),
-        "ssd0",
+        ssd0,
         CorrId(2),
-        "quoted \"x\"\nnewline\ttab",
+        TraceData::Text,
+        line,
     );
     t
 }

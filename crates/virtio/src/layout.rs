@@ -63,12 +63,6 @@ impl QueueLayout {
         cursor & (self.size - 1)
     }
 
-    /// Total bytes the queue structures occupy from `desc` to the end of
-    /// the used ring.
-    pub fn total_bytes(&self) -> u64 {
-        self.used + 4 + 8 * self.size as u64 - self.desc
-    }
-
     /// First byte past the queue structures (where buffer space can start).
     pub fn end(&self) -> u64 {
         self.used + 4 + 8 * self.size as u64
@@ -174,7 +168,6 @@ mod tests {
             assert!(desc_end <= l.avail, "size {size}");
             assert!(avail_end <= l.used, "size {size}");
             assert_eq!(l.end(), l.used + 4 + 8 * size as u64);
-            assert!(l.total_bytes() > 0);
         }
     }
 

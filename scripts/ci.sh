@@ -14,7 +14,10 @@
 #                          metric handle, a hand-written machine, rack or
 #                          NIC section writer, a timing literal outside the
 #                          cost table, a second counting allocator, ...);
-#                          it reads crates/*/src, crates/*/tests and tests/
+#                          it reads crates/*/src, crates/*/tests and tests/;
+#                          and the public surface: every pub library item
+#                          has a caller outside tests, or a reason on the
+#                          stage's allow-list
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -60,7 +63,7 @@ census="
 files: $lib
 skip: ^crates/(sim/src/dethash|snap/src/fields)\.rs\$
 forbid: (^|[^A-Za-z_])Hash(Map|Set)
-why: a std HashMap/HashSet re-seeds per process, so its growth and allocs/event differ between runs; use lastcpu_sim::DetHashMap/DetHashSet (the snap field codecs take any hasher)
+why: a std HashMap/HashSet re-seeds per process, so its growth and allocs/event differ between runs; use lastcpu_sim::DetHashMap, with () values for a set (the snap field codecs take any hasher)
 
 files: $lib
 skip: ^crates/snap/src/
@@ -220,6 +223,76 @@ census="$census" awk '
     END { exit bad }
 ' $(find crates tests \( -path '*/src/*' -o -path '*/tests/*' \) -name '*.rs' | sort) || {
     echo "FAIL: a refused line in library or test code (see above)"; exit 1;
+}
+
+echo "==> public surface (every pub library item has a caller outside tests)"
+# A `pub` item (fn, struct, enum, trait, type, const, static) in the non-test
+# code of crates/*/src, the vendored crates/proptest and crates/criterion
+# left out, fails when its name appears on no other non-test line of
+# crates/*/src, crates/*/benches, examples/ or benchmark/src: a library item
+# only tests reach is deleted with the tests that test only it. Comments,
+# `pub use` / `pub mod` lines and top-level `#[cfg(test)]` items never count
+# as a caller. The scan goes by name, so an item whose name is also spelled
+# elsewhere passes unseen. An item that stays without a caller is on this
+# list, one `name  reason` line each: a hook through which a test drives
+# behaviour no public path reaches, or an observation a pin reads that must
+# not change. A name on the list that the scan no longer flags fails too.
+surface_allow="
+ROWS  the cost table's rows: DESIGN.md §5 renders them and tests/cost_table.rs holds each default to its row
+app_mut  tests/delivery.rs turns the NIC server's fast path off through it, the slow path's only route in a test
+containing  tests/trace_repr.rs, a pin, counts a rack's link-crossing records with it
+endpoint_names  tests/metrics_pins.rs, a pin, holds a router's ring size through it
+force_bad_block  retires a block on demand, so FTL and FlashFs tests reach the bad-block path no workload wears into
+generate  FaultPlan::generate, the seeded random fault plan tests/trace_pins.rs (a pin) and tests/fault_props.rs replay
+open_tunnel  a raw machine-to-machine tunnel, so fabric and rack tests drive link timing and faults without the KVS router's directory
+section_tags  tests/checkpoint_pins.rs, tests/trace_repr.rs and tests/server_backlog.rs (pins) walk a checkpoint's sections with it
+start_device  powers on a device added after power-on, the only way a test hot-plugs one (late fabric tenant, late directory entry)
+table_nodes  tests/iommu_pins.rs, a pin, holds a unit's page-table node count through it
+total_emitted  tests/trace_pins.rs and tests/trace_repr.rs (pins) hold a sink's lifetime record count through it
+"
+surface_decl=$(find crates/*/src -name '*.rs' | grep -Ev '^crates/(proptest|criterion)/' | sort)
+surface_use=$(find crates/*/src crates/*/benches examples benchmark/src -name '*.rs' \
+    | grep -Ev '^crates/(proptest|criterion)/' | sort)
+surface_allow="$surface_allow" surface_decl="$surface_decl" awk '
+    BEGIN {
+        n = split(ENVIRON["surface_decl"], d, "\n")
+        for (i = 1; i <= n; i++) decl[d[i]] = 1
+        n = split(ENVIRON["surface_allow"], a, "\n")
+        for (i = 1; i <= n; i++) if (a[i] != "") { sub(/ .*/, "", a[i]); allow[a[i]] = 1 }
+    }
+    FNR == 1 { test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test && /^}[ \t]*$/ { test = 0; next }
+    test || /^[ \t]*\/\// || /^[ \t]*pub (use|mod) / { next }
+    {
+        name = ""
+        if (decl[FILENAME] && match($0, /^[ \t]*pub (const |async |unsafe )*(fn|struct|enum|trait|type|const|static) [A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr($0, RSTART, RLENGTH); sub(/.* /, "", name)
+            at[name] = at[name] "    " FILENAME ":" FNR ": " $0 "\n"
+        }
+        line = $0
+        while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+            w = substr(line, RSTART, RLENGTH)
+            if (w == name) name = ""   # the declaration names itself once
+            else seen[w] = 1
+            line = substr(line, RSTART + RLENGTH)
+        }
+    }
+    END {
+        for (k in at) if (!(k in seen)) {
+            if (k in allow) { flagged[k] = 1; continue }
+            printf "%s", at[k]
+            print "      refused: pub " k " has no caller outside tests; delete it with the tests that test only it"
+            bad = 1
+        }
+        for (k in allow) if (!(k in flagged)) {
+            print "    surface allow-list: " k " has a caller or no declaration now; take it off the list"
+            bad = 1
+        }
+        exit bad
+    }
+' $surface_use || {
+    echo "FAIL: a public library item only tests reach (see above)"; exit 1;
 }
 
 echo "==> tier-1: cargo build --release"

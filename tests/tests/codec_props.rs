@@ -8,7 +8,7 @@ use lastcpu_bus::{BusAudit, Envelope, ResourceKind, ServiceDesc, Status};
 use lastcpu_core::devices::monitor::AuthMode;
 use lastcpu_core::devices::session::{FileSession, SessionState};
 use lastcpu_core::devices::ssd::FileClient;
-use lastcpu_iommu::{DmaAudit, DmaDenialRecord, IommuFault};
+use lastcpu_iommu::{DmaAudit, IommuFault};
 use lastcpu_kvs::proto::KvsStatus;
 use lastcpu_mem::{PageTable, Perms};
 use lastcpu_sim::{FaultEvent, Histogram};
@@ -60,7 +60,6 @@ proptest! {
         canonical::<AuthMode>(&bytes);
         canonical::<SessionState>(&bytes);
         canonical::<IommuFault>(&bytes);
-        canonical::<DmaDenialRecord>(&bytes);
         canonical::<DmaAudit>(&bytes);
         canonical::<BusAudit>(&bytes);
         canonical::<FaultEvent>(&bytes);

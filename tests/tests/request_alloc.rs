@@ -25,7 +25,7 @@ use lastcpu_kvs::{
     build_cpuless_kvs, build_rack_kvs, KvsNicApp, RouterConfig, ServerConfig, ShardRouterHost,
 };
 use lastcpu_net::{Frame, PortId};
-use lastcpu_sim::{profile, CorrId, DetRng, MetricsHub, SimDuration, SimTime};
+use lastcpu_sim::{profile, BufPool, CorrId, DetRng, MetricsHub, SimDuration, SimTime};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -281,6 +281,9 @@ impl DrivenRouter {
     fn frame(&mut self, src: PortId, payload: Vec<u8>) -> (Vec<Frame>, u64) {
         let frame = Frame::unicast(src, Self::SELF, payload);
         let scratch = std::mem::take(&mut self.scratch);
+        // A pool with no idle buffer, so each frame the router builds costs
+        // one allocation.
+        let pool = BufPool::new();
         let (mut actions, seen) = watch(|| {
             let mut ctx = HostCtx::new(
                 SimTime::ZERO,
@@ -288,6 +291,7 @@ impl DrivenRouter {
                 &self.hub,
                 &mut self.rng,
                 CorrId::NONE,
+                &pool,
             )
             .with_scratch(scratch);
             self.router.on_frame(&mut ctx, frame);

@@ -112,8 +112,7 @@ proptest! {
 
 /// Counts how many cross-traffic pairs ride each middle-stage element and
 /// asserts every element is used and the spread stays within `band`x.
-fn assert_balanced(topo: &Topology, expected_elems: usize, band: u64) {
-    let machines = topo.num_machines();
+fn assert_balanced(topo: &Topology, machines: usize, expected_elems: usize, band: u64) {
     let mut per_elem: BTreeMap<String, u64> = BTreeMap::new();
     for s in 0..machines {
         for d in 0..machines {
@@ -142,7 +141,7 @@ fn leaf_spine_ecmp_balances_within_3x() {
     // enough for a hash yet tight enough to catch a degenerate mix.
     for seed in [7u64, 0xE10, 1984] {
         let topo = build(TopoKind::LeafSpine { leaf_size: 8 }, 1, 64, seed);
-        assert_balanced(&topo, 8, 3);
+        assert_balanced(&topo, 64, 8, 3);
     }
 }
 
@@ -153,7 +152,7 @@ fn fat_tree_ecmp_balances_within_3x() {
     for seed in [7u64, 0xE10, 1984] {
         let topo = build(TopoKind::FatTree { k: 0 }, 1, 128, seed);
         assert_eq!(topo.fat_tree_k(), Some(8));
-        assert_balanced(&topo, 16, 3);
+        assert_balanced(&topo, 128, 16, 3);
     }
 }
 

@@ -114,7 +114,9 @@ fn forward_allocs(link_tracing: bool) -> (u64, usize) {
     let forward = scopes.iter().find(|s| s.name == "fabric.forward");
     let forward = forward.expect("the fabric forwarded frames");
     assert!(forward.spans > 1_000, "{} frames", forward.spans);
-    (forward.allocs, setup.fabric.link_trace().len())
+    let merged = setup.fabric.merged_trace();
+    let hops = merged.events().filter(|e| e.data.kind() == "link_hop");
+    (forward.allocs, hops.count())
 }
 
 #[test]
