@@ -72,9 +72,6 @@ impl KernelEnv<'_, '_> {
 
 /// An application running on the CPU (the conventional deployment).
 pub trait CpuApp: 'static {
-    /// Application name.
-    fn app_name(&self) -> &str;
-
     /// Called once the CPU is registered on the bus.
     fn on_start(&mut self, env: &mut KernelEnv<'_, '_>);
 
@@ -92,10 +89,6 @@ pub trait CpuApp: 'static {
 pub struct IdleApp;
 
 impl CpuApp for IdleApp {
-    fn app_name(&self) -> &str {
-        "idle"
-    }
-
     fn on_start(&mut self, _env: &mut KernelEnv<'_, '_>) {}
 
     fn on_packet(&mut self, _env: &mut KernelEnv<'_, '_>, _src: PortId, _payload: Vec<u8>) {}
@@ -572,10 +565,6 @@ mod tests {
     }
 
     impl CpuApp for EchoCpuApp {
-        fn app_name(&self) -> &str {
-            "cpu-echo"
-        }
-
         fn on_start(&mut self, _env: &mut KernelEnv<'_, '_>) {}
 
         fn on_packet(&mut self, env: &mut KernelEnv<'_, '_>, src: PortId, payload: Vec<u8>) {

@@ -51,11 +51,6 @@ impl DumbNic {
             stats: DumbNicStats::default(),
         }
     }
-
-    /// Counters.
-    pub fn stats(&self) -> DumbNicStats {
-        self.stats
-    }
 }
 
 impl Device for DumbNic {

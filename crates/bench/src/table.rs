@@ -8,7 +8,7 @@
 /// use lastcpu_bench::Table;
 ///
 /// let mut t = Table::new(&["n", "latency"]);
-/// t.row(&["1", "3.2us"]);
+/// t.row_strings(vec!["1".into(), "3.2us".into()]);
 /// let s = t.render();
 /// assert!(s.contains("latency"));
 /// assert!(s.contains("3.2us"));
@@ -25,14 +25,6 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// Appends a row (must match the header count).
-    pub fn row(&mut self, cells: &[&str]) -> &mut Self {
-        assert_eq!(cells.len(), self.headers.len(), "row/header mismatch");
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-        self
     }
 
     /// Appends a row of owned strings.
@@ -86,7 +78,7 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new(&["a", "long-header"]);
-        t.row(&["wide-cell", "1"]);
+        t.row_strings(vec!["wide-cell".into(), "1".into()]);
         let r = t.render();
         let lines: Vec<&str> = r.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -97,6 +89,6 @@ mod tests {
     #[should_panic(expected = "mismatch")]
     fn row_width_checked() {
         let mut t = Table::new(&["a", "b"]);
-        t.row(&["only-one"]);
+        t.row_strings(vec!["only-one".into()]);
     }
 }

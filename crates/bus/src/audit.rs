@@ -45,12 +45,13 @@
 //!         pasid: 7, va: 0x4000, pa: 0x1000, pages: 1, perms: 3,
 //!     },
 //! }, &mut fx);
-//! let audit = bus.audit().expect("audit enabled");
-//! let rec = audit.records().last().unwrap();
+//! assert_eq!(bus.audit().expect("audit enabled").denied(), 1);
+//! // The machine drains the verdicts after each message.
+//! let delta = bus.audit_mut().expect("audit enabled").drain();
+//! let rec = delta.records.last().unwrap();
 //! assert_eq!(rec.op, PrivOpKind::MapInstruction);
 //! assert_eq!(rec.verdict, BusVerdict::Denied);
 //! assert_eq!(rec.reason, Some(DenyReason::NotController));
-//! assert_eq!(audit.denied(), 1);
 //! ```
 
 use lastcpu_sim::{costs, SimDuration};
@@ -196,8 +197,15 @@ impl BusAudit {
     }
 
     /// Exact count of allowed privileged operations.
-    pub fn allowed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn allowed(&self) -> u64 {
         self.allowed
+    }
+
+    /// Retained verdict records, oldest first.
+    #[cfg(test)]
+    pub(crate) fn records(&self) -> &[BusAuditRecord] {
+        &self.log
     }
 
     /// Exact count of denied privileged operations.
@@ -208,11 +216,6 @@ impl BusAudit {
     /// Exact count of messages shed by the flood limiter.
     pub fn rate_limited(&self) -> u64 {
         self.rate_limited
-    }
-
-    /// Retained verdict records, oldest first.
-    pub fn records(&self) -> &[BusAuditRecord] {
-        &self.log
     }
 
     /// Drains verdicts accumulated since the previous drain.

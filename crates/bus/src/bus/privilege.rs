@@ -33,11 +33,6 @@ impl SystemBus {
         self.policy = policy;
     }
 
-    /// The hardening policy in effect.
-    pub fn security_policy(&self) -> SecurityPolicy {
-        self.policy
-    }
-
     /// The registered controller of `resource`, if any.
     pub fn controller_of(&self, resource: ResourceKind) -> Option<DeviceId> {
         self.controllers[resource.tag() as usize]

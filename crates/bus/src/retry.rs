@@ -137,11 +137,6 @@ impl RpcTracker {
         }
     }
 
-    /// The active policy.
-    pub fn config(&self) -> RetryConfig {
-        self.config
-    }
-
     /// Aggregate counters.
     pub fn stats(&self) -> RetryStats {
         self.met.stats()
@@ -150,11 +145,6 @@ impl RpcTracker {
     /// Feeds the counters whose rows name a key to `hub` from now on.
     pub fn register_metrics(&mut self, hub: &MetricsHub) {
         self.met.register(hub);
-    }
-
-    /// Number of requests currently awaiting replies.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
     }
 
     /// Registers an outgoing envelope if it is a trackable request.
@@ -361,13 +351,13 @@ mod tests {
         let env = req_env(5, 42);
         let deadline = t.track(now, &env).expect("tracked");
         assert_eq!(deadline, now + SimDuration::from_micros(100));
-        assert_eq!(t.in_flight(), 1);
+        assert_eq!(t.pending.len(), 1);
         let reply = Payload::MemAllocResponse {
             status: Status::Ok,
             region: 1,
         };
         assert!(t.complete(DeviceId(5), RequestId(42), &reply));
-        assert_eq!(t.in_flight(), 0);
+        assert_eq!(t.pending.len(), 0);
         let s = t.stats();
         assert_eq!(
             (s.tracked, s.completed, s.retries, s.recovered),
@@ -388,7 +378,7 @@ mod tests {
             ..req_env(5, 2)
         };
         assert!(t.track(SimTime::ZERO, &beat).is_none());
-        assert_eq!(t.in_flight(), 0);
+        assert_eq!(t.pending.len(), 0);
     }
 
     #[test]
@@ -440,7 +430,7 @@ mod tests {
             }
             other => panic!("expected give-up, got {other:?}"),
         }
-        assert_eq!(t.in_flight(), 0);
+        assert_eq!(t.pending.len(), 0);
         assert!(t.next_deadline().is_none());
         let s = t.stats();
         assert_eq!((s.retries, s.give_ups, s.completed), (2, 1, 0));
@@ -493,7 +483,7 @@ mod tests {
         t.track(SimTime::ZERO, &req_env(5, 2));
         t.track(SimTime::ZERO, &req_env(6, 1));
         assert_eq!(t.forget_requester(DeviceId(5)), 2);
-        assert_eq!(t.in_flight(), 1);
+        assert_eq!(t.pending.len(), 1);
         assert!(t.complete(
             DeviceId(6),
             RequestId(1),
@@ -513,6 +503,6 @@ mod tests {
         // existing entry (with its retry count) must win.
         assert!(t.track(SimTime::from_nanos(500), &env).is_none());
         assert_eq!(t.stats().tracked, 1);
-        assert_eq!(t.in_flight(), 1);
+        assert_eq!(t.pending.len(), 1);
     }
 }

@@ -369,16 +369,6 @@ pub struct WireWriter {
 }
 
 impl WireWriter {
-    /// A fresh, empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finishes encoding, returning the bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
     /// Writes an unsigned LEB128 varint.
     #[inline]
     pub fn varint(&mut self, mut v: u64) {
@@ -525,13 +515,13 @@ mod tests {
 
     #[test]
     fn scalars_round_trip() {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::default();
         w.u8(0xAB);
         w.u16(0x1234);
         w.u32(0xDEADBEEF);
         w.u64(u64::MAX);
         w.u128(u128::MAX - 1);
-        let bytes = w.finish();
+        let bytes = w.buf;
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 0xAB);
         assert_eq!(r.u16().unwrap(), 0x1234);
@@ -543,19 +533,19 @@ mod tests {
 
     #[test]
     fn truncated_input_errors() {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::default();
         w.u64(7);
-        let bytes = w.finish();
+        let bytes = w.buf;
         let mut r = WireReader::new(&bytes[..5]);
         assert_eq!(r.u64(), Err(WireError::Truncated));
     }
 
     #[test]
     fn trailing_bytes_detected() {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::default();
         w.u8(1);
         w.u8(2);
-        let bytes = w.finish();
+        let bytes = w.buf;
         let mut r = WireReader::new(&bytes);
         r.u8().unwrap();
         assert_eq!(
@@ -566,9 +556,9 @@ mod tests {
 
     #[test]
     fn string_utf8_enforced() {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::default();
         w.bytes(&[0xff, 0xfe]);
-        let bytes = w.finish();
+        let bytes = w.buf;
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.string(), Err(WireError::InvalidUtf8));
     }
@@ -576,9 +566,9 @@ mod tests {
     #[test]
     fn oversize_length_rejected_without_allocation() {
         // Claim a 2^40-byte blob in a 3-byte message.
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::default();
         w.varint(1 << 40);
-        let bytes = w.finish();
+        let bytes = w.buf;
         let mut r = WireReader::new(&bytes);
         assert!(matches!(r.bytes(), Err(WireError::FieldTooLong { .. })));
     }
@@ -592,9 +582,9 @@ mod tests {
 
     #[test]
     fn varint_max_value_round_trips() {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::default();
         w.varint(u64::MAX);
-        let bytes = w.finish();
+        let bytes = w.buf;
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.varint().unwrap(), u64::MAX);
     }
@@ -602,9 +592,9 @@ mod tests {
     proptest! {
         #[test]
         fn prop_varint_round_trips(v: u64) {
-            let mut w = WireWriter::new();
+            let mut w = WireWriter::default();
             w.varint(v);
-            let bytes = w.finish();
+            let bytes = w.buf;
             let mut r = WireReader::new(&bytes);
             prop_assert_eq!(r.varint().unwrap(), v);
             r.expect_end().unwrap();
@@ -612,18 +602,18 @@ mod tests {
 
         #[test]
         fn prop_blob_round_trips(data: Vec<u8>) {
-            let mut w = WireWriter::new();
+            let mut w = WireWriter::default();
             w.bytes(&data);
-            let bytes = w.finish();
+            let bytes = w.buf;
             let mut r = WireReader::new(&bytes);
             prop_assert_eq!(r.bytes().unwrap(), data);
         }
 
         #[test]
         fn prop_string_round_trips(s: String) {
-            let mut w = WireWriter::new();
+            let mut w = WireWriter::default();
             w.string(&s);
-            let bytes = w.finish();
+            let bytes = w.buf;
             let mut r = WireReader::new(&bytes);
             prop_assert_eq!(r.string().unwrap(), s);
         }

@@ -151,19 +151,6 @@ impl System {
         Ok(())
     }
 
-    /// Steps until exactly `events` events have been processed (the
-    /// manifest cursor). Returns the number of events stepped here.
-    pub fn run_to_cursor(&mut self, events: u64) -> u64 {
-        let mut n = 0;
-        while self.queue.events_processed() < events {
-            if self.step().is_none() {
-                break;
-            }
-            n += 1;
-        }
-        n
-    }
-
     /// Byte-for-byte verification of this machine against `ck`: serializes
     /// the machine section by section and compares each against `ck`'s
     /// section at the same index as it is produced, so no second checkpoint
@@ -193,7 +180,7 @@ impl System {
     pub fn restore_from(&mut self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
         ck.manifest
             .admit("machine", Some(self.config.seed), self.config_fingerprint())?;
-        self.run_to_cursor(ck.manifest.events);
+        while self.queue.events_processed() < ck.manifest.events && self.step().is_some() {}
         self.verify_checkpoint(ck)
     }
 }
@@ -329,7 +316,7 @@ mod tests {
         tags.extend((0..sys.slots.len()).map(|i| format!("dev{i}")));
         tags.extend((0..sys.hosts.len()).map(|i| format!("host{i}")));
         let mut twin = recipe();
-        twin.run_to_cursor(ck.manifest.events);
+        while twin.queue.events_processed() < ck.manifest.events && twin.step().is_some() {}
         for tag in &tags {
             let body = ck.section(tag).expect("written");
             let mut fresh = recipe();

@@ -67,8 +67,8 @@ impl System {
                                 rpc.tracker.complete(to, env.req, &env.payload);
                             }
                         }
-                        self.queue
-                            .schedule_at(now + lat + extra, Event::Deliver { idx, env });
+                        let at = now.saturating_add(lat.saturating_add(extra));
+                        self.queue.schedule_at(at, Event::Deliver { idx, env });
                     }
                 }
                 BusEffect::ProgramMap {

@@ -12,7 +12,7 @@ use lastcpu_bus::Envelope;
 use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::{costs, profile, CorrId, SimDuration, SimTime};
 
-use super::{DeviceHandle, System, Work};
+use super::{System, Work};
 
 /// Internal events.
 pub(super) enum Event {
@@ -114,7 +114,12 @@ impl System {
     /// small deterministic jitter (devices do not boot lockstep), devices
     /// within the `engine.start_jitter` row and hosts within the same span
     /// after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault plan event names no device of this machine.
     pub fn power_on(&mut self) {
+        self.powered = true;
         let spread = costs::ENGINE_START_JITTER.as_nanos();
         for idx in 0..self.slots.len() {
             let jitter = SimDuration::from_nanos(self.root_rng.below(spread));
@@ -130,14 +135,14 @@ impl System {
         // Fault injections become ordinary discrete events: same queue,
         // same deterministic tie-break, bit-identical replays.
         for (i, e) in self.fault_events.iter().enumerate() {
+            assert!(
+                self.slots.iter().any(|s| s.device.name() == e.target),
+                "fault plan event {i} ({} on {:?}) names no device of this machine",
+                e.kind.tag(),
+                e.target
+            );
             self.queue.schedule_at(e.at, Event::Fault(i));
         }
-    }
-
-    /// Powers on one late-added device (for devices attached after
-    /// [`System::power_on`], e.g. hot-plug scenarios).
-    pub fn start_device(&mut self, h: DeviceHandle) {
-        self.queue.schedule_now(Event::Start(h.idx));
     }
 
     /// The firing time of this machine's next pending event, if any. The

@@ -100,9 +100,11 @@ impl System {
     /// Applies one scheduled fault-plan injection.
     pub(super) fn apply_fault(&mut self, now: SimTime, i: usize) {
         let ev = self.fault_events[i].clone();
-        let Some(idx) = self.slots.iter().position(|s| s.device.name() == ev.target) else {
-            return;
-        };
+        let idx = self
+            .slots
+            .iter()
+            .position(|s| s.device.name() == ev.target)
+            .expect("power_on checked every target");
         self.met.faults_injected.incr();
         let corr = self.fresh_corr();
         if self.trace.is_enabled() {
@@ -134,7 +136,7 @@ impl System {
             FaultKind::SlowDown { factor, for_ns } => {
                 let f = &mut self.slots[idx].faults;
                 f.slow_factor = factor.max(1);
-                f.slow_until = now + SimDuration::from_nanos(for_ns);
+                f.slow_until = now.saturating_add(SimDuration::from_nanos(for_ns));
             }
             FaultKind::IommuStorm { count } => {
                 // A burst of spurious translation faults the device firmware
@@ -358,6 +360,67 @@ mod tests {
             h.mean() >= sys.config.reset_latency,
             "recovery >= reset pulse"
         );
+    }
+
+    /// A machine with memctl and `auth0`, armed with `plan`, powered on.
+    fn planned(plan: lastcpu_sim::FaultPlan) -> (System, DeviceHandle) {
+        let mut sys = System::new(SystemConfig {
+            fault_plan: Some(plan),
+            liveness_interval: Some(SimDuration::from_millis(2)),
+            ..SystemConfig::default()
+        });
+        sys.add_memctl("memctl0");
+        let auth = sys.add_device(Box::new(AuthDevice::new("auth0", 1, &[])));
+        sys.power_on();
+        (sys, auth)
+    }
+
+    /// A slowdown lasting to the end of time holds to the end of time: its
+    /// end saturates instead of wrapping to before it began.
+    #[test]
+    fn slowdown_to_the_end_of_time_saturates() {
+        use lastcpu_sim::{FaultKind, FaultPlan};
+        let mut plan = FaultPlan::new(1);
+        let slow = FaultKind::SlowDown {
+            factor: 4,
+            for_ns: u64::MAX,
+        };
+        plan.inject(SimTime::from_nanos(2_000_000), "auth0", slow);
+        let (mut sys, auth) = planned(plan);
+        sys.run_for(SimDuration::from_millis(10));
+        assert_eq!(sys.stats().counter("fault.injected"), 1);
+        let faults = &sys.slots[auth.idx].faults;
+        assert_eq!(faults.slow_until, SimTime::from_nanos(u64::MAX));
+        assert_eq!(faults.slow_factor, 4);
+    }
+
+    /// A delay to the end of time parks its message there: the delivery
+    /// time saturates instead of wrapping to before an undelayed one.
+    #[test]
+    fn delay_to_the_end_of_time_saturates() {
+        use lastcpu_sim::{FaultKind, FaultPlan};
+        let mut plan = FaultPlan::new(1);
+        let delay = FaultKind::Delay {
+            count: 1,
+            extra_ns: u64::MAX,
+        };
+        plan.inject(SimTime::from_nanos(2_000_000), "auth0", delay);
+        let (mut sys, auth) = planned(plan);
+        sys.run_for(SimDuration::from_millis(10));
+        assert_eq!(sys.stats().counter("fault.msgs_delayed"), 1);
+        assert_eq!(sys.slots[auth.idx].faults.delay_rem, 0);
+        assert_eq!(sys.now(), SimTime::from_nanos(10_000_000));
+    }
+
+    /// A plan event aimed at a device the machine does not have is refused
+    /// at power-on, not dropped when it fires.
+    #[test]
+    #[should_panic(expected = "fault plan event 0 (crash on \"auth9\") names no device")]
+    fn a_fault_aimed_at_no_device_is_refused_at_power_on() {
+        use lastcpu_sim::{FaultKind, FaultPlan};
+        let mut plan = FaultPlan::new(1);
+        plan.inject(SimTime::from_nanos(2_000_000), "auth9", FaultKind::Crash);
+        planned(plan);
     }
 
     #[test]

@@ -311,6 +311,10 @@ pub struct System {
     /// `DeviceCtx::take_buf` / `HostCtx::take_buf`); the storage recycles
     /// when the consuming endpoint drops the frame.
     pool: BufPool,
+    /// Set by [`System::power_on`]: a device added after it starts as it
+    /// is added (hot-plug). Not checkpointed, since a restored machine is
+    /// powered on before it replays.
+    powered: bool,
 }
 
 impl System {
@@ -379,11 +383,13 @@ impl System {
             bus_fx: Vec::new(),
             tunnel_out: Vec::new(),
             pool: BufPool::new(),
+            powered: false,
             config,
         }
     }
 
-    /// Adds a device without a network port.
+    /// Adds a device without a network port. On a powered-on machine the
+    /// device starts as it is added (hot-plug), as with every `add_device*`.
     pub fn add_device(&mut self, device: Box<dyn Device>) -> DeviceHandle {
         self.add_device_inner(device, false)
     }
@@ -440,6 +446,9 @@ impl System {
             faults: SlotFaults::default(),
             scratch_actions: Vec::new(),
         });
+        if self.powered {
+            self.queue.schedule_now(Event::Start(idx));
+        }
         DeviceHandle { id, idx }
     }
 
@@ -909,7 +918,12 @@ mod tests {
             .filter(|e| matches!(e.data, TraceData::Stage { .. }))
             .map(|e| format!("{} {}", e.source(), e.what()))
             .collect();
-        assert_eq!(sys.pool().outstanding(), 0, "the buffer went back");
+        let pool = sys.pool().stats();
+        assert_eq!(
+            pool.taken,
+            pool.returned + pool.shed,
+            "the buffer went back"
+        );
         (marks, sys.pool().stats().taken - taken)
     }
 

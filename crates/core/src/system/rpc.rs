@@ -76,8 +76,9 @@ impl System {
                     let Some((env, extra)) = filtered else {
                         continue;
                     };
-                    let hop = self.config.bus_cost.hop_latency + extra;
-                    self.queue.schedule_at(send_at + hop, Event::BusMsg(env));
+                    let hop = self.config.bus_cost.hop_latency.saturating_add(extra);
+                    self.queue
+                        .schedule_at(send_at.saturating_add(hop), Event::BusMsg(env));
                 }
                 RetryVerdict::GiveUp {
                     env,

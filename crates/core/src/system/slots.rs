@@ -162,7 +162,6 @@ impl System {
             slot.port,
             &mut slot.iommu,
             &mut self.dram,
-            &mut slot.rng,
             &mut slot.next_req,
             corr,
             &self.stats,
@@ -234,12 +233,13 @@ impl System {
                 };
                 // One hop to the bus; processing/latency modelled by the
                 // bus's own cost model when it emits deliveries.
-                let mut hop = self.config.bus_cost.hop_latency + extra;
+                let mut hop = self.config.bus_cost.hop_latency.saturating_add(extra);
                 if let Some(link) = self.shared_link.as_mut() {
-                    hop += link.occupy(t, env.encoded_len() as u64);
+                    hop = hop.saturating_add(link.occupy(t, env.encoded_len() as u64));
                     self.met.link_control_msgs.incr();
                 }
-                self.queue.schedule_at(t + hop, Event::BusMsg(env));
+                self.queue
+                    .schedule_at(t.saturating_add(hop), Event::BusMsg(env));
             }
             Action::Doorbell { to, conn, value } => {
                 let env = Envelope {

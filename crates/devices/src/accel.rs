@@ -284,12 +284,11 @@ mod tests {
     use lastcpu_iommu::Iommu;
     use lastcpu_mem::Dram;
     use lastcpu_sim::MetricsHub;
-    use lastcpu_sim::{DetRng, SimTime};
+    use lastcpu_sim::SimTime;
 
     struct Fix {
         iommu: Iommu,
         dram: Dram,
-        rng: DetRng,
         req: u64,
         stats: MetricsHub,
         pool: lastcpu_sim::BufPool,
@@ -300,7 +299,6 @@ mod tests {
             Fix {
                 iommu: Iommu::new(16),
                 dram: Dram::new(1 << 20),
-                rng: DetRng::new(7),
                 req: 0,
                 stats: MetricsHub::new(),
                 pool: lastcpu_sim::BufPool::new(),
@@ -314,7 +312,6 @@ mod tests {
                 None,
                 &mut self.iommu,
                 &mut self.dram,
-                &mut self.rng,
                 &mut self.req,
                 CorrId::NONE,
                 &self.stats,

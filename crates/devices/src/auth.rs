@@ -118,12 +118,6 @@ impl AuthDevice {
             logins_failed: 0,
         }
     }
-
-    /// The sealing secret (deployment configuration shared with trusting
-    /// services).
-    pub fn secret(&self) -> u64 {
-        self.secret
-    }
 }
 
 impl Firmware for AuthDevice {

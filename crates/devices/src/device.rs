@@ -20,7 +20,7 @@ use lastcpu_bus::{ConnId, DeviceId, Dst, Envelope, Payload, RequestId};
 use lastcpu_iommu::{AccessKind, Iommu, IommuFault};
 use lastcpu_mem::{Dram, DramError, Pasid, PhysAddr, VirtAddr};
 use lastcpu_net::{Frame, PortId};
-use lastcpu_sim::{BufPool, Bytes, CorrId, DetRng, MetricsHub, SimDuration, SimTime, TraceData};
+use lastcpu_sim::{BufPool, Bytes, CorrId, MetricsHub, SimDuration, SimTime, TraceData};
 use lastcpu_virtio::{MemFault, QueueMemory};
 
 /// An outgoing effect queued by a device handler.
@@ -81,7 +81,6 @@ pub struct DeviceCtx<'a> {
     pub tracing: bool,
     iommu: &'a mut Iommu,
     dram: &'a mut Dram,
-    rng: &'a mut DetRng,
     next_req: &'a mut u64,
     pool: &'a BufPool,
     /// Accumulated handler cost.
@@ -99,7 +98,6 @@ impl<'a> DeviceCtx<'a> {
         port: Option<PortId>,
         iommu: &'a mut Iommu,
         dram: &'a mut Dram,
-        rng: &'a mut DetRng,
         next_req: &'a mut u64,
         corr: CorrId,
         stats: &'a MetricsHub,
@@ -114,7 +112,6 @@ impl<'a> DeviceCtx<'a> {
             tracing: false,
             iommu,
             dram,
-            rng,
             next_req,
             pool,
             elapsed: SimDuration::ZERO,
@@ -150,11 +147,6 @@ impl<'a> DeviceCtx<'a> {
     /// that raised it ([`Iommu::stats`]).
     pub fn finish(self) -> (Vec<Action>, SimDuration) {
         (self.actions, self.elapsed)
-    }
-
-    /// The device's deterministic RNG.
-    pub fn rng(&mut self) -> &mut DetRng {
-        self.rng
     }
 
     /// Time accumulated so far in this handler.
@@ -387,7 +379,7 @@ mod tests {
     use super::*;
     use lastcpu_mem::Perms;
 
-    fn fixture() -> (Iommu, Dram, DetRng, u64) {
+    fn fixture() -> (Iommu, Dram, u64) {
         let mut iommu = Iommu::new(16);
         iommu.bind_pasid(Pasid(1));
         iommu
@@ -406,12 +398,12 @@ mod tests {
                 Perms::RW,
             )
             .unwrap();
-        (iommu, Dram::new(1 << 20), DetRng::new(1), 0)
+        (iommu, Dram::new(1 << 20), 0)
     }
 
     #[test]
     fn dma_round_trip_and_cost() {
-        let (mut iommu, mut dram, mut rng, mut req) = fixture();
+        let (mut iommu, mut dram, mut req) = fixture();
         let hub = MetricsHub::new();
         let pool = BufPool::new();
         let mut ctx = DeviceCtx::new(
@@ -420,7 +412,6 @@ mod tests {
             None,
             &mut iommu,
             &mut dram,
-            &mut rng,
             &mut req,
             CorrId::NONE,
             &hub,
@@ -441,7 +432,7 @@ mod tests {
 
     #[test]
     fn dma_fault_is_returned_and_recorded() {
-        let (mut iommu, mut dram, mut rng, mut req) = fixture();
+        let (mut iommu, mut dram, mut req) = fixture();
         let hub = MetricsHub::new();
         let pool = BufPool::new();
         let mut ctx = DeviceCtx::new(
@@ -450,7 +441,6 @@ mod tests {
             None,
             &mut iommu,
             &mut dram,
-            &mut rng,
             &mut req,
             CorrId::NONE,
             &hub,
@@ -463,12 +453,11 @@ mod tests {
         assert_eq!(err.va, VirtAddr::new(0x9000));
         ctx.finish();
         assert_eq!(iommu.stats().faults, 1);
-        assert_eq!(iommu.last_fault(), Some(err));
     }
 
     #[test]
     fn request_ids_are_unique_and_persistent() {
-        let (mut iommu, mut dram, mut rng, mut req) = fixture();
+        let (mut iommu, mut dram, mut req) = fixture();
         let hub = MetricsHub::new();
         let pool = BufPool::new();
         {
@@ -478,7 +467,6 @@ mod tests {
                 None,
                 &mut iommu,
                 &mut dram,
-                &mut rng,
                 &mut req,
                 CorrId::NONE,
                 &hub,
@@ -494,7 +482,6 @@ mod tests {
             None,
             &mut iommu,
             &mut dram,
-            &mut rng,
             &mut req,
             CorrId::NONE,
             &hub,
@@ -505,7 +492,7 @@ mod tests {
 
     #[test]
     fn actions_queue_in_order() {
-        let (mut iommu, mut dram, mut rng, mut req) = fixture();
+        let (mut iommu, mut dram, mut req) = fixture();
         let hub = MetricsHub::new();
         let pool = BufPool::new();
         let mut ctx = DeviceCtx::new(
@@ -514,7 +501,6 @@ mod tests {
             Some(PortId(4)),
             &mut iommu,
             &mut dram,
-            &mut rng,
             &mut req,
             CorrId::NONE,
             &hub,
@@ -551,7 +537,7 @@ mod tests {
             base: 0x4000,
             size: 64,
         };
-        let (mut iommu, mut dram, mut rng, mut req) = fixture();
+        let (mut iommu, mut dram, mut req) = fixture();
         let hub = MetricsHub::new();
         let pool = BufPool::new();
         let mut off = DeviceCtx::new(
@@ -560,7 +546,6 @@ mod tests {
             None,
             &mut iommu,
             &mut dram,
-            &mut rng,
             &mut req,
             CorrId::NONE,
             &hub,
@@ -579,7 +564,6 @@ mod tests {
             None,
             &mut iommu,
             &mut dram,
-            &mut rng,
             &mut req,
             CorrId::NONE,
             &hub,
@@ -599,7 +583,7 @@ mod tests {
 
     #[test]
     fn dma_view_implements_queue_memory() {
-        let (mut iommu, mut dram, mut rng, mut req) = fixture();
+        let (mut iommu, mut dram, mut req) = fixture();
         let hub = MetricsHub::new();
         let pool = BufPool::new();
         let mut ctx = DeviceCtx::new(
@@ -608,7 +592,6 @@ mod tests {
             None,
             &mut iommu,
             &mut dram,
-            &mut rng,
             &mut req,
             CorrId::NONE,
             &hub,
@@ -631,7 +614,7 @@ mod tests {
 
     #[test]
     fn busy_accumulates() {
-        let (mut iommu, mut dram, mut rng, mut req) = fixture();
+        let (mut iommu, mut dram, mut req) = fixture();
         let hub = MetricsHub::new();
         let pool = BufPool::new();
         let mut ctx = DeviceCtx::new(
@@ -640,7 +623,6 @@ mod tests {
             None,
             &mut iommu,
             &mut dram,
-            &mut rng,
             &mut req,
             CorrId::NONE,
             &hub,

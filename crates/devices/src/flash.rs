@@ -316,11 +316,6 @@ impl NandChip {
         Ok(self.config.erase_latency)
     }
 
-    /// Erase count of a block (wear metric).
-    pub fn erase_count(&self, block: u32) -> u32 {
-        self.blocks.get(block as usize).map_or(0, |b| b.erase_count)
-    }
-
     /// Whether a block is bad.
     pub fn is_bad(&self, block: u32) -> bool {
         match self.blocks.get(block as usize) {
@@ -329,8 +324,11 @@ impl NandChip {
         }
     }
 
-    /// Fault injection: marks a block bad immediately.
-    pub fn force_bad_block(&mut self, block: u32) {
+    /// Marks a block bad immediately, so a test picks the block and the
+    /// moment; outside tests a block goes bad only by wearing out
+    /// ([`NandConfig::max_erase_cycles`]).
+    #[cfg(test)]
+    pub(crate) fn force_bad_block(&mut self, block: u32) {
         if let Some(b) = self.blocks.get_mut(block as usize) {
             if !b.bad {
                 b.bad = true;

@@ -82,16 +82,6 @@ impl FlashFs {
         }
     }
 
-    /// Page size in bytes.
-    pub fn page_size(&self) -> u32 {
-        self.ftl.page_size()
-    }
-
-    /// Free capacity in bytes.
-    pub fn free_bytes(&self) -> u64 {
-        self.free_lpns.len() as u64 * self.page_size() as u64
-    }
-
     /// The underlying FTL (stats, fault injection).
     pub fn ftl_mut(&mut self) -> &mut Ftl {
         &mut self.ftl
@@ -235,7 +225,7 @@ impl fmt::Debug for FlashFs {
             f,
             "FlashFs(files={}, free={}KiB)",
             self.files.len(),
-            self.free_bytes() / 1024
+            self.free_lpns.len() as u64 * self.ftl.page_size() as u64 / 1024
         )
     }
 }
@@ -250,6 +240,11 @@ lastcpu_snap::fields! { FlashFs |self| { mut ftl, files, free_lpns } restored {
 mod tests {
     use super::*;
     use crate::flash::{NandChip, NandConfig};
+
+    /// Free capacity in bytes.
+    fn free_bytes(f: &FlashFs) -> u64 {
+        f.free_lpns.len() as u64 * f.ftl.page_size() as u64
+    }
 
     fn fs() -> FlashFs {
         FlashFs::format(Ftl::new(NandChip::new(NandConfig {
@@ -341,18 +336,18 @@ mod tests {
         assert_eq!(f.len("x").unwrap(), 3);
         f.read("x", 0, &mut buf[..3]).unwrap();
         assert_eq!(&buf[..3], b"abc");
-        assert_eq!(f.free_bytes(), 231 * 64);
+        assert_eq!(free_bytes(&f), 231 * 64);
     }
 
     #[test]
     fn delete_frees_space() {
         let mut f = fs();
-        let before = f.free_bytes();
+        let before = free_bytes(&f);
         f.create("x").unwrap();
         f.write("x", 0, &vec![0u8; 1000]).unwrap();
-        assert!(f.free_bytes() < before);
+        assert!(free_bytes(&f) < before);
         f.delete("x").unwrap();
-        assert_eq!(f.free_bytes(), before);
+        assert_eq!(free_bytes(&f), before);
         assert!(!f.exists("x"));
     }
 
@@ -360,7 +355,7 @@ mod tests {
     fn no_space_reported_cleanly() {
         let mut f = fs();
         f.create("hog").unwrap();
-        let cap = f.free_bytes();
+        let cap = free_bytes(&f);
         f.write("hog", 0, &vec![1u8; cap as usize]).unwrap();
         f.create("more").unwrap();
         assert_eq!(f.write("more", 0, b"x"), Err(FsError::NoSpace));
@@ -491,7 +486,7 @@ mod snapshot_identity {
         let mut rng = DetRng::new(0x5_5D17);
         let mut data = [0u8; 200];
         let mut write = |f: &mut FlashFs, rng: &mut DetRng, name: &str, span: u64| {
-            let len = rng.range(1, 200) as usize;
+            let len = 1 + rng.below(199) as usize;
             let off = rng.below(span - len as u64);
             for chunk in data[..len].chunks_mut(8) {
                 chunk.copy_from_slice(&rng.next_u64().to_le_bytes()[..chunk.len()]);

@@ -722,13 +722,12 @@ mod discovery_correlation_tests {
     use lastcpu_iommu::Iommu;
     use lastcpu_mem::Dram;
     use lastcpu_sim::MetricsHub;
-    use lastcpu_sim::{DetRng, SimTime};
+    use lastcpu_sim::SimTime;
 
     #[test]
     fn overlapping_discoveries_do_not_share_hits() {
         let mut iommu = Iommu::new(16);
         let mut dram = Dram::new(1 << 20);
-        let mut rng = DetRng::new(7);
         let mut req = 0u64;
         let hub = MetricsHub::new();
         let pool = lastcpu_sim::BufPool::new();
@@ -739,7 +738,6 @@ mod discovery_correlation_tests {
             None,
             &mut iommu,
             &mut dram,
-            &mut rng,
             &mut req,
             CorrId::NONE,
             &hub,
@@ -772,7 +770,6 @@ mod discovery_correlation_tests {
             None,
             &mut iommu,
             &mut dram,
-            &mut rng,
             &mut req,
             CorrId::NONE,
             &hub,
@@ -853,12 +850,11 @@ mod tests {
     use lastcpu_iommu::Iommu;
     use lastcpu_mem::Dram;
     use lastcpu_sim::MetricsHub;
-    use lastcpu_sim::{DetRng, SimTime};
+    use lastcpu_sim::SimTime;
 
     struct Fix {
         iommu: Iommu,
         dram: Dram,
-        rng: DetRng,
         req: u64,
         stats: MetricsHub,
         pool: lastcpu_sim::BufPool,
@@ -869,7 +865,6 @@ mod tests {
             Fix {
                 iommu: Iommu::new(16),
                 dram: Dram::new(1 << 20),
-                rng: DetRng::new(7),
                 req: 0,
                 stats: MetricsHub::new(),
                 pool: lastcpu_sim::BufPool::new(),
@@ -883,7 +878,6 @@ mod tests {
                 None,
                 &mut self.iommu,
                 &mut self.dram,
-                &mut self.rng,
                 &mut self.req,
                 CorrId::NONE,
                 &self.stats,

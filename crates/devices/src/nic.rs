@@ -31,9 +31,6 @@ pub struct NicEnv<'a, 'b> {
 
 /// An application offloaded onto a smart NIC.
 pub trait NicApp {
-    /// Application name (for traces).
-    fn app_name(&self) -> &str;
-
     /// Called once the NIC is registered on the bus.
     fn on_start(&mut self, env: &mut NicEnv<'_, '_>);
 
@@ -57,16 +54,16 @@ pub trait NicApp {
     /// default, mirroring [`Firmware::snapshot_state`].
     fn snapshot_state(&self, _w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
         Err(lastcpu_snap::SnapError::Unsupported(format!(
-            "nic app {:?}",
-            self.app_name()
+            "nic app {}",
+            std::any::type_name::<Self>()
         )))
     }
 
     /// Loads state written by [`NicApp::snapshot_state`] back in place.
     fn restore_state(&mut self, _r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
         Err(lastcpu_snap::SnapError::Unsupported(format!(
-            "nic app {:?}",
-            self.app_name()
+            "nic app {}",
+            std::any::type_name::<Self>()
         )))
     }
 }
@@ -218,10 +215,6 @@ impl Default for EchoApp {
 }
 
 impl NicApp for EchoApp {
-    fn app_name(&self) -> &str {
-        "echo"
-    }
-
     fn on_start(&mut self, _env: &mut NicEnv<'_, '_>) {}
 
     fn on_net(&mut self, env: &mut NicEnv<'_, '_>, frame: Frame) {
@@ -255,12 +248,11 @@ mod tests {
     use lastcpu_mem::Dram;
     use lastcpu_net::PortId;
     use lastcpu_sim::MetricsHub;
-    use lastcpu_sim::{DetRng, SimTime};
+    use lastcpu_sim::SimTime;
 
     struct Fix {
         iommu: Iommu,
         dram: Dram,
-        rng: DetRng,
         req: u64,
         stats: MetricsHub,
         pool: lastcpu_sim::BufPool,
@@ -271,7 +263,6 @@ mod tests {
             Fix {
                 iommu: Iommu::new(16),
                 dram: Dram::new(1 << 20),
-                rng: DetRng::new(7),
                 req: 0,
                 stats: MetricsHub::new(),
                 pool: lastcpu_sim::BufPool::new(),
@@ -285,7 +276,6 @@ mod tests {
                 Some(PortId(9)),
                 &mut self.iommu,
                 &mut self.dram,
-                &mut self.rng,
                 &mut self.req,
                 CorrId::NONE,
                 &self.stats,
@@ -304,10 +294,6 @@ mod tests {
     }
 
     impl NicApp for SpyApp {
-        fn app_name(&self) -> &str {
-            "spy"
-        }
-
         fn on_start(&mut self, _env: &mut NicEnv<'_, '_>) {
             self.started += 1;
         }

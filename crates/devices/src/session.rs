@@ -127,11 +127,6 @@ impl FileSession {
         )
     }
 
-    /// Current state.
-    pub fn state(&self) -> SessionState {
-        self.state
-    }
-
     /// The device this session talks to.
     pub fn target(&self) -> DeviceId {
         self.target
@@ -284,7 +279,7 @@ mod tests {
     use lastcpu_iommu::Iommu;
     use lastcpu_mem::{Dram, Perms, PhysAddr, VirtAddr, PAGE_SIZE};
     use lastcpu_sim::MetricsHub;
-    use lastcpu_sim::{DetRng, SimTime};
+    use lastcpu_sim::SimTime;
 
     const MEMCTL: DeviceId = DeviceId(5);
     const SSD: DeviceId = DeviceId(2);
@@ -294,7 +289,6 @@ mod tests {
     struct Fix {
         iommu: Iommu,
         dram: Dram,
-        rng: DetRng,
         req: u64,
         stats: MetricsHub,
         pool: lastcpu_sim::BufPool,
@@ -319,7 +313,6 @@ mod tests {
             Fix {
                 iommu,
                 dram: Dram::new(1 << 24),
-                rng: DetRng::new(7),
                 req: 0,
                 stats: MetricsHub::new(),
                 pool: lastcpu_sim::BufPool::new(),
@@ -333,7 +326,6 @@ mod tests {
                 None,
                 &mut self.iommu,
                 &mut self.dram,
-                &mut self.rng,
                 &mut self.req,
                 CorrId::NONE,
                 &self.stats,
@@ -382,7 +374,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         };
-        assert_eq!(session.state(), SessionState::Opening);
+        assert_eq!(session.state, SessionState::Opening);
 
         // Step 4: SSD accepts, demanding shared memory.
         let (evs, sent) = feed(
@@ -403,7 +395,7 @@ mod tests {
             },
         );
         assert!(evs.is_empty());
-        assert_eq!(session.state(), SessionState::Allocating);
+        assert_eq!(session.state, SessionState::Allocating);
         // Step 5: MemAlloc went to the memory controller.
         let alloc_req = sent[0].req;
         assert_eq!(sent[0].dst, Dst::Device(MEMCTL));
@@ -426,7 +418,7 @@ mod tests {
             },
         );
         assert!(evs.is_empty());
-        assert_eq!(session.state(), SessionState::Sharing);
+        assert_eq!(session.state, SessionState::Sharing);
         assert_eq!(session.region(), 55);
         // Step 7: Share to the SSD.
         let share_req = sent[0].req;
@@ -459,7 +451,7 @@ mod tests {
                 file_size: 4242
             })
         );
-        assert_eq!(session.state(), SessionState::Ready);
+        assert_eq!(session.state, SessionState::Ready);
         // The setup doorbell went to the SSD.
         let (actions, _) = ctx.finish();
         assert!(actions.iter().any(|a| matches!(
@@ -506,7 +498,7 @@ mod tests {
                 status: Status::Denied
             }]
         );
-        assert_eq!(session.state(), SessionState::Failed(Status::Denied));
+        assert_eq!(session.state, SessionState::Failed(Status::Denied));
         assert!(session.client_mut().is_none());
     }
 

@@ -1279,7 +1279,6 @@ mod tests {
     struct Rig {
         iommu: lastcpu_iommu::Iommu,
         dram: lastcpu_mem::Dram,
-        rng: lastcpu_sim::DetRng,
         req: u64,
         stats: lastcpu_sim::MetricsHub,
         pool: lastcpu_sim::BufPool,
@@ -1302,7 +1301,6 @@ mod tests {
             Rig {
                 iommu,
                 dram: lastcpu_mem::Dram::new(RIG_BASE + FILE_CONN_SHM),
-                rng: lastcpu_sim::DetRng::new(7),
                 req: 0,
                 stats: lastcpu_sim::MetricsHub::new(),
                 pool: lastcpu_sim::BufPool::new(),
@@ -1316,7 +1314,6 @@ mod tests {
                 None,
                 &mut self.iommu,
                 &mut self.dram,
-                &mut self.rng,
                 &mut self.req,
                 lastcpu_sim::CorrId::NONE,
                 &self.stats,

@@ -35,8 +35,9 @@ pub struct FabricConfig {
     /// on the spine, one hop away).
     pub dir_latency: SimDuration,
     /// Optional whole-machine fault schedule. Targets are machine names
-    /// (`"m0"`, `"m1"`, …): `Drop`/`Delay` act on that machine's links,
-    /// `Crash`/`Hang` kill the machine.
+    /// (`"m0"`, `"m1"`, …): `Drop`/`Corrupt`/`Delay` act on that machine's
+    /// links, `Crash`/`Hang` kill the machine. [`Fabric::power_on`] refuses
+    /// a plan naming any other target or kind.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -314,11 +315,6 @@ impl Fabric {
         }
     }
 
-    /// The fabric's configuration.
-    pub fn config(&self) -> &FabricConfig {
-        &self.cfg
-    }
-
     /// Fabric-level metrics (link/dir/fault counters; per-machine
     /// `fabric.link.m{i}.*`).
     pub fn metrics(&self) -> &MetricsHub {
@@ -437,6 +433,11 @@ impl Fabric {
     /// Powers on every machine, builds the rack topology for the final
     /// machine count, arms the directory sweep, and sorts the fault plan
     /// into its firing order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault plan event names no machine of this rack, or is a
+    /// device fault (`SlowDown`, `IommuStorm`) a rack does not apply.
     pub fn power_on(&mut self) {
         for slot in &mut self.machines {
             slot.sys.power_on();
@@ -449,6 +450,24 @@ impl Fabric {
         );
         self.next_sync = Some(self.now);
         if let Some(plan) = self.cfg.fault_plan.clone() {
+            for (i, e) in plan.events().iter().enumerate() {
+                assert!(
+                    self.machines.iter().any(|s| s.name == e.target),
+                    "fault plan event {i} ({} on {:?}) names no machine of this rack",
+                    e.kind.tag(),
+                    e.target
+                );
+                assert!(
+                    !matches!(
+                        e.kind,
+                        FaultKind::SlowDown { .. } | FaultKind::IommuStorm { .. }
+                    ),
+                    "fault plan event {i} ({} on {:?}) is a device fault; a rack applies \
+                     drop, corrupt, delay, crash and hang to a machine",
+                    e.kind.tag(),
+                    e.target
+                );
+            }
             self.faults.extend(plan.events());
             // Stable by firing time: equal-time faults keep plan order.
             self.faults.sort_by_key(|ev| ev.at);
@@ -818,9 +837,11 @@ impl Fabric {
 
     fn apply_fault(&mut self, idx: usize) {
         let ev = self.faults[idx].clone();
-        let Some(m) = self.machines.iter().position(|s| s.name == ev.target) else {
-            return;
-        };
+        let m = self
+            .machines
+            .iter()
+            .position(|s| s.name == ev.target)
+            .expect("power_on checked every target");
         self.met.faults_applied.incr();
         match ev.kind {
             FaultKind::Crash | FaultKind::Hang => self.kill_machine(MachineId(m as u32)),
@@ -836,8 +857,9 @@ impl Fabric {
                 f.delay_remaining += count;
                 f.delay_extra = SimDuration::from_nanos(extra_ns.max(f.delay_extra.as_nanos()));
             }
-            // Device-level faults have no whole-machine meaning here.
-            FaultKind::SlowDown { .. } | FaultKind::IommuStorm { .. } => {}
+            FaultKind::SlowDown { .. } | FaultKind::IommuStorm { .. } => {
+                unreachable!("power_on refuses a device fault in a rack plan")
+            }
         }
     }
 }
@@ -1230,6 +1252,36 @@ mod tests {
         assert_eq!(fab.metrics().counter("fabric.faults_applied"), 1);
     }
 
+    /// Powers on a two-machine rack armed with one plan event.
+    fn rack_with_fault(target: &str, kind: FaultKind) -> Fabric {
+        let mut plan = FaultPlan::new(9);
+        plan.inject(SimTime::from_nanos(2_000_000), target, kind);
+        let mut fab = Fabric::new(FabricConfig {
+            fault_plan: Some(plan),
+            ..FabricConfig::default()
+        });
+        fab.add_machine("m0", quiet_sys(1));
+        fab.add_machine("m1", quiet_sys(2));
+        fab.power_on();
+        fab
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan event 0 (crash on \"m7\") names no machine")]
+    fn a_fault_aimed_at_no_machine_is_refused_at_power_on() {
+        rack_with_fault("m7", FaultKind::Crash);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan event 0 (slowdown on \"m1\") is a device fault")]
+    fn a_device_fault_in_a_rack_plan_is_refused_at_power_on() {
+        let slow = FaultKind::SlowDown {
+            factor: 2,
+            for_ns: 1_000,
+        };
+        rack_with_fault("m1", slow);
+    }
+
     #[test]
     fn directory_query_round_trips_in_band() {
         // No devices registered -> empty directory, but the protocol and
@@ -1450,8 +1502,7 @@ mod tests {
         let syncs = fab.metrics().counter("fabric.dir.syncs");
 
         let sys = fab.machine_mut(MachineId(1));
-        let late = sys.add_net_device(Box::new(Nic("nic1")));
-        sys.start_device(late);
+        sys.add_net_device(Box::new(Nic("nic1")));
         fab.run_for(SimDuration::from_millis(2));
         assert_eq!(fab.dir_epoch(), epoch + 1);
         let (seen, names) = last_reply(&fab, 0, ports[0]);
@@ -1649,7 +1700,7 @@ mod tests {
         assert_eq!(host.replies.len(), 2);
         let gap = host.replies[1].since(host.replies[0]);
         let wire = 9000 + lastcpu_net::FRAME_OVERHEAD_BYTES;
-        let tx = fab.config().link_cost.serialize(wire);
+        let tx = fab.cfg.link_cost.serialize(wire);
         assert!(
             gap >= tx,
             "second frame must queue behind the first on the shared uplink \

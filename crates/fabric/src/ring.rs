@@ -64,11 +64,6 @@ impl HashRing {
         &self.nodes
     }
 
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Whether the ring has no members.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
@@ -83,18 +78,6 @@ impl HashRing {
                 self.rebuild();
                 true
             }
-        }
-    }
-
-    /// Removes a member; returns false if it was absent.
-    pub fn remove(&mut self, name: &str) -> bool {
-        match self.nodes.binary_search_by(|n| (**n).cmp(name)) {
-            Ok(pos) => {
-                self.nodes.remove(pos);
-                self.rebuild();
-                true
-            }
-            Err(_) => false,
         }
     }
 
@@ -266,14 +249,20 @@ mod tests {
 
     #[test]
     fn removal_only_moves_keys_owned_by_the_removed_node() {
-        let mut ring = HashRing::new(64);
-        for m in 0..5 {
-            ring.insert(&format!("m{m}/kvs"));
-        }
+        // A member leaves as the router sees it: the ring is rebuilt from
+        // the members that remain.
+        let ring_of = |members: &[u32]| {
+            let mut ring = HashRing::new(64);
+            for m in members {
+                ring.insert(&format!("m{m}/kvs"));
+            }
+            ring
+        };
+        let ring = ring_of(&[0, 1, 2, 3, 4]);
         let before: Vec<_> = (0..500)
             .map(|i| ring.primary(&key(i)).unwrap().to_string())
             .collect();
-        ring.remove("m2/kvs");
+        let ring = ring_of(&[0, 1, 3, 4]);
         for (i, prev) in before.iter().enumerate() {
             let now = ring.primary(&key(i as u64)).unwrap();
             if prev != "m2/kvs" {

@@ -89,15 +89,6 @@ impl Default for TopologyConfig {
 }
 
 impl TopoKind {
-    /// Canonical name: `"flat"`, `"leaf-spine"`, or `"fat-tree"`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TopoKind::Flat => "flat",
-            TopoKind::LeafSpine { .. } => "leaf-spine",
-            TopoKind::FatTree { .. } => "fat-tree",
-        }
-    }
-
     /// Parses `"flat"`, `"leaf-spine"`, `"leaf-spine:<leaf_size>"`,
     /// `"fat-tree"`, or `"fat-tree:<k>"`.
     pub fn parse(s: &str) -> Result<TopoKind, String> {
@@ -139,10 +130,9 @@ impl TopoKind {
 }
 
 impl std::fmt::Display for TopoKind {
-    /// The fully parameterized spec (`"leaf-spine:8"`, `"fat-tree:auto"`)
-    /// rather than the bare [`TopoKind::name`] — what BENCH_e10.json cells
-    /// record, so a reviewer can rebuild the exact graph from the cell
-    /// alone. Round-trips through [`TopoKind::parse`].
+    /// The fully parameterized spec (`"leaf-spine:8"`, `"fat-tree:auto"`),
+    /// what BENCH_e10.json cells record, so a reviewer can rebuild the exact
+    /// graph from the cell alone. Round-trips through [`TopoKind::parse`].
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TopoKind::Flat => f.write_str("flat"),
@@ -230,15 +220,12 @@ pub struct Transit {
 /// instead of a graph walk.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    cfg: TopologyConfig,
     machines: usize,
     links: Vec<Link>,
     /// Flattened per-pair paths: pair `(s, d)` owns
     /// `path_links[path_off[s*machines+d] .. path_off[s*machines+d+1]]`.
     path_off: Vec<u32>,
     path_links: Vec<u32>,
-    /// Fat-tree arity actually used (after auto-sizing), if applicable.
-    fat_tree_k: Option<u32>,
 }
 
 impl Topology {
@@ -261,48 +248,24 @@ impl Topology {
             path_links: Vec::new(),
         };
         b.path_off.push(0);
-        let fat_tree_k = match cfg.kind {
-            TopoKind::Flat => {
-                b.build_flat();
-                None
-            }
+        match cfg.kind {
+            TopoKind::Flat => b.build_flat(),
             TopoKind::LeafSpine { leaf_size } => {
-                b.build_leaf_spine(leaf_size.max(1) as usize, oversub);
-                None
+                b.build_leaf_spine(leaf_size.max(1) as usize, oversub)
             }
-            TopoKind::FatTree { k } => Some(b.build_fat_tree(k, oversub)),
-        };
+            TopoKind::FatTree { k } => b.build_fat_tree(k, oversub),
+        }
         Topology {
-            cfg: TopologyConfig { oversub, ..*cfg },
             machines,
             links: b.links,
             path_off: b.path_off,
             path_links: b.path_links,
-            fat_tree_k,
         }
-    }
-
-    /// The configuration the topology was built from (oversub clamped ≥ 1).
-    pub fn config(&self) -> &TopologyConfig {
-        &self.cfg
     }
 
     /// Directed links in the graph.
     pub fn num_links(&self) -> usize {
         self.links.len()
-    }
-
-    /// The fat-tree arity in use (after auto-sizing), if this is one.
-    pub fn fat_tree_k(&self) -> Option<u32> {
-        self.fat_tree_k
-    }
-
-    /// The link-index path for `src → dst`.
-    pub fn path(&self, src: usize, dst: usize) -> &[u32] {
-        let p = src * self.machines + dst;
-        let lo = self.path_off[p] as usize;
-        let hi = self.path_off[p + 1] as usize;
-        &self.path_links[lo..hi]
     }
 
     /// One link's parameters and counters.
@@ -490,7 +453,7 @@ impl Builder<'_> {
     /// whose `k³/4` host capacity fits. Oversubscription slows edge→agg
     /// uplinks by the ratio. Returns the arity used.
     #[allow(clippy::needless_range_loop)]
-    fn build_fat_tree(&mut self, k: u32, oversub: u64) -> u32 {
+    fn build_fat_tree(&mut self, k: u32, oversub: u64) {
         let k = if k != 0 {
             k as usize
         } else {
@@ -594,7 +557,6 @@ impl Builder<'_> {
                 }
             }
         }
-        k as u32
     }
 }
 
@@ -612,6 +574,21 @@ mod tests {
 
     fn build(kind: TopoKind, oversub: u64, machines: usize) -> Topology {
         Topology::build(&TopologyConfig { kind, oversub }, &cost(), machines, 0xFAB)
+    }
+
+    /// The links of the `src → dst` path, from the flattened table.
+    fn path(t: &Topology, src: usize, dst: usize) -> &[u32] {
+        let p = src * t.machines + dst;
+        &t.path_links[t.path_off[p] as usize..t.path_off[p + 1] as usize]
+    }
+
+    /// Core switches of a fat tree, counted off its `a{p}.{j}->c{c}` link
+    /// names: (k/2)^2 for arity k.
+    fn cores(t: &Topology) -> usize {
+        let names = t
+            .links()
+            .filter_map(|l| l.name.split_once("->c").map(|(_, c)| c.to_string()));
+        names.collect::<std::collections::BTreeSet<_>>().len()
     }
 
     #[test]
@@ -647,8 +624,8 @@ mod tests {
     #[test]
     fn leaf_spine_cross_leaf_is_four_hops() {
         let t = build(TopoKind::LeafSpine { leaf_size: 4 }, 1, 8);
-        assert_eq!(t.path(0, 1).len(), 2, "same leaf: host up + host down");
-        assert_eq!(t.path(0, 7).len(), 4, "cross leaf: via a spine");
+        assert_eq!(path(&t, 0, 1).len(), 2, "same leaf: host up + host down");
+        assert_eq!(path(&t, 0, 7).len(), 4, "cross leaf: via a spine");
         // 8 machines, leaves of 4, full bisection: 4 spines.
         // links: 8 hup + 8 hdown + 2*4 lup + 2*4 ldown = 32.
         assert_eq!(t.num_links(), 32);
@@ -669,7 +646,7 @@ mod tests {
         let b = build(TopoKind::LeafSpine { leaf_size: 8 }, 1, 64);
         for s in 0..64 {
             for d in 0..64 {
-                assert_eq!(a.path(s, d), b.path(s, d));
+                assert_eq!(path(&a, s, d), path(&b, s, d));
             }
         }
         // A different seed re-rolls at least one placement.
@@ -682,7 +659,7 @@ mod tests {
             64,
             0xDEAD_BEEF,
         );
-        assert!((0..64).any(|s| (0..64).any(|d| a.path(s, d) != c.path(s, d))));
+        assert!((0..64).any(|s| (0..64).any(|d| path(&a, s, d) != path(&c, s, d))));
     }
 
     #[test]
@@ -697,7 +674,8 @@ mod tests {
             (128, 8),
         ] {
             let t = build(TopoKind::FatTree { k: 0 }, 1, m);
-            assert_eq!(t.fat_tree_k(), Some(want_k), "machines = {m}");
+            let half = want_k as usize / 2;
+            assert_eq!(cores(&t), half * half, "machines = {m}");
         }
     }
 
@@ -705,9 +683,9 @@ mod tests {
     fn fat_tree_path_lengths() {
         // k=4: 4 hosts per pod, 2 per edge.
         let t = build(TopoKind::FatTree { k: 4 }, 1, 16);
-        assert_eq!(t.path(0, 1).len(), 2, "same edge");
-        assert_eq!(t.path(0, 2).len(), 4, "same pod, different edge");
-        assert_eq!(t.path(0, 15).len(), 6, "cross pod");
+        assert_eq!(path(&t, 0, 1).len(), 2, "same edge");
+        assert_eq!(path(&t, 0, 2).len(), 4, "same pod, different edge");
+        assert_eq!(path(&t, 0, 15).len(), 6, "cross pod");
     }
 
     #[test]
@@ -719,7 +697,7 @@ mod tests {
         ] {
             let t = build(kind, 1, 8);
             let latency = |(s, d)| -> u64 {
-                let hops = t.path(s, d).iter();
+                let hops = path(&t, s, d).iter();
                 hops.map(|&l| t.link(l).latency.as_nanos()).sum()
             };
             let pairs = (0..8).flat_map(|s| (0..8).map(move |d| (s, d)));

@@ -38,10 +38,10 @@
 //! assert!(mmu.translate(Pasid(1), VirtAddr::new(0x1000), AccessKind::Read).is_ok());
 //! assert!(mmu.translate(Pasid(1), VirtAddr::new(0xdead_f000), AccessKind::Write).is_err());
 //!
-//! let audit = mmu.audit().expect("audit enabled");
-//! assert_eq!(audit.allowed(), 1);
-//! assert_eq!(audit.denied(), 1);
-//! let rec = &audit.denials()[0];
+//! // The machine drains the verdicts after each handler.
+//! let delta = mmu.audit_mut().expect("audit enabled").drain();
+//! assert_eq!((delta.allowed, delta.denied), (1, 1));
+//! let rec = &delta.records[0];
 //! assert_eq!(rec.va, VirtAddr::new(0xdead_f000));
 //! assert_eq!(rec.kind, IommuFaultKind::NotMapped);
 //!
@@ -56,7 +56,7 @@ use crate::fault::IommuFault;
 ///
 /// The log is bounded (`cap` entries) so a control-flood attacker cannot
 /// turn the audit itself into a memory-exhaustion vector; overflowed
-/// denials are still *counted* (`denied()` is exact), only their detail
+/// denials are still *counted* (a drain's `denied` is exact), only their detail
 /// records are dropped, and the section counts how many.
 #[derive(Debug, Clone, Default)]
 pub struct DmaAudit {
@@ -107,27 +107,11 @@ impl DmaAudit {
         }
     }
 
-    /// Exact count of allowed translations since the audit was enabled.
-    pub fn allowed(&self) -> u64 {
-        self.allowed
-    }
-
-    /// Exact count of denied translations since the audit was enabled.
-    pub fn denied(&self) -> u64 {
-        self.denied
-    }
-
-    /// Denial records retained (at most the configured capacity).
-    pub fn denials(&self) -> &[IommuFault] {
-        &self.log
-    }
-
     /// Drains verdicts accumulated since the previous drain.
     ///
     /// The event core calls this after each device dispatch to convert
     /// fresh verdicts into `sec.*` metrics and trace events exactly once.
-    /// Cumulative counters ([`DmaAudit::allowed`] / [`DmaAudit::denied`])
-    /// are unaffected.
+    /// The cumulative counts the audit's section holds are unaffected.
     pub fn drain(&mut self) -> DmaAuditDelta {
         DmaAuditDelta {
             allowed: std::mem::take(&mut self.pending_allowed),

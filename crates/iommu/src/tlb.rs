@@ -114,21 +114,6 @@ impl Iotlb {
         }
     }
 
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current number of valid entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the TLB holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Accounting snapshot.
     pub fn stats(&self) -> TlbStats {
         self.stats
@@ -372,9 +357,9 @@ mod tests {
         tlb.insert(Pasid(2), va(1), pa(3), Perms::R);
         assert!(tlb.invalidate_page(Pasid(1), va(1)));
         assert!(!tlb.invalidate_page(Pasid(1), va(1)));
-        assert_eq!(tlb.len(), 2);
+        assert_eq!(tlb.entries.len(), 2);
         assert!(tlb.invalidate_page(Pasid(2), va(1)), "another PASID's page");
-        assert_eq!(tlb.len(), 1);
+        assert_eq!(tlb.entries.len(), 1);
         assert!(tlb.lookup(Pasid(1), va(2), Perms::R).is_some());
         assert_eq!(tlb.stats().invalidations, 2);
     }

@@ -132,11 +132,6 @@ impl Iommu {
         self.tables.entry(pasid).or_default();
     }
 
-    /// Bound PASIDs, in unspecified order.
-    pub fn pasids(&self) -> impl Iterator<Item = Pasid> + '_ {
-        self.tables.keys().copied()
-    }
-
     /// Maps one page. Privileged: called only by the system bus.
     pub fn map(
         &mut self,
@@ -334,11 +329,6 @@ impl Iommu {
             .translate(va, access.required_perms())
             .ok()
             .map(|tr| tr.pa)
-    }
-
-    /// The most recent fault, if any (a debug register, as on real units).
-    pub fn last_fault(&self) -> Option<IommuFault> {
-        self.last_fault
     }
 
     /// Aggregate statistics.
@@ -692,14 +682,16 @@ mod tests {
         let mut seen = Vec::new();
         for (pasid, va, access) in denied {
             let fault = mmu.translate(pasid, VirtAddr::new(va), access).unwrap_err();
-            assert_eq!(mmu.last_fault(), Some(fault));
+            assert_eq!(mmu.last_fault, Some(fault));
             seen.push(fault);
         }
         let audit = mmu.audit_mut().expect("audit on");
-        assert_eq!(audit.denials(), seen.as_slice());
         let delta = audit.drain();
         assert_eq!((delta.denied, delta.records), (3, seen));
-        assert!(audit.denials().is_empty(), "a drain takes the records");
+        assert!(
+            audit.drain().records.is_empty(),
+            "a drain takes the records"
+        );
     }
 
     /// Denials past the log's capacity are counted, not kept.
@@ -713,9 +705,9 @@ mod tests {
         }
         let ok = mmu.translate(Pasid(1), VirtAddr::new(0x1000), AccessKind::Read);
         assert!(ok.is_ok());
-        let audit = mmu.audit().expect("audit on");
-        assert_eq!((audit.allowed(), audit.denied()), (1, 5));
-        let kept: Vec<_> = audit.denials().iter().map(|f| f.va.as_u64()).collect();
+        let delta = mmu.audit_mut().expect("audit on").drain();
+        assert_eq!((delta.allowed, delta.denied), (1, 5));
+        let kept: Vec<_> = delta.records.iter().map(|f| f.va.as_u64()).collect();
         assert_eq!(kept, [0x10_0000, 0x10_1000], "the first two");
         assert_eq!(mmu.stats().faults, 5);
     }
@@ -742,7 +734,7 @@ mod tests {
             .translate(Pasid(9), VirtAddr::new(0x1000), AccessKind::Read)
             .unwrap_err();
         assert_eq!(err.kind, IommuFaultKind::UnknownPasid);
-        assert_eq!(mmu.last_fault(), Some(err));
+        assert_eq!(mmu.last_fault, Some(err));
     }
 
     #[test]

@@ -74,10 +74,6 @@ impl NicApp for KvsNicApp {
         lastcpu_snap::Restore::restore(self, r)
     }
 
-    fn app_name(&self) -> &str {
-        "kvs"
-    }
-
     fn on_start(&mut self, env: &mut NicEnv<'_, '_>) {
         self.server.start(env.ctx, env.monitor);
     }

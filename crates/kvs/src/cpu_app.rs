@@ -13,7 +13,7 @@ use lastcpu_net::PortId;
 use lastcpu_sim::Bytes;
 
 use crate::proto::KvsRequestRef;
-use crate::server::{KvsServer, ServerConfig, ServerState, ServerStats};
+use crate::server::{KvsServer, ServerConfig, ServerStats};
 
 /// The CPU-hosted KVS application.
 pub struct KvsCpuApp {
@@ -31,11 +31,6 @@ impl KvsCpuApp {
         }
     }
 
-    /// Server lifecycle state.
-    pub fn state(&self) -> ServerState {
-        self.server.state()
-    }
-
     /// Server counters.
     pub fn stats(&self) -> ServerStats {
         self.server.stats()
@@ -51,10 +46,6 @@ impl KvsCpuApp {
 }
 
 impl CpuApp for KvsCpuApp {
-    fn app_name(&self) -> &str {
-        "kvs-on-cpu"
-    }
-
     fn on_start(&mut self, env: &mut KernelEnv<'_, '_>) {
         self.server.start(env.ctx, env.monitor);
     }

@@ -88,19 +88,6 @@ impl KvEngine {
         }
     }
 
-    /// Current log-head offset.
-    pub fn cursor(&self) -> u64 {
-        self.cursor
-    }
-
-    /// Statistics.
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            live_keys: self.index.len() as u64,
-            ..self.stats
-        }
-    }
-
     /// Looks up where a key's value lives.
     pub fn get(&self, key: &[u8]) -> Option<ValueRef> {
         let _prof = lastcpu_sim::profile::span("kvs.engine.get");
@@ -170,15 +157,6 @@ impl KvEngine {
             }
         }
         Ok(offset)
-    }
-
-    /// Fraction of the log occupied by superseded records and tombstones.
-    pub fn garbage_ratio(&self) -> f64 {
-        if self.stats.log_bytes == 0 {
-            0.0
-        } else {
-            self.stats.dead_bytes as f64 / self.stats.log_bytes as f64
-        }
     }
 
     /// Compacts the log: re-encodes every live record densely, in key
@@ -255,10 +233,10 @@ impl std::fmt::Debug for KvEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "KvEngine(keys={}, log={}B, garbage={:.2})",
+            "KvEngine(keys={}, log={}B, dead={}B)",
             self.index.len(),
             self.cursor,
-            self.garbage_ratio()
+            self.stats.dead_bytes
         )
     }
 }
@@ -332,11 +310,6 @@ impl LogScanner {
         self.carry.drain(..pos);
         self.base += pos as u64;
         Ok(())
-    }
-
-    /// Bytes held waiting for the rest of a record.
-    pub fn pending(&self) -> usize {
-        self.carry.len()
     }
 }
 
@@ -415,9 +388,9 @@ mod proptests {
             for c in log.chunks(chunk) {
                 scanner.feed(&mut rebuilt, c).unwrap();
             }
-            prop_assert_eq!(scanner.pending(), 0);
+            prop_assert_eq!(scanner.carry.len(), 0);
             prop_assert_eq!(rebuilt.len(), engine.len());
-            prop_assert_eq!(rebuilt.cursor(), engine.cursor());
+            prop_assert_eq!(rebuilt.cursor, engine.cursor);
             for key in model.keys() {
                 prop_assert_eq!(rebuilt.get(key), engine.get(key));
             }
@@ -458,7 +431,11 @@ mod compaction_tests {
             ("c", Some("v3")),
             ("b", None), // tombstone
         ]);
-        assert!(e.garbage_ratio() > 0.3, "ratio {}", e.garbage_ratio());
+        assert!(
+            e.stats.dead_bytes * 10 > e.stats.log_bytes * 3,
+            "{:?}",
+            e.stats
+        );
         let (new_log, fresh) = e
             .compact(|vref| {
                 log[vref.offset as usize..vref.offset as usize + vref.len as usize].to_vec()
@@ -466,7 +443,7 @@ mod compaction_tests {
             .unwrap();
         assert!(new_log.len() < log.len());
         assert_eq!(fresh.len(), 2);
-        assert_eq!(fresh.garbage_ratio(), 0.0);
+        assert_eq!(fresh.stats.dead_bytes, 0);
         // The fresh index points into the new log correctly.
         for key in [b"a".as_slice(), b"c"] {
             let vref = fresh.get(key).unwrap();
@@ -523,16 +500,16 @@ mod tests {
         let v = e.get(b"k1").unwrap();
         assert_eq!(v.offset, 6 + 2);
         assert_eq!(v.len, 5);
-        assert_eq!(e.cursor(), rec.len() as u64);
+        assert_eq!(e.cursor, rec.len() as u64);
     }
 
     #[test]
     fn overwrite_tracks_garbage() {
         let mut e = KvEngine::new();
         e.put(b"k", b"v1").unwrap();
-        let before = e.stats().dead_bytes;
+        let before = e.stats.dead_bytes;
         e.put(b"k", b"longer-value").unwrap();
-        assert!(e.stats().dead_bytes > before);
+        assert!(e.stats.dead_bytes > before);
         assert_eq!(e.len(), 1);
         assert_eq!(e.get(b"k").unwrap().len, 12);
     }
@@ -583,11 +560,11 @@ mod tests {
         for chunk in log.chunks(7) {
             scanner.feed(&mut rebuilt, chunk).unwrap();
         }
-        assert_eq!(scanner.pending(), 0);
+        assert_eq!(scanner.carry.len(), 0);
         assert_eq!(rebuilt.len(), writer.len());
         assert!(rebuilt.get(b"key7").is_none());
         assert_eq!(rebuilt.get(b"key3"), writer.get(b"key3"));
-        assert_eq!(rebuilt.cursor(), writer.cursor());
+        assert_eq!(rebuilt.cursor, writer.cursor);
         for i in 0..50u32 {
             if i == 7 {
                 continue;
@@ -616,7 +593,7 @@ mod tests {
         let mut s = LogScanner::new();
         s.feed(&mut e, &rec[..3]).unwrap(); // mid-header
         assert_eq!(e.len(), 0);
-        assert_eq!(s.pending(), 3);
+        assert_eq!(s.carry.len(), 3);
         s.feed(&mut e, &rec[3..]).unwrap();
         assert_eq!(e.len(), 1);
         assert_eq!(e.get(b"abc").unwrap().len, 5);

@@ -1264,12 +1264,11 @@ mod tests {
         use lastcpu_bus::CorrId;
         use lastcpu_iommu::Iommu;
         use lastcpu_mem::Dram;
-        use lastcpu_sim::{DetRng, MetricsHub, SimTime};
+        use lastcpu_sim::{MetricsHub, SimTime};
 
         struct Fix {
             iommu: Iommu,
             dram: Dram,
-            rng: DetRng,
             req: u64,
             stats: MetricsHub,
             pool: lastcpu_sim::BufPool,
@@ -1280,7 +1279,6 @@ mod tests {
                 Fix {
                     iommu: Iommu::new(8),
                     dram: Dram::new(1 << 20),
-                    rng: DetRng::new(11),
                     req: 0,
                     stats: MetricsHub::new(),
                     pool: lastcpu_sim::BufPool::new(),
@@ -1294,7 +1292,6 @@ mod tests {
                     Some(PortId(3)),
                     &mut self.iommu,
                     &mut self.dram,
-                    &mut self.rng,
                     &mut self.req,
                     CorrId::NONE,
                     &self.stats,

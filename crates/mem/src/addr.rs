@@ -7,7 +7,7 @@
 //! the bus — devices never see them.
 
 use std::fmt;
-use std::ops::{Add, Sub};
+use std::ops::Add;
 
 /// Log2 of the page size. The emulator uses 4 KiB pages throughout.
 pub const PAGE_SHIFT: u64 = 12;
@@ -64,11 +64,6 @@ macro_rules! addr_impl {
             pub const fn is_page_aligned(self) -> bool {
                 self.0 & (PAGE_SIZE - 1) == 0
             }
-
-            /// Checked addition of a byte offset.
-            pub fn checked_add(self, off: u64) -> Option<$t> {
-                self.0.checked_add(off).map($t)
-            }
         }
 
         impl Add<u64> for $t {
@@ -76,14 +71,6 @@ macro_rules! addr_impl {
 
             fn add(self, rhs: u64) -> $t {
                 $t(self.0 + rhs)
-            }
-        }
-
-        impl Sub<$t> for $t {
-            type Output = u64;
-
-            fn sub(self, rhs: $t) -> u64 {
-                self.0 - rhs.0
             }
         }
 
@@ -138,8 +125,6 @@ mod tests {
     fn arithmetic() {
         let a = PhysAddr::new(0x1000);
         assert_eq!((a + 0x10).as_u64(), 0x1010);
-        assert_eq!((a + 0x10) - a, 0x10);
-        assert_eq!(PhysAddr::new(u64::MAX).checked_add(1), None);
     }
 
     #[test]

@@ -110,21 +110,6 @@ impl Dram {
         self.size
     }
 
-    /// Total bytes read since construction.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
-    /// Total bytes written since construction.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Host memory currently backing touched frames, in bytes.
-    pub fn resident_bytes(&self) -> u64 {
-        self.frames.len() as u64 * PAGE_SIZE
-    }
-
     fn check(&self, addr: PhysAddr, len: u64) -> Result<(), DramError> {
         let end = addr.as_u64().checked_add(len);
         match end {
@@ -173,28 +158,6 @@ impl Dram {
             pa = pa + chunk as u64;
         }
         self.bytes_written += buf.len() as u64;
-        Ok(())
-    }
-
-    /// Zeroes `len` bytes starting at `addr`, releasing whole backing frames
-    /// where possible.
-    pub fn zero(&mut self, addr: PhysAddr, len: u64) -> Result<(), DramError> {
-        self.check(addr, len)?;
-        let mut pa = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let in_page = PAGE_SIZE - pa.page_offset();
-            let chunk = in_page.min(remaining);
-            let frame = pa.page_number();
-            if chunk == PAGE_SIZE {
-                self.frames.remove(&frame);
-            } else if let Some(data) = self.frames.get_mut(&frame) {
-                let start = pa.page_offset() as usize;
-                data[start..start + chunk as usize].fill(0);
-            }
-            pa = pa + chunk;
-            remaining -= chunk;
-        }
         Ok(())
     }
 
@@ -250,7 +213,7 @@ impl fmt::Debug for Dram {
             f,
             "Dram(size={}MiB, resident={}KiB)",
             self.size / (1024 * 1024),
-            self.resident_bytes() / 1024
+            self.frames.len() as u64 * PAGE_SIZE / 1024
         )
     }
 }
@@ -320,32 +283,9 @@ mod tests {
     #[test]
     fn sparse_backing_grows_only_when_written() {
         let mut d = Dram::new(1 << 30); // 1 GiB declared
-        assert_eq!(d.resident_bytes(), 0);
+        assert_eq!(d.frames.len() as u64 * PAGE_SIZE, 0);
         d.write(PhysAddr::new(0x10_0000), &[1]).unwrap();
-        assert_eq!(d.resident_bytes(), PAGE_SIZE);
-    }
-
-    #[test]
-    fn zero_releases_whole_frames() {
-        let mut d = Dram::new(PAGE_SIZE * 4);
-        d.write(PhysAddr::new(0), &vec![7u8; (PAGE_SIZE * 2) as usize])
-            .unwrap();
-        assert_eq!(d.resident_bytes(), PAGE_SIZE * 2);
-        d.zero(PhysAddr::new(0), PAGE_SIZE).unwrap();
-        assert_eq!(d.resident_bytes(), PAGE_SIZE);
-        let mut b = [9u8; 4];
-        d.read(PhysAddr::new(0), &mut b).unwrap();
-        assert_eq!(b, [0; 4]);
-    }
-
-    #[test]
-    fn partial_zero_keeps_other_bytes() {
-        let mut d = Dram::new(PAGE_SIZE);
-        d.write(PhysAddr::new(0), &[1, 2, 3, 4]).unwrap();
-        d.zero(PhysAddr::new(1), 2).unwrap();
-        let mut b = [0u8; 4];
-        d.read(PhysAddr::new(0), &mut b).unwrap();
-        assert_eq!(b, [1, 0, 0, 4]);
+        assert_eq!(d.frames.len() as u64 * PAGE_SIZE, PAGE_SIZE);
     }
 
     #[test]
@@ -354,8 +294,8 @@ mod tests {
         d.write(PhysAddr::new(0), &[0u8; 100]).unwrap();
         let mut b = [0u8; 40];
         d.read(PhysAddr::new(0), &mut b).unwrap();
-        assert_eq!(d.bytes_written(), 100);
-        assert_eq!(d.bytes_read(), 40);
+        assert_eq!(d.bytes_written, 100);
+        assert_eq!(d.bytes_read, 40);
     }
 
     #[test]

@@ -64,9 +64,9 @@ impl std::error::Error for FrameAllocError {}
 ///
 /// let mut fa = FrameAllocator::new(1024); // 4 MiB of frames
 /// let a = fa.alloc_frames(3).unwrap();    // rounds up to order 2 (4 frames)
-/// assert_eq!(fa.free_frames(), 1020);
+/// assert_eq!(fa.alloc_frames(1).unwrap(), a + 4); // lowest free frame next
 /// fa.free(a).unwrap();
-/// assert_eq!(fa.free_frames(), 1024);
+/// assert_eq!(fa.alloc_frames(4).unwrap(), a);     // the freed block again
 /// ```
 pub struct FrameAllocator {
     /// Free blocks per order, as ordered sets of first-frame numbers.
@@ -101,16 +101,6 @@ impl FrameAllocator {
             total,
             in_use: 0,
         }
-    }
-
-    /// Total managed frames.
-    pub fn total_frames(&self) -> u64 {
-        self.total
-    }
-
-    /// Frames currently free.
-    pub fn free_frames(&self) -> u64 {
-        self.total - self.in_use
     }
 
     /// Smallest order whose block covers `frames` frames.
@@ -229,7 +219,7 @@ mod proptests {
         #[test]
         fn prop_buddy_invariants(ops in proptest::collection::vec((0u8..3, 0u8..6), 1..200)) {
             let mut fa = FrameAllocator::new(2 << MAX_ORDER);
-            let total = fa.total_frames();
+            let total = fa.total;
             let mut live: Vec<(u64, u64)> = Vec::new();
             for (kind, order) in ops {
                 match kind {
@@ -254,12 +244,12 @@ mod proptests {
                     }
                 }
                 let used: u64 = live.iter().map(|&(_, l)| l).sum();
-                prop_assert_eq!(fa.total_frames() - fa.free_frames(), used);
+                prop_assert_eq!(fa.in_use, used);
             }
             for (b, _) in live.drain(..) {
                 fa.free(b).unwrap();
             }
-            prop_assert_eq!(fa.free_frames(), total);
+            prop_assert_eq!(fa.total - fa.in_use, total);
             // Coalesced back into the blocks a fresh allocator starts with.
             prop_assert_eq!(
                 fa.free_block_count(),
@@ -289,10 +279,10 @@ mod tests {
         let a = fa.alloc_frames(1).unwrap();
         let b = fa.alloc_frames(1).unwrap();
         assert_ne!(a, b);
-        assert_eq!(fa.total_frames() - fa.free_frames(), 2);
+        assert_eq!(fa.in_use, 2);
         fa.free(a).unwrap();
         fa.free(b).unwrap();
-        assert_eq!(fa.total_frames() - fa.free_frames(), 0);
+        assert_eq!(fa.in_use, 0);
         // Everything coalesced back to one max-order block.
         assert_eq!(fa.free_block_count(), 1);
     }
@@ -347,7 +337,7 @@ mod tests {
         let blocks: Vec<u64> = (0..(1 << MAX_ORDER))
             .map(|_| fa.alloc_frames(1).unwrap())
             .collect();
-        assert_eq!(fa.free_frames(), 0);
+        assert_eq!(fa.total - fa.in_use, 0);
         for b in blocks {
             fa.free(b).unwrap();
         }
@@ -369,7 +359,7 @@ mod tests {
     fn an_allocation_takes_its_rounded_block() {
         let mut fa = FrameAllocator::new(1 << MAX_ORDER);
         let a = fa.alloc_frames(3).unwrap();
-        assert_eq!(fa.free_frames(), (1 << MAX_ORDER) - 4);
+        assert_eq!(fa.total - fa.in_use, (1 << MAX_ORDER) - 4);
         let inside = FrameAllocError::NotAllocated { frame: a + 1 };
         assert_eq!(fa.free(a + 1), Err(inside));
     }

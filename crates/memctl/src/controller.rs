@@ -135,16 +135,6 @@ impl MemoryController {
         self.stats
     }
 
-    /// Bytes of physical memory still free.
-    pub fn free_bytes(&self) -> u64 {
-        self.frames.free_frames() * PAGE_SIZE
-    }
-
-    /// Looks up a region by handle.
-    pub fn region(&self, id: u64) -> Option<&Region> {
-        self.regions.get(&id)
-    }
-
     /// Fragmentation proxy: number of free blocks in the frame allocator.
     pub fn free_block_count(&self) -> usize {
         self.frames.free_block_count()
@@ -674,7 +664,7 @@ mod tests {
     fn alloc_rounds_to_pages() {
         let mut c = mc();
         let (region, _) = do_alloc(&mut c, 100);
-        assert_eq!(c.region(region).unwrap().pages, 1);
+        assert_eq!(c.regions[&region].pages, 1);
         assert_eq!(c.stats().bytes_in_use, PAGE_SIZE);
     }
 
@@ -888,7 +878,7 @@ mod tests {
             out[1].payload,
             Payload::ShareResponse { status: Status::Ok }
         ));
-        assert_eq!(c.region(region).unwrap().shares.len(), 1);
+        assert_eq!(c.regions[&region].shares.len(), 1);
     }
 
     #[test]
@@ -918,7 +908,7 @@ mod tests {
                 status: Status::Denied
             }
         ));
-        assert!(c.region(region).unwrap().shares.is_empty());
+        assert!(c.regions[&region].shares.is_empty());
     }
 
     #[test]
@@ -993,7 +983,7 @@ mod tests {
         let mut out = Vec::new();
         c.handle(&share, &mut out);
         c.handle(&share, &mut out);
-        assert_eq!(c.region(region).unwrap().shares.len(), 1);
+        assert_eq!(c.regions[&region].shares.len(), 1);
     }
 
     #[test]
@@ -1018,7 +1008,7 @@ mod tests {
             &mut out,
         );
         out.clear();
-        let free_before = c.free_bytes();
+        let in_use_before = c.stats().bytes_in_use;
         c.handle(
             &Envelope {
                 src: DeviceId::BUS,
@@ -1030,7 +1020,7 @@ mod tests {
             &mut out,
         );
         assert_eq!(c.regions.len(), 0);
-        assert!(c.free_bytes() > free_before);
+        assert!(c.stats().bytes_in_use < in_use_before);
         assert_eq!(c.stats().reclaimed, 1);
         // The share into the surviving SSD is revoked.
         assert!(out.iter().any(|e| matches!(
@@ -1078,7 +1068,7 @@ mod tests {
         );
         // Region survives (owner alive) but the share is gone.
         assert_eq!(c.regions.len(), 1);
-        assert!(c.region(region).unwrap().shares.is_empty());
+        assert!(c.regions[&region].shares.is_empty());
         assert!(out.iter().any(|e| matches!(
             e.payload,
             Payload::MapInstruction {

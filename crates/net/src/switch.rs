@@ -93,11 +93,6 @@ impl Switch {
         self
     }
 
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &NetCostModel {
-        &self.cost
-    }
-
     /// Counters.
     pub fn stats(&self) -> SwitchStats {
         self.stats
@@ -319,8 +314,8 @@ mod tests {
         let t1 = sw.route(SimTime::ZERO, &frame(a, victim, 9000))[0].1;
         let t2 = sw.route(SimTime::ZERO, &frame(b, victim, 9000))[0].1;
         assert!(t2 > t1);
-        let gap = t2 - t1;
-        let wire_time = sw.cost_model().serialize(9018);
+        let gap = t2.since(t1);
+        let wire_time = sw.cost.serialize(9018);
         assert_eq!(gap, wire_time);
     }
 
@@ -359,9 +354,8 @@ mod tests {
         // A frame arriving after the port drained is not delayed by it.
         let later = delivered + SimDuration::from_micros(10);
         let t = sw.route(later, &frame(a, b, 64))[0].1;
-        let fresh_latency = sw.cost_model().serialize(82).saturating_mul(2)
-            + sw.cost_model().switch_latency
-            + sw.cost_model().propagation;
+        let fresh_latency =
+            sw.cost.serialize(82).saturating_mul(2) + sw.cost.switch_latency + sw.cost.propagation;
         assert_eq!(t.since(later), fresh_latency);
     }
 

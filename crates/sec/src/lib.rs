@@ -32,7 +32,7 @@
 //!
 //! // Every attack class once, 50 µs apart, from 1 µs.
 //! let plan = AttackPlan::matrix(0xE11, SimTime::from_nanos(1_000), SimDuration::from_micros(50));
-//! assert_eq!(plan.len(), AttackKind::ALL.len());
+//! assert_eq!(plan.events().len(), AttackKind::ALL.len());
 //! assert_eq!(plan.events()[1].at, SimTime::from_nanos(51_000));
 //! // Tags are stable — they key the BENCH_e11.json rows.
 //! assert_eq!(AttackKind::ALL[0].tag(), "wild-dma");

@@ -132,10 +132,9 @@ enum Pending {
 ///     AttackTargets::new(DeviceId(2), DeviceId(1), 3),
 /// );
 /// // Nothing has run yet: every tally starts at zero.
-/// for kind in AttackKind::ALL {
-///     assert_eq!(dev.stats(kind).attempts, 0);
+/// for (kind, tally) in dev.all_stats() {
+///     assert_eq!(tally.attempts, 0, "{kind:?}");
 /// }
-/// assert_eq!(dev.total().attempts, 0);
 /// ```
 pub struct MaliciousDevice {
     name: String,
@@ -172,11 +171,6 @@ impl MaliciousDevice {
         }
     }
 
-    /// Outcome tally for one attack kind.
-    pub fn stats(&self, kind: AttackKind) -> AttackStats {
-        self.stats[kind.index()]
-    }
-
     /// Per-kind tallies in [`AttackKind::ALL`] order.
     pub fn all_stats(&self) -> [(AttackKind, AttackStats); AttackKind::ALL.len()] {
         let mut out = [(AttackKind::WildDma, AttackStats::default()); AttackKind::ALL.len()];
@@ -184,23 +178,6 @@ impl MaliciousDevice {
             out[i] = (kind, self.stats[i]);
         }
         out
-    }
-
-    /// Sum over all attack kinds.
-    pub fn total(&self) -> AttackStats {
-        let mut t = AttackStats::default();
-        for s in &self.stats {
-            t.attempts += s.attempts;
-            t.denied_local += s.denied_local;
-            t.denied_remote += s.denied_remote;
-            t.acked_ok += s.acked_ok;
-        }
-        t
-    }
-
-    /// The schedule this device executes.
-    pub fn plan(&self) -> &AttackPlan {
-        &self.plan
     }
 
     fn tally(&mut self, kind: AttackKind) -> &mut AttackStats {
@@ -523,7 +500,7 @@ mod tests {
     use lastcpu_devices::device::Action;
     use lastcpu_iommu::Iommu;
     use lastcpu_mem::Dram;
-    use lastcpu_sim::{DetRng, MetricsHub, SimTime};
+    use lastcpu_sim::{MetricsHub, SimTime};
 
     fn targets() -> AttackTargets {
         AttackTargets {
@@ -536,7 +513,6 @@ mod tests {
     /// Runs `f` under a fresh DeviceCtx and returns the queued actions.
     fn with_ctx(iommu: &mut Iommu, f: impl FnOnce(&mut DeviceCtx<'_>)) -> Vec<Action> {
         let mut dram = Dram::new(1 << 20);
-        let mut rng = DetRng::new(1);
         let mut req = 100;
         let hub = MetricsHub::new();
         let pool = lastcpu_sim::BufPool::new();
@@ -546,7 +522,6 @@ mod tests {
             None,
             iommu,
             &mut dram,
-            &mut rng,
             &mut req,
             CorrId::NONE,
             &hub,
@@ -570,7 +545,7 @@ mod tests {
         let mut dev = MaliciousDevice::new("evil0", plan_of(&[AttackKind::WildDma]), targets());
         let mut mmu = Iommu::new(16); // no PASIDs bound: nothing is reachable
         with_ctx(&mut mmu, |ctx| dev.on_timer(ctx, 0));
-        let s = dev.stats(AttackKind::WildDma);
+        let s = dev.stats[AttackKind::WildDma.index()];
         assert_eq!(s.attempts, 4);
         assert_eq!(s.denied_local, 4);
         assert_eq!(s.acked_ok, 0);
@@ -578,7 +553,7 @@ mod tests {
         let mut dev =
             MaliciousDevice::new("evil0", plan_of(&[AttackKind::StaleGeneration]), targets());
         with_ctx(&mut mmu, |ctx| dev.on_timer(ctx, 0));
-        let s = dev.stats(AttackKind::StaleGeneration);
+        let s = dev.stats[AttackKind::StaleGeneration.index()];
         assert_eq!(s.attempts, 4);
         assert_eq!(s.blocked(), 4);
     }
@@ -598,7 +573,7 @@ mod tests {
             })
             .collect();
         assert_eq!(sent.len(), 4);
-        assert_eq!(dev.stats(AttackKind::ConfusedDeputy).attempts, 3);
+        assert_eq!(dev.stats[AttackKind::ConfusedDeputy.index()].attempts, 3);
 
         // The bus/memctl deny everything attack-tallied; the vacant-class
         // registration is acked Ok and triggers stage 2.
@@ -633,7 +608,7 @@ mod tests {
                 .count();
         }
         assert_eq!(escalated, 1, "Ok on RegisterController triggers stage 2");
-        let s = dev.stats(AttackKind::ConfusedDeputy);
+        let s = dev.stats[AttackKind::ConfusedDeputy.index()];
         assert_eq!(s.attempts, 4, "stage-2 map counted as a fourth attempt");
         assert_eq!(s.denied_remote, 3);
         assert_eq!(s.acked_ok, 0);
@@ -680,7 +655,7 @@ mod tests {
                 .count(),
             2
         );
-        assert_eq!(dev.stats(AttackKind::SsdpSpoof).attempts, 3);
+        assert_eq!(dev.stats[AttackKind::SsdpSpoof.index()].attempts, 3);
     }
 
     #[test]
@@ -701,7 +676,7 @@ mod tests {
         assert!(actions.is_empty());
         // Arm by running the spoof event, then answer a query.
         with_ctx(&mut mmu, |ctx| dev.on_timer(ctx, 0));
-        let before = dev.stats(AttackKind::SsdpSpoof).attempts;
+        let before = dev.stats[AttackKind::SsdpSpoof.index()].attempts;
         let actions = with_ctx(&mut mmu, |ctx| dev.on_message(ctx, &query(DeviceId(5))));
         let hits: Vec<(DeviceId, String)> = actions
             .iter()
@@ -723,7 +698,10 @@ mod tests {
         assert!(hits.iter().any(|(d, _)| *d == DeviceId(9)));
         assert!(hits.iter().any(|(d, _)| *d == DeviceId(2)));
         assert!(hits.iter().all(|(_, n)| n == "file:/data/kv.db"));
-        assert_eq!(dev.stats(AttackKind::SsdpSpoof).attempts, before + 2);
+        assert_eq!(
+            dev.stats[AttackKind::SsdpSpoof.index()].attempts,
+            before + 2
+        );
     }
 
     #[test]
@@ -745,7 +723,7 @@ mod tests {
             })
             .count();
         assert_eq!(beats, 8);
-        assert_eq!(dev.stats(AttackKind::ControlFlood).attempts, 8);
+        assert_eq!(dev.stats[AttackKind::ControlFlood.index()].attempts, 8);
     }
 
     #[test]
@@ -782,7 +760,13 @@ mod tests {
         let mut mmu = Iommu::new(16);
         with_ctx(&mut mmu, |ctx| dev.on_timer(ctx, 0));
         with_ctx(&mut mmu, |ctx| dev.on_timer(ctx, 1));
-        let t = dev.total();
+        let mut t = AttackStats::default();
+        for s in &dev.stats {
+            t.attempts += s.attempts;
+            t.denied_local += s.denied_local;
+            t.denied_remote += s.denied_remote;
+            t.acked_ok += s.acked_ok;
+        }
         assert_eq!(t.attempts, 4 + 3);
         assert_eq!(t.blocked() + t.acked_ok + t.unresolved(), t.attempts);
         // The in-flight bus requests are unresolved until replies arrive.

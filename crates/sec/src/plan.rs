@@ -101,7 +101,7 @@ pub struct AttackEvent {
 ///
 /// // The matrix helper schedules every attack class exactly once.
 /// let m = AttackPlan::matrix(7, SimTime::from_nanos(1_000), SimDuration::from_micros(500));
-/// assert_eq!(m.len(), AttackKind::ALL.len());
+/// assert_eq!(m.events().len(), AttackKind::ALL.len());
 /// assert_eq!(m.events()[0].kind, AttackKind::WildDma);
 ///
 /// // Per-event RNG streams replay, and differ per event index.
@@ -124,11 +124,6 @@ impl AttackPlan {
         }
     }
 
-    /// The seed the plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Adds one scheduled attack.
     pub fn inject(&mut self, at: SimTime, kind: AttackKind) -> &mut Self {
         self.events.push(AttackEvent { at, kind });
@@ -141,16 +136,6 @@ impl AttackPlan {
         let mut v = self.events.clone();
         v.sort_by_key(|e| e.at);
         v
-    }
-
-    /// Number of scheduled attacks.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// The full attack matrix: every [`AttackKind`] once, in matrix order,

@@ -127,11 +127,6 @@ impl FaultPlan {
         }
     }
 
-    /// The seed the plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Adds one injection.
     pub fn inject(&mut self, at: SimTime, target: impl Into<String>, kind: FaultKind) -> &mut Self {
         self.events.push(FaultEvent {
@@ -148,16 +143,6 @@ impl FaultPlan {
         let mut v = self.events.clone();
         v.sort_by_key(|e| e.at);
         v
-    }
-
-    /// Number of scheduled injections.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Generates a random plan of `count` faults against `targets` spread
@@ -297,7 +282,7 @@ mod tests {
         let horizon = SimDuration::from_millis(80);
         let start = SimTime::from_nanos(500);
         let p = FaultPlan::generate(3, &["d0"], start, horizon, 64);
-        assert_eq!(p.len(), 64);
+        assert_eq!(p.events.len(), 64);
         for e in p.events() {
             assert!(e.at >= start + SimDuration::from_nanos(horizon.as_nanos() / 8));
             assert!(e.at < start + horizon);

@@ -48,11 +48,6 @@ impl CounterHandle {
     pub fn add(&self, n: u64) {
         self.0.set(self.0.get().saturating_add(n));
     }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
 }
 
 /// Cheap shared handle to one gauge (a signed level, e.g. a queue depth).
@@ -71,11 +66,6 @@ impl GaugeHandle {
     pub fn add(&self, delta: i64) {
         self.0.set(self.0.get().saturating_add(delta));
     }
-
-    /// Current level.
-    pub fn get(&self) -> i64 {
-        self.0.get()
-    }
 }
 
 /// Cheap shared handle to one histogram.
@@ -93,11 +83,6 @@ impl HistogramHandle {
     #[inline]
     pub fn record_value(&self, v: u64) {
         self.0.borrow_mut().record_value(v);
-    }
-
-    /// A point-in-time copy.
-    pub fn snapshot(&self) -> Histogram {
-        self.0.borrow().clone()
     }
 }
 
@@ -429,20 +414,6 @@ impl MetricsHub {
             .map(|(k, h)| (k.clone(), h.borrow().clone()))
             .collect()
     }
-
-    /// Zeroes every metric but keeps registrations (handles stay valid).
-    pub fn reset(&self) {
-        let inner = self.inner.borrow();
-        for c in inner.counters.values() {
-            c.set(0);
-        }
-        for g in inner.gauges.values() {
-            g.set(0);
-        }
-        for h in inner.histograms.values() {
-            h.borrow_mut().reset();
-        }
-    }
 }
 
 lastcpu_snap::fields! { MetricsHub |self| { ..Registered } }
@@ -481,7 +452,19 @@ impl lastcpu_snap::Span<MetricsHub> for Registered {
         r: &mut lastcpu_snap::SnapReader<'_>,
     ) -> lastcpu_snap::Result<()> {
         use lastcpu_snap::Field;
-        hub.reset();
+        // Zero every metric but keep its registration, so handles stay valid.
+        {
+            let inner = hub.inner.borrow();
+            for c in inner.counters.values() {
+                c.set(0);
+            }
+            for g in inner.gauges.values() {
+                g.set(0);
+            }
+            for h in inner.histograms.values() {
+                h.borrow_mut().reset();
+            }
+        }
         for (k, v) in BTreeMap::<String, u64>::take(r)? {
             hub.counter_handle(&k).0.set(v);
         }
@@ -536,7 +519,7 @@ mod tests {
         h.add(4);
         hub.counter_handle("iommu.dev3.maps").incr();
         assert_eq!(hub.counter("iommu.dev3.maps"), 6);
-        assert_eq!(h.get(), 6);
+        assert_eq!(h.0.get(), 6);
 
         let g = hub.gauge_handle("sys.inbox");
         g.add(3);
@@ -546,7 +529,7 @@ mod tests {
         let lat = hub.histogram_handle("ssd.ssd0.read_latency");
         lat.record(SimDuration::from_nanos(400));
         assert_eq!(hub.histogram("ssd.ssd0.read_latency").unwrap().count(), 1);
-        assert_eq!(lat.snapshot().count(), 1);
+        assert_eq!(lat.0.borrow().count(), 1);
     }
 
     #[test]
@@ -563,11 +546,11 @@ mod tests {
         let h = hub.counter_handle("soak");
         h.add(u64::MAX - 1);
         h.add(5);
-        assert_eq!(h.get(), u64::MAX);
+        assert_eq!(hub.counter("soak"), u64::MAX);
         let g = hub.gauge_handle("level");
         g.set(i64::MAX);
         g.add(1);
-        assert_eq!(g.get(), i64::MAX);
+        assert_eq!(hub.gauge("level"), i64::MAX);
     }
 
     #[test]
@@ -600,9 +583,14 @@ mod tests {
         assert_eq!(hub.counters().len(), 1);
         assert_eq!(hub.gauges().len(), 1);
         assert_eq!(hub.histograms().len(), 1);
-        hub.reset();
+        // A restore zeroes what its section does not carry and keeps every
+        // registration: after loading an empty hub's section, the handle
+        // still feeds its key.
+        let empty = lastcpu_snap::Span::bytes(&Registered, &MetricsHub::new());
+        let mut r = lastcpu_snap::SnapReader::new("metrics", &empty);
+        lastcpu_snap::Span::take(&Registered, &mut hub.clone(), &mut r).unwrap();
         assert_eq!(hub.counter("bus.messages"), 0);
-        handle.incr(); // handles survive reset
+        handle.incr(); // handles survive the reset
         assert_eq!(hub.counter("bus.messages"), 1);
     }
 

@@ -180,33 +180,6 @@ impl BufPool {
     pub fn reset_stats(&self) {
         self.core.stats.set(PoolStats::default());
     }
-
-    /// Restores checkpointed pool state: traffic counters, the generation
-    /// cursor, and the free-list *length* (`idle` cleared buffers — contents
-    /// and capacities are not semantic: a recycled buffer is always cleared
-    /// before reuse, so only how many takes hit the free-list matters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffers are still outstanding — restoring under live
-    /// handles would corrupt the generation cursor.
-    pub fn restore_state(&self, stats: PoolStats, idle: usize, next_gen: u64) {
-        assert_eq!(
-            self.outstanding(),
-            0,
-            "BufPool::restore_state with outstanding buffers"
-        );
-        let mut free = self.core.free.borrow_mut();
-        free.clear();
-        free.resize_with(idle.min(self.core.max_free), Vec::new);
-        self.core.stats.set(stats);
-        self.core.next_gen.set(next_gen);
-    }
-
-    /// Buffers handed out and not yet returned.
-    pub fn outstanding(&self) -> u64 {
-        self.core.live.get()
-    }
 }
 
 /// A payload byte buffer, possibly backed by a [`BufPool`].
@@ -220,14 +193,6 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// An empty, unpooled buffer.
-    pub fn new() -> Self {
-        Bytes {
-            buf: Vec::new(),
-            origin: None,
-        }
-    }
-
     /// The underlying `Vec`, for encoders that append in place.
     pub fn vec_mut(&mut self) -> &mut Vec<u8> {
         &mut self.buf
@@ -259,7 +224,7 @@ impl Drop for Bytes {
 
 impl Default for Bytes {
     fn default() -> Self {
-        Self::new()
+        Bytes::from(Vec::new())
     }
 }
 
@@ -295,18 +260,6 @@ impl std::ops::Deref for Bytes {
     }
 }
 
-impl std::ops::DerefMut for Bytes {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     fn from(buf: Vec<u8>) -> Self {
         Bytes { buf, origin: None }
@@ -324,12 +277,6 @@ impl lastcpu_snap::Field for Bytes {
     }
 }
 
-impl From<&[u8]> for Bytes {
-    fn from(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
-    }
-}
-
 impl<const N: usize> From<&[u8; N]> for Bytes {
     fn from(s: &[u8; N]) -> Self {
         Bytes::from(s.to_vec())
@@ -343,30 +290,6 @@ impl PartialEq for Bytes {
 }
 
 impl Eq for Bytes {}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.buf.as_slice() == other
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.buf.as_slice() == *other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        &self.buf == other
-    }
-}
-
-impl PartialEq<Bytes> for Vec<u8> {
-    fn eq(&self, other: &Bytes) -> bool {
-        self == &other.buf
-    }
-}
 
 impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
     fn eq(&self, other: &&[u8; N]) -> bool {
@@ -406,8 +329,18 @@ impl lastcpu_snap::Span<BufPool> for Counters {
         pool: &mut BufPool,
         r: &mut lastcpu_snap::SnapReader<'_>,
     ) -> lastcpu_snap::Result<()> {
-        let (stats, idle, next_gen) = lastcpu_snap::Field::take(r)?;
-        pool.restore_state(stats, idle, next_gen);
+        let (stats, idle, next_gen): (PoolStats, usize, u64) = lastcpu_snap::Field::take(r)?;
+        // Restoring under live handles would corrupt the generation cursor.
+        assert_eq!(
+            pool.core.live.get(),
+            0,
+            "a BufPool restore with outstanding buffers"
+        );
+        let mut free = pool.core.free.borrow_mut();
+        free.clear();
+        free.resize_with(idle.min(pool.core.max_free), Vec::new);
+        pool.core.stats.set(stats);
+        pool.core.next_gen.set(next_gen);
         Ok(())
     }
 }
@@ -446,7 +379,7 @@ mod tests {
         {
             let b = copy(&pool, b"hello");
             assert_eq!(&*b, b"hello");
-            assert_eq!(pool.outstanding(), 1);
+            assert_eq!(pool.core.live.get(), 1);
         }
         assert_eq!(pool.idle(), 1);
         let b2 = pool.take();
@@ -461,9 +394,9 @@ mod tests {
     fn every_buffer_returns_exactly_once() {
         let pool = BufPool::with_capacity(64);
         let held: Vec<Bytes> = (0..32).map(|i| copy(&pool, &[i])).collect();
-        assert_eq!(pool.outstanding(), 32);
+        assert_eq!(pool.core.live.get(), 32);
         drop(held);
-        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(pool.core.live.get(), 0);
         let s = pool.stats();
         assert_eq!(s.taken, 32);
         assert_eq!(s.returned, 32);
@@ -479,20 +412,22 @@ mod tests {
         let early = pool.take();
         pool.reset_stats();
         drop(early);
-        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(pool.core.live.get(), 0);
         assert_eq!(pool.stats().returned, 1);
         let late = pool.take();
-        assert_eq!(pool.outstanding(), 1);
+        assert_eq!(pool.core.live.get(), 1);
         drop(late);
-        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(pool.core.live.get(), 0);
     }
 
     #[test]
     #[should_panic(expected = "outstanding buffers")]
     fn a_restore_refuses_a_live_buffer() {
-        let pool = BufPool::new();
+        let section = lastcpu_snap::Span::bytes(&Counters, &BufPool::new());
+        let mut pool = BufPool::new();
         let _live = pool.take();
-        pool.restore_state(PoolStats::default(), 0, 1);
+        let mut r = lastcpu_snap::SnapReader::new("pool", &section);
+        let _ = lastcpu_snap::Span::take(&Counters, &mut pool, &mut r);
     }
 
     #[test]
@@ -510,7 +445,7 @@ mod tests {
         let b = copy(&pool, b"payload");
         let c = b.clone();
         assert_eq!(b, c);
-        assert_eq!(pool.outstanding(), 2);
+        assert_eq!(pool.core.live.get(), 2);
         assert_eq!(pool.stats().taken, 2);
         drop(b);
         drop(c);
@@ -524,7 +459,6 @@ mod tests {
         let plain: Bytes = b"abc".to_vec().into();
         assert_eq!(pooled, plain);
         assert_eq!(pooled, b"abc");
-        assert_eq!(pooled, b"abc".to_vec());
         use std::collections::hash_map::DefaultHasher;
         let mut h1 = DefaultHasher::new();
         let mut h2 = DefaultHasher::new();

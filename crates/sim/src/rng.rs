@@ -45,11 +45,6 @@ impl DetRng {
         DetRng { state, seed }
     }
 
-    /// The seed this stream was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent child stream identified by `salt`.
     ///
     /// The same `(seed, salt)` pair always yields the same child stream.
@@ -96,16 +91,6 @@ impl DetRng {
                 return (m >> 64) as u64;
             }
         }
-    }
-
-    /// A uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "DetRng::range: empty range {lo}..{hi}");
-        lo + self.below(hi - lo)
     }
 
     /// A uniform float in `[0, 1)`.
@@ -253,7 +238,7 @@ mod tests {
         let mut c2 = parent.split(5);
         let c3 = parent.split(6);
         assert_eq!(c1.next_u64(), c2.next_u64());
-        assert_ne!(c1.seed(), c3.seed());
+        assert_ne!(c1.seed, c3.seed);
     }
 
     #[test]

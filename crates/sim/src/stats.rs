@@ -202,23 +202,19 @@ impl Histogram {
         self.min = u64::MAX;
         self.max = 0;
     }
+}
 
-    /// One-line summary: `n=.. mean=.. p50=.. p99=.. max=..`.
-    pub fn summary(&self) -> String {
-        format!(
-            "n={} mean={} p50={} p99={} max={}",
+impl fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "Histogram(n={} mean={} p50={} p99={} max={})",
             self.count,
             self.mean(),
             self.percentile(50.0),
             self.percentile(99.0),
             self.max()
         )
-    }
-}
-
-impl fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Histogram({})", self.summary())
     }
 }
 

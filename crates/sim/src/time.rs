@@ -5,7 +5,7 @@
 //! bit-reproducible across hosts.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, AddAssign};
 
 /// An instant on the virtual clock, in nanoseconds since simulation start.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -99,14 +99,6 @@ impl AddAssign<SimDuration> for SimTime {
     }
 }
 
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0 - rhs.0)
-    }
-}
-
 impl Add<SimDuration> for SimDuration {
     type Output = SimDuration;
 
@@ -162,7 +154,7 @@ mod tests {
         let t = SimTime::from_nanos(1_000);
         let d = SimDuration::from_micros(2);
         assert_eq!((t + d).as_nanos(), 3_000);
-        assert_eq!((t + d) - t, d);
+        assert_eq!((t + d).since(t), d);
     }
 
     #[test]

@@ -218,14 +218,6 @@ impl SnapWriter {
         self.buf
     }
 
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Folds the bytes written so far into the rolling FNV-1a digest `h`
     /// and empties the writer, keeping its buffer for what comes next.
     pub fn fold_into(&mut self, h: &mut u64) {
@@ -870,16 +862,6 @@ impl Checkpoint {
         Checkpoint::decode(&std::fs::read(path)?)
     }
 
-    /// First divergence between two checkpoints, as a human-readable report
-    /// (`None` when identical). Drives the loud restore-verification error.
-    pub fn diff(&self, other: &Checkpoint) -> Option<String> {
-        let mut d = Diff::new(self, &other.manifest);
-        for (tag, body) in &other.sections {
-            d.compare(tag, body);
-        }
-        d.finish()
-    }
-
     /// One digest over the entire encoded checkpoint, folded as the encoding
     /// is walked: `fnv1a(&self.encode())` without the encoding.
     pub fn digest(&self) -> u64 {
@@ -934,9 +916,9 @@ impl SectionSink for Encoder<'_> {
     }
 }
 
-/// The streaming form of [`Checkpoint::diff`]: a stored checkpoint against
-/// one produced a section at a time. Each section is compared as it arrives
-/// and dropped after; [`finish`](Self::finish) reports what `diff` would.
+/// The comparator of a verify: a stored checkpoint against one produced a
+/// section at a time. Each section is compared as it arrives and dropped
+/// after; [`finish`](Self::finish) reports the first divergence.
 ///
 /// A streamed body that carries checksums of its own (a machine's encoding
 /// inside a rack) is not hashed as it streams. While the body has matched
@@ -1112,7 +1094,8 @@ impl<'a> Diff<'a> {
     }
 
     /// The first divergence (`None` when the produced checkpoint is the
-    /// stored one), in the words of [`Checkpoint::diff`].
+    /// stored one): the manifest first, then the first section whose tag
+    /// or bytes differ, with its offset, then the section count.
     pub fn finish(self) -> Option<String> {
         // The earlier section's report; in one section, the claim's byte
         // comes first.
@@ -1148,6 +1131,15 @@ impl SectionSink for Diff<'_> {
 mod tests {
     use super::*;
 
+    /// First divergence of `got` from `want`, as a verify reports it.
+    fn diff(want: &Checkpoint, got: &Checkpoint) -> Option<String> {
+        let mut d = Diff::new(want, &got.manifest);
+        for (tag, body) in &got.sections {
+            d.compare(tag, body);
+        }
+        d.finish()
+    }
+
     fn sample() -> Checkpoint {
         let mut ck = Checkpoint::new(Manifest {
             schema_version: SCHEMA_VERSION,
@@ -1173,7 +1165,7 @@ mod tests {
         let back = Checkpoint::decode(&bytes).expect("decodes");
         assert_eq!(ck, back);
         assert_eq!(bytes, back.encode());
-        assert_eq!(back.diff(&ck), None);
+        assert_eq!(diff(&back, &ck), None);
     }
 
     #[test]
@@ -1359,7 +1351,7 @@ mod tests {
         }
     }
 
-    /// `Checkpoint::diff` before it became [`Diff`], kept as the oracle.
+    /// The one-shot comparator before it became [`Diff`], kept as the oracle.
     fn diff_oracle(a: &Checkpoint, b: &Checkpoint) -> Option<String> {
         if a.manifest != b.manifest {
             return Some(format!(
@@ -1590,7 +1582,7 @@ mod tests {
             }
         };
         let oracle = diff_oracle(&want, &got);
-        assert_eq!(want.diff(&got), oracle);
+        assert_eq!(diff(&want, &got), oracle);
         let mut parent = OracleDiff::new(&want, &got.manifest);
         produce(&mut parent);
         assert_eq!(parent.finish(), oracle);
@@ -1634,7 +1626,7 @@ mod tests {
                 _ => {}
             }
             let oracle = diff_oracle(&want, &got);
-            proptest::prop_assert_eq!(want.diff(&got), oracle.clone());
+            proptest::prop_assert_eq!(diff(&want, &got), oracle.clone());
 
             let mut streamed = Diff::new(&want, &got.manifest);
             let mut parent = OracleDiff::new(&want, &got.manifest);

@@ -34,11 +34,6 @@ impl BufferArena {
         }
     }
 
-    /// Slot size in bytes.
-    pub fn slot_size(&self) -> u64 {
-        self.slot_size
-    }
-
     /// Number of free slots.
     pub fn free_slots(&self) -> usize {
         self.free.len()

@@ -84,11 +84,6 @@ impl FlatMemory {
             bytes: vec![0; size],
         }
     }
-
-    /// The backing size in bytes.
-    pub fn size(&self) -> usize {
-        self.bytes.len()
-    }
 }
 
 impl QueueMemory for FlatMemory {

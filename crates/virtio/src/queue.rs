@@ -380,11 +380,6 @@ impl VirtqueueDevice {
         }
     }
 
-    /// The queue layout.
-    pub fn layout(&self) -> &QueueLayout {
-        &self.layout
-    }
-
     /// Requests available but not yet popped.
     pub fn pending<M: QueueMemory>(&self, mem: &mut M) -> Result<u16, QueueError> {
         let mut idx_b = [0u8; 2];
@@ -1360,7 +1355,7 @@ mod tests {
     #[test]
     fn an_indirect_descriptor_is_refused() {
         let (mut mem, _drv, mut dev) = setup(4);
-        let layout = *dev.layout();
+        let layout = dev.layout;
         // A well-formed one-entry table at BUF0 (4 readable bytes at BUF1)
         // and a ring descriptor naming it, published by hand: no driver
         // here writes one.
@@ -1422,11 +1417,11 @@ mod tests {
         assert_eq!(
             dev.read_request_into(&mut mem, &chain, &mut out),
             Err(QueueError::Fault(MemFault {
-                va: mem.size() as u64,
+                va: mem.bytes.len() as u64,
                 write: false
             }))
         );
-        assert!(out.capacity() <= mem.size() + PAGE_SIZE as usize);
+        assert!(out.capacity() <= mem.bytes.len() + PAGE_SIZE as usize);
     }
 
     #[test]
@@ -1524,7 +1519,7 @@ mod tests {
             device_writes: false,
         };
         // A zero-length segment at the very end of memory is never touched.
-        let end = mem.size() as u64;
+        let end = mem.bytes.len() as u64;
         drv.submit_chain(
             &mut mem,
             &[seg(BUF0, 2), seg(end, 0), seg(BUF1, 2), seg(BUF1, 0)],

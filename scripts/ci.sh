@@ -15,9 +15,14 @@
 #                          NIC section writer, a timing literal outside the
 #                          cost table, a second counting allocator, ...);
 #                          it reads crates/*/src, crates/*/tests and tests/;
-#                          and the public surface: every pub library item
-#                          has a caller outside tests, or a reason on the
-#                          stage's allow-list
+#                          the public surface: every pub library item has a
+#                          caller outside tests, or a reason on the stage's
+#                          allow-list; and reach: every lastcpu_* function
+#                          of the library rlibs is in a shipped program
+#                          (lastcpu-bench, the examples, the components
+#                          bench, benchmark/'s binary, built at opt-level 0
+#                          into target/reach), or is derived glue or a
+#                          reader half, or has a reason on that stage's list
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -233,7 +238,8 @@ echo "==> public surface (every pub library item has a caller outside tests)"
 # only tests reach is deleted with the tests that test only it. Comments,
 # `pub use` / `pub mod` lines and top-level `#[cfg(test)]` items never count
 # as a caller. The scan goes by name, so an item whose name is also spelled
-# elsewhere passes unseen. An item that stays without a caller is on this
+# elsewhere passes it; the reach stage below, which goes by what the linker
+# keeps, catches such an item. An item that stays without a caller is on this
 # list, one `name  reason` line each: a hook through which a test drives
 # behaviour no public path reaches, or an observation a pin reads that must
 # not change. A name on the list that the scan no longer flags fails too.
@@ -242,11 +248,9 @@ ROWS  the cost table's rows: DESIGN.md §5 renders them and tests/cost_table.rs 
 app_mut  tests/delivery.rs turns the NIC server's fast path off through it, the slow path's only route in a test
 containing  tests/trace_repr.rs, a pin, counts a rack's link-crossing records with it
 endpoint_names  tests/metrics_pins.rs, a pin, holds a router's ring size through it
-force_bad_block  retires a block on demand, so FTL and FlashFs tests reach the bad-block path no workload wears into
 generate  FaultPlan::generate, the seeded random fault plan tests/trace_pins.rs (a pin) and tests/fault_props.rs replay
 open_tunnel  a raw machine-to-machine tunnel, so fabric and rack tests drive link timing and faults without the KVS router's directory
 section_tags  tests/checkpoint_pins.rs, tests/trace_repr.rs and tests/server_backlog.rs (pins) walk a checkpoint's sections with it
-start_device  powers on a device added after power-on, the only way a test hot-plugs one (late fabric tenant, late directory entry)
 table_nodes  tests/iommu_pins.rs, a pin, holds a unit's page-table node count through it
 total_emitted  tests/trace_pins.rs and tests/trace_repr.rs (pins) hold a sink's lifetime record count through it
 "
@@ -293,6 +297,116 @@ surface_allow="$surface_allow" surface_decl="$surface_decl" awk '
     }
 ' $surface_use || {
     echo "FAIL: a public library item only tests reach (see above)"; exit 1;
+}
+
+echo "==> reach (every library function is in a shipped program, or has a reason)"
+# The scan above goes by name; this stage goes by what the linker keeps. It
+# builds every shipped program at opt-level 0 (no inlining) into its own
+# target directory: lastcpu-bench and the four examples, the criterion bench
+# `components` (built alone: `--benches` would also build each library's
+# unit-test harness and count test code as a caller) and benchmark/'s
+# binary. It takes the rlib and executable paths from cargo's JSON, so a
+# stale artifact in the target directory counts for nothing, and lists with
+# nm the lastcpu_* functions of the 15 library rlibs that no program holds.
+# Such a function passes when it is
+#   - a derived reader half (`Restore::restore`, a `Field`/`Span`/`Codec`
+#     `take`, a tag's `from_tag`), kept for item 3 of ROADMAP.md;
+#   - derive, drop or closure glue, or a `Display` impl;
+#   - named by its last path segment on the public-surface allow-list above;
+#   - or at or under an entry below, one `path  reason` line each: a function
+#     or a type (`<impl X>` and `<X as Trait>` read as `X`).
+# Anything else fails, and so does an entry that matches nothing.
+# A failure prints the function as nm names it; delete it with the tests
+# that test only it, or list it here with the pin or the hook that needs it.
+reach_allow="
+lastcpu_bus::bus::envelopes::EnvelopePool::clear  the bus section's reader half empties the pool with it (tests/restore_pins.rs)
+lastcpu_bus::message::ErrorCode  a tags! writer half: no program checkpoints a machine holding an error reply in flight
+lastcpu_bus::message::MapOp  a tags! writer half: no program checkpoints a machine holding a map instruction in flight
+lastcpu_bus::wire::Rest  Codec::encoded_len; tests/wire_pins.rs sizes a rest-of-frame field through it
+lastcpu_core::memctl_dev::MemCtlDevice::new  tests/restore_pins.rs builds the memory controller it restores into
+lastcpu_core::system::System::restore_from  tests/checkpoint_pins.rs and tests/trace_repr.rs restore a machine through it
+lastcpu_core::system::System::verify_checkpoint  tests/checkpoint_pins.rs holds its verdicts
+lastcpu_devices::accel  the Accelerator, a Figure-1 device no experiment attaches yet, whole: tests/restore_pins.rs and tests/wire_pins.rs pin its section and its message
+lastcpu_devices::nic::EchoApp  tests/restore_pins.rs pins the echo NIC app's section
+lastcpu_devices::ssd::FileStatus  a tags! writer half; tests/wire_pins.rs sizes it
+lastcpu_devices::ssd::SmartSsd::monitor  tests/restore_pins.rs pins the SSD monitor's section through it
+lastcpu_fabric::ring::HashRing::nodes  ShardRouterHost::endpoint_names reads it (tests/metrics_pins.rs)
+lastcpu_iommu::unit::Iommu::audit  tests/restore_pins.rs pins the DMA audit's section through it
+lastcpu_iommu::unit::Iommu::mapped_pages  tests/iommu_pins.rs holds a unit's mapped page count through it
+lastcpu_iommu::unit::Iommu::protect  tests/iommu_pins.rs changes a mapping's permissions through it
+lastcpu_kvs::app::KvsNicApp::set_fast_path  tests/delivery.rs turns the NIC server's fast path off, through SmartNic::app_mut, the slow path's only route in a test
+lastcpu_kvs::cpu_app::KvsCpuApp  tests/restore_pins.rs pins its section and tests/metrics_pins.rs reads its counters
+lastcpu_kvs::engine::KvEngine::delete  tests/restore_pins.rs writes tombstones with it
+lastcpu_kvs::engine::KvEngine::is_empty  clippy's len_without_is_empty asks for it beside the linked len
+lastcpu_kvs::server::KvsServer::set_fast_path  KvsNicApp::set_fast_path's half
+lastcpu_mem::pagetable::PageTable::mapped_pages  Iommu::mapped_pages reads it (tests/iommu_pins.rs)
+lastcpu_mem::pagetable::PageTable::node_count  Iommu::table_nodes reads it (tests/iommu_pins.rs)
+lastcpu_mem::pagetable::PageTable::protect  Iommu::protect walks it (tests/iommu_pins.rs)
+lastcpu_sim::metrics::MetricsHub::gauge  tests/metrics_pins.rs reads the hub's gauges through it
+lastcpu_sim::stats::Histogram::reset  the metrics section's reader half zeroes each histogram with it (tests/restore_pins.rs)
+lastcpu_sim::trace::TraceSink::is_empty  clippy's len_without_is_empty asks for it beside the linked len
+lastcpu_snap::SnapReader::i64  the reader half of an i64 field (tests/restore_pins.rs)
+lastcpu_virtio::queue::VirtqueueDriver  a fields! writer half: no program checkpoints a virtqueue driver
+"
+reach_target=target/reach
+reach_build() {
+    cargo build --offline --quiet --profile dev --target-dir "$reach_target" \
+        --message-format=json "$@"
+}
+reach_json=$(reach_build --workspace --bins --examples)
+reach_rlibs=$(printf '%s\n' "$reach_json" | grep -o '"[^"]*/liblastcpu_[a-z]*-[0-9a-f]*\.rlib"' | tr -d '"' | sort -u)
+reach_json="$reach_json
+$(reach_build -p lastcpu-bench --bench components)
+$(reach_build --manifest-path benchmark/Cargo.toml)"
+reach_progs=$(printf '%s\n' "$reach_json" | grep -o '"executable":"[^"]*"' | sed 's/^"executable":"//; s/"$//' | sort -u)
+reach_syms() { sed -E 's/^[0-9a-f]+ ([A-Za-z]) /\1 /; s/::h[0-9a-f]{16}$//'; }
+# shellcheck disable=SC2086 # one path per word
+nm -C --defined-only $reach_progs | reach_syms | cut -c3- | sort -u > "$reach_target/programs.txt"
+# One line per function: the symbol, a tab, and its path for the list.
+# shellcheck disable=SC2086
+nm -C --defined-only $reach_rlibs 2>/dev/null | reach_syms | grep -E '^[tT] <?lastcpu_' | cut -c3- |
+    sort -u | sed -E 'h
+        s/^<([^ ]+) as .*>::([A-Za-z0-9_]+)$/\1::\2/
+        s/^.*<impl ([^<>]* for )?([^<> ]+)>::([A-Za-z0-9_]+)$/\2::\3/
+        s/<[A-Z][A-Za-z0-9_, ]*>//g
+        x; G; s/\n/\t/' > "$reach_target/lib.txt"
+reach_allow="$reach_allow" surface_allow="$surface_allow" awk -F'\t' '
+    BEGIN {
+        n = split(ENVIRON["reach_allow"], a, "\n")
+        for (i = 1; i <= n; i++) if (a[i] != "") { sub(/ .*/, "", a[i]); entry[a[i]] = 1 }
+        n = split(ENVIRON["surface_allow"], a, "\n")
+        for (i = 1; i <= n; i++) if (a[i] != "") { sub(/ .*/, "", a[i]); surface[a[i]] = 1 }
+    }
+    FNR == NR { linked[$0] = 1; next }
+    $1 in linked { next }
+    { unreached++ }
+    $1 ~ /(Restore( for .*)?>::restore|(Field|Span|Codec)(<.*>)?( for .*)?>::take|::from_tag)$/ { reader++; next }
+    $1 ~ /\{\{closure\}\}|(as|impl) core::(clone::Clone|fmt::Debug|hash::Hash|default::Default|cmp::(PartialEq|Eq|PartialOrd|Ord))( for [^>]*)?>::|Drop( for .*)?>::drop$/ { glue++; next }
+    $1 ~ /Display( for .*)?>::fmt$/ { display++; next }
+    {
+        name = $2; sub(/.*::/, "", name)
+        if (name in surface) { by_name++; next }
+        path = $2
+        while (path != "") {
+            if (path in entry) { used[path] = 1; listed++; next }
+            if (path !~ /::/) break
+            sub(/::[^:]*$/, "", path)
+        }
+        print "    " $1
+        print "      refused: no shipped program links it; delete it with the tests that test only it"
+        bad = 1
+    }
+    END {
+        for (k in entry) if (!(k in used)) {
+            print "    reach allow-list: " k " matches no unreached function; take it off the list"
+            bad = 1
+        }
+        printf "    %d library functions no program links: %d reader halves, %d glue, %d Display,", unreached, reader, glue, display
+        printf " %d on the surface allow-list, %d under a reach_allow entry\n", by_name, listed
+        exit bad
+    }
+' "$reach_target/programs.txt" "$reach_target/lib.txt" || {
+    echo "FAIL: a library function no shipped program links (see above)"; exit 1;
 }
 
 echo "==> tier-1: cargo build --release"

@@ -159,7 +159,6 @@ fn fabric_exhaustion_denies_and_failure_releases() {
     }
     // A second tenant is denied while the fabric is full.
     let late = sys.add_device(Box::new(FabricClient::new("late", accel.id, 1, 1)));
-    sys.start_device(late); // hot-plug
     sys.run_for(SimDuration::from_millis(10));
     {
         let l: &FabricClient = sys.device_as(late).unwrap();

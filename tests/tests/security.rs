@@ -119,7 +119,7 @@ fn wild_dma_faults_at_the_attackers_own_iommu_and_is_audited() {
         SecurityPolicy::default(),
     );
     run(&mut a);
-    let s = evil(&a).stats(AttackKind::WildDma);
+    let s = evil(&a).all_stats()[AttackKind::WildDma.index()].1;
     assert!(s.attempts >= 8, "both rounds fired: {s:?}");
     assert_eq!(s.denied_local, s.attempts, "every probe faulted: {s:?}");
     assert_eq!(s.acked_ok, 0, "no wild DMA may succeed: {s:?}");
@@ -140,7 +140,7 @@ fn stale_generation_windows_stay_revoked() {
         SecurityPolicy::default(),
     );
     run(&mut a);
-    let s = evil(&a).stats(AttackKind::StaleGeneration);
+    let s = evil(&a).all_stats()[AttackKind::StaleGeneration.index()].1;
     assert!(s.attempts >= 8);
     assert_eq!(
         s.denied_local, s.attempts,
@@ -171,7 +171,7 @@ fn confused_deputy_requests_are_refused_by_the_bus() {
         SecurityPolicy::default(),
     );
     run(&mut a);
-    let s = evil(&a).stats(AttackKind::ConfusedDeputy);
+    let s = evil(&a).all_stats()[AttackKind::ConfusedDeputy.index()].1;
     // 2 rounds x (forged map + 2 guessed shares + the post-escalation
     // non-Memory map once Compute is owned) — all must resolve to denials.
     assert!(s.attempts >= 7, "{s:?}");
@@ -206,7 +206,7 @@ fn ssdp_shadowing_is_denied_under_the_hardened_policy() {
         SecurityPolicy::hardened(64),
     );
     run(&mut a);
-    let s = evil(&a).stats(AttackKind::SsdpSpoof);
+    let s = evil(&a).all_stats()[AttackKind::SsdpSpoof.index()].1;
     assert!(s.attempts >= 1, "shadow announces fired");
     assert_eq!(s.acked_ok, 0, "no shadow announce accepted: {s:?}");
     assert_eq!(s.denied_remote, s.attempts, "{s:?}");
@@ -234,7 +234,7 @@ fn ssdp_shadowing_succeeds_without_the_policy_documenting_the_opt_in() {
         SecurityPolicy::default(),
     );
     run(&mut a);
-    let s = evil(&a).stats(AttackKind::SsdpSpoof);
+    let s = evil(&a).all_stats()[AttackKind::SsdpSpoof.index()].1;
     assert!(
         s.attempts >= 1 && s.denied_remote == 0,
         "nothing refused: {s:?}"
@@ -260,7 +260,7 @@ fn control_floods_are_shed_without_starving_the_workload() {
         SecurityPolicy::hardened(16),
     );
     run(&mut a);
-    let s = evil(&a).stats(AttackKind::ControlFlood);
+    let s = evil(&a).all_stats()[AttackKind::ControlFlood.index()].1;
     assert!(s.attempts >= 128, "two 64-message bursts: {s:?}");
     // Shedding is bus-side and silent (no NACK amplification).
     let shed = a.system.stats().counter("sec.flood_dropped");

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use lastcpu_fabric::{TopoKind, Topology, TopologyConfig};
+use lastcpu_fabric::{TopoKind, Topology, TopologyConfig, Transit};
 use lastcpu_net::NetCostModel;
 use lastcpu_sim::SimTime;
 use proptest::prelude::*;
@@ -42,10 +42,22 @@ fn any_kind() -> impl Strategy<Value = TopoKind> {
     })
 }
 
+/// Sends one 128-byte frame `src → dst` across `topo`; returns the transit
+/// and the links it crossed, read off the per-link frame counters.
+fn cross(topo: &mut Topology, src: usize, dst: usize, at: SimTime) -> (Transit, Vec<u32>) {
+    let before: Vec<u64> = topo.links().map(|l| l.frames).collect();
+    let t = topo.transit(src, dst, 128, at);
+    let hops = topo.links().zip(before).enumerate();
+    let path = hops
+        .filter(|(_, (l, b))| l.frames > *b)
+        .map(|(i, _)| i as u32);
+    (t, path.collect())
+}
+
 /// Name of the middle-stage element a cross-traffic path rides: the spine
 /// (`leaf{l}->spine{s}` hop) or the core (`a{p}.{j}->c{c}` hop).
-fn middle_hop_name(topo: &Topology, src: usize, dst: usize) -> Option<String> {
-    for &li in topo.path(src, dst) {
+fn middle_hop_name(topo: &mut Topology, src: usize, dst: usize) -> Option<String> {
+    for li in cross(topo, src, dst, SimTime::ZERO).1 {
         let name = topo.link(li).name;
         if let Some(rest) = name.split("->").nth(1) {
             if rest.starts_with("spine") || rest.starts_with('c') {
@@ -72,17 +84,17 @@ proptest! {
         let mut topo = build(kind, oversub, machines, seed);
         for s in 0..machines {
             for d in 0..machines {
-                let len = topo.path(s, d).len();
+                let at = SimTime::from_nanos(1_000);
+                let (t, path) = cross(&mut topo, s, d, at);
+                let len = path.len();
                 prop_assert!(
                     (2..=6).contains(&len),
                     "{kind:?} pair ({s},{d}): path of {len} links"
                 );
-                let at = SimTime::from_nanos(1_000);
-                let t = topo.transit(s, d, 128, at);
                 prop_assert!(t.deliver > at, "transit must cost time");
                 prop_assert_eq!(
                     t.uplink_ns + t.spine_ns + t.downlink_ns,
-                    (t.deliver - at).as_nanos(),
+                    t.deliver.since(at).as_nanos(),
                     "stage split must sum to the crossing"
                 );
             }
@@ -96,13 +108,13 @@ proptest! {
         machines in 2usize..=66,
         seed in 0u64..1_000_000,
     ) {
-        let a = build(kind, 1, machines, seed);
-        let b = build(kind, 1, machines, seed);
+        let mut a = build(kind, 1, machines, seed);
+        let mut b = build(kind, 1, machines, seed);
         for s in 0..machines {
             for d in 0..machines {
                 prop_assert_eq!(
-                    a.path(s, d),
-                    b.path(s, d),
+                    cross(&mut a, s, d, SimTime::ZERO).1,
+                    cross(&mut b, s, d, SimTime::ZERO).1,
                     "pair ({s},{d}) chose different paths on rebuild"
                 );
             }
@@ -112,7 +124,7 @@ proptest! {
 
 /// Counts how many cross-traffic pairs ride each middle-stage element and
 /// asserts every element is used and the spread stays within `band`x.
-fn assert_balanced(topo: &Topology, machines: usize, expected_elems: usize, band: u64) {
+fn assert_balanced(topo: &mut Topology, machines: usize, expected_elems: usize, band: u64) {
     let mut per_elem: BTreeMap<String, u64> = BTreeMap::new();
     for s in 0..machines {
         for d in 0..machines {
@@ -140,8 +152,8 @@ fn leaf_spine_ecmp_balances_within_3x() {
     // cross-leaf pairs should land ~448 per spine; a 3x band is loose
     // enough for a hash yet tight enough to catch a degenerate mix.
     for seed in [7u64, 0xE10, 1984] {
-        let topo = build(TopoKind::LeafSpine { leaf_size: 8 }, 1, 64, seed);
-        assert_balanced(&topo, 64, 8, 3);
+        let mut topo = build(TopoKind::LeafSpine { leaf_size: 8 }, 1, 64, seed);
+        assert_balanced(&mut topo, 64, 8, 3);
     }
 }
 
@@ -150,9 +162,8 @@ fn fat_tree_ecmp_balances_within_3x() {
     // 128 machines auto-size to k = 8: 16 cores, 6912 cross-pod pairs,
     // ~432 per core.
     for seed in [7u64, 0xE10, 1984] {
-        let topo = build(TopoKind::FatTree { k: 0 }, 1, 128, seed);
-        assert_eq!(topo.fat_tree_k(), Some(8));
-        assert_balanced(&topo, 128, 16, 3);
+        let mut topo = build(TopoKind::FatTree { k: 0 }, 1, 128, seed);
+        assert_balanced(&mut topo, 128, 16, 3);
     }
 }
 
@@ -161,11 +172,11 @@ fn different_seeds_perturb_ecmp_choices() {
     // Not a tautology check: with 3584 cross-leaf pairs over 8 spines, two
     // seeds agreeing on every pair would mean the seed never reaches the
     // hash. (Fixed seeds keep this deterministic.)
-    let a = build(TopoKind::LeafSpine { leaf_size: 8 }, 1, 64, 7);
-    let b = build(TopoKind::LeafSpine { leaf_size: 8 }, 1, 64, 8);
+    let mut a = build(TopoKind::LeafSpine { leaf_size: 8 }, 1, 64, 7);
+    let mut b = build(TopoKind::LeafSpine { leaf_size: 8 }, 1, 64, 8);
     let diverged = (0..64)
         .flat_map(|s| (0..64).map(move |d| (s, d)))
-        .any(|(s, d)| a.path(s, d) != b.path(s, d));
+        .any(|(s, d)| cross(&mut a, s, d, SimTime::ZERO).1 != cross(&mut b, s, d, SimTime::ZERO).1);
     assert!(diverged, "seed is dead weight in the ECMP hash");
 }
 
@@ -178,7 +189,6 @@ fn fat_tree_bisection_matches_analytic_value() {
     for k in [4u32, 6, 8] {
         let hosts = (k * k * k / 4) as usize;
         let topo = build(TopoKind::FatTree { k }, 1, hosts, 7);
-        assert_eq!(topo.fat_tree_k(), Some(k));
         let cut = topo
             .links()
             .filter(|l| {
