@@ -255,6 +255,7 @@ fn run(args: &Args) -> Result<Vec<Cell>, String> {
             .exact("done", rack.done, "")
             .exact("ops", report.ops.len(), "count")
             .exact("incomplete", report.incomplete, "count")
+            .exact("router_only", report.router_only, "count")
             .lower("worst_sum_error", sum_error, "frac", 0.10)
             .exact("dominant_p99", report.dominant_at_p99().unwrap_or("-"), "")
             // The clients' own histogram, to cross-check the p99 row below.
@@ -311,6 +312,11 @@ fn check(r: &Report) -> Vec<String> {
     };
     g.require(cp.is("done", true), "rack workload did not complete".into());
     g.require(cp.num("ops") > 0.0, "no operations decomposed".into());
+    let incomplete = cp.num("incomplete");
+    g.require(
+        incomplete == 0.0,
+        format!("{incomplete} client-issued operations have no critical path"),
+    );
     let err = cp.num("worst_sum_error");
     g.require(err <= 0.05, format!("worst_sum_error {err} > 0.05"));
     let dominant = cp.get("dominant_p99").and_then(Json::as_str).unwrap_or("");

@@ -42,6 +42,7 @@ BENCH_e12.json   | attribution        | phase=system | attributed_alloc_fraction
 BENCH_e12.json   | attribution        | phase=rack   | attributed_alloc_fraction | 0.94 | rack: attributed_alloc_fraction 0.94
 BENCH_e12.json   | attribution        | phase=system | events                    | HOST | host metric under --no-wall
 BENCH_e12.json   | scopes             | scope=fabric.dir_query |                 | DROP | no fabric.dir_query spans
+BENCH_e12.json   | critical_path      |              | incomplete                | 1    | 1 client-issued operations have no critical path
 BENCH_e12.json   | critical_path      |              | worst_sum_error           | 0.06 | worst_sum_error 0.06 > 0.05
 BENCH_e12.json   | critical_path.rows | percentile=99} | total_ns                | 1    | segments sum to
 BENCH_e14.json   | restore             | crash=false | restore_replay_events | 1     | restore_replay_events != ckpt_events

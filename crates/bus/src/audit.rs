@@ -304,11 +304,3 @@ lastcpu_snap::record!(SecurityPolicy {
     flood_limit,
     flood_window
 });
-
-#[cfg(test)]
-impl SecurityPolicy {
-    /// What the bus section writes for the policy.
-    pub(crate) fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
-        lastcpu_snap::Field::put(self, w);
-    }
-}

@@ -5,7 +5,7 @@
 
 use lastcpu_bus::{RetryConfig, RpcTracker};
 use lastcpu_net::PortId;
-use lastcpu_sim::{DetRng, Pending};
+use lastcpu_sim::DetRng;
 use lastcpu_snap::{
     Checkpoint, Derived, Diff, Emit, Encoder, Manifest, SectionSink, SnapError, Snapshot as _,
     Span as _,
@@ -13,20 +13,16 @@ use lastcpu_snap::{
 
 use super::{HostSlot, PortOwner, RpcState, SharedLink, Slot, SlotFaults, System};
 
-/// The `engine` section: virtual clock, event cursors, the count and a
-/// content digest of the pending events, and the machine-global odds and
-/// ends that live outside any component (correlation allocator, shared
-/// link, tunnel state, fault schedule).
+/// The `engine` section: the machine-global odds and ends that live
+/// outside any component (correlation allocator, shared link, tunnel
+/// state, fault schedule), then the event queue: virtual clock, event
+/// cursors and every pending event.
 struct Engine;
 
 lastcpu_snap::fields! { Engine for System |s| {
-    ..Derived("clock and event cursors", |s: &System| {
-        (s.queue.now(), s.queue.events_processed(), s.queue.seq_cursor())
-    }),
-    queue: ..Pending(b"queue"),
     next_corr, memctl_id, shared_link,
     ..Derived("tunnel ports", System::tunnel_ports),
-    tunnel_out, fault_events,
+    tunnel_out, fault_events, queue,
 } }
 
 lastcpu_snap::record! { SharedLink { busy_until, per_byte_ps } }
@@ -188,13 +184,14 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::small_fs;
+    use super::super::Event;
     use super::*;
     use crate::config::SystemConfig;
     use crate::host::{HostCtx, NetHost};
     use lastcpu_devices::nic::{EchoApp, SmartNic};
     use lastcpu_devices::ssd::{SmartSsd, SsdConfig};
     use lastcpu_net::Frame;
-    use lastcpu_sim::{FaultKind, FaultPlan, SimDuration, SimTime};
+    use lastcpu_sim::{CorrId, FaultKind, FaultPlan, SimDuration, SimTime};
     use lastcpu_snap::{Restore as _, SnapReader};
 
     /// Pings the NIC every 3 µs and counts the echoes.
@@ -232,7 +229,8 @@ mod tests {
 
     /// A traced machine with RPC retries on, its planes conflated (so the
     /// shared link carries state) and faults armed on its SSD: memctl, an
-    /// echo NIC, the SSD and a host pinging the NIC. Powered on, not run.
+    /// echo NIC, the SSD, a host pinging the NIC and a tunnel port. Powered
+    /// on, not run.
     fn recipe() -> System {
         let mut plan = FaultPlan::new(3);
         let at = SimTime::from_nanos(1_000_000);
@@ -259,6 +257,7 @@ mod tests {
             sent: 0,
             echoed: 0,
         }));
+        sys.add_tunnel_port();
         sys.power_on();
         sys
     }
@@ -306,9 +305,8 @@ mod tests {
     }
 
     /// Each section the machine declares, restored into a twin replayed to
-    /// the same cursor, snapshots to the bytes it was read from; every one
-    /// but `engine` (which holds replayed state to the replay) does so too
-    /// in a twin that has only powered on, so its reader loads all it reads.
+    /// the same cursor and into a twin that has only powered on, snapshots
+    /// to the bytes it was read from: its reader loads all it reads.
     #[test]
     fn every_declared_section_reads_back_what_it_wrote() {
         let (sys, ck) = warmed();
@@ -319,12 +317,7 @@ mod tests {
         while twin.queue.events_processed() < ck.manifest.events && twin.step().is_some() {}
         for tag in &tags {
             let body = ck.section(tag).expect("written");
-            let mut fresh = recipe();
-            let targets = match tag.as_str() {
-                "engine" => vec![&mut twin],
-                _ => vec![&mut twin, &mut fresh],
-            };
-            for sys in targets {
+            for sys in [&mut twin, &mut recipe()] {
                 load(sys, tag, body).unwrap_or_else(|e| panic!("{tag} does not read: {e}"));
                 let again = sys.checkpoint("readers").expect("snapshots");
                 assert!(
@@ -337,27 +330,105 @@ mod tests {
             .expect("the twin is the checkpointed machine");
     }
 
-    /// The pending events are digested, not stored: read against a queue
-    /// that was not replayed to the cursor, the digest is refused.
+    /// `recipe()` mid-run with events of several kinds pending: host
+    /// timers, frames on the switch (one a frame from outside, with its
+    /// correlation id) and a frame that reached the tunnel port and waits
+    /// for a fabric to drain it.
+    fn in_flight() -> (System, Checkpoint) {
+        let mut sys = recipe();
+        sys.run_until(SimTime::from_nanos(2_000_123));
+        let tunnel = PortId(sys.port_owners.len() as u32);
+        let frame = |dst| Frame::unicast(PortId(0), dst, b"from the rack".to_vec());
+        sys.inject_frame(sys.now(), frame(tunnel), CorrId(0xC0FFEE));
+        sys.run_until(SimTime::from_nanos(2_100_000));
+        sys.inject_frame(sys.now(), frame(tunnel), CorrId(0xBEEF));
+        let ck = sys
+            .checkpoint("in flight")
+            .expect("every component snapshots");
+        (sys, ck)
+    }
+
+    /// The `engine` section of a machine with events pending loads into a
+    /// machine that has only powered on: the same events, cursors and
+    /// tunnel deliveries, and the section re-snapshots to its bytes.
     #[test]
-    fn the_pending_reader_refuses_a_queue_that_was_not_replayed() {
-        let (_, ck) = warmed();
+    fn the_engine_section_loads_the_pending_events() {
+        let (sys, ck) = in_flight();
+        let kinds = |s: &System| {
+            let mut kinds: Vec<&str> = (s.queue.entries().iter())
+                .map(|(_, _, ev)| match ev {
+                    Event::HostTimer { .. } => "host timer",
+                    Event::NetDeliver { corr, .. } if *corr == CorrId(0xBEEF) => {
+                        "frame from outside"
+                    }
+                    Event::NetDeliver { .. } => "frame",
+                    _ => "other",
+                })
+                .collect();
+            kinds.sort_unstable();
+            kinds.dedup();
+            kinds
+        };
+        assert_eq!(
+            kinds(&sys),
+            ["frame", "frame from outside", "host timer", "other"]
+        );
+        assert_eq!(sys.tunnel_out.len(), 1, "a tunnel delivery waits");
+        assert_eq!(sys.tunnel_out[0].corr, CorrId(0xC0FFEE));
+
         let engine = ck.section("engine").expect("written");
         let mut fresh = recipe();
-        // The clock and two cursors come first, eight bytes each.
-        let mut r = SnapReader::new("engine", &engine[24..]);
-        let err = Pending(b"queue")
-            .take(&mut fresh.queue, &mut r)
-            .expect_err("another queue");
-        match err {
-            SnapError::Corrupt { section, detail } => {
-                assert_eq!(section, "engine");
-                assert!(
-                    detail.contains("pending queue events") && detail.contains("replayed queue"),
-                    "{detail}"
-                );
+        load(&mut fresh, "engine", engine).expect("the section loads");
+        assert_eq!(fresh.now(), sys.now());
+        assert_eq!(fresh.queue.events_processed(), sys.queue.events_processed());
+        assert_eq!(fresh.queue.seq_cursor(), sys.queue.seq_cursor());
+        assert_eq!(fresh.queue.len(), sys.queue.len());
+        assert_eq!(kinds(&fresh), kinds(&sys));
+        assert_eq!(fresh.tunnel_out[0].corr, CorrId(0xC0FFEE));
+        let again = fresh.checkpoint("in flight").expect("snapshots");
+        assert!(again.section("engine").expect("written") == engine);
+    }
+
+    /// Doctored event lists are refused as corrupt, not by a panic and not
+    /// by loading some of them: an entry before the clock, a seq at the
+    /// cursor, an event tag no event has, and a list cut short.
+    #[test]
+    fn a_doctored_event_list_is_refused() {
+        let (sys, ck) = in_flight();
+        let engine = ck.section("engine").expect("written");
+        // The queue ends the section: the clock, the pop count, the seq
+        // cursor and the entry count, then the first entry's time, seq and
+        // event tag.
+        let mut queue = lastcpu_snap::SnapWriter::new();
+        lastcpu_snap::Field::put(&sys.queue, &mut queue);
+        let first = engine.len() - queue.into_bytes().len() + 32;
+        let clock = sys.now().as_nanos();
+        let cursor = sys.queue.seq_cursor();
+        let doctor = |at: usize, bytes: &[u8]| {
+            let mut body = engine.to_vec();
+            body[at..at + bytes.len()].copy_from_slice(bytes);
+            body
+        };
+        for (body, what) in [
+            (
+                doctor(first, &(clock - 1).to_le_bytes()),
+                "before the clock",
+            ),
+            (
+                doctor(first + 8, &cursor.to_le_bytes()),
+                "at or beyond the cursor",
+            ),
+            (doctor(first + 16, &[200]), "bad Event tag 200"),
+            (engine[..first + 10].to_vec(), "truncated"),
+        ] {
+            let err = load(&mut recipe(), "engine", &body).expect_err(what);
+            match err {
+                SnapError::Corrupt { section, detail } => {
+                    assert_eq!(section, "engine");
+                    assert!(detail.contains(what), "{detail} does not say {what}");
+                }
+                other => panic!("{what}: not refused as corrupt: {other}"),
             }
-            other => panic!("not refused as corrupt: {other}"),
         }
     }
 }

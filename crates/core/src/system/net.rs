@@ -31,9 +31,12 @@ pub struct TunnelDelivery {
     pub corr: CorrId,
 }
 
-// The section layout predates the correlation id, so it is not written and
-// a reader gives `CorrId::NONE`.
-lastcpu_snap::record!(TunnelDelivery { at, port, frame, corr = CorrId::NONE });
+lastcpu_snap::record!(TunnelDelivery {
+    at,
+    port,
+    frame,
+    corr
+});
 
 impl System {
     /// Adds an external host machine; returns its switch port.

@@ -31,7 +31,6 @@ use lastcpu_bus::{ConnId, DeviceId, RequestId, ResourceKind, ServiceDesc, Servic
 use lastcpu_iommu::IommuFault;
 use lastcpu_mem::Pasid;
 use lastcpu_sim::{costs, profile, DetHashMap, SimDuration, TraceData};
-use lastcpu_snap::{Pin, Pinned};
 use lastcpu_virtio::{DescChain, QueueError, QueueLayout, VirtqueueDevice};
 
 use crate::device::DeviceCtx;
@@ -989,18 +988,11 @@ lastcpu_snap::record!(SsdStats {
     images_loaded
 });
 
-/// The `ssd.per_request` row, where an SSD section carried it as
-/// configuration (the next `SCHEMA_VERSION` drops these bytes).
-const PINNED_OVERHEAD: Pinned = Pinned(&[(
-    "SSD per-request overhead",
-    Pin::U64(costs::SSD_PER_REQUEST.as_nanos()),
-)]);
-
 // `scratch_*` buffers are reused walk scratch, cleared before every use —
 // deliberately not state.
 lastcpu_snap::fields! { SmartSsd |self| {
     name, mut monitor, mut fs, config.isolation, config.quantum, config.exports,
-    config.file_auth, config.loader_auth, ..PINNED_OVERHEAD, exported, next_file_svc,
+    config.file_auth, config.loader_auth, exported, next_file_svc,
     conns, work, poll_armed, stats,
 } }
 

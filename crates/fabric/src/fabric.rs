@@ -868,24 +868,19 @@ impl Fabric {
 // Rack checkpoints
 // ---------------------------------------------------------------------------
 
-use lastcpu_sim::Pending;
 use lastcpu_snap::{
-    Checkpoint, Derived, Diff, Each, Manifest, SectionSink, SnapError, Snapshot as _, Span as _,
+    Checkpoint, Diff, Each, Manifest, SectionSink, SnapError, Snapshot as _, Span as _,
 };
 
 /// The `fabric` section, the rack's own durable state: clock, directory,
-/// fault schedule, the count and a content digest of the frames in flight
-/// between machines, link occupancy, proxy wiring, and per-machine link
-/// faults.
+/// fault schedule, the frames in flight between machines (the link queue's
+/// clock, cursors and every pending delivery), link occupancy, proxy
+/// wiring, and per-machine link faults.
 struct Rack;
 
 lastcpu_snap::fields! { Rack for Fabric |f| {
-    now, dir_epoch, next_sync, fault_cursor, faults,
-    queue: ..Pending(b"links"),
-    ..Derived("link queue cursors", |f: &Fabric| {
-        (f.queue.events_processed(), f.queue.seq_cursor())
-    }),
-    directory, mut topo, machines: ..Each,
+    now, dir_epoch, next_sync, fault_cursor, faults, queue, directory, mut topo,
+    machines: ..Each,
 } }
 
 // One machine's part of the `fabric` section; its system has a section of
@@ -1789,9 +1784,10 @@ mod tests {
         assert_eq!(faults.delay_extra, SimDuration::from_nanos(5_000));
     }
 
-    /// The `fabric` section, restored into a twin run to the same instant,
-    /// snapshots to the bytes it was read from; its in-flight digest, read
-    /// against a rack that was not run, is refused.
+    /// The `fabric` section, restored into a twin run to the same instant
+    /// and into a rack that was only built, snapshots to the bytes it was
+    /// read from: the frames in flight load with it. A pending delivery
+    /// before the link queue's clock is refused as corrupt.
     #[test]
     fn the_fabric_section_reads_back_what_it_wrote() {
         let at = SimTime::from_nanos(1_000_321);
@@ -1799,24 +1795,45 @@ mod tests {
         fab.run_until(at);
         assert!(fab.queue.len() > 3, "frames are in flight");
         assert!(
+            fab.queue.entries().iter().any(|(_, _, d)| d.corr.is_some()),
+            "a frame in flight carries a correlation id"
+        );
+        assert!(
             fab.machines[1].faults.delay_remaining > 0,
             "delays are armed"
         );
         let body = Rack.bytes(&fab);
         let mut twin = streaming_rack();
         twin.run_until(at);
-        let mut r = lastcpu_snap::SnapReader::new("fabric", &body);
-        Rack.take(&mut twin, &mut r).expect("the section reads");
-        r.finish().expect("all of it");
-        assert!(Rack.bytes(&twin) == body, "re-snapshots to other bytes");
+        for into in [&mut twin, &mut streaming_rack()] {
+            let mut r = lastcpu_snap::SnapReader::new("fabric", &body);
+            Rack.take(into, &mut r).expect("the section reads");
+            r.finish().expect("all of it");
+            assert!(Rack.bytes(into) == body, "re-snapshots to other bytes");
+            assert_eq!(into.queue.len(), fab.queue.len());
+        }
 
-        let links = Pending(b"links").bytes(&fab.queue);
-        let mut r = lastcpu_snap::SnapReader::new("fabric", &links);
-        let err = Pending(b"links")
-            .take(&mut streaming_rack().queue, &mut r)
-            .expect_err("another queue");
+        // The queue follows the clock, directory epoch, next sweep, fault
+        // cursor and fault list; its first entry's time follows the
+        // queue's clock, two cursors and the entry count.
+        use lastcpu_snap::Field as _;
+        let mut head = lastcpu_snap::SnapWriter::new();
+        (fab.now, fab.dir_epoch, fab.next_sync, fab.fault_cursor).put(&mut head);
+        fab.faults.put(&mut head);
+        let first = head.into_bytes().len() + 4 * 8;
+        let mut bad = body.clone();
+        let clock = fab.queue.now().as_nanos();
+        assert_eq!(
+            bad[first..first + 8],
+            fab.queue.entries()[0].0.as_nanos().to_le_bytes()
+        );
+        bad[first..first + 8].copy_from_slice(&(clock - 1).to_le_bytes());
+        let mut r = lastcpu_snap::SnapReader::new("fabric", &bad);
+        let err = Rack
+            .take(&mut streaming_rack(), &mut r)
+            .expect_err("a delivery before the clock");
         assert!(
-            matches!(&err, SnapError::Corrupt { detail, .. } if detail.contains("pending links events")),
+            matches!(&err, SnapError::Corrupt { detail, .. } if detail.contains("before the clock")),
             "{err}"
         );
     }

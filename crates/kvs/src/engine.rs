@@ -3,8 +3,8 @@
 //! Values live in an append-only log (the SSD file); the index mapping keys
 //! to `(value_offset, value_len)` lives in the processing device's local
 //! memory — on the smart NIC in the CPU-less deployment, in kernel memory
-//! on the baseline. KV-Direct uses the same split. Deletes are tombstones;
-//! the index is rebuilt by scanning the log at startup.
+//! on the baseline. KV-Direct uses the same split. The index is rebuilt by
+//! scanning the log at startup.
 //!
 //! Record layout (little endian):
 //!
@@ -12,12 +12,12 @@
 //! [klen: u16][vlen: u32][key bytes][value bytes]
 //! ```
 //!
-//! A tombstone is `vlen == u32::MAX` with no value bytes.
+//! The log is read back from storage, so a scan refuses a record whose
+//! lengths are out of bounds (a `vlen` of `u32::MAX` was a delete's
+//! tombstone) instead of skipping it.
 
 use lastcpu_sim::DetHashMap;
 
-/// Tombstone marker.
-const TOMBSTONE: u32 = u32::MAX;
 /// Record header size.
 pub const HEADER: u64 = 6;
 
@@ -187,40 +187,6 @@ impl KvEngine {
         }
         Ok((log, fresh))
     }
-
-    /// Prepares a DELETE (tombstone). Returns `(append_offset,
-    /// record_bytes)`, or `None` if the key does not exist.
-    pub fn delete(&mut self, key: &[u8]) -> Result<Option<(u64, Vec<u8>)>, EngineError> {
-        let mut rec = Vec::new();
-        Ok(self.delete_into(key, &mut rec)?.map(|offset| (offset, rec)))
-    }
-
-    /// [`KvEngine::delete`] with the tombstone encoded into `rec` (cleared
-    /// first). Returns the append offset, or `None` if the key does not
-    /// exist.
-    pub fn delete_into(
-        &mut self,
-        key: &[u8],
-        rec: &mut Vec<u8>,
-    ) -> Result<Option<u64>, EngineError> {
-        if key.len() > MAX_KEY {
-            return Err(EngineError::KeyTooLong);
-        }
-        let Some(old) = self.index.remove(key) else {
-            return Ok(None);
-        };
-        self.stats.dead_bytes += HEADER + key.len() as u64 + old.len as u64;
-        let offset = self.cursor;
-        rec.clear();
-        rec.reserve_exact(HEADER as usize + key.len());
-        rec.extend_from_slice(&(key.len() as u16).to_le_bytes());
-        rec.extend_from_slice(&TOMBSTONE.to_le_bytes());
-        rec.extend_from_slice(key);
-        self.cursor += rec.len() as u64;
-        self.stats.log_bytes += rec.len() as u64;
-        self.stats.dead_bytes += rec.len() as u64; // tombstones are garbage too
-        Ok(Some(offset))
-    }
 }
 
 impl Default for KvEngine {
@@ -271,16 +237,8 @@ impl LogScanner {
                 break;
             }
             let klen = u16::from_le_bytes(rest[0..2].try_into().expect("len 2")) as usize;
-            let vlen_raw = u32::from_le_bytes(rest[2..6].try_into().expect("len 4"));
-            if klen > MAX_KEY {
-                return Err(EngineError::Corrupt);
-            }
-            let vlen = if vlen_raw == TOMBSTONE {
-                0
-            } else {
-                vlen_raw as usize
-            };
-            if vlen > MAX_VALUE {
+            let vlen = u32::from_le_bytes(rest[2..6].try_into().expect("len 4")) as usize;
+            if klen > MAX_KEY || vlen > MAX_VALUE {
                 return Err(EngineError::Corrupt);
             }
             let total = HEADER as usize + klen + vlen;
@@ -289,20 +247,14 @@ impl LogScanner {
             }
             let key = &rest[HEADER as usize..HEADER as usize + klen];
             let record_off = self.base + pos as u64;
-            if vlen_raw == TOMBSTONE {
-                // Replay the delete without re-encoding a tombstone.
-                let existed = engine.index.remove(key).is_some();
-                let _ = existed;
-            } else {
-                let value_off = record_off + HEADER + klen as u64;
-                engine.index.insert(
-                    key.to_vec(),
-                    ValueRef {
-                        offset: value_off,
-                        len: vlen as u32,
-                    },
-                );
-            }
+            let value_off = record_off + HEADER + klen as u64;
+            engine.index.insert(
+                key.to_vec(),
+                ValueRef {
+                    offset: value_off,
+                    len: vlen as u32,
+                },
+            );
             pos += total;
             engine.cursor = engine.cursor.max(record_off + total as u64);
             engine.stats.log_bytes = engine.cursor;
@@ -328,19 +280,16 @@ mod proptests {
     #[derive(Debug, Clone)]
     enum KvOp {
         Put(u8, Vec<u8>),
-        Delete(u8),
     }
 
     fn op_strategy() -> impl Strategy<Value = KvOp> {
-        prop_oneof![
-            (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..64))
-                .prop_map(|(k, v)| KvOp::Put(k, v)),
-            any::<u8>().prop_map(KvOp::Delete),
-        ]
+        (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..64))
+            .prop_map(|(k, v)| KvOp::Put(k, v))
     }
 
     proptest! {
-        /// Any op sequence: the engine's index agrees with a model map, and
+        /// Any sequence of puts and overwrites: the engine's index agrees
+        /// with a model map, and
         /// a scanner replaying the log (in odd-sized chunks) rebuilds the
         /// exact same index.
         #[test]
@@ -359,18 +308,6 @@ mod proptests {
                         prop_assert_eq!(off as usize, log.len(), "appends are dense");
                         log.extend_from_slice(&rec);
                         model.insert(key, v);
-                    }
-                    KvOp::Delete(k) => {
-                        let key = vec![b'k', k];
-                        let r = engine.delete(&key).unwrap();
-                        match model.remove(&key) {
-                            Some(_) => {
-                                let (off, rec) = r.unwrap();
-                                prop_assert_eq!(off as usize, log.len());
-                                log.extend_from_slice(&rec);
-                            }
-                            None => prop_assert!(r.is_none()),
-                        }
                     }
                 }
             }
@@ -402,22 +339,13 @@ mod proptests {
 mod compaction_tests {
     use super::*;
 
-    /// Builds an engine plus its raw log from a list of operations.
-    fn build(ops: &[(&str, Option<&str>)]) -> (KvEngine, Vec<u8>) {
+    /// Builds an engine plus its raw log from a list of puts.
+    fn build(ops: &[(&str, &str)]) -> (KvEngine, Vec<u8>) {
         let mut e = KvEngine::new();
         let mut log = Vec::new();
         for (k, v) in ops {
-            match v {
-                Some(v) => {
-                    let (_, rec) = e.put(k.as_bytes(), v.as_bytes()).unwrap();
-                    log.extend_from_slice(&rec);
-                }
-                None => {
-                    if let Some((_, rec)) = e.delete(k.as_bytes()).unwrap() {
-                        log.extend_from_slice(&rec);
-                    }
-                }
-            }
+            let (_, rec) = e.put(k.as_bytes(), v.as_bytes()).unwrap();
+            log.extend_from_slice(&rec);
         }
         (e, log)
     }
@@ -425,11 +353,11 @@ mod compaction_tests {
     #[test]
     fn compaction_drops_garbage_and_preserves_live_data() {
         let (e, log) = build(&[
-            ("a", Some("v1")),
-            ("b", Some("v2")),
-            ("a", Some("v1-new")), // supersedes
-            ("c", Some("v3")),
-            ("b", None), // tombstone
+            ("a", "v1"),
+            ("b", "v2"),
+            ("a", "v1-new"), // supersedes
+            ("c", "v3"),
+            ("b", "v2-new"), // supersedes
         ]);
         assert!(
             e.stats.dead_bytes * 10 > e.stats.log_bytes * 3,
@@ -442,17 +370,16 @@ mod compaction_tests {
             })
             .unwrap();
         assert!(new_log.len() < log.len());
-        assert_eq!(fresh.len(), 2);
+        assert_eq!(fresh.len(), 3);
         assert_eq!(fresh.stats.dead_bytes, 0);
         // The fresh index points into the new log correctly.
-        for key in [b"a".as_slice(), b"c"] {
+        for key in [b"a".as_slice(), b"b", b"c"] {
             let vref = fresh.get(key).unwrap();
             let got = &new_log[vref.offset as usize..vref.offset as usize + vref.len as usize];
             let want = e.get(key).unwrap();
             let old = &log[want.offset as usize..want.offset as usize + want.len as usize];
             assert_eq!(got, old);
         }
-        assert!(fresh.get(b"b").is_none());
         // A scanner over the new log rebuilds the same state.
         let mut rebuilt = KvEngine::new();
         let mut s = LogScanner::new();
@@ -471,7 +398,7 @@ mod compaction_tests {
 
     #[test]
     fn compaction_detects_length_mismatch() {
-        let (e, _log) = build(&[("a", Some("v1"))]);
+        let (e, _log) = build(&[("a", "v1")]);
         let r = e.compact(|_| vec![1, 2, 3, 4, 5, 6, 7]); // wrong length
         assert_eq!(r.unwrap_err(), EngineError::Corrupt);
     }
@@ -514,16 +441,22 @@ mod tests {
         assert_eq!(e.get(b"k").unwrap().len, 12);
     }
 
+    /// A record with `vlen == u32::MAX`, what a delete's tombstone was, is
+    /// refused as corrupt, not skipped: the records after it are not
+    /// replayed, and the key it names keeps no value it did not have.
     #[test]
-    fn delete_appends_tombstone() {
+    fn a_scan_refuses_a_tombstone() {
+        let mut writer = KvEngine::new();
+        let (_, mut log) = writer.put(b"k", b"v").unwrap();
+        log.extend_from_slice(&1u16.to_le_bytes());
+        log.extend_from_slice(&u32::MAX.to_le_bytes());
+        log.push(b'k');
+        let (_, rec) = writer.put(b"j", b"w").unwrap();
+        log.extend_from_slice(&rec);
         let mut e = KvEngine::new();
-        e.put(b"k", b"v").unwrap();
-        let (off, rec) = e.delete(b"k").unwrap().unwrap();
-        assert!(off > 0);
-        assert_eq!(rec.len(), 6 + 1);
-        assert!(e.get(b"k").is_none());
-        // Deleting a missing key appends nothing.
-        assert_eq!(e.delete(b"nope").unwrap(), None);
+        let mut s = LogScanner::new();
+        assert_eq!(s.feed(&mut e, &log), Err(EngineError::Corrupt));
+        assert!(e.get(b"j").is_none(), "nothing after the tombstone loads");
     }
 
     #[test]
@@ -549,8 +482,6 @@ mod tests {
                 .unwrap();
             log.extend_from_slice(&rec);
         }
-        let (_, rec) = writer.delete(b"key7").unwrap().unwrap();
-        log.extend_from_slice(&rec);
         let (_, rec) = writer.put(b"key3", b"updated").unwrap();
         log.extend_from_slice(&rec);
 
@@ -562,13 +493,9 @@ mod tests {
         }
         assert_eq!(scanner.carry.len(), 0);
         assert_eq!(rebuilt.len(), writer.len());
-        assert!(rebuilt.get(b"key7").is_none());
         assert_eq!(rebuilt.get(b"key3"), writer.get(b"key3"));
         assert_eq!(rebuilt.cursor, writer.cursor);
         for i in 0..50u32 {
-            if i == 7 {
-                continue;
-            }
             let k = format!("key{i}");
             assert_eq!(rebuilt.get(k.as_bytes()), writer.get(k.as_bytes()), "{k}");
         }

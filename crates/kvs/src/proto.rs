@@ -29,37 +29,26 @@ pub enum KvsRequestRef<'a> {
         /// The value, borrowed from the payload.
         value: &'a [u8],
     },
-    /// Remove a key.
-    Delete {
-        /// Request id echoed in the response.
-        id: u64,
-        /// The key, borrowed from the payload.
-        key: &'a [u8],
-    },
 }
 
+// Tag 3 was a delete, which no client sent; it is refused.
 lastcpu_snap::variants! { wire lastcpu_bus::wire; KvsRequestRef<'a> {
     Get = 1 { id, key },
     Put = 2 { id, key, value },
-    Delete = 3 { id, key },
 } }
 
 impl<'a> KvsRequestRef<'a> {
     /// The request id.
     pub fn id(&self) -> u64 {
         match self {
-            KvsRequestRef::Get { id, .. }
-            | KvsRequestRef::Put { id, .. }
-            | KvsRequestRef::Delete { id, .. } => *id,
+            KvsRequestRef::Get { id, .. } | KvsRequestRef::Put { id, .. } => *id,
         }
     }
 
     /// The key bytes.
     pub fn key(&self) -> &'a [u8] {
         match self {
-            KvsRequestRef::Get { key, .. }
-            | KvsRequestRef::Put { key, .. }
-            | KvsRequestRef::Delete { key, .. } => key,
+            KvsRequestRef::Get { key, .. } | KvsRequestRef::Put { key, .. } => key,
         }
     }
 
@@ -161,10 +150,13 @@ mod tests {
                 key: b"k",
                 value: b"v",
             },
-            KvsRequestRef::Delete { id: 9, key: b"k" },
         ] {
             assert_eq!(KvsRequestRef::decode(&req.encode()), Some(req));
         }
+        // A delete was a get's layout under tag 3.
+        let mut delete = KvsRequestRef::Get { id: 9, key: b"k" }.encode();
+        delete[0] = 3;
+        assert_eq!(KvsRequestRef::decode(&delete), None);
         assert_eq!(KvsRequestRef::decode(&[99]), None);
         assert_eq!(KvsRequestRef::decode(&[]), None);
     }
@@ -187,7 +179,6 @@ mod tests {
                     key: &key,
                     value: &value,
                 },
-                KvsRequestRef::Delete { id: 3, key: &key },
             ];
             for req in kinds {
                 let enc = req.encode();
@@ -232,7 +223,7 @@ mod tests {
         /// bytes are that fixed point.
         #[test]
         fn prop_request_encoding_is_canonical(
-            kind in 1u8..4,
+            kind in 1u8..3,
             id in proptest::prelude::any::<u64>(),
             key in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
             value in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
@@ -241,8 +232,7 @@ mod tests {
         ) {
             let req = match kind {
                 1 => KvsRequestRef::Get { id, key: &key },
-                2 => KvsRequestRef::Put { id, key: &key, value: &value },
-                _ => KvsRequestRef::Delete { id, key: &key },
+                _ => KvsRequestRef::Put { id, key: &key, value: &value },
             };
             let wire = req.encode();
             proptest::prop_assert_eq!(wire.len(), req.encoded_len());

@@ -10,9 +10,9 @@
 //!    keeps a [`HashRing`] over every `smart-nic` KVS endpoint in the rack,
 //!    local or remote (remote endpoints arrive pre-translated to fabric
 //!    proxy ports, so routing to them is just `net_tx`).
-//! 2. **Shards by key.** A GET goes to one of the key's replicas; PUT/DELETE
-//!    fan out to the key's full R-way replica set (`ring.replicas(key, R)`)
-//!    and are acknowledged to the client only when **every** current replica
+//! 2. **Shards by key.** A GET goes to one of the key's replicas; a PUT
+//!    fans out to the key's full R-way replica set (`ring.replicas(key, R)`)
+//!    and is acknowledged to the client only when **every** current replica
 //!    has acknowledged — the no-lost-acknowledged-writes invariant E10
 //!    checks: once the client sees `Ok`, R machines hold the record, so any
 //!    single machine crash leaves at least R−1 copies.
@@ -50,7 +50,6 @@ use lastcpu_sim::critpath::{
     op_key, STAGE_ROUTER_ACK, STAGE_ROUTER_RECV, STAGE_ROUTER_RESPOND, STAGE_ROUTER_SUB,
 };
 use lastcpu_sim::{costs, profile, SimDuration, SimTime};
-use lastcpu_snap::{Pin, Pinned};
 
 use crate::proto::{KvsRequestRef, KvsResponseRef, KvsStatus};
 
@@ -78,26 +77,6 @@ const MAX_RETRIES: u32 = 24;
 /// Adaptive-timeout multiplier `k`: an unanswered sub-request is
 /// re-dispatched at age `max(router.sub_timeout, k × ewma_rtt(target))`.
 const RTT_MULTIPLIER: u64 = 4;
-
-/// The constants above and the router's rows of the cost table, where a
-/// router section carried them as configuration; the `u8` is the tag of the
-/// one dispatch policy, which was a configured arm (the next
-/// `SCHEMA_VERSION` drops these bytes).
-const PINNED_KIND: Pinned = Pinned(&[("router service kind", Pin::Str(SERVICE_KIND))]);
-const PINNED_TIMING: Pinned = Pinned(&[
-    ("router tick", Pin::U64(costs::ROUTER_TICK.as_nanos())),
-    (
-        "router sub-timeout",
-        Pin::U64(costs::ROUTER_SUB_TIMEOUT.as_nanos()),
-    ),
-    ("router retry budget", Pin::U32(MAX_RETRIES)),
-    ("router policy tag", Pin::U8(3)),
-    ("router RTT multiplier", Pin::U64(RTT_MULTIPLIER)),
-    (
-        "router busy backoff",
-        Pin::U64(costs::ROUTER_BUSY_BACKOFF.as_nanos()),
-    ),
-]);
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -131,7 +110,6 @@ impl Default for RouterConfig {
 enum Op {
     Get,
     Put,
-    Delete,
 }
 
 /// One sub-request to one replica.
@@ -189,7 +167,6 @@ impl PendingReq {
         let (op, value) = match req {
             KvsRequestRef::Get { .. } => (Op::Get, &[][..]),
             KvsRequestRef::Put { value, .. } => (Op::Put, value),
-            KvsRequestRef::Delete { .. } => (Op::Delete, &[][..]),
         };
         self.client = client;
         self.client_id = req.id();
@@ -446,7 +423,6 @@ impl ShardRouterHost {
                 key,
                 value: &p.value,
             },
-            Op::Delete => KvsRequestRef::Delete { id, key },
         }
         .encode();
         p.subs.push(Sub {
@@ -665,7 +641,7 @@ impl ShardRouterHost {
         }
     }
 
-    /// Completes a PUT/DELETE if every current replica has acknowledged.
+    /// Completes a PUT if every current replica has acknowledged.
     /// `reps` is the lent replica-list buffer (refilled here).
     fn check_write_done(&mut self, ctx: &mut HostCtx<'_>, seq: u64, reps: &mut Vec<Arc<str>>) {
         let Some(p) = self.pending.get(&seq) else {
@@ -683,27 +659,12 @@ impl ShardRouterHost {
         if !covered {
             return;
         }
-        let status = match p.op {
-            Op::Put => {
-                // An overwrite's key is already here; the slot keeps its own.
-                if !self.acked_puts.contains(&p.key) {
-                    self.acked_puts.insert(p.key.clone());
-                }
-                KvsStatus::Ok
-            }
-            Op::Delete => {
-                self.acked_puts.remove(&p.key);
-                // NotFound on every replica is an honest miss; Ok anywhere
-                // means the tombstone landed.
-                if p.subs.iter().any(|s| s.ack == Some(KvsStatus::Ok)) {
-                    KvsStatus::Ok
-                } else {
-                    KvsStatus::NotFound
-                }
-            }
-            Op::Get => unreachable!("check_write_done is write-only"),
-        };
-        self.complete(ctx, seq, status, &[]);
+        debug_assert!(p.op == Op::Put, "check_write_done is write-only");
+        // An overwrite's key is already here; the slot keeps its own.
+        if !self.acked_puts.contains(&p.key) {
+            self.acked_puts.insert(p.key.clone());
+        }
+        self.complete(ctx, seq, KvsStatus::Ok, &[]);
     }
 
     /// A replica answered sub-request `resp.id`; `resp` borrows its frame.
@@ -936,7 +897,6 @@ impl lastcpu_snap::Span<PendingReq> for OpValue {
                 w.put_u8(1);
                 w.put_bytes(&p.value);
             }
-            Op::Delete => w.put_u8(2),
         }
     }
 
@@ -948,7 +908,6 @@ impl lastcpu_snap::Span<PendingReq> for OpValue {
         (p.op, p.value) = match r.u8()? {
             0 => (Op::Get, Vec::new()),
             1 => (Op::Put, r.bytes()?),
-            2 => (Op::Delete, Vec::new()),
             t => return Err(r.bad_tag("Op", t)),
         };
         Ok(())
@@ -962,8 +921,7 @@ impl lastcpu_snap::Span<PendingReq> for OpValue {
 // after a restore decodes) and `spare` (answered slots: buffers, no
 // request).
 lastcpu_snap::fields! { ShardRouterHost |self| {
-    config.dir_port, ..PINNED_KIND, config.replication, config.vnodes, ..PINNED_TIMING,
-    config.name, mut ring, endpoints, epoch, next_sub_id, next_seq, pending,
+    config.dir_port, config.replication, config.vnodes, config.name, mut ring, endpoints, epoch, next_sub_id, next_seq, pending,
     sub_index, load, acked_puts, mut met,
 } restored {
     self.last_dir_reply = None;

@@ -25,7 +25,6 @@ use lastcpu_net::PortId;
 use lastcpu_sim::critpath::{STAGE_SERVER_DONE, STAGE_SERVER_RECV};
 use lastcpu_sim::profile;
 use lastcpu_sim::{costs, Bytes};
-use lastcpu_snap::{Pin, Pinned};
 
 use crate::engine::{KvEngine, LogScanner};
 use crate::proto::{encode_response_into, KvsRequestRef, KvsStatus};
@@ -112,10 +111,6 @@ enum Pending {
         key: Vec<u8>,
         value: Vec<u8>,
     },
-    Delete {
-        port: PortId,
-        id: u64,
-    },
     Rebuild {
         len: u32,
     },
@@ -133,8 +128,6 @@ lastcpu_sim::instruments! {
             gets: counter "kvs.server.gets",
             /// PUTs served.
             puts: counter "kvs.server.puts",
-            /// DELETEs served.
-            deletes: counter "kvs.server.deletes",
             /// GETs answered from the local cache.
             cache_hits: counter "kvs.server.cache_hits",
             /// Cache-hit GETs answered via the zero-alloc fast path (a subset
@@ -195,11 +188,6 @@ impl ValueCache {
         }
         self.order.push_back(key.clone());
         self.map.insert(key, value);
-    }
-
-    fn remove(&mut self, key: &[u8]) {
-        self.map.remove(key);
-        self.order.retain(|k| k != key);
     }
 }
 
@@ -304,8 +292,8 @@ pub struct KvsServer {
     generation: u64,
     /// Reused completion-payload buffer for the streaming drain loop.
     comp_buf: Vec<u8>,
-    /// Reused log-record buffer: a PUT's record or a DELETE's tombstone is
-    /// encoded here and written to the queue's shared memory from here.
+    /// Reused log-record buffer: a PUT's record is encoded here and
+    /// written to the queue's shared memory from here.
     rec: Vec<u8>,
     /// Whether `try_fast_get` may answer (test hook; defaults on).
     fast_path: bool,
@@ -749,38 +737,6 @@ impl KvsServer {
                     }
                 }
             }
-            KvsRequestRef::Delete { id, key } => {
-                self.cache.remove(key);
-                match self.engine.delete_into(key, &mut self.rec) {
-                    Ok(Some(offset)) => {
-                        let op = FileOpRef::Write {
-                            offset,
-                            data: &self.rec,
-                        };
-                        let mut view = ctx.dma_view(pasid);
-                        match client.submit(&mut view, op, 8) {
-                            Ok(head) => {
-                                self.track(head, Pending::Delete { port: src, id });
-                                Served::Submitted
-                            }
-                            Err(_) => {
-                                self.shed_unsubmitted(ctx, out, src, id);
-                                Served::Answered
-                            }
-                        }
-                    }
-                    Ok(None) => {
-                        self.met.deletes.incr();
-                        self.met.misses.incr();
-                        Self::respond(ctx, out, src, id, KvsStatus::NotFound, &[]);
-                        Served::Answered
-                    }
-                    Err(_) => {
-                        Self::respond(ctx, out, src, id, KvsStatus::Error, &[]);
-                        Served::Answered
-                    }
-                }
-            }
         }
     }
 
@@ -886,15 +842,6 @@ impl KvsServer {
                         Self::respond(ctx, out, port, id, KvsStatus::Error, &[]);
                     }
                 }
-                Pending::Delete { port, id } => {
-                    self.met.deletes.incr();
-                    let st = if status == FileStatus::Ok {
-                        KvsStatus::Ok
-                    } else {
-                        KvsStatus::Error
-                    };
-                    Self::respond(ctx, out, port, id, st, &[]);
-                }
                 Pending::Rebuild { len } => {
                     self.rebuild_inflight -= 1;
                     if status == FileStatus::Ok && comp_buf.len() == len as usize {
@@ -953,9 +900,7 @@ impl KvsServer {
         // Fail the in-flight storage ops, in descriptor-head order.
         for head in 0..self.inflight.len() {
             let (port, id) = match self.inflight[head].take() {
-                Some(Pending::Get { port, id })
-                | Some(Pending::Delete { port, id })
-                | Some(Pending::Put { port, id, .. }) => (port, id),
+                Some(Pending::Get { port, id }) | Some(Pending::Put { port, id, .. }) => (port, id),
                 Some(Pending::Rebuild { .. }) | None => continue,
             };
             self.met.unavailable.incr();
@@ -1002,9 +947,9 @@ lastcpu_snap::tags! { ServerState {
     Failed = 6,
 } }
 
+// Tag 2 was a delete's.
 lastcpu_snap::variants! { Pending {
-    Get = 0 { port, id }, Put = 1 { port, id, key, value }, Delete = 2 { port, id },
-    Rebuild = 3 { len },
+    Get = 0 { port, id }, Put = 1 { port, id, key, value }, Rebuild = 3 { len },
 } }
 
 lastcpu_snap::fields! { ValueCache |self| { capacity, ..Entries } }
@@ -1045,21 +990,12 @@ impl lastcpu_snap::Span<ValueCache> for Entries {
     }
 }
 
-/// [`VA_BASE`] and the `kvs.server_per_request` row, where a server section
-/// carried them as configuration (the next `SCHEMA_VERSION` drops these
-/// bytes).
-const PINNED_VA_BASE: Pinned = Pinned(&[("server VA base", Pin::U64(VA_BASE))]);
-const PINNED_COST: Pinned = Pinned(&[(
-    "server per-request cost",
-    Pin::U64(costs::KVS_SERVER_PER_REQUEST.as_nanos()),
-)]);
-
 // `met` is its `ServerStats` (the hub snapshots its own key space).
 // Excluded: `comp_buf` and `rec` (reused scratch, contents meaningless
 // between events).
 lastcpu_snap::fields! { KvsServer |self| {
-    config.file_pattern, config.memctl, config.token, ..PINNED_VA_BASE, config.queue_size,
-    config.cache_entries, ..PINNED_COST, pasid, state, mut engine, mut scanner, memctl,
+    config.file_pattern, config.memctl, config.token, config.queue_size, config.cache_entries,
+    pasid, state, mut engine, mut scanner, memctl,
     mem_op, file_op, session, file_size, rebuild_next, rebuild_inflight, ..InFlight, ..Backlogged,
     mut cache, mut met, recovering, generation, fast_path,
 } }
@@ -1151,11 +1087,10 @@ mod tests {
         assert_eq!(c.get(b"a"), None);
         assert_eq!(c.get(b"b").cloned(), Some(vec![2]));
         assert_eq!(c.get(b"c").cloned(), Some(vec![3]));
-        c.remove(b"b");
-        assert_eq!(c.get(b"b"), None);
         // Updating an existing key does not evict.
         c.insert(b"c".to_vec(), vec![9]);
         assert_eq!(c.get(b"c").cloned(), Some(vec![9]));
+        assert_eq!(c.get(b"b").cloned(), Some(vec![2]));
     }
 
     #[test]

@@ -212,57 +212,11 @@ lastcpu_snap::record!(SwitchStats {
     bytes
 });
 
+// The ports are a count and each port's busy-until time in index order
+// (`None` until it carries a frame); a port's id is its index plus one.
 lastcpu_snap::fields! { Switch |self| {
-    cost.per_byte_ps, cost.switch_latency, cost.propagation, stats, ..Ports,
+    cost.per_byte_ps, cost.switch_latency, cost.propagation, stats, busy_until,
 } }
-
-/// The ports, in the layout that predates their indexing: the next id
-/// `add_port` would hand out, the ports in order (ids are indices, so a
-/// restore requires exactly `1..=n`), then the busy-until time of each
-/// port that has carried a frame.
-struct Ports;
-
-impl lastcpu_snap::Span<Switch> for Ports {
-    fn put(&self, s: &Switch, w: &mut lastcpu_snap::SnapWriter) {
-        let n = s.busy_until.len() as u32;
-        w.put_u32(n + 1);
-        w.put_len(n as usize);
-        (1..=n).for_each(|p| w.put_u32(p));
-        w.put_len(s.busy_until.iter().flatten().count());
-        for (p, t) in (1u32..).zip(&s.busy_until) {
-            if let Some(t) = t {
-                lastcpu_snap::Field::put(&(p, *t), w);
-            }
-        }
-    }
-
-    fn take(
-        &self,
-        s: &mut Switch,
-        r: &mut lastcpu_snap::SnapReader<'_>,
-    ) -> lastcpu_snap::Result<()> {
-        let next_id = r.u32()?;
-        let n = r.len()?;
-        if next_id as usize != n + 1 {
-            return Err(r.corrupt(format!("{n} ports but next port id {next_id}")));
-        }
-        for i in 0..n {
-            let p = r.u32()?;
-            if p as usize != i + 1 {
-                return Err(r.corrupt(format!("port list has port {p} at position {i}")));
-            }
-        }
-        s.busy_until = vec![None; n];
-        for _ in 0..r.len()? {
-            let (p, t): (PortId, SimTime) = lastcpu_snap::Field::take(r)?;
-            match index_of(p).and_then(|i| s.busy_until.get_mut(i)) {
-                Some(busy) => *busy = Some(t),
-                None => return Err(r.corrupt(format!("busy-until for unknown port {}", p.0))),
-            }
-        }
-        Ok(())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -425,36 +379,27 @@ mod tests {
         assert_eq!(back.add_port(), PortId(4));
     }
 
-    /// Byte offset of the port list's length in a switch snapshot: three
-    /// cost words, three counters, the next port id.
-    const PORTS_AT: usize = 6 * 8 + 4;
+    /// Byte offset of the port list in a switch snapshot: three cost
+    /// words, three counters.
+    const PORTS_AT: usize = 6 * 8;
 
+    /// The ports are a count, then each port's busy-until time in index
+    /// order: no ids.
     #[test]
-    fn restore_rejects_ports_that_are_not_one_to_n() {
+    fn a_snapshot_holds_each_port_in_index_order() {
         use lastcpu_snap::Snapshot as _;
-        let good = used_switch().snapshot_bytes();
-        assert_eq!(good[PORTS_AT], 3);
-        // Second port claims to be port 7.
-        let mut bytes = good.clone();
-        bytes[PORTS_AT + 8 + 4] = 7;
-        assert_corrupt(&bytes, "port 7 at position 1");
-        // The next port id disagrees with the port count.
-        let mut bytes = good;
-        bytes[PORTS_AT - 4] = 9;
-        assert_corrupt(&bytes, "next port id 9");
-    }
-
-    #[test]
-    fn restore_rejects_a_busy_entry_for_an_unknown_port() {
-        use lastcpu_snap::Snapshot as _;
-        let mut bytes = used_switch().snapshot_bytes();
-        // After the three port ids: a one-entry busy list naming port 2.
-        let busy = PORTS_AT + 8 + 3 * 4;
-        assert_eq!(bytes[busy], 1);
-        assert_eq!(bytes[busy + 8], 2);
-        for unknown in [0, 4] {
-            bytes[busy + 8] = unknown;
-            assert_corrupt(&bytes, "unknown port");
-        }
+        let sw = used_switch();
+        let bytes = sw.snapshot_bytes();
+        let busy = sw.busy_until[1].expect("the second port carried a frame");
+        let mut want = 3u64.to_le_bytes().to_vec();
+        want.push(0);
+        want.push(1);
+        want.extend_from_slice(&busy.as_nanos().to_le_bytes());
+        want.push(0);
+        assert_eq!(bytes[PORTS_AT..], want);
+        // One port more than the bytes hold.
+        let mut bytes = bytes;
+        bytes[PORTS_AT] = 4;
+        assert_corrupt(&bytes, "truncated");
     }
 }

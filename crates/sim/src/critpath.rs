@@ -109,6 +109,10 @@ pub struct CritPathReport {
     /// Operations with a `client.issue` but no joinable full chain (still
     /// in flight at run end, evicted trace records, or gave up).
     pub incomplete: u64,
+    /// Operations with router marks but no `client.issue`: the requests a
+    /// client sends before it runs (preload PUTs, the readiness probe),
+    /// which it does not mark.
+    pub router_only: u64,
     /// Percentile rows (p50 / p90 / p99 / p99.9), empty when no op completed.
     pub rows: Vec<PercentileRow>,
 }
@@ -264,7 +268,8 @@ pub fn analyze(trace: &TraceSink) -> CritPathReport {
     for marks in ops.values() {
         match reconstruct(marks, &subs, &mut hops) {
             Some(op) => out.ops.push(op),
-            None => out.incomplete += 1,
+            None if marks.issue.is_some() => out.incomplete += 1,
+            None => out.router_only += 1,
         }
     }
 
@@ -541,9 +546,22 @@ mod tests {
         );
         let report = analyze(&sink(records));
         assert_eq!(report.ops.len(), 0);
-        assert_eq!(report.incomplete, 1);
+        assert_eq!((report.incomplete, report.router_only), (1, 0));
         assert!(report.rows.is_empty());
         assert_eq!(report.dominant_at_p99(), None);
+    }
+
+    /// An op the router served but no client marked (a preload PUT or a
+    /// probe) is a class of its own, not an incomplete one.
+    #[test]
+    fn router_only_ops_are_not_incomplete() {
+        let mut records = rack_op();
+        records.retain(
+            |r| !matches!(r.2, TraceData::Stage { stage, .. } if stage == STAGE_CLIENT_ISSUE),
+        );
+        let report = analyze(&sink(records));
+        assert_eq!(report.ops.len(), 0);
+        assert_eq!((report.incomplete, report.router_only), (0, 1));
     }
 
     #[test]

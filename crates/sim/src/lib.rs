@@ -61,7 +61,7 @@ pub use fault::{BackoffPolicy, FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{CounterHandle, GaugeHandle, HistogramHandle, MetricsHub};
 pub use pool::{BufPool, Bytes, PoolStats};
 pub use profile::{AllocScope, ProfileSnapshot};
-pub use queue::{EventQueue, Pending, ScheduledEvent};
+pub use queue::{EventQueue, ScheduledEvent};
 pub use record::{CorrId, TraceData};
 pub use rng::{DetRng, Zipf};
 pub use stats::Histogram;

@@ -24,7 +24,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use lastcpu_snap::{Field, SnapReader, SnapWriter, Span};
+use lastcpu_snap::{Field, SnapReader, SnapWriter};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -504,86 +504,75 @@ impl<E> EventQueue<E> {
     /// cannot be used because it zeroes the seq cursor and keeps the
     /// lifetime counter, both of which must instead match the checkpoint.
     ///
-    /// # Panics
-    ///
-    /// Panics if an entry fires before `now` or carries a seq at or beyond
-    /// `seq` (either would mean the checkpoint is internally inconsistent).
+    /// The entries come in pop order, strictly ascending by `(at, seq)`.
+    /// Entries that are not, that fire before `now` or that carry a seq at
+    /// or beyond `seq` describe no queue, and are refused with the reason;
+    /// the queue is then empty at `now`.
     pub fn reinit_from(
         &mut self,
         now: SimTime,
         seq: u64,
         popped: u64,
         entries: impl IntoIterator<Item = (SimTime, u64, E)>,
-    ) {
+    ) -> Result<(), String> {
         self.wheel.clear(now);
         self.now = now;
         self.seq = seq;
         self.popped = popped;
-        // Insert in (at, seq) order: the wheel's sorted-ready merge relies
-        // on same-instant entries arriving in ascending seq order.
-        let mut entries: Vec<(SimTime, u64, E)> = entries.into_iter().collect();
-        entries.sort_unstable_by_key(|&(at, s, _)| (at, s));
+        let mut last = None;
         for (at, entry_seq, event) in entries {
-            assert!(
-                at >= now,
-                "reinit_from: entry at {at:?} is before the restored clock {now:?}"
-            );
-            assert!(
-                entry_seq < seq,
-                "reinit_from: entry seq {entry_seq} is at/beyond the cursor {seq}"
-            );
+            let refusal = if at < now {
+                Some(format!("entry at {at:?} is before the clock {now:?}"))
+            } else if entry_seq >= seq {
+                Some(format!(
+                    "entry seq {entry_seq} is at or beyond the cursor {seq}"
+                ))
+            } else if last.is_some_and(|last| last >= (at, entry_seq)) {
+                Some(format!(
+                    "entry ({at:?}, seq {entry_seq}) is out of pop order"
+                ))
+            } else {
+                None
+            };
+            if let Some(refusal) = refusal {
+                self.wheel.clear(now);
+                return Err(refusal);
+            }
+            last = Some((at, entry_seq));
+            // In (at, seq) order: the wheel's sorted-ready merge relies on
+            // same-instant entries arriving in ascending seq order.
             self.wheel.schedule(Entry {
                 at,
                 seq: entry_seq,
                 event,
             });
         }
-    }
-}
-
-/// The pending events as a checkpoint section carries them: their count,
-/// then an FNV-1a digest, seeded with `.0`, of each entry's `(at, seq,
-/// event)` encoding in pop order. Named in a `lastcpu_snap::fields!` list
-/// as `queue: ..Pending(b"queue")`. The events themselves are not stored,
-/// so a reader loads nothing: it holds the count and digest to those of the
-/// queue it is handed (one replayed to the same cursor) and refuses others
-/// as corrupt.
-pub struct Pending(pub &'static [u8]);
-
-impl Pending {
-    /// `q`'s count and digest. One writer takes each entry in turn, so the
-    /// fold allocates nothing per entry that the entry's own encoding does
-    /// not.
-    fn of<E: Field>(&self, q: &EventQueue<E>) -> (usize, u64) {
-        let entries = q.entries();
-        let mut h = lastcpu_snap::fnv1a(self.0);
-        let mut w = SnapWriter::new();
-        for (at, seq, ev) in &entries {
-            at.put(&mut w);
-            seq.put(&mut w);
-            ev.put(&mut w);
-            w.fold_into(&mut h);
-        }
-        (entries.len(), h)
-    }
-}
-
-impl<E: Field> Span<EventQueue<E>> for Pending {
-    fn put(&self, q: &EventQueue<E>, w: &mut SnapWriter) {
-        self.of(q).put(w);
-    }
-
-    fn take(&self, q: &mut EventQueue<E>, r: &mut SnapReader<'_>) -> lastcpu_snap::Result<()> {
-        let (held, held_sum) = <(usize, u64)>::take(r)?;
-        let (n, sum) = self.of(q);
-        if (held, held_sum) != (n, sum) {
-            let name = String::from_utf8_lossy(self.0);
-            return Err(r.corrupt(format!(
-                "{held} pending {name} events digesting to {held_sum:#018x}, \
-                 but the replayed {name} holds {n} digesting to {sum:#018x}"
-            )));
-        }
         Ok(())
+    }
+}
+
+/// A queue in a checkpoint: its clock, lifetime pop count and tie-break
+/// cursor, then each pending entry's `(at, seq, event)` in pop order. A
+/// reader loads them through [`EventQueue::reinit_from`] and reports what
+/// that refuses as corrupt.
+impl<E: Field> Field for EventQueue<E> {
+    fn put(&self, w: &mut SnapWriter) {
+        (self.now, self.popped, self.seq).put(w);
+        let entries = self.entries();
+        w.put_len(entries.len());
+        for (at, seq, event) in entries {
+            (at, seq).put(w);
+            event.put(w);
+        }
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+        let (now, popped, seq) = Field::take(r)?;
+        let entries: Vec<(SimTime, u64, E)> = Field::take(r)?;
+        let mut q = EventQueue::new();
+        q.reinit_from(now, seq, popped, entries)
+            .map_err(|e| r.corrupt(format!("pending events: {e}")))?;
+        Ok(q)
     }
 }
 
@@ -719,7 +708,9 @@ mod difftest {
                 // Restore the wheel from the model's checkpointed state.
                 12 => {
                     let pending = heap.entries().into_iter().map(|(at, s, &e)| (at, s, e));
-                    wheel.reinit_from(heap.now, heap.seq, heap.popped, pending);
+                    wheel
+                        .reinit_from(heap.now, heap.seq, heap.popped, pending)
+                        .expect("the model's entries describe a queue");
                     assert_eq!(wheel.entries(), heap.entries(), "reinit (seed {seed:#x})");
                 }
                 _ => {

@@ -154,10 +154,9 @@ pub enum TraceData {
     /// A frame from the rack fabric entered this machine's edge switch.
     ///
     /// This and the two variants below hold integers and are rendered on
-    /// demand: their [`kind`](TraceData::kind) is `"text"` and they encode as
-    /// the [`Text`](TraceData::Text) record of their line, which is what was
-    /// recorded before they were typed. A decoded checkpoint therefore holds
-    /// them as `Text`; they get tags of their own at the next schema bump.
+    /// demand: their [`kind`](TraceData::kind) is `"text"`, and an export
+    /// holds the line that was recorded before they were typed. A checkpoint
+    /// holds each under a tag of its own.
     LinkEnter {
         /// Local switch port the frame is addressed to.
         port: u32,

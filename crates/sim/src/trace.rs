@@ -980,18 +980,14 @@ lastcpu_snap::fields! { TraceSink |self| { ..Ring } }
 /// ([`Packed`]), its variant byte the row's position. In a checkpoint a name
 /// is written out as its string and read back through
 /// [`TraceSink::name_or_text`]; a `&'static str` comes back through the
-/// process-wide intern table. The rows after the `;` are rendered on
-/// demand: they encode as tag 13, a text, their rendered line, and a decoded
-/// checkpoint holds them as `Text`.
+/// process-wide intern table.
 macro_rules! record_layout {
-    ($($v:ident = $tag:literal $kind:literal { $($f:ident),* } $($text:ident)?),* ;
-     $($rv:ident = $rtag:literal $rkind:literal { $($rf:ident),* }),* $(,)?) => {
+    ($($v:ident = $tag:literal $kind:literal { $($f:ident),* } $($text:ident)?),* $(,)?) => {
         impl TraceData {
             /// A short machine-readable tag for exporters (`"iommu_map"`, …).
             pub fn kind(&self) -> &'static str {
                 match self {
                     $(TraceData::$v { .. } => $kind,)*
-                    $(TraceData::$rv { .. } => $rkind,)*
                 }
             }
 
@@ -1000,7 +996,6 @@ macro_rules! record_layout {
             pub fn has_text(&self) -> bool {
                 match self {
                     $(TraceData::$v { .. } => record_layout!(@has $($text)?),)*
-                    $(TraceData::$rv { .. } => false,)*
                 }
             }
 
@@ -1008,7 +1003,6 @@ macro_rules! record_layout {
             pub(crate) fn for_each_name(&mut self, mut f: impl FnMut(&mut Name)) {
                 match self {
                     $(TraceData::$v { $($f),* } => { $(Part::names($f, &mut f);)* })*
-                    $(TraceData::$rv { $($rf),* } => { $(Part::names($rf, &mut f);)* })*
                 }
             }
 
@@ -1017,7 +1011,6 @@ macro_rules! record_layout {
             fn pack(self, p: &mut Pack<'_>) {
                 match self {
                     $(TraceData::$v { $($f),* } => { p.variant(Variant::$v); $($f.pack(p);)* })*
-                    $(TraceData::$rv { $($rf),* } => { p.variant(Variant::$rv); $($rf.pack(p);)* })*
                 }
             }
 
@@ -1026,16 +1019,15 @@ macro_rules! record_layout {
             fn unpack(variant: u8, u: &mut Unpack<'_>) -> TraceData {
                 match VARIANTS[usize::from(variant)] {
                     $(Variant::$v => TraceData::$v { $($f: Packs::unpack(u)),* },)*
-                    $(Variant::$rv => TraceData::$rv { $($rf: Packs::unpack(u)),* },)*
                 }
             }
         }
 
         /// A packed record's variant byte: its row's position.
         #[derive(Clone, Copy)]
-        enum Variant { $($v,)* $($rv,)* }
+        enum Variant { $($v,)* }
 
-        const VARIANTS: &[Variant] = &[$(Variant::$v,)* $(Variant::$rv,)*];
+        const VARIANTS: &[Variant] = &[$(Variant::$v,)*];
 
         impl TraceView<'_> {
             fn encode(&self, w: &mut lastcpu_snap::SnapWriter) {
@@ -1045,10 +1037,6 @@ macro_rules! record_layout {
                         w.put_u8($tag);
                         $($f.put(self, w);)*
                         record_layout!(@put_text self w $($text)?);
-                    })*
-                    $(TraceData::$rv { .. } => {
-                        w.put_u8($rtag);
-                        w.put_display(&What(self));
                     })*
                 }
             }
@@ -1094,10 +1082,10 @@ record_layout! {
     SecurityDenial = 10 "security_denial" { device, check } text,
     Stage = 11 "stage" { stage, id, aux },
     LinkHop = 12 "link_hop" { src_machine, dst_machine, bytes, uplink_ns, spine_ns, downlink_ns },
-    Text = 13 "text" {} text;
-    LinkEnter = 13 "text" { port, bytes },
-    LinkExit = 13 "text" { port, bytes },
-    QueueAttached = 13 "text" { conn, base, size },
+    Text = 13 "text" {} text,
+    LinkEnter = 14 "text" { port, bytes },
+    LinkExit = 15 "text" { port, bytes },
+    QueueAttached = 16 "text" { conn, base, size },
 }
 
 /// One field of a record in a checkpoint.
@@ -1150,14 +1138,14 @@ impl Part for &'static str {
     }
 }
 
-/// A machine index, a `u64` on the wire.
+/// A machine index or a queue size, a `u64` on the wire.
 impl Part for u16 {
     fn put(self, _: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter) {
         w.put_u64(self.into());
     }
     fn take(_: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
         let m = r.u64()?;
-        u16::try_from(m).map_err(|_| r.corrupt(format!("machine index {m}")))
+        u16::try_from(m).map_err(|_| r.corrupt(format!("{m} does not fit a u16")))
     }
 }
 
@@ -1586,24 +1574,25 @@ mod tests {
         out
     }
 
+    /// A record rendered on demand exports as the line it used to be
+    /// formatted into, and a checkpoint holds it under its own tag, so it
+    /// restores as itself.
     #[test]
-    fn a_record_rendered_on_demand_encodes_as_the_text_it_renders() {
+    fn a_record_rendered_on_demand_restores_as_itself() {
         for (typed, line) in rendered_on_demand() {
             assert_eq!(typed.kind(), "text");
             let mut t = TraceSink::bounded(4);
             let s = t.name("net");
             t.emit_data(SimTime::from_nanos(0xFEED), s, CorrId(3), typed);
-            let mut text = TraceSink::bounded(4);
-            text.emit_corr(SimTime::from_nanos(0xFEED), "net", CorrId(3), line.clone());
             assert_eq!(t.events().next().unwrap().what(), line);
             let bytes = t.snapshot_bytes();
-            assert_eq!(bytes, text.snapshot_bytes(), "{line}");
             let mut back = TraceSink::disabled();
             let mut r = SnapReader::new("trace", &bytes);
             back.restore(&mut r).unwrap();
             r.finish().unwrap();
             let rec = back.events().next().unwrap();
-            assert_eq!((rec.data, rec.text()), (TraceData::Text, line.as_str()));
+            assert_eq!((rec.data, rec.what()), (typed, line));
+            assert_eq!(back.snapshot_bytes(), bytes);
         }
     }
 
@@ -2204,11 +2193,21 @@ mod oracle {
                     w.put_u64(*spine_ns);
                     w.put_u64(*downlink_ns);
                 }
-                TraceData::LinkEnter { .. }
-                | TraceData::LinkExit { .. }
-                | TraceData::QueueAttached { .. } => {
-                    w.put_u8(13);
-                    w.put_display(self);
+                TraceData::LinkEnter { port, bytes } => {
+                    w.put_u8(14);
+                    w.put_u32(*port);
+                    w.put_u64(*bytes);
+                }
+                TraceData::LinkExit { port, bytes } => {
+                    w.put_u8(15);
+                    w.put_u32(*port);
+                    w.put_u64(*bytes);
+                }
+                TraceData::QueueAttached { conn, base, size } => {
+                    w.put_u8(16);
+                    w.put_u64(*conn);
+                    w.put_u64(*base);
+                    w.put_u64((*size).into());
                 }
                 TraceData::Text(s) => {
                     w.put_u8(13);
@@ -2282,6 +2281,19 @@ mod oracle {
                     downlink_ns: r.u64()?,
                 },
                 13 => TraceData::Text(r.str()?),
+                14 => TraceData::LinkEnter {
+                    port: r.u32()?,
+                    bytes: r.u64()?,
+                },
+                15 => TraceData::LinkExit {
+                    port: r.u32()?,
+                    bytes: r.u64()?,
+                },
+                16 => TraceData::QueueAttached {
+                    conn: r.u64()?,
+                    base: r.u64()?,
+                    size: r.u64()? as u16,
+                },
                 tag => return Err(r.corrupt(format!("unknown TraceData tag {tag}"))),
             })
         }

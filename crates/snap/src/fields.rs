@@ -344,53 +344,6 @@ impl<T: Field + Count> Codec<T> for Max {
     }
 }
 
-/// One value of a [`Pinned`] stretch, with the width its field had.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pin {
-    U8(u8),
-    U32(u32),
-    U64(u64),
-    Str(&'static str),
-}
-
-/// Values a section still carries where configuration fields once sat,
-/// though nothing sets them any more: each is written as its field was, and
-/// a reader that finds any other value refuses it as corrupt. Named in a
-/// [`fields!`](crate::fields) list as `..span`, each value beside the name
-/// its refusal gives. Reading and writing allocate nothing.
-pub struct Pinned(pub &'static [(&'static str, Pin)]);
-
-impl<S> Span<S> for Pinned {
-    fn put(&self, _: &S, w: &mut SnapWriter) {
-        for &(_, pin) in self.0 {
-            match pin {
-                Pin::U8(v) => w.put_u8(v),
-                Pin::U32(v) => w.put_u32(v),
-                Pin::U64(v) => w.put_u64(v),
-                Pin::Str(v) => w.put_str(v),
-            }
-        }
-    }
-
-    fn take(&self, _: &mut S, r: &mut SnapReader<'_>) -> Result<()> {
-        for &(name, pin) in self.0 {
-            let same = match pin {
-                Pin::U8(v) => r.u8()? == v,
-                Pin::U32(v) => r.u32()? == v,
-                Pin::U64(v) => r.u64()? == v,
-                Pin::Str(v) => {
-                    let n = r.len()?;
-                    r.take(n)? == v.as_bytes()
-                }
-            };
-            if !same {
-                return Err(r.corrupt(format!("{name} is pinned at {pin:?}")));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// A value replay rebuilds: written as `.1` gives it for the state, and
 /// on read held to what `.1` gives for the state read into (one replayed
 /// to the same cursor); another value is refused as corrupt, naming `.0`.
@@ -786,33 +739,6 @@ mod tests {
         HashMap<K, V, std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>>;
     type DetSet<T> =
         HashSet<T, std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>>;
-
-    #[test]
-    fn a_pinned_stretch_takes_only_what_it_writes() {
-        const PINS: Pinned = Pinned(&[
-            ("kind", Pin::Str("smart-nic")),
-            ("tag", Pin::U8(3)),
-            ("budget", Pin::U32(24)),
-            ("timeout", Pin::U64(5_000_000)),
-        ]);
-        let mut w = SnapWriter::new();
-        Span::put(&PINS, &(), &mut w);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 8 + 9 + 1 + 4 + 8);
-        let mut r = SnapReader::new("pins", &bytes);
-        Span::take(&PINS, &mut (), &mut r).expect("takes what it wrote");
-        r.finish().expect("all of it");
-        for at in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[at] ^= 1;
-            let mut r = SnapReader::new("pins", &bad);
-            let err = Span::take(&PINS, &mut (), &mut r).expect_err("a changed byte");
-            assert!(
-                matches!(err, crate::SnapError::Corrupt { .. }),
-                "byte {at}: {err:?}"
-            );
-        }
-    }
 
     struct Part {
         n: u32,

@@ -34,19 +34,22 @@ use std::fmt;
 
 mod fields;
 pub use fields::{
-    ascending, take_sorted, Codec, Count, Derived, Each, Field, Keyed, Max, Pin, Pinned, Sorted,
-    Span,
+    ascending, take_sorted, Codec, Count, Derived, Each, Field, Keyed, Max, Sorted, Span,
 };
 
 /// Bumped whenever the framing or any section layout changes shape.
 /// v2: the fabric section serializes per-topology-link queue cursors and
 /// traffic counters instead of per-machine uplink/downlink busy times.
-pub const SCHEMA_VERSION: u32 = 2;
+/// v3: sections hold state only: the pending events themselves instead of
+/// their count and digest, no pinned constants, no id lists that restate
+/// `1..=n`, a trace tag per record variant, and a word-at-a-time checksum.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// File magic: identifies a lastcpu checkpoint, revision 1 of the framing.
 pub const MAGIC: &[u8; 8] = b"LCSNAP1\0";
 
-/// FNV-1a offset basis (also the seed callers use for rolling digests).
+/// FNV-1a offset basis (also the seed callers use for rolling digests, and
+/// the checkpoint checksum's).
 pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
@@ -68,51 +71,76 @@ pub fn fnv1a_fold(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// [`fnv1a`] of each string, in order.
-///
-/// One FNV-1a chain waits on its multiply at every byte; independent chains
-/// overlap, so four strings hash in about the time of one. The strings are
-/// taken longest first, four to a group, and a group runs all four chains
-/// as far as its shortest string, then its three longest, and so on.
-fn fnv1a_each(strings: &[&[u8]]) -> Vec<u64> {
-    let mut order: Vec<usize> = (0..strings.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(strings[i].len()));
-    let mut sums = vec![FNV_OFFSET; strings.len()];
-    for group in order.chunks(4) {
-        let mut from = 0;
-        for live in (1..=group.len()).rev() {
-            let lanes = &group[..live];
-            let to = strings[lanes[live - 1]].len();
-            match live {
-                4 => chains::<4>(&mut sums, strings, lanes, from..to),
-                3 => chains::<3>(&mut sums, strings, lanes, from..to),
-                2 => chains::<2>(&mut sums, strings, lanes, from..to),
-                _ => chains::<1>(&mut sums, strings, lanes, from..to),
-            }
-            from = to;
-        }
-    }
-    sums
+/// The checkpoint checksum: section checksums, [`Checkpoint::digest`] and
+/// a [`Diff`]'s claims. It folds its input eight bytes per multiply (the
+/// last word zero-padded), then the length, then mixes. Every step is a
+/// bijection of the running state, so two inputs of one length that differ
+/// in one byte never share a checksum. It is streamed: the pieces of a walk
+/// sum to what their concatenation sums to.
+struct Sum {
+    h: u64,
+    /// Input not yet folded: fewer than eight bytes.
+    tail: [u8; 8],
+    fill: usize,
+    len: u64,
 }
 
-/// Carries the `N` chains `sums[lanes[k]]` over bytes `at` of
-/// `strings[lanes[k]]`, side by side.
-fn chains<const N: usize>(
-    sums: &mut [u64],
-    strings: &[&[u8]],
-    lanes: &[usize],
-    at: std::ops::Range<usize>,
-) {
-    let mut h: [u64; N] = std::array::from_fn(|k| sums[lanes[k]]);
-    let s: [&[u8]; N] = std::array::from_fn(|k| &strings[lanes[k]][at.clone()]);
-    for i in 0..at.len() {
-        for (h, s) in h.iter_mut().zip(&s) {
-            *h = (*h ^ s[i] as u64).wrapping_mul(FNV_PRIME);
+impl Sum {
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn new() -> Self {
+        Sum {
+            h: FNV_OFFSET,
+            tail: [0; 8],
+            fill: 0,
+            len: 0,
         }
     }
-    for (&lane, h) in lanes.iter().zip(h) {
-        sums[lane] = h;
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.h = (self.h ^ w).wrapping_mul(Self::MUL).rotate_left(29);
     }
+
+    fn write(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.fill > 0 {
+            let n = (8 - self.fill).min(bytes.len());
+            self.tail[self.fill..self.fill + n].copy_from_slice(&bytes[..n]);
+            self.fill += n;
+            bytes = &bytes[n..];
+            if self.fill < 8 {
+                return;
+            }
+            self.word(u64::from_le_bytes(self.tail));
+        }
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.fill = rest.len();
+    }
+
+    fn finish(mut self) -> u64 {
+        if self.fill > 0 {
+            self.tail[self.fill..].fill(0);
+            self.word(u64::from_le_bytes(self.tail));
+        }
+        // The length, then murmur3's 64-bit finalizer.
+        let mut h = self.h ^ self.len;
+        h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+/// [`Sum`] of one byte string.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut s = Sum::new();
+    s.write(bytes);
+    s.finish()
 }
 
 /// Interns a string with `'static` lifetime, or refuses it.
@@ -216,13 +244,6 @@ impl SnapWriter {
 
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Folds the bytes written so far into the rolling FNV-1a digest `h`
-    /// and empties the writer, keeping its buffer for what comes next.
-    pub fn fold_into(&mut self, h: &mut u64) {
-        fnv1a_fold(h, &self.buf);
-        self.buf.clear();
     }
 
     pub fn put_u8(&mut self, v: u8) {
@@ -663,10 +684,10 @@ pub trait Emit {
     /// The next bytes of the encoding.
     fn piece(&mut self, bytes: &[u8]);
 
-    /// The next eight bytes are `body`'s checksum, `fnv1a(body)`, and
-    /// `body` is what the last pieces handed over.
+    /// The next eight bytes are `body`'s checksum, and `body` is what the
+    /// last pieces handed over.
     fn sum_of(&mut self, body: &[u8]) {
-        self.piece(&fnv1a(body).to_le_bytes());
+        self.piece(&checksum(body).to_le_bytes());
     }
 }
 
@@ -799,7 +820,7 @@ impl Checkpoint {
     }
 
     /// Full binary encoding: magic, manifest, then each section as
-    /// `tag, body, fnv1a(body)`, in one buffer allocated at its exact length.
+    /// `tag, body, checksum(body)`, in one buffer allocated at its exact length.
     pub fn encode(&self) -> Vec<u8> {
         let mut len = Len(0);
         self.walk(&mut len);
@@ -810,11 +831,9 @@ impl Checkpoint {
 
     /// Decodes and *fully verifies* a checkpoint: magic, schema version, and
     /// every section checksum — before any component state is handed out.
-    ///
-    /// Every section is read first and the checksums are then computed side
-    /// by side; the report is still the first failure in the encoding: a
-    /// checksum that does not match, else the section the bytes ran out in,
-    /// else trailing bytes.
+    /// The report is the first failure in the encoding: a checksum that
+    /// does not match, else the section the bytes ran out in, else
+    /// trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint> {
         let mut r = SnapReader::new("checkpoint", bytes);
         let magic = r.take(MAGIC.len())?;
@@ -830,25 +849,19 @@ impl Checkpoint {
         }
         let n = r.len()?;
         let mut ck = Checkpoint::new(manifest);
-        let mut stored = Vec::new();
-        let read: Result<()> = (0..n).try_for_each(|_| {
+        for _ in 0..n {
             let tag = r.str()?;
             let body = r.bytes()?;
-            stored.push(r.u64()?);
+            let (want, got) = (r.u64()?, checksum(&body));
+            if want != got {
+                return Err(SnapError::ChecksumMismatch {
+                    section: tag,
+                    want,
+                    got,
+                });
+            }
             ck.sections.push((tag, body));
-            Ok(())
-        });
-        let bodies: Vec<&[u8]> = ck.sections.iter().map(|(_, b)| b.as_slice()).collect();
-        let sums = fnv1a_each(&bodies);
-        let mut checked = ck.sections.iter().zip(stored).zip(sums);
-        if let Some((((tag, _), want), got)) = checked.find(|((_, want), got)| want != got) {
-            return Err(SnapError::ChecksumMismatch {
-                section: tag.clone(),
-                want,
-                got,
-            });
         }
-        read?;
         r.finish()?;
         Ok(ck)
     }
@@ -863,11 +876,12 @@ impl Checkpoint {
     }
 
     /// One digest over the entire encoded checkpoint, folded as the encoding
-    /// is walked: `fnv1a(&self.encode())` without the encoding.
+    /// is walked: the checksum of [`encode`](Self::encode)'s bytes without
+    /// the encoding.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        self.walk(&mut |piece: &[u8]| fnv1a_fold(&mut h, piece));
-        h
+        let mut s = Sum::new();
+        self.walk(&mut |piece: &[u8]| s.write(piece));
+        s.finish()
     }
 }
 
@@ -923,10 +937,10 @@ impl SectionSink for Encoder<'_> {
 /// A streamed body that carries checksums of its own (a machine's encoding
 /// inside a rack) is not hashed as it streams. While the body has matched
 /// the stored one byte for byte, the checksum that follows it can only be
-/// `fnv1a` of the stored body, so the `Diff` takes the stored checksum as a
-/// claim to that effect and `finish` checks every claim, four chains side
-/// by side (`fnv1a_each`). A claim that fails is reported as the
-/// divergence it stands for: its first wrong byte, in its section.
+/// the checksum of the stored body, so the `Diff` takes the stored checksum
+/// as a claim to that effect and `finish` checks the claims in stream
+/// order. A claim that fails is reported as the divergence it stands for:
+/// its first wrong byte, in its section.
 pub struct Diff<'a> {
     want: &'a Checkpoint,
     /// Sections produced so far.
@@ -939,8 +953,8 @@ pub struct Diff<'a> {
 }
 
 /// A stored checksum a [`Diff`] took as matching: the eight bytes at `sum`
-/// of stored section `section` are `fnv1a` of the bytes `body..sum` before
-/// them.
+/// of stored section `section` are the checksum of the bytes `body..sum`
+/// before them.
 struct Claim {
     section: usize,
     body: usize,
@@ -994,7 +1008,7 @@ impl Emit for BodyDiff<'_> {
                 });
                 self.len += 8;
             }
-            _ => self.feed(&fnv1a(body).to_le_bytes()),
+            _ => self.feed(&checksum(body).to_le_bytes()),
         }
     }
 }
@@ -1074,20 +1088,13 @@ impl<'a> Diff<'a> {
     /// precedes any divergence in its section, so its first wrong byte is
     /// the section's first divergence.
     fn broken_claim(&self) -> Option<(usize, String)> {
-        let stored = |c: &Claim| self.want.sections[c.section].1.as_slice();
-        let bodies: Vec<&[u8]> = self
-            .claims
-            .iter()
-            .map(|c| &stored(c)[c.body..c.sum])
-            .collect();
-        let sums = fnv1a_each(&bodies);
-        self.claims.iter().zip(sums).find_map(|(c, got)| {
-            let want = &stored(c)[c.sum..c.sum + 8];
-            let off = want
+        self.claims.iter().find_map(|c| {
+            let (tag, body) = &self.want.sections[c.section];
+            let got = checksum(&body[c.body..c.sum]);
+            let off = body[c.sum..c.sum + 8]
                 .iter()
                 .zip(got.to_le_bytes())
                 .position(|(a, b)| *a != b)?;
-            let (tag, body) = &self.want.sections[c.section];
             let report = differs(tag, body.len(), c.produced, Some(c.sum + off));
             Some((c.section, report))
         })
@@ -1205,6 +1212,25 @@ mod tests {
         }
     }
 
+    /// A checkpoint written before schema 3 does not decode, and its
+    /// manifest is not admitted.
+    #[test]
+    fn a_version_2_checkpoint_is_refused() {
+        let mut ck = sample();
+        ck.manifest.schema_version = 2;
+        for err in [
+            Checkpoint::decode(&ck.encode()).expect_err("a v2 encoding"),
+            ck.manifest
+                .admit("machine", None, 7)
+                .expect_err("a v2 manifest"),
+        ] {
+            assert!(
+                matches!(err, SnapError::VersionMismatch { want: 3, got: 2 }),
+                "{err:?}"
+            );
+        }
+    }
+
     #[test]
     fn rle_round_trip() {
         let mut img = vec![0u8; 4096];
@@ -1263,21 +1289,19 @@ mod tests {
             proptest::prop_assert_eq!(SnapReader::new("rle", &want).bytes_rle().unwrap(), padded);
         }
 
-        /// [`fnv1a_each`] is [`fnv1a`] of each string, for none to nine
-        /// strings, empty ones and ones of equal length among them.
-        fn fnv1a_each_is_fnv1a_of_each(
-            strings in proptest::collection::vec((0usize..6, proptest::arbitrary::any::<u64>()), 0..10),
+        /// A section's checksum changes when any one byte of its body does,
+        /// for bodies of one byte to five words, and to whatever value the
+        /// byte changes.
+        fn a_changed_body_byte_changes_the_checksum(
+            len in 1usize..40,
+            seed in proptest::arbitrary::any::<u64>(),
+            at in proptest::arbitrary::any::<usize>(),
+            flip in 1u8..=255,
         ) {
-            let strings: Vec<Vec<u8>> = strings
-                .iter()
-                .map(|&(kind, seed)| {
-                    let len = [0, 1, 3, 64, 64 + seed as usize % 3, seed as usize % 300][kind];
-                    (0..len as u64).map(|i| (i.wrapping_mul(seed | 1) >> 5) as u8).collect()
-                })
-                .collect();
-            let refs: Vec<&[u8]> = strings.iter().map(Vec::as_slice).collect();
-            let want: Vec<u64> = refs.iter().map(|s| fnv1a(s)).collect();
-            proptest::prop_assert_eq!(fnv1a_each(&refs), want);
+            let body: Vec<u8> = (0..len as u64).map(|i| (i.wrapping_mul(seed | 1) >> 5) as u8).collect();
+            let mut changed = body.clone();
+            changed[at % len] ^= flip;
+            proptest::prop_assert!(checksum(&body) != checksum(&changed));
         }
     }
 
@@ -1325,8 +1349,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
-        /// The old digest expression is kept only as this oracle.
-        fn digest_is_fnv1a_of_the_encoding(
+        /// The digest streams the checksum over the walk's pieces, so it is
+        /// the checksum of the encoding.
+        fn digest_is_the_checksum_of_the_encoding(
             label in proptest::arbitrary::any::<String>(),
             repeat in 0usize..64,
             tags in proptest::collection::vec(proptest::arbitrary::any::<String>(), 0..9),
@@ -1346,7 +1371,7 @@ mod tests {
             }
             let bytes = ck.encode();
             proptest::prop_assert_eq!(bytes.len(), bytes.capacity());
-            proptest::prop_assert_eq!(ck.digest(), fnv1a(&bytes));
+            proptest::prop_assert_eq!(ck.digest(), checksum(&bytes));
             proptest::prop_assert_eq!(Checkpoint::decode(&bytes).expect("decodes"), ck);
         }
     }

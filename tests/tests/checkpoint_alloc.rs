@@ -71,7 +71,10 @@ fn a_checkpoint_is_held_once() {
     assert_eq!(seen.allocs, 1, "encode sizes its buffer once");
     assert_eq!(bytes.len(), bytes.capacity());
     assert_eq!(seen.peak_live, bytes.len() as u64);
-    assert_eq!(digest, lastcpu_snap::fnv1a(&bytes));
+    // The digest is the checksum of the encoding (lastcpu-snap's
+    // `digest_is_the_checksum_of_the_encoding`), so it survives a decode.
+    let decoded = lastcpu_snap::Checkpoint::decode(&bytes).expect("decodes");
+    assert_eq!(digest, decoded.digest());
     drop(bytes);
 
     // What verification holds at once is the section being compared: here

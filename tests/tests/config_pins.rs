@@ -1,9 +1,9 @@
 //! The router, KVS-server and SSD sections, recorded while their
 //! configuration carried fields nothing set but their own `Default`. Those
-//! fields are constants now, and each section still writes every such value
-//! at its old position until the next `SCHEMA_VERSION` drops them, so a
-//! fresh instance and a short rack run must write the bytes they wrote
-//! then. Each section is held to its length and its FNV-1a digest.
+//! fields are constants now, and schema 3 dropped the values the sections
+//! still wrote for them; a fresh instance and a short rack run must write
+//! the bytes recorded then. Each section is held to its length and its
+//! FNV-1a digest.
 //!
 //! The timing defaults the cost table declares are held the same way: the
 //! `Debug` of each, recorded before they read a row.
@@ -25,7 +25,7 @@ use lastcpu_kvs::{build_rack_kvs, KvsNicApp, ServerConfig, ShardRouterHost};
 use lastcpu_mem::{DramCostModel, Pasid};
 use lastcpu_net::NetCostModel;
 use lastcpu_sim::{BackoffPolicy, SimDuration, SimTime};
-use lastcpu_snap::{fnv1a, Checkpoint, Field, Restore, SnapError, SnapReader, Snapshot};
+use lastcpu_snap::{fnv1a, Checkpoint, Field, SnapReader, Snapshot};
 
 /// `(length, FNV-1a)` of a section body.
 fn pin(bytes: &[u8]) -> (usize, u64) {
@@ -47,107 +47,6 @@ fn fresh_sections_write_the_recorded_bytes() {
         pin(&fresh_ssd().snapshot_bytes()),
     ];
     assert_eq!(got, FRESH, "router, KVS server, SSD");
-}
-
-/// `bytes` with `value` written `offset` bytes into the last run equal to
-/// `around`, which must be there.
-fn doctored(bytes: &[u8], around: &[u8], offset: usize, value: &[u8]) -> Vec<u8> {
-    let at = offset
-        + bytes
-            .windows(around.len())
-            .rposition(|w| w == around)
-            .expect("the pinned value in place");
-    let mut out = bytes.to_vec();
-    out[at..at + value.len()].copy_from_slice(value);
-    out
-}
-
-/// `fresh` refuses `bytes` as corrupt, naming `pinned`.
-fn refuses<T: Restore>(mut fresh: T, bytes: &[u8], pinned: &str) {
-    let err = fresh.restore_bytes("pins", bytes).expect_err(pinned);
-    assert!(
-        matches!(err, SnapError::Corrupt { .. }) && err.to_string().contains(pinned),
-        "{pinned}: {err}"
-    );
-}
-
-/// Each value a section carries for a constant is refused when it reads
-/// any other. The router's policy tag is the one dispatch policy's, 3: tag
-/// 0 (the retired `static` arm) restored before the policy became the only
-/// one, and 1 and 2 are the arms retired before it.
-#[test]
-fn a_pinned_value_refuses_any_other() {
-    let router = ShardRouterHost::new(RouterConfig::default()).snapshot_bytes();
-    let fresh_router = || ShardRouterHost::new(RouterConfig::default());
-    fresh_router()
-        .restore_bytes("router", &router)
-        .expect("undoctored");
-    let kind = doctored(&router, b"smart-nic", 0, b"smart-nix");
-    refuses(fresh_router(), &kind, "router service kind");
-    // Tick, sub-timeout, retry budget, policy tag, RTT multiplier, busy
-    // backoff: one run of bytes after the virtual-node count.
-    let timing: Vec<u8> = [
-        &1_000_000u64.to_le_bytes()[..],
-        &5_000_000u64.to_le_bytes(),
-        &24u32.to_le_bytes(),
-        &[3],
-        &4u64.to_le_bytes(),
-        &2_000_000u64.to_le_bytes(),
-    ]
-    .concat();
-    for (offset, value, pinned) in [
-        (0, &2_000_000u64.to_le_bytes()[..], "router tick"),
-        (8, &5_000_001u64.to_le_bytes(), "router sub-timeout"),
-        (16, &25u32.to_le_bytes(), "router retry budget"),
-        (20, &[0], "router policy tag"),
-        (20, &[1], "router policy tag"),
-        (20, &[2], "router policy tag"),
-        (21, &5u64.to_le_bytes(), "router RTT multiplier"),
-        (29, &2_000_001u64.to_le_bytes(), "router busy backoff"),
-    ] {
-        refuses(
-            fresh_router(),
-            &doctored(&router, &timing, offset, value),
-            pinned,
-        );
-    }
-
-    let server = KvsNicApp::new(ServerConfig::default(), Pasid(0)).snapshot_bytes();
-    let fresh_server = || KvsNicApp::new(ServerConfig::default(), Pasid(0));
-    fresh_server()
-        .restore_bytes("server", &server)
-        .expect("undoctored");
-    // The VA base before the queue size (64), which is still configured.
-    let va = [&0x2000_0000u64.to_le_bytes()[..], &64u16.to_le_bytes()].concat();
-    let moved = 0x2100_0000u64.to_le_bytes();
-    refuses(
-        fresh_server(),
-        &doctored(&server, &va, 0, &moved),
-        "server VA base",
-    );
-    // The cost after the queue size and the cache size (0).
-    let cost = [
-        &64u16.to_le_bytes()[..],
-        &0u64.to_le_bytes(),
-        &500u64.to_le_bytes(),
-    ]
-    .concat();
-    let dearer = 501u64.to_le_bytes();
-    refuses(
-        fresh_server(),
-        &doctored(&server, &cost, 10, &dearer),
-        "server per-request cost",
-    );
-
-    let ssd = fresh_ssd().snapshot_bytes();
-    fresh_ssd().restore_bytes("ssd", &ssd).expect("undoctored");
-    let overhead = 1_000u64.to_le_bytes();
-    let slower = 2_000u64.to_le_bytes();
-    refuses(
-        fresh_ssd(),
-        &doctored(&ssd, &overhead, 0, &slower),
-        "SSD per-request overhead",
-    );
 }
 
 /// Four machines on leaf-spine:2, R = 2, a client per machine through its

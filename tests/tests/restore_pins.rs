@@ -464,9 +464,6 @@ fn driven_components_restore_what_they_snapshot() {
     for i in 0..50u32 {
         let key = format!("k{:02}", i % 17).into_bytes();
         engine.put(&key, &i.to_le_bytes()).unwrap();
-        if i % 7 == 0 {
-            engine.delete(&key).unwrap();
-        }
     }
     pin("engine", &engine, KvEngine::new());
     let mut scanner = LogScanner::new();

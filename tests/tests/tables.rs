@@ -16,15 +16,10 @@ use lastcpu_sim::SimDuration;
 use lastcpu_snap::{Checkpoint, Restore as _};
 
 /// The tunnel ports listed in a machine checkpoint's `engine` section (they
-/// follow the clock, the queue digest, the correlation cursor, the memory
-/// controller's id and the shared-link state).
+/// follow the correlation cursor, the memory controller's id and the
+/// shared-link state).
 fn tunnel_ports(ck: &Checkpoint) -> Vec<u32> {
     let mut r = ck.reader("engine").unwrap();
-    for _ in 0..3 {
-        r.u64().unwrap();
-    }
-    r.len().unwrap();
-    r.u64().unwrap();
     r.u64().unwrap();
     r.opt(|r| r.u32()).unwrap();
     r.opt(|r| Ok((r.u64()?, r.u64()?))).unwrap();
