@@ -931,4 +931,55 @@ mod tests {
             differential_run(seed, 400);
         }
     }
+
+    /// A queue mid-run (events popped, some pending in the ready run, in
+    /// buckets and beyond the horizon) reads back as the same queue: clock,
+    /// cursors, and every entry with its seq, in pop order.
+    #[test]
+    fn a_queue_reads_back_what_it_wrote() {
+        let mut q = q();
+        for (i, at) in [5u64, 5, 300, 2_000, 9_000_000, 300]
+            .into_iter()
+            .enumerate()
+        {
+            q.schedule_at(SimTime::from_nanos(at), i as u32);
+        }
+        q.pop();
+        let mut w = SnapWriter::new();
+        q.put(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new("queue", &bytes);
+        let mut back = EventQueue::<u32>::take(&mut r).expect("reads");
+        r.finish().expect("all of it");
+        assert_eq!(back.entries(), q.entries());
+        assert_eq!(
+            (back.now(), back.seq_cursor(), back.events_processed()),
+            (q.now(), q.seq_cursor(), q.events_processed())
+        );
+        let mut w = SnapWriter::new();
+        back.put(&mut w);
+        assert_eq!(w.into_bytes(), bytes);
+        let order: Vec<_> = std::iter::from_fn(|| back.pop().map(|e| e.event)).collect();
+        assert_eq!(order, [1, 2, 5, 3, 4]);
+    }
+
+    /// Entries that are not strictly ascending by `(at, seq)` are not a
+    /// writer's: refused, and the queue is left empty at the clock.
+    #[test]
+    fn reinit_refuses_entries_out_of_pop_order() {
+        let t = SimTime::from_nanos;
+        let mut q = q();
+        for entries in [
+            vec![(t(20), 1, 0), (t(10), 2, 0)],
+            vec![(t(10), 2, 0), (t(10), 1, 0)],
+            vec![(t(10), 1, 0), (t(10), 1, 0)],
+        ] {
+            let err = q
+                .reinit_from(t(5), 3, 0, entries)
+                .expect_err("out of order");
+            assert!(err.contains("out of pop order"), "{err}");
+            assert!(q.is_empty());
+            assert_eq!(q.now(), t(5));
+        }
+    }
 }

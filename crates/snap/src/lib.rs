@@ -1303,6 +1303,26 @@ mod tests {
             changed[at % len] ^= flip;
             proptest::prop_assert!(checksum(&body) != checksum(&changed));
         }
+
+        /// The checksum streams: bytes handed over in any pieces sum to the
+        /// checksum of the whole, whatever the pieces' lengths against the
+        /// eight-byte words.
+        fn pieces_sum_to_the_checksum_of_the_whole(
+            len in 0usize..100,
+            seed in proptest::arbitrary::any::<u64>(),
+            cuts in proptest::collection::vec(0usize..100, 0..6),
+        ) {
+            let bytes: Vec<u8> = (0..len as u64).map(|i| (i.wrapping_mul(seed | 1) >> 3) as u8).collect();
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+            cuts.sort_unstable();
+            let mut sum = Sum::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                sum.write(&bytes[from..cut]);
+                from = cut;
+            }
+            proptest::prop_assert_eq!(sum.finish(), checksum(&bytes));
+        }
     }
 
     /// Runs the writer never makes are refused as `Corrupt`: an empty run,
