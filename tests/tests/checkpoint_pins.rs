@@ -9,6 +9,11 @@
 //! `Checkpoint::decode`'s choice between two failures, were recorded at the
 //! commit before a verify took a matched section's checksum as a claim and
 //! checked the claims four at a time (DESIGN.md §14.2).
+//!
+//! Every digest, offset and length here was re-recorded when
+//! `SCHEMA_VERSION` became 3 (sections hold pending events, no pins or id
+//! lists, and a word-at-a-time checksum); the reports' wording and the
+//! failures they pick did not change.
 
 use lastcpu_bus::{Dst, Envelope, Payload};
 use lastcpu_core::devices::device::{Device, DeviceCtx};
@@ -144,9 +149,9 @@ fn report(r: Result<()>) -> String {
 /// `Checkpoint::digest` of the machine, and what `verify_checkpoint`
 /// reports against each doctored copy of its checkpoint.
 const PARENT_MACHINE: (u64, [&str; 5]) = (
-    3418809664051101443,
+    791397343295774658,
     [
-        r#"restored state diverged in section "system": manifest differs: Manifest { schema_version: 2, seed: 11, virtual_ns: 59777506, events: 3103, config_fp: 5536277680403336018, label: "pins" } vs Manifest { schema_version: 2, seed: 11, virtual_ns: 59777506, events: 3102, config_fp: 5536277680403336018, label: "pins" }"#,
+        r#"restored state diverged in section "system": manifest differs: Manifest { schema_version: 3, seed: 11, virtual_ns: 59777506, events: 3103, config_fp: 5536277680403336018, label: "pins" } vs Manifest { schema_version: 3, seed: 11, virtual_ns: 59777506, events: 3102, config_fp: 5536277680403336018, label: "pins" }"#,
         r#"restored state diverged in section "system": section 4 tag differs: "dramx" vs "dram""#,
         r#"restored state diverged in section "system": section "dram" differs: 4881 vs 4881 bytes, first divergence at offset 2440"#,
         r#"restored state diverged in section "system": section count differs: 12 vs 13"#,
@@ -156,14 +161,14 @@ const PARENT_MACHINE: (u64, [&str; 5]) = (
 
 /// The same for the rack, plus a machine section cut short by nine bytes.
 const PARENT_RACK: (u64, [&str; 6]) = (
-    1066751567424830256,
+    18291338510573849369,
     [
-        r#"restored state diverged in section "rack": manifest differs: Manifest { schema_version: 2, seed: 4011, virtual_ns: 60000000, events: 12968, config_fp: 16570750973892390379, label: "pins" } vs Manifest { schema_version: 2, seed: 4011, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" }"#,
+        r#"restored state diverged in section "rack": manifest differs: Manifest { schema_version: 3, seed: 4011, virtual_ns: 60000000, events: 12968, config_fp: 16570750973892390379, label: "pins" } vs Manifest { schema_version: 3, seed: 4011, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" }"#,
         r#"restored state diverged in section "rack": section 4 tag differs: "machine1x" vs "machine1""#,
-        r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 287383"#,
+        r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 264823"#,
         r#"restored state diverged in section "rack": section count differs: 6 vs 7"#,
         r#"restored state diverged in section "rack": section count differs: 8 vs 7"#,
-        r#"restored state diverged in section "rack": section "machine2" differs: 491005 vs 491014 bytes, first divergence at end"#,
+        r#"restored state diverged in section "rack": section "machine2" differs: 449093 vs 449102 bytes, first divergence at end"#,
     ],
 );
 
@@ -254,20 +259,20 @@ fn doctor_machines(ck: &Checkpoint, mut edit: impl FnMut(&str, &mut Vec<u8>)) ->
 /// machine1 cut inside a sum; two sums of machine1; a sum in machine1 and
 /// one in machine2.
 const PARENT_RACK_SUMS: [&str; 14] = [
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 195"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 202"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 288352"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 288359"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 563525"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 563532"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 574759"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 574766"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 195"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 288351"#,
-    r#"restored state diverged in section "rack": section "machine2" differs: 491014 vs 491014 bytes, first divergence at offset 723"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 563529 vs 574767 bytes, first divergence at end"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 195"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 574767 vs 574767 bytes, first divergence at offset 563525"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 943"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 950"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 243317"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 243324"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 518482"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 518489"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 529638"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 529645"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 943"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 243316"#,
+    r#"restored state diverged in section "rack": section "machine2" differs: 449102 vs 449102 bytes, first divergence at offset 956"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 518486 vs 529646 bytes, first divergence at end"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 943"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 518482"#,
 ];
 
 #[test]
@@ -340,9 +345,9 @@ fn a_rack_reports_a_doctored_inner_checksum_as_before() {
 /// What `Checkpoint::decode` reports for a machine's encoding with two
 /// checksums flipped, with a checksum flipped before a cut, and cut alone.
 const PARENT_DECODE: [&str; 3] = [
-    r#"checksum mismatch in section "rng": stored 0x5382caef2f839fae, body hashes to 0x5382caef2f839faf"#,
-    r#"checksum mismatch in section "bus": stored 0x2f11fc9e580e816d, body hashes to 0x2f11fc9e580f816d"#,
-    r#"corrupt section "checkpoint": truncated: need 220699 bytes at offset 8648, have 110349"#,
+    r#"checksum mismatch in section "rng": stored 0x827353b521ba4e0e, body hashes to 0x827353b521ba4e0f"#,
+    r#"checksum mismatch in section "bus": stored 0x8246fd47066a846e, body hashes to 0x8246fd47066b846e"#,
+    r#"corrupt section "checkpoint": truncated: need 220671 bytes at offset 8843, have 110335"#,
 ];
 
 #[test]
@@ -420,11 +425,11 @@ fn a_machine_that_cannot_serialize_reports_so() {
 /// recipe. A rack checks no seed of its own (the fabric's seed is part of
 /// its recipe), so a doctored seed reaches the manifest comparison.
 const PARENT_REFUSALS: [&str; 6] = [
-    "schema version mismatch: this build reads v2, checkpoint is v3",
+    "schema version mismatch: this build reads v3, checkpoint is v4",
     r#"restored state diverged in section "manifest": seed mismatch: checkpoint 12, this machine 11"#,
     r#"restored state diverged in section "manifest": config fingerprint mismatch: checkpoint 0x4cd4cf37c65d4b52, this machine 0x9fe55e76e15c0789"#,
-    "schema version mismatch: this build reads v2, checkpoint is v3",
-    r#"restored state diverged in section "rack": manifest differs: Manifest { schema_version: 2, seed: 4012, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" } vs Manifest { schema_version: 2, seed: 4011, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" }"#,
+    "schema version mismatch: this build reads v3, checkpoint is v4",
+    r#"restored state diverged in section "rack": manifest differs: Manifest { schema_version: 3, seed: 4012, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" } vs Manifest { schema_version: 3, seed: 4011, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" }"#,
     r#"restored state diverged in section "manifest": config fingerprint mismatch: checkpoint 0xe5f7223714506deb, this rack 0xf306f7746aceafbc"#,
 ];
 

@@ -178,31 +178,31 @@ const DEFAULTS: [&str; 12] = [
 
 /// Router, KVS server (its NIC app), SSD.
 const FRESH: [(usize, u64); 3] = [
-    (248, 2522362332308006509),
-    (276, 16890829933471713274),
-    (81242, 8675393856203603591),
+    (194, 13500812114486793379),
+    (252, 7252076606005376675),
+    (81234, 1116295597284036068),
 ];
 
 /// Per machine: SSD, KVS NIC, router.
 const RACK: [[(usize, u64); 3]; 4] = [
     [
-        (279919, 8144389424291083379),
-        (3449, 6212846314253764325),
-        (6289, 1126085143471456359),
+        (279911, 12048756151429113322),
+        (3425, 15408905183047156450),
+        (6235, 10640945094940786151),
     ],
     [
-        (369023, 3498466455201638270),
-        (4555, 1346315227300905647),
-        (6289, 17598499728674281838),
+        (369015, 11404083679604989291),
+        (4531, 2389058133731419180),
+        (6235, 5047081782961687630),
     ],
     [
-        (254408, 4643531963547850191),
-        (3797, 843051725826529629),
-        (6289, 17732988991621306803),
+        (254400, 578569036002215806),
+        (3773, 17842394225457566822),
+        (6235, 1407307553873497075),
     ],
     [
-        (365805, 13361631576715499217),
-        (4551, 7995795093238698641),
-        (6289, 15341369877770014913),
+        (365797, 13220600071343157616),
+        (4527, 16840875151449289310),
+        (6235, 11956077797247894549),
     ],
 ];

@@ -5,6 +5,10 @@
 //! CPU, a traced KVS machine under injected faults and a 4-machine rack.
 //! Beside the bytes, the rows that are not a plain copy of an instance's
 //! count into one hub key are pinned by what they mean.
+//!
+//! Re-recorded when `SCHEMA_VERSION` became 3 deleted the KVS delete: each
+//! `metrics_json` and `ServerStats` lost the always-zero `deletes` count, and
+//! no other value moved.
 
 use lastcpu_baseline::CpuDevice;
 use lastcpu_bus::RetryConfig;
@@ -347,39 +351,39 @@ fn rack_metrics_are_as_before() {
 // Recorded at the commit before instruments were declared once.
 
 const PARENT_TWO_TENANT: &[&str] = &[
-    "metrics_json 0x768ee98ebd65d2fe 3751",
-    "victim: ServerStats { gets: 263, puts: 102, deletes: 0, cache_hits: 0, fast_gets: 0, shed: 0, misses: 1, failures: 0, unavailable: 0 }",
-    "antagonist: ServerStats { gets: 1, puts: 364, deletes: 0, cache_hits: 0, fast_gets: 0, shed: 0, misses: 1, failures: 0, unavailable: 0 }",
+    "metrics_json 0x9a7781fd22286ce1 3728",
+    "victim: ServerStats { gets: 263, puts: 102, cache_hits: 0, fast_gets: 0, shed: 0, misses: 1, failures: 0, unavailable: 0 }",
+    "antagonist: ServerStats { gets: 1, puts: 364, cache_hits: 0, fast_gets: 0, shed: 0, misses: 1, failures: 0, unavailable: 0 }",
     "victim: ops_done 300 unavailable_rejections 0 busy 0 timeouts 0",
     "antagonist: ops_done 300 unavailable_rejections 0 busy 0 timeouts 0",
 ];
 const PARENT_CPU_KVS: &[&str] = &[
-    "metrics_json 0x3c24786960db09ea 2477",
-    "server: ServerStats { gets: 384, puts: 217, deletes: 0, cache_hits: 69, fast_gets: 0, shed: 0, misses: 1, failures: 0, unavailable: 0 }",
+    "metrics_json 0x2a042eff5f2e3abf 2454",
+    "server: ServerStats { gets: 384, puts: 217, cache_hits: 69, fast_gets: 0, shed: 0, misses: 1, failures: 0, unavailable: 0 }",
     "c0: ops_done 400 unavailable_rejections 0 busy 0 timeouts 0",
 ];
 const PARENT_FAULTED_KVS: &[&str] = &[
-    "metrics_json 0x27e5035201f7c0fa 2580",
-    "server: ServerStats { gets: 15515, puts: 1116, deletes: 0, cache_hits: 11220, fast_gets: 11220, shed: 0, misses: 54, failures: 2, unavailable: 1528 }",
+    "metrics_json 0x0eea98b139d057e7 2557",
+    "server: ServerStats { gets: 15515, puts: 1116, cache_hits: 11220, fast_gets: 11220, shed: 0, misses: 54, failures: 2, unavailable: 1528 }",
     "c0: ops_done 16338 unavailable_rejections 1528 busy 0 timeouts 0",
-    "bus.rpc_retries 1 per-source retries 1 iommu.faults 0 kvs.c0.unavailable 8 metrics section Ok(2820718636752456525)",
+    "bus.rpc_retries 1 per-source retries 1 iommu.faults 0 kvs.c0.unavailable 8 metrics section Ok(17679844257030767983)",
 ];
 const PARENT_RACK: &[&str] = &[
     "metrics_json 0xb2b543361a5f063b 528",
-    "metrics_json 0xd83de37497274f07 2838",
+    "metrics_json 0x11c5fecdaca94bc8 2815",
     "router0: RouterStats { requests: 250, hits: 357, failovers: 0, give_ups: 0, rebalance_moves: 0, epoch: 1, dir_replies: 1000, dir_installs: 1, late_acks: 0, busy_deferrals: 0 } fabric.router.requests 250",
-    "server0: ServerStats { gets: 176, puts: 180, deletes: 0, cache_hits: 0, fast_gets: 0, shed: 0, misses: 0, failures: 0, unavailable: 0 } kvs.server.gets 176",
+    "server0: ServerStats { gets: 176, puts: 180, cache_hits: 0, fast_gets: 0, shed: 0, misses: 0, failures: 0, unavailable: 0 } kvs.server.gets 176",
     "c0: ops_done 200 unavailable_rejections 0 busy 0 timeouts 0",
-    "metrics_json 0x3bd042764607edab 2839",
+    "metrics_json 0x0ce70070b4ccbe18 2816",
     "router1: RouterStats { requests: 250, hits: 350, failovers: 0, give_ups: 0, rebalance_moves: 0, epoch: 1, dir_replies: 1000, dir_installs: 1, late_acks: 0, busy_deferrals: 0 } fabric.router.requests 249",
-    "server1: ServerStats { gets: 252, puts: 264, deletes: 0, cache_hits: 0, fast_gets: 0, shed: 0, misses: 0, failures: 0, unavailable: 0 } kvs.server.gets 252",
+    "server1: ServerStats { gets: 252, puts: 264, cache_hits: 0, fast_gets: 0, shed: 0, misses: 0, failures: 0, unavailable: 0 } kvs.server.gets 252",
     "c1: ops_done 200 unavailable_rejections 0 busy 0 timeouts 0",
-    "metrics_json 0x5b1ce69cb274a350 2835",
+    "metrics_json 0xb974e7b1fae10999 2812",
     "router2: RouterStats { requests: 250, hits: 375, failovers: 0, give_ups: 0, rebalance_moves: 0, epoch: 1, dir_replies: 1000, dir_installs: 1, late_acks: 0, busy_deferrals: 0 } fabric.router.requests 250",
-    "server2: ServerStats { gets: 99, puts: 127, deletes: 0, cache_hits: 0, fast_gets: 0, shed: 0, misses: 0, failures: 0, unavailable: 0 } kvs.server.gets 99",
+    "server2: ServerStats { gets: 99, puts: 127, cache_hits: 0, fast_gets: 0, shed: 0, misses: 0, failures: 0, unavailable: 0 } kvs.server.gets 99",
     "c2: ops_done 200 unavailable_rejections 0 busy 0 timeouts 0",
-    "metrics_json 0xdfde747abc916fb7 2836",
+    "metrics_json 0xeca4af06e39aeea8 2813",
     "router3: RouterStats { requests: 250, hits: 357, failovers: 0, give_ups: 0, rebalance_moves: 0, epoch: 1, dir_replies: 1000, dir_installs: 1, late_acks: 0, busy_deferrals: 0 } fabric.router.requests 250",
-    "server3: ServerStats { gets: 26, puts: 315, deletes: 0, cache_hits: 0, fast_gets: 0, shed: 0, misses: 4, failures: 0, unavailable: 0 } kvs.server.gets 26",
+    "server3: ServerStats { gets: 26, puts: 315, cache_hits: 0, fast_gets: 0, shed: 0, misses: 4, failures: 0, unavailable: 0 } kvs.server.gets 26",
     "c3: ops_done 200 unavailable_rejections 0 busy 0 timeouts 0",
 ];

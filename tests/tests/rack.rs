@@ -7,6 +7,9 @@
 //! requests over every `smart-nic` endpoint with R-way replication.
 //!
 //! [`ShardRouterHost`]: lastcpu_kvs::ShardRouterHost
+//!
+//! The schedule digests cover checkpoint sections and were re-recorded when
+//! `SCHEMA_VERSION` became 3.
 
 use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
 use lastcpu_fabric::{Fabric, FabricConfig, TopoKind, TopologyConfig};
@@ -507,7 +510,7 @@ fn schedule_is_the_recorded_one() {
 
     assert_eq!(
         format!("{flat:#018x} {crash:#018x} {tree:#018x}"),
-        "0x3f744904cbe6ca9c 0x920bcb9a4ae7ff70 0xa23d1fe263272528",
+        "0x672c611070d29fe0 0xf62bd62ce6b4f44b 0xfa5ea881cf2d3ab7",
         "8-machine flat, 4-machine crash arm, 32-machine leaf-spine:8 oversub 4"
     );
 }

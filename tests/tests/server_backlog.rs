@@ -6,6 +6,10 @@
 //! requests waiting in the backlog, PUTs in flight on the SSD — and its
 //! device sections are held to digests recorded at the commit before the
 //! change.
+//!
+//! The burst's fourth request shape was a DELETE until schema 3 deleted the
+//! operation; it is a PUT of a new key now, and the digests were re-recorded
+//! then.
 
 use lastcpu_bus::wire::Wire;
 use lastcpu_core::devices::nic::SmartNic;
@@ -210,7 +214,7 @@ fn a_backpressured_server_checkpoints_as_before() {
 /// Recorded at the commit before the server's backlog and in-flight map
 /// changed representation.
 const PARENT: [u64; 3] = [
-    11225276091808327187,
-    2793227698472457967,
-    6374328038600455132,
+    1639474023388771928,
+    12662599888551933308,
+    7821040635399179313,
 ];

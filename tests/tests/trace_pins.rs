@@ -4,6 +4,10 @@
 //! free-form lines and map failures on both sides of the eviction point,
 //! and a traced rack with fabric link tracing on, read through
 //! `Fabric::merged_trace` and the critical-path analyzer.
+//!
+//! The analyzer's report was re-recorded when it began counting router-only
+//! ops apart from incomplete ones; the merged trace and its export did not
+//! move.
 
 use lastcpu_bench::drivers::{ControlMode, SetupClient};
 use lastcpu_bus::{DeviceId, Dst, Envelope, Payload, RetryConfig};
@@ -188,7 +192,7 @@ mod rack {
     const PARENT_LINKED: Linked = (
         38472,
         (12949731664803172697, 4774455),
-        (551331246386407394, 45425),
+        (12675103350392845496, 45441),
     );
 
     fn observe_linked() -> Linked {
