@@ -10,7 +10,7 @@
 #                          holds a second copy of a checkpoint, a shared
 #                          string in a trace record, a walk of every machine
 #                          per retired rack event, a checkpoint checksum
-#                          hashed one section at a time, a hand-registered
+#                          hashed byte by byte with FNV-1a, a hand-registered
 #                          metric handle, a hand-written machine, rack or
 #                          NIC section writer, a timing literal outside the
 #                          cost table, a second counting allocator, ...);
@@ -162,7 +162,7 @@ files: ^crates/snap/src/lib\.rs\$
 from: ^    pub fn decode\(bytes
 to: ^    }
 forbid: fnv1a\(
-why: decode reads every section first and hashes their bodies side by side with fnv1a_each
+why: decode checks each section against the word-at-a-time checkpoint checksum (Sum), which folds eight bytes per multiply; FNV-1a is for recipe fingerprints only
 
 files: ^crates/fabric/src/fabric\.rs\$
 from: ^        loop \{
@@ -336,7 +336,6 @@ lastcpu_iommu::unit::Iommu::mapped_pages  tests/iommu_pins.rs holds a unit's map
 lastcpu_iommu::unit::Iommu::protect  tests/iommu_pins.rs changes a mapping's permissions through it
 lastcpu_kvs::app::KvsNicApp::set_fast_path  tests/delivery.rs turns the NIC server's fast path off, through SmartNic::app_mut, the slow path's only route in a test
 lastcpu_kvs::cpu_app::KvsCpuApp  tests/restore_pins.rs pins its section and tests/metrics_pins.rs reads its counters
-lastcpu_kvs::engine::KvEngine::delete  tests/restore_pins.rs writes tombstones with it
 lastcpu_kvs::engine::KvEngine::is_empty  clippy's len_without_is_empty asks for it beside the linked len
 lastcpu_kvs::server::KvsServer::set_fast_path  KvsNicApp::set_fast_path's half
 lastcpu_mem::pagetable::PageTable::mapped_pages  Iommu::mapped_pages reads it (tests/iommu_pins.rs)
