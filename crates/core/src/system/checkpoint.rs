@@ -381,7 +381,6 @@ mod tests {
         load(&mut fresh, "engine", engine).expect("the section loads");
         assert_eq!(fresh.now(), sys.now());
         assert_eq!(fresh.queue.events_processed(), sys.queue.events_processed());
-        assert_eq!(fresh.queue.seq_cursor(), sys.queue.seq_cursor());
         assert_eq!(fresh.queue.len(), sys.queue.len());
         assert_eq!(kinds(&fresh), kinds(&sys));
         assert_eq!(fresh.tunnel_out[0].corr, CorrId(0xC0FFEE));
@@ -403,7 +402,8 @@ mod tests {
         lastcpu_snap::Field::put(&sys.queue, &mut queue);
         let first = engine.len() - queue.into_bytes().len() + 32;
         let clock = sys.now().as_nanos();
-        let cursor = sys.queue.seq_cursor();
+        // The seq cursor is the queue's third word.
+        let cursor = u64::from_le_bytes(engine[first - 16..first - 8].try_into().expect("8 bytes"));
         let doctor = |at: usize, bytes: &[u8]| {
             let mut body = engine.to_vec();
             body[at..at + bytes.len()].copy_from_slice(bytes);

@@ -474,11 +474,6 @@ impl<E> EventQueue<E> {
         self.seq = 0;
     }
 
-    /// The FIFO tie-break cursor: the `seq` the next scheduled event gets.
-    pub fn seq_cursor(&self) -> u64 {
-        self.seq
-    }
-
     /// Every pending entry as `(time, seq, &event)`, sorted by `(time, seq)`
     /// — i.e. exactly the order the queue would pop them. Wheel internals
     /// (which bucket or heap an entry currently sits in) are not observable
@@ -724,7 +719,7 @@ mod difftest {
             }
             assert_eq!(wheel.now(), heap.now);
             assert_eq!(wheel.len(), heap.heap.len());
-            assert_eq!(wheel.seq_cursor(), heap.seq);
+            assert_eq!(wheel.seq, heap.seq);
             peak = peak.max(heap.heap.len());
             let w = &wheel.wheel;
             assert_eq!(
@@ -953,8 +948,8 @@ mod tests {
         r.finish().expect("all of it");
         assert_eq!(back.entries(), q.entries());
         assert_eq!(
-            (back.now(), back.seq_cursor(), back.events_processed()),
-            (q.now(), q.seq_cursor(), q.events_processed())
+            (back.now(), back.seq, back.events_processed()),
+            (q.now(), q.seq, q.events_processed())
         );
         let mut w = SnapWriter::new();
         back.put(&mut w);

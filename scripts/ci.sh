@@ -342,6 +342,8 @@ lastcpu_mem::pagetable::PageTable::mapped_pages  Iommu::mapped_pages reads it (t
 lastcpu_mem::pagetable::PageTable::node_count  Iommu::table_nodes reads it (tests/iommu_pins.rs)
 lastcpu_mem::pagetable::PageTable::protect  Iommu::protect walks it (tests/iommu_pins.rs)
 lastcpu_sim::metrics::MetricsHub::gauge  tests/metrics_pins.rs reads the hub's gauges through it
+lastcpu_sim::queue::EventQueue::reinit_from  the event queue's reader half loads the engine's and fabric's pending events through it, kept for item 3 of ROADMAP.md
+lastcpu_sim::queue::Wheel::clear  reinit_from empties the wheel with it before it loads
 lastcpu_sim::stats::Histogram::reset  the metrics section's reader half zeroes each histogram with it (tests/restore_pins.rs)
 lastcpu_sim::trace::TraceSink::is_empty  clippy's len_without_is_empty asks for it beside the linked len
 lastcpu_snap::SnapReader::i64  the reader half of an i64 field (tests/restore_pins.rs)
