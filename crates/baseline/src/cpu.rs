@@ -9,7 +9,7 @@ use lastcpu_devices::device::{Device, DeviceCtx};
 use lastcpu_devices::monitor::{AuthMode, Monitor, MonitorEvent};
 use lastcpu_memctl::MemoryController;
 use lastcpu_net::PortId;
-use lastcpu_sim::{costs, DetHashMap};
+use lastcpu_sim::{costs, DetHashMap, MetricsHub};
 
 use crate::cost::CpuCostModel;
 use crate::dumbnic::Packet;
@@ -72,6 +72,9 @@ impl KernelEnv<'_, '_> {
 
 /// An application running on the CPU (the conventional deployment).
 pub trait CpuApp: 'static {
+    /// See [`Device::attach`].
+    fn attach(&mut self, _stats: &MetricsHub) {}
+
     /// Called once the CPU is registered on the bus.
     fn on_start(&mut self, env: &mut KernelEnv<'_, '_>);
 
@@ -274,6 +277,10 @@ impl<A: CpuApp> Device for CpuDevice<A> {
 
     fn kind(&self) -> &str {
         "cpu"
+    }
+
+    fn attach(&mut self, stats: &MetricsHub) {
+        self.app.attach(stats);
     }
 
     fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {

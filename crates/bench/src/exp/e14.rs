@@ -32,7 +32,7 @@ pub const EXP: Experiment = Experiment {
         "--value-size"     U64     "128"               "value bytes"
         "--outstanding"    U64     "8"                 "requests in flight per client"
         "--seeds"          U64List "0xE14,0xE15,0xE16" "a no-fault and a crash cell per seed"
-        "--ckpt-at-us"     U64     "2500"              "virtual microseconds before the checkpoint"
+        "--ckpt-at-us"     U64     "80000"             "virtual microseconds before the checkpoint"
         "--checkpoint-out" Str     ""                  "keep the crash-arm checkpoint here (default: a temp file, removed)"
         "--restore-from"   Str     ""                  "restore this checkpoint here instead of running the matrix (recipe: --seed, --crash)"
         "--seed"           U64     "0xE14"             "the checkpoint's seed, for --restore-from"
@@ -104,13 +104,6 @@ fn finish(b: &mut RackBench) -> u64 {
     b.events - before
 }
 
-/// How many events `b`'s fabric has retired: the cursor its next checkpoint
-/// would carry.
-fn retired(b: &RackBench) -> u64 {
-    let ck = b.setup.fabric.checkpoint("cursor");
-    ck.expect("every rack component snapshots").manifest.events
-}
-
 /// The determinism digest over every end-state observable: fabric and
 /// machine metrics, pool activity, per-machine KVS contents, the
 /// acked-write audit, and the final rack checkpoint (which covers
@@ -163,17 +156,15 @@ fn restore_cell(args: &Args, seed: u64, crash: bool) -> (Cell, Checkpoint) {
     total_events += finish(&mut a);
     let d_a = digest(&a);
 
-    // --- Restored run (fresh rack, replay + verify, continue) -----------
+    // --- Restored run (fresh rack, load + verify, continue) -------------
     let mut b = build(args, seed, crash);
     b.setup.fabric.power_on();
-    let before = retired(&b);
     let t1 = Instant::now();
     b.setup
         .fabric
         .restore_from(&ck)
         .expect("restore must verify byte-for-byte");
     let restore_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let replayed = retired(&b) - before;
     finish(&mut b);
     assert_eq!(
         d_a,
@@ -189,8 +180,6 @@ fn restore_cell(args: &Args, seed: u64, crash: bool) -> (Cell, Checkpoint) {
         .exact("ckpt_events", ck.manifest.events, "count")
         .lower("ckpt_ms", round(ckpt_ms, 3), "ms", 0.25)
         .host()
-        // Restore is replay: it re-executes every event up to the cursor.
-        .exact("restore_replay_events", replayed, "count")
         .lower("restore_ms", round(restore_ms, 3), "ms", 0.25)
         .host()
         .exact("total_events", total_events, "count")
@@ -319,11 +308,6 @@ fn check(r: &Report) -> Vec<String> {
         let at = c.label();
         let snapped = c.num("ckpt_bytes") > 0.0 && c.num("ckpt_sections") > 0.0;
         g.require(snapped, format!("{at}: empty checkpoint"));
-        let replayed = c.num("restore_replay_events") == c.num("ckpt_events");
-        g.require(
-            replayed,
-            format!("{at}: restore_replay_events != ckpt_events"),
-        );
         let kept = c.num("lost_acked_keys") == 0.0 || !(c.key_is("crash", true) && durable);
         g.require(kept, format!("{at}: crash cell lost acknowledged writes"));
     }

@@ -151,6 +151,12 @@ pub trait NetHost: std::any::Any {
     /// Host name (for traces).
     fn name(&self) -> &str;
 
+    /// Called once when a machine adds the host, before any event: binds
+    /// the host's instruments to the machine's metrics hub. A machine
+    /// loaded from a checkpoint never runs `on_start`, so no instrument
+    /// may wait for it.
+    fn attach(&mut self, _stats: &MetricsHub) {}
+
     /// Called once at power-on.
     fn on_start(&mut self, ctx: &mut HostCtx<'_>);
 

@@ -1,14 +1,15 @@
 //! E14 checkpoint / restore: one checksummed section per component, a
-//! recipe fingerprint, and restore as deterministic replay verified byte for
-//! byte. Every section the machine writes itself is declared here, once, as
-//! a field list its reader is derived from (DESIGN.md §14.1).
+//! recipe fingerprint, and restore as loading every section through its
+//! reader, verified byte for byte. Every section the machine writes itself
+//! is declared here, once, as a field list its reader is derived from
+//! (DESIGN.md §14.1).
 
 use lastcpu_bus::{RetryConfig, RpcTracker};
 use lastcpu_net::PortId;
-use lastcpu_sim::DetRng;
+use lastcpu_sim::{BufPool, DetRng};
 use lastcpu_snap::{
-    Checkpoint, Derived, Diff, Emit, Encoder, Manifest, SectionSink, SnapError, Snapshot as _,
-    Span as _,
+    Checkpoint, Diff, Emit, Encoder, Field, Manifest, Restore as _, SectionSink, SnapError,
+    SnapReader, SnapWriter, Snapshot as _, Span,
 };
 
 use super::{HostSlot, PortOwner, RpcState, SharedLink, Slot, SlotFaults, System};
@@ -20,10 +21,38 @@ use super::{HostSlot, PortOwner, RpcState, SharedLink, Slot, SlotFaults, System}
 struct Engine;
 
 lastcpu_snap::fields! { Engine for System |s| {
-    next_corr, memctl_id, shared_link,
-    ..Derived("tunnel ports", System::tunnel_ports),
-    tunnel_out, fault_events, queue,
+    next_corr, memctl_id, shared_link, ..TunnelPorts, tunnel_out, fault_events, queue,
 } }
+
+/// The ports a rack fabric owns, in port order: the recipe's, then those the
+/// fabric opened while running, which follow the machine's other ports
+/// contiguously. A load opens the ones the machine lacks; a list that does
+/// not extend the machine's own is corrupt.
+struct TunnelPorts;
+
+impl Span<System> for TunnelPorts {
+    fn put(&self, s: &System, w: &mut SnapWriter) {
+        s.tunnel_ports().put(w);
+    }
+
+    fn take(&self, s: &mut System, r: &mut SnapReader<'_>) -> lastcpu_snap::Result<()> {
+        let listed = Vec::<PortId>::take(r)?;
+        let own = s.tunnel_ports();
+        let opened = listed.get(own.len()..).unwrap_or_default();
+        let next = s.port_owners.len() as u32 + 1;
+        if !listed.starts_with(&own) || (next..).zip(opened).any(|(p, &q)| PortId(p) != q) {
+            return Err(r.corrupt(format!(
+                "tunnel ports: the {} listed are not the machine's {} followed by ports from {next} on",
+                listed.len(),
+                own.len()
+            )));
+        }
+        for _ in opened {
+            s.add_tunnel_port();
+        }
+        Ok(())
+    }
+}
 
 lastcpu_snap::record! { SharedLink { busy_until, per_byte_ps } }
 
@@ -58,10 +87,9 @@ lastcpu_snap::fields! { HostSlot |self| { port, mut rng } }
 
 impl System {
     /// Stable fingerprint of the builder recipe: configuration plus the
-    /// device/host lineup. Restore refuses to verify a checkpoint against
-    /// a machine built from a different recipe — replay-based restore is
-    /// only sound when the re-executed machine starts from the same
-    /// construction.
+    /// device/host lineup. Restore refuses a checkpoint of a machine built
+    /// from a different recipe: the sections load into the components the
+    /// recipe built, and hold only what a run changed.
     pub fn config_fingerprint(&self) -> u64 {
         let mut h = lastcpu_snap::fnv1a(format!("{:?}", self.config).as_bytes());
         for s in &self.slots {
@@ -163,20 +191,72 @@ impl System {
         }
     }
 
+    /// Loads one of the machine's own sections through its declared reader
+    /// (for a `dev{i}` or `host{i}` section, the slot's bookkeeping, then the
+    /// device's or host's `restore_state`), all of it.
+    fn load_section(&mut self, tag: &str, body: &[u8]) -> lastcpu_snap::Result<()> {
+        let mut r = SnapReader::new(tag, body);
+        let index = |prefix| {
+            tag.strip_prefix(prefix)
+                .and_then(|i| i.parse::<usize>().ok())
+        };
+        match tag {
+            "engine" => Engine.take(self, &mut r)?,
+            "rng" => self.root_rng.restore(&mut r)?,
+            "bus" => self.bus.restore(&mut r)?,
+            "rpc" => Rpc.take(self, &mut r)?,
+            "dram" => self.dram.restore(&mut r)?,
+            "switch" => self.switch.restore(&mut r)?,
+            "pool" => self.pool.restore(&mut r)?,
+            "metrics" => self.stats.restore(&mut r)?,
+            "trace" => self.trace.restore(&mut r)?,
+            _ => {
+                if let Some(s) = index("dev").and_then(|i| self.slots.get_mut(i)) {
+                    s.restore(&mut r)?;
+                    s.device.restore_state(&mut r)?;
+                } else if let Some(hs) = index("host").and_then(|i| self.hosts.get_mut(i)) {
+                    hs.restore(&mut r)?;
+                    hs.host.restore_state(&mut r)?;
+                } else {
+                    return Err(r.corrupt("not a section of this machine"));
+                }
+            }
+        }
+        r.finish()
+    }
+
+    /// Loads a checkpoint's sections, in order, each through its reader:
+    /// the one loader [`restore_from`](Self::restore_from) and a rack's
+    /// restore use. A payload whose storage was this machine's pool goes
+    /// back to it (a rack's load hands the others theirs). It checks
+    /// nothing against the checkpoint's manifest and verifies nothing; the
+    /// machine must be built from the checkpoint's recipe and powered on,
+    /// and runs no device or host callback here.
+    pub fn load<'s>(
+        &mut self,
+        sections: impl IntoIterator<Item = (&'s str, &'s [u8])>,
+    ) -> lastcpu_snap::Result<()> {
+        let pool = self.pool.clone();
+        BufPool::loading(std::slice::from_ref(&pool), || {
+            sections
+                .into_iter()
+                .try_for_each(|(tag, body)| self.load_section(tag, body))
+        })
+    }
+
     /// Restores this machine to the state captured in `ck`.
     ///
     /// The machine must be freshly built from the *same recipe* (config +
     /// device/host lineup, checked via the manifest fingerprint) and
-    /// powered on. Restore is deterministic re-execution: the engine
-    /// replays to the manifest's event cursor — bit-identical by
-    /// construction of the simulator — and then every section is verified
+    /// powered on. Restore loads every section through its reader, in
+    /// O(state) and without running an event, then verifies every section
     /// byte-for-byte against the checkpoint. Any divergence fails loudly
     /// with [`SnapError::VerifyMismatch`]; a successful return is a proof
     /// that this machine is in the checkpointed state, not an assumption.
     pub fn restore_from(&mut self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
         ck.manifest
             .admit("machine", Some(self.config.seed), self.config_fingerprint())?;
-        while self.queue.events_processed() < ck.manifest.events && self.step().is_some() {}
+        self.load(ck.sections())?;
         self.verify_checkpoint(ck)
     }
 }
@@ -192,13 +272,16 @@ mod tests {
     use lastcpu_devices::ssd::{SmartSsd, SsdConfig};
     use lastcpu_net::Frame;
     use lastcpu_sim::{CorrId, FaultKind, FaultPlan, SimDuration, SimTime};
-    use lastcpu_snap::{Restore as _, SnapReader};
+    use std::cell::Cell;
 
-    /// Pings the NIC every 3 µs and counts the echoes.
+    /// Pings the NIC every 3 µs from the machine's payload pool and counts
+    /// the echoes. `calls` counts every callback the machine makes and is
+    /// not in its section.
     struct Pinger {
         nic: PortId,
         sent: u64,
         echoed: u64,
+        calls: Cell<u64>,
     }
 
     lastcpu_snap::fields! { Pinger |self| { sent, echoed } }
@@ -208,13 +291,18 @@ mod tests {
             "pinger"
         }
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+            self.calls.set(self.calls.get() + 1);
             ctx.set_timer(SimDuration::from_micros(3), 0);
         }
         fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, _frame: Frame) {
+            self.calls.set(self.calls.get() + 1);
             self.echoed += 1;
         }
         fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
-            ctx.net_tx(self.nic, b"ping".to_vec());
+            self.calls.set(self.calls.get() + 1);
+            let mut ping = ctx.take_buf();
+            ping.vec_mut().extend_from_slice(b"ping");
+            ctx.net_tx(self.nic, ping);
             self.sent += 1;
             ctx.set_timer(SimDuration::from_micros(3), 0);
         }
@@ -256,6 +344,7 @@ mod tests {
             nic,
             sent: 0,
             echoed: 0,
+            calls: Cell::new(0),
         }));
         sys.add_tunnel_port();
         sys.power_on();
@@ -277,48 +366,18 @@ mod tests {
         (sys, ck)
     }
 
-    /// Reads one of the machine's own sections through its declared reader
-    /// (and the device's or host's hook after it), all of it.
-    fn load(sys: &mut System, tag: &str, body: &[u8]) -> lastcpu_snap::Result<()> {
-        let mut r = SnapReader::new(tag, body);
-        let index = |prefix| {
-            tag.strip_prefix(prefix)
-                .and_then(|i| i.parse::<usize>().ok())
-        };
-        match tag {
-            "engine" => Engine.take(sys, &mut r)?,
-            "rng" => sys.root_rng.restore(&mut r)?,
-            "rpc" => Rpc.take(sys, &mut r)?,
-            _ => match (index("dev"), index("host")) {
-                (Some(i), _) => {
-                    sys.slots[i].restore(&mut r)?;
-                    sys.slots[i].device.restore_state(&mut r)?;
-                }
-                (_, Some(i)) => {
-                    sys.hosts[i].restore(&mut r)?;
-                    sys.hosts[i].host.restore_state(&mut r)?;
-                }
-                _ => panic!("{tag} is not declared here"),
-            },
-        }
-        r.finish()
-    }
-
-    /// Each section the machine declares, restored into a twin replayed to
+    /// Each section the machine declares, loaded into a twin replayed to
     /// the same cursor and into a twin that has only powered on, snapshots
     /// to the bytes it was read from: its reader loads all it reads.
     #[test]
     fn every_declared_section_reads_back_what_it_wrote() {
-        let (sys, ck) = warmed();
-        let mut tags = vec!["engine".to_string(), "rng".into(), "rpc".into()];
-        tags.extend((0..sys.slots.len()).map(|i| format!("dev{i}")));
-        tags.extend((0..sys.hosts.len()).map(|i| format!("host{i}")));
+        let (_, ck) = warmed();
         let mut twin = recipe();
         while twin.queue.events_processed() < ck.manifest.events && twin.step().is_some() {}
-        for tag in &tags {
-            let body = ck.section(tag).expect("written");
+        for (tag, body) in ck.sections() {
             for sys in [&mut twin, &mut recipe()] {
-                load(sys, tag, body).unwrap_or_else(|e| panic!("{tag} does not read: {e}"));
+                sys.load_section(tag, body)
+                    .unwrap_or_else(|e| panic!("{tag} does not read: {e}"));
                 let again = sys.checkpoint("readers").expect("snapshots");
                 assert!(
                     again.section(tag).expect("written") == body,
@@ -378,7 +437,9 @@ mod tests {
 
         let engine = ck.section("engine").expect("written");
         let mut fresh = recipe();
-        load(&mut fresh, "engine", engine).expect("the section loads");
+        fresh
+            .load_section("engine", engine)
+            .expect("the section loads");
         assert_eq!(fresh.now(), sys.now());
         assert_eq!(fresh.queue.events_processed(), sys.queue.events_processed());
         assert_eq!(fresh.queue.len(), sys.queue.len());
@@ -421,7 +482,7 @@ mod tests {
             (doctor(first + 16, &[200]), "bad Event tag 200"),
             (engine[..first + 10].to_vec(), "truncated"),
         ] {
-            let err = load(&mut recipe(), "engine", &body).expect_err(what);
+            let err = recipe().load_section("engine", &body).expect_err(what);
             match err {
                 SnapError::Corrupt { section, detail } => {
                     assert_eq!(section, "engine");
@@ -429,6 +490,94 @@ mod tests {
                 }
                 other => panic!("{what}: not refused as corrupt: {other}"),
             }
+        }
+    }
+
+    /// A machine that has only powered on, restored from `in_flight()`'s
+    /// checkpoint, runs on as the run that wrote it does: the two are the
+    /// same bytes at every later checkpoint.
+    #[test]
+    fn a_loaded_machine_runs_on_as_the_replayed_one_does() {
+        let (mut replayed, ck) = in_flight();
+        let mut loaded = recipe();
+        loaded.restore_from(&ck).expect("loads and verifies");
+        let pool = replayed.pool().stats();
+        assert!(pool.taken > pool.returned, "pooled payloads are in flight");
+        for k in 1..=4 {
+            let at = SimTime::from_nanos(2_100_000 + k * 250_000);
+            replayed.run_until(at);
+            loaded.run_until(at);
+            let label = format!("later {k}");
+            let want = replayed.checkpoint(&label).expect("snapshots");
+            assert_eq!(
+                loaded.checkpoint(&label).expect("snapshots").encode(),
+                want.encode(),
+                "the loaded machine diverged by {at:?}"
+            );
+            assert!(want.manifest.events > ck.manifest.events);
+        }
+    }
+
+    /// `restore_from` loads; it runs no device or host callback. The pinger's
+    /// callback count is outside its section, so a restore that ran the
+    /// machine to the checkpoint would move it.
+    #[test]
+    fn restore_runs_no_callback() {
+        let (ran, ck) = in_flight();
+        let calls = |s: &System| {
+            let port = s.hosts[0].port;
+            s.host_as::<Pinger>(port).expect("the pinger").calls.get()
+        };
+        assert!(calls(&ran) > 100, "the checkpointed run called the pinger");
+        let mut loaded = recipe();
+        loaded.restore_from(&ck).expect("loads and verifies");
+        assert_eq!(calls(&loaded), 0, "restore called the pinger");
+        loaded.run_until(SimTime::from_nanos(2_200_000));
+        assert!(calls(&loaded) > 0, "the loaded machine runs the pinger");
+    }
+
+    /// The tunnel ports a section lists load only as the machine's own, then
+    /// ports that follow all of its others: a list that drops one of the
+    /// machine's, skips a port or repeats one is corrupt.
+    #[test]
+    fn a_tunnel_port_list_that_does_not_extend_the_recipes_is_refused() {
+        let sys = recipe();
+        let own = sys.tunnel_ports();
+        let next = sys.port_owners.len() as u32 + 1;
+        let list = |ports: &[u32]| {
+            let mut w = SnapWriter::new();
+            let ports: Vec<PortId> = ports.iter().map(|&p| PortId(p)).collect();
+            ports.put(&mut w);
+            w.into_bytes()
+        };
+        let take = |sys: &mut System, bytes: &[u8]| {
+            let mut r = SnapReader::new("engine", bytes);
+            TunnelPorts.take(sys, &mut r).and_then(|()| r.finish())
+        };
+        assert_eq!(own, [PortId(next - 1)], "the recipe's port is its last");
+
+        let mut opened = recipe();
+        take(&mut opened, &list(&[next - 1, next, next + 1])).expect("two opened");
+        assert_eq!(
+            opened.tunnel_ports(),
+            [PortId(next - 1), PortId(next), PortId(next + 1)]
+        );
+        for (ports, what) in [
+            (vec![next], "the recipe's dropped"),
+            (vec![next - 1, next + 1], "a port skipped"),
+            (vec![next - 1, next - 1], "a port repeated"),
+            (vec![next, next - 1], "out of order"),
+            (vec![], "none"),
+        ] {
+            let mut sys = recipe();
+            match take(&mut sys, &list(&ports)) {
+                Err(SnapError::Corrupt { section, detail }) => {
+                    assert_eq!(section, "engine");
+                    assert!(detail.starts_with("tunnel ports"), "{what}: {detail}");
+                }
+                other => panic!("{what}: not refused as corrupt: {other:?}"),
+            }
+            assert_eq!(sys.tunnel_ports(), own, "{what}: opened a port");
         }
     }
 }

@@ -418,10 +418,11 @@ impl System {
     fn push_slot(
         &mut self,
         id: DeviceId,
-        device: Box<dyn Device>,
+        mut device: Box<dyn Device>,
         port: Option<PortId>,
         met: SlotMetrics,
     ) -> DeviceHandle {
+        device.attach(&self.stats);
         let idx = self.slots.len();
         assert_eq!(id.0 as usize, idx + 1, "a slot is pushed per bus.attach");
         let name = self.trace.name(device.name());

@@ -40,7 +40,8 @@ lastcpu_snap::record!(TunnelDelivery {
 
 impl System {
     /// Adds an external host machine; returns its switch port.
-    pub fn add_host(&mut self, host: Box<dyn NetHost>) -> PortId {
+    pub fn add_host(&mut self, mut host: Box<dyn NetHost>) -> PortId {
+        host.attach(&self.stats);
         let hidx = self.hosts.len();
         let port = self.add_port(PortOwner::Host(hidx));
         let rng = self.root_rng.split(0x8000_0000 | hidx as u64);

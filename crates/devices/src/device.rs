@@ -336,6 +336,12 @@ pub trait Device: std::any::Any {
     /// Device kind, e.g. `"smart-ssd"`.
     fn kind(&self) -> &str;
 
+    /// Called once when a machine adds the device, before any event: binds
+    /// the device's instruments to the machine's metrics hub. A machine
+    /// loaded from a checkpoint never runs `on_start`, so no instrument
+    /// may wait for it.
+    fn attach(&mut self, _stats: &MetricsHub) {}
+
     /// Called once when the system powers on: run self-test, send `Hello`,
     /// announce services, start applications (§2.2 "System
     /// Initialization").

@@ -13,7 +13,7 @@
 use lastcpu_bus::Envelope;
 use lastcpu_iommu::IommuFault;
 use lastcpu_net::Frame;
-use lastcpu_sim::{costs, profile, SimDuration};
+use lastcpu_sim::{costs, profile, MetricsHub, SimDuration};
 use lastcpu_snap::{SnapReader, SnapWriter};
 
 use crate::device::{unsupported, Device, DeviceCtx};
@@ -37,6 +37,9 @@ pub trait Firmware: 'static {
 
     /// The device's embedded monitor.
     fn monitor(&mut self) -> &mut Monitor;
+
+    /// See [`Device::attach`].
+    fn attach(&mut self, _stats: &MetricsHub) {}
 
     /// Something the application must decide: a monitor event from an
     /// envelope or from a monitor timer (a discovery window closing).
@@ -97,6 +100,10 @@ impl<T: Firmware> Device for T {
 
     fn kind(&self) -> &str {
         T::KIND
+    }
+
+    fn attach(&mut self, stats: &MetricsHub) {
+        Firmware::attach(self, stats);
     }
 
     fn on_start(&mut self, ctx: &mut DeviceCtx<'_>) {

@@ -14,7 +14,7 @@
 
 use lastcpu_iommu::IommuFault;
 use lastcpu_net::Frame;
-use lastcpu_sim::{costs, SimDuration};
+use lastcpu_sim::{costs, MetricsHub, SimDuration};
 
 use crate::device::DeviceCtx;
 use crate::firmware::Firmware;
@@ -31,6 +31,9 @@ pub struct NicEnv<'a, 'b> {
 
 /// An application offloaded onto a smart NIC.
 pub trait NicApp {
+    /// See [`Device::attach`](crate::device::Device::attach).
+    fn attach(&mut self, _stats: &MetricsHub) {}
+
     /// Called once the NIC is registered on the bus.
     fn on_start(&mut self, env: &mut NicEnv<'_, '_>);
 
@@ -135,6 +138,10 @@ impl<A: NicApp + 'static> Firmware for SmartNic<A> {
 
     fn monitor(&mut self) -> &mut Monitor {
         &mut self.monitor
+    }
+
+    fn attach(&mut self, stats: &MetricsHub) {
+        self.app.attach(stats);
     }
 
     fn on_event(&mut self, ctx: &mut DeviceCtx<'_>, ev: MonitorEvent) {

@@ -4,8 +4,8 @@ use lastcpu_bus::wire::Wire;
 use lastcpu_core::{System, TunnelDelivery};
 use lastcpu_net::{Frame, NetCostModel, PortId};
 use lastcpu_sim::{
-    costs, profile, CorrId, DetHashMap, EventQueue, FaultEvent, FaultKind, FaultPlan, MetricsHub,
-    Name, SimDuration, SimTime, TraceData, TraceSink,
+    costs, profile, BufPool, CorrId, DetHashMap, EventQueue, FaultEvent, FaultKind, FaultPlan,
+    MetricsHub, Name, SimDuration, SimTime, TraceData, TraceSink,
 };
 
 use crate::proto::{DirEndpoint, DirMsg};
@@ -353,6 +353,7 @@ impl Fabric {
             "a rack holds at most 65,535 machines"
         );
         sys.set_corr_base(((idx as u64) + 1) << 40);
+        sys.pool().set_owner(idx as u32);
         let dir_port = sys.add_tunnel_port();
         let link = LinkMetrics::register(&self.metrics, idx);
         self.machines.push(MachineSlot {
@@ -869,7 +870,8 @@ impl Fabric {
 // ---------------------------------------------------------------------------
 
 use lastcpu_snap::{
-    Checkpoint, Diff, Each, Manifest, SectionSink, SnapError, Snapshot as _, Span as _,
+    Checkpoint, Diff, Each, Encoded, Manifest, Restore as _, SectionSink, SnapError, SnapReader,
+    Snapshot as _, Span as _,
 };
 
 /// The `fabric` section, the rack's own durable state: clock, directory,
@@ -958,17 +960,47 @@ impl Fabric {
         }
     }
 
+    /// Loads every section of `ck` through its reader: the `fabric`
+    /// section, the fabric metrics and link trace, then each machine's
+    /// encoded checkpoint, read in place, through [`System::load`], with
+    /// every machine's pool installed for the payloads they hold. The event
+    /// cursor is the manifest's, which verification compares.
+    fn load(&mut self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
+        let pools: Vec<BufPool> = self.machines.iter().map(|m| m.sys.pool().clone()).collect();
+        BufPool::loading(&pools, || {
+            for (tag, body) in ck.sections() {
+                let mut r = SnapReader::new(tag, body);
+                let machine = (tag.strip_prefix("machine"))
+                    .and_then(|i| i.parse::<usize>().ok())
+                    .and_then(|i| self.machines.get_mut(i));
+                match (tag, machine) {
+                    ("fabric", _) => Rack.take(self, &mut r)?,
+                    ("metrics", _) => self.metrics.restore(&mut r)?,
+                    ("trace", _) => self.trace.restore(&mut r)?,
+                    (_, Some(slot)) => {
+                        slot.sys.load(Encoded::read(body)?.sections)?;
+                        continue;
+                    }
+                    (_, None) => return Err(r.corrupt("not a section of this rack")),
+                }
+                r.finish()?;
+            }
+            self.events = ck.manifest.events;
+            Ok(())
+        })
+    }
+
     /// Restores this rack to the state captured in `ck`.
     ///
     /// The rack must be freshly built from the same recipe (checked via
-    /// the manifest fingerprint) and powered on. Restore re-executes the
-    /// run to the checkpoint's virtual time — in one call, however the
-    /// checkpointed run was sliced — then verifies the manifest and every
-    /// section, including each machine's full checkpoint, byte-for-byte.
-    /// Fails loudly on any divergence.
+    /// the manifest fingerprint) and powered on. Restore loads every
+    /// section, each machine's through the machine's own loader, in
+    /// O(state) and without running an event, then verifies the manifest
+    /// and every section, including each machine's full checkpoint,
+    /// byte-for-byte. Fails loudly on any divergence.
     pub fn restore_from(&mut self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
         ck.manifest.admit("rack", None, self.config_fingerprint())?;
-        self.run_until(SimTime::from_nanos(ck.manifest.virtual_ns));
+        self.load(ck)?;
         self.verify_checkpoint(ck)
     }
 }
@@ -1077,7 +1109,8 @@ mod tests {
     use lastcpu_core::devices::device::{Device, DeviceCtx};
     use lastcpu_core::{HostCtx, NetHost, SystemConfig};
 
-    /// Echoes every frame back to its source.
+    /// Echoes every frame back to its source. It keeps no state, so its
+    /// section is empty.
     struct Echo;
     impl NetHost for Echo {
         fn name(&self) -> &str {
@@ -1086,6 +1119,12 @@ mod tests {
         fn on_start(&mut self, _ctx: &mut HostCtx<'_>) {}
         fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: Frame) {
             ctx.net_tx(frame.src, frame.payload);
+        }
+        fn snapshot_state(&self, _w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
+            Ok(())
+        }
+        fn restore_state(&mut self, _r: &mut SnapReader<'_>) -> lastcpu_snap::Result<()> {
+            Ok(())
         }
     }
 
@@ -1703,7 +1742,8 @@ mod tests {
         );
     }
 
-    /// Sends a frame to `target` every 2 µs.
+    /// Sends a frame to `target` every 2 µs, from the machine's payload
+    /// pool. Its target is the recipe's, so its section is empty.
     struct Streamer {
         target: PortId,
     }
@@ -1716,8 +1756,14 @@ mod tests {
         }
         fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, _frame: Frame) {}
         fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
-            ctx.net_tx(self.target, vec![1; 256]);
+            ctx.net_tx(self.target, ctx.take_buf_filled(1, 256));
             ctx.set_timer(SimDuration::from_micros(2), 0);
+        }
+        fn snapshot_state(&self, _w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
+            Ok(())
+        }
+        fn restore_state(&mut self, _r: &mut SnapReader<'_>) -> lastcpu_snap::Result<()> {
+            Ok(())
         }
     }
 
@@ -1836,5 +1882,53 @@ mod tests {
             matches!(&err, SnapError::Corrupt { detail, .. } if detail.contains("before the clock")),
             "{err}"
         );
+    }
+
+    /// A rack that has only powered on, restored from a checkpoint of
+    /// `streaming_rack()` taken with tunnel ports opened while it ran,
+    /// frames in flight between machines and one machine dead, runs on as
+    /// a twin replayed to the same instant does: the same bytes at every
+    /// later checkpoint.
+    #[test]
+    fn a_loaded_rack_runs_on_as_the_replayed_one_does() {
+        let at = SimTime::from_nanos(1_000_321);
+        let run = || {
+            let mut fab = streaming_rack();
+            fab.run_until(SimTime::from_nanos(400_000));
+            fab.kill_machine(MachineId(2));
+            fab.run_until(at);
+            fab
+        };
+        let mut replayed = run();
+        assert!(!replayed.queue.is_empty(), "frames are in flight");
+        assert!(replayed.machines[2].dead);
+        assert!(
+            replayed.machines.iter().any(|m| m.proxy.len() > 1),
+            "a tunnel port was opened while the rack ran"
+        );
+        let out = |m: &MachineSlot| m.sys.pool().stats().taken - m.sys.pool().stats().returned;
+        assert!(
+            replayed.machines.iter().map(out).sum::<u64>() > 0,
+            "pooled payloads are in flight"
+        );
+        let ck = replayed
+            .checkpoint("mid")
+            .expect("every component snapshots");
+        let mut loaded = streaming_rack();
+        loaded.restore_from(&ck).expect("loads and verifies");
+        assert_eq!(loaded.events, ck.manifest.events);
+        for k in 1..=3 {
+            let t = at + SimDuration::from_micros(200 * k);
+            replayed.run_until(t);
+            loaded.run_until(t);
+            let label = format!("later {k}");
+            let want = replayed.checkpoint(&label).expect("snapshots");
+            assert!(want.manifest.events > ck.manifest.events);
+            assert_eq!(
+                loaded.checkpoint(&label).expect("snapshots").encode(),
+                want.encode(),
+                "the loaded rack diverged by {t:?}"
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@ use lastcpu_devices::monitor::MonitorEvent;
 use lastcpu_devices::nic::{NicApp, NicEnv};
 use lastcpu_mem::Pasid;
 use lastcpu_net::{Frame, PortId};
-use lastcpu_sim::Bytes;
+use lastcpu_sim::{Bytes, MetricsHub};
 
 use crate::proto::KvsRequestRef;
 use crate::server::{KvsServer, ServerConfig, ServerState, ServerStats};
@@ -72,6 +72,10 @@ impl NicApp for KvsNicApp {
 
     fn restore_state(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
         lastcpu_snap::Restore::restore(self, r)
+    }
+
+    fn attach(&mut self, stats: &MetricsHub) {
+        self.server.attach(stats);
     }
 
     fn on_start(&mut self, env: &mut NicEnv<'_, '_>) {

@@ -7,7 +7,7 @@
 
 use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::critpath::{op_key, STAGE_CLIENT_DONE, STAGE_CLIENT_ISSUE};
-use lastcpu_sim::{costs, DetHashMap, SimDuration, SimTime, Zipf};
+use lastcpu_sim::{costs, DetHashMap, MetricsHub, SimDuration, SimTime, Zipf};
 
 use lastcpu_bus::wire::Wire;
 use lastcpu_core::{HostCtx, NetHost};
@@ -73,9 +73,11 @@ enum Phase {
 }
 
 lastcpu_sim::instruments! {
-    /// The client's instruments, registered at power-on under its stats
-    /// prefix. `latency` also feeds the copy under the `kvs.` subsystem, so
-    /// a metrics snapshot always exposes the KVS layer.
+    /// The client's instruments, registered when its machine adds it,
+    /// under its stats prefix; until then they feed no hub. `latency` also
+    /// feeds the copy under the `kvs.` subsystem, so a metrics snapshot
+    /// always exposes the KVS layer.
+    #[derive(Default)]
     struct ClientMetrics(prefix: &str) {
         latency: histogram "{prefix}.latency" "kvs.{prefix}.latency",
         get_latency: histogram "{prefix}.get_latency",
@@ -95,7 +97,7 @@ pub struct KvsClientHost {
     /// Key sampler for `config.keys` / `config.theta`. Derived state:
     /// rebuilt on restore, never snapshotted.
     zipf: Zipf,
-    met: Option<ClientMetrics>,
+    met: ClientMetrics,
     phase: Phase,
     next_id: u64,
     /// id → (sent_at, is_read).
@@ -125,7 +127,7 @@ impl KvsClientHost {
             server,
             zipf: Zipf::new(config.keys, config.theta),
             config,
-            met: None,
+            met: ClientMetrics::default(),
             phase: Phase::Probing,
             next_id: 1,
             outstanding: DetHashMap::default(),
@@ -326,11 +328,11 @@ impl NetHost for KvsClientHost {
         &self.config.stats_prefix
     }
 
+    fn attach(&mut self, stats: &MetricsHub) {
+        self.met = ClientMetrics::register(stats, &self.config.stats_prefix);
+    }
+
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        self.met = Some(ClientMetrics::register(
-            ctx.stats,
-            &self.config.stats_prefix,
-        ));
         self.probe(ctx);
     }
 
@@ -379,7 +381,7 @@ impl NetHost for KvsClientHost {
             }
             Phase::Running => {
                 let latency = ctx.now.since(sent_at);
-                let met = self.met.as_ref().expect("registered in on_start");
+                let met = &self.met;
                 match resp.status {
                     KvsStatus::Ok | KvsStatus::NotFound => {
                         self.ops_done += 1;

@@ -10,7 +10,7 @@ use lastcpu_baseline::{CpuApp, KernelEnv};
 use lastcpu_devices::monitor::MonitorEvent;
 use lastcpu_mem::Pasid;
 use lastcpu_net::PortId;
-use lastcpu_sim::Bytes;
+use lastcpu_sim::{Bytes, MetricsHub};
 
 use crate::proto::KvsRequestRef;
 use crate::server::{KvsServer, ServerConfig, ServerStats};
@@ -46,6 +46,10 @@ impl KvsCpuApp {
 }
 
 impl CpuApp for KvsCpuApp {
+    fn attach(&mut self, stats: &MetricsHub) {
+        self.server.attach(stats);
+    }
+
     fn on_start(&mut self, env: &mut KernelEnv<'_, '_>) {
         self.server.start(env.ctx, env.monitor);
     }

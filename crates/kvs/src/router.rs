@@ -49,7 +49,7 @@ use lastcpu_net::{Frame, PortId};
 use lastcpu_sim::critpath::{
     op_key, STAGE_ROUTER_ACK, STAGE_ROUTER_RECV, STAGE_ROUTER_RESPOND, STAGE_ROUTER_SUB,
 };
-use lastcpu_sim::{costs, profile, SimDuration, SimTime};
+use lastcpu_sim::{costs, profile, MetricsHub, SimDuration, SimTime};
 
 use crate::proto::{KvsRequestRef, KvsResponseRef, KvsStatus};
 
@@ -196,7 +196,7 @@ struct EndpointLoad {
 
 lastcpu_sim::instruments! {
     /// The router's instruments: its own counts, each fed to the
-    /// `fabric.router.*` key of its row once the router starts.
+    /// `fabric.router.*` key of its row once its machine adds it.
     struct RouterMetrics {
         /// Router counters, inspectable without the metrics hub.
         #[derive(Debug, Default, Clone, Copy)]
@@ -818,8 +818,11 @@ impl NetHost for ShardRouterHost {
         &self.config.name
     }
 
+    fn attach(&mut self, stats: &MetricsHub) {
+        self.met.register(stats);
+    }
+
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        self.met.register(ctx.stats);
         self.query_directory(ctx);
         ctx.set_timer(costs::ROUTER_TICK, TOKEN_TICK);
     }
@@ -979,6 +982,7 @@ mod tests {
                 now: SimTime::ZERO,
                 epoch: 0,
             };
+            h.router.attach(&h.hub);
             let mut ctx = HostCtx::new(
                 h.now,
                 ROUTER_PORT,

@@ -24,7 +24,7 @@ use lastcpu_mem::Pasid;
 use lastcpu_net::PortId;
 use lastcpu_sim::critpath::{STAGE_SERVER_DONE, STAGE_SERVER_RECV};
 use lastcpu_sim::profile;
-use lastcpu_sim::{costs, Bytes};
+use lastcpu_sim::{costs, Bytes, MetricsHub};
 
 use crate::engine::{KvEngine, LogScanner};
 use crate::proto::{encode_response_into, KvsRequestRef, KvsStatus};
@@ -118,7 +118,7 @@ enum Pending {
 
 lastcpu_sim::instruments! {
     /// The server's instruments: its own counts, each fed to the
-    /// `kvs.server.*` key of its row once the server starts. Servers sharing
+    /// `kvs.server.*` key of its row once its device is attached. Servers sharing
     /// a machine share those keys, which sum them.
     struct ServerMetrics {
         /// Server counters.
@@ -365,9 +365,14 @@ impl KvsServer {
         self.engine.get(key).is_some()
     }
 
+    /// Feeds the server's counts to their keys on `stats` (call when its
+    /// device is attached).
+    pub fn attach(&mut self, stats: &MetricsHub) {
+        self.met.register(stats);
+    }
+
     /// Starts the setup pipeline (call once registered on the bus).
     pub fn start(&mut self, ctx: &mut DeviceCtx<'_>, monitor: &mut Monitor) {
-        self.met.register(ctx.stats);
         match self.config.memctl {
             Some(dev) => {
                 self.memctl = Some(dev);

@@ -33,7 +33,7 @@ use crate::stats::Histogram;
 use crate::time::SimDuration;
 
 /// Cheap shared handle to one counter (monotonically increasing).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct CounterHandle(Rc<Cell<u64>>);
 
 impl CounterHandle {
@@ -51,7 +51,7 @@ impl CounterHandle {
 }
 
 /// Cheap shared handle to one gauge (a signed level, e.g. a queue depth).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct GaugeHandle(Rc<Cell<i64>>);
 
 impl GaugeHandle {
@@ -69,7 +69,7 @@ impl GaugeHandle {
 }
 
 /// Cheap shared handle to one histogram.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct HistogramHandle(Rc<RefCell<Histogram>>);
 
 impl HistogramHandle {
@@ -89,6 +89,13 @@ impl HistogramHandle {
 /// One declared instrument's handles: every hub key its row names, bumped
 /// by one call.
 pub struct Keys<H, const K: usize>(pub [H; K]);
+
+/// Handles that feed no hub, until the instrument is registered.
+impl<H: Default, const K: usize> Default for Keys<H, K> {
+    fn default() -> Self {
+        Keys(std::array::from_fn(|_| H::default()))
+    }
+}
 
 /// Gives [`Keys`] of handle type `$h` the handle's recording calls, each
 /// applied to every key.

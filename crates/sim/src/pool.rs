@@ -24,8 +24,14 @@
 //!   with pooling on and off and asserts byte-identical outputs.
 //!
 //! A pool counts its live buffers (taken and not yet returned) in every
-//! build, and a restore refuses to run while any is out. It also counts
-//! every take: that count is the checkpointed generation cursor.
+//! build. It also counts every take: that count is the checkpointed
+//! generation cursor.
+//!
+//! A checkpoint records which pool a payload's storage belongs to (its
+//! owner: the machine's index in a rack, 0 alone), and a load hands each
+//! such payload back to that pool ([`BufPool::loading`]), so a loaded
+//! machine's pools return, recycle and count what they would have had the
+//! run never stopped.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -55,6 +61,9 @@ struct PoolCore {
     free: RefCell<Vec<Vec<u8>>>,
     /// Buffers taken and not yet returned.
     live: Cell<u64>,
+    /// Which pool this is in a checkpoint: the owning machine's index in a
+    /// rack, 0 for a machine alone.
+    owner: Cell<u32>,
     max_free: usize,
     next_gen: Cell<u64>,
     stats: Cell<PoolStats>,
@@ -80,6 +89,16 @@ impl PoolCore {
         self.live.set(self.live.get() + 1);
         Bytes {
             buf: buf.unwrap_or_else(|| Vec::with_capacity(256)),
+            origin: Some(Rc::clone(self)),
+        }
+    }
+
+    /// A payload a load read whose storage belongs here: live until dropped,
+    /// and no take.
+    fn adopt(self: &Rc<Self>, buf: Vec<u8>) -> Bytes {
+        self.live.set(self.live.get() + 1);
+        Bytes {
+            buf,
             origin: Some(Rc::clone(self)),
         }
     }
@@ -139,6 +158,7 @@ impl BufPool {
             core: Rc::new(PoolCore {
                 free: RefCell::new(Vec::with_capacity(max_free.min(4096))),
                 live: Cell::new(0),
+                owner: Cell::new(0),
                 max_free,
                 next_gen: Cell::new(1),
                 stats: Cell::default(),
@@ -171,6 +191,32 @@ impl BufPool {
     /// One more than the takes over the pool's life (checkpoint cursor).
     pub fn next_generation(&self) -> u64 {
         self.core.next_gen.get()
+    }
+
+    /// Names this pool `owner` in checkpoints: a rack numbers each machine's
+    /// pool by the machine's index.
+    pub fn set_owner(&self, owner: u32) {
+        self.core.owner.set(owner);
+    }
+
+    /// Runs `load` with `pools` as the pools a payload read from a checkpoint
+    /// is handed back to, by owner. A payload whose owner none of them is
+    /// gets a pool of its own with that owner, so it still snapshots as it
+    /// was read.
+    pub fn loading<T>(pools: &[BufPool], load: impl FnOnce() -> T) -> T {
+        struct Installed(usize);
+        impl Drop for Installed {
+            fn drop(&mut self) {
+                LOADING.with(|l| l.borrow_mut().truncate(self.0));
+            }
+        }
+        let _installed = LOADING.with(|l| {
+            let mut l = l.borrow_mut();
+            let depth = l.len();
+            l.extend(pools.iter().cloned());
+            Installed(depth)
+        });
+        load()
     }
 
     /// Zeroes the traffic counters (sampled-measurement windows read deltas
@@ -266,14 +312,43 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-/// Length-prefixed, as `SnapWriter::put_bytes` writes it; a restored
-/// payload is unpooled.
+thread_local! {
+    /// The pools [`BufPool::loading`] installed on this thread.
+    static LOADING: RefCell<Vec<BufPool>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Marks a pooled payload: written before its owner and its bytes, where an
+/// unpooled payload's length word is (a length is at most 2^40).
+const POOLED: u64 = u64::MAX;
+
+/// Length-prefixed, as `SnapWriter::put_bytes` writes it, after `u64::MAX`
+/// and the owner when the storage is a pool's. A load hands a pooled
+/// payload back to its pool (see [`BufPool::loading`]).
 impl lastcpu_snap::Field for Bytes {
     fn put(&self, w: &mut lastcpu_snap::SnapWriter) {
+        if let Some(core) = &self.origin {
+            w.put_u64(POOLED);
+            w.put_u32(core.owner.get());
+        }
         w.put_bytes(self);
     }
     fn take(r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        r.bytes().map(Bytes::from)
+        let word = r.u64()?;
+        if word != POOLED {
+            return Ok(Bytes::from(r.slice_of(word)?.to_vec()));
+        }
+        let owner = r.u32()?;
+        let buf = r.slice()?.to_vec();
+        let pool = LOADING.with(|l| {
+            let l = l.borrow();
+            l.iter().find(|p| p.core.owner.get() == owner).cloned()
+        });
+        let pool = pool.unwrap_or_else(|| {
+            let own = BufPool::new();
+            own.set_owner(owner);
+            own
+        });
+        Ok(pool.core.adopt(buf))
     }
 }
 
@@ -330,12 +405,8 @@ impl lastcpu_snap::Span<BufPool> for Counters {
         r: &mut lastcpu_snap::SnapReader<'_>,
     ) -> lastcpu_snap::Result<()> {
         let (stats, idle, next_gen): (PoolStats, usize, u64) = lastcpu_snap::Field::take(r)?;
-        // Restoring under live handles would corrupt the generation cursor.
-        assert_eq!(
-            pool.core.live.get(),
-            0,
-            "a BufPool restore with outstanding buffers"
-        );
+        // The live count is not in the section: the payloads a load handed
+        // back to this pool are its live buffers.
         let mut free = pool.core.free.borrow_mut();
         free.clear();
         free.resize_with(idle.min(pool.core.max_free), Vec::new);
@@ -420,14 +491,53 @@ mod tests {
         assert_eq!(pool.core.live.get(), 0);
     }
 
+    /// A payload read from a checkpoint goes back to the pool of its owner
+    /// among those a load installed, or to a pool of its own with that
+    /// owner; an unpooled one stays unpooled. Either way it snapshots as it
+    /// was read, and the pool section's restore keeps the payloads a load
+    /// handed back live.
     #[test]
-    #[should_panic(expected = "outstanding buffers")]
-    fn a_restore_refuses_a_live_buffer() {
-        let section = lastcpu_snap::Span::bytes(&Counters, &BufPool::new());
-        let mut pool = BufPool::new();
-        let _live = pool.take();
-        let mut r = lastcpu_snap::SnapReader::new("pool", &section);
-        let _ = lastcpu_snap::Span::take(&Counters, &mut pool, &mut r);
+    fn a_loaded_payload_goes_back_to_its_pool() {
+        use lastcpu_snap::{Field, SnapReader, SnapWriter};
+        let put = |b: &Bytes| {
+            let mut w = SnapWriter::new();
+            b.put(&mut w);
+            w.into_bytes()
+        };
+        let take = |bytes: &[u8]| {
+            let mut r = SnapReader::new("payload", bytes);
+            let b = Bytes::take(&mut r).expect("reads");
+            r.finish().expect("all of it");
+            b
+        };
+        let origin = BufPool::new();
+        origin.set_owner(3);
+        let pooled = put(&copy(&origin, b"pooled"));
+        let plain = put(&Bytes::from(b"plain".to_vec()));
+        assert_eq!(
+            plain.len(),
+            8 + 5,
+            "an unpooled payload is its length and bytes"
+        );
+
+        let (other, home) = (BufPool::new(), BufPool::new());
+        home.set_owner(3);
+        let section = lastcpu_snap::Span::bytes(&Counters, &home);
+        let (loaded, unpooled) = BufPool::loading(&[other.clone(), home.clone()], || {
+            (take(&pooled), take(&plain))
+        });
+        assert_eq!(&*loaded, b"pooled");
+        assert_eq!((home.core.live.get(), other.core.live.get()), (1, 0));
+        assert_eq!(home.stats().taken, 0, "handed back, not taken");
+        let mut r = SnapReader::new("pool", &section);
+        lastcpu_snap::Span::take(&Counters, &mut home.clone(), &mut r).expect("restores");
+        assert_eq!(home.core.live.get(), 1, "the restore keeps it live");
+        assert_eq!((put(&loaded), put(&unpooled)), (pooled.clone(), plain));
+        drop(loaded);
+        assert_eq!((home.stats().returned, home.idle()), (1, 1));
+
+        let alone = take(&pooled);
+        assert_eq!(put(&alone), pooled, "a pool of its own, with the owner");
     }
 
     #[test]

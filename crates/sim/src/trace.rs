@@ -1065,7 +1065,7 @@ macro_rules! record_layout {
     (@put_text $v:ident $w:ident) => {};
     (@put_text $v:ident $w:ident text) => { $w.put_str($v.text()) };
     (@text $r:ident) => { None };
-    (@text $r:ident text) => { Some($r.str()?) };
+    (@text $r:ident text) => { Some($r.str()?.to_string()) };
 }
 
 record_layout! {
@@ -1117,7 +1117,7 @@ impl Part for Name {
         w.put_str(v.name(self));
     }
     fn take(t: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(t.name_or_text(&r.str()?))
+        Ok(t.name_or_text(r.str()?))
     }
     fn names(&mut self, f: &mut impl FnMut(&mut Name)) {
         f(self);
@@ -1130,7 +1130,7 @@ impl Part for &'static str {
     }
     fn take(_: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
         let s = r.str()?;
-        lastcpu_snap::intern_static(&s, MAX_NAMES).ok_or_else(|| {
+        lastcpu_snap::intern_static(s, MAX_NAMES).ok_or_else(|| {
             r.corrupt(format!(
                 "static name {s:?}: the process holds the {MAX_NAMES} a restore may intern"
             ))
@@ -2222,7 +2222,7 @@ mod oracle {
                 |s: &str| lastcpu_snap::intern_static(s, usize::MAX).expect("unbounded");
             Ok(match r.u8()? {
                 0 => TraceData::BusSend {
-                    what: intern_static(&r.str()?),
+                    what: intern_static(r.str()?),
                     dst: r.str()?.into(),
                 },
                 1 => TraceData::Discovery {
@@ -2231,16 +2231,18 @@ mod oracle {
                 },
                 2 => TraceData::Deliver {
                     to: r.str()?.into(),
-                    kind: intern_static(&r.str()?),
+                    kind: intern_static(r.str()?),
                 },
-                3 => TraceData::BusRegister { device: r.str()? },
+                3 => TraceData::BusRegister {
+                    device: r.str()?.into(),
+                },
                 4 => TraceData::IommuMap {
                     device: r.str()?.into(),
                     pasid: r.u32()?,
                     va: r.u64()?,
                     pa: r.u64()?,
                     pages: r.u64()?,
-                    perms: intern_static(&r.str()?),
+                    perms: intern_static(r.str()?),
                 },
                 5 => TraceData::IommuUnmap {
                     device: r.str()?.into(),
@@ -2248,7 +2250,9 @@ mod oracle {
                     va: r.u64()?,
                     pages: r.u64()?,
                 },
-                6 => TraceData::MapFailure { error: r.str()? },
+                6 => TraceData::MapFailure {
+                    error: r.str()?.into(),
+                },
                 7 => TraceData::DmaGrant {
                     to: r.str()?.into(),
                     pages: r.u64()?,
@@ -2260,15 +2264,15 @@ mod oracle {
                 },
                 9 => TraceData::DeviceFault {
                     device: r.str()?.into(),
-                    detail: r.str()?,
+                    detail: r.str()?.into(),
                 },
                 10 => TraceData::SecurityDenial {
                     device: r.str()?.into(),
-                    check: intern_static(&r.str()?),
-                    detail: r.str()?,
+                    check: intern_static(r.str()?),
+                    detail: r.str()?.into(),
                 },
                 11 => TraceData::Stage {
-                    stage: intern_static(&r.str()?),
+                    stage: intern_static(r.str()?),
                     id: r.u64()?,
                     aux: r.u64()?,
                 },
@@ -2280,7 +2284,7 @@ mod oracle {
                     spine_ns: r.u64()?,
                     downlink_ns: r.u64()?,
                 },
-                13 => TraceData::Text(r.str()?),
+                13 => TraceData::Text(r.str()?.into()),
                 14 => TraceData::LinkEnter {
                     port: r.u32()?,
                     bytes: r.u64()?,

@@ -47,7 +47,7 @@ pub trait Codec<T> {
 }
 
 /// A stretch of a section that is not one field's: a layout that
-/// interleaves several fields, or state rebuilt by replay. Named in a
+/// interleaves several fields, or state the recipe builds. Named in a
 /// [`fields!`](crate::fields) list as `..span`; `take` loads it in place.
 pub trait Span<S> {
     fn put(&self, s: &S, w: &mut SnapWriter);
@@ -107,7 +107,7 @@ impl Field for String {
         w.put_str(self);
     }
     fn take(r: &mut SnapReader<'_>) -> Result<Self> {
-        r.str()
+        r.str().map(String::from)
     }
 }
 
@@ -344,9 +344,9 @@ impl<T: Field + Count> Codec<T> for Max {
     }
 }
 
-/// A value replay rebuilds: written as `.1` gives it for the state, and
-/// on read held to what `.1` gives for the state read into (one replayed
-/// to the same cursor); another value is refused as corrupt, naming `.0`.
+/// A value the recipe builds: written as `.1` gives it for the state, and
+/// on read held to what `.1` gives for the state read into (one built from
+/// the same recipe); another value is refused as corrupt, naming `.0`.
 /// Named in a [`fields!`](crate::fields) list as `..Derived(name, getter)`.
 pub struct Derived<F>(pub &'static str, pub F);
 
@@ -361,7 +361,7 @@ where
 
     fn take(&self, s: &mut S, r: &mut SnapReader<'_>) -> Result<()> {
         if T::take(r)? != (self.1)(s) {
-            return Err(r.corrupt(format!("{}: not the replayed state's", self.0)));
+            return Err(r.corrupt(format!("{}: not the recipe's", self.0)));
         }
         Ok(())
     }

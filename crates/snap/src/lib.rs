@@ -18,15 +18,14 @@
 //! A component declares its layout once, as an ordered field list
 //! ([`fields!`]), and both impls are derived from it through the field
 //! codecs of [`Field`], [`Codec`] and [`Span`]. Higher layers (`System`,
-//! `Fabric`) restore by deterministic re-execution to the manifest's event
-//! cursor and then *verify* every section byte-for-byte against a fresh
-//! snapshot (see DESIGN.md §14 for why re-execution + verification is
-//! equivalent to in-place loading in a deterministic simulator, and
-//! strictly harder to get silently wrong).
+//! `Fabric`) restore by loading every section through its reader and then
+//! *verify* every section byte-for-byte against a fresh snapshot
+//! (DESIGN.md §14.2), so a reader that loads less than it reads fails the
+//! restore instead of passing silently.
 //!
-//! Corruption never loads partially: [`Checkpoint::decode`] verifies every
-//! section checksum before any component sees any bytes, and readers
-//! bounds-check every primitive.
+//! Corruption is refused before anything loads: [`Checkpoint::decode`] and
+//! [`Encoded::read`] verify every section checksum before any component
+//! sees any bytes, and readers bounds-check every primitive.
 
 #![forbid(unsafe_code)]
 
@@ -464,6 +463,12 @@ impl<'a> SnapReader<'a> {
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&mut self) -> Result<usize> {
         let n = self.u64()?;
+        self.length(n)
+    }
+
+    /// The length field `n`, already read, refused as [`len`](Self::len)
+    /// refuses it.
+    fn length(&self, n: u64) -> Result<usize> {
         if n > (1u64 << 40) {
             return Err(self.corrupt(format!("implausible length {n}")));
         }
@@ -487,13 +492,26 @@ impl<'a> SnapReader<'a> {
     }
 
     pub fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.len()?;
-        Ok(self.take(n)?.to_vec())
+        Ok(self.slice()?.to_vec())
     }
 
-    pub fn str(&mut self) -> Result<String> {
-        let b = self.bytes()?;
-        String::from_utf8(b).map_err(|e| self.corrupt(format!("invalid utf-8: {e}")))
+    /// A length-prefixed byte string, borrowed from the body.
+    pub fn slice(&mut self) -> Result<&'a [u8]> {
+        let n = self.u64()?;
+        self.slice_of(n)
+    }
+
+    /// The byte string whose length field `n` was already read, borrowed
+    /// from the body.
+    pub fn slice_of(&mut self, n: u64) -> Result<&'a [u8]> {
+        let n = self.length(n)?;
+        self.take(n)
+    }
+
+    /// A length-prefixed UTF-8 string, borrowed from the body.
+    pub fn str(&mut self) -> Result<&'a str> {
+        let b = self.slice()?;
+        std::str::from_utf8(b).map_err(|e| self.corrupt(format!("invalid utf-8: {e}")))
     }
 
     pub fn opt<T>(&mut self, mut f: impl FnMut(&mut Self) -> Result<T>) -> Result<Option<T>> {
@@ -504,16 +522,17 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Inverse of [`SnapWriter::put_bytes_rle`]. The output grows run by run
-    /// and never past the declared total, so a declared total that the runs
-    /// do not cover fails before it is allocated. Only the runs the writer
-    /// makes are read: an empty run, or one repeating the byte of the run
-    /// before it, would restore state whose next snapshot differs.
+    /// Inverse of [`SnapWriter::put_bytes_rle`]. The runs are checked
+    /// first and the output allocated once, at the declared total, only
+    /// when they cover it: a declared total that the runs do not cover fails
+    /// before it is allocated. Only the runs the writer makes are read: an
+    /// empty run, or one repeating the byte of the run before it, would
+    /// restore state whose next snapshot differs.
     pub fn bytes_rle(&mut self) -> Result<Vec<u8>> {
         let total = self.len()?;
         let runs = self.u64()?;
-        let mut out = Vec::new();
-        let mut last = None;
+        let start = self.pos;
+        let (mut covered, mut last) = (0, None);
         for _ in 0..runs {
             let n = self.len()?;
             let byte = self.u8()?;
@@ -523,16 +542,20 @@ impl<'a> SnapReader<'a> {
             if last.replace(byte) == Some(byte) {
                 return Err(self.corrupt(format!("rle run repeats byte {byte:#04x}")));
             }
-            if out.len() + n > total {
+            if covered + n > total {
                 return Err(self.corrupt("rle runs exceed declared length"));
             }
-            out.resize(out.len() + n, byte);
+            covered += n;
         }
-        if out.len() != total {
+        if covered != total {
             return Err(self.corrupt(format!(
-                "rle runs cover {} of {total} declared bytes",
-                out.len()
+                "rle runs cover {covered} of {total} declared bytes"
             )));
+        }
+        let mut out = Vec::with_capacity(total);
+        for run in self.buf[start..self.pos].chunks_exact(9) {
+            let n = u64::from_le_bytes(run[..8].try_into().expect("8 bytes"));
+            out.resize(out.len() + n as usize, run[8]);
         }
         Ok(out)
     }
@@ -600,7 +623,7 @@ pub struct Manifest {
     pub seed: u64,
     /// Virtual time at the checkpoint, nanoseconds.
     pub virtual_ns: u64,
-    /// Events processed so far — the re-execution cursor for restore.
+    /// Events processed so far: the progress cursor a restore carries on from.
     pub events: u64,
     /// Fingerprint of the builder configuration; restore refuses to verify
     /// against a system built from a different recipe.
@@ -614,7 +637,7 @@ impl Manifest {
     /// `this` (`"machine"`, `"rack"`): one of this build's schema, the
     /// producer's `seed` when it checks one, and its recipe `config_fp`.
     /// A rack passes no seed; its seed is part of its recipe, and a
-    /// manifest doctored to another one fails the comparison after replay.
+    /// manifest doctored to another one fails the comparison after loading.
     pub fn admit(&self, this: &str, seed: Option<u64>, config_fp: u64) -> Result<()> {
         if self.schema_version != SCHEMA_VERSION {
             return Err(SnapError::VersionMismatch {
@@ -650,7 +673,7 @@ impl Manifest {
             virtual_ns: r.u64()?,
             events: r.u64()?,
             config_fp: r.u64()?,
-            label: r.str()?,
+            label: r.str()?.into(),
         })
     }
 }
@@ -791,6 +814,13 @@ impl Checkpoint {
         self.sections.len()
     }
 
+    /// Every section's tag and body, in order.
+    pub fn sections(&self) -> impl Iterator<Item = (&str, &[u8])> {
+        self.sections
+            .iter()
+            .map(|(t, b)| (t.as_str(), b.as_slice()))
+    }
+
     /// The one walk over exactly the bytes [`encode`](Self::encode) writes:
     /// magic, manifest, section count, then per section its tag, body and
     /// checksum. Encoding and digest consume it; neither copies a body.
@@ -813,39 +843,14 @@ impl Checkpoint {
 
     /// Decodes and *fully verifies* a checkpoint: magic, schema version, and
     /// every section checksum — before any component state is handed out.
-    /// The report is the first failure in the encoding: a checksum that
-    /// does not match, else the section the bytes ran out in, else
-    /// trailing bytes.
+    /// The report is [`Encoded::read`]'s.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint> {
-        let mut r = SnapReader::new("checkpoint", bytes);
-        let magic = r.take(MAGIC.len())?;
-        if magic != MAGIC {
-            return Err(r.corrupt("bad magic: not a lastcpu checkpoint"));
-        }
-        let manifest = Manifest::decode(&mut r)?;
-        if manifest.schema_version != SCHEMA_VERSION {
-            return Err(SnapError::VersionMismatch {
-                want: SCHEMA_VERSION,
-                got: manifest.schema_version,
-            });
-        }
-        let n = r.len()?;
-        let mut ck = Checkpoint::new(manifest);
-        for _ in 0..n {
-            let tag = r.str()?;
-            let body = r.bytes()?;
-            let (want, got) = (r.u64()?, checksum(&body));
-            if want != got {
-                return Err(SnapError::ChecksumMismatch {
-                    section: tag,
-                    want,
-                    got,
-                });
-            }
-            ck.sections.push((tag, body));
-        }
-        r.finish()?;
-        Ok(ck)
+        let Encoded { manifest, sections } = Encoded::read(bytes)?;
+        let sections = sections
+            .into_iter()
+            .map(|(tag, body)| (tag.to_string(), body.to_vec()))
+            .collect();
+        Ok(Checkpoint { manifest, sections })
     }
 
     pub fn write_file(&self, path: &str) -> Result<()> {
@@ -864,6 +869,51 @@ impl Checkpoint {
         let mut s = Sum::new();
         self.walk(&mut |piece: &[u8]| s.write(piece));
         s.finish()
+    }
+}
+
+/// A checkpoint read in place from its encoding: the manifest decoded and
+/// each section's tag and body borrowed, every checksum checked as
+/// [`Checkpoint::decode`] checks it, no body copied.
+pub struct Encoded<'a> {
+    pub manifest: Manifest,
+    pub sections: Vec<(&'a str, &'a [u8])>,
+}
+
+impl<'a> Encoded<'a> {
+    /// Reads magic, manifest and sections. The report is the first failure
+    /// in the encoding: a checksum that does not match, else the section
+    /// the bytes ran out in, else trailing bytes.
+    pub fn read(bytes: &'a [u8]) -> Result<Self> {
+        let mut r = SnapReader::new("checkpoint", bytes);
+        let magic = r.take(MAGIC.len())?;
+        if magic != MAGIC {
+            return Err(r.corrupt("bad magic: not a lastcpu checkpoint"));
+        }
+        let manifest = Manifest::decode(&mut r)?;
+        if manifest.schema_version != SCHEMA_VERSION {
+            return Err(SnapError::VersionMismatch {
+                want: SCHEMA_VERSION,
+                got: manifest.schema_version,
+            });
+        }
+        let n = r.len()?;
+        let mut sections = Vec::new();
+        for _ in 0..n {
+            let tag = r.str()?;
+            let body = r.slice()?;
+            let (want, got) = (r.u64()?, checksum(body));
+            if want != got {
+                return Err(SnapError::ChecksumMismatch {
+                    section: tag.to_string(),
+                    want,
+                    got,
+                });
+            }
+            sections.push((tag, body));
+        }
+        r.finish()?;
+        Ok(Encoded { manifest, sections })
     }
 }
 

@@ -21,8 +21,8 @@
 #                          of the library rlibs is in a shipped program
 #                          (lastcpu-bench, the examples, the components
 #                          bench, benchmark/'s binary, built at opt-level 0
-#                          into target/reach), or is derived glue or a
-#                          reader half, or has a reason on that stage's list
+#                          into target/reach), or is derived glue, or has
+#                          a reason on that stage's list
 #   2. tier-1              cargo build --release && cargo test -q (includes the
 #                          strict-CLI table, one doctored-report test per gate
 #                          and the diff exit codes: crates/bench/tests/)
@@ -309,8 +309,6 @@ echo "==> reach (every library function is in a shipped program, or has a reason
 # stale artifact in the target directory counts for nothing, and lists with
 # nm the lastcpu_* functions of the 15 library rlibs that no program holds.
 # Such a function passes when it is
-#   - a derived reader half (`Restore::restore`, a `Field`/`Span`/`Codec`
-#     `take`, a tag's `from_tag`), kept for item 3 of ROADMAP.md;
 #   - derive, drop or closure glue, or a `Display` impl;
 #   - named by its last path segment on the public-surface allow-list above;
 #   - or at or under an entry below, one `path  reason` line each: a function
@@ -319,35 +317,29 @@ echo "==> reach (every library function is in a shipped program, or has a reason
 # A failure prints the function as nm names it; delete it with the tests
 # that test only it, or list it here with the pin or the hook that needs it.
 reach_allow="
-lastcpu_bus::bus::envelopes::EnvelopePool::clear  the bus section's reader half empties the pool with it (tests/restore_pins.rs)
-lastcpu_bus::message::ErrorCode  a tags! writer half: no program checkpoints a machine holding an error reply in flight
-lastcpu_bus::message::MapOp  a tags! writer half: no program checkpoints a machine holding a map instruction in flight
+lastcpu_bus::message::ErrorCode  a tags! writer and reader half: no program checkpoints or loads a machine holding an error reply in flight
+lastcpu_bus::message::MapOp  a tags! writer and reader half: no program checkpoints or loads a machine holding a map instruction in flight
 lastcpu_bus::wire::Rest  Codec::encoded_len; tests/wire_pins.rs sizes a rest-of-frame field through it
 lastcpu_core::memctl_dev::MemCtlDevice::new  tests/restore_pins.rs builds the memory controller it restores into
 lastcpu_core::system::System::restore_from  tests/checkpoint_pins.rs and tests/trace_repr.rs restore a machine through it
 lastcpu_core::system::System::verify_checkpoint  tests/checkpoint_pins.rs holds its verdicts
-lastcpu_devices::accel  the Accelerator, a Figure-1 device no experiment attaches yet, whole: tests/restore_pins.rs and tests/wire_pins.rs pin its section and its message
-lastcpu_devices::nic::EchoApp  tests/restore_pins.rs pins the echo NIC app's section
-lastcpu_devices::ssd::FileStatus  a tags! writer half; tests/wire_pins.rs sizes it
+lastcpu_devices::accel  the Accelerator, a Figure-1 device no experiment attaches yet, whole, its section's reader included: tests/restore_pins.rs and tests/wire_pins.rs pin its section and its message
+lastcpu_devices::nic::EchoApp  tests/restore_pins.rs pins the echo NIC app's section, written and read; no program loads an echo NIC
+lastcpu_devices::ssd::FileStatus  a tags! writer and reader half; tests/wire_pins.rs sizes it
 lastcpu_devices::ssd::SmartSsd::monitor  tests/restore_pins.rs pins the SSD monitor's section through it
 lastcpu_fabric::ring::HashRing::nodes  ShardRouterHost::endpoint_names reads it (tests/metrics_pins.rs)
 lastcpu_iommu::unit::Iommu::audit  tests/restore_pins.rs pins the DMA audit's section through it
 lastcpu_iommu::unit::Iommu::mapped_pages  tests/iommu_pins.rs holds a unit's mapped page count through it
 lastcpu_iommu::unit::Iommu::protect  tests/iommu_pins.rs changes a mapping's permissions through it
 lastcpu_kvs::app::KvsNicApp::set_fast_path  tests/delivery.rs turns the NIC server's fast path off, through SmartNic::app_mut, the slow path's only route in a test
-lastcpu_kvs::cpu_app::KvsCpuApp  tests/restore_pins.rs pins its section and tests/metrics_pins.rs reads its counters
+lastcpu_kvs::cpu_app::KvsCpuApp  tests/restore_pins.rs pins its section, written and read (no program loads the CPU baseline), and tests/metrics_pins.rs reads its counters
 lastcpu_kvs::engine::KvEngine::is_empty  clippy's len_without_is_empty asks for it beside the linked len
 lastcpu_kvs::server::KvsServer::set_fast_path  KvsNicApp::set_fast_path's half
 lastcpu_mem::pagetable::PageTable::mapped_pages  Iommu::mapped_pages reads it (tests/iommu_pins.rs)
-lastcpu_mem::pagetable::PageTable::node_count  Iommu::table_nodes reads it (tests/iommu_pins.rs)
 lastcpu_mem::pagetable::PageTable::protect  Iommu::protect walks it (tests/iommu_pins.rs)
 lastcpu_sim::metrics::MetricsHub::gauge  tests/metrics_pins.rs reads the hub's gauges through it
-lastcpu_sim::queue::EventQueue::reinit_from  the event queue's reader half loads the engine's and fabric's pending events through it, kept for item 3 of ROADMAP.md
-lastcpu_sim::queue::Wheel::clear  reinit_from empties the wheel with it before it loads
-lastcpu_sim::stats::Histogram::reset  the metrics section's reader half zeroes each histogram with it (tests/restore_pins.rs)
 lastcpu_sim::trace::TraceSink::is_empty  clippy's len_without_is_empty asks for it beside the linked len
-lastcpu_snap::SnapReader::i64  the reader half of an i64 field (tests/restore_pins.rs)
-lastcpu_virtio::queue::VirtqueueDriver  a fields! writer half: no program checkpoints a virtqueue driver
+lastcpu_virtio::queue::VirtqueueDriver  a fields! writer and reader half: no program checkpoints or loads a virtqueue driver
 "
 reach_target=target/reach
 reach_build() {
@@ -381,7 +373,6 @@ reach_allow="$reach_allow" surface_allow="$surface_allow" awk -F'\t' '
     FNR == NR { linked[$0] = 1; next }
     $1 in linked { next }
     { unreached++ }
-    $1 ~ /(Restore( for .*)?>::restore|(Field|Span|Codec)(<.*>)?( for .*)?>::take|::from_tag)$/ { reader++; next }
     $1 ~ /\{\{closure\}\}|(as|impl) core::(clone::Clone|fmt::Debug|hash::Hash|default::Default|cmp::(PartialEq|Eq|PartialOrd|Ord))( for [^>]*)?>::|Drop( for .*)?>::drop$/ { glue++; next }
     $1 ~ /Display( for .*)?>::fmt$/ { display++; next }
     {
@@ -402,7 +393,7 @@ reach_allow="$reach_allow" surface_allow="$surface_allow" awk -F'\t' '
             print "    reach allow-list: " k " matches no unreached function; take it off the list"
             bad = 1
         }
-        printf "    %d library functions no program links: %d reader halves, %d glue, %d Display,", unreached, reader, glue, display
+        printf "    %d library functions no program links: %d glue, %d Display,", unreached, glue, display
         printf " %d on the surface allow-list, %d under a reach_allow entry\n", by_name, listed
         exit bad
     }
