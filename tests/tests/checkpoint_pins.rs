@@ -161,11 +161,11 @@ const PARENT_MACHINE: (u64, [&str; 5]) = (
 
 /// The same for the rack, plus a machine section cut short by nine bytes.
 const PARENT_RACK: (u64, [&str; 6]) = (
-    18291338510573849369,
+    7616549639933822251,
     [
         r#"restored state diverged in section "rack": manifest differs: Manifest { schema_version: 3, seed: 4011, virtual_ns: 60000000, events: 12968, config_fp: 16570750973892390379, label: "pins" } vs Manifest { schema_version: 3, seed: 4011, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" }"#,
         r#"restored state diverged in section "rack": section 4 tag differs: "machine1x" vs "machine1""#,
-        r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 264823"#,
+        r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 264829"#,
         r#"restored state diverged in section "rack": section count differs: 6 vs 7"#,
         r#"restored state diverged in section "rack": section count differs: 8 vs 7"#,
         r#"restored state diverged in section "rack": section "machine2" differs: 449093 vs 449102 bytes, first divergence at end"#,
@@ -259,20 +259,20 @@ fn doctor_machines(ck: &Checkpoint, mut edit: impl FnMut(&str, &mut Vec<u8>)) ->
 /// machine1 cut inside a sum; two sums of machine1; a sum in machine1 and
 /// one in machine2.
 const PARENT_RACK_SUMS: [&str; 14] = [
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 943"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 950"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 243317"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 243324"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 518482"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 518489"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 529638"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 529645"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 943"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 243316"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 955"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 962"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 243329"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 243336"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 518494"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 518501"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 529650"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 529657"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 955"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 243328"#,
     r#"restored state diverged in section "rack": section "machine2" differs: 449102 vs 449102 bytes, first divergence at offset 956"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 518486 vs 529646 bytes, first divergence at end"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 943"#,
-    r#"restored state diverged in section "rack": section "machine1" differs: 529646 vs 529646 bytes, first divergence at offset 518482"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 518498 vs 529658 bytes, first divergence at end"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 955"#,
+    r#"restored state diverged in section "rack": section "machine1" differs: 529658 vs 529658 bytes, first divergence at offset 518494"#,
 ];
 
 #[test]

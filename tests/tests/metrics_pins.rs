@@ -374,8 +374,8 @@ const PARENT_RACK: &[&str] = &[
     "router0: RouterStats { requests: 250, hits: 357, failovers: 0, give_ups: 0, rebalance_moves: 0, epoch: 1, dir_replies: 1000, dir_installs: 1, late_acks: 0, busy_deferrals: 0 } fabric.router.requests 250",
     "server0: ServerStats { gets: 176, puts: 180, cache_hits: 0, fast_gets: 0, shed: 0, misses: 0, failures: 0, unavailable: 0 } kvs.server.gets 176",
     "c0: ops_done 200 unavailable_rejections 0 busy 0 timeouts 0",
-    "metrics_json 0x0ce70070b4ccbe18 2816",
-    "router1: RouterStats { requests: 250, hits: 350, failovers: 0, give_ups: 0, rebalance_moves: 0, epoch: 1, dir_replies: 1000, dir_installs: 1, late_acks: 0, busy_deferrals: 0 } fabric.router.requests 249",
+    "metrics_json 0x81556d937d5f00ba 2816",
+    "router1: RouterStats { requests: 250, hits: 350, failovers: 0, give_ups: 0, rebalance_moves: 0, epoch: 1, dir_replies: 1000, dir_installs: 1, late_acks: 0, busy_deferrals: 0 } fabric.router.requests 250",
     "server1: ServerStats { gets: 252, puts: 264, cache_hits: 0, fast_gets: 0, shed: 0, misses: 0, failures: 0, unavailable: 0 } kvs.server.gets 252",
     "c1: ops_done 200 unavailable_rejections 0 busy 0 timeouts 0",
     "metrics_json 0xb974e7b1fae10999 2812",

@@ -510,7 +510,7 @@ fn schedule_is_the_recorded_one() {
 
     assert_eq!(
         format!("{flat:#018x} {crash:#018x} {tree:#018x}"),
-        "0x672c611070d29fe0 0xf62bd62ce6b4f44b 0xfa5ea881cf2d3ab7",
+        "0x2d1b07fb91753e57 0x3b4c86d5f8b3c9c4 0xb2b1ea634b1441bb",
         "8-machine flat, 4-machine crash arm, 32-machine leaf-spine:8 oversub 4"
     );
 }

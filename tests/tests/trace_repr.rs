@@ -242,9 +242,9 @@ mod rack {
         jsonl: (2839614355391125304, 5029816),
         chrome: (4122591985127384430, 7978206),
         records: 40634,
-        mid_checkpoint: 16485770676718696377,
+        mid_checkpoint: 10301725427209797344,
         mid_m0_trace: 3632749393047612096,
-        end_checkpoint: 5957764017898514233,
+        end_checkpoint: 17984770606506340494,
     };
 
     /// When the mid-run checkpoint is taken.
