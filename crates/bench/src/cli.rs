@@ -89,7 +89,7 @@ impl Kind {
     fn parse(self, flag: &str, v: &str) -> Result<Json, String> {
         let bad = || format!("bad value {v:?} for {flag}");
         let words = || v.split(',').map(str::trim);
-        Ok(match self {
+        let json = match self {
             Kind::Switch => Json::Bool(false),
             Kind::U64 => parse_u64(v).ok_or_else(bad)?,
             Kind::F64 => Json::Num(v.parse().map_err(|_| bad())?),
@@ -103,7 +103,13 @@ impl Kind {
             ),
             Kind::StrList if words().any(str::is_empty) => return Err(bad()),
             Kind::StrList => Json::Arr(words().map(|w| Json::Str(w.into())).collect()),
-        })
+        };
+        // A repeated value would run, and report, one cell twice.
+        let repeats = |items: &[Json]| (1..items.len()).any(|i| items[..i].contains(&items[i]));
+        match json {
+            Json::Arr(items) if repeats(&items) => Err(format!("{v:?} repeats a value for {flag}")),
+            json => Ok(json),
+        }
     }
 
     fn placeholder(self) -> &'static str {
@@ -130,11 +136,12 @@ pub struct Args {
 
 impl Args {
     /// Parses `argv` against the declared `sets`; every flag starts at its
-    /// default, and exactly `positionals` non-flag arguments are expected.
+    /// default, and as many non-flag arguments as `positionals` holds are
+    /// expected.
     pub fn parse(
         sets: &[&'static [Flag]],
         argv: &[String],
-        positionals: usize,
+        positionals: std::ops::RangeInclusive<usize>,
     ) -> Result<Args, String> {
         let default = |f: &'static Flag| {
             let v = f.kind.parse(f.name, f.default);
@@ -158,9 +165,14 @@ impl Args {
                     .parse(a, v.ok_or_else(|| format!("{a} needs a value"))?)?
             };
         }
-        if positional.len() != positionals {
+        if !positionals.contains(&positional.len()) {
+            let (least, most) = positionals.into_inner();
+            let want = match least == most {
+                true => least.to_string(),
+                false => format!("at least {least}"),
+            };
             return Err(format!(
-                "expected {positionals} file arguments, got {positional:?}"
+                "expected {want} file arguments, got {positional:?}"
             ));
         }
         Ok(Args { vals, positional })
@@ -258,7 +270,7 @@ mod tests {
 
     fn parse(s: &str) -> Result<Args, String> {
         let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
-        Args::parse(&[FLAGS, OUT], &argv, 0)
+        Args::parse(&[FLAGS, OUT], &argv, 0..=0)
     }
 
     #[test]
@@ -282,12 +294,12 @@ mod tests {
     #[test]
     fn typos_name_the_flag() {
         let bad = "--bogus|--ops|--ops x|--ops --no-crash|--seed 0xZZ|--seed 0x20000000000001|\
-                   --seeds 1,,2|--seeds|--arms a,,b|--read-fraction lots";
+                   --seeds 1,,2|--seeds|--seeds 1,0x1|--arms a,,b|--arms b,a,b|--read-fraction lots";
         for bad in bad.split('|').map(str::trim) {
             let err = parse(bad).unwrap_err();
             let flag = bad.split(' ').next().unwrap();
             assert!(err.contains(flag), "{bad:?} -> {err}");
         }
-        assert!(Args::parse(&[FLAGS], &["stray".to_string()], 0).is_err());
+        assert!(Args::parse(&[FLAGS], &["stray".to_string()], 0..=0).is_err());
     }
 }

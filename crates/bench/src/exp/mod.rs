@@ -1,9 +1,10 @@
-//! The experiment registry and the three commands built on it.
+//! The experiment registry and the four commands built on it.
 //!
 //! ```text
 //! lastcpu-bench <exp> [flags]            one experiment: tables, --out artifact
 //! lastcpu-bench all [--smoke] [--no-wall] [--check] [--out-dir D]
 //! lastcpu-bench diff A.json B.json [--host-tol <pct>]
+//! lastcpu-bench show A.json [group..]    an artifact's tables, as its run printed them
 //! ```
 //!
 //! An [`Experiment`] is plain data: its flags, the reduced flag sets CI
@@ -159,11 +160,16 @@ impl Experiment {
         v
     }
 
+    /// What a run and `show` print: the title, then the tables of `groups`.
+    fn print(&self, report: &Report, groups: &[&str]) {
+        println!("{}\n\n{}", self.title, report.render(groups));
+    }
+
     /// Prints title and tables; writes the artifact to `out`;
     /// under `--check` reports violated gates on stderr. Returns whether the
     /// gates (if asked for) held.
     fn finish(&self, args: &Args, report: &Report, out: Option<&str>) -> Result<bool, String> {
-        println!("{}\n\n{}", self.title, report.render());
+        self.print(report, &report.groups());
         if let Some(path) = out {
             let text = report.to_json().dump();
             std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
@@ -211,7 +217,7 @@ fn all(all_args: &Args) -> Result<i32, String> {
                 .filter(|f| all_args.on(f));
             argv.extend(modes.map(String::from));
             eprintln!("==> {} {}", exp.name, argv.join(" "));
-            let args = Args::parse(&exp.flag_sets(), &argv, 0)?;
+            let args = Args::parse(&exp.flag_sets(), &argv, 0..=0)?;
             // The first (usually only) run owns the plain name.
             let part = if i == 0 { "" } else { &format!(".{}", i + 1) };
             let path = format!("{dir}/BENCH_{}{part}.json", exp.name);
@@ -258,11 +264,29 @@ fn diff(args: &Args) -> Result<i32, String> {
     Ok(i32::from(failed))
 }
 
+fn show(args: &Args) -> Result<i32, String> {
+    let (path, asked) = args.positional.split_first().expect("a file argument");
+    let report = Report::read(path)?;
+    let exp = Experiment::find(&report.experiment)
+        .ok_or_else(|| format!("{path}: no experiment {:?}", report.experiment))?;
+    let known = report.groups();
+    let groups: Vec<&str> = match asked.is_empty() {
+        true => known.clone(),
+        false => asked.iter().map(String::as_str).collect(),
+    };
+    if let Some(g) = groups.iter().find(|g| !known.contains(g)) {
+        return Err(format!("{path}: no group {g:?}"));
+    }
+    exp.print(&report, &groups);
+    Ok(0)
+}
+
 fn usage() -> String {
     let mut out = String::from(
         "usage: lastcpu-bench <experiment> [flags]   (--help lists an experiment's flags)\n\
          \x20      lastcpu-bench all [--smoke] [--no-wall] [--check] [--out-dir D]\n\
-         \x20      lastcpu-bench diff A.json B.json [--host-tol <pct>]\n\nexperiments:\n",
+         \x20      lastcpu-bench diff A.json B.json [--host-tol <pct>]\n\
+         \x20      lastcpu-bench show A.json [group..]\n\nexperiments:\n",
     );
     for e in REGISTRY {
         let headline = e.title.lines().next().unwrap_or("");
@@ -279,20 +303,29 @@ pub fn main(argv: &[String]) -> i32 {
     };
     let exp = Experiment::find(cmd);
     type Run<'a> = &'a dyn Fn(&Args) -> Result<i32, String>;
-    let (sets, positionals, about, run): (Vec<&[Flag]>, usize, &str, Run) =
+    type Files = std::ops::RangeInclusive<usize>;
+    let (sets, positionals, about, run): (Vec<&[Flag]>, Files, &str, Run) =
         match (cmd.as_str(), exp) {
-            (_, Some(e)) => (e.flag_sets().to_vec(), 0, e.title, &move |a| single(e, a)),
+            (_, Some(e)) => (e.flag_sets().to_vec(), 0..=0, e.title, &move |a| {
+                single(e, a)
+            }),
             ("all", _) => (
                 vec![ALL_FLAGS, cli::MODE],
-                0,
+                0..=0,
                 "every experiment, one artifact each",
                 &all,
             ),
             ("diff", _) => (
                 vec![DIFF_FLAGS],
-                2,
+                2..=2,
                 "A.json B.json: per-cell, per-metric comparison",
                 &diff,
+            ),
+            ("show", _) => (
+                vec![],
+                1..=usize::MAX,
+                "A.json [group..]: the artifact's title and tables, as its run printed them",
+                &show,
             ),
             ("--help", _) => {
                 print!("{}", usage());

@@ -146,7 +146,7 @@ mod tests {
 
     fn obs(argv: &[&str]) -> ObsArgs {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        ObsArgs::from_args(&Args::parse(&[OBS], &argv, 0).unwrap())
+        ObsArgs::from_args(&Args::parse(&[OBS], &argv, 0..=0).unwrap())
     }
 
     #[test]
@@ -158,7 +158,7 @@ mod tests {
         let b = obs(&["--profile"]);
         assert!(b.profile && b.profile_out.is_none() && b.metrics_out.is_none());
         // An experiment that declares no observability flags has them off.
-        let none = ObsArgs::from_args(&Args::parse(&[], &[], 0).unwrap());
+        let none = ObsArgs::from_args(&Args::parse(&[], &[], 0..=0).unwrap());
         assert!(!none.profile && none.trace_out.is_none());
     }
 

@@ -4,11 +4,15 @@
 //! all derived from that declaration.
 //!
 //! An experiment returns [`Cell`]s. A cell belongs to a `group` (one table),
-//! is identified by ordered key/value pairs, and carries ordered
+//! is identified by key/value pairs (kept in key order, the order the
+//! artifact stores them in, so a table renders the same live and read
+//! back), and carries ordered
 //! [`Metric`]s in the vocabulary `BENCHMARK.json` uses: `better` is
 //! `higher`, `lower` or `exact`, `bound` the relative worsening tolerated
 //! before [`diff`] calls a regression. Host-time metrics are marked
 //! [`Metric::host`]; `--no-wall` drops them so reruns are byte-identical.
+
+use std::collections::BTreeMap;
 
 use crate::json::Json;
 use crate::table::Table;
@@ -65,8 +69,8 @@ pub struct Metric {
 pub struct Cell {
     /// The table this row belongs to (`scaling`, `crash`, …).
     pub group: String,
-    /// What distinguishes the row within its group, in display order.
-    pub id: Vec<(String, Json)>,
+    /// What distinguishes the row within its group, in key order.
+    pub id: BTreeMap<String, Json>,
     /// The measurements, in display order.
     pub metrics: Vec<Metric>,
 }
@@ -117,14 +121,15 @@ impl Cell {
     pub fn new(group: &str) -> Cell {
         Cell {
             group: group.into(),
-            id: Vec::new(),
+            id: BTreeMap::new(),
             metrics: Vec::new(),
         }
     }
 
     /// Adds an identifying key.
     pub fn id(mut self, key: &str, value: impl Into<Json>) -> Cell {
-        self.id.push((key.into(), value.into()));
+        let old = self.id.insert(key.into(), value.into());
+        assert!(old.is_none(), "key {key} declared twice");
         self
     }
 
@@ -189,7 +194,7 @@ impl Cell {
 
     /// Identifying key `key`.
     pub fn key(&self, key: &str) -> Option<&Json> {
-        self.id.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.id.get(key)
     }
 
     /// Whether key `key` is exactly `value`.
@@ -203,14 +208,13 @@ impl Cell {
         m.unwrap_or_else(|| panic!("no metric {name}")).value = value.into();
     }
 
-    /// `group{k=v, …}` with keys sorted: what [`diff`] matches on.
+    /// `group{k=v, …}`: what [`diff`] matches on.
     pub fn label(&self) -> String {
-        let mut id: Vec<String> = self
+        let id: Vec<String> = self
             .id
             .iter()
             .map(|(k, v)| format!("{k}={}", show(v)))
             .collect();
-        id.sort();
         format!("{}{{{}}}", self.group, id.join(", "))
     }
 }
@@ -282,6 +286,16 @@ fn ordered<'a>(names: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
     out
 }
 
+/// An item of `items` that occurs more than once.
+fn twice(items: impl Iterator<Item = String>) -> Option<String> {
+    let mut items: Vec<String> = items.collect();
+    items.sort();
+    items
+        .windows(2)
+        .find(|w| w[0] == w[1])
+        .map(|w| w[0].clone())
+}
+
 impl Report {
     /// The cells of `group`.
     pub fn group<'a>(&'a self, group: &'a str) -> impl Iterator<Item = &'a Cell> {
@@ -293,14 +307,17 @@ impl Report {
         self.config.get(key).and_then(Json::as_f64)
     }
 
-    /// One table per group, columns = id keys then metrics.
-    pub fn render(&self) -> String {
+    /// The groups, first appearance first.
+    pub fn groups(&self) -> Vec<&str> {
+        ordered(self.cells.iter().map(|c| c.group.as_str()))
+    }
+
+    /// One table per group of `groups`, in that order; columns = id keys
+    /// then metrics.
+    pub fn render(&self, groups: &[&str]) -> String {
         let mut out = String::new();
-        for g in ordered(self.cells.iter().map(|c| c.group.as_str())) {
-            let keys = ordered(
-                self.group(g)
-                    .flat_map(|c| c.id.iter().map(|(k, _)| k.as_str())),
-            );
+        for &g in groups {
+            let keys = ordered(self.group(g).flat_map(|c| c.id.keys().map(String::as_str)));
             let mut metrics: Vec<&Metric> = Vec::new();
             for m in self.group(g).flat_map(|c| &c.metrics) {
                 if !metrics.iter().any(|seen| seen.name == m.name) {
@@ -352,7 +369,7 @@ impl Report {
             });
             obj([
                 ("group", Json::Str(c.group.clone())),
-                ("id", Json::Obj(c.id.iter().cloned().collect())),
+                ("id", Json::Obj(c.id.clone())),
                 ("metrics", Json::Arr(metrics.collect())),
             ])
         });
@@ -365,7 +382,9 @@ impl Report {
         ])
     }
 
-    /// Reads an artifact back; anything missing or mistyped is an error.
+    /// Reads an artifact back; anything missing or mistyped, and two cells
+    /// with one label or two metrics of one cell with one name, is an error
+    /// ([`diff`] would compare only the first of each).
     pub fn from_json(j: &Json) -> Result<Report, String> {
         let text = |j: &Json, k: &str| {
             let s = j.get(k).and_then(Json::as_str);
@@ -398,17 +417,25 @@ impl Report {
                     host: m.get("host") == Some(&Json::Bool(true)),
                 })
             });
-            Ok(Cell {
+            let cell = Cell {
                 group: text(&c, "group")?,
-                id: id.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+                id: id.clone(),
                 metrics: metrics.collect::<Result<_, String>>()?,
-            })
+            };
+            match twice(cell.metrics.iter().map(|m| m.name.clone())) {
+                Some(name) => Err(format!("{}: metric {name} twice", cell.label())),
+                None => Ok(cell),
+            }
         });
+        let cells: Vec<Cell> = cells.collect::<Result<_, String>>()?;
+        if let Some(label) = twice(cells.iter().map(Cell::label)) {
+            return Err(format!("{label}: two cells"));
+        }
         Ok(Report {
             experiment: text(j, "experiment")?,
             commit: text(j, "commit")?,
             config: j.get("config").cloned().ok_or("missing \"config\"")?,
-            cells: cells.collect::<Result<_, String>>()?,
+            cells,
         })
     }
 
@@ -551,9 +578,42 @@ mod tests {
         assert!(Report::from_json(&Json::parse("{\"schema\": 1}").unwrap()).is_err());
     }
 
+    fn round_trip(r: &Report) -> Result<Report, String> {
+        Report::from_json(&Json::parse(&r.to_json().dump()).unwrap())
+    }
+
+    #[test]
+    fn an_artifact_renders_what_its_run_printed() {
+        // `policy` is declared before `machines`: the artifact stores ids
+        // by key, so the live table must put them in that order too.
+        let r = sample();
+        let back = round_trip(&r).unwrap();
+        assert_eq!(back.render(&back.groups()), r.render(&r.groups()));
+        assert!(r
+            .render(&["scaling"])
+            .starts_with("[scaling]\nmachines  policy"));
+    }
+
+    #[test]
+    fn an_artifact_with_a_cell_or_metric_twice_is_refused() {
+        let mut r = sample();
+        r.cells.push(r.cells[0].clone());
+        let err = round_trip(&r).unwrap_err();
+        assert!(
+            err.contains("scaling{machines=2, policy=static}: two cells"),
+            "{err}"
+        );
+        let mut r = sample();
+        let extra = r.cells[1].metrics[0].clone();
+        r.cells[1].metrics.push(extra);
+        let err = round_trip(&r).unwrap_err();
+        assert!(err.contains("summary{}: metric leaked twice"), "{err}");
+    }
+
     #[test]
     fn table_has_a_column_per_key_and_metric() {
-        let t = sample().render();
+        let r = sample();
+        let t = r.render(&r.groups());
         assert!(t.contains("[scaling]") && t.contains("[summary]"), "{t}");
         assert!(
             t.contains("agg_ops_per_sec (1/s)") && t.contains("1000.5"),

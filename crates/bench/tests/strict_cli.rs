@@ -1,8 +1,9 @@
 //! Every registry entry rejects what it does not know — a typo, a flag
-//! without its value, a value that does not parse — with exit 2, the flag
-//! named on stderr and nothing on stdout; and its generated `--help` lists
-//! exactly the flags of the census below, so a new knob cannot slip in
-//! unannounced.
+//! without its value, a value that does not parse, a list that repeats a
+//! value — with exit 2, the flag named on stderr and nothing on stdout; and
+//! its generated `--help` lists exactly the flags of the census below, so a
+//! new knob cannot slip in unannounced. `show` refuses what is not an
+//! artifact it can render the same way.
 
 use std::process::Command;
 
@@ -64,6 +65,44 @@ fn every_experiment_rejects_bad_flags() {
     for bad in commands {
         assert_eq!(run(bad).0, Some(2), "{bad:?}");
     }
+}
+
+/// Exit 2, stderr naming `what`, nothing on stdout.
+fn refused(args: &[&str], what: &str) {
+    let (code, stdout, stderr) = run(args);
+    assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(what),
+        "{args:?} must name {what:?}: {stderr}"
+    );
+    assert!(
+        stdout.is_empty(),
+        "{args:?}: output before the error: {stdout}"
+    );
+}
+
+#[test]
+fn a_repeated_list_value_is_refused() {
+    // Two cells with one label: `diff` would compare only the first.
+    refused(&["e10", "--machines", "2,2", "--no-crash"], "--machines");
+    refused(&["e11", "--seeds", "1,0x1"], "--seeds");
+}
+
+#[test]
+fn show_refuses_what_it_cannot_render() {
+    let dir = std::env::temp_dir().join(format!("lastcpu-show-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let not_an_artifact = dir.join("config.json");
+    std::fs::write(&not_an_artifact, r#"{"ops": 400}"#).unwrap();
+    let artifact = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e4.json");
+    refused(&["show", "no-such-file.json"], "no-such-file.json");
+    refused(&["show", &not_an_artifact.to_string_lossy()], "artifact");
+    refused(&["show", artifact, "fault_matrix", "bogus"], "bogus");
+    refused(&["show"], "file arguments");
+    std::fs::remove_dir_all(dir).unwrap();
+    let (code, stdout, _) = run(&["show", artifact, "fault_matrix"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.contains("\n[fault_matrix]\ndevice  "), "{stdout}");
 }
 
 #[test]
