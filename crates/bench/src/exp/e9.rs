@@ -3,8 +3,8 @@
 //! data path loaded and one where only the control plane works (phases
 //! `queue`, `system`, `ssd`, `ctl`, `rack`), and what the trace ring costs
 //! a record of that control-plane machine (phase `trace`, where an event is
-//! a record). EXPERIMENTS.md E9 describes each phase and what its
-//! allocation gates catch.
+//! a record). EXPERIMENTS.md E9 describes each phase; the comment above
+//! `check` says what each allocation gate catches.
 //!
 //! `events`, `allocs_per_event` and `alloc_bytes_per_event` are
 //! deterministic; everything derived from the host clock is a host metric.

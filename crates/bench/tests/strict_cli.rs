@@ -85,7 +85,6 @@ fn refused(args: &[&str], what: &str) {
 fn a_repeated_list_value_is_refused() {
     // Two cells with one label: `diff` would compare only the first.
     refused(&["e10", "--machines", "2,2", "--no-crash"], "--machines");
-    refused(&["e11", "--seeds", "1,0x1"], "--seeds");
 }
 
 #[test]

@@ -24,14 +24,17 @@
 #                          into target/reach), or is derived glue, or has
 #                          a reason on that stage's list
 #   2. tier-1              cargo build --release && cargo test -q (includes the
-#                          strict-CLI table, one doctored-report test per gate
-#                          and the diff exit codes: crates/bench/tests/)
+#                          strict-CLI table, one doctored-report test per gate,
+#                          the diff exit codes and the region test that holds
+#                          every EXPERIMENTS.md table equal to the render of
+#                          its committed artifact: crates/bench/tests/)
 #   3. docs gate           rustdoc warnings as errors, doctests, and a markdown
 #                          link check over README/DESIGN/EXPERIMENTS/ROADMAP/docs
 #   4. experiments         `lastcpu-bench all --smoke --no-wall --check`, twice:
 #                          every experiment runs its reduced command lines and
 #                          passes the gates in its own `check`; the two runs'
-#                          artifacts are byte-identical; `diff` compares each
+#                          artifacts are byte-identical; each artifact's
+#                          `show` is what its run printed; `diff` compares each
 #                          pair; a wall-mode E9 pair goes through
 #                          `diff --host-tol 30`
 #   5. obs artifacts       f2's metrics snapshot covers every instrumented
@@ -428,9 +431,17 @@ trap 'rm -rf "$tmp"' EXIT
 bench=target/release/lastcpu-bench
 
 echo "==> experiments: all --smoke --no-wall --check, twice"
-"$bench" all --smoke --no-wall --check --out-dir "$tmp/a" >/dev/null
+"$bench" all --smoke --no-wall --check --out-dir "$tmp/a" >"$tmp/printed.txt"
 "$bench" all --smoke --no-wall --check --out-dir "$tmp/b" >/dev/null
 diff -r "$tmp/a" "$tmp/b" || { echo "FAIL: same-flag runs differ"; exit 1; }
+# An artifact renders to what its run printed: the first run's stdout, less
+# its `wrote` lines, is `show` on each file those lines name, in order.
+grep -v '^wrote ' "$tmp/printed.txt" >"$tmp/tables.txt"
+sed -n 's/^wrote //p' "$tmp/printed.txt" | while read -r f; do "$bench" show "$f"; done >"$tmp/shown.txt"
+diff "$tmp/tables.txt" "$tmp/shown.txt" || {
+    echo "FAIL: an artifact's show differs from what its run printed"; exit 1;
+}
+echo "    $(grep -c '^wrote ' "$tmp/printed.txt") artifacts render as printed"
 for a in "$tmp"/a/BENCH_*.json; do
     "$bench" diff "$a" "$tmp/b/$(basename "$a")" | tail -1
 done
