@@ -283,6 +283,18 @@ fn check(r: &Report) -> Vec<String> {
         g.require(complete, format!("{at}: incomplete ({} ops)", c.num("ops")));
         let served = c.num("ops_per_sec") > 0.0 && c.num("p99_us") > 0.0;
         g.require(served, format!("{at}: no throughput or latency"));
+        // No fault is injected here, so every sub is answered: a failover
+        // is a replica's transient rejection, and nothing is given up or
+        // expires at the client.
+        let failovers = c.num("failovers");
+        g.require(
+            failovers <= 0.01 * c.num("ops"),
+            format!("{at}: {failovers} failovers > 1% of ops"),
+        );
+        for quiet in ["give_ups", "client_timeouts"] {
+            let n = c.num(quiet);
+            g.require(n == 0.0, format!("{at}: {n} {quiet} without a fault"));
+        }
         let census = c.num("links") > 0.0 && c.num("links_used") <= c.num("links");
         g.require(census, format!("{at}: link census is off"));
         let wired = c.num("fabric_bytes") > 0.0
@@ -334,6 +346,11 @@ fn check(r: &Report) -> Vec<String> {
                 lost == 0.0,
                 format!("{at}: lost {lost} acknowledged writes"),
             );
+            // A surviving replica answers every request the crash touched.
+            for quiet in ["timeouts", "errors"] {
+                let n = c.num(quiet);
+                g.require(n == 0.0, format!("{at}: {n} client {quiet} with R >= 2"));
+            }
         }
     }
     g.0

@@ -27,6 +27,11 @@ BENCH_e9.json    | phase | phase=trace  | allocs_per_event | 0.001 | trace: allo
 BENCH_e10.json   | *       | machines=2 & replication=1 |                | DROP | matrix incomplete at 2 machines x R=1
 BENCH_e10.json   | scaling | machines=2 & replication=2 | ops             | 239  | incomplete (239 ops)
 BENCH_e10.json   | scaling | machines=2 & replication=2 | fabric_bytes    | 0    | no fabric traffic
+BENCH_e10.json   | scaling | machines=2 & replication=2 | failovers       | 3    | 3 failovers > 1% of ops
+BENCH_e10.json   | scaling | machines=2 & replication=2 | give_ups        | 1    | 1 give_ups without a fault
+BENCH_e10.json   | scaling | machines=2 & replication=2 | client_timeouts | 1    | 1 client_timeouts without a fault
+BENCH_e10.json   | crash   | replication=2             | timeouts        | 1    | 1 client timeouts with R >= 2
+BENCH_e10.json   | crash   | replication=2             | errors          | 1    | 1 client errors with R >= 2
 BENCH_e10.json   | crash   | replication=2             | lost_acked_keys | 1    | lost 1 acknowledged writes
 BENCH_e10.json   | crash   | replication=1             | lost_acked_keys | 0    | the R=1 control lost nothing
 BENCH_e10.2.json | scaling | replication=3             | p99_us          | 1e9  | > 2x R=2

@@ -16,18 +16,21 @@
 //!    has acknowledged — the no-lost-acknowledged-writes invariant E10
 //!    checks: once the client sees `Ok`, R machines hold the record, so any
 //!    single machine crash leaves at least R−1 copies.
-//! 3. **Fails over.** Sub-requests that time out, or whose target vanishes
-//!    from the directory (the fabric withdraws a crashed machine's
-//!    endpoints on its next sweep — the heartbeat/recovery machinery at
-//!    rack granularity), are re-dispatched against the *recomputed* replica
-//!    set. The consistent-hash ring guarantees only the dead machine's keys
-//!    move (`fabric.router.rebalance_moves` counts them).
+//! 3. **Fails over.** Sub-requests whose target vanishes from the directory
+//!    (the fabric withdraws a crashed machine's endpoints on its next sweep —
+//!    the heartbeat/recovery machinery at rack granularity) are re-dispatched
+//!    against the *recomputed* replica set. The consistent-hash ring
+//!    guarantees only the dead machine's keys move
+//!    (`fabric.router.rebalance_moves` counts them). A sub is never timed
+//!    out and re-sent: the replica that owns it answers, and the client's
+//!    end-to-end timeout is the one retry for a request lost on the way. A
+//!    request whose sub has gone unanswered for that timeout is given up,
+//!    so a lost frame does not leak router state.
 //! 4. **Tracks congestion.** Every sub carries a send timestamp; acks feed a
 //!    per-endpoint RTT EWMA and outstanding-sub counts. Dispatch uses that
 //!    state: power-of-two-choices replica selection for GETs, load-aware
-//!    write fan-out order, adaptive (`max(base, k×ewma)`) timeouts, and Busy
-//!    backpressure driven by the queue depth servers report in their `Busy`
-//!    responses.
+//!    write fan-out order, and Busy backpressure driven by the queue depth
+//!    servers report in their `Busy` responses.
 //!
 //! Determinism: all request bookkeeping lives in `BTreeMap`/`BTreeSet`
 //! (iteration order is data-, not allocation-, dependent), sweeps walk
@@ -53,7 +56,7 @@ use lastcpu_sim::{costs, profile, MetricsHub, SimDuration, SimTime};
 
 use crate::proto::{KvsRequestRef, KvsResponseRef, KvsStatus};
 
-/// Timer token for the periodic tick (directory refresh + timeout sweep).
+/// Timer token for the periodic tick (directory refresh + pending sweep).
 const TOKEN_TICK: u64 = 1;
 
 /// Answered request slots kept for reuse at most. A router serves a few
@@ -73,10 +76,6 @@ const SERVICE_KIND: &str = "smart-nic";
 /// Re-dispatch budget per client request before giving up with
 /// [`KvsStatus::Unavailable`].
 const MAX_RETRIES: u32 = 24;
-
-/// Adaptive-timeout multiplier `k`: an unanswered sub-request is
-/// re-dispatched at age `max(router.sub_timeout, k × ewma_rtt(target))`.
-const RTT_MULTIPLIER: u64 = 4;
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -118,7 +117,7 @@ struct Sub {
     target: Arc<str>,
     /// Router-minted id (≥ [`SUB_ID_BASE`]).
     id: u64,
-    /// When it was (last) transmitted.
+    /// When it was transmitted.
     sent_at: SimTime,
     /// `Some(status)` once answered; `None` while waiting.
     ack: Option<KvsStatus>,
@@ -137,11 +136,11 @@ struct PendingReq {
     subs: Vec<Sub>,
     /// Re-dispatch count (0 = initial dispatch only).
     attempts: u32,
-    /// Marked by acks/timeouts; the sweep re-dispatches marked requests.
+    /// Marked by acks; the sweep re-dispatches marked requests.
     needs_redispatch: bool,
     /// Backpressure: a marked request is not re-dispatched before this
-    /// instant (set by `Busy`/`Unavailable` acks; a timeout or membership
-    /// change overrides it).
+    /// instant (set by `Busy`/`Unavailable` acks; a membership change
+    /// overrides it).
     defer_until: Option<SimTime>,
 }
 
@@ -205,9 +204,10 @@ lastcpu_sim::instruments! {
             requests: counter "fabric.router.requests",
             /// Sub-requests routed to shard endpoints.
             hits: counter "fabric.router.hits",
-            /// Re-dispatches (timeout, replica loss, or transient rejection).
+            /// Re-dispatches (replica loss or transient rejection).
             failovers: counter "fabric.router.failovers",
-            /// Requests abandoned after `MAX_RETRIES` re-dispatches.
+            /// Requests abandoned after `MAX_RETRIES` re-dispatches, or
+            /// with a sub unanswered for the client's timeout.
             give_ups: counter "fabric.router.give_ups",
             /// Acked keys whose primary moved across directory epochs.
             rebalance_moves: counter "fabric.router.rebalance_moves",
@@ -379,8 +379,8 @@ impl ShardRouterHost {
         let endpoints = &self.endpoints;
         self.load.retain(|name, _| endpoints.contains_key(&**name));
         if membership_changed {
-            // Fail over in-flight work addressed to departed endpoints now
-            // rather than waiting out the sub-timeout.
+            // Fail over in-flight work addressed to departed endpoints: no
+            // answer will come from them.
             let seqs: Vec<u64> = self
                 .pending
                 .iter()
@@ -440,10 +440,14 @@ impl ShardRouterHost {
 
     /// Unregisters one sub: drops the id mapping and, if it was never
     /// answered, releases its outstanding-load slot.
-    fn unregister_sub(&mut self, sub: &Sub) {
-        self.sub_index.remove(&sub.id);
+    fn unregister_sub(
+        sub_index: &mut DetHashMap<u64, u64>,
+        load: &mut BTreeMap<Arc<str>, EndpointLoad>,
+        sub: &Sub,
+    ) {
+        sub_index.remove(&sub.id);
         if sub.ack.is_none() {
-            if let Some(l) = self.load.get_mut(&sub.target) {
+            if let Some(l) = load.get_mut(&sub.target) {
                 l.outstanding = l.outstanding.saturating_sub(1);
             }
         }
@@ -455,7 +459,7 @@ impl ShardRouterHost {
     fn complete(&mut self, ctx: &mut HostCtx<'_>, seq: u64, status: KvsStatus, value: &[u8]) {
         let mut p = self.pending.remove(&seq).expect("pending exists");
         for sub in &p.subs {
-            self.unregister_sub(sub);
+            Self::unregister_sub(&mut self.sub_index, &mut self.load, sub);
         }
         ctx.stage(
             STAGE_ROUTER_RESPOND,
@@ -495,37 +499,28 @@ impl ShardRouterHost {
         (l.busy_until > now, l.outstanding, l.ewma_rtt_ns)
     }
 
-    /// Picks the GET target among `reps` for the given attempt.
+    /// Picks the GET target among `reps` for the given attempt: power of
+    /// two choices over the first two candidates of the rotation that
+    /// starts at `reps[attempts % len]`. Ties keep the rotation order
+    /// (deterministic); an endpoint inside its backpressure window scores
+    /// worst.
     ///
-    /// It skips what `avoid` names — the targets of subs the *current*
-    /// re-dispatch just cancelled unacked. Without that, the rotation
-    /// `reps[attempts % len]` can land back on the endpoint that just timed
-    /// out when a directory epoch reordered the replica list (the original
-    /// retry bug). If every replica is excluded (R = 1), the rotation pick
-    /// stands — there is nowhere else to go.
+    /// A re-dispatch cancels an unacked sub only when its target left the
+    /// directory, so no cancelled target is among `reps`.
     fn choose_get_target<'a>(
         &self,
         reps: &'a [Arc<str>],
         attempts: u32,
-        avoid: impl Fn(&str) -> bool,
         now: SimTime,
     ) -> &'a Arc<str> {
         let n = reps.len();
         let start = attempts as usize % n;
-        let rotation = || (0..n).map(|i| &reps[(start + i) % n]);
-        // The first two candidates in rotation order: those not avoided,
-        // or the whole rotation if that leaves none.
-        let mut fresh = rotation().filter(|t| !avoid(t));
-        let (a, b) = match fresh.next() {
-            Some(a) => (a, fresh.next()),
-            None => (&reps[start], rotation().nth(1)),
-        };
-        // Power of two choices over the first two rotation candidates; ties
-        // keep the rotation order (deterministic). An endpoint inside its
-        // backpressure window scores worst.
-        match b {
-            Some(b) if self.load_score(b, now) < self.load_score(a, now) => b,
-            _ => a,
+        // With one replica the two candidates are the same endpoint.
+        let (a, b) = (&reps[start], &reps[(start + 1) % n]);
+        if self.load_score(b, now) < self.load_score(a, now) {
+            b
+        } else {
+            a
         }
     }
 
@@ -579,8 +574,7 @@ impl ShardRouterHost {
             self.met.failovers.incr();
         }
         if over_budget {
-            self.met.give_ups.incr();
-            self.complete(ctx, seq, KvsStatus::Unavailable, &[]);
+            self.give_up(ctx, seq);
             return;
         }
         if reps.is_empty() {
@@ -594,41 +588,25 @@ impl ShardRouterHost {
         }
         // Phase 2: cancel stale subs (GET: everything unacked; writes:
         // everything but successful acks from targets still in the replica
-        // set), remembering what was just cancelled.
-        let is_get = self.pending[&seq].op == Op::Get;
-        let (cancelled, attempts) = {
-            let p = self.pending.get_mut(&seq).expect("pending exists");
-            let keep = |s: &Sub| {
-                if is_get {
-                    s.ack.is_some()
-                } else {
-                    matches!(s.ack, Some(KvsStatus::Ok) | Some(KvsStatus::NotFound))
-                        && reps.contains(&s.target)
-                }
+        // set). In place, so what is kept stays in the slot's own buffer.
+        let p = self.pending.get_mut(&seq).expect("pending exists");
+        let (is_get, attempts) = (p.op == Op::Get, p.attempts);
+        let (sub_index, load) = (&mut self.sub_index, &mut self.load);
+        p.subs.retain(|s| {
+            let keep = if is_get {
+                s.ack.is_some()
+            } else {
+                matches!(s.ack, Some(KvsStatus::Ok) | Some(KvsStatus::NotFound))
+                    && reps.contains(&s.target)
             };
-            // In place, so what is kept stays in the slot's own buffer (an
-            // initial dispatch has nothing to cancel and allocates nothing).
-            let mut cancelled = Vec::new();
-            let mut i = 0;
-            while i < p.subs.len() {
-                if keep(&p.subs[i]) {
-                    i += 1;
-                } else {
-                    cancelled.push(p.subs.remove(i));
-                }
+            if !keep {
+                Self::unregister_sub(sub_index, load, s);
             }
-            (cancelled, p.attempts)
-        };
-        for s in &cancelled {
-            self.unregister_sub(s);
-        }
+            keep
+        });
         // Phase 3: pick targets and issue.
         if is_get {
-            // Targets whose sub this very re-dispatch cancelled while
-            // unacked: the retry must not re-target them (they just timed
-            // out or vanished), whatever the rotation arithmetic says.
-            let avoid = |t: &str| cancelled.iter().any(|s| s.ack.is_none() && &*s.target == t);
-            let target = Arc::clone(self.choose_get_target(reps, attempts, avoid, ctx.now));
+            let target = Arc::clone(self.choose_get_target(reps, attempts, ctx.now));
             self.issue_sub(ctx, seq, target);
         } else {
             let p = &self.pending[&seq];
@@ -749,57 +727,36 @@ impl ShardRouterHost {
         self.redispatch(ctx, seq);
     }
 
-    /// Periodic sweep: re-query the directory, re-dispatch timed-out or
-    /// transiently rejected sub-requests.
+    /// Gives `seq` up: answers the client `Unavailable` and counts it.
+    fn give_up(&mut self, ctx: &mut HostCtx<'_>, seq: u64) {
+        self.met.give_ups.incr();
+        self.complete(ctx, seq, KvsStatus::Unavailable, &[]);
+    }
+
+    /// Periodic sweep: re-query the directory, re-dispatch transiently
+    /// rejected requests once their deferral passes, and give up a request
+    /// whose sub has gone unanswered for the client's timeout — its frame
+    /// was lost, and the client has expired the request already.
     fn sweep(&mut self, ctx: &mut HostCtx<'_>) {
         self.query_directory(ctx);
         let now = ctx.now;
-        let load = &self.load;
-        let seqs: Vec<u64> = self
-            .pending
-            .iter_mut()
-            .filter_map(|(&seq, p)| {
-                // Exponential backoff: each fail-over doubles the patience
-                // (capped at 32x). Without this, a loaded rack whose RTT
-                // momentarily exceeds the base timeout melts down: every
-                // sweep cancels in-flight subs and reissues them, which adds
-                // load, which lengthens RTT, which times out more subs.
-                let backoff = 1u64 << p.attempts.min(5);
-                let timed_out = p.subs.iter().any(|s| {
-                    if s.ack.is_some() {
-                        return false;
-                    }
-                    // A loaded endpoint earns patience proportional to its
-                    // measured RTT, so in-flight work that is *about to
-                    // complete* is not cancelled just because the rack is
-                    // warm. The floor still bounds cold endpoints.
-                    let mut timeout = costs::ROUTER_SUB_TIMEOUT;
-                    if let Some(l) = load.get(&s.target) {
-                        if l.ewma_rtt_ns > 0 {
-                            let est = SimDuration::from_nanos(
-                                l.ewma_rtt_ns.saturating_mul(RTT_MULTIPLIER),
-                            );
-                            if est > timeout {
-                                timeout = est;
-                            }
-                        }
-                    }
-                    now.since(s.sent_at) >= timeout.saturating_mul(backoff)
-                });
-                if timed_out {
-                    // A real timeout overrides any backpressure deferral.
-                    p.needs_redispatch = true;
-                    p.defer_until = None;
-                }
-                if p.needs_redispatch && !p.defer_until.is_some_and(|d| now < d) {
-                    Some(seq)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        for seq in seqs {
-            self.redispatch(ctx, seq);
+        let due: Vec<(u64, bool)> =
+            self.pending
+                .iter()
+                .filter_map(|(&seq, p)| {
+                    let lost = p.subs.iter().any(|s| {
+                        s.ack.is_none() && now.since(s.sent_at) >= costs::KVS_CLIENT_TIMEOUT
+                    });
+                    let ready = p.needs_redispatch && !p.defer_until.is_some_and(|d| now < d);
+                    (lost || ready).then_some((seq, lost))
+                })
+                .collect();
+        for (seq, lost) in due {
+            if lost {
+                self.give_up(ctx, seq);
+            } else {
+                self.redispatch(ctx, seq);
+            }
         }
     }
 }
@@ -1327,54 +1284,44 @@ mod tests {
     }
 
     #[test]
-    fn get_retry_skips_the_just_timed_out_target() {
-        // Reproduces the rotation bug: a directory epoch reorders the
-        // replica list between dispatch and retry, so the blind
-        // `reps[attempts % len]` lands back on the endpoint that just timed
-        // out. The skip is a bugfix, not a load choice: with A avoided, C is
-        // the only candidate left for the two choices.
+    fn an_unanswered_sub_is_never_resent_and_is_given_up_at_the_client_timeout() {
         let cfg = RouterConfig {
             replication: 2,
             ..RouterConfig::default()
         };
-        // Find a key whose replica list under {A,B} starts with A, and
-        // under {A,B,C} is exactly [C, A] — then attempt 1 of the rotation
-        // picks index 1 = A, the target that just timed out.
-        let ring_of = |names: &[&str]| {
-            let mut ring = HashRing::new(cfg.vnodes);
-            for n in names {
-                ring.insert(n);
-            }
-            ring
-        };
-        let (a, b, c) = ("m0/nic0", "m1/nic0", "m2/nic0");
-        let two = ring_of(&[a, b]);
-        let three = ring_of(&[a, b, c]);
-        let key = (0u32..10_000)
-            .map(|i| format!("key{i}").into_bytes())
-            .find(|k| two.replicas(k, 2) == vec![a, b] && three.replicas(k, 2) == vec![c, a])
-            .expect("such a key exists");
-
         let mut h = Harness::new(cfg);
-        h.install(&[(a, 10), (b, 11)]);
+        h.install(&[("m0/nic0", 10), ("m1/nic0", 11)]);
         let acts = h.frame(
             CLIENT_PORT,
-            KvsRequestRef::Get { id: 1, key: &key }.encode(),
+            KvsRequestRef::Get { id: 1, key: b"k" }.encode(),
         );
-        assert_eq!(subs_sent(&acts), {
-            let sent = subs_sent(&acts);
-            assert_eq!(sent[0].0, PortId(10), "initial dispatch goes to A");
-            sent
-        });
-        // C joins; A stays alive so nothing is force-redispatched.
-        h.install(&[(a, 10), (b, 11), (c, 12)]);
-        // Let the sub to A time out (base 5 ms, attempts 0) and sweep.
-        let acts = h.tick_after(SimDuration::from_micros(6000));
-        let sent = subs_sent(&acts);
-        assert_eq!(sent.len(), 1, "one retry issued");
-        assert_ne!(sent[0].0, PortId(10), "retry must not re-target A");
-        assert_eq!(sent[0].0, PortId(12), "rotation skip lands on C");
-        assert_eq!(h.router.stats().failovers, 1);
+        assert_eq!(subs_sent(&acts).len(), 1);
+        // No answer comes. Tick by tick up to the client's timeout, nothing
+        // is sent but the directory query: the replica owns its answer.
+        let ticks = costs::KVS_CLIENT_TIMEOUT.as_nanos() / costs::ROUTER_TICK.as_nanos();
+        for _ in 1..ticks {
+            let acts = h.tick_after(costs::ROUTER_TICK);
+            assert!(frames_sent(&acts).is_empty(), "{acts:?}");
+        }
+        assert_eq!(h.router.pending.len(), 1);
+        // At the client's timeout the request is answered `Unavailable`.
+        let acts = h.tick_after(costs::ROUTER_TICK);
+        assert_eq!(
+            frames_sent(&acts),
+            [(
+                CLIENT_PORT,
+                KvsResponseRef {
+                    id: 1,
+                    status: KvsStatus::Unavailable,
+                    value: &[],
+                }
+                .encode()
+            )]
+        );
+        assert!(h.router.pending.is_empty() && h.router.sub_index.is_empty());
+        assert!(h.router.load.values().all(|l| l.outstanding == 0));
+        let st = h.router.stats();
+        assert_eq!((st.failovers, st.give_ups), (0, 1));
     }
 
     #[test]
@@ -1486,18 +1433,11 @@ mod tests {
             load: &Load,
             reps: &[String],
             attempts: u32,
-            avoid: &BTreeSet<String>,
             now: SimTime,
         ) -> String {
             let n = reps.len();
             let start = attempts as usize % n;
-            let rotation: Vec<&String> = (0..n).map(|i| &reps[(start + i) % n]).collect();
-            let fresh: Vec<&String> = rotation
-                .iter()
-                .copied()
-                .filter(|t| !avoid.contains(*t))
-                .collect();
-            let cands = if fresh.is_empty() { rotation } else { fresh };
+            let cands: Vec<&String> = (0..n).map(|i| &reps[(start + i) % n]).collect();
             if cands.len() >= 2 {
                 let (a, b) = (cands[0], cands[1]);
                 if load_score(load, b, now) < load_score(load, a, now) {
@@ -1541,14 +1481,13 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
-            /// Over random replica lists, attempts, avoid sets, sub sets
-            /// and load tables: the GET target and the PUT fan-out order
-            /// are the oracle's.
+            /// Over random replica lists, attempts, sub sets and load
+            /// tables: the GET target and the PUT fan-out order are the
+            /// oracle's.
             #[test]
             fn selection_matches_the_oracle(
                 order in proptest::collection::vec(0u8..6, 1..7),
                 attempts in 0u32..9,
-                avoid_mask in 0u8..64,
                 sub_mask in 0u8..64,
                 table in proptest::collection::vec((0u8..6, 0u32..3, 0u64..3, 0u64..3), 0..7),
             ) {
@@ -1561,10 +1500,8 @@ mod tests {
                     first
                 });
                 let now = SimTime::from_nanos(1);
-                let masked = |mask: u8| -> BTreeSet<String> {
-                    (0..6).filter(|i| mask & (1 << i) != 0).map(name).collect()
-                };
-                let (avoid, have_sub) = (masked(avoid_mask), masked(sub_mask));
+                let have_sub: BTreeSet<String> =
+                    (0..6).filter(|i| sub_mask & (1 << i) != 0).map(name).collect();
                 let mut router = ShardRouterHost::new(RouterConfig::default());
                 let mut load = oracle::Load::new();
                 for (i, outstanding, ewma_rtt_ns, busy_until) in table {
@@ -1579,10 +1516,10 @@ mod tests {
                 let reps: Vec<String> = ids.iter().copied().map(name).collect();
                 let mut handles: Vec<Arc<str>> = reps.iter().map(|n| n.as_str().into()).collect();
 
-                let got = router.choose_get_target(&handles, attempts, |t| avoid.contains(t), now);
+                let got = router.choose_get_target(&handles, attempts, now);
                 prop_assert_eq!(
                     &**got,
-                    oracle::choose_get_target(&load, &reps, attempts, &avoid, now)
+                    oracle::choose_get_target(&load, &reps, attempts, now)
                 );
 
                 handles.retain(|rep| !have_sub.contains(&**rep));

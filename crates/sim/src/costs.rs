@@ -190,8 +190,6 @@ costs! {
     KVS_SERVER_PER_REQUEST = "kvs.server_per_request": 500 ns, "chosen";
     /// Shard router tick: directory re-query and pending-request sweep.
     ROUTER_TICK = "router.tick": 1 ms, "chosen";
-    /// Floor of the router's adaptive sub-request timeout.
-    ROUTER_SUB_TIMEOUT = "router.sub_timeout": 5 ms, "chosen";
     /// Router re-dispatch deferral after a Busy or Unavailable ack, scaled
     /// by the reported queue depth.
     ROUTER_BUSY_BACKOFF = "router.busy_backoff": 2 ms, "chosen";

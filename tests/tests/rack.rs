@@ -211,6 +211,45 @@ fn unreplicated_rack_loses_acked_writes_on_crash() {
     );
 }
 
+#[test]
+fn a_dropped_sub_is_given_up_and_the_workload_finishes() {
+    // 25 ms in, while the clients measure, m1's rack link loses its next
+    // three frames. Only the
+    // routers' sub-requests and the replicas' answers cross the fabric, so
+    // each lost frame leaves one sub unanswered. Nobody re-sends it: the
+    // router gives its request up once the sub is as old as the client's
+    // timeout, and the client's own timeout covers the request.
+    let mut plan = FaultPlan::new(0xD0);
+    plan.inject(
+        SimTime::from_nanos(25_000_000),
+        "m1",
+        FaultKind::Drop { count: 3 },
+    );
+    let cfg = FabricConfig {
+        fault_plan: Some(plan),
+        ..FabricConfig::default()
+    };
+    let mut rack = build_rack_cfg(cfg, 4, 2, 0xD0, false, &small_workload());
+    rack.setup.fabric.power_on();
+    rack.run_to_completion(SimDuration::from_secs(10));
+    assert!(rack.all_done(), "workload incomplete");
+    let fab = &rack.setup.fabric;
+    assert_eq!(fab.metrics().counter("fabric.faults_applied"), 1);
+    let dropped = fab.metrics().counter("fabric.frames_dropped");
+    assert_eq!(dropped, 3);
+    let routers = (0..4).map(|i| rack.setup.router(i).stats());
+    let (give_ups, failovers) = routers.fold((0, 0), |(g, f), s| (g + s.give_ups, f + s.failovers));
+    assert_eq!((give_ups, failovers), (dropped, 0));
+    // Each given-up request ends at its client once: answered
+    // `Unavailable`, or expired first if the client's tick came sooner.
+    let ended = (0..4)
+        .map(|i| rack.client(i))
+        .map(|c| c.timeouts() + c.unavailable_rejections())
+        .sum::<u64>();
+    assert_eq!(ended, dropped);
+    assert_eq!(rack.setup.lost_acked_keys(), 0);
+}
+
 /// Full-state fingerprint of a completed rack run: every fabric counter,
 /// every router stat, every machine-hub counter, client progress, and
 /// per-machine key counts. Two runs with equal fingerprints took the same
