@@ -735,8 +735,8 @@ impl ShardRouterHost {
 
     /// Periodic sweep: re-query the directory, re-dispatch transiently
     /// rejected requests once their deferral passes, and give up a request
-    /// whose sub has gone unanswered for the client's timeout — its frame
-    /// was lost, and the client has expired the request already.
+    /// whose sub has gone unanswered for the client's timeout: no answer is
+    /// coming, and retrying is the client's.
     fn sweep(&mut self, ctx: &mut HostCtx<'_>) {
         self.query_directory(ctx);
         let now = ctx.now;
