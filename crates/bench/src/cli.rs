@@ -5,6 +5,10 @@
 //! missing its value, or a value that does not parse is an error naming the
 //! flag — the caller exits 2 before anything reaches stdout — and `--help`
 //! is generated from the same list, so what is documented is what parses.
+//! Everything a command prints goes through [`print()`], which a closed pipe
+//! silences instead of panicking.
+
+use std::io::{ErrorKind, Write};
 
 use crate::json::Json;
 
@@ -253,6 +257,21 @@ pub fn help(usage: &str, about: &str, sets: &[&[Flag]]) -> String {
         out.push_str(&format!("  {name}{value}\n      {}{default}\n", f.help));
     }
     out
+}
+
+/// Writes `text` to stdout. A reader that has gone away (`| head` closed
+/// the pipe) ends the output, not the command: the rest of what it prints is
+/// dropped, and it still finishes its work — an artifact under `--out` is
+/// still written — and returns its own exit status.
+pub fn print(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    let written = stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush());
+    match written {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => panic!("failed printing to stdout: {e}"),
+        _ => {}
+    }
 }
 
 #[cfg(test)]

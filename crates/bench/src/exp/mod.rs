@@ -162,7 +162,7 @@ impl Experiment {
 
     /// What a run and `show` print: the title, then the tables of `groups`.
     fn print(&self, report: &Report, groups: &[&str]) {
-        println!("{}\n\n{}", self.title, report.render(groups));
+        cli::print(&format!("{}\n\n{}\n", self.title, report.render(groups)));
     }
 
     /// Prints title and tables; writes the artifact to `out`;
@@ -173,7 +173,7 @@ impl Experiment {
         if let Some(path) = out {
             let text = report.to_json().dump();
             std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
-            println!("wrote {path}");
+            cli::print(&format!("wrote {path}\n"));
         }
         Ok(!args.on("--check") || gates_hold(self, report))
     }
@@ -242,25 +242,25 @@ fn diff(args: &Args) -> Result<i32, String> {
                 base.experiment, cand.experiment
             )
         })?;
-    println!("diff {}: {base_path} -> {cand_path}", exp.name);
+    cli::print(&format!("diff {}: {base_path} -> {cand_path}\n", exp.name));
     if base.config != cand.config {
-        println!("  note: the two runs used different flags");
+        cli::print("  note: the two runs used different flags\n");
     }
     let d = report::diff(&base, &cand, Some(args.f64("--host-tol") / 100.0));
     for line in &d.lines {
-        println!("  {line}");
+        cli::print(&format!("  {line}\n"));
     }
     // The candidate must also stand on its own.
     let failed = !gates_hold(exp, &cand) || d.failed();
-    println!(
-        "{}: {} unchanged, {} within bound, {} improved, {} regressed, {} on one side only",
+    cli::print(&format!(
+        "{}: {} unchanged, {} within bound, {} improved, {} regressed, {} on one side only\n",
         if failed { "FAIL" } else { "PASS" },
         d.unchanged,
         d.within,
         d.improved,
         d.regressed,
         d.one_sided
-    );
+    ));
     Ok(i32::from(failed))
 }
 
@@ -328,7 +328,7 @@ pub fn main(argv: &[String]) -> i32 {
                 &show,
             ),
             ("--help", _) => {
-                print!("{}", usage());
+                cli::print(&usage());
                 return 0;
             }
             _ => {
@@ -337,7 +337,7 @@ pub fn main(argv: &[String]) -> i32 {
             }
         };
     if rest.iter().any(|a| a == "--help") {
-        print!("{}", cli::help(cmd, about, &sets));
+        cli::print(&cli::help(cmd, about, &sets));
         return 0;
     }
     let result = Args::parse(&sets, rest, positionals).and_then(|args| run(&args));

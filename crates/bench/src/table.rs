@@ -65,9 +65,9 @@ impl Table {
         out
     }
 
-    /// Prints the table to stdout.
+    /// Prints the table to stdout (through [`crate::cli::print`]).
     pub fn print(&self) {
-        print!("{}", self.render());
+        crate::cli::print(&self.render());
     }
 }
 

@@ -3,9 +3,11 @@
 //! value — with exit 2, the flag named on stderr and nothing on stdout; and
 //! its generated `--help` lists exactly the flags of the census below, so a
 //! new knob cannot slip in unannounced. `show` refuses what is not an
-//! artifact it can render the same way.
+//! artifact it can render the same way. A reader that closes the pipe early
+//! silences the output and nothing else.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 use lastcpu_bench::exp::REGISTRY;
 
@@ -125,4 +127,52 @@ fn help_lists_exactly_the_census() {
             .collect();
         assert_eq!(listed, want, "{name} --help:\n{stdout}");
     }
+}
+
+/// Runs `args` with stdout a pipe the test closes after reading `lines`
+/// lines: 0 closes it before the command prints anything, 1 is `| head -1`.
+/// Returns the exit code and stderr.
+fn with_reader_gone_after(lines: usize, args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(BIN)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    for _ in 0..lines {
+        stdout.read_line(&mut String::new()).expect("a line");
+    }
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr)
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let e10 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e10.json");
+    let dir = std::env::temp_dir().join(format!("lastcpu-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let artifact = dir.join("f2.json");
+    let artifact_arg = artifact.to_string_lossy();
+    let commands: [&[&str]; 4] = [
+        &["show", e10],
+        &["diff", e10, e10],
+        &["--help"],
+        &["f2", "--no-wall", "--out", &artifact_arg],
+    ];
+    for lines in [0, 1] {
+        for args in commands {
+            let _ = std::fs::remove_file(&artifact);
+            let (code, stderr) = with_reader_gone_after(lines, args);
+            let what = format!("{args:?}, reader gone after {lines} line(s): {stderr}");
+            assert!(!stderr.contains("panicked"), "{what}");
+            assert_ne!(code, Some(101), "{what}");
+            // The command's own status: `diff` of a file with itself passes.
+            assert_eq!(code, Some(0), "{what}");
+        }
+        assert!(artifact.exists(), "f2 --out still writes its artifact");
+    }
+    std::fs::remove_dir_all(dir).unwrap();
 }

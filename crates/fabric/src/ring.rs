@@ -5,8 +5,14 @@
 //! raw speed — the ring must be identical on every machine that builds it
 //! from the same membership, *regardless of the order* endpoints were
 //! discovered in — so the ring keeps its member list sorted by name and
-//! rebuilds its point table on every membership change (memberships are
-//! tiny: a handful of machines times a few services).
+//! rebuilds its point table on every membership change.
+//!
+//! A build costs m × vnodes hashes and one sort of as many points, for m
+//! members: [`HashRing::with_members`] builds from the whole set at once,
+//! which is what the router does on each membership change. An
+//! [`HashRing::insert`] rebuilds the whole table too, so growing a ring one
+//! member at a time costs vnodes · m(m+1)/2 hashes — 528 k at m = 128 and
+//! 64 vnodes, against 8 k for the one-pass build.
 //!
 //! Hash function: FNV-1a 64 with a 64-bit avalanche finalizer
 //! (dependency-free, stable across platforms). Plain FNV-1a is a poor ring
@@ -16,6 +22,7 @@
 //! lands on one member). The finalizer (the murmur3/splitmix fmix step)
 //! restores avalanche so sequential keys spread uniformly.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// FNV-1a 64-bit hash of `bytes`, finalized for avalanche.
@@ -59,6 +66,23 @@ impl HashRing {
         }
     }
 
+    /// A ring over `names` with `vnodes` virtual nodes per member (min 1),
+    /// built in one pass: the names are sorted and deduplicated, each point
+    /// is hashed once. Equal — members, points, snapshot bytes — to
+    /// [`HashRing::new`] followed by one [`HashRing::insert`] per name, in
+    /// any order.
+    pub fn with_members<S: AsRef<str>>(vnodes: u32, names: impl IntoIterator<Item = S>) -> Self {
+        let mut nodes: Vec<Arc<str>> = names.into_iter().map(|n| n.as_ref().into()).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let mut ring = HashRing {
+            nodes,
+            ..HashRing::new(vnodes)
+        };
+        ring.rebuild();
+        ring
+    }
+
     /// Member names, sorted.
     pub fn nodes(&self) -> &[Arc<str>] {
         &self.nodes
@@ -81,12 +105,20 @@ impl HashRing {
         }
     }
 
+    /// Recomputes the point table from `nodes`. Every `"{name}#{v}"` is
+    /// spelled into one buffer the rebuild reuses, not a string per point.
     fn rebuild(&mut self) {
         self.points.clear();
+        let mut spelled = String::new();
         for (idx, name) in self.nodes.iter().enumerate() {
+            spelled.clear();
+            spelled.push_str(name);
+            spelled.push('#');
+            let stem = spelled.len();
             for v in 0..self.vnodes {
-                let point = hash64(format!("{name}#{v}").as_bytes());
-                self.points.push((point, idx));
+                spelled.truncate(stem);
+                write!(spelled, "{v}").expect("writing to a String cannot fail");
+                self.points.push((hash64(spelled.as_bytes()), idx));
             }
         }
         self.points.sort_unstable();
@@ -94,7 +126,7 @@ impl HashRing {
 
     /// The member owning `key`, or `None` if the ring is empty.
     pub fn primary(&self, key: &[u8]) -> Option<&str> {
-        self.replicas(key, 1).into_iter().next()
+        self.walk(key).next().map(|idx| &*self.nodes[idx])
     }
 
     /// The owner (index into `nodes`) of each point, one lap clockwise from

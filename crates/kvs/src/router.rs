@@ -351,10 +351,7 @@ impl ShardRouterHost {
         self.met.endpoints.set(fresh.len() as u64);
         let membership_changed = fresh.keys().ne(self.endpoints.keys());
         if membership_changed {
-            let mut ring = HashRing::new(self.config.vnodes);
-            for name in fresh.keys() {
-                ring.insert(name);
-            }
+            let ring = HashRing::with_members(self.config.vnodes, fresh.keys());
             // Rebalance accounting: how many acknowledged keys changed
             // primary? The consistent-hash property tests bound this by
             // ~K/N per single join/leave.

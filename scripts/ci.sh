@@ -13,7 +13,8 @@
 #                          hashed byte by byte with FNV-1a, a hand-registered
 #                          metric handle, a hand-written machine, rack or
 #                          NIC section writer, a timing literal outside the
-#                          cost table, a second counting allocator, ...);
+#                          cost table, a second counting allocator, a
+#                          print! that panics on a closed pipe, ...);
 #                          it reads crates/*/src, crates/*/tests and tests/;
 #                          the public surface: every pub library item has a
 #                          caller outside tests, or a reason on the stage's
@@ -36,7 +37,8 @@
 #                          artifacts are byte-identical; each artifact's
 #                          `show` is what its run printed; `diff` compares each
 #                          pair; a wall-mode E9 pair goes through
-#                          `diff --host-tol 30`
+#                          `diff --host-tol 30`; the full E10 matrix
+#                          reproduces BENCH_e10.json, every metric unchanged
 #   5. obs artifacts       f2's metrics snapshot covers every instrumented
 #                          subsystem; e4's fault matrix replays from three seeds
 #                          and exports retry and recovery-latency metrics
@@ -119,6 +121,10 @@ from: ^impl(<'a>)? (Pack|Unpack|Packed|Iterator for Records)[<' ]
 to: ^}
 forbid: TraceData::[A-Z]
 why: the ring packs and unpacks every variant through the code record_layout! generates from its rows, so a variant added to the table is in the ring; a variant named in the ring's own code is a second list of them
+
+files: ^crates/bench/src/
+forbid: (^|[^A-Za-z_])print(ln)?!
+why: lastcpu-bench prints through cli::print, which a reader that closed the pipe (| head) silences; print!/println! panic there
 
 files: $lib|^crates/bench/src/
 skip: ^crates/bus/src/wire\.rs\$
@@ -457,6 +463,21 @@ e9_pair=(--queue-ops 1000000 --queue-depth 8192 --virtual-ms 400 --repeat 3)
 "$bench" e9 "${e9_pair[@]}" --check --out "$tmp/e9_a.json" >/dev/null
 "$bench" e9 "${e9_pair[@]}" --check --out "$tmp/e9_b.json" >/dev/null
 "$bench" diff --host-tol 30 "$tmp/e9_a.json" "$tmp/e9_b.json" | tail -1
+
+echo "==> E10 reproduces its committed artifact (full matrix, every metric unchanged)"
+# BENCH_e10.json was written with e10's default flags; a change that moves
+# any rack byte (placement, fabric, router) shows here as a changed metric.
+# Its metrics are all simulated, so equal code reproduces every one exactly.
+"$bench" e10 --out "$tmp/e10.json" >/dev/null
+"$bench" diff BENCH_e10.json "$tmp/e10.json" >"$tmp/e10_diff.txt" || true
+tail -1 "$tmp/e10_diff.txt"
+if grep -q 'note: the two runs used different flags' "$tmp/e10_diff.txt"; then
+    echo "FAIL: BENCH_e10.json was not written with e10's default flags"; exit 1
+fi
+grep -Eq '^PASS: [0-9]+ unchanged, 0 within bound, 0 improved, 0 regressed, 0 on one side only$' \
+    "$tmp/e10_diff.txt" || {
+    cat "$tmp/e10_diff.txt"; echo "FAIL: E10 no longer reproduces BENCH_e10.json"; exit 1;
+}
 
 echo "==> observability artifacts (f2 metrics prefixes; e4 fault seeds)"
 "$bench" f2 --check --trace-out "$tmp/f2.jsonl" --metrics-out "$tmp/f2.prom" >/dev/null

@@ -12,10 +12,15 @@
 //!    to — on the order of K/N, never a wholesale reshuffle. A leave is
 //!    what the router does on a membership change: it rebuilds the ring
 //!    from the members that remain.
+//!
+//! The router builds each ring in one pass ([`HashRing::with_members`]);
+//! the tests here build theirs one `insert` at a time, and a differential
+//! property holds the two builds equal.
 
 use std::collections::BTreeMap;
 
 use lastcpu_fabric::HashRing;
+use lastcpu_snap::Snapshot;
 use proptest::prelude::*;
 
 const VNODES: u32 = 64;
@@ -50,6 +55,13 @@ fn ring_of(members: &[String]) -> HashRing {
     ring
 }
 
+/// Names in a random order with repeats: `picks` index a universe of
+/// `m{i}/kvs` names, so a name drawn twice is a duplicate.
+fn shuffled_names() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::vec(0u8..40, 0..48)
+        .prop_map(|picks| picks.iter().map(|i| format!("m{i}/kvs")).collect())
+}
+
 fn placement(ring: &HashRing, keys: &[Vec<u8>], r: usize) -> Vec<Vec<String>> {
     keys.iter()
         .map(|k| ring.replicas(k, r).into_iter().map(String::from).collect())
@@ -82,6 +94,30 @@ proptest! {
         let ks = keys(128);
         prop_assert_eq!(placement(&base, &ks, r), placement(&reordered, &ks, r));
         prop_assert_eq!(base.nodes(), reordered.nodes());
+    }
+
+    /// The one-pass build equals `insert` one member at a time, in the
+    /// given order, duplicates and all: the same members, the same owners
+    /// for every key, and the same snapshot bytes (which hold the point
+    /// table itself).
+    fn one_pass_build_equals_inserting_one_at_a_time(
+        names in shuffled_names(),
+        vnodes in 1u32..96,
+        r in 1usize..=3,
+    ) {
+        let mut oracle = HashRing::new(vnodes);
+        for n in &names {
+            oracle.insert(n);
+        }
+        let built = HashRing::with_members(vnodes, &names);
+
+        prop_assert_eq!(built.nodes(), oracle.nodes());
+        let ks = keys(256);
+        prop_assert_eq!(placement(&built, &ks, r), placement(&oracle, &ks, r));
+        for k in &ks {
+            prop_assert_eq!(built.primary(k), oracle.primary(k));
+        }
+        prop_assert_eq!(built.snapshot_bytes(), oracle.snapshot_bytes());
     }
 
     /// With 64 vnodes each member's share of a sequential key space stays
