@@ -86,7 +86,6 @@ fn workload(args: &Args, prefix: &str) -> WorkloadConfig {
         total_ops: args.u64("--ops"),
         preload: true,
         stats_prefix: prefix.into(),
-        ..WorkloadConfig::default()
     }
 }
 

@@ -67,7 +67,6 @@ fn serve(read_fraction: f64, build: Build, obs: &ObsArgs) -> Outcome {
             total_ops: 3000,
             preload: true,
             stats_prefix: "wl".into(), // shared prefix: one merged histogram
-            ..WorkloadConfig::default()
         };
         ports.push(
             setup

@@ -34,7 +34,6 @@ fn victim_workload() -> WorkloadConfig {
         total_ops: 800,
         preload: true,
         stats_prefix: "victim".into(),
-        ..WorkloadConfig::default()
     }
 }
 
@@ -48,7 +47,6 @@ fn antagonist_workload(outstanding: usize) -> WorkloadConfig {
         total_ops: 1_000_000, // effectively unbounded
         preload: false,
         stats_prefix: "antagonist".into(),
-        ..WorkloadConfig::default()
     }
 }
 

@@ -175,7 +175,6 @@ fn ssd_phase(vms: u64) -> Sample {
                 total_ops: u64::MAX / 2, // never finishes: `vms` bounds the phase
                 preload: i == 0,
                 stats_prefix: format!("c{i}"),
-                ..WorkloadConfig::default()
             };
             let host = KvsClientHost::new(setup.kvs_port, workload);
             setup.system.add_host(Box::new(host))

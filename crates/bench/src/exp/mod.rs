@@ -371,7 +371,6 @@ pub(crate) fn saturated_kvs(
             total_ops: u64::MAX / 2, // never finishes: the caller's run_for bounds the phase
             preload: i == 0,         // one loader is enough; the rest start hot
             stats_prefix: "wl".into(),
-            ..WorkloadConfig::default()
         };
         setup
             .system

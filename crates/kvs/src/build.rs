@@ -288,7 +288,6 @@ mod tests {
             total_ops: 300,
             preload: true,
             stats_prefix: prefix.into(),
-            ..WorkloadConfig::default()
         }
     }
 

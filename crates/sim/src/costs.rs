@@ -182,9 +182,13 @@ costs! {
     /// and the interrupt.
     DUMB_NIC_PER_FRAME = "dumb_nic.per_frame": 300 ns, "chosen";
 
-    /// KVS client wait before a request counts as lost and is reissued.
+    /// KVS client deadline after a send: an unanswered request then counts
+    /// as lost, a preload PUT is sent again and a measured op counts as done
+    /// with no latency sample. The shard router gives a request up at the
+    /// same age.
     KVS_CLIENT_TIMEOUT = "kvs.client_timeout": 100 ms, "chosen";
-    /// KVS client wait before it probes a server that is not up again.
+    /// KVS client wait before it probes a server that is not up again, and
+    /// before it refills after a `Busy` or `Unavailable` answer.
     KVS_CLIENT_PROBE = "kvs.client_probe": 2 ms, "chosen";
     /// KVS server per request on the serving device: hash and parse.
     KVS_SERVER_PER_REQUEST = "kvs.server_per_request": 500 ns, "chosen";

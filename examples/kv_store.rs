@@ -21,7 +21,6 @@ fn workload() -> WorkloadConfig {
         total_ops: 1500,
         preload: true,
         stats_prefix: "client".into(),
-        ..WorkloadConfig::default()
     }
 }
 

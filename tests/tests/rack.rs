@@ -241,14 +241,58 @@ fn a_dropped_sub_is_given_up_and_the_workload_finishes() {
     let routers = (0..4).map(|i| rack.setup.router(i).stats());
     let (give_ups, failovers) = routers.fold((0, 0), |(g, f), s| (g + s.give_ups, f + s.failovers));
     assert_eq!((give_ups, failovers), (dropped, 0));
-    // Each given-up request ends at its client once: answered
-    // `Unavailable`, or expired first if the client's tick came sooner.
+    // Each given-up request ends at its client once: it expires at the
+    // client's deadline, which comes before the router's `Unavailable`
+    // answer to it can arrive.
     let ended = (0..4)
         .map(|i| rack.client(i))
         .map(|c| c.timeouts() + c.unavailable_rejections())
         .sum::<u64>();
     assert_eq!(ended, dropped);
     assert_eq!(rack.setup.lost_acked_keys(), 0);
+    // A client that lost a request finishes soon after that request's
+    // deadline, 100 ms after the drop, not on a later tick.
+    for i in 0..4 {
+        let end = rack.client(i).finished_at().expect("finished");
+        assert!(
+            end < SimTime::from_nanos(150_000_000),
+            "client {i} finished at {end}"
+        );
+    }
+}
+
+#[test]
+fn a_preload_put_lost_to_a_drop_is_loaded_again_under_its_own_key() {
+    // m1's rack link loses three frames during the preload. Every client
+    // loads all 40 keys, so once the workload is done each router has
+    // acknowledged 40 PUTs: 160 together, however many were lost on the
+    // way and sent again.
+    for ms in [1, 2, 3, 4, 6] {
+        let mut plan = FaultPlan::new(0xD0);
+        plan.inject(
+            SimTime::from_nanos(ms * 1_000_000),
+            "m1",
+            FaultKind::Drop { count: 3 },
+        );
+        let cfg = FabricConfig {
+            fault_plan: Some(plan),
+            ..FabricConfig::default()
+        };
+        let wl = WorkloadConfig {
+            read_fraction: 1.0,
+            ..small_workload()
+        };
+        let mut rack = build_rack_cfg(cfg, 4, 2, 0xD0, false, &wl);
+        rack.setup.fabric.power_on();
+        rack.run_to_completion(SimDuration::from_secs(10));
+        assert!(rack.all_done(), "drop at {ms} ms: workload incomplete");
+        let fab = &rack.setup.fabric;
+        assert_eq!(fab.metrics().counter("fabric.frames_dropped"), 3);
+        let acked: usize = (0..4)
+            .map(|i| rack.setup.router(i).acked_put_keys().len())
+            .sum();
+        assert_eq!(acked, 4 * 40, "drop at {ms} ms");
+    }
 }
 
 /// Full-state fingerprint of a completed rack run: every fabric counter,

@@ -106,7 +106,6 @@ fn workload(i: usize) -> WorkloadConfig {
         total_ops: 10_000,
         preload: true,
         stats_prefix: format!("c{i}"),
-        ..WorkloadConfig::default()
     }
 }
 

@@ -67,7 +67,6 @@ fn attacked_kvs(seed: u64, plan: AttackPlan, policy: SecurityPolicy) -> Attacked
             total_ops: 60,
             preload: true,
             stats_prefix: "c0".into(),
-            ..WorkloadConfig::default()
         },
     )));
     setup.system.power_on();

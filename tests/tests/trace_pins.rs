@@ -228,7 +228,6 @@ mod rack {
                     total_ops: 100,
                     preload: true,
                     stats_prefix: format!("c{i}"),
-                    ..WorkloadConfig::default()
                 },
             ))));
         }

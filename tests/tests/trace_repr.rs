@@ -69,7 +69,6 @@ fn observe() -> Observed {
                     total_ops: 600,
                     preload: true,
                     stats_prefix: format!("c{i}"),
-                    ..WorkloadConfig::default()
                 },
             )))
         })
@@ -282,7 +281,6 @@ mod rack {
                     total_ops: 150,
                     preload: true,
                     stats_prefix: format!("c{i}"),
-                    ..WorkloadConfig::default()
                 },
             ))));
         }
