@@ -9,8 +9,10 @@
 //! [`ShardRouterHost`]: lastcpu_kvs::ShardRouterHost
 //!
 //! The schedule digests cover checkpoint sections and were re-recorded when
-//! `SCHEMA_VERSION` became 3, and again when the shard router stopped timing
-//! out sub-requests (the leaf-spine digest; the flat and crash ones held).
+//! `SCHEMA_VERSION` became 3, again when the shard router stopped timing
+//! out sub-requests (the leaf-spine digest; the flat and crash ones held),
+//! and again, all three, when the KVS client's section dropped its timeout
+//! and began carrying each request's kind and its armed wake-up instant.
 
 use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
 use lastcpu_fabric::{Fabric, FabricConfig, TopoKind, TopologyConfig};
@@ -594,7 +596,7 @@ fn schedule_is_the_recorded_one() {
 
     assert_eq!(
         format!("{flat:#018x} {crash:#018x} {tree:#018x}"),
-        "0x2d1b07fb91753e57 0x3b4c86d5f8b3c9c4 0x96bf0be4ae47ca03",
+        "0xae9821c4fc01c869 0x3825f1bb11e2006c 0x32b4c3edc6531484",
         "8-machine flat, 4-machine crash arm, 32-machine leaf-spine:8 oversub 4"
     );
 }

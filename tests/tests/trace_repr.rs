@@ -7,6 +7,9 @@
 //! The checkpoint digests (and the Prometheus export, which lost the
 //! always-zero `kvs.server.deletes` count) were re-recorded when
 //! `SCHEMA_VERSION` became 3; the JSONL and Chrome exports did not move.
+//! The checkpoint digests were re-recorded again when the KVS client's
+//! section dropped its timeout and began carrying each request's kind and
+//! its armed wake-up instant; no export moved.
 
 use lastcpu_bench::drivers::{ControlMode, SetupClient};
 use lastcpu_core::devices::device::Device;
@@ -40,7 +43,7 @@ const PARENT: Observed = Observed {
     prometheus: (6262289068588436539, 7835),
     records: 15329,
     emitted: 15329,
-    checkpoint: 6330092040500293760,
+    checkpoint: 8220783394070159073,
 };
 
 fn observe() -> Observed {
@@ -241,9 +244,9 @@ mod rack {
         jsonl: (2839614355391125304, 5029816),
         chrome: (4122591985127384430, 7978206),
         records: 40634,
-        mid_checkpoint: 10301725427209797344,
+        mid_checkpoint: 9470466582931703185,
         mid_m0_trace: 3632749393047612096,
-        end_checkpoint: 17984770606506340494,
+        end_checkpoint: 442332362387321840,
     };
 
     /// When the mid-run checkpoint is taken.
