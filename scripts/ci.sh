@@ -464,20 +464,24 @@ e9_pair=(--queue-ops 1000000 --queue-depth 8192 --virtual-ms 400 --repeat 3)
 "$bench" e9 "${e9_pair[@]}" --check --out "$tmp/e9_b.json" >/dev/null
 "$bench" diff --host-tol 30 "$tmp/e9_a.json" "$tmp/e9_b.json" | tail -1
 
-echo "==> E10 reproduces its committed artifact (full matrix, every metric unchanged)"
-# BENCH_e10.json was written with e10's default flags; a change that moves
-# any rack byte (placement, fabric, router) shows here as a changed metric.
-# Its metrics are all simulated, so equal code reproduces every one exactly.
-"$bench" e10 --out "$tmp/e10.json" >/dev/null
-"$bench" diff BENCH_e10.json "$tmp/e10.json" >"$tmp/e10_diff.txt" || true
-tail -1 "$tmp/e10_diff.txt"
-if grep -q 'note: the two runs used different flags' "$tmp/e10_diff.txt"; then
-    echo "FAIL: BENCH_e10.json was not written with e10's default flags"; exit 1
-fi
-grep -Eq '^PASS: [0-9]+ unchanged, 0 within bound, 0 improved, 0 regressed, 0 on one side only$' \
-    "$tmp/e10_diff.txt" || {
-    cat "$tmp/e10_diff.txt"; echo "FAIL: E10 no longer reproduces BENCH_e10.json"; exit 1;
-}
+echo "==> every simulated artifact reproduces (all --check; each metric unchanged)"
+# The committed BENCH_*.json were written by `all --check` at default
+# flags. F2, E1-E8, E10, E11 and the ablations hold simulated metrics only,
+# so equal code reproduces every one exactly, and a change that moves any
+# simulated byte (a device, the fabric, the router, a client) shows here as
+# a changed metric. E9, E12 and E14 carry host-time columns and are skipped.
+"$bench" all --check --out-dir "$tmp/all" >/dev/null
+for id in f2 e1 e2 e3 e4 e5 e6 e7 e8 e10 e11 ablations; do
+    "$bench" diff "BENCH_$id.json" "$tmp/all/BENCH_$id.json" >"$tmp/diff_$id.txt" || true
+    if grep -q 'note: the two runs used different flags' "$tmp/diff_$id.txt"; then
+        echo "FAIL: BENCH_$id.json was not written with its default flags"; exit 1
+    fi
+    grep -Eq '^PASS: [0-9]+ unchanged, 0 within bound, 0 improved, 0 regressed, 0 on one side only$' \
+        "$tmp/diff_$id.txt" || {
+        cat "$tmp/diff_$id.txt"; echo "FAIL: $id no longer reproduces BENCH_$id.json"; exit 1;
+    }
+done
+echo "    f2, e1-e8, e10, e11 and ablations reproduce every metric"
 
 echo "==> observability artifacts (f2 metrics prefixes; e4 fault seeds)"
 "$bench" f2 --check --trace-out "$tmp/f2.jsonl" --metrics-out "$tmp/f2.prom" >/dev/null
