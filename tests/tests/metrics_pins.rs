@@ -10,9 +10,10 @@
 //! `metrics_json` and `ServerStats` lost the always-zero `deletes` count, and
 //! no other value moved. The faulted KVS machine's lines were re-recorded
 //! when the client began sending a refused preload PUT again under its own
-//! key (54 GETs had missed keys never loaded; now only the probe misses)
-//! and backing off 2 ms, not until a 100 ms tick, after an `Unavailable`
-//! answer; the 400 ms run now completes 17,415 ops, not 16,338.
+//! key (53 GETs besides the probe had missed keys never loaded; now only
+//! the probe misses) and backing off 2 ms, not until a 100 ms tick, after
+//! an `Unavailable` answer; the 400 ms run now completes 17,415 ops, not
+//! 16,338.
 
 use lastcpu_baseline::CpuDevice;
 use lastcpu_bus::RetryConfig;
