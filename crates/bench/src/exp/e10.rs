@@ -29,24 +29,24 @@ pub const EXP: Experiment = Experiment {
     title: "E10: rack scale-out — sharded, replicated CPU-less KVS over the fabric\n    \
             (a closed-loop client per machine; crash cells kill m1 after load, audit acked writes)",
     flags: flags! {
-        "--machines"      U64List "8,16,32,64,128"           "rack sizes"
-        "--replication"   U64List "2"                        "replication factors"
-        "--topologies"    StrList "flat,leaf-spine,fat-tree" "wiring graphs (flat, leaf-spine[:leaf], fat-tree[:k])"
-        "--oversub"       U64List "1,4"                      "oversubscription ratios (flat runs once)"
-        "--ops"           U64     "400"                      "measured ops per client"
-        "--keys"          U64     "200"                      "keyspace (Zipf 0.99)"
-        "--value-size"    U64     "128"                      "value bytes"
-        "--outstanding"   U64     "8"                        "requests in flight per client"
-        "--read-fraction" F64     "0.95"                     "GET share of the scaling workload"
-        "--seed"          U64     "0xE10"                    "base seed (machine i adds i)"
-        "--no-crash"      Switch  ""                         "skip the crash cells"
+        "--machines"      U64List "8,16,32,64,128"                     "rack sizes"
+        "--replication"   U64List "2"                                  "replication factors"
+        "--topologies"    StrList "leaf-spine:128,leaf-spine,fat-tree" "wiring graphs (leaf-spine[:leaf], fat-tree[:k])"
+        "--oversub"       U64List "1,4"                                "oversubscription ratios (a one-leaf rack runs at 1 only)"
+        "--ops"           U64     "400"                                "measured ops per client"
+        "--keys"          U64     "200"                                "keyspace (Zipf 0.99)"
+        "--value-size"    U64     "128"                                "value bytes"
+        "--outstanding"   U64     "8"                                  "requests in flight per client"
+        "--read-fraction" F64     "0.95"                               "GET share of the scaling workload"
+        "--seed"          U64     "0xE10"                              "base seed (machine i adds i)"
+        "--no-crash"      Switch  ""                                   "skip the crash cells"
     },
     obs: OBS_RACK,
     smoke: &[
         // The R = 1 control and the R = 2 audit.
-        "--machines 1,2 --replication 1,2 --ops 120 --keys 60 --topologies flat --oversub 1",
+        "--machines 1,2 --replication 1,2 --ops 120 --keys 60 --topologies leaf-spine:128 --oversub 1",
         // The 8xR=3 tail cell at full size against its R = 2 baseline.
-        "--machines 8 --replication 2,3 --topologies flat --oversub 1",
+        "--machines 8 --replication 2,3 --topologies leaf-spine:128 --oversub 1",
         // A real tree: 2 leaves of 8, ECMP over the spines oversub 4 leaves.
         "--machines 16 --replication 2 --ops 120 --keys 60 --topologies leaf-spine:8 --oversub 4",
     ],
@@ -103,9 +103,9 @@ impl Point {
 }
 
 /// The matrix in run order: (topology, oversub) × machines × replication.
-/// A flat fabric has no oversubscription knob (one implicit infinite
-/// spine), so it runs once regardless of `--oversub`; a cell cannot hold R
-/// distinct replicas on fewer than R machines.
+/// A rack that fits in one leaf has no trunk to thin, so it runs at
+/// oversub 1 only; a cell cannot hold R distinct replicas on fewer than R
+/// machines.
 fn matrix(args: &Args) -> Result<Vec<Point>, String> {
     let topology = |t: &&str| TopoKind::parse(t).map_err(|e| format!("bad --topologies arm: {e}"));
     let topologies: Vec<_> = args
@@ -119,12 +119,13 @@ fn matrix(args: &Args) -> Result<Vec<Point>, String> {
     }
     let mut points = Vec::new();
     for &topology in &topologies {
-        let oversubs = match topology {
-            TopoKind::Flat => vec![1],
-            _ => args.u64s("--oversub"),
-        };
-        for &oversub in &oversubs {
+        for &oversub in &args.u64s("--oversub") {
             for &machines in &sizes {
+                let one_leaf = matches!(topology,
+                    TopoKind::LeafSpine { leaf_size } if machines <= u64::from(leaf_size));
+                if one_leaf && oversub > 1 {
+                    continue;
+                }
                 for &replication in factors.iter().filter(|&&r| r <= machines) {
                     points.push(Point {
                         topology,

@@ -25,8 +25,9 @@ pub struct FabricConfig {
     /// model 25 GbE wires: 40 ps/B line rate on every link, 600 ns
     /// store-and-forward switch latency, 2 µs end-to-end propagation.
     pub link_cost: NetCostModel,
-    /// The rack wiring graph (flat single-spine, leaf-spine, or k-ary
-    /// fat-tree) plus the oversubscription ratio. The graph is built at
+    /// The rack wiring graph (leaf-spine, whose one-leaf case is the
+    /// single-switch fabric, or k-ary fat-tree) plus the oversubscription
+    /// ratio. The graph is built at
     /// [`Fabric::power_on`], when the machine count is known.
     pub topology: TopologyConfig,
     /// Period of the directory synchronization sweep (federated SSDP).

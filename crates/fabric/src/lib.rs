@@ -28,8 +28,8 @@
 //!    edge switch grows fabric-owned *proxy ports*, one per remote peer the
 //!    machine talks to. A frame sent to a proxy port crosses the
 //!    inter-machine fabric — walking the per-pair path the configured
-//!    [`Topology`] (flat single-spine, leaf-spine, or k-ary fat-tree)
-//!    chose, queuing at line rate on every link it crosses with the same
+//!    [`Topology`] (leaf-spine, a single switch when it has one leaf, or
+//!    k-ary fat-tree) chose, queuing at line rate on every link it crosses with the same
 //!    [`NetCostModel`] serialization semantics the edge switch uses — and
 //!    re-enters the remote machine with its source rewritten to the
 //!    *remote* machine's proxy port for the original sender. Replies are

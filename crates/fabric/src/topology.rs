@@ -1,4 +1,4 @@
-//! Pluggable rack topologies: flat, leaf-spine, and k-ary fat-tree.
+//! Pluggable rack topologies: leaf-spine and k-ary fat-tree.
 //!
 //! Through PR 9 the fabric priced every inter-machine frame against one
 //! implicit shape: each machine owns an uplink and a downlink, and all of
@@ -48,14 +48,13 @@ use crate::ring::hash64;
 /// Which graph the fabric wires between machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopoKind {
-    /// The historical single-spine shape: every machine owns one uplink
-    /// (latency = `switch_latency`) and one downlink (latency =
-    /// `propagation`); all paths are two hops. Bit-identical to the
-    /// pre-topology fabric.
-    Flat,
     /// Machines grouped into leaves of `leaf_size`; every leaf connects to
     /// every spine. Cross-leaf paths are four hops
-    /// (host→leaf→spine→leaf→host) with ECMP across spines.
+    /// (host→leaf→spine→leaf→host) with ECMP across spines. A rack that
+    /// fits in one leaf has no spine: every machine owns one uplink
+    /// (latency = `switch_latency`) and one downlink (latency =
+    /// `propagation`), and every path is those two hops — the historical
+    /// single-switch fabric.
     LeafSpine {
         /// Machines per leaf switch (≥ 1).
         leaf_size: u32,
@@ -75,21 +74,23 @@ pub struct TopologyConfig {
     /// The wiring graph.
     pub kind: TopoKind,
     /// Oversubscription ratio (≥ 1); see the module docs for how each
-    /// topology realizes it. Ignored by [`TopoKind::Flat`].
+    /// topology realizes it. A one-leaf leaf-spine has no trunk to thin.
     pub oversub: u64,
 }
 
 impl Default for TopologyConfig {
     fn default() -> Self {
         TopologyConfig {
-            kind: TopoKind::Flat,
+            kind: TopoKind::LeafSpine {
+                leaf_size: DEFAULT_LEAF_SIZE,
+            },
             oversub: 1,
         }
     }
 }
 
 impl TopoKind {
-    /// Parses `"flat"`, `"leaf-spine"`, `"leaf-spine:<leaf_size>"`,
+    /// Parses `"leaf-spine"`, `"leaf-spine:<leaf_size>"`,
     /// `"fat-tree"`, or `"fat-tree:<k>"`.
     pub fn parse(s: &str) -> Result<TopoKind, String> {
         let (head, arg) = match s.split_once(':') {
@@ -102,8 +103,6 @@ impl TopoKind {
                 .map_err(|_| format!("bad {what} in topology spec {s:?}"))
         };
         match (head, arg) {
-            ("flat", None) => Ok(TopoKind::Flat),
-            ("flat", Some(_)) => Err(format!("flat takes no parameter: {s:?}")),
             ("leaf-spine", None) => Ok(TopoKind::LeafSpine {
                 leaf_size: DEFAULT_LEAF_SIZE,
             }),
@@ -123,7 +122,7 @@ impl TopoKind {
                 Ok(TopoKind::FatTree { k })
             }
             _ => Err(format!(
-                "unknown topology {s:?} (want flat | leaf-spine[:leaf_size] | fat-tree[:k])"
+                "unknown topology {s:?} (want leaf-spine[:leaf_size] | fat-tree[:k])"
             )),
         }
     }
@@ -135,7 +134,6 @@ impl std::fmt::Display for TopoKind {
     /// graph from the cell alone. Round-trips through [`TopoKind::parse`].
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TopoKind::Flat => f.write_str("flat"),
             TopoKind::LeafSpine { leaf_size } => write!(f, "leaf-spine:{leaf_size}"),
             TopoKind::FatTree { k: 0 } => f.write_str("fat-tree:auto"),
             TopoKind::FatTree { k } => write!(f, "fat-tree:{k}"),
@@ -249,7 +247,6 @@ impl Topology {
         };
         b.path_off.push(0);
         match cfg.kind {
-            TopoKind::Flat => b.build_flat(),
             TopoKind::LeafSpine { leaf_size } => {
                 b.build_leaf_spine(leaf_size.max(1) as usize, oversub)
             }
@@ -377,35 +374,22 @@ impl Builder<'_> {
         (hash64(&key) % choices as u64) as usize
     }
 
-    /// The historical shape: per-machine uplink/downlink meeting at one
-    /// implicit spine. Priced identically to the pre-topology fabric.
+    /// Leaves of `leaf_size` machines, `max(1, leaf_size / oversub)`
+    /// spines, every leaf wired to every spine. One leaf needs no spine, so
+    /// its rack is the host links alone.
     // The pair-matrix loops below iterate machine *indices*, which are the
     // semantic objects (they pick leaves, pods, and hash inputs), not mere
     // cursors into one slice.
     #[allow(clippy::needless_range_loop)]
-    fn build_flat(&mut self) {
-        let rate = self.cost.per_byte_ps;
-        let ups: Vec<u32> = (0..self.machines)
-            .map(|m| self.add_link(format!("m{m}.up"), rate, self.cost.switch_latency))
-            .collect();
-        let downs: Vec<u32> = (0..self.machines)
-            .map(|m| self.add_link(format!("m{m}.down"), rate, self.cost.propagation))
-            .collect();
-        for s in 0..self.machines {
-            for d in 0..self.machines {
-                self.push_path(&[ups[s], downs[d]]);
-            }
-        }
-    }
-
-    /// Leaves of `leaf_size` machines, `max(1, leaf_size / oversub)`
-    /// spines, every leaf wired to every spine.
-    #[allow(clippy::needless_range_loop)]
     fn build_leaf_spine(&mut self, leaf_size: usize, oversub: u64) {
         let rate = self.cost.per_byte_ps;
         let sw = self.cost.switch_latency;
-        let leaves = self.machines.div_ceil(leaf_size).max(1);
-        let spines = (leaf_size as u64 / oversub).max(1) as usize;
+        let leaves = self.machines.div_ceil(leaf_size);
+        let spines = if leaves > 1 {
+            (leaf_size as u64 / oversub).max(1) as usize
+        } else {
+            0
+        };
         let hup: Vec<u32> = (0..self.machines)
             .map(|m| self.add_link(format!("m{m}->leaf{}", m / leaf_size), rate, sw))
             .collect();
@@ -591,11 +575,87 @@ mod tests {
         names.collect::<std::collections::BTreeSet<_>>().len()
     }
 
+    /// The single-switch builder the one-leaf leaf-spine replaced, kept as
+    /// the oracle it is held to: per-machine uplink and downlink, every
+    /// path those two hops.
+    fn build_flat(machines: usize) -> Topology {
+        let cost = cost();
+        let mut b = Builder {
+            cost: &cost,
+            seed: 0xFAB,
+            machines,
+            links: Vec::new(),
+            path_off: vec![0],
+            path_links: Vec::new(),
+        };
+        let rate = cost.per_byte_ps;
+        let ups: Vec<u32> = (0..machines)
+            .map(|m| b.add_link(format!("m{m}.up"), rate, cost.switch_latency))
+            .collect();
+        let downs: Vec<u32> = (0..machines)
+            .map(|m| b.add_link(format!("m{m}.down"), rate, cost.propagation))
+            .collect();
+        for &up in &ups {
+            for &down in &downs {
+                b.push_path(&[up, down]);
+            }
+        }
+        Topology {
+            machines,
+            links: b.links,
+            path_off: b.path_off,
+            path_links: b.path_links,
+        }
+    }
+
+    /// Every link's parameters and counters, names aside.
+    fn wires(t: &Topology) -> Vec<(u64, SimDuration, u64, u64, u64)> {
+        t.links()
+            .map(|l| (l.per_byte_ps, l.latency, l.busy_ns, l.bytes, l.frames))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A rack that fits in one leaf is the old single-switch graph: the
+        /// same links in the same order with the same rates and latencies,
+        /// and any sequence of frames, at any oversubscription, delivers at
+        /// the same instants with the same uplink/spine/downlink split.
+        fn one_leaf_is_the_single_switch_fabric(
+            machines in 1usize..=16,
+            extra in 0u32..=8,
+            oversub in 1u64..=4,
+            frames in proptest::collection::vec(
+                (0usize..16, 0usize..16, 1u64..=9_018, 0u64..50_000),
+                1..40,
+            ),
+        ) {
+            let leaf_size = machines as u32 + extra;
+            let mut t = build(TopoKind::LeafSpine { leaf_size }, oversub, machines);
+            let mut oracle = build_flat(machines);
+            proptest::prop_assert_eq!(wires(&t), wires(&oracle));
+            let mut at = 0;
+            for (src, dst, wire, gap) in frames {
+                at += gap;
+                let (src, dst) = (src % machines, dst % machines);
+                let at = SimTime::from_nanos(at);
+                proptest::prop_assert_eq!(
+                    t.transit(src, dst, wire, at),
+                    oracle.transit(src, dst, wire, at),
+                    "frame {src}->{dst}, {wire} B at {at:?}"
+                );
+            }
+            proptest::prop_assert_eq!(wires(&t), wires(&oracle));
+        }
+    }
+
     #[test]
-    fn flat_prices_like_the_historical_model() {
+    fn one_leaf_prices_like_the_historical_model() {
         // One frame, idle links: tx + switch + tx + prop, split exactly as
         // the pre-topology fabric attributed it.
-        let mut t = build(TopoKind::Flat, 1, 4);
+        let mut t = build(TopoKind::LeafSpine { leaf_size: 8 }, 1, 4);
+        assert_eq!(t.num_links(), 8, "host links only: no spine");
         let wire = 82u64;
         let tx = cost().serialize(wire);
         let tr = t.transit(0, 3, wire, SimTime::from_nanos(1_000));
@@ -609,8 +669,8 @@ mod tests {
     }
 
     #[test]
-    fn flat_queues_on_the_shared_uplink() {
-        let mut t = build(TopoKind::Flat, 1, 3);
+    fn one_leaf_queues_on_the_shared_uplink() {
+        let mut t = build(TopoKind::LeafSpine { leaf_size: 8 }, 1, 3);
         let at = SimTime::from_nanos(0);
         let a = t.transit(0, 1, 9_018, at);
         let b = t.transit(0, 2, 9_018, at);
@@ -691,7 +751,7 @@ mod tests {
     #[test]
     fn shortest_path_latency_is_the_two_hop_budget() {
         for kind in [
-            TopoKind::Flat,
+            TopoKind::LeafSpine { leaf_size: 8 },
             TopoKind::LeafSpine { leaf_size: 4 },
             TopoKind::FatTree { k: 0 },
         ] {
@@ -712,7 +772,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips() {
-        assert_eq!(TopoKind::parse("flat").unwrap(), TopoKind::Flat);
+        assert!(TopoKind::parse("flat").is_err());
         assert_eq!(
             TopoKind::parse("leaf-spine").unwrap(),
             TopoKind::LeafSpine { leaf_size: 8 }
@@ -734,7 +794,6 @@ mod tests {
         assert!(TopoKind::parse("leaf-spine:0").is_err());
         // Display emits the fully parameterized spec and round-trips.
         for spec in [
-            "flat",
             "leaf-spine:8",
             "leaf-spine:16",
             "fat-tree:auto",

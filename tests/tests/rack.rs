@@ -545,8 +545,8 @@ fn schedule_digest(
     sections_digest(&rack.setup.fabric)
 }
 
-/// The default flat fabric with `m1` crashing 2 ms in.
-fn flat_with_m1_crash() -> FabricConfig {
+/// The default one-leaf fabric with `m1` crashing 2 ms in.
+fn one_leaf_with_m1_crash() -> FabricConfig {
     let mut plan = FaultPlan::new(0xE14);
     plan.inject(SimTime::from_nanos(2_000_000), "m1", FaultKind::Crash);
     FabricConfig {
@@ -570,7 +570,7 @@ fn schedule_is_the_recorded_one() {
     // Digests recorded when the fabric began retiring the globally earliest
     // event: a later optimisation may not move one byte of any machine, the
     // fabric section, or the fabric metrics.
-    let flat = schedule_digest(
+    let one_leaf = schedule_digest(
         FabricConfig::default(),
         8,
         &small_workload(),
@@ -580,7 +580,7 @@ fn schedule_is_the_recorded_one() {
     // The crash withdraws m1's endpoints mid-run, so every survivor's
     // directory reply and router memo is invalidated once.
     let crash = schedule_digest(
-        flat_with_m1_crash(),
+        one_leaf_with_m1_crash(),
         4,
         &small_workload(),
         SimDuration::from_millis(200),
@@ -595,9 +595,9 @@ fn schedule_is_the_recorded_one() {
     let tree = schedule_digest(leaf_spine(4), 32, &wl, SimDuration::from_secs(30));
 
     assert_eq!(
-        format!("{flat:#018x} {crash:#018x} {tree:#018x}"),
+        format!("{one_leaf:#018x} {crash:#018x} {tree:#018x}"),
         "0xae9821c4fc01c869 0x3825f1bb11e2006c 0x32b4c3edc6531484",
-        "8-machine flat, 4-machine crash arm, 32-machine leaf-spine:8 oversub 4"
+        "8-machine one-leaf, 4-machine crash arm, 32-machine leaf-spine:8 oversub 4"
     );
 }
 
@@ -681,7 +681,7 @@ mod slicing_props {
             ..FabricConfig::default()
         };
         match i {
-            0 => (flat_with_m1_crash(), 4),
+            0 => (one_leaf_with_m1_crash(), 4),
             1 => (leaf_spine(1), 16),
             _ => (fat_tree, 8),
         }
