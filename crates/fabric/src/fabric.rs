@@ -129,12 +129,6 @@ struct MachineSlot {
     dir_port: PortId,
     faults: LinkFaults,
     link: LinkMetrics,
-    /// The encoded directory reply last built for this machine and the
-    /// `dir_epoch` it was built at. The reply is a function of the directory
-    /// at that epoch and this machine's proxy table, whose ports are
-    /// allocated once and never change, so it is reused until the epoch
-    /// moves. Never snapshotted: a restored rack rebuilds it on first query.
-    dir_reply: Option<(u64, Vec<u8>)>,
 }
 
 /// A frame that finished crossing an inter-machine link (or a directory
@@ -366,7 +360,6 @@ impl Fabric {
             dir_port,
             faults: LinkFaults::default(),
             link,
-            dir_reply: None,
         });
         MachineId(idx as u32)
     }
@@ -719,21 +712,20 @@ impl Fabric {
         );
     }
 
-    /// Answers an in-band directory query from machine `q`.
+    /// Answers an in-band directory query from machine `q`: `Unchanged`
+    /// to a querier already at the current epoch, the full directory to any
+    /// other.
     fn answer_dir_query(&mut self, q: usize, d: TunnelDelivery) {
         let _prof = profile::span("fabric.dir_query");
         self.met.dir_queries.incr();
-        let Ok(DirMsg::Query { .. }) = DirMsg::decode(&d.frame.payload) else {
+        let Ok(DirMsg::Query { epoch_hint }) = DirMsg::decode(&d.frame.payload) else {
             self.met.frames_dropped.incr();
             return;
         };
-        let reply = match &self.machines[q].dir_reply {
-            Some((epoch, bytes)) if *epoch == self.dir_epoch => bytes.clone(),
-            _ => {
-                let bytes = self.build_dir_reply(q);
-                self.machines[q].dir_reply = Some((self.dir_epoch, bytes.clone()));
-                bytes
-            }
+        let reply = if epoch_hint == self.dir_epoch {
+            DirMsg::Unchanged.encode()
+        } else {
+            self.build_dir_reply(q)
         };
         let frame = Frame::unicast(self.machines[q].dir_port, d.frame.src, reply);
         self.queue.schedule_at(
@@ -887,11 +879,9 @@ lastcpu_snap::fields! { Rack for Fabric |f| {
 } }
 
 // One machine's part of the `fabric` section; its system has a section of
-// its own. The reverse proxy map is the forward one, inverted, and the
-// cached directory reply is rebuilt on the next query.
+// its own. The reverse proxy map is the forward one, inverted.
 lastcpu_snap::fields! { MachineSlot |self| { name, dead, dir_port, proxy, mut faults } restored {
     self.proxy_rev = self.proxy.iter().map(|(&peer, &port)| (port, peer)).collect();
-    self.dir_reply = None;
 } }
 
 impl Fabric {
@@ -1319,37 +1309,43 @@ mod tests {
 
     #[test]
     fn directory_query_round_trips_in_band() {
-        // No devices registered -> empty directory, but the protocol and
-        // the fabric answer path still round-trip.
+        // No devices registered -> the directory stays empty at epoch 0, but
+        // the protocol and both fabric answers still round-trip: a querier
+        // that holds epoch 0 is told `Unchanged`, any other gets the
+        // (empty) directory.
         struct DirProbe {
             dir: PortId,
-            reply: Option<DirMsg>,
+            replies: Vec<DirMsg>,
         }
         impl NetHost for DirProbe {
             fn name(&self) -> &str {
                 "dir-probe"
             }
             fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-                ctx.net_tx(self.dir, DirMsg::Query { epoch_hint: 0 }.encode());
+                for epoch_hint in [0, 1] {
+                    ctx.net_tx(self.dir, DirMsg::Query { epoch_hint }.encode());
+                }
             }
             fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, frame: Frame) {
-                self.reply = Some(DirMsg::decode(&frame.payload).unwrap());
+                self.replies.push(DirMsg::decode(&frame.payload).unwrap());
             }
         }
         let mut fab = Fabric::new(FabricConfig::default());
         let m0 = fab.add_machine("m0", quiet_sys(5));
         let dir = fab.directory_port(m0);
+        let replies = Vec::new();
         let port = fab
             .machine_mut(m0)
-            .add_host(Box::new(DirProbe { dir, reply: None }));
+            .add_host(Box::new(DirProbe { dir, replies }));
         fab.power_on();
         fab.run_for(SimDuration::from_millis(1));
         let probe = fab.machine(m0).host_as::<DirProbe>(port).unwrap();
-        match &probe.reply {
-            Some(DirMsg::Reply { endpoints, .. }) => assert!(endpoints.is_empty()),
-            other => panic!("expected reply, got {other:?}"),
-        }
-        assert_eq!(fab.metrics().counter("fabric.dir.queries"), 1);
+        let empty = DirMsg::Reply {
+            epoch: 0,
+            endpoints: Vec::new(),
+        };
+        assert_eq!(probe.replies, [DirMsg::Unchanged, empty]);
+        assert_eq!(fab.metrics().counter("fabric.dir.queries"), 2);
         assert!(fab.metrics().counter("fabric.dir.syncs") >= 1);
     }
 
@@ -1374,13 +1370,30 @@ mod tests {
         }
         fn on_message(&mut self, _ctx: &mut DeviceCtx<'_>, _env: &Envelope) {}
         fn on_timer(&mut self, _ctx: &mut DeviceCtx<'_>, _token: u64) {}
+        fn snapshot_state(&self, _w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
+            Ok(())
+        }
+        fn restore_state(&mut self, _r: &mut SnapReader<'_>) -> lastcpu_snap::Result<()> {
+            Ok(())
+        }
     }
 
-    /// Queries the directory at start and every millisecond after; keeps
-    /// every reply's bytes.
+    /// Queries the directory at start and every millisecond after, as a
+    /// shard router does: each query carries the epoch of the last full
+    /// reply. Keeps every answer's bytes; a checkpoint holds the epoch.
     struct Prober {
         dir: PortId,
+        epoch: u64,
         replies: Vec<Vec<u8>>,
+    }
+    impl Prober {
+        fn new(dir: PortId) -> Prober {
+            Prober {
+                dir,
+                epoch: 0,
+                replies: Vec::new(),
+            }
+        }
     }
     impl NetHost for Prober {
         fn name(&self) -> &str {
@@ -1390,12 +1403,35 @@ mod tests {
             self.on_timer(ctx, 0);
         }
         fn on_frame(&mut self, _ctx: &mut HostCtx<'_>, frame: Frame) {
+            if let Ok(DirMsg::Reply { epoch, .. }) = DirMsg::decode(&frame.payload) {
+                self.epoch = epoch;
+            }
             self.replies.push(frame.payload.to_vec());
         }
         fn on_timer(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
-            ctx.net_tx(self.dir, DirMsg::Query { epoch_hint: 0 }.encode());
+            let query = DirMsg::Query {
+                epoch_hint: self.epoch,
+            };
+            ctx.net_tx(self.dir, query.encode());
             ctx.set_timer(SimDuration::from_millis(1), token);
         }
+        fn snapshot_state(&self, w: &mut lastcpu_snap::SnapWriter) -> lastcpu_snap::Result<()> {
+            w.put_u64(self.epoch);
+            Ok(())
+        }
+        fn restore_state(&mut self, r: &mut SnapReader<'_>) -> lastcpu_snap::Result<()> {
+            self.epoch = r.u64()?;
+            self.replies.clear();
+            Ok(())
+        }
+    }
+
+    /// The answers `m`'s prober received, decoded, in arrival order.
+    fn answers(fab: &Fabric, m: usize, port: PortId) -> Vec<DirMsg> {
+        let prober = fab.machine(MachineId(m as u32)).host_as::<Prober>(port);
+        let replies = &prober.expect("a prober").replies;
+        let decode = |b: &Vec<u8>| DirMsg::decode(b).expect("answer decodes");
+        replies.iter().map(decode).collect()
     }
 
     /// `n` machines, each with one `nic0` and a [`Prober`]; returns the
@@ -1408,25 +1444,24 @@ mod tests {
                 let dir = fab.directory_port(m);
                 let sys = fab.machine_mut(m);
                 sys.add_net_device(Box::new(Nic("nic0")));
-                sys.add_host(Box::new(Prober {
-                    dir,
-                    replies: Vec::new(),
-                }))
+                sys.add_host(Box::new(Prober::new(dir)))
             })
             .collect();
         fab.power_on();
         (fab, ports)
     }
 
+    /// The epoch and endpoint names of the last full reply `m` received.
     fn last_reply(fab: &Fabric, m: usize, port: PortId) -> (u64, Vec<String>) {
-        let prober = fab.machine(MachineId(m as u32)).host_as::<Prober>(port);
-        let bytes = prober.unwrap().replies.last().expect("a reply arrived");
-        match DirMsg::decode(bytes).expect("reply decodes") {
-            DirMsg::Reply { epoch, endpoints } => {
-                (epoch, endpoints.into_iter().map(|e| e.name).collect())
-            }
-            other => panic!("expected a reply, got {other:?}"),
-        }
+        let full = answers(fab, m, port)
+            .into_iter()
+            .rev()
+            .find_map(|a| match a {
+                DirMsg::Reply { epoch, endpoints } => Some((epoch, endpoints)),
+                _ => None,
+            });
+        let (epoch, endpoints) = full.expect("a full reply arrived");
+        (epoch, endpoints.into_iter().map(|e| e.name).collect())
     }
 
     #[test]
@@ -1448,10 +1483,7 @@ mod tests {
                 }),
             );
             let dir = fab.directory_port(m0);
-            let replies = Vec::new();
-            let port = fab
-                .machine_mut(m0)
-                .add_host(Box::new(Prober { dir, replies }));
+            let port = fab.machine_mut(m0).add_host(Box::new(Prober::new(dir)));
             fab.power_on();
             fab.run_for(SimDuration::from_micros(2_500));
             let answered = fab
@@ -1486,24 +1518,63 @@ mod tests {
     }
 
     #[test]
-    fn cached_dir_reply_equals_a_rebuild_for_every_querier() {
+    fn a_querier_at_the_current_epoch_is_answered_unchanged() {
         let (mut fab, ports) = probed_rack(4);
         fab.run_for(SimDuration::from_millis(5));
         assert_eq!(fab.directory().len(), 4);
+        let epoch = fab.dir_epoch();
         for (q, &port) in ports.iter().enumerate() {
-            let (epoch, cached) = fab.machines[q].dir_reply.clone().expect("q was answered");
-            assert_eq!(epoch, fab.dir_epoch());
-            assert_eq!(cached, fab.build_dir_reply(q), "querier m{q}");
-            // What the querier received over several ticks is that reply.
+            // A stale hint gets the full directory; once the querier holds
+            // the current epoch, every answer is `Unchanged`.
+            let got = answers(&fab, q, port);
+            assert!(got.len() >= 5, "m{q} got {} answers", got.len());
+            let full = got.iter().position(|a| matches!(a, DirMsg::Reply { .. }));
+            let full = full.expect("a stale query is answered in full");
+            match &got[full] {
+                DirMsg::Reply { epoch: seen, .. } => assert_eq!(*seen, epoch),
+                other => panic!("m{q}: {other:?}"),
+            }
+            assert!(got[..full].iter().all(|a| *a == DirMsg::Unchanged));
+            assert!(got[full + 1..].iter().all(|a| *a == DirMsg::Unchanged));
             let prober = fab.machine(MachineId(q as u32)).host_as::<Prober>(port);
-            let replies = &prober.unwrap().replies;
-            assert!(replies.len() >= 4, "m{q} got {} replies", replies.len());
-            assert_eq!(replies.last(), Some(&cached));
-            assert_eq!(replies[replies.len() - 2], cached);
+            let received = prober.unwrap().replies[full].clone();
+            assert_eq!(received, fab.build_dir_reply(q), "querier m{q}");
         }
         // The rebuilds above opened no port: the proxy table was complete.
         let proxies: Vec<usize> = fab.machines.iter().map(|s| s.proxy.len()).collect();
         assert_eq!(proxies, vec![3; 4]);
+        // A querier that falls behind is answered in full again.
+        fab.kill_machine(MachineId(3));
+        let before = answers(&fab, 0, ports[0]).len();
+        fab.run_for(SimDuration::from_millis(3));
+        let after = &answers(&fab, 0, ports[0])[before..];
+        let full: Vec<_> = after
+            .iter()
+            .filter(|a| matches!(a, DirMsg::Reply { .. }))
+            .collect();
+        assert_eq!(full.len(), 1, "{after:?}");
+        assert_eq!(last_reply(&fab, 0, ports[0]).0, epoch + 1);
+    }
+
+    /// A restored querier holds the epoch of its checkpoint, and so does the
+    /// restored directory: the first query after the restore is answered
+    /// `Unchanged`, as it would have been without one.
+    #[test]
+    fn after_a_restore_the_first_query_is_answered_unchanged() {
+        let (mut fab, ports) = probed_rack(3);
+        fab.run_for(SimDuration::from_micros(5_500));
+        let ck = fab.checkpoint("mid").expect("every component snapshots");
+        let (mut loaded, _) = probed_rack(3);
+        loaded.restore_from(&ck).expect("loads and verifies");
+        loaded.run_for(SimDuration::from_millis(2));
+        fab.run_for(SimDuration::from_millis(2));
+        for (q, &port) in ports.iter().enumerate() {
+            let got = answers(&loaded, q, port);
+            assert_eq!(got.len(), 2, "m{q}");
+            assert!(got.iter().all(|a| *a == DirMsg::Unchanged), "m{q}: {got:?}");
+            let twin = answers(&fab, q, port);
+            assert_eq!(twin[twin.len() - 2..], got[..], "m{q}");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! sent to the machine's directory port — and receive a [`DirMsg::Reply`]
 //! listing every rack endpoint, each already translated into a port that is
 //! directly sendable *from the querying machine* (local devices keep their
-//! edge-switch port; remote devices appear as that machine's proxy port).
+//! edge-switch port; remote devices appear as that machine's proxy port),
+//! or [`DirMsg::Unchanged`] when they already hold the current epoch.
 //!
 //! The codec is the management bus's strict [`wire`](lastcpu_bus::wire)
 //! format: unknown tags and trailing bytes are errors, consistent with the
@@ -43,11 +44,9 @@ lastcpu_snap::record!(wire lastcpu_bus::wire; DirEndpoint { name, kind, machine,
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirMsg {
     /// Ask for the current rack directory. `epoch_hint` is the epoch the
-    /// client already has (0 for none). It is carried but unused: the fabric
-    /// answers with the full directory whatever the hint says, and nothing
-    /// reads it from a trace. A shorter "not modified" answer would change
-    /// frame sizes on the wire and with them every simulated rack number,
-    /// so it waits for a change that re-baselines E10.
+    /// client already has (0 for none): a querier at the current epoch is
+    /// answered [`DirMsg::Unchanged`], any other with the full
+    /// [`DirMsg::Reply`].
     Query {
         /// Directory epoch the querier last saw.
         epoch_hint: u64,
@@ -59,11 +58,14 @@ pub enum DirMsg {
         /// All known endpoints, ports pre-translated for the querier.
         endpoints: Vec<DirEndpoint>,
     },
+    /// The directory is still at the querier's `epoch_hint`.
+    Unchanged,
 }
 
 lastcpu_snap::variants! { wire lastcpu_bus::wire; DirMsg magic(DIR_MAGIC) {
     Query = 1 { epoch_hint as Varint },
     Reply = 2 { epoch as Varint, endpoints as Counted(RESERVE_ENDPOINTS) },
+    Unchanged = 3 {},
 } }
 
 impl DirMsg {
@@ -82,6 +84,13 @@ mod tests {
     fn query_round_trips() {
         let m = DirMsg::Query { epoch_hint: 42 };
         assert_eq!(DirMsg::decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn unchanged_round_trips_in_three_bytes() {
+        let enc = DirMsg::Unchanged.encode();
+        assert_eq!(enc.len(), 3, "magic and tag");
+        assert_eq!(DirMsg::decode(&enc).unwrap(), DirMsg::Unchanged);
     }
 
     #[test]
@@ -124,6 +133,7 @@ mod tests {
             DirMsg::Query {
                 epoch_hint: 1 << 40,
             },
+            DirMsg::Unchanged,
             reply(0),
             reply(3),
             reply(200),

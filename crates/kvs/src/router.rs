@@ -258,11 +258,6 @@ pub struct ShardRouterHost {
     /// snapshotted; `Restore` clears it.
     spare: Vec<PendingReq>,
     met: RouterMetrics,
-    /// Payload of the last directory reply that went through
-    /// [`install_directory`](Self::install_directory). A byte-equal reply
-    /// decodes to the `endpoints` and `epoch` that call left behind, so it
-    /// is only counted. Never snapshotted; `Restore` clears it.
-    last_dir_reply: Option<Vec<u8>>,
 }
 
 impl ShardRouterHost {
@@ -291,7 +286,6 @@ impl ShardRouterHost {
             acked_puts: BTreeSet::new(),
             spare: Vec::new(),
             met: RouterMetrics::default(),
-            last_dir_reply: None,
         }
     }
 
@@ -787,11 +781,12 @@ impl NetHost for ShardRouterHost {
         //    directory port).
         if frame.src == self.config.dir_port && DirMsg::sniff(&frame.payload) {
             let _prof = profile::span("kvs.router.dir_reply");
-            if self.last_dir_reply.as_deref() == Some(&frame.payload[..]) {
-                self.met.dir_replies.incr();
-            } else if let Ok(DirMsg::Reply { epoch, endpoints }) = DirMsg::decode(&frame.payload) {
-                self.install_directory(ctx, epoch, endpoints);
-                self.last_dir_reply = Some(frame.payload.to_vec());
+            match DirMsg::decode(&frame.payload) {
+                Ok(DirMsg::Reply { epoch, endpoints }) => {
+                    self.install_directory(ctx, epoch, endpoints)
+                }
+                Ok(DirMsg::Unchanged) => self.met.dir_replies.incr(),
+                _ => {}
             }
             return;
         }
@@ -873,15 +868,12 @@ impl lastcpu_snap::Span<PendingReq> for OpValue {
 
 // `sub_index` is derivable from `pending`, but serialized so a restore
 // needs no rebuild pass and verification covers it. `met` is its
-// `RouterStats` (the hub snapshots its own key space). Excluded:
-// `last_dir_reply` (a memo of `endpoints` and `epoch`; the first reply
-// after a restore decodes) and `spare` (answered slots: buffers, no
-// request).
+// `RouterStats` (the hub snapshots its own key space). Excluded: `spare`
+// (answered slots: buffers, no request).
 lastcpu_snap::fields! { ShardRouterHost |self| {
     config.dir_port, config.replication, config.vnodes, config.name, mut ring, endpoints, epoch, next_sub_id, next_seq, pending,
     sub_index, load, acked_puts, mut met,
 } restored {
-    self.last_dir_reply = None;
     self.spare.clear();
 } }
 
@@ -1228,56 +1220,63 @@ mod tests {
         h.install(&[("m0/nic0", 10)]);
         assert_eq!(h.router.stats().dir_replies, 1);
         assert_eq!(h.router.stats().dir_installs, 1);
-        // The same bytes again: a reply, not an install, and no decode —
-        // the memo answers.
-        let same = reply_bytes(h.epoch, &[("m0/nic0", 10)]);
-        assert_eq!(h.router.last_dir_reply.as_ref(), Some(&same));
-        h.frame(DIR_PORT, same);
+        // The same reply again: a reply, not an install.
+        h.frame(DIR_PORT, reply_bytes(h.epoch, &[("m0/nic0", 10)]));
         assert_eq!(h.router.stats().dir_replies, 2);
         assert_eq!(h.router.stats().dir_installs, 1, "no-change reply counted");
         // Epoch bump with identical membership still installs (epoch moves).
         h.install(&[("m0/nic0", 10)]);
         assert_eq!(h.router.stats().dir_replies, 3);
         assert_eq!(h.router.stats().dir_installs, 2);
-        // Same epoch, different port: the bytes differ, so it installs.
-        let moved = reply_bytes(h.epoch, &[("m0/nic0", 11)]);
-        h.frame(DIR_PORT, moved.clone());
+        // Same epoch, different port: it installs.
+        h.frame(DIR_PORT, reply_bytes(h.epoch, &[("m0/nic0", 11)]));
         assert_eq!(h.router.stats().dir_replies, 4);
         assert_eq!(h.router.stats().dir_installs, 3);
         assert_eq!(h.router.endpoints["m0/nic0"], PortId(11));
-        assert_eq!(h.router.last_dir_reply, Some(moved));
         assert_eq!(h.hub.counter("fabric.router.dir_replies"), 4);
         assert_eq!(h.hub.counter("fabric.router.dir_installs"), 3);
     }
 
     #[test]
-    fn dir_reply_memo_holds_only_installed_replies_and_not_across_restore() {
-        use lastcpu_snap::{Restore, Snapshot};
+    fn unchanged_counts_one_reply_and_installs_nothing() {
         let mut h = Harness::new(RouterConfig::default());
         // Malformed (trailing byte) and non-reply frames from the directory
-        // port pass the sniff but must leave the memo alone.
+        // port pass the sniff but count nothing.
         let mut torn = reply_bytes(1, &[("m0/nic0", 10)]);
         torn.push(0);
         h.frame(DIR_PORT, torn);
         h.frame(DIR_PORT, DirMsg::Query { epoch_hint: 0 }.encode());
-        assert_eq!(h.router.last_dir_reply, None);
         assert_eq!(h.router.stats().dir_replies, 0);
 
-        h.install(&[("m0/nic0", 10)]);
-        let good = reply_bytes(h.epoch, &[("m0/nic0", 10)]);
-        assert_eq!(h.router.last_dir_reply.as_ref(), Some(&good));
-
-        // The memo is not in the snapshot, and restoring clears it: the
-        // first reply afterwards decodes, finds nothing changed, and
-        // re-arms the memo.
-        let bytes = h.router.snapshot_bytes();
-        h.router.restore_bytes("router", &bytes).expect("restores");
-        assert_eq!(h.router.last_dir_reply, None);
-        assert_eq!(h.router.snapshot_bytes(), bytes);
-        h.frame(DIR_PORT, good.clone());
-        assert_eq!(h.router.stats().dir_replies, 2);
-        assert_eq!(h.router.stats().dir_installs, 1);
-        assert_eq!(h.router.last_dir_reply, Some(good));
+        h.install(&[("m0/nic0", 10), ("m1/nic0", 11)]);
+        let stats = h.router.stats();
+        let (epoch, endpoints) = (h.router.epoch, h.router.endpoints.clone());
+        let nodes: Vec<String> = h
+            .router
+            .endpoint_names()
+            .iter()
+            .map(|n| n.to_string())
+            .collect();
+        h.frame(DIR_PORT, DirMsg::Unchanged.encode());
+        assert_eq!(h.router.stats().dir_replies, stats.dir_replies + 1);
+        assert_eq!(h.router.stats().dir_installs, stats.dir_installs);
+        assert_eq!(h.router.epoch, epoch);
+        assert_eq!(h.router.endpoints, endpoints);
+        assert_eq!(h.router.endpoint_names(), nodes);
+        // Only the reply count moved, and the next query still names the
+        // epoch the router holds.
+        let mut counted = h.router.stats();
+        counted.dir_replies -= 1;
+        assert_eq!(format!("{counted:?}"), format!("{stats:?}"));
+        let acts = h.tick_after(costs::ROUTER_TICK);
+        let queries: Vec<DirMsg> = acts
+            .iter()
+            .filter_map(|a| match a {
+                HostAction::NetTx(f) if f.dst == DIR_PORT => DirMsg::decode(&f.payload).ok(),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(queries, [DirMsg::Query { epoch_hint: epoch }]);
     }
 
     #[test]

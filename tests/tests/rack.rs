@@ -14,12 +14,13 @@
 //! and again, all three, when the KVS client's section dropped its timeout
 //! and began carrying each request's kind and its armed wake-up instant.
 
+use lastcpu_bus::wire::Wire;
 use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
-use lastcpu_fabric::{Fabric, FabricConfig, TopoKind, TopologyConfig};
+use lastcpu_fabric::{DirMsg, Fabric, FabricConfig, TopoKind, TopologyConfig};
 use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::{build_rack_kvs, RackSetup};
 use lastcpu_net::{Frame, PortId};
-use lastcpu_sim::{export, CorrId, FaultKind, FaultPlan, SimDuration, SimTime};
+use lastcpu_sim::{export, CorrId, FaultKind, FaultPlan, SimDuration, SimTime, TraceData};
 use lastcpu_snap::{fnv1a_fold, Checkpoint};
 
 /// A [`RackSetup`] with one closed-loop client per machine aimed at the
@@ -665,6 +666,66 @@ fn a_checkpoint_of_a_sliced_run_restores() {
         .fabric
         .restore_from(&ck)
         .expect("one replay call lands where the slices did");
+}
+
+/// A restored rack's routers hold the directory epoch of the checkpoint, and
+/// so does its fabric: each router's first query after the restore is
+/// answered `Unchanged` (three bytes), not with the full directory.
+#[test]
+fn after_a_restore_each_routers_first_query_is_answered_unchanged() {
+    let build = || {
+        let mut rack = build_rack_cfg(FabricConfig::default(), 4, 2, 0x52, true, &small_workload());
+        rack.setup.fabric.power_on();
+        rack
+    };
+    let mut ran = build();
+    ran.setup.fabric.run_for(SimDuration::from_millis(30));
+    let ck = ran
+        .setup
+        .fabric
+        .checkpoint("mid")
+        .expect("rack checkpoints");
+    let mut rack = build();
+    rack.setup.fabric.restore_from(&ck).expect("restores");
+    let from = rack.setup.fabric.now();
+    let installs: Vec<u64> = (0..4)
+        .map(|i| rack.setup.router(i).stats().dir_installs)
+        .collect();
+    rack.setup.fabric.run_for(SimDuration::from_millis(2));
+    let latency = FabricConfig::default().dir_latency;
+    let unchanged = DirMsg::Unchanged.encode().len() as u64;
+    for (i, &m) in rack.setup.machines.iter().enumerate() {
+        let (dir, router) = (
+            rack.setup.fabric.directory_port(m),
+            rack.setup.router_ports[i],
+        );
+        let records = || {
+            rack.setup
+                .fabric
+                .machine(m)
+                .trace()
+                .events()
+                .filter(|r| r.at > from)
+        };
+        let query = records()
+            .find(|r| matches!(r.data, TraceData::LinkExit { port, .. } if port == dir.0))
+            .expect("the router queried the directory");
+        let answer = |bytes| TraceData::LinkEnter {
+            port: router.0,
+            bytes,
+        };
+        let at = query.at + latency;
+        assert!(
+            records().any(|r| r.at == at && r.data == answer(unchanged)),
+            "m{i}: the query at {:?} was not answered Unchanged",
+            query.at
+        );
+        assert_eq!(
+            rack.setup.router(i).stats().dir_installs,
+            installs[i],
+            "m{i}"
+        );
+    }
 }
 
 mod slicing_props {

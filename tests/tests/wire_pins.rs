@@ -8,7 +8,7 @@
 //! `xx*N`.
 //!
 //! The KVS delete's rows went when schema 3 deleted the operation; its tag
-//! is refused now.
+//! is refused now. The directory's `Unchanged` answer's rows came with it.
 
 use std::fmt::Debug;
 
@@ -261,6 +261,7 @@ fn messages() -> Vec<(String, Vec<u8>)> {
         }
         .encode(),
     );
+    add("dir unchanged".into(), DirMsg::Unchanged.encode());
     out
 }
 
@@ -334,6 +335,11 @@ fn verdicts() -> Vec<(String, [String; 4])> {
         "dir reply",
         frames(&dir, 2, 0).map(|f| verdict(DirMsg::decode(&f).ok())),
     );
+    let unchanged = DirMsg::Unchanged.encode();
+    add(
+        "dir unchanged",
+        frames(&unchanged, 2, 9).map(|f| verdict(DirMsg::decode(&f).ok())),
+    );
     let packet = encode_packet(PortId(2), b"xy");
     add(
         "packet",
@@ -404,6 +410,7 @@ dir query 127 = dcd1017f
 dir query 128 = dcd1018001
 dir query 1099511627776 = dcd101 80*5 20
 dir reply empty = dcd1020000
+dir unchanged = dcd103
 "#;
 
 const VERDICTS: &str = r#"kvs request: Put { id: 3, key: [107], value: [118] } | refused | refused | refused
@@ -412,6 +419,7 @@ file op: Write { offset: 1, data: [100] } | refused | refused | refused
 file response: "Eof [97, 98]" | "Bad [97, 98]" | "Eof [97, 98, 0]" | "Eof [97]"
 dir query: Query { epoch_hint: 5 } | refused | refused | refused
 dir reply: Reply { epoch: 2, endpoints: [DirEndpoint { name: "m1/nic0", kind: "smart-nic", machine: 1, port: 7 }] } | refused | refused | refused
+dir unchanged: Unchanged | refused | refused | refused
 packet: (PortId(2), [120, 121]) | refused | refused | refused
 login reply: token:0x102030405060708090a0b0c0d0e0f10 | token:0x102030405060708090a0b0c0d0e0fff | refused | refused
 "#;
