@@ -47,6 +47,12 @@ impl KvsNicApp {
         self.server.contains(key)
     }
 
+    /// The server itself, for this crate's tests.
+    #[cfg(test)]
+    pub(crate) fn server_mut(&mut self) -> &mut KvsServer {
+        &mut self.server
+    }
+
     /// Enables or disables the server's zero-alloc GET fast path (test
     /// hook; see [`KvsServer::set_fast_path`]).
     pub fn set_fast_path(&mut self, on: bool) {

@@ -123,26 +123,47 @@ impl KvEngine {
         value: &[u8],
         rec: &mut Vec<u8>,
     ) -> Result<u64, EngineError> {
-        let _prof = lastcpu_sim::profile::span("kvs.engine.put");
+        let offset = self.encode_into(key, value, rec)?;
+        self.commit(key, rec);
+        Ok(offset)
+    }
+
+    /// Encodes the record a put of `key` → `value` appends into `rec`
+    /// (cleared first) and returns the offset it goes at, changing nothing:
+    /// a caller whose write may still be refused
+    /// [`commit`s](KvEngine::commit) it only once the write is submitted.
+    pub fn encode_into(
+        &self,
+        key: &[u8],
+        value: &[u8],
+        rec: &mut Vec<u8>,
+    ) -> Result<u64, EngineError> {
         if key.len() > MAX_KEY {
             return Err(EngineError::KeyTooLong);
         }
         if value.len() > MAX_VALUE {
             return Err(EngineError::ValueTooLong);
         }
-        let offset = self.cursor;
         rec.clear();
         rec.reserve_exact(HEADER as usize + key.len() + value.len());
         rec.extend_from_slice(&(key.len() as u16).to_le_bytes());
         rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
         rec.extend_from_slice(key);
         rec.extend_from_slice(value);
+        Ok(self.cursor)
+    }
+
+    /// Appends `rec`, the record [`KvEngine::encode_into`] encoded for
+    /// `key` at the current offset: the cursor moves past it and `key`
+    /// points at its value.
+    pub fn commit(&mut self, key: &[u8], rec: &[u8]) {
+        let _prof = lastcpu_sim::profile::span("kvs.engine.put");
+        let offset = self.cursor;
         self.cursor += rec.len() as u64;
         self.stats.log_bytes += rec.len() as u64;
-        let value_off = offset + HEADER + key.len() as u64;
         let vref = ValueRef {
-            offset: value_off,
-            len: value.len() as u32,
+            offset: offset + HEADER + key.len() as u64,
+            len: (rec.len() - HEADER as usize - key.len()) as u32,
         };
         // Overwrites update in place through a borrowed-key lookup; the key
         // is copied into the index only when it is genuinely new, so a
@@ -156,7 +177,6 @@ impl KvEngine {
                 self.index.insert(key.to_vec(), vref);
             }
         }
-        Ok(offset)
     }
 
     /// Compacts the log: re-encodes every live record densely, in key

@@ -713,7 +713,7 @@ impl KvsServer {
                 }
             }
             KvsRequestRef::Put { id, key, value } => {
-                let Ok(offset) = self.engine.put_into(key, value, &mut self.rec) else {
+                let Ok(offset) = self.engine.encode_into(key, value, &mut self.rec) else {
                     Self::respond(ctx, out, src, id, KvsStatus::Error, &[]);
                     return Served::Answered;
                 };
@@ -724,6 +724,7 @@ impl KvsServer {
                 let mut view = ctx.dma_view(pasid);
                 match client.submit(&mut view, op, 8) {
                     Ok(head) => {
+                        self.engine.commit(key, &self.rec);
                         let op = Pending::Put {
                             port: src,
                             id,
@@ -734,9 +735,9 @@ impl KvsServer {
                         Served::Submitted
                     }
                     Err(_) => {
-                        // Engine state already advanced; the log hole is
-                        // tolerated (it will re-append on retry). Report
-                        // busy.
+                        // The record was never written, so the engine never
+                        // took it: no key points at it and the next record
+                        // goes at the same offset. Report busy.
                         self.shed_unsubmitted(ctx, out, src, id);
                         Served::Answered
                     }
@@ -1197,6 +1198,149 @@ mod tests {
         let s = KvsServer::new(ServerConfig::default(), Pasid(1));
         assert_eq!(s.state(), ServerState::Boot);
         assert_eq!(s.key_count(), 0);
+    }
+
+    /// A PUT whose log record the storage queue refuses is answered `Busy`
+    /// and leaves the engine as it was: no key points at the record that
+    /// was never written. Here the refusal is a DMA fault, forced by
+    /// pointing the server at an address space nothing is mapped in for
+    /// that one request.
+    #[test]
+    fn a_put_refused_by_the_storage_queue_leaves_no_log_hole() {
+        use crate::{build_cpuless_kvs, KvsNicApp};
+        use lastcpu_core::devices::nic::SmartNic;
+        use lastcpu_core::devices::ssd::SsdConfig;
+        use lastcpu_core::{DeviceHandle, HostCtx, NetHost, SystemConfig};
+        use lastcpu_net::Frame;
+        use lastcpu_sim::{SimDuration, SimTime};
+
+        /// Sends `script` one request at a time, each 1 ms after the
+        /// previous answer (a probe PUT first, repeated until it is `Ok`);
+        /// keeps every scripted answer.
+        struct Scripted {
+            server: PortId,
+            ready: bool,
+            script: Vec<KvsRequestRef<'static>>,
+            answers: Vec<(KvsStatus, Vec<u8>)>,
+        }
+        impl Scripted {
+            fn send(&self, ctx: &mut HostCtx<'_>, req: KvsRequestRef<'_>) {
+                ctx.net_tx(self.server, req.encode());
+            }
+        }
+        const PROBE: KvsRequestRef<'static> = KvsRequestRef::Put {
+            id: 1_000,
+            key: b"probe",
+            value: b"up",
+        };
+        impl NetHost for Scripted {
+            fn name(&self) -> &str {
+                "scripted"
+            }
+            fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+                self.send(ctx, PROBE);
+            }
+            fn on_frame(&mut self, ctx: &mut HostCtx<'_>, frame: Frame) {
+                let resp = KvsResponseRef::decode(&frame.payload).expect("a response");
+                if resp.id == 1_000 && resp.status != KvsStatus::Ok {
+                    self.send(ctx, PROBE);
+                    return;
+                }
+                if resp.id == 1_000 {
+                    self.ready = true;
+                } else {
+                    self.answers.push((resp.status, resp.value.to_vec()));
+                }
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
+                if let Some(&req) = self.script.get(self.answers.len()) {
+                    self.send(ctx, req);
+                }
+            }
+        }
+
+        let mut setup = build_cpuless_kvs(
+            SystemConfig::default(),
+            SsdConfig::default(),
+            ServerConfig {
+                cache_entries: 0,
+                ..ServerConfig::default()
+            },
+        );
+        let script = vec![
+            KvsRequestRef::Put {
+                id: 1,
+                key: b"hole",
+                value: b"never written",
+            },
+            KvsRequestRef::Get {
+                id: 2,
+                key: b"hole",
+            },
+            KvsRequestRef::Put {
+                id: 3,
+                key: b"next",
+                value: b"written",
+            },
+            KvsRequestRef::Get {
+                id: 4,
+                key: b"next",
+            },
+        ];
+        let port = setup.system.add_host(Box::new(Scripted {
+            server: setup.kvs_port,
+            ready: false,
+            script,
+            answers: Vec::new(),
+        }));
+        setup.system.power_on();
+        let nic = setup.frontend;
+        let client = |sys: &lastcpu_core::System| {
+            let c = sys.host_as::<Scripted>(port).expect("client");
+            (c.ready, c.answers.len())
+        };
+        fn server(sys: &mut lastcpu_core::System, nic: DeviceHandle) -> &mut KvsServer {
+            let nic = sys.device_as_mut::<SmartNic<KvsNicApp>>(nic).expect("NIC");
+            nic.app_mut().server_mut()
+        }
+        // The first scripted PUT, sent 1 ms after the probe's answer, goes
+        // out with the server's address space swapped for an empty one; the
+        // swap is undone once it is answered.
+        let mut t = SimTime::ZERO;
+        let mut swapped = None;
+        while client(&setup.system).1 < 4 {
+            t += SimDuration::from_micros(10);
+            assert!(t < SimTime::from_nanos(500_000_000), "the script stalled");
+            setup.system.run_until(t);
+            let (ready, n) = client(&setup.system);
+            let s = server(&mut setup.system, nic);
+            match (n, swapped) {
+                (0, None) if ready => {
+                    swapped = Some(std::mem::replace(&mut s.pasid, Pasid(0xBAD)));
+                }
+                (1, Some(pasid)) => s.pasid = pasid,
+                _ => {}
+            }
+        }
+        let s = server(&mut setup.system, nic);
+        assert_eq!(s.stats().shed, 1, "the refused PUT was shed");
+        assert!(
+            !s.contains(b"hole"),
+            "the index points at an unwritten record"
+        );
+        let answers = &setup.system.host_as::<Scripted>(port).unwrap().answers;
+        let statuses: Vec<KvsStatus> = answers.iter().map(|(s, _)| *s).collect();
+        assert_eq!(
+            statuses,
+            [
+                KvsStatus::Busy,
+                KvsStatus::NotFound,
+                KvsStatus::Ok,
+                KvsStatus::Ok
+            ]
+        );
+        assert_eq!(answers[3].1, b"written");
     }
 
     mod degradation {
