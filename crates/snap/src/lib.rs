@@ -42,7 +42,10 @@ pub use fields::{
 /// v3: sections hold state only: the pending events themselves instead of
 /// their count and digest, no pinned constants, no id lists that restate
 /// `1..=n`, a trace tag per record variant, and a word-at-a-time checksum.
-pub const SCHEMA_VERSION: u32 = 3;
+/// v4: the KVS client section holds no `timeout`; it holds each outstanding
+/// request's `Sent` kind and the instant its one wake-up is armed at
+/// (`wake_at`).
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// File magic: identifies a lastcpu checkpoint, revision 1 of the framing.
 pub const MAGIC: &[u8; 8] = b"LCSNAP1\0";
@@ -1244,20 +1247,37 @@ mod tests {
         }
     }
 
-    /// A checkpoint written before schema 3 does not decode, and its
-    /// manifest is not admitted.
-    #[test]
-    fn a_version_2_checkpoint_is_refused() {
+    /// A checkpoint written under an older schema neither decodes nor has
+    /// its manifest admitted: both refuse it as a version mismatch.
+    fn refused_as(version: u32) -> [SnapError; 2] {
         let mut ck = sample();
-        ck.manifest.schema_version = 2;
-        for err in [
-            Checkpoint::decode(&ck.encode()).expect_err("a v2 encoding"),
+        ck.manifest.schema_version = version;
+        [
+            Checkpoint::decode(&ck.encode()).expect_err("an old encoding"),
             ck.manifest
                 .admit("machine", None, 7)
-                .expect_err("a v2 manifest"),
-        ] {
+                .expect_err("an old manifest"),
+        ]
+    }
+
+    #[test]
+    fn a_version_2_checkpoint_is_refused() {
+        for err in refused_as(2) {
             assert!(
-                matches!(err, SnapError::VersionMismatch { want: 3, got: 2 }),
+                matches!(err, SnapError::VersionMismatch { want: 4, got: 2 }),
+                "{err:?}"
+            );
+        }
+    }
+
+    /// Schema 4 reshaped the KVS client's section, so a version-3
+    /// checkpoint is refused for its version, not read as a section that
+    /// happens to be cut short.
+    #[test]
+    fn a_version_3_checkpoint_is_refused() {
+        for err in refused_as(3) {
+            assert!(
+                matches!(err, SnapError::VersionMismatch { want: 4, got: 3 }),
                 "{err:?}"
             );
         }
