@@ -16,7 +16,13 @@
 //! failures they pick did not change. They were re-recorded again when the
 //! KVS client dropped its timeout from its section and began carrying each
 //! request's kind and its armed wake-up instant: the machine's and the
-//! rack's digests, and offsets and lengths 81 or 82 bytes shorter.
+//! rack's digests, and offsets and lengths 81 or 82 bytes shorter. The
+//! digests, the manifests' `schema_version` and the version-mismatch
+//! reports were re-recorded when `SCHEMA_VERSION` became 4, with the rack's
+//! digest moved also by the directory's `Unchanged` answer; no offset or
+//! length moved. The default fabric's config fingerprint in the recipe
+//! refusal was re-recorded when the default topology became leaf-spine:8
+//! (for this four-machine rack the same graph as the `flat` it replaced).
 
 use lastcpu_bus::{Dst, Envelope, Payload};
 use lastcpu_core::devices::device::{Device, DeviceCtx};
@@ -151,9 +157,9 @@ fn report(r: Result<()>) -> String {
 /// `Checkpoint::digest` of the machine, and what `verify_checkpoint`
 /// reports against each doctored copy of its checkpoint.
 const PARENT_MACHINE: (u64, [&str; 5]) = (
-    11222022662324953640,
+    5269540522967633981,
     [
-        r#"restored state diverged in section "system": manifest differs: Manifest { schema_version: 3, seed: 11, virtual_ns: 59777506, events: 3103, config_fp: 5536277680403336018, label: "pins" } vs Manifest { schema_version: 3, seed: 11, virtual_ns: 59777506, events: 3102, config_fp: 5536277680403336018, label: "pins" }"#,
+        r#"restored state diverged in section "system": manifest differs: Manifest { schema_version: 4, seed: 11, virtual_ns: 59777506, events: 3103, config_fp: 5536277680403336018, label: "pins" } vs Manifest { schema_version: 4, seed: 11, virtual_ns: 59777506, events: 3102, config_fp: 5536277680403336018, label: "pins" }"#,
         r#"restored state diverged in section "system": section 4 tag differs: "dramx" vs "dram""#,
         r#"restored state diverged in section "system": section "dram" differs: 4881 vs 4881 bytes, first divergence at offset 2440"#,
         r#"restored state diverged in section "system": section count differs: 12 vs 13"#,
@@ -163,9 +169,9 @@ const PARENT_MACHINE: (u64, [&str; 5]) = (
 
 /// The same for the rack, plus a machine section cut short by nine bytes.
 const PARENT_RACK: (u64, [&str; 6]) = (
-    8237592209221898711,
+    11067005764421470332,
     [
-        r#"restored state diverged in section "rack": manifest differs: Manifest { schema_version: 3, seed: 4011, virtual_ns: 60000000, events: 12968, config_fp: 16570750973892390379, label: "pins" } vs Manifest { schema_version: 3, seed: 4011, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" }"#,
+        r#"restored state diverged in section "rack": manifest differs: Manifest { schema_version: 4, seed: 4011, virtual_ns: 60000000, events: 12968, config_fp: 16570750973892390379, label: "pins" } vs Manifest { schema_version: 4, seed: 4011, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" }"#,
         r#"restored state diverged in section "rack": section 4 tag differs: "machine1x" vs "machine1""#,
         r#"restored state diverged in section "rack": section "machine1" differs: 529577 vs 529577 bytes, first divergence at offset 264788"#,
         r#"restored state diverged in section "rack": section count differs: 6 vs 7"#,
@@ -427,12 +433,12 @@ fn a_machine_that_cannot_serialize_reports_so() {
 /// recipe. A rack checks no seed of its own (the fabric's seed is part of
 /// its recipe), so a doctored seed reaches the manifest comparison.
 const PARENT_REFUSALS: [&str; 6] = [
-    "schema version mismatch: this build reads v3, checkpoint is v4",
+    "schema version mismatch: this build reads v4, checkpoint is v5",
     r#"restored state diverged in section "manifest": seed mismatch: checkpoint 12, this machine 11"#,
     r#"restored state diverged in section "manifest": config fingerprint mismatch: checkpoint 0x4cd4cf37c65d4b52, this machine 0x9fe55e76e15c0789"#,
-    "schema version mismatch: this build reads v3, checkpoint is v4",
-    r#"restored state diverged in section "rack": manifest differs: Manifest { schema_version: 3, seed: 4012, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" } vs Manifest { schema_version: 3, seed: 4011, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" }"#,
-    r#"restored state diverged in section "manifest": config fingerprint mismatch: checkpoint 0xe5f7223714506deb, this rack 0xf306f7746aceafbc"#,
+    "schema version mismatch: this build reads v4, checkpoint is v5",
+    r#"restored state diverged in section "rack": manifest differs: Manifest { schema_version: 4, seed: 4012, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" } vs Manifest { schema_version: 4, seed: 4011, virtual_ns: 60000000, events: 12967, config_fp: 16570750973892390379, label: "pins" }"#,
+    r#"restored state diverged in section "manifest": config fingerprint mismatch: checkpoint 0xe5f7223714506deb, this rack 0x80033e38a7173278"#,
 ];
 
 /// `ck` with its manifest edited.

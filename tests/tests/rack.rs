@@ -13,6 +13,10 @@
 //! out sub-requests (the leaf-spine digest; the flat and crash ones held),
 //! and again, all three, when the KVS client's section dropped its timeout
 //! and began carrying each request's kind and its armed wake-up instant.
+//! All three were re-recorded again when the directory began answering a
+//! router already at the current epoch with a three-byte `Unchanged` in
+//! place of the full directory (the 8-machine rack was `flat` until then; as
+//! the one-leaf leaf-spine it is the same graph).
 
 use lastcpu_bus::wire::Wire;
 use lastcpu_core::{HostCtx, NetHost, System, SystemConfig};
@@ -597,7 +601,7 @@ fn schedule_is_the_recorded_one() {
 
     assert_eq!(
         format!("{one_leaf:#018x} {crash:#018x} {tree:#018x}"),
-        "0xae9821c4fc01c869 0x3825f1bb11e2006c 0x32b4c3edc6531484",
+        "0x6191ad13d5ddda01 0xfbebe517c053b823 0xd3448104bdd75121",
         "8-machine one-leaf, 4-machine crash arm, 32-machine leaf-spine:8 oversub 4"
     );
 }

@@ -7,7 +7,10 @@
 //!
 //! The analyzer's report was re-recorded when it began counting router-only
 //! ops apart from incomplete ones; the merged trace and its export did not
-//! move.
+//! move. The rack's merged-trace export was re-recorded when the directory
+//! began answering a router already at the current epoch with a three-byte
+//! `Unchanged`: the directory answers' records carry fewer bytes; the
+//! record count and the analyzer's report did not move.
 
 use lastcpu_bench::drivers::{ControlMode, SetupClient};
 use lastcpu_bus::{DeviceId, Dst, Envelope, Payload, RetryConfig};
@@ -191,7 +194,7 @@ mod rack {
 
     const PARENT_LINKED: Linked = (
         38472,
-        (12949731664803172697, 4774455),
+        (15022322124673608829, 4758471),
         (12675103350392845496, 45441),
     );
 

@@ -9,7 +9,11 @@
 //! `SCHEMA_VERSION` became 3; the JSONL and Chrome exports did not move.
 //! The checkpoint digests were re-recorded again when the KVS client's
 //! section dropped its timeout and began carrying each request's kind and
-//! its armed wake-up instant; no export moved.
+//! its armed wake-up instant; no export moved. The rack's exports, its m0
+//! trace and its checkpoint digests were re-recorded when the directory
+//! began answering a router already at the current epoch with a three-byte
+//! `Unchanged` (and `SCHEMA_VERSION` became 4); the record count and the
+//! machine's values did not move.
 
 use lastcpu_bench::drivers::{ControlMode, SetupClient};
 use lastcpu_core::devices::device::Device;
@@ -241,12 +245,12 @@ mod rack {
     }
 
     const PARENT_RACK: RackObserved = RackObserved {
-        jsonl: (2839614355391125304, 5029816),
-        chrome: (4122591985127384430, 7978206),
+        jsonl: (14831266541881394818, 5013800),
+        chrome: (18050003162138044230, 7946174),
         records: 40634,
-        mid_checkpoint: 9470466582931703185,
-        mid_m0_trace: 3632749393047612096,
-        end_checkpoint: 442332362387321840,
+        mid_checkpoint: 14549872857724967077,
+        mid_m0_trace: 17572672322402786738,
+        end_checkpoint: 18436007457950831062,
     };
 
     /// When the mid-run checkpoint is taken.
