@@ -11,7 +11,7 @@ use crate::server::{KvsServer, ServerConfig, ServerState, ServerStats};
 
 /// The NIC-hosted KVS application.
 pub struct KvsNicApp {
-    server: KvsServer,
+    pub(crate) server: KvsServer,
     /// Reused response scratch: the server appends `(dst, payload)` pairs
     /// here and `transmit` drains them, so steady-state request handling
     /// never allocates an output vector.
@@ -45,12 +45,6 @@ impl KvsNicApp {
     /// Whether `key` is live in the index (rack-audit hook).
     pub fn contains(&self, key: &[u8]) -> bool {
         self.server.contains(key)
-    }
-
-    /// The server itself, for this crate's tests.
-    #[cfg(test)]
-    pub(crate) fn server_mut(&mut self) -> &mut KvsServer {
-        &mut self.server
     }
 
     /// Enables or disables the server's zero-alloc GET fast path (test

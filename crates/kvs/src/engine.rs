@@ -110,28 +110,16 @@ impl KvEngine {
     /// deployment uses).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(u64, Vec<u8>), EngineError> {
         let mut rec = Vec::new();
-        let offset = self.put_into(key, value, &mut rec)?;
+        let offset = self.encode_into(key, value, &mut rec)?;
+        self.commit(key, &rec);
         Ok((offset, rec))
     }
 
-    /// [`KvEngine::put`] with the record encoded into `rec` (cleared first),
-    /// so a server appending record after record reuses one buffer. Returns
-    /// the append offset.
-    pub fn put_into(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        rec: &mut Vec<u8>,
-    ) -> Result<u64, EngineError> {
-        let offset = self.encode_into(key, value, rec)?;
-        self.commit(key, rec);
-        Ok(offset)
-    }
-
     /// Encodes the record a put of `key` → `value` appends into `rec`
-    /// (cleared first) and returns the offset it goes at, changing nothing:
-    /// a caller whose write may still be refused
-    /// [`commit`s](KvEngine::commit) it only once the write is submitted.
+    /// (cleared first, so a server appending record after record reuses one
+    /// buffer) and returns the offset it goes at, changing nothing: a caller
+    /// whose write may still be refused [`commit`s](KvEngine::commit) it only
+    /// once the write is submitted.
     pub fn encode_into(
         &self,
         key: &[u8],

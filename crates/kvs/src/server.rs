@@ -1302,7 +1302,7 @@ mod tests {
         };
         fn server(sys: &mut lastcpu_core::System, nic: DeviceHandle) -> &mut KvsServer {
             let nic = sys.device_as_mut::<SmartNic<KvsNicApp>>(nic).expect("NIC");
-            nic.app_mut().server_mut()
+            &mut nic.app_mut().server
         }
         // The first scripted PUT, sent 1 ms after the probe's answer, goes
         // out with the server's address space swapped for an empty one; the
