@@ -244,11 +244,6 @@ impl Bytes {
         &mut self.buf
     }
 
-    /// Copies the content into a plain `Vec<u8>` (the storage stays pooled).
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.buf.clone()
-    }
-
     /// Extracts the content as a `Vec<u8>`, allocating only if pooled (a
     /// pooled buffer cannot give up its storage without starving the pool).
     pub fn into_vec(mut self) -> Vec<u8> {
