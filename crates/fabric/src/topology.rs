@@ -20,7 +20,7 @@
 //! is the store-and-forward `switch_latency`; the final hop into the
 //! destination host pays `propagation` (the end-to-end flight budget, kept
 //! on the last hop so a two-hop path prices identically to the historical
-//! flat model). Queuing therefore happens where the wire actually is: two
+//! single-switch model). Queuing therefore happens where the wire actually is: two
 //! flows sharing one leaf→spine link serialize on *that* link and nowhere
 //! else.
 //!
