@@ -939,8 +939,18 @@ impl Fabric {
     /// serializes: a machine's encoding is checked piece by piece against
     /// its stored section, so the rack never holds a second copy of itself.
     pub fn verify_checkpoint(&self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
+        self.verify(ck, Diff::new)
+    }
+
+    /// The verify of [`verify_checkpoint`](Self::verify_checkpoint), with
+    /// the comparator `diff` makes.
+    fn verify<'c>(
+        &self,
+        ck: &'c Checkpoint,
+        diff: impl FnOnce(&'c Checkpoint, &Manifest) -> Diff<'c>,
+    ) -> lastcpu_snap::Result<()> {
         let label = &ck.manifest.label;
-        let mut diff = Diff::new(ck, &self.manifest(label));
+        let mut diff = diff(ck, &self.manifest(label));
         self.each_section(label, &mut diff)?;
         match diff.finish() {
             Some(detail) => Err(SnapError::VerifyMismatch {
@@ -989,10 +999,14 @@ impl Fabric {
     /// O(state) and without running an event, then verifies the manifest
     /// and every section, including each machine's full checkpoint,
     /// byte-for-byte. Fails loudly on any divergence.
+    ///
+    /// Each checksum inside a machine's section is hashed once, by the
+    /// load's [`Encoded::read`]; the verify that follows takes the checked
+    /// ones as checked ([`Diff::after_load`]).
     pub fn restore_from(&mut self, ck: &Checkpoint) -> lastcpu_snap::Result<()> {
         ck.manifest.admit("rack", None, self.config_fingerprint())?;
         self.load(ck)?;
-        self.verify_checkpoint(ck)
+        self.verify(ck, Diff::after_load)
     }
 }
 

@@ -1042,10 +1042,10 @@ macro_rules! record_layout {
             }
         }
 
-        impl TraceSink {
+        impl<'a> Loading<'_, 'a> {
             /// Reads one record in the [`TraceView::encode`] layout and
             /// appends it.
-            fn restore_record(&mut self, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<()> {
+            fn restore_record(&mut self, r: &mut lastcpu_snap::SnapReader<'a>) -> lastcpu_snap::Result<()> {
                 let (at, source, corr) = Part::take(self, r)?;
                 let (data, text) = match r.u8()? {
                     $($tag => (
@@ -1054,8 +1054,8 @@ macro_rules! record_layout {
                     ),)*
                     tag => return Err(r.bad_tag("TraceData", tag)),
                 };
-                self.staged.extend(text);
-                self.push(at, source, corr, data);
+                self.sink.staged.extend(text);
+                self.sink.push(at, source, corr, data);
                 Ok(())
             }
         }
@@ -1091,7 +1091,10 @@ record_layout! {
 /// One field of a record in a checkpoint.
 trait Part: Sized {
     fn put(self, v: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter);
-    fn take(t: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self>;
+    fn take<'a>(
+        l: &mut Loading<'_, 'a>,
+        r: &mut lastcpu_snap::SnapReader<'a>,
+    ) -> lastcpu_snap::Result<Self>;
 
     /// Calls `f` on the field if it is a [`Name`].
     fn names(&mut self, _f: &mut impl FnMut(&mut Name)) {}
@@ -1103,7 +1106,7 @@ macro_rules! plain_parts {
             fn put(self, _: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter) {
                 lastcpu_snap::Field::put(&self, w);
             }
-            fn take(_: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+            fn take(_: &mut Loading<'_, '_>, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
                 lastcpu_snap::Field::take(r)
             }
         }
@@ -1116,8 +1119,23 @@ impl Part for Name {
     fn put(self, v: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter) {
         w.put_str(v.name(self));
     }
-    fn take(t: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok(t.name_or_text(r.str()?))
+    /// A name read before in this restore is its stored bytes' handle
+    /// again; any other is checked and looked up as
+    /// [`TraceSink::name_or_text`] does, and remembered if the table holds
+    /// it. A name that rides as text is read afresh each time.
+    fn take<'a>(
+        l: &mut Loading<'_, 'a>,
+        r: &mut lastcpu_snap::SnapReader<'a>,
+    ) -> lastcpu_snap::Result<Self> {
+        let b = r.slice()?;
+        if let Some(n) = l.names.get(b) {
+            return Ok(n);
+        }
+        let n = l.sink.name_or_text(r.utf8(b)?);
+        if n.text_index().is_none() {
+            l.names.put(b, n);
+        }
+        Ok(n)
     }
     fn names(&mut self, f: &mut impl FnMut(&mut Name)) {
         f(self);
@@ -1128,13 +1146,24 @@ impl Part for &'static str {
     fn put(self, _: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter) {
         w.put_str(self);
     }
-    fn take(_: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        let s = r.str()?;
-        lastcpu_snap::intern_static(s, MAX_NAMES).ok_or_else(|| {
+    /// Interned through the process-wide table once per distinct string
+    /// of the restore, then found by its stored bytes.
+    fn take<'a>(
+        l: &mut Loading<'_, 'a>,
+        r: &mut lastcpu_snap::SnapReader<'a>,
+    ) -> lastcpu_snap::Result<Self> {
+        let b = r.slice()?;
+        if let Some(s) = l.statics.get(b) {
+            return Ok(s);
+        }
+        let s = r.utf8(b)?;
+        let s = lastcpu_snap::intern_static(s, MAX_NAMES).ok_or_else(|| {
             r.corrupt(format!(
                 "static name {s:?}: the process holds the {MAX_NAMES} a restore may intern"
             ))
-        })
+        })?;
+        l.statics.put(b, s);
+        Ok(s)
     }
 }
 
@@ -1143,7 +1172,10 @@ impl Part for u16 {
     fn put(self, _: &TraceView<'_>, w: &mut lastcpu_snap::SnapWriter) {
         w.put_u64(self.into());
     }
-    fn take(_: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
+    fn take(
+        _: &mut Loading<'_, '_>,
+        r: &mut lastcpu_snap::SnapReader<'_>,
+    ) -> lastcpu_snap::Result<Self> {
         let m = r.u64()?;
         u16::try_from(m).map_err(|_| r.corrupt(format!("{m} does not fit a u16")))
     }
@@ -1155,8 +1187,11 @@ impl<A: Part, B: Part, C: Part> Part for (A, B, C) {
         self.1.put(v, w);
         self.2.put(v, w);
     }
-    fn take(t: &mut TraceSink, r: &mut lastcpu_snap::SnapReader<'_>) -> lastcpu_snap::Result<Self> {
-        Ok((A::take(t, r)?, B::take(t, r)?, C::take(t, r)?))
+    fn take<'a>(
+        l: &mut Loading<'_, 'a>,
+        r: &mut lastcpu_snap::SnapReader<'a>,
+    ) -> lastcpu_snap::Result<Self> {
+        Ok((A::take(l, r)?, B::take(l, r)?, C::take(l, r)?))
     }
 }
 
@@ -1218,6 +1253,66 @@ impl Packs for &'static str {
     }
 }
 
+/// The slots of a [`Memo`]: several times the distinct names a machine's
+/// records carry.
+const MEMO_SLOTS: usize = 256;
+
+/// What the names of one restore were read back as, keyed by the bytes the
+/// section stores them as, so that a name that recurs is checked as UTF-8,
+/// hashed and looked up once, not once per record. Each slot holds the last
+/// name whose bytes map to it. It borrows its keys from the section and
+/// lives for one restore of one sink, so it allocates nothing and no sink
+/// sees another's answers.
+struct Memo<'a, T> {
+    slots: [Option<(&'a [u8], T)>; MEMO_SLOTS],
+}
+
+impl<'a, T: Copy> Memo<'a, T> {
+    fn new() -> Self {
+        Memo {
+            slots: [None; MEMO_SLOTS],
+        }
+    }
+
+    /// The slot of `b`: its length and its first and last eight bytes,
+    /// mixed.
+    #[inline]
+    fn slot(b: &[u8]) -> usize {
+        let word = |b: &[u8]| {
+            let mut w = [0; 8];
+            w[..b.len()].copy_from_slice(b);
+            u64::from_le_bytes(w)
+        };
+        let n = b.len();
+        let (first, last) = match n.checked_sub(8) {
+            Some(k) => (word(&b[..8]), word(&b[k..])),
+            None => (word(b), 0),
+        };
+        let h = (first ^ last.rotate_left(32) ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (h >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    }
+
+    #[inline]
+    fn get(&self, b: &[u8]) -> Option<T> {
+        match self.slots[Self::slot(b)] {
+            Some((k, v)) if k == b => Some(v),
+            _ => None,
+        }
+    }
+
+    fn put(&mut self, b: &'a [u8], v: T) {
+        self.slots[Self::slot(b)] = Some((b, v));
+    }
+}
+
+/// One sink's restore in progress: the sink, and what the section's names
+/// have been read back as so far.
+struct Loading<'s, 'a> {
+    sink: &'s mut TraceSink,
+    names: Memo<'a, Name>,
+    statics: Memo<'a, &'static str>,
+}
+
 /// The full sink: configuration, lifetime counter, and every retained
 /// record in the `record_layout!` layout, names and texts written out, so
 /// a restored sink renders byte-identical trace output.
@@ -1258,9 +1353,14 @@ impl lastcpu_snap::Span<TraceSink> for Ring {
         t.staged.clear();
         t.enabled = enabled;
         t.emitted = 0;
+        let mut l = Loading {
+            sink: t,
+            names: Memo::new(),
+            statics: Memo::new(),
+        };
         for _ in 0..n {
-            if let Err(e) = t.restore_record(r) {
-                t.staged.clear();
+            if let Err(e) = l.restore_record(r) {
+                l.sink.staged.clear();
                 return Err(e);
             }
         }

@@ -64,9 +64,11 @@ pub trait Span<S> {
 macro_rules! scalar {
     ($($t:ty: $put:ident $take:ident),* $(,)?) => {$(
         impl Field for $t {
+            #[inline]
             fn put(&self, w: &mut SnapWriter) {
                 w.$put(*self);
             }
+            #[inline]
             fn take(r: &mut SnapReader<'_>) -> Result<Self> {
                 r.$take()
             }
@@ -78,9 +80,11 @@ scalar!(u16: put_u16 u16, u32: put_u32 u32, u64: put_u64 u64, u128: put_u128 u12
     i64: put_i64 i64, f64: put_f64 f64, bool: put_bool bool);
 
 impl Field for u8 {
+    #[inline]
     fn put(&self, w: &mut SnapWriter) {
         w.put_u8(*self);
     }
+    #[inline]
     fn take(r: &mut SnapReader<'_>) -> Result<Self> {
         r.u8()
     }
@@ -94,9 +98,11 @@ impl Field for u8 {
 
 /// A length or an index: a `u64` on the wire, refused above 2^40.
 impl Field for usize {
+    #[inline]
     fn put(&self, w: &mut SnapWriter) {
         w.put_len(*self);
     }
+    #[inline]
     fn take(r: &mut SnapReader<'_>) -> Result<Self> {
         r.len()
     }

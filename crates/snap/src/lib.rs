@@ -248,34 +248,42 @@ impl SnapWriter {
         self.buf
     }
 
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
 
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn put_u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         // Bit pattern, not value: NaN payloads and -0.0 must round-trip so
         // snapshot→restore→snapshot is byte-identical.
@@ -283,22 +291,26 @@ impl SnapWriter {
     }
 
     /// A collection length (u64 on the wire so usize width cannot matter).
+    #[inline]
     pub fn put_len(&mut self, n: usize) {
         self.put_u64(n as u64);
     }
 
     /// Length-prefixed raw bytes.
+    #[inline]
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_len(b.len());
         self.put_raw(b);
     }
 
     /// Raw bytes, no length: the reader knows how many.
+    #[inline]
     pub fn put_raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
 
     /// Length-prefixed UTF-8 string.
+    #[inline]
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
@@ -336,7 +348,7 @@ impl SnapWriter {
         // Where the last run's length sits, if that run is of zeros.
         let mut zero_run = None;
         while let Some(&byte) = rest.first() {
-            let n = rest.iter().position(|&x| x != byte).unwrap_or(rest.len());
+            let n = run_len(rest, byte);
             zero_run = (byte == 0).then_some(self.buf.len());
             self.put_u64(n as u64);
             self.put_u8(byte);
@@ -359,6 +371,25 @@ impl SnapWriter {
         }
         self.buf[runs_pos..runs_pos + 8].copy_from_slice(&runs.to_le_bytes());
     }
+}
+
+/// How many bytes `rest` starts with that are `byte`, found eight at a
+/// time: a word of them xored with the next eight bytes is zero until the
+/// run ends, and its lowest set byte is where it ends.
+#[inline]
+fn run_len(rest: &[u8], byte: u8) -> usize {
+    let pattern = u64::from_le_bytes([byte; 8]);
+    let mut words = rest.chunks_exact(8);
+    let mut n = 0;
+    for w in &mut words {
+        let x = u64::from_le_bytes(w.try_into().expect("8 bytes")) ^ pattern;
+        if x != 0 {
+            return n + (x.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    let tail = words.remainder();
+    n + tail.iter().position(|&x| x != byte).unwrap_or(tail.len())
 }
 
 // ---------------------------------------------------------------------------
@@ -395,19 +426,26 @@ impl<'a> SnapReader<'a> {
         self.corrupt(format!("bad {what} tag {tag}"))
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.buf.len() - self.pos < n {
-            return Err(self.corrupt(format!(
-                "truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
+            return Err(self.truncated(n));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    #[cold]
+    fn truncated(&self, n: usize) -> SnapError {
+        self.corrupt(format!(
+            "truncated: need {n} bytes at offset {}, have {}",
+            self.pos,
+            self.buf.len() - self.pos
+        ))
+    }
+
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -421,10 +459,12 @@ impl<'a> SnapReader<'a> {
         Ok(())
     }
 
+    #[inline]
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     pub fn bool(&mut self) -> Result<bool> {
         match self.u8()? {
             0 => Ok(false),
@@ -433,26 +473,32 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    #[inline]
     pub fn u16(&mut self) -> Result<u16> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn u128(&mut self) -> Result<u128> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn i64(&mut self) -> Result<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -464,6 +510,7 @@ impl<'a> SnapReader<'a> {
     /// This *decodes* a length field — it is not the reader's own size, so
     /// the `len`/`is_empty` pairing convention does not apply.
     #[allow(clippy::len_without_is_empty)]
+    #[inline]
     pub fn len(&mut self) -> Result<usize> {
         let n = self.u64()?;
         self.length(n)
@@ -471,6 +518,7 @@ impl<'a> SnapReader<'a> {
 
     /// The length field `n`, already read, refused as [`len`](Self::len)
     /// refuses it.
+    #[inline]
     fn length(&self, n: u64) -> Result<usize> {
         if n > (1u64 << 40) {
             return Err(self.corrupt(format!("implausible length {n}")));
@@ -483,6 +531,7 @@ impl<'a> SnapReader<'a> {
     /// many. Reserve with this, never with [`len`](Self::len): a hostile
     /// length then fails as [`SnapError::Corrupt`] instead of asking the
     /// allocator for terabytes.
+    #[inline]
     pub fn count(&mut self) -> Result<usize> {
         let n = self.len()?;
         if n > self.remaining() {
@@ -499,6 +548,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// A length-prefixed byte string, borrowed from the body.
+    #[inline]
     pub fn slice(&mut self) -> Result<&'a [u8]> {
         let n = self.u64()?;
         self.slice_of(n)
@@ -506,14 +556,23 @@ impl<'a> SnapReader<'a> {
 
     /// The byte string whose length field `n` was already read, borrowed
     /// from the body.
+    #[inline]
     pub fn slice_of(&mut self, n: u64) -> Result<&'a [u8]> {
         let n = self.length(n)?;
         self.take(n)
     }
 
     /// A length-prefixed UTF-8 string, borrowed from the body.
+    #[inline]
     pub fn str(&mut self) -> Result<&'a str> {
         let b = self.slice()?;
+        self.utf8(b)
+    }
+
+    /// `b`, a byte string this reader handed out, as the UTF-8 string
+    /// [`str`](Self::str) would have read: for a reader that looks the
+    /// bytes up before it checks them.
+    pub fn utf8(&self, b: &'a [u8]) -> Result<&'a str> {
         std::str::from_utf8(b).map_err(|e| self.corrupt(format!("invalid utf-8: {e}")))
     }
 
@@ -975,9 +1034,14 @@ impl SectionSink for Encoder<'_> {
 /// the checksum of the stored body, so the `Diff` takes the stored checksum
 /// as a claim to that effect and `finish` checks the claims in stream
 /// order. A claim that fails is reported as the divergence it stands for:
-/// its first wrong byte, in its section.
+/// its first wrong byte, in its section. A `Diff` made by
+/// [`after_load`](Self::after_load) takes none: its claims were checked by
+/// the load that read the stored bodies.
 pub struct Diff<'a> {
     want: &'a Checkpoint,
+    /// Whether every stored section a claim could fall in was read through
+    /// [`Encoded::read`] just before, which checked each checksum in it.
+    loaded: bool,
     /// Sections produced so far.
     seen: usize,
     /// The first divergence found by comparing bytes, and the index of the
@@ -1009,6 +1073,8 @@ struct BodyDiff<'a> {
     diverged: Option<usize>,
     /// The `Diff`'s claims, lent for the section's turn.
     claims: Vec<Claim>,
+    /// The `Diff`'s [`loaded`](Diff::loaded).
+    loaded: bool,
 }
 
 impl BodyDiff<'_> {
@@ -1031,16 +1097,19 @@ impl Emit for BodyDiff<'_> {
     }
 
     /// A claim while the body has matched so far and the stored section has
-    /// eight more bytes; otherwise the real checksum, compared as bytes.
+    /// eight more bytes (none after a load, which checked it); otherwise
+    /// the real checksum, compared as bytes.
     fn sum_of(&mut self, body: &[u8]) {
         match self.want {
             Some((_, want)) if self.diverged.is_none() && want.len() >= self.len + 8 => {
-                self.claims.push(Claim {
-                    section: self.index,
-                    body: self.len - body.len(),
-                    sum: self.len,
-                    produced: 0,
-                });
+                if !self.loaded {
+                    self.claims.push(Claim {
+                        section: self.index,
+                        body: self.len - body.len(),
+                        sum: self.len,
+                        produced: 0,
+                    });
+                }
                 self.len += 8;
             }
             _ => self.feed(&checksum(body).to_le_bytes()),
@@ -1067,9 +1136,24 @@ impl<'a> Diff<'a> {
         });
         Diff {
             want,
+            loaded: false,
             seen: 0,
             first,
             claims: Vec::new(),
+        }
+    }
+
+    /// [`new`](Self::new) for the verify that follows a load of `want`
+    /// which read each stored section a streamed body is compared against
+    /// through [`Encoded::read`]. A claim would be that a stored checksum
+    /// is its stored body's, at offsets the read parsed from the same bytes,
+    /// and the read checked exactly that; so this `Diff` takes the stored
+    /// checksum without hashing the body again. Any other verify must use
+    /// [`new`](Self::new): only a load proves the claims.
+    pub fn after_load(want: &'a Checkpoint, got: &Manifest) -> Self {
+        Diff {
+            loaded: true,
+            ..Self::new(want, got)
         }
     }
 
@@ -1091,6 +1175,7 @@ impl<'a> Diff<'a> {
             len: 0,
             diverged: None,
             claims: std::mem::take(&mut self.claims),
+            loaded: self.loaded,
         }
     }
 
@@ -1320,7 +1405,46 @@ mod tests {
         w.into_bytes()
     }
 
+    /// Pages for the RLE proptest: runs of one byte (zero, `0xff` or
+    /// drawn), each 1 to 40 bytes so that runs start and end anywhere in an
+    /// eight-byte word, then a tail of zeros or of one other byte.
+    fn page(runs: &[(usize, u8, u8)], tail: (usize, bool)) -> Vec<u8> {
+        let mut page = Vec::new();
+        for &(n, pick, drawn) in runs {
+            let byte = [0, 0xff, drawn, drawn ^ 1][usize::from(pick % 4)];
+            page.resize(page.len() + n, byte);
+        }
+        let (n, zeros) = tail;
+        page.resize(page.len() + n, if zeros { 0 } else { 0x5a });
+        page
+    }
+
     proptest::proptest! {
+        /// The word-at-a-time writer writes what the byte loop
+        /// (`rle_oracle`, over the zero-padded copy) writes, for pages of
+        /// runs that cross word boundaries, of every length mod 8, with
+        /// zero and non-zero tails, padded or not; and the run scan finds
+        /// every run's end where a byte-by-byte scan does.
+        fn the_word_scan_writes_what_the_byte_loop_wrote(
+            runs in proptest::collection::vec((1usize..40, 0u8..4, proptest::arbitrary::any::<u8>()), 0..24),
+            tail in (0usize..20, proptest::arbitrary::any::<bool>()),
+            pad in 0usize..30,
+            padded in proptest::arbitrary::any::<bool>(),
+        ) {
+            let page = page(&runs, tail);
+            let len = page.len() + if padded { pad } else { 0 };
+            let mut whole = page.clone();
+            whole.resize(len, 0);
+            let mut w = SnapWriter::new();
+            w.put_bytes_rle_padded(&page, len);
+            proptest::prop_assert_eq!(w.into_bytes(), rle_oracle(&whole));
+            for at in 0..page.len() {
+                let rest = &page[at..];
+                let bytewise = rest.iter().position(|&x| x != rest[0]).unwrap_or(rest.len());
+                proptest::prop_assert_eq!(run_len(rest, rest[0]), bytewise);
+            }
+        }
+
         /// Zero-padding inside the writer writes what the old writer wrote
         /// for the padded copy: bytes from a three-letter alphabet with zero
         /// in it, so runs form and the padding sometimes extends a run of
@@ -1686,6 +1810,52 @@ mod tests {
         let mut streamed = Diff::new(&want, &got.manifest);
         produce(&mut streamed);
         assert_eq!(streamed.finish(), oracle);
+        // Where a load would have read every stored section, the verify
+        // after it, which takes the checked checksums as checked, reports
+        // the same; where one fails to read, the load refuses first.
+        if want.sections().all(|(_, b)| Encoded::read(b).is_ok()) {
+            let mut loaded = Diff::after_load(&want, &got.manifest);
+            produce(&mut loaded);
+            assert_eq!(loaded.finish(), oracle);
+        }
+    }
+
+    /// What a `Diff` after a load does not do: hash a stored checksum again.
+    /// A nested checksum flipped in the stored checkpoint is reported by
+    /// [`Diff::new`] and passes [`Diff::after_load`]; that is why only the
+    /// verify of a load that read the section through [`Encoded::read`],
+    /// which refuses it, may use the latter.
+    #[test]
+    fn after_a_load_a_matched_checksum_is_not_hashed_again() {
+        let mut inner = Checkpoint::new(sample().manifest);
+        inner.add_section("t0", body(2, 5));
+        let mut want = Checkpoint::new(sample().manifest);
+        want.add_section("m0", inner.encode());
+        let (_, _, sum) = framing(&want.sections[0].1)[0];
+        want.sections[0].1[sum] ^= 1;
+        assert!(matches!(
+            Encoded::read(&want.sections[0].1),
+            Err(SnapError::ChecksumMismatch { .. })
+        ));
+        let produce = |sink: &mut dyn SectionSink| {
+            sink.streamed("m0", &mut |emit| {
+                let mut enc = Encoder::new(&inner.manifest, 1, emit);
+                enc.section("t0", inner.sections[0].1.clone());
+                enc.finish();
+                Ok(())
+            })
+            .expect("nothing fails to write");
+        };
+        let mut hashed = Diff::new(&want, &want.manifest);
+        produce(&mut hashed);
+        let report = hashed.finish().expect("the claim fails");
+        assert!(
+            report.contains(&format!("first divergence at offset {sum}")),
+            "{report}"
+        );
+        let mut loaded = Diff::after_load(&want, &want.manifest);
+        produce(&mut loaded);
+        assert_eq!(loaded.finish(), None);
     }
 
     proptest::proptest! {

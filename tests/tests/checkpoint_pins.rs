@@ -33,7 +33,7 @@ use lastcpu_kvs::client::{KvsClientHost, WorkloadConfig};
 use lastcpu_kvs::ServerConfig;
 use lastcpu_kvs::{build_cpuless_kvs, build_rack_kvs, RackSetup};
 use lastcpu_sim::{SimDuration, SimTime};
-use lastcpu_snap::{Checkpoint, Result};
+use lastcpu_snap::{Checkpoint, Result, SnapError};
 
 fn workload(i: usize) -> WorkloadConfig {
     WorkloadConfig {
@@ -71,8 +71,8 @@ fn machine() -> System {
 }
 
 /// Four machines on leaf-spine:2, R = 2, a client per machine through its
-/// local router, stopped mid-run.
-fn rack() -> RackSetup {
+/// local router, powered on.
+fn fresh_rack() -> RackSetup {
     let mut setup = build_rack_kvs(
         FabricConfig {
             topology: TopologyConfig {
@@ -94,6 +94,12 @@ fn rack() -> RackSetup {
         m.add_host(Box::new(KvsClientHost::new(router, workload(i))));
     }
     setup.fabric.power_on();
+    setup
+}
+
+/// [`fresh_rack`], stopped mid-run.
+fn rack() -> RackSetup {
+    let mut setup = fresh_rack();
     setup.fabric.run_until(SimTime::from_nanos(60_000_000));
     for i in 0..4 {
         assert!(
@@ -348,6 +354,32 @@ fn a_rack_reports_a_doctored_inner_checksum_as_before() {
         .map(|d| report(setup.fabric.verify_checkpoint(d)))
         .collect();
     assert_eq!(reports, PARENT_RACK_SUMS);
+}
+
+/// A rack restore hashes each checksum inside a machine's section once, in
+/// its load, and its verify takes them as checked: a checkpoint with one of
+/// them flipped is still refused, as the checksum mismatch of the inner
+/// section it belongs to, and the undoctored one restores.
+#[test]
+fn a_restore_refuses_a_flipped_inner_checksum() {
+    let ck = rack().fabric.checkpoint("pins").expect("rack checkpoints");
+    let m1 = ck.section("machine1").expect("a machine");
+    for tag in ["engine", "trace", "dev1", "host1"] {
+        let (_, sum) = locate(m1, tag);
+        let doctored = doctor_machines(&ck, |t, b| {
+            if t == "machine1" {
+                b[sum + 3] ^= 0x08;
+            }
+        });
+        match fresh_rack().fabric.restore_from(&doctored) {
+            Err(SnapError::ChecksumMismatch { section, .. }) => assert_eq!(section, tag),
+            other => panic!("{tag}: expected a checksum mismatch, got {other:?}"),
+        }
+    }
+    fresh_rack()
+        .fabric
+        .restore_from(&ck)
+        .expect("the undoctored checkpoint restores");
 }
 
 /// What `Checkpoint::decode` reports for a machine's encoding with two
