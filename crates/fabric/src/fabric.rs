@@ -131,6 +131,21 @@ struct MachineSlot {
     link: LinkMetrics,
 }
 
+impl MachineSlot {
+    /// The proxy port on this machine for `(machine, port)`, opened on
+    /// first sight.
+    fn proxy_port(&mut self, machine: u32, port: PortId) -> PortId {
+        let peer = RemotePeer { machine, port };
+        if let Some(&p) = self.proxy.get(&peer) {
+            return p;
+        }
+        let p = self.sys.add_tunnel_port();
+        self.proxy.insert(peer, p);
+        self.proxy_rev.insert(p, peer);
+        p
+    }
+}
+
 /// A frame that finished crossing an inter-machine link (or a directory
 /// reply) and enters `machine`'s edge switch at its scheduled time.
 struct LinkDelivery {
@@ -215,17 +230,32 @@ impl NextEvents {
 }
 
 /// Whether `qualified` is exactly `format!("m{machine}/{device}")`, decided
-/// without building that string.
+/// without building that string or formatting: the text between `m` and
+/// the first `/` must be `machine`'s decimal digits, compared one at a
+/// time from the last, with no leading zero.
 fn is_qualified(qualified: &str, machine: usize, device: &str) -> bool {
-    struct Rest<'a>(&'a str);
-    impl std::fmt::Write for Rest<'_> {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            self.0 = self.0.strip_prefix(s).ok_or(std::fmt::Error)?;
-            Ok(())
+    let Some((m, rest)) = qualified.split_once('/') else {
+        return false;
+    };
+    let Some(mut digits) = m.strip_prefix('m').map(str::as_bytes) else {
+        return false;
+    };
+    if rest != device {
+        return false;
+    }
+    let mut n = machine;
+    loop {
+        let Some((&last, front)) = digits.split_last() else {
+            return false;
+        };
+        if last != b'0' + (n % 10) as u8 {
+            return false;
+        }
+        (digits, n) = (front, n / 10);
+        if n == 0 {
+            return digits.is_empty();
         }
     }
-    let mut rest = Rest(qualified);
-    std::fmt::write(&mut rest, format_args!("m{machine}/{device}")).is_ok() && rest.0.is_empty()
 }
 
 /// N CPU-less machines co-simulated under one deterministic clock.
@@ -393,7 +423,7 @@ impl Fabric {
     /// `to_port` on machine `to`, with their source rewritten to the
     /// symmetric proxy so replies find their way back.
     pub fn open_tunnel(&mut self, on: MachineId, to: MachineId, to_port: PortId) -> PortId {
-        self.proxy_port(on.0 as usize, to.0, to_port)
+        self.machines[on.0 as usize].proxy_port(to.0, to_port)
     }
 
     /// The current rack directory snapshot.
@@ -616,17 +646,6 @@ impl Fabric {
 
     // --- internals --------------------------------------------------------
 
-    fn proxy_port(&mut self, on: usize, machine: u32, port: PortId) -> PortId {
-        let peer = RemotePeer { machine, port };
-        if let Some(&p) = self.machines[on].proxy.get(&peer) {
-            return p;
-        }
-        let p = self.machines[on].sys.add_tunnel_port();
-        self.machines[on].proxy.insert(peer, p);
-        self.machines[on].proxy_rev.insert(p, peer);
-        p
-    }
-
     /// Crosses the inter-machine link from `a` to `peer.machine`.
     fn forward(&mut self, a: usize, peer: RemotePeer, d: TunnelDelivery) {
         let _prof = profile::span("fabric.forward");
@@ -694,7 +713,7 @@ impl Fabric {
         }
         // The frame re-enters b with its source rewritten to b's proxy for
         // the original sender, so replies tunnel back symmetrically.
-        let src_on_b = self.proxy_port(b, a as u32, d.frame.src);
+        let src_on_b = self.machines[b].proxy_port(a as u32, d.frame.src);
         let frame = Frame::unicast(src_on_b, peer.port, d.frame.payload);
         for m in [a, b] {
             self.machines[m].link.bytes.add(wire);
@@ -742,21 +761,19 @@ impl Fabric {
     /// keep their edge-switch port, remote ones appear as `q`'s proxy port
     /// for them (opened here on first sight).
     fn build_dir_reply(&mut self, q: usize) -> Vec<u8> {
-        let snapshot = self.directory.clone();
-        let mut endpoints = Vec::with_capacity(snapshot.len());
-        for e in &snapshot {
-            let port = if e.machine as usize == q {
-                e.port
-            } else {
-                self.proxy_port(q, e.machine, e.port)
-            };
-            endpoints.push(DirEndpoint {
+        let slot = &mut self.machines[q];
+        let endpoints = (self.directory.iter())
+            .map(|e| DirEndpoint {
                 name: e.name.clone(),
                 kind: e.kind.clone(),
                 machine: e.machine,
-                port: port.0,
-            });
-        }
+                port: if e.machine as usize == q {
+                    e.port.0
+                } else {
+                    slot.proxy_port(e.machine, e.port).0
+                },
+            })
+            .collect();
         DirMsg::Reply {
             epoch: self.dir_epoch,
             endpoints,
@@ -1644,8 +1661,47 @@ mod tests {
             ("m12/nic0x", 12, "nic0"),
             ("m12/nic", 12, "nic0"),
             ("12/nic0", 12, "nic0"),
+            ("m03/x", 3, "x"),
+            ("m3x", 3, "x"),
+            ("m3x", 3, ""),
+            ("m3/", 3, ""),
+            ("m0/", 0, ""),
+            ("m/x", 0, "x"),
+            ("m65535/x", u16::MAX as usize, "x"),
+            ("m65535/x", u16::MAX as usize + 1, "x"),
         ] {
             assert_eq!(is_qualified(q, m, d), q == format!("m{m}/{d}"), "{q}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The digit-by-digit comparison decides what comparing against
+        /// `format!` decides: the string is built from a prefix, a machine
+        /// number, a separator and a device, each drawn to be right or
+        /// nearly right (a leading zero, a missing `/`, an empty device, a
+        /// number past `u16::MAX`), against a machine near it.
+        fn qualified_names_compare_as_format_does(
+            prefix in 0usize..3,
+            written in 0usize..6,
+            sep in 0usize..3,
+            device in 0usize..5,
+            machine in 0usize..6,
+            salt in 0usize..200,
+        ) {
+            let numbers = [0, 3, 12, salt, u16::MAX as usize, u16::MAX as usize + 1];
+            let n = numbers[written];
+            let text = [format!("{n}"), format!("0{n}")][salt % 2].clone();
+            let devices = ["x", "", "nic0", "a/b", "3"];
+            let q = format!(
+                "{}{text}{}{}",
+                ["m", "", "mm"][prefix],
+                ["/", "", "x"][sep],
+                devices[device],
+            );
+            let m = [n, n + 1, n.saturating_sub(1), 3, 30, n * 10][machine];
+            for d in devices {
+                proptest::prop_assert_eq!(is_qualified(&q, m, d), q == format!("m{m}/{d}"));
+            }
         }
     }
 
