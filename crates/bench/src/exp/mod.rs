@@ -1,10 +1,12 @@
-//! The experiment registry and the four commands built on it.
+//! The experiment registry and the commands built on it.
 //!
 //! ```text
 //! lastcpu-bench <exp> [flags]            one experiment: tables, --out artifact
 //! lastcpu-bench all [--smoke] [--no-wall] [--check] [--out-dir D]
 //! lastcpu-bench diff A.json B.json [--host-tol <pct>]
 //! lastcpu-bench show A.json [group..]    an artifact's tables, as its run printed them
+//! lastcpu-bench ab A B [--pairs N] [--host-tol <pct>] -- EXP [flags]
+//!                                        two binaries, ABBA, compared on host time
 //! ```
 //!
 //! An [`Experiment`] is plain data: its flags, the reduced flag sets CI
@@ -286,7 +288,8 @@ fn usage() -> String {
         "usage: lastcpu-bench <experiment> [flags]   (--help lists an experiment's flags)\n\
          \x20      lastcpu-bench all [--smoke] [--no-wall] [--check] [--out-dir D]\n\
          \x20      lastcpu-bench diff A.json B.json [--host-tol <pct>]\n\
-         \x20      lastcpu-bench show A.json [group..]\n\nexperiments:\n",
+         \x20      lastcpu-bench show A.json [group..]\n\
+         \x20      lastcpu-bench ab A B [--pairs N] [--host-tol <pct>] -- EXP [flags]\n\nexperiments:\n",
     );
     for e in REGISTRY {
         let headline = e.title.lines().next().unwrap_or("");
@@ -300,6 +303,11 @@ pub fn main(argv: &[String]) -> i32 {
     let Some((cmd, rest)) = argv.split_first() else {
         eprint!("{}", usage());
         return 2;
+    };
+    // `ab` hands what follows `--` to the two binaries untouched.
+    let (rest, passed) = match (cmd.as_str(), rest.iter().position(|a| a == "--")) {
+        ("ab", Some(i)) => (&rest[..i], &rest[i + 1..]),
+        _ => (rest, &[][..]),
     };
     let exp = Experiment::find(cmd);
     type Run<'a> = &'a dyn Fn(&Args) -> Result<i32, String>;
@@ -320,6 +328,12 @@ pub fn main(argv: &[String]) -> i32 {
                 2..=2,
                 "A.json B.json: per-cell, per-metric comparison",
                 &diff,
+            ),
+            ("ab", _) => (
+                vec![crate::ab::FLAGS],
+                2..=2,
+                "A B -- EXP [flags]: two binaries run EXP in ABBA pairs; host metrics compared as median ratios with sign-test intervals",
+                &move |a| crate::ab::run(a, passed),
             ),
             ("show", _) => (
                 vec![],

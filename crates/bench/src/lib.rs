@@ -27,11 +27,13 @@
 //!
 //! The shared pieces: the strict command line ([`cli`]), the report model
 //! with its table, artifact and diff ([`report`], [`json`], [`table`]), the
+//! ABBA comparison of two binaries on host time ([`ab`]), the
 //! rack driver ([`rack`]), the observability flags ([`obs`]), the counting
 //! allocator ([`alloc`]) and the small driver devices the experiments need
 //! ([`drivers`], [`twotenant`]: setup clients, doorbell pingers,
 //! control-storm generators, allocation churners, DMA probes).
 
+pub mod ab;
 pub mod alloc;
 pub mod cli;
 pub mod drivers;
