@@ -57,7 +57,6 @@ fn sign_interval(n: usize) -> (usize, f64) {
 }
 
 /// One host metric over the pairs.
-#[derive(Debug, PartialEq)]
 struct Summary {
     median: f64,
     low: f64,
@@ -65,6 +64,16 @@ struct Summary {
     coverage: f64,
     /// Pairs in which B did better.
     wins: usize,
+}
+
+/// `b / a`, where equal values (zeros included) are 1 and a zero `a`
+/// against another `b` is no number.
+fn ratio(a: f64, b: f64) -> f64 {
+    if a == b {
+        1.0
+    } else {
+        b / a
+    }
 }
 
 /// The ratios B/A of one metric, summarised; `better` says which way is
@@ -121,6 +130,15 @@ fn run_one(bin: &str, argv: &[String], path: &Path) -> Result<Report, String> {
     Report::read(&path.to_string_lossy())
 }
 
+/// `r` without its host metrics.
+fn simulated(r: &Report) -> Report {
+    let mut r = r.clone();
+    for c in &mut r.cells {
+        c.metrics.retain(|m| !m.host);
+    }
+    r
+}
+
 /// A scratch directory, removed when dropped.
 struct Scratch(PathBuf);
 
@@ -173,7 +191,7 @@ pub fn run(args: &Args, passed: &[String]) -> Result<i32, String> {
     let mut failed = false;
     // Everything that is not host time, pair by pair, as `diff` holds it.
     for (i, (ra, rb)) in runs.iter().enumerate() {
-        let d = report::diff(ra, rb, Some(f64::INFINITY));
+        let d = report::diff(&simulated(ra), &simulated(rb), None);
         if d.failed() {
             failed = true;
             for line in &d.lines {
@@ -185,33 +203,38 @@ pub fn run(args: &Args, passed: &[String]) -> Result<i32, String> {
     for cell in &first.cells {
         let label = cell.label();
         for m in cell.metrics.iter().filter(|m| m.host) {
-            let ratios: Option<Vec<f64>> = runs
-                .iter()
-                .map(|(ra, rb)| {
-                    let find = |r: &Report| {
-                        let c = r.cells.iter().find(|c| c.label() == label)?;
-                        c.get(&m.name)?.as_f64()
-                    };
-                    Some(find(rb)? / find(ra)?)
-                })
-                .collect();
-            let Some(ratios) = ratios.filter(|r| r.iter().all(|x| x.is_finite())) else {
-                cli::print(&format!("  {label} {}: missing or zero in a run\n", m.name));
+            let pairs_of = runs.iter().map(|(ra, rb)| {
+                let find = |r: &Report| {
+                    let c = r.cells.iter().find(|c| c.label() == label)?;
+                    c.get(&m.name)?.as_f64()
+                };
+                Some((find(ra)?, find(rb)?))
+            });
+            let Some(values) = pairs_of.collect::<Option<Vec<(f64, f64)>>>() else {
+                cli::print(&format!("  {label} {}: missing in a run\n", m.name));
                 failed = true;
                 continue;
             };
+            let ratios: Vec<f64> = values.iter().map(|&(x, y)| ratio(x, y)).collect();
+            if ratios.iter().any(|r| !r.is_finite()) {
+                cli::print(&format!("  {label} {}: zero in a run of A\n", m.name));
+                continue;
+            }
             let s = summarize(ratios, m.better);
             metrics += 1;
             let beyond = s.worse_beyond(m.better, tol);
             worse += usize::from(beyond);
+            let wins = match m.better {
+                Better::Exact => String::new(),
+                _ => format!(", B better in {} of {pairs}", s.wins),
+            };
             cli::print(&format!(
-                "  {label} {}: B/A median {:.3} [{:.3} .. {:.3}] ({:.1}%), B better in {} of {pairs}{}\n",
+                "  {label} {}: B/A median {:.3} [{:.3} .. {:.3}] ({:.1}%){wins}{}\n",
                 m.name,
                 s.median,
                 s.low,
                 s.high,
                 100.0 * s.coverage,
-                s.wins,
                 if beyond { "  WORSE" } else { "" }
             ));
         }
@@ -263,5 +286,7 @@ mod tests {
         let fewer = summarize(vec![0.8, 0.85, 0.7, 0.75, 0.8, 0.88], Better::Higher);
         assert_eq!(fewer.wins, 0);
         assert!(fewer.worse_beyond(Better::Higher, 0.1));
+        assert_eq!((ratio(0.0, 0.0), ratio(2.0, 3.0)), (1.0, 1.5));
+        assert!(!ratio(0.0, 1.0).is_finite());
     }
 }
