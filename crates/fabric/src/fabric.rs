@@ -762,7 +762,9 @@ impl Fabric {
     /// for them (opened here on first sight).
     fn build_dir_reply(&mut self, q: usize) -> Vec<u8> {
         let slot = &mut self.machines[q];
-        let endpoints = (self.directory.iter())
+        let endpoints = self
+            .directory
+            .iter()
             .map(|e| DirEndpoint {
                 name: e.name.clone(),
                 kind: e.kind.clone(),
@@ -1690,7 +1692,10 @@ mod tests {
         ) {
             let numbers = [0, 3, 12, salt, u16::MAX as usize, u16::MAX as usize + 1];
             let n = numbers[written];
-            let text = [format!("{n}"), format!("0{n}")][salt % 2].clone();
+            let text = match salt % 2 {
+                0 => n.to_string(),
+                _ => format!("0{n}"),
+            };
             let devices = ["x", "", "nic0", "a/b", "3"];
             let q = format!(
                 "{}{text}{}{}",
