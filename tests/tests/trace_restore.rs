@@ -236,7 +236,8 @@ proptest! {
     /// names differently are restored one after the other on this thread,
     /// into fresh sinks and into sinks whose tables are seeded (the second
     /// full, so names ride as text on the way in too): no restore reads
-    /// another's handles.
+    /// another's handles. A restored sink then takes more records as the
+    /// original does.
     fn snapshot_restore_snapshot_is_identical(
         ops in proptest::collection::vec((0u64..17, 0u64..40, 0u64..40, 0u64..1_000_000), 1..120),
         capacity in 1usize..100,
@@ -251,10 +252,21 @@ proptest! {
             emit(&mut first, op, &pool);
             emit(&mut second, op, &reversed);
         }
-        for original in [&first, &second] {
-            round_trips(original, &mut TraceSink::bounded(1))?;
+        for (original, pool) in [(&mut first, &pool), (&mut second, &reversed)] {
+            // A sink with a record of its own, whose time the restored
+            // records must not count from.
+            let mut back = TraceSink::bounded(1);
+            emit(&mut back, (11, 1, 2, 987_654), pool);
+            round_trips(original, &mut back)?;
             round_trips(original, &mut seeded(7, 1))?;
             round_trips(original, &mut seeded(MAX_NAMES, 1))?;
+            // Records emitted after the restore extend it as they extend
+            // the original, evicting the restored ones past its capacity.
+            for &op in ops.iter().cycle().take(capacity + 3) {
+                emit(original, op, pool);
+                emit(&mut back, op, pool);
+                prop_assert_eq!(lines(&back), lines(original));
+            }
         }
     }
 }
