@@ -1678,11 +1678,13 @@ mod tests {
 
     proptest::proptest! {
         /// The digit-by-digit comparison decides what comparing against
-        /// `format!` decides: the string is built from a prefix, a machine
-        /// number, a separator and a device, each drawn to be right or
-        /// nearly right (a leading zero, a missing `/`, an empty device, a
-        /// number past `u16::MAX`), against a machine near it.
+        /// `format!` decides. The string is one of `m03/x`, `m3x`, `m3/`
+        /// and `m65535/x`, or is built from a prefix, a machine number, a
+        /// separator and a device, each drawn to be right or nearly right
+        /// (a leading zero, a missing `/`, an empty device, a number past
+        /// `u16::MAX`); the machine is drawn near the number.
         fn qualified_names_compare_as_format_does(
+            named in 0usize..8,
             prefix in 0usize..3,
             written in 0usize..6,
             sep in 0usize..3,
@@ -1697,12 +1699,19 @@ mod tests {
                 _ => format!("0{n}"),
             };
             let devices = ["x", "", "nic0", "a/b", "3"];
-            let q = format!(
-                "{}{text}{}{}",
-                ["m", "", "mm"][prefix],
-                ["/", "", "x"][sep],
-                devices[device],
-            );
+            let q = match named {
+                0 => "m03/x".to_string(),
+                1 => "m3x".to_string(),
+                2 => "m3/".to_string(),
+                3 => format!("m{}/x", u16::MAX),
+                _ => format!(
+                    "{}{text}{}{}",
+                    ["m", "", "mm"][prefix],
+                    ["/", "", "x"][sep],
+                    devices[device],
+                ),
+            };
+            let n = [3, 3, 3, u16::MAX as usize].get(named).copied().unwrap_or(n);
             let m = [n, n + 1, n.saturating_sub(1), 3, 30, n * 10][machine];
             for d in devices {
                 proptest::prop_assert_eq!(is_qualified(&q, m, d), q == format!("m{m}/{d}"));
