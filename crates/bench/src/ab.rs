@@ -5,7 +5,7 @@
 //! runs can move a phase by 30% with no code at fault. So `ab` runs the
 //! experiment `--pairs` times with each binary, in ABBA order (A first in
 //! the first pair, B first in the second, and so on), so that a drift of
-//! the host over the session falls on both sides alike. For every host
+//! the host while the pairs run falls on both sides alike. For every host
 //! metric of every cell it prints, over the pairs, the median of B's value
 //! over A's, a sign-test interval for that median (the pair of order
 //! statistics whose binomial coverage is at least 95%, or the extremes when
