@@ -1,4 +1,4 @@
-//! `lastcpu-bench ab A B [--pairs N] [--host-tol PCT] -- EXP [flags]`: two
+//! `lastcpu-bench ab A B [--pairs N] -- EXP [flags]`: two
 //! binaries of the harness, one experiment, compared on host time.
 //!
 //! One run's host clock is noise on this kind of host: a single pair of
@@ -13,9 +13,11 @@
 //! many pairs B won.
 //!
 //! It fails (exit 1) when a host metric's whole interval is worse than
-//! `--host-tol`, so that no ratio the interval admits is within the
+//! [`HOST_TOL`], so that no ratio the interval admits is within the
 //! tolerance, or when a pair's other metrics differ as `diff` would fail
-//! them (host metrics aside). Both binaries get the same arguments, plus
+//! them (host metrics aside). A pair in which A reads zero and B does not
+//! has an infinite ratio, so a metric that leaves zero in every pair fails
+//! if lower is better. Both binaries get the same arguments, plus
 //! `--out` into a directory of their own that is removed afterwards.
 
 use std::path::{Path, PathBuf};
@@ -27,12 +29,15 @@ use crate::report::{self, Better, Report};
 
 /// `ab`'s own flags, before the `--`.
 pub const FLAGS: &[Flag] = flags! {
-    "--pairs"    U64 "6"  "ABBA pairs to run, at least 1 (6 is the fewest whose extremes cover the median with 95%)"
-    "--host-tol" F64 "10" "percent by which a host metric may be worse across its whole interval before the run fails"
+    "--pairs" U64 "6" "ABBA pairs to run, at least 1 (6 is the fewest whose extremes cover the median with 95%)"
 };
 
 /// Coverage the interval aims for.
 const COVERAGE: f64 = 0.95;
+
+/// How much worse than A a host metric's whole interval may be before the
+/// run fails, as a fraction.
+const HOST_TOL: f64 = 0.10;
 
 /// The interval of a median over `n` pairs: it runs from the `k`-th
 /// smallest ratio to the `k`-th largest, for the largest `k` whose coverage
@@ -67,7 +72,8 @@ struct Summary {
 }
 
 /// `b / a`, where equal values (zeros included) are 1 and a zero `a`
-/// against another `b` is no number.
+/// against a larger `b` is infinite: a pair B lost (or won) by more than
+/// any ratio, which the order statistics rank like any other.
 fn ratio(a: f64, b: f64) -> f64 {
     if a == b {
         1.0
@@ -153,7 +159,6 @@ impl Drop for Scratch {
 pub fn run(args: &Args, passed: &[String]) -> Result<i32, String> {
     let (a, b) = (&args.positional[0], &args.positional[1]);
     let pairs = args.usize("--pairs");
-    let tol = args.f64("--host-tol") / 100.0;
     if pairs == 0 {
         return Err("--pairs must be at least 1".into());
     }
@@ -216,13 +221,9 @@ pub fn run(args: &Args, passed: &[String]) -> Result<i32, String> {
                 continue;
             };
             let ratios: Vec<f64> = values.iter().map(|&(x, y)| ratio(x, y)).collect();
-            if ratios.iter().any(|r| !r.is_finite()) {
-                cli::print(&format!("  {label} {}: zero in a run of A\n", m.name));
-                continue;
-            }
             let s = summarize(ratios, m.better);
             metrics += 1;
-            let beyond = s.worse_beyond(m.better, tol);
+            let beyond = s.worse_beyond(m.better, HOST_TOL);
             worse += usize::from(beyond);
             let wins = match m.better {
                 Better::Exact => String::new(),
@@ -241,9 +242,9 @@ pub fn run(args: &Args, passed: &[String]) -> Result<i32, String> {
     }
     failed |= worse > 0;
     cli::print(&format!(
-        "{}: {metrics} host metrics, {worse} worse than {}% across their interval\n",
+        "{}: {metrics} host metrics, {worse} worse than {:.0}% across their interval\n",
         if failed { "FAIL" } else { "PASS" },
-        args.f64("--host-tol")
+        100.0 * HOST_TOL
     ));
     Ok(i32::from(failed))
 }
@@ -287,6 +288,22 @@ mod tests {
         assert_eq!(fewer.wins, 0);
         assert!(fewer.worse_beyond(Better::Higher, 0.1));
         assert_eq!((ratio(0.0, 0.0), ratio(2.0, 3.0)), (1.0, 1.5));
-        assert!(!ratio(0.0, 1.0).is_finite());
+        assert_eq!(ratio(0.0, 1.0), f64::INFINITY);
+        // A zero in A against a non-zero B: B loses that pair outright. In
+        // every pair, a lower-is-better metric fails and a higher-is-better
+        // one wins; in one pair of six, it is one ratio among six.
+        let left_zero = |better| summarize(vec![ratio(0.0, 0.5); 6], better);
+        let s = left_zero(Better::Lower);
+        assert_eq!((s.median, s.low, s.wins), (f64::INFINITY, f64::INFINITY, 0));
+        assert!(s.worse_beyond(Better::Lower, 0.1));
+        let s = left_zero(Better::Higher);
+        assert_eq!(s.wins, 6);
+        assert!(!s.worse_beyond(Better::Higher, 0.1));
+        let once = summarize(
+            vec![1.0, 0.9, ratio(0.0, 0.5), 1.05, 0.95, 1.0],
+            Better::Lower,
+        );
+        assert_eq!(once.high, f64::INFINITY);
+        assert!(once.median.is_finite() && !once.worse_beyond(Better::Lower, 0.1));
     }
 }

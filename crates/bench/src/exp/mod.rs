@@ -5,7 +5,7 @@
 //! lastcpu-bench all [--smoke] [--no-wall] [--check] [--out-dir D]
 //! lastcpu-bench diff A.json B.json [--host-tol <pct>]
 //! lastcpu-bench show A.json [group..]    an artifact's tables, as its run printed them
-//! lastcpu-bench ab A B [--pairs N] [--host-tol <pct>] -- EXP [flags]
+//! lastcpu-bench ab A B [--pairs N] -- EXP [flags]
 //!                                        two binaries, ABBA, compared on host time
 //! ```
 //!
@@ -289,7 +289,7 @@ fn usage() -> String {
          \x20      lastcpu-bench all [--smoke] [--no-wall] [--check] [--out-dir D]\n\
          \x20      lastcpu-bench diff A.json B.json [--host-tol <pct>]\n\
          \x20      lastcpu-bench show A.json [group..]\n\
-         \x20      lastcpu-bench ab A B [--pairs N] [--host-tol <pct>] -- EXP [flags]\n\nexperiments:\n",
+         \x20      lastcpu-bench ab A B [--pairs N] -- EXP [flags]\n\nexperiments:\n",
     );
     for e in REGISTRY {
         let headline = e.title.lines().next().unwrap_or("");
