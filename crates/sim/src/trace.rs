@@ -1253,8 +1253,14 @@ impl Packs for &'static str {
     }
 }
 
-/// The slots of a [`Memo`]: several times the distinct names a machine's
-/// records carry.
+/// The slots of a [`Memo`]: the next power of two above twice the most
+/// distinct names a measured sink's section carried. A machine's names are
+/// its own devices, so they do not grow with the rack: 9 to 16 names and 10
+/// to 25 statics on every sink of `rack_restore`'s 16-machine rack and of
+/// the same rack at 128 machines, 105 names and 17 statics on E9's one
+/// machine. At this size the memo answered 98.5% of name and 99.6% of
+/// static lookups on the 128-machine rack and 97.1% and 96.0% on E9; most
+/// misses are two names that share a slot and evict each other.
 const MEMO_SLOTS: usize = 256;
 
 /// What the names of one restore were read back as, keyed by the bytes the
