@@ -13,7 +13,7 @@
 //! many pairs B won.
 //!
 //! It fails (exit 1) when a host metric's whole interval is worse than
-//! [`HOST_TOL`], so that no ratio the interval admits is within the
+//! `HOST_TOL` (10%), so that no ratio the interval admits is within the
 //! tolerance, or when a pair's other metrics differ as `diff` would fail
 //! them (host metrics aside). A pair in which A reads zero and B does not
 //! has an infinite ratio, so a metric that leaves zero in every pair fails
